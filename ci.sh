@@ -12,6 +12,13 @@ cargo test -q
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+# The repo benchmark is a package of its own (own [workspace], never built
+# by the commands above) that calls the layer crates' public API: build it
+# and run its unit tests here, so an API change that breaks it fails
+# tier-1 rather than the benchmark pipeline.
+echo "== benchmark package (cargo test, benchmark/Cargo.toml) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Explicit gate: the fault model must stay a seed-pure no-op by default
 # (same-seed determinism + FaultConfig::default() byte-identity).
 echo "== fault determinism gate (tests/faults.rs) =="

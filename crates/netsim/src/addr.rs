@@ -15,7 +15,7 @@ use std::fmt;
 ///
 /// A thin newtype rather than `std::net::Ipv4Addr` so that arithmetic
 /// (prefix masking, /30 neighbours) stays explicit and allocation-friendly.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Addr(pub u32);
 
 impl Addr {

@@ -91,6 +91,55 @@ impl AsRoutes {
     }
 }
 
+/// The forwarding view of an [`AsRoutes`]: only the chosen next-hop AS per
+/// AS, four bytes each. This is all a packet walk reads, and what
+/// [`crate::sim::Sim`] keeps per `(destination AS, salt)` in its route
+/// cache; metric and class stay with [`routes_to`]'s callers.
+#[derive(Clone, Debug)]
+pub struct NextHopTable {
+    dst: AsId,
+    /// Next-hop AS id per AS index, [`NextHopTable::NONE`] where
+    /// [`AsRoutes::next`] is `None`.
+    next: Box<[u32]>,
+}
+
+impl NextHopTable {
+    const NONE: u32 = u32::MAX;
+
+    /// Chosen next-hop AS of `asn`; `None` for the destination itself and
+    /// for ASes with no route.
+    #[inline]
+    pub fn next(&self, asn: AsId) -> Option<AsId> {
+        match self.next[asn.index()] {
+            Self::NONE => None,
+            a => Some(AsId(a)),
+        }
+    }
+
+    /// True if `asn` has a route to the destination.
+    pub fn reachable(&self, asn: AsId) -> bool {
+        asn == self.dst || self.next[asn.index()] != Self::NONE
+    }
+
+    /// Heap bytes of a table over `n_ases` ASes.
+    pub fn heap_bytes(n_ases: usize) -> usize {
+        n_ases * std::mem::size_of::<u32>()
+    }
+}
+
+impl From<&AsRoutes> for NextHopTable {
+    fn from(routes: &AsRoutes) -> NextHopTable {
+        NextHopTable {
+            dst: routes.dst,
+            next: routes
+                .next
+                .iter()
+                .map(|n| n.map_or(Self::NONE, |a| a.0))
+                .collect(),
+        }
+    }
+}
+
 /// Compute valley-free routes from every AS toward `dst`.
 ///
 /// `salt` seeds the tie-break hash; different salts model different
@@ -131,29 +180,32 @@ pub fn routes_to(topo: &Topology, dst: AsId, salt: u64) -> AsRoutes {
     // candidate; edge penalties make the metric differ from hop count.
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    {
-        let mut heap: BinaryHeap<Reverse<(u16, u64, u32, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((0, 0, dst.0, dst.0)));
-        while let Some(Reverse((d, _, x, via))) = heap.pop() {
-            let xi = x as usize;
-            if dist[xi] != u16::MAX {
+    // One heap serves stages 1 and 3 (stage 1 drains it). Each
+    // provider–customer edge is pushed at most once per stage; on the
+    // generated hierarchies (2.4 such edges per AS) the pending set peaks
+    // at 1–2 entries per AS, so this size almost never grows.
+    let mut heap: BinaryHeap<Reverse<(u16, u64, u32, u32)>> = BinaryHeap::with_capacity(2 * n);
+    heap.push(Reverse((0, 0, dst.0, dst.0)));
+    while let Some(Reverse((d, _, x, via))) = heap.pop() {
+        let xi = x as usize;
+        if dist[xi] != u16::MAX {
+            continue;
+        }
+        dist[xi] = d;
+        class[xi] = RouteClass::Customer;
+        next[xi] = (via != x).then_some(AsId(via));
+        for (p, rel) in topo.as_neighbors(AsId(x)) {
+            if rel != Rel::Provider || dist[p.index()] != u16::MAX {
                 continue;
             }
-            dist[xi] = d;
-            class[xi] = RouteClass::Customer;
-            next[xi] = (via != x).then_some(AsId(via));
-            for (p, rel) in topo.as_neighbors(AsId(x)) {
-                if rel != Rel::Provider || dist[p.index()] != u16::MAX {
-                    continue;
-                }
-                heap.push(Reverse((d + weight(p, AsId(x)), tie(p, AsId(x)), p.0, x)));
-            }
+            heap.push(Reverse((d + weight(p, AsId(x)), tie(p, AsId(x)), p.0, x)));
         }
     }
 
     // Stage 2: peer routes, for ASes without a customer route. x may use
-    // peer y iff y is dst or y holds a customer route.
-    let mut peer_updates: Vec<(usize, AsId, u16)> = Vec::new();
+    // peer y iff y is dst or y holds a customer route — so a peer route
+    // adopted here (class `Peer`) is never itself a candidate, and the
+    // updates can be applied as they are found.
     for x in 0..n {
         if dist[x] != u16::MAX {
             continue;
@@ -181,18 +233,14 @@ pub fn routes_to(topo: &Topology, dst: AsId, salt: u64) -> AsRoutes {
             };
         }
         if let Some((d, y)) = best {
-            peer_updates.push((x, y, d));
+            dist[x] = d;
+            class[x] = RouteClass::Peer;
+            next[x] = Some(y);
         }
-    }
-    for (x, y, d) in peer_updates {
-        dist[x] = d;
-        class[x] = RouteClass::Peer;
-        next[x] = Some(y);
     }
 
     // Stage 3: provider routes, propagated downhill with a Dijkstra-style
     // expansion (initial distances vary).
-    let mut heap: BinaryHeap<Reverse<(u16, u64, u32, u32)>> = BinaryHeap::new();
     // Seed: every AS that already has a route can export it to customers.
     for p in 0..n {
         if dist[p] == u16::MAX {

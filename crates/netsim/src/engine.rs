@@ -8,11 +8,17 @@
 use crate::addr::Addr;
 use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
+use crate::ids::{PrefixId, RouterId};
+use crate::inline::InlineVec;
 use crate::sim::{Dest, Hop, PktMeta, Sim, Walk, HOST_LINK_MS};
 use crate::topology::{LinkKind, StampMode};
 
 /// Number of Record Route slots in an IPv4 header (RFC 791).
 pub const RR_SLOTS: usize = 9;
+
+/// The recorded route of one reply, held inline: an RR reply — and every
+/// clone of it into or out of a measurement cache — allocates nothing.
+pub type RrSlots = InlineVec<Addr, RR_SLOTS>;
 
 /// Number of prespecified address slots in a TS-prespec option.
 pub const TS_SLOTS: usize = 4;
@@ -32,7 +38,7 @@ pub struct RrReply {
     /// The address that answered.
     pub from: Addr,
     /// Recorded route slots, in stamping order (≤ 9 entries).
-    pub slots: Vec<Addr>,
+    pub slots: RrSlots,
     /// Virtual latency.
     pub rtt_ms: f64,
 }
@@ -116,17 +122,40 @@ impl Sim {
 
     /// Validate a spoofed send: the sender must be a host, and if claiming a
     /// foreign source, the sender's AS must permit spoofing. Returns the
-    /// sender's attach router.
-    fn sender_ok(&self, sender: Addr, claimed: Addr) -> Option<crate::ids::RouterId> {
-        let pid = self.host_prefix(sender)?;
-        let attach = self.topo().prefix(pid).attach;
+    /// sender's prefix and attach router.
+    fn sender_ok(&self, sender: Addr, claimed: Addr) -> Option<(PrefixId, RouterId)> {
+        let (pid, attach) = self.resolve_host(sender)?;
         if claimed != sender {
             let owner = self.topo().prefix(pid).owner;
             if self.topo().asn(owner).spoof_filter {
                 return None; // spoofed packet dropped at the edge
             }
         }
-        Some(attach)
+        Some((pid, attach))
+    }
+
+    /// Prefix and attach router of the host a reply is observed at — the
+    /// sender's own, already resolved, unless the probe is spoofed. `None`
+    /// if the claimed source is no valid host: nothing observes the reply.
+    fn receiver(
+        &self,
+        sender: Addr,
+        resolved: (PrefixId, RouterId),
+        claimed_src: Addr,
+    ) -> Option<(PrefixId, RouterId)> {
+        if claimed_src == sender {
+            Some(resolved)
+        } else {
+            self.resolve_host(claimed_src)
+        }
+    }
+
+    /// Where `dest`'s reply starts its walk back.
+    fn reply_start(dest: &Dest) -> RouterId {
+        match *dest {
+            Dest::Host { attach, .. } => attach,
+            Dest::Router { router, .. } => router,
+        }
     }
 
     // ---- plain ping ---------------------------------------------------------
@@ -140,17 +169,27 @@ impl Sim {
     /// Echo request sent by `sender`, with source field `claimed_src` (the
     /// reply goes there). Returns the reply as observed at `claimed_src`.
     pub fn ping_from(&self, sender: Addr, claimed_src: Addr, dst: Addr) -> Option<EchoReply> {
-        let attach = self.sender_ok(sender, claimed_src)?;
+        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
             return None;
         }
-        let fwd = self.walk(attach, dst, &PktMeta::plain(claimed_src, 0))?;
-        let reply_start = match dest {
-            Dest::Host { attach, .. } => attach,
-            Dest::Router { router, .. } => router,
+        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(claimed_src, 0), None)?;
+        let back = if claimed_src == sender {
+            Dest::Host {
+                prefix: snd_prefix,
+                attach,
+            }
+        } else {
+            self.resolve_dest(claimed_src)?
         };
-        let rep = self.walk(reply_start, claimed_src, &PktMeta::plain(dst, 0))?;
+        let rep = self.walk_to(
+            Self::reply_start(&dest),
+            claimed_src,
+            &back,
+            &PktMeta::plain(dst, 0),
+            None,
+        )?;
         Some(EchoReply {
             from: dst,
             rtt_ms: HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
@@ -185,7 +224,7 @@ impl Sim {
     fn stamp_walk(
         &self,
         walk: &Walk,
-        slots: &mut Vec<Addr>,
+        slots: &mut RrSlots,
         skip_first: bool,
         skip_last: bool,
         first_gw: Option<Addr>,
@@ -196,7 +235,7 @@ impl Sim {
             if (i == 0 && skip_first) || (i + 1 == n && skip_last) {
                 continue;
             }
-            if slots.len() >= RR_SLOTS {
+            if slots.is_full() {
                 break;
             }
             if self.mpls_hidden(hop) {
@@ -211,9 +250,9 @@ impl Sim {
     }
 
     /// Destination stamping behaviour (Appx. C cases).
-    fn stamp_dest(&self, dest: &Dest, dst: Addr, slots: &mut Vec<Addr>) {
+    fn stamp_dest(&self, dest: &Dest, dst: Addr, slots: &mut RrSlots) {
         let mut push = |a: Addr| {
-            if slots.len() < RR_SLOTS {
+            if !slots.is_full() {
                 slots.push(a);
             }
         };
@@ -222,14 +261,13 @@ impl Sim {
             return;
         }
         match *dest {
-            Dest::Host { .. } => match self.behavior().host_stamp(dst) {
+            Dest::Host { prefix, .. } => match self.behavior().host_stamp(dst) {
                 HostStamp::SelfAddr => push(dst),
                 HostStamp::None => {}
                 HostStamp::AliasDouble => {
-                    if let Some(alias) = self.host_alias(dst) {
-                        push(alias);
-                        push(alias);
-                    }
+                    let alias = self.alias_in(prefix, dst);
+                    push(alias);
+                    push(alias);
                 }
             },
             Dest::Router { router, .. } => {
@@ -268,17 +306,52 @@ impl Sim {
         dst: Addr,
         nonce: u64,
     ) -> Option<RrReply> {
-        let attach = self.sender_ok(sender, claimed_src)?;
+        let (mut slots, reply_mark, rtt_ms) =
+            self.rr_exchange(sender, claimed_src, dst, nonce, None, None)?;
+        // Scenario `lying_rr_responders`: the destination rewrites the
+        // reply-leg stamps it reports. Only the live observation lies —
+        // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
+        // the audit oracle (and the hardened engine's cross-validation) can
+        // tell the difference.
+        self.scenario_lie_slots(dst, &mut slots[reply_mark..]);
+        Some(RrReply {
+            from: dst,
+            slots,
+            rtt_ms,
+        })
+    }
+
+    /// One Record Route echo exchange with the legs' churn epochs pinned
+    /// (`None` reads the live epoch): forward walk, destination stamp,
+    /// reply walk. Returns the stamped slots, where the reply leg's stamps
+    /// begin in them, and the round-trip latency. Every address is
+    /// resolved once, whatever the number of legs that route on it.
+    fn rr_exchange(
+        &self,
+        sender: Addr,
+        claimed_src: Addr,
+        dst: Addr,
+        nonce: u64,
+        fwd_epoch: Option<u32>,
+        rep_epoch: Option<u32>,
+    ) -> Option<(RrSlots, usize, f64)> {
+        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Rr) {
             return None;
         }
-        // The receiver must be a valid host or nothing observes the reply.
-        let _receiver_attach = self.host_attach(claimed_src)?;
+        let (recv_prefix, recv_attach) =
+            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
 
-        let fwd = self.walk(attach, dst, &PktMeta::options(claimed_src, nonce))?;
-        let mut slots: Vec<Addr> = Vec::with_capacity(RR_SLOTS);
-        let sender_gw = self.host_prefix(sender).map(|p| self.prefix_gateway(p));
+        let fwd = self.walk_to(
+            attach,
+            dst,
+            &dest,
+            &PktMeta::options(claimed_src, nonce),
+            fwd_epoch,
+        )?;
+        let mut slots = RrSlots::new();
+        let sender_gw = Some(self.prefix_gateway(snd_prefix));
         let is_router_dest = matches!(dest, Dest::Router { .. });
         let dest_gw = match dest {
             Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
@@ -290,18 +363,17 @@ impl Sim {
         self.stamp_dest(&dest, dst, &mut slots);
 
         // Reply path.
-        let reply_start = match dest {
-            Dest::Host { attach, .. } => attach,
-            Dest::Router { router, .. } => router,
-        };
-        let rep = self.walk(
-            reply_start,
+        let rep = self.walk_to(
+            Self::reply_start(&dest),
             claimed_src,
+            &Dest::Host {
+                prefix: recv_prefix,
+                attach: recv_attach,
+            },
             &PktMeta::options(dst, mix2(nonce, 1)),
+            rep_epoch,
         )?;
-        let recv_gw = self
-            .host_prefix(claimed_src)
-            .map(|p| self.prefix_gateway(p));
+        let recv_gw = Some(self.prefix_gateway(recv_prefix));
         // For host destinations the attach router forwards the reply and
         // stamps (ingress side = the destination prefix gateway). For router
         // destinations the destination router *also* stamps as the first
@@ -309,18 +381,11 @@ impl Sim {
         // — the alias the RR-atlas technique (§4.2) harvests.
         let reply_mark = slots.len();
         self.stamp_walk(&rep, &mut slots, false, false, dest_gw, recv_gw);
-        // Scenario `lying_rr_responders`: the destination rewrites the
-        // reply-leg stamps it reports. Only the live observation lies —
-        // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
-        // the audit oracle (and the hardened engine's cross-validation) can
-        // tell the difference.
-        self.scenario_lie_slots(dst, &mut slots[reply_mark..]);
-
-        Some(RrReply {
-            from: dst,
+        Some((
             slots,
-            rtt_ms: HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
-        })
+            reply_mark,
+            HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
+        ))
     }
 
     /// Re-derive the Record Route stamps that the **reply leg** of an
@@ -343,46 +408,9 @@ impl Sim {
         fwd_epoch: Option<u32>,
         rep_epoch: Option<u32>,
     ) -> Option<Vec<Addr>> {
-        let attach = self.sender_ok(sender, claimed_src)?;
-        let dest = self.resolve_dest(dst)?;
-        if !self.dest_responds(&dest, dst, ProbeKind::Rr) {
-            return None;
-        }
-        let _receiver_attach = self.host_attach(claimed_src)?;
-
-        let fwd = self.walk_at_epoch(
-            attach,
-            dst,
-            &PktMeta::options(claimed_src, nonce),
-            fwd_epoch,
-        )?;
-        let mut slots: Vec<Addr> = Vec::with_capacity(RR_SLOTS);
-        let sender_gw = self.host_prefix(sender).map(|p| self.prefix_gateway(p));
-        let is_router_dest = matches!(dest, Dest::Router { .. });
-        let dest_gw = match dest {
-            Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
-            Dest::Router { .. } => None,
-        };
-        self.stamp_walk(&fwd, &mut slots, false, is_router_dest, sender_gw, dest_gw);
-        self.stamp_dest(&dest, dst, &mut slots);
-
-        let reply_start = match dest {
-            Dest::Host { attach, .. } => attach,
-            Dest::Router { router, .. } => router,
-        };
-        let rep = self.walk_at_epoch(
-            reply_start,
-            claimed_src,
-            &PktMeta::options(dst, mix2(nonce, 1)),
-            rep_epoch,
-        )?;
-        let recv_gw = self
-            .host_prefix(claimed_src)
-            .map(|p| self.prefix_gateway(p));
-        let mark = slots.len();
-        self.stamp_walk(&rep, &mut slots, false, false, dest_gw, recv_gw);
-        slots.drain(..mark);
-        Some(slots)
+        let (slots, reply_mark, _) =
+            self.rr_exchange(sender, claimed_src, dst, nonce, fwd_epoch, rep_epoch)?;
+        Some(slots[reply_mark..].to_vec())
     }
 
     // ---- timestamp -------------------------------------------------------------
@@ -403,15 +431,16 @@ impl Sim {
             prespec.len() <= TS_SLOTS,
             "at most 4 prespecified addresses"
         );
-        let attach = self.sender_ok(sender, claimed_src)?;
+        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Ts) {
             return None;
         }
-        let _ = self.host_attach(claimed_src)?;
+        let (recv_prefix, recv_attach) =
+            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
 
         let mut filled = 0usize;
-        let visit_router = |r: crate::ids::RouterId, filled: &mut usize| {
+        let visit_router = |r: RouterId, filled: &mut usize| {
             if *filled >= prespec.len() {
                 return;
             }
@@ -421,7 +450,13 @@ impl Sim {
             }
         };
 
-        let fwd = self.walk(attach, dst, &PktMeta::options(claimed_src, nonce))?;
+        let fwd = self.walk_to(
+            attach,
+            dst,
+            &dest,
+            &PktMeta::options(claimed_src, nonce),
+            None,
+        )?;
         let is_router_dest = matches!(dest, Dest::Router { .. });
         let n = fwd.hops.len();
         for (i, hop) in fwd.hops.iter().enumerate() {
@@ -451,14 +486,15 @@ impl Sim {
             }
         }
 
-        let reply_start = match dest {
-            Dest::Host { attach, .. } => attach,
-            Dest::Router { router, .. } => router,
-        };
-        let rep = self.walk(
-            reply_start,
+        let rep = self.walk_to(
+            Self::reply_start(&dest),
             claimed_src,
+            &Dest::Host {
+                prefix: recv_prefix,
+                attach: recv_attach,
+            },
             &PktMeta::options(dst, mix2(nonce, 3)),
+            None,
         )?;
         for (i, hop) in rep.hops.iter().enumerate() {
             if i == 0 && is_router_dest {
@@ -480,14 +516,14 @@ impl Sim {
     /// per-flow load balancing consistent across TTLs, so the returned hop
     /// sequence is a single coherent path.
     pub fn traceroute(&self, src: Addr, dst: Addr, flow: u16) -> Option<TraceResult> {
-        let pid = self.host_prefix(src)?;
-        let attach = self.topo().prefix(pid).attach;
+        let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
-        let fwd = self.walk(attach, dst, &PktMeta::plain(src, flow))?;
+        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None)?;
         let src_gw = self.prefix_gateway(pid);
 
         let is_router_dest = matches!(dest, Dest::Router { .. });
-        let mut hops: Vec<Option<Addr>> = Vec::new();
+        // One entry per walk hop at most, plus the destination's answer.
+        let mut hops: Vec<Option<Addr>> = Vec::with_capacity(fwd.hops.len() + 1);
         let mut cumulative = HOST_LINK_MS;
         let mut rtt_total = 0.0;
         let n = fwd.hops.len();

@@ -11,7 +11,7 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
         )]
         pub struct $name(pub u32);
 

@@ -49,6 +49,7 @@ pub mod gen;
 pub mod hash;
 pub mod ids;
 pub mod igp;
+pub mod inline;
 pub mod oracle;
 pub mod scenario;
 pub mod sim;
@@ -58,7 +59,7 @@ pub mod viz;
 pub use addr::{Addr, Prefix};
 pub use concurrent::{CachePadded, StripedMap};
 pub use config::{BehaviorConfig, SimConfig, TopologyConfig};
-pub use engine::{EchoReply, RrReply, TraceResult, TsReply, RR_SLOTS, TS_SLOTS};
+pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, RR_SLOTS, TS_SLOTS};
 pub use faults::{FaultConfig, Faults};
 pub use ids::{AsId, LinkId, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};

@@ -7,7 +7,7 @@
 
 use crate::addr::Addr;
 use crate::behavior::Behavior;
-use crate::bgp::{self, AsRoutes};
+use crate::bgp::{self, NextHopTable};
 use crate::concurrent::StripedMap;
 use crate::config::SimConfig;
 use crate::faults::Faults;
@@ -15,19 +15,20 @@ use crate::gen;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use crate::igp::Igp;
+use crate::inline::InlineVec;
 use crate::scenario::Scenarios;
 use crate::topology::Topology;
 use parking_lot::RwLock;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Latency of the virtual host↔attach-router link, per direction (ms).
 pub const HOST_LINK_MS: f64 = 1.0;
 
-/// Maximum router hops a packet may traverse before being dropped.
+/// Maximum routers a packet may traverse before being dropped: a walk has
+/// at most this many hops, the destination router included.
 pub const MAX_HOPS: usize = 64;
 
 /// Where a destination address terminates.
@@ -55,6 +56,19 @@ pub enum Dest {
         /// `anchor_as`.
         via: Option<LinkId>,
     },
+}
+
+impl Dest {
+    /// How a walk ends: the router it is routed to, the interdomain link to
+    /// cross from there (for `via` destinations), and whether a host link
+    /// follows.
+    fn delivery(&self) -> (RouterId, Option<LinkId>, bool) {
+        match *self {
+            Dest::Host { attach, .. } => (attach, None, true),
+            Dest::Router { anchor, via, .. } if via.is_some() => (anchor, via, false),
+            Dest::Router { router, .. } => (router, None, false),
+        }
+    }
 }
 
 /// Per-packet fields that influence forwarding decisions.
@@ -97,7 +111,7 @@ impl PktMeta {
 }
 
 /// One step of a packet's router-level journey.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Hop {
     /// The router traversed.
     pub router: RouterId,
@@ -108,19 +122,67 @@ pub struct Hop {
     pub out_link: Option<LinkId>,
 }
 
+/// The hops of a walk, held inline (a walk allocates nothing).
+pub type Hops = InlineVec<Hop, MAX_HOPS>;
+
 /// A completed router-level walk.
 #[derive(Clone, Debug)]
 pub struct Walk {
     /// Routers traversed, in order (includes the destination's attach router
     /// for host destinations and the destination router itself for router
     /// destinations, as the final entry).
-    pub hops: Vec<Hop>,
+    pub hops: Hops,
     /// Sum of one-way link latencies, including virtual host links.
     pub latency_ms: f64,
 }
 
-/// Cache of border-router lists per (AS, next-AS) pair.
-type BorderCache = StripedMap<(u32, u32), Arc<Vec<RouterId>>>;
+/// Border routers per (AS, neighbour AS), compiled once: the routers of the
+/// AS with at least one link to the neighbour, sorted. Slots run parallel
+/// to [`crate::topology::AsNode::neighbors`].
+#[derive(Debug)]
+struct Borders {
+    /// AS index → its first slot in `off`.
+    first: Vec<u32>,
+    /// Slot → start of its run in `routers` (one trailing entry).
+    off: Vec<u32>,
+    routers: Vec<RouterId>,
+}
+
+impl Borders {
+    fn build(topo: &Topology) -> Borders {
+        let neighbors = || topo.ases.iter().flat_map(|a| &a.neighbors);
+        let mut b = Borders {
+            first: Vec::with_capacity(topo.ases.len()),
+            off: Vec::with_capacity(neighbors().count() + 1),
+            // At most one border per link.
+            routers: Vec::with_capacity(neighbors().map(|nb| nb.links.len()).sum()),
+        };
+        let mut run = Vec::new();
+        for a in &topo.ases {
+            b.first.push(b.off.len() as u32);
+            for nb in &a.neighbors {
+                b.off.push(b.routers.len() as u32);
+                topo.border_routers_of(a.id, &nb.links, &mut run);
+                b.routers.extend_from_slice(&run);
+            }
+        }
+        b.off.push(b.routers.len() as u32);
+        b
+    }
+
+    /// Border routers of `asn` toward its `nbr`-th neighbour.
+    #[inline]
+    fn toward(&self, asn: AsId, nbr: usize) -> &[RouterId] {
+        let slot = self.first[asn.index()] as usize + nbr;
+        &self.routers[self.off[slot] as usize..self.off[slot + 1] as usize]
+    }
+
+    fn bytes(&self) -> u64 {
+        use std::mem::size_of;
+        ((self.first.len() + self.off.len()) * size_of::<u32>()
+            + self.routers.len() * size_of::<RouterId>()) as u64
+    }
+}
 
 /// Mutable routing-epoch state (route churn).
 #[derive(Debug)]
@@ -144,17 +206,17 @@ pub struct Sim {
     cfg: SimConfig,
     seed: u64,
     churn: RwLock<ChurnState>,
-    /// (dst AS, salt) → routes. Lock-striped; fills are single-flight so
-    /// concurrent workers never duplicate a valley-free BFS.
-    route_cache: StripedMap<(u32, u64), Arc<AsRoutes>>,
-    /// (AS, next AS) → border routers. Immutable once computed.
-    border_cache: BorderCache,
+    /// (dst AS, salt) → next-hop AS per AS. Lock-striped; fills are
+    /// single-flight so concurrent workers never duplicate a valley-free
+    /// BFS. Never evicted, hence the compact value.
+    route_cache: StripedMap<(u32, u64), Arc<NextHopTable>>,
+    /// (AS, neighbour AS) → border routers.
+    borders: Borders,
     /// Number of actual `bgp::routes_to` computations (cache fills).
     route_computes: AtomicU64,
-    /// addr → link, for interdomain /30 "via" resolution.
-    addr_to_link: HashMap<Addr, LinkId>,
-    /// Vantage point host addresses (always responsive: our own machines).
-    vp_hosts: std::collections::HashSet<Addr>,
+    /// Vantage point host addresses (always responsive: our own machines),
+    /// sorted.
+    vp_hosts: Vec<Addr>,
     /// Optional telemetry handle for fault-event counters (disabled-by-
     /// absence; set once via [`Sim::set_telemetry`]).
     telemetry: std::sync::OnceLock<revtr_telemetry::Telemetry>,
@@ -171,16 +233,13 @@ impl Sim {
     /// inspect or tweak the raw topology before simulation).
     pub fn from_topology(topo: Topology, cfg: SimConfig, seed: u64) -> Sim {
         let igp = Igp::build(&topo);
+        let borders = Borders::build(&topo);
         let behavior = Behavior::new(seed, cfg.behavior.clone());
         let faults = Faults::new(seed, cfg.faults.clone());
         let scenario = Scenarios::new(seed, cfg.scenario.clone());
         let n_prefixes = topo.prefixes.len();
-        let mut addr_to_link = HashMap::new();
-        for l in &topo.links {
-            addr_to_link.insert(l.addr_a, l.id);
-            addr_to_link.insert(l.addr_b, l.id);
-        }
-        let vp_hosts = topo.vp_sites.iter().map(|v| v.host).collect();
+        let mut vp_hosts: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
+        vp_hosts.sort_unstable();
         Sim {
             topo,
             igp,
@@ -195,9 +254,8 @@ impl Sim {
                 steps: 0,
             }),
             route_cache: StripedMap::new(),
-            border_cache: StripedMap::new(),
+            borders,
             route_computes: AtomicU64::new(0),
-            addr_to_link,
             vp_hosts,
             telemetry: std::sync::OnceLock::new(),
         }
@@ -220,7 +278,7 @@ impl Sim {
     /// True if `addr` is one of the system's vantage point hosts (always
     /// responsive to every probe flavour — they run our own software).
     pub fn is_vp_host(&self, addr: Addr) -> bool {
-        self.vp_hosts.contains(&addr)
+        self.vp_hosts.binary_search(&addr).is_ok()
     }
 
     /// The immutable topology.
@@ -317,15 +375,17 @@ impl Sim {
 
     // ---- routing tables ------------------------------------------------------
 
-    /// Interdomain routes toward `dst` AS under `salt`, cached.
+    /// Interdomain next hops toward `dst` AS under `salt`, cached — the
+    /// forwarding view of [`bgp::routes_to`], which callers that need
+    /// metrics or route classes call themselves.
     ///
     /// Single-flight: when several workers ask for the same uncached
     /// `(dst, salt)`, exactly one runs the valley-free BFS and the rest
     /// wait for its result.
-    pub fn routes(&self, dst: AsId, salt: u64) -> Arc<AsRoutes> {
+    pub fn routes(&self, dst: AsId, salt: u64) -> Arc<NextHopTable> {
         self.route_cache.get_or_compute((dst.0, salt), || {
             self.route_computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(bgp::routes_to(&self.topo, dst, salt))
+            Arc::new(NextHopTable::from(&bgp::routes_to(&self.topo, dst, salt)))
         })
     }
 
@@ -336,28 +396,22 @@ impl Sim {
         self.route_computes.load(Ordering::Relaxed)
     }
 
-    /// Logical byte footprint of the route cache: entries × (key + the
-    /// three per-AS route vectors an [`AsRoutes`] carries). Entry *set* is
+    /// Logical byte footprint of the route cache: entries × (key + one
+    /// [`NextHopTable`] with its four bytes per AS). Entry *set* is
     /// worker-invariant (fills are single-flight and keyed by routing
     /// inputs), so the reading is a pure function of the seed.
     pub fn route_cache_bytes(&self) -> u64 {
-        let n = self.topo.ases.len();
         let per = std::mem::size_of::<(u32, u64)>()
-            + std::mem::size_of::<AsRoutes>()
-            + n * (std::mem::size_of::<Option<AsId>>()
-                + std::mem::size_of::<u16>()
-                + std::mem::size_of::<crate::bgp::RouteClass>());
+            + std::mem::size_of::<NextHopTable>()
+            + NextHopTable::heap_bytes(self.topo.ases.len());
         self.route_cache.len() as u64 * per as u64
     }
 
-    /// Logical byte footprint of the border-router cache. Border lists
-    /// hold one AS's routers toward one neighbor — priced at a fixed
-    /// four-router bound matching the generator's border fan-out.
+    /// Logical byte footprint of the border-router table: every (AS,
+    /// neighbour) pair's border list, compiled at build time — a pure
+    /// function of the topology.
     pub fn border_cache_bytes(&self) -> u64 {
-        const BORDER_LIST_BOUND: usize = 4;
-        let per =
-            std::mem::size_of::<(u32, u32)>() + BORDER_LIST_BOUND * std::mem::size_of::<RouterId>();
-        self.border_cache.len() as u64 * per as u64
+        self.borders.bytes()
     }
 
     /// Logical byte footprint of the precomputed per-AS IGP FIBs.
@@ -365,19 +419,10 @@ impl Sim {
         self.igp.approx_bytes()
     }
 
-    /// Worst `max/mean` shard skew across the route and border caches
-    /// (0.0 while both are empty), for `revtr-cli profile`.
+    /// `max/mean` shard skew of the route cache (0.0 while it is empty),
+    /// for `revtr-cli profile`.
     pub fn cache_shard_skew(&self) -> f64 {
-        self.route_cache
-            .shard_skew()
-            .max(self.border_cache.shard_skew())
-    }
-
-    /// Border routers of `asn` with links toward `next_as`, cached.
-    pub fn borders(&self, asn: AsId, next_as: AsId) -> Arc<Vec<RouterId>> {
-        self.border_cache.get_or_compute((asn.0, next_as.0), || {
-            Arc::new(self.topo.border_routers_toward(asn, next_as))
-        })
+        self.route_cache.shard_skew()
     }
 
     // ---- destinations -----------------------------------------------------
@@ -411,7 +456,13 @@ impl Sim {
         }
         // Customer-side interface of an interdomain /30 numbered from the
         // provider's block: anchor at the provider-side router.
-        let lid = *self.addr_to_link.get(&addr)?;
+        let lid = self
+            .topo
+            .router(router)
+            .links
+            .iter()
+            .copied()
+            .find(|&l| self.topo.link(l).addr_of(router) == addr)?;
         let l = self.topo.link(lid);
         let far = l.other(router);
         debug_assert_eq!(self.topo.router_as(far), anchor_as);
@@ -527,22 +578,31 @@ impl Sim {
         epoch: Option<u32>,
     ) -> Option<Walk> {
         let dest = self.resolve_dest(dst_addr)?;
-        let (target_as, salt, pid) = self.routing_ctx(&dest, epoch);
-        let (final_router, via, deliver_to_host) = match dest {
-            Dest::Host { attach, .. } => (attach, None, true),
-            Dest::Router {
-                router,
-                anchor,
-                via,
-                ..
-            } => {
-                if via.is_some() {
-                    (anchor, via, false)
-                } else {
-                    (router, None, false)
-                }
-            }
-        };
+        self.walk_to(start, dst_addr, &dest, meta, epoch)
+    }
+
+    /// [`Sim::walk_at_epoch`] for a destination the caller has already
+    /// resolved (`dest` must be `resolve_dest(dst_addr)`): the probe
+    /// primitives resolve each address once per probe, not once per leg.
+    ///
+    /// Steady state allocates nothing: hops go into the walk's inline
+    /// buffer, and every candidate set `choose_idx` picks from is either a
+    /// slice of a precompiled table or counted and re-walked in place. The
+    /// sets, and their order, are part of the forwarding model — intra leg:
+    /// equal-cost next hops by (neighbour, link); direct egress: the
+    /// adjacency's links incident on this router, in the adjacency's link
+    /// order; hot potato: the union of equal-cost next hops toward the
+    /// nearest borders, by (neighbour, link), each once.
+    pub(crate) fn walk_to(
+        &self,
+        start: RouterId,
+        dst_addr: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        epoch: Option<u32>,
+    ) -> Option<Walk> {
+        let (target_as, salt, pid) = self.routing_ctx(dest, epoch);
+        let (final_router, via, deliver_to_host) = dest.delivery();
         let dst_key = mix2(dst_addr.0 as u64, salt);
         let routes = self.routes(target_as, salt);
         // Link-maintenance faults: read virtual time once per walk (the
@@ -553,8 +613,10 @@ impl Sim {
             None
         };
 
-        let mut hops: Vec<Hop> = Vec::new();
-        let mut latency = 0.0;
+        let mut walk = Walk {
+            hops: Hops::new(),
+            latency_ms: 0.0,
+        };
         let mut cur = start;
         let mut in_link: Option<LinkId> = None;
 
@@ -563,11 +625,131 @@ impl Sim {
             if cur == final_router {
                 // Deliver: to the local host, across `via`, or to self.
                 if let Some(v) = via {
+                    if walk.hops.len() + 2 > MAX_HOPS {
+                        return None; // the far router would be one too many
+                    }
                     if let Some(now) = maint_now {
                         if self.faults.link_down(v, now) {
                             self.tele_fault("netsim.fault.link_down_drop");
                             return None; // final link under maintenance
                         }
+                    }
+                    let l = self.topo.link(v);
+                    walk.hops.push(Hop {
+                        router: cur,
+                        in_link,
+                        out_link: Some(v),
+                    });
+                    walk.latency_ms += l.latency_ms;
+                    walk.hops.push(Hop {
+                        router: l.other(cur),
+                        in_link: Some(v),
+                        out_link: None,
+                    });
+                } else {
+                    walk.hops.push(Hop {
+                        router: cur,
+                        in_link,
+                        out_link: None,
+                    });
+                    if deliver_to_host {
+                        walk.latency_ms += HOST_LINK_MS;
+                    }
+                }
+                return Some(walk);
+            }
+
+            // Determine the next link.
+            let next_link: LinkId = if cur_as == target_as {
+                // Intradomain leg toward the final router.
+                let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
+                if cands.is_empty() {
+                    return None; // disconnected intra graph (shouldn't happen)
+                }
+                cands[self.choose_idx(cur, cands.len(), dst_key, pid, meta)].0
+            } else {
+                let next_as = routes.next(cur_as)?;
+                let neighbors = &self.topo.asn(cur_as).neighbors;
+                let nbr = neighbors.binary_search_by_key(&next_as, |n| n.asn).ok()?;
+                let borders = self.borders.toward(cur_as, nbr);
+                if borders.contains(&cur) {
+                    // Direct links from cur to next_as.
+                    let direct = || {
+                        neighbors[nbr].links.iter().copied().filter(|&l| {
+                            let link = self.topo.link(l);
+                            link.a == cur || link.b == cur
+                        })
+                    };
+                    let i = self.choose_idx(cur, direct().count(), dst_key, pid, meta);
+                    direct().nth(i).expect("index below the count")
+                } else {
+                    // Hot potato: head for the nearest border toward next_as.
+                    let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
+                    let n = cands.clone().count();
+                    if n == 0 {
+                        return None;
+                    }
+                    let i = self.choose_idx(cur, n, dst_key, pid, meta);
+                    cands.nth(i).expect("index below the count").0
+                }
+            };
+
+            if let Some(now) = maint_now {
+                if self.faults.link_down(next_link, now) {
+                    self.tele_fault("netsim.fault.link_down_drop");
+                    return None; // packet silently dropped on a down link
+                }
+            }
+            let l = self.topo.link(next_link);
+            walk.hops.push(Hop {
+                router: cur,
+                in_link,
+                out_link: Some(next_link),
+            });
+            walk.latency_ms += l.latency_ms;
+            cur = l.other(cur);
+            in_link = Some(next_link);
+        }
+        None // hop cap exceeded
+    }
+
+    /// The walk as it was interpreted hop by hop before the forwarding
+    /// plane was compiled — per-call next-hop sets, collected and sorted
+    /// candidates, full [`bgp::AsRoutes`] (memoised in `routes`). The
+    /// differential tests hold [`Sim::walk_at_epoch`] to it, hop for hop
+    /// and bit for bit in latency.
+    #[cfg(test)]
+    pub(crate) fn walk_reference(
+        &self,
+        routes: &mut std::collections::HashMap<(u32, u64), bgp::AsRoutes>,
+        start: RouterId,
+        dst_addr: Addr,
+        meta: &PktMeta,
+        epoch: Option<u32>,
+    ) -> Option<(Vec<Hop>, f64)> {
+        let dest = self.resolve_dest(dst_addr)?;
+        let (target_as, salt, pid) = self.routing_ctx(&dest, epoch);
+        let (final_router, via, deliver_to_host) = dest.delivery();
+        let dst_key = mix2(dst_addr.0 as u64, salt);
+        let routes = routes
+            .entry((target_as.0, salt))
+            .or_insert_with(|| bgp::routes_to(&self.topo, target_as, salt));
+        let maint_now = self.faults.links_enabled().then(|| self.now_hours());
+
+        let mut hops: Vec<Hop> = Vec::new();
+        let mut latency = 0.0;
+        let mut cur = start;
+        let mut in_link: Option<LinkId> = None;
+
+        for _ in 0..MAX_HOPS {
+            let cur_as = self.topo.router_as(cur);
+            if cur == final_router {
+                if let Some(v) = via {
+                    if hops.len() + 2 > MAX_HOPS {
+                        return None;
+                    }
+                    if maint_now.is_some_and(|now| self.faults.link_down(v, now)) {
+                        return None;
                     }
                     let l = self.topo.link(v);
                     hops.push(Hop {
@@ -576,9 +758,8 @@ impl Sim {
                         out_link: Some(v),
                     });
                     latency += l.latency_ms;
-                    let dst_router = l.other(cur);
                     hops.push(Hop {
-                        router: dst_router,
+                        router: l.other(cur),
                         in_link: Some(v),
                         out_link: None,
                     });
@@ -592,24 +773,18 @@ impl Sim {
                         latency += HOST_LINK_MS;
                     }
                 }
-                return Some(Walk {
-                    hops,
-                    latency_ms: latency,
-                });
+                return Some((hops, latency));
             }
 
-            // Determine the next link.
             let next_link: LinkId = if cur_as == target_as {
-                // Intradomain leg toward the final router.
-                let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
+                let cands = self.igp.next_hops_reference(&self.topo, cur, final_router);
                 if cands.is_empty() {
-                    return None; // disconnected intra graph (shouldn't happen)
+                    return None;
                 }
                 let i = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
                 cands[i].0
             } else {
                 let next_as = routes.next[cur_as.index()]?;
-                // Direct links from cur to next_as?
                 let direct: Vec<LinkId> = self
                     .topo
                     .asn(cur_as)
@@ -625,23 +800,18 @@ impl Sim {
                     let i = self.choose_idx(cur, direct.len(), dst_key, pid, meta);
                     direct[i]
                 } else {
-                    // Hot potato: head for the nearest border toward next_as.
-                    let borders = self.borders(cur_as, next_as);
-                    if borders.is_empty() {
-                        return None;
-                    }
+                    let borders = self.topo.border_routers_toward(cur_as, next_as);
                     let dmin = borders
                         .iter()
-                        .map(|&b| self.igp.dist(cur_as, cur, b))
-                        .min()
-                        .expect("nonempty borders");
+                        .map(|&b| self.igp.dist(&self.topo, cur, b))
+                        .min()?;
                     if dmin == crate::igp::UNREACHABLE {
                         return None;
                     }
                     let mut cands: Vec<(LinkId, RouterId)> = Vec::new();
                     for &b in borders.iter() {
-                        if self.igp.dist(cur_as, cur, b) == dmin {
-                            cands.extend(self.igp.next_hops_toward(&self.topo, cur, b));
+                        if self.igp.dist(&self.topo, cur, b) == dmin {
+                            cands.extend(self.igp.next_hops_reference(&self.topo, cur, b));
                         }
                     }
                     cands.sort_unstable_by_key(|&(l, r)| (r, l));
@@ -654,11 +824,8 @@ impl Sim {
                 }
             };
 
-            if let Some(now) = maint_now {
-                if self.faults.link_down(next_link, now) {
-                    self.tele_fault("netsim.fault.link_down_drop");
-                    return None; // packet silently dropped on a down link
-                }
+            if maint_now.is_some_and(|now| self.faults.link_down(next_link, now)) {
+                return None;
             }
             let l = self.topo.link(next_link);
             hops.push(Hop {
@@ -670,15 +837,20 @@ impl Sim {
             cur = l.other(cur);
             in_link = Some(next_link);
         }
-        None // hop cap exceeded
+        None
+    }
+
+    /// Prefix and attach router of a host address, if it is a valid host.
+    pub(crate) fn resolve_host(&self, host: Addr) -> Option<(PrefixId, RouterId)> {
+        match self.resolve_dest(host)? {
+            Dest::Host { prefix, attach } => Some((prefix, attach)),
+            Dest::Router { .. } => None,
+        }
     }
 
     /// The attach router for a host address, if it is a valid host.
     pub fn host_attach(&self, host: Addr) -> Option<RouterId> {
-        match self.resolve_dest(host)? {
-            Dest::Host { attach, .. } => Some(attach),
-            Dest::Router { .. } => None,
-        }
+        self.resolve_host(host).map(|(_, attach)| attach)
     }
 
     /// The router that generates ICMP replies for probes addressed to
@@ -693,10 +865,7 @@ impl Sim {
 
     /// The prefix a host address belongs to, if any.
     pub fn host_prefix(&self, host: Addr) -> Option<PrefixId> {
-        match self.resolve_dest(host)? {
-            Dest::Host { prefix, .. } => Some(prefix),
-            Dest::Router { .. } => None,
-        }
+        self.resolve_host(host).map(|(prefix, _)| prefix)
     }
 
     /// The router-side interface address inside a destination prefix (the
@@ -709,7 +878,11 @@ impl Sim {
     /// The off-prefix alias a `HostStamp::AliasDouble` destination stamps:
     /// an address in the owner's block but outside any announced prefix.
     pub fn host_alias(&self, host: Addr) -> Option<Addr> {
-        let pid = self.host_prefix(host)?;
+        Some(self.alias_in(self.host_prefix(host)?, host))
+    }
+
+    /// [`Sim::host_alias`] of a host known to live in prefix `pid`.
+    pub(crate) fn alias_in(&self, pid: PrefixId, host: Addr) -> Addr {
         let pe = self.topo.prefix(pid);
         let asn = self.topo.asn(pe.owner);
         let pos = asn
@@ -719,7 +892,7 @@ impl Sim {
             .expect("prefix registered with owner") as u32;
         // /24s #1..#15 of the block are reserved for host aliases.
         debug_assert!(pos < 15, "too many prefixes for alias space");
-        Some(Addr(asn.block.base.0 + 256 * (1 + pos) + (host.0 & 0xFF)))
+        Addr(asn.block.base.0 + 256 * (1 + pos) + (host.0 & 0xFF))
     }
 
     /// Host addresses usable as probe targets inside a prefix
@@ -1022,6 +1195,240 @@ mod tests {
         s2.advance_hours(1.0);
         for p in &s2.topo().prefixes {
             assert_eq!(s2.prefix_epoch(p.id), 1);
+        }
+    }
+
+    #[test]
+    fn border_table_matches_topology_scan() {
+        for s in [sim(), Sim::build(SimConfig::era_2020(), 1)] {
+            for a in &s.topo().ases {
+                for (nbr, nb) in a.neighbors.iter().enumerate() {
+                    assert_eq!(
+                        s.borders.toward(a.id, nbr),
+                        &s.topo().border_routers_toward(a.id, nb.asn)[..]
+                    );
+                }
+            }
+        }
+    }
+
+    /// AS0: a chain of `chain` routers; AS1: one customer router hanging
+    /// off the chain's far end by a /30 numbered from AS0's block — so the
+    /// customer-side interface resolves to a `via` destination anchored at
+    /// the chain's last router. Returns the sim and that interface.
+    fn chain_with_customer(chain: u32) -> (Sim, Addr) {
+        use crate::topology::{AsNode, AsTier, Link, Neighbor, Rel};
+        let edges: Vec<(u32, u32)> = (1..chain).map(|i| (i - 1, i)).collect();
+        let mut topo = crate::igp::tests::single_as(chain, &edges);
+        let customer = RouterId(chain);
+        let mut r = topo.routers[0].clone();
+        r.id = customer;
+        r.asn = AsId(1);
+        r.loopback = Addr::new(11, 1, 64, 1);
+        r.links = vec![];
+        topo.routers.push(r);
+        let block = topo.ases[0].block;
+        let lid = LinkId(topo.links.len() as u32);
+        let far = block.nth(4 * lid.0 + 2);
+        topo.links.push(Link {
+            id: lid,
+            a: RouterId(chain - 1),
+            b: customer,
+            addr_a: block.nth(4 * lid.0 + 1),
+            addr_b: far,
+            latency_ms: 2.0,
+            kind: LinkKind::Inter,
+        });
+        topo.routers[chain as usize - 1].links.push(lid);
+        topo.routers[chain as usize].links.push(lid);
+        topo.ases[0].neighbors.push(Neighbor {
+            asn: AsId(1),
+            rel: Rel::Customer,
+            links: vec![lid],
+        });
+        topo.ases.push(AsNode {
+            id: AsId(1),
+            tier: AsTier::Stub,
+            neighbors: vec![Neighbor {
+                asn: AsId(0),
+                rel: Rel::Provider,
+                links: vec![lid],
+            }],
+            routers: vec![customer],
+            prefixes: vec![],
+            block: crate::addr::Prefix::new(Addr::new(11, 1, 0, 0), 16),
+            ..topo.ases[0].clone()
+        });
+        topo.rebuild_address_index();
+        (Sim::from_topology(topo, SimConfig::tiny(), 5), far)
+    }
+
+    #[test]
+    fn via_delivery_counts_against_the_hop_cap() {
+        // MAX_HOPS - 1 chain routers plus the customer router: exactly at
+        // the cap, delivered.
+        let (s, far) = chain_with_customer(MAX_HOPS as u32 - 1);
+        assert!(matches!(
+            s.resolve_dest(far),
+            Some(Dest::Router { via: Some(_), .. })
+        ));
+        let meta = PktMeta::plain(far, 0);
+        let w = s.walk(RouterId(0), far, &meta).expect("at the cap");
+        assert_eq!(w.hops.len(), MAX_HOPS);
+        assert_eq!(w.hops.last().expect("nonempty").router, RouterId(63));
+        assert_eq!(w.latency_ms, 62.0 + 2.0);
+        let mut memo = std::collections::HashMap::new();
+        let (hops, latency) = s
+            .walk_reference(&mut memo, RouterId(0), far, &meta, None)
+            .expect("at the cap");
+        assert_eq!((&w.hops[..], w.latency_ms), (&hops[..], latency));
+
+        // One router more: the customer router would be hop MAX_HOPS + 1.
+        // (The walk used to return it, past the promised bound.)
+        let (s, far) = chain_with_customer(MAX_HOPS as u32);
+        assert!(s.walk(RouterId(0), far, &meta).is_none());
+        assert!(s
+            .walk_reference(&mut memo, RouterId(0), far, &meta, None)
+            .is_none());
+        // Starting one router in is back under the cap.
+        let w = s.walk(RouterId(1), far, &meta).expect("at the cap");
+        assert_eq!(w.hops.len(), MAX_HOPS);
+    }
+
+    mod differential {
+        use super::*;
+        use crate::scenario::{ScenarioConfig, ScenarioProfile};
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+        use std::sync::{Mutex, OnceLock};
+
+        /// A sim after churn, the reference walk's route memo, and the
+        /// destination pool walks are drawn from (bounded, so the memo and
+        /// the sim's own route cache stay warm across cases).
+        struct Arm {
+            sim: Sim,
+            routes: Mutex<HashMap<(u32, u64), bgp::AsRoutes>>,
+            dests: Vec<Addr>,
+        }
+
+        fn arm(cfg: SimConfig, seed: u64) -> Arm {
+            let sim = Sim::build(cfg, seed);
+            sim.advance_hours(100.0);
+            sim.advance_hours(100.0);
+            let topo = sim.topo();
+            let mut dests = Vec::new();
+            // Hosts, loopbacks, both interfaces of interdomain links (the
+            // far-side ones are `via` destinations), and unroutable space.
+            for i in 0..24 {
+                let pe = &topo.prefixes[(i * 89) % topo.prefixes.len()];
+                dests.push(sim.host_addrs(pe.id).nth(i).expect("hosts"));
+                dests.push(topo.routers[(i * 131) % topo.routers.len()].loopback);
+            }
+            let inter = topo.links.iter().filter(|l| l.kind == LinkKind::Inter);
+            for l in inter.step_by(topo.links.len() / 16 + 1) {
+                dests.extend([l.addr_a, l.addr_b]);
+            }
+            dests.push(topo.routers[0].private_alias);
+            dests.push(Addr::new(203, 0, 113, 9));
+            assert!(dests
+                .iter()
+                .any(|&d| matches!(sim.resolve_dest(d), Some(Dest::Router { via: Some(_), .. }))));
+            Arm {
+                sim,
+                routes: Mutex::new(HashMap::new()),
+                dests,
+            }
+        }
+
+        fn arms() -> &'static [Arm] {
+            static ARMS: OnceLock<Vec<Arm>> = OnceLock::new();
+            ARMS.get_or_init(|| {
+                let mut arms = Vec::new();
+                for seed in [1, 7, 42] {
+                    arms.push(arm(SimConfig::tiny(), seed));
+                    arms.push(arm(SimConfig::era_2020(), seed));
+                }
+                let mut maintenance = SimConfig::tiny();
+                maintenance.faults.link_maintenance_rate = 0.05;
+                arms.push(arm(maintenance, 7));
+                let mut dbr = SimConfig::era_2020();
+                dbr.scenario = ScenarioConfig::profile(ScenarioProfile::DbrViolationRegion);
+                arms.push(arm(dbr, 42));
+                arms
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            /// The compiled walk is the interpreted walk: identical hops,
+            /// bit-equal latency, same unroutable verdicts.
+            #[test]
+            fn compiled_walk_matches_reference(
+                arm in 0usize..8,
+                start in 0usize..1 << 16,
+                dest in 0usize..1 << 16,
+                with_options in 0u8..2,
+                nonce in 0u64..1 << 40,
+                flow in 0u16..u16::MAX,
+                src in 0usize..1 << 16,
+                pin in 0u32..4,
+            ) {
+                let arm = &arms()[arm];
+                let sim = &arm.sim;
+                let topo = sim.topo();
+                let start = RouterId((start % topo.routers.len()) as u32);
+                let dst = arm.dests[dest % arm.dests.len()];
+                let src = topo.vp_sites[src % topo.vp_sites.len()].host;
+                let meta = if with_options == 1 {
+                    PktMeta::options(src, nonce)
+                } else {
+                    PktMeta::plain(src, flow)
+                };
+                // Live epoch, or pinned at, before or after it.
+                let epoch = match (pin, sim.host_prefix(dst)) {
+                    (0, _) | (_, None) => None,
+                    (k, Some(p)) => Some((sim.prefix_epoch(p) + k).saturating_sub(2)),
+                };
+                let compiled = sim.walk_at_epoch(start, dst, &meta, epoch);
+                let reference = sim.walk_reference(
+                    &mut arm.routes.lock().expect("no test panicked holding it"),
+                    start,
+                    dst,
+                    &meta,
+                    epoch,
+                );
+                match (compiled, reference) {
+                    (None, None) => {}
+                    (Some(w), Some((hops, latency))) => {
+                        prop_assert_eq!(&w.hops[..], &hops[..]);
+                        prop_assert_eq!(w.latency_ms.to_bits(), latency.to_bits());
+                    }
+                    (c, r) => prop_assert!(
+                        false,
+                        "{start} -> {dst}: compiled {:?}, reference {:?}",
+                        c.map(|w| w.hops.len()),
+                        r.map(|(h, _)| h.len())
+                    ),
+                }
+            }
+        }
+
+        #[test]
+        fn the_arms_exercise_what_they_claim() {
+            let arms = arms();
+            // Churn moved some prefix off epoch 0 in every arm.
+            for a in arms {
+                let topo = a.sim.topo();
+                assert!(topo.prefixes.iter().any(|p| a.sim.prefix_epoch(p.id) > 0));
+            }
+            assert!(arms[6].sim.faults().links_enabled());
+            let dbr = &arms[7].sim;
+            assert!(dbr
+                .topo()
+                .ases
+                .iter()
+                .any(|a| dbr.scenario().dbr_region(a.id)));
         }
     }
 }

@@ -352,22 +352,25 @@ impl Topology {
 
     /// Border routers of `asn` that have at least one link to `other`.
     pub fn border_routers_toward(&self, asn: AsId, other: AsId) -> Vec<RouterId> {
-        let mut out: Vec<RouterId> = self
-            .asn(asn)
-            .links_to(other)
-            .iter()
-            .map(|&l| {
-                let link = self.link(l);
-                if self.router_as(link.a) == asn {
-                    link.a
-                } else {
-                    link.b
-                }
-            })
-            .collect();
+        let mut out = Vec::new();
+        self.border_routers_of(asn, self.asn(asn).links_to(other), &mut out);
+        out
+    }
+
+    /// Replace `out` with the `asn`-side routers of `links` (interdomain
+    /// links of `asn`), sorted, each once.
+    pub(crate) fn border_routers_of(&self, asn: AsId, links: &[LinkId], out: &mut Vec<RouterId>) {
+        out.clear();
+        out.extend(links.iter().map(|&l| {
+            let link = self.link(l);
+            if self.router_as(link.a) == asn {
+                link.a
+            } else {
+                link.b
+            }
+        }));
         out.sort_unstable();
         out.dedup();
-        out
     }
 }
 

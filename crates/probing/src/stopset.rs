@@ -571,17 +571,8 @@ impl StopSet {
                 key2 + std::mem::size_of::<BackwardEntry>() + stored(&e.direct) + stored(&e.spoofed)
             })
             .sum::<usize>() as u64;
-        let forward = g
-            .forward
-            .values()
-            .map(|r| {
-                let reply = r
-                    .as_ref()
-                    .map(|r| r.slots.len() * std::mem::size_of::<Addr>())
-                    .unwrap_or(0);
-                key2 + std::mem::size_of::<Option<RrReply>>() + reply
-            })
-            .sum::<usize>() as u64;
+        // A reply holds its slots inline: an entry has no heap part.
+        let forward = (g.forward.len() * (key2 + std::mem::size_of::<Option<RrReply>>())) as u64;
         let ladder = (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())
             + g.spoof_windows.len()
                 * (std::mem::size_of::<Addr>() + std::mem::size_of::<SpoofWindow>()))
