@@ -9,19 +9,19 @@
 //! striping/single-flight work eliminates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use revtr::EngineConfig;
+use revtr::{EngineConfig, LoopConfig};
 use revtr_bench::BenchEnv;
 use revtr_netsim::{Sim, SimConfig, StripedMap};
 use revtr_probing::{Clock, Prober};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The full campaign loop: every workload pair measured once, fanned out
-/// over `workers` threads against one shared system (steady state: caches
-/// warm after the first iteration).
+/// One `run_campaign` over the whole workload per iteration, `workers`
+/// wide, against one shared system (steady state: caches warm after the
+/// first iteration).
 fn bench_campaign_workers(c: &mut Criterion) {
     let env = BenchEnv::new();
     let ingress = env.ingress();
@@ -41,21 +41,7 @@ fn bench_campaign_workers(c: &mut Criterion) {
             BenchmarkId::from_parameter(workers),
             &workers,
             |b, &workers| {
-                b.iter(|| {
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|s| {
-                        for _ in 0..workers {
-                            s.spawn(|| loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= workload.len() {
-                                    break;
-                                }
-                                let (dst, src) = workload[i];
-                                black_box(system.measure(dst, src));
-                            });
-                        }
-                    });
-                })
+                b.iter(|| black_box(system.run_campaign(&workload, LoopConfig { workers })))
             },
         );
     }

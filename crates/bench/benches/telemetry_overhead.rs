@@ -22,6 +22,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             Telemetry::with_config(TelemetryConfig {
                 journal_sample_every: 8,
                 journal_cap: 256,
+                ..TelemetryConfig::default()
             }),
         ),
     ];

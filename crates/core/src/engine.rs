@@ -1,30 +1,28 @@
-//! The event-driven measurement engine.
+//! The measurement engine: one state machine, one driver.
 //!
-//! Each in-flight reverse traceroute is a [`MeasureTask`]: a small control
-//! block holding the stitching state (current hop, path set, stitch trace,
-//! open telemetry spans) and an explicit [`Phase`] enum mirroring the
-//! stages the telemetry layer already instruments — destination probe →
-//! atlas intersection → rr / spoofed-rr rounds → ts → assume-symmetry.
+//! Each reverse traceroute is a [`MeasureTask`]: a small control block
+//! holding the stitching state (current hop, path set, stitch trace, open
+//! telemetry spans) and an explicit [`Phase`] enum mirroring the stages
+//! the telemetry layer instruments — destination probe → atlas
+//! intersection → rr / spoofed-rr rounds → ts → assume-symmetry.
 //! [`MeasureTask::step`] advances the block by exactly one stage (or one
-//! spoofed-batch round, the virtual 10 s timer of §5.2.4) and then yields,
-//! so a campaign of 50k+ concurrent revtrs costs 50k control blocks and
-//! zero parked threads.
+//! spoofed-batch round, the virtual 10 s timer of §5.2.4); one step is one
+//! *event*.
 //!
-//! [`RevtrSystem::run_campaign`] schedules the blocks on a virtual-time
-//! priority queue. The loop is seed-deterministic: events are ordered by
-//! `(virtual time, request id, sequence)` — the `total_cmp` on time plus
-//! the fixed id/sequence tie-break makes the schedule a pure function of
-//! the inputs, never of OS thread timing. And because a task's own probe
-//! sequence is the same under any schedule, campaign fingerprints and
-//! per-request probe counters are identical to the serial driver
-//! ([`RevtrSystem::measure`]) whenever cross-request coupling (route
-//! churn) is disabled — the property the metamorphic suite pins.
-//!
-//! Per-task attribution across a shared OS thread uses the clock's and
-//! counters' *shadow swap*: the loop swaps each task's private shadow
-//! accumulators in around `step`, so `thread_ms`/`thread_snapshot` diffs
-//! taken inside a measurement see exactly the same addends, in the same
-//! order, as a dedicated thread would — bitwise.
+//! A revtr executes exactly one way: [`RevtrSystem::drive`] steps its block
+//! to completion behind a panic fence. Spoofed-batch waits are virtual —
+//! they cost no wall time — so there is nothing to gain from interleaving
+//! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
+//! one block inline; [`RevtrSystem::run_campaign`] and
+//! [`RevtrSystem::run_wave_timed`] both delegate to one `run_wave`, whose
+//! workers claim jobs off an atomic cursor and drive each under a
+//! task-private *shadow* of the clock and counters, so
+//! `thread_ms`/`thread_snapshot` diffs inside a measurement see only its
+//! own charges. Which worker runs which job is up to the OS; campaign
+//! *results* are not, because a measurement's outcome depends only on its
+//! own probe sequence and on stop-set evidence published at earlier wave
+//! barriers (cross-request coupling through route churn aside — the
+//! metamorphic suite pins the invariance with churn quiesced).
 
 use crate::config::SymmetryPolicy;
 use crate::result::{
@@ -35,83 +33,50 @@ use crate::system::{novel, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress,
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::{Contribution, Note, RequestScope, Snapshot, StoredRr};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// How the event loop forms its dispatch rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Fill a round: drain up to `quantum` due events in deadline order
-    /// before consulting the queue again (the throughput-oriented
-    /// policy; `quantum` plays the role the worker count used to).
-    FillFirst,
-    /// Deadline-first: always dispatch only the single earliest event
-    /// (the latency-oriented policy; equivalent to `FillFirst` with
-    /// `quantum = 1`).
-    DeadlineFirst,
-}
-
-/// Event-loop tuning. Campaign *results* are invariant to these knobs
-/// (the metamorphic suite asserts it); only the dispatch schedule — and
-/// under enabled route churn, the churn-flush interleaving — changes.
+/// How wide a wave runs. Campaign *results* are invariant to it; only which
+/// worker drives which job — and under route churn, what each sees — changes.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
-    /// Events dispatched per round under [`BatchPolicy::FillFirst`].
-    pub quantum: usize,
-    /// Round-formation policy.
-    pub policy: BatchPolicy,
-    /// Dispatch workers. `1` (the default) runs the loop fully serial
-    /// with `quantum`/`policy` round formation — the reproducible
-    /// schedule the metrics goldens pin. More workers switch to a
-    /// work-conserving earliest-deadline-first pool: each scoped thread
-    /// pops the globally earliest event and steps it, so `quantum` and
-    /// `policy` are moot and the realized interleaving is OS-dependent —
-    /// but campaign *results* are bit-identical to the serial loop's,
-    /// because per-request shadow attribution and the striped caches'
-    /// single-flight fills make a measurement's outcome independent of
-    /// its neighbours' scheduling (the invariance the old
-    /// thread-per-batch engine's w1==w8 gate proved, pinned again by the
-    /// metamorphic suite's dispatch-workers arm).
+    /// Workers claiming jobs off a wave's cursor, clamped to the host's
+    /// cores and the wave's jobs. `1` (the default) drives every job on
+    /// the calling thread in index order — the reproducible schedule the
+    /// metrics goldens pin; more are scoped threads spawned per wave.
     pub workers: usize,
 }
 
 impl Default for LoopConfig {
     fn default() -> LoopConfig {
-        LoopConfig {
-            quantum: 8,
-            policy: BatchPolicy::FillFirst,
-            workers: 1,
-        }
+        LoopConfig { workers: 1 }
     }
 }
 
 impl LoopConfig {
-    /// The production dispatch shape: a small earliest-deadline-first
-    /// worker pool over the shared schedule. Results are identical to
-    /// [`LoopConfig::default`]; cache *counter* noise (which concurrent
-    /// step wins a single-flight fill) is not reproducible, which is why
-    /// golden-pinned paths use the serial default.
+    /// The production width: a small pool per wave. Results are identical
+    /// to [`LoopConfig::default`]; cache and probe *counters* are not
+    /// reproducible (two workers can miss the same cache key and both
+    /// probe), which is why golden-pinned paths use the serial default.
     pub fn parallel() -> LoopConfig {
-        LoopConfig {
-            quantum: 64,
-            policy: BatchPolicy::FillFirst,
-            workers: 8,
-        }
+        LoopConfig { workers: 8 }
     }
 }
 
-/// What a campaign run produced, with the loop's own accounting.
+/// What a campaign run produced, with the engine's own accounting.
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// Per-pair results, in input order.
     pub results: Vec<RevtrResult>,
-    /// Peak number of admitted-but-unfinished measurements. The loop
-    /// admits the whole campaign up front — concurrency costs a control
-    /// block, not a thread — so this equals the campaign size (capped at
-    /// the admission wave width when stop sets are enabled).
+    /// Peak number of *admitted* measurements: the widest wave — the
+    /// campaign size, capped at the admission wave width when stop sets
+    /// are enabled. A property of the admission plan, identical on every
+    /// host and at every width; at most [`LoopConfig::workers`] of them
+    /// are being driven at any instant.
     pub inflight_peak: usize,
-    /// Total control-block steps dispatched.
+    /// Total events: one per stage or spoofed-batch round, summed over
+    /// the campaign's measurements. Identical at every width.
     pub events: u64,
 }
 
@@ -125,53 +90,22 @@ pub struct TimedJob {
     /// Registered source the path is stitched toward.
     pub src: Addr,
     /// Virtual arrival time in milliseconds since campaign start: the
-    /// control block's first ready time and its shadow-clock origin.
+    /// control block's shadow-clock origin.
     pub arrival_ms: f64,
-    /// Campaign-unique request id (stop-set contribution stamp and heap
-    /// tie-break); callers use the global arrival index.
+    /// Campaign-unique request id (stop-set contribution stamp); callers
+    /// use the global arrival index.
     pub id: usize,
     /// Degradation-ladder level for this request (0 = full service; see
     /// `MeasureTask::degrade`).
     pub degrade: u8,
 }
 
-/// Size in bytes of one in-flight measurement's control block (excluding
+/// Size in bytes of one admitted measurement's control block (excluding
 /// its heap-owned path state, which grows with the stitched path). The
-/// concurrency smoke reports this: 50k+ in-flight measurements cost 50k
-/// control blocks, not 50k thread stacks.
+/// concurrency smoke and the `engine.control_blocks` ledger price a wave
+/// at this much per admitted request.
 pub fn task_footprint_bytes() -> usize {
     std::mem::size_of::<MeasureTask>()
-}
-
-/// Priority-queue key: virtual ready-time with the deterministic
-/// `(request id, sequence)` tie-break.
-struct EventKey {
-    vtime: f64,
-    id: usize,
-    seq: u64,
-}
-
-impl PartialEq for EventKey {
-    fn eq(&self, other: &EventKey) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for EventKey {}
-
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &EventKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKey {
-    fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
-        self.vtime
-            .total_cmp(&other.vtime)
-            .then(self.id.cmp(&other.id))
-            .then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// Where a control block resumes on its next step. The variants track the
@@ -239,11 +173,9 @@ pub(crate) struct MeasureTask {
     /// `RrMachine::usable_seen`) — a ladder that did must not be
     /// published as futile even when it revealed nothing novel here.
     rr_ladder_usable: bool,
-    /// Private virtual-time shadow, swapped in around each step (also the
-    /// task's ready-time key in the event loop's priority queue).
-    pub(crate) shadow_ms: f64,
-    /// Private probe-counter shadow, swapped in around each step.
-    pub(crate) shadow_snap: Snapshot,
+    /// Virtual-time origin of the task-private shadow clock a wave drives
+    /// this task under (0 for campaigns, the arrival time for timed jobs).
+    pub(crate) origin_ms: f64,
     /// Degradation-ladder level assigned at admission (0 = full service;
     /// 1 = spoofed batches capped at one probe; 2+ = cache/stop-set/atlas
     /// evidence only, no new RR probes). Fixed for the task's lifetime —
@@ -275,8 +207,7 @@ impl MeasureTask {
             rr_direct_skipped: false,
             rr_spoof_skipped: false,
             rr_ladder_usable: false,
-            shadow_ms: 0.0,
-            shadow_snap: Snapshot::default(),
+            origin_ms: 0.0,
             degrade: 0,
         }
     }
@@ -347,9 +278,9 @@ impl MeasureTask {
         let atlas = sys.atlas(self.src);
         let prober = sys.prober();
         self.t0_thread_ms = prober.clock().thread_ms();
-        // Thread-shadow snapshot: the loop swaps this task's private
-        // shadow in around each step, so the diff at finish attributes
-        // exactly its own probes even with 50k concurrent measurements.
+        // Thread-shadow snapshot: a wave swaps this task's private shadow
+        // in around its whole drive, so the diff at finish attributes
+        // exactly its own probes whatever else the worker ran before.
         self.snap0 = prober.counters().thread_snapshot();
         self.src_prefix = sys.sim().host_prefix(self.src);
         // Telemetry request scope (inert unless the prober carries an
@@ -917,190 +848,169 @@ fn harden_demote(
 /// contributions, so every request in a wave sees exactly the evidence
 /// published by earlier waves — a pure function of the input order, never
 /// of worker scheduling. Smaller waves share evidence sooner; larger ones
-/// expose more concurrency. 64 keeps the admission pipeline full while
-/// still letting a 2000-request campaign reuse evidence ~30 times over.
+/// expose more concurrency. 64 keeps the pool busy while still letting a
+/// 2000-request campaign reuse evidence ~30 times over.
 const STOPSET_WAVE: usize = 64;
 
 impl<'s> RevtrSystem<'s> {
-    /// Run a whole campaign on the deterministic virtual event loop.
-    ///
-    /// Every `(dst, src)` pair is admitted as a control block at virtual
-    /// time zero; the loop then repeatedly pops the earliest event —
-    /// ordered by `(virtual time, request id, sequence)` — and advances
-    /// that block one stage or one spoofed-batch round. Spoofed 10 s
-    /// collection timeouts thus interleave across requests instead of
-    /// each parking a worker thread. With stop sets off the whole
-    /// campaign is admitted up front; with them on, admission proceeds in
+    /// Run a whole campaign: every `(dst, src)` pair is driven to
+    /// completion under a task-private shadow clock starting at virtual
+    /// zero, `lc.workers` at a time. With stop sets off the campaign is
+    /// one wave; with them on (or hardening, whose quarantine windows are
+    /// ordinary buffered stop-set contributions) it is admitted in
     /// [`STOPSET_WAVE`]-sized waves with a deterministic stop-set merge
-    /// barrier between waves.
+    /// barrier after each.
     ///
     /// Results come back in input order. A panicking measurement aborts
     /// the campaign and surfaces as `Err` with the panic payload (the
-    /// thread-shadow accumulators are restored first, so the system stays
-    /// usable).
+    /// caller's thread-shadow accumulators are restored first, so the
+    /// system stays usable).
     pub fn run_campaign(
         &self,
         pairs: &[(Addr, Addr)],
         lc: LoopConfig,
     ) -> std::thread::Result<CampaignOutcome> {
-        // Hardened campaigns need the wave barriers even with stop sets
-        // off: quarantine windows are ordinary (buffered) stop-set
-        // contributions and only become visible at a merge.
-        let use_stop = self.config().use_stop_sets || self.config().harden;
-        let wave = if use_stop { STOPSET_WAVE } else { usize::MAX };
-        let mut tasks: Vec<Option<MeasureTask>> = pairs
-            .iter()
-            .enumerate()
-            .map(|(id, &(dst, src))| {
-                let mut t = MeasureTask::new(dst, src);
-                t.id = id;
-                Some(t)
-            })
-            .collect();
-        let mut results: Vec<Option<RevtrResult>> = pairs.iter().map(|_| None).collect();
-        let inflight_peak = pairs.len().min(wave);
-        let mut events: u64 = 0;
-        let round = match lc.policy {
-            BatchPolicy::DeadlineFirst => 1,
-            BatchPolicy::FillFirst => lc.quantum.max(1),
+        let wave = if self.wave_barriers() {
+            STOPSET_WAVE
+        } else {
+            usize::MAX
         };
-        let workers = lc.workers.max(1).min(pairs.len().max(1));
-        let mut start = 0;
-        let mut wave_ord: u64 = 0;
-        while start < pairs.len() {
-            let end = pairs.len().min(start.saturating_add(wave));
-            let mut heap: BinaryHeap<Reverse<EventKey>> = (start..end)
-                .map(|id| {
-                    Reverse(EventKey {
-                        vtime: 0.0,
-                        id,
-                        seq: 0,
-                    })
-                })
-                .collect();
-            if workers > 1 {
-                // Never more dispatch workers than the host has cores:
-                // oversubscribed workers add only scheduler churn and lock
-                // convoys on the shared schedule (a single-core host
-                // measurably loses ~5% wall at 8 workers). The clamp can
-                // land on 1 and still take the pool path — run-to-completion
-                // claiming, not the serial loop's round interleaving — so a
-                // `workers > 1` config keeps its dispatch mode everywhere
-                // and only the thread count adapts to the host.
-                let pool = workers.min(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                );
-                self.run_campaign_workers(&mut tasks, &mut results, &mut heap, pool, &mut events)?;
-            } else {
-                self.run_campaign_serial(&mut tasks, &mut results, &mut heap, round, &mut events)?;
-            }
-            if use_stop {
-                // Wave barrier: fold this wave's buffered contributions
-                // into the published view in (vtime, id, seq) order.
-                self.stopset().merge_pending();
-            }
-            self.record_engine_resources(wave_ord, end - start);
-            wave_ord += 1;
-            start = end;
+        let mut out = CampaignOutcome {
+            results: Vec::with_capacity(pairs.len()),
+            inflight_peak: pairs.len().min(wave),
+            events: 0,
+        };
+        for (ord, admitted) in pairs.chunks(wave).enumerate() {
+            let base = out.results.len();
+            let (results, events) = self.run_wave(ord as u64, admitted.len(), lc, |i| {
+                let (dst, src) = admitted[i];
+                let mut t = MeasureTask::new(dst, src);
+                t.id = base + i;
+                t
+            })?;
+            out.results.extend(results);
+            out.events += events;
         }
-        Ok(CampaignOutcome {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every admitted task completed"))
-                .collect(),
-            inflight_peak,
-            events,
-        })
+        Ok(out)
     }
 
-    /// Run one admission wave of *timed* requests on the event loop.
+    /// Run one admission wave of *timed* requests.
     ///
-    /// This is the open-loop entry point: each [`TimedJob`] becomes a
-    /// control block whose first event fires at the job's virtual
-    /// **arrival time** instead of zero, and whose shadow clock is
-    /// anchored there — so a request admitted at hour 30 sees hour-30
-    /// cache ages and its telemetry spans are offset from its own
-    /// admission, exactly as if it had arrived at a live service. The
-    /// caller (the admission layer) owns wave chunking, shedding, and
-    /// the degradation ladder; this method only executes what was
-    /// admitted and merges buffered stop-set contributions at the end of
-    /// the wave when stop sets (or hardening) are enabled.
+    /// This is the open-loop entry point: each [`TimedJob`]'s shadow clock
+    /// is anchored at the job's virtual **arrival time** instead of zero —
+    /// so a request admitted at hour 30 has its telemetry spans offset
+    /// from its own admission, exactly as if it had arrived at a live
+    /// service. The caller (the admission layer) owns wave chunking,
+    /// shedding, and the degradation ladder; this method only executes
+    /// what was admitted, with the wave barrier at the end.
     ///
     /// `jobs` must be sorted by `(arrival_ms, id)` with campaign-unique,
-    /// increasing ids — the same total order the arrival generator
-    /// emits — so the wave-local schedule reproduces the global one.
-    /// Results come back in job order; determinism across `lc.workers`
-    /// follows from the same shadow-swap argument as
-    /// [`RevtrSystem::run_campaign`].
+    /// increasing ids — the same total order the arrival generator emits.
+    /// Results come back in job order, identical at every `lc.workers`.
     pub fn run_wave_timed(
         &self,
         jobs: &[TimedJob],
         lc: LoopConfig,
     ) -> std::thread::Result<CampaignOutcome> {
-        let use_stop = self.config().use_stop_sets || self.config().harden;
-        let mut tasks: Vec<Option<MeasureTask>> = jobs
-            .iter()
-            .map(|j| {
-                let mut t = MeasureTask::new(j.dst, j.src);
-                t.id = j.id;
-                t.degrade = j.degrade;
-                t.shadow_ms = j.arrival_ms;
-                Some(t)
-            })
-            .collect();
-        let mut results: Vec<Option<RevtrResult>> = jobs.iter().map(|_| None).collect();
-        let mut events: u64 = 0;
-        let round = match lc.policy {
-            BatchPolicy::DeadlineFirst => 1,
-            BatchPolicy::FillFirst => lc.quantum.max(1),
-        };
-        let workers = lc.workers.max(1).min(jobs.len().max(1));
-        let mut heap: BinaryHeap<Reverse<EventKey>> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                Reverse(EventKey {
-                    vtime: j.arrival_ms,
-                    id: i,
-                    seq: 0,
-                })
-            })
-            .collect();
-        if workers > 1 {
-            let pool = workers.min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            );
-            self.run_campaign_workers(&mut tasks, &mut results, &mut heap, pool, &mut events)?;
-        } else {
-            self.run_campaign_serial(&mut tasks, &mut results, &mut heap, round, &mut events)?;
-        }
-        if use_stop {
-            self.stopset().merge_pending();
-        }
         // Barrier ordinal for open-loop waves: the wave's first arrival
         // (milliseconds) — deterministic and increasing, since the
         // admission layer feeds arrival-sorted waves.
         let ord = jobs.first().map(|j| j.arrival_ms as u64).unwrap_or(0);
-        self.record_engine_resources(ord, jobs.len());
+        let (results, events) = self.run_wave(ord, jobs.len(), lc, |i| {
+            let j = &jobs[i];
+            let mut t = MeasureTask::new(j.dst, j.src);
+            t.id = j.id;
+            t.degrade = j.degrade;
+            t.origin_ms = j.arrival_ms;
+            t
+        })?;
         Ok(CampaignOutcome {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every admitted task completed"))
-                .collect(),
+            results,
             inflight_peak: jobs.len(),
             events,
         })
     }
 
-    /// Record the engine's own ledgers plus a full subsystem snapshot at a
+    /// Whether waves end in a stop-set merge. Hardened campaigns need one
+    /// even with stop sets off: quarantine windows are ordinary (buffered)
+    /// stop-set contributions and only become visible at a merge.
+    pub(crate) fn wave_barriers(&self) -> bool {
+        self.config().use_stop_sets || self.config().harden
+    }
+
+    /// Drive jobs `0..admitted` of one wave to completion, then cross the
+    /// wave barrier. Workers — `lc.workers` clamped to the host's cores
+    /// (oversubscription only adds scheduler churn) and the wave's jobs —
+    /// claim job indices off one atomic cursor, build the claimed job's
+    /// control block with `task`, drive it under its private shadows and
+    /// write the result into the job's own slot. One worker is the calling
+    /// thread itself; more are all scoped threads the caller only joins
+    /// (claiming too cost `service-openloop` ~6 % — EXPERIMENTS.md). The
+    /// first panic poisons the wave: the others stop claiming and the
+    /// payload comes back as `Err`, before any merge. The barrier folds
+    /// what the wave's tasks buffered into the published stop sets in
+    /// `(vtime, id, seq)` stamp order — functions of each task's own
+    /// history, so schedule-invariant ([`STOPSET_WAVE`]).
+    fn run_wave(
+        &self,
+        ord: u64,
+        admitted: usize,
+        lc: LoopConfig,
+        task: impl Fn(usize) -> MeasureTask + Sync,
+    ) -> std::thread::Result<(Vec<RevtrResult>, u64)> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = lc.workers.min(cores).min(admitted).max(1);
+        let slots: Vec<OnceLock<RevtrResult>> = (0..admitted).map(|_| OnceLock::new()).collect();
+        // All `Relaxed`: an index, a tally and a stop flag publish no other
+        // data — results travel through `OnceLock` slots, payloads by join.
+        let cursor = AtomicUsize::new(0);
+        let events = AtomicU64::new(0);
+        let poisoned = AtomicBool::new(false);
+        let claim = || -> std::thread::Result<()> {
+            let clock = self.prober().clock();
+            let counters = self.prober().counters();
+            while !poisoned.load(Ordering::Relaxed) {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= admitted {
+                    break;
+                }
+                let t = task(i);
+                let saved_ms = clock.swap_thread_ms(t.origin_ms);
+                let saved_snap = counters.swap_thread_snapshot(Snapshot::default());
+                let out = self.drive(t);
+                clock.swap_thread_ms(saved_ms);
+                counters.swap_thread_snapshot(saved_snap);
+                let (r, steps) = out.inspect_err(|_| poisoned.store(true, Ordering::Relaxed))?;
+                events.fetch_add(steps, Ordering::Relaxed);
+                let _ = slots[i].set(r);
+            }
+            Ok(())
+        };
+        if workers == 1 {
+            claim()?;
+        } else {
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+                spawned
+                    .into_iter()
+                    .try_for_each(|w| w.join().and_then(|claimed| claimed))
+            })?;
+        }
+        if self.wave_barriers() {
+            self.stopset().merge_pending();
+        }
+        self.record_engine_resources(ord, admitted);
+        let results = slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every admitted job was driven"))
+            .collect();
+        Ok((results, events.into_inner()))
+    }
+
+    /// Record the engine's own ledger plus a full subsystem snapshot at a
     /// wave barrier (no-op unless profiling is enabled). The wave just
-    /// drained held `admitted` control blocks, each with exactly one
-    /// outstanding event in the schedule heap — both ledgers' wave peaks,
-    /// fixed by the admission plan rather than worker scheduling.
+    /// drained admitted `admitted` control blocks — a peak fixed by the
+    /// admission plan, not by how many workers the host gave it.
     fn record_engine_resources(&self, ord: u64, admitted: usize) {
         let tele = self.prober().telemetry();
         if !tele.profiling() {
@@ -1111,172 +1021,80 @@ impl<'s> RevtrSystem<'s> {
             ord,
             (admitted * task_footprint_bytes()) as u64,
         );
-        tele.resource_record(
-            "engine.event_queue",
-            ord,
-            (admitted * std::mem::size_of::<EventKey>()) as u64,
-        );
         self.snapshot_resources(ord);
     }
 
-    /// The serial dispatch path: drain the wave's schedule in rounds of
-    /// `round` due events (the `quantum`/`policy` shape).
-    fn run_campaign_serial(
-        &self,
-        tasks: &mut [Option<MeasureTask>],
-        results: &mut [Option<RevtrResult>],
-        heap: &mut BinaryHeap<Reverse<EventKey>>,
-        round: usize,
-        events: &mut u64,
-    ) -> std::thread::Result<()> {
-        let mut due: Vec<EventKey> = Vec::with_capacity(round);
-        while let Some(Reverse(ev)) = heap.pop() {
-            // Form the round: the earliest event plus up to `round - 1`
-            // more, in deadline order. Under FillFirst a block stepped
-            // early in the round is not reconsidered until the next
-            // round even if its new ready-time precedes the round's
-            // remaining events — that is the policy difference, and the
-            // metamorphic suite proves results don't depend on it.
-            due.clear();
-            due.push(ev);
-            while due.len() < round {
-                match heap.pop() {
-                    Some(Reverse(e)) => due.push(e),
-                    None => break,
+    /// The one way a reverse traceroute executes: step its control block
+    /// to completion, on the calling thread's current shadow accumulators,
+    /// behind a panic fence. Returns the result with its event count.
+    pub(crate) fn drive(&self, mut task: MeasureTask) -> std::thread::Result<(RevtrResult, u64)> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut events = 0u64;
+            loop {
+                events += 1;
+                if let Some(r) = task.step(self) {
+                    return (r, events);
                 }
             }
-            for ev in due.drain(..) {
-                *events += 1;
-                let task = tasks[ev.id].as_mut().expect("pending task exists");
-                match self.step_task(task)? {
-                    Some(r) => {
-                        results[ev.id] = Some(r);
-                        tasks[ev.id] = None;
-                    }
-                    None => {
-                        heap.push(Reverse(EventKey {
-                            vtime: task.shadow_ms,
-                            id: ev.id,
-                            seq: ev.seq + 1,
-                        }));
-                    }
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineConfig;
+    use revtr_atlas::select_atlas_probes;
+    use revtr_netsim::{Sim, SimConfig};
+    use revtr_probing::Prober;
+    use revtr_vpselect::{Heuristics, IngressDb};
+
+    #[test]
+    fn poisoned_job_yields_err_restores_shadows_and_leaves_system_usable() {
+        let sim = Sim::build(SimConfig::tiny(), 31);
+        let prober = Prober::new(&sim);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+        let pool = select_atlas_probes(&sim, 60, 9);
+        let mut cfg = EngineConfig::revtr2();
+        cfg.atlas_size = 30;
+        cfg.use_stop_sets = true;
+        let sys = RevtrSystem::new(prober, cfg, vps.clone(), ingress, pool);
+        let src = vps[0];
+        sys.register_source(src);
+        let pairs: Vec<(Addr, Addr)> = vps[1..9].iter().map(|&d| (d, src)).collect();
+
+        // Give the calling thread non-trivial shadows to lose.
+        let first = sys.measure(pairs[0].0, src);
+        let shadows = |sys: &RevtrSystem<'_>| {
+            let p = sys.prober();
+            (p.clock().thread_ms(), p.counters().thread_snapshot())
+        };
+        let before = shadows(&sys);
+        assert!(before.0 > 0.0 && before.1.ping > 0);
+
+        for workers in [1usize, 4] {
+            // Job 3 is already `Done`: stepping it is the engine's own
+            // invariant panic, raised inside `drive`'s fence.
+            let out = sys.run_wave(0, pairs.len(), LoopConfig { workers }, |i| {
+                let mut t = MeasureTask::new(pairs[i].0, pairs[i].1);
+                t.id = i;
+                if i == 3 {
+                    t.phase = Phase::Done;
                 }
-            }
+                t
+            });
+            assert!(out.is_err(), "w{workers}: poisoned wave returned Ok");
+            assert_eq!(shadows(&sys), before, "w{workers}: caller shadows lost");
         }
-        Ok(())
-    }
 
-    /// The parallel dispatch path: `workers` scoped threads claim
-    /// control blocks off the shared schedule in `(vtime, id, seq)`
-    /// order and run each claimed block's steps back-to-back to
-    /// completion. Spoofed-batch waits are *virtual* — they cost no wall
-    /// time — so interleaving a block's steps with its neighbours' buys
-    /// nothing on wall-clock and was measured to cost ~15% in lost cache
-    /// locality; running the steps consecutively keeps the block hot
-    /// while per-task shadow clocks still start every measurement at
-    /// virtual zero (which is what keeps cache entries from expiring
-    /// under late thread-clock times, the old pool's hidden recompute
-    /// tax). The realized cross-block interleaving is OS-dependent;
-    /// campaign *results* are not — the metamorphic suite pins parallel
-    /// output bit-identical to the serial loop's, the same invariance
-    /// the old engine's w1==w8 gate proved.
-    fn run_campaign_workers(
-        &self,
-        tasks: &mut [Option<MeasureTask>],
-        results: &mut [Option<RevtrResult>],
-        heap: &mut BinaryHeap<Reverse<EventKey>>,
-        workers: usize,
-        events: &mut u64,
-    ) -> std::thread::Result<()> {
-        struct Shared<'t> {
-            heap: BinaryHeap<Reverse<EventKey>>,
-            tasks: &'t mut [Option<MeasureTask>],
-            results: &'t mut [Option<RevtrResult>],
-            events: u64,
-            /// First panic payload; set once, drains the pool.
-            failed: Option<Box<dyn std::any::Any + Send + 'static>>,
-        }
-        let shared = Mutex::new(Shared {
-            heap: std::mem::take(heap),
-            tasks,
-            results,
-            events: *events,
-            failed: None,
-        });
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let mut guard = shared.lock().expect("schedule lock");
-                    if guard.failed.is_some() {
-                        return;
-                    }
-                    let Some(Reverse(ev)) = guard.heap.pop() else {
-                        // Blocks already claimed by other workers never
-                        // return to the queue, so an empty heap means
-                        // this worker is done.
-                        return;
-                    };
-                    let mut task = guard.tasks[ev.id].take().expect("pending task exists");
-                    drop(guard);
-                    let (steps, out) = self.burst_task(&mut task);
-                    guard = shared.lock().expect("schedule lock");
-                    guard.events += steps;
-                    match out {
-                        Err(payload) => {
-                            guard.failed.get_or_insert(payload);
-                            return;
-                        }
-                        Ok(r) => guard.results[ev.id] = Some(r),
-                    }
-                });
-            }
-        });
-        let shared = shared.into_inner().expect("schedule lock");
-        *events = shared.events;
-        match shared.failed {
-            Some(payload) => Err(payload),
-            None => Ok(()),
-        }
-    }
-
-    /// One scheduled step of a control block, with the task's private
-    /// shadow accumulators swapped in around it. The swap-back is
-    /// unconditional — on a panic the loop thread's own shadows are
-    /// restored before the payload propagates.
-    fn step_task(&self, task: &mut MeasureTask) -> std::thread::Result<Option<RevtrResult>> {
-        let clock = self.prober().clock();
-        let counters = self.prober().counters();
-        let saved_ms = clock.swap_thread_ms(task.shadow_ms);
-        let saved_snap = counters.swap_thread_snapshot(task.shadow_snap);
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.step(self)));
-        task.shadow_ms = clock.swap_thread_ms(saved_ms);
-        task.shadow_snap = counters.swap_thread_snapshot(saved_snap);
-        out
-    }
-
-    /// Run one claimed control block's steps back-to-back to completion —
-    /// the parallel path's unit of work — with the shadow accumulators
-    /// swapped in *once* around the whole burst. No other block touches
-    /// this thread's shadows mid-burst, so the per-step swap pairs the
-    /// interleaving serial loop needs would cancel exactly; hoisting them
-    /// (and the panic fence) preserves attribution addend-for-addend
-    /// while shaving four thread-local map operations off every step.
-    /// Returns the step count alongside the outcome; the swap-back is
-    /// unconditional, as in [`RevtrSystem::step_task`].
-    fn burst_task(&self, task: &mut MeasureTask) -> (u64, std::thread::Result<RevtrResult>) {
-        let clock = self.prober().clock();
-        let counters = self.prober().counters();
-        let saved_ms = clock.swap_thread_ms(task.shadow_ms);
-        let saved_snap = counters.swap_thread_snapshot(task.shadow_snap);
-        let mut steps = 0u64;
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            steps += 1;
-            if let Some(r) = task.step(self) {
-                return r;
-            }
-        }));
-        task.shadow_ms = clock.swap_thread_ms(saved_ms);
-        task.shadow_snap = counters.swap_thread_snapshot(saved_snap);
-        (steps, out)
+        // Still usable, both ways in.
+        assert_eq!(sys.measure(pairs[0].0, src).status, first.status);
+        let outcome = sys
+            .run_campaign(&pairs, LoopConfig { workers: 4 })
+            .expect("clean campaign after a poisoned one");
+        assert_eq!(outcome.results.len(), pairs.len());
+        assert_eq!(outcome.results[0].status, first.status);
     }
 }

@@ -48,7 +48,7 @@ pub mod result;
 pub mod system;
 
 pub use config::{EngineConfig, SymmetryPolicy, VpSelection};
-pub use engine::{task_footprint_bytes, BatchPolicy, CampaignOutcome, LoopConfig, TimedJob};
+pub use engine::{task_footprint_bytes, CampaignOutcome, LoopConfig, TimedJob};
 pub use result::{
     Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
     StitchTrace,

@@ -87,9 +87,9 @@ const QUARANTINED_STALL_BUDGET: u32 = 1;
 /// An open telemetry stage: the span token plus the thread-local probe
 /// snapshot at entry, so the exit can attach this stage's exact probe
 /// delta (per-thread, hence worker-count-invariant). Stage spans are held
-/// across event-loop yields inside a measurement's control block; the
-/// loop's shadow swap keeps the entry snapshot consistent with whatever
-/// the task accumulates later.
+/// across steps inside a measurement's control block; a wave's shadow
+/// swap around the whole drive keeps the entry snapshot consistent with
+/// whatever the task accumulates later.
 pub(crate) struct StageStart {
     tok: Option<SpanToken>,
     snap: Snapshot,
@@ -127,9 +127,9 @@ pub(crate) enum RrProgress {
 /// Mid-flight state of a record-route step's spoofed-batch rounds: the VP
 /// queues with their cursors and transient-stall counters, plus the open
 /// `rr_step`/`rr_spoofed` telemetry spans. One [`RevtrSystem::rr_round`]
-/// call issues one batch — one virtual 10 s collection timeout — so the
-/// event loop can park the control block between rounds instead of
-/// blocking a thread.
+/// call issues one batch — one virtual 10 s collection timeout — and is
+/// one step (one event) of the control block that parks the machine
+/// between rounds.
 pub(crate) struct RrMachine {
     cur: Addr,
     st: StageStart,
@@ -769,7 +769,7 @@ impl<'s> RevtrSystem<'s> {
     /// [`RrProgress::Pending`] hands back an [`RrMachine`] whose rounds
     /// the caller drives via [`RevtrSystem::rr_round`] — each round is one
     /// spoofed batch, i.e. one virtual 10 s collection timeout, which is
-    /// exactly the event-loop yield point.
+    /// exactly one engine event.
     pub(crate) fn rr_begin(
         &self,
         cur: Addr,
@@ -1164,24 +1164,22 @@ impl<'s> RevtrSystem<'s> {
 
     /// Measure the reverse path from `dst` back to `src` (Fig. 2).
     ///
-    /// This is the synchronous driver over the event-driven control block
-    /// ([`MeasureTask`]): it steps the same state machine the campaign
-    /// event loop schedules, to completion, on the calling thread. The
-    /// prober-call sequence is identical to the historical straight-line
-    /// loop, so results, probe counters, and telemetry spans are
-    /// unchanged.
+    /// One control block ([`MeasureTask`]) driven inline by the same
+    /// [`RevtrSystem::drive`] a campaign wave uses — a one-pair campaign
+    /// in everything but its clock: it runs on the calling thread's own
+    /// accumulating shadows rather than a zero-origin private one, so a
+    /// serial caller's durations keep their historical bits. A panicking
+    /// measurement unwinds into the caller.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {
-        let mut task = MeasureTask::new(dst, src);
-        loop {
-            if let Some(r) = task.step(self) {
-                if self.cfg.use_stop_sets || self.cfg.harden {
-                    // Serial requests merge at completion: the next
-                    // request sees everything this one learned.
-                    self.stopset.merge_pending();
-                }
-                return r;
-            }
+        let (r, _events) = self
+            .drive(MeasureTask::new(dst, src))
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        if self.wave_barriers() {
+            // A serial request is a wave of one: it merges at completion,
+            // so the next request sees everything this one learned.
+            self.stopset.merge_pending();
         }
+        r
     }
 
     /// Flag suspicious AS gaps (§5.2.2): a small AS apparently adjacent to

@@ -52,7 +52,7 @@ pub struct BenchReport {
     pub cache_expired: u64,
     /// Simulator route computations.
     pub route_computes: u64,
-    /// Peak in-flight measurements on the event loop (informational;
+    /// Peak admitted measurements of the campaign (informational;
     /// absent in pre-PR6 baselines and parsed as 0 there).
     pub inflight_peak: u64,
     /// Whether the campaign ran with the Doubletree stop sets enabled

@@ -14,7 +14,6 @@
 //! revtr-cli bench-report  [--scale ...] [--seed N] [--file PATH] [--stop-sets on|off]
 //! revtr-cli bench-compare OLD.json NEW.json [--tol F] [--tol-quality F]
 //! revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]
-//! revtr-cli engine-ab [--scale smoke|standard] [--seed N] [--workers N]
 //! revtr-cli concurrency-smoke [--inflight N] [--seed N]
 //! revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan]
 //!                     [--duration H] [--out DIR]
@@ -55,7 +54,6 @@ fn usage() -> ExitCode {
          revtr-cli bench-report  [--scale smoke|standard] [--seed N] [--file PATH] [--stop-sets on|off]\n  \
          revtr-cli bench-compare OLD.json NEW.json [--tol F] [--tol-quality F]\n  \
          revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]\n  \
-         revtr-cli engine-ab [--scale smoke|standard] [--seed N] [--workers N]\n  \
          revtr-cli concurrency-smoke [--inflight N] [--seed N]\n  \
          revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan] [--duration H] [--out DIR]"
     );
@@ -566,65 +564,6 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
     }
 }
 
-fn cmd_engine_ab(flags: &Flags) -> ExitCode {
-    use revtr_eval::{throughput, EvalContext};
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let mut scale = match flags.scale() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    if let Some(s) = seed {
-        scale.seed = s;
-    }
-    let workers = match flags.get("workers").unwrap_or("8").parse::<usize>() {
-        Ok(w) if w >= 1 => w,
-        _ => return flag_err("--workers must be a positive integer"),
-    };
-    let era = match flags.scale_name() {
-        "standard" => revtr_netsim::SimConfig::era_2020(),
-        _ => revtr_netsim::SimConfig::tiny(),
-    };
-    let ctx = EvalContext::new(era, scale);
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    // Tile the workload x4: at the base campaign's ~0.15 s wall a single
-    // scheduler hiccup on a shared CI host is a 30% swing, drowning the
-    // engines' real gap; at ~0.6 s per arm the noise amortizes while the
-    // cache/route counters keep the same shape (repeats hit the
-    // measurement cache in both arms alike).
-    let base = ctx.workload();
-    let workload: Vec<_> = base.iter().copied().cycle().take(base.len() * 4).collect();
-    let ab = throughput::engine_ab(&ctx, &ingress, &workload, workers);
-    let report = throughput::ThroughputReport {
-        runs: vec![ab.threads, ab.events],
-    };
-    println!("{}", report.table().render());
-    // The gate the event-driven refactor must hold: at matching
-    // parallelism, the event loop is no slower than the thread pool it
-    // replaced. The judged statistic is the median *paired* wall ratio
-    // (see `engine_ab`) against the shared noise allowance.
-    let pass = ab.wall_ratio <= throughput::AB_NOISE_ALLOWANCE;
-    println!(
-        "engine-ab gate ({} revtrs, w/q {}): {} (median events/threads wall ratio {:.3} \
-         over {} paired trials, 5% allowance; best events {:.2} s vs threads {:.2} s)",
-        workload.len(),
-        workers,
-        if pass { "PASS" } else { "FAIL" },
-        ab.wall_ratio,
-        ab.trials,
-        ab.events.wall_s,
-        ab.threads.wall_s
-    );
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_loadtest(flags: &Flags) -> ExitCode {
     let seed = match flags.seed() {
         Ok(s) => s,
@@ -718,7 +657,6 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
         "bench-report" => &["scale", "seed", "file", "stop-sets"],
         "bench-compare" => &["tol", "tol-quality"],
         "economy" => &["scale", "seed", "min-cut", "tol-quality"],
-        "engine-ab" => &["scale", "seed", "workers"],
         "concurrency-smoke" => &["inflight", "seed"],
         "loadtest" => &["scale", "seed", "pattern", "duration", "out"],
         _ => return None,
@@ -761,7 +699,6 @@ fn main() -> ExitCode {
         "scenario" => cmd_scenario(&flags),
         "bench-report" => cmd_bench_report(&flags),
         "economy" => cmd_economy(&flags),
-        "engine-ab" => cmd_engine_ab(&flags),
         "concurrency-smoke" => cmd_concurrency_smoke(&flags),
         "loadtest" => cmd_loadtest(&flags),
         "bench-compare" => match positionals {

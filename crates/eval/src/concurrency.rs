@@ -1,14 +1,12 @@
-//! The high-concurrency smoke: prove the event-driven engine sustains
-//! tens of thousands of in-flight reverse traceroutes in bounded memory.
+//! The high-concurrency smoke: prove one campaign admits and completes
+//! tens of thousands of reverse traceroutes in bounded memory.
 //!
-//! The thread-per-batch engine capped concurrency at the worker count —
-//! 50k concurrent measurements would have meant 50k OS threads (hundreds
-//! of gigabytes of stacks). On the virtual event loop an in-flight
-//! measurement is one control block on a priority queue, so the smoke
-//! simply tiles the smoke-scale workload up to the target size, admits
-//! the whole campaign at once, and checks that every request completes
-//! with the loop reporting the full campaign in flight at peak. ci.sh
-//! runs this as a gate at 50 000.
+//! An admitted measurement costs one control block, built when a worker
+//! claims it — never a parked thread — so the smoke simply tiles the
+//! smoke-scale workload up to the target size, admits the whole campaign
+//! as one wave, and checks that every request completes with the engine
+//! reporting the full campaign admitted at peak. ci.sh runs this as a
+//! gate at 50 000.
 
 use crate::context::EvalContext;
 use revtr::{task_footprint_bytes, EngineConfig, LoopConfig};
@@ -24,9 +22,9 @@ pub struct ConcurrencySmoke {
     pub requests: usize,
     /// Requests that came back (must equal `requests`).
     pub completed: usize,
-    /// Peak in-flight measurements the event loop reported.
+    /// Peak admitted measurements the engine reported.
     pub inflight_peak: usize,
-    /// Control-block steps the loop dispatched.
+    /// Events (stages and spoofed-batch rounds) the campaign cost.
     pub events: u64,
     /// Bytes per control block (compile-time size; excludes per-path heap
     /// state).
@@ -37,7 +35,7 @@ pub struct ConcurrencySmoke {
 
 impl ConcurrencySmoke {
     /// Whether the smoke met its target: every admitted request finished
-    /// and the loop really held `target` measurements in flight at once.
+    /// and the campaign admitted `target` measurements in one wave.
     pub fn pass(&self, target: usize) -> bool {
         self.completed == self.requests && self.inflight_peak >= target
     }
@@ -60,7 +58,7 @@ impl ConcurrencySmoke {
     }
 }
 
-/// Run `target` reverse traceroutes as ONE event-loop campaign on the
+/// Run `target` reverse traceroutes as ONE campaign on the
 /// smoke topology (the smoke workload tiled to size; repeats hit the
 /// measurement cache, which is exactly what lets a real deployment
 /// oversubscribe).
@@ -101,7 +99,7 @@ mod tests {
         assert_eq!(s.requests, 500);
         assert!(s.pass(500), "{}", s.render(500));
         assert!(s.events >= 500, "every request steps at least once");
-        // A control block stays small — the whole point of the refactor.
+        // A control block stays small — that is what admission is priced in.
         assert!(
             s.task_bytes < 4096,
             "control block grew suspiciously large: {} B",

@@ -486,10 +486,7 @@ fn run_arm(
         kept.push(a);
     }
 
-    let lc = LoopConfig {
-        workers,
-        ..LoopConfig::default()
-    };
+    let lc = LoopConfig { workers };
     let probes_before = service.system().prober().counters().snapshot();
     let virtual_before = service.system().prober().clock().now_ms();
     let outcome = service
@@ -816,10 +813,9 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &LoadtestConfig) -> LoadtestR
 /// through the globally *flushed* clock, and flush points are a function
 /// of the dispatch schedule. Load-balancing routers hash the per-probe
 /// nonce, and nonces come from one shared counter, so reply paths would
-/// depend on cross-task probe interleaving — the serial loop steps tasks
-/// round-robin while the worker pool bursts each to completion. The
-/// admission layer is what this harness judges; route dynamics have
-/// their own studies.
+/// depend on cross-task probe interleaving, which under a pool is up to
+/// the OS. The admission layer is what this harness judges; route
+/// dynamics have their own studies.
 fn quiesce(mut base: SimConfig) -> SimConfig {
     base.behavior.churn_per_hour = 0.0;
     base.behavior.router_load_balancer = 0.0;

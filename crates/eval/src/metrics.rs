@@ -2,8 +2,8 @@
 //! breakdowns for a campaign run with tracing enabled.
 //!
 //! This is the evaluation-facing surface of the `revtr-telemetry` crate.
-//! It runs the same campaign workload as the other experiments — on the
-//! deterministic virtual event loop, so every counter and histogram is
+//! It runs the same campaign workload as the other experiments — one
+//! worker, requests in id order, so every counter and histogram is
 //! exactly reproducible — with an enabled [`Telemetry`] handle threaded
 //! through the prober, the measurement system, and the simulator, then
 //! renders:
@@ -236,8 +236,8 @@ impl MetricsReport {
     }
 }
 
-/// Run the campaign on the deterministic event loop (default
-/// [`LoopConfig`]) with telemetry enabled and profile it. The loop's
+/// Run the campaign serially (default [`LoopConfig`]: one worker,
+/// requests in id order) with telemetry enabled and profile it. The
 /// schedule is a pure function of the inputs, so every counter and
 /// histogram is exactly reproducible.
 pub fn run(base: SimConfig, scale: EvalScale) -> MetricsReport {

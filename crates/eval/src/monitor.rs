@@ -3,7 +3,7 @@
 //! export the trace/metrics artifacts.
 //!
 //! This is the judgment layer on top of `eval::metrics` (which only
-//! *profiles*). The monitor runs the same event-loop campaign with the
+//! *profiles*). The monitor runs the same serial campaign with the
 //! same telemetry configuration, so on the clean configuration its printed
 //! campaign fingerprints are byte-identical to `revtr-cli metrics` at the
 //! same seed — judging a run must not change its identity. Concretely:
@@ -72,7 +72,7 @@ struct Baselines {
     rr_p99_us: u64,
     /// Ceiling on the campaign-wide ledger high-water total (bytes).
     mem_total_max: u64,
-    /// Capacity the event-loop control-block ledger is measured against
+    /// Capacity the engine's control-block ledger is measured against
     /// (bytes): the 50k-in-flight design point of the concurrency smoke.
     control_capacity: u64,
     /// Minimum tolerated control-block headroom against that capacity.
@@ -89,7 +89,7 @@ const VERIFY_PROBE_ALLOWANCE: f64 = 4.5;
 
 fn baselines(scale_name: &str) -> Baselines {
     match scale_name {
-        // Measured clean, seeds {1, 7, 42}, event-loop campaign with
+        // Measured clean, seeds {1, 7, 42}, serial campaign with
         // survey probes bypassing the measurement cache: coverage
         // 0.7365–0.7705, accuracy 0.9672–1.0, probes/revtr 6.97–7.19,
         // rr_step p99 88 080 ms at every seed.
@@ -226,7 +226,7 @@ pub fn default_policy(scale_name: &str) -> SloPolicy {
                     max_bytes: b.mem_total_max,
                 },
             ),
-            // Capacity headroom of the event-loop control blocks against
+            // Capacity headroom of the engine's control blocks against
             // the 50k-in-flight design capacity.
             rule(
                 "capacity-headroom",
@@ -411,8 +411,8 @@ pub struct MonitorReport {
     pub campaign_virtual_ms: f64,
     /// Campaign-only probe-counter delta.
     pub probes: Snapshot,
-    /// Peak in-flight measurements on the event loop (the whole campaign
-    /// is admitted up front, so this equals the campaign size).
+    /// Peak admitted measurements (the campaign size with stop sets off,
+    /// one admission wave with them on).
     pub inflight_peak: usize,
     /// Measurement-cache stats at end of run.
     pub cache: revtr_probing::CacheStats,
@@ -422,7 +422,7 @@ pub struct MonitorReport {
     pub route_computes: u64,
 }
 
-/// Run the campaign on the deterministic event loop (default
+/// Run the campaign serially (default
 /// [`LoopConfig`] — the same execution `eval::metrics` profiles, which
 /// keeps the ci.sh fingerprint-neutrality gate meaningful) under the
 /// monitor's telemetry configuration and judge it. The loop schedule is a

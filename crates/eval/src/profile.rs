@@ -1,7 +1,7 @@
 //! `revtr-cli profile` — the resource-forensics report: where the bytes,
 //! events, and probe traffic of a campaign actually go.
 //!
-//! Runs the clean event-loop campaign with the telemetry profiling arm on
+//! Runs the clean serial campaign with the telemetry profiling arm on
 //! and renders three views of the same deterministic run:
 //!
 //! 1. **Subsystem byte ledgers** — every long-lived structure (netsim
@@ -10,7 +10,7 @@
 //!    self-reports logical bytes at wave barriers; the table shows
 //!    current and high-water readings plus each subsystem's share.
 //! 2. **Cost-attribution stacks** — per-(stage, phase) inclusive virtual
-//!    time, event-loop steps, cache bytes, and probe bytes, collapsed
+//!    time, engine events, cache bytes, and probe bytes, collapsed
 //!    flamegraph-style and ranked by the chosen metric.
 //! 3. **Capacity headroom and shard skew** — the measured high-water
 //!    totals against the same ceilings the SLO monitor enforces, plus
@@ -427,7 +427,6 @@ mod tests {
         for expect in [
             "atlas.traces",
             "engine.control_blocks",
-            "engine.event_queue",
             "netsim.fib",
             "netsim.route_cache",
             "probing.cache.rr",

@@ -58,13 +58,17 @@ pub const DEFAULT_MIN_ACCURACY: f64 = 0.96;
 
 /// Correct-coverage swings at or below this are within campaign noise:
 /// at the standard scale (2000 requests) one request is 0.0005 of
-/// coverage, and toggling hardening reorders the campaign's probe
-/// interleaving enough that ~10–20 borderline requests flip either way
-/// between otherwise-equivalent configurations. The hold clause for
-/// denial profiles therefore tolerates a drop up to this bound — real
-/// regressions observed during tuning (an over-eager demotion rule, a
-/// mistimed quarantine) cost 5–20× more.
-pub const NEGLIGIBLE_LOSS: f64 = 0.01;
+/// coverage, and anything that reorders the campaign's probe
+/// interleaving under route churn — toggling hardening, or just the
+/// order requests are dispatched in — flips borderline requests either
+/// way between otherwise-equivalent configurations. Calibrated from
+/// PR 14's table (EXPERIMENTS.md): moving serial dispatch from
+/// interleaved rounds to id order, with nothing else changed, moved this
+/// statistic by up to 0.0105 (21 requests) across the 15 (seed, profile)
+/// cells, so the hold clause for denial profiles tolerates a drop of 30.
+/// Real regressions observed during tuning (an over-eager demotion rule,
+/// a mistimed quarantine) cost 0.05–0.2.
+pub const NEGLIGIBLE_LOSS: f64 = 0.015;
 
 /// One arm of a profile run (clean baseline, hostile, or hardened).
 #[derive(Clone, Debug)]

@@ -2,13 +2,12 @@
 //!
 //! The paper's revtr 2.0 sustains 173 reverse traceroutes per second
 //! (~15M/day) across its deployment. Here we measure what *this*
-//! implementation sustains on the simulated Internet, A/B-ing the two
-//! execution engines: the legacy thread-per-worker reference (kept here,
-//! and only here, as the comparison arm) against the deterministic
-//! virtual event loop at matching dispatch quanta — plus the probe cost
-//! per measurement and the measurement-cache effectiveness. Absolute
-//! numbers describe the simulator, not the Internet — the interesting
-//! outputs are probes/revtr and the engine comparison.
+//! implementation sustains on the simulated Internet: one `run_campaign`
+//! per width in {1, 2, 4, 8} workers — the scaling curve — plus the probe
+//! cost per measurement and the measurement-cache effectiveness. Absolute
+//! numbers describe the simulator, not the Internet; the interesting
+//! outputs are probes/revtr and how the wall column moves with the width
+//! on the recorded host (widths above the core count are clamped).
 
 use crate::context::EvalContext;
 use crate::render::Table;
@@ -16,37 +15,13 @@ use revtr::{EngineConfig, LoopConfig};
 use revtr_netsim::Addr;
 use revtr_probing::{CacheStats, StopSetSnapshot};
 use revtr_vpselect::{Heuristics, IngressDb};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which execution engine a run used.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Thread-per-worker reference: `workers` OS threads pull indices
-    /// off a shared counter and run the serial driver.
-    Threads,
-    /// Deterministic virtual event loop, dispatch quantum = `workers`,
-    /// fill-first rounds — zero extra OS threads.
-    Events,
-}
-
-impl EngineMode {
-    /// Short label for tables and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Threads => "threads",
-            EngineMode::Events => "events",
-        }
-    }
-}
 
 /// One throughput run's outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct ThroughputRun {
-    /// Execution engine.
-    pub engine: EngineMode,
-    /// Worker threads (threads engine) or dispatch quantum (event loop).
+    /// Campaign width requested ([`LoopConfig::workers`]).
     pub workers: usize,
     /// Measurements performed.
     pub measured: usize,
@@ -63,8 +38,8 @@ pub struct ThroughputRun {
     pub retries: u64,
     /// Probes lost to injected faults.
     pub lost: u64,
-    /// Peak concurrently in-flight measurements (event loop admits the
-    /// whole campaign up front; the threads engine holds one per worker).
+    /// Peak admitted measurements (the whole campaign with stop sets off,
+    /// one wave with them on).
     pub inflight_peak: usize,
     /// Whether the run consulted the campaign stop sets.
     pub stop_sets: bool,
@@ -92,20 +67,19 @@ impl ThroughputRun {
     }
 }
 
-/// The throughput report: per engine, one run per worker count / quantum.
+/// The throughput report: one run per width.
 #[derive(Clone, Debug)]
 pub struct ThroughputReport {
-    /// Runs: the threads arm ascending, then the events arm ascending.
+    /// Runs, width ascending.
     pub runs: Vec<ThroughputRun>,
 }
 
-/// One arm of the A/B at a given parallelism degree: fresh prober and
-/// system, measure the whole workload, diff the counters.
+/// One campaign at a given width: fresh prober and system, measure the
+/// whole workload, diff the counters.
 fn run_one(
     ctx: &EvalContext,
     ingress: &Arc<IngressDb>,
     workload: &[(Addr, Addr)],
-    engine: EngineMode,
     workers: usize,
     stop_sets: bool,
 ) -> ThroughputRun {
@@ -120,38 +94,10 @@ fn run_one(
     let cache_before = prober.cache().stats();
     let computes_before = ctx.sim.route_computes();
     let t0 = Instant::now();
-    let inflight_peak = match engine {
-        EngineMode::Threads => {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= workload.len() {
-                            break;
-                        }
-                        let (dst, src) = workload[i];
-                        let _ = system.measure(dst, src);
-                    });
-                }
-            });
-            workers.min(workload.len())
-        }
-        EngineMode::Events => {
-            // Same OS-thread budget as the threads arm: `workers`
-            // dispatch workers stepping production-sized rounds.
-            let outcome = system
-                .run_campaign(
-                    workload,
-                    LoopConfig {
-                        workers,
-                        ..LoopConfig::parallel()
-                    },
-                )
-                .expect("throughput measurement panicked");
-            outcome.inflight_peak
-        }
-    };
+    let inflight_peak = system
+        .run_campaign(workload, LoopConfig { workers })
+        .expect("throughput measurement panicked")
+        .inflight_peak;
     let wall_s = t0.elapsed().as_secs_f64();
     let d = prober.counters().snapshot().since(&before);
     let ca = prober.cache().stats();
@@ -162,7 +108,6 @@ fn run_one(
         expired: ca.expired - cache_before.expired,
     };
     ThroughputRun {
-        engine,
         workers,
         measured: workload.len(),
         wall_s,
@@ -177,19 +122,16 @@ fn run_one(
     }
 }
 
-/// Measure engine throughput over `workload`: the threaded reference at
-/// 1, 2, 4, 8 workers, then the event loop at quanta 1, 2, 4, 8.
+/// Measure engine throughput over `workload` at widths 1, 2, 4, 8.
 pub fn run(
     ctx: &EvalContext,
     ingress: &Arc<IngressDb>,
     workload: &[(Addr, Addr)],
 ) -> ThroughputReport {
-    let mut runs = Vec::new();
-    for engine in [EngineMode::Threads, EngineMode::Events] {
-        for &workers in &[1usize, 2, 4, 8] {
-            runs.push(run_one(ctx, ingress, workload, engine, workers, false));
-        }
-    }
+    let runs = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|workers| run_one(ctx, ingress, workload, workers, false))
+        .collect();
     ThroughputReport { runs }
 }
 
@@ -207,122 +149,18 @@ pub fn economy_pair(
         let prober = ctx.prober();
         let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
         let workload = ctx.workload();
-        run_one(
-            &ctx,
-            &ingress,
-            &workload,
-            EngineMode::Events,
-            workers,
-            stop_sets,
-        )
+        run_one(&ctx, &ingress, &workload, workers, stop_sets)
     };
     (arm(false), arm(true))
-}
-
-/// The threads-vs-events A/B outcome: each arm's fastest run plus the
-/// paired wall-clock comparison the gate actually judges.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineAb {
-    /// The threaded reference's fastest trial.
-    pub threads: ThroughputRun,
-    /// The event loop's fastest trial.
-    pub events: ThroughputRun,
-    /// Median over trials of `events.wall_s / threads.wall_s`, each
-    /// ratio taken within one back-to-back pair.
-    pub wall_ratio: f64,
-    /// Paired trials run.
-    pub trials: usize,
-}
-
-/// The threads-vs-events A/B at one parallelism degree (the ci.sh
-/// `engine-ab` gate runs this at `workers = 8`).
-///
-/// Each arm is deterministic in everything except wall-clock, and at
-/// sub-second campaign times host scheduler noise exceeds the engines'
-/// real gap — on this workload load spikes alone swing an isolated
-/// wall reading by ±10%. So the comparison is *paired*: four trials,
-/// each running both arms back to back (inside the narrowest possible
-/// time window) and recording the within-pair wall ratio; the median
-/// ratio cancels the slow inter-trial drift that min-of-N cannot.
-/// Which arm leads alternates between trials: on a loaded host the
-/// first run of a pair measurably tends to win (warm scheduler slice,
-/// cool allocator), so a fixed order would bias every pair the same
-/// way, while alternation puts the bias on opposite sides of the
-/// median's middle pair.
-pub fn engine_ab(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-    workers: usize,
-) -> EngineAb {
-    let mut best: [Option<ThroughputRun>; 2] = [None, None];
-    let mut ratios = Vec::new();
-    let mut run_pair = |rep: usize, ratios: &mut Vec<f64>| {
-        let mut order = [(0usize, EngineMode::Threads), (1, EngineMode::Events)];
-        if rep % 2 == 1 {
-            order.swap(0, 1);
-        }
-        let mut pair = [0.0f64; 2];
-        for (slot, engine) in order {
-            let r = run_one(ctx, ingress, workload, engine, workers, false);
-            pair[slot] = r.wall_s;
-            if best[slot].is_none_or(|b| r.wall_s < b.wall_s) {
-                best[slot] = Some(r);
-            }
-        }
-        ratios.push(pair[1] / pair[0].max(1e-9));
-    };
-    for rep in 0..4 {
-        run_pair(rep, &mut ratios);
-    }
-    // A sustained load spike can straddle several consecutive pairs and
-    // drag even a paired median over the line. If the 4-pair verdict
-    // would fail the allowance, double the sample before judging: a
-    // genuine dispatch regression only gets confirmed by more data,
-    // while a transient spike gets outvoted.
-    if median(&mut ratios) > AB_NOISE_ALLOWANCE {
-        for rep in 4..8 {
-            run_pair(rep, &mut ratios);
-        }
-    }
-    let wall_ratio = median(&mut ratios);
-    EngineAb {
-        threads: best[0].expect("threads arm ran"),
-        events: best[1].expect("events arm ran"),
-        wall_ratio,
-        trials: ratios.len(),
-    }
-}
-
-/// The paired-ratio pass line: the event loop must hold the threaded
-/// reference's wall-clock to within 5%. Both arms step the identical
-/// state machine, so the true gap is ~0; the allowance absorbs the
-/// residual pairing noise of sub-second trials on a shared host. (A
-/// genuine dispatch regression showed up as 15-40% in development.)
-pub const AB_NOISE_ALLOWANCE: f64 = 1.05;
-
-/// Median of a paired-ratio sample (sorts in place). For an even count
-/// this is the mean of the middle two: when the lead bias dominates,
-/// threads-led ratios sort high and events-led ratios low, so the
-/// middle pair straddles the bias.
-fn median(ratios: &mut [f64]) -> f64 {
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let n = ratios.len();
-    if n % 2 == 1 {
-        ratios[n / 2]
-    } else {
-        (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0
-    }
 }
 
 impl ThroughputReport {
     /// Render the throughput summary.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
-            "Implementation throughput (revtr 2.0, threads vs event loop)",
+            "Implementation throughput (revtr 2.0, by campaign width)",
             &[
-                "engine",
-                "w/q",
+                "workers",
                 "revtrs",
                 "wall s",
                 "revtrs/s",
@@ -339,7 +177,6 @@ impl ThroughputReport {
         );
         for r in &self.runs {
             t.row(&[
-                r.engine.label().to_string(),
                 r.workers.to_string(),
                 r.measured.to_string(),
                 format!("{:.2}", r.wall_s),
@@ -371,7 +208,7 @@ mod tests {
         let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
         let workload = ctx.workload();
         let report = run(&ctx, &ingress, &workload);
-        assert_eq!(report.runs.len(), 8);
+        assert_eq!(report.runs.len(), 4);
         for r in &report.runs {
             assert_eq!(r.measured, workload.len());
             assert!(r.wall_s > 0.0);
@@ -381,11 +218,8 @@ mod tests {
             // Fault-free context: the retry layer must be invisible.
             assert_eq!(r.retries, 0);
             assert_eq!(r.lost, 0);
-            match r.engine {
-                EngineMode::Threads => assert!(r.inflight_peak <= r.workers),
-                // The loop admits the whole campaign up front.
-                EngineMode::Events => assert_eq!(r.inflight_peak, workload.len()),
-            }
+            // Stop sets off: the whole campaign is one admitted wave.
+            assert_eq!(r.inflight_peak, workload.len());
             // Stop sets are off in the default report: no consults at all.
             assert!(!r.stop_sets);
             assert_eq!(r.stopset, StopSetSnapshot::default());
@@ -394,7 +228,7 @@ mod tests {
         // revisits sources, so the measurement cache must earn hits.
         let last = report.runs.last().unwrap();
         assert!(last.cache.hits > 0, "cache ineffective: {:?}", last.cache);
-        assert_eq!(report.table().len(), 8);
+        assert_eq!(report.table().len(), 4);
     }
 
     #[test]
@@ -426,22 +260,5 @@ mod tests {
             on.option_probes,
             off.option_probes
         );
-    }
-
-    #[test]
-    fn engine_ab_pairs_runs_over_the_same_workload() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let ab = engine_ab(&ctx, &ingress, &workload, 8);
-        assert_eq!(ab.threads.engine, EngineMode::Threads);
-        assert_eq!(ab.events.engine, EngineMode::Events);
-        assert_eq!(ab.threads.measured, ab.events.measured);
-        assert_eq!(ab.events.inflight_peak, workload.len());
-        // 4 paired trials, or 8 when the adaptive extension kicked in
-        // (host noise can push the smoke-scale ratio over the line).
-        assert!(ab.trials == 4 || ab.trials == 8, "trials: {}", ab.trials);
-        assert!(ab.wall_ratio > 0.0 && ab.wall_ratio.is_finite());
     }
 }

@@ -23,10 +23,10 @@ const COMMANDS: [&str; 14] = [
     "metrics",
     "profile",
     "monitor",
+    "scenario",
     "bench-report",
     "bench-compare",
     "economy",
-    "engine-ab",
     "concurrency-smoke",
     "loadtest",
 ];

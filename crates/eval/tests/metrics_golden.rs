@@ -65,7 +65,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             report.metrics_fingerprint, report.journal_fingerprint
         ),
-        "metrics 0xe72d9da6fd24178f journal 0xeb1efe2d61300455",
+        "metrics 0x5991f6fbb36fed58 journal 0x439a8fb2f861dc68",
         "standard seed-42 campaign fingerprints drifted"
     );
 }

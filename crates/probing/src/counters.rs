@@ -296,10 +296,10 @@ impl Counters {
         })
     }
 
-    /// Count `n` event-loop steps ([`ProbeKind::Events`]). Public — the
-    /// event loop lives in the `core` crate — and mirrored into the
+    /// Count `n` engine events ([`ProbeKind::Events`]). Public — the
+    /// engine lives in the `core` crate — and mirrored into the
     /// per-thread shadow like every probe kind, so span diffs attribute
-    /// loop work to the stage that did it at any worker count.
+    /// engine steps to the stage that did them at any worker count.
     pub fn add_events(&self, n: u64) {
         self.add(ProbeKind::Events, n);
     }

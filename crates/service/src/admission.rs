@@ -245,7 +245,7 @@ pub struct OpenLoopOutcome {
     pub transitions: Vec<LevelTransition>,
     /// Admission waves executed.
     pub waves: usize,
-    /// Control-block steps the engine dispatched.
+    /// Engine events (stages and spoofed-batch rounds) across all waves.
     pub events: u64,
     /// SLA-driven atlas refreshes performed at wave barriers.
     pub atlas_refreshes: u64,
@@ -270,7 +270,7 @@ struct ClassState {
 
 impl<'s> RevtrService<'s> {
     /// Run an open-loop arrival stream through admission control and the
-    /// timed event loop.
+    /// engine's timed waves.
     ///
     /// `keys` maps tenant index → API key (tenant quotas ride on
     /// [`crate::users::UserDb`], charged at each arrival's own virtual
@@ -369,7 +369,7 @@ impl<'s> RevtrService<'s> {
                     match self.users().admit(key, a.src, now) {
                         Ok(permit) => {
                             // The open loop holds no parallel slot across
-                            // the wave — the event loop bounds real
+                            // the wave — the wave width bounds real
                             // concurrency — so release it immediately;
                             // the daily-quota charge stays.
                             drop(permit);
@@ -431,7 +431,7 @@ impl<'s> RevtrService<'s> {
                 (jobs.len() * std::mem::size_of::<TimedJob>()) as u64,
             );
 
-            // Execute the admitted wave on the timed event loop.
+            // Execute the admitted wave (`run_wave_timed`).
             if !jobs.is_empty() {
                 let outcome = self
                     .system()

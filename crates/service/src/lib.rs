@@ -8,7 +8,7 @@
 //!
 //! * [`UserDb`] — users, API keys, parallel + daily rate limits,
 //! * [`RevtrService`] — source bootstrap (with the RR-reachability check),
-//!   on-demand requests, event-loop batch campaigns, and the
+//!   on-demand requests, batch campaigns, and the
 //!   NDT-triggered measurement hook,
 //! * [`ResultStore`] — the archive (JSON import/export standing in for
 //!   M-Lab's cloud storage).

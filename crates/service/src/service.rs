@@ -1,7 +1,7 @@
 //! The revtr 2.0 service (Appx. A): users request reverse traceroutes to
 //! registered sources through an API façade; the service enforces rate
 //! limits, bootstraps sources, archives results, and runs batch campaigns
-//! on the deterministic virtual event loop.
+//! through `RevtrSystem::run_campaign`.
 
 use crate::store::ResultStore;
 use crate::users::{ApiKey, RateLimits, UserDb, UserError};
@@ -250,12 +250,11 @@ impl<'s> RevtrService<'s> {
         Ok(ServedRequest { reverse, forward })
     }
 
-    /// A batch campaign: measure every `(dst, src)` pair on the
-    /// deterministic virtual event loop (topology-mapping use case, §3).
-    /// `workers` is the loop's dispatch-worker count — scoped threads
-    /// that step one round's control blocks concurrently; campaign
-    /// results are invariant to it. Results are archived and returned in
-    /// input order.
+    /// A batch campaign: measure every `(dst, src)` pair with
+    /// `RevtrSystem::run_campaign` (topology-mapping use case, §3).
+    /// `workers` is the campaign's width — scoped threads claiming pairs
+    /// and driving each to completion; campaign results are invariant to
+    /// it. Results are archived and returned in input order.
     pub fn batch(
         &self,
         key: ApiKey,
@@ -270,7 +269,7 @@ impl<'s> RevtrService<'s> {
         }
         // Charge the daily quota up front (campaigns are still subject to
         // per-user limits; the parallel-slot limit is replaced by the
-        // dispatch quantum here).
+        // campaign width here).
         for &(_, src) in pairs {
             let permit = self.users.admit(key, src, self.now_hours())?;
             drop(permit);
@@ -288,19 +287,11 @@ impl<'s> RevtrService<'s> {
         for i in 0..pairs.len() {
             tele.record("service.batch.queue_depth", (pairs.len() - i) as u64);
         }
-        // The loop thread owns the schedule; `workers` scoped threads
-        // overlap each round's step execution. A panicking measurement
-        // surfaces as a `ServiceError` instead of unwinding into the
-        // caller with the campaign half-archived.
+        // A panicking measurement surfaces as a `ServiceError` instead of
+        // unwinding into the caller with the campaign half-archived.
         let outcome = self
             .system
-            .run_campaign(
-                pairs,
-                LoopConfig {
-                    workers,
-                    ..LoopConfig::parallel()
-                },
-            )
+            .run_campaign(pairs, LoopConfig { workers })
             .map_err(|_| ServiceError::WorkerPanicked)?;
         for r in &outcome.results {
             self.store.push(r);

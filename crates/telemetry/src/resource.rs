@@ -56,7 +56,7 @@ pub struct ProfileStack {
     pub spans: u64,
     /// Inclusive virtual microseconds.
     pub virtual_us: u64,
-    /// Inclusive event-loop steps.
+    /// Inclusive engine events.
     pub events: u64,
     /// Inclusive cache bytes admitted.
     pub cache_bytes: u64,
@@ -145,7 +145,7 @@ pub fn flamegraph_text(stacks: &[ProfileStack], metric: ProfileMetric) -> String
 pub enum ProfileMetric {
     /// Inclusive virtual microseconds.
     VirtualUs,
-    /// Inclusive event-loop steps.
+    /// Inclusive engine events.
     Events,
     /// Inclusive cache bytes admitted.
     CacheBytes,
@@ -358,15 +358,15 @@ mod tests {
     #[test]
     fn series_samples_are_kept_in_order() {
         let r = ResourceRegistry::new();
-        r.record("engine.event_queue", 0, 10);
-        r.record("engine.event_queue", 1, 30);
-        r.record("engine.event_queue", 2, 20);
+        r.record("engine.control_blocks", 0, 10);
+        r.record("engine.control_blocks", 1, 30);
+        r.record("engine.control_blocks", 2, 20);
         r.set("no.series", 5);
         let series = r.series();
         assert_eq!(series.len(), 1);
-        assert_eq!(series[0].0, "engine.event_queue");
+        assert_eq!(series[0].0, "engine.control_blocks");
         assert_eq!(series[0].1, vec![(0, 10), (1, 30), (2, 20)]);
-        assert_eq!(r.snapshot().hiwater("engine.event_queue"), 30);
+        assert_eq!(r.snapshot().hiwater("engine.control_blocks"), 30);
         assert!(r.approx_bytes() > 0);
     }
 

@@ -665,7 +665,7 @@ mod tests {
             name = "queue-headroom"
             severity = "warning"
             kind = "capacity_headroom"
-            key = "mem.engine.event_queue.hiwater"
+            key = "mem.engine.control_blocks.hiwater"
             ceiling = 1000000
             min_headroom = 0.5
         "#;
@@ -681,7 +681,7 @@ mod tests {
         assert_eq!(
             policy.rules[6].expr,
             RuleExpr::CapacityHeadroom {
-                key: "mem.engine.event_queue.hiwater".into(),
+                key: "mem.engine.control_blocks.hiwater".into(),
                 ceiling: 1_000_000,
                 min_headroom: 0.5,
             }
@@ -709,7 +709,7 @@ mod tests {
         let snap = MetricsSnapshot::default();
         let derived = derived(&[
             ("mem.probing.cache.hiwater", 6_000_000.0),
-            ("mem.engine.event_queue.hiwater", 900_000.0),
+            ("mem.engine.control_blocks.hiwater", 900_000.0),
         ]);
         let policy = SloPolicy {
             rules: vec![
@@ -733,7 +733,7 @@ mod tests {
                     name: "queue-no-headroom".into(),
                     severity: Severity::Critical,
                     expr: RuleExpr::CapacityHeadroom {
-                        key: "mem.engine.event_queue.hiwater".into(),
+                        key: "mem.engine.control_blocks.hiwater".into(),
                         ceiling: 1_000_000,
                         min_headroom: 0.5,
                     },
@@ -742,7 +742,7 @@ mod tests {
                     name: "queue-enough-headroom".into(),
                     severity: Severity::Warning,
                     expr: RuleExpr::CapacityHeadroom {
-                        key: "mem.engine.event_queue.hiwater".into(),
+                        key: "mem.engine.control_blocks.hiwater".into(),
                         ceiling: 10_000_000,
                         min_headroom: 0.5,
                     },

@@ -703,9 +703,9 @@ mod tests {
         assert_eq!(spoofed.virtual_us, 1000);
 
         // Ledgers: explicit sets plus telemetry self-accounting.
-        on.resource_record("engine.event_queue", 0, 4096);
+        on.resource_record("engine.control_blocks", 0, 4096);
         let snap = on.resources();
-        assert_eq!(snap.hiwater("engine.event_queue"), 4096);
+        assert_eq!(snap.hiwater("engine.control_blocks"), 4096);
         assert!(snap.current("telemetry.journal") > 0);
         assert!(snap.current("telemetry.profile") > 0);
         assert!(snap.current("telemetry.resources") > 0);

@@ -19,7 +19,7 @@ use revtr_suite::audit::Auditor;
 use revtr_suite::netsim::sim::PktMeta;
 use revtr_suite::netsim::{Addr, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_suite::probing::{Prober, Telemetry};
-use revtr_suite::revtr::{BatchPolicy, EngineConfig, LoopConfig, RevtrSystem, Status};
+use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem, Status};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -214,14 +214,7 @@ fn run_campaign(sim: &Sim, harden: bool) -> (Vec<revtr_suite::revtr::RevtrResult
     sys.register_source(src);
     let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
     let results = sys
-        .run_campaign(
-            &pairs,
-            LoopConfig {
-                quantum: 64,
-                policy: BatchPolicy::FillFirst,
-                workers: 1,
-            },
-        )
+        .run_campaign(&pairs, LoopConfig::default())
         .expect("no task panicked")
         .results;
     (results, tele)

@@ -20,10 +20,9 @@ use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::audit::Auditor;
 use revtr_suite::netsim::{Addr, FaultConfig, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_suite::probing::{Prober, RetryPolicy, Telemetry};
-use revtr_suite::revtr::{BatchPolicy, EngineConfig, HopMethod, LoopConfig, RevtrSystem, Status};
+use revtr_suite::revtr::{EngineConfig, HopMethod, LoopConfig, RevtrSystem, Status};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [1, 7, 42];
 
@@ -116,31 +115,30 @@ fn run_arm(sim: &Sim, arm: &Arm) -> Vec<Fingerprint> {
     sys.register_source(src);
     assert!(dests.len() >= 8, "workload too small to be meaningful");
 
-    if arm.workers <= 1 {
+    stitch_all(&sys, src, &dests, arm.workers)
+}
+
+/// Stitch every destination toward `src`, in input order: one worker is
+/// the serial `measure()` driver (so every single-worker baseline below
+/// doubles as a measure()-vs-campaign check), more are one campaign that
+/// wide.
+fn stitch_all(
+    sys: &RevtrSystem<'_>,
+    src: Addr,
+    dests: &[Addr],
+    workers: usize,
+) -> Vec<Fingerprint> {
+    if workers <= 1 {
         return dests
             .iter()
             .map(|&d| fingerprint(&sys.measure(d, src)))
             .collect();
     }
-    let slots: Vec<Mutex<Option<Fingerprint>>> =
-        (0..dests.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..arm.workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= dests.len() {
-                    break;
-                }
-                let fp = fingerprint(&sys.measure(dests[i], src));
-                *slots[i].lock().expect("slot lock") = Some(fp);
-            });
-        }
-    });
-    slots
-        .iter()
-        .map(|s| s.lock().expect("slot lock").clone().expect("slot filled"))
-        .collect()
+    let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
+    let outcome = sys
+        .run_campaign(&pairs, LoopConfig { workers })
+        .expect("no task panicked");
+    outcome.results.iter().map(fingerprint).collect()
 }
 
 /// Run the baseline campaign through an explicit prober (which may carry
@@ -156,54 +154,22 @@ fn run_with_prober(sim: &Sim, prober: Prober<'_>, workers: usize) -> Vec<Fingerp
     let sys = RevtrSystem::new(prober, cfg, vps, ingress, pool);
     let (src, dests) = workload(sim, 24);
     sys.register_source(src);
-    if workers <= 1 {
-        return dests
-            .iter()
-            .map(|&d| fingerprint(&sys.measure(d, src)))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<Fingerprint>>> =
-        (0..dests.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= dests.len() {
-                    break;
-                }
-                let fp = fingerprint(&sys.measure(dests[i], src));
-                *slots[i].lock().expect("slot lock") = Some(fp);
-            });
-        }
-    });
-    slots
-        .iter()
-        .map(|s| s.lock().expect("slot lock").clone().expect("slot filled"))
-        .collect()
+    stitch_all(&sys, src, &dests, workers)
 }
 
-/// Run the baseline campaign on the deterministic event loop instead of
-/// the serial driver, returning fingerprints in input order.
-fn run_event_loop(sim: &Sim, lc: LoopConfig) -> Vec<Fingerprint> {
-    let prober = Prober::new(sim);
-    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
-    let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
-    let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
-    let pool = select_atlas_probes(sim, 100, 6);
-    let mut cfg = EngineConfig::revtr2();
-    cfg.atlas_size = pool.len();
-    let sys = RevtrSystem::new(prober, cfg, vps, ingress, pool);
-    let (src, dests) = workload(sim, 24);
-    sys.register_source(src);
+/// Run the baseline workload as one campaign `workers` wide, returning
+/// fingerprints in input order plus the outcome's own accounting.
+fn run_campaign_arm(sim: &Sim, workers: usize) -> (Vec<Fingerprint>, u64, usize) {
+    let (sys, _, src, dests) = stop_set_system(sim, false);
     let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
-    let outcome = sys.run_campaign(&pairs, lc).expect("no task panicked");
-    assert_eq!(
+    let outcome = sys
+        .run_campaign(&pairs, LoopConfig { workers })
+        .expect("no task panicked");
+    (
+        outcome.results.iter().map(fingerprint).collect(),
+        outcome.events,
         outcome.inflight_peak,
-        pairs.len(),
-        "event loop admits the whole campaign up front"
-    );
-    outcome.results.iter().map(fingerprint).collect()
+    )
 }
 
 fn assert_arms_identical(name: &str, seed: u64, base: &[Fingerprint], arm: &[Fingerprint]) {
@@ -253,77 +219,56 @@ fn worker_count_preserves_stitched_paths() {
 }
 
 #[test]
-fn event_loop_quantum_preserves_stitched_paths() {
-    // The virtual event loop must stitch exactly what the serial driver
-    // stitches, at any dispatch quantum: the scheduled interleaving
-    // changes, each request's own probe sequence does not.
+fn dispatch_workers_preserve_stitched_paths() {
+    // A campaign must stitch exactly what the serial `measure()` driver
+    // stitches, at any width: which worker drives which request changes,
+    // each request's own probe sequence does not. The outcome's own
+    // accounting is admission- and task-defined, so it cannot move either:
+    // one event per stage or round, and a peak of the whole (stop-sets-off)
+    // campaign admitted.
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
         let base = run_arm(&sim, &Arm::baseline());
-        for quantum in [1usize, 4, 16] {
-            let looped = run_event_loop(
-                &sim,
-                LoopConfig {
-                    quantum,
-                    policy: BatchPolicy::FillFirst,
-                    workers: 1,
-                },
+        let arms = [1usize, 2, 4, 16].map(|w| (w, run_campaign_arm(&sim, w)));
+        let (_, (_, events, peak)) = &arms[0];
+        assert_eq!(*peak, base.len(), "stop sets off: one wave (seed {seed})");
+        assert!(*events >= base.len() as u64, "every request costs an event");
+        for (workers, (fps, ev, pk)) in &arms {
+            assert_arms_identical(&format!("campaign w{workers}"), seed, &base, fps);
+            assert_eq!(
+                (ev, pk),
+                (events, peak),
+                "events / inflight_peak depend on width (seed {seed}, w{workers})"
             );
-            assert_arms_identical(&format!("event loop q{quantum}"), seed, &base, &looped);
         }
     }
 }
 
 #[test]
-fn event_loop_dispatch_workers_preserve_stitched_paths() {
-    // The parallel dispatch path only overlaps a round's step execution
-    // — the schedule itself (round formation, result processing) stays
-    // on the loop thread in (vtime, id, seq) order — so any worker
-    // count, including the production LoopConfig::parallel() shape,
-    // must stitch exactly what the serial loop stitches.
+fn measure_is_a_one_pair_campaign() {
+    // `measure()` and a one-pair `run_campaign` reach the same driver: on
+    // twin systems fed the same requests in the same order, every result
+    // (full fingerprint plus the per-request probe delta) and the stop-set
+    // state left behind must agree.
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
-        let base = run_arm(&sim, &Arm::baseline());
-        for workers in [1usize, 4, 16] {
-            let looped = run_event_loop(
-                &sim,
-                LoopConfig {
-                    quantum: 64,
-                    policy: BatchPolicy::FillFirst,
-                    workers,
-                },
-            );
-            assert_arms_identical(&format!("event loop w{workers}"), seed, &base, &looped);
+        let (serial, _, src, dests) = stop_set_system(&sim, true);
+        let (campaign, _, _, _) = stop_set_system(&sim, true);
+        for &d in &dests {
+            let m = serial.measure(d, src);
+            let mut c = campaign
+                .run_campaign(&[(d, src)], LoopConfig::default())
+                .expect("no task panicked");
+            assert_eq!((c.inflight_peak, c.results.len()), (1, 1));
+            let c = c.results.remove(0);
+            assert_eq!(fingerprint(&m), fingerprint(&c), "seed {seed}, dst {d}");
+            assert_eq!(m.stats.probes, c.stats.probes, "seed {seed}, dst {d}");
         }
-    }
-}
-
-#[test]
-fn event_loop_batch_policy_preserves_stitched_paths() {
-    // Fill-first and deadline-first round formation dispatch the same
-    // per-request step sequences in different global orders; the
-    // stitched paths must be bit-identical either way.
-    for seed in SEEDS {
-        let sim = Sim::build(base_cfg(), seed);
-        let base = run_arm(&sim, &Arm::baseline());
-        let fill = run_event_loop(
-            &sim,
-            LoopConfig {
-                quantum: 8,
-                policy: BatchPolicy::FillFirst,
-                workers: 1,
-            },
+        assert_eq!(
+            serial.stopset().stats(),
+            campaign.stopset().stats(),
+            "stop-set state diverged (seed {seed})"
         );
-        let deadline = run_event_loop(
-            &sim,
-            LoopConfig {
-                quantum: 8,
-                policy: BatchPolicy::DeadlineFirst,
-                workers: 1,
-            },
-        );
-        assert_arms_identical("fill-first", seed, &base, &fill);
-        assert_arms_identical("deadline-first", seed, &base, &deadline);
     }
 }
 
@@ -538,7 +483,10 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
     // bit-identical stitched paths, probe counters (including the Events
     // and CacheBytes meta-kinds), and metrics/journal fingerprints — and
     // the profiled readings themselves must be a pure function of the
-    // seed, independent of the dispatch worker count.
+    // seed on the serial schedule. Across widths the byte ledgers and each
+    // stack's `spans` and `events` are still exact; its cache and probe
+    // bytes are only bounded below by the serial figure (see the width
+    // loop at the bottom).
     use revtr_suite::telemetry::{Telemetry, TelemetryConfig};
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
@@ -561,14 +509,7 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
             sys.register_source(src);
             let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
             let outcome = sys
-                .run_campaign(
-                    &pairs,
-                    LoopConfig {
-                        quantum: 64,
-                        policy: BatchPolicy::FillFirst,
-                        workers,
-                    },
-                )
+                .run_campaign(&pairs, LoopConfig { workers })
                 .expect("no task panicked");
             let fps: Vec<Fingerprint> = outcome.results.iter().map(fingerprint).collect();
             let readings: Vec<(String, u64, u64)> = tele
@@ -579,9 +520,9 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
                 .collect();
             // Stack costs, minus inclusive virtual time: span durations
             // carry a pre-existing ±1 µs half-microsecond rounding jitter
-            // across dispatch workers (the journal has the same property),
-            // while the PR-10 cost dimensions — events, cache bytes, probe
-            // bytes — are attributed addend-for-addend and must be exact.
+            // across widths (the journal has the same property), while the
+            // PR-10 cost dimensions — events, cache bytes, probe bytes —
+            // are attributed addend-for-addend to the task that paid them.
             let stacks: Vec<(String, u64, u64, u64, u64)> = tele
                 .profile_stacks()
                 .iter()
@@ -639,6 +580,24 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
             "profile-on readings all zero (seed {seed})"
         );
 
+        // The serial schedule is reproducible in every cost dimension.
+        let again = run(true, 1);
+        assert_eq!(
+            on.4, again.4,
+            "serial readings not reproducible (seed {seed})"
+        );
+        assert_eq!(
+            on.5, again.5,
+            "serial stacks not reproducible (seed {seed})"
+        );
+
+        // Under a pool, what a task *does* is still fixed — the same spans,
+        // the same events — but what it *pays* is not: two workers can miss
+        // the same measurement-cache key between `get` and `put` and both
+        // probe, each charged its own fill. A pool can only duplicate a
+        // fill the serial order would have shared, never share one it paid
+        // for, so serial bytes are a floor (claim-before-probe, which would
+        // make them exact again, is ROADMAP item 2).
         for workers in [4usize, 16] {
             let arm = run(true, workers);
             assert_arms_identical(&format!("profile w{workers}"), seed, &on.0, &arm.0);
@@ -646,10 +605,19 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
                 on.4, arm.4,
                 "resource readings depend on worker count (seed {seed}, w{workers})"
             );
-            assert_eq!(
-                on.5, arm.5,
-                "cost stacks depend on worker count (seed {seed}, w{workers})"
-            );
+            assert_eq!(on.5.len(), arm.5.len(), "stack set moved (seed {seed})");
+            for (serial, pooled) in on.5.iter().zip(&arm.5) {
+                assert_eq!(
+                    (&serial.0, serial.1, serial.2),
+                    (&pooled.0, pooled.1, pooled.2),
+                    "stack spans/events depend on worker count (seed {seed}, w{workers})"
+                );
+                assert!(
+                    pooled.3 >= serial.3 && pooled.4 >= serial.4,
+                    "pool paid less than serial (seed {seed}, w{workers}): \
+                     {pooled:?} vs {serial:?}"
+                );
+            }
         }
     }
 }
@@ -690,14 +658,7 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
         let (off_sys, off_probes, src, dests) = stop_set_system(&sim, false);
         let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
         let off = off_sys
-            .run_campaign(
-                &pairs,
-                LoopConfig {
-                    quantum: 64,
-                    policy: BatchPolicy::FillFirst,
-                    workers: 1,
-                },
-            )
+            .run_campaign(&pairs, LoopConfig::default())
             .expect("no task panicked");
         let off_fp: Vec<Fingerprint> = off.results.iter().map(fingerprint).collect();
         assert_eq!(
@@ -715,14 +676,7 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
                 "workload moved between arms"
             );
             let on = on_sys
-                .run_campaign(
-                    &pairs,
-                    LoopConfig {
-                        quantum: 64,
-                        policy: BatchPolicy::FillFirst,
-                        workers,
-                    },
-                )
+                .run_campaign(&pairs, LoopConfig { workers })
                 .expect("no task panicked");
             let on_fp: Vec<Fingerprint> = on.results.iter().map(fingerprint).collect();
             assert_arms_identical(&format!("stop sets on, w{workers}"), seed, &off_fp, &on_fp);
@@ -751,11 +705,7 @@ fn stop_set_reuse_is_audit_sound_and_coverage_monotone() {
         let sim = Sim::build(base_cfg(), seed);
         let (sys, _probes, src, dests) = stop_set_system(&sim, true);
         let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
-        let lc = || LoopConfig {
-            quantum: 64,
-            policy: BatchPolicy::FillFirst,
-            workers: 4,
-        };
+        let lc = || LoopConfig { workers: 4 };
         let first = sys.run_campaign(&pairs, lc()).expect("no task panicked");
         let h1 = sys.stopset().stats();
         let second = sys.run_campaign(&pairs, lc()).expect("no task panicked");
@@ -805,16 +755,9 @@ fn run_scenario_arm(
     let (src, dests) = workload(sim, 24);
     sys.register_source(src);
     let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
-    sys.run_campaign(
-        &pairs,
-        LoopConfig {
-            quantum: 64,
-            policy: BatchPolicy::FillFirst,
-            workers,
-        },
-    )
-    .expect("no task panicked")
-    .results
+    sys.run_campaign(&pairs, LoopConfig { workers })
+        .expect("no task panicked")
+        .results
 }
 
 /// Requests that completed *and* replay clean against the ground-truth
