@@ -733,7 +733,7 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// Close a telemetry stage span, attaching this thread's probe delta
-    /// (option probes, packets, retries, fault losses) plus any
+    /// (option probes, packets, retries, fault losses) plus up to four
     /// stage-specific fields.
     pub(crate) fn stage_exit(
         &self,
@@ -745,19 +745,21 @@ impl<'s> RevtrSystem<'s> {
             return;
         }
         let d = self.prober.counters().thread_snapshot().since(&st.snap);
-        let mut fields = vec![
+        let mut fields = [("", 0); 8];
+        fields[..4].copy_from_slice(&[
             ("probes", d.option_probes()),
             ("pkts", d.all_packets()),
             ("retries", d.retries),
             ("lost", d.lost),
-        ];
-        fields.extend_from_slice(extra);
+        ]);
+        let n = 4 + extra.len();
+        fields[4..n].copy_from_slice(extra);
         let cost = SpanCost {
             events: d.events,
             cache_bytes: d.cache_bytes,
             probe_bytes: d.probe_bytes(),
         };
-        req.exit_costed(st.tok, self.prober.clock().thread_ms(), &fields, cost);
+        req.exit_costed(st.tok, self.prober.clock().thread_ms(), &fields[..n], cost);
     }
 
     /// Begin a record-route step against `cur`: open the `rr_step` span,

@@ -191,9 +191,13 @@ impl MetricsReport {
             rec.status,
             us_to_ms(rec.virtual_us)
         );
-        for sp in &rec.spans {
+        for sp in rec.spans() {
             let indent = "  ".repeat(sp.depth as usize + 1);
-            let fields: Vec<String> = sp.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let fields: Vec<String> = rec
+                .fields(sp)
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
             let _ = writeln!(
                 s,
                 "{indent}{:<20} +{:>9} ms  {:>9} ms  {}",

@@ -352,7 +352,7 @@ impl<'s> RevtrService<'s> {
                 let rep = &mut classes[a.class];
                 st.offered_wave += 1;
                 rep.offered += 1;
-                tele.counter_add(&format!("loadgen.offered.{}", cp.name), 1);
+                tele.counter_add(("loadgen.offered", cp.name), 1);
                 let rate_ms =
                     cp.admit_per_hour * (1.0 + cp.boost_per_level * st.level as f64) / 3_600_000.0;
                 st.tokens = (st.tokens + (a.vtime_ms - st.last_ms) * rate_ms).min(cp.burst);
@@ -390,10 +390,7 @@ impl<'s> RevtrService<'s> {
                             ShedReason::QueueFull => rep.shed_queue += 1,
                             ShedReason::QuotaExceeded => rep.shed_quota += 1,
                         }
-                        tele.counter_add(
-                            &format!("loadgen.shed.{}.{}", cp.name, reason.label()),
-                            1,
-                        );
+                        tele.counter_add(("loadgen.shed", cp.name, reason.label()), 1);
                         tele.counter_add("loadgen.shed.total", 1);
                     }
                     None => {
@@ -402,13 +399,8 @@ impl<'s> RevtrService<'s> {
                         rep.admitted += 1;
                         rep.served_by_level[(st.level as usize).min(3)] += 1;
                         rep.queue_depth_peak = rep.queue_depth_peak.max(st.admitted_wave as u64);
-                        if tele.is_enabled() {
-                            tele.counter_add(&format!("loadgen.admitted.{}", cp.name), 1);
-                            tele.record(
-                                &format!("loadgen.queue_depth.{}", cp.name),
-                                st.admitted_wave as u64,
-                            );
-                        }
+                        tele.counter_add(("loadgen.admitted", cp.name), 1);
+                        tele.record(("loadgen.queue_depth", cp.name), st.admitted_wave as u64);
                         jobs.push(TimedJob {
                             dst: a.dst,
                             src: a.src,
@@ -479,7 +471,7 @@ impl<'s> RevtrService<'s> {
                         from,
                         to: st.level,
                     });
-                    tele.counter_add(&format!("degrade.stepdown.{}", cp.name), 1);
+                    tele.counter_add(("degrade.stepdown", cp.name), 1);
                     tele.counter_add("degrade.transitions.total", 1);
                 } else if st.shed_wave == 0 {
                     st.clean_streak += 1;
@@ -494,7 +486,7 @@ impl<'s> RevtrService<'s> {
                             from,
                             to: st.level,
                         });
-                        tele.counter_add(&format!("degrade.recover.{}", cp.name), 1);
+                        tele.counter_add(("degrade.recover", cp.name), 1);
                         tele.counter_add("degrade.transitions.total", 1);
                     }
                 } else {

@@ -10,7 +10,7 @@
 //!
 //! [`Telemetry::journal_records`]: crate::Telemetry::journal_records
 
-use crate::journal::RequestRecord;
+use crate::journal::{Field, RequestRecord};
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write as _;
 
@@ -72,7 +72,7 @@ pub fn chrome_trace_json_with_counters(
         let begin = |name: &str, t: u64| {
             format!("{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{t},\"cat\":\"revtr\",\"name\":\"{name}\"}}")
         };
-        let end = |t: u64, fields: &[(&'static str, u64)]| {
+        let end = |t: u64, fields: &[Field]| {
             let mut e = format!("{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{t}");
             if !fields.is_empty() {
                 e.push_str(",\"args\":{");
@@ -90,11 +90,11 @@ pub fn chrome_trace_json_with_counters(
         push(&mut out, &begin("request", ts(0)));
         // Stack of spans whose E is pending: (depth, end_us, fields index).
         let mut open: Vec<usize> = Vec::new();
-        for (si, sp) in rec.spans.iter().enumerate() {
+        for (si, sp) in rec.spans().iter().enumerate() {
             while let Some(&top) = open.last() {
-                if rec.spans[top].depth >= sp.depth {
-                    let s = &rec.spans[top];
-                    let line = end(ts(s.t_us + s.dur_us), &s.fields);
+                if rec.spans()[top].depth >= sp.depth {
+                    let s = &rec.spans()[top];
+                    let line = end(ts(s.t_us + s.dur_us), rec.fields(s));
                     push(&mut out, &line);
                     open.pop();
                 } else {
@@ -105,8 +105,8 @@ pub fn chrome_trace_json_with_counters(
             open.push(si);
         }
         while let Some(top) = open.pop() {
-            let s = &rec.spans[top];
-            let line = end(ts(s.t_us + s.dur_us), &s.fields);
+            let s = &rec.spans()[top];
+            let line = end(ts(s.t_us + s.dur_us), rec.fields(s));
             push(&mut out, &line);
         }
         let line = end(ts(rec.virtual_us), &[("virtual_us", rec.virtual_us)]);
@@ -233,39 +233,14 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::SpanRecord;
     use crate::registry::MetricsRegistry;
 
     fn record() -> RequestRecord {
-        RequestRecord {
-            dst: 7,
-            src: 3,
-            status: "Complete",
-            virtual_us: 5_000,
-            spans: vec![
-                SpanRecord {
-                    stage: "rr_step",
-                    depth: 0,
-                    t_us: 0,
-                    dur_us: 3_000,
-                    fields: vec![("probes", 4)],
-                },
-                SpanRecord {
-                    stage: "rr_direct",
-                    depth: 1,
-                    t_us: 0,
-                    dur_us: 1_000,
-                    fields: Vec::new(),
-                },
-                SpanRecord {
-                    stage: "ts_step",
-                    depth: 0,
-                    t_us: 3_000,
-                    dur_us: 2_000,
-                    fields: Vec::new(),
-                },
-            ],
-        }
+        let mut rec = RequestRecord::new(7, 3, "Complete", 5_000);
+        rec.push_span("rr_step", 0, 0, 3_000, &[("probes", 4)]);
+        rec.push_span("rr_direct", 1, 0, 1_000, &[]);
+        rec.push_span("ts_step", 0, 3_000, 2_000, &[]);
+        rec
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! - [`Histogram`]: a log-linear value histogram (exact below 32, sixteen
 //!   sub-buckets per power of two above) for virtual latencies, batch
 //!   sizes, queue depths, and retry counts.
-//! - [`MetricsRegistry`]: a lock-sharded name → counter/histogram map in
-//!   the style of `netsim::concurrent::StripedMap`, merged into one
-//!   sorted [`MetricsSnapshot`] on read.
+//! - [`MetricsRegistry`]: a recorder-striped [`MetricKey`] →
+//!   counter/histogram map (static key parts, no name is built while
+//!   recording), merged into one sorted [`MetricsSnapshot`] on read.
 //! - [`Telemetry`] / [`RequestScope`]: a cloneable handle plus a
 //!   per-request span recorder. Spans are keyed to *virtual* time handed
 //!   in by the caller — this crate never reads the wall clock — and
@@ -43,6 +43,8 @@
 mod export;
 mod histogram;
 mod journal;
+#[cfg(test)]
+mod reference;
 mod registry;
 mod resource;
 pub mod slo;
@@ -53,8 +55,8 @@ pub use export::{
     PromSample,
 };
 pub use histogram::Histogram;
-pub use journal::{Journal, RequestRecord, SpanRecord};
-pub use registry::{MetricsRegistry, MetricsSnapshot};
+pub use journal::{Field, Journal, RequestRecord, SpanRecord};
+pub use registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use resource::{
     flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceRegistry,
     ResourceSnapshot, SpanCost,

@@ -1,40 +1,167 @@
-//! The lock-sharded metrics registry.
+//! The recorder-striped metrics registry.
 //!
-//! Hot paths update counters and histograms keyed by static-ish string
-//! names from many worker threads at once. Following the
-//! `netsim::concurrent::StripedMap` pattern, the registry stripes its
-//! name → value maps across a fixed set of mutex-guarded shards chosen by
-//! name hash: contention only arises between threads touching the *same*
-//! metric family, and a snapshot merges all shards into one sorted view,
-//! so reads are order-independent regardless of which thread recorded
-//! what.
+//! Hot paths update counters and histograms from many worker threads at
+//! once. A metric is named by a [`MetricKey`] — up to three `&'static
+//! str` parts, `Copy`, never rendered while recording — and each
+//! recording thread writes to its own mutex-guarded stripe, chosen by a
+//! per-thread ordinal rather than by a hash of the name. A warm update is
+//! therefore one uncontended lock, one hash of the key's part addresses
+//! and one in-place add: no allocation, no string building, no name
+//! bytes read. A whole finished request folds in under a single lock
+//! acquisition ([`Fold`]).
+//!
+//! [`MetricsRegistry::snapshot`] renders every key to its dotted name,
+//! sorts, and merges entries of equal name across stripes (counters add,
+//! histograms [`Histogram::merge`]). Both operations are commutative and
+//! associative, so the snapshot — names, values, fingerprint — is a
+//! function of the multiset of recorded updates alone: which thread
+//! recorded what, and in which order, cannot show.
 
 use crate::histogram::Histogram;
 use crate::Fnv;
-use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-const N_SHARDS: usize = 8;
+const N_STRIPES: usize = 16;
 
-#[derive(Default, Debug)]
-struct Shard {
-    counters: HashMap<String, u64>,
-    histograms: HashMap<String, Histogram>,
+/// A metric's name as up to three static parts, joined by `.` when a
+/// snapshot renders it: `("stage", "rr_step", "probes")` is
+/// `stage.rr_step.probes`. Two keys that render to the same name are the
+/// same metric (a snapshot merges them), so a call site may pass a whole
+/// dotted literal or its parts, whichever it has.
+#[derive(Clone, Copy, Debug)]
+pub struct MetricKey {
+    parts: [&'static str; 3],
+    len: u8,
 }
 
-/// Pad each shard to its own cache line so adjacent mutexes don't false-
+impl MetricKey {
+    fn parts(&self) -> &[&'static str] {
+        &self.parts[..usize::from(self.len)]
+    }
+
+    /// The dotted name.
+    pub fn name(&self) -> String {
+        self.parts().join(".")
+    }
+}
+
+impl From<&'static str> for MetricKey {
+    fn from(name: &'static str) -> MetricKey {
+        MetricKey {
+            parts: [name, "", ""],
+            len: 1,
+        }
+    }
+}
+
+impl From<(&'static str, &'static str)> for MetricKey {
+    fn from((family, leaf): (&'static str, &'static str)) -> MetricKey {
+        MetricKey {
+            parts: [family, leaf, ""],
+            len: 2,
+        }
+    }
+}
+
+impl From<(&'static str, &'static str, &'static str)> for MetricKey {
+    fn from((family, stage, leaf): (&'static str, &'static str, &'static str)) -> MetricKey {
+        MetricKey {
+            parts: [family, stage, leaf],
+            len: 3,
+        }
+    }
+}
+
+/// A [`MetricKey`] as a stripe's map key: compared and hashed by the
+/// *identity* of its parts — address and length of each `&'static str` —
+/// not their bytes. A warm update then costs a few word operations instead
+/// of hashing and comparing ~30 bytes of name. Two call sites may spell
+/// one name from literals at different addresses; they get two entries,
+/// which the snapshot merges by rendered name like any two stripes' —
+/// identity only has to be *sufficient* for equality, never necessary.
+#[derive(Clone, Copy, Debug)]
+struct ById(MetricKey);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &ById) -> bool {
+        let (a, b) = (self.0.parts(), other.0.parts());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y))
+    }
+}
+
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for part in self.0.parts() {
+            state.write_usize(part.as_ptr() as usize);
+            state.write_usize(part.len());
+        }
+    }
+}
+
+/// Multiplicative word hasher for [`ById`] (the FxHash recipe). The words
+/// are addresses of this program's own literals, never outside input, so
+/// the default hasher's collision resistance buys nothing here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's strong bits are its high ones; the table indexes
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type KeyMap<V> = HashMap<ById, V, BuildHasherDefault<WordHasher>>;
+
+#[derive(Default, Debug)]
+struct Stripe {
+    counters: KeyMap<u64>,
+    histograms: KeyMap<Histogram>,
+}
+
+/// Pad each stripe to its own cache line so adjacent mutexes don't false-
 /// share (same layout trick as `netsim::concurrent::CachePadded`; the
 /// type is re-rolled here to keep this crate a leaf).
 #[repr(align(64))]
 #[derive(Default, Debug)]
-struct Padded(Mutex<Shard>);
+struct Padded(Mutex<Stripe>);
 
-/// A name-sharded store of monotonic counters and value histograms.
+/// This thread's stripe: threads take ordinals round-robin the first time
+/// they record, so up to [`N_STRIPES`] concurrent recorders never meet on
+/// a lock.
+fn my_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        // Relaxed: the ordinal publishes nothing, it only spreads threads.
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % N_STRIPES;
+    }
+    // A thread being torn down (TLS already gone) falls back to stripe 0.
+    STRIPE.try_with(|s| *s).unwrap_or(0)
+}
+
+/// A recorder-striped store of monotonic counters and value histograms.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    shards: [Padded; N_SHARDS],
+    stripes: [Padded; N_STRIPES],
+    /// Counters whose names only exist at run time (SLO rule names read
+    /// from a policy file). A cold path: judging, never recording.
+    named: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Default for MetricsRegistry {
@@ -43,49 +170,93 @@ impl Default for MetricsRegistry {
     }
 }
 
-fn shard_of(name: &str) -> usize {
-    // DefaultHasher::new() is deterministic for a fixed key (the striping
-    // only needs a stable spread, not a keyed hash).
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) % N_SHARDS
+/// The calling thread's stripe, locked: any number of updates under one
+/// lock acquisition.
+pub(crate) struct Fold<'a>(MutexGuard<'a, Stripe>);
+
+impl Fold<'_> {
+    /// Add `n` to counter `key`.
+    pub(crate) fn add(&mut self, key: impl Into<MetricKey>, n: u64) {
+        *self.0.counters.entry(ById(key.into())).or_insert(0) += n;
+    }
+
+    /// Record one observation `v` in histogram `key`.
+    pub(crate) fn record(&mut self, key: impl Into<MetricKey>, v: u64) {
+        self.0
+            .histograms
+            .entry(ById(key.into()))
+            .or_default()
+            .record(v);
+    }
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            shards: Default::default(),
+            stripes: Default::default(),
+            named: Mutex::default(),
         }
     }
 
-    /// Add `n` to the counter `name` (creating it at zero).
-    pub fn add(&self, name: &str, n: u64) {
-        let mut shard = self.shards[shard_of(name)].0.lock();
-        *shard.counters.entry(name.to_string()).or_insert(0) += n;
+    /// Lock the calling thread's stripe for a batch of updates.
+    pub(crate) fn fold(&self) -> Fold<'_> {
+        Fold(self.stripes[my_stripe()].0.lock())
     }
 
-    /// Record one observation `v` in the histogram `name`.
-    pub fn record(&self, name: &str, v: u64) {
-        let mut shard = self.shards[shard_of(name)].0.lock();
-        shard
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+    /// Add `n` to the counter `key` (creating it at zero).
+    pub fn add(&self, key: impl Into<MetricKey>, n: u64) {
+        self.fold().add(key, n);
     }
 
-    /// Merge every shard into one sorted, order-independent snapshot.
+    /// Record one observation `v` in the histogram `key`.
+    pub fn record(&self, key: impl Into<MetricKey>, v: u64) {
+        self.fold().record(key, v);
+    }
+
+    /// Add `n` to a counter whose name is built at run time. Takes a
+    /// registry-wide lock and compares names: for cold paths only.
+    pub fn add_named(&self, name: &str, n: u64) {
+        let mut named = self.named.lock();
+        match named.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                named.insert(name.to_owned(), n);
+            }
+        }
+    }
+
+    /// Merge every stripe into one sorted, order-independent snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = Vec::new();
+        let mut counters: Vec<(String, u64)> = self
+            .named
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
         let mut histograms: Vec<(String, Histogram)> = Vec::new();
-        for shard in &self.shards {
-            let s = shard.0.lock();
-            counters.extend(s.counters.iter().map(|(k, v)| (k.clone(), *v)));
-            histograms.extend(s.histograms.iter().map(|(k, v)| (k.clone(), v.clone())));
+        for stripe in &self.stripes {
+            let s = stripe.0.lock();
+            counters.extend(s.counters.iter().map(|(k, v)| (k.0.name(), *v)));
+            histograms.extend(s.histograms.iter().map(|(k, v)| (k.0.name(), v.clone())));
         }
+        // Stable sort, then fold runs of one name into their first entry.
         counters.sort_by(|a, b| a.0.cmp(&b.0));
+        counters.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        histograms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1.merge(&next.1);
+            }
+            same
+        });
         MetricsSnapshot {
             counters,
             histograms,
@@ -176,5 +347,29 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("c"), 8000);
         assert_eq!(snap.histogram("h").map(|h| h.count()), Some(8000));
+    }
+
+    #[test]
+    fn keys_of_one_rendered_name_are_one_metric() {
+        let reg = MetricsRegistry::new();
+        reg.add("stage.rr_step.probes", 1);
+        reg.add(("stage.rr_step", "probes"), 2);
+        reg.add(("stage", "rr_step", "probes"), 4);
+        reg.add_named("stage.rr_step.probes", 8);
+        reg.record("stage.rr_step.virtual_us", 10);
+        reg.record(("stage", "rr_step", "virtual_us"), 20);
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counters,
+            vec![("stage.rr_step.probes".to_string(), 15)]
+        );
+        assert_eq!(snap.histograms.len(), 1);
+        let h = snap.histogram("stage.rr_step.virtual_us").expect("hist");
+        assert_eq!((h.count(), h.sum()), (2, 30));
+        // An empty trailing part still renders its dot, as `format!` did.
+        assert_eq!(
+            MetricKey::from(("request.status", "")).name(),
+            "request.status."
+        );
     }
 }

@@ -211,7 +211,7 @@ impl SloReport {
     pub fn fire_into(&self, tele: &Telemetry) {
         tele.counter_add("slo.rules_evaluated", self.verdicts.len() as u64);
         for v in self.alerts() {
-            tele.counter_add(&format!("slo.alert.{}", v.rule), 1);
+            tele.counter_add_named(&format!("slo.alert.{}", v.rule), 1);
         }
     }
 }
@@ -462,13 +462,7 @@ mod tests {
     use crate::registry::MetricsRegistry;
 
     fn req(src: u32, dst: u32, virtual_us: u64) -> RequestRecord {
-        RequestRecord {
-            dst,
-            src,
-            status: "Complete",
-            virtual_us,
-            spans: Vec::new(),
-        }
+        RequestRecord::new(dst, src, "Complete", virtual_us)
     }
 
     fn derived(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {

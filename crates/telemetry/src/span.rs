@@ -12,9 +12,9 @@
 //! time, so spans are worker-count-invariant); this module never reads
 //! `std::time`.
 
-use crate::journal::{Journal, RequestRecord, SpanRecord};
+use crate::journal::{span_fields, Field, Journal, RequestRecord, SpanRecord, NO_SPAN};
 use crate::mix_key;
-use crate::registry::{MetricsRegistry, MetricsSnapshot};
+use crate::registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 use crate::resource::{ProfileAgg, ProfileStack, ResourceRegistry, ResourceSnapshot, SpanCost};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -26,9 +26,10 @@ pub struct TelemetryConfig {
     /// `(dst, src)`, so the sampled *set* is interleaving-independent).
     /// 1 = journal every request.
     pub journal_sample_every: u64,
-    /// Read-time cap on rendered journal entries. The default (4096)
-    /// comfortably covers the standard campaign scale, so SLO windows and
-    /// trace exports see every sampled request.
+    /// How many sampled requests the journal retains (the smallest by
+    /// `(src, dst, json)`). The default (4096) comfortably covers the
+    /// standard campaign scale, so SLO windows and trace exports see
+    /// every sampled request.
     pub journal_cap: usize,
     /// Stuck-request watchdog: a finished request whose end-to-end
     /// virtual duration exceeds this deadline is flagged (never killed)
@@ -139,17 +140,27 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Add `n` to counter `name` (no-op when disabled).
-    pub fn counter_add(&self, name: &str, n: u64) {
+    /// Add `n` to counter `key` — a `&'static str` name or a tuple of
+    /// its dotted parts (no-op when disabled).
+    pub fn counter_add(&self, key: impl Into<MetricKey>, n: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.add(name, n);
+            inner.registry.add(key, n);
         }
     }
 
-    /// Record `v` into histogram `name` (no-op when disabled).
-    pub fn record(&self, name: &str, v: u64) {
+    /// Record `v` into histogram `key` (no-op when disabled).
+    pub fn record(&self, key: impl Into<MetricKey>, v: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.record(name, v);
+            inner.registry.record(key, v);
+        }
+    }
+
+    /// Add `n` to a counter named at run time (no-op when disabled).
+    /// One shared lock and a string compare per call: for cold paths such
+    /// as firing SLO alerts.
+    pub fn counter_add_named(&self, name: &str, n: u64) {
+        if let Some(inner) = &self.inner {
+            inner.registry.add_named(name, n);
         }
     }
 
@@ -164,9 +175,11 @@ impl Telemetry {
                     dst,
                     src,
                     origin_ms,
-                    spans: Vec::new(),
+                    spans: Vec::with_capacity(RESERVED_SPANS),
+                    fields: Vec::with_capacity(RESERVED_FIELDS),
                     costs: Vec::new(),
-                    stack: Vec::new(),
+                    top: NO_SPAN,
+                    depth: 0,
                     finished: false,
                 })
             }),
@@ -302,16 +315,29 @@ impl Telemetry {
     }
 }
 
+/// Buffer space a new scope reserves, sized so an ordinary reverse
+/// traceroute (a handful of stages, four probe-delta fields and one or
+/// two stage fields each) records without growing either buffer.
+const RESERVED_SPANS: usize = 12;
+const RESERVED_FIELDS: usize = 72;
+
 struct Active {
     tele: Arc<Inner>,
     dst: u32,
     src: u32,
     origin_ms: f64,
+    /// The request's spans in entry order and their fields, one run per
+    /// span: the two buffers a sampled request hands to the journal whole.
     spans: Vec<SpanRecord>,
+    fields: Vec<Field>,
     /// Per-span costs, index-aligned with `spans` (zero for spans closed
-    /// through the uncosted `exit` path).
+    /// through the uncosted `exit` path); empty unless the profiler is
+    /// armed.
     costs: Vec<SpanCost>,
-    stack: Vec<usize>,
+    /// Innermost open span ([`NO_SPAN`] when none). The open-span stack
+    /// is the chain of `enclosing` links from here; `depth` is its length.
+    top: u32,
+    depth: u32,
     finished: bool,
 }
 
@@ -340,6 +366,15 @@ impl Active {
     fn rel_us(&self, now_ms: f64) -> u64 {
         ((now_ms - self.origin_ms).max(0.0) * 1000.0).round() as u64
     }
+
+    /// Pop the innermost open span off the open-span chain.
+    fn pop_open(&mut self) -> Option<usize> {
+        let idx = self.top as usize;
+        let span = self.spans.get(idx)?; // `NO_SPAN` indexes nothing
+        self.top = span.enclosing;
+        self.depth -= 1;
+        Some(idx)
+    }
 }
 
 impl RequestScope {
@@ -356,30 +391,35 @@ impl RequestScope {
         let idx = a.spans.len();
         a.spans.push(SpanRecord {
             stage,
-            depth: a.stack.len() as u32,
+            depth: a.depth,
             t_us,
             dur_us: 0,
-            fields: Vec::new(),
+            fields: (0, 0),
+            enclosing: a.top,
         });
-        a.costs.push(SpanCost::ZERO);
-        a.stack.push(idx);
+        if a.tele.profile.is_some() {
+            a.costs.push(SpanCost::ZERO);
+        }
+        a.top = idx as u32;
+        a.depth += 1;
         Some(SpanToken(idx))
     }
 
     /// Close the span `tok` at virtual time `now_ms`, attaching `fields`.
     /// `None` tokens (from a disabled `enter`) are ignored.
-    pub fn exit(&mut self, tok: Option<SpanToken>, now_ms: f64, fields: &[(&'static str, u64)]) {
+    pub fn exit(&mut self, tok: Option<SpanToken>, now_ms: f64, fields: &[Field]) {
         let (Some(a), Some(SpanToken(idx))) = (self.inner.as_mut(), tok) else {
             return;
         };
         let end = a.rel_us(now_ms);
         if let Some(span) = a.spans.get_mut(idx) {
             span.dur_us = end.saturating_sub(span.t_us);
-            span.fields.extend_from_slice(fields);
+            span.fields = (a.fields.len() as u32, fields.len() as u32);
+            a.fields.extend_from_slice(fields);
         }
         // Spans are expected to nest; tolerate mismatched exits by
         // popping through to the token.
-        while let Some(top) = a.stack.pop() {
+        while let Some(top) = a.pop_open() {
             if top == idx {
                 break;
             }
@@ -387,14 +427,13 @@ impl RequestScope {
     }
 
     /// [`exit`](RequestScope::exit) plus the span's [`SpanCost`] for the
-    /// collapsed-stack profile. The cost is recorded even when profiling
-    /// is off — it is only *read* at finish time, and only then if the
-    /// handle's profiler is armed.
+    /// collapsed-stack profile (kept only while the handle's profiler is
+    /// armed).
     pub fn exit_costed(
         &mut self,
         tok: Option<SpanToken>,
         now_ms: f64,
-        fields: &[(&'static str, u64)],
+        fields: &[Field],
         cost: SpanCost,
     ) {
         if let (Some(a), Some(SpanToken(idx))) = (self.inner.as_mut(), &tok) {
@@ -416,7 +455,7 @@ impl RequestScope {
         }
         a.finished = true;
         let total_us = a.rel_us(now_ms);
-        while let Some(idx) = a.stack.pop() {
+        while let Some(idx) = a.pop_open() {
             if let Some(span) = a.spans.get_mut(idx) {
                 span.dur_us = total_us.saturating_sub(span.t_us);
             }
@@ -455,15 +494,19 @@ impl RequestScope {
             }
         }
 
-        let reg = &a.tele.registry;
-        reg.add("request.count", 1);
-        reg.add(&format!("request.status.{status}"), 1);
-        reg.record("request.virtual_us", total_us);
-        for span in &a.spans {
-            reg.add(&format!("stage.{}.spans", span.stage), 1);
-            reg.record(&format!("stage.{}.virtual_us", span.stage), span.dur_us);
-            for (k, v) in &span.fields {
-                reg.add(&format!("stage.{}.{k}", span.stage), *v);
+        // The whole request folds into this thread's registry stripe
+        // under one lock; keys are static parts, rendered only on read.
+        {
+            let mut reg = a.tele.registry.fold();
+            reg.add("request.count", 1);
+            reg.add(("request.status", status), 1);
+            reg.record("request.virtual_us", total_us);
+            for span in &a.spans {
+                reg.add(("stage", span.stage, "spans"), 1);
+                reg.record(("stage", span.stage, "virtual_us"), span.dur_us);
+                for &(k, v) in span_fields(&a.fields, span) {
+                    reg.add(("stage", span.stage, k), v);
+                }
             }
         }
 
@@ -493,6 +536,7 @@ impl RequestScope {
                 status,
                 virtual_us: total_us,
                 spans: std::mem::take(&mut a.spans),
+                fields: std::mem::take(&mut a.fields),
             });
         }
     }

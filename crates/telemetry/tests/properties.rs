@@ -3,7 +3,7 @@
 //! journal's read-time sort+cap edge cases.
 
 use proptest::prelude::*;
-use revtr_telemetry::{Fnv, Histogram, Journal, MetricsRegistry, RequestRecord, SpanRecord};
+use revtr_telemetry::{Fnv, Histogram, Journal, MetricsRegistry, RequestRecord};
 
 fn fp(h: &Histogram) -> u64 {
     let mut f = Fnv::new();
@@ -128,46 +128,29 @@ proptest! {
             rev.push(rec(dst, src));
         }
         prop_assert!(fwd.lines().len() <= cap);
-        // Order-independence is guaranteed while the population fits the
-        // 8×cap insert-time memory bound (the documented contract; every
-        // campaign scale in this workspace stays within it). Beyond it,
-        // later pushes are dropped and the retained subset legitimately
-        // depends on insertion order.
-        if keys.len() <= cap.saturating_mul(8) {
-            prop_assert_eq!(fwd.lines(), rev.lines());
-            prop_assert_eq!(fwd.fingerprint(), rev.fingerprint());
-            // The retained subset is exactly the sorted prefix: an
-            // uncapped journal over the same records, truncated to cap.
-            let uncapped = Journal::new(keys.len());
-            for &(dst, src) in &keys {
-                uncapped.push(rec(dst, src));
-            }
-            let expected: Vec<String> = uncapped.lines().into_iter().take(cap).collect();
-            prop_assert_eq!(fwd.lines(), expected);
+        prop_assert_eq!(fwd.lines(), rev.lines());
+        prop_assert_eq!(fwd.fingerprint(), rev.fingerprint());
+        // The retained subset is exactly the sorted prefix: an uncapped
+        // journal over the same records, truncated to cap.
+        let uncapped = Journal::new(keys.len());
+        for &(dst, src) in &keys {
+            uncapped.push(rec(dst, src));
         }
+        let expected: Vec<String> = uncapped.lines().into_iter().take(cap).collect();
+        prop_assert_eq!(fwd.lines(), expected);
     }
 }
 
 fn rec(dst: u32, src: u32) -> RequestRecord {
-    RequestRecord {
-        dst,
-        src,
-        status: "Complete",
-        virtual_us: 100 + u64::from(dst),
-        spans: vec![SpanRecord {
-            stage: "rr_step",
-            depth: 0,
-            t_us: 0,
-            dur_us: 100,
-            fields: vec![("probes", u64::from(src))],
-        }],
-    }
+    let mut r = RequestRecord::new(dst, src, "Complete", 100 + u64::from(dst));
+    r.push_span("rr_step", 0, 0, 100, &[("probes", u64::from(src))]);
+    r
 }
 
 #[test]
 fn journal_cap_zero_renders_nothing_but_stores_nothing_extra() {
-    // cap 0: the hard insert bound is 8·0 = 0, so nothing is retained and
-    // the rendered journal is empty — a valid "journalling off" setting.
+    // cap 0: nothing is retained and the rendered journal is empty — a
+    // valid "journalling off" setting.
     let j = Journal::new(0);
     for d in 0..10 {
         j.push(rec(d, 1));
@@ -222,4 +205,52 @@ fn journal_duplicate_keys_are_kept_and_tie_broken_by_json() {
     capped_b.push(rec(4, 4));
     capped_b.push(slow);
     assert_eq!(capped_a.lines(), capped_b.lines());
+}
+
+#[test]
+fn journal_far_past_its_cap_is_still_insertion_order_independent() {
+    // 10 × cap records, mostly ties on (dst, src): retention is the `cap`
+    // smallest under the journal order, whoever pushes what, when.
+    const CAP: usize = 64;
+    let population: Vec<RequestRecord> = (0..10 * CAP as u32)
+        .map(|i| {
+            let mut r = rec(i % 7, i % 3);
+            r.virtual_us = u64::from(i * 7919 % 1000);
+            r
+        })
+        .collect();
+
+    let ascending = Journal::new(CAP);
+    population.iter().for_each(|r| ascending.push(r.clone()));
+    let descending = Journal::new(CAP);
+    population
+        .iter()
+        .rev()
+        .for_each(|r| descending.push(r.clone()));
+    let threaded = Journal::new(CAP);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (threaded, population) = (&threaded, &population);
+            s.spawn(move || {
+                for r in population.iter().skip(t).step_by(4) {
+                    threaded.push(r.clone());
+                }
+            });
+        }
+    });
+
+    // What sort-everything-then-truncate keeps.
+    let mut expected: Vec<String> = {
+        let mut all: Vec<&RequestRecord> = population.iter().collect();
+        all.sort_by_key(|r| (r.src, r.dst, r.to_json()));
+        all.iter().map(|r| r.to_json()).collect()
+    };
+    expected.truncate(CAP);
+
+    for journal in [&ascending, &descending, &threaded] {
+        assert_eq!(journal.len(), CAP);
+        assert_eq!(journal.dropped(), 9 * CAP as u64);
+        assert_eq!(journal.lines(), expected);
+        assert_eq!(journal.fingerprint(), ascending.fingerprint());
+    }
 }
