@@ -9,7 +9,7 @@ use revtr::{EngineConfig, RevtrSystem};
 use revtr_atlas::{select_atlas_probes, SourceAtlas};
 use revtr_bench::BenchEnv;
 use revtr_netsim::sim::PktMeta;
-use revtr_netsim::{bgp, AsId, Sim, SimConfig};
+use revtr_netsim::{AsId, Sim, SimConfig};
 use revtr_probing::Prober;
 use revtr_vpselect::{ingress::probe_prefix, Heuristics};
 use std::hint::black_box;
@@ -29,11 +29,27 @@ fn bench_topology_build(c: &mut Criterion) {
 
 fn bench_bgp_routes(c: &mut Criterion) {
     let sim = Sim::build(SimConfig::era_2020(), 1);
+    // A fresh salt every iteration: a cold fill of the core table (the
+    // cache keeps them all; at ~1 KB each that is memory, not time).
     c.bench_function("bgp_routes_to_one_dst", |b| {
         let mut salt = 0u64;
         b.iter(|| {
             salt += 1;
-            black_box(bgp::routes_to(sim.topo(), AsId(7), salt))
+            black_box(sim.routes(AsId(7), salt))
+        })
+    });
+    // What a walk starting in a stub pays on top of a warm table: stage 2
+    // then stage 3 for that one AS.
+    let routes = sim.routes(AsId(7), 0);
+    let leaves: Vec<AsId> = (sim.topo().ases.iter())
+        .filter(|a| !a.has_customers())
+        .map(|a| a.id)
+        .collect();
+    c.bench_function("route_leaf_resolve", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % leaves.len();
+            black_box(routes.next(leaves[i]))
         })
     });
 }

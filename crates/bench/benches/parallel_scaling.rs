@@ -49,8 +49,8 @@ fn bench_campaign_workers(c: &mut Criterion) {
 }
 
 /// Single-flight route fills: N threads all ask for the same fresh
-/// (dst, salt) — exactly one valley-free BFS runs per iteration, the rest
-/// wait on the flight.
+/// (dst, salt) — exactly one route computation (a salted-metric Dijkstra
+/// over the transit core) runs per iteration, the rest wait on the flight.
 fn bench_route_cache_single_flight(c: &mut Criterion) {
     let sim = Sim::build(SimConfig::tiny(), 1);
     let dst = sim.topo().ases[0].id;

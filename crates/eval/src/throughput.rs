@@ -31,8 +31,9 @@ pub struct ThroughputRun {
     pub option_probes: u64,
     /// Measurement-cache effectiveness during this run.
     pub cache: CacheStats,
-    /// Valley-free BFS route computations during this run (cache fills in
-    /// `Sim::routes`; lookups don't count).
+    /// Route computations during this run — one salted-metric Dijkstra
+    /// over the transit core each (cache fills in `Sim::routes`; lookups
+    /// don't count).
     pub route_computes: u64,
     /// Retry attempts issued (non-zero only with faults injected).
     pub retries: u64,
@@ -170,7 +171,7 @@ impl ThroughputReport {
                 "stop hits",
                 "cache hit%",
                 "cache exp",
-                "route BFS",
+                "route fills",
                 "retries",
                 "lost",
             ],

@@ -7,7 +7,7 @@
 
 use crate::addr::Addr;
 use crate::behavior::Behavior;
-use crate::bgp::{self, NextHopTable};
+use crate::bgp::{self, RoutePlan, Routes};
 use crate::concurrent::StripedMap;
 use crate::config::SimConfig;
 use crate::faults::Faults;
@@ -206,13 +206,15 @@ pub struct Sim {
     cfg: SimConfig,
     seed: u64,
     churn: RwLock<ChurnState>,
-    /// (dst AS, salt) → next-hop AS per AS. Lock-striped; fills are
-    /// single-flight so concurrent workers never duplicate a valley-free
-    /// BFS. Never evicted, hence the compact value.
-    route_cache: StripedMap<(u32, u64), Arc<NextHopTable>>,
+    /// The salt-independent half of the route plane.
+    route_plan: RoutePlan,
+    /// (dst AS, salt) → the core's routes. Lock-striped; fills are
+    /// single-flight so concurrent workers never duplicate a route
+    /// computation. Never evicted, hence the compact value.
+    route_cache: StripedMap<(u32, u64), Arc<[bgp::Cell]>>,
     /// (AS, neighbour AS) → border routers.
     borders: Borders,
-    /// Number of actual `bgp::routes_to` computations (cache fills).
+    /// Number of actual route computations (cache fills).
     route_computes: AtomicU64,
     /// Vantage point host addresses (always responsive: our own machines),
     /// sorted.
@@ -234,6 +236,7 @@ impl Sim {
     pub fn from_topology(topo: Topology, cfg: SimConfig, seed: u64) -> Sim {
         let igp = Igp::build(&topo);
         let borders = Borders::build(&topo);
+        let route_plan = RoutePlan::build(&topo);
         let behavior = Behavior::new(seed, cfg.behavior.clone());
         let faults = Faults::new(seed, cfg.faults.clone());
         let scenario = Scenarios::new(seed, cfg.scenario.clone());
@@ -253,6 +256,7 @@ impl Sim {
                 epochs: vec![0; n_prefixes],
                 steps: 0,
             }),
+            route_plan,
             route_cache: StripedMap::new(),
             borders,
             route_computes: AtomicU64::new(0),
@@ -363,48 +367,53 @@ impl Sim {
     /// This is the replay primitive behind the audit layer: a probe whose
     /// epoch was recorded at measurement time re-walks identically even
     /// after further churn has moved the live epoch on.
-    fn prefix_salt_at(&self, p: PrefixId, epoch: u32) -> u64 {
+    pub(crate) fn prefix_salt_at(&self, p: PrefixId, epoch: u32) -> u64 {
         mix3(self.seed ^ 0x5a17, p.0 as u64, epoch as u64)
     }
 
     /// Salt for routing toward infrastructure addresses of AS `a`
     /// (not churned: infrastructure routes are stable).
-    fn infra_salt(&self, a: AsId) -> u64 {
+    pub(crate) fn infra_salt(&self, a: AsId) -> u64 {
         mix3(self.seed ^ 0x1f2a, a.0 as u64, 0)
     }
 
     // ---- routing tables ------------------------------------------------------
 
-    /// Interdomain next hops toward `dst` AS under `salt`, cached — the
-    /// forwarding view of [`bgp::routes_to`], which callers that need
-    /// metrics or route classes call themselves.
+    /// Interdomain routes toward `dst` AS under `salt`: the core's table,
+    /// cached, through which every AS's route reads ([`Routes::route`]).
     ///
     /// Single-flight: when several workers ask for the same uncached
-    /// `(dst, salt)`, exactly one runs the valley-free BFS and the rest
-    /// wait for its result.
-    pub fn routes(&self, dst: AsId, salt: u64) -> Arc<NextHopTable> {
-        self.route_cache.get_or_compute((dst.0, salt), || {
+    /// `(dst, salt)`, exactly one runs the salted-metric Dijkstra over the
+    /// core and the rest wait for its result.
+    pub fn routes(&self, dst: AsId, salt: u64) -> Routes<'_> {
+        let core = self.route_cache.get_or_compute((dst.0, salt), || {
             self.route_computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(NextHopTable::from(&bgp::routes_to(&self.topo, dst, salt)))
-        })
+            self.route_plan.fill(dst, salt)
+        });
+        Routes {
+            plan: &self.route_plan,
+            dst,
+            salt,
+            core,
+        }
     }
 
-    /// How many times `routes` actually ran `bgp::routes_to` (i.e. cache
+    /// How many times `routes` actually computed a table (i.e. cache
     /// fills, not lookups). Exposed for the single-flight regression test
     /// and for cache-effectiveness reporting in `eval`.
     pub fn route_computes(&self) -> u64 {
         self.route_computes.load(Ordering::Relaxed)
     }
 
-    /// Logical byte footprint of the route cache: entries × (key + one
-    /// [`NextHopTable`] with its four bytes per AS). Entry *set* is
-    /// worker-invariant (fills are single-flight and keyed by routing
-    /// inputs), so the reading is a pure function of the seed.
+    /// Logical byte footprint of the route plane: entries × (key, pointer
+    /// and the table it points to), plus the plan's fixed bytes. Entry *set* is worker-invariant (fills
+    /// are single-flight and keyed by routing inputs), so the reading is a
+    /// pure function of the seed.
     pub fn route_cache_bytes(&self) -> u64 {
-        let per = std::mem::size_of::<(u32, u64)>()
-            + std::mem::size_of::<NextHopTable>()
-            + NextHopTable::heap_bytes(self.topo.ases.len());
-        self.route_cache.len() as u64 * per as u64
+        use std::mem::size_of;
+        let slot = (size_of::<(u32, u64)>() + size_of::<Arc<[bgp::Cell]>>()) as u64;
+        self.route_cache.len() as u64 * (slot + self.route_plan.table_bytes())
+            + self.route_plan.bytes()
     }
 
     /// Logical byte footprint of the border-router table: every (AS,
@@ -668,9 +677,9 @@ impl Sim {
                 }
                 cands[self.choose_idx(cur, cands.len(), dst_key, pid, meta)].0
             } else {
-                let next_as = routes.next(cur_as)?;
+                let nbr = routes.next(cur_as)?; // no route: dropped
                 let neighbors = &self.topo.asn(cur_as).neighbors;
-                let nbr = neighbors.binary_search_by_key(&next_as, |n| n.asn).ok()?;
+                debug_assert!(nbr < neighbors.len(), "{cur_as} has no neighbour {nbr}");
                 let borders = self.borders.toward(cur_as, nbr);
                 if borders.contains(&cur) {
                     // Direct links from cur to next_as.
@@ -1153,8 +1162,8 @@ mod tests {
     fn routes_compute_once_under_contention() {
         // Regression test for the duplicated-compute race: before the
         // single-flight cache, N workers asking for the same uncached
-        // (dst, salt) would each run the full valley-free BFS and the
-        // last write won. Now exactly one BFS runs.
+        // (dst, salt) would each run the full route computation and the
+        // last write won. Now exactly one runs.
         let s = sim();
         let dst = s.topo().ases[0].id;
         std::thread::scope(|scope| {
@@ -1170,12 +1179,12 @@ mod tests {
         assert_eq!(
             s.route_computes(),
             1,
-            "8 threads hammering one destination must trigger exactly one bgp::routes_to"
+            "8 threads hammering one destination must trigger exactly one fill"
         );
         // And every caller got the same shared table.
         let a = s.routes(dst, 42);
         let b = s.routes(dst, 42);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.core, &b.core));
         // A different salt is a different cache entry.
         let _ = s.routes(dst, 43);
         assert_eq!(s.route_computes(), 2);
@@ -1293,6 +1302,30 @@ mod tests {
         // Starting one router in is back under the cap.
         let w = s.walk(RouterId(1), far, &meta).expect("at the cap");
         assert_eq!(w.hops.len(), MAX_HOPS);
+    }
+
+    #[test]
+    fn walks_cross_the_hand_built_leaf_cases_as_the_reference_routes() {
+        // One router per AS (router id = AS id), so a walk's routers spell
+        // its AS path: the neighbour positions the route plane hands
+        // `walk_to` select the links the reference's next-hop ASes name,
+        // and "no route" — never "next hop is not a neighbour" — is the
+        // only reason a walk is dropped.
+        let s = Sim::from_topology(bgp::tests::edge_case_graph(), SimConfig::tiny(), 5);
+        let mut dropped = 0;
+        for dst in s.topo().ases.iter().map(|a| a.id) {
+            let addr = s.topo().routers[dst.index()].loopback;
+            let reference = bgp::routes_to(s.topo(), dst, s.infra_salt(dst));
+            for src in s.topo().ases.iter().map(|a| a.id) {
+                let walked = s
+                    .walk(RouterId(src.0), addr, &PktMeta::plain(addr, 0))
+                    .map(|w| w.hops.iter().map(|h| AsId(h.router.0)).collect::<Vec<_>>());
+                assert_eq!(walked, reference.as_path(src), "{src} -> {dst}");
+                dropped += usize::from(walked.is_none());
+            }
+        }
+        // AS9 and AS10 reach each other and nobody else, nor anybody them.
+        assert_eq!(dropped, 2 * 2 * 10);
     }
 
     mod differential {

@@ -87,6 +87,12 @@ pub struct AsNode {
 }
 
 impl AsNode {
+    /// True if some neighbour buys transit from this AS. An AS without
+    /// customers passes no route on (see [`crate::bgp::RoutePlan`]).
+    pub fn has_customers(&self) -> bool {
+        self.neighbors.iter().any(|n| n.rel == Rel::Customer)
+    }
+
     /// Look up the relationship with `other`, if adjacent.
     pub fn rel_with(&self, other: AsId) -> Option<Rel> {
         self.neighbors

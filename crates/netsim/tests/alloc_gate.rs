@@ -1,5 +1,7 @@
 //! Allocation gate: once routes are cached, a walk and the probe
-//! primitives built on it do not touch the heap.
+//! primitives built on it do not touch the heap — wherever the walk
+//! starts: a stub's first hop is resolved on lookup, not stored — and a
+//! route fill allocates the table it returns and nothing else.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
@@ -71,9 +73,16 @@ fn warm_probe_primitives_do_not_allocate() {
     }
     assert!(pairs.len() >= 1000);
 
-    let mut answered = [0usize; 5];
-    let pass = |answered: &mut [usize; 5]| -> [u64; 5] {
-        let mut allocs = [0u64; 5];
+    // The reply leg of a host destination starts in the host's AS; most
+    // are stubs, whose routes no table holds.
+    let stub_attach = |dst: Addr| {
+        let attach = sim.host_attach(dst)?;
+        (!topo.asn(topo.router_as(attach)).has_customers()).then_some(attach)
+    };
+
+    let mut answered = [0usize; 6];
+    let pass = |answered: &mut [usize; 6]| -> [u64; 6] {
+        let mut allocs = [0u64; 6];
         for (i, &(vp, other, dst)) in pairs.iter().enumerate() {
             let attach = sim.host_attach(vp).expect("vp host");
             let nonce = i as u64;
@@ -81,6 +90,12 @@ fn warm_probe_primitives_do_not_allocate() {
                 let w = black_box(sim.walk(attach, dst, &PktMeta::plain(vp, 0)));
                 answered[0] += usize::from(w.is_some());
             });
+            if let Some(start) = stub_attach(dst) {
+                allocs[5] += allocs_in(|| {
+                    let w = black_box(sim.walk(start, vp, &PktMeta::plain(dst, 0)));
+                    answered[5] += usize::from(w.is_some());
+                });
+            }
             allocs[1] += allocs_in(|| {
                 let r = black_box(sim.ping_from(vp, vp, dst));
                 answered[1] += usize::from(r.is_some());
@@ -106,15 +121,20 @@ fn warm_probe_primitives_do_not_allocate() {
     // Warm-up: fills the route cache for every (destination AS, salt).
     pass(&mut answered);
     let fills = sim.route_computes();
-    answered = [0; 5];
-    let [walk, ping, rr, ts, traceroute] = pass(&mut answered);
+    answered = [0; 6];
+    let [walk, ping, rr, ts, traceroute, stub_walk] = pass(&mut answered);
     assert_eq!(sim.route_computes(), fills, "second pass must be warm");
 
     // The gate is vacuous unless the probes actually ran end to end.
-    for (what, n) in ["walk", "ping", "rr_ping", "ts_ping", "traceroute"]
-        .iter()
-        .zip(answered)
-    {
+    let probes = [
+        "walk",
+        "ping",
+        "rr_ping",
+        "ts_ping",
+        "traceroute",
+        "walk from a stub",
+    ];
+    for (what, n) in probes.iter().zip(answered) {
         assert!(
             n > pairs.len() / 4,
             "{what}: only {n} of {} answered",
@@ -122,6 +142,7 @@ fn warm_probe_primitives_do_not_allocate() {
         );
     }
     assert_eq!(walk, 0, "walk allocated");
+    assert_eq!(stub_walk, 0, "walk from a stub AS allocated");
     assert_eq!(ping, 0, "ping_from allocated");
     assert_eq!(rr, 0, "rr_ping_from allocated");
     assert_eq!(ts, 0, "ts_ping_from allocated");
@@ -129,5 +150,25 @@ fn warm_probe_primitives_do_not_allocate() {
         traceroute <= answered[4] as u64,
         "traceroute allocated {traceroute} times for {} results",
         answered[4]
+    );
+
+    // Cold fills on this (warmed-up) thread: each allocates the table it
+    // returns and the cache's flight; a shard of the cache's map doubles
+    // now and then, and nothing else ever allocates.
+    const FILLS: u64 = 512;
+    let dsts = topo.ases.iter().step_by(3).cycle();
+    let per_fill: Vec<u64> = (0..FILLS)
+        .zip(dsts)
+        .map(|(i, a)| {
+            allocs_in(|| {
+                black_box(sim.routes(a.id, 0xa110_c000 + i));
+            })
+        })
+        .collect();
+    assert_eq!(sim.route_computes(), fills + FILLS, "every salt was fresh");
+    let growths = per_fill.iter().filter(|&&n| n == 3).count();
+    assert!(
+        per_fill.iter().all(|&n| n == 2 || n == 3) && growths <= 32,
+        "a fill allocates its table and its flight: {per_fill:?}"
     );
 }

@@ -4,10 +4,11 @@
 //! Every round takes a fresh salt (as a churn epoch does) and has all
 //! workers walk the same destination list, so each `(dst, salt)` key is
 //! requested by every worker while cold. Without single-flight, racing
-//! workers each run the valley-free BFS for the same key and the last
-//! insert wins — up to `workers`× duplicated compute, which costs real
-//! wall time even on one CPU. With `StripedMap::get_or_compute`, exactly
-//! one BFS runs per key and the rest wait on the flight.
+//! workers each run the route computation (a salted-metric Dijkstra over
+//! the transit core) for the same key and the last insert wins — up to
+//! `workers`× duplicated compute, which costs real wall time even on one
+//! CPU. With `StripedMap::get_or_compute`, exactly one runs per key and
+//! the rest wait on the flight.
 //!
 //! ```text
 //! cargo run --release --example route_fill_contention [workers] [rounds]

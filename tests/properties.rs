@@ -22,9 +22,16 @@ proptest! {
         let sim = tiny_sim(seed);
         let n = sim.topo().n_ases();
         let dst = AsId((dst_idx % n) as u32);
-        let routes = revtr_suite::netsim::bgp::routes_to(sim.topo(), dst, salt);
+        // The production plane: core ASes read their cell, leaves resolve
+        // on lookup.
+        let routes = sim.routes(dst, salt);
         for x in 0..n {
-            let path = routes.as_path(AsId(x as u32)).expect("connected topology");
+            let mut path = vec![AsId(x as u32)];
+            while let Some(hop) = routes.next(path[path.len() - 1]) {
+                prop_assert!(path.len() <= n, "next-hop chain loops");
+                path.push(sim.topo().asn(path[path.len() - 1]).neighbors[hop].asn);
+            }
+            prop_assert!(path[path.len() - 1] == dst, "connected topology");
             // Loop-free.
             let mut sorted = path.clone();
             sorted.sort_unstable();
