@@ -201,9 +201,13 @@ cargo clippy --all-targets -- -D warnings -D clippy::disallowed-methods
 # telemetry crate sits inside every hot path: both are additionally held
 # to no-unwrap (a panicking auditor proves nothing; a panicking tracer
 # would violate behaviour-neutrality).
-echo "== clippy unwrap gate (crates/audit, crates/telemetry) =="
+echo "== clippy unwrap gate (crates/audit, crates/telemetry; lib targets of crates/core, crates/probing) =="
 cargo clippy -p revtr-audit --all-targets -- -D warnings -D clippy::unwrap_used
 cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_used
+# The request plane — engine and prober — runs inside every measurement:
+# its library code states why a value must be there (`expect`) or handles
+# its absence. Tests may still unwrap.
+cargo clippy -p revtr -p revtr-probing -- -D warnings -D clippy::unwrap_used
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -1,10 +1,11 @@
 //! The measurement engine: one state machine, one driver.
 //!
 //! Each reverse traceroute is a [`MeasureTask`]: a small control block
-//! holding the stitching state (current hop, path set, stitch trace, open
-//! telemetry spans) and an explicit [`Phase`] enum mirroring the stages
-//! the telemetry layer instruments — destination probe → atlas
-//! intersection → rr / spoofed-rr rounds → ts → assume-symmetry.
+//! holding the stitching state (current hop, open telemetry spans, the VP
+//! plan a pending ladder walks) and an explicit [`Phase`] enum mirroring
+//! the stages the telemetry layer instruments — destination probe → atlas
+//! intersection → rr / spoofed-rr rounds → ts → assume-symmetry. The path
+//! being stitched lives in the driver's scratch (`crate::scratch`).
 //! [`MeasureTask::step`] advances the block by exactly one stage (or one
 //! spoofed-batch round, the virtual 10 s timer of §5.2.4); one step is one
 //! *event*.
@@ -15,7 +16,8 @@
 //! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
 //! one block inline; [`RevtrSystem::run_campaign`] and
 //! [`RevtrSystem::run_wave_timed`] both delegate to one `run_wave`, whose
-//! workers claim jobs off an atomic cursor and drive each under a
+//! workers claim jobs off an atomic cursor and drive each — on the one
+//! scratch a worker holds for its whole claim loop — under a
 //! task-private *shadow* of the clock and counters, so
 //! `thread_ms`/`thread_snapshot` diffs inside a measurement see only its
 //! own charges. Which worker runs which job is up to the OS; campaign
@@ -29,11 +31,11 @@ use crate::result::{
     Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
     StitchTrace,
 };
-use crate::system::{novel, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
+use crate::scratch::{novel, on_path, Scratch};
+use crate::system::{RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::{Contribution, Note, RequestScope, Snapshot, StoredRr};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -42,7 +44,8 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
     /// Workers claiming jobs off a wave's cursor, clamped to the host's
-    /// cores and the wave's jobs. `1` (the default) drives every job on
+    /// cores (counted once per system, by its first wave) and the wave's
+    /// jobs. `1` (the default) drives every job on
     /// the calling thread in index order — the reproducible schedule the
     /// metrics goldens pin; more are scoped threads spawned per wave.
     pub workers: usize,
@@ -100,25 +103,31 @@ pub struct TimedJob {
     pub degrade: u8,
 }
 
-/// Size in bytes of one admitted measurement's control block (excluding
-/// its heap-owned path state, which grows with the stitched path). The
+/// Size in bytes of one admitted measurement's control block (the path
+/// it is stitching sits in its driver's scratch, not in the block). The
 /// concurrency smoke and the `engine.control_blocks` ledger price a wave
 /// at this much per admitted request.
 pub fn task_footprint_bytes() -> usize {
-    std::mem::size_of::<MeasureTask>()
+    std::mem::size_of::<MeasureTask<'_>>()
 }
 
 /// Where a control block resumes on its next step. The variants track the
 /// stage spans PR 4's telemetry already names; `Rr`/`RrVerify` park the
 /// mid-flight spoofed-batch machine across the virtual 10 s timer.
-enum Phase {
+// `RrVerify` carries a concluded discovery beside its machine and is about
+// twice the next variant. The phase sits inline in the control block and
+// is swapped in place every step; boxing the variant would put an
+// allocation on every verification re-probe to save bytes no ledger
+// misses (the block is priced at its full size either way).
+#[allow(clippy::large_enum_variant)]
+enum Phase<'a> {
     /// Atlas lookup, request-scope open, destination probe.
     Start,
     /// Top of the stitching loop: hop budget, reached-check, atlas
     /// intersection, and the beginning of the RR step.
     StitchLoop,
     /// Spoofed-RR rounds of the primary RR step.
-    Rr(RrMachine),
+    Rr(RrMachine<'a>),
     /// Spoofed-RR rounds of the Appx. E verification re-probe.
     RrVerify {
         /// The primary step's (already concluded) discovery.
@@ -128,7 +137,7 @@ enum Phase {
         /// The hop the re-probe must reconfirm (`rev[1]`).
         expected: Addr,
         /// The nested step's spoofed-round state.
-        m: RrMachine,
+        m: RrMachine<'a>,
     },
     /// Adopt the RR step's hops, or fall through to ts/symmetry.
     RrAdopt(Option<RrFound>),
@@ -141,7 +150,10 @@ enum Phase {
 }
 
 /// The per-measurement control block: one in-flight reverse traceroute.
-pub(crate) struct MeasureTask {
+/// `'a` is the borrow of the system a pending ladder reads its VP plan
+/// through. The path itself — hops and their evidence — is assembled in
+/// the driver's [`Scratch`] and copied out, exactly sized, at `finish`.
+pub(crate) struct MeasureTask<'a> {
     dst: Addr,
     src: Addr,
     src_prefix: Option<PrefixId>,
@@ -150,12 +162,9 @@ pub(crate) struct MeasureTask {
     t0_thread_ms: f64,
     snap0: Snapshot,
     stats: RevtrStats,
-    trace: StitchTrace,
-    hops: Vec<RevtrHop>,
-    path_set: HashSet<Addr>,
     cur: Addr,
     iters: usize,
-    phase: Phase,
+    phase: Phase<'a>,
     /// Campaign request id — the middle component of stop-set
     /// contribution stamps (0 on the serial [`RevtrSystem::measure`]
     /// path, the pair index under [`RevtrSystem::run_campaign`]).
@@ -183,10 +192,10 @@ pub(crate) struct MeasureTask {
     pub(crate) degrade: u8,
 }
 
-impl MeasureTask {
+impl<'a> MeasureTask<'a> {
     /// A control block at the starting line. Does not probe; the first
     /// [`MeasureTask::step`] does.
-    pub(crate) fn new(dst: Addr, src: Addr) -> MeasureTask {
+    pub(crate) fn new(dst: Addr, src: Addr) -> MeasureTask<'a> {
         MeasureTask {
             dst,
             src,
@@ -196,9 +205,6 @@ impl MeasureTask {
             t0_thread_ms: 0.0,
             snap0: Snapshot::default(),
             stats: RevtrStats::default(),
-            trace: StitchTrace::default(),
-            hops: Vec::new(),
-            path_set: HashSet::new(),
             cur: dst,
             iters: 0,
             phase: Phase::Start,
@@ -227,26 +233,31 @@ impl MeasureTask {
         });
     }
 
-    /// Advance the measurement by one stage (or one spoofed-batch round).
+    /// Advance the measurement by one stage (or one spoofed-batch round)
+    /// on the driver's scratch — the same one for every step of a task.
     /// Returns the finished result, or `None` when the block yielded.
-    pub(crate) fn step(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
+    pub(crate) fn step(
+        &mut self,
+        sys: &'a RevtrSystem<'_>,
+        sx: &mut Scratch,
+    ) -> Option<RevtrResult> {
         // One loop event per step, charged to the thread shadow before any
         // stage span opens so every stage's cost delta includes it. A pure
         // function of the task schedule — identical at any worker count.
         sys.prober().counters().add_events(1);
         match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::Start => self.start(sys),
-            Phase::StitchLoop => self.stitch_head(sys),
-            Phase::Rr(m) => self.rr_pending(sys, m),
+            Phase::Start => self.start(sys, sx),
+            Phase::StitchLoop => self.stitch_head(sys, sx),
+            Phase::Rr(m) => self.rr_pending(sys, sx, m),
             Phase::RrVerify {
                 found,
                 vspan,
                 expected,
                 m,
-            } => self.verify_pending(sys, found, vspan, expected, m),
-            Phase::RrAdopt(found) => self.adopt(sys, found),
-            Phase::Ts => self.ts(sys),
-            Phase::Symmetry => self.symmetry(sys),
+            } => self.verify_pending(sys, sx, found, vspan, expected, m),
+            Phase::RrAdopt(found) => self.adopt(sys, sx, found),
+            Phase::Ts => self.ts(sys, sx),
+            Phase::Symmetry => self.symmetry(sys, sx),
             Phase::Done => unreachable!("stepped a finished measurement"),
         }
     }
@@ -254,7 +265,15 @@ impl MeasureTask {
     /// Seal the result: durations and probe deltas are diffs of the
     /// *thread-shadow* accumulators around the measurement, so they
     /// attribute exactly this task's own charges under any scheduling.
-    fn finish(&mut self, sys: &RevtrSystem<'_>, status: Status) -> RevtrResult {
+    /// The path leaves the scratch as two exactly-sized vectors — the
+    /// only allocations a measurement makes for itself.
+    fn finish(
+        &mut self,
+        sys: &RevtrSystem<'_>,
+        sx: &Scratch,
+        status: Status,
+        end: StitchEnd,
+    ) -> RevtrResult {
         let prober = sys.prober();
         self.stats.duration_s = (prober.clock().thread_ms() - self.t0_thread_ms) / 1000.0;
         self.stats.probes =
@@ -266,15 +285,20 @@ impl MeasureTask {
             dst: self.dst,
             src: self.src,
             status,
-            hops: std::mem::take(&mut self.hops),
+            hops: sx.hops.clone(),
             stats: self.stats,
-            trace: std::mem::take(&mut self.trace),
+            trace: StitchTrace {
+                entries: sx.entries.clone(),
+                end: Some(end),
+            },
         };
         sys.flag_suspicious(&mut r);
         r
     }
 
-    fn start(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
+    fn start(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
+        sx.hops.clear();
+        sx.entries.clear();
         let atlas = sys.atlas(self.src);
         let prober = sys.prober();
         self.t0_thread_ms = prober.clock().thread_ms();
@@ -298,31 +322,27 @@ impl MeasureTask {
         self.req = Some(req);
         self.atlas = Some(atlas);
         if !answered {
-            self.trace.end = Some(StitchEnd::Unresponsive);
-            return Some(self.finish(sys, Status::Unresponsive));
+            return Some(self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive));
         }
 
-        self.hops.push(RevtrHop {
+        sx.hops.push(RevtrHop {
             addr: Some(self.dst),
             method: HopMethod::Destination,
             suspicious_gap_before: false,
         });
-        self.trace.entries.push(Evidence::Destination);
-        self.path_set.insert(self.dst);
+        sx.entries.push(Evidence::Destination);
         self.cur = self.dst;
         self.phase = Phase::StitchLoop;
         None
     }
 
-    fn stitch_head(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
+    fn stitch_head(&mut self, sys: &'a RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         if self.iters == sys.config().max_path_hops {
-            self.trace.end = Some(StitchEnd::HopBudget);
-            return Some(self.finish(sys, Status::Stuck));
+            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::HopBudget));
         }
         self.iters += 1;
         if sys.reached(self.cur, self.src, self.src_prefix) {
-            self.trace.end = Some(StitchEnd::ReachedSource);
-            return Some(self.finish(sys, Status::Complete));
+            return Some(self.finish(sys, sx, Status::Complete, StitchEnd::ReachedSource));
         }
 
         // 1. Atlas intersection.
@@ -360,7 +380,7 @@ impl MeasureTask {
                     continue; // already in the path
                 }
                 self.stats.atlas_hops += 1;
-                self.trace.entries.push(if i == 0 {
+                sx.entries.push(if i == 0 {
                     // An alias join: this hop's address differs from
                     // `cur` but names the same router (or /30 link).
                     Evidence::AtlasIntersection {
@@ -376,7 +396,7 @@ impl MeasureTask {
                         at_hours: t.at_hours,
                     }
                 });
-                self.hops.push(RevtrHop {
+                sx.hops.push(RevtrHop {
                     addr: *h,
                     method: HopMethod::AtlasIntersection,
                     suspicious_gap_before: false,
@@ -388,63 +408,66 @@ impl MeasureTask {
                 atlas_span,
                 &[("hit", 1), ("atlas_hops", atlas_hops)],
             );
-            self.trace.end = Some(StitchEnd::AtlasSuffix);
-            return Some(self.finish(sys, Status::Complete));
+            return Some(self.finish(sys, sx, Status::Complete, StitchEnd::AtlasSuffix));
         }
         sys.stage_exit(self.req_mut(), atlas_span, &[("hit", 0)]);
 
-        // 2. Campaign stop sets: reuse an earlier request's reverse-hop
-        // evidence at this (source, router) before spending any probes —
-        // the Doubletree-style backward stop. The stored hops are
-        // re-filtered against *this* path, and adoption replays the
-        // original provenance, exactly like a measurement-cache hit.
-        let mut hints = if sys.config().use_stop_sets {
-            let ss = sys.stage_enter(self.req_mut(), "stopset_backward");
-            let hit = sys.stopset().backward(self.src, self.cur);
-            let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
-            sys.stage_exit(
-                self.req_mut(),
-                ss,
-                &[("hit", u64::from(hit.is_some())), ("reused", reused)],
-            );
-            if let Some((stored, spoofed)) = hit {
-                let new = novel(&self.path_set, &stored.hops);
-                if !new.is_empty() {
-                    self.stats.stopset_reused_steps += 1;
-                    self.phase = Phase::RrAdopt(Some((new, stored.provenance, spoofed)));
-                    return None;
+        // 2. Campaign stop sets, everything under one read lock: reuse an
+        // earlier request's reverse-hop evidence at this (source, router)
+        // before spending any probes — the Doubletree-style backward stop.
+        // The stored hops are re-filtered against *this* path, and
+        // adoption replays the original provenance, exactly like a
+        // measurement-cache hit. Failing that, collect the hints the RR
+        // step opens with; the set-valued ones land in the scratch — the
+        // VPs of this router's plan an earlier ladder proved futile, the
+        // VPs under quarantine — where the step tests them for membership.
+        let mut hints = RrHints::default();
+        sx.demoted.clear();
+        sx.quarantined.clear();
+        if sys.wave_barriers() {
+            let stop = sys.stopset().consult();
+            if sys.config().use_stop_sets {
+                let ss = sys.stage_enter(self.req_mut(), "stopset_backward");
+                let hit = stop.backward(self.src, self.cur);
+                let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
+                sys.stage_exit(
+                    self.req_mut(),
+                    ss,
+                    &[("hit", u64::from(hit.is_some())), ("reused", reused)],
+                );
+                if let Some((stored, spoofed)) = hit {
+                    let new = novel(&sx.hops, &stored.hops);
+                    if !new.is_empty() {
+                        self.stats.stopset_reused_steps += 1;
+                        self.phase = Phase::RrAdopt(Some((new, stored.provenance, spoofed)));
+                        return None;
+                    }
+                }
+                hints.skip_direct = stop.direct_futile(self.src, self.cur);
+                hints.skip_spoofed = stop.spoof_futile(self.cur);
+                // A skipped ladder has no use for its winner or VP prunes
+                // (and consulting them would inflate the hit counters).
+                if !hints.skip_spoofed {
+                    if let Some(plan) = sys.stop_plan_key(self.cur) {
+                        hints.winner = stop.winner(plan);
+                        let futile = sys
+                            .plan_vps(self.cur)
+                            .filter(|&vp| stop.vp_futile(plan, vp));
+                        sx.demoted.extend(futile);
+                    }
                 }
             }
-            let stop = sys.stopset();
-            let skip_spoofed = stop.spoof_futile(self.cur);
-            // A skipped ladder has no use for its winner or VP prunes
-            // (and consulting them would inflate the hit counters).
-            let plan = if skip_spoofed {
-                None
-            } else {
-                sys.stop_plan_key(self.cur)
-            };
-            RrHints {
-                skip_direct: stop.direct_futile(self.src, self.cur),
-                skip_spoofed,
-                winner: plan.and_then(|p| stop.winner(p)),
-                futile: plan.map(|p| stop.futile_vps(p)).unwrap_or_default(),
-                batch_cap: None,
-            }
-        } else {
-            RrHints::default()
-        };
-        if sys.config().harden {
-            // VP quarantine (spoof-filter countermeasure): vantage points
-            // whose last SPOOF_WINDOW spoofed probes all vanished are
-            // deprioritized — moved to the back of the ladder, never
-            // dropped, so a recovering VP re-proves itself on its next
-            // (cheap, late-ladder) attempt.
-            let quarantined = sys.stopset().quarantined_vps();
-            if !quarantined.is_empty() {
+            if sys.config().harden {
+                // VP quarantine (spoof-filter countermeasure): vantage
+                // points whose recent spoofed pairs mostly vanished are
+                // deprioritized — moved to the back of the ladder, never
+                // dropped, so a recovering VP re-proves itself on its next
+                // (cheap, late-ladder) attempt — and granted a single
+                // re-batch. Taken once for the whole ladder.
+                sx.quarantined.extend(stop.quarantined_vps());
                 sys.stopset()
-                    .note_quarantine_skips(quarantined.len() as u64);
-                hints.futile.extend(quarantined);
+                    .note_quarantine_skips(sx.quarantined.len() as u64);
+                sx.demoted.extend_from_slice(&sx.quarantined);
             }
         }
         // Degradation ladder (admission control's brownout levels, set
@@ -476,42 +499,39 @@ impl MeasureTask {
 
         // 3. Record route (direct probe now; spoofed rounds event-driven).
         let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_begin(
-            self.cur,
-            self.src,
-            &self.path_set,
-            &mut self.stats,
-            req,
-            hints,
-        ) {
-            RrProgress::Done(found) => self.after_primary_rr(sys, found),
+        match sys.rr_begin(self.cur, self.src, sx, &mut self.stats, req, hints) {
+            RrProgress::Done(found) => self.after_primary_rr(sys, sx, found),
             RrProgress::Pending(m) => self.phase = Phase::Rr(m),
         }
         None
     }
 
-    fn rr_pending(&mut self, sys: &RevtrSystem<'_>, mut m: RrMachine) -> Option<RevtrResult> {
+    fn rr_pending(
+        &mut self,
+        sys: &'a RevtrSystem<'_>,
+        sx: &mut Scratch,
+        mut m: RrMachine<'a>,
+    ) -> Option<RevtrResult> {
         let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, &self.path_set, &mut self.stats, req) {
+        match sys.rr_round(&mut m, self.src, sx, &mut self.stats, req) {
             None => self.phase = Phase::Rr(m),
             Some(found) => {
                 self.rr_ladder_usable = m.usable_seen;
                 if sys.config().use_stop_sets {
                     if let Some(plan) = sys.stop_plan_key(self.cur) {
-                        for vp in std::mem::take(&mut m.futile_vps) {
+                        for &vp in &sx.futile_vps {
                             self.contribute(sys, Note::VpFutile { plan, vp });
                         }
                     }
                 }
-                if sys.config().harden {
-                    // Feed each VP's landed/vanished outcomes into the
-                    // sliding quarantine windows (published at the next
-                    // merge barrier, like every stop-set contribution).
-                    for (vp, landed) in m.take_spoof_outcomes() {
-                        self.contribute(sys, Note::VpSpoofOutcome { vp, landed });
-                    }
+                // Feed each VP's landed/vanished outcomes into the
+                // sliding quarantine windows (published at the next
+                // merge barrier, like every stop-set contribution).
+                // Recorded under hardening only.
+                for &(vp, landed) in &sx.spoof_outcomes {
+                    self.contribute(sys, Note::VpSpoofOutcome { vp, landed });
                 }
-                self.after_primary_rr(sys, found);
+                self.after_primary_rr(sys, sx, found);
             }
         }
         None
@@ -519,7 +539,12 @@ impl MeasureTask {
 
     /// The primary RR step concluded: start the Appx. E verification
     /// re-probe when configured and applicable, else go adopt.
-    fn after_primary_rr(&mut self, sys: &RevtrSystem<'_>, found: Option<RrFound>) {
+    fn after_primary_rr(
+        &mut self,
+        sys: &'a RevtrSystem<'_>,
+        sx: &mut Scratch,
+        found: Option<RrFound>,
+    ) {
         // Publish what the step learned to the campaign stop sets
         // (buffered; visible to other requests after the next merge
         // barrier). `self.cur` is still the frontier router here — adopt
@@ -534,7 +559,7 @@ impl MeasureTask {
                             cur: self.cur,
                             spoofed: *spoofed,
                             stored: StoredRr {
-                                hops: rev.clone(),
+                                hops: *rev,
                                 provenance: *prov,
                             },
                         },
@@ -605,11 +630,19 @@ impl MeasureTask {
                     let req = self.req.as_mut().expect("request scope opened in Start");
                     // The verification re-probe neither consults nor feeds
                     // the stop sets: its whole point is an independent
-                    // re-measurement.
+                    // re-measurement. Its ladder deprioritizes no one;
+                    // quarantine (a hardened engine's stall budgets) is
+                    // taken afresh, once for this ladder too.
+                    sx.demoted.clear();
+                    sx.quarantined.clear();
+                    if sys.config().harden {
+                        sx.quarantined
+                            .extend(sys.stopset().consult().quarantined_vps());
+                    }
                     match sys.rr_begin(
                         first,
                         self.src,
-                        &self.path_set,
+                        sx,
                         &mut self.stats,
                         req,
                         RrHints::default(),
@@ -637,14 +670,15 @@ impl MeasureTask {
 
     fn verify_pending(
         &mut self,
-        sys: &RevtrSystem<'_>,
+        sys: &'a RevtrSystem<'_>,
+        sx: &mut Scratch,
         found: RrFound,
         vspan: StageStart,
         expected: Addr,
-        mut m: RrMachine,
+        mut m: RrMachine<'a>,
     ) -> Option<RevtrResult> {
         let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, &self.path_set, &mut self.stats, req) {
+        match sys.rr_round(&mut m, self.src, sx, &mut self.stats, req) {
             None => {
                 self.phase = Phase::RrVerify {
                     found,
@@ -691,7 +725,12 @@ impl MeasureTask {
         fresh
     }
 
-    fn adopt(&mut self, sys: &RevtrSystem<'_>, found: Option<RrFound>) -> Option<RevtrResult> {
+    fn adopt(
+        &mut self,
+        sys: &RevtrSystem<'_>,
+        sx: &mut Scratch,
+        found: Option<RrFound>,
+    ) -> Option<RevtrResult> {
         if let Some((rev, prov, spoofed)) = found {
             let method = if spoofed {
                 HopMethod::SpoofedRecordRoute
@@ -699,13 +738,12 @@ impl MeasureTask {
                 HopMethod::RecordRoute
             };
             for &h in &rev {
-                self.path_set.insert(h);
-                self.trace.entries.push(if spoofed {
+                sx.entries.push(if spoofed {
                     Evidence::SpoofedRecordRoute { prov }
                 } else {
                     Evidence::RecordRoute { prov }
                 });
-                self.hops.push(RevtrHop {
+                sx.hops.push(RevtrHop {
                     addr: Some(h),
                     method,
                     suspicious_gap_before: false,
@@ -726,17 +764,16 @@ impl MeasureTask {
         None
     }
 
-    fn ts(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
+    fn ts(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         let ts_span = sys.stage_enter(self.req_mut(), "ts_step");
-        let adj = sys.ts_step(self.cur, self.src, &self.path_set);
+        let adj = sys.ts_step(self.cur, self.src, &sx.hops);
         let found = u64::from(adj.is_some());
         sys.stage_exit(self.req_mut(), ts_span, &[("found", found)]);
         if let Some(adj) = adj {
-            self.path_set.insert(adj);
-            self.trace.entries.push(Evidence::Timestamp {
+            sx.entries.push(Evidence::Timestamp {
                 tested_from: self.cur,
             });
-            self.hops.push(RevtrHop {
+            sx.hops.push(RevtrHop {
                 addr: Some(adj),
                 method: HopMethod::Timestamp,
                 suspicious_gap_before: false,
@@ -749,12 +786,12 @@ impl MeasureTask {
         None
     }
 
-    fn symmetry(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
+    fn symmetry(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         let policy = sys.config().symmetry;
         let sym_span = sys.stage_enter(self.req_mut(), "assume_symmetry");
         let sym = sys.symmetry_step(self.cur, self.src);
         let adopted = sym.as_ref().is_some_and(|d| {
-            !(self.path_set.contains(&d.penult)
+            !(on_path(&sx.hops, d.penult)
                 || d.interdomain && policy == SymmetryPolicy::IntradomainOnly)
         });
         let interdomain = sym.as_ref().map_or(0, |d| u64::from(d.interdomain));
@@ -767,28 +804,25 @@ impl MeasureTask {
             ],
         );
         let Some(d) = sym else {
-            self.trace.end = Some(StitchEnd::Stuck);
-            return Some(self.finish(sys, Status::Stuck));
+            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
         };
-        if self.path_set.contains(&d.penult) {
-            self.trace.end = Some(StitchEnd::Stuck);
-            return Some(self.finish(sys, Status::Stuck));
+        if on_path(&sx.hops, d.penult) {
+            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
         }
         if d.interdomain && policy == SymmetryPolicy::IntradomainOnly {
-            self.trace.end = Some(StitchEnd::AbortInterdomain {
+            let end = StitchEnd::AbortInterdomain {
                 cur: self.cur,
                 penult: d.penult,
                 cur_as: d.cur_as,
                 penult_as: d.penult_as,
-            });
-            return Some(self.finish(sys, Status::AbortedInterdomain));
+            };
+            return Some(self.finish(sys, sx, Status::AbortedInterdomain, end));
         }
         self.stats.assumed_symmetric += 1;
         if d.interdomain {
             self.stats.assumed_interdomain += 1;
         }
-        self.path_set.insert(d.penult);
-        self.trace.entries.push(Evidence::AssumedSymmetric {
+        sx.entries.push(Evidence::AssumedSymmetric {
             cur: self.cur,
             penult: d.penult,
             cur_as: d.cur_as,
@@ -796,7 +830,7 @@ impl MeasureTask {
             interdomain: d.interdomain,
             policy,
         });
-        self.hops.push(RevtrHop {
+        sx.hops.push(RevtrHop {
             addr: Some(d.penult),
             method: HopMethod::AssumedSymmetric,
             suspicious_gap_before: false,
@@ -942,7 +976,8 @@ impl<'s> RevtrSystem<'s> {
     /// wave barrier. Workers — `lc.workers` clamped to the host's cores
     /// (oversubscription only adds scheduler churn) and the wave's jobs —
     /// claim job indices off one atomic cursor, build the claimed job's
-    /// control block with `task`, drive it under its private shadows and
+    /// control block with `task`, drive it under its private shadows on
+    /// the one scratch the worker holds for its whole claim loop, and
     /// write the result into the job's own slot. One worker is the calling
     /// thread itself; more are all scoped threads the caller only joins
     /// (claiming too cost `service-openloop` ~6 % — EXPERIMENTS.md). The
@@ -951,15 +986,14 @@ impl<'s> RevtrSystem<'s> {
     /// what the wave's tasks buffered into the published stop sets in
     /// `(vtime, id, seq)` stamp order — functions of each task's own
     /// history, so schedule-invariant ([`STOPSET_WAVE`]).
-    fn run_wave(
-        &self,
+    fn run_wave<'a>(
+        &'a self,
         ord: u64,
         admitted: usize,
         lc: LoopConfig,
-        task: impl Fn(usize) -> MeasureTask + Sync,
+        task: impl Fn(usize) -> MeasureTask<'a> + Sync,
     ) -> std::thread::Result<(Vec<RevtrResult>, u64)> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = lc.workers.min(cores).min(admitted).max(1);
+        let workers = lc.workers.min(self.cores()).min(admitted).max(1);
         let slots: Vec<OnceLock<RevtrResult>> = (0..admitted).map(|_| OnceLock::new()).collect();
         // All `Relaxed`: an index, a tally and a stop flag publish no other
         // data — results travel through `OnceLock` slots, payloads by join.
@@ -969,6 +1003,7 @@ impl<'s> RevtrSystem<'s> {
         let claim = || -> std::thread::Result<()> {
             let clock = self.prober().clock();
             let counters = self.prober().counters();
+            let mut sx = self.take_scratch();
             while !poisoned.load(Ordering::Relaxed) {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= admitted {
@@ -977,13 +1012,16 @@ impl<'s> RevtrSystem<'s> {
                 let t = task(i);
                 let saved_ms = clock.swap_thread_ms(t.origin_ms);
                 let saved_snap = counters.swap_thread_snapshot(Snapshot::default());
-                let out = self.drive(t);
+                let out = self.drive(t, &mut sx);
                 clock.swap_thread_ms(saved_ms);
                 counters.swap_thread_snapshot(saved_snap);
+                // A panic leaves through `?`: the scratch it interrupted
+                // is dropped here, not handed back.
                 let (r, steps) = out.inspect_err(|_| poisoned.store(true, Ordering::Relaxed))?;
                 events.fetch_add(steps, Ordering::Relaxed);
                 let _ = slots[i].set(r);
             }
+            self.return_scratch(sx);
             Ok(())
         };
         if workers == 1 {
@@ -1025,14 +1063,20 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The one way a reverse traceroute executes: step its control block
-    /// to completion, on the calling thread's current shadow accumulators,
-    /// behind a panic fence. Returns the result with its event count.
-    pub(crate) fn drive(&self, mut task: MeasureTask) -> std::thread::Result<(RevtrResult, u64)> {
+    /// to completion, on the calling thread's current shadow accumulators
+    /// and the scratch its driver lends it, behind a panic fence. Returns
+    /// the result with its event count. After an `Err` the scratch holds
+    /// whatever the interrupted step left: drop it.
+    pub(crate) fn drive<'a>(
+        &'a self,
+        mut task: MeasureTask<'a>,
+        sx: &mut Scratch,
+    ) -> std::thread::Result<(RevtrResult, u64)> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut events = 0u64;
             loop {
                 events += 1;
-                if let Some(r) = task.step(self) {
+                if let Some(r) = task.step(self, sx) {
                     return (r, events);
                 }
             }

@@ -45,6 +45,7 @@
 pub mod config;
 pub mod engine;
 pub mod result;
+mod scratch;
 pub mod system;
 
 pub use config::{EngineConfig, SymmetryPolicy, VpSelection};

@@ -16,18 +16,19 @@
 
 use crate::config::{EngineConfig, VpSelection};
 use crate::engine::MeasureTask;
-use crate::result::{RevtrResult, RevtrStats};
+use crate::result::{RevtrHop, RevtrResult, RevtrStats};
+use crate::scratch::{novel, on_path, Scratch, DEMOTED};
 use parking_lot::{Mutex, RwLock};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, AsId, PrefixId, Sim};
+use revtr_netsim::{Addr, AsId, PrefixId, RrSlots, Sim};
 use revtr_probing::{
     ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet,
 };
-use revtr_vpselect::{IngressDb, IngressQueue};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use revtr_vpselect::{IngressDb, PlanView};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Extract reverse hops from an RR reply to `dst`: the slots after the
 /// destination's own stamp (located by exact match, or by the Appx. C
@@ -41,12 +42,12 @@ use std::sync::Arc;
 /// destination also stamps it at the forward/reply boundary, so the last
 /// occurrence is never before the boundary — while the first can be, and
 /// taking it would misattribute forward stamps to the reverse path.
-pub fn extract_reverse_hops(slots: &[Addr], dst: Addr) -> Option<Vec<Addr>> {
+pub fn extract_reverse_hops(slots: &[Addr], dst: Addr) -> Option<&[Addr]> {
     let pos = slots
         .iter()
         .rposition(|&s| s == dst)
         .or_else(|| slots.windows(2).position(|w| w[0] == w[1]).map(|p| p + 1))?;
-    Some(slots[pos + 1..].to_vec())
+    Some(&slots[pos + 1..])
 }
 
 /// Ark-style adjacency dataset: address → neighbouring addresses.
@@ -106,10 +107,11 @@ impl StageStart {
     }
 }
 
-/// A concluded record-route step: the newly discovered reverse hops, the
-/// provenance of the revealing probe (all hops of one return come from one
-/// reply), and whether that probe was spoofed.
-pub(crate) type RrFound = (Vec<Addr>, RrProvenance, bool);
+/// A concluded record-route step: the newly discovered reverse hops (held
+/// inline — one reply has at most nine slots), the provenance of the
+/// revealing probe (all hops of one return come from one reply), and
+/// whether that probe was spoofed.
+pub(crate) type RrFound = (RrSlots, RrProvenance, bool);
 
 /// Outcome of [`RevtrSystem::rr_begin`]: either the step concluded without
 /// needing a spoofed batch, or a machine carrying the spoofed-round state.
@@ -117,57 +119,33 @@ pub(crate) type RrFound = (Vec<Addr>, RrProvenance, bool);
 // never stored — so the Done/Pending size gap costs nothing; boxing the
 // machine would add a heap round-trip per RR step instead.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum RrProgress {
+pub(crate) enum RrProgress<'a> {
     /// The step finished (direct RR hit, or no usable VP queues).
     Done(Option<RrFound>),
     /// Spoofed rounds pending; drive with [`RevtrSystem::rr_round`].
-    Pending(RrMachine),
+    Pending(RrMachine<'a>),
 }
 
 /// Mid-flight state of a record-route step's spoofed-batch rounds: the VP
-/// queues with their cursors and transient-stall counters, plus the open
-/// `rr_step`/`rr_spoofed` telemetry spans. One [`RevtrSystem::rr_round`]
+/// plan it walks — borrowed from the ingress database, never copied —
+/// plus the open `rr_step`/`rr_spoofed` telemetry spans. The walk itself
+/// (per-queue cursor, stalls and visiting order) and what the rounds
+/// learn sit in the driver's [`Scratch`]. One [`RevtrSystem::rr_round`]
 /// call issues one batch — one virtual 10 s collection timeout — and is
 /// one step (one event) of the control block that parks the machine
 /// between rounds.
-pub(crate) struct RrMachine {
+pub(crate) struct RrMachine<'a> {
     cur: Addr,
     st: StageStart,
     spoof_span: StageStart,
     batches0: u32,
-    queues: Vec<IngressQueue>,
-    cursors: Vec<usize>,
-    stalls: Vec<u32>,
-    active: Vec<usize>,
-    /// Full VP queues held back while the stop-set winner VP runs solo;
-    /// installed (once) if the winner round reveals nothing.
-    staged: Option<Vec<IngressQueue>>,
+    plan: PlanView<'a>,
     /// Whether any round produced a *usable* reply (ingress check passed
     /// and slots survived past the target), even if it revealed nothing
     /// novel for this request's path. Gates the cross-source
     /// `SpoofFutile` publication: only a ladder with zero usable replies
     /// proves the router unreachable by this plan's VPs.
     pub(crate) usable_seen: bool,
-    /// VPs whose probe this step *proved* futile at the router: a reply
-    /// arrived (or the probe went genuinely unanswered — not a transient,
-    /// fault-attributed loss) without a usable observation. Drained by
-    /// the engine into `VpFutile` stop-set contributions.
-    pub(crate) futile_vps: Vec<Addr>,
-    /// One entry per *resolved* spoofed pair: `(vp, landed)`. A pair
-    /// resolves alive the round any reply lands, and dead only when it
-    /// exhausts its stall cycle with every loss fault-attributed; genuine
-    /// non-answers record nothing (they blame the destination). Recorded
-    /// only under [`EngineConfig::harden`]; drained by the engine into
-    /// the stop-set spoof-quarantine window, which sidelines VPs whose
-    /// pairs have largely stopped resolving alive (the
-    /// `spoof_filter_rollout` countermeasure).
-    pub(crate) spoof_outcomes: Vec<(Addr, bool)>,
-    /// Campaign spoof-quarantine set at ladder-open time (empty unless
-    /// [`EngineConfig::harden`]). Quarantined VPs get a single stall
-    /// re-batch — their vanishing pairs are explained by a spoof filter,
-    /// so re-sending only burns batches the live VPs behind them need —
-    /// while everyone else gets the raised hardened budget.
-    pub(crate) quarantined: HashSet<Addr>,
     /// Spoofed-batch width for this ladder: the engine's configured
     /// `batch_size` normally, or a smaller cap when the admission
     /// layer's degradation ladder is shrinking spoofed batches.
@@ -175,8 +153,11 @@ pub(crate) struct RrMachine {
 }
 
 /// Hints a record-route step takes from the campaign stop sets: facts an
-/// earlier request already paid probes to learn at the same router.
-#[derive(Clone, Debug, Default)]
+/// earlier request already paid probes to learn at the same router. The
+/// two set-valued hints — VPs to deprioritize, VPs under quarantine —
+/// ride in the driver's [`Scratch`] (`demoted`, `quarantined`), filled by
+/// whoever builds these.
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RrHints {
     /// Skip the direct (non-spoofed) RR ping — known futile for this
     /// source at this router.
@@ -187,34 +168,9 @@ pub(crate) struct RrHints {
     /// Open the spoofed ladder with this VP alone (the router's
     /// remembered winner); the full queues stay staged as a fallback.
     pub(crate) winner: Option<Addr>,
-    /// VPs proven futile at this router by earlier ladders — pruned from
-    /// the queues before the first batch forms.
-    pub(crate) futile: HashSet<Addr>,
     /// Cap on the spoofed-batch width (degradation ladder L1+): `None`
     /// uses the engine's configured `batch_size`.
     pub(crate) batch_cap: Option<usize>,
-}
-
-impl RrMachine {
-    /// Drain the per-VP spoofed-probe outcomes this step observed (empty
-    /// unless [`EngineConfig::harden`] recorded them). The engine feeds
-    /// them to the stop-set quarantine window.
-    pub(crate) fn take_spoof_outcomes(&mut self) -> Vec<(Addr, bool)> {
-        std::mem::take(&mut self.spoof_outcomes)
-    }
-}
-
-/// The hops of `hops` not already on the path, first occurrence order,
-/// deduplicated (the RR steps' novelty filter).
-pub(crate) fn novel(path_set: &HashSet<Addr>, hops: &[Addr]) -> Vec<Addr> {
-    let mut out = Vec::new();
-    let mut seen = path_set.clone();
-    for &h in hops {
-        if seen.insert(h) {
-            out.push(h);
-        }
-    }
-    out
 }
 
 /// The orchestrating system (Appx. A): sources, atlases, vantage points,
@@ -244,6 +200,16 @@ pub struct RevtrSystem<'s> {
     /// The campaign-wide probe-economy layer (consulted and fed only when
     /// [`EngineConfig::use_stop_sets`] is set).
     stopset: Arc<StopSet>,
+    /// The host's core count — the ceiling on a wave's width — resolved
+    /// by the first wave: asking the OS reads cgroup files (15 µs, four
+    /// allocations), too dear per wave and wasted on a system that never
+    /// runs one.
+    cores: OnceLock<usize>,
+    /// Idle request scratches. A driver takes one for as long as it
+    /// drives and hands it back, so the list never holds more than the
+    /// most drivers that ever ran at once; a driver that panics drops
+    /// its scratch instead.
+    scratches: Mutex<Vec<Scratch>>,
 }
 
 impl<'s> RevtrSystem<'s> {
@@ -285,7 +251,26 @@ impl<'s> RevtrSystem<'s> {
             usage: Mutex::new(HashMap::new()),
             generation: Mutex::new(HashMap::new()),
             stopset: Arc::new(StopSet::new()),
+            cores: OnceLock::new(),
+            scratches: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The host's core count.
+    pub(crate) fn cores(&self) -> usize {
+        *self
+            .cores
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// Take an idle scratch (or a fresh one) to drive requests with.
+    pub(crate) fn take_scratch(&self) -> Scratch {
+        self.scratches.lock().pop().unwrap_or_default()
+    }
+
+    /// Hand a scratch back once its driver is done with it.
+    pub(crate) fn return_scratch(&self, sx: Scratch) {
+        self.scratches.lock().push(sx);
     }
 
     /// The campaign stop sets (empty and unconsulted unless
@@ -557,11 +542,6 @@ impl<'s> RevtrSystem<'s> {
             || (src_prefix.is_some() && self.sim.topo().prefix_of(addr) == src_prefix)
     }
 
-    /// See [`extract_reverse_hops`].
-    fn extract_reverse(slots: &[Addr], cur: Addr) -> Option<Vec<Addr>> {
-        extract_reverse_hops(slots, cur)
-    }
-
     /// Inject additional adjacency data for the timestamp technique (used
     /// by the Appx. D.1 "perfect adjacencies" experiment).
     pub fn set_extra_adjacencies(&self, map: HashMap<Addr, Vec<Addr>>) {
@@ -580,46 +560,42 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The ingress-plan key encoded for the stop-set hint maps. Two
-    /// routers with equal keys get bitwise-identical VP queues from
-    /// [`RevtrSystem::vp_queues`], which is what makes plan-keyed ladder
+    /// routers with equal keys get the very same VP queues from
+    /// [`RevtrSystem::vp_plan`], which is what makes plan-keyed ladder
     /// hints (winner VP, per-VP futility) transfer between siblings: the
     /// ladder walks the same VP sequence at both.
     pub(crate) fn stop_plan_key(&self, addr: Addr) -> Option<u64> {
         self.plan_key(addr).map(|p| u64::from(p.0))
     }
 
-    /// VP queues for probing `cur` under the configured selection policy.
-    fn vp_queues(&self, cur: Addr) -> Vec<IngressQueue> {
+    /// The VP plan for probing `cur` under the configured selection
+    /// policy, borrowed from the ingress database, plus — for the
+    /// set-cover policy — the prefix whose in-range VPs go first.
+    fn vp_plan(&self, cur: Addr) -> (PlanView<'_>, Option<PrefixId>) {
+        let global = self.ingress.global_plan();
         match self.cfg.vp_selection {
             VpSelection::Ingress => {
                 let plan = self
                     .plan_key(cur)
-                    .map(|p| self.ingress.ingress_plan(p))
-                    .unwrap_or_default();
-                if !plan.is_empty() {
-                    return plan;
-                }
-                // Never-probed prefix: fall back to the global head.
-                vec![IngressQueue {
-                    expected_ingress: None,
-                    vps: self.ingress.global_plan().iter().copied().take(9).collect(),
-                }]
+                    .map(|p| self.ingress.plan_view(p))
+                    .filter(|plan| !plan.is_empty())
+                    // Never-probed prefix: fall back to the global head.
+                    .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)]));
+                (plan, None)
             }
-            VpSelection::SetCover => {
-                let vps = self
-                    .plan_key(cur)
-                    .map(|p| self.ingress.revtr1_plan(p))
-                    .unwrap_or_else(|| self.ingress.global_plan().to_vec());
-                vec![IngressQueue {
-                    expected_ingress: None,
-                    vps,
-                }]
-            }
-            VpSelection::Global => vec![IngressQueue {
-                expected_ingress: None,
-                vps: self.ingress.global_plan().to_vec(),
-            }],
+            // The revtr 1.0 order is the global one with the prefix's
+            // in-range VPs moved to the front ([`IngressDb::revtr1_plan`]):
+            // the ladder ranks them there instead of copying the plan.
+            VpSelection::SetCover => (PlanView::Ranking(global), self.plan_key(cur)),
+            VpSelection::Global => (PlanView::Ranking(global), None),
         }
+    }
+
+    /// Every VP the spoofed ladder at `cur` could probe from, queue by
+    /// queue (a VP covering two ingresses shows up twice).
+    pub(crate) fn plan_vps(&self, cur: Addr) -> impl Iterator<Item = Addr> + '_ {
+        let (plan, _) = self.vp_plan(cur);
+        plan.queues().flat_map(|(_, vps)| vps.iter().copied())
     }
 
     /// Bump the intersected-trace usage counter feeding the atlas refresh
@@ -644,9 +620,10 @@ impl<'s> RevtrSystem<'s> {
     /// faults make walks clock-dependent), the evidence is kept as
     /// measured. On honest replies the extraction is always a subset of
     /// the replay — this filter provably never drops a truthful hop.
-    fn harden_rr_filter(&self, rev: Vec<Addr>, prov: &RrProvenance) -> Vec<Addr> {
+    fn harden_rr_filter(&self, rev: &[Addr], prov: &RrProvenance) -> RrSlots {
+        let keep_all = || rev.iter().copied().collect();
         if !self.cfg.harden || rev.is_empty() {
-            return rev;
+            return keep_all();
         }
         let Some(truth) = self.sim.oracle().replay_rr_reply_stamps(
             prov.sender,
@@ -656,14 +633,14 @@ impl<'s> RevtrSystem<'s> {
             prov.fwd_epoch,
             prov.rep_epoch,
         ) else {
-            return rev;
+            return keep_all();
         };
-        let (kept, dropped): (Vec<Addr>, Vec<Addr>) =
-            rev.into_iter().partition(|h| truth.contains(h));
-        if !dropped.is_empty() {
-            self.prober
-                .telemetry()
-                .counter_add("core.harden.rr_lies_filtered", dropped.len() as u64);
+        let kept: RrSlots = rev.iter().copied().filter(|h| truth.contains(h)).collect();
+        if kept.len() < rev.len() {
+            self.prober.telemetry().counter_add(
+                "core.harden.rr_lies_filtered",
+                (rev.len() - kept.len()) as u64,
+            );
         }
         kept
     }
@@ -762,6 +739,13 @@ impl<'s> RevtrSystem<'s> {
         req.exit_costed(st.tok, self.prober.clock().thread_ms(), &fields[..n], cost);
     }
 
+    /// The reverse hops an RR reply to `cur` reveals, after the hardened
+    /// engine's replay filter; `None` when the destination's stamp cannot
+    /// be located (the reply is unusable).
+    fn reverse_hops(&self, slots: &[Addr], cur: Addr, prov: &RrProvenance) -> Option<RrSlots> {
+        extract_reverse_hops(slots, cur).map(|rev| self.harden_rr_filter(rev, prov))
+    }
+
     /// Begin a record-route step against `cur`: open the `rr_step` span,
     /// try the direct (non-spoofed) RR ping from the source, and — if that
     /// reveals nothing — set up the spoofed-batch machine.
@@ -772,15 +756,19 @@ impl<'s> RevtrSystem<'s> {
     /// the caller drives via [`RevtrSystem::rr_round`] — each round is one
     /// spoofed batch, i.e. one virtual 10 s collection timeout, which is
     /// exactly one engine event.
+    ///
+    /// Besides `hints`, the step reads two hints out of `sx`, which the
+    /// caller fills (or clears): `demoted`, the VPs its ladder visits
+    /// last, and `quarantined`, the VPs it grants a single re-batch.
     pub(crate) fn rr_begin(
         &self,
         cur: Addr,
         src: Addr,
-        path_set: &HashSet<Addr>,
+        sx: &mut Scratch,
         stats: &mut RevtrStats,
         req: &mut RequestScope,
         hints: RrHints,
-    ) -> RrProgress {
+    ) -> RrProgress<'_> {
         let st = self.stage_enter(req, "rr_step");
 
         // Direct (non-spoofed) RR ping from the source — skipped when an
@@ -788,9 +776,8 @@ impl<'s> RevtrSystem<'s> {
         if !hints.skip_direct {
             let direct = self.stage_enter(req, "rr_direct");
             if let Ok((reply, prov)) = self.prober.rr_ping_observed(src, cur) {
-                if let Some(rev) = Self::extract_reverse(&reply.slots, cur) {
-                    let rev = self.harden_rr_filter(rev, &prov);
-                    let new = novel(path_set, &rev);
+                if let Some(rev) = self.reverse_hops(&reply.slots, cur, &prov) {
+                    let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
                         self.stage_exit(req, direct, &[("hit", 1)]);
                         return RrProgress::Done(self.rr_close(req, st, Some((new, prov, false))));
@@ -807,57 +794,30 @@ impl<'s> RevtrSystem<'s> {
             return RrProgress::Done(self.rr_close(req, st, None));
         }
 
-        // Spoofed batches from the VP plan. Queues can legitimately be
-        // empty (an ingress with no in-range VPs): they must be excluded
-        // up front or the batch composer would index past the end.
+        // Spoofed batches from the VP plan, walked in place. Deprioritized
+        // (never dropped) are the VPs earlier ladders proved futile on
+        // this plan; a remembered ladder winner opens the step solo (one
+        // probe instead of a whole batch) under its own queue's ingress
+        // expectation, so a usable reply passes the same check a full
+        // ladder would have applied — see [`crate::scratch::Ladder`].
         let spoof_span = self.stage_enter(req, "rr_spoofed");
         let batches0 = stats.batches;
-        let mut full = self.vp_queues(cur);
-        // Deprioritize (never drop) VPs earlier ladders proved futile on
-        // this plan: a stable partition walks the live candidates first,
-        // so a winning ladder skips the known-dead prefix, while an
-        // exhausting ladder still reaches every VP — reordering cannot
-        // cost coverage the way pruning measurably does (a "futile"
-        // sibling VP is occasionally the only one in range here).
-        if !hints.futile.is_empty() {
-            let mut moved = 0u64;
-            for q in &mut full {
-                let (live, dead): (Vec<Addr>, Vec<Addr>) = q
-                    .vps
-                    .iter()
-                    .copied()
-                    .partition(|v| !hints.futile.contains(v));
-                if !dead.is_empty() && !live.is_empty() {
-                    moved += dead.len() as u64;
-                    q.vps = live;
-                    q.vps.extend(dead);
-                }
-            }
-            self.stopset.note_vp_skips(moved);
-        }
-        // A remembered ladder winner opens the step solo (one probe
-        // instead of a whole batch); the full queues stay staged as the
-        // fallback. The solo queue keeps the winner's own ingress
-        // expectation, so a usable reply passes the same check a full
-        // ladder would have applied.
-        let solo = hints.winner.and_then(|w| {
-            full.iter()
-                .find(|q| q.vps.contains(&w))
-                .map(|q| IngressQueue {
-                    expected_ingress: q.expected_ingress,
-                    vps: vec![w],
-                })
-        });
-        let (queues, staged) = match solo {
-            Some(q) => (vec![q], Some(full)),
-            None => (full, None),
-        };
-        let cursors: Vec<usize> = vec![0; queues.len()];
-        let stalls: Vec<u32> = vec![0; queues.len()];
-        let active: Vec<usize> = (0..queues.len())
-            .filter(|&qi| !queues[qi].vps.is_empty())
-            .collect();
-        if active.is_empty() {
+        let (plan, near) = self.vp_plan(cur);
+        let demoted = &sx.demoted;
+        let moved = sx.ladder.open(
+            plan,
+            |vp| {
+                let far = near.is_some_and(|p| !self.ingress.in_range(p, vp));
+                u8::from(far) + if demoted.contains(&vp) { DEMOTED } else { 0 }
+            },
+            hints.winner,
+        );
+        self.stopset.note_vp_skips(moved);
+        sx.futile_vps.clear();
+        sx.spoof_outcomes.clear();
+        // Queues can legitimately be empty (an ingress with no in-range
+        // VPs); a plan with nothing to try ends the step here.
+        if sx.ladder.is_exhausted() {
             self.stage_exit(
                 req,
                 spoof_span,
@@ -865,28 +825,13 @@ impl<'s> RevtrSystem<'s> {
             );
             return RrProgress::Done(self.rr_close(req, st, None));
         }
-        // Snapshot the spoof-quarantine set once per ladder: rounds
-        // consult it to withhold stall re-batches from VPs whose pairs
-        // the campaign already knows vanish (persistent spoof filtering).
-        let quarantined = if self.cfg.harden {
-            self.stopset.quarantined_vps()
-        } else {
-            HashSet::new()
-        };
         RrProgress::Pending(RrMachine {
             cur,
             st,
             spoof_span,
             batches0,
-            queues,
-            cursors,
-            stalls,
-            active,
-            staged,
+            plan,
             usable_seen: false,
-            futile_vps: Vec::new(),
-            spoof_outcomes: Vec::new(),
-            quarantined,
             batch_cap: hints.batch_cap.unwrap_or(self.cfg.batch_size).max(1),
         })
     }
@@ -908,31 +853,42 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// One spoofed-batch round of a pending record-route step: compose a
-    /// batch from the machine's active queues, issue it, and either
-    /// conclude the step (`Some(outcome)`) or leave the machine ready for
-    /// the next round (`None`). Semantics are identical to one iteration
-    /// of the old blocking loop.
+    /// batch from the ladder in `sx`, issue it, and either conclude the
+    /// step (`Some(outcome)`) or leave the ladder ready for the next round
+    /// (`None`). Allocates nothing: batch, prober reply and verdicts all
+    /// overwrite the scratch's buffers.
     pub(crate) fn rr_round(
         &self,
-        m: &mut RrMachine,
+        m: &mut RrMachine<'_>,
         src: Addr,
-        path_set: &HashSet<Addr>,
+        sx: &mut Scratch,
         stats: &mut RevtrStats,
         req: &mut RequestScope,
     ) -> Option<Option<RrFound>> {
-        // Compose a batch: the current VP of up to `batch_size` distinct
-        // queues, in order.
-        let mut batch: Vec<(usize, Addr)> = Vec::new();
-        for &qi in m.active.iter().take(m.batch_cap) {
-            batch.push((qi, m.queues[qi].vps[m.cursors[qi]]));
-        }
-        let pairs: Vec<(Addr, Addr)> = batch.iter().map(|&(_, vp)| (vp, m.cur)).collect();
+        let Scratch {
+            hops,
+            quarantined,
+            ladder,
+            batch,
+            pairs,
+            bases,
+            reply,
+            usable,
+            futile_vps,
+            spoof_outcomes,
+            ..
+        } = sx;
+        // The current VP of up to `batch_cap` distinct queues, in order.
+        ladder.compose(m.plan, m.batch_cap, batch);
+        pairs.clear();
+        pairs.extend(batch.iter().map(|slot| (slot.vp, m.cur)));
         // A re-batched pair passes its stall count as the scenario attempt
         // base, so adversarial rate limiters re-roll their per-attempt
         // drop instead of repeating one verdict forever (request-local
         // state: worker-count-invariant).
-        let bases: Vec<u32> = batch.iter().map(|&(qi, _)| m.stalls[qi]).collect();
-        let replies = self.prober.spoofed_rr_batch_at(&pairs, src, &bases);
+        bases.clear();
+        bases.extend(batch.iter().map(|slot| slot.stalls));
+        self.prober.spoofed_rr_batch_at(pairs, src, bases, reply);
         if self.cfg.harden {
             // One quarantine outcome per *pair*, not per re-batch: a
             // landing resolves the pair as alive the round it happens;
@@ -942,56 +898,41 @@ impl<'s> RevtrSystem<'s> {
             // lands, whatever the retries) from a rate-limited one
             // (every pair lands eventually): per-re-batch counting makes
             // the two look alike.
-            for (slot, &(_, vp)) in batch.iter().enumerate() {
-                if replies.replies[slot].is_some() {
-                    m.spoof_outcomes.push((vp, true));
+            for (slot, r) in batch.iter().zip(&reply.replies) {
+                if r.is_some() {
+                    spoof_outcomes.push((slot.vp, true));
                 }
             }
         }
         // Count the collection timeouts actually charged: a fully cached
         // batch costs no virtual time and no batch.
-        stats.batches += replies.timeouts;
+        stats.batches += reply.timeouts;
 
-        let mut best: Vec<Addr> = Vec::new();
-        let mut best_prov: Option<RrProvenance> = None;
-        let mut usable_slots = vec![false; batch.len()];
-        for (slot, (qi, _vp)) in batch.iter().enumerate() {
-            let q = &m.queues[*qi];
-            let usable = replies.replies[slot].as_ref().and_then(|r| {
-                // The probe must have traversed the expected ingress.
-                if let Some(ing) = q.expected_ingress {
-                    if !r.slots.contains(&ing) {
-                        return None;
-                    }
-                }
-                let rev = Self::extract_reverse(&r.slots, m.cur)?;
-                Some(match replies.provenance[slot].as_ref() {
-                    Some(p) => self.harden_rr_filter(rev, p),
-                    None => rev,
-                })
-            });
-            if let Some(rev) = usable {
+        // A reply (it always comes with its provenance) is usable when it
+        // traversed the expected ingress and the router's own stamp can be
+        // located in it; the usable reply with the most novel hops wins.
+        let mut best: Option<(RrSlots, RrProvenance)> = None;
+        usable.clear();
+        for (slot, (r, prov)) in batch
+            .iter()
+            .zip(reply.replies.iter().zip(&reply.provenance))
+        {
+            let rev = r
+                .as_ref()
+                .zip(prov.as_ref())
+                .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
+                .and_then(|(r, prov)| Some((self.reverse_hops(&r.slots, m.cur, prov)?, *prov)));
+            usable.push(rev.is_some());
+            if let Some((rev, prov)) = rev {
                 m.usable_seen = true;
-                usable_slots[slot] = true;
-                let new = novel(path_set, &rev);
-                if new.len() > best.len() {
-                    best = new;
-                    best_prov = replies.provenance[slot];
+                let new = novel(hops, &rev);
+                if new.len() > best.as_ref().map_or(0, |(b, _)| b.len()) {
+                    best = Some((new, prov));
                 }
             }
         }
-        if let Some(prov) = best_prov.filter(|_| !best.is_empty()) {
-            let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
-            self.stage_exit(
-                req,
-                spoof_span,
-                &[
-                    ("hit", 1),
-                    ("batches", u64::from(stats.batches - m.batches0)),
-                ],
-            );
-            let st = std::mem::replace(&mut m.st, StageStart::empty());
-            return Some(self.rr_close(req, st, Some((best, prov, true))));
+        if let Some((new, prov)) = best {
+            return Some(self.rr_conclude(m, stats, req, Some((new, prov, true))));
         }
         // Nothing came back. A queue whose probe was *transiently* lost
         // (fault-attributed, budget exhausted) keeps its current VP for a
@@ -999,70 +940,65 @@ impl<'s> RevtrSystem<'s> {
         // because of packet loss. Every other probed queue advances to its
         // next (less close) VP — whether it failed the ingress check, went
         // genuinely unanswered, or answered without revealing new hops.
-        for (slot, &(qi, vp)) in batch.iter().enumerate() {
+        let more = ladder.settle(batch, |i, slot| {
             let cap = if !self.cfg.harden {
                 TRANSIENT_STALL_BUDGET
-            } else if m.quarantined.contains(&vp) {
+            } else if quarantined.contains(&slot.vp) {
                 QUARANTINED_STALL_BUDGET
             } else {
                 HARDENED_STALL_BUDGET
             };
-            if replies.transient[slot] && m.stalls[qi] < cap {
-                m.stalls[qi] += 1;
-            } else {
-                m.cursors[qi] += 1;
-                m.stalls[qi] = 0;
-                // A non-transient failure *proves* this VP futile at the
-                // router (unanswered, wrong ingress, or slots spent before
-                // arrival) — campaign evidence. A usable-but-not-novel
-                // reply is request-specific and proves nothing.
-                if !replies.transient[slot] && !usable_slots[slot] {
-                    m.futile_vps.push(vp);
-                }
-                // The pair resolved without a single reply across its
-                // whole stall cycle of fault-attributed losses: that is
-                // the one observation that incriminates the VP (a
-                // genuine non-answer blames the destination instead and
-                // records nothing).
-                if self.cfg.harden && replies.transient[slot] {
-                    m.spoof_outcomes.push((vp, false));
-                }
+            let transient = reply.transient[i];
+            if transient && slot.stalls < cap {
+                return true;
             }
-        }
-        let (cursors, queues) = (&m.cursors, &m.queues);
-        m.active.retain(|&qi| cursors[qi] < queues[qi].vps.len());
-        if m.active.is_empty() {
-            // The solo winner round came up empty: fall back (once) to the
-            // staged full ladder before concluding the step.
-            if let Some(full) = m.staged.take() {
-                m.cursors = vec![0; full.len()];
-                m.stalls = vec![0; full.len()];
-                m.active = (0..full.len())
-                    .filter(|&qi| !full[qi].vps.is_empty())
-                    .collect();
-                m.queues = full;
-                if !m.active.is_empty() {
-                    return None;
-                }
+            // A non-transient failure *proves* this VP futile at the
+            // router (unanswered, wrong ingress, or slots spent before
+            // arrival) — campaign evidence. A usable-but-not-novel
+            // reply is request-specific and proves nothing.
+            if !transient && !usable[i] {
+                futile_vps.push(slot.vp);
             }
-            let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
-            self.stage_exit(
-                req,
-                spoof_span,
-                &[
-                    ("hit", 0),
-                    ("batches", u64::from(stats.batches - m.batches0)),
-                ],
-            );
-            let st = std::mem::replace(&mut m.st, StageStart::empty());
-            return Some(self.rr_close(req, st, None));
+            // The pair resolved without a single reply across its
+            // whole stall cycle of fault-attributed losses: that is
+            // the one observation that incriminates the VP (a
+            // genuine non-answer blames the destination instead and
+            // records nothing).
+            if self.cfg.harden && transient {
+                spoof_outcomes.push((slot.vp, false));
+            }
+            false
+        });
+        if more {
+            return None;
         }
-        None
+        Some(self.rr_conclude(m, stats, req, None))
+    }
+
+    /// Close a ladder's `rr_spoofed` and `rr_step` spans around `out`.
+    fn rr_conclude(
+        &self,
+        m: &mut RrMachine<'_>,
+        stats: &RevtrStats,
+        req: &mut RequestScope,
+        out: Option<RrFound>,
+    ) -> Option<RrFound> {
+        let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
+        self.stage_exit(
+            req,
+            spoof_span,
+            &[
+                ("hit", u64::from(out.is_some())),
+                ("batches", u64::from(stats.batches - m.batches0)),
+            ],
+        );
+        let st = std::mem::replace(&mut m.st, StageStart::empty());
+        self.rr_close(req, st, out)
     }
 
     /// The timestamp step (revtr 1.0 only): test traceroute-derived
     /// adjacencies of `cur` with TS-prespec probes.
-    pub(crate) fn ts_step(&self, cur: Addr, src: Addr, path_set: &HashSet<Addr>) -> Option<Addr> {
+    pub(crate) fn ts_step(&self, cur: Addr, src: Addr, path: &[RevtrHop]) -> Option<Addr> {
         let adj_db = self.adjacencies();
         let extra = self.extra_adjacency.read();
         let mut cands: Vec<Addr> = Vec::new();
@@ -1074,7 +1010,7 @@ impl<'s> RevtrSystem<'s> {
                 cands.extend(v.iter().copied());
             }
         }
-        cands.retain(|a| !path_set.contains(a));
+        cands.retain(|&a| !on_path(path, a));
         cands.truncate(self.cfg.max_ts_adjacencies);
         for adj in cands {
             match self.prober.ts_ping_outcome(src, cur, &[cur, adj]) {
@@ -1124,9 +1060,9 @@ impl<'s> RevtrSystem<'s> {
             }
             if let Some(&vp) = self
                 .ingress
-                .ingress_plan(pid)
-                .iter()
-                .flat_map(|q| q.vps.iter())
+                .plan_view(pid)
+                .queues()
+                .flat_map(|(_, vps)| vps)
                 .next()
             {
                 return Some(vp);
@@ -1173,9 +1109,11 @@ impl<'s> RevtrSystem<'s> {
     /// serial caller's durations keep their historical bits. A panicking
     /// measurement unwinds into the caller.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {
+        let mut sx = self.take_scratch();
         let (r, _events) = self
-            .drive(MeasureTask::new(dst, src))
+            .drive(MeasureTask::new(dst, src), &mut sx)
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        self.return_scratch(sx);
         if self.wave_barriers() {
             // A serial request is a wave of one: it merges at completion,
             // so the next request sees everything this one learned.
@@ -1218,7 +1156,7 @@ mod tests {
     fn extract_reverse_locates_exact_stamp() {
         let dst = a(5);
         let slots = [a(1), a(2), dst, a(7), a(8)];
-        assert_eq!(extract_reverse_hops(&slots, dst), Some(vec![a(7), a(8)]));
+        assert_eq!(extract_reverse_hops(&slots, dst), Some(&[a(7), a(8)][..]));
     }
 
     #[test]
@@ -1227,7 +1165,7 @@ mod tests {
         // Loopback destination: stamps `lo` twice, never `dst` itself.
         let lo = a(99);
         let slots = [a(1), lo, lo, a(7)];
-        assert_eq!(extract_reverse_hops(&slots, dst), Some(vec![a(7)]));
+        assert_eq!(extract_reverse_hops(&slots, dst), Some(&[a(7)][..]));
     }
 
     #[test]
@@ -1242,7 +1180,7 @@ mod tests {
     fn extract_reverse_empty_tail_when_stamp_is_last() {
         let dst = a(5);
         let slots = [a(1), a(2), dst];
-        assert_eq!(extract_reverse_hops(&slots, dst), Some(vec![]));
+        assert_eq!(extract_reverse_hops(&slots, dst), Some(&[][..]));
     }
 
     #[test]
@@ -1251,6 +1189,6 @@ mod tests {
         // duplicate pair later is treated as reverse hops.
         let dst = a(5);
         let slots = [a(1), dst, a(9), a(9)];
-        assert_eq!(extract_reverse_hops(&slots, dst), Some(vec![a(9), a(9)]));
+        assert_eq!(extract_reverse_hops(&slots, dst), Some(&[a(9), a(9)][..]));
     }
 }

@@ -106,7 +106,7 @@ fn reverse_hops_once(
         {
             if let Some(rev) = extract_reverse_hops(&reply.slots, target) {
                 if !rev.is_empty() {
-                    return rev;
+                    return rev.to_vec();
                 }
             }
         }

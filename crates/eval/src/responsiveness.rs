@@ -220,10 +220,9 @@ pub fn spoofing_benefit(ctx: &EvalContext) -> SpoofingBenefit {
         };
         let src = ctx.sources()[i % ctx.scale.n_sources.max(1)];
         let reveals = |reply: Option<revtr_netsim::RrReply>| -> bool {
-            reply
-                .and_then(|r| revtr::extract_reverse_hops(&r.slots, dst))
-                .map(|rev| !rev.is_empty())
-                .unwrap_or(false)
+            reply.is_some_and(|r| {
+                revtr::extract_reverse_hops(&r.slots, dst).is_some_and(|rev| !rev.is_empty())
+            })
         };
         if prober.rr_ping(src, dst).is_none() {
             continue; // not RR responsive: outside the denominator

@@ -122,7 +122,7 @@ fn reveal_reverse_hops(
         {
             if let Some(rev) = extract_reverse_hops(&reply.slots, target) {
                 if !rev.is_empty() {
-                    return rev;
+                    return rev.to_vec();
                 }
             }
         }

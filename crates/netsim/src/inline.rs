@@ -46,6 +46,17 @@ impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     }
 }
 
+/// Collects up to `N` values; panics on one more, like [`InlineVec::push`].
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = InlineVec::new();
+        for value in iter {
+            v.push(value);
+        }
+        v
+    }
+}
+
 impl<T, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
 
@@ -110,6 +121,7 @@ mod tests {
         c.push(0);
         assert!(c.is_full());
         assert_eq!((&c).into_iter().count(), 4);
+        assert_eq!(c.iter().copied().collect::<InlineVec<u32, 4>>(), c);
     }
 
     #[test]

@@ -115,8 +115,10 @@ pub struct RrProvenance {
     pub from_cache: bool,
 }
 
-/// Result of a spoofed RR batch, with per-pair fault attribution.
-#[derive(Clone, Debug)]
+/// Result of a spoofed RR batch, with per-pair fault attribution. The
+/// engine keeps one per driver and has every batch refill it
+/// ([`Prober::spoofed_rr_batch_at`]), so its vectors are allocated once.
+#[derive(Clone, Debug, Default)]
 pub struct BatchReply {
     /// Per-pair replies, in input order (`None` = no reply).
     pub replies: Vec<Option<RrReply>>,
@@ -129,6 +131,8 @@ pub struct BatchReply {
     /// Collection timeouts actually charged (0 for an empty or fully
     /// cached batch; > 1 when fault-lost pairs were re-collected).
     pub timeouts: u32,
+    /// Working list of a fill: the pairs still waiting for a reply.
+    pending: Vec<usize>,
 }
 
 /// Probe issuance facade.
@@ -445,10 +449,13 @@ impl<'s> Prober<'s> {
     /// are re-collected for up to [`RetryPolicy::batch_attempts`] rounds.
     /// An empty or fully cached batch costs nothing.
     pub fn spoofed_rr_batch(&self, pairs: &[(Addr, Addr)], claimed: Addr) -> BatchReply {
-        self.spoofed_rr_batch_at(pairs, claimed, &[])
+        let mut out = BatchReply::default();
+        self.spoofed_rr_batch_at(pairs, claimed, &[], &mut out);
+        out
     }
 
-    /// [`Prober::spoofed_rr_batch`] with per-pair scenario attempt bases:
+    /// [`Prober::spoofed_rr_batch`] into a caller-owned `out` (overwritten;
+    /// its vectors are reused), with per-pair scenario attempt bases:
     /// `attempt_base[i]` (missing entries read 0) counts the pair's prior
     /// re-batches, so adversarial rate limiters re-roll their per-attempt
     /// drop on every re-collection instead of repeating the same verdict.
@@ -459,15 +466,24 @@ impl<'s> Prober<'s> {
         pairs: &[(Addr, Addr)],
         claimed: Addr,
         attempt_base: &[u32],
-    ) -> BatchReply {
+        out: &mut BatchReply,
+    ) {
         let n = pairs.len();
-        let mut out = BatchReply {
-            replies: vec![None; n],
-            provenance: vec![None; n],
-            transient: vec![false; n],
-            timeouts: 0,
-        };
-        let mut pending: Vec<usize> = Vec::with_capacity(n);
+        let BatchReply {
+            replies,
+            provenance,
+            transient,
+            timeouts,
+            pending,
+        } = out;
+        replies.clear();
+        replies.resize(n, None);
+        provenance.clear();
+        provenance.resize(n, None);
+        transient.clear();
+        transient.resize(n, false);
+        *timeouts = 0;
+        pending.clear();
         for (i, &(vp, dst)) in pairs.iter().enumerate() {
             let key = RrKey {
                 sender: vp,
@@ -477,7 +493,7 @@ impl<'s> Prober<'s> {
             if self.use_cache {
                 if let Some(hit) = self.cache.get_rr(self.sim, key) {
                     if hit.reply.is_some() {
-                        out.provenance[i] = Some(RrProvenance {
+                        provenance[i] = Some(RrProvenance {
                             sender: vp,
                             claimed,
                             dst,
@@ -487,7 +503,7 @@ impl<'s> Prober<'s> {
                             from_cache: true,
                         });
                     }
-                    out.replies[i] = hit.reply;
+                    replies[i] = hit.reply;
                     continue;
                 }
             }
@@ -508,8 +524,8 @@ impl<'s> Prober<'s> {
                 self.telemetry
                     .counter_add("probing.retries", pending.len() as u64);
             }
-            let mut still_pending = Vec::new();
-            for &i in &pending {
+            // Probe the pending pairs in order; the fault-lost ones stay.
+            pending.retain(|&i| {
                 let (vp, dst) = pairs[i];
                 self.counters.bump(ProbeKind::SpoofRr);
                 let att = attempt_base.get(i).copied().unwrap_or(0) + round;
@@ -517,9 +533,8 @@ impl<'s> Prober<'s> {
                 {
                     self.counters.bump(ProbeKind::Lost);
                     self.tele_lost();
-                    out.transient[i] = true;
-                    still_pending.push(i);
-                    continue;
+                    transient[i] = true;
+                    return true;
                 }
                 let nonce = self.next_nonce();
                 let (fwd_epoch, rep_epoch) = self.epochs(dst, claimed);
@@ -542,7 +557,7 @@ impl<'s> Prober<'s> {
                         },
                     );
                 }
-                out.provenance[i] = r.as_ref().map(|_| RrProvenance {
+                provenance[i] = r.as_ref().map(|_| RrProvenance {
                     sender: vp,
                     claimed,
                     dst,
@@ -551,20 +566,19 @@ impl<'s> Prober<'s> {
                     rep_epoch,
                     from_cache: false,
                 });
-                out.replies[i] = r;
-                out.transient[i] = false;
-            }
-            out.timeouts += 1;
+                replies[i] = r;
+                transient[i] = false;
+                false
+            });
+            *timeouts += 1;
             self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim);
-            pending = still_pending;
         }
         if self.telemetry.is_enabled() && n > 0 {
             self.telemetry
-                .record("probing.batch.rounds", u64::from(out.timeouts));
+                .record("probing.batch.rounds", u64::from(*timeouts));
             self.telemetry
-                .counter_add("probing.batch.timeouts", u64::from(out.timeouts));
+                .counter_add("probing.batch.timeouts", u64::from(*timeouts));
         }
-        out
     }
 
     // ---- timestamp -------------------------------------------------------------

@@ -54,17 +54,19 @@
 //! [`CacheStats`]: crate::cache::CacheStats
 
 use crate::prober::RrProvenance;
-use revtr_netsim::{Addr, RrReply};
+use revtr_netsim::{Addr, RrReply, RrSlots};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// One reusable RR observation: the reverse hops it revealed plus the
-/// send-time provenance the audit layer replays it under.
-#[derive(Clone, Debug, PartialEq)]
+/// send-time provenance the audit layer replays it under. Held inline
+/// (one reply has at most nine slots), so storing, publishing and
+/// consulting one never touches the heap.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StoredRr {
     /// Reverse hops the observation revealed (post-destination stamps).
-    pub hops: Vec<Addr>,
+    pub hops: RrSlots,
     /// Send-time provenance of the original probe (original nonce and
     /// churn epochs — reuse must replay the send, not the reuse instant).
     pub provenance: RrProvenance,
@@ -287,6 +289,13 @@ impl StopSetBytes {
     }
 }
 
+/// Ledger footprint of one backward entry apart from its hops, which
+/// [`StopSet::approx_bytes`] prices at four bytes each: the two
+/// `(24-byte hop vector header, 40-byte provenance)` slots the byte
+/// budgets were recorded with. The hops now sit inline in the slots; the
+/// ledger keeps its unit so readings stay comparable across that change.
+const BACKWARD_ENTRY_BYTES: usize = 128;
+
 /// Length of the per-VP spoof-outcome sliding window.
 pub const SPOOF_WINDOW: u8 = 8;
 
@@ -334,7 +343,9 @@ struct Published {
     winners: HashMap<u64, Addr>,
     direct_futile: HashSet<(Addr, Addr)>,
     spoof_futile: HashSet<Addr>,
-    vp_futile: HashMap<u64, HashSet<Addr>>,
+    /// `(plan, vp)` pairs, one flat table: a publication grows it like any
+    /// map, never allocating a set per plan.
+    vp_futile: HashSet<(u64, Addr)>,
     forward: HashMap<(Addr, Addr), Option<RrReply>>,
     spoof_windows: HashMap<Addr, SpoofWindow>,
 }
@@ -364,63 +375,14 @@ impl StopSet {
 
     // ---- consults (published view only) -----------------------------------
 
-    /// Backward consult: reusable evidence at `(src, cur)`, preferring the
-    /// direct slot. Counts a hit or miss.
-    pub fn backward(&self, src: Addr, cur: Addr) -> Option<(StoredRr, bool)> {
-        let g = self.published.read().expect("stopset lock poisoned");
-        match g.backward.get(&(src, cur)).and_then(|e| e.best()) {
-            Some((s, spoofed)) => {
-                self.backward_hits.fetch_add(1, Ordering::Relaxed);
-                Some((s.clone(), spoofed))
-            }
-            None => {
-                self.backward_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// Open a consult: one read lock over the published view, under which
+    /// a stitch step asks everything it wants to know. Drop it before the
+    /// step probes — a merge barrier waits for every open consult.
+    pub fn consult(&self) -> Consult<'_> {
+        Consult {
+            set: self,
+            view: self.published.read().expect("stopset lock poisoned"),
         }
-    }
-
-    /// The remembered ladder-winner VP for an ingress plan, if any.
-    /// Counts a winner hit when present (the consult is free either way —
-    /// this is a hint, not a lookup that replaces a probe by itself).
-    pub fn winner(&self, plan: u64) -> Option<Addr> {
-        let g = self.published.read().expect("stopset lock poisoned");
-        let w = g.winners.get(&plan).copied();
-        if w.is_some() {
-            self.winner_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        w
-    }
-
-    /// Whether direct RR from `src` is known futile at this exact router.
-    /// Counts a skip when true.
-    pub fn direct_futile(&self, src: Addr, cur: Addr) -> bool {
-        let g = self.published.read().expect("stopset lock poisoned");
-        let f = g.direct_futile.contains(&(src, cur));
-        if f {
-            self.direct_skips.fetch_add(1, Ordering::Relaxed);
-        }
-        f
-    }
-
-    /// Whether the spoofed ladder at `cur` is known exhausted without a
-    /// usable reply (for any source). Counts a skip when true.
-    pub fn spoof_futile(&self, cur: Addr) -> bool {
-        let g = self.published.read().expect("stopset lock poisoned");
-        let f = g.spoof_futile.contains(&cur);
-        if f {
-            self.spoof_skips.fetch_add(1, Ordering::Relaxed);
-        }
-        f
-    }
-
-    /// The VPs known futile on an ingress plan (empty set when none).
-    /// Does not count anything by itself: a futile VP only matters when
-    /// a ladder actually deprioritizes it, which the caller reports via
-    /// [`StopSet::note_vp_skips`].
-    pub fn futile_vps(&self, plan: u64) -> HashSet<Addr> {
-        let g = self.published.read().expect("stopset lock poisoned");
-        g.vp_futile.get(&plan).cloned().unwrap_or_default()
     }
 
     /// Record `n` VPs actually deprioritized in a ladder queue on
@@ -430,21 +392,6 @@ impl StopSet {
         if n > 0 {
             self.vp_skips.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// The VPs currently quarantined: their spoof-outcome window is full
-    /// and a majority of the pairs in it vanished (a spoof filter is
-    /// swallowing them). Empty unless the hardened engine has been
-    /// feeding [`Note::VpSpoofOutcome`]s. Does not count anything by
-    /// itself — the caller reports actual deprioritizations via
-    /// [`StopSet::note_quarantine_skips`].
-    pub fn quarantined_vps(&self) -> HashSet<Addr> {
-        let g = self.published.read().expect("stopset lock poisoned");
-        g.spoof_windows
-            .iter()
-            .filter(|(_, w)| w.quarantined())
-            .map(|(&vp, _)| vp)
-            .collect()
     }
 
     /// Record `n` VPs actually deprioritized on a quarantine hint.
@@ -484,10 +431,9 @@ impl StopSet {
     /// the engine at wave barriers (and after every serial step), never
     /// concurrently with task execution.
     pub fn merge_pending(&self) {
-        let mut pending = {
-            let mut g = self.pending.lock().expect("stopset lock poisoned");
-            std::mem::take(&mut *g)
-        };
+        // Drained in place: the buffer keeps its capacity, so a serial
+        // caller merging after every request does not regrow it each time.
+        let mut pending = self.pending.lock().expect("stopset lock poisoned");
         if pending.is_empty() {
             return;
         }
@@ -498,7 +444,7 @@ impl StopSet {
                 .then(a.seq.cmp(&b.seq))
         });
         let mut g = self.published.write().expect("stopset lock poisoned");
-        for c in pending {
+        for c in pending.drain(..) {
             match c.note {
                 Note::Backward {
                     src,
@@ -526,7 +472,7 @@ impl StopSet {
                     g.spoof_futile.insert(cur);
                 }
                 Note::VpFutile { plan, vp } => {
-                    g.vp_futile.entry(plan).or_default().insert(vp);
+                    g.vp_futile.insert((plan, vp));
                 }
                 Note::VpSpoofOutcome { vp, landed } => {
                     g.spoof_windows.entry(vp).or_default().push(landed);
@@ -553,8 +499,8 @@ impl StopSet {
     // ---- introspection ----------------------------------------------------
 
     /// Logical byte footprint of the published hint tables, split by
-    /// group. Entry counts × fixed per-entry footprints plus the variable
-    /// hop vectors — a pure function of published contents, so readings
+    /// group. Entry counts × fixed per-entry footprints plus four bytes
+    /// per stored hop — a pure function of published contents, so readings
     /// are identical for any worker count that publishes the same view.
     pub fn approx_bytes(&self) -> StopSetBytes {
         let g = self.published.read().expect("stopset lock poisoned");
@@ -568,7 +514,7 @@ impl StopSet {
                         .map(|s| s.hops.len() * std::mem::size_of::<Addr>())
                         .unwrap_or(0)
                 };
-                key2 + std::mem::size_of::<BackwardEntry>() + stored(&e.direct) + stored(&e.spoofed)
+                key2 + BACKWARD_ENTRY_BYTES + stored(&e.direct) + stored(&e.spoofed)
             })
             .sum::<usize>() as u64;
         // A reply holds its slots inline: an entry has no heap part.
@@ -577,12 +523,13 @@ impl StopSet {
             + g.spoof_windows.len()
                 * (std::mem::size_of::<Addr>() + std::mem::size_of::<SpoofWindow>()))
             as u64;
+        // Per-VP futility is priced as a key per plan and an address per
+        // VP, the unit it was budgeted in as a set per plan.
+        let futile_plans: HashSet<u64> = g.vp_futile.iter().map(|&(plan, _)| plan).collect();
         let futility = (g.direct_futile.len() * key2
             + g.spoof_futile.len() * std::mem::size_of::<Addr>()
-            + g.vp_futile
-                .values()
-                .map(|vps| std::mem::size_of::<u64>() + vps.len() * std::mem::size_of::<Addr>())
-                .sum::<usize>()) as u64;
+            + futile_plans.len() * std::mem::size_of::<u64>()
+            + g.vp_futile.len() * std::mem::size_of::<Addr>()) as u64;
         StopSetBytes {
             backward,
             forward,
@@ -630,6 +577,85 @@ impl StopSet {
     }
 }
 
+/// An open consult of the published view (see [`StopSet::consult`]). Its
+/// sets answer membership questions; the one that is listed
+/// ([`Consult::quarantined_vps`]) comes in no particular order, and
+/// nothing downstream may depend on it.
+pub struct Consult<'a> {
+    set: &'a StopSet,
+    view: RwLockReadGuard<'a, Published>,
+}
+
+impl Consult<'_> {
+    /// Backward consult: reusable evidence at `(src, cur)`, preferring the
+    /// direct slot. Counts a hit or miss.
+    pub fn backward(&self, src: Addr, cur: Addr) -> Option<(StoredRr, bool)> {
+        match self.view.backward.get(&(src, cur)).and_then(|e| e.best()) {
+            Some((s, spoofed)) => {
+                self.set.backward_hits.fetch_add(1, Ordering::Relaxed);
+                Some((*s, spoofed))
+            }
+            None => {
+                self.set.backward_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// The remembered ladder-winner VP for an ingress plan, if any.
+    /// Counts a winner hit when present (the consult is free either way —
+    /// this is a hint, not a lookup that replaces a probe by itself).
+    pub fn winner(&self, plan: u64) -> Option<Addr> {
+        let w = self.view.winners.get(&plan).copied();
+        if w.is_some() {
+            self.set.winner_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        w
+    }
+
+    /// Whether direct RR from `src` is known futile at this exact router.
+    /// Counts a skip when true.
+    pub fn direct_futile(&self, src: Addr, cur: Addr) -> bool {
+        let f = self.view.direct_futile.contains(&(src, cur));
+        if f {
+            self.set.direct_skips.fetch_add(1, Ordering::Relaxed);
+        }
+        f
+    }
+
+    /// Whether the spoofed ladder at `cur` is known exhausted without a
+    /// usable reply (for any source). Counts a skip when true.
+    pub fn spoof_futile(&self, cur: Addr) -> bool {
+        let f = self.view.spoof_futile.contains(&cur);
+        if f {
+            self.set.spoof_skips.fetch_add(1, Ordering::Relaxed);
+        }
+        f
+    }
+
+    /// Whether `vp` is known futile on an ingress plan. Does not count
+    /// anything by itself: a futile VP only matters when a ladder actually
+    /// deprioritizes it, which the caller reports via
+    /// [`StopSet::note_vp_skips`].
+    pub fn vp_futile(&self, plan: u64, vp: Addr) -> bool {
+        self.view.vp_futile.contains(&(plan, vp))
+    }
+
+    /// The VPs currently quarantined: their spoof-outcome window is full
+    /// and a majority of the pairs in it vanished (a spoof filter is
+    /// swallowing them). None unless the hardened engine has been feeding
+    /// [`Note::VpSpoofOutcome`]s. Does not count anything by itself — the
+    /// caller reports actual deprioritizations via
+    /// [`StopSet::note_quarantine_skips`].
+    pub fn quarantined_vps(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.view
+            .spoof_windows
+            .iter()
+            .filter(|(_, w)| w.quarantined())
+            .map(|(&vp, _)| vp)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,7 +678,7 @@ mod tests {
             cur,
             spoofed,
             stored: StoredRr {
-                hops: vec![hop],
+                hops: [hop].into_iter().collect(),
                 provenance: prov(src, src, cur, nonce),
             },
         }
@@ -668,12 +694,18 @@ mod tests {
             seq: 0,
             note: backward_note(src, cur, false, hop, 7),
         });
-        assert!(s.backward(src, cur).is_none(), "pending must be invisible");
+        assert!(
+            s.consult().backward(src, cur).is_none(),
+            "pending must be invisible"
+        );
         assert_eq!(s.pending_len(), 1);
         s.merge_pending();
         assert_eq!(s.pending_len(), 0);
-        let (stored, spoofed) = s.backward(src, cur).expect("merged entry visible");
-        assert_eq!(stored.hops, vec![hop]);
+        let (stored, spoofed) = s
+            .consult()
+            .backward(src, cur)
+            .expect("merged entry visible");
+        assert_eq!(stored.hops[..], [hop]);
         assert!(!spoofed);
         let st = s.stats();
         assert_eq!(st.backward_hits, 1);
@@ -704,10 +736,10 @@ mod tests {
                 s.contribute((*c).clone());
             }
             s.merge_pending();
-            let (stored, _) = s.backward(src, cur).expect("entry");
+            let (stored, _) = s.consult().backward(src, cur).expect("entry");
             assert_eq!(
-                stored.hops,
-                vec![Addr(100)],
+                stored.hops[..],
+                [Addr(100)],
                 "first-by-stamp must win in every insertion order"
             );
         }
@@ -724,7 +756,7 @@ mod tests {
             note: backward_note(src, cur, true, Addr(50), 1),
         });
         s.merge_pending();
-        let (_, spoofed) = s.backward(src, cur).expect("spoofed slot");
+        let (_, spoofed) = s.consult().backward(src, cur).expect("spoofed slot");
         assert!(spoofed);
         // A later direct observation fills the empty direct slot and is
         // then preferred, without evicting the spoofed one.
@@ -735,9 +767,9 @@ mod tests {
             note: backward_note(src, cur, false, Addr(60), 2),
         });
         s.merge_pending();
-        let (stored, spoofed) = s.backward(src, cur).expect("direct slot");
+        let (stored, spoofed) = s.consult().backward(src, cur).expect("direct slot");
         assert!(!spoofed, "direct evidence preferred once present");
-        assert_eq!(stored.hops, vec![Addr(60)]);
+        assert_eq!(stored.hops[..], [Addr(60)]);
     }
 
     #[test]
@@ -745,9 +777,9 @@ mod tests {
         let s = StopSet::new();
         let src = Addr(1);
         let cur = Addr(40);
-        assert!(s.winner(4).is_none());
-        assert!(!s.direct_futile(src, cur));
-        assert!(!s.spoof_futile(cur));
+        assert!(s.consult().winner(4).is_none());
+        assert!(!s.consult().direct_futile(src, cur));
+        assert!(!s.consult().spoof_futile(cur));
         s.contribute(Contribution {
             vtime: 1.0,
             req: 0,
@@ -780,11 +812,14 @@ mod tests {
             },
         });
         s.merge_pending();
-        assert_eq!(s.winner(4), Some(Addr(77)));
-        assert!(s.direct_futile(src, cur));
-        assert!(s.spoof_futile(cur), "router-keyed futility is source-free");
+        assert_eq!(s.consult().winner(4), Some(Addr(77)));
+        assert!(s.consult().direct_futile(src, cur));
         assert!(
-            !s.direct_futile(Addr(2), cur),
+            s.consult().spoof_futile(cur),
+            "router-keyed futility is source-free"
+        );
+        assert!(
+            !s.consult().direct_futile(Addr(2), cur),
             "direct futility stays per-source"
         );
         let st = s.stats();
@@ -797,7 +832,7 @@ mod tests {
     fn vp_futility_accumulates_per_plan_and_counts_only_real_prunes() {
         let s = StopSet::new();
         let (plan, other) = (40u64, 41u64);
-        assert!(s.futile_vps(plan).is_empty());
+        assert!(!s.consult().vp_futile(plan, Addr(70)));
         for (seq, vp) in [Addr(70), Addr(71)].into_iter().enumerate() {
             s.contribute(Contribution {
                 vtime: 1.0,
@@ -807,13 +842,17 @@ mod tests {
             });
         }
         s.merge_pending();
-        let f = s.futile_vps(plan);
-        assert_eq!(f.len(), 2, "futile VPs accumulate under one plan");
-        assert!(f.contains(&Addr(70)) && f.contains(&Addr(71)));
+        let c = s.consult();
         assert!(
-            s.futile_vps(other).is_empty(),
+            c.vp_futile(plan, Addr(70)) && c.vp_futile(plan, Addr(71)),
+            "futile VPs accumulate under one plan"
+        );
+        assert!(!c.vp_futile(plan, Addr(72)));
+        assert!(
+            !c.vp_futile(other, Addr(70)),
             "futility stays per-plan, not global"
         );
+        drop(c);
         // Consults alone count nothing; only reported prunes do.
         assert_eq!(s.stats().vp_skips, 0);
         s.note_vp_skips(2);

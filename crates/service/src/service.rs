@@ -161,12 +161,7 @@ impl<'s> RevtrService<'s> {
     /// listed VPs. Sorted for deterministic reporting; empty when the
     /// engine runs unhardened or every VP's spoofed probes still land.
     pub fn quarantined_vps(&self) -> Vec<Addr> {
-        let mut vps: Vec<Addr> = self
-            .system
-            .stopset()
-            .quarantined_vps()
-            .into_iter()
-            .collect();
+        let mut vps: Vec<Addr> = self.system.stopset().consult().quarantined_vps().collect();
         vps.sort();
         vps
     }

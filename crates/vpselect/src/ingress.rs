@@ -85,26 +85,71 @@ pub struct IngressQueue {
     pub vps: Vec<Addr>,
 }
 
+/// A borrowed VP plan: the queues [`IngressDb::ingress_plan`] would clone,
+/// read in place. Queue `i` is the VPs to try in preference order plus the
+/// ingress that choice is based on.
+#[derive(Clone, Copy, Debug)]
+pub enum PlanView<'a> {
+    /// One queue per identified ingress, in coverage order.
+    Ingresses(&'a [IngressInfo]),
+    /// One queue with no ingress expectation (a fallback or global
+    /// ranking) — or no queue at all when the ranking is empty.
+    Ranking(&'a [Addr]),
+}
+
+impl<'a> PlanView<'a> {
+    /// Number of queues.
+    pub fn len(&self) -> usize {
+        match self {
+            PlanView::Ingresses(i) => i.len(),
+            PlanView::Ranking(vps) => usize::from(!vps.is_empty()),
+        }
+    }
+
+    /// True when the plan has no queue (hence no VP) to offer.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Queue `i`: its expected ingress and its VPs, closest first.
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    pub fn queue(&self, i: usize) -> (Option<Addr>, &'a [Addr]) {
+        match *self {
+            PlanView::Ingresses(ing) => (Some(ing[i].addr), &ing[i].ranked_vps),
+            PlanView::Ranking(vps) => {
+                assert!(i < self.len(), "queue {i} of a one-queue plan");
+                (None, vps)
+            }
+        }
+    }
+
+    /// All queues, in order.
+    pub fn queues(self) -> impl Iterator<Item = (Option<Addr>, &'a [Addr])> {
+        (0..self.len()).map(move |i| self.queue(i))
+    }
+
+    /// The plan as owned queues.
+    pub fn to_queues(self) -> Vec<IngressQueue> {
+        self.queues()
+            .map(|(expected_ingress, vps)| IngressQueue {
+                expected_ingress,
+                vps: vps.to_vec(),
+            })
+            .collect()
+    }
+}
+
 impl PrefixInfo {
     /// The revtr 2.0 spoofer plan: one queue per ingress (coverage order),
     /// or the fallback ranking when no ingress was identified.
-    pub fn ingress_plan(&self) -> Vec<IngressQueue> {
+    pub fn plan_view(&self) -> PlanView<'_> {
         if self.ingresses.is_empty() {
-            if self.fallback.is_empty() {
-                return Vec::new();
-            }
-            return vec![IngressQueue {
-                expected_ingress: None,
-                vps: self.fallback.clone(),
-            }];
+            PlanView::Ranking(&self.fallback)
+        } else {
+            PlanView::Ingresses(&self.ingresses)
         }
-        self.ingresses
-            .iter()
-            .map(|i| IngressQueue {
-                expected_ingress: Some(i.addr),
-                vps: i.ranked_vps.clone(),
-            })
-            .collect()
     }
 }
 
@@ -171,43 +216,37 @@ impl IngressDb {
     }
 
     /// The revtr 2.0 plan for a prefix (empty if never probed or nothing
-    /// in range).
-    pub fn ingress_plan(&self, p: PrefixId) -> Vec<IngressQueue> {
+    /// in range), borrowed from the survey's own tables.
+    pub fn plan_view(&self, p: PrefixId) -> PlanView<'_> {
         self.per_prefix
             .get(&p)
-            .map(|i| i.ingress_plan())
-            .unwrap_or_default()
+            .map_or(PlanView::Ranking(&[]), |i| i.plan_view())
     }
 
-    /// The revtr 1.0 plan: in-range VPs by destination set-cover order
-    /// (coverage first, *not* distance), then every remaining VP in global
-    /// order — revtr 1.0 "would try them all" (§4.1 Q3).
+    /// [`IngressDb::plan_view`] as owned queues.
+    pub fn ingress_plan(&self, p: PrefixId) -> Vec<IngressQueue> {
+        self.plan_view(p).to_queues()
+    }
+
+    /// Whether the survey found `vp` in RR range of prefix `p` (false for
+    /// a prefix never probed).
+    pub fn in_range(&self, p: PrefixId, vp: Addr) -> bool {
+        self.per_prefix
+            .get(&p)
+            .and_then(|info| info.views.get(&vp))
+            .is_some_and(VpView::in_range)
+    }
+
+    /// The revtr 1.0 plan: the VPs in RR range of the prefix first, then
+    /// every remaining VP — revtr 1.0 "would try them all" (§4.1 Q3) —
+    /// both runs in global order: coverage first, *not* distance. A stable
+    /// partition of [`IngressDb::global_plan`] by [`IngressDb::in_range`].
     pub fn revtr1_plan(&self, p: PrefixId) -> Vec<Addr> {
-        let Some(info) = self.per_prefix.get(&p) else {
-            return self.global_order.clone();
-        };
-        let mut in_range: Vec<(Addr, f64)> = info
-            .views
-            .iter()
-            .filter(|(_, v)| v.in_range())
-            .map(|(&vp, v)| (vp, v.dest_dist.unwrap_or(f64::MAX)))
-            .collect();
-        // Set-cover flavour: order by how many of the probed destinations
-        // the VP reached — without distance awareness, ties broken by the
-        // global ranking.
-        let global_pos: HashMap<Addr, usize> = self
+        let (mut plan, far): (Vec<Addr>, Vec<Addr>) = self
             .global_order
             .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        in_range.sort_by_key(|&(vp, _)| global_pos.get(&vp).copied().unwrap_or(usize::MAX));
-        let mut plan: Vec<Addr> = in_range.iter().map(|&(vp, _)| vp).collect();
-        for &vp in &self.global_order {
-            if !plan.contains(&vp) {
-                plan.push(vp);
-            }
-        }
+            .partition(|&&vp| self.in_range(p, vp));
+        plan.extend(far);
         plan
     }
 
@@ -409,6 +448,12 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), plan.len(), "revtr1 plan repeats a VP");
             assert_eq!(plan.len(), vps.len(), "revtr1 tries every VP");
+            // In-range VPs first, each run in global order.
+            let pos = |vp| db.global_plan().iter().position(|&g| g == vp);
+            let near = plan.iter().take_while(|&&vp| db.in_range(p, vp)).count();
+            assert!(plan[near..].iter().all(|&vp| !db.in_range(p, vp)));
+            assert!(plan[..near].windows(2).all(|w| pos(w[0]) < pos(w[1])));
+            assert!(plan[near..].windows(2).all(|w| pos(w[0]) < pos(w[1])));
         }
         assert_eq!(db.global_plan().len(), vps.len());
     }

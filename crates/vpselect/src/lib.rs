@@ -21,7 +21,7 @@ pub mod ingress;
 pub mod parse;
 
 pub use ingress::{
-    third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PrefixInfo, VpView,
-    RR_RANGE, VPS_PER_INGRESS,
+    third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PlanView, PrefixInfo,
+    VpView, RR_RANGE, VPS_PER_INGRESS,
 };
 pub use parse::{parse_rr, path_view, Heuristics, PathView, RrParse};
