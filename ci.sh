@@ -49,13 +49,24 @@ done
 
 # Probe-economy gate: campaign-wide stop sets must cut measurement probes
 # per revtr by >= 25% on the standard campaign while coverage and accuracy
-# stay within 0.02 of the stop-sets-off control (revtr-cli exits nonzero
-# otherwise).
+# stay within 0.02 of the stop-sets-off control. A "probe" there is a whole
+# traceroute, so the same run also prints packets per revtr and TTL probes
+# per last-link measurement for both arms, and holds the stop-sets-on arm
+# to <= 6.0 packets per measurement — half a full forward trace (revtr-cli
+# exits nonzero on either gate).
 echo "== probe-economy gate (release, standard scale, seeds 1/7/42) =="
 for seed in 1 7 42; do
   ./target/release/revtr-cli economy --scale standard --seed "$seed" \
-    | tail -n 2
+    | tail -n 6
 done
+
+# Last-link gate: every symmetry-step decision of the standard campaign
+# (hop adopted, interdomain abort, stuck) is the one a full forward
+# traceroute gives, at widths 1 and 4, and with the measurement cache off
+# the traceroute packets sent are equal across widths. Seeds {1, 7, 42}
+# are baked into the test.
+echo "== last-link campaign gate (release, standard scale, seeds 1/7/42, workers 1/4) =="
+cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 
 # Telemetry profile gate: the metrics subcommand must produce a populated
 # per-stage report (it exits nonzero on flag or scale errors).

@@ -143,7 +143,7 @@ enum Phase<'a> {
     RrAdopt(Option<RrFound>),
     /// Timestamp adjacency tests (revtr 1.0 only).
     Ts,
-    /// Traceroute + symmetry assumption / interdomain abort.
+    /// Last-link measurement + symmetry assumption / interdomain abort.
     Symmetry,
     /// Terminal: the result has been produced.
     Done,
@@ -163,7 +163,9 @@ pub(crate) struct MeasureTask<'a> {
     snap0: Snapshot,
     stats: RevtrStats,
     cur: Addr,
-    iters: usize,
+    /// Stitch-loop iterations so far. Narrow on purpose: with a word here
+    /// the block's small fields spill into one more.
+    iters: u32,
     phase: Phase<'a>,
     /// Campaign request id — the middle component of stop-set
     /// contribution stamps (0 on the serial [`RevtrSystem::measure`]
@@ -182,6 +184,10 @@ pub(crate) struct MeasureTask<'a> {
     /// `RrMachine::usable_seen`) — a ladder that did must not be
     /// published as futile even when it revealed nothing novel here.
     rr_ladder_usable: bool,
+    /// How many TTLs from the source `cur` sits, when the previous
+    /// symmetry step just measured it (`cur` is the hop that step's probes
+    /// found); 0 once `cur` moved any other way.
+    chain_dist: u8,
     /// Virtual-time origin of the task-private shadow clock a wave drives
     /// this task under (0 for campaigns, the arrival time for timed jobs).
     pub(crate) origin_ms: f64,
@@ -213,6 +219,7 @@ impl<'a> MeasureTask<'a> {
             rr_direct_skipped: false,
             rr_spoof_skipped: false,
             rr_ladder_usable: false,
+            chain_dist: 0,
             origin_ms: 0.0,
             degrade: 0,
         }
@@ -337,7 +344,7 @@ impl<'a> MeasureTask<'a> {
     }
 
     fn stitch_head(&mut self, sys: &'a RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
-        if self.iters == sys.config().max_path_hops {
+        if self.iters as usize == sys.config().max_path_hops {
             return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::HopBudget));
         }
         self.iters += 1;
@@ -752,6 +759,7 @@ impl<'a> MeasureTask<'a> {
             // Continue from the last routable hop.
             if let Some(&next) = rev.iter().rev().find(|a| !a.is_private()) {
                 self.cur = next;
+                self.chain_dist = 0;
                 self.phase = Phase::StitchLoop;
                 return None;
             }
@@ -779,6 +787,7 @@ impl<'a> MeasureTask<'a> {
                 suspicious_gap_before: false,
             });
             self.cur = adj;
+            self.chain_dist = 0;
             self.phase = Phase::StitchLoop;
         } else {
             self.phase = Phase::Symmetry;
@@ -789,21 +798,68 @@ impl<'a> MeasureTask<'a> {
     fn symmetry(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         let policy = sys.config().symmetry;
         let sym_span = sys.stage_enter(self.req_mut(), "assume_symmetry");
-        let sym = sys.symmetry_step(self.cur, self.src);
+        // Where to start probing: what the deployment already measured,
+        // nearest knowledge first — this request's own previous step, the
+        // campaign's forward distances, a constant.
+        let hint = match self.chain_dist {
+            0 => sys
+                .config()
+                .use_stop_sets
+                .then(|| sys.stopset().consult().distance(self.src, self.cur))
+                .flatten()
+                .unwrap_or(COLD_START_TTL),
+            known => known,
+        };
+        let measured = sys.prober().last_link(self.src, self.cur, hint);
+        let link = measured.map(|(link, _sent)| link);
+        if let (Some(link), true) = (link, sys.config().use_stop_sets) {
+            self.contribute(
+                sys,
+                Note::Distance {
+                    src: self.src,
+                    addr: self.cur,
+                    dist: link.dist,
+                },
+            );
+        }
+        let sym = link.and_then(|link| sys.symmetry_decision(self.cur, link));
         let adopted = sym.as_ref().is_some_and(|d| {
             !(on_path(&sx.hops, d.penult)
                 || d.interdomain && policy == SymmetryPolicy::IntradomainOnly)
         });
         let interdomain = sym.as_ref().map_or(0, |d| u64::from(d.interdomain));
-        sys.stage_exit(
-            self.req_mut(),
-            sym_span,
-            &[
-                ("adopted", u64::from(adopted)),
-                ("interdomain", interdomain),
-            ],
-        );
-        let Some(d) = sym else {
+        // What the measurement adds is attached where it says something
+        // (an absent field reads 0): most links sit adjacent to a target
+        // that answered, and the estimator is judged only where it was
+        // used — a cached link sent nothing. The TTL probes sent are the
+        // stage's `pkts`: it sends nothing else.
+        let mut fields = [
+            ("adopted", u64::from(adopted)),
+            ("interdomain", interdomain),
+            ("", 0),
+            ("", 0),
+            ("", 0),
+        ];
+        let mut used = 2;
+        if let Some((link, sent)) = measured {
+            let start_err = if sent > 0 {
+                hint.abs_diff(link.dist)
+            } else {
+                0
+            };
+            for field in [
+                ("start_err", u64::from(start_err)),
+                ("gap", u64::from(link.gap)),
+                ("unreached", u64::from(!link.reached)),
+            ] {
+                if field.1 > 0 {
+                    fields[used] = field;
+                    used += 1;
+                }
+            }
+        }
+        sys.stage_exit(self.req_mut(), sym_span, &fields[..used]);
+        let (Some(d), Some(link)) = (sym, link) else {
             return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
         };
         if on_path(&sx.hops, d.penult) {
@@ -833,9 +889,13 @@ impl<'a> MeasureTask<'a> {
         sx.hops.push(RevtrHop {
             addr: Some(d.penult),
             method: HopMethod::AssumedSymmetric,
-            suspicious_gap_before: false,
+            // The adopted hop is not known adjacent to `cur` when TTLs
+            // between them stayed silent, or when `cur` never answered and
+            // the trace merely ended: a hop may be missing (§5.2.2's `*`).
+            suspicious_gap_before: link.gap > 0 || !link.reached,
         });
         self.cur = d.penult;
+        self.chain_dist = link.penult_dist();
         self.phase = Phase::StitchLoop;
         None
     }
@@ -876,6 +936,12 @@ fn harden_demote(
     }
     found
 }
+
+/// Where the symmetry step starts its TTL probing when nothing measured
+/// says better: the paper-era Internet's median forward distance (between
+/// two equally likely starts the lower wins — falling short by `k` TTLs
+/// costs one packet less than overshooting by `k`).
+const COLD_START_TTL: u8 = 10;
 
 /// Campaign wave width when stop sets are enabled: requests admitted per
 /// merge barrier. Between barriers tasks only *buffer* stop-set
@@ -1092,6 +1158,17 @@ mod tests {
     use revtr_netsim::{Sim, SimConfig};
     use revtr_probing::Prober;
     use revtr_vpselect::{Heuristics, IngressDb};
+
+    #[test]
+    fn control_block_stays_within_its_footprint() {
+        // `engine.control_blocks` and the benchmark's `core.task_bytes`
+        // price a wave at this much per admitted request.
+        assert!(
+            task_footprint_bytes() <= 808,
+            "the control block grew to {} bytes",
+            task_footprint_bytes()
+        );
+    }
 
     #[test]
     fn poisoned_job_yields_err_restores_shadows_and_leaves_system_usable() {

@@ -10,9 +10,10 @@
 //!    ping from the source, then spoofed batches from ingress-selected
 //!    vantage points (§4.3)?
 //! 3. (revtr 1.0 only) do timestamp adjacency tests confirm a next hop?
-//! 4. otherwise traceroute to the current hop and assume the last link is
-//!    symmetric — unconditionally for 1.0; only if intradomain for 2.0,
-//!    aborting rather than guessing across AS boundaries (§4.4).
+//! 4. otherwise measure the last link of the forward path to the current
+//!    hop and assume it symmetric — unconditionally for 1.0; only if
+//!    intradomain for 2.0, aborting rather than guessing across AS
+//!    boundaries (§4.4).
 
 use crate::config::{EngineConfig, VpSelection};
 use crate::engine::MeasureTask;
@@ -24,7 +25,7 @@ use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, AsId, PrefixId, RrSlots, Sim};
 use revtr_probing::{
-    ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet,
+    LastLink, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet,
 };
 use revtr_vpselect::{IngressDb, PlanView};
 use std::collections::HashMap;
@@ -326,9 +327,9 @@ impl<'s> RevtrSystem<'s> {
         tele.resource_record("netsim.fib", ord, sim.fib_bytes());
         let cache = self.prober.cache();
         tele.resource_record(
-            "probing.cache.traceroute",
+            "probing.cache.last_link",
             ord,
-            cache.traceroute_len() as u64 * revtr_probing::TRACEROUTE_ENTRY_BYTES,
+            cache.last_link_len() as u64 * revtr_probing::LAST_LINK_ENTRY_BYTES,
         );
         tele.resource_record(
             "probing.cache.rr",
@@ -710,7 +711,7 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// Close a telemetry stage span, attaching this thread's probe delta
-    /// (option probes, packets, retries, fault losses) plus up to four
+    /// (option probes, packets, retries, fault losses) plus up to five
     /// stage-specific fields.
     pub(crate) fn stage_exit(
         &self,
@@ -722,7 +723,7 @@ impl<'s> RevtrSystem<'s> {
             return;
         }
         let d = self.prober.counters().thread_snapshot().since(&st.snap);
-        let mut fields = [("", 0); 8];
+        let mut fields = [("", 0); 9];
         fields[..4].copy_from_slice(&[
             ("probes", d.option_probes()),
             ("pkts", d.all_packets()),
@@ -1071,19 +1072,12 @@ impl<'s> RevtrSystem<'s> {
         self.vps.first().copied()
     }
 
-    /// The symmetry step (Q5): traceroute to `cur`, take the penultimate
-    /// hop, and decide by link locality. The full decision inputs are
-    /// returned so they can be recorded as stitch-trace evidence.
-    pub(crate) fn symmetry_step(&self, cur: Addr, src: Addr) -> Option<SymmetryDecision> {
-        let tr = self.prober.traceroute(src, cur)?;
-        // The last responsive hop that is not the destination itself.
-        let penult = tr
-            .hops
-            .iter()
-            .rev()
-            .flatten()
-            .find(|&&h| h != cur)
-            .copied()?;
+    /// The symmetry step's decision (Q5) on a measured last link: its
+    /// penultimate hop, judged by link locality. `None` without such a
+    /// hop. The full decision inputs are returned so they can be recorded
+    /// as stitch-trace evidence.
+    pub(crate) fn symmetry_decision(&self, cur: Addr, link: LastLink) -> Option<SymmetryDecision> {
+        let penult = link.penult?;
         let penult_as = self.ip2as.map(penult);
         let cur_as = self.ip2as.map(cur);
         let interdomain = match (penult_as, cur_as) {

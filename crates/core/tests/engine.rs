@@ -421,3 +421,120 @@ fn cached_measurements_cost_no_batches() {
         "cache changed the measured path"
     );
 }
+
+/// `base` with record route silenced (no router stamps, so every step of a
+/// request falls through to the symmetry assumption), MPLS off (every
+/// router is one TTL) and every router answering expired probes except
+/// `silent`: a world whose forward chains are pinned by hand.
+fn symmetry_only_world(base: &Sim, silent: Option<revtr_netsim::RouterId>) -> Sim {
+    let mut topo = base.topo().clone();
+    for a in &mut topo.ases {
+        a.mpls = false;
+    }
+    for r in &mut topo.routers {
+        r.stamp = revtr_netsim::StampMode::NoStamp;
+        r.ttl_responsive = Some(r.id) != silent;
+    }
+    Sim::from_topology(topo, base.config().clone(), base.seed())
+}
+
+/// A system that can only assume: no atlas, no ingress data, and the
+/// revtr 1.0 trust policy so no assumption aborts.
+fn assuming_system(sim: &Sim) -> RevtrSystem<'_> {
+    let mut cfg = EngineConfig::revtr2();
+    cfg.symmetry = SymmetryPolicy::Always;
+    cfg.atlas_size = 0;
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let ingress = Arc::new(IngressDb::default());
+    RevtrSystem::new(Prober::new(sim), cfg, vps, ingress, Vec::new())
+}
+
+/// The routers a probe from `src` to `dst` crosses, and the full trace.
+fn chain(
+    sim: &Sim,
+    src: Addr,
+    dst: Addr,
+) -> (Vec<revtr_netsim::RouterId>, revtr_netsim::TraceResult) {
+    let flow = Prober::paris_flow(src, dst);
+    let attach = sim.host_attach(src).expect("vp host");
+    let meta = revtr_netsim::sim::PktMeta::plain(src, flow);
+    let walk = sim.walk(attach, dst, &meta).expect("VPs reachable");
+    let trace = sim.traceroute(src, dst, flow).expect("VPs reachable");
+    (walk.hops.iter().map(|h| h.router).collect(), trace)
+}
+
+fn quiet_tiny(seed: u64) -> Sim {
+    let mut cfg = SimConfig::tiny();
+    cfg.behavior.churn_per_hour = 0.0;
+    Sim::build(cfg, seed)
+}
+
+#[test]
+fn assumed_hop_behind_a_silent_router_is_starred() {
+    // Regression: the symmetry step adopted "the last responsive hop" as
+    // if it were adjacent to the current one, even across silent TTLs.
+    let base = quiet_tiny(41);
+    let vps = &base.topo().vp_sites;
+    let (src, dst) = (vps[0].host, vps[1].host);
+    let (routers, clean) = chain(&symmetry_only_world(&base, None), src, dst);
+    let n = clean.hops.len();
+    assert!(n >= 4 && clean.hops.iter().all(Option::is_some));
+
+    // Every router answers: the first assumed hop is the one directly
+    // before the destination, and nothing is missing.
+    let world = symmetry_only_world(&base, None);
+    let r = assuming_system(&world).measure(dst, src);
+    assert_eq!(r.hops[1].method, HopMethod::AssumedSymmetric);
+    assert_eq!(r.hops[1].addr, clean.hops[n - 2]);
+    assert!(!r.hops[1].suspicious_gap_before);
+    assert!(r.complete(), "the chain leads back to the source: {r}");
+
+    // The router directly before the destination stays silent: the same
+    // request adopts the hop before it — and says a hop may be missing.
+    let world = symmetry_only_world(&base, Some(routers[n - 2]));
+    let (_, trace) = chain(&world, src, dst);
+    assert_eq!(trace.hops[n - 2], None, "the pinned router is silent");
+    let r = assuming_system(&world).measure(dst, src);
+    assert_eq!(r.hops[1].method, HopMethod::AssumedSymmetric);
+    assert_eq!(r.hops[1].addr, clean.hops[n - 3]);
+    assert!(r.hops[1].suspicious_gap_before, "gap not reported: {r}");
+    assert!(r.has_star());
+}
+
+#[test]
+fn assumed_hop_before_an_echo_silent_target_is_starred() {
+    // A chain whose last router ignores pings: the first step adopts its
+    // interface (adjacent to the destination, which answered); the second
+    // traces toward that interface, gets no echo — the trace merely ends —
+    // and must say so on the hop it adopts.
+    let found = (41..60).find_map(|seed| {
+        let world = symmetry_only_world(&quiet_tiny(seed), None);
+        let vps: Vec<Addr> = world.topo().vp_sites.iter().map(|v| v.host).collect();
+        let pair = vps.iter().flat_map(|&s| vps.iter().map(move |&d| (s, d)));
+        let (src, dst) = pair.filter(|(s, d)| s != d).find(|&(s, d)| {
+            let (routers, trace) = chain(&world, s, d);
+            let last = *routers.last().expect("nonempty");
+            routers.len() >= 3 && trace.reached && !world.behavior().router_ping_responsive(last)
+        })?;
+        Some((world, src, dst))
+    });
+    let (world, src, dst) = found.expect("5 % of routers ignore pings");
+    let (_, first) = chain(&world, src, dst);
+    let cur = first.hops[first.hops.len() - 2].expect("every router answers expired probes");
+    let (_, second) = chain(&world, src, cur);
+    assert!(!second.reached && second.hops.last() == Some(&None));
+    let penult = second.hops.iter().rev().flatten().next().copied();
+
+    let r = assuming_system(&world).measure(dst, src);
+    assert_eq!(r.hops[1].addr, Some(cur));
+    assert!(
+        !r.hops[1].suspicious_gap_before,
+        "adjacent and answered: {r}"
+    );
+    assert_eq!(r.hops[2].method, HopMethod::AssumedSymmetric);
+    assert_eq!(r.hops[2].addr, penult);
+    assert!(
+        r.hops[2].suspicious_gap_before,
+        "unreached not reported: {r}"
+    );
+}

@@ -9,10 +9,15 @@
 //! atlas RR, pings, and traceroutes — see
 //! [`Snapshot::measurement_probes`]) must drop by at least
 //! [`DEFAULT_MIN_CUT`] while coverage and accuracy stay within
-//! [`DEFAULT_TOL_QUALITY`] of the control. `revtr-cli economy` exits
-//! non-zero when the gate fails, and ci.sh sweeps it over the standard
-//! seeds {1, 7, 42}.
+//! [`DEFAULT_TOL_QUALITY`] of the control. That count takes a traceroute
+//! as one probe whatever it sent, so the same two campaigns also report
+//! packets — [`Snapshot::all_packets`] per revtr, and TTL probes per
+//! last-link measurement of the symmetry step — and gate the on arm, whose
+//! start TTLs come from the stop sets' forward distances, at
+//! [`MAX_LAST_LINK_PKTS`]. `revtr-cli economy` exits non-zero when a gate
+//! fails, and ci.sh sweeps it over the standard seeds {1, 7, 42}.
 //!
+//! [`Snapshot::all_packets`]: revtr_probing::Snapshot::all_packets
 //! [`Snapshot::measurement_probes`]: revtr_probing::Snapshot::measurement_probes
 
 use crate::monitor::{self, MonitorConfig};
@@ -26,6 +31,15 @@ pub const DEFAULT_MIN_CUT: f64 = 0.25;
 /// arms must stay within this absolute bound.
 pub const DEFAULT_TOL_QUALITY: f64 = 0.02;
 
+/// The last-link gate: TTL probes per uncached last-link measurement on the
+/// stop-sets-on arm of the standard campaign. A full forward trace took
+/// 11–12; a warm distance hint lands within a TTL or two of the target,
+/// about 3.5 packets. The off arm (in-request chain and a constant start
+/// only) is reported, not gated — and so is the smoke campaign: its 25
+/// requests fit one wave, so no barrier ever publishes a distance, and the
+/// tiny topology's five-hop paths sit far below the paper-era cold start.
+pub const MAX_LAST_LINK_PKTS: f64 = 6.0;
+
 /// One arm of the A/B (off control or on treatment).
 #[derive(Clone, Debug)]
 pub struct EconomyArm {
@@ -37,6 +51,12 @@ pub struct EconomyArm {
     /// The option-carrying subset (RR + spoofed RR + TS + spoofed TS),
     /// reported alongside so the per-technique economy stays visible.
     pub option_probes: u64,
+    /// Every packet the campaign sent (a traceroute counts one per TTL).
+    pub packets: u64,
+    /// Last links the symmetry step measured (cache misses).
+    pub last_links: u64,
+    /// TTL probes sent for them.
+    pub last_link_pkts: u64,
     /// Requests attempted.
     pub requests: u64,
     /// Campaign coverage.
@@ -53,6 +73,16 @@ impl EconomyArm {
     /// Measurement probes per attempted request.
     pub fn probes_per_revtr(&self) -> f64 {
         self.probes as f64 / self.requests.max(1) as f64
+    }
+
+    /// Packets per attempted request.
+    pub fn packets_per_revtr(&self) -> f64 {
+        self.packets as f64 / self.requests.max(1) as f64
+    }
+
+    /// TTL probes per last-link measurement (0 when none was measured).
+    pub fn pkts_per_last_link(&self) -> f64 {
+        self.last_link_pkts as f64 / self.last_links.max(1) as f64
     }
 }
 
@@ -85,11 +115,18 @@ impl EconomyReport {
     }
 
     /// Whether the economy gate passes: probe cut at least `min_cut`,
-    /// coverage and accuracy within `tol_quality` of the control.
+    /// coverage and accuracy within `tol_quality` of the control, and — at
+    /// standard scale — the on arm's last-link measurements within
+    /// [`MAX_LAST_LINK_PKTS`].
     pub fn pass(&self) -> bool {
         self.cut() >= self.min_cut
+            && (!self.gates_last_link() || self.on.pkts_per_last_link() <= MAX_LAST_LINK_PKTS)
             && (self.on.coverage - self.off.coverage).abs() <= self.tol_quality
             && (self.on.accuracy - self.off.accuracy).abs() <= self.tol_quality
+    }
+
+    fn gates_last_link(&self) -> bool {
+        self.scale == "standard"
     }
 
     /// Render the A/B as text (both arms, deltas, gate verdict).
@@ -114,16 +151,32 @@ impl EconomyReport {
                 arm.accuracy,
                 arm.stopset_hits
             );
+            let _ = writeln!(
+                s,
+                "                 {:>8} packets = {:.2} packets/revtr, {} last links measured \
+                 with {} TTL probes = {:.2} packets/measurement",
+                arm.packets,
+                arm.packets_per_revtr(),
+                arm.last_links,
+                arm.last_link_pkts,
+                arm.pkts_per_last_link()
+            );
         }
         let _ = writeln!(
             s,
             "  probe cut {:.1}% (gate >= {:.0}%), coverage delta {:+.4}, accuracy delta {:+.4} \
-             (|delta| <= {:.3})",
+             (|delta| <= {:.3}), last link {:.2} packets/measurement with stop sets on ({})",
             self.cut() * 100.0,
             self.min_cut * 100.0,
             self.on.coverage - self.off.coverage,
             self.on.accuracy - self.off.accuracy,
-            self.tol_quality
+            self.tol_quality,
+            self.on.pkts_per_last_link(),
+            if self.gates_last_link() {
+                format!("gate <= {MAX_LAST_LINK_PKTS:.1}")
+            } else {
+                "gated at standard scale only".to_string()
+            }
         );
         let _ = write!(
             s,
@@ -152,6 +205,9 @@ fn arm(scale_name: &str, seed: u64, stop_sets: bool) -> EconomyArm {
         stop_sets,
         probes: m.probes.measurement_probes(),
         option_probes: m.probes.option_probes(),
+        packets: m.probes.all_packets(),
+        last_links: m.snapshot.counter("probing.last_link.measured"),
+        last_link_pkts: m.snapshot.counter("probing.last_link.pkts"),
         requests: m.requests as u64,
         coverage: derived("coverage"),
         accuracy: derived("accuracy"),
@@ -183,5 +239,13 @@ mod tests {
         assert!(r.on.stopset_hits > 0, "on arm never hit the stop sets");
         assert_eq!(r.off.stopset_hits, 0, "off control touched the stop sets");
         assert_eq!(r.off.requests, r.on.requests, "workload moved between arms");
+        for arm in [&r.off, &r.on] {
+            assert!(arm.last_links > 0, "no symmetry step measured a last link");
+            assert!(
+                arm.last_link_pkts >= 2 * arm.last_links,
+                "a last link is two TTLs"
+            );
+            assert!(arm.packets > arm.probes, "packets count every TTL probe");
+        }
     }
 }

@@ -65,42 +65,40 @@ fn us_to_ms(us: u64) -> String {
 }
 
 impl MetricsReport {
-    /// The per-stage latency/probe breakdown table.
+    /// The per-stage latency/probe breakdown table. The last column sums
+    /// each stage's own exit fields over its spans (`hit`, `batches`, the
+    /// symmetry step's `start_err` / `gap` / `unreached`, …).
     pub fn stage_table(&self) -> Table {
+        const COMMON: [&str; 5] = ["spans", "probes", "pkts", "retries", "lost"];
         let mut t = Table::new(
             "Telemetry: per-stage virtual-time latency and probe cost",
             &[
-                "stage", "spans", "p50 ms", "p99 ms", "probes", "pkts", "retries", "lost",
+                "stage", "spans", "p50 ms", "p99 ms", "probes", "pkts", "retries", "lost", "fields",
             ],
         );
         for stage in STAGES {
-            let spans = self.snapshot.counter(&format!("stage.{stage}.spans"));
-            if spans == 0 {
+            let prefix = format!("stage.{stage}.");
+            let counter = |field: &str| self.snapshot.counter(&format!("{prefix}{field}"));
+            if counter("spans") == 0 {
                 continue;
             }
             let (p50, p99) = self
                 .snapshot
-                .histogram(&format!("stage.{stage}.virtual_us"))
+                .histogram(&format!("{prefix}virtual_us"))
                 .map(|h| (us_to_ms(h.quantile(0.5)), us_to_ms(h.quantile(0.99))))
                 .unwrap_or_else(|| ("-".to_string(), "-".to_string()));
-            t.row(&[
-                stage.to_string(),
-                spans.to_string(),
-                p50,
-                p99,
-                self.snapshot
-                    .counter(&format!("stage.{stage}.probes"))
-                    .to_string(),
-                self.snapshot
-                    .counter(&format!("stage.{stage}.pkts"))
-                    .to_string(),
-                self.snapshot
-                    .counter(&format!("stage.{stage}.retries"))
-                    .to_string(),
-                self.snapshot
-                    .counter(&format!("stage.{stage}.lost"))
-                    .to_string(),
-            ]);
+            let own: Vec<String> = self
+                .snapshot
+                .counters
+                .iter()
+                .filter_map(|(name, v)| Some((name.strip_prefix(&prefix)?, v)))
+                .filter(|(field, _)| !COMMON.contains(field))
+                .map(|(field, v)| format!("{field}={v}"))
+                .collect();
+            let mut row = vec![stage.to_string(), counter("spans").to_string(), p50, p99];
+            row.extend(COMMON[1..].iter().map(|f| counter(f).to_string()));
+            row.push(own.join(" "));
+            t.row(&row);
         }
         t
     }

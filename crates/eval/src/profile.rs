@@ -77,6 +77,17 @@ impl ShardStats {
     }
 }
 
+/// What the symmetry step's last-link measurements cost a campaign.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LastLinkCost {
+    /// Last links measured (cache misses).
+    pub measured: u64,
+    /// TTL probes those measurements sent.
+    pub ttl_probes: u64,
+    /// Sum over them of |start TTL − target distance|: estimator error.
+    pub start_err: u64,
+}
+
 /// Everything one profiled campaign produced.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
@@ -104,7 +115,9 @@ pub struct ProfileReport {
     pub events: u64,
     /// Campaign-only virtual milliseconds.
     pub campaign_virtual_ms: f64,
-    /// Measurement-cache shard statistics (traceroute + RR maps).
+    /// What the symmetry step's last-link measurements cost.
+    pub last_link: LastLinkCost,
+    /// Measurement-cache shard statistics (last-link + RR maps).
     pub shard_stats: Vec<ShardStats>,
     /// Worst route/border-cache shard skew on the simulator side.
     pub sim_cache_skew: f64,
@@ -142,13 +155,19 @@ pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
     let probes = system.prober().counters().snapshot().since(&probes_before);
     let campaign_virtual_ms = system.prober().clock().now_ms() - virtual_before;
 
+    let metrics = telemetry.metrics();
+    let last_link = LastLinkCost {
+        measured: metrics.counter("probing.last_link.measured"),
+        ttl_probes: metrics.counter("probing.last_link.pkts"),
+        start_err: metrics.counter("stage.assume_symmetry.start_err"),
+    };
     let cache = system.prober().cache();
-    let (tr_occ, rr_occ) = cache.shard_occupancy();
+    let (ll_occ, rr_occ) = cache.shard_occupancy();
     let shard_stats = vec![
         ShardStats::from_occupancy(
-            "probing.cache.traceroute",
-            &tr_occ,
-            revtr_probing::TRACEROUTE_ENTRY_BYTES,
+            "probing.cache.last_link",
+            &ll_occ,
+            revtr_probing::LAST_LINK_ENTRY_BYTES,
         ),
         ShardStats::from_occupancy("probing.cache.rr", &rr_occ, revtr_probing::RR_ENTRY_BYTES),
     ];
@@ -167,6 +186,7 @@ pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
         probes,
         events: outcome.events,
         campaign_virtual_ms,
+        last_link,
         shard_stats,
         sim_cache_skew: ctx.sim.cache_shard_skew(),
         mem_ceiling,
@@ -360,6 +380,14 @@ impl ProfileReport {
             self.bytes_per_revtr(),
             self.probes.option_probes(),
             self.events
+        );
+        let per_link = |n: u64| n as f64 / self.last_link.measured.max(1) as f64;
+        let _ = writeln!(
+            s,
+            "last links: {} measured  {:.2} ttl probes each  start ttl off by {:.2}",
+            self.last_link.measured,
+            per_link(self.last_link.ttl_probes),
+            per_link(self.last_link.start_err)
         );
         let _ = writeln!(s);
         let _ = writeln!(s, "{}", self.byte_table().render());

@@ -65,7 +65,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             report.metrics_fingerprint, report.journal_fingerprint
         ),
-        "metrics 0x5991f6fbb36fed58 journal 0x439a8fb2f861dc68",
+        "metrics 0x08dfab5cdd628082 journal 0x0e6b75554e9eef5c",
         "standard seed-42 campaign fingerprints drifted"
     );
 }

@@ -10,7 +10,7 @@ use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{PrefixId, RouterId};
 use crate::inline::InlineVec;
-use crate::sim::{Dest, Hop, PktMeta, Sim, Walk, HOST_LINK_MS};
+use crate::sim::{Dest, Hop, PktMeta, Sim, Walk, HOST_LINK_MS, MAX_HOPS};
 use crate::topology::{LinkKind, StampMode};
 
 /// Number of Record Route slots in an IPv4 header (RFC 791).
@@ -70,6 +70,76 @@ impl TraceResult {
     /// The responsive hop addresses, in order.
     pub fn responsive_hops(&self) -> impl Iterator<Item = Addr> + '_ {
         self.hops.iter().filter_map(|h| *h)
+    }
+}
+
+/// What one TTL-limited probe toward a target observes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TtlAnswer {
+    /// The router the probe expired at answered from this interface.
+    Exceeded(Addr),
+    /// The router the probe expired at does not answer (`*`).
+    Silent,
+    /// The probe reached the target, which answered the echo.
+    Echo,
+    /// The probe got as far as the target and nothing answered: a full
+    /// trace's terminal `*`. [`Sim::traceroute`] knows to stop there, and a
+    /// view grants the same knowledge at the same price — one packet.
+    PastEnd,
+}
+
+/// The forward path from a host to a target as TTL-limited probes of one
+/// flow see it, answered TTL by TTL off a single walk, and the meter of
+/// what was asked: every distinct TTL read is one packet and the round
+/// trip [`Sim::traceroute`] charges for that TTL, so the bill cannot
+/// diverge from what was looked at. Held inline — a view never touches
+/// the heap.
+#[derive(Clone, Debug)]
+pub struct TtlView {
+    /// Per TTL short of the target: the answering interface (`None` for
+    /// `*`) and the probe's round trip.
+    hops: InlineVec<(Option<Addr>, f64), MAX_HOPS>,
+    /// The echo's round trip; `None` when the target answers no ping.
+    echo_rtt_ms: Option<f64>,
+    /// Bit `t` is set once TTL `t` has been read.
+    read: [u64; 4],
+}
+
+impl TtlView {
+    /// Send the flow's probe with this `ttl` (1-based; re-reading a TTL
+    /// re-sends nothing).
+    pub fn probe(&mut self, ttl: u8) -> TtlAnswer {
+        assert!(ttl > 0, "a probe with TTL 0 never leaves its host");
+        self.read[usize::from(ttl / 64)] |= 1 << (ttl % 64);
+        match self.hops.get(usize::from(ttl) - 1) {
+            Some(&(Some(addr), _)) => TtlAnswer::Exceeded(addr),
+            Some(&(None, _)) => TtlAnswer::Silent,
+            None if self.echo_rtt_ms.is_some() => TtlAnswer::Echo,
+            None => TtlAnswer::PastEnd,
+        }
+    }
+
+    /// Packets sent so far: the distinct TTLs read.
+    pub fn packets(&self) -> u32 {
+        self.read.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Virtual time those packets took, summed in TTL order — reading
+    /// every TTL of the path adds up exactly as the full trace does.
+    pub fn rtt_ms(&self) -> f64 {
+        let mut total = 0.0;
+        for (word, &bits) in self.read.iter().enumerate() {
+            let mut left = bits;
+            while left != 0 {
+                let ttl = word * 64 + left.trailing_zeros() as usize;
+                left &= left - 1;
+                total += match self.hops.get(ttl - 1) {
+                    Some(&(_, rtt)) => rtt,
+                    None => self.echo_rtt_ms.unwrap_or(0.0),
+                };
+            }
+        }
+        total
     }
 }
 
@@ -512,6 +582,39 @@ impl Sim {
 
     // ---- traceroute --------------------------------------------------------------
 
+    /// What TTL-limited probes of a flow observe along its walk, one item
+    /// per TTL short of the target: the answering interface (`None` for
+    /// `*`) and the probe's round trip. LSP-interior hops do not decrement
+    /// TTL and yield nothing; a destination router answers with the echo,
+    /// not here.
+    fn ttl_hops<'a>(
+        &'a self,
+        fwd: &'a Walk,
+        dest: &Dest,
+        src_gw: Addr,
+    ) -> impl Iterator<Item = (Option<Addr>, f64)> + 'a {
+        let expiring = fwd.hops.len() - usize::from(matches!(dest, Dest::Router { .. }));
+        let mut cumulative = HOST_LINK_MS;
+        fwd.hops[..expiring]
+            .iter()
+            .filter(|hop| !self.mpls_hidden(hop))
+            .map(move |hop| {
+                let addr =
+                    self.topo()
+                        .router(hop.router)
+                        .ttl_responsive
+                        .then(|| match hop.in_link {
+                            Some(l) => self.topo().link(l).addr_of(hop.router),
+                            None => src_gw,
+                        });
+                let rtt = 2.0 * cumulative;
+                if let Some(l) = hop.out_link {
+                    cumulative += self.topo().link(l).latency_ms;
+                }
+                (addr, rtt)
+            })
+    }
+
     /// (Paris) traceroute from host `src` to `dst`. The flow id keeps
     /// per-flow load balancing consistent across TTLs, so the returned hop
     /// sequence is a single coherent path.
@@ -519,34 +622,12 @@ impl Sim {
         let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
         let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None)?;
-        let src_gw = self.prefix_gateway(pid);
 
-        let is_router_dest = matches!(dest, Dest::Router { .. });
         // One entry per walk hop at most, plus the destination's answer.
         let mut hops: Vec<Option<Addr>> = Vec::with_capacity(fwd.hops.len() + 1);
-        let mut cumulative = HOST_LINK_MS;
         let mut rtt_total = 0.0;
-        let n = fwd.hops.len();
-        for (i, hop) in fwd.hops.iter().enumerate() {
-            if i + 1 == n && is_router_dest {
-                break; // the destination router answers with an echo reply
-            }
-            if self.mpls_hidden(hop) {
-                continue; // LSP interior: TTL is not decremented
-            }
-            let r = self.topo().router(hop.router);
-            let addr = if r.ttl_responsive {
-                match hop.in_link {
-                    Some(l) => Some(self.topo().link(l).addr_of(hop.router)),
-                    None => Some(src_gw),
-                }
-            } else {
-                None
-            };
-            rtt_total += 2.0 * cumulative;
-            if let Some(l) = hop.out_link {
-                cumulative += self.topo().link(l).latency_ms;
-            }
+        for (addr, rtt) in self.ttl_hops(&fwd, &dest, self.prefix_gateway(pid)) {
+            rtt_total += rtt;
             hops.push(addr);
         }
 
@@ -562,6 +643,24 @@ impl Sim {
             hops,
             reached,
             rtt_ms: rtt_total,
+        })
+    }
+
+    /// The path [`Sim::traceroute`] would trace, opened for reading one
+    /// TTL at a time (same flow id, same per-TTL answers and round trips).
+    /// `None` when `src` is no host or `dst` is unroutable.
+    pub fn ttl_view(&self, src: Addr, dst: Addr, flow: u16) -> Option<TtlView> {
+        let (pid, attach) = self.resolve_host(src)?;
+        let dest = self.resolve_dest(dst)?;
+        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None)?;
+        Some(TtlView {
+            hops: self
+                .ttl_hops(&fwd, &dest, self.prefix_gateway(pid))
+                .collect(),
+            echo_rtt_ms: self
+                .dest_responds(&dest, dst, ProbeKind::Ping)
+                .then_some(2.0 * (fwd.latency_ms + HOST_LINK_MS)),
+            read: [0; 4],
         })
     }
 

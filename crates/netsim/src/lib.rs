@@ -59,7 +59,9 @@ pub mod viz;
 pub use addr::{Addr, Prefix};
 pub use concurrent::{CachePadded, StripedMap};
 pub use config::{BehaviorConfig, SimConfig, TopologyConfig};
-pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, RR_SLOTS, TS_SLOTS};
+pub use engine::{
+    EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS, TS_SLOTS,
+};
 pub use faults::{FaultConfig, Faults};
 pub use ids::{AsId, LinkId, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};

@@ -1,7 +1,8 @@
 //! Allocation gate: once routes are cached, a walk and the probe
-//! primitives built on it do not touch the heap — wherever the walk
-//! starts: a stub's first hop is resolved on lookup, not stored — and a
-//! route fill allocates the table it returns and nothing else.
+//! primitives built on it (a TTL view and its probes among them) do not
+//! touch the heap — wherever the walk starts: a stub's first hop is
+//! resolved on lookup, not stored — and a route fill allocates the table
+//! it returns and nothing else.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
@@ -80,9 +81,9 @@ fn warm_probe_primitives_do_not_allocate() {
         (!topo.asn(topo.router_as(attach)).has_customers()).then_some(attach)
     };
 
-    let mut answered = [0usize; 6];
-    let pass = |answered: &mut [usize; 6]| -> [u64; 6] {
-        let mut allocs = [0u64; 6];
+    let mut answered = [0usize; 7];
+    let pass = |answered: &mut [usize; 7]| -> [u64; 7] {
+        let mut allocs = [0u64; 7];
         for (i, &(vp, other, dst)) in pairs.iter().enumerate() {
             let attach = sim.host_attach(vp).expect("vp host");
             let nonce = i as u64;
@@ -114,6 +115,15 @@ fn warm_probe_primitives_do_not_allocate() {
                 let t = black_box(sim.traceroute(vp, dst, 1));
                 answered[4] += usize::from(t.is_some());
             });
+            allocs[6] += allocs_in(|| {
+                if let Some(mut view) = black_box(sim.ttl_view(vp, dst, 1)) {
+                    for ttl in 1..=40 {
+                        black_box(view.probe(ttl));
+                    }
+                    black_box((view.packets(), view.rtt_ms()));
+                    answered[6] += 1;
+                }
+            });
         }
         allocs
     };
@@ -121,8 +131,8 @@ fn warm_probe_primitives_do_not_allocate() {
     // Warm-up: fills the route cache for every (destination AS, salt).
     pass(&mut answered);
     let fills = sim.route_computes();
-    answered = [0; 6];
-    let [walk, ping, rr, ts, traceroute, stub_walk] = pass(&mut answered);
+    answered = [0; 7];
+    let [walk, ping, rr, ts, traceroute, stub_walk, ttl_view] = pass(&mut answered);
     assert_eq!(sim.route_computes(), fills, "second pass must be warm");
 
     // The gate is vacuous unless the probes actually ran end to end.
@@ -133,6 +143,7 @@ fn warm_probe_primitives_do_not_allocate() {
         "ts_ping",
         "traceroute",
         "walk from a stub",
+        "ttl_view",
     ];
     for (what, n) in probes.iter().zip(answered) {
         assert!(
@@ -146,6 +157,7 @@ fn warm_probe_primitives_do_not_allocate() {
     assert_eq!(ping, 0, "ping_from allocated");
     assert_eq!(rr, 0, "rr_ping_from allocated");
     assert_eq!(ts, 0, "ts_ping_from allocated");
+    assert_eq!(ttl_view, 0, "a TTL view and 40 probes of it allocated");
     assert!(
         traceroute <= answered[4] as u64,
         "traceroute allocated {traceroute} times for {} results",

@@ -1,7 +1,9 @@
 //! Measurement reuse cache (the "cache" component of Table 4's ablation).
 //!
 //! revtr 2.0 caches traceroutes and RR measurements for a day and reuses
-//! them across reverse traceroutes (Insight 1.4 / Appx. D.2.2). Entries are
+//! them across reverse traceroutes (Insight 1.4 / Appx. D.2.2). Of a
+//! traceroute the engine uses one thing — the last link before the target
+//! ([`LastLink`]) — so that is what is kept. Entries are
 //! keyed by the full probe identity and expire on *virtual* simulator time,
 //! so staleness interacts correctly with route churn.
 //!
@@ -10,7 +12,8 @@
 //! into a convoy under parallel campaign workers. The hit/miss/insert/
 //! expired counters are cache-line padded for the same reason.
 
-use revtr_netsim::{Addr, CachePadded, RrReply, Sim, StripedMap, TraceResult};
+use crate::prober::LastLink;
+use revtr_netsim::{Addr, CachePadded, RrReply, Sim, StripedMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default cache TTL: one day of virtual time (paper Q1/D.2.2).
@@ -78,23 +81,20 @@ impl CacheStats {
     }
 }
 
-/// Cached traceroutes, keyed by (source, destination).
-type TracerouteMap = StripedMap<(Addr, Addr), Entry<Option<TraceResult>>>;
-
-/// Logical footprint of one traceroute cache entry: (Addr, Addr) key +
-/// `Entry<Option<TraceResult>>` with its inline hop storage — ~256 B
-/// covers the simulator's path-length bound.
-pub const TRACEROUTE_ENTRY_BYTES: u64 = 256;
+/// Footprint of one last-link cache entry: the `(source, target)` key and
+/// the timestamped measurement, all inline.
+pub const LAST_LINK_ENTRY_BYTES: u64 =
+    (std::mem::size_of::<(Addr, Addr)>() + std::mem::size_of::<Entry<Option<LastLink>>>()) as u64;
 
 /// Logical footprint of one RR cache entry: `RrKey` (3 addrs) +
 /// `CachedRr` with a ≤9-slot stamp vector — ~112 B.
 pub const RR_ENTRY_BYTES: u64 = 112;
 
-/// TTL-based cache for traceroutes and RR replies.
+/// TTL-based cache for last-link measurements and RR replies.
 #[derive(Debug)]
 pub struct MeasurementCache {
     ttl_hours: f64,
-    traceroutes: TracerouteMap,
+    last_links: StripedMap<(Addr, Addr), Entry<Option<LastLink>>>,
     rr: StripedMap<RrKey, Entry<CachedRr>>,
     hits: CachePadded<AtomicU64>,
     misses: CachePadded<AtomicU64>,
@@ -112,7 +112,7 @@ impl MeasurementCache {
     pub fn with_ttl(ttl_hours: f64) -> MeasurementCache {
         MeasurementCache {
             ttl_hours,
-            traceroutes: StripedMap::new(),
+            last_links: StripedMap::new(),
             rr: StripedMap::new(),
             hits: Default::default(),
             misses: Default::default(),
@@ -148,16 +148,17 @@ impl MeasurementCache {
         }
     }
 
-    /// Cached traceroute from `src` to `dst`, if fresh.
-    pub fn get_traceroute(&self, sim: &Sim, src: Addr, dst: Addr) -> Option<Option<TraceResult>> {
+    /// Cached last link from `src` to `dst`, if fresh (`Some(None)` = known
+    /// unroutable).
+    pub fn get_last_link(&self, sim: &Sim, src: Addr, dst: Addr) -> Option<Option<LastLink>> {
         let now = sim.now_hours();
-        self.classify(self.traceroutes.get(&(src, dst)), now)
+        self.classify(self.last_links.get(&(src, dst)), now)
     }
 
-    /// Store a traceroute outcome (including "no answer").
-    pub fn put_traceroute(&self, sim: &Sim, src: Addr, dst: Addr, v: Option<TraceResult>) {
+    /// Store a last-link outcome (including "unroutable").
+    pub fn put_last_link(&self, sim: &Sim, src: Addr, dst: Addr, v: Option<LastLink>) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.traceroutes.insert(
+        self.last_links.insert(
             (src, dst),
             Entry {
                 at_hours: sim.now_hours(),
@@ -184,9 +185,9 @@ impl MeasurementCache {
         );
     }
 
-    /// Materialized traceroute entries.
-    pub fn traceroute_len(&self) -> usize {
-        self.traceroutes.len()
+    /// Materialized last-link entries.
+    pub fn last_link_len(&self) -> usize {
+        self.last_links.len()
     }
 
     /// Materialized RR entries.
@@ -195,26 +196,22 @@ impl MeasurementCache {
     }
 
     /// Logical byte footprint: entries × fixed per-entry struct
-    /// footprints (key + timestamped value; hop vectors priced at the
-    /// simulator's RR slot bound). Deterministic — derived from entry
+    /// footprints (key + timestamped value; RR stamps priced at the
+    /// simulator's slot bound). Deterministic — derived from entry
     /// *counts*, never from allocator or hit/miss state.
     pub fn approx_bytes(&self) -> u64 {
-        self.traceroute_len() as u64 * TRACEROUTE_ENTRY_BYTES
-            + self.rr_len() as u64 * RR_ENTRY_BYTES
+        self.last_link_len() as u64 * LAST_LINK_ENTRY_BYTES + self.rr_len() as u64 * RR_ENTRY_BYTES
     }
 
-    /// Per-shard occupancy of both striped maps (traceroutes first), for
+    /// Per-shard occupancy of both striped maps (last links first), for
     /// shard-skew reporting in `revtr-cli profile`.
     pub fn shard_occupancy(&self) -> (Vec<usize>, Vec<usize>) {
-        (
-            self.traceroutes.shard_occupancy(),
-            self.rr.shard_occupancy(),
-        )
+        (self.last_links.shard_occupancy(), self.rr.shard_occupancy())
     }
 
     /// Worst `max/mean` shard skew across both striped maps.
     pub fn shard_skew(&self) -> f64 {
-        self.traceroutes.shard_skew().max(self.rr.shard_skew())
+        self.last_links.shard_skew().max(self.rr.shard_skew())
     }
 
     /// Effectiveness counters so far.
@@ -229,7 +226,7 @@ impl MeasurementCache {
 
     /// Drop everything (e.g. when rebuilding an atlas from scratch).
     pub fn clear(&self) {
-        self.traceroutes.clear();
+        self.last_links.clear();
         self.rr.clear();
     }
 }
@@ -251,12 +248,18 @@ mod tests {
         let cache = MeasurementCache::with_ttl(1.0);
         let a = Addr::new(1, 1, 1, 1);
         let b = Addr::new(2, 2, 2, 2);
-        assert!(cache.get_traceroute(&sim, a, b).is_none());
-        cache.put_traceroute(&sim, a, b, None);
-        assert_eq!(cache.get_traceroute(&sim, a, b), Some(None));
+        let link = Some(LastLink {
+            penult: Some(Addr::new(3, 3, 3, 3)),
+            dist: 7,
+            gap: 1,
+            reached: true,
+        });
+        assert!(cache.get_last_link(&sim, a, b).is_none());
+        cache.put_last_link(&sim, a, b, link);
+        assert_eq!(cache.get_last_link(&sim, a, b), Some(link));
         // Expire by advancing virtual time beyond the TTL.
         sim.advance_hours(2.0);
-        assert!(cache.get_traceroute(&sim, a, b).is_none());
+        assert!(cache.get_last_link(&sim, a, b).is_none());
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
@@ -274,10 +277,10 @@ mod tests {
         let cache = MeasurementCache::with_ttl(1.0);
         let a = Addr::new(1, 1, 1, 1);
         let b = Addr::new(2, 2, 2, 2);
-        cache.put_traceroute(&sim, a, b, None);
+        cache.put_last_link(&sim, a, b, None);
         sim.advance_hours(1.0);
         assert!(
-            cache.get_traceroute(&sim, a, b).is_none(),
+            cache.get_last_link(&sim, a, b).is_none(),
             "entry exactly at TTL must not be served"
         );
         let s = cache.stats();
@@ -286,9 +289,9 @@ mod tests {
         assert_eq!(s.expired, 1, "boundary miss is classified as expired");
         // Just inside the TTL stays fresh.
         let c = Addr::new(3, 3, 3, 3);
-        cache.put_traceroute(&sim, a, c, None);
+        cache.put_last_link(&sim, a, c, None);
         sim.advance_hours(0.5);
-        assert_eq!(cache.get_traceroute(&sim, a, c), Some(None));
+        assert_eq!(cache.get_last_link(&sim, a, c), Some(None));
     }
 
     #[test]
@@ -296,8 +299,8 @@ mod tests {
         let sim = Sim::build(SimConfig::tiny(), 3);
         let cache = MeasurementCache::new();
         assert_eq!(cache.approx_bytes(), 0);
-        cache.put_traceroute(&sim, Addr(1), Addr(2), None);
-        cache.put_traceroute(&sim, Addr(1), Addr(3), None);
+        cache.put_last_link(&sim, Addr(1), Addr(2), None);
+        cache.put_last_link(&sim, Addr(1), Addr(3), None);
         cache.put_rr(
             &sim,
             RrKey {
@@ -312,11 +315,14 @@ mod tests {
                 rep_epoch: None,
             },
         );
-        assert_eq!(cache.traceroute_len(), 2);
+        assert_eq!(cache.last_link_len(), 2);
         assert_eq!(cache.rr_len(), 1);
-        assert_eq!(cache.approx_bytes(), 2 * 256 + 112);
-        let (tr_occ, rr_occ) = cache.shard_occupancy();
-        assert_eq!(tr_occ.iter().sum::<usize>(), 2);
+        assert_eq!(
+            cache.approx_bytes(),
+            2 * LAST_LINK_ENTRY_BYTES + RR_ENTRY_BYTES
+        );
+        let (ll_occ, rr_occ) = cache.shard_occupancy();
+        assert_eq!(ll_occ.iter().sum::<usize>(), 2);
         assert_eq!(rr_occ.iter().sum::<usize>(), 1);
         assert!(cache.shard_skew() > 0.0);
         cache.clear();
@@ -360,8 +366,8 @@ mod tests {
                     for i in 0u32..200 {
                         let a = Addr::new(10, (t % 4) as u8, (i % 16) as u8, 1);
                         let b = Addr::new(10, 0, 0, 2);
-                        if cache.get_traceroute(sim, a, b).is_none() {
-                            cache.put_traceroute(sim, a, b, None);
+                        if cache.get_last_link(sim, a, b).is_none() {
+                            cache.put_last_link(sim, a, b, None);
                         }
                     }
                 });

@@ -33,13 +33,13 @@ pub mod prober;
 pub mod stopset;
 
 pub use cache::{
-    CacheStats, CachedRr, MeasurementCache, RrKey, DEFAULT_TTL_HOURS, RR_ENTRY_BYTES,
-    TRACEROUTE_ENTRY_BYTES,
+    CacheStats, CachedRr, MeasurementCache, RrKey, DEFAULT_TTL_HOURS, LAST_LINK_ENTRY_BYTES,
+    RR_ENTRY_BYTES,
 };
 pub use clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 pub use counters::{Counters, ProbeKind, Snapshot};
 pub use prober::{
-    BatchReply, ProbeLoss, Prober, RetryPolicy, RrProvenance, PROBE_TIMEOUT_MS,
+    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, PROBE_TIMEOUT_MS,
     TRACEROUTE_TIMEOUT_MS,
 };
 pub use revtr_telemetry::{

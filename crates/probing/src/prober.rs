@@ -16,10 +16,10 @@
 //! retried: budgets are spent only where a real retry could help, and a
 //! fault-free sim behaves bit-identically whatever the budgets are.
 
-use crate::cache::{CachedRr, MeasurementCache, RrKey, RR_ENTRY_BYTES, TRACEROUTE_ENTRY_BYTES};
+use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
-use revtr_netsim::{Addr, EchoReply, RrReply, Sim, TraceResult, TsReply};
+use revtr_netsim::{Addr, EchoReply, RrReply, Sim, TraceResult, TsReply, TtlAnswer, TtlView};
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,6 +113,64 @@ pub struct RrProvenance {
     pub rep_epoch: Option<u32>,
     /// True if this observation was served from the measurement cache.
     pub from_cache: bool,
+}
+
+/// The last link of the forward path from a source to a target: all the
+/// symmetry step (Q5) uses of a traceroute, measured by
+/// [`Prober::last_link`] without tracing the hops nearer the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LastLink {
+    /// The nearest hop before the target that answered from an address
+    /// other than the target's own (`None`: no TTL short of it did).
+    pub penult: Option<Addr>,
+    /// The lowest TTL that got as far as the target.
+    pub dist: u8,
+    /// TTLs strictly between `penult` and the target that produced no
+    /// such hop: 0 when the two are adjacent on the trace.
+    pub gap: u8,
+    /// Whether the target answered the echo (else the trace merely ended
+    /// where it would be).
+    pub reached: bool,
+}
+
+impl LastLink {
+    /// The TTL `penult` answered at (0 without one): its distance from
+    /// the source along this path.
+    pub fn penult_dist(&self) -> u8 {
+        self.dist - self.gap - 1
+    }
+
+    /// Drive `view` Doubletree-style for the last link before `target`:
+    /// first probe at `start`, forward until a probe gets as far as the
+    /// target if that fell short, then backward — over what an overshoot
+    /// left unread — to the first TTL answering from another address.
+    fn sweep(view: &mut TtlView, target: Addr, start: u8) -> LastLink {
+        let mut ttl = start.max(1);
+        let reached = loop {
+            match view.probe(ttl) {
+                TtlAnswer::Echo => break true,
+                TtlAnswer::PastEnd => break false,
+                // No path outlasts `MAX_HOPS + 1` TTLs: this cannot wrap.
+                TtlAnswer::Exceeded(_) | TtlAnswer::Silent => ttl += 1,
+            }
+        };
+        let mut dist = ttl;
+        let penult = loop {
+            ttl -= 1;
+            match (ttl > 0).then(|| view.probe(ttl)) {
+                None => break None,
+                Some(TtlAnswer::Exceeded(hop)) if hop != target => break Some(hop),
+                Some(TtlAnswer::Echo | TtlAnswer::PastEnd) => dist = ttl,
+                Some(TtlAnswer::Exceeded(_) | TtlAnswer::Silent) => {}
+            }
+        };
+        LastLink {
+            penult,
+            dist,
+            gap: dist - ttl - 1,
+            reached,
+        }
+    }
 }
 
 /// Result of a spoofed RR batch, with per-pair fault attribution. The
@@ -669,33 +727,35 @@ impl<'s> Prober<'s> {
 
     // ---- traceroute --------------------------------------------------------------
 
-    /// (Paris) traceroute with caching.
-    pub fn traceroute(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
-        if self.use_cache {
-            if let Some(hit) = self.cache.get_traceroute(self.sim, src, dst) {
-                return hit;
-            }
-        }
-        self.traceroute_fresh(src, dst)
+    /// The Paris flow id every TTL probe from `src` to `dst` carries.
+    pub fn paris_flow(src: Addr, dst: Addr) -> u16 {
+        (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16
     }
 
-    /// Traceroute bypassing the cache. Unlike the RR paths above, this
-    /// *intentionally* writes through to the cache even on a
-    /// cache-disabled prober: `traceroute_fresh` is the atlas-refresh
-    /// primitive, and a forced refresh must update the shared cache or
-    /// every subsequent cached read would serve the stale trace it was
-    /// called to replace.
+    /// Open attempt number `attempt` of a traceroute-kind measurement
+    /// toward `dst`: charge the retry backoff, count the traceroute and
+    /// draw its fault fate. True if the attempt was lost (its timeout is
+    /// charged here).
+    fn trace_attempt_lost(&self, attempt: u32, dst: Addr) -> bool {
+        if attempt > 0 {
+            self.charge_retry(attempt);
+        }
+        self.counters.bump(ProbeKind::Traceroutes);
+        if !self.fault_lost(None, dst) {
+            return false;
+        }
+        self.counters.bump(ProbeKind::Lost);
+        self.tele_lost();
+        self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+        true
+    }
+
+    /// A full (Paris) traceroute, TTL 1 upward: what atlases are built
+    /// from. Never cached — an atlas keeps its own traces.
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
-        let flow = (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16;
+        let flow = Self::paris_flow(src, dst);
         for attempt in 0..self.retry.traceroute_attempts.max(1) {
-            if attempt > 0 {
-                self.charge_retry(attempt);
-            }
-            self.counters.bump(ProbeKind::Traceroutes);
-            if self.fault_lost(None, dst) {
-                self.counters.bump(ProbeKind::Lost);
-                self.tele_lost();
-                self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+            if self.trace_attempt_lost(attempt, dst) {
                 continue;
             }
             let r = self.sim.traceroute(src, dst, flow);
@@ -707,10 +767,53 @@ impl<'s> Prober<'s> {
                 }
                 None => self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim),
             }
-            self.counters
-                .add(ProbeKind::CacheBytes, TRACEROUTE_ENTRY_BYTES);
-            self.cache.put_traceroute(self.sim, src, dst, r.clone());
             return r;
+        }
+        None
+    }
+
+    /// The last link of the path a traceroute from `src` to `cur` would
+    /// trace, reusing a fresh cached measurement when caching is enabled,
+    /// and the packets this call sent for it (0: answered from the cache).
+    /// `hint` is where the caller expects `cur` to sit — the first TTL
+    /// probed; a wrong guess costs packets (`|hint − dist| + 2` and any
+    /// silent TTLs crossed), never the answer. `None` when nothing routes
+    /// to `cur` or every attempt was lost to faults.
+    pub fn last_link(&self, src: Addr, cur: Addr, hint: u8) -> Option<(LastLink, u8)> {
+        if self.use_cache {
+            if let Some(hit) = self.cache.get_last_link(self.sim, src, cur) {
+                return hit.map(|link| (link, 0));
+            }
+        }
+        let flow = Self::paris_flow(src, cur);
+        for attempt in 0..self.retry.traceroute_attempts.max(1) {
+            if self.trace_attempt_lost(attempt, cur) {
+                continue;
+            }
+            let measured = self.sim.ttl_view(src, cur, flow).map(|mut view| {
+                let link = LastLink::sweep(&mut view, cur, hint);
+                let pkts = view.packets();
+                self.counters
+                    .add(ProbeKind::TraceroutePkts, u64::from(pkts));
+                self.clock.advance(view.rtt_ms(), self.sim);
+                self.telemetry.counter_add("probing.last_link.measured", 1);
+                self.telemetry
+                    .counter_add("probing.last_link.pkts", u64::from(pkts));
+                // At most one packet per TTL a byte can name.
+                (link, pkts as u8)
+            });
+            if measured.is_none() {
+                self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+            }
+            if self.use_cache {
+                // Genuine outcomes only, as for RR: a fault loss above is
+                // transient and must not be negative-cached.
+                self.counters
+                    .add(ProbeKind::CacheBytes, LAST_LINK_ENTRY_BYTES);
+                self.cache
+                    .put_last_link(self.sim, src, cur, measured.map(|(link, _)| link));
+            }
+            return measured;
         }
         None
     }
@@ -735,7 +838,7 @@ mod tests {
         p.ping(vp0, vp1);
         p.rr_ping(vp0, vp1);
         p.spoofed_rr_batch(&[(vp0, vp1), (vp1, vp0)], vp2);
-        p.traceroute(vp0, vp1);
+        p.last_link(vp0, vp1, 9);
         let snap = p.counters().snapshot();
         assert_eq!(snap.ping, 1);
         assert_eq!(snap.rr, 1);
@@ -925,6 +1028,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::cache::CacheStats;
     use revtr_netsim::SimConfig;
 
     #[test]
@@ -952,20 +1056,182 @@ mod more_tests {
     }
 
     #[test]
-    fn traceroute_cache_respects_virtual_ttl() {
+    fn last_link_cache_respects_virtual_ttl() {
         let s = Sim::build(SimConfig::tiny(), 22);
         let p = Prober::new(&s);
         let vps = &s.topo().vp_sites;
-        p.traceroute(vps[0].host, vps[1].host);
+        let measure = || {
+            p.last_link(vps[0].host, vps[1].host, 9)
+                .expect("VPs reachable")
+        };
+        let (link, sent) = measure();
+        assert!(sent >= 2 && link.reached);
         let before = p.counters().snapshot().traceroutes;
-        p.traceroute(vps[0].host, vps[1].host);
-        assert_eq!(p.counters().snapshot().traceroutes, before, "cache hit");
-        s.advance_hours(25.0); // beyond the one-day TTL
-        p.traceroute(vps[0].host, vps[1].host);
+        assert_eq!(measure(), (link, 0), "cache hit: same link, nothing sent");
+        s.advance_hours(23.5); // inside the one-day TTL
+        assert_eq!(measure().1, 0, "23.5 h old is fresh");
+        assert_eq!(p.counters().snapshot().traceroutes, before);
+        s.advance_hours(0.5); // aged exactly 24 h: expired, not fresh
+        assert_eq!(measure(), (link, sent), "expired entry must be re-measured");
+        assert_eq!(p.counters().snapshot().traceroutes, before + 1);
+        let st = p.cache().stats();
+        assert_eq!((st.hits, st.misses, st.inserts, st.expired), (2, 2, 2, 1));
+    }
+
+    #[test]
+    fn last_link_counts_what_its_view_metered() {
+        // Honest counting: one traceroute per uncached measurement, one
+        // packet per distinct TTL the view was read at, and the cache
+        // counters moving as a lookup-then-store always has.
+        let s = Sim::build(SimConfig::tiny(), 22);
+        let p = Prober::new(&s);
+        let vps = &s.topo().vp_sites;
+        let (src, dst) = (vps[0].host, vps[2].host);
+        let len = s
+            .traceroute(src, dst, Prober::paris_flow(src, dst))
+            .expect("VPs reachable")
+            .hops
+            .len() as u8;
+        for (round, hint) in [1, len - 1, len, len + 3, 40].into_iter().enumerate() {
+            let fresh = p.with_cache_enabled(false);
+            let before = (p.counters().snapshot(), p.clock().now_ms());
+            let (link, sent) = fresh.last_link(src, dst, hint).expect("routable");
+            let d = p.counters().snapshot().since(&before.0);
+            // The same sweep on a view of our own: it is the meter.
+            let mut view = s
+                .ttl_view(src, dst, Prober::paris_flow(src, dst))
+                .expect("routable");
+            assert_eq!(LastLink::sweep(&mut view, dst, hint), link);
+            assert_eq!((d.traceroutes, d.traceroute_pkts), (1, u64::from(sent)));
+            assert_eq!(u32::from(sent), view.packets(), "hint {hint}");
+            assert_eq!(d.all_packets(), u64::from(sent), "nothing else was sent");
+            assert!((p.clock().now_ms() - before.1 - view.rtt_ms()).abs() < 1e-9);
+            assert_eq!((link.dist, link.gap, link.reached), (len, 0, true));
+            assert_eq!(d.cache_bytes, 0, "a cache-disabled prober stores nothing");
+            assert_eq!(p.cache().stats(), CacheStats::default(), "round {round}");
+        }
+        // Cache on: miss + insert, then hit; an unroutable target is a
+        // genuine outcome — counted, timed out, and negative-cached.
+        let dark = Addr::new(10, 9, 9, 9);
+        for (target, routable) in [(dst, true), (dark, false)] {
+            let before = (
+                p.counters().snapshot(),
+                p.cache().stats(),
+                p.clock().now_ms(),
+            );
+            let first = p.last_link(src, target, 9);
+            assert_eq!(first.is_some(), routable);
+            assert_eq!(
+                p.last_link(src, target, 3).map(|(l, _)| l),
+                first.map(|(l, _)| l)
+            );
+            let d = p.counters().snapshot().since(&before.0);
+            let st = p.cache().stats();
+            assert_eq!(d.traceroutes, 1, "the second call hit the cache");
+            assert_eq!(
+                d.traceroute_pkts,
+                first.map_or(0, |(_, sent)| u64::from(sent))
+            );
+            assert_eq!(d.cache_bytes, LAST_LINK_ENTRY_BYTES);
+            assert_eq!(
+                (st.hits, st.misses, st.inserts, st.expired),
+                (
+                    before.1.hits + 1,
+                    before.1.misses + 1,
+                    before.1.inserts + 1,
+                    0
+                )
+            );
+            if !routable {
+                assert!((p.clock().now_ms() - before.2 - TRACEROUTE_TIMEOUT_MS).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// The generated tiny Internet with one chain pinned by hand: the
+    /// forward path from VP 0 to VP `to`, whose routers all answer expired
+    /// probes except the ones at the given TTLs.
+    fn chain_with_silent_ttls(to: usize, silent: &[usize]) -> (Sim, Addr, Addr, TraceResult) {
+        let base = Sim::build(SimConfig::tiny(), 22);
+        let (src, dst) = (base.topo().vp_sites[0].host, base.topo().vp_sites[to].host);
+        let attach = base.host_attach(src).expect("vp host");
+        let flow = Prober::paris_flow(src, dst);
+        let walk = base
+            .walk(attach, dst, &revtr_netsim::sim::PktMeta::plain(src, flow))
+            .expect("VPs reachable");
+        let mut topo = base.topo().clone();
+        for a in &mut topo.ases {
+            a.mpls = false; // every router on the chain is one TTL
+        }
+        for (i, hop) in walk.hops.iter().enumerate() {
+            topo.routers[hop.router.0 as usize].ttl_responsive = !silent.contains(&(i + 1));
+        }
+        let sim = Sim::from_topology(topo, SimConfig::tiny(), 22);
+        let trace = sim.traceroute(src, dst, flow).expect("VPs reachable");
+        assert_eq!(trace.hops.len(), walk.hops.len() + 1, "chain + the echo");
+        (sim, src, dst, trace)
+    }
+
+    #[test]
+    fn last_link_reports_a_silent_router_before_the_target() {
+        let (_, _, _, clean) = chain_with_silent_ttls(3, &[]);
+        let n = clean.hops.len();
+        assert!(n >= 4, "chain too short to silence a hop: {clean:?}");
+        // The router directly before the target stays silent: the adopted
+        // hop is the one before it, and the link says so.
+        let (sim, src, dst, trace) = chain_with_silent_ttls(3, &[n - 1]);
+        assert_eq!(trace.hops[n - 2], None);
+        for hint in 1..=40 {
+            let p = Prober::new(&sim).with_cache_enabled(false);
+            let (link, _) = p.last_link(src, dst, hint).expect("routable");
+            assert_eq!(
+                link,
+                LastLink {
+                    penult: trace.hops[n - 3],
+                    dist: n as u8,
+                    gap: 1,
+                    reached: true
+                },
+                "hint {hint}"
+            );
+            assert_eq!(link.penult_dist(), n as u8 - 2);
+        }
+        // Every router silent: nothing to adopt, the whole path a gap.
+        let all: Vec<usize> = (1..n).collect();
+        let (sim, src, dst, _) = chain_with_silent_ttls(3, &all);
+        let p = Prober::new(&sim).with_cache_enabled(false);
+        let (link, sent) = p.last_link(src, dst, n as u8).expect("routable");
         assert_eq!(
-            p.counters().snapshot().traceroutes,
-            before + 1,
-            "expired entry must be re-measured"
+            (link.penult, link.gap, link.penult_dist()),
+            (None, n as u8 - 1, 0)
         );
+        assert_eq!(usize::from(sent), n, "read every TTL down to 1");
+    }
+
+    #[test]
+    fn last_link_reports_an_echo_silent_target() {
+        let (sim, src, _, _) = chain_with_silent_ttls(3, &[]);
+        // A host that answers no ping: the trace merely ends where it is.
+        let dst = sim
+            .topo()
+            .prefixes
+            .iter()
+            .flat_map(|pe| sim.host_addrs(pe.id))
+            .find(|&a| !sim.behavior().host_ping_responsive(a) && !sim.is_vp_host(a))
+            .expect("a quarter of hosts ignore pings");
+        let trace = sim
+            .traceroute(src, dst, Prober::paris_flow(src, dst))
+            .expect("routable");
+        assert!(!trace.reached && trace.hops.last() == Some(&None));
+        let n = trace.hops.len() as u8;
+        for hint in 1..=40 {
+            let p = Prober::new(&sim).with_cache_enabled(false);
+            let (link, _) = p.last_link(src, dst, hint).expect("routable");
+            assert_eq!((link.dist, link.reached), (n, false), "hint {hint}");
+            assert_eq!(
+                link.penult,
+                trace.hops.iter().rev().flatten().next().copied()
+            );
+        }
     }
 }

@@ -12,15 +12,17 @@
 //!   reverse-hop evidence some earlier request already measured at that
 //!   router — the full RR observation (hops + send-time
 //!   [`RrProvenance`]), so reuse replays against the audit oracle exactly
-//!   like a measurement-cache hit. Alongside the evidence it keeps four
+//!   like a measurement-cache hit. Alongside the evidence it keeps five
 //!   cheaper hints: the spoofed-ladder *winner VP* per ingress plan,
 //!   per-`(plan, VP)` *probe futility*, per-router *ladder futility*
 //!   (all three source-free — slot survival on the VP→router leg does
-//!   not depend on the spoofed-for source), and a *direct-RR futility*
-//!   marker per `(source, router)`. Together they let a later request
-//!   open the ladder at its proven winner, prune predictably useless
-//!   VPs, skip exhausted ladders, and skip the predictably unanswered
-//!   direct probe;
+//!   not depend on the spoofed-for source), a *direct-RR futility*
+//!   marker per `(source, router)`, and the *forward distance* a source
+//!   last measured into a /24 (FlashRoute's neighbour prediction).
+//!   Together they let a later request open the ladder at its proven
+//!   winner, prune predictably useless VPs, skip exhausted ladders, skip
+//!   the predictably unanswered direct probe, and start the symmetry
+//!   step's TTL probing next to its target instead of at TTL 1;
 //! * the **forward discovery set** maps `(atlas source, hop)` to the RR
 //!   observation the atlas builder already made for that hop, so
 //!   rebuilding or refreshing atlases re-measures each interface once per
@@ -32,7 +34,9 @@
 //! write the published view directly: they buffer [`Contribution`]s
 //! stamped with `(vtime, request id, seq)`, and the engine merges the
 //! buffer at deterministic barriers ([`StopSet::merge_pending`]) by
-//! sorting on that stamp and applying first-wins per key. The stamp is a
+//! sorting on that stamp and applying first-wins per key (forward
+//! distances, which track what was measured *last*, apply last-wins in the
+//! same order). The stamp is a
 //! pure function of the task schedule (virtual time, not wall time), so
 //! the published view after every barrier — and therefore every consult
 //! result — is bitwise identical whatever the worker count or OS
@@ -191,6 +195,22 @@ pub enum Note {
         /// The exact frontier router the ladder was exhausted at.
         cur: Addr,
     },
+    /// `src` measured `addr` this many TTLs away (a last-link
+    /// measurement's [`crate::LastLink::dist`]). Published per `(src,
+    /// /24)` with the `/16` behind it — addresses numbered together sit
+    /// together, so the next target in the block starts its TTL probing
+    /// there — and folded into the source's running median for blocks
+    /// never seen. The latest measurement wins: routes move. Like every
+    /// hint it is a guess a deployment already paid for; a wrong one costs
+    /// packets, never a hop.
+    Distance {
+        /// The measuring source.
+        src: Addr,
+        /// The target whose distance was measured.
+        addr: Addr,
+        /// TTLs from `src` to `addr`.
+        dist: u8,
+    },
 }
 
 /// A buffered stop-set update, stamped for deterministic merging.
@@ -228,6 +248,10 @@ pub struct StopSetSnapshot {
     /// VPs deprioritized in ladder queues because their spoof-quarantine
     /// window went dark (hardened engine only).
     pub quarantine_skips: u64,
+    /// Distance consults answered from the target's /24 or /16.
+    pub distance_hits: u64,
+    /// Distance consults left to the source's median (or to nothing).
+    pub distance_misses: u64,
 }
 
 impl StopSetSnapshot {
@@ -243,6 +267,8 @@ impl StopSetSnapshot {
             vp_skips: self.vp_skips - earlier.vp_skips,
             winner_hits: self.winner_hits - earlier.winner_hits,
             quarantine_skips: self.quarantine_skips - earlier.quarantine_skips,
+            distance_hits: self.distance_hits - earlier.distance_hits,
+            distance_misses: self.distance_misses - earlier.distance_misses,
         }
     }
 
@@ -265,6 +291,7 @@ impl StopSetSnapshot {
             + self.vp_skips
             + self.winner_hits
             + self.quarantine_skips
+            + self.distance_hits
     }
 }
 
@@ -274,7 +301,8 @@ impl StopSetSnapshot {
 pub struct StopSetBytes {
     /// Backward stop set: `(source, router)` → RR evidence.
     pub backward: u64,
-    /// Forward discovery set: `(atlas source, hop)` → RR observation.
+    /// Forward discovery set: `(atlas source, hop)` → RR observation,
+    /// and the forward-distance hints.
     pub forward: u64,
     /// Ladder hints: per-plan winner VPs plus spoof-quarantine windows.
     pub ladder: u64,
@@ -348,6 +376,45 @@ struct Published {
     vp_futile: HashSet<(u64, Addr)>,
     forward: HashMap<(Addr, Addr), Option<RrReply>>,
     spoof_windows: HashMap<Addr, SpoofWindow>,
+    /// `(source, block)` → TTLs last measured into the block; /24 and /16
+    /// blocks share the table ([`block_key`]).
+    distances: HashMap<(Addr, u32), u8>,
+    /// Source → every distance it measured, for their median.
+    measured_distances: HashMap<Addr, DistanceTally>,
+}
+
+/// The distances one source measured, counted per TTL (the last bucket
+/// takes anything longer), and their running median.
+#[derive(Clone, Copy, Debug)]
+struct DistanceTally {
+    counts: [u32; 64],
+    total: u32,
+    median: u8,
+}
+
+impl DistanceTally {
+    const EMPTY: DistanceTally = DistanceTally {
+        counts: [0; 64],
+        total: 0,
+        median: 0,
+    };
+
+    fn record(&mut self, dist: u8) {
+        self.counts[usize::from(dist).min(self.counts.len() - 1)] += 1;
+        self.total += 1;
+        let mut upto = 0;
+        let median = self.counts.iter().position(|&n| {
+            upto += n;
+            2 * upto >= self.total
+        });
+        self.median = median.expect("the counts sum to the total") as u8;
+    }
+}
+
+/// The key of the `/len` block holding `addr` (`len` 24 or 16): its
+/// network bits under a marker bit, so the two lengths never collide.
+fn block_key(addr: Addr, len: u32) -> u32 {
+    (1 << len) | (addr.0 >> (32 - len))
 }
 
 /// The campaign-wide stop-set layer. One instance per
@@ -365,6 +432,8 @@ pub struct StopSet {
     vp_skips: AtomicU64,
     winner_hits: AtomicU64,
     quarantine_skips: AtomicU64,
+    distance_hits: AtomicU64,
+    distance_misses: AtomicU64,
 }
 
 impl StopSet {
@@ -477,6 +546,14 @@ impl StopSet {
                 Note::VpSpoofOutcome { vp, landed } => {
                     g.spoof_windows.entry(vp).or_default().push(landed);
                 }
+                Note::Distance { src, addr, dist } => {
+                    g.distances.insert((src, block_key(addr, 24)), dist);
+                    g.distances.insert((src, block_key(addr, 16)), dist);
+                    g.measured_distances
+                        .entry(src)
+                        .or_insert(DistanceTally::EMPTY)
+                        .record(dist);
+                }
             }
         }
     }
@@ -518,7 +595,10 @@ impl StopSet {
             })
             .sum::<usize>() as u64;
         // A reply holds its slots inline: an entry has no heap part.
-        let forward = (g.forward.len() * (key2 + std::mem::size_of::<Option<RrReply>>())) as u64;
+        let forward = (g.forward.len() * (key2 + std::mem::size_of::<Option<RrReply>>())
+            + g.distances.len() * std::mem::size_of::<((Addr, u32), u8)>()
+            + g.measured_distances.len() * std::mem::size_of::<(Addr, DistanceTally)>())
+            as u64;
         let ladder = (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())
             + g.spoof_windows.len()
                 * (std::mem::size_of::<Addr>() + std::mem::size_of::<SpoofWindow>()))
@@ -550,6 +630,8 @@ impl StopSet {
             vp_skips: self.vp_skips.load(Ordering::Relaxed),
             winner_hits: self.winner_hits.load(Ordering::Relaxed),
             quarantine_skips: self.quarantine_skips.load(Ordering::Relaxed),
+            distance_hits: self.distance_hits.load(Ordering::Relaxed),
+            distance_misses: self.distance_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -639,6 +721,23 @@ impl Consult<'_> {
     /// [`StopSet::note_vp_skips`].
     pub fn vp_futile(&self, plan: u64, vp: Addr) -> bool {
         self.view.vp_futile.contains(&(plan, vp))
+    }
+
+    /// How many TTLs from `src` a probe toward `addr` should start at: the
+    /// distance `src` last measured into `addr`'s /24, else its /16 (a
+    /// hit), else the running median of everything `src` measured (a
+    /// miss); `None` before `src` measured anything.
+    pub fn distance(&self, src: Addr, addr: Addr) -> Option<u8> {
+        let near = [24, 16]
+            .into_iter()
+            .find_map(|len| self.view.distances.get(&(src, block_key(addr, len))));
+        let counter = match near {
+            Some(_) => &self.set.distance_hits,
+            None => &self.set.distance_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        near.copied()
+            .or_else(|| Some(self.view.measured_distances.get(&src)?.median))
     }
 
     /// The VPs currently quarantined: their spoof-outcome window is full
@@ -877,6 +976,54 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.forward_hits, 2);
         assert_eq!(st.forward_misses, 2);
+    }
+
+    #[test]
+    fn distance_hint_answers_from_the_nearest_block_and_tracks_the_latest() {
+        let s = StopSet::new();
+        let (src, other) = (Addr(1), Addr(2));
+        let note = |seq: u64, addr: Addr, dist: u8| Contribution {
+            vtime: 1.0,
+            req: 0,
+            seq,
+            note: Note::Distance { src, addr, dist },
+        };
+        assert_eq!(s.consult().distance(src, Addr::new(9, 1, 1, 1)), None);
+        // Buffered in the reverse of stamp order: the merge sorts.
+        s.contribute(note(2, Addr::new(9, 1, 1, 77), 12));
+        s.contribute(note(1, Addr::new(9, 1, 1, 5), 7));
+        s.contribute(note(0, Addr::new(9, 1, 2, 5), 9));
+        assert_eq!(
+            s.consult().distance(src, Addr::new(9, 1, 1, 1)),
+            None,
+            "pending must be invisible"
+        );
+        let bytes_before = s.approx_bytes();
+        s.merge_pending();
+        let c = s.consult();
+        // Same /24: the latest by stamp, not by buffering order.
+        assert_eq!(c.distance(src, Addr::new(9, 1, 1, 200)), Some(12));
+        assert_eq!(c.distance(src, Addr::new(9, 1, 2, 200)), Some(9));
+        // Another /24 of the /16: whatever the /16 saw last.
+        assert_eq!(c.distance(src, Addr::new(9, 1, 3, 1)), Some(12));
+        // Nothing nearby: the median of everything measured (9, 7, 12).
+        assert_eq!(c.distance(src, Addr::new(9, 2, 0, 1)), Some(9));
+        assert_eq!(c.distance(src, Addr::new(77, 0, 0, 1)), Some(9));
+        assert_eq!(c.distance(other, Addr::new(9, 1, 1, 1)), None, "per source");
+        drop(c);
+        let st = s.stats();
+        assert_eq!((st.distance_hits, st.distance_misses), (3, 5));
+        assert_eq!(st.total_hits(), 3);
+        let grown = s.approx_bytes();
+        assert!(grown.forward > bytes_before.forward, "priced under forward");
+        assert_eq!(
+            StopSetBytes {
+                forward: 0,
+                ..grown
+            },
+            StopSetBytes::default(),
+            "and nowhere else"
+        );
     }
 
     #[test]
