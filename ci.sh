@@ -13,8 +13,8 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-# Benches and examples are built by neither command above; check them so
-# an API change cannot rot them silently.
+# Examples are built by neither command above; check them so an API
+# change cannot rot them silently.
 echo "== cargo check --workspace --all-targets =="
 cargo check -q --workspace --all-targets --offline
 
@@ -36,8 +36,9 @@ cargo test -q --release --test metamorphic
 
 # Stitch-trace audit gate: every accepted hop of a standard-scale campaign
 # replays soundly against the oracle — zero Unsound, zero PolicyViolation
-# (revtr-cli exits nonzero otherwise). Each seed runs both stop-set arms:
-# the on arm additionally proves reused stop-set evidence replays sound.
+# (the subcommand exits nonzero otherwise). Each seed runs both stop-set
+# arms — the campaigns the economy gate below compares — and the on arm
+# additionally proves reused stop-set evidence replays sound.
 echo "== stitch-trace audit gate (release, standard scale, seeds 1/7/42, stop sets off/on) =="
 cargo build -q --release -p revtr-eval
 for seed in 1 7 42; do
@@ -52,8 +53,8 @@ done
 # stay within 0.02 of the stop-sets-off control. A "probe" there is a whole
 # traceroute, so the same run also prints packets per revtr and TTL probes
 # per last-link measurement for both arms, and holds the stop-sets-on arm
-# to <= 6.0 packets per measurement — half a full forward trace (revtr-cli
-# exits nonzero on either gate).
+# to <= 6.0 packets per measurement — half a full forward trace (the
+# subcommand exits nonzero on either gate).
 echo "== probe-economy gate (release, standard scale, seeds 1/7/42) =="
 for seed in 1 7 42; do
   ./target/release/revtr-cli economy --scale standard --seed "$seed" \
@@ -73,23 +74,9 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 echo "== telemetry profile gate (release, smoke scale) =="
 ./target/release/revtr-cli metrics --scale smoke | tail -n 3
 
-# Monitor neutrality gate: judging a campaign must not change its
-# identity — the monitor's campaign fingerprints are byte-identical to
-# the plain telemetry profile's at the same seed.
-echo "== monitor neutrality gate (release, smoke seed 1) =="
-metrics_fp=$(./target/release/revtr-cli metrics --scale smoke --seed 1 | grep '^fingerprints:')
-monitor_fp=$(./target/release/revtr-cli monitor --scale smoke --seed 1 | grep '^fingerprints:')
-if [ "$metrics_fp" != "$monitor_fp" ]; then
-  echo "monitor perturbed the campaign:"
-  echo "  metrics: $metrics_fp"
-  echo "  monitor: $monitor_fp"
-  exit 1
-fi
-echo "neutral: $monitor_fp"
-
 # SLO monitor gate: the clean standard configuration reports zero
-# violations at every pinned seed (revtr-cli monitor exits nonzero on any
-# firing alert). Since PR 10 the policy also carries the memory budget:
+# violations at every pinned seed (`revtr-cli monitor` exits nonzero on
+# any firing alert). Since PR 10 the policy also carries the memory budget:
 # mem.total.hiwater under the 64 MiB ceiling and control-block capacity
 # headroom >= 0.90, so this loop doubles as the memory-budget gate...
 echo "== SLO monitor + memory-budget gate (release, standard scale, seeds 1/7/42) =="
@@ -108,32 +95,22 @@ echo "$faulted_out" | grep -q 'coverage-floor' || { echo "coverage alert missing
 echo "$faulted_out" | grep -q 'stuck-requests' || { echo "stuck-request alert missing"; exit 1; }
 echo "$faulted_out" | tail -n 1
 
-# Resource-forensics gate: the profiler must (a) leave the campaign
-# identity untouched — profile-on fingerprints equal the plain metrics
-# run's — and (b) account at least 8 subsystems in its byte ledger. The
-# seed-42 smoke rendering is additionally pinned byte-for-byte by the
-# metrics_golden suite below; the strict flag allow-list is covered by
-# the eval CLI tests.
+# Resource-forensics gate: the profile must account at least 8 subsystems
+# in its byte ledger. (That judging a run leaves its identity alone is held
+# by crates/eval/tests/metrics_golden.rs: one CampaignRun judged by
+# metrics, profile and monitor reproduces the goldens each wrote alone.)
 echo "== resource-forensics gate (release, smoke seed 1) =="
-profile_out=$(./target/release/revtr-cli profile --scale smoke --seed 1)
-profile_fp=$(echo "$profile_out" | grep '^fingerprints:' | sed 's/ *resources.*//')
-metrics_prefix=$(echo "$metrics_fp" | sed 's/ *(.*//')
-if [ "$metrics_prefix" != "$profile_fp" ]; then
-  echo "profiling perturbed the campaign:"
-  echo "  metrics: $metrics_prefix"
-  echo "  profile: $profile_fp"
-  exit 1
-fi
-ledgers=$(echo "$profile_out" | grep -cE '^(netsim|probing|atlas|engine|service|telemetry)\.')
+ledgers=$(./target/release/revtr-cli profile --scale smoke --seed 1 \
+  | grep -cE '^(netsim|probing|atlas|engine|service|telemetry)\.')
 if [ "$ledgers" -lt 8 ]; then
   echo "profile ledger table too thin: $ledgers subsystems"; exit 1
 fi
-echo "neutral: $profile_fp ($ledgers ledgers)"
+echo "profile: $ledgers ledgers"
 
 # Hostile-Internet scenario conformance gate: every adversarial profile
 # must (a) bite — the stock campaign's fingerprint departs from clean —
 # and (b) be repaired or held by the hardened engine with zero unsound
-# adoptions (revtr-cli scenario exits nonzero on any profile verdict
+# adoptions (`revtr-cli scenario` exits nonzero on any profile verdict
 # failing). Three pinned master seeds, same as the SLO gate.
 echo "== scenario conformance gate (release, standard scale, seeds 1/7/42) =="
 for seed in 1 7 42; do
@@ -164,31 +141,13 @@ scenario_must_fire poisoned-atlas accuracy-floor
 ./target/release/revtr-cli monitor --scale standard --seed 1 \
   --scenario dbr-violation-region --severity 0 | tail -n 1
 
-# Perf-regression sentinel: re-run the standard benchmark and compare
-# against the committed BENCH_PR10.json baseline (bench-compare exits
-# nonzero past tolerance). The baseline runs with stop sets on — the
-# production configuration — so the sentinel also guards the stop-set
-# hit rates, and since PR 10 the per-ledger mem.*.hiwater footprints:
-# a 20%-inflated high-water mark fails the compare.
-echo "== perf-regression sentinel (release, standard seed 1 vs BENCH_PR10.json) =="
-bench_new=$(mktemp /tmp/bench_pr10.XXXXXX.json)
-./target/release/revtr-cli bench-report --scale standard --seed 1 --stop-sets on --file "$bench_new"
-./target/release/revtr-cli bench-compare BENCH_PR10.json "$bench_new" | tail -n 1
-rm -f "$bench_new"
-
-# Concurrency gate: one campaign must admit and complete 50 000 reverse
-# traceroutes (revtr-cli exits nonzero if any request is dropped or the
-# admitted peak falls short).
-echo "== concurrency smoke gate (release, 50k admitted) =="
-./target/release/revtr-cli concurrency-smoke --inflight 50000 | tail -n 1
-
 # Loadtest gate: the production traffic model at standard scale. Each
 # pinned seed runs the steady pattern (clean service: full SLO policy,
 # zero sheds, quiescent ladder) and the flash-crowd pattern (overload:
 # only the lowest class sheds, gold goodput holds >= 98%, the ladder
 # engages and recovers). Every run also proves the per-arrival results
 # fingerprint, per-class accounting, and ladder-transition log are
-# bit-identical across dispatch workers {1, 4, 16} (revtr-cli loadtest
+# bit-identical across dispatch workers {1, 4, 16} (`revtr-cli loadtest`
 # exits nonzero on any determinism or judgment failure).
 echo "== loadtest gate (release, standard scale, seeds 1/7/42, steady + flash-crowd) =="
 for seed in 1 7 42; do
@@ -198,8 +157,9 @@ for seed in 1 7 42; do
     | tail -n 1
 done
 
-# Standard-scale metrics golden (seed 42): TSV bytes and campaign
-# fingerprints pinned under crates/eval/tests/goldens/standard42.
+# Standard-scale golden (seed 42): TSV bytes, campaign fingerprints and
+# the profile's per-ledger byte table pinned under
+# crates/eval/tests/goldens/standard42 — one campaign, two judges.
 echo "== metrics golden gate (release, standard seed 42) =="
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 

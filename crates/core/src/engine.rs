@@ -72,12 +72,6 @@ impl LoopConfig {
 pub struct CampaignOutcome {
     /// Per-pair results, in input order.
     pub results: Vec<RevtrResult>,
-    /// Peak number of *admitted* measurements: the widest wave — the
-    /// campaign size, capped at the admission wave width when stop sets
-    /// are enabled. A property of the admission plan, identical on every
-    /// host and at every width; at most [`LoopConfig::workers`] of them
-    /// are being driven at any instant.
-    pub inflight_peak: usize,
     /// Total events: one per stage or spoofed-batch round, summed over
     /// the campaign's measurements. Identical at every width.
     pub events: u64,
@@ -105,8 +99,8 @@ pub struct TimedJob {
 
 /// Size in bytes of one admitted measurement's control block (the path
 /// it is stitching sits in its driver's scratch, not in the block). The
-/// concurrency smoke and the `engine.control_blocks` ledger price a wave
-/// at this much per admitted request.
+/// `engine.control_blocks` ledger prices a wave at this much per admitted
+/// request.
 pub fn task_footprint_bytes() -> usize {
     std::mem::size_of::<MeasureTask<'_>>()
 }
@@ -977,7 +971,6 @@ impl<'s> RevtrSystem<'s> {
         };
         let mut out = CampaignOutcome {
             results: Vec::with_capacity(pairs.len()),
-            inflight_peak: pairs.len().min(wave),
             events: 0,
         };
         for (ord, admitted) in pairs.chunks(wave).enumerate() {
@@ -1024,11 +1017,7 @@ impl<'s> RevtrSystem<'s> {
             t.origin_ms = j.arrival_ms;
             t
         })?;
-        Ok(CampaignOutcome {
-            results,
-            inflight_peak: jobs.len(),
-            events,
-        })
+        Ok(CampaignOutcome { results, events })
     }
 
     /// Whether waves end in a stop-set merge. Hardened campaigns need one

@@ -2,19 +2,16 @@
 //! replayed against the oracle, reported as a per-evidence-kind soundness
 //! table.
 //!
-//! This is the evaluation-facing face of the `revtr-audit` crate: it runs
-//! the same campaign workload as the other experiments, audits each
-//! measurement's [`revtr::StitchTrace`], and aggregates the verdicts. The
-//! report's gate — zero `Unsound`, zero `PolicyViolation` — is enforced by
-//! `revtr-cli audit` (nonzero exit status) and wired into `ci.sh`.
+//! This is the evaluation-facing face of the `revtr-audit` crate: it
+//! audits the [`revtr::StitchTrace`] of every result of a [`CampaignRun`]
+//! — the campaign the SLO and economy gates judge — and aggregates the
+//! verdicts. The report's gate — zero `Unsound`, zero `PolicyViolation` —
+//! is enforced by `revtr-cli audit` (nonzero exit status) and wired into
+//! `ci.sh`.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::CampaignRun;
 use crate::render::Table;
-use revtr::EngineConfig;
 use revtr_audit::{AuditSummary, Auditor};
-use revtr_netsim::SimConfig;
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
 
 /// How many failing findings to carry verbatim in the report (the summary
 /// still counts all of them).
@@ -63,29 +60,19 @@ impl AuditReport {
     }
 }
 
-/// Run the campaign and audit every stitch trace.
-pub fn run(base: SimConfig, scale: EvalScale) -> AuditReport {
-    run_with_stop_sets(base, scale, false)
-}
-
-/// [`run`], with the campaign-wide Doubletree stop sets toggled. The
-/// stop-sets-on arm is what proves reused backward evidence replays
-/// soundly: adopted hops carry the original probe's provenance, so the
-/// auditor re-derives every reused step against the oracle exactly like a
-/// fresh one.
-pub fn run_with_stop_sets(base: SimConfig, scale: EvalScale, stop_sets: bool) -> AuditReport {
-    let ctx = EvalContext::new(base, scale);
-    let mut cfg = EngineConfig::revtr2();
-    cfg.use_stop_sets = stop_sets;
-    let auditor = Auditor::new(&ctx.sim, cfg.registry_only_ip2as);
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, cfg, ingress);
+/// Audit every stitch trace of a campaign run. With stop sets on this is
+/// what proves reused backward evidence replays soundly: adopted hops
+/// carry the original probe's provenance, so the auditor re-derives every
+/// reused step against the oracle exactly like a fresh one.
+pub fn judge(run: &CampaignRun) -> AuditReport {
+    let auditor = Auditor::new(
+        &run.ctx.sim,
+        run.campaign.engine_config().registry_only_ip2as,
+    );
     let mut summary = AuditSummary::default();
     let mut failures = Vec::new();
-    for &(dst, src) in &ctx.workload() {
-        let r = system.measure(dst, src);
-        let audit = auditor.audit(&r);
+    for (&(dst, src), r) in run.workload.iter().zip(&run.results) {
+        let audit = auditor.audit(r);
         for f in audit.failures() {
             if failures.len() < MAX_REPORTED_FAILURES {
                 failures.push(format!(
@@ -99,50 +86,14 @@ pub fn run_with_stop_sets(base: SimConfig, scale: EvalScale, stop_sets: bool) ->
     AuditReport { summary, failures }
 }
 
-/// The smoke audit (tiny topology; tests and quick looks).
-pub fn smoke() -> AuditReport {
-    smoke_seeded(EvalScale::smoke().seed)
-}
-
-/// The smoke audit under an explicit master seed.
-pub fn smoke_seeded(seed: u64) -> AuditReport {
-    smoke_seeded_stop_sets(seed, false)
-}
-
-/// The smoke audit with an explicit seed and stop-set toggle.
-pub fn smoke_seeded_stop_sets(seed: u64, stop_sets: bool) -> AuditReport {
-    let mut scale = EvalScale::smoke();
-    scale.seed = seed;
-    run_with_stop_sets(SimConfig::tiny(), scale, stop_sets)
-}
-
-/// The reproduction audit (paper-era topology, standard campaign).
-pub fn standard() -> AuditReport {
-    standard_seeded(EvalScale::standard().seed)
-}
-
-/// The reproduction audit under an explicit master seed — the ci.sh gate
-/// sweeps {1, 7, 42} so soundness isn't an artifact of one topology draw.
-pub fn standard_seeded(seed: u64) -> AuditReport {
-    standard_seeded_stop_sets(seed, false)
-}
-
-/// The reproduction audit with an explicit seed and stop-set toggle —
-/// ci.sh runs the stop-sets-on arm for {1, 7, 42} as the reuse-soundness
-/// gate (0 unsound hops with reused evidence in play).
-pub fn standard_seeded_stop_sets(seed: u64, stop_sets: bool) -> AuditReport {
-    let mut scale = EvalScale::standard();
-    scale.seed = seed;
-    run_with_stop_sets(SimConfig::era_2020(), scale, stop_sets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Campaign, Scale};
 
     #[test]
     fn smoke_campaign_audits_clean() {
-        let report = smoke();
+        let report = judge(&Campaign::clean(Scale::Smoke, 1).run());
         assert!(
             report.is_clean(),
             "audit gate failed:\n{}",
@@ -161,7 +112,7 @@ mod tests {
         // Reused backward evidence must replay soundly: the adopted hops
         // carry the originating probe's provenance, and the auditor holds
         // them to the same oracle standard as fresh measurements.
-        let report = smoke_seeded_stop_sets(1, true);
+        let report = judge(&Campaign::clean(Scale::Smoke, 1).with_stop_sets(true).run());
         assert!(
             report.is_clean(),
             "stop-sets-on audit gate failed:\n{}",

@@ -11,26 +11,24 @@
 //! revtr-cli monitor   [--scale ...] [--seed N] [--out DIR] [--loss P] [--budget N] [--deadline-ms MS]
 //!                     [--scenario PROFILE] [--severity F] [--harden on|off]
 //! revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]
-//! revtr-cli bench-report  [--scale ...] [--seed N] [--file PATH] [--stop-sets on|off]
-//! revtr-cli bench-compare OLD.json NEW.json [--tol F] [--tol-quality F]
 //! revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]
-//! revtr-cli concurrency-smoke [--inflight N] [--seed N]
 //! revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan]
 //!                     [--duration H] [--out DIR]
 //! ```
 //!
 //! Every subcommand validates its flags against an allow-list
 //! ([`revtr_eval::cliargs`]); unknown flags are a usage error (exit 2)
-//! rather than being silently ignored. `monitor` exits non-zero when any
-//! SLO rule fires; `bench-compare` exits non-zero past tolerance — both
-//! are usable directly as CI gates.
+//! rather than being silently ignored. The judging subcommands (`audit`,
+//! `monitor`, `scenario`, `economy`, `loadtest`) exit non-zero when their
+//! gate fails, so they are usable directly as CI gates.
 
 use revtr::{EngineConfig, HopMethod, RevtrSystem};
 use revtr_atlas::select_atlas_probes;
 use revtr_eval::cliargs::{self, Flags};
+use revtr_eval::context::DEFAULT_SEED;
 use revtr_eval::{
-    audit, bench_report, economy, loadtest, metrics, monitor, profile, reproduce, robustness,
-    scenarios,
+    audit, economy, loadtest, metrics, monitor, profile, reproduce, robustness, scenarios,
+    Campaign, Scale,
 };
 use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
@@ -51,10 +49,7 @@ fn usage() -> ExitCode {
          revtr-cli monitor   [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N] [--deadline-ms MS]\n  \
                      [--scenario PROFILE] [--severity F] [--harden on|off]\n  \
          revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]\n  \
-         revtr-cli bench-report  [--scale smoke|standard] [--seed N] [--file PATH] [--stop-sets on|off]\n  \
-         revtr-cli bench-compare OLD.json NEW.json [--tol F] [--tol-quality F]\n  \
          revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]\n  \
-         revtr-cli concurrency-smoke [--inflight N] [--seed N]\n  \
          revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan] [--duration H] [--out DIR]"
     );
     ExitCode::from(2)
@@ -68,8 +63,17 @@ fn flag_err(msg: &str) -> ExitCode {
 
 fn build_sim(flags: &Flags) -> Result<Sim, String> {
     let cfg = flags.era()?;
-    let seed = flags.seed()?.unwrap_or(1);
+    let seed = flags.seed()?.unwrap_or(DEFAULT_SEED);
     Ok(Sim::build(cfg, seed))
+}
+
+/// `--seed` and `--scale`, validated once for every campaign subcommand.
+/// The seed stays optional: subcommands echo it only when it was given.
+fn seed_and_scale(flags: &Flags) -> Result<(Option<u64>, Scale), ExitCode> {
+    flags
+        .seed()
+        .and_then(|seed| Ok((seed, flags.scale()?)))
+        .map_err(|e| flag_err(&e))
 }
 
 fn parse_addr(s: &str) -> Option<Addr> {
@@ -196,7 +200,7 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let rep = reproduce::run(scale);
+    let rep = reproduce::run(scale.eval_scale(DEFAULT_SEED));
     println!("{}", rep.render());
     if let Some(dir) = flags.out_dir() {
         match rep.save_tsvs(dir) {
@@ -211,10 +215,10 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_robustness(flags: &Flags) -> ExitCode {
-    let report = match flags.scale_name() {
-        "smoke" => robustness::smoke(),
-        "standard" => robustness::standard(),
-        other => return flag_err(&format!("unknown scale {other:?}")),
+    let report = match flags.scale() {
+        Ok(Scale::Smoke) => robustness::smoke(),
+        Ok(Scale::Standard) => robustness::standard(),
+        Err(e) => return flag_err(&e),
     };
     println!("{}", report.table().render());
     println!("{}", report.figure().render());
@@ -235,23 +239,16 @@ fn cmd_robustness(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_audit(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let stop_sets = match flags.stop_sets() {
         Ok(b) => b,
         Err(e) => return flag_err(&e),
     };
-    let default_seed = match flags.scale() {
-        Ok(s) => s.seed,
-        Err(e) => return flag_err(&e),
-    };
-    let report = match flags.scale_name() {
-        "smoke" => audit::smoke_seeded_stop_sets(seed.unwrap_or(default_seed), stop_sets),
-        "standard" => audit::standard_seeded_stop_sets(seed.unwrap_or(default_seed), stop_sets),
-        other => return flag_err(&format!("unknown scale {other:?}")),
-    };
+    let campaign = Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).with_stop_sets(stop_sets);
+    let report = audit::judge(&campaign.run());
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -289,19 +286,11 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_metrics(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
-    let report = match flags.scale_name() {
-        "smoke" => seed
-            .map(metrics::smoke_seeded)
-            .unwrap_or_else(metrics::smoke),
-        "standard" => seed
-            .map(metrics::standard_seeded)
-            .unwrap_or_else(metrics::standard),
-        other => return flag_err(&format!("unknown scale {other:?}")),
-    };
+    let report = metrics::judge(&Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).run());
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -319,15 +308,11 @@ fn cmd_metrics(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_profile(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
-    };
-    let report = profile::run(scale_name, seed.unwrap_or(1));
+    let report = profile::judge(&Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).run());
     println!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.save_exports(dir) {
@@ -345,13 +330,9 @@ fn cmd_profile(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_monitor(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let loss = match flags.get("loss").unwrap_or("0").parse::<f64>() {
         Ok(p) if (0.0..=1.0).contains(&p) => p,
@@ -361,7 +342,8 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
         Ok(b) if b >= 1 => b,
         _ => return flag_err("--budget must be a positive integer"),
     };
-    let mut cfg = monitor::MonitorConfig::faulted(scale_name, loss, budget);
+    let mut campaign = Campaign::faulted(scale, seed.unwrap_or(DEFAULT_SEED), loss, budget);
+    let mut policy = monitor::default_policy(scale);
     if let Some(name) = flags.get("scenario") {
         let Some(profile) = ScenarioProfile::from_name(name) else {
             return flag_err(&format!(
@@ -373,25 +355,23 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
             Ok(s) => s.unwrap_or_else(|| profile.default_severity()),
             Err(code) => return code,
         };
-        cfg = cfg.with_scenario(scale_name, ScenarioConfig::profile_at(profile, severity));
+        campaign = campaign.with_scenario(ScenarioConfig::profile_at(profile, severity));
+        policy = monitor::scenario_policy(scale);
     } else if flags.get("severity").is_some() {
         return flag_err("--severity requires --scenario");
     }
     match flags.get("harden").unwrap_or("off") {
-        "on" => cfg = cfg.with_harden(true),
+        "on" => campaign = campaign.with_harden(true),
         "off" => {}
         other => return flag_err(&format!("--harden must be on or off, got {other:?}")),
     }
     if let Some(ms) = flags.get("deadline-ms") {
         match ms.parse::<f64>() {
-            Ok(v) if v > 0.0 => cfg.watchdog_deadline_ms = v,
+            Ok(v) if v > 0.0 => campaign.watchdog_deadline_ms = v,
             _ => return flag_err("--deadline-ms must be a positive number"),
         }
     }
-    let report = match scale_name {
-        "standard" => monitor::standard_seeded(seed.unwrap_or(1), &cfg),
-        _ => monitor::smoke_seeded(seed.unwrap_or(1), &cfg),
-    };
+    let report = monitor::judge(&campaign.run(), &policy);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -427,13 +407,9 @@ fn parse_severity(flags: &Flags) -> Result<Option<f64>, ExitCode> {
 }
 
 fn cmd_scenario(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let profiles: Vec<ScenarioProfile> = match flags.get("profile").unwrap_or("all") {
         "all" => ScenarioProfile::ALL.to_vec(),
@@ -451,7 +427,7 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let report = scenarios::run(scale_name, seed.unwrap_or(1), &profiles, severity);
+    let report = scenarios::run(scale, seed.unwrap_or(DEFAULT_SEED), &profiles, severity);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -472,72 +448,10 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
     }
 }
 
-fn cmd_bench_report(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
-    };
-    let stop_sets = match flags.stop_sets() {
-        Ok(b) => b,
-        Err(e) => return flag_err(&e),
-    };
-    let report = bench_report::run(scale_name, seed.unwrap_or(1), stop_sets);
-    let json = report.to_json();
-    match flags.get("file") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench report written to {path}");
-        }
-        None => println!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_bench_compare(old_path: &str, new_path: &str, flags: &Flags) -> ExitCode {
-    let tol = match flags.get("tol").unwrap_or("0.10").parse::<f64>() {
-        Ok(t) if t >= 0.0 => t,
-        _ => return flag_err("--tol must be a non-negative number"),
-    };
-    let tol_quality = match flags.get("tol-quality").unwrap_or("0.02").parse::<f64>() {
-        Ok(t) if t >= 0.0 => t,
-        _ => return flag_err("--tol-quality must be a non-negative number"),
-    };
-    let load = |path: &str| -> Result<bench_report::BenchReport, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
-        bench_report::BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cmp = bench_report::compare(&old, &new, tol, tol_quality);
-    println!("{}", cmp.render());
-    if cmp.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_economy(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let min_cut = match flags
         .get("min-cut")
@@ -555,7 +469,7 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
         Ok(f) if f >= 0.0 => f,
         _ => return flag_err("--tol-quality must be a non-negative number"),
     };
-    let report = economy::run(scale_name, seed.unwrap_or(1), min_cut, tol_quality);
+    let report = economy::run(scale, seed.unwrap_or(DEFAULT_SEED), min_cut, tol_quality);
     println!("{}", report.render());
     if report.pass() {
         ExitCode::SUCCESS
@@ -565,13 +479,9 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_loadtest(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
-        Err(e) => return flag_err(&e),
+    let (seed, scale) = match seed_and_scale(flags) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let name = flags.get("pattern").unwrap_or("steady");
     let Some(pattern) = loadtest::Pattern::from_name(name) else {
@@ -587,10 +497,7 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
             _ => return flag_err("--duration must be a positive number of virtual hours"),
         }
     }
-    let report = match scale_name {
-        "standard" => loadtest::standard_seeded(seed.unwrap_or(1), &cfg),
-        _ => loadtest::smoke_seeded(seed.unwrap_or(1), &cfg),
-    };
+    let report = loadtest::run(scale, seed.unwrap_or(DEFAULT_SEED), &cfg);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -608,24 +515,6 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
         }
     }
     if report.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_concurrency_smoke(flags: &Flags) -> ExitCode {
-    let seed = match flags.seed() {
-        Ok(s) => s,
-        Err(e) => return flag_err(&e),
-    };
-    let target = match flags.get("inflight").unwrap_or("50000").parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => return flag_err("--inflight must be a positive integer"),
-    };
-    let smoke = revtr_eval::concurrency::run(target, seed.unwrap_or(1));
-    println!("{}", smoke.render(target));
-    if smoke.pass(target) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -654,10 +543,7 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "harden",
         ],
         "scenario" => &["scale", "seed", "profile", "severity", "out"],
-        "bench-report" => &["scale", "seed", "file", "stop-sets"],
-        "bench-compare" => &["tol", "tol-quality"],
         "economy" => &["scale", "seed", "min-cut", "tol-quality"],
-        "concurrency-smoke" => &["inflight", "seed"],
         "loadtest" => &["scale", "seed", "pattern", "duration", "out"],
         _ => return None,
     })
@@ -670,18 +556,6 @@ fn main() -> ExitCode {
     };
     let Some(allowed) = allowed_flags(cmd) else {
         return usage();
-    };
-    // `bench-compare` takes its two report paths positionally (before any
-    // flags); everything else is pure `--flag value`.
-    let (positionals, rest) = if cmd == "bench-compare" {
-        let n = rest
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .take(2)
-            .count();
-        rest.split_at(n)
-    } else {
-        rest.split_at(0)
     };
     let flags = match cliargs::parse(rest, allowed) {
         Ok(f) => f,
@@ -697,14 +571,8 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&flags),
         "monitor" => cmd_monitor(&flags),
         "scenario" => cmd_scenario(&flags),
-        "bench-report" => cmd_bench_report(&flags),
         "economy" => cmd_economy(&flags),
-        "concurrency-smoke" => cmd_concurrency_smoke(&flags),
         "loadtest" => cmd_loadtest(&flags),
-        "bench-compare" => match positionals {
-            [old, new] => cmd_bench_compare(old, new, &flags),
-            _ => flag_err("bench-compare needs two positional report paths: OLD.json NEW.json"),
-        },
         _ => usage(),
     }
 }

@@ -6,7 +6,7 @@
 //! arguments — is a hard error instead of being silently swallowed, so a
 //! typo like `--sclae` fails fast rather than running the default scale.
 
-use crate::context::EvalScale;
+use crate::campaign::Scale;
 use revtr_netsim::SimConfig;
 use std::collections::HashMap;
 
@@ -63,19 +63,9 @@ impl Flags {
         }
     }
 
-    /// `--scale smoke|standard` as an [`EvalScale`] (default smoke).
-    pub fn scale(&self) -> Result<EvalScale, String> {
-        match self.get("scale").unwrap_or("smoke") {
-            "smoke" => Ok(EvalScale::smoke()),
-            "standard" => Ok(EvalScale::standard()),
-            other => Err(format!("unknown scale {other:?} (use smoke or standard)")),
-        }
-    }
-
-    /// The name given to `--scale` (default `"smoke"`), pre-validated by
-    /// [`Flags::scale`].
-    pub fn scale_name(&self) -> &str {
-        self.get("scale").unwrap_or("smoke")
+    /// `--scale smoke|standard` as a [`Scale`] (default smoke).
+    pub fn scale(&self) -> Result<Scale, String> {
+        self.get("scale").map_or(Ok(Scale::Smoke), Scale::parse)
     }
 
     /// `--era tiny|2016|2020` as a topology config (default tiny).
@@ -122,13 +112,10 @@ mod tests {
         .expect("parse");
         assert_eq!(f.get("scale"), Some("standard"));
         assert_eq!(f.seed().expect("seed"), Some(7));
-        assert_eq!(
-            f.scale().expect("scale").n_revtrs,
-            EvalScale::standard().n_revtrs
-        );
+        assert_eq!(f.scale(), Ok(Scale::Standard));
 
         let empty = parse(&[], &["scale"]).expect("empty parse");
-        assert_eq!(empty.scale_name(), "smoke");
+        assert_eq!(empty.scale(), Ok(Scale::Smoke));
         assert_eq!(empty.seed().expect("no seed"), None);
         assert!(empty.out_dir().is_none());
     }

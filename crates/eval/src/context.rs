@@ -9,9 +9,12 @@ use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
+/// The master seed every entry point runs under unless told otherwise.
+pub const DEFAULT_SEED: u64 = 1;
+
 /// Workload sizes for an evaluation run. Everything is scaled down from
 /// the paper's campaigns; `smoke` keeps tests fast, `standard` is the
-/// reproduction default used by `reproduce_all` and the benches.
+/// reproduction default used by `reproduce_all` and the ci.sh gates.
 #[derive(Clone, Copy, Debug)]
 pub struct EvalScale {
     /// Prefixes probed for the ingress DB and used as workload targets.
@@ -37,7 +40,7 @@ impl EvalScale {
             atlas_size: 30,
             atlas_pool: 120,
             n_sources: 3,
-            seed: 1,
+            seed: DEFAULT_SEED,
         }
     }
 
@@ -49,7 +52,7 @@ impl EvalScale {
             atlas_size: 250,
             atlas_pool: 1200,
             n_sources: 8,
-            seed: 1,
+            seed: DEFAULT_SEED,
         }
     }
 }

@@ -2,8 +2,8 @@
 //! arm of the same seeded campaign.
 //!
 //! This is the evaluation face of the campaign-wide Doubletree stop sets
-//! ([`revtr_probing::StopSet`]): it runs the clean monitored campaign
-//! twice — identical topology, workload, and seed; only
+//! ([`revtr_probing::StopSet`]): it runs the clean campaign twice —
+//! identical topology, workload, and seed; only
 //! `EngineConfig::use_stop_sets` differs — and gates the economy claim of
 //! the PR: measurement probes per reverse traceroute (option probes plus
 //! atlas RR, pings, and traceroutes — see
@@ -20,7 +20,8 @@
 //! [`Snapshot::all_packets`]: revtr_probing::Snapshot::all_packets
 //! [`Snapshot::measurement_probes`]: revtr_probing::Snapshot::measurement_probes
 
-use crate::monitor::{self, MonitorConfig};
+use crate::campaign::{Campaign, CampaignRun, Scale};
+use crate::monitor::OracleScore;
 use std::fmt::Write as _;
 
 /// The economy gate: the on-arm must cut measurement probes per revtr by
@@ -89,8 +90,8 @@ impl EconomyArm {
 /// The paired comparison and its gate parameters.
 #[derive(Clone, Debug)]
 pub struct EconomyReport {
-    /// Scale name ("smoke" / "standard").
-    pub scale: String,
+    /// Scale both arms ran at.
+    pub scale: Scale,
     /// Master seed (both arms).
     pub seed: u64,
     /// The stop-sets-off control.
@@ -126,7 +127,7 @@ impl EconomyReport {
     }
 
     fn gates_last_link(&self) -> bool {
-        self.scale == "standard"
+        self.scale == Scale::Standard
     }
 
     /// Render the A/B as text (both arms, deltas, gate verdict).
@@ -135,7 +136,8 @@ impl EconomyReport {
         let _ = writeln!(
             s,
             "probe economy A/B ({} scale, seed {}):",
-            self.scale, self.seed
+            self.scale.name(),
+            self.seed
         );
         for arm in [&self.off, &self.on] {
             let _ = writeln!(
@@ -187,42 +189,33 @@ impl EconomyReport {
     }
 }
 
-/// Run one arm of the A/B as a clean monitored campaign.
-fn arm(scale_name: &str, seed: u64, stop_sets: bool) -> EconomyArm {
-    let cfg = MonitorConfig::clean(scale_name).with_stop_sets(stop_sets);
-    let m = match scale_name {
-        "standard" => monitor::standard_seeded(seed, &cfg),
-        _ => monitor::smoke_seeded(seed, &cfg),
-    };
-    let derived = |key: &str| {
-        m.derived
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
+/// Read one arm of the A/B off its campaign run.
+pub fn arm(run: &CampaignRun) -> EconomyArm {
+    let score = OracleScore::of(run);
     EconomyArm {
-        stop_sets,
-        probes: m.probes.measurement_probes(),
-        option_probes: m.probes.option_probes(),
-        packets: m.probes.all_packets(),
-        last_links: m.snapshot.counter("probing.last_link.measured"),
-        last_link_pkts: m.snapshot.counter("probing.last_link.pkts"),
-        requests: m.requests as u64,
-        coverage: derived("coverage"),
-        accuracy: derived("accuracy"),
-        stopset_hits: m.stopset.total_hits(),
-        journal_fingerprint: m.journal_fingerprint,
+        stop_sets: run.campaign.use_stop_sets,
+        probes: run.probes.measurement_probes(),
+        option_probes: run.probes.option_probes(),
+        packets: run.probes.all_packets(),
+        last_links: run.snapshot.counter("probing.last_link.measured"),
+        last_link_pkts: run.snapshot.counter("probing.last_link.pkts"),
+        requests: run.workload.len() as u64,
+        coverage: score.coverage(run.workload.len()),
+        accuracy: score.accuracy(),
+        stopset_hits: run.stopset.total_hits(),
+        journal_fingerprint: run.journal_fingerprint,
     }
 }
 
-/// Run the full A/B at `scale_name`/`seed` with explicit gate parameters.
-pub fn run(scale_name: &str, seed: u64, min_cut: f64, tol_quality: f64) -> EconomyReport {
+/// Run the full A/B at `scale`/`seed` with explicit gate parameters.
+pub fn run(scale: Scale, seed: u64, min_cut: f64, tol_quality: f64) -> EconomyReport {
+    let off = Campaign::clean(scale, seed);
+    let on = off.clone().with_stop_sets(true);
     EconomyReport {
-        scale: scale_name.to_string(),
+        scale,
         seed,
-        off: arm(scale_name, seed, false),
-        on: arm(scale_name, seed, true),
+        off: arm(&off.run()),
+        on: arm(&on.run()),
         min_cut,
         tol_quality,
     }
@@ -234,7 +227,7 @@ mod tests {
 
     #[test]
     fn smoke_economy_cuts_probes_within_quality_bounds() {
-        let r = run("smoke", 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
+        let r = run(Scale::Smoke, 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
         assert!(r.pass(), "economy gate failed:\n{}", r.render());
         assert!(r.on.stopset_hits > 0, "on arm never hit the stop sets");
         assert_eq!(r.off.stopset_hits, 0, "off control touched the stop sets");

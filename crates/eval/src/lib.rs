@@ -13,9 +13,8 @@ pub mod as_graph;
 pub mod asymmetry;
 pub mod atlas_study;
 pub mod audit;
-pub mod bench_report;
+pub mod campaign;
 pub mod cliargs;
-pub mod concurrency;
 pub mod context;
 pub mod dbr_violations;
 pub mod economy;
@@ -35,6 +34,7 @@ pub mod throughput;
 pub mod traffic_eng;
 pub mod vp_selection;
 
+pub use campaign::{Campaign, CampaignRun, Scale};
 pub use context::{EvalContext, EvalScale};
 pub use render::{Figure, Series, Table};
 pub use stats::{fraction, linspace, Distribution};

@@ -29,8 +29,9 @@
 //! `revtr-cli loadtest` drives this and exits non-zero on any failed
 //! judgment, so ci.sh uses it directly as the traffic-model gate.
 
-use crate::context::{EvalContext, EvalScale};
-use crate::monitor;
+use crate::campaign::Scale;
+use crate::context::EvalContext;
+use crate::monitor::{self, OracleScore};
 use crate::render::Table;
 use revtr::{EngineConfig, LoopConfig};
 use revtr_loadgen::{
@@ -292,8 +293,8 @@ pub struct LoadtestReport {
     pub pattern: Pattern,
     /// Master seed.
     pub seed: u64,
-    /// Scale name ("smoke" / "standard").
-    pub scale_name: String,
+    /// Scale the stream was mapped onto.
+    pub scale: Scale,
     /// Stream length, virtual hours.
     pub duration_hours: f64,
     /// Arrivals offered (after topology mapping).
@@ -326,21 +327,20 @@ pub struct LoadtestReport {
 /// The steady-state policy: the full default monitor policy plus the
 /// loadgen extras — a clean service must shed nothing, hold gold at
 /// ≥ 98% goodput, and keep the degradation ladder quiescent.
-pub fn steady_policy(scale_name: &str) -> SloPolicy {
-    let mut policy = monitor::default_policy(scale_name);
-    // Cache-warm recalibration, the same adjustment `with_scenario` makes
-    // to the probe band: the monitor's probe floor was measured on
-    // cache-bypassing survey campaigns, while Zipf-shaped production
-    // traffic legitimately serves its popular-destination repeats from
-    // the measurement cache and stop sets (measured ~4.8 probes/revtr at
-    // standard, ~0.4 at smoke). The floor still fires on a service that
-    // stops probing entirely; it just no longer punishes cache hits.
-    let floor = if scale_name == "standard" { 3.0 } else { 0.2 };
+pub fn steady_policy(scale: Scale) -> SloPolicy {
+    let mut policy = monitor::default_policy(scale);
+    // Cache-warm recalibration, the same kind of adjustment
+    // `monitor::scenario_policy` makes to the probe band: the monitor's
+    // probe floor was measured on cache-bypassing survey campaigns, while
+    // Zipf-shaped production traffic legitimately serves its
+    // popular-destination repeats from the measurement cache and stop
+    // sets. The floor still fires on a service that stops probing
+    // entirely; it just no longer punishes cache hits.
     for r in &mut policy.rules {
         if r.name == "probe-budget-floor" {
             r.expr = RuleExpr::DerivedMin {
                 key: "probes.per_revtr".into(),
-                min: floor,
+                min: scale.baselines().probes_low_warm,
             };
         }
     }
@@ -408,20 +408,15 @@ const CURVE_BUCKETS: usize = 12;
 
 #[allow(clippy::too_many_lines)]
 fn run_arm(
-    base: &SimConfig,
-    scale: EvalScale,
+    scale: Scale,
+    seed: u64,
     cfg: &LoadtestConfig,
     workers: usize,
     judge_slo: bool,
 ) -> ArmData {
-    let ctx = EvalContext::new(base.clone(), scale);
-    let scale_name = if scale.n_revtrs >= 1000 {
-        "standard"
-    } else {
-        "smoke"
-    };
+    let ctx = EvalContext::new(quiesce(scale.sim_config()), scale.eval_scale(seed));
     let telemetry = Telemetry::with_config(TelemetryConfig {
-        watchdog_deadline_ms: Some(monitor::clean_deadline_ms(scale_name)),
+        watchdog_deadline_ms: Some(scale.baselines().clean_deadline_ms),
         ..TelemetryConfig::default()
     });
     ctx.sim.set_telemetry(telemetry.clone());
@@ -470,7 +465,7 @@ fn run_arm(
     // (profiles, pool size, duration, seed).
     let mut kept: Vec<Arrival> = Vec::new();
     let mut requests: Vec<TimedRequest> = Vec::new();
-    for a in generate(&profiles, pool.len(), cfg.duration_hours, scale.seed) {
+    for a in generate(&profiles, pool.len(), cfg.duration_hours, seed) {
         let dst = pool[a.dst_rank % pool.len()];
         let src = sources[(a.user as usize) % sources.len()];
         if dst == src {
@@ -525,24 +520,13 @@ fn run_arm(
     let serial = (workers == 1).then(|| {
         // Oracle bookkeeping, monitor-style: results come back aligned
         // with the stream, oracle lookups are probe-free.
-        let oracle = ctx.sim.oracle();
-        let (mut complete, mut sound, mut compared) = (0usize, 0usize, 0usize);
-        for (req, r) in requests.iter().zip(&outcome.results) {
-            let Some(r) = r else { continue };
-            if !r.complete() {
-                continue;
-            }
-            complete += 1;
-            let Some(truth) = oracle.true_as_path(req.dst, req.src) else {
-                continue;
-            };
-            compared += 1;
-            let mut measured: Vec<_> = r.addrs().filter_map(|a| oracle.true_as_of(a)).collect();
-            measured.dedup();
-            if measured.iter().all(|a| truth.contains(a)) {
-                sound += 1;
-            }
-        }
+        let score = OracleScore::tally(
+            &ctx.sim,
+            requests
+                .iter()
+                .zip(&outcome.results)
+                .filter_map(|(req, r)| Some(((req.dst, req.src), r.as_ref()?))),
+        );
 
         // Identity first: fingerprints before judgment.
         let snapshot = telemetry.metrics();
@@ -553,15 +537,17 @@ fn run_arm(
 
         let admitted: u64 = outcome.classes.iter().map(|c| c.admitted).sum();
         let shed: u64 = outcome.classes.iter().map(|c| c.shed_total()).sum();
-        let frac = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         let (p99_ms, max_ms) = snapshot
             .histogram("request.virtual_us")
             .map(|h| (h.quantile(0.99) as f64 / 1000.0, h.max() as f64 / 1000.0))
             .unwrap_or((0.0, 0.0));
         let mut derived: Vec<(String, f64)> = vec![
-            ("accuracy".into(), frac(sound, compared)),
-            ("audit.as_unsound".into(), (compared - sound) as f64),
-            ("coverage".into(), frac(complete, admitted as usize)),
+            ("accuracy".into(), score.accuracy()),
+            (
+                "audit.as_unsound".into(),
+                (score.compared - score.sound) as f64,
+            ),
+            ("coverage".into(), score.coverage(admitted as usize)),
             ("latency.p99_ms".into(), p99_ms),
             ("latency.max_ms".into(), max_ms),
             (
@@ -600,7 +586,7 @@ fn run_arm(
         derived.sort_by(|a, b| a.0.cmp(&b.0));
 
         let slo = judge_slo.then(|| {
-            let report = steady_policy(scale_name).evaluate(&SloInput {
+            let report = steady_policy(scale).evaluate(&SloInput {
                 snapshot: &snapshot,
                 requests: &journal,
                 derived: &derived,
@@ -659,12 +645,7 @@ fn run_arm(
 
 /// Run the loadtest: every worker arm, the determinism comparison, and
 /// the pattern's judgment.
-pub fn run(base: SimConfig, scale: EvalScale, cfg: &LoadtestConfig) -> LoadtestReport {
-    let scale_name = if scale.n_revtrs >= 1000 {
-        "standard"
-    } else {
-        "smoke"
-    };
+pub fn run(scale: Scale, seed: u64, cfg: &LoadtestConfig) -> LoadtestReport {
     assert!(
         !cfg.worker_arms.is_empty() && cfg.worker_arms[0] == 1,
         "worker_arms must start with the serial arm"
@@ -674,7 +655,7 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &LoadtestConfig) -> LoadtestR
     let mut serial: Option<SerialData> = None;
     let mut offered = 0usize;
     for &w in &cfg.worker_arms {
-        let data = run_arm(&base, scale, cfg, w, judge_slo);
+        let data = run_arm(scale, seed, cfg, w, judge_slo);
         if let Some(s) = data.serial {
             offered = data
                 .summary
@@ -788,8 +769,8 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &LoadtestConfig) -> LoadtestR
 
     LoadtestReport {
         pattern: cfg.pattern,
-        seed: scale.seed,
-        scale_name: scale_name.to_string(),
+        seed,
+        scale,
         duration_hours: cfg.duration_hours,
         offered,
         arms,
@@ -820,20 +801,6 @@ fn quiesce(mut base: SimConfig) -> SimConfig {
     base.behavior.churn_per_hour = 0.0;
     base.behavior.router_load_balancer = 0.0;
     base
-}
-
-/// Loadtest the smoke topology.
-pub fn smoke_seeded(seed: u64, cfg: &LoadtestConfig) -> LoadtestReport {
-    let mut scale = EvalScale::smoke();
-    scale.seed = seed;
-    run(quiesce(SimConfig::tiny()), scale, cfg)
-}
-
-/// Loadtest the standard (paper-era) topology.
-pub fn standard_seeded(seed: u64, cfg: &LoadtestConfig) -> LoadtestReport {
-    let mut scale = EvalScale::standard();
-    scale.seed = seed;
-    run(quiesce(SimConfig::era_2020()), scale, cfg)
 }
 
 impl LoadtestReport {
@@ -956,7 +923,7 @@ impl LoadtestReport {
             "loadtest: pattern {} seed {} scale {} ({:.0} virtual h offered, {} arrivals), {:.1} virtual s measured",
             self.pattern.name(),
             self.seed,
-            self.scale_name,
+            self.scale.name(),
             self.duration_hours,
             self.offered,
             self.campaign_virtual_ms / 1000.0

@@ -1,11 +1,10 @@
 //! The telemetry profile report: per-stage virtual-time latency and probe
 //! breakdowns for a campaign run with tracing enabled.
 //!
-//! This is the evaluation-facing surface of the `revtr-telemetry` crate.
-//! It runs the same campaign workload as the other experiments — one
-//! worker, requests in id order, so every counter and histogram is
-//! exactly reproducible — with an enabled [`Telemetry`] handle threaded
-//! through the prober, the measurement system, and the simulator, then
+//! This is the evaluation-facing surface of the `revtr-telemetry` crate:
+//! it reads a [`CampaignRun`] — one worker, requests in id order, so every
+//! counter and histogram is exactly reproducible, with telemetry threaded
+//! through the prober, the measurement system, and the simulator — and
 //! renders:
 //!
 //! - a **stage table**: span count, virtual-time p50/p99, and probe /
@@ -20,13 +19,9 @@
 //! `revtr-cli metrics` prints the report and exports each table as TSV;
 //! ci.sh runs the smoke scale as a gate.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::CampaignRun;
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_netsim::SimConfig;
-use revtr_telemetry::{MetricsSnapshot, RequestRecord, Telemetry};
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
+use revtr_telemetry::{MetricsSnapshot, RequestRecord};
 
 /// Canonical rendering order for the stitching stages instrumented in
 /// `revtr::system` (outer stages first, then the `rr_step` sub-stages).
@@ -238,63 +233,28 @@ impl MetricsReport {
     }
 }
 
-/// Run the campaign serially (default [`LoopConfig`]: one worker,
-/// requests in id order) with telemetry enabled and profile it. The
-/// schedule is a pure function of the inputs, so every counter and
-/// histogram is exactly reproducible.
-pub fn run(base: SimConfig, scale: EvalScale) -> MetricsReport {
-    let ctx = EvalContext::new(base, scale);
-    let telemetry = Telemetry::enabled();
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx.prober().with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-    let workload = ctx.workload();
-    let _ = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
+/// Profile a campaign run.
+pub fn judge(run: &CampaignRun) -> MetricsReport {
     MetricsReport {
-        snapshot: telemetry.metrics(),
-        journal: telemetry.journal_records(),
-        metrics_fingerprint: telemetry.metrics_fingerprint(),
-        journal_fingerprint: telemetry.journal_fingerprint(),
-        cache: system.prober().cache().stats(),
-        route_computes: ctx.sim.route_computes(),
-        requests: workload.len(),
+        snapshot: run.snapshot.clone(),
+        journal: run.journal.clone(),
+        metrics_fingerprint: run.metrics_fingerprint,
+        journal_fingerprint: run.journal_fingerprint,
+        cache: run.cache,
+        route_computes: run.route_computes,
+        requests: run.workload.len(),
     }
-}
-
-/// The smoke profile (tiny topology; tests and the ci.sh gate).
-pub fn smoke() -> MetricsReport {
-    smoke_seeded(EvalScale::smoke().seed)
-}
-
-/// The smoke profile under an explicit master seed.
-pub fn smoke_seeded(seed: u64) -> MetricsReport {
-    let mut scale = EvalScale::smoke();
-    scale.seed = seed;
-    run(SimConfig::tiny(), scale)
-}
-
-/// The reproduction profile (paper-era topology, standard campaign).
-pub fn standard() -> MetricsReport {
-    standard_seeded(EvalScale::standard().seed)
-}
-
-/// The reproduction profile under an explicit master seed.
-pub fn standard_seeded(seed: u64) -> MetricsReport {
-    let mut scale = EvalScale::standard();
-    scale.seed = seed;
-    run(SimConfig::era_2020(), scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Campaign, Scale};
+    use crate::context::DEFAULT_SEED;
 
     #[test]
     fn smoke_profile_covers_the_campaign() {
-        let report = smoke();
+        let report = judge(&Campaign::clean(Scale::Smoke, DEFAULT_SEED).run());
         assert!(report.requests > 10, "campaign too small");
         assert_eq!(
             report.snapshot.counter("request.count"),

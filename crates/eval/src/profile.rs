@@ -1,8 +1,8 @@
 //! `revtr-cli profile` — the resource-forensics report: where the bytes,
 //! events, and probe traffic of a campaign actually go.
 //!
-//! Runs the clean serial campaign with the telemetry profiling arm on
-//! and renders three views of the same deterministic run:
+//! Reads the profiling arm of a [`CampaignRun`] and renders three views of
+//! the same deterministic run:
 //!
 //! 1. **Subsystem byte ledgers** — every long-lived structure (netsim
 //!    caches and FIBs, measurement cache, stop-set hint tables, atlas
@@ -22,19 +22,14 @@
 //! read back sorted, so the report is byte-identical across reruns and
 //! worker counts (pinned by `tests/metamorphic.rs`).
 
-use crate::context::{EvalContext, EvalScale};
-use crate::monitor;
+use crate::campaign::{CampaignRun, Scale};
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_netsim::SimConfig;
 use revtr_probing::Snapshot;
 use revtr_telemetry::{
     chrome_trace_json_with_counters, flamegraph_text, ProfileMetric, ProfileStack, RequestRecord,
-    ResourceSnapshot, RuleExpr, Telemetry, TelemetryConfig,
+    ResourceSnapshot,
 };
-use revtr_vpselect::Heuristics;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// How many cost stacks the rendered top-k table shows.
 const TOP_K_STACKS: usize = 12;
@@ -91,13 +86,13 @@ pub struct LastLinkCost {
 /// Everything one profiled campaign produced.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
-    /// Scale the campaign ran at (`smoke` / `standard`).
-    pub scale_name: String,
+    /// Scale the campaign ran at.
+    pub scale: Scale,
     /// Master seed.
     pub seed: u64,
     /// Requests attempted.
     pub requests: usize,
-    /// Campaign metrics fingerprint (identical to `revtr-cli metrics`).
+    /// Campaign metrics fingerprint.
     pub metrics_fingerprint: u64,
     /// Campaign journal fingerprint.
     pub journal_fingerprint: u64,
@@ -127,93 +122,45 @@ pub struct ProfileReport {
     pub control_capacity: u64,
 }
 
-/// Run the clean campaign at `scale_name`/`seed` with profiling on and
-/// collect every resource view. Identical inputs produce a byte-identical
-/// report.
-pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
-    let (base, mut scale) = match scale_name {
-        "standard" => (SimConfig::era_2020(), EvalScale::standard()),
-        _ => (SimConfig::tiny(), EvalScale::smoke()),
-    };
-    scale.seed = seed;
-    let ctx = EvalContext::new(base, scale);
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        profile: true,
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx.prober().with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-    let workload = ctx.workload();
-
-    let probes_before = system.prober().counters().snapshot();
-    let virtual_before = system.prober().clock().now_ms();
-    let outcome = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
-    let probes = system.prober().counters().snapshot().since(&probes_before);
-    let campaign_virtual_ms = system.prober().clock().now_ms() - virtual_before;
-
-    let metrics = telemetry.metrics();
+/// Collect every resource view of a campaign run.
+pub fn judge(run: &CampaignRun) -> ProfileReport {
     let last_link = LastLinkCost {
-        measured: metrics.counter("probing.last_link.measured"),
-        ttl_probes: metrics.counter("probing.last_link.pkts"),
-        start_err: metrics.counter("stage.assume_symmetry.start_err"),
+        measured: run.snapshot.counter("probing.last_link.measured"),
+        ttl_probes: run.snapshot.counter("probing.last_link.pkts"),
+        start_err: run.snapshot.counter("stage.assume_symmetry.start_err"),
     };
-    let cache = system.prober().cache();
-    let (ll_occ, rr_occ) = cache.shard_occupancy();
+    let (ll_occ, rr_occ) = &run.cache_shards;
     let shard_stats = vec![
         ShardStats::from_occupancy(
             "probing.cache.last_link",
-            &ll_occ,
+            ll_occ,
             revtr_probing::LAST_LINK_ENTRY_BYTES,
         ),
-        ShardStats::from_occupancy("probing.cache.rr", &rr_occ, revtr_probing::RR_ENTRY_BYTES),
+        ShardStats::from_occupancy("probing.cache.rr", rr_occ, revtr_probing::RR_ENTRY_BYTES),
     ];
-    let (mem_ceiling, control_capacity) = policy_ceilings(scale_name);
+    // The ceilings the headroom section reports against are the ones the
+    // monitor's default policy enforces.
+    let b = run.campaign.scale.baselines();
 
     ProfileReport {
-        scale_name: scale_name.to_string(),
-        seed,
-        requests: workload.len(),
-        metrics_fingerprint: telemetry.metrics_fingerprint(),
-        journal_fingerprint: telemetry.journal_fingerprint(),
-        resources: telemetry.resources(),
-        stacks: telemetry.profile_stacks(),
-        series: telemetry.resource_series(),
-        journal: telemetry.journal_records(),
-        probes,
-        events: outcome.events,
-        campaign_virtual_ms,
+        scale: run.campaign.scale,
+        seed: run.campaign.seed,
+        requests: run.workload.len(),
+        metrics_fingerprint: run.metrics_fingerprint,
+        journal_fingerprint: run.journal_fingerprint,
+        resources: run.resources.clone(),
+        stacks: run.stacks.clone(),
+        series: run.series.clone(),
+        journal: run.journal.clone(),
+        probes: run.probes,
+        events: run.events,
+        campaign_virtual_ms: run.virtual_ms,
         last_link,
         shard_stats,
-        sim_cache_skew: ctx.sim.cache_shard_skew(),
-        mem_ceiling,
-        control_capacity,
+        sim_cache_skew: run.sim_cache_skew,
+        mem_ceiling: b.mem_total_max,
+        control_capacity: b.control_capacity,
     }
-}
-
-/// The memory ceilings the profile's headroom section reports against —
-/// read straight out of the monitor's default policy so the two surfaces
-/// can never disagree.
-fn policy_ceilings(scale_name: &str) -> (u64, u64) {
-    let policy = monitor::default_policy(scale_name);
-    let (mut mem, mut control) = (0u64, 0u64);
-    for rule in &policy.rules {
-        match &rule.expr {
-            RuleExpr::MemCeiling { key, max_bytes } if key == "mem.total.hiwater" => {
-                mem = *max_bytes;
-            }
-            RuleExpr::CapacityHeadroom { key, ceiling, .. }
-                if key == "mem.engine.control_blocks.hiwater" =>
-            {
-                control = *ceiling;
-            }
-            _ => {}
-        }
-    }
-    (mem, control)
 }
 
 fn kb(bytes: u64) -> String {
@@ -335,7 +282,7 @@ impl ProfileReport {
         t
     }
 
-    /// Events per request (the unit cost `bench-compare` gates).
+    /// Events per request.
     pub fn events_per_revtr(&self) -> f64 {
         if self.requests == 0 {
             0.0
@@ -361,7 +308,7 @@ impl ProfileReport {
             s,
             "profile: {} requests ({} scale, seed {}), {:.1} virtual s",
             self.requests,
-            self.scale_name,
+            self.scale.name(),
             self.seed,
             self.campaign_virtual_ms / 1000.0
         );
@@ -429,11 +376,16 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+
+    fn run(seed: u64) -> ProfileReport {
+        judge(&Campaign::clean(Scale::Smoke, seed).run())
+    }
 
     #[test]
     fn smoke_profile_reports_every_subsystem_deterministically() {
-        let a = run("smoke", 1);
-        let b = run("smoke", 1);
+        let a = run(1);
+        let b = run(1);
         assert_eq!(a.render(), b.render(), "report not byte-deterministic");
         assert_eq!(
             a.resources.fingerprint(),
@@ -482,18 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn profile_fingerprints_match_the_unprofiled_metrics_run() {
-        // Profiling must not perturb campaign identity: same fingerprints
-        // as `revtr-cli metrics` (which runs with profiling off).
-        let p = run("smoke", 1);
-        let m = crate::metrics::smoke_seeded(1);
-        assert_eq!(p.metrics_fingerprint, m.metrics_fingerprint);
-        assert_eq!(p.journal_fingerprint, m.journal_fingerprint);
-    }
-
-    #[test]
     fn exports_round_trip_and_stay_deterministic() {
-        let r = run("smoke", 7);
+        let r = run(7);
         let dir = std::env::temp_dir().join("revtr_profile_export_test");
         let paths = r.save_exports(&dir).expect("export failed");
         assert_eq!(paths.len(), 3);

@@ -29,23 +29,17 @@
 //!    zero policy-violating) hops — hardening may never buy coverage back
 //!    by accepting fabricated evidence.
 //!
-//! `revtr-cli scenario` renders the per-profile table and exits non-zero
-//! when any profile fails its gate; ci.sh sweeps the standard scale over
-//! seeds {1, 7, 42}.
+//! Each arm is one [`CampaignRun`] graded by [`arm`]. `revtr-cli scenario`
+//! renders the per-profile table and exits non-zero when any profile fails
+//! its gate; ci.sh sweeps the standard scale over seeds {1, 7, 42}.
 
-use crate::context::{EvalContext, EvalScale};
-use crate::monitor::{self, MonitorConfig};
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_audit::{AuditSummary, Auditor};
-use revtr_netsim::{ScenarioConfig, ScenarioProfile, SimConfig};
-use revtr_probing::RetryPolicy;
-use revtr_telemetry::{SloInput, Telemetry, TelemetryConfig};
-use revtr_vpselect::Heuristics;
+use crate::{audit, monitor};
+use revtr_netsim::{ScenarioConfig, ScenarioProfile};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Fabrication profiles: hardening must repair at least this much
 /// correct coverage (coverage × accuracy) over the stock engine.
@@ -174,8 +168,8 @@ impl ProfileReport {
 /// The full conformance report: one seeded campaign, every profile.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
-    /// Scale name ("smoke" / "standard").
-    pub scale: String,
+    /// Scale every arm ran at.
+    pub scale: Scale,
     /// Master seed (all arms).
     pub seed: u64,
     /// The clean baseline (no scenario, stock engine).
@@ -240,7 +234,7 @@ impl ScenarioReport {
         let _ = writeln!(
             s,
             "scenario conformance ({} scale, seed {}): {} profiles vs clean coverage {:.4} / accuracy {:.4}",
-            self.scale,
+            self.scale.name(),
             self.seed,
             self.profiles.len(),
             self.clean.coverage,
@@ -279,128 +273,58 @@ impl ScenarioReport {
     }
 }
 
-fn base_config(scale_name: &str) -> (SimConfig, EvalScale) {
-    match scale_name {
-        "standard" => (SimConfig::era_2020(), EvalScale::standard()),
-        _ => (SimConfig::tiny(), EvalScale::smoke()),
-    }
+/// The campaign one arm runs: the seeded campaign under `scenario` with
+/// the engine hardened or stock.
+pub fn campaign(scale: Scale, seed: u64, scenario: &ScenarioConfig, harden: bool) -> Campaign {
+    let mut c = Campaign::clean(scale, seed)
+        .with_scenario(scenario.clone())
+        .with_harden(harden);
+    // Deliberate: the arms are judged by the verify-mode policy but run
+    // without the Appx.-E re-probe. Every committed conformance number was
+    // measured that way; whether the arms should pay for verification is
+    // ROADMAP item 5's to settle, with the oracle leak.
+    c.verify_dbr = false;
+    c
 }
 
-/// Run one arm: the seeded campaign under `scenario` with the engine
-/// hardened or stock, judged by the recalibrated monitor policy and
-/// audited hop-by-hop against the oracle.
-pub fn arm(scale_name: &str, seed: u64, scenario: &ScenarioConfig, harden: bool) -> ScenarioArm {
-    let (base, mut scale) = base_config(scale_name);
-    scale.seed = seed;
-    let mcfg = MonitorConfig::clean(scale_name)
-        .with_scenario(scale_name, scenario.clone())
-        .with_harden(harden);
-    let mut sim_cfg = base;
-    sim_cfg.scenario = scenario.clone();
-    let ctx = EvalContext::new(sim_cfg, scale);
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        watchdog_deadline_ms: Some(mcfg.watchdog_deadline_ms),
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx
-        .prober()
-        .with_retry_policy(RetryPolicy::uniform(mcfg.budget))
-        .with_telemetry(telemetry.clone());
-    let mut ecfg = EngineConfig::revtr2();
-    ecfg.harden = harden;
-    let auditor = Auditor::new(&ctx.sim, ecfg.registry_only_ip2as);
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, ecfg, ingress);
-    let workload = ctx.workload();
-
-    let probes_before = system.prober().counters().snapshot();
-    let outcome = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
-    let probes = system.prober().counters().snapshot().since(&probes_before);
-
+/// Grade one arm: the run judged by the scenario SLO policy and audited
+/// hop-by-hop against the oracle.
+pub fn arm(run: &CampaignRun) -> ScenarioArm {
     // Identity: the campaign fingerprint is a pure function of the
-    // results (status, hops, evidence, stats), captured before any
-    // judgment — the seed-purity / worker-invariance tests pin it.
+    // results (status, hops, evidence, stats) — the seed-purity /
+    // worker-invariance tests pin it.
     let mut hasher = DefaultHasher::new();
-    for r in &outcome.results {
+    for r in &run.results {
         serde_json::to_string(r)
             .expect("results serialize")
             .hash(&mut hasher);
     }
-    let fingerprint = hasher.finish();
-
-    // Oracle scoring, exactly as the monitor derives it.
-    let oracle = ctx.sim.oracle();
-    let (mut complete, mut sound, mut compared) = (0usize, 0usize, 0usize);
-    for (&(dst, src), r) in workload.iter().zip(&outcome.results) {
-        if !r.complete() {
-            continue;
-        }
-        complete += 1;
-        let Some(truth) = oracle.true_as_path(dst, src) else {
-            continue;
-        };
-        compared += 1;
-        let mut measured: Vec<_> = r.addrs().filter_map(|a| oracle.true_as_of(a)).collect();
-        measured.dedup();
-        if measured.iter().all(|a| truth.contains(a)) {
-            sound += 1;
-        }
-    }
-
-    // Hop-by-hop stitch-trace audit: the 0-unsound arbiter of the gate.
-    let mut summary = AuditSummary::default();
-    for r in &outcome.results {
-        summary.add(&auditor.audit(r));
-    }
-
-    let attempted = workload.len();
-    let frac = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-    let coverage = frac(complete, attempted);
-    let accuracy = frac(sound, compared);
-    let watchdog = telemetry.watchdog_flags();
-    let derived: Vec<(String, f64)> = vec![
-        ("accuracy".into(), accuracy),
-        ("audit.as_unsound".into(), (compared - sound) as f64),
-        ("coverage".into(), coverage),
-        (
-            "probes.per_revtr".into(),
-            frac(probes.option_probes() as usize, attempted),
-        ),
-        ("requests".into(), attempted as f64),
-        ("watchdog.flagged".into(), watchdog.len() as f64),
-    ];
-    let snapshot = telemetry.metrics();
-    let journal = telemetry.journal_records();
-    let slo = mcfg.policy.evaluate(&SloInput {
-        snapshot: &snapshot,
-        requests: &journal,
-        derived: &derived,
-    });
-
+    let judged = monitor::judge(run, &monitor::scenario_policy(run.campaign.scale));
+    let requests = run.workload.len() as u64;
     ScenarioArm {
-        harden,
-        requests: attempted as u64,
-        coverage,
-        accuracy,
-        probes_per_revtr: frac(probes.measurement_probes() as usize, attempted),
-        unsound: summary.total_failures(),
-        alerts: slo.alerts().map(|v| v.rule.clone()).collect(),
-        fingerprint,
+        harden: run.campaign.harden,
+        requests,
+        coverage: judged.value("coverage"),
+        accuracy: judged.value("accuracy"),
+        probes_per_revtr: run.probes.measurement_probes() as f64 / requests.max(1) as f64,
+        // Hop-by-hop stitch-trace audit: the 0-unsound arbiter of the gate.
+        unsound: audit::judge(run).summary.total_failures(),
+        alerts: judged.slo.alerts().map(|v| v.rule.clone()).collect(),
+        fingerprint: hasher.finish(),
     }
 }
 
 /// Run the conformance harness for a set of profiles at their default (or
 /// an overridden) severity.
 pub fn run(
-    scale_name: &str,
+    scale: Scale,
     seed: u64,
     profiles: &[ScenarioProfile],
     severity: Option<f64>,
 ) -> ScenarioReport {
-    let clean = arm(scale_name, seed, &ScenarioConfig::default(), false);
+    let graded =
+        |scenario: &ScenarioConfig, harden| arm(&campaign(scale, seed, scenario, harden).run());
+    let clean = graded(&ScenarioConfig::default(), false);
     let profiles = profiles
         .iter()
         .map(|&p| {
@@ -409,35 +333,16 @@ pub fn run(
             ProfileReport {
                 profile: p,
                 severity: sev,
-                off: arm(scale_name, seed, &cfg, false),
-                on: arm(scale_name, seed, &cfg, true),
+                off: graded(&cfg, false),
+                on: graded(&cfg, true),
             }
         })
         .collect();
     ScenarioReport {
-        scale: scale_name.to_string(),
+        scale,
         seed,
         clean,
         profiles,
-    }
-}
-
-/// The monitor face of a profile (the must-fire gates go through this):
-/// the scenario campaign judged by the recalibrated SLO policy.
-pub fn monitored_profile(
-    scale_name: &str,
-    seed: u64,
-    profile: ScenarioProfile,
-    severity: Option<f64>,
-    harden: bool,
-) -> monitor::MonitorReport {
-    let sev = severity.unwrap_or_else(|| profile.default_severity());
-    let cfg = MonitorConfig::clean(scale_name)
-        .with_scenario(scale_name, ScenarioConfig::profile_at(profile, sev))
-        .with_harden(harden);
-    match scale_name {
-        "standard" => monitor::standard_seeded(seed, &cfg),
-        _ => monitor::smoke_seeded(seed, &cfg),
     }
 }
 
@@ -445,15 +350,17 @@ pub fn monitored_profile(
 mod tests {
     use super::*;
 
+    fn smoke_arm(scenario: &ScenarioConfig, harden: bool) -> ScenarioArm {
+        arm(&campaign(Scale::Smoke, 1, scenario, harden).run())
+    }
+
     #[test]
     fn severity_zero_profile_is_byte_identical_to_clean() {
         // An all-zero severity config is the clean campaign: same
         // fingerprint, same probes, same audit — the scenario layer must
         // be a seed-pure no-op until dialled up.
-        let clean = arm("smoke", 1, &ScenarioConfig::default(), false);
-        let zero = arm(
-            "smoke",
-            1,
+        let clean = smoke_arm(&ScenarioConfig::default(), false);
+        let zero = smoke_arm(
             &ScenarioConfig::profile_at(ScenarioProfile::LyingRrResponders, 0.0),
             false,
         );
@@ -471,8 +378,8 @@ mod tests {
         // and hence the fingerprint — may legitimately differ. What must
         // hold on a clean Internet: no coverage lost, nothing audited
         // unsound, and no runaway probe spend.
-        let stock = arm("smoke", 1, &ScenarioConfig::default(), false);
-        let hard = arm("smoke", 1, &ScenarioConfig::default(), true);
+        let stock = smoke_arm(&ScenarioConfig::default(), false);
+        let hard = smoke_arm(&ScenarioConfig::default(), true);
         assert!(
             hard.coverage >= stock.coverage,
             "hardening lost clean coverage: {} < {}",
@@ -491,7 +398,7 @@ mod tests {
 
     #[test]
     fn smoke_conformance_all_profiles() {
-        let r = run("smoke", 1, &ScenarioProfile::ALL, None);
+        let r = run(Scale::Smoke, 1, &ScenarioProfile::ALL, None);
         assert_eq!(r.clean.unsound, 0, "clean campaign audits unsound");
         assert!(r.pass(), "conformance gate failed:\n{}", r.render());
     }

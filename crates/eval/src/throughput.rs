@@ -39,9 +39,6 @@ pub struct ThroughputRun {
     pub retries: u64,
     /// Probes lost to injected faults.
     pub lost: u64,
-    /// Peak admitted measurements (the whole campaign with stop sets off,
-    /// one wave with them on).
-    pub inflight_peak: usize,
     /// Whether the run consulted the campaign stop sets.
     pub stop_sets: bool,
     /// Stop-set effectiveness counters (all-zero with the knob off).
@@ -95,10 +92,9 @@ fn run_one(
     let cache_before = prober.cache().stats();
     let computes_before = ctx.sim.route_computes();
     let t0 = Instant::now();
-    let inflight_peak = system
+    system
         .run_campaign(workload, LoopConfig { workers })
-        .expect("throughput measurement panicked")
-        .inflight_peak;
+        .expect("throughput measurement panicked");
     let wall_s = t0.elapsed().as_secs_f64();
     let d = prober.counters().snapshot().since(&before);
     let ca = prober.cache().stats();
@@ -117,7 +113,6 @@ fn run_one(
         route_computes: ctx.sim.route_computes() - computes_before,
         retries: d.retries,
         lost: d.lost,
-        inflight_peak,
         stop_sets,
         stopset: system.stopset().stats(),
     }
@@ -167,7 +162,6 @@ impl ThroughputReport {
                 "revtrs/s",
                 "revtrs/day",
                 "probes/revtr",
-                "inflight",
                 "stop hits",
                 "cache hit%",
                 "cache exp",
@@ -184,7 +178,6 @@ impl ThroughputReport {
                 format!("{:.0}", r.per_second()),
                 format!("{:.2e}", r.per_day()),
                 format!("{:.1}", r.probes_per_revtr()),
-                r.inflight_peak.to_string(),
                 r.stopset.total_hits().to_string(),
                 format!("{:.1}", r.cache.hit_rate() * 100.0),
                 r.cache.expired.to_string(),
@@ -219,8 +212,6 @@ mod tests {
             // Fault-free context: the retry layer must be invisible.
             assert_eq!(r.retries, 0);
             assert_eq!(r.lost, 0);
-            // Stop sets off: the whole campaign is one admitted wave.
-            assert_eq!(r.inflight_peak, workload.len());
             // Stop sets are off in the default report: no consults at all.
             assert!(!r.stop_sets);
             assert_eq!(r.stopset, StopSetSnapshot::default());

@@ -1,5 +1,6 @@
 //! `revtr-cli` flag-handling contract: every subcommand validates its
-//! flags against its allow-list and exits 2 on anything unexpected.
+//! flags against its allow-list and exits 2 on anything unexpected — and
+//! the subcommands ci.sh and the docs invoke are the ones that exist.
 
 use std::process::Command;
 
@@ -14,7 +15,7 @@ fn exit_code(args: &[&str]) -> i32 {
     run(args).status.code().expect("exit code")
 }
 
-const COMMANDS: [&str; 14] = [
+const COMMANDS: [&str; 11] = [
     "topology",
     "measure",
     "reproduce",
@@ -24,10 +25,7 @@ const COMMANDS: [&str; 14] = [
     "profile",
     "monitor",
     "scenario",
-    "bench-report",
-    "bench-compare",
     "economy",
-    "concurrency-smoke",
     "loadtest",
 ];
 
@@ -50,8 +48,6 @@ fn every_subcommand_rejects_a_flag_missing_its_value() {
         // The first allowed flag of each command, valueless.
         let flag = match cmd {
             "topology" | "measure" => "--era",
-            "bench-compare" => "--tol",
-            "concurrency-smoke" => "--inflight",
             _ => "--scale",
         };
         assert_eq!(exit_code(&[cmd, flag]), 2, "{cmd} {flag} without value");
@@ -67,13 +63,16 @@ fn bad_flag_values_exit_two() {
     assert_eq!(exit_code(&["metrics", "--scale", "huge"]), 2);
     assert_eq!(exit_code(&["measure", "--engine", "3"]), 2);
     assert_eq!(exit_code(&["audit", "--stop-sets", "maybe"]), 2);
-    assert_eq!(exit_code(&["bench-report", "--stop-sets", "2"]), 2);
     assert_eq!(exit_code(&["economy", "--min-cut", "1.5"]), 2);
     assert_eq!(exit_code(&["economy", "--tol-quality", "-0.1"]), 2);
     assert_eq!(exit_code(&["loadtest", "--pattern", "tsunami"]), 2);
     assert_eq!(exit_code(&["loadtest", "--duration", "0"]), 2);
     assert_eq!(exit_code(&["loadtest", "--duration", "nan"]), 2);
     assert_eq!(exit_code(&["loadtest", "--scale", "huge"]), 2);
+    // Scale names are exact everywhere: no silent smoke fallback.
+    for cmd in ["profile", "economy", "scenario", "monitor", "robustness"] {
+        assert_eq!(exit_code(&[cmd, "--scale", "Standard"]), 2, "{cmd}");
+    }
 }
 
 #[test]
@@ -120,34 +119,66 @@ fn monitor_smoke_clean_passes_and_faulted_fails() {
     assert!(stdout.contains("stuck-requests"), "stdout: {stdout}");
 }
 
-#[test]
-fn bench_report_round_trips_through_bench_compare() {
-    let file = std::env::temp_dir().join(format!("revtr-cli-bench-{}.json", std::process::id()));
-    let path = file.to_str().expect("utf8 temp path");
-    let out = run(&[
-        "bench-report",
-        "--scale",
-        "smoke",
-        "--seed",
-        "1",
-        "--file",
-        path,
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    let out = run(&["bench-compare", path, path]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "self-compare failed: {stdout}");
-    assert!(stdout.contains("bench gate: PASS"), "stdout: {stdout}");
-    std::fs::remove_file(&file).ok();
+/// The subcommands `usage()` lists, in order.
+fn listed_subcommands() -> Vec<String> {
+    let out = run(&[]);
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("revtr-cli "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
+        .collect()
+}
 
-    // Unreadable inputs are an ordinary failure (exit 1), not usage (2).
-    assert_eq!(
-        exit_code(&["bench-compare", "/nonexistent/a.json", path]),
-        1
-    );
-    // Missing positionals are a usage error.
-    assert_eq!(exit_code(&["bench-compare", "--tol", "0.1"]), 2);
-    assert_eq!(exit_code(&["bench-compare", path, path, "--tol", "x"]), 2);
+#[test]
+fn usage_lists_exactly_the_subcommands_and_retired_ones_are_unknown() {
+    assert_eq!(listed_subcommands(), COMMANDS);
+    for retired in ["bench-report", "bench-compare", "concurrency-smoke"] {
+        let out = run(&[retired]);
+        assert_eq!(out.status.code(), Some(2), "{retired} still runs");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
+}
+
+/// Every word that follows `revtr-cli` in `text` (after an optional `--`
+/// and line continuation; `a|b|c` counts as three).
+fn named_subcommands(text: &str) -> Vec<String> {
+    let mut named = Vec::new();
+    for after in text.split("revtr-cli").skip(1) {
+        let after = after.strip_prefix(" --").unwrap_or(after);
+        let after = after.trim_start_matches([' ', '\\', '\n']);
+        let end = after
+            .find(|c: char| !(c.is_ascii_lowercase() || c == '-' || c == '|'))
+            .unwrap_or(after.len());
+        named.extend(
+            after[..end]
+                .split('|')
+                .filter(|w| !w.is_empty())
+                .map(str::to_string),
+        );
+    }
+    named
+}
+
+#[test]
+fn ci_and_docs_name_only_subcommands_that_exist() {
+    // In these files the word after `revtr-cli` is always a subcommand
+    // (prose says "the subcommand exits nonzero"), so a gate or a recipe
+    // cannot outlive the subcommand it calls.
+    let listed = listed_subcommands();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in ["ci.sh", "README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(file))
+            .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+        let named = named_subcommands(&text);
+        assert!(!named.is_empty(), "{file} names no subcommand");
+        for sub in named {
+            assert!(
+                listed.contains(&sub),
+                "{file} names `revtr-cli {sub}`, which usage() does not list"
+            );
+        }
+    }
 }
 
 #[test]
