@@ -179,6 +179,14 @@ cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_u
 # its library code states why a value must be there (`expect`) or handles
 # its absence. Tests may still unwrap.
 cargo clippy -p revtr -p revtr-probing -- -D warnings -D clippy::unwrap_used
+# ...and keeps no ambient per-thread state: a request's clock and probe
+# tally are its control block's `Meter`, lent down the probe path (the
+# workspace's two thread-locals — the telemetry stripe ordinal, the BGP
+# fill scratch — live in other crates).
+echo "== no per-thread state in the request plane (crates/probing/src, crates/core/src) =="
+if grep -rnE 'thread_local!|thread_ms|thread_snapshot|swap_thread_' crates/probing/src crates/core/src; then
+  echo "per-thread state in the request plane: charge the task's Meter instead"; exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check

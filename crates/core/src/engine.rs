@@ -16,15 +16,17 @@
 //! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
 //! one block inline; [`RevtrSystem::run_campaign`] and
 //! [`RevtrSystem::run_wave_timed`] both delegate to one `run_wave`, whose
-//! workers claim jobs off an atomic cursor and drive each — on the one
-//! scratch a worker holds for its whole claim loop — under a
-//! task-private *shadow* of the clock and counters, so
-//! `thread_ms`/`thread_snapshot` diffs inside a measurement see only its
-//! own charges. Which worker runs which job is up to the OS; campaign
-//! *results* are not, because a measurement's outcome depends only on its
-//! own probe sequence and on stop-set evidence published at earlier wave
-//! barriers (cross-request coupling through route churn aside — the
-//! metamorphic suite pins the invariance with churn quiesced).
+//! workers claim jobs off an atomic cursor and drive each on the one
+//! scratch a worker holds for its whole claim loop.
+//!
+//! A block carries its own [`Meter`] — virtual time from the job's origin
+//! and a probe tally from zero — and lends it to every probe it sends, so
+//! its duration, probe delta, span offsets and stop-set stamps read its
+//! own charges and nothing else. Which worker runs which job is up to the
+//! OS; campaign *results* are not, because a measurement's outcome depends
+//! only on its own probe sequence and on stop-set evidence published at
+//! earlier wave barriers (cross-request coupling through route churn
+//! aside — the metamorphic suite pins the invariance with churn quiesced).
 
 use crate::config::SymmetryPolicy;
 use crate::result::{
@@ -32,10 +34,10 @@ use crate::result::{
     StitchTrace,
 };
 use crate::scratch::{novel, on_path, Scratch};
-use crate::system::{RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
+use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::{Contribution, Note, RequestScope, Snapshot, StoredRr};
+use revtr_probing::{Contribution, Meter, Note, RequestScope, StoredRr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -86,8 +88,8 @@ pub struct TimedJob {
     pub dst: Addr,
     /// Registered source the path is stitched toward.
     pub src: Addr,
-    /// Virtual arrival time in milliseconds since campaign start: the
-    /// control block's shadow-clock origin.
+    /// Virtual arrival time in milliseconds since campaign start: where
+    /// the control block's meter starts.
     pub arrival_ms: f64,
     /// Campaign-unique request id (stop-set contribution stamp); callers
     /// use the global arrival index.
@@ -153,8 +155,10 @@ pub(crate) struct MeasureTask<'a> {
     src_prefix: Option<PrefixId>,
     atlas: Option<Arc<SourceAtlas>>,
     req: Option<RequestScope>,
-    t0_thread_ms: f64,
-    snap0: Snapshot,
+    /// The task's own clock and probe tally: virtual time from
+    /// `origin_ms`, probes and events from zero, charged by every probe
+    /// the task sends and every step it takes.
+    meter: Meter,
     stats: RevtrStats,
     cur: Addr,
     /// Stitch-loop iterations so far. Narrow on purpose: with a word here
@@ -182,9 +186,9 @@ pub(crate) struct MeasureTask<'a> {
     /// symmetry step just measured it (`cur` is the hop that step's probes
     /// found); 0 once `cur` moved any other way.
     chain_dist: u8,
-    /// Virtual-time origin of the task-private shadow clock a wave drives
-    /// this task under (0 for campaigns, the arrival time for timed jobs).
-    pub(crate) origin_ms: f64,
+    /// Where `meter` started: 0 for `measure()` and campaigns, the arrival
+    /// time for timed jobs ([`MeasureTask::arriving_at`]).
+    origin_ms: f64,
     /// Degradation-ladder level assigned at admission (0 = full service;
     /// 1 = spoofed batches capped at one probe; 2+ = cache/stop-set/atlas
     /// evidence only, no new RR probes). Fixed for the task's lifetime —
@@ -202,8 +206,7 @@ impl<'a> MeasureTask<'a> {
             src_prefix: None,
             atlas: None,
             req: None,
-            t0_thread_ms: 0.0,
-            snap0: Snapshot::default(),
+            meter: Meter::default(),
             stats: RevtrStats::default(),
             cur: dst,
             iters: 0,
@@ -219,15 +222,22 @@ impl<'a> MeasureTask<'a> {
         }
     }
 
+    /// The same block with its meter anchored at a timed job's virtual
+    /// arrival. Before the first step only.
+    pub(crate) fn arriving_at(mut self, arrival_ms: f64) -> MeasureTask<'a> {
+        self.origin_ms = arrival_ms;
+        self.meter = Meter::at(arrival_ms);
+        self
+    }
+
     /// Buffer a stop-set contribution stamped with this task's own virtual
     /// time and `(request id, sequence)` — a pure function of the task's
     /// measurement history, so merge order is schedule-invariant.
     fn contribute(&mut self, sys: &RevtrSystem<'_>, note: Note) {
-        let vtime = sys.prober().clock().thread_ms();
         let seq = self.cseq;
         self.cseq += 1;
         sys.stopset().contribute(Contribution {
-            vtime,
+            vtime: self.meter.ms,
             req: self.id as u64,
             seq,
             note,
@@ -242,10 +252,10 @@ impl<'a> MeasureTask<'a> {
         sys: &'a RevtrSystem<'_>,
         sx: &mut Scratch,
     ) -> Option<RevtrResult> {
-        // One loop event per step, charged to the thread shadow before any
-        // stage span opens so every stage's cost delta includes it. A pure
-        // function of the task schedule — identical at any worker count.
-        sys.prober().counters().add_events(1);
+        // One loop event per step, charged before any stage span opens so
+        // every stage's cost delta includes it. A pure function of the
+        // task's own history — identical at any worker count.
+        sys.prober().count_events(&mut self.meter, 1);
         match std::mem::replace(&mut self.phase, Phase::Done) {
             Phase::Start => self.start(sys, sx),
             Phase::StitchLoop => self.stitch_head(sys, sx),
@@ -263,11 +273,10 @@ impl<'a> MeasureTask<'a> {
         }
     }
 
-    /// Seal the result: durations and probe deltas are diffs of the
-    /// *thread-shadow* accumulators around the measurement, so they
-    /// attribute exactly this task's own charges under any scheduling.
-    /// The path leaves the scratch as two exactly-sized vectors — the
-    /// only allocations a measurement makes for itself.
+    /// Seal the result: duration and probe delta are what the task's
+    /// meter read, exactly its own charges under any scheduling. The path
+    /// leaves the scratch as two exactly-sized vectors — the only
+    /// allocations a measurement makes for itself.
     fn finish(
         &mut self,
         sys: &RevtrSystem<'_>,
@@ -275,12 +284,10 @@ impl<'a> MeasureTask<'a> {
         status: Status,
         end: StitchEnd,
     ) -> RevtrResult {
-        let prober = sys.prober();
-        self.stats.duration_s = (prober.clock().thread_ms() - self.t0_thread_ms) / 1000.0;
-        self.stats.probes =
-            ProbeDelta::from_snapshot(&prober.counters().thread_snapshot().since(&self.snap0));
+        self.stats.duration_s = (self.meter.ms - self.origin_ms) / 1000.0;
+        self.stats.probes = ProbeDelta::from_snapshot(&self.meter.tally);
         if let Some(req) = self.req.as_mut() {
-            req.finish(status.label(), prober.clock().thread_ms());
+            req.finish(status.label(), self.meter.ms);
         }
         let mut r = RevtrResult {
             dst: self.dst,
@@ -300,28 +307,24 @@ impl<'a> MeasureTask<'a> {
     fn start(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         sx.hops.clear();
         sx.entries.clear();
-        let atlas = sys.atlas(self.src);
+        self.atlas = Some(sys.atlas(self.src));
         let prober = sys.prober();
-        self.t0_thread_ms = prober.clock().thread_ms();
-        // Thread-shadow snapshot: a wave swaps this task's private shadow
-        // in around its whole drive, so the diff at finish attributes
-        // exactly its own probes whatever else the worker ran before.
-        self.snap0 = prober.counters().thread_snapshot();
         self.src_prefix = sys.sim().host_prefix(self.src);
         // Telemetry request scope (inert unless the prober carries an
         // enabled handle). The origin is this task's virtual time, so
         // span offsets are invariant to concurrent measurements' advances.
-        let mut req =
+        self.req = Some(
             prober
                 .telemetry()
-                .request(self.dst.0, self.src.0, prober.clock().thread_ms());
+                .request(self.dst.0, self.src.0, self.meter.ms),
+        );
 
         // The destination must answer something.
-        let st = sys.stage_enter(&mut req, "destination_probe");
-        let answered = prober.ping(self.src, self.dst).is_some();
-        sys.stage_exit(&mut req, st, &[("answered", u64::from(answered))]);
-        self.req = Some(req);
-        self.atlas = Some(atlas);
+        let (src, dst) = (self.src, self.dst);
+        let mut t = self.books();
+        let st = t.enter("destination_probe");
+        let answered = prober.ping_metered(t.meter, src, dst).is_some();
+        t.exit(st, &[("answered", u64::from(answered))]);
         if !answered {
             return Some(self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive));
         }
@@ -348,7 +351,7 @@ impl<'a> MeasureTask<'a> {
 
         // 1. Atlas intersection.
         let atlas = self.atlas.clone().expect("atlas resolved in Start");
-        let atlas_span = sys.stage_enter(self.req_mut(), "atlas_intersection");
+        let atlas_span = self.books().enter("atlas_intersection");
         if let Some(inter) = sys
             .lookup_intersection(self.src, &atlas, self.cur)
             .filter(|i| {
@@ -404,14 +407,11 @@ impl<'a> MeasureTask<'a> {
                 });
             }
             let atlas_hops = u64::from(self.stats.atlas_hops);
-            sys.stage_exit(
-                self.req_mut(),
-                atlas_span,
-                &[("hit", 1), ("atlas_hops", atlas_hops)],
-            );
+            self.books()
+                .exit(atlas_span, &[("hit", 1), ("atlas_hops", atlas_hops)]);
             return Some(self.finish(sys, sx, Status::Complete, StitchEnd::AtlasSuffix));
         }
-        sys.stage_exit(self.req_mut(), atlas_span, &[("hit", 0)]);
+        self.books().exit(atlas_span, &[("hit", 0)]);
 
         // 2. Campaign stop sets, everything under one read lock: reuse an
         // earlier request's reverse-hop evidence at this (source, router)
@@ -428,14 +428,11 @@ impl<'a> MeasureTask<'a> {
         if sys.wave_barriers() {
             let stop = sys.stopset().consult();
             if sys.config().use_stop_sets {
-                let ss = sys.stage_enter(self.req_mut(), "stopset_backward");
+                let ss = self.books().enter("stopset_backward");
                 let hit = stop.backward(self.src, self.cur);
                 let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
-                sys.stage_exit(
-                    self.req_mut(),
-                    ss,
-                    &[("hit", u64::from(hit.is_some())), ("reused", reused)],
-                );
+                self.books()
+                    .exit(ss, &[("hit", u64::from(hit.is_some())), ("reused", reused)]);
                 if let Some((stored, spoofed)) = hit {
                     let new = novel(&sx.hops, &stored.hops);
                     if !new.is_empty() {
@@ -499,8 +496,7 @@ impl<'a> MeasureTask<'a> {
         self.rr_ladder_usable = false;
 
         // 3. Record route (direct probe now; spoofed rounds event-driven).
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_begin(self.cur, self.src, sx, &mut self.stats, req, hints) {
+        match sys.rr_begin(self.cur, self.src, sx, &mut self.books(), hints) {
             RrProgress::Done(found) => self.after_primary_rr(sys, sx, found),
             RrProgress::Pending(m) => self.phase = Phase::Rr(m),
         }
@@ -513,8 +509,7 @@ impl<'a> MeasureTask<'a> {
         sx: &mut Scratch,
         mut m: RrMachine<'a>,
     ) -> Option<RevtrResult> {
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, sx, &mut self.stats, req) {
+        match sys.rr_round(&mut m, self.src, sx, &mut self.books()) {
             None => self.phase = Phase::Rr(m),
             Some(found) => {
                 self.rr_ladder_usable = m.usable_seen;
@@ -627,8 +622,7 @@ impl<'a> MeasureTask<'a> {
                 // reconverge within a hop or two.
                 if let Some(first) = f.0.first().copied().filter(|a| !a.is_private()) {
                     let expected = f.0[1];
-                    let vspan = sys.stage_enter(self.req_mut(), "rr_verify");
-                    let req = self.req.as_mut().expect("request scope opened in Start");
+                    let vspan = self.books().enter("rr_verify");
                     // The verification re-probe neither consults nor feeds
                     // the stop sets: its whole point is an independent
                     // re-measurement. Its ladder deprioritizes no one;
@@ -640,14 +634,7 @@ impl<'a> MeasureTask<'a> {
                         sx.quarantined
                             .extend(sys.stopset().consult().quarantined_vps());
                     }
-                    match sys.rr_begin(
-                        first,
-                        self.src,
-                        sx,
-                        &mut self.stats,
-                        req,
-                        RrHints::default(),
-                    ) {
+                    match sys.rr_begin(first, self.src, sx, &mut self.books(), RrHints::default()) {
                         RrProgress::Done(v) => {
                             let violated = self.close_verify(sys, v, expected, vspan);
                             self.phase =
@@ -678,8 +665,7 @@ impl<'a> MeasureTask<'a> {
         expected: Addr,
         mut m: RrMachine<'a>,
     ) -> Option<RevtrResult> {
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, sx, &mut self.stats, req) {
+        match sys.rr_round(&mut m, self.src, sx, &mut self.books()) {
             None => {
                 self.phase = Phase::RrVerify {
                     found,
@@ -722,7 +708,7 @@ impl<'a> MeasureTask<'a> {
             }
         }
         let violation = u64::from(self.stats.dbr_violation_detected);
-        sys.stage_exit(self.req_mut(), vspan, &[("violation", violation)]);
+        self.books().exit(vspan, &[("violation", violation)]);
         fresh
     }
 
@@ -767,10 +753,10 @@ impl<'a> MeasureTask<'a> {
     }
 
     fn ts(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
-        let ts_span = sys.stage_enter(self.req_mut(), "ts_step");
-        let adj = sys.ts_step(self.cur, self.src, &sx.hops);
+        let ts_span = self.books().enter("ts_step");
+        let adj = sys.ts_step(&mut self.meter, self.cur, self.src, &sx.hops);
         let found = u64::from(adj.is_some());
-        sys.stage_exit(self.req_mut(), ts_span, &[("found", found)]);
+        self.books().exit(ts_span, &[("found", found)]);
         if let Some(adj) = adj {
             sx.entries.push(Evidence::Timestamp {
                 tested_from: self.cur,
@@ -791,7 +777,7 @@ impl<'a> MeasureTask<'a> {
 
     fn symmetry(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         let policy = sys.config().symmetry;
-        let sym_span = sys.stage_enter(self.req_mut(), "assume_symmetry");
+        let sym_span = self.books().enter("assume_symmetry");
         // Where to start probing: what the deployment already measured,
         // nearest knowledge first — this request's own previous step, the
         // campaign's forward distances, a constant.
@@ -804,7 +790,9 @@ impl<'a> MeasureTask<'a> {
                 .unwrap_or(COLD_START_TTL),
             known => known,
         };
-        let measured = sys.prober().last_link(self.src, self.cur, hint);
+        let measured = sys
+            .prober()
+            .last_link(&mut self.meter, self.src, self.cur, hint);
         let link = measured.map(|(link, _sent)| link);
         if let (Some(link), true) = (link, sys.config().use_stop_sets) {
             self.contribute(
@@ -852,7 +840,7 @@ impl<'a> MeasureTask<'a> {
                 }
             }
         }
-        sys.stage_exit(self.req_mut(), sym_span, &fields[..used]);
+        self.books().exit(sym_span, &fields[..used]);
         let (Some(d), Some(link)) = (sym, link) else {
             return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
         };
@@ -894,8 +882,13 @@ impl<'a> MeasureTask<'a> {
         None
     }
 
-    fn req_mut(&mut self) -> &mut RequestScope {
-        self.req.as_mut().expect("request scope opened in Start")
+    /// This task's books, lent for a stage.
+    fn books(&mut self) -> Books<'_> {
+        Books {
+            stats: &mut self.stats,
+            req: self.req.as_mut().expect("request scope opened in Start"),
+            meter: &mut self.meter,
+        }
     }
 }
 
@@ -948,17 +941,15 @@ const STOPSET_WAVE: usize = 64;
 
 impl<'s> RevtrSystem<'s> {
     /// Run a whole campaign: every `(dst, src)` pair is driven to
-    /// completion under a task-private shadow clock starting at virtual
-    /// zero, `lc.workers` at a time. With stop sets off the campaign is
-    /// one wave; with them on (or hardening, whose quarantine windows are
-    /// ordinary buffered stop-set contributions) it is admitted in
-    /// [`STOPSET_WAVE`]-sized waves with a deterministic stop-set merge
-    /// barrier after each.
+    /// completion on a meter starting at virtual zero, `lc.workers` at a
+    /// time. With stop sets off the campaign is one wave; with them on (or
+    /// hardening, whose quarantine windows are ordinary buffered stop-set
+    /// contributions) it is admitted in [`STOPSET_WAVE`]-sized waves with
+    /// a deterministic stop-set merge barrier after each.
     ///
     /// Results come back in input order. A panicking measurement aborts
-    /// the campaign and surfaces as `Err` with the panic payload (the
-    /// caller's thread-shadow accumulators are restored first, so the
-    /// system stays usable).
+    /// the campaign and surfaces as `Err` with the panic payload; the
+    /// system stays usable.
     pub fn run_campaign(
         &self,
         pairs: &[(Addr, Addr)],
@@ -989,8 +980,8 @@ impl<'s> RevtrSystem<'s> {
 
     /// Run one admission wave of *timed* requests.
     ///
-    /// This is the open-loop entry point: each [`TimedJob`]'s shadow clock
-    /// is anchored at the job's virtual **arrival time** instead of zero —
+    /// This is the open-loop entry point: each [`TimedJob`]'s meter is
+    /// anchored at the job's virtual **arrival time** instead of zero —
     /// so a request admitted at hour 30 has its telemetry spans offset
     /// from its own admission, exactly as if it had arrived at a live
     /// service. The caller (the admission layer) owns wave chunking,
@@ -1011,10 +1002,9 @@ impl<'s> RevtrSystem<'s> {
         let ord = jobs.first().map(|j| j.arrival_ms as u64).unwrap_or(0);
         let (results, events) = self.run_wave(ord, jobs.len(), lc, |i| {
             let j = &jobs[i];
-            let mut t = MeasureTask::new(j.dst, j.src);
+            let mut t = MeasureTask::new(j.dst, j.src).arriving_at(j.arrival_ms);
             t.id = j.id;
             t.degrade = j.degrade;
-            t.origin_ms = j.arrival_ms;
             t
         })?;
         Ok(CampaignOutcome { results, events })
@@ -1031,16 +1021,16 @@ impl<'s> RevtrSystem<'s> {
     /// wave barrier. Workers — `lc.workers` clamped to the host's cores
     /// (oversubscription only adds scheduler churn) and the wave's jobs —
     /// claim job indices off one atomic cursor, build the claimed job's
-    /// control block with `task`, drive it under its private shadows on
-    /// the one scratch the worker holds for its whole claim loop, and
-    /// write the result into the job's own slot. One worker is the calling
-    /// thread itself; more are all scoped threads the caller only joins
-    /// (claiming too cost `service-openloop` ~6 % — EXPERIMENTS.md). The
-    /// first panic poisons the wave: the others stop claiming and the
-    /// payload comes back as `Err`, before any merge. The barrier folds
-    /// what the wave's tasks buffered into the published stop sets in
-    /// `(vtime, id, seq)` stamp order — functions of each task's own
-    /// history, so schedule-invariant ([`STOPSET_WAVE`]).
+    /// control block with `task`, drive it on the one scratch the worker
+    /// holds for its whole claim loop, and write the result into the job's
+    /// own slot. One worker is the calling thread itself; more are all
+    /// scoped threads the caller only joins (claiming too cost
+    /// `service-openloop` ~6 % — EXPERIMENTS.md). The first panic poisons
+    /// the wave: the others stop claiming and the payload comes back as
+    /// `Err`, before any merge. The barrier folds what the wave's tasks
+    /// buffered into the published stop sets in `(vtime, id, seq)` stamp
+    /// order — functions of each task's own history, so schedule-invariant
+    /// ([`STOPSET_WAVE`]).
     fn run_wave<'a>(
         &'a self,
         ord: u64,
@@ -1056,23 +1046,17 @@ impl<'s> RevtrSystem<'s> {
         let events = AtomicU64::new(0);
         let poisoned = AtomicBool::new(false);
         let claim = || -> std::thread::Result<()> {
-            let clock = self.prober().clock();
-            let counters = self.prober().counters();
             let mut sx = self.take_scratch();
             while !poisoned.load(Ordering::Relaxed) {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= admitted {
                     break;
                 }
-                let t = task(i);
-                let saved_ms = clock.swap_thread_ms(t.origin_ms);
-                let saved_snap = counters.swap_thread_snapshot(Snapshot::default());
-                let out = self.drive(t, &mut sx);
-                clock.swap_thread_ms(saved_ms);
-                counters.swap_thread_snapshot(saved_snap);
                 // A panic leaves through `?`: the scratch it interrupted
                 // is dropped here, not handed back.
-                let (r, steps) = out.inspect_err(|_| poisoned.store(true, Ordering::Relaxed))?;
+                let (r, steps) = self
+                    .drive(task(i), &mut sx)
+                    .inspect_err(|_| poisoned.store(true, Ordering::Relaxed))?;
                 events.fetch_add(steps, Ordering::Relaxed);
                 let _ = slots[i].set(r);
             }
@@ -1118,10 +1102,9 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The one way a reverse traceroute executes: step its control block
-    /// to completion, on the calling thread's current shadow accumulators
-    /// and the scratch its driver lends it, behind a panic fence. Returns
-    /// the result with its event count. After an `Err` the scratch holds
-    /// whatever the interrupted step left: drop it.
+    /// to completion, on the scratch its driver lends it, behind a panic
+    /// fence. Returns the result with its event count. After an `Err` the
+    /// scratch holds whatever the interrupted step left: drop it.
     pub(crate) fn drive<'a>(
         &'a self,
         mut task: MeasureTask<'a>,
@@ -1160,7 +1143,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_job_yields_err_restores_shadows_and_leaves_system_usable() {
+    fn poisoned_job_yields_err_and_leaves_system_usable() {
         let sim = Sim::build(SimConfig::tiny(), 31);
         let prober = Prober::new(&sim);
         let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
@@ -1175,15 +1158,7 @@ mod tests {
         sys.register_source(src);
         let pairs: Vec<(Addr, Addr)> = vps[1..9].iter().map(|&d| (d, src)).collect();
 
-        // Give the calling thread non-trivial shadows to lose.
         let first = sys.measure(pairs[0].0, src);
-        let shadows = |sys: &RevtrSystem<'_>| {
-            let p = sys.prober();
-            (p.clock().thread_ms(), p.counters().thread_snapshot())
-        };
-        let before = shadows(&sys);
-        assert!(before.0 > 0.0 && before.1.ping > 0);
-
         for workers in [1usize, 4] {
             // Job 3 is already `Done`: stepping it is the engine's own
             // invariant panic, raised inside `drive`'s fence.
@@ -1196,7 +1171,6 @@ mod tests {
                 t
             });
             assert!(out.is_err(), "w{workers}: poisoned wave returned Ok");
-            assert_eq!(shadows(&sys), before, "w{workers}: caller shadows lost");
         }
 
         // Still usable, both ways in.

@@ -25,7 +25,8 @@ use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, AsId, PrefixId, RrSlots, Sim};
 use revtr_probing::{
-    LastLink, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet,
+    LastLink, Meter, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken,
+    StopSet,
 };
 use revtr_vpselect::{IngressDb, PlanView};
 use std::collections::HashMap;
@@ -86,12 +87,10 @@ const HARDENED_STALL_BUDGET: u32 = 6;
 /// probe-bloat the raised hardened budget would cause.
 const QUARANTINED_STALL_BUDGET: u32 = 1;
 
-/// An open telemetry stage: the span token plus the thread-local probe
-/// snapshot at entry, so the exit can attach this stage's exact probe
-/// delta (per-thread, hence worker-count-invariant). Stage spans are held
-/// across steps inside a measurement's control block; a wave's shadow
-/// swap around the whole drive keeps the entry snapshot consistent with
-/// whatever the task accumulates later.
+/// An open telemetry stage: the span token plus the request meter's tally
+/// at entry, so the exit can attach this stage's exact probe delta — the
+/// request's own charges, hence worker-count-invariant. Stage spans are
+/// held across steps inside a measurement's control block.
 pub(crate) struct StageStart {
     tok: Option<SpanToken>,
     snap: Snapshot,
@@ -105,6 +104,55 @@ impl StageStart {
             tok: None,
             snap: Snapshot::default(),
         }
+    }
+}
+
+/// What a request keeps account of while it runs, lent by its control
+/// block to the stage functions for one step: the result statistics, the
+/// telemetry scope, and the meter every probe and every span reads.
+pub(crate) struct Books<'t> {
+    pub(crate) stats: &'t mut RevtrStats,
+    pub(crate) req: &'t mut RequestScope,
+    pub(crate) meter: &'t mut Meter,
+}
+
+impl Books<'_> {
+    /// Open a telemetry stage span (no-op on an inactive scope — the
+    /// tally is not even copied then, keeping the disabled path free).
+    pub(crate) fn enter(&mut self, stage: &'static str) -> StageStart {
+        if !self.req.active() {
+            return StageStart::empty();
+        }
+        StageStart {
+            tok: self.req.enter(stage, self.meter.ms),
+            snap: self.meter.tally,
+        }
+    }
+
+    /// Close a telemetry stage span, attaching the request's probe delta
+    /// since entry (option probes, packets, retries, fault losses) plus up
+    /// to five stage-specific fields.
+    pub(crate) fn exit(&mut self, st: StageStart, extra: &[(&'static str, u64)]) {
+        if st.tok.is_none() {
+            return;
+        }
+        let d = self.meter.tally.since(&st.snap);
+        let mut fields = [("", 0); 9];
+        fields[..4].copy_from_slice(&[
+            ("probes", d.option_probes()),
+            ("pkts", d.all_packets()),
+            ("retries", d.retries),
+            ("lost", d.lost),
+        ]);
+        let n = 4 + extra.len();
+        fields[4..n].copy_from_slice(extra);
+        let cost = SpanCost {
+            events: d.events,
+            cache_bytes: d.cache_bytes,
+            probe_bytes: d.probe_bytes(),
+        };
+        self.req
+            .exit_costed(st.tok, self.meter.ms, &fields[..n], cost);
     }
 }
 
@@ -349,11 +397,6 @@ impl<'s> RevtrSystem<'s> {
         };
         tele.resource_record("atlas.traces", ord, traces);
         tele.resource_record("atlas.index", ord, index);
-    }
-
-    /// The ingress database.
-    pub fn ingress_db(&self) -> &IngressDb {
-        &self.ingress
     }
 
     // ---- sources & atlases ---------------------------------------------------
@@ -693,53 +736,6 @@ impl<'s> RevtrSystem<'s> {
             || oracle.plausibly_consecutive(cur, hop)
     }
 
-    /// Open a telemetry stage span (no-op on an inactive scope — the
-    /// timestamp and probe snapshot are not even computed then, keeping
-    /// the disabled path free).
-    pub(crate) fn stage_enter(&self, req: &mut RequestScope, stage: &'static str) -> StageStart {
-        if !req.active() {
-            return StageStart {
-                tok: None,
-                snap: Snapshot::default(),
-            };
-        }
-        let tok = req.enter(stage, self.prober.clock().thread_ms());
-        StageStart {
-            tok,
-            snap: self.prober.counters().thread_snapshot(),
-        }
-    }
-
-    /// Close a telemetry stage span, attaching this thread's probe delta
-    /// (option probes, packets, retries, fault losses) plus up to five
-    /// stage-specific fields.
-    pub(crate) fn stage_exit(
-        &self,
-        req: &mut RequestScope,
-        st: StageStart,
-        extra: &[(&'static str, u64)],
-    ) {
-        if st.tok.is_none() {
-            return;
-        }
-        let d = self.prober.counters().thread_snapshot().since(&st.snap);
-        let mut fields = [("", 0); 9];
-        fields[..4].copy_from_slice(&[
-            ("probes", d.option_probes()),
-            ("pkts", d.all_packets()),
-            ("retries", d.retries),
-            ("lost", d.lost),
-        ]);
-        let n = 4 + extra.len();
-        fields[4..n].copy_from_slice(extra);
-        let cost = SpanCost {
-            events: d.events,
-            cache_bytes: d.cache_bytes,
-            probe_bytes: d.probe_bytes(),
-        };
-        req.exit_costed(st.tok, self.prober.clock().thread_ms(), &fields[..n], cost);
-    }
-
     /// The reverse hops an RR reply to `cur` reveals, after the hardened
     /// engine's replay filter; `None` when the destination's stamp cannot
     /// be located (the reply is unusable).
@@ -766,33 +762,32 @@ impl<'s> RevtrSystem<'s> {
         cur: Addr,
         src: Addr,
         sx: &mut Scratch,
-        stats: &mut RevtrStats,
-        req: &mut RequestScope,
+        t: &mut Books<'_>,
         hints: RrHints,
     ) -> RrProgress<'_> {
-        let st = self.stage_enter(req, "rr_step");
+        let st = t.enter("rr_step");
 
         // Direct (non-spoofed) RR ping from the source — skipped when an
         // earlier request proved it futile on this ingress plan.
         if !hints.skip_direct {
-            let direct = self.stage_enter(req, "rr_direct");
-            if let Ok((reply, prov)) = self.prober.rr_ping_observed(src, cur) {
+            let direct = t.enter("rr_direct");
+            if let Ok((reply, prov)) = self.prober.rr_ping_observed(t.meter, src, cur) {
                 if let Some(rev) = self.reverse_hops(&reply.slots, cur, &prov) {
                     let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
-                        self.stage_exit(req, direct, &[("hit", 1)]);
-                        return RrProgress::Done(self.rr_close(req, st, Some((new, prov, false))));
+                        t.exit(direct, &[("hit", 1)]);
+                        return RrProgress::Done(Self::rr_close(t, st, Some((new, prov, false))));
                     }
                 }
             }
-            self.stage_exit(req, direct, &[("hit", 0)]);
+            t.exit(direct, &[("hit", 0)]);
         }
 
         // A futility hint ends the step before the ladder even forms: an
         // earlier request exhausted this plan's full ladder without any
         // evidence, so the step falls through to the next technique.
         if hints.skip_spoofed {
-            return RrProgress::Done(self.rr_close(req, st, None));
+            return RrProgress::Done(Self::rr_close(t, st, None));
         }
 
         // Spoofed batches from the VP plan, walked in place. Deprioritized
@@ -801,8 +796,8 @@ impl<'s> RevtrSystem<'s> {
         // probe instead of a whole batch) under its own queue's ingress
         // expectation, so a usable reply passes the same check a full
         // ladder would have applied — see [`crate::scratch::Ladder`].
-        let spoof_span = self.stage_enter(req, "rr_spoofed");
-        let batches0 = stats.batches;
+        let spoof_span = t.enter("rr_spoofed");
+        let batches0 = t.stats.batches;
         let (plan, near) = self.vp_plan(cur);
         let demoted = &sx.demoted;
         let moved = sx.ladder.open(
@@ -819,12 +814,14 @@ impl<'s> RevtrSystem<'s> {
         // Queues can legitimately be empty (an ingress with no in-range
         // VPs); a plan with nothing to try ends the step here.
         if sx.ladder.is_exhausted() {
-            self.stage_exit(
-                req,
+            t.exit(
                 spoof_span,
-                &[("hit", 0), ("batches", u64::from(stats.batches - batches0))],
+                &[
+                    ("hit", 0),
+                    ("batches", u64::from(t.stats.batches - batches0)),
+                ],
             );
-            return RrProgress::Done(self.rr_close(req, st, None));
+            return RrProgress::Done(Self::rr_close(t, st, None));
         }
         RrProgress::Pending(RrMachine {
             cur,
@@ -839,17 +836,12 @@ impl<'s> RevtrSystem<'s> {
 
     /// Close the `rr_step` span with the step's summary fields and pass
     /// the outcome through.
-    fn rr_close(
-        &self,
-        req: &mut RequestScope,
-        st: StageStart,
-        out: Option<RrFound>,
-    ) -> Option<RrFound> {
+    fn rr_close(t: &mut Books<'_>, st: StageStart, out: Option<RrFound>) -> Option<RrFound> {
         let (revealed, spoofed) = match &out {
             Some((v, _, sp)) => (v.len() as u64, u64::from(*sp)),
             None => (0, 0),
         };
-        self.stage_exit(req, st, &[("revealed", revealed), ("spoofed", spoofed)]);
+        t.exit(st, &[("revealed", revealed), ("spoofed", spoofed)]);
         out
     }
 
@@ -863,8 +855,7 @@ impl<'s> RevtrSystem<'s> {
         m: &mut RrMachine<'_>,
         src: Addr,
         sx: &mut Scratch,
-        stats: &mut RevtrStats,
-        req: &mut RequestScope,
+        t: &mut Books<'_>,
     ) -> Option<Option<RrFound>> {
         let Scratch {
             hops,
@@ -889,7 +880,8 @@ impl<'s> RevtrSystem<'s> {
         // state: worker-count-invariant).
         bases.clear();
         bases.extend(batch.iter().map(|slot| slot.stalls));
-        self.prober.spoofed_rr_batch_at(pairs, src, bases, reply);
+        self.prober
+            .spoofed_rr_batch_at(t.meter, pairs, src, bases, reply);
         if self.cfg.harden {
             // One quarantine outcome per *pair*, not per re-batch: a
             // landing resolves the pair as alive the round it happens;
@@ -907,7 +899,7 @@ impl<'s> RevtrSystem<'s> {
         }
         // Count the collection timeouts actually charged: a fully cached
         // batch costs no virtual time and no batch.
-        stats.batches += reply.timeouts;
+        t.stats.batches += reply.timeouts;
 
         // A reply (it always comes with its provenance) is usable when it
         // traversed the expected ingress and the router's own stamp can be
@@ -933,7 +925,7 @@ impl<'s> RevtrSystem<'s> {
             }
         }
         if let Some((new, prov)) = best {
-            return Some(self.rr_conclude(m, stats, req, Some((new, prov, true))));
+            return Some(Self::rr_conclude(m, t, Some((new, prov, true))));
         }
         // Nothing came back. A queue whose probe was *transiently* lost
         // (fault-attributed, budget exhausted) keeps its current VP for a
@@ -973,33 +965,36 @@ impl<'s> RevtrSystem<'s> {
         if more {
             return None;
         }
-        Some(self.rr_conclude(m, stats, req, None))
+        Some(Self::rr_conclude(m, t, None))
     }
 
     /// Close a ladder's `rr_spoofed` and `rr_step` spans around `out`.
     fn rr_conclude(
-        &self,
         m: &mut RrMachine<'_>,
-        stats: &RevtrStats,
-        req: &mut RequestScope,
+        t: &mut Books<'_>,
         out: Option<RrFound>,
     ) -> Option<RrFound> {
         let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
-        self.stage_exit(
-            req,
+        t.exit(
             spoof_span,
             &[
                 ("hit", u64::from(out.is_some())),
-                ("batches", u64::from(stats.batches - m.batches0)),
+                ("batches", u64::from(t.stats.batches - m.batches0)),
             ],
         );
         let st = std::mem::replace(&mut m.st, StageStart::empty());
-        self.rr_close(req, st, out)
+        Self::rr_close(t, st, out)
     }
 
     /// The timestamp step (revtr 1.0 only): test traceroute-derived
     /// adjacencies of `cur` with TS-prespec probes.
-    pub(crate) fn ts_step(&self, cur: Addr, src: Addr, path: &[RevtrHop]) -> Option<Addr> {
+    pub(crate) fn ts_step(
+        &self,
+        meter: &mut Meter,
+        cur: Addr,
+        src: Addr,
+        path: &[RevtrHop],
+    ) -> Option<Addr> {
         let adj_db = self.adjacencies();
         let extra = self.extra_adjacency.read();
         let mut cands: Vec<Addr> = Vec::new();
@@ -1014,7 +1009,7 @@ impl<'s> RevtrSystem<'s> {
         cands.retain(|&a| !on_path(path, a));
         cands.truncate(self.cfg.max_ts_adjacencies);
         for adj in cands {
-            match self.prober.ts_ping_outcome(src, cur, &[cur, adj]) {
+            match self.prober.ts_ping_outcome(meter, src, cur, &[cur, adj]) {
                 // Persistent: the destination ignores TS, stop trying.
                 Err(ProbeLoss::Unanswered) => return None,
                 // Transient: the probe was lost beyond its retry budget —
@@ -1027,9 +1022,9 @@ impl<'s> RevtrSystem<'s> {
                     // retry once spoofed from the closest vantage point (the
                     // forward path may have consumed the stamp order).
                     if let Some(vp) = self.closest_vp(cur) {
-                        let replies = self
-                            .prober
-                            .spoofed_ts_batch(&[(vp, cur, vec![cur, adj])], src);
+                        let replies =
+                            self.prober
+                                .spoofed_ts_batch(meter, &[(vp, cur, vec![cur, adj])], src);
                         if let Some(Some(r2)) = replies.into_iter().next() {
                             if r2.filled >= 2 {
                                 return Some(adj);
@@ -1097,11 +1092,9 @@ impl<'s> RevtrSystem<'s> {
     /// Measure the reverse path from `dst` back to `src` (Fig. 2).
     ///
     /// One control block ([`MeasureTask`]) driven inline by the same
-    /// [`RevtrSystem::drive`] a campaign wave uses — a one-pair campaign
-    /// in everything but its clock: it runs on the calling thread's own
-    /// accumulating shadows rather than a zero-origin private one, so a
-    /// serial caller's durations keep their historical bits. A panicking
-    /// measurement unwinds into the caller.
+    /// [`RevtrSystem::drive`] a campaign wave uses: a one-pair campaign —
+    /// request id 0, meter at zero — without the wave's result slots. A
+    /// panicking measurement unwinds into the caller.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {
         let mut sx = self.take_scratch();
         let (r, _events) = self

@@ -7,7 +7,10 @@
 //!   or more batches is held to the bound of one that ran a single batch:
 //!   its result,
 //! * a serial sweep averages two and a half allocations per `measure()` at
-//!   most, and a two-worker campaign over the same sweep three.
+//!   most, and a two-worker campaign over the same sweep 2.35 (2.31
+//!   measured: the serial sweep's 2.09 plus a wave's slots and threads —
+//!   two allocations a thread of which are libtest's output capture, so
+//!   `--nocapture` reads 2.24).
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is process-wide (campaign workers are threads of their own),
@@ -212,11 +215,11 @@ fn a_request_allocates_what_it_returns() {
 
     // (d) The same sweep as a two-worker campaign on a system warmed the
     // same way: waves add their result slots and, with two cores or more,
-    // their scoped threads.
+    // their scoped threads — a worker brings nothing else of its own.
     let sys = warm_system(&sim, &vps, &ingress, &warm_up);
     let (outcome, campaign) = allocs_in(|| sys.run_campaign(&sweep, LoopConfig { workers: 2 }));
     let outcome = outcome.expect("no measurement panics");
     assert_eq!(outcome.results.len(), sweep.len());
     let mean = campaign as f64 / sweep.len() as f64;
-    assert!(mean <= 3.0, "campaign: {mean:.2} allocations/request");
+    assert!(mean <= 2.35, "campaign: {mean:.3} allocations/request");
 }

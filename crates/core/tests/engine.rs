@@ -2,10 +2,10 @@
 //! policy, and the ablation knobs, exercised end-to-end on a small
 //! simulated Internet.
 
-use revtr::{EngineConfig, HopMethod, RevtrSystem, Status, SymmetryPolicy};
+use revtr::{EngineConfig, HopMethod, LoopConfig, RevtrSystem, Status, SymmetryPolicy};
 use revtr_atlas::select_atlas_probes;
-use revtr_netsim::{Addr, Sim, SimConfig};
-use revtr_probing::Prober;
+use revtr_netsim::{Addr, FaultConfig, Sim, SimConfig};
+use revtr_probing::{Prober, RetryPolicy};
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -420,6 +420,98 @@ fn cached_measurements_cost_no_batches() {
         cold.addrs().collect::<Vec<_>>(),
         "cache changed the measured path"
     );
+}
+
+#[test]
+fn a_campaigns_meters_add_up_to_the_shared_totals() {
+    // Conservation: everything a request charges — every probe, every
+    // engine event, every virtual millisecond — goes to the shared totals
+    // *and* to its own meter, so over a campaign the per-request readings
+    // sum to what the shared counters and clock moved by. (Sources are
+    // registered first: an atlas build is background work, charged to the
+    // shared totals alone.) A probe site that forgets the meter fails here.
+    // Loss with a retry budget and backoff exercises the retry charges;
+    // timestamps and the Appx. E re-probe put every probe kind in play.
+    let mut sim_cfg = SimConfig::tiny();
+    sim_cfg.faults = FaultConfig::lossy(0.15);
+    let sim = Sim::build(sim_cfg, 38);
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+    let dests: Vec<Addr> = prefixes
+        .iter()
+        .filter_map(|&p| {
+            sim.host_addrs(p)
+                .find(|&a| sim.behavior().host_rr_responsive(a))
+        })
+        .collect();
+    let pairs: Vec<(Addr, Addr)> = dests
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| (d, vps[i % 3]))
+        .collect();
+    let mut cfg = EngineConfig::revtr2_with_ts();
+    cfg.atlas_size = 20;
+    cfg.use_stop_sets = true;
+    cfg.verify_dbr = true;
+    for workers in [1, 4] {
+        let prober = Prober::new(&sim).with_retry_policy(RetryPolicy {
+            backoff_ms: 50.0,
+            ..RetryPolicy::uniform(3)
+        });
+        let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+        let pool = select_atlas_probes(&sim, 120, 9);
+        let sys = RevtrSystem::new(prober, cfg, vps.clone(), ingress, pool);
+        for &src in &vps[..3] {
+            sys.register_source(src);
+        }
+        let (snap0, ms0) = (
+            sys.prober().counters().snapshot(),
+            sys.prober().clock().now_ms(),
+        );
+        let outcome = sys
+            .run_campaign(&pairs, LoopConfig { workers })
+            .expect("no task panicked");
+        let d = sys.prober().counters().snapshot().since(&snap0);
+        let ms = sys.prober().clock().now_ms() - ms0;
+
+        let sum = |f: fn(&revtr::ProbeDelta) -> u64| -> u64 {
+            outcome.results.iter().map(|r| f(&r.stats.probes)).sum()
+        };
+        let metered = [
+            ("ping", sum(|p| p.ping), d.ping),
+            ("rr", sum(|p| p.rr), d.rr),
+            ("spoof_rr", sum(|p| p.spoof_rr), d.spoof_rr),
+            ("ts", sum(|p| p.ts), d.ts),
+            ("spoof_ts", sum(|p| p.spoof_ts), d.spoof_ts),
+            (
+                "traceroute_pkts",
+                sum(|p| p.traceroute_pkts),
+                d.traceroute_pkts,
+            ),
+            ("retries", sum(|p| p.retries), d.retries),
+            ("lost", sum(|p| p.lost), d.lost),
+            ("events", outcome.events, d.events),
+        ];
+        for (kind, requests, shared) in metered {
+            assert_eq!(requests, shared, "w{workers}: {kind} leaked past a meter");
+            // (A spoofed TS batch needs a TS reply that stamped one of two
+            // prespecified hops: too rare to insist on here.)
+            assert!(
+                shared > 0 || kind == "spoof_ts",
+                "w{workers}: no {kind} charged: the gate is vacuous"
+            );
+        }
+        assert_eq!(d.atlas_rr, 0, "w{workers}: sources were registered first");
+        let metered_ms: f64 = outcome
+            .results
+            .iter()
+            .map(|r| r.stats.duration_s * 1000.0)
+            .sum();
+        assert!(
+            (metered_ms - ms).abs() <= 1e-9 * ms,
+            "w{workers}: requests metered {metered_ms} ms, the clock moved {ms} ms"
+        );
+    }
 }
 
 /// `base` with record route silenced (no router stamps, so every step of a

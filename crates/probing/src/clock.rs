@@ -5,20 +5,24 @@
 //! timeout (paper §5.2.4). The clock periodically flushes accumulated time
 //! into the simulator so route churn progresses while campaigns run.
 //!
+//! [`Clock`] is the *shared* clock: `now_ms` is the sum of every advance
+//! any thread ever made, so it says how much measurement the whole system
+//! has done, not how long one request took. A request's own time is kept
+//! by its [`crate::Meter`], which the prober charges alongside this clock.
+//!
 //! Every probe charges the clock, so this is one of the hottest shared
 //! structures in a parallel campaign. Instead of one global mutex, time
 //! accumulates into an array of cache-line-padded atomic slots: each
-//! thread is assigned a slot by affinity and CAS-adds its advances there,
-//! so concurrent workers touch disjoint cache lines. `now_ms` sums the
-//! slots — totals stay immediately, globally accurate — and each slot
-//! flushes its own pending time into churn at the same 1-virtual-minute
-//! threshold as before, preserving churn semantics (serial runs flush at
-//! bit-identical points).
+//! thread picks a slot by its ordinal and CAS-adds its advances there, so
+//! concurrent workers touch disjoint cache lines. `now_ms` sums the slots
+//! — totals stay immediately, globally accurate — and each slot flushes
+//! its own pending time into churn at a 1-virtual-minute threshold (a
+//! serial run uses one slot, so its flush points are a function of its
+//! advances alone).
 
 use revtr_netsim::{CachePadded, Sim};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use revtr_telemetry::thread_stripe;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Spoofed-probe batch collection timeout, in virtual milliseconds
 /// (paper §5.2.4: "we empirically set this timeout to 10 seconds").
@@ -55,44 +59,16 @@ fn take_f64(a: &AtomicU64) -> f64 {
     f64::from_bits(a.swap(0.0f64.to_bits(), Ordering::Relaxed))
 }
 
-thread_local! {
-    static SLOT_IDX: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % N_SLOTS
-    };
-
-    /// This thread's own advances per `Clock` instance (keyed by unique
-    /// id, mirroring `Counters`' shadow). A measurement runs synchronously
-    /// on one thread, so diffing `thread_ms` around it yields a duration
-    /// independent of what concurrent workers advance — unlike `now_ms`,
-    /// which sums every thread and so depends on the worker count.
-    static TIME_SHADOW: RefCell<HashMap<u64, f64>> = RefCell::new(HashMap::new());
-}
-
-/// Unique-id source for `Clock` instances (ids are never reused, so a
-/// stale shadow entry can't alias a new instance).
-static NEXT_CLOCK_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A shareable virtual clock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Clock {
-    id: u64,
     slots: [CachePadded<TimeSlot>; N_SLOTS],
-}
-
-impl Default for Clock {
-    fn default() -> Clock {
-        Clock::new()
-    }
 }
 
 impl Clock {
     /// A clock at zero.
     pub fn new() -> Clock {
-        Clock {
-            id: NEXT_CLOCK_ID.fetch_add(1, Ordering::Relaxed),
-            slots: Default::default(),
-        }
+        Clock::default()
     }
 
     /// Total virtual milliseconds elapsed (sum over all threads' advances;
@@ -102,11 +78,6 @@ impl Clock {
             .iter()
             .map(|s| f64::from_bits(s.total_ms.load(Ordering::Relaxed)))
             .sum()
-    }
-
-    /// Total virtual seconds elapsed.
-    pub fn now_s(&self) -> f64 {
-        self.now_ms() / 1000.0
     }
 
     /// Virtual milliseconds accumulated but not yet flushed into the
@@ -122,34 +93,11 @@ impl Clock {
             .sum()
     }
 
-    /// Virtual milliseconds advanced *by the calling thread* on this
-    /// clock. Telemetry spans diff this around a measurement: the delta is
-    /// exactly the virtual time that measurement charged, regardless of
-    /// concurrent workers (see `Counters::thread_snapshot` for the same
-    /// attribution argument).
-    pub fn thread_ms(&self) -> f64 {
-        TIME_SHADOW.with(|s| s.borrow().get(&self.id).copied().unwrap_or(0.0))
-    }
-
-    /// Replace the calling thread's shadow accumulator with `ms` and
-    /// return the previous value.
-    ///
-    /// The event-driven engine multiplexes many logical measurements onto
-    /// one OS thread. Each control block owns a private shadow value; the
-    /// loop swaps it in before advancing a measurement and swaps it back
-    /// out after, so [`Clock::thread_ms`] diffs inside the measurement see
-    /// exactly the same per-task accumulation — addend for addend — as a
-    /// dedicated thread would.
-    pub fn swap_thread_ms(&self, ms: f64) -> f64 {
-        TIME_SHADOW.with(|s| std::mem::replace(s.borrow_mut().entry(self.id).or_insert(0.0), ms))
-    }
-
     /// Advance the clock; flushes churn time into `sim` once this thread's
     /// slot has accumulated enough.
     pub fn advance(&self, ms: f64, sim: &Sim) {
         debug_assert!(ms >= 0.0, "time flows forward");
-        TIME_SHADOW.with(|s| *s.borrow_mut().entry(self.id).or_insert(0.0) += ms);
-        let slot = &self.slots[SLOT_IDX.with(|i| *i)];
+        let slot = &self.slots[thread_stripe() % N_SLOTS];
         add_f64(&slot.total_ms, ms);
         if add_f64(&slot.pending_ms, ms) >= FLUSH_THRESHOLD_MS {
             let p = take_f64(&slot.pending_ms);
@@ -181,7 +129,6 @@ mod tests {
         assert_eq!(clock.now_ms(), 0.0);
         clock.advance(1500.0, &sim);
         assert!((clock.now_ms() - 1500.0).abs() < 1e-9);
-        assert!((clock.now_s() - 1.5).abs() < 1e-9);
         // Below threshold: sim time untouched until an explicit flush.
         assert_eq!(sim.now_hours(), 0.0);
         clock.flush(&sim);
@@ -194,47 +141,6 @@ mod tests {
         let clock = Clock::new();
         clock.advance(120_000.0, &sim);
         assert!(sim.now_hours() > 0.0);
-    }
-
-    #[test]
-    fn thread_ms_attributes_per_thread() {
-        let sim = Sim::build(SimConfig::tiny(), 3);
-        let clock = Clock::new();
-        clock.advance(10.0, &sim);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    assert_eq!(clock.thread_ms(), 0.0, "fresh thread starts at zero");
-                    clock.advance(2.5, &sim);
-                    clock.advance(2.5, &sim);
-                    assert_eq!(clock.thread_ms(), 5.0);
-                });
-            }
-        });
-        // Global time sums everyone; this thread's shadow only its own.
-        assert_eq!(clock.now_ms(), 10.0 + 4.0 * 5.0);
-        assert_eq!(clock.thread_ms(), 10.0);
-        // Instances don't share shadows.
-        let other = Clock::new();
-        assert_eq!(other.thread_ms(), 0.0);
-    }
-
-    #[test]
-    fn swap_thread_ms_multiplexes_shadows() {
-        let sim = Sim::build(SimConfig::tiny(), 3);
-        let clock = Clock::new();
-        // Two logical tasks time-sliced on this thread: each sees only its
-        // own accumulation across the context switches.
-        clock.advance(3.0, &sim); // task A
-        let a = clock.swap_thread_ms(0.0); // switch to task B
-        assert_eq!(a, 3.0);
-        clock.advance(7.0, &sim); // task B
-        let b = clock.swap_thread_ms(a); // switch back to task A
-        assert_eq!(b, 7.0);
-        clock.advance(1.0, &sim); // task A again
-        assert_eq!(clock.thread_ms(), 4.0);
-        // Global time saw every advance regardless of the swaps.
-        assert_eq!(clock.now_ms(), 11.0);
     }
 
     #[test]

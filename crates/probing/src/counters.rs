@@ -1,21 +1,17 @@
 //! Probe accounting, in the categories of the paper's Table 4.
 //!
 //! Counters are atomic so campaigns can run across threads; snapshots and
-//! diffs make per-measurement attribution trivial. Each counter sits on
+//! diffs attribute a stretch of a run. Each counter sits on
 //! its own cache line ([`CachePadded`]): eight adjacent `AtomicU64`s would
 //! otherwise false-share, turning independent per-category increments
 //! from parallel workers into a single contended line.
 //!
-//! Besides the global totals, every increment is mirrored into a
-//! *per-thread* shadow ([`Counters::thread_snapshot`]). A measurement runs
-//! synchronously on one thread, so diffing the thread shadow around it
-//! attributes exactly its own probes — diffing the global totals would
-//! fold in whatever concurrent workers sent during the same window,
-//! making per-request probe counts depend on the worker count.
+//! [`Counters`] holds the *shared* totals: diffing them around one
+//! measurement would fold in whatever concurrent workers sent during the
+//! same window. What one request sent is tallied by its [`crate::Meter`] —
+//! a plain [`Snapshot`] the prober bumps alongside these totals.
 
 use revtr_netsim::CachePadded;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The probe categories tracked (Table 4 plus infrastructure kinds).
@@ -57,38 +53,26 @@ pub enum ProbeKind {
 const N_KINDS: usize = 12;
 
 impl ProbeKind {
-    fn index(self) -> usize {
-        match self {
-            ProbeKind::Ping => 0,
-            ProbeKind::Rr => 1,
-            ProbeKind::SpoofRr => 2,
-            ProbeKind::Ts => 3,
-            ProbeKind::SpoofTs => 4,
-            ProbeKind::TraceroutePkts => 5,
-            ProbeKind::Traceroutes => 6,
-            ProbeKind::AtlasRr => 7,
-            ProbeKind::Retries => 8,
-            ProbeKind::Lost => 9,
-            ProbeKind::Events => 10,
-            ProbeKind::CacheBytes => 11,
-        }
-    }
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    const ALL: [ProbeKind; N_KINDS] = [
+        ProbeKind::Ping,
+        ProbeKind::Rr,
+        ProbeKind::SpoofRr,
+        ProbeKind::Ts,
+        ProbeKind::SpoofTs,
+        ProbeKind::TraceroutePkts,
+        ProbeKind::Traceroutes,
+        ProbeKind::AtlasRr,
+        ProbeKind::Retries,
+        ProbeKind::Lost,
+        ProbeKind::Events,
+        ProbeKind::CacheBytes,
+    ];
 }
-
-thread_local! {
-    /// This thread's contribution per `Counters` instance (keyed by its
-    /// unique id).
-    static SHADOW: RefCell<HashMap<u64, [u64; N_KINDS]>> = RefCell::new(HashMap::new());
-}
-
-/// Unique-id source for `Counters` instances (ids are never reused, so a
-/// stale shadow entry can't alias a new instance).
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Live atomic probe counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Counters {
-    id: u64,
     totals: [CachePadded<AtomicU64>; N_KINDS],
 }
 
@@ -123,38 +107,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn to_array(self) -> [u64; N_KINDS] {
-        [
-            self.ping,
-            self.rr,
-            self.spoof_rr,
-            self.ts,
-            self.spoof_ts,
-            self.traceroute_pkts,
-            self.traceroutes,
-            self.atlas_rr,
-            self.retries,
-            self.lost,
-            self.events,
-            self.cache_bytes,
-        ]
-    }
-
-    fn from_array(v: &[u64; N_KINDS]) -> Snapshot {
-        Snapshot {
-            ping: v[0],
-            rr: v[1],
-            spoof_rr: v[2],
-            ts: v[3],
-            spoof_ts: v[4],
-            traceroute_pkts: v[5],
-            traceroutes: v[6],
-            atlas_rr: v[7],
-            retries: v[8],
-            lost: v[9],
-            events: v[10],
-            cache_bytes: v[11],
-        }
+    /// Add `n` to the count of `kind`.
+    pub(crate) fn add(&mut self, kind: ProbeKind, n: u64) {
+        *match kind {
+            ProbeKind::Ping => &mut self.ping,
+            ProbeKind::Rr => &mut self.rr,
+            ProbeKind::SpoofRr => &mut self.spoof_rr,
+            ProbeKind::Ts => &mut self.ts,
+            ProbeKind::SpoofTs => &mut self.spoof_ts,
+            ProbeKind::TraceroutePkts => &mut self.traceroute_pkts,
+            ProbeKind::Traceroutes => &mut self.traceroutes,
+            ProbeKind::AtlasRr => &mut self.atlas_rr,
+            ProbeKind::Retries => &mut self.retries,
+            ProbeKind::Lost => &mut self.lost,
+            ProbeKind::Events => &mut self.events,
+            ProbeKind::CacheBytes => &mut self.cache_bytes,
+        } += n;
     }
 
     /// Table 4's "Total": option-carrying probes (RR + Spoof RR + TS +
@@ -179,23 +147,6 @@ impl Snapshot {
     /// savings counted here.
     pub fn measurement_probes(&self) -> u64 {
         self.option_probes() + self.atlas_rr + self.ping + self.traceroutes
-    }
-
-    /// The probe mix as sorted `(kind, count)` pairs — the Table-4 style
-    /// breakdown the perf sentinel records in `BENCH_*.json`. Only real
-    /// packet kinds appear; the retry/loss meta-counters are reported
-    /// separately.
-    pub fn by_kind(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("atlas_rr", self.atlas_rr),
-            ("ping", self.ping),
-            ("rr", self.rr),
-            ("spoof_rr", self.spoof_rr),
-            ("spoof_ts", self.spoof_ts),
-            ("traceroute_pkts", self.traceroute_pkts),
-            ("traceroutes", self.traceroutes),
-            ("ts", self.ts),
-        ]
     }
 
     /// Component-wise difference (`self` must be the later snapshot).
@@ -250,78 +201,21 @@ impl Snapshot {
 impl Counters {
     /// Fresh zeroed counters.
     pub fn new() -> Counters {
-        Counters {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            totals: Default::default(),
-        }
+        Counters::default()
     }
 
     /// Copy current global values (all threads).
     pub fn snapshot(&self) -> Snapshot {
-        let mut v = [0u64; N_KINDS];
-        for (slot, total) in v.iter_mut().zip(&self.totals) {
-            *slot = total.load(Ordering::Relaxed);
+        let mut snap = Snapshot::default();
+        for (&kind, total) in ProbeKind::ALL.iter().zip(&self.totals) {
+            snap.add(kind, total.load(Ordering::Relaxed));
         }
-        Snapshot::from_array(&v)
-    }
-
-    /// Copy the calling thread's contribution only. Diffing this around a
-    /// measurement attributes exactly the probes that measurement sent,
-    /// regardless of what other workers do concurrently.
-    pub fn thread_snapshot(&self) -> Snapshot {
-        SHADOW.with(|s| {
-            s.borrow()
-                .get(&self.id)
-                .map(Snapshot::from_array)
-                .unwrap_or_default()
-        })
-    }
-
-    /// Replace the calling thread's shadow with `snap` and return the
-    /// previous shadow.
-    ///
-    /// Counterpart of `Clock::swap_thread_ms` for the event-driven
-    /// engine: the loop swaps each control block's private snapshot in
-    /// before stepping it and back out after, so [`thread_snapshot`]
-    /// diffs inside the measurement attribute exactly that measurement's
-    /// probes even though many measurements share one OS thread.
-    ///
-    /// [`thread_snapshot`]: Counters::thread_snapshot
-    pub fn swap_thread_snapshot(&self, snap: Snapshot) -> Snapshot {
-        SHADOW.with(|s| {
-            Snapshot::from_array(&std::mem::replace(
-                s.borrow_mut().entry(self.id).or_default(),
-                snap.to_array(),
-            ))
-        })
-    }
-
-    /// Count `n` engine events ([`ProbeKind::Events`]). Public — the
-    /// engine lives in the `core` crate — and mirrored into the
-    /// per-thread shadow like every probe kind, so span diffs attribute
-    /// engine steps to the stage that did them at any worker count.
-    pub fn add_events(&self, n: u64) {
-        self.add(ProbeKind::Events, n);
-    }
-
-    /// Increment a counter by one.
-    pub(crate) fn bump(&self, kind: ProbeKind) {
-        self.add(kind, 1);
+        snap
     }
 
     /// Increment a counter by `n`.
     pub(crate) fn add(&self, kind: ProbeKind, n: u64) {
-        let i = kind.index();
-        self.totals[i].fetch_add(n, Ordering::Relaxed);
-        SHADOW.with(|s| {
-            s.borrow_mut().entry(self.id).or_default()[i] += n;
-        });
-    }
-}
-
-impl Default for Counters {
-    fn default() -> Counters {
-        Counters::new()
+        self.totals[kind as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -330,11 +224,35 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_kind_lands_in_its_own_field() {
+        let c = Counters::new();
+        for (i, &kind) in ProbeKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            c.add(kind, 1 << i);
+        }
+        let s = c.snapshot();
+        let fields = [
+            s.ping,
+            s.rr,
+            s.spoof_rr,
+            s.ts,
+            s.spoof_ts,
+            s.traceroute_pkts,
+            s.traceroutes,
+            s.atlas_rr,
+            s.retries,
+            s.lost,
+            s.events,
+            s.cache_bytes,
+        ];
+        assert_eq!(fields, std::array::from_fn(|i| 1u64 << i));
+    }
+
+    #[test]
     fn snapshot_diff_and_sum() {
         let c = Counters::new();
-        c.bump(ProbeKind::Rr);
-        c.bump(ProbeKind::Rr);
-        c.bump(ProbeKind::SpoofRr);
+        c.add(ProbeKind::Rr, 2);
+        c.add(ProbeKind::SpoofRr, 1);
         let a = c.snapshot();
         c.add(ProbeKind::Ts, 5);
         let b = c.snapshot();
@@ -361,17 +279,16 @@ mod tests {
         let c = Counters::new();
         c.add(ProbeKind::Rr, 4);
         c.add(ProbeKind::Ping, 2);
-        c.add_events(100);
+        c.add(ProbeKind::Events, 100);
         c.add(ProbeKind::CacheBytes, 4096);
         let s = c.snapshot();
         assert_eq!(s.events, 100);
         assert_eq!(s.cache_bytes, 4096);
-        // Events/CacheBytes are not packets: every packet aggregate and
-        // the sentinel's by-kind table must ignore them.
+        // Events/CacheBytes are not packets: every packet aggregate must
+        // ignore them.
         assert_eq!(s.option_probes(), 4);
         assert_eq!(s.all_packets(), 6);
         assert_eq!(s.measurement_probes(), 6);
-        assert!(s.by_kind().iter().all(|(k, _)| !k.contains("events")));
         // But diffs and sums carry them for span attribution.
         let d = c.snapshot().since(&Snapshot::default());
         assert_eq!(d.events, 100);
@@ -392,58 +309,5 @@ mod tests {
         };
         assert_eq!(s.probe_bytes(), 4 * 68 + 8 * 28);
         assert_eq!(Snapshot::default().probe_bytes(), 0);
-    }
-
-    #[test]
-    fn thread_snapshot_attributes_per_thread() {
-        let c = Counters::new();
-        c.add(ProbeKind::Rr, 3);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let before = c.thread_snapshot();
-                    assert_eq!(before, Snapshot::default(), "fresh thread starts at zero");
-                    c.add(ProbeKind::SpoofRr, 2);
-                    let mine = c.thread_snapshot().since(&before);
-                    assert_eq!(mine.spoof_rr, 2);
-                    assert_eq!(mine.rr, 0, "other threads' rr not attributed here");
-                });
-            }
-        });
-        // Globals see everything.
-        let g = c.snapshot();
-        assert_eq!(g.rr, 3);
-        assert_eq!(g.spoof_rr, 8);
-        // This thread only its own.
-        assert_eq!(c.thread_snapshot().rr, 3);
-        assert_eq!(c.thread_snapshot().spoof_rr, 0);
-    }
-
-    #[test]
-    fn swap_thread_snapshot_multiplexes_shadows() {
-        let c = Counters::new();
-        c.add(ProbeKind::Rr, 2); // task A
-        let a = c.swap_thread_snapshot(Snapshot::default()); // to task B
-        assert_eq!(a.rr, 2);
-        assert_eq!(c.thread_snapshot(), Snapshot::default());
-        c.add(ProbeKind::SpoofRr, 5); // task B
-        let b = c.swap_thread_snapshot(a); // back to task A
-        assert_eq!(b.spoof_rr, 5);
-        assert_eq!(b.rr, 0);
-        c.bump(ProbeKind::Rr); // task A again
-        assert_eq!(c.thread_snapshot().rr, 3);
-        assert_eq!(c.thread_snapshot().spoof_rr, 0);
-        // Globals unaffected by shadow bookkeeping.
-        assert_eq!(c.snapshot().rr, 3);
-        assert_eq!(c.snapshot().spoof_rr, 5);
-    }
-
-    #[test]
-    fn instances_do_not_share_shadows() {
-        let a = Counters::new();
-        let b = Counters::new();
-        a.bump(ProbeKind::Ping);
-        assert_eq!(b.thread_snapshot().ping, 0);
-        assert_eq!(a.thread_snapshot().ping, 1);
     }
 }

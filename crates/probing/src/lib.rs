@@ -7,6 +7,8 @@
 //!   TS / spoofed TS, plus traceroutes and the background RR-atlas budget),
 //! * a **virtual clock** charging realistic latency: per-probe RTTs,
 //!   per-batch 10-second spoofed-probe collection timeouts (§5.2.4),
+//! * a per-request **meter** ([`Meter`]): the same time and probe charges,
+//!   tallied for the one measurement that caused them,
 //! * a **measurement cache** with a one-day virtual TTL (Insight 1.4),
 //!
 //! so that the throughput/latency/overhead results (Table 4, Fig. 5c) fall
@@ -29,6 +31,7 @@
 pub mod cache;
 pub mod clock;
 pub mod counters;
+pub mod meter;
 pub mod prober;
 pub mod stopset;
 
@@ -38,6 +41,7 @@ pub use cache::{
 };
 pub use clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 pub use counters::{Counters, ProbeKind, Snapshot};
+pub use meter::Meter;
 pub use prober::{
     BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, PROBE_TIMEOUT_MS,
     TRACEROUTE_TIMEOUT_MS,

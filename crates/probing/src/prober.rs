@@ -4,6 +4,16 @@
 //! A [`Prober`] is cheap to clone and thread-safe; campaign code clones one
 //! per worker so counters/clock/cache are shared.
 //!
+//! # Metering
+//!
+//! Every charge — virtual time, a counted probe — goes through two private
+//! helpers that charge the shared [`Clock`] / [`Counters`] *and* the
+//! caller's [`Meter`]. The engine's entry points take the meter of the
+//! request they probe for; everyone else calls the meterless wrappers
+//! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
+//! [`Prober::traceroute_fresh`], [`Prober::atlas_rr_ping`]), which charge
+//! a throw-away one.
+//!
 //! # Faults and retries
 //!
 //! When the sim's [`revtr_netsim::FaultConfig`] enables faults, individual
@@ -19,6 +29,7 @@
 use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
+use crate::meter::Meter;
 use revtr_netsim::{Addr, EchoReply, RrReply, Sim, TraceResult, TsReply, TtlAnswer, TtlView};
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -266,11 +277,6 @@ impl<'s> Prober<'s> {
         &self.cache
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The attached telemetry handle (disabled unless set via
     /// [`Prober::with_telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
@@ -286,11 +292,28 @@ impl<'s> Prober<'s> {
         self.nonce.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn charge(&self, reply_rtt: Option<f64>) {
-        match reply_rtt {
-            Some(rtt) => self.clock.advance(rtt, self.sim),
-            None => self.clock.advance(PROBE_TIMEOUT_MS, self.sim),
-        }
+    /// Charge `ms` of virtual time, to the shared clock and to `m`.
+    fn advance(&self, m: &mut Meter, ms: f64) {
+        m.ms += ms;
+        self.clock.advance(ms, self.sim);
+    }
+
+    /// Count `n` of `kind`, on the shared counters and on `m`.
+    fn count(&self, m: &mut Meter, kind: ProbeKind, n: u64) {
+        m.tally.add(kind, n);
+        self.counters.add(kind, n);
+    }
+
+    /// Count `n` engine events ([`ProbeKind::Events`]) for the task `m`
+    /// meters. Public — the engine lives in the `core` crate — and charged
+    /// like every probe kind, so a stage's cost delta includes the steps
+    /// that ran it.
+    pub fn count_events(&self, m: &mut Meter, n: u64) {
+        self.count(m, ProbeKind::Events, n);
+    }
+
+    fn charge(&self, m: &mut Meter, reply_rtt: Option<f64>) {
+        self.advance(m, reply_rtt.unwrap_or(PROBE_TIMEOUT_MS));
     }
 
     /// Draw the fault fate of one probe attempt toward `dst` (spoofed
@@ -356,12 +379,11 @@ impl<'s> Prober<'s> {
 
     /// Charge backoff before re-send number `attempt` (1-based) and count
     /// the retry.
-    fn charge_retry(&self, attempt: u32) {
-        self.counters.bump(ProbeKind::Retries);
+    fn charge_retry(&self, m: &mut Meter, attempt: u32) {
+        self.count(m, ProbeKind::Retries, 1);
         self.telemetry.counter_add("probing.retries", 1);
         if self.retry.backoff_ms > 0.0 {
-            self.clock
-                .advance(self.retry.backoff_ms * attempt as f64, self.sim);
+            self.advance(m, self.retry.backoff_ms * attempt as f64);
         }
     }
 
@@ -369,19 +391,24 @@ impl<'s> Prober<'s> {
 
     /// Plain ping, retrying fault-lost attempts within budget.
     pub fn ping(&self, src: Addr, dst: Addr) -> Option<EchoReply> {
+        self.ping_metered(&mut Meter::default(), src, dst)
+    }
+
+    /// [`Prober::ping`], charged to the caller's meter.
+    pub fn ping_metered(&self, m: &mut Meter, src: Addr, dst: Addr) -> Option<EchoReply> {
         for attempt in 0..self.retry.ping_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(m, attempt);
             }
-            self.counters.bump(ProbeKind::Ping);
+            self.count(m, ProbeKind::Ping, 1);
             if self.fault_lost(None, dst) {
-                self.counters.bump(ProbeKind::Lost);
+                self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(m, None);
                 continue;
             }
             let r = self.sim.ping(src, dst);
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             return r;
         }
         None
@@ -400,13 +427,15 @@ impl<'s> Prober<'s> {
     /// unanswered (persistent) vs fault-lost beyond the retry budget
     /// (transient).
     pub fn rr_ping_outcome(&self, src: Addr, dst: Addr) -> Result<RrReply, ProbeLoss> {
-        self.rr_ping_observed(src, dst).map(|(r, _)| r)
+        self.rr_ping_observed(&mut Meter::default(), src, dst)
+            .map(|(r, _)| r)
     }
 
     /// [`Prober::rr_ping_outcome`] plus the send-time provenance needed to
-    /// replay the observation (stitch-trace audit).
+    /// replay the observation (stitch-trace audit), charged to `m`.
     pub fn rr_ping_observed(
         &self,
+        m: &mut Meter,
         src: Addr,
         dst: Addr,
     ) -> Result<(RrReply, RrProvenance), ProbeLoss> {
@@ -431,23 +460,23 @@ impl<'s> Prober<'s> {
         }
         for attempt in 0..self.retry.rr_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(m, attempt);
             }
-            self.counters.bump(ProbeKind::Rr);
+            self.count(m, ProbeKind::Rr, 1);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
-                self.counters.bump(ProbeKind::Lost);
+                self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(m, None);
                 continue;
             }
             let nonce = self.next_nonce();
             let (fwd_epoch, rep_epoch) = self.epochs(dst, src);
             let r = self.sim.rr_ping(src, dst, nonce);
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             if self.use_cache {
                 // Cache only genuine outcomes; fault losses above are
                 // transient and must not be negative-cached.
-                self.counters.add(ProbeKind::CacheBytes, RR_ENTRY_BYTES);
+                self.count(m, ProbeKind::CacheBytes, RR_ENTRY_BYTES);
                 self.cache.put_rr(
                     self.sim,
                     key,
@@ -477,24 +506,25 @@ impl<'s> Prober<'s> {
     /// RR ping issued for the background RR-atlas (§4.2): identical
     /// semantics, separate accounting (offline budget).
     pub fn atlas_rr_ping(&self, sender: Addr, claimed: Addr, dst: Addr) -> Option<RrReply> {
+        let m = &mut Meter::default();
         let spoofed = sender != claimed;
         for attempt in 0..self.retry.rr_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(m, attempt);
             }
-            self.counters.bump(ProbeKind::AtlasRr);
+            self.count(m, ProbeKind::AtlasRr, 1);
             if self.fault_lost(spoofed.then_some(sender), dst)
                 || self.scenario_lost(spoofed.then_some(sender), claimed, dst, attempt)
             {
-                self.counters.bump(ProbeKind::Lost);
+                self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(m, None);
                 continue;
             }
             let r = self
                 .sim
                 .rr_ping_from(sender, claimed, dst, self.next_nonce());
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             return r;
         }
         None
@@ -508,12 +538,13 @@ impl<'s> Prober<'s> {
     /// An empty or fully cached batch costs nothing.
     pub fn spoofed_rr_batch(&self, pairs: &[(Addr, Addr)], claimed: Addr) -> BatchReply {
         let mut out = BatchReply::default();
-        self.spoofed_rr_batch_at(pairs, claimed, &[], &mut out);
+        self.spoofed_rr_batch_at(&mut Meter::default(), pairs, claimed, &[], &mut out);
         out
     }
 
-    /// [`Prober::spoofed_rr_batch`] into a caller-owned `out` (overwritten;
-    /// its vectors are reused), with per-pair scenario attempt bases:
+    /// [`Prober::spoofed_rr_batch`] charged to `m`, into a caller-owned
+    /// `out` (overwritten; its vectors are reused), with per-pair scenario
+    /// attempt bases:
     /// `attempt_base[i]` (missing entries read 0) counts the pair's prior
     /// re-batches, so adversarial rate limiters re-roll their per-attempt
     /// drop on every re-collection instead of repeating the same verdict.
@@ -521,6 +552,7 @@ impl<'s> Prober<'s> {
     /// worker-count-invariant where a shared counter would not.
     pub fn spoofed_rr_batch_at(
         &self,
+        m: &mut Meter,
         pairs: &[(Addr, Addr)],
         claimed: Addr,
         attempt_base: &[u32],
@@ -578,18 +610,18 @@ impl<'s> Prober<'s> {
                 break;
             }
             if round > 0 {
-                self.counters.add(ProbeKind::Retries, pending.len() as u64);
+                self.count(m, ProbeKind::Retries, pending.len() as u64);
                 self.telemetry
                     .counter_add("probing.retries", pending.len() as u64);
             }
             // Probe the pending pairs in order; the fault-lost ones stay.
             pending.retain(|&i| {
                 let (vp, dst) = pairs[i];
-                self.counters.bump(ProbeKind::SpoofRr);
+                self.count(m, ProbeKind::SpoofRr, 1);
                 let att = attempt_base.get(i).copied().unwrap_or(0) + round;
                 if self.fault_lost(Some(vp), dst) || self.scenario_lost(Some(vp), claimed, dst, att)
                 {
-                    self.counters.bump(ProbeKind::Lost);
+                    self.count(m, ProbeKind::Lost, 1);
                     self.tele_lost();
                     transient[i] = true;
                     return true;
@@ -603,7 +635,7 @@ impl<'s> Prober<'s> {
                         claimed,
                         dst,
                     };
-                    self.counters.add(ProbeKind::CacheBytes, RR_ENTRY_BYTES);
+                    self.count(m, ProbeKind::CacheBytes, RR_ENTRY_BYTES);
                     self.cache.put_rr(
                         self.sim,
                         key,
@@ -629,7 +661,7 @@ impl<'s> Prober<'s> {
                 false
             });
             *timeouts += 1;
-            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim);
+            self.advance(m, SPOOF_BATCH_TIMEOUT_MS);
         }
         if self.telemetry.is_enabled() && n > 0 {
             self.telemetry
@@ -641,35 +673,30 @@ impl<'s> Prober<'s> {
 
     // ---- timestamp -------------------------------------------------------------
 
-    /// Non-spoofed TS-prespec ping. Collapses
-    /// [`Prober::ts_ping_outcome`]'s loss attribution.
-    pub fn ts_ping(&self, src: Addr, dst: Addr, prespec: &[Addr]) -> Option<TsReply> {
-        self.ts_ping_outcome(src, dst, prespec).ok()
-    }
-
     /// Non-spoofed TS-prespec ping distinguishing persistent from
-    /// transient (fault-budget-exhausted) failure.
+    /// transient (fault-budget-exhausted) failure, charged to `m`.
     pub fn ts_ping_outcome(
         &self,
+        m: &mut Meter,
         src: Addr,
         dst: Addr,
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
         for attempt in 0..self.retry.ts_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(m, attempt);
             }
-            self.counters.bump(ProbeKind::Ts);
+            self.count(m, ProbeKind::Ts, 1);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
-                self.counters.bump(ProbeKind::Lost);
+                self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(m, None);
                 continue;
             }
             let r = self
                 .sim
                 .ts_ping_from(src, src, dst, prespec, self.next_nonce());
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             return r.ok_or(ProbeLoss::Unanswered);
         }
         self.telemetry.counter_add("probing.transient_exhausted", 1);
@@ -678,9 +705,10 @@ impl<'s> Prober<'s> {
 
     /// A batch of spoofed TS pings (one collection timeout per round, as
     /// for [`Prober::spoofed_rr_batch`]; fault-lost probes re-collect
-    /// within [`RetryPolicy::batch_attempts`]).
+    /// within [`RetryPolicy::batch_attempts`]), charged to `m`.
     pub fn spoofed_ts_batch(
         &self,
+        m: &mut Meter,
         probes: &[(Addr, Addr, Vec<Addr>)],
         claimed: Addr,
     ) -> Vec<Option<TsReply>> {
@@ -699,18 +727,18 @@ impl<'s> Prober<'s> {
                 break;
             }
             if round > 0 {
-                self.counters.add(ProbeKind::Retries, pending.len() as u64);
+                self.count(m, ProbeKind::Retries, pending.len() as u64);
                 self.telemetry
                     .counter_add("probing.retries", pending.len() as u64);
             }
             let mut still_pending = Vec::new();
             for &i in &pending {
                 let (vp, dst, prespec) = &probes[i];
-                self.counters.bump(ProbeKind::SpoofTs);
+                self.count(m, ProbeKind::SpoofTs, 1);
                 if self.fault_lost(Some(*vp), *dst)
                     || self.scenario_lost(Some(*vp), claimed, *dst, round)
                 {
-                    self.counters.bump(ProbeKind::Lost);
+                    self.count(m, ProbeKind::Lost, 1);
                     self.tele_lost();
                     still_pending.push(i);
                     continue;
@@ -719,7 +747,7 @@ impl<'s> Prober<'s> {
                     .sim
                     .ts_ping_from(*vp, claimed, *dst, prespec, self.next_nonce());
             }
-            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim);
+            self.advance(m, SPOOF_BATCH_TIMEOUT_MS);
             pending = still_pending;
         }
         out
@@ -736,36 +764,36 @@ impl<'s> Prober<'s> {
     /// toward `dst`: charge the retry backoff, count the traceroute and
     /// draw its fault fate. True if the attempt was lost (its timeout is
     /// charged here).
-    fn trace_attempt_lost(&self, attempt: u32, dst: Addr) -> bool {
+    fn trace_attempt_lost(&self, m: &mut Meter, attempt: u32, dst: Addr) -> bool {
         if attempt > 0 {
-            self.charge_retry(attempt);
+            self.charge_retry(m, attempt);
         }
-        self.counters.bump(ProbeKind::Traceroutes);
+        self.count(m, ProbeKind::Traceroutes, 1);
         if !self.fault_lost(None, dst) {
             return false;
         }
-        self.counters.bump(ProbeKind::Lost);
+        self.count(m, ProbeKind::Lost, 1);
         self.tele_lost();
-        self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+        self.advance(m, TRACEROUTE_TIMEOUT_MS);
         true
     }
 
     /// A full (Paris) traceroute, TTL 1 upward: what atlases are built
     /// from. Never cached — an atlas keeps its own traces.
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
+        let m = &mut Meter::default();
         let flow = Self::paris_flow(src, dst);
         for attempt in 0..self.retry.traceroute_attempts.max(1) {
-            if self.trace_attempt_lost(attempt, dst) {
+            if self.trace_attempt_lost(m, attempt, dst) {
                 continue;
             }
             let r = self.sim.traceroute(src, dst, flow);
             match &r {
                 Some(t) => {
-                    self.counters
-                        .add(ProbeKind::TraceroutePkts, t.hops.len() as u64);
-                    self.clock.advance(t.rtt_ms, self.sim);
+                    self.count(m, ProbeKind::TraceroutePkts, t.hops.len() as u64);
+                    self.advance(m, t.rtt_ms);
                 }
-                None => self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim),
+                None => self.advance(m, TRACEROUTE_TIMEOUT_MS),
             }
             return r;
         }
@@ -778,8 +806,14 @@ impl<'s> Prober<'s> {
     /// `hint` is where the caller expects `cur` to sit — the first TTL
     /// probed; a wrong guess costs packets (`|hint − dist| + 2` and any
     /// silent TTLs crossed), never the answer. `None` when nothing routes
-    /// to `cur` or every attempt was lost to faults.
-    pub fn last_link(&self, src: Addr, cur: Addr, hint: u8) -> Option<(LastLink, u8)> {
+    /// to `cur` or every attempt was lost to faults. Charged to `m`.
+    pub fn last_link(
+        &self,
+        m: &mut Meter,
+        src: Addr,
+        cur: Addr,
+        hint: u8,
+    ) -> Option<(LastLink, u8)> {
         if self.use_cache {
             if let Some(hit) = self.cache.get_last_link(self.sim, src, cur) {
                 return hit.map(|link| (link, 0));
@@ -787,15 +821,14 @@ impl<'s> Prober<'s> {
         }
         let flow = Self::paris_flow(src, cur);
         for attempt in 0..self.retry.traceroute_attempts.max(1) {
-            if self.trace_attempt_lost(attempt, cur) {
+            if self.trace_attempt_lost(m, attempt, cur) {
                 continue;
             }
             let measured = self.sim.ttl_view(src, cur, flow).map(|mut view| {
                 let link = LastLink::sweep(&mut view, cur, hint);
                 let pkts = view.packets();
-                self.counters
-                    .add(ProbeKind::TraceroutePkts, u64::from(pkts));
-                self.clock.advance(view.rtt_ms(), self.sim);
+                self.count(m, ProbeKind::TraceroutePkts, u64::from(pkts));
+                self.advance(m, view.rtt_ms());
                 self.telemetry.counter_add("probing.last_link.measured", 1);
                 self.telemetry
                     .counter_add("probing.last_link.pkts", u64::from(pkts));
@@ -803,13 +836,12 @@ impl<'s> Prober<'s> {
                 (link, pkts as u8)
             });
             if measured.is_none() {
-                self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+                self.advance(m, TRACEROUTE_TIMEOUT_MS);
             }
             if self.use_cache {
                 // Genuine outcomes only, as for RR: a fault loss above is
                 // transient and must not be negative-cached.
-                self.counters
-                    .add(ProbeKind::CacheBytes, LAST_LINK_ENTRY_BYTES);
+                self.count(m, ProbeKind::CacheBytes, LAST_LINK_ENTRY_BYTES);
                 self.cache
                     .put_last_link(self.sim, src, cur, measured.map(|(link, _)| link));
             }
@@ -835,18 +867,31 @@ mod tests {
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
-        p.ping(vp0, vp1);
-        p.rr_ping(vp0, vp1);
-        p.spoofed_rr_batch(&[(vp0, vp1), (vp1, vp0)], vp2);
-        p.last_link(vp0, vp1, 9);
+        // Through the metered entry points, on one meter: it must read
+        // what the shared counters and clock read — nothing else ran.
+        let m = &mut Meter::default();
+        p.ping_metered(m, vp0, vp1);
+        let _ = p.rr_ping_observed(m, vp0, vp1);
+        let pairs = [(vp0, vp1), (vp1, vp0)];
+        p.spoofed_rr_batch_at(m, &pairs, vp2, &[], &mut BatchReply::default());
+        p.last_link(m, vp0, vp1, 9);
+        let _ = p.ts_ping_outcome(m, vp0, vp1, &[vp1]);
+        p.spoofed_ts_batch(m, &[(vp1, vp2, vec![vp2])], vp0);
         let snap = p.counters().snapshot();
+        assert_eq!(m.tally, snap);
+        assert_eq!(m.ms.to_bits(), p.clock().now_ms().to_bits());
         assert_eq!(snap.ping, 1);
         assert_eq!(snap.rr, 1);
         assert_eq!(snap.spoof_rr, 2);
+        assert_eq!((snap.ts, snap.spoof_ts), (1, 1));
         assert_eq!(snap.traceroutes, 1);
         assert!(snap.traceroute_pkts >= 2);
         assert_eq!(snap.retries, 0, "no faults, no retries");
         assert_eq!(snap.lost, 0);
+        // The meterless wrappers charge the shared totals alone.
+        p.ping(vp0, vp1);
+        assert_eq!(p.counters().snapshot().ping, 2);
+        assert_eq!(m.tally.ping, 1);
     }
 
     #[test]
@@ -1038,7 +1083,7 @@ mod more_tests {
         let vps = &s.topo().vp_sites;
         let t0 = p.clock().now_ms();
         let probes = vec![(vps[1].host, vps[2].host, vec![vps[2].host])];
-        let out = p.spoofed_ts_batch(&probes, vps[0].host);
+        let out = p.spoofed_ts_batch(&mut Meter::default(), &probes, vps[0].host);
         assert_eq!(out.len(), 1);
         assert_eq!(p.counters().snapshot().spoof_ts, 1);
         assert!((p.clock().now_ms() - t0 - crate::clock::SPOOF_BATCH_TIMEOUT_MS).abs() < 1e-9);
@@ -1061,7 +1106,7 @@ mod more_tests {
         let p = Prober::new(&s);
         let vps = &s.topo().vp_sites;
         let measure = || {
-            p.last_link(vps[0].host, vps[1].host, 9)
+            p.last_link(&mut Meter::default(), vps[0].host, vps[1].host, 9)
                 .expect("VPs reachable")
         };
         let (link, sent) = measure();
@@ -1095,7 +1140,9 @@ mod more_tests {
         for (round, hint) in [1, len - 1, len, len + 3, 40].into_iter().enumerate() {
             let fresh = p.with_cache_enabled(false);
             let before = (p.counters().snapshot(), p.clock().now_ms());
-            let (link, sent) = fresh.last_link(src, dst, hint).expect("routable");
+            let (link, sent) = fresh
+                .last_link(&mut Meter::default(), src, dst, hint)
+                .expect("routable");
             let d = p.counters().snapshot().since(&before.0);
             // The same sweep on a view of our own: it is the meter.
             let mut view = s
@@ -1119,10 +1166,11 @@ mod more_tests {
                 p.cache().stats(),
                 p.clock().now_ms(),
             );
-            let first = p.last_link(src, target, 9);
+            let first = p.last_link(&mut Meter::default(), src, target, 9);
             assert_eq!(first.is_some(), routable);
             assert_eq!(
-                p.last_link(src, target, 3).map(|(l, _)| l),
+                p.last_link(&mut Meter::default(), src, target, 3)
+                    .map(|(l, _)| l),
                 first.map(|(l, _)| l)
             );
             let d = p.counters().snapshot().since(&before.0);
@@ -1183,7 +1231,9 @@ mod more_tests {
         assert_eq!(trace.hops[n - 2], None);
         for hint in 1..=40 {
             let p = Prober::new(&sim).with_cache_enabled(false);
-            let (link, _) = p.last_link(src, dst, hint).expect("routable");
+            let (link, _) = p
+                .last_link(&mut Meter::default(), src, dst, hint)
+                .expect("routable");
             assert_eq!(
                 link,
                 LastLink {
@@ -1200,7 +1250,9 @@ mod more_tests {
         let all: Vec<usize> = (1..n).collect();
         let (sim, src, dst, _) = chain_with_silent_ttls(3, &all);
         let p = Prober::new(&sim).with_cache_enabled(false);
-        let (link, sent) = p.last_link(src, dst, n as u8).expect("routable");
+        let (link, sent) = p
+            .last_link(&mut Meter::default(), src, dst, n as u8)
+            .expect("routable");
         assert_eq!(
             (link.penult, link.gap, link.penult_dist()),
             (None, n as u8 - 1, 0)
@@ -1226,7 +1278,9 @@ mod more_tests {
         let n = trace.hops.len() as u8;
         for hint in 1..=40 {
             let p = Prober::new(&sim).with_cache_enabled(false);
-            let (link, _) = p.last_link(src, dst, hint).expect("routable");
+            let (link, _) = p
+                .last_link(&mut Meter::default(), src, dst, hint)
+                .expect("routable");
             assert_eq!((link.dist, link.reached), (n, false), "hint {hint}");
             assert_eq!(
                 link.penult,

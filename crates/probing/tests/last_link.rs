@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use revtr_netsim::{Addr, Sim, SimConfig, TraceResult, TtlAnswer, TtlView};
-use revtr_probing::{LastLink, Prober};
+use revtr_probing::{LastLink, Meter, Prober};
 use std::sync::OnceLock;
 
 const SEEDS: [u64; 3] = [1, 7, 42];
@@ -96,7 +96,7 @@ fn check_pair(sim: &Sim, src: Addr, cur: Addr, subset: u64) -> Result<(), TestCa
     let prober = Prober::new(sim).with_cache_enabled(false);
     let Some(trace) = sim.traceroute(src, cur, flow) else {
         prop_assert!(view(sim, src, cur).is_none());
-        prop_assert_eq!(prober.last_link(src, cur, 9), None);
+        prop_assert_eq!(prober.last_link(&mut Meter::default(), src, cur, 9), None);
         return Ok(());
     };
     let len = trace.hops.len();
@@ -147,10 +147,12 @@ fn check_pair(sim: &Sim, src: Addr, cur: Addr, subset: u64) -> Result<(), TestCa
     let want = reference(&trace, cur);
     let lowest = want.penult_dist().max(1);
     for h in START_TTLS {
-        let before = prober.counters().snapshot();
-        let (link, sent) = prober.last_link(src, cur, h).expect("the trace routed");
+        let mut m = Meter::default();
+        let (link, sent) = prober
+            .last_link(&mut m, src, cur, h)
+            .expect("the trace routed");
         prop_assert!(link == want, "start ttl {h}: {link:?}, not {want:?}");
-        let d = prober.counters().snapshot().since(&before);
+        let d = m.tally;
         prop_assert_eq!((d.traceroutes, d.traceroute_pkts), (1, u64::from(sent)));
         // The TTLs read are the run from the lower of (start, adopted hop)
         // to the higher of (start, target).

@@ -277,9 +277,9 @@ impl<'s> RevtrService<'s> {
     /// time). `arrivals` must be sorted by `(vtime_ms, tenant)` — the
     /// order `revtr_loadgen::generate` emits. Admission, shedding, and
     /// every ladder move are pure functions of the stream and the plan,
-    /// so the outcome's shed/degrade counters — and, by the engine's
-    /// shadow-swap determinism, its measurement results — are invariant
-    /// to `lc.workers`.
+    /// so the outcome's shed/degrade counters — and, each request being
+    /// metered on its own, its measurement results — are invariant to
+    /// `lc.workers`.
     ///
     /// Configuration errors (unknown tenant key, unregistered source)
     /// surface as `Err`; per-arrival resource exhaustion is shed, not an

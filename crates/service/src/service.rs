@@ -91,13 +91,14 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// Soft cap on concurrent NDT-triggered measurements.
+const NDT_LOAD_CAP: usize = 64;
+
 /// The service façade over a [`RevtrSystem`].
 pub struct RevtrService<'s> {
     system: RevtrSystem<'s>,
     users: UserDb,
     store: ResultStore,
-    /// Soft cap on concurrent NDT-triggered measurements.
-    ndt_load_cap: usize,
     ndt_in_flight: AtomicUsize,
 }
 
@@ -108,7 +109,6 @@ impl<'s> RevtrService<'s> {
             system,
             users: UserDb::new(),
             store: ResultStore::new(),
-            ndt_load_cap: 64,
             ndt_in_flight: AtomicUsize::new(0),
         }
     }
@@ -145,12 +145,6 @@ impl<'s> RevtrService<'s> {
     /// yields a usable path) — the watchdog makes the stall visible.
     pub fn watchdog_flags(&self) -> Vec<revtr_probing::WatchdogFlag> {
         self.system.watchdog_flags()
-    }
-
-    /// Same service with a different NDT concurrency cap (testing knob).
-    pub fn with_ndt_cap(mut self, cap: usize) -> RevtrService<'s> {
-        self.ndt_load_cap = cap;
-        self
     }
 
     /// Vantage points the hardened engine has benched for spoof
@@ -256,19 +250,12 @@ impl<'s> RevtrService<'s> {
         pairs: &[(Addr, Addr)],
         workers: usize,
     ) -> Result<Vec<RevtrResult>, ServiceError> {
-        // Admission: validate the user and sources up front.
-        for &(_, src) in pairs {
-            if !self.users.sources(key)?.contains(&src) {
-                return Err(ServiceError::User(UserError::UnknownSource));
-            }
-        }
-        // Charge the daily quota up front (campaigns are still subject to
+        // Admission, all or nothing: every source the user's, the daily
+        // quota covering every pair (campaigns are still subject to
         // per-user limits; the parallel-slot limit is replaced by the
         // campaign width here).
-        for &(_, src) in pairs {
-            let permit = self.users.admit(key, src, self.now_hours())?;
-            drop(permit);
-        }
+        let sources = pairs.iter().map(|&(_, src)| src);
+        self.users.admit_batch(key, sources, self.now_hours())?;
         let workers = workers.max(1).min(pairs.len().max(1));
         let tele = self.system.prober().telemetry();
         if tele.is_enabled() {
@@ -301,7 +288,7 @@ impl<'s> RevtrService<'s> {
         // RAII slot: released on every exit path, including a panicking
         // `measure` — a leaked slot would permanently shrink the cap.
         let tele = self.system.prober().telemetry();
-        let Some(_slot) = InFlightGuard::acquire(&self.ndt_in_flight, self.ndt_load_cap) else {
+        let Some(_slot) = InFlightGuard::acquire(&self.ndt_in_flight, NDT_LOAD_CAP) else {
             tele.counter_add("service.ndt.overloaded", 1);
             return Err(ServiceError::Overloaded);
         };

@@ -41,6 +41,19 @@ struct UserState {
     used_today: u64,
 }
 
+impl UserState {
+    /// Units of today's quota still unspent at `now_hours` (a new virtual
+    /// day starts the count afresh).
+    fn quota_left(&mut self, now_hours: f64) -> u64 {
+        let day = (now_hours / 24.0).floor() as u64;
+        if day != self.day_index {
+            self.day_index = day;
+            self.used_today = 0;
+        }
+        self.limits.max_per_day.saturating_sub(self.used_today)
+    }
+}
+
 /// Errors from the user/limits layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UserError {
@@ -130,15 +143,6 @@ impl UserDb {
         Ok(())
     }
 
-    /// Sources registered to a user.
-    pub fn sources(&self, key: ApiKey) -> Result<Vec<Addr>, UserError> {
-        self.users
-            .lock()
-            .get(&key)
-            .map(|u| u.sources.clone())
-            .ok_or(UserError::UnknownUser)
-    }
-
     /// Admission control for one measurement toward `src` at virtual time
     /// `now_hours`. On success, returns a [`Permit`] holding the parallel
     /// slot and charges the daily quota.
@@ -148,12 +152,7 @@ impl UserDb {
         if !u.sources.contains(&src) {
             return Err(UserError::UnknownSource);
         }
-        let day = (now_hours / 24.0).floor() as u64;
-        if day != u.day_index {
-            u.day_index = day;
-            u.used_today = 0;
-        }
-        if u.used_today >= u.limits.max_per_day {
+        if u.quota_left(now_hours) == 0 {
             return Err(UserError::DailyQuotaExceeded);
         }
         if u.in_flight >= u.limits.max_parallel {
@@ -162,6 +161,33 @@ impl UserDb {
         u.in_flight += 1;
         u.used_today += 1;
         Ok(Permit { db: self, key })
+    }
+
+    /// Admission control for a whole batch campaign toward `sources` (one
+    /// per pair) at virtual time `now_hours`, all or nothing under one
+    /// lock: every source must be the user's and the day's remaining quota
+    /// must cover every pair, else nothing is charged. Holds no parallel
+    /// slot — the campaign's width takes that limit's place.
+    pub fn admit_batch(
+        &self,
+        key: ApiKey,
+        sources: impl IntoIterator<Item = Addr>,
+        now_hours: f64,
+    ) -> Result<(), UserError> {
+        let mut g = self.users.lock();
+        let u = g.get_mut(&key).ok_or(UserError::UnknownUser)?;
+        let mut n = 0u64;
+        for src in sources {
+            if !u.sources.contains(&src) {
+                return Err(UserError::UnknownSource);
+            }
+            n += 1;
+        }
+        if n > u.quota_left(now_hours) {
+            return Err(UserError::DailyQuotaExceeded);
+        }
+        u.used_today += n;
+        Ok(())
     }
 }
 
@@ -204,6 +230,41 @@ mod tests {
         drop(p3);
         // Next virtual day resets the quota.
         assert!(db.admit(key, src, 25.0).is_ok());
+    }
+
+    #[test]
+    fn batch_admission_is_all_or_nothing() {
+        let db = UserDb::new();
+        let key = db.add_user(
+            "bulk",
+            RateLimits {
+                max_parallel: 1,
+                max_per_day: 5,
+            },
+        );
+        let (src, other) = (Addr::new(11, 0, 128, 4), Addr::new(11, 0, 129, 4));
+        db.add_source(key, src).expect("user exists");
+        // One unknown source, or one unit too many: nothing is charged.
+        assert_eq!(
+            db.admit_batch(key, [src, other], 0.0),
+            Err(UserError::UnknownSource)
+        );
+        assert_eq!(
+            db.admit_batch(key, [src; 6], 0.0),
+            Err(UserError::DailyQuotaExceeded)
+        );
+        assert_eq!(db.admit_batch(key, [src; 5], 0.0), Ok(()));
+        assert_eq!(
+            db.admit_batch(key, [src], 0.0),
+            Err(UserError::DailyQuotaExceeded)
+        );
+        assert_eq!(
+            db.admit_batch(key, [], 0.0),
+            Ok(()),
+            "an empty batch is free"
+        );
+        // The next virtual day restores the quota.
+        assert_eq!(db.admit_batch(key, [src; 5], 24.0), Ok(()));
     }
 
     #[test]

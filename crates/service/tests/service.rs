@@ -261,6 +261,39 @@ fn batch_campaigns_charge_the_daily_quota() {
     );
 }
 
+#[test]
+fn over_quota_batch_is_refused_without_burning_quota() {
+    // Regression: the quota used to be charged pair by pair before
+    // anything was measured, so a batch that ran out at pair k was refused
+    // having burnt k - 1 units for nothing.
+    let sim = Sim::build(SimConfig::tiny(), 58);
+    let service = build_service(&sim);
+    let key = service.add_user(
+        "bulk",
+        RateLimits {
+            max_parallel: 8,
+            max_per_day: 3,
+        },
+    );
+    let src = sim.topo().vp_sites[0].host;
+    service.add_source(key, src).expect("bootstrap");
+    let pairs: Vec<(Addr, Addr)> = (0..4)
+        .map(|i| (responsive_dest(&sim, i * 2), src))
+        .collect();
+    assert_eq!(
+        service.batch(key, &pairs, 2).unwrap_err(),
+        ServiceError::User(UserError::DailyQuotaExceeded)
+    );
+    assert!(service.store().is_empty(), "a refused batch measured");
+    // The whole day's quota is still there for a batch that fits it.
+    let served = service.batch(key, &pairs[..3], 2).expect("within quota");
+    assert_eq!(served.len(), 3);
+    assert_eq!(
+        service.batch(key, &pairs[3..], 1).unwrap_err(),
+        ServiceError::User(UserError::DailyQuotaExceeded)
+    );
+}
+
 /// Like [`build_service`] but with a watchdog-armed telemetry handle
 /// threaded through the prober.
 fn build_watched_service<'s>(

@@ -142,10 +142,11 @@ struct Stripe {
 #[derive(Default, Debug)]
 struct Padded(Mutex<Stripe>);
 
-/// This thread's stripe: threads take ordinals round-robin the first time
-/// they record, so up to [`N_STRIPES`] concurrent recorders never meet on
-/// a lock.
-fn my_stripe() -> usize {
+/// This thread's stripe, in `0..16`: threads take ordinals round-robin the
+/// first time they ask, so up to [`N_STRIPES`] concurrent recorders never
+/// meet on a lock. Public because it is the workspace's one per-thread
+/// ordinal: the prober's clock spreads its accumulation slots by it too.
+pub fn thread_stripe() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         // Relaxed: the ordinal publishes nothing, it only spreads threads.
@@ -201,7 +202,7 @@ impl MetricsRegistry {
 
     /// Lock the calling thread's stripe for a batch of updates.
     pub(crate) fn fold(&self) -> Fold<'_> {
-        Fold(self.stripes[my_stripe()].0.lock())
+        Fold(self.stripes[thread_stripe()].0.lock())
     }
 
     /// Add `n` to the counter `key` (creating it at zero).

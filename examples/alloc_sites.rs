@@ -25,7 +25,6 @@ use revtr_suite::service::{RateLimits, RevtrService};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,19 +36,17 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 /// `(site, bytes)` of every sampled allocation.
 static SAMPLES: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
 
-thread_local! {
-    // Set while a sample is being taken: capturing and rendering a
-    // backtrace allocates, and those allocations must neither be counted
-    // nor sampled (the second would recurse). Const-initialised and
-    // without a destructor, so reading it never allocates.
-    static SAMPLING: Cell<bool> = const { Cell::new(false) };
-}
+/// Set while a sample is being taken: capturing and rendering a backtrace
+/// allocates, and those allocations must neither be counted nor sampled
+/// (the second would recurse). Process-wide: the sweep is serial, so the
+/// only allocations it hides are the sampler's own.
+static SAMPLING: AtomicBool = AtomicBool::new(false);
 
 struct Sampler;
 
 impl Sampler {
     fn note(size: usize) {
-        if !ARMED.load(Ordering::Relaxed) || SAMPLING.try_with(Cell::get).unwrap_or(true) {
+        if !ARMED.load(Ordering::Relaxed) || SAMPLING.load(Ordering::Relaxed) {
             return;
         }
         let n = ALLOCS.fetch_add(1, Ordering::Relaxed) + 1;
@@ -57,12 +54,12 @@ impl Sampler {
         if !n.is_multiple_of(EVERY.load(Ordering::Relaxed)) {
             return;
         }
-        let _ = SAMPLING.try_with(|s| s.set(true));
+        SAMPLING.store(true, Ordering::Relaxed);
         let site = first_repo_frame(&Backtrace::force_capture().to_string());
         if let Ok(mut samples) = SAMPLES.lock() {
             samples.push((site, size as u64));
         }
-        let _ = SAMPLING.try_with(|s| s.set(false));
+        SAMPLING.store(false, Ordering::Relaxed);
     }
 }
 

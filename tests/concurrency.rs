@@ -89,7 +89,7 @@ fn concurrent_source_registration_is_idempotent() {
 /// One small campaign on a fresh, identically-seeded stack: a serial warm
 /// pass over all pairs, then a measured pass over the same pairs with
 /// `workers` threads. Returns the measured pass's per-request
-/// (status, path, probe counts), in input order.
+/// (status, path, probe counts, virtual duration bits), in input order.
 ///
 /// The warm pass pins down cache attribution: on a cold cache, requests
 /// share cacheable keys (non-spoofed RR probes of common reverse hops),
@@ -97,7 +97,8 @@ fn concurrent_source_registration_is_idempotent() {
 /// interleaving. With caches warm, every cacheable probe hits and the
 /// remaining probes are a pure per-request function of the simulator —
 /// the probe-count snapshots must then be identical for any worker
-/// count. Churn is disabled because its flush points depend on how
+/// count, and so must the durations: each is what the request's own meter
+/// read. Churn is disabled because its flush points depend on how
 /// virtual time partitions across workers.
 fn campaign(
     workers: usize,
@@ -106,6 +107,7 @@ fn campaign(
     revtr_suite::revtr::Status,
     Vec<Addr>,
     revtr_suite::revtr::ProbeDelta,
+    u64,
 )> {
     let mut cfg = SimConfig::tiny();
     cfg.behavior.churn_per_hour = 0.0;
@@ -142,7 +144,12 @@ fn campaign(
         .iter()
         .map(|slot| {
             let r = slot.get();
-            (r.status, r.addrs().collect(), r.stats.probes)
+            (
+                r.status,
+                r.addrs().collect(),
+                r.stats.probes,
+                r.stats.duration_s.to_bits(),
+            )
         })
         .collect()
 }
@@ -150,8 +157,8 @@ fn campaign(
 #[test]
 fn campaign_results_are_worker_count_invariant() {
     // The same campaign serially and with 8 workers: every request must
-    // produce the identical status, path, and probe-count snapshot
-    // (durations are wall-clock-dependent and excluded by construction).
+    // produce the identical status, path, probe-count snapshot and
+    // virtual duration, to the bit.
     let serial = campaign(1, 7);
     let parallel = campaign(8, 7);
     assert_eq!(serial.len(), parallel.len());
@@ -161,6 +168,7 @@ fn campaign_results_are_worker_count_invariant() {
         assert_eq!(s.0, p.0, "status diverged for request {i}");
         assert_eq!(s.1, p.1, "path diverged for request {i}");
         assert_eq!(s.2, p.2, "probe counts diverged for request {i}");
+        assert_eq!(s.3, p.3, "duration diverged for request {i}");
         probes_seen += s.2.ping + s.2.rr + s.2.spoof_rr + s.2.ts + s.2.spoof_ts;
     }
     assert!(probes_seen > 0, "warm campaign sent no probes at all");

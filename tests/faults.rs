@@ -9,7 +9,7 @@
 use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::netsim::sim::PktMeta;
 use revtr_suite::netsim::{Addr, FaultConfig, RouterId, Sim, SimConfig};
-use revtr_suite::probing::{ProbeLoss, Prober, RetryPolicy};
+use revtr_suite::probing::{Meter, ProbeLoss, Prober, RetryPolicy};
 use revtr_suite::revtr::{EngineConfig, RevtrResult, RevtrSystem};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
@@ -230,7 +230,7 @@ fn unanswered_probes_are_never_retried() {
     let before = p.counters().snapshot();
     assert_eq!(p.rr_ping_outcome(vp, dark), Err(ProbeLoss::Unanswered));
     assert_eq!(
-        p.ts_ping_outcome(vp, dark, &[dark]),
+        p.ts_ping_outcome(&mut Meter::default(), vp, dark, &[dark]),
         Err(ProbeLoss::Unanswered)
     );
     assert!(p.ping(vp, dark).is_none());

@@ -242,10 +242,11 @@ fn dispatch_workers_preserve_stitched_paths() {
 
 #[test]
 fn measure_is_a_one_pair_campaign() {
-    // `measure()` and a one-pair `run_campaign` reach the same driver: on
-    // twin systems fed the same requests in the same order, every result
-    // (full fingerprint plus the per-request probe delta) and the stop-set
-    // state left behind must agree.
+    // `measure()` and a one-pair `run_campaign` reach the same driver on
+    // the same meter: on twin systems fed the same requests in the same
+    // order, every result (full fingerprint, the per-request probe delta
+    // and the duration to the bit) and the stop-set state left behind must
+    // agree.
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
         let (serial, _, src, dests) = stop_set_system(&sim, true);
@@ -259,6 +260,11 @@ fn measure_is_a_one_pair_campaign() {
             let c = c.results.remove(0);
             assert_eq!(fingerprint(&m), fingerprint(&c), "seed {seed}, dst {d}");
             assert_eq!(m.stats.probes, c.stats.probes, "seed {seed}, dst {d}");
+            assert_eq!(
+                m.stats.duration_s.to_bits(),
+                c.stats.duration_s.to_bits(),
+                "seed {seed}, dst {d}"
+            );
         }
         assert_eq!(
             serial.stopset().stats(),
