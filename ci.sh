@@ -172,13 +172,14 @@ cargo clippy --all-targets -- -D warnings -D clippy::disallowed-methods
 # telemetry crate sits inside every hot path: both are additionally held
 # to no-unwrap (a panicking auditor proves nothing; a panicking tracer
 # would violate behaviour-neutrality).
-echo "== clippy unwrap gate (crates/audit, crates/telemetry; lib targets of crates/core, crates/probing) =="
+echo "== clippy unwrap gate (crates/audit, crates/telemetry; lib targets of crates/core, crates/probing, crates/vpselect) =="
 cargo clippy -p revtr-audit --all-targets -- -D warnings -D clippy::unwrap_used
 cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_used
-# The request plane — engine and prober — runs inside every measurement:
-# its library code states why a value must be there (`expect`) or handles
-# its absence. Tests may still unwrap.
-cargo clippy -p revtr -p revtr-probing -- -D warnings -D clippy::unwrap_used
+# The request plane — engine and prober — runs inside every measurement,
+# and the survey plane feeds it every plan: their library code states why a
+# value must be there (`expect`) or handles its absence. Tests may still
+# unwrap.
+cargo clippy -p revtr -p revtr-probing -p revtr-vpselect -- -D warnings -D clippy::unwrap_used
 # ...and keeps no ambient per-thread state: a request's clock and probe
 # tally are its control block's `Meter`, lent down the probe path (the
 # workspace's two thread-locals — the telemetry stripe ordinal, the BGP

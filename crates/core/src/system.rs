@@ -1039,20 +1039,13 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The spoof-capable vantage point closest to `cur`, by the measured
-    /// mean RR slot distance in the ingress database (§4.3's per-prefix
-    /// views); prefixes with no measured distances fall back to the
-    /// ranked ingress plan, and unknown prefixes to the first VP.
+    /// mean RR slot distance the ingress survey recorded (§4.3); prefixes
+    /// with no measured distances fall back to the ranked ingress plan,
+    /// and unknown prefixes to the first VP.
     fn closest_vp(&self, cur: Addr) -> Option<Addr> {
         if let Some(pid) = self.plan_key(cur) {
-            if let Some(info) = self.ingress.prefix(pid) {
-                let best = info
-                    .views
-                    .iter()
-                    .filter_map(|(&vp, view)| view.dest_dist.map(|d| (d, vp)))
-                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
-                if let Some((_, vp)) = best {
-                    return Some(vp);
-                }
+            if let Some(vp) = self.ingress.prefix(pid).and_then(|info| info.closest_vp()) {
+                return Some(vp);
             }
             if let Some(&vp) = self
                 .ingress

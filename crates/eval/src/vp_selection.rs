@@ -114,7 +114,11 @@ fn flatten_queues(queues: &[IngressQueue]) -> Vec<Addr> {
 
 /// Run the VP-selection evaluation.
 pub fn run(ctx: &EvalContext) -> VpSelectionReport {
-    let prober: Prober<'_> = ctx.prober(); // shared cache across heuristics
+    run_on(ctx, ctx.prober())
+}
+
+/// [`run`] on the caller's prober, whose cache all heuristics share.
+fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
     let vps = ctx.vps();
     let claimed = vps[0]; // spoofed source: a registered revtr source
 
@@ -209,6 +213,8 @@ pub fn run(ctx: &EvalContext) -> VpSelectionReport {
     table5_rows.push(("Optimal".into(), fraction(optimal, prefixes.len())));
 
     // §4.3's two-destinations-suffice validation on a third destination.
+    // These are probes on the shared prober, so the order they go out in
+    // is part of the result: ascending prefix id.
     let mut stability = (0usize, 0usize);
     for (p, info) in full_db.prefixes() {
         if let Some(ok) = third_destination_consistent(&prober, &vps, info, p, Heuristics::FULL) {
@@ -389,5 +395,27 @@ mod tests {
         assert_eq!(report.fig6b().series.len(), 4);
         assert_eq!(report.fig6c().series.len(), 3);
         assert_eq!(report.table5().len(), 5);
+    }
+
+    #[test]
+    fn two_runs_on_one_seed_probe_alike() {
+        // The stability check probes third destinations prefix by prefix on
+        // the shared prober, so nonces and clock — and with them every
+        // per-packet-balanced reply — follow the order of the prefixes.
+        let run_once = || {
+            let ctx = EvalContext::smoke();
+            let prober = ctx.prober();
+            let report = run_on(&ctx, prober.clone());
+            (
+                report.stability,
+                prober.counters().snapshot(),
+                prober.clock().now_ms().to_bits(),
+            )
+        };
+        let first = run_once();
+        assert!(first.0 .1 > 0, "no prefix had a third destination");
+        for _ in 0..3 {
+            assert_eq!(run_once(), first);
+        }
     }
 }

@@ -13,15 +13,18 @@
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3).
 
-use crate::parse::{path_view, Heuristics};
+use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::Prober;
-use std::collections::HashMap;
+use std::mem::size_of;
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
 /// responsive destinations.
 pub const DEST_SCAN_LIMIT: usize = 12;
+
+/// Responsive destinations surveyed per prefix (§4.3: two suffice).
+const DESTS_PER_PREFIX: usize = 2;
 
 /// VPs kept per ingress queue (paper: give up on an ingress after five
 /// VPs fail to traverse it).
@@ -30,24 +33,6 @@ pub const VPS_PER_INGRESS: usize = 5;
 /// RR range: a VP is "in range" of a destination it reaches within this
 /// many RR slots (one slot must remain for a reverse hop).
 pub const RR_RANGE: usize = 8;
-
-/// What one vantage point learned about one prefix (merged over the two
-/// probed destinations).
-#[derive(Clone, Debug, Default)]
-pub struct VpView {
-    /// Mean RR slot distance to the destinations, when reached.
-    pub dest_dist: Option<f64>,
-    /// Ingress candidates present on both forward paths, with the slot
-    /// distance at which each was seen.
-    pub candidates: Vec<(Addr, usize)>,
-}
-
-impl VpView {
-    /// In RR range of the prefix?
-    pub fn in_range(&self) -> bool {
-        matches!(self.dest_dist, Some(d) if d <= RR_RANGE as f64)
-    }
-}
 
 /// A selected ingress and its VP queue.
 #[derive(Clone, Debug)]
@@ -61,18 +46,26 @@ pub struct IngressInfo {
     pub ranked_vps: Vec<Addr>,
 }
 
-/// Everything learned about one prefix.
+/// Everything the system keeps about one surveyed prefix: the plan, and of
+/// the per-VP views behind it only what is read afterwards — who was in
+/// range, who was closest, and which addresses were ingress candidates.
 #[derive(Clone, Debug, Default)]
 pub struct PrefixInfo {
     /// The responsive destinations probed (≤ 2).
     pub dests: Vec<Addr>,
-    /// Per-VP views.
-    pub views: HashMap<Addr, VpView>,
     /// Selected ingresses, ordered by VP coverage (descending).
     pub ingresses: Vec<IngressInfo>,
     /// For prefixes without identified ingresses: in-range VPs ranked by
     /// mean distance to the destinations (§4.3 fallback).
     pub fallback: Vec<Addr>,
+    /// Bit `i`: the `i`-th VP of the surveyed list reached the
+    /// destinations within [`RR_RANGE`] slots (mean over those reached).
+    in_range: Box<[u64]>,
+    /// The VP with the smallest mean RR slot distance to the destinations
+    /// (ties: lowest address), among those that measured one at all.
+    closest_vp: Option<Addr>,
+    /// Every VP's ingress candidates, as one sorted set.
+    candidates: Vec<Addr>,
 }
 
 /// One queue of VPs to try, with the ingress the choice is based on.
@@ -151,20 +144,66 @@ impl PrefixInfo {
             PlanView::Ingresses(&self.ingresses)
         }
     }
+
+    /// Whether the VP at position `vp_index` of the surveyed list was in
+    /// RR range of the prefix.
+    pub fn in_range_at(&self, vp_index: usize) -> bool {
+        self.in_range
+            .get(vp_index / 64)
+            .is_some_and(|word| word >> (vp_index % 64) & 1 == 1)
+    }
+
+    /// The VP closest to the prefix by measured mean RR slot distance
+    /// (lowest address on a tie); `None` when no VP measured a distance.
+    pub fn closest_vp(&self) -> Option<Addr> {
+        self.closest_vp
+    }
+
+    /// The ingress candidates of all VPs, sorted and distinct.
+    pub fn candidates(&self) -> &[Addr] {
+        &self.candidates
+    }
+
+    /// Logical bytes held on the heap (lengths, not capacities).
+    fn heap_bytes(&self) -> usize {
+        let queued: usize = self.ingresses.iter().map(|i| i.ranked_vps.len()).sum();
+        (self.dests.len() + self.fallback.len() + self.candidates.len() + queued)
+            * size_of::<Addr>()
+            + self.ingresses.len() * size_of::<IngressInfo>()
+            + self.in_range.len() * size_of::<u64>()
+    }
 }
 
 /// The ingress database: per-prefix VP selection state, plus the global VP
 /// ranking used by the revtr 1.0 and "Global" baselines (§5.3).
+///
+/// ```
+/// use revtr_netsim::{Sim, SimConfig};
+/// use revtr_probing::Prober;
+/// use revtr_vpselect::{Heuristics, IngressDb};
+///
+/// let sim = Sim::build(SimConfig::tiny(), 17);
+/// let vps: Vec<_> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+/// let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).take(10).collect();
+/// let db = IngressDb::build(&Prober::new(&sim), &vps, &prefixes, Heuristics::FULL);
+/// assert_eq!(db.prefixes().count(), 10);
+/// println!("{} prefixes surveyed, {} B", prefixes.len(), db.approx_bytes());
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct IngressDb {
-    per_prefix: HashMap<PrefixId, PrefixInfo>,
+    /// Indexed by [`PrefixId`]; `None` for a prefix never surveyed.
+    per_prefix: Vec<Option<PrefixInfo>>,
+    /// `(vp, position in the surveyed list)`, sorted by address: what turns
+    /// a VP address into its bit of [`PrefixInfo::in_range_at`].
+    vp_index: Vec<(Addr, u32)>,
     /// All VPs, sorted by the number of prefixes they are in range of
     /// (descending) — the "Global" greedy baseline.
     global_order: Vec<Addr>,
 }
 
 impl IngressDb {
-    /// Build by probing `prefixes` from `vps` with heuristics `h`.
+    /// Build by probing `prefixes` from `vps` (distinct addresses) with
+    /// heuristics `h`.
     ///
     /// This is the weekly background measurement of §4.3; probes are
     /// charged to the prober's counters (pings + RR). Survey probes
@@ -182,44 +221,51 @@ impl IngressDb {
         h: Heuristics,
     ) -> IngressDb {
         let survey = prober.with_cache_enabled(false);
-        let mut db = IngressDb::default();
+        let mut scratch = SurveyScratch::new(vps.len());
+        let mut per_prefix = Vec::new();
+        per_prefix.resize_with(
+            prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
+            || None,
+        );
         for &p in prefixes {
-            let info = probe_prefix(&survey, vps, p, h);
-            db.per_prefix.insert(p, info);
+            per_prefix[p.index()] = Some(scratch.survey(&survey, vps, p, h));
         }
+        let mut vp_index: Vec<(Addr, u32)> = (0u32..).zip(vps).map(|(i, &vp)| (vp, i)).collect();
+        vp_index.sort_unstable();
+        let mut db = IngressDb {
+            per_prefix,
+            vp_index,
+            global_order: Vec::new(),
+        };
         db.compute_global_order(vps);
         db
     }
 
     fn compute_global_order(&mut self, vps: &[Addr]) {
-        let mut in_range: HashMap<Addr, usize> = vps.iter().map(|&v| (v, 0)).collect();
-        for info in self.per_prefix.values() {
-            for (&vp, view) in &info.views {
-                if view.in_range() {
-                    *in_range.entry(vp).or_insert(0) += 1;
-                }
+        let mut in_range = vec![0usize; vps.len()];
+        for (_, info) in self.prefixes() {
+            for (i, count) in in_range.iter_mut().enumerate() {
+                *count += usize::from(info.in_range_at(i));
             }
         }
-        let mut order: Vec<Addr> = vps.to_vec();
-        order.sort_by_key(|v| {
-            (
-                std::cmp::Reverse(in_range.get(v).copied().unwrap_or(0)),
-                v.0,
-            )
-        });
-        self.global_order = order;
+        let mut order: Vec<(std::cmp::Reverse<usize>, Addr)> = in_range
+            .into_iter()
+            .map(std::cmp::Reverse)
+            .zip(vps.iter().copied())
+            .collect();
+        order.sort_unstable();
+        self.global_order = order.into_iter().map(|(_, vp)| vp).collect();
     }
 
     /// Info for one prefix, if probed.
     pub fn prefix(&self, p: PrefixId) -> Option<&PrefixInfo> {
-        self.per_prefix.get(&p)
+        self.per_prefix.get(p.index())?.as_ref()
     }
 
     /// The revtr 2.0 plan for a prefix (empty if never probed or nothing
     /// in range), borrowed from the survey's own tables.
     pub fn plan_view(&self, p: PrefixId) -> PlanView<'_> {
-        self.per_prefix
-            .get(&p)
+        self.prefix(p)
             .map_or(PlanView::Ranking(&[]), |i| i.plan_view())
     }
 
@@ -229,12 +275,14 @@ impl IngressDb {
     }
 
     /// Whether the survey found `vp` in RR range of prefix `p` (false for
-    /// a prefix never probed).
+    /// a prefix never probed, or a VP that was not surveyed from).
     pub fn in_range(&self, p: PrefixId, vp: Addr) -> bool {
-        self.per_prefix
-            .get(&p)
-            .and_then(|info| info.views.get(&vp))
-            .is_some_and(VpView::in_range)
+        let Some(info) = self.prefix(p) else {
+            return false;
+        };
+        self.vp_index
+            .binary_search_by_key(&vp, |&(addr, _)| addr)
+            .is_ok_and(|at| info.in_range_at(self.vp_index[at].1 as usize))
     }
 
     /// The revtr 1.0 plan: the VPs in RR range of the prefix first, then
@@ -256,132 +304,212 @@ impl IngressDb {
         &self.global_order
     }
 
-    /// Iterate probed prefixes.
+    /// Iterate probed prefixes, in ascending [`PrefixId`] order.
     pub fn prefixes(&self) -> impl Iterator<Item = (PrefixId, &PrefixInfo)> {
-        self.per_prefix.iter().map(|(&p, i)| (p, i))
+        (0u32..)
+            .zip(&self.per_prefix)
+            .filter_map(|(i, info)| Some((PrefixId(i), info.as_ref()?)))
+    }
+
+    /// Logical byte footprint of the database: table slots plus the
+    /// lengths (not capacities) of every vector behind them — a pure
+    /// function of the survey's results, same convention as
+    /// `Sim::route_cache_bytes`.
+    pub fn approx_bytes(&self) -> u64 {
+        let held: usize = self.prefixes().map(|(_, info)| info.heap_bytes()).sum();
+        (held
+            + self.per_prefix.len() * size_of::<Option<PrefixInfo>>()
+            + self.vp_index.len() * size_of::<(Addr, u32)>()
+            + self.global_order.len() * size_of::<Addr>()) as u64
     }
 }
 
-/// Probe one prefix from all VPs and derive its [`PrefixInfo`].
+/// Probe one prefix from all VPs (distinct addresses) and derive its
+/// [`PrefixInfo`].
 pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristics) -> PrefixInfo {
-    let sim = prober.sim();
-    let prefix = sim.topo().prefix(p).prefix;
+    SurveyScratch::new(vps.len()).survey(prober, vps, p, h)
+}
 
-    // 1. Find up to two responsive destinations. The scan itself uses the
-    // first VP as the pinger (any source works: responsiveness is a
-    // destination property).
-    let pinger = match vps.first() {
-        Some(&v) => v,
-        None => return PrefixInfo::default(),
-    };
-    let mut dests: Vec<Addr> = Vec::new();
-    for cand in sim.host_addrs(p).take(DEST_SCAN_LIMIT) {
-        if prober.ping(pinger, cand).is_some() {
-            dests.push(cand);
-            if dests.len() == 2 {
-                break;
-            }
+/// One `(ingress candidate, VP)` incidence of a prefix's survey.
+#[derive(Clone, Copy)]
+struct Incidence {
+    cand: Addr,
+    vp: Addr,
+    /// Position of `vp` in the surveyed list.
+    vp_at: u32,
+    /// Rank of `cand` among the candidates on the VP's first parsed path —
+    /// the slot-distance order its queue is ranked by.
+    dist: u8,
+}
+
+fn same_candidate(a: &Incidence, b: &Incidence) -> bool {
+    a.cand == b.cand
+}
+
+/// Working memory of the survey, sized by the VP list and reused from one
+/// prefix to the next: a prefix's per-VP views never exist as objects —
+/// each is folded, as its two replies are parsed, into the rows below.
+struct SurveyScratch {
+    /// Every VP's candidates as one run, sorted by `(candidate, vp)` once
+    /// all VPs are in: a candidate's covering VPs are then contiguous, and
+    /// the greedy cover is a scan per pick instead of a map per pick.
+    run: Vec<Incidence>,
+    /// By VP position: covered by an ingress already picked.
+    covered: Vec<bool>,
+    /// `(mean distance, vp)` of the in-range VPs: the fallback ranking.
+    near: Vec<(f64, Addr)>,
+    /// Ingresses picked so far, copied out at their exact count.
+    picked: Vec<IngressInfo>,
+}
+
+impl SurveyScratch {
+    fn new(n_vps: usize) -> SurveyScratch {
+        SurveyScratch {
+            // Era-2020 prefixes average under three shared candidates a VP;
+            // one in seven has more than four and doubles the run once.
+            run: Vec::with_capacity(4 * n_vps),
+            covered: Vec::with_capacity(n_vps),
+            near: Vec::with_capacity(n_vps),
+            picked: Vec::with_capacity(16),
         }
     }
-    if dests.is_empty() {
-        return PrefixInfo {
-            dests,
-            ..Default::default()
-        };
-    }
 
-    // 2–3. RR-ping the destinations from every VP and merge views.
-    let mut views: HashMap<Addr, VpView> = HashMap::new();
-    for &vp in vps {
-        let mut per_dest: Vec<crate::parse::PathView> = Vec::new();
-        for &d in &dests {
-            if let Some(r) = prober.rr_ping(vp, d) {
-                per_dest.push(path_view(&r.slots, prefix, h));
+    /// §4.3 for one prefix. Probes go out in a fixed order — the scan
+    /// pings, then one RR ping per (VP, destination), VP-major — and every
+    /// choice among VPs is made on their addresses, never their positions,
+    /// so a permuted VP list gives the same answer.
+    fn survey(
+        &mut self,
+        prober: &Prober<'_>,
+        vps: &[Addr],
+        p: PrefixId,
+        h: Heuristics,
+    ) -> PrefixInfo {
+        let sim = prober.sim();
+        let prefix = sim.topo().prefix(p).prefix;
+
+        // 1. Find up to two responsive destinations. The scan itself uses
+        // the first VP as the pinger (any source works: responsiveness is a
+        // destination property).
+        let Some(&pinger) = vps.first() else {
+            return PrefixInfo::default();
+        };
+        let mut dests: Vec<Addr> = Vec::new();
+        for cand in sim.host_addrs(p).take(DEST_SCAN_LIMIT) {
+            if prober.ping(pinger, cand).is_some() {
+                dests.push(cand);
+                if dests.len() == DESTS_PER_PREFIX {
+                    break;
+                }
             }
         }
-        if per_dest.is_empty() {
-            continue;
+        if dests.is_empty() {
+            return PrefixInfo::default();
         }
-        let dists: Vec<usize> = per_dest.iter().filter_map(|v| v.dest_dist).collect();
-        let dest_dist = if dists.is_empty() {
-            None
-        } else {
-            Some(dists.iter().sum::<usize>() as f64 / dists.len() as f64)
-        };
-        // Candidates on *both* paths (or the single path if only one
-        // destination answered RR).
-        let first = &per_dest[0];
-        let candidates: Vec<(Addr, usize)> = first
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| per_dest[1..].iter().all(|v| v.candidates.contains(a)))
-            .map(|(i, &a)| (a, i))
-            .collect();
-        views.insert(
-            vp,
-            VpView {
-                dest_dist,
-                candidates,
-            },
-        );
-    }
 
-    // 4. Greedy set cover of VPs by candidate ingress.
-    let mut uncovered: Vec<Addr> = views
-        .iter()
-        .filter(|(_, v)| !v.candidates.is_empty())
-        .map(|(&vp, _)| vp)
-        .collect();
-    uncovered.sort_unstable();
-    let mut ingresses: Vec<IngressInfo> = Vec::new();
-    while !uncovered.is_empty() {
-        // Count coverage per candidate address.
-        let mut cover: HashMap<Addr, Vec<Addr>> = HashMap::new();
-        for &vp in &uncovered {
-            for &(cand, _) in &views[&vp].candidates {
-                cover.entry(cand).or_default().push(vp);
+        // 2–3. RR-ping the destinations from every VP and fold each VP's
+        // merged view into the tables.
+        self.run.clear();
+        self.near.clear();
+        let mut in_range = vec![0u64; vps.len().div_ceil(64)].into_boxed_slice();
+        let mut closest: Option<(f64, Addr)> = None;
+        for (at, &vp) in vps.iter().enumerate() {
+            let mut views = [PathView::default(); DESTS_PER_PREFIX];
+            let mut answered = 0;
+            for &d in &dests {
+                if let Some(r) = prober.rr_ping(vp, d) {
+                    views[answered] = path_view(&r.slots, prefix, h);
+                    answered += 1;
+                }
             }
-        }
-        let Some((&best, _)) = cover.iter().max_by_key(|(a, vps_c)| {
-            (
-                vps_c.len(),
-                mix3(sim.seed() ^ 0x5e7c, a.0 as u64, p.0 as u64), // random tie
-            )
-        }) else {
-            break;
-        };
-        let mut covered = cover.remove(&best).expect("winner exists");
-        covered.sort_by_key(|vp| {
-            views[vp]
-                .candidates
+            let Some((first, rest)) = views[..answered].split_first() else {
+                continue;
+            };
+            let (sum, reached) = views[..answered]
                 .iter()
-                .find(|(a, _)| *a == best)
-                .map(|&(_, d)| d)
-                .unwrap_or(usize::MAX)
-        });
-        uncovered.retain(|vp| !covered.contains(vp));
-        ingresses.push(IngressInfo {
-            addr: best,
-            cover: covered.len(),
-            ranked_vps: covered.into_iter().take(VPS_PER_INGRESS).collect(),
-        });
-    }
-    ingresses.sort_by_key(|i| std::cmp::Reverse(i.cover));
+                .filter_map(|v| v.dest_dist)
+                .fold((0, 0), |(sum, n), d| (sum + d, n + 1));
+            if reached > 0 {
+                let dist = sum as f64 / reached as f64;
+                if closest.is_none_or(|best| (dist, vp) < best) {
+                    closest = Some((dist, vp));
+                }
+                if dist <= RR_RANGE as f64 {
+                    in_range[at / 64] |= 1 << (at % 64);
+                    self.near.push((dist, vp));
+                }
+            }
+            // Candidates on *both* paths (or the single path if only one
+            // destination answered RR).
+            for (rank, &cand) in first.candidates.iter().enumerate() {
+                if rest.iter().all(|v| v.candidates.contains(&cand)) {
+                    self.run.push(Incidence {
+                        cand,
+                        vp,
+                        vp_at: at as u32,
+                        dist: rank as u8,
+                    });
+                }
+            }
+        }
+        self.run.sort_unstable_by_key(|i| (i.cand, i.vp));
+        let mut candidates = Vec::with_capacity(self.run.chunk_by(same_candidate).count());
+        candidates.extend(self.run.chunk_by(same_candidate).map(|g| g[0].cand));
 
-    // 5. Fallback ranking for ingress-less prefixes.
-    let mut fallback: Vec<(Addr, f64)> = views
-        .iter()
-        .filter(|(_, v)| v.in_range())
-        .map(|(&vp, v)| (vp, v.dest_dist.unwrap_or(f64::MAX)))
-        .collect();
-    fallback.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)));
+        // 4. Greedy set cover of VPs by candidate ingress: pick the
+        // candidate on the most uncovered VPs' paths (ties: a seeded hash
+        // of the address), drop those VPs from the run, repeat. Counts only
+        // fall, so the picks come out in coverage order.
+        self.covered.clear();
+        self.covered.resize(vps.len(), false);
+        let tie_seed = sim.seed() ^ 0x5e7c;
+        loop {
+            let mut best: Option<((usize, u64, Addr), usize)> = None;
+            let mut start = 0;
+            for group in self.run.chunk_by(same_candidate) {
+                let cand = group[0].cand;
+                let key = (
+                    group.len(),
+                    mix3(tie_seed, u64::from(cand.0), u64::from(p.0)),
+                    cand,
+                );
+                if best.is_none_or(|(best_key, _)| key > best_key) {
+                    best = Some((key, start));
+                }
+                start += group.len();
+            }
+            let Some(((cover, _, addr), start)) = best else {
+                break;
+            };
+            // The winner's VPs, closest first (ties: lowest address); the
+            // reordered group leaves the run right below.
+            let group = &mut self.run[start..start + cover];
+            group.sort_unstable_by_key(|i| (i.dist, i.vp));
+            for i in group.iter() {
+                self.covered[i.vp_at as usize] = true;
+            }
+            self.picked.push(IngressInfo {
+                addr,
+                cover,
+                ranked_vps: group.iter().take(VPS_PER_INGRESS).map(|i| i.vp).collect(),
+            });
+            let covered = &self.covered;
+            self.run.retain(|i| !covered[i.vp_at as usize]);
+        }
+        debug_assert!(self.picked.windows(2).all(|w| w[0].cover >= w[1].cover));
 
-    PrefixInfo {
-        dests,
-        views,
-        ingresses,
-        fallback: fallback.into_iter().map(|(vp, _)| vp).collect(),
+        // 5. Fallback ranking for ingress-less prefixes.
+        self.near
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        PrefixInfo {
+            dests,
+            ingresses: self.picked.drain(..).collect(),
+            fallback: self.near.iter().map(|&(_, vp)| vp).collect(),
+            in_range,
+            closest_vp: closest.map(|(_, vp)| vp),
+            candidates,
+        }
     }
 }
 
@@ -459,6 +587,52 @@ mod tests {
     }
 
     #[test]
+    fn prefixes_iterate_in_ascending_id_order() {
+        let (sim, vps) = setup();
+        let prober = Prober::new(&sim);
+        // Surveyed in a scrambled order, with gaps.
+        let mut surveyed: Vec<PrefixId> = sim
+            .topo()
+            .prefixes
+            .iter()
+            .map(|p| p.id)
+            .filter(|p| p.0 % 3 != 1)
+            .take(20)
+            .collect();
+        surveyed.reverse();
+        surveyed.swap(3, 11);
+        let db = IngressDb::build(&prober, &vps, &surveyed, Heuristics::FULL);
+        let listed: Vec<PrefixId> = db.prefixes().map(|(p, _)| p).collect();
+        surveyed.sort_unstable();
+        assert_eq!(listed, surveyed);
+        assert!(db.prefix(PrefixId(1)).is_none(), "a gap is not a survey");
+        assert!(db.prefix(PrefixId(u32::MAX)).is_none());
+    }
+
+    #[test]
+    fn approx_bytes_is_bounded_per_surveyed_prefix() {
+        let (sim, vps) = setup();
+        let prober = Prober::new(&sim);
+        let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).take(40).collect();
+        let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
+        assert_eq!(IngressDb::default().approx_bytes(), 0);
+        let fixed = (vps.len() * (size_of::<(Addr, u32)>() + size_of::<Addr>())) as u64;
+        let per_prefix = (db.approx_bytes() - fixed) / prefixes.len() as u64;
+        // A table slot, two destinations, the in-range words, and per VP at
+        // most: a place in the fallback ranking, one ingress queue of five
+        // (a pick covers at least one new VP) and nine candidates nobody
+        // else saw. The era-2020 survey (146 VPs, 2 036 prefixes) reads
+        // 831 B a prefix against this worst case's 14.7 KB.
+        let per_vp = size_of::<Addr>() * (1 + VPS_PER_INGRESS + 9) + size_of::<IngressInfo>();
+        let words = vps.len().div_ceil(64) * size_of::<u64>();
+        let bound = (size_of::<Option<PrefixInfo>>() + 8 + words + per_vp * vps.len()) as u64;
+        assert!(
+            per_prefix > size_of::<Option<PrefixInfo>>() as u64 && per_prefix <= bound,
+            "{per_prefix} B per surveyed prefix, bound {bound}"
+        );
+    }
+
+    #[test]
     fn heuristics_expand_coverage_monotonically() {
         let (sim, vps) = setup();
         let prober = Prober::new(&sim);
@@ -501,11 +675,7 @@ pub fn third_destination_consistent(
         .filter(|a| !info.dests.contains(a))
         .take(DEST_SCAN_LIMIT)
         .find(|&a| prober.ping(vps[0], a).is_some())?;
-    let known: std::collections::HashSet<Addr> = info
-        .views
-        .values()
-        .flat_map(|v| v.candidates.iter().map(|&(a, _)| a))
-        .collect();
+    let known = info.candidates();
     if known.is_empty() {
         return None;
     }
@@ -522,7 +692,11 @@ pub fn third_destination_consistent(
             continue;
         }
         checked += 1;
-        if view.candidates.iter().any(|c| known.contains(c)) {
+        if view
+            .candidates
+            .iter()
+            .any(|c| known.binary_search(c).is_ok())
+        {
             consistent += 1;
         }
     }

@@ -19,9 +19,11 @@
 
 pub mod ingress;
 pub mod parse;
+#[cfg(test)]
+mod reference;
 
 pub use ingress::{
     third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PlanView, PrefixInfo,
-    VpView, RR_RANGE, VPS_PER_INGRESS,
+    RR_RANGE, VPS_PER_INGRESS,
 };
 pub use parse::{parse_rr, path_view, Heuristics, PathView, RrParse};

@@ -6,7 +6,7 @@
 //! ends is non-trivial because destinations may not stamp, or stamp
 //! off-prefix aliases — hence the double-stamp and loop heuristics.
 
-use revtr_netsim::{Addr, Prefix};
+use revtr_netsim::{Addr, Prefix, RrSlots};
 
 /// What we inferred about one RR reply toward a prefix.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,15 +43,7 @@ pub fn parse_rr(slots: &[Addr], prefix: Prefix) -> RrParse {
         for j in i + 2..slots.len() {
             if slots[i] == slots[j] {
                 let interior = &slots[i + 1..j];
-                let mut seen: Vec<Addr> = Vec::with_capacity(interior.len());
-                let mut clean = true;
-                for &x in interior {
-                    if seen.contains(&x) {
-                        clean = false;
-                        break;
-                    }
-                    seen.push(x);
-                }
+                let clean = (1..interior.len()).all(|k| !interior[..k].contains(&interior[k]));
                 if clean {
                     p.loop_span = Some((i, j));
                     break 'outer;
@@ -91,60 +83,50 @@ impl Heuristics {
 
 /// Outcome of analysing one RR reply with a heuristic set: where the
 /// forward path ends and which addresses are ingress candidates.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PathView {
     /// RR slot distance at which the destination (prefix) was reached, if
     /// determinable. This is the "within 8 hops" distance.
     pub dest_dist: Option<usize>,
     /// Candidate ingress addresses (forward-path slots up to and including
-    /// the first in-prefix address, or heuristic equivalents).
-    pub candidates: Vec<Addr>,
+    /// the first in-prefix address, or heuristic equivalents), held inline:
+    /// a subset of at most nine slots.
+    pub candidates: RrSlots,
 }
 
 /// Extract the per-destination view from an RR reply.
+///
+/// # Panics
+/// If the forward path holds more than nine distinct public addresses: a
+/// reply has at most nine slots (RFC 791), and every probe primitive
+/// returns its slots in an [`RrSlots`].
 pub fn path_view(slots: &[Addr], prefix: Prefix, h: Heuristics) -> PathView {
     let p = parse_rr(slots, prefix);
-    if let Some(cut) = p.in_prefix_idx {
-        return PathView {
-            dest_dist: Some(cut),
-            candidates: dedup(slots[..=cut].to_vec()),
-        };
-    }
-    if h.double_stamp {
-        if let Some(cut) = p.double_stamp_idx {
-            // The doubled address is the destination (or its last hop);
-            // everything up to it is forward path.
-            return PathView {
-                dest_dist: Some(cut),
-                candidates: dedup(slots[..=cut].to_vec()),
-            };
+    // `(distance, forward-path slots)` of the first signal that applies.
+    let (dist, forward) = if let Some(cut) = p.in_prefix_idx {
+        (cut, &slots[..=cut])
+    } else if let (true, Some(cut)) = (h.double_stamp, p.double_stamp_idx) {
+        // The doubled address is the destination (or its last hop);
+        // everything up to it is forward path.
+        (cut, &slots[..=cut])
+    } else if let (true, Some((i, j))) = (h.loops, p.loop_span) {
+        // Reached the destination somewhere inside (i, j): forward path is
+        // the prefix up to `i` plus the (ambiguous) interior.
+        (i, &slots[..j])
+    } else {
+        return PathView::default();
+    };
+    // First occurrence of each public address, in slot order.
+    let mut candidates = RrSlots::new();
+    for &a in forward {
+        if !a.is_private() && !candidates.contains(&a) {
+            candidates.push(a);
         }
     }
-    if h.loops {
-        if let Some((i, j)) = p.loop_span {
-            // Reached the destination somewhere inside (i, j): forward path
-            // is the prefix up to `i` plus the (ambiguous) interior.
-            let mut cands = slots[..j].to_vec();
-            return PathView {
-                dest_dist: Some(i),
-                candidates: dedup(std::mem::take(&mut cands)),
-            };
-        }
+    PathView {
+        dest_dist: Some(dist),
+        candidates,
     }
-    PathView::default()
-}
-
-fn dedup(mut v: Vec<Addr>) -> Vec<Addr> {
-    let mut seen = Vec::with_capacity(v.len());
-    v.retain(|a| {
-        if seen.contains(a) || a.is_private() {
-            false
-        } else {
-            seen.push(*a);
-            true
-        }
-    });
-    v
 }
 
 #[cfg(test)]
@@ -168,7 +150,7 @@ mod tests {
         let slots = [a(1), a(2), in_p(1), a(9), a(10)];
         let v = path_view(&slots, prefix(), Heuristics::INGRESS_ONLY);
         assert_eq!(v.dest_dist, Some(2));
-        assert_eq!(v.candidates, vec![a(1), a(2), in_p(1)]);
+        assert_eq!(*v.candidates, [a(1), a(2), in_p(1)]);
     }
 
     #[test]
@@ -179,7 +161,7 @@ mod tests {
         assert!(off.candidates.is_empty());
         let on = path_view(&slots, prefix(), Heuristics::WITH_DOUBLE);
         assert_eq!(on.dest_dist, Some(2));
-        assert_eq!(on.candidates, vec![a(1), a(2), a(3)]);
+        assert_eq!(*on.candidates, [a(1), a(2), a(3)]);
     }
 
     #[test]
@@ -190,7 +172,7 @@ mod tests {
         assert_eq!(v2.dest_dist, None);
         let v3 = path_view(&slots, prefix(), Heuristics::FULL);
         assert_eq!(v3.dest_dist, Some(1));
-        assert_eq!(v3.candidates, vec![a(1), a(2), a(3), a(4)]);
+        assert_eq!(*v3.candidates, [a(1), a(2), a(3), a(4)]);
     }
 
     #[test]
@@ -198,7 +180,7 @@ mod tests {
         let slots = [a(1), in_p(7), a(3), a(3)];
         let v = path_view(&slots, prefix(), Heuristics::FULL);
         assert_eq!(v.dest_dist, Some(1));
-        assert_eq!(v.candidates, vec![a(1), in_p(7)]);
+        assert_eq!(*v.candidates, [a(1), in_p(7)]);
     }
 
     #[test]
@@ -213,7 +195,7 @@ mod tests {
     fn private_addresses_excluded_from_candidates() {
         let slots = [a(1), Addr::new(10, 0, 0, 9), in_p(1)];
         let v = path_view(&slots, prefix(), Heuristics::FULL);
-        assert_eq!(v.candidates, vec![a(1), in_p(1)]);
+        assert_eq!(*v.candidates, [a(1), in_p(1)]);
     }
 
     #[test]

@@ -1,18 +1,26 @@
-//! Where a reverse traceroute's heap allocations come from.
+//! Where heap allocations come from, on the two paths that matter.
 //!
 //! A counting global allocator that also captures a backtrace for one
-//! allocation in every `N`, wrapped around a seeded serial sweep of
-//! `RevtrService::request` on the paper-era topology (stop sets on, the
-//! configuration every gate runs). Prints the exact allocations and bytes
-//! per request, then the sampled share of each allocating site — the first
-//! frame of the backtrace that lies in this repository's crates.
+//! allocation in every `N`, wrapped around either
+//!
+//! * (default) a seeded serial sweep of `RevtrService::request` on the
+//!   paper-era topology (stop sets on, the configuration every gate runs),
+//!   or
+//! * (`survey`) one `bootstrap-cold`-shaped round: a fresh `Sim::build`
+//!   and a seeded sweep of `ingress::probe_prefix` over its prefixes.
+//!
+//! Prints the exact allocations and bytes per operation, then the sampled
+//! share of each allocating site — the first frame of the backtrace that
+//! lies in this repository's crates.
 //!
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release --example alloc_sites [requests] [seed] [N]
+//! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release --example alloc_sites survey [prefixes] [seed] [N]
 //! ```
 //!
-//! Defaults: 12 000 requests, seed 1, `N` = 499 (a prime, so the sampler
-//! does not lock onto a per-request period). Without
+//! Defaults: 12 000 requests (400 prefixes), seed 1, `N` = 499 (97 for the
+//! survey, whose round is a fiftieth the allocations) — primes, so the
+//! sampler does not lock onto a per-operation period. Without
 //! `CARGO_PROFILE_RELEASE_DEBUG=1` the backtraces carry no file names and
 //! every sample lands in the `(outside the repo's crates)` row.
 
@@ -22,6 +30,7 @@ use revtr_suite::netsim::{Addr, Sim, SimConfig};
 use revtr_suite::probing::Prober;
 use revtr_suite::revtr::{EngineConfig, RevtrSystem};
 use revtr_suite::service::{RateLimits, RevtrService};
+use revtr_suite::vpselect::ingress::probe_prefix;
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -123,15 +132,90 @@ fn arg<T: std::str::FromStr>(i: usize, name: &str, default: T) -> T {
 }
 
 fn main() {
-    let requests: usize = arg(1, "requests", 12_000);
-    let seed: u64 = arg(2, "seed", 1);
-    let every: u64 = arg(3, "N", 499);
-    if requests == 0 || every == 0 {
-        eprintln!("requests and N must be positive");
+    let survey = std::env::args().nth(1).as_deref() == Some("survey");
+    let at = usize::from(survey);
+    let ops: usize = arg(
+        at + 1,
+        "the operation count",
+        if survey { 400 } else { 12_000 },
+    );
+    let seed: u64 = arg(at + 2, "seed", 1);
+    let every: u64 = arg(at + 3, "N", if survey { 97 } else { 499 });
+    if ops == 0 || every == 0 {
+        eprintln!("the operation count and N must be positive");
         std::process::exit(2);
     }
     EVERY.store(every, Ordering::Relaxed);
+    let (unit, units, done) = if survey {
+        ("prefix", "prefixes", survey_round(ops, seed))
+    } else {
+        ("request", "requests", request_sweep(ops, seed))
+    };
 
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let bytes = BYTES.load(Ordering::Relaxed);
+    let samples = std::mem::take(&mut *SAMPLES.lock().expect("sampler never panics"));
+    let mut by_site: HashMap<&str, (u64, u64)> = HashMap::new();
+    for (site, size) in &samples {
+        let e = by_site.entry(site).or_default();
+        e.0 += 1;
+        e.1 += size;
+    }
+    let mut rows: Vec<(&str, u64, u64)> =
+        by_site.into_iter().map(|(s, (n, b))| (s, n, b)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+
+    let per_op = |x: u64| x as f64 / ops as f64;
+    println!("{units} {ops} ({done}), seed {seed}");
+    println!(
+        "exact: {:.2} allocations/{unit}, {:.0} B/{unit} ({allocs} allocations, {} samples)",
+        per_op(allocs),
+        per_op(bytes),
+        samples.len()
+    );
+    println!("{:>9} {:>9}  first in-repo frame", "allocs/op", "B/op");
+    for (site, n, b) in rows {
+        println!(
+            "{:>9.2} {:>9.0}  {site}",
+            per_op(n * every),
+            per_op(b * every)
+        );
+    }
+}
+
+/// One `bootstrap-cold`-shaped round under the sampler: build the paper-era
+/// simulator, then survey `n` seed-drawn prefixes from every VP through a
+/// cache-less prober, as `IngressDb::build` does. Returns what it found.
+fn survey_round(n: usize, seed: u64) -> String {
+    // The lists to draw from, read off a simulator of their own.
+    let (vps, prefixes) = {
+        let sim = Sim::build(SimConfig::era_2020(), 1);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        (vps, prefixes)
+    };
+    let sample: Vec<_> = (0..n as u64)
+        .map(|i| prefixes[(mix3(seed, i, 4) % prefixes.len() as u64) as usize])
+        .collect();
+
+    eprintln!("building the simulator and surveying {n} prefixes (seed {seed})...");
+    ARMED.store(true, Ordering::SeqCst);
+    let sim = Sim::build(SimConfig::era_2020(), 1);
+    let prober = Prober::new(&sim).with_cache_enabled(false);
+    let found = sample
+        .iter()
+        .filter(|&&p| {
+            !probe_prefix(&prober, &vps, p, Heuristics::FULL)
+                .ingresses
+                .is_empty()
+        })
+        .count();
+    ARMED.store(false, Ordering::SeqCst);
+    format!("{found} with an ingress; Sim::build included")
+}
+
+/// The serial request sweep under the sampler. Returns how many were served.
+fn request_sweep(requests: usize, seed: u64) -> String {
     eprintln!("building simulator, ingress survey and sources...");
     let sim = Sim::build(SimConfig::era_2020(), 1);
     let prober = Prober::new(&sim);
@@ -182,41 +266,12 @@ fn main() {
         })
         .collect();
 
-    eprintln!("sweeping {requests} requests (seed {seed}, sampling 1 in {every})...");
+    eprintln!("sweeping {requests} requests (seed {seed})...");
     ARMED.store(true, Ordering::SeqCst);
     let mut served = 0usize;
     for &(dst, src) in &reqs {
         served += usize::from(service.request(key, dst, src).is_ok());
     }
     ARMED.store(false, Ordering::SeqCst);
-
-    let allocs = ALLOCS.load(Ordering::Relaxed);
-    let bytes = BYTES.load(Ordering::Relaxed);
-    let samples = std::mem::take(&mut *SAMPLES.lock().expect("sampler never panics"));
-    let mut by_site: HashMap<&str, (u64, u64)> = HashMap::new();
-    for (site, size) in &samples {
-        let e = by_site.entry(site).or_default();
-        e.0 += 1;
-        e.1 += size;
-    }
-    let mut rows: Vec<(&str, u64, u64)> =
-        by_site.into_iter().map(|(s, (n, b))| (s, n, b)).collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-
-    let per_req = |x: u64| x as f64 / requests as f64;
-    println!("requests {requests} (served {served}), seed {seed}");
-    println!(
-        "exact: {:.2} allocations/request, {:.0} B/request ({allocs} allocations, {} samples)",
-        per_req(allocs),
-        per_req(bytes),
-        samples.len()
-    );
-    println!("{:>9} {:>9}  first in-repo frame", "allocs/op", "B/op");
-    for (site, n, b) in rows {
-        println!(
-            "{:>9.2} {:>9.0}  {site}",
-            per_req(n * every),
-            per_req(b * every)
-        );
-    }
+    format!("served {served}")
 }

@@ -25,6 +25,16 @@ fn main() {
     let vps: Vec<_> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
     let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+    println!(
+        "ingress survey: {} prefixes from {} vantage points, {} with an ingress, {} B kept\n",
+        prefixes.len(),
+        vps.len(),
+        ingress
+            .prefixes()
+            .filter(|(_, info)| !info.ingresses.is_empty())
+            .count(),
+        ingress.approx_bytes(),
+    );
     let pool = select_atlas_probes(&sim, 150, 7);
 
     // 3. revtr 2.0 itself.
