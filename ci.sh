@@ -69,6 +69,16 @@ done
 echo "== last-link campaign gate (release, standard scale, seeds 1/7/42, workers 1/4) =="
 cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 
+# Survey-tree gate: the full era-2020 ingress survey as `IngressDb::build`
+# runs it — a sink tree lent to every RR ping, per destination and per VP —
+# is the survey the standalone `probe_prefix` makes walking every hop:
+# every `PrefixInfo`, the counters, and the clock, simulator-time and
+# route-compute readings to the bit, with default churn moving salts under
+# the trees, under link maintenance, and in `dbr_region` ASes. (The tiny
+# arms run in the workspace tests above.)
+echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region) =="
+cargo test -q --release -p revtr-vpselect -- --ignored
+
 # Telemetry profile gate: the metrics subcommand must produce a populated
 # per-stage report (it exits nonzero on flag or scale errors).
 echo "== telemetry profile gate (release, smoke scale) =="

@@ -398,6 +398,31 @@ impl RoutePlan {
             Arc::from(&s.cells[..])
         })
     }
+
+    /// The route `asn` chose toward `dst` under `salt`, read through
+    /// `core` — the table [`RoutePlan::fill`] made for that pair — `None`
+    /// if it has none. A core AS reads its cell; a leaf runs stage 2, then
+    /// stage 3, for itself alone.
+    pub(crate) fn route(&self, core: &[Cell], dst: AsId, salt: u64, asn: AsId) -> Option<Route> {
+        let (dist, hop, class) = if asn == dst {
+            (0, NO_HOP, RouteClass::Customer)
+        } else if let Some(c) = self.cell(core, asn) {
+            (c.dist, c.hop, c.class)
+        } else {
+            let salt = Salt(salt);
+            if let Some((d, hop)) = self.via_peer(core, dst, salt, asn) {
+                (d, hop, RouteClass::Peer)
+            } else {
+                let (d, hop) = self.via_provider(core, salt, asn)?;
+                (d, hop, RouteClass::Provider)
+            }
+        };
+        (dist != UNREACHABLE).then_some(Route {
+            dist,
+            class,
+            hop: (hop != NO_HOP).then_some(hop as usize),
+        })
+    }
 }
 
 /// The chosen route of one AS toward a destination.
@@ -425,28 +450,9 @@ pub struct Routes<'a> {
 }
 
 impl Routes<'_> {
-    /// The route `asn` chose, `None` if it has none. A core AS reads its
-    /// cell; a leaf runs stage 2, then stage 3, for itself alone.
+    /// The route `asn` chose, `None` if it has none.
     pub fn route(&self, asn: AsId) -> Option<Route> {
-        let (dist, hop, class) = if asn == self.dst {
-            (0, NO_HOP, RouteClass::Customer)
-        } else if let Some(c) = self.plan.cell(&self.core, asn) {
-            (c.dist, c.hop, c.class)
-        } else {
-            let salt = Salt(self.salt);
-            let plan = self.plan;
-            if let Some((d, hop)) = plan.via_peer(&self.core, self.dst, salt, asn) {
-                (d, hop, RouteClass::Peer)
-            } else {
-                let (d, hop) = plan.via_provider(&self.core, salt, asn)?;
-                (d, hop, RouteClass::Provider)
-            }
-        };
-        (dist != UNREACHABLE).then_some(Route {
-            dist,
-            class,
-            hop: (hop != NO_HOP).then_some(hop as usize),
-        })
+        self.plan.route(&self.core, self.dst, self.salt, asn)
     }
 
     /// Position of `asn`'s chosen next-hop AS in its `neighbors`; `None`

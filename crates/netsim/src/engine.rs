@@ -10,7 +10,7 @@ use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{PrefixId, RouterId};
 use crate::inline::InlineVec;
-use crate::sim::{Dest, Hop, PktMeta, Sim, Walk, HOST_LINK_MS, MAX_HOPS};
+use crate::sim::{Dest, Hop, PktMeta, Sim, SinkTree, Walk, HOST_LINK_MS, MAX_HOPS};
 use crate::topology::{LinkKind, StampMode};
 
 /// Number of Record Route slots in an IPv4 header (RFC 791).
@@ -244,7 +244,14 @@ impl Sim {
         if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
             return None;
         }
-        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(claimed_src, 0), None)?;
+        let fwd = self.walk_to(
+            attach,
+            dst,
+            &dest,
+            &PktMeta::plain(claimed_src, 0),
+            None,
+            None,
+        )?;
         let back = if claimed_src == sender {
             Dest::Host {
                 prefix: snd_prefix,
@@ -258,6 +265,7 @@ impl Sim {
             claimed_src,
             &back,
             &PktMeta::plain(dst, 0),
+            None,
             None,
         )?;
         Some(EchoReply {
@@ -376,8 +384,35 @@ impl Sim {
         dst: Addr,
         nonce: u64,
     ) -> Option<RrReply> {
+        self.rr_reply(sender, claimed_src, dst, nonce, [None, None])
+    }
+
+    /// [`Sim::rr_ping`] by a caller that pings many destinations from many
+    /// sources and keeps their sink trees: `forward` is lent to the walk
+    /// toward `dst`, `reply` to the walk back toward `src`. The reply is
+    /// the one [`Sim::rr_ping`] observes, whatever the trees hold.
+    pub fn rr_ping_lent(
+        &self,
+        src: Addr,
+        dst: Addr,
+        nonce: u64,
+        forward: Option<&mut SinkTree>,
+        reply: Option<&mut SinkTree>,
+    ) -> Option<RrReply> {
+        self.rr_reply(src, src, dst, nonce, [forward, reply])
+    }
+
+    /// What `claimed_src` observes of one live Record Route exchange.
+    fn rr_reply(
+        &self,
+        sender: Addr,
+        claimed_src: Addr,
+        dst: Addr,
+        nonce: u64,
+        trees: [Option<&mut SinkTree>; 2],
+    ) -> Option<RrReply> {
         let (mut slots, reply_mark, rtt_ms) =
-            self.rr_exchange(sender, claimed_src, dst, nonce, None, None)?;
+            self.rr_exchange(sender, claimed_src, dst, nonce, [None, None], trees)?;
         // Scenario `lying_rr_responders`: the destination rewrites the
         // reply-leg stamps it reports. Only the live observation lies —
         // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
@@ -391,10 +426,11 @@ impl Sim {
         })
     }
 
-    /// One Record Route echo exchange with the legs' churn epochs pinned
-    /// (`None` reads the live epoch): forward walk, destination stamp,
-    /// reply walk. Returns the stamped slots, where the reply leg's stamps
-    /// begin in them, and the round-trip latency. Every address is
+    /// One Record Route echo exchange, forward leg then reply leg, with
+    /// each leg's churn epoch pinned (`None` reads the live epoch) and its
+    /// sink tree lent, if the caller keeps one: forward walk, destination
+    /// stamp, reply walk. Returns the stamped slots, where the reply leg's
+    /// stamps begin in them, and the round-trip latency. Every address is
     /// resolved once, whatever the number of legs that route on it.
     fn rr_exchange(
         &self,
@@ -402,8 +438,8 @@ impl Sim {
         claimed_src: Addr,
         dst: Addr,
         nonce: u64,
-        fwd_epoch: Option<u32>,
-        rep_epoch: Option<u32>,
+        [fwd_epoch, rep_epoch]: [Option<u32>; 2],
+        [fwd_tree, rep_tree]: [Option<&mut SinkTree>; 2],
     ) -> Option<(RrSlots, usize, f64)> {
         let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
@@ -419,6 +455,7 @@ impl Sim {
             &dest,
             &PktMeta::options(claimed_src, nonce),
             fwd_epoch,
+            fwd_tree,
         )?;
         let mut slots = RrSlots::new();
         let sender_gw = Some(self.prefix_gateway(snd_prefix));
@@ -442,6 +479,7 @@ impl Sim {
             },
             &PktMeta::options(dst, mix2(nonce, 1)),
             rep_epoch,
+            rep_tree,
         )?;
         let recv_gw = Some(self.prefix_gateway(recv_prefix));
         // For host destinations the attach router forwards the reply and
@@ -478,8 +516,14 @@ impl Sim {
         fwd_epoch: Option<u32>,
         rep_epoch: Option<u32>,
     ) -> Option<Vec<Addr>> {
-        let (slots, reply_mark, _) =
-            self.rr_exchange(sender, claimed_src, dst, nonce, fwd_epoch, rep_epoch)?;
+        let (slots, reply_mark, _) = self.rr_exchange(
+            sender,
+            claimed_src,
+            dst,
+            nonce,
+            [fwd_epoch, rep_epoch],
+            [None, None],
+        )?;
         Some(slots[reply_mark..].to_vec())
     }
 
@@ -526,6 +570,7 @@ impl Sim {
             &dest,
             &PktMeta::options(claimed_src, nonce),
             None,
+            None,
         )?;
         let is_router_dest = matches!(dest, Dest::Router { .. });
         let n = fwd.hops.len();
@@ -564,6 +609,7 @@ impl Sim {
                 attach: recv_attach,
             },
             &PktMeta::options(dst, mix2(nonce, 3)),
+            None,
             None,
         )?;
         for (i, hop) in rep.hops.iter().enumerate() {
@@ -621,7 +667,7 @@ impl Sim {
     pub fn traceroute(&self, src: Addr, dst: Addr, flow: u16) -> Option<TraceResult> {
         let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
-        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None)?;
+        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
 
         // One entry per walk hop at most, plus the destination's answer.
         let mut hops: Vec<Option<Addr>> = Vec::with_capacity(fwd.hops.len() + 1);
@@ -652,7 +698,7 @@ impl Sim {
     pub fn ttl_view(&self, src: Addr, dst: Addr, flow: u16) -> Option<TtlView> {
         let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
-        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None)?;
+        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
         Some(TtlView {
             hops: self
                 .ttl_hops(&fwd, &dest, self.prefix_gateway(pid))

@@ -65,5 +65,5 @@ pub use engine::{
 pub use faults::{FaultConfig, Faults};
 pub use ids::{AsId, LinkId, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};
-pub use sim::{Dest, Sim};
+pub use sim::{Dest, Sim, SinkTree};
 pub use topology::{AsTier, Rel, StampMode, Topology, VpSite};

@@ -136,6 +136,69 @@ pub struct Walk {
     pub latency_ms: f64,
 }
 
+/// A sink tree cell of a router nothing has been learned about yet.
+const CELL_UNKNOWN: u32 = u32::MAX;
+/// A sink tree cell of a router whose choice depends on the packet.
+const CELL_DYNAMIC: u32 = u32::MAX - 1;
+
+/// What walks toward one routing key — a destination address under one
+/// BGP tie-break salt — have learned about where routers send it: per
+/// router, nothing yet, *dynamic* (the out-link depends on the packet: a
+/// load balancer, a destination-based-routing violator, a router of a
+/// `dbr_region` AS), or the out-link every packet takes there. Owned by a
+/// caller who sends many packets to few destinations (the §4.3 survey) and
+/// lent to each of them: a learned cell is read instead of re-derived from
+/// the BGP choice, the border set and the hot-potato scan, and the key's
+/// route table is held here instead of looked up per walk. A walk toward
+/// another key — another address, or the same one after churn re-rolled
+/// its prefix's salt — clears the tree and rebinds it.
+///
+/// A tree serves the [`Sim`] it was made for.
+#[derive(Debug)]
+pub struct SinkTree {
+    /// The key the cells were learned under: destination address, its
+    /// salt, and the core's route table for that pair.
+    bound: Option<(Addr, u64, Arc<[bgp::Cell]>)>,
+    /// By router index: [`CELL_UNKNOWN`], [`CELL_DYNAMIC`] or a [`LinkId`].
+    cells: Box<[u32]>,
+}
+
+impl SinkTree {
+    /// An empty tree over `sim`'s routers (4 B each).
+    pub fn new(sim: &Sim) -> SinkTree {
+        assert!(
+            sim.topo.links.len() < CELL_DYNAMIC as usize,
+            "link ids collide with the cell markers"
+        );
+        SinkTree {
+            bound: None,
+            cells: vec![CELL_UNKNOWN; sim.topo.routers.len()].into(),
+        }
+    }
+
+    /// Bind to `(dst_addr, salt)`, forgetting every cell if that is a new
+    /// key, and hand out the key's route table beside the cells.
+    fn bind(
+        &mut self,
+        sim: &Sim,
+        dst_addr: Addr,
+        target_as: AsId,
+        salt: u64,
+    ) -> (&[bgp::Cell], &mut [u32]) {
+        if !matches!(self.bound, Some((a, s, _)) if (a, s) == (dst_addr, salt)) {
+            assert_eq!(
+                self.cells.len(),
+                sim.topo.routers.len(),
+                "another sim's tree"
+            );
+            self.cells.fill(CELL_UNKNOWN);
+            self.bound = Some((dst_addr, salt, sim.routes(target_as, salt).core));
+        }
+        let (_, _, core) = self.bound.as_ref().expect("bound above");
+        (core, &mut self.cells)
+    }
+}
+
 /// Border routers per (AS, neighbour AS), compiled once: the routers of the
 /// AS with at least one link to the neighbour, sorted. Slots run parallel
 /// to [`crate::topology::AsNode::neighbors`].
@@ -503,10 +566,16 @@ impl Sim {
 
     // ---- forwarding ---------------------------------------------------------
 
-    /// Pick among equal candidates per the router's quirks: DBR violators
-    /// key on the packet source, load balancers on per-packet nonce (option
-    /// packets) or flow (plain packets), everyone else deterministically on
-    /// the destination key.
+    /// Pick among `n` equal candidates per the router's quirks: DBR
+    /// violators key on the packet source, load balancers on per-packet
+    /// nonce (option packets) or flow (plain packets), everyone else
+    /// deterministically on the destination key.
+    ///
+    /// Beside the index: whether it is *fixed* — the one every packet
+    /// routed on this key picks at this router. That is a class of the
+    /// router and the key, never of the packet in hand: a `dbr_region`
+    /// router source-routes option packets only, yet is not fixed for the
+    /// plain packet that happens to reach it first either.
     fn choose_idx(
         &self,
         router: RouterId,
@@ -514,9 +583,9 @@ impl Sim {
         dst_key: u64,
         pid: Option<PrefixId>,
         meta: &PktMeta,
-    ) -> usize {
+    ) -> (usize, bool) {
         if n <= 1 {
-            return 0;
+            return (0, true);
         }
         let r = self.topo.router(router);
         // Scenario: whole regions whose routers source-route *option*
@@ -524,20 +593,20 @@ impl Sim {
         // "load-balanced DBR-breaking subtrees" adversarial profile. Plain
         // packets (and hence the oracle's true paths) are unaffected, which
         // is exactly what makes unverified RR evidence inaccurate there.
-        if meta.has_options
-            && pid.is_some()
-            && self.scenario.dbr_region(self.topo.router_as(router))
-        {
+        let region = pid.is_some() && self.scenario.dbr_region(self.topo.router_as(router));
+        if region && meta.has_options {
             self.tele_fault("netsim.scenario.dbr_region_hop");
-            return self.scenario.dbr_alternate(meta.routing_src, router, n);
+            let alternate = self.scenario.dbr_alternate(meta.routing_src, router, n);
+            return (alternate, false);
         }
         if let Some(p) = pid {
             if !r.load_balancer && self.behavior.violates_dbr(router, p) {
-                return (mix3(
+                let by_source = mix3(
                     self.seed ^ 0xd8f7,
                     meta.routing_src.0 as u64,
                     router.0 as u64,
-                ) % n as u64) as usize;
+                );
+                return ((by_source % n as u64) as usize, false);
             }
         }
         if r.load_balancer {
@@ -546,7 +615,8 @@ impl Sim {
             } else {
                 meta.flow as u64
             };
-            return (mix3(self.seed ^ 0x1b, key, router.0 as u64) % n as u64) as usize;
+            let balanced = mix3(self.seed ^ 0x1b, key, router.0 as u64);
+            return ((balanced % n as u64) as usize, false);
         }
         // Ordinary routers break equal-cost ties deterministically and
         // *direction-symmetrically* (first candidate in sorted order),
@@ -557,10 +627,12 @@ impl Sim {
         // to a backup candidate (maintenance, local config): since
         // `dst_key` folds in the prefix churn epoch, these deviations are
         // also what makes paths drift over days (Fig. 9d).
-        if chance(mix3(self.seed ^ 0xf11b, dst_key, router.0 as u64), 0.04) {
-            return (mix3(self.seed ^ 0xf11c, dst_key, router.0 as u64) % n as u64) as usize;
-        }
-        0
+        let idx = if chance(mix3(self.seed ^ 0xf11b, dst_key, router.0 as u64), 0.04) {
+            (mix3(self.seed ^ 0xf11c, dst_key, router.0 as u64) % n as u64) as usize
+        } else {
+            0
+        };
+        (idx, !region)
     }
 
     /// Walk a packet from `start` (a router; use the attach router of the
@@ -587,7 +659,7 @@ impl Sim {
         epoch: Option<u32>,
     ) -> Option<Walk> {
         let dest = self.resolve_dest(dst_addr)?;
-        self.walk_to(start, dst_addr, &dest, meta, epoch)
+        self.walk_to(start, dst_addr, &dest, meta, epoch, None)
     }
 
     /// [`Sim::walk_at_epoch`] for a destination the caller has already
@@ -602,6 +674,15 @@ impl Sim {
     /// adjacency's links incident on this router, in the adjacency's link
     /// order; hot potato: the union of equal-cost next hops toward the
     /// nearest borders, by (neighbour, link), each once.
+    ///
+    /// A lent `tree` changes how the next link is found and nothing else.
+    /// Where its cell holds a link the hop is a table read; anywhere else
+    /// the hop is derived as without a tree and the cell learns the
+    /// outcome — the link, or *dynamic* when the choice was not fixed.
+    /// Latency is summed hop by hop in walk order (float addition does not
+    /// reassociate, so a stored suffix sum would not be bit-equal), the
+    /// maintenance check runs on every link crossed (it reads the clock),
+    /// and a walk that drops or finds no route teaches the cell nothing.
     pub(crate) fn walk_to(
         &self,
         start: RouterId,
@@ -609,11 +690,22 @@ impl Sim {
         dest: &Dest,
         meta: &PktMeta,
         epoch: Option<u32>,
+        tree: Option<&mut SinkTree>,
     ) -> Option<Walk> {
         let (target_as, salt, pid) = self.routing_ctx(dest, epoch);
         let (final_router, via, deliver_to_host) = dest.delivery();
         let dst_key = mix2(dst_addr.0 as u64, salt);
-        let routes = self.routes(target_as, salt);
+        let looked_up;
+        let (core, mut cells): (&[bgp::Cell], Option<&mut [u32]>) = match tree {
+            Some(tree) => {
+                let (core, cells) = tree.bind(self, dst_addr, target_as, salt);
+                (core, Some(cells))
+            }
+            None => {
+                looked_up = self.routes(target_as, salt).core;
+                (&looked_up, None)
+            }
+        };
         // Link-maintenance faults: read virtual time once per walk (the
         // gate keeps fault-free sims off the churn lock entirely).
         let maint_now = if self.faults.links_enabled() {
@@ -628,9 +720,11 @@ impl Sim {
         };
         let mut cur = start;
         let mut in_link: Option<LinkId> = None;
+        // The AS last asked for its BGP choice, and the answer: hops inside
+        // one AS ask again, and a leaf AS re-derives it on every lookup.
+        let mut chosen: Option<(AsId, usize)> = None;
 
         for _ in 0..MAX_HOPS {
-            let cur_as = self.topo.router_as(cur);
             if cur == final_router {
                 // Deliver: to the local host, across `via`, or to self.
                 if let Some(v) = via {
@@ -668,39 +762,63 @@ impl Sim {
                 return Some(walk);
             }
 
-            // Determine the next link.
-            let next_link: LinkId = if cur_as == target_as {
-                // Intradomain leg toward the final router.
-                let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
-                if cands.is_empty() {
-                    return None; // disconnected intra graph (shouldn't happen)
-                }
-                cands[self.choose_idx(cur, cands.len(), dst_key, pid, meta)].0
+            // Determine the next link. Without a tree every router reads
+            // as dynamic: derived on the spot, nothing learned.
+            let cell = cells.as_deref().map_or(CELL_DYNAMIC, |c| c[cur.index()]);
+            let next_link = if cell < CELL_DYNAMIC {
+                LinkId(cell)
             } else {
-                let nbr = routes.next(cur_as)?; // no route: dropped
-                let neighbors = &self.topo.asn(cur_as).neighbors;
-                debug_assert!(nbr < neighbors.len(), "{cur_as} has no neighbour {nbr}");
-                let borders = self.borders.toward(cur_as, nbr);
-                if borders.contains(&cur) {
-                    // Direct links from cur to next_as.
-                    let direct = || {
-                        neighbors[nbr].links.iter().copied().filter(|&l| {
-                            let link = self.topo.link(l);
-                            link.a == cur || link.b == cur
-                        })
-                    };
-                    let i = self.choose_idx(cur, direct().count(), dst_key, pid, meta);
-                    direct().nth(i).expect("index below the count")
-                } else {
-                    // Hot potato: head for the nearest border toward next_as.
-                    let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
-                    let n = cands.clone().count();
-                    if n == 0 {
-                        return None;
+                let cur_as = self.topo.router_as(cur);
+                let (link, fixed) = if cur_as == target_as {
+                    // Intradomain leg toward the final router.
+                    let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
+                    if cands.is_empty() {
+                        return None; // disconnected intra graph (shouldn't happen)
                     }
-                    let i = self.choose_idx(cur, n, dst_key, pid, meta);
-                    cands.nth(i).expect("index below the count").0
+                    let (i, fixed) = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
+                    (cands[i].0, fixed)
+                } else {
+                    let nbr = match chosen {
+                        Some((asn, nbr)) if asn == cur_as => nbr,
+                        _ => {
+                            // No route: dropped.
+                            let nbr = (self.route_plan)
+                                .route(core, target_as, salt, cur_as)?
+                                .hop?;
+                            chosen = Some((cur_as, nbr));
+                            nbr
+                        }
+                    };
+                    let neighbors = &self.topo.asn(cur_as).neighbors;
+                    debug_assert!(nbr < neighbors.len(), "{cur_as} has no neighbour {nbr}");
+                    let borders = self.borders.toward(cur_as, nbr);
+                    if borders.contains(&cur) {
+                        // Direct links from cur to next_as.
+                        let direct = || {
+                            neighbors[nbr].links.iter().copied().filter(|&l| {
+                                let link = self.topo.link(l);
+                                link.a == cur || link.b == cur
+                            })
+                        };
+                        let (i, fixed) = self.choose_idx(cur, direct().count(), dst_key, pid, meta);
+                        (direct().nth(i).expect("index below the count"), fixed)
+                    } else {
+                        // Hot potato: head for the nearest border toward next_as.
+                        let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
+                        let n = cands.clone().count();
+                        if n == 0 {
+                            return None;
+                        }
+                        let (i, fixed) = self.choose_idx(cur, n, dst_key, pid, meta);
+                        (cands.nth(i).expect("index below the count").0, fixed)
+                    }
+                };
+                if cell == CELL_UNKNOWN {
+                    if let Some(cells) = cells.as_deref_mut() {
+                        cells[cur.index()] = if fixed { link.0 } else { CELL_DYNAMIC };
+                    }
                 }
+                link
             };
 
             if let Some(now) = maint_now {
@@ -790,7 +908,7 @@ impl Sim {
                 if cands.is_empty() {
                     return None;
                 }
-                let i = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
+                let (i, _) = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
                 cands[i].0
             } else {
                 let next_as = routes.next[cur_as.index()]?;
@@ -806,7 +924,7 @@ impl Sim {
                     })
                     .collect();
                 if !direct.is_empty() {
-                    let i = self.choose_idx(cur, direct.len(), dst_key, pid, meta);
+                    let (i, _) = self.choose_idx(cur, direct.len(), dst_key, pid, meta);
                     direct[i]
                 } else {
                     let borders = self.topo.border_routers_toward(cur_as, next_as);
@@ -828,7 +946,7 @@ impl Sim {
                     if cands.is_empty() {
                         return None;
                     }
-                    let i = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
+                    let (i, _) = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
                     cands[i].0
                 }
             };
@@ -1373,22 +1491,33 @@ mod tests {
             }
         }
 
+        fn build_arms() -> Vec<Arm> {
+            let mut arms = Vec::new();
+            for seed in [1, 7, 42] {
+                arms.push(arm(SimConfig::tiny(), seed));
+                arms.push(arm(SimConfig::era_2020(), seed));
+            }
+            let mut maintenance = SimConfig::tiny();
+            maintenance.faults.link_maintenance_rate = 0.05;
+            arms.push(arm(maintenance, 7));
+            let mut dbr = SimConfig::era_2020();
+            dbr.scenario = ScenarioConfig::profile(ScenarioProfile::DbrViolationRegion);
+            arms.push(arm(dbr, 42));
+            arms
+        }
+
         fn arms() -> &'static [Arm] {
             static ARMS: OnceLock<Vec<Arm>> = OnceLock::new();
-            ARMS.get_or_init(|| {
-                let mut arms = Vec::new();
-                for seed in [1, 7, 42] {
-                    arms.push(arm(SimConfig::tiny(), seed));
-                    arms.push(arm(SimConfig::era_2020(), seed));
-                }
-                let mut maintenance = SimConfig::tiny();
-                maintenance.faults.link_maintenance_rate = 0.05;
-                arms.push(arm(maintenance, 7));
-                let mut dbr = SimConfig::era_2020();
-                dbr.scenario = ScenarioConfig::profile(ScenarioProfile::DbrViolationRegion);
-                arms.push(arm(dbr, 42));
-                arms
-            })
+            ARMS.get_or_init(build_arms)
+        }
+
+        /// The same eight arms over again, for the one test that moves
+        /// virtual time between its walks: tests run on parallel threads,
+        /// and a clock moved under `compiled_walk_matches_reference`'s feet
+        /// would part its two walks' live epochs.
+        fn moving_arms() -> &'static [Arm] {
+            static ARMS: OnceLock<Vec<Arm>> = OnceLock::new();
+            ARMS.get_or_init(build_arms)
         }
 
         proptest! {
@@ -1445,6 +1574,164 @@ mod tests {
                     ),
                 }
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1500))]
+
+            /// A sequence of walks lent one tree is the same sequence
+            /// walked without one — hops, latency bits, drops — whatever
+            /// the order packets of either kind arrive in, from wherever,
+            /// while the tree is rebound between two destinations and, in
+            /// mid-sequence, by a churn step that re-rolls every prefix's
+            /// salt (and moves the maintenance clock).
+            #[test]
+            fn lent_walks_match_unlent(
+                arm in 0usize..8,
+                near in 0usize..1 << 16,
+                far in 0usize..1 << 16,
+                steps in proptest::collection::vec(0u64..u64::MAX, 1..32),
+                bump_at in 0usize..32,
+            ) {
+                let arm = &moving_arms()[arm];
+                let sim = &arm.sim;
+                let topo = sim.topo();
+                let dests = [arm.dests[near % arm.dests.len()], arm.dests[far % arm.dests.len()]];
+                let mut tree = SinkTree::new(sim);
+                for (at, &bits) in steps.iter().enumerate() {
+                    if at == bump_at {
+                        let before: Vec<u32> =
+                            dests.iter().filter_map(|&d| sim.host_prefix(d)).map(|p| sim.prefix_epoch(p)).collect();
+                        sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
+                        let after: Vec<u32> =
+                            dests.iter().filter_map(|&d| sim.host_prefix(d)).map(|p| sim.prefix_epoch(p)).collect();
+                        prop_assert!(before.iter().zip(&after).all(|(b, a)| a > b));
+                    }
+                    // Mostly the first destination, so its cells get read.
+                    let dst = dests[usize::from(bits & 3 == 0)];
+                    let start = RouterId(((bits >> 2) as usize % topo.routers.len()) as u32);
+                    let src = topo.vp_sites[(bits >> 20) as usize % topo.vp_sites.len()].host;
+                    let meta = if bits >> 28 & 1 == 1 {
+                        PktMeta::options(src, bits >> 29)
+                    } else {
+                        PktMeta::plain(src, (bits >> 29) as u16)
+                    };
+                    let Some(dest) = sim.resolve_dest(dst) else {
+                        prop_assert!(sim.walk(start, dst, &meta).is_none());
+                        continue;
+                    };
+                    let lent = sim.walk_to(start, dst, &dest, &meta, None, Some(&mut tree));
+                    let unlent = sim.walk_at_epoch(start, dst, &meta, None);
+                    match (lent, unlent) {
+                        (None, None) => {}
+                        (Some(l), Some(u)) => {
+                            prop_assert_eq!(&l.hops[..], &u.hops[..]);
+                            prop_assert_eq!(l.latency_ms.to_bits(), u.latency_ms.to_bits());
+                        }
+                        (l, u) => prop_assert!(
+                            false,
+                            "step {at}, {start} -> {dst}: lent {:?}, unlent {:?}",
+                            l.map(|w| w.hops.len()),
+                            u.map(|w| w.hops.len())
+                        ),
+                    }
+                }
+            }
+        }
+
+        /// Cells of `tree` holding a link, and cells classed dynamic.
+        fn learned(tree: &SinkTree) -> (usize, usize) {
+            let dynamic = tree.cells.iter().filter(|&&c| c == CELL_DYNAMIC).count();
+            let known = tree.cells.iter().filter(|&&c| c < CELL_DYNAMIC).count();
+            (known, dynamic)
+        }
+
+        #[test]
+        fn a_tree_learns_links_once_and_forgets_them_on_a_new_key() {
+            let sim = &arms()[1].sim;
+            let topo = sim.topo();
+            let dst = sim.host_addrs(topo.prefixes[40].id).next().expect("hosts");
+            let dest = sim.resolve_dest(dst).expect("a host");
+            let mut tree = SinkTree::new(sim);
+            let sweep = |tree: &mut SinkTree| {
+                for v in &topo.vp_sites {
+                    let start = sim.host_attach(v.host).expect("vp host");
+                    let meta = PktMeta::options(v.host, u64::from(v.host.0));
+                    sim.walk_to(start, dst, &dest, &meta, None, Some(&mut *tree));
+                }
+            };
+            sweep(&mut tree);
+            let first = learned(&tree);
+            // Paths from 146 VPs to one host share their last hops: far
+            // fewer cells than hops walked, and most of them plain links.
+            assert!(first.0 > 20 && first.0 > 4 * first.1, "{first:?}");
+            sweep(&mut tree);
+            assert_eq!(learned(&tree), first, "a second pass learned something");
+            // Another address of the same prefix is another key.
+            let other = sim.host_addrs(topo.prefixes[40].id).nth(1).expect("hosts");
+            let start = sim.host_attach(topo.vp_sites[0].host).expect("vp host");
+            let meta = PktMeta::plain(topo.vp_sites[0].host, 0);
+            let dest = sim.resolve_dest(other).expect("a host");
+            let w = sim.walk_to(start, other, &dest, &meta, None, Some(&mut tree));
+            let (known, dynamic) = learned(&tree);
+            assert!(known + dynamic < w.expect("routable").hops.len());
+        }
+
+        #[test]
+        fn a_region_router_met_by_a_plain_packet_first_is_dynamic() {
+            // Find a `dbr_region` router — neither balancer nor violator,
+            // so only the region rule sets it apart — where an option
+            // packet leaves by another link than a plain one does.
+            let sim = &arms()[7].sim;
+            let topo = sim.topo();
+            let mut found = 0;
+            for pe in topo.prefixes.iter().step_by(37) {
+                let dst = sim.host_addrs(pe.id).next().expect("hosts");
+                let dest = sim.resolve_dest(dst).expect("a host");
+                for v in topo.vp_sites.iter().take(24) {
+                    let start = sim.host_attach(v.host).expect("vp host");
+                    let plain = PktMeta::plain(v.host, 0);
+                    let option = PktMeta::options(v.host, 9);
+                    let (Some(p), Some(o)) =
+                        (sim.walk(start, dst, &plain), sim.walk(start, dst, &option))
+                    else {
+                        continue;
+                    };
+                    let Some(fork) = p
+                        .hops
+                        .iter()
+                        .zip(o.hops.iter())
+                        .find(|(a, b)| a.out_link != b.out_link)
+                    else {
+                        continue;
+                    };
+                    let router = fork.0.router;
+                    let r = topo.router(router);
+                    if r.load_balancer
+                        || sim.behavior().violates_dbr(router, pe.id)
+                        || !sim.scenario().dbr_region(topo.router_as(router))
+                    {
+                        continue;
+                    }
+                    found += 1;
+                    // The plain packet goes first and teaches the tree...
+                    let mut tree = SinkTree::new(sim);
+                    let lent = sim.walk_to(start, dst, &dest, &plain, None, Some(&mut tree));
+                    assert_eq!(lent.expect("walked above").hops[..], p.hops[..]);
+                    assert_eq!(
+                        tree.cells[router.index()],
+                        CELL_DYNAMIC,
+                        "{router} toward {dst}"
+                    );
+                    // ...nothing the option packet could be misled by.
+                    let lent = sim.walk_to(start, dst, &dest, &option, None, Some(&mut tree));
+                    assert_eq!(lent.expect("walked above").hops[..], o.hops[..]);
+                }
+            }
+            assert!(
+                found >= 3,
+                "{found} forks at plain region routers: the test is vacuous"
+            );
         }
 
         #[test]

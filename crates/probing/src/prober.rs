@@ -10,9 +10,9 @@
 //! helpers that charge the shared [`Clock`] / [`Counters`] *and* the
 //! caller's [`Meter`]. The engine's entry points take the meter of the
 //! request they probe for; everyone else calls the meterless wrappers
-//! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
-//! [`Prober::traceroute_fresh`], [`Prober::atlas_rr_ping`]), which charge
-//! a throw-away one.
+//! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::survey_rr_ping`],
+//! [`Prober::spoofed_rr_batch`], [`Prober::traceroute_fresh`],
+//! [`Prober::atlas_rr_ping`]), which charge a throw-away one.
 //!
 //! # Faults and retries
 //!
@@ -30,7 +30,9 @@ use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
-use revtr_netsim::{Addr, EchoReply, RrReply, Sim, TraceResult, TsReply, TtlAnswer, TtlView};
+use revtr_netsim::{
+    Addr, EchoReply, RrReply, Sim, SinkTree, TraceResult, TsReply, TtlAnswer, TtlView,
+};
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -501,6 +503,46 @@ impl<'s> Prober<'s> {
         }
         self.telemetry.counter_add("probing.transient_exhausted", 1);
         Err(ProbeLoss::Transient)
+    }
+
+    /// One RR ping of the §4.3 ingress survey: the probe [`Prober::rr_ping`]
+    /// sends on a cache-disabled handle — same fault and scenario draws,
+    /// nonce, counters and clock — but never near the measurement cache (a
+    /// VP→scan-destination ping is one no measurement re-issues), with no
+    /// replay provenance (nothing audits the survey), and lending the
+    /// caller's sink trees to the two legs: `forward` toward `dst`, `reply`
+    /// back toward `src`.
+    pub fn survey_rr_ping(
+        &self,
+        src: Addr,
+        dst: Addr,
+        mut forward: Option<&mut SinkTree>,
+        mut reply: Option<&mut SinkTree>,
+    ) -> Option<RrReply> {
+        let m = &mut Meter::default();
+        for attempt in 0..self.retry.rr_attempts.max(1) {
+            if attempt > 0 {
+                self.charge_retry(m, attempt);
+            }
+            self.count(m, ProbeKind::Rr, 1);
+            if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
+                self.count(m, ProbeKind::Lost, 1);
+                self.tele_lost();
+                self.charge(m, None);
+                continue;
+            }
+            let r = self.sim.rr_ping_lent(
+                src,
+                dst,
+                self.next_nonce(),
+                forward.as_deref_mut(),
+                reply.as_deref_mut(),
+            );
+            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
+            return r;
+        }
+        self.telemetry.counter_add("probing.transient_exhausted", 1);
+        None
     }
 
     /// RR ping issued for the background RR-atlas (§4.2): identical

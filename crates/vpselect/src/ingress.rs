@@ -15,7 +15,7 @@
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, PrefixId};
+use revtr_netsim::{Addr, PrefixId, Sim, SinkTree};
 use revtr_probing::Prober;
 use std::mem::size_of;
 
@@ -35,7 +35,7 @@ pub const VPS_PER_INGRESS: usize = 5;
 pub const RR_RANGE: usize = 8;
 
 /// A selected ingress and its VP queue.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IngressInfo {
     /// The ingress address.
     pub addr: Addr,
@@ -49,7 +49,7 @@ pub struct IngressInfo {
 /// Everything the system keeps about one surveyed prefix: the plan, and of
 /// the per-VP views behind it only what is read afterwards — who was in
 /// range, who was closest, and which addresses were ingress candidates.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PrefixInfo {
     /// The responsive destinations probed (≤ 2).
     pub dests: Vec<Addr>,
@@ -207,28 +207,35 @@ impl IngressDb {
     ///
     /// This is the weekly background measurement of §4.3; probes are
     /// charged to the prober's counters (pings + RR). Survey probes
-    /// bypass the measurement cache entirely: they are VP→scan-destination
+    /// bypass the measurement cache entirely
+    /// ([`Prober::survey_rr_ping`]): they are VP→scan-destination
     /// RR pings no reverse-traceroute measurement ever re-issues (the
     /// engine probes source→hop), so caching them only bloats the store —
     /// they were ~94% of all inserts at an ~0.8% overall hit rate before
     /// this was turned off. Within one build the survey never self-hits
     /// (each (vp, dest) pair is probed once), so skipping the cache does
     /// not change the probes sent or the replies seen.
+    ///
+    /// Every VP pings the same two destinations of a prefix, and every
+    /// prefix's replies walk back to the same VPs, so the build keeps a
+    /// sink tree per destination and per VP and lends them to its pings:
+    /// same probes, same replies as [`probe_prefix`] prefix by prefix,
+    /// most hops read instead of derived.
     pub fn build(
         prober: &Prober<'_>,
         vps: &[Addr],
         prefixes: &[PrefixId],
         h: Heuristics,
     ) -> IngressDb {
-        let survey = prober.with_cache_enabled(false);
-        let mut scratch = SurveyScratch::new(vps.len());
+        let trees = SurveyTrees::new(prober.sim(), vps.len());
+        let mut scratch = SurveyScratch::new(vps.len(), Some(trees));
         let mut per_prefix = Vec::new();
         per_prefix.resize_with(
             prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
             || None,
         );
         for &p in prefixes {
-            per_prefix[p.index()] = Some(scratch.survey(&survey, vps, p, h));
+            per_prefix[p.index()] = Some(scratch.survey(prober, vps, p, h));
         }
         let mut vp_index: Vec<(Addr, u32)> = (0u32..).zip(vps).map(|(i, &vp)| (vp, i)).collect();
         vp_index.sort_unstable();
@@ -325,9 +332,12 @@ impl IngressDb {
 }
 
 /// Probe one prefix from all VPs (distinct addresses) and derive its
-/// [`PrefixInfo`].
+/// [`PrefixInfo`]. Like [`IngressDb::build`], past the measurement cache;
+/// unlike it, every walk derived hop by hop — one prefix has no tree to
+/// share with the next call, and a fresh one per call would cost more
+/// than the call's whole working memory.
 pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristics) -> PrefixInfo {
-    SurveyScratch::new(vps.len()).survey(prober, vps, p, h)
+    SurveyScratch::new(vps.len(), None).survey(prober, vps, p, h)
 }
 
 /// One `(ingress candidate, VP)` incidence of a prefix's survey.
@@ -360,10 +370,33 @@ struct SurveyScratch {
     near: Vec<(f64, Addr)>,
     /// Ingresses picked so far, copied out at their exact count.
     picked: Vec<IngressInfo>,
+    /// The sink trees lent to the RR pings, when the caller surveys enough
+    /// prefixes to share them.
+    trees: Option<SurveyTrees>,
+}
+
+/// The sink trees of a survey over many prefixes: the walks of one prefix
+/// converge on its two destinations, the replies of all prefixes on the
+/// VPs.
+struct SurveyTrees {
+    /// By destination position; rebound by each prefix's destinations.
+    forward: [SinkTree; DESTS_PER_PREFIX],
+    /// By VP position; a VP's tree lives across prefixes (until churn
+    /// re-rolls the VP's own prefix).
+    reply: Vec<SinkTree>,
+}
+
+impl SurveyTrees {
+    fn new(sim: &Sim, n_vps: usize) -> SurveyTrees {
+        SurveyTrees {
+            forward: std::array::from_fn(|_| SinkTree::new(sim)),
+            reply: (0..n_vps).map(|_| SinkTree::new(sim)).collect(),
+        }
+    }
 }
 
 impl SurveyScratch {
-    fn new(n_vps: usize) -> SurveyScratch {
+    fn new(n_vps: usize, trees: Option<SurveyTrees>) -> SurveyScratch {
         SurveyScratch {
             // Era-2020 prefixes average under three shared candidates a VP;
             // one in seven has more than four and doubles the run once.
@@ -371,6 +404,7 @@ impl SurveyScratch {
             covered: Vec::with_capacity(n_vps),
             near: Vec::with_capacity(n_vps),
             picked: Vec::with_capacity(16),
+            trees,
         }
     }
 
@@ -416,8 +450,12 @@ impl SurveyScratch {
         for (at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;
-            for &d in &dests {
-                if let Some(r) = prober.rr_ping(vp, d) {
+            for (dest_at, &d) in dests.iter().enumerate() {
+                let (forward, reply) = match &mut self.trees {
+                    Some(t) => (Some(&mut t.forward[dest_at]), Some(&mut t.reply[at])),
+                    None => (None, None),
+                };
+                if let Some(r) = prober.survey_rr_ping(vp, d, forward, reply) {
                     views[answered] = path_view(&r.slots, prefix, h);
                     answered += 1;
                 }

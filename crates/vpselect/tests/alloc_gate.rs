@@ -6,9 +6,10 @@
 //!   set, the fallback ranking, the ingress list and one VP queue per
 //!   ingress, each cut to size in one allocation — plus a constant for the
 //!   scratch, the tables and the global order, however many VPs answered or
-//!   set-cover picks it took;
+//!   set-cover picks it took, and its sink trees: one block per surveyed
+//!   destination position and per VP, made once, never per prefix;
 //! * the standalone `probe_prefix` pays that scratch per call and nothing
-//!   else;
+//!   else — it lends no tree;
 //! * `parse_rr` and `path_view` allocate nothing.
 //!
 //! Its own test binary because it installs a counting global allocator;
@@ -72,6 +73,11 @@ fn output_blocks(info: &PrefixInfo) -> u64 {
 
 /// Scratch, tables and global order of one `IngressDb::build`.
 const BUILD_CONSTANT: u64 = 12;
+/// Sink trees of one `IngressDb::build`: the cells of two forward trees
+/// and of a reply tree per VP, and the list the reply trees sit in.
+fn tree_blocks(n_vps: usize) -> u64 {
+    (2 + n_vps + 1) as u64
+}
 /// Scratch of one standalone `probe_prefix`: four blocks, and the run
 /// doubling at most twice (a VP can bring nine candidates; the run is sized
 /// for four).
@@ -100,7 +106,7 @@ fn the_survey_allocates_what_it_returns() {
         "only {contested} set covers took a second pick: the gate is vacuous"
     );
     assert!(
-        build <= outputs + BUILD_CONSTANT,
+        build <= outputs + BUILD_CONSTANT + tree_blocks(vps.len()),
         "IngressDb::build allocated {build} times for {outputs} output blocks"
     );
 

@@ -184,8 +184,8 @@ fn main() {
 }
 
 /// One `bootstrap-cold`-shaped round under the sampler: build the paper-era
-/// simulator, then survey `n` seed-drawn prefixes from every VP through a
-/// cache-less prober, as `IngressDb::build` does. Returns what it found.
+/// simulator, then survey `n` seed-drawn prefixes from every VP (the survey
+/// bypasses the measurement cache by itself). Returns what it found.
 fn survey_round(n: usize, seed: u64) -> String {
     // The lists to draw from, read off a simulator of their own.
     let (vps, prefixes) = {
@@ -201,7 +201,7 @@ fn survey_round(n: usize, seed: u64) -> String {
     eprintln!("building the simulator and surveying {n} prefixes (seed {seed})...");
     ARMED.store(true, Ordering::SeqCst);
     let sim = Sim::build(SimConfig::era_2020(), 1);
-    let prober = Prober::new(&sim).with_cache_enabled(false);
+    let prober = Prober::new(&sim);
     let found = sample
         .iter()
         .filter(|&&p| {
