@@ -79,6 +79,16 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region) =="
 cargo test -q --release -p revtr-vpselect -- --ignored
 
+# Allocation gates, optimized as deployed: a request allocates what it
+# returns (request plane: `measure()` and a campaign), a served request
+# nothing on top of that — the archive copies slices into its columns, a
+# telemetry scope records into its driver's buffers — and the survey what
+# it keeps. (The debug builds run in the workspace tests above.)
+echo "== allocation gates (release: core, vpselect, service) =="
+cargo test -q --release -p revtr --test alloc_gate
+cargo test -q --release -p revtr-vpselect --test alloc_gate
+cargo test -q --release -p revtr-service --test alloc_gate
+
 # Telemetry profile gate: the metrics subcommand must produce a populated
 # per-stage report (it exits nonzero on flag or scale errors).
 echo "== telemetry profile gate (release, smoke scale) =="

@@ -129,7 +129,7 @@ impl SourceAtlas {
         // substitute an interior hop before the trace is stored or indexed.
         // The atlas ingests it unknowingly; only the hardened engine's
         // adoption-time plausibility check catches the splice.
-        let mut hops = t.hops.clone();
+        let mut hops = t.hops;
         prober
             .sim()
             .scenario_poison_trace(vp, self.source, &mut hops);
@@ -161,14 +161,13 @@ impl SourceAtlas {
         rr_atlas: bool,
         discovery: Option<&StopSet>,
     ) {
-        let hops: Vec<(usize, Addr)> = self.traces[idx]
-            .hops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.map(|a| (i, a)))
-            .collect();
-        for &(i, a) in &hops {
-            self.insert(a, Intersection { trace: idx, hop: i }, Priority::Exact);
+        // The trace's responsive hops, read in place: indexing writes
+        // the index, never the traces.
+        let n_hops = self.traces[idx].hops.len();
+        for i in 0..n_hops {
+            if let Some(a) = self.traces[idx].hops[i] {
+                self.insert(a, Intersection { trace: idx, hop: i }, Priority::Exact);
+            }
         }
         if !rr_atlas {
             return;
@@ -177,7 +176,10 @@ impl SourceAtlas {
         // after the hop's own stamp is a reverse-path address from that hop
         // toward the source.
         let resolver = AliasResolver::new(prober.sim());
-        for &(i, a) in &hops {
+        for i in 0..n_hops {
+            let Some(a) = self.traces[idx].hops[i] else {
+                continue;
+            };
             if a == self.source || prober.sim().host_prefix(a).is_some() {
                 continue; // only router hops are worth probing
             }
@@ -242,7 +244,7 @@ impl SourceAtlas {
             // the suffix and index it at the located hop. Unlocatable
             // entries are dropped: splicing the suffix at a guessed hop
             // would fabricate reverse hops (and wrong ASes).
-            for &rev in &reply.slots[pos + 1..].to_vec() {
+            for &rev in &reply.slots[pos + 1..] {
                 let located = self.traces[idx].hops[i + 1..]
                     .iter()
                     .enumerate()

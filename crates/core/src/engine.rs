@@ -276,18 +276,20 @@ impl<'a> MeasureTask<'a> {
     /// Seal the result: duration and probe delta are what the task's
     /// meter read, exactly its own charges under any scheduling. The path
     /// leaves the scratch as two exactly-sized vectors — the only
-    /// allocations a measurement makes for itself.
+    /// allocations a measurement makes for itself — and the telemetry
+    /// scope's buffers go back into it.
     fn finish(
         &mut self,
         sys: &RevtrSystem<'_>,
-        sx: &Scratch,
+        sx: &mut Scratch,
         status: Status,
         end: StitchEnd,
     ) -> RevtrResult {
         self.stats.duration_s = (self.meter.ms - self.origin_ms) / 1000.0;
         self.stats.probes = ProbeDelta::from_snapshot(&self.meter.tally);
-        if let Some(req) = self.req.as_mut() {
+        if let Some(mut req) = self.req.take() {
             req.finish(status.label(), self.meter.ms);
+            req.release(&mut sx.scope);
         }
         let mut r = RevtrResult {
             dst: self.dst,
@@ -313,11 +315,12 @@ impl<'a> MeasureTask<'a> {
         // Telemetry request scope (inert unless the prober carries an
         // enabled handle). The origin is this task's virtual time, so
         // span offsets are invariant to concurrent measurements' advances.
-        self.req = Some(
-            prober
-                .telemetry()
-                .request(self.dst.0, self.src.0, self.meter.ms),
-        );
+        self.req = Some(prober.telemetry().request_in(
+            &mut sx.scope,
+            self.dst.0,
+            self.src.0,
+            self.meter.ms,
+        ));
 
         // The destination must answer something.
         let (src, dst) = (self.src, self.dst);

@@ -262,7 +262,7 @@ impl ProbeDelta {
 }
 
 /// A reverse traceroute measurement result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RevtrResult {
     /// The uncontrolled destination the path starts from.
     pub dst: Addr,

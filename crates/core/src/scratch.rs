@@ -8,11 +8,13 @@
 //! all live here and are overwritten in place by the next request; what a
 //! request allocates is what outlives it — its result (two exactly-sized
 //! vectors at `finish`), plus whatever it inserts into the measurement
-//! cache and publishes to the stop sets.
+//! cache and publishes to the stop sets. Its telemetry scope records into
+//! buffers kept here too, handed back at `finish` less what the journal
+//! retained.
 
 use crate::result::{Evidence, RevtrHop};
 use revtr_netsim::{Addr, RrSlots};
-use revtr_probing::BatchReply;
+use revtr_probing::{BatchReply, ScopeBuffers};
 use revtr_vpselect::PlanView;
 
 /// One driver's reusable buffers. Plain data: a scratch a panicking
@@ -23,6 +25,9 @@ pub(crate) struct Scratch {
     pub(crate) hops: Vec<RevtrHop>,
     /// The evidence behind it, aligned 1:1 with `hops`.
     pub(crate) entries: Vec<Evidence>,
+    /// The telemetry scope's recorder and span buffers between requests
+    /// (empty while a request has them, and with telemetry off).
+    pub(crate) scope: ScopeBuffers,
     /// Hint: VPs the next ladder visits last in their queues — proven
     /// futile on the plan by earlier ladders, or quarantined. Only ever
     /// tested for membership.

@@ -47,7 +47,7 @@ pub use prober::{
     TRACEROUTE_TIMEOUT_MS,
 };
 pub use revtr_telemetry::{
-    RequestScope, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
+    RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
 };
 pub use stopset::{
     BackwardEntry, Contribution, Note, StopSet, StopSetBytes, StopSetSnapshot, StoredRr,

@@ -325,6 +325,14 @@ impl<'s> RevtrService<'s> {
         let mut events = 0u64;
         let mut waves = 0usize;
 
+        // Per-wave working sets, cleared — not rebuilt — every wave: the
+        // admitted jobs, the arrival each one answers, and the sources
+        // they use (ascending) with the minimum degradation level among a
+        // source's users, for the refresh SLA.
+        let mut jobs: Vec<TimedJob> = Vec::new();
+        let mut job_slots: Vec<usize> = Vec::new();
+        let mut wave_srcs: Vec<(Addr, u8)> = Vec::new();
+
         let wave_len = plan.wave.max(1);
         let mut base = 0usize;
         while base < arrivals.len() {
@@ -335,13 +343,11 @@ impl<'s> RevtrService<'s> {
                 s.shed_wave = 0;
                 s.admitted_wave = 0;
             }
+            jobs.clear();
+            job_slots.clear();
+            wave_srcs.clear();
             // Admission pass: token bucket → bounded queue → tenant
             // quota, all in arrival order and arrival time.
-            let mut jobs: Vec<TimedJob> = Vec::new();
-            let mut job_slots: Vec<usize> = Vec::new();
-            // Sources used by admitted jobs this wave, with the minimum
-            // degradation level among their users (for the refresh SLA).
-            let mut wave_srcs: BTreeMap<Addr, u8> = BTreeMap::new();
             for (off, a) in chunk.iter().enumerate() {
                 let i = base + off;
                 if a.class >= n_classes {
@@ -409,8 +415,10 @@ impl<'s> RevtrService<'s> {
                             degrade: st.level,
                         });
                         job_slots.push(i);
-                        let lvl = wave_srcs.entry(a.src).or_insert(st.level);
-                        *lvl = (*lvl).min(st.level);
+                        match wave_srcs.binary_search_by_key(&a.src, |&(src, _)| src) {
+                            Ok(at) => wave_srcs[at].1 = wave_srcs[at].1.min(st.level),
+                            Err(at) => wave_srcs.insert(at, (a.src, st.level)),
+                        }
                     }
                 }
             }
@@ -496,7 +504,7 @@ impl<'s> RevtrService<'s> {
             if let Some(sla) = plan.refresh_sla_hours {
                 let wave_end_hours =
                     start_hours + chunk.last().map(|a| a.vtime_ms).unwrap_or(0.0) / 3_600_000.0;
-                for (&src, &min_level) in &wave_srcs {
+                for &(src, min_level) in &wave_srcs {
                     let due =
                         wave_end_hours - last_refresh.get(&src).copied().unwrap_or(0.0) >= sla;
                     if !due {

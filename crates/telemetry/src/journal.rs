@@ -92,6 +92,17 @@ fn write_json(out: &mut impl std::fmt::Write, rec: &RequestRecord) -> std::fmt::
     out.write_str("]}")
 }
 
+/// A sink that folds what is written to it into a fingerprint: the hash
+/// of a record's JSON, without building the JSON.
+struct HashInto<'a>(&'a mut Fnv);
+
+impl std::fmt::Write for HashInto<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// A sink that compares what is written to it with a rendered line, byte
 /// for byte, and refuses further writes once the order is decided: the
 /// order of a record's JSON against a line, without building the JSON.
@@ -194,7 +205,7 @@ impl RequestRecord {
 }
 
 /// A retained record with its JSON line, rendered at most once and only
-/// when an ordering tie on `(src, dst)` or a read-out asks for it.
+/// when an ordering tie on `(src, dst)` or [`Journal::lines`] asks for it.
 #[derive(Debug)]
 struct Retained {
     rec: RequestRecord,
@@ -212,14 +223,34 @@ impl Retained {
     fn json(&self) -> &str {
         self.json.get_or_init(|| self.rec.to_json())
     }
+
+    /// How `rec` orders against this record in the journal order,
+    /// `(src, dst, json)`. On a `(src, dst)` tie `rec`'s JSON is streamed
+    /// against this record's line, not rendered; an exact repeat (a hot
+    /// pair served from cache again) is the one case the stream could not
+    /// leave early, so it is settled by value, rendering neither.
+    fn order_of(&self, rec: &RequestRecord) -> CmpOrdering {
+        (rec.src, rec.dst)
+            .cmp(&(self.rec.src, self.rec.dst))
+            .then_with(|| {
+                if *rec == self.rec {
+                    CmpOrdering::Equal
+                } else {
+                    rec.cmp_json(self.json())
+                }
+            })
+    }
 }
 
 impl Ord for Retained {
-    /// The journal order: `(src, dst, json)`.
+    /// The journal order, rendering at most one side's line — the side
+    /// that already has one, if either does.
     fn cmp(&self, other: &Retained) -> CmpOrdering {
-        (self.rec.src, self.rec.dst)
-            .cmp(&(other.rec.src, other.rec.dst))
-            .then_with(|| self.json().cmp(other.json()))
+        if self.json.get().is_some() && other.json.get().is_none() {
+            self.order_of(&other.rec).reverse()
+        } else {
+            other.order_of(&self.rec)
+        }
     }
 }
 
@@ -274,37 +305,29 @@ impl Journal {
     }
 
     /// Offer one request record: kept while it is among the `cap`
-    /// smallest seen, otherwise dropped (and counted as dropped).
-    pub fn push(&self, rec: RequestRecord) {
+    /// smallest seen, otherwise dropped (and counted as dropped). Returns
+    /// the record that lost its place — `rec` itself, or the maximum it
+    /// displaced — so the caller can reuse its buffers; `None` while the
+    /// journal still has room.
+    pub fn push(&self, rec: RequestRecord) -> Option<RequestRecord> {
         let mut heap = self.retained.lock();
         if heap.len() < self.cap {
             self.bytes.fetch_add(record_bytes(&rec), Ordering::Relaxed);
             heap.push(Retained::new(rec));
-            return;
+            return None;
         }
         self.dropped.fetch_add(1, Ordering::Relaxed);
         let Some(mut max) = heap.peek_mut() else {
-            return; // cap 0: journalling off
+            return Some(rec); // cap 0: journalling off
         };
-        // The journal order, with the JSON tie-break streamed against the
-        // maximum's cached line instead of rendered. An exact repeat of
-        // the maximum (a hot pair served from cache again) is the one case
-        // the stream could not leave early, so it is settled by value.
-        let order = (rec.src, rec.dst)
-            .cmp(&(max.rec.src, max.rec.dst))
-            .then_with(|| {
-                if rec == max.rec {
-                    CmpOrdering::Equal
-                } else {
-                    rec.cmp_json(max.json())
-                }
-            });
-        if order == CmpOrdering::Less {
-            self.bytes.fetch_add(record_bytes(&rec), Ordering::Relaxed);
-            self.bytes
-                .fetch_sub(record_bytes(&max.rec), Ordering::Relaxed);
-            *max = Retained::new(rec); // sifts down when `max` goes out of scope
+        if max.order_of(&rec) != CmpOrdering::Less {
+            return Some(rec);
         }
+        self.bytes.fetch_add(record_bytes(&rec), Ordering::Relaxed);
+        self.bytes
+            .fetch_sub(record_bytes(&max.rec), Ordering::Relaxed);
+        // Sifts down when `max` goes out of scope.
+        Some(std::mem::replace(&mut *max, Retained::new(rec)).rec)
     }
 
     /// Records dropped from the journal since creation.
@@ -346,12 +369,18 @@ impl Journal {
         self.with_sorted(|s| s.iter().map(|r| r.json().to_owned()).collect())
     }
 
-    /// FNV fingerprint over the rendered JSONL lines.
+    /// FNV fingerprint over the rendered JSONL lines. A record no tie has
+    /// rendered yet is streamed into the hash, not rendered for it.
     pub fn fingerprint(&self) -> u64 {
         self.with_sorted(|s| {
             let mut h = Fnv::new();
             for r in s {
-                h.write(r.json().as_bytes());
+                match r.json.get() {
+                    Some(line) => h.write(line.as_bytes()),
+                    None => {
+                        let _ = write_json(&mut HashInto(&mut h), &r.rec); // the sink cannot fail
+                    }
+                }
                 h.write(b"\n");
             }
             h.finish()
@@ -434,5 +463,47 @@ mod tests {
         assert_eq!(j.approx_bytes(), 2 * 144);
         assert!(j.lines()[0].contains("\"dst\":0") && j.lines()[1].contains("\"dst\":1"));
         assert_eq!(j.records_sorted()[1], rec(1, 1));
+    }
+
+    #[test]
+    fn the_streamed_fingerprint_is_the_hash_of_the_rendered_lines() {
+        let over_lines = |j: &Journal| {
+            let mut h = Fnv::new();
+            h.write(j.lines().join("\n").as_bytes());
+            if !j.is_empty() {
+                h.write(b"\n");
+            }
+            h.finish()
+        };
+        // Ties on `(src, dst)` (which render some lines while pushing),
+        // evictions, room to spare, and journalling off.
+        for cap in [0, 1, 5, 64] {
+            let j = Journal::new(cap);
+            for i in 0..40u32 {
+                let mut r = rec(i % 4, i % 3);
+                r.virtual_us = u64::from(i * 7919 % 13);
+                j.push(r);
+            }
+            assert_eq!(j.len(), cap.min(40));
+            // Before any read-out has rendered the untied records ...
+            let streamed = j.fingerprint();
+            assert_eq!(streamed, over_lines(&j), "cap {cap}");
+            // ... and after `lines()` rendered them all.
+            assert_eq!(j.fingerprint(), streamed, "cap {cap}");
+        }
+        assert_eq!(Journal::new(0).fingerprint(), Fnv::new().finish());
+    }
+
+    #[test]
+    fn push_hands_back_the_record_that_lost_its_place() {
+        let j = Journal::new(2);
+        assert_eq!(j.push(rec(5, 1)), None);
+        assert_eq!(j.push(rec(3, 1)), None);
+        assert_eq!(j.push(rec(9, 1)), Some(rec(9, 1)), "rejected");
+        assert_eq!(j.push(rec(4, 1)), Some(rec(5, 1)), "displaced the maximum");
+        assert_eq!(j.push(rec(4, 1)), Some(rec(4, 1)), "an exact repeat of it");
+        assert_eq!(Journal::new(0).push(rec(1, 1)), Some(rec(1, 1)));
+        assert_eq!(j.dropped(), 3);
+        assert_eq!(j.records_sorted(), vec![rec(3, 1), rec(4, 1)]);
     }
 }

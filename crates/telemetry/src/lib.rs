@@ -62,7 +62,7 @@ pub use resource::{
     ResourceSnapshot, SpanCost,
 };
 pub use slo::{Alert, RuleExpr, Severity, SloInput, SloPolicy, SloReport, SloRule, Verdict};
-pub use span::{RequestScope, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag};
+pub use span::{RequestScope, ScopeBuffers, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag};
 
 /// FNV-1a 64-bit hasher used for metrics/journal fingerprints.
 ///

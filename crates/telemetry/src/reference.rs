@@ -8,7 +8,9 @@ use crate::histogram::Histogram;
 use crate::journal::Field;
 use crate::mix_key;
 use crate::registry::MetricsSnapshot;
-use crate::span::{Telemetry, TelemetryConfig, WatchdogFlag};
+use crate::span::{
+    ScopeBuffers, Telemetry, TelemetryConfig, WatchdogFlag, RESERVED_FIELDS, RESERVED_SPANS,
+};
 use crate::{Fnv, SpanCost};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -124,7 +126,7 @@ impl RefTelemetry {
     }
 
     /// Sort everything by `(src, dst, json)`, then truncate to the cap.
-    fn journal_lines(&self) -> Vec<String> {
+    fn retained(&self) -> Vec<RefRecord> {
         let mut recs = self.inner.lock().journal.clone();
         recs.sort_by(|a, b| {
             (a.src, a.dst)
@@ -132,7 +134,23 @@ impl RefTelemetry {
                 .then_with(|| a.to_json().cmp(&b.to_json()))
         });
         recs.truncate(self.journal_cap);
-        recs.iter().map(RefRecord::to_json).collect()
+        recs
+    }
+
+    fn journal_lines(&self) -> Vec<String> {
+        self.retained().iter().map(RefRecord::to_json).collect()
+    }
+
+    /// The `telemetry.journal` ledger: fixed units per retained record,
+    /// span and field.
+    fn journal_bytes(&self) -> u64 {
+        self.retained()
+            .iter()
+            .map(|r| {
+                let fields: usize = r.spans.iter().map(|s| s.fields.len()).sum();
+                (56 + r.spans.len() * 64 + fields * 24) as u64
+            })
+            .sum()
     }
 
     fn request(&self, dst: u32, src: u32, origin_ms: f64) -> RefScope<'_> {
@@ -352,9 +370,14 @@ impl Draw<'_> {
             4..=7 => Op::Exit {
                 pick: self.index(8),
                 dt: self.dt(),
-                fields: (0..self.below(6))
-                    .map(|_| (FIELDS[self.index(FIELDS.len())], self.below(1000)))
-                    .collect(),
+                fields: {
+                    // One exit in eight may carry more fields than a
+                    // scope reserves for a whole request.
+                    let most = if self.below(8) == 0 { 90 } else { 6 };
+                    (0..self.below(most))
+                        .map(|_| (FIELDS[self.index(FIELDS.len())], self.below(1000)))
+                        .collect()
+                },
                 costed: self.below(2) == 0,
             },
             8 => Op::Counter {
@@ -380,9 +403,13 @@ impl Draw<'_> {
     }
 }
 
-/// Drive one request through both implementations.
-fn replay(req: &Request, new: &Telemetry, old: &RefTelemetry) {
-    let mut scope = new.request(req.dst, req.src, req.origin_ms);
+/// Drive one request through both implementations — the compiled one on
+/// the storage its driver `lent`, or on a scope of its own.
+fn replay(req: &Request, new: &Telemetry, old: &RefTelemetry, mut lent: Option<&mut ScopeBuffers>) {
+    let mut scope = match lent.as_deref_mut() {
+        Some(bufs) => new.request_in(bufs, req.dst, req.src, req.origin_ms),
+        None => new.request(req.dst, req.src, req.origin_ms),
+    };
     let mut ref_scope = old.request(req.dst, req.src, req.origin_ms);
     let mut tokens = Vec::new();
     let mut now = req.origin_ms;
@@ -428,10 +455,12 @@ fn replay(req: &Request, new: &Telemetry, old: &RefTelemetry) {
             ref_scope.finish(STATUSES[status], now + dt);
             ref_scope.finish("Complete", now + dt + 1.0);
         }
-        None => {
-            drop(scope);
-            ref_scope.abandon();
-        }
+        // The compiled scope is abandoned where it ends, below.
+        None => ref_scope.abandon(),
+    }
+    match lent {
+        Some(bufs) => scope.release(bufs),
+        None => drop(scope),
     }
 }
 
@@ -448,10 +477,13 @@ proptest! {
     /// bounded top-k journal, read back exactly what string-keyed
     /// per-update recording and sort-everything-then-truncate did:
     /// snapshots (names, values, fingerprint), journal lines and watchdog
-    /// flags, for any span tree, from any number of recording threads.
+    /// flags, for any span tree, from any number of recording threads —
+    /// each opening a scope per request, or recording them all in one
+    /// set of buffers (whatever the last request left in them: retained
+    /// by the journal, rejected, abandoned, grown past the reserve).
     #[test]
     fn compiled_paths_equal_the_reference(
-        words in proptest::collection::vec(0u64..u64::MAX, 0..2400),
+        words in proptest::collection::vec(0u64..u64::MAX, 0..3600),
         n_requests in 0usize..40,
         sample_every in 1u64..5,
         journal_cap in 0usize..24,
@@ -459,6 +491,7 @@ proptest! {
         deadline_ms in 0.0f64..50.0,
         profile in 0u8..2,
         threads in 1usize..=8,
+        recycle in 0u8..2,
     ) {
         let mut draw = Draw(words.iter());
         let requests: Vec<Request> = (0..n_requests).map(|_| draw.request()).collect();
@@ -474,8 +507,9 @@ proptest! {
             for t in 0..threads {
                 let (new, old, requests) = (&new, &old, &requests);
                 s.spawn(move || {
+                    let mut lent = ScopeBuffers::default();
                     for req in requests.iter().skip(t).step_by(threads) {
-                        replay(req, new, old);
+                        replay(req, new, old, (recycle == 1).then_some(&mut lent));
                     }
                 });
             }
@@ -501,6 +535,10 @@ proptest! {
             fp.write(b"\n");
         }
         prop_assert_eq!(new.journal_fingerprint(), fp.finish());
+        if profile == 1 {
+            let ledger = new.resources().current("telemetry.journal");
+            prop_assert_eq!(ledger, old.journal_bytes());
+        }
 
         let mut got = new.watchdog_flags();
         let mut want = old.inner.lock().watchdog.clone();
@@ -508,4 +546,80 @@ proptest! {
         want.sort_by_key(flag_key);
         prop_assert_eq!(got, want);
     }
+}
+
+/// One request of `n_spans` sequential spans, `fields_per_span` fields each.
+fn flat_request(dst: u32, n_spans: usize, fields_per_span: usize, finish: bool) -> Request {
+    let mut ops = Vec::new();
+    for i in 0..n_spans {
+        ops.push(Op::Enter {
+            stage: i % STAGES.len(),
+            dt: 1.0,
+        });
+        ops.push(Op::Exit {
+            pick: 0,
+            dt: 2.0,
+            fields: (0..fields_per_span)
+                .map(|k| (FIELDS[k % FIELDS.len()], (i * 100 + k) as u64))
+                .collect(),
+            costed: true,
+        });
+    }
+    Request {
+        dst,
+        src: 1,
+        origin_ms: 10.0 * f64::from(dst),
+        ops,
+        finish: finish.then_some((0, 1.0)),
+    }
+}
+
+/// A recycled scope is a fresh one: the same requests recorded in one set
+/// of buffers — through a record the journal keeps (and the buffers with
+/// it), one it rejects, one that displaces the maximum, a scope dropped
+/// unfinished and a request past both reserves — leave the metrics, the
+/// journal and its byte ledger exactly as a scope per request does.
+#[test]
+fn a_recycled_scope_records_what_a_fresh_one_does() {
+    let requests = [
+        flat_request(5, 3, 4, true),  // retained: the journal has room
+        flat_request(6, 2, 4, true),  // retained: fills the journal (cap 2)
+        flat_request(9, 4, 4, true),  // rejected: above the maximum
+        flat_request(2, 20, 5, true), // displaces dst 6; past both reserves
+        flat_request(3, 5, 3, false), // abandoned, and displaces dst 5
+        flat_request(9, 1, 0, true),  // rejected again, on evicted buffers
+        flat_request(1, 2, 80, true), // one exit past the field reserve
+    ];
+    const { assert!(20 > RESERVED_SPANS && 20 * 5 > RESERVED_FIELDS && 80 > RESERVED_FIELDS) };
+    let cfg = TelemetryConfig {
+        journal_cap: 2,
+        profile: true,
+        ..TelemetryConfig::default()
+    };
+    let (fresh, recycled) = (
+        Telemetry::with_config(cfg.clone()),
+        Telemetry::with_config(cfg.clone()),
+    );
+    let old = RefTelemetry::with_config(&cfg);
+    let mut lent = ScopeBuffers::default();
+    for req in &requests {
+        replay(req, &fresh, &old, None);
+        replay(
+            req,
+            &recycled,
+            &RefTelemetry::with_config(&cfg),
+            Some(&mut lent),
+        );
+    }
+    assert_eq!(recycled.metrics_fingerprint(), fresh.metrics_fingerprint());
+    assert_eq!(recycled.journal_lines(), fresh.journal_lines());
+    assert_eq!(recycled.journal_lines(), old.journal_lines());
+    assert_eq!(recycled.journal_fingerprint(), fresh.journal_fingerprint());
+    let ledger = |t: &Telemetry| t.resources().current("telemetry.journal");
+    assert_eq!(ledger(&recycled), ledger(&fresh));
+    assert_eq!(ledger(&recycled), old.journal_bytes());
+    assert_eq!(recycled.profile_stacks(), fresh.profile_stacks());
+    let kept: Vec<u32> = recycled.journal_records().iter().map(|r| r.dst).collect();
+    assert_eq!(kept, vec![1, 2]);
+    assert_eq!(recycled.metrics().counter("request.status.abandoned"), 1);
 }

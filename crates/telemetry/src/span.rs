@@ -168,22 +168,56 @@ impl Telemetry {
     /// (the caller's per-thread clock reading at request start). Inactive
     /// when disabled.
     pub fn request(&self, dst: u32, src: u32, origin_ms: f64) -> RequestScope {
-        RequestScope {
-            inner: self.inner.as_ref().map(|inner| {
-                Box::new(Active {
-                    tele: Arc::clone(inner),
-                    dst,
-                    src,
-                    origin_ms,
-                    spans: Vec::with_capacity(RESERVED_SPANS),
-                    fields: Vec::with_capacity(RESERVED_FIELDS),
-                    costs: Vec::new(),
-                    top: NO_SPAN,
-                    depth: 0,
-                    finished: false,
-                })
-            }),
+        self.request_in(&mut ScopeBuffers::default(), dst, src, origin_ms)
+    }
+
+    /// [`request`](Telemetry::request) on storage the caller lends: the
+    /// scope takes what `lent` holds (allocating only what is missing) and
+    /// [`RequestScope::release`] hands it back, so a driver that serves
+    /// one request at a time records them all in one set of buffers.
+    /// Leaves `lent` alone when disabled.
+    pub fn request_in(
+        &self,
+        lent: &mut ScopeBuffers,
+        dst: u32,
+        src: u32,
+        origin_ms: f64,
+    ) -> RequestScope {
+        let Some(inner) = &self.inner else {
+            return RequestScope { inner: None };
+        };
+        let mut a = lent.0.take().unwrap_or_else(|| {
+            Box::new(Active {
+                tele: Arc::clone(inner),
+                dst,
+                src,
+                origin_ms,
+                spans: Vec::new(),
+                fields: Vec::new(),
+                costs: Vec::new(),
+                top: NO_SPAN,
+                depth: 0,
+                finished: false,
+            })
+        });
+        if !Arc::ptr_eq(&a.tele, inner) {
+            a.tele = Arc::clone(inner);
         }
+        // Finishing closed every span: `top` and `depth` are at rest.
+        debug_assert!(a.top == NO_SPAN && a.depth == 0);
+        (a.dst, a.src, a.origin_ms, a.finished) = (dst, src, origin_ms, false);
+        a.spans.clear();
+        a.fields.clear();
+        a.costs.clear();
+        // Nothing to reuse: a first request, or the journal kept the last
+        // one's buffers.
+        if a.spans.capacity() == 0 {
+            a.spans.reserve(RESERVED_SPANS);
+        }
+        if a.fields.capacity() == 0 {
+            a.fields.reserve(RESERVED_FIELDS);
+        }
+        RequestScope { inner: Some(a) }
     }
 
     /// Sorted snapshot of all metrics (empty when disabled).
@@ -318,8 +352,8 @@ impl Telemetry {
 /// Buffer space a new scope reserves, sized so an ordinary reverse
 /// traceroute (a handful of stages, four probe-delta fields and one or
 /// two stage fields each) records without growing either buffer.
-const RESERVED_SPANS: usize = 12;
-const RESERVED_FIELDS: usize = 72;
+pub(crate) const RESERVED_SPANS: usize = 12;
+pub(crate) const RESERVED_FIELDS: usize = 72;
 
 struct Active {
     tele: Arc<Inner>,
@@ -339,6 +373,20 @@ struct Active {
     top: u32,
     depth: u32,
     finished: bool,
+}
+
+/// A request scope's storage while no request is using it: the recorder
+/// and its span, field and cost buffers, kept by whoever opens scopes one
+/// after another ([`Telemetry::request_in`]). Empty by default.
+#[derive(Default)]
+pub struct ScopeBuffers(Option<Box<Active>>);
+
+impl std::fmt::Debug for ScopeBuffers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScopeBuffers")
+            .field("held", &self.0.is_some())
+            .finish()
+    }
 }
 
 /// Handle returned by [`RequestScope::enter`]; pass it back to
@@ -530,7 +578,11 @@ impl RequestScope {
         }
 
         if mix_key(a.dst, a.src).is_multiple_of(a.tele.sample_every) {
-            a.tele.journal.push(RequestRecord {
+            // The journal takes the buffers whole and gives back those of
+            // the record that lost its place: this one, or the maximum it
+            // displaced. Only a record the journal had room for costs the
+            // scope its buffers.
+            let lost = a.tele.journal.push(RequestRecord {
                 dst: a.dst,
                 src: a.src,
                 status,
@@ -538,22 +590,38 @@ impl RequestScope {
                 spans: std::mem::take(&mut a.spans),
                 fields: std::mem::take(&mut a.fields),
             });
+            if let Some(lost) = lost {
+                (a.spans, a.fields) = (lost.spans, lost.fields);
+            }
+        }
+    }
+
+    /// A scope that was never finished (early return / panic unwind)
+    /// still aggregates, stamped at its latest known virtual time so no
+    /// span gets a negative duration.
+    fn abandon(&mut self) {
+        if let Some(a) = &self.inner {
+            if !a.finished {
+                let last = a.spans.iter().map(|s| s.t_us + s.dur_us).max().unwrap_or(0);
+                let now = a.origin_ms + last as f64 / 1000.0;
+                self.finish("abandoned", now);
+            }
+        }
+    }
+
+    /// End the scope — as dropping it does — and hand its storage to
+    /// `lent` for the next [`Telemetry::request_in`].
+    pub fn release(mut self, lent: &mut ScopeBuffers) {
+        self.abandon();
+        if let Some(a) = self.inner.take() {
+            lent.0 = Some(a);
         }
     }
 }
 
 impl Drop for RequestScope {
     fn drop(&mut self) {
-        if let Some(a) = &self.inner {
-            if !a.finished {
-                // A scope dropped without finish() (early return / panic
-                // unwind) still aggregates, stamped at its latest known
-                // virtual time so no span gets a negative duration.
-                let last = a.spans.iter().map(|s| s.t_us + s.dur_us).max().unwrap_or(0);
-                let now = a.origin_ms + last as f64 / 1000.0;
-                self.finish("abandoned", now);
-            }
-        }
+        self.abandon();
     }
 }
 

@@ -1,11 +1,12 @@
 //! Allocation gate: steady-state recording does not touch the heap per
-//! metric, a request costs its scope and two buffers, and reading the
-//! journal costs O(cap) however many records were offered.
+//! metric, a request costs its scope and two buffers — nothing on buffers
+//! its driver lends, once the journal is full — and reading the journal's
+//! fingerprint costs one sorted view however many records were offered.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
 
-use revtr_telemetry::{Journal, RequestRecord, SpanCost, Telemetry, TelemetryConfig};
+use revtr_telemetry::{Journal, RequestRecord, ScopeBuffers, SpanCost, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -74,7 +75,12 @@ static FIELDS: [(&str, u64); 5] = [
 /// Record one 8-span, 5-fields-per-span request (two levels of nesting),
 /// from opening the scope to dropping it.
 fn request(tele: &Telemetry, dst: u32) {
-    let mut req = tele.request(dst, 7, 0.0);
+    request_in(tele, &mut ScopeBuffers::default(), dst);
+}
+
+/// The same request on the storage a driver lends, handed back at the end.
+fn request_in(tele: &Telemetry, lent: &mut ScopeBuffers, dst: u32) {
+    let mut req = tele.request_in(lent, dst, 7, 0.0);
     let mut now = 0.0;
     for pair in STAGES.chunks(2) {
         let outer = req.enter(pair[0], now);
@@ -85,6 +91,7 @@ fn request(tele: &Telemetry, dst: u32) {
         }
     }
     req.finish("Complete", now + 1.0);
+    req.release(lent);
 }
 
 #[test]
@@ -166,6 +173,42 @@ fn spans_fit_the_reserved_buffers_and_a_request_costs_three_allocations() {
 }
 
 #[test]
+fn on_lent_buffers_a_request_costs_what_the_journal_keeps() {
+    const CAP: usize = 4;
+    let tele = Telemetry::with_config(TelemetryConfig {
+        journal_cap: CAP,
+        ..TelemetryConfig::default()
+    });
+    request(&tele, 0); // every metric entry exists, this thread has its stripe
+    let mut lent = ScopeBuffers::default();
+    // While the journal has room it keeps each record's two buffers, and
+    // the next request reserves new ones; the recorder itself is made once.
+    let filling =
+        allocs_in(|| (100..100 + CAP as u32 - 1).for_each(|d| request_in(&tele, &mut lent, d)));
+    assert!(
+        filling <= 2 * (CAP as u64 - 1) + 2,
+        "filling the journal: {filling} allocations"
+    );
+    // Full: a request gets back the buffers of whichever record lost its
+    // place — itself (rejected), the maximum it displaced, or neither
+    // being sampled out — and allocates nothing.
+    request_in(&tele, &mut lent, 1000);
+    let n = allocs_in(|| {
+        for dst in (10..60).chain(2000..2050) {
+            request_in(&tele, &mut lent, dst);
+        }
+    });
+    assert_eq!(n, 0, "100 requests on lent buffers allocated {n} times");
+    // A scope dropped instead of released takes the storage with it: the
+    // next request starts over.
+    drop(tele.request_in(&mut lent, 3000, 7, 0.0));
+    let n = allocs_in(|| request_in(&tele, &mut lent, 3001));
+    assert_eq!(n, 3, "after a dropped scope");
+    assert_eq!(tele.journal_lines().len(), CAP);
+    assert_eq!(tele.metrics().counter("request.count"), 1 + 3 + 1 + 100 + 2);
+}
+
+#[test]
 fn reading_the_journal_allocates_in_the_cap_not_in_the_records_offered() {
     const CAP: usize = 256;
     let fill = |pushed: u32| {
@@ -183,19 +226,21 @@ fn reading_the_journal_allocates_in_the_cap_not_in_the_records_offered() {
     };
     let journal = fill(30_000);
     let mut fp = 0;
-    // First read-out: the sorted view plus one rendered line per retained
-    // record that no tie had rendered yet.
+    // A fingerprint read-out builds the sorted view and streams every
+    // record into the hash: no line is rendered for it.
     let first = allocs_in(|| fp = black_box(journal.fingerprint()));
-    assert!(
-        first <= CAP as u64 + 1,
-        "first read-out: {first} allocations"
-    );
-    // Lines are cached on the retained records: a second read-out only
-    // builds the sorted view.
-    let second = allocs_in(|| assert_eq!(journal.fingerprint(), fp));
-    assert!(second <= 1, "second read-out: {second} allocations");
+    assert!(first <= 1, "first read-out: {first} allocations");
     // Ten times fewer records offered, the same retained set, the same cost.
     let small = fill(3_000);
     let n = allocs_in(|| assert_eq!(small.fingerprint(), fp));
     assert_eq!(n, first);
+    // Rendering is what `lines()` pays, once: a line per retained record,
+    // cached on it, plus the copy handed out.
+    let lines = allocs_in(|| assert_eq!(black_box(journal.lines()).len(), CAP));
+    assert!(lines <= 2 * CAP as u64 + 2, "lines(): {lines} allocations");
+    let again = allocs_in(|| assert_eq!(journal.fingerprint(), fp));
+    assert!(
+        again <= 1,
+        "read-out over cached lines: {again} allocations"
+    );
 }

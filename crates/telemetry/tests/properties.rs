@@ -221,12 +221,13 @@ fn journal_far_past_its_cap_is_still_insertion_order_independent() {
         .collect();
 
     let ascending = Journal::new(CAP);
-    population.iter().for_each(|r| ascending.push(r.clone()));
+    for r in &population {
+        ascending.push(r.clone());
+    }
     let descending = Journal::new(CAP);
-    population
-        .iter()
-        .rev()
-        .for_each(|r| descending.push(r.clone()));
+    for r in population.iter().rev() {
+        descending.push(r.clone());
+    }
     let threaded = Journal::new(CAP);
     std::thread::scope(|s| {
         for t in 0..4 {

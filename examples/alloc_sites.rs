@@ -1,13 +1,15 @@
-//! Where heap allocations come from, on the two paths that matter.
+//! Where heap allocations come from, on the three paths that matter.
 //!
 //! A counting global allocator that also captures a backtrace for one
-//! allocation in every `N`, wrapped around either
+//! allocation in every `N`, wrapped around one of
 //!
 //! * (default) a seeded serial sweep of `RevtrService::request` on the
 //!   paper-era topology (stop sets on, the configuration every gate runs),
-//!   or
 //! * (`survey`) one `bootstrap-cold`-shaped round: a fresh `Sim::build`
-//!   and a seeded sweep of `ingress::probe_prefix` over its prefixes.
+//!   and a seeded sweep of `ingress::probe_prefix` over its prefixes, or
+//! * (`openloop`) `service-openloop`-shaped rounds: telemetry on, a fresh
+//!   service per round, one `run_open_loop` over a `loadgen::generate`
+//!   flash-crowd stream on the worker pool, then the telemetry read-out.
 //!
 //! Prints the exact allocations and bytes per operation, then the sampled
 //! share of each allocating site — the first frame of the backtrace that
@@ -16,24 +18,29 @@
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release --example alloc_sites [requests] [seed] [N]
 //! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release --example alloc_sites survey [prefixes] [seed] [N]
+//! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release --example alloc_sites openloop [rounds] [seed] [N]
 //! ```
 //!
-//! Defaults: 12 000 requests (400 prefixes), seed 1, `N` = 499 (97 for the
-//! survey, whose round is a fiftieth the allocations) — primes, so the
-//! sampler does not lock onto a per-operation period. Without
+//! Defaults: 12 000 requests (400 prefixes, 3 rounds), seed 1, `N` = 499
+//! (97 for the survey, whose round is a fiftieth the allocations, and for
+//! the open loop) — primes, so the sampler does not lock onto a
+//! per-operation period. Without
 //! `CARGO_PROFILE_RELEASE_DEBUG=1` the backtraces carry no file names and
 //! every sample lands in the `(outside the repo's crates)` row.
 
 use revtr_suite::atlas::select_atlas_probes;
+use revtr_suite::eval::loadtest::{tenant_mix, Pattern};
+use revtr_suite::loadgen::generate;
 use revtr_suite::netsim::hash::mix3;
 use revtr_suite::netsim::{Addr, Sim, SimConfig};
-use revtr_suite::probing::Prober;
-use revtr_suite::revtr::{EngineConfig, RevtrSystem};
-use revtr_suite::service::{RateLimits, RevtrService};
+use revtr_suite::probing::{Prober, Telemetry};
+use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem};
+use revtr_suite::service::{AdmissionPlan, ApiKey, RateLimits, RevtrService, TimedRequest};
 use revtr_suite::vpselect::ingress::probe_prefix;
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,17 +52,22 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 /// `(site, bytes)` of every sampled allocation.
 static SAMPLES: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
 
-/// Set while a sample is being taken: capturing and rendering a backtrace
-/// allocates, and those allocations must neither be counted nor sampled
-/// (the second would recurse). Process-wide: the sweep is serial, so the
-/// only allocations it hides are the sampler's own.
-static SAMPLING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set while this thread is taking a sample: capturing and rendering a
+    /// backtrace allocates, and those allocations must neither be counted
+    /// nor sampled (the second would recurse). Per thread, so a pool
+    /// worker taking a sample hides only the sampler's own allocations,
+    /// never another worker's. Const-initialised and without a destructor:
+    /// reading it never allocates and stays valid while a thread is torn
+    /// down.
+    static SAMPLING: Cell<bool> = const { Cell::new(false) };
+}
 
 struct Sampler;
 
 impl Sampler {
     fn note(size: usize) {
-        if !ARMED.load(Ordering::Relaxed) || SAMPLING.load(Ordering::Relaxed) {
+        if !ARMED.load(Ordering::Relaxed) || SAMPLING.try_with(Cell::get).unwrap_or(true) {
             return;
         }
         let n = ALLOCS.fetch_add(1, Ordering::Relaxed) + 1;
@@ -63,12 +75,12 @@ impl Sampler {
         if !n.is_multiple_of(EVERY.load(Ordering::Relaxed)) {
             return;
         }
-        SAMPLING.store(true, Ordering::Relaxed);
+        SAMPLING.with(|s| s.set(true));
         let site = first_repo_frame(&Backtrace::force_capture().to_string());
         if let Ok(mut samples) = SAMPLES.lock() {
             samples.push((site, size as u64));
         }
-        SAMPLING.store(false, Ordering::Relaxed);
+        SAMPLING.with(|s| s.set(false));
     }
 }
 
@@ -132,24 +144,31 @@ fn arg<T: std::str::FromStr>(i: usize, name: &str, default: T) -> T {
 }
 
 fn main() {
-    let survey = std::env::args().nth(1).as_deref() == Some("survey");
-    let at = usize::from(survey);
-    let ops: usize = arg(
-        at + 1,
-        "the operation count",
-        if survey { 400 } else { 12_000 },
-    );
+    let mode = std::env::args()
+        .nth(1)
+        .filter(|m| m == "survey" || m == "openloop");
+    let at = usize::from(mode.is_some());
+    let (default_ops, default_every) = match mode.as_deref() {
+        Some("survey") => (400, 97),
+        Some(_) => (3, 97),
+        None => (12_000, 499),
+    };
+    let ops: usize = arg(at + 1, "the operation count", default_ops);
     let seed: u64 = arg(at + 2, "seed", 1);
-    let every: u64 = arg(at + 3, "N", if survey { 97 } else { 499 });
+    let every: u64 = arg(at + 3, "N", default_every);
     if ops == 0 || every == 0 {
         eprintln!("the operation count and N must be positive");
         std::process::exit(2);
     }
     EVERY.store(every, Ordering::Relaxed);
-    let (unit, units, done) = if survey {
-        ("prefix", "prefixes", survey_round(ops, seed))
-    } else {
-        ("request", "requests", request_sweep(ops, seed))
+    // The open loop counts per arrival, not per round.
+    let (unit, units, ops, done) = match mode.as_deref() {
+        Some("survey") => ("prefix", "prefixes", ops, survey_round(ops, seed)),
+        Some(_) => {
+            let (arrivals, done) = open_loop_rounds(ops, seed);
+            ("arrival", "arrivals", arrivals, done)
+        }
+        None => ("request", "requests", ops, request_sweep(ops, seed)),
     };
 
     let allocs = ALLOCS.load(Ordering::Relaxed);
@@ -214,48 +233,166 @@ fn survey_round(n: usize, seed: u64) -> String {
     format!("{found} with an ingress; Sim::build included")
 }
 
+/// What the two service modes share: the survey of a simulator, the VPs,
+/// and per prefix up to eight RR-responsive, non-VP hosts to measure
+/// toward (prefixes without one are left out).
+struct Ground {
+    vps: Vec<Addr>,
+    ingress: Arc<IngressDb>,
+    hosts: Vec<Vec<Addr>>,
+}
+
+impl Ground {
+    fn survey(sim: &Sim) -> Ground {
+        eprintln!("surveying ingresses...");
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        let ingress = Arc::new(IngressDb::build(
+            &Prober::new(sim),
+            &vps,
+            &prefixes,
+            Heuristics::FULL,
+        ));
+        let hosts = prefixes
+            .iter()
+            .map(|&p| {
+                sim.host_addrs(p)
+                    .filter(|&a| sim.behavior().host_rr_responsive(a) && !sim.is_vp_host(a))
+                    .take(8)
+                    .collect::<Vec<_>>()
+            })
+            .filter(|h| !h.is_empty())
+            .collect();
+        Ground {
+            vps,
+            ingress,
+            hosts,
+        }
+    }
+
+    /// The first eight VP sites: the sources every service registers.
+    fn sources(&self) -> &[Addr] {
+        &self.vps[..8.min(self.vps.len())]
+    }
+
+    /// A fresh service as every gate runs it — stop sets on, 250-trace
+    /// atlases — with one never-limited user per name, each on every
+    /// source.
+    fn service<'s>(
+        &self,
+        sim: &'s Sim,
+        telemetry: Telemetry,
+        users: &[&str],
+    ) -> (RevtrService<'s>, Vec<ApiKey>) {
+        let mut cfg = EngineConfig::revtr2();
+        cfg.use_stop_sets = true;
+        cfg.atlas_size = 250;
+        let service = RevtrService::new(RevtrSystem::new(
+            Prober::new(sim).with_telemetry(telemetry),
+            cfg,
+            self.vps.clone(),
+            Arc::clone(&self.ingress),
+            select_atlas_probes(sim, 1200, 0x77),
+        ));
+        let keys = users
+            .iter()
+            .map(|name| {
+                let key = service.add_user(
+                    name,
+                    RateLimits {
+                        max_parallel: 1_000_000,
+                        max_per_day: u64::MAX / 2,
+                    },
+                );
+                for &src in self.sources() {
+                    service.add_source(key, src).expect("a VP site bootstraps");
+                }
+                key
+            })
+            .collect();
+        (service, keys)
+    }
+}
+
+/// `service-openloop`-shaped rounds under the sampler: the benchmark's
+/// stream (the loadtest's four-tenant flash crowd at 20× the rates, 18
+/// virtual hours, `AdmissionPlan::standard()` scaled to match, waves of
+/// 128) against a fresh telemetry-on service per round, on the pool, then
+/// the read-out. Route churn and per-packet load balancing are off, as the
+/// open-loop determinism contract requires. Returns the arrivals run and
+/// what became of them.
+fn open_loop_rounds(rounds: usize, seed: u64) -> (usize, String) {
+    const HOURS: f64 = 18.0;
+    const SCALE: f64 = 20.0;
+    const WAVE: usize = 128;
+    eprintln!("building the simulator...");
+    let mut sim_cfg = SimConfig::era_2020();
+    sim_cfg.behavior.churn_per_hour = 0.0;
+    sim_cfg.behavior.router_load_balancer = 0.0;
+    let sim = Sim::build(sim_cfg, 1);
+    let ground = Ground::survey(&sim);
+
+    let mut mix = tenant_mix(Pattern::FlashCrowd, HOURS);
+    for tenant in &mut mix {
+        tenant.offered_per_hour *= SCALE;
+    }
+    let names: Vec<&str> = mix.iter().map(|t| t.name.as_str()).collect();
+    let mut plan = AdmissionPlan::standard();
+    let wave_ratio = WAVE / plan.wave;
+    for class in &mut plan.classes {
+        class.admit_per_hour *= SCALE;
+        class.burst *= SCALE;
+        class.queue_bound *= wave_ratio;
+    }
+    plan.wave = WAVE;
+    let arrivals = generate(&mix, ground.hosts.len(), HOURS, seed);
+
+    let (mut served, mut shed) = (0usize, 0usize);
+    for round in 0..rounds as u64 {
+        // A fresh popularity ranking and user → source assignment.
+        let rank_shift = mix3(seed, round, 5) as usize;
+        let src_shift = mix3(seed, round, 6) as usize;
+        let sources = ground.sources();
+        let requests: Vec<TimedRequest> = arrivals
+            .iter()
+            .map(|a| TimedRequest {
+                vtime_ms: a.vtime_ms,
+                tenant: a.tenant,
+                class: a.class.index(),
+                dst: ground.hosts[(a.dst_rank + rank_shift) % ground.hosts.len()][0],
+                src: sources[(a.user as usize + src_shift) % sources.len()],
+            })
+            .collect();
+        let telemetry = Telemetry::enabled();
+        let (service, keys) = ground.service(&sim, telemetry.clone(), &names);
+        eprintln!(
+            "round {round}: {} arrivals (seed {seed})...",
+            requests.len()
+        );
+        ARMED.store(true, Ordering::SeqCst);
+        let outcome = service
+            .run_open_loop(&keys, &requests, &plan, LoopConfig::parallel())
+            .expect("the stream runs");
+        std::hint::black_box((telemetry.metrics(), telemetry.journal_fingerprint()));
+        ARMED.store(false, Ordering::SeqCst);
+        served += outcome.results.iter().flatten().count();
+        shed += outcome.sheds.iter().flatten().count();
+    }
+    (
+        rounds * arrivals.len(),
+        format!("{rounds} rounds; served {served}, shed {shed}"),
+    )
+}
+
 /// The serial request sweep under the sampler. Returns how many were served.
 fn request_sweep(requests: usize, seed: u64) -> String {
-    eprintln!("building simulator, ingress survey and sources...");
+    eprintln!("building the simulator...");
     let sim = Sim::build(SimConfig::era_2020(), 1);
-    let prober = Prober::new(&sim);
-    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
-    let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
-    let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
-    let mut cfg = EngineConfig::revtr2();
-    cfg.use_stop_sets = true;
-    cfg.atlas_size = 250;
-    let pool = select_atlas_probes(&sim, 1200, 0x77);
-    let service = RevtrService::new(RevtrSystem::new(
-        Prober::new(&sim),
-        cfg,
-        vps.clone(),
-        ingress,
-        pool,
-    ));
-    let key = service.add_user(
-        "client",
-        RateLimits {
-            max_parallel: 1_000_000,
-            max_per_day: u64::MAX / 2,
-        },
-    );
-    let sources = &vps[..8.min(vps.len())];
-    for &src in sources {
-        service.add_source(key, src).expect("a VP site bootstraps");
-    }
+    let ground = Ground::survey(&sim);
+    let (service, keys) = ground.service(&sim, Telemetry::disabled(), &["client"]);
+    let (key, sources, hosts) = (keys[0], ground.sources(), &ground.hosts);
     // The sweep: one RR-responsive, non-VP host per request, drawn from a
     // seed-pure walk over the prefixes, toward a seed-pure source.
-    let hosts: Vec<Vec<Addr>> = prefixes
-        .iter()
-        .map(|&p| {
-            sim.host_addrs(p)
-                .filter(|&a| sim.behavior().host_rr_responsive(a) && !sim.is_vp_host(a))
-                .take(8)
-                .collect::<Vec<_>>()
-        })
-        .filter(|h| !h.is_empty())
-        .collect();
     let reqs: Vec<(Addr, Addr)> = (0..requests as u64)
         .map(|i| {
             let row = &hosts[(mix3(seed, i, 1) % hosts.len() as u64) as usize];

@@ -9,6 +9,7 @@ pub use revtr_aliasing as aliasing;
 pub use revtr_atlas as atlas;
 pub use revtr_audit as audit;
 pub use revtr_eval as eval;
+pub use revtr_loadgen as loadgen;
 pub use revtr_netsim as netsim;
 pub use revtr_probing as probing;
 pub use revtr_service as service;
