@@ -202,8 +202,9 @@ cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_u
 cargo clippy -p revtr -p revtr-probing -p revtr-vpselect -- -D warnings -D clippy::unwrap_used
 # ...and keeps no ambient per-thread state: a request's clock and probe
 # tally are its control block's `Meter`, lent down the probe path (the
-# workspace's two thread-locals — the telemetry stripe ordinal, the BGP
-# fill scratch — live in other crates).
+# workspace's three thread-locals — the telemetry stripe ordinal, the BGP
+# fill scratch, the walk's route-table memo — live in other crates and
+# hold nothing a result depends on).
 echo "== no per-thread state in the request plane (crates/probing/src, crates/core/src) =="
 if grep -rnE 'thread_local!|thread_ms|thread_snapshot|swap_thread_' crates/probing/src crates/core/src; then
   echo "per-thread state in the request plane: charge the task's Meter instead"; exit 1

@@ -14,10 +14,10 @@
 //! to completion behind a panic fence. Spoofed-batch waits are virtual —
 //! they cost no wall time — so there is nothing to gain from interleaving
 //! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
-//! one block inline; [`RevtrSystem::run_campaign`] and
-//! [`RevtrSystem::run_wave_timed`] both delegate to one `run_wave`, whose
-//! workers claim jobs off an atomic cursor and drive each on the one
-//! scratch a worker holds for its whole claim loop.
+//! one block inline; [`RevtrSystem::run_campaign`] and the service's open
+//! loop ([`WavePool::run_wave_timed`]) run their waves on one [`WavePool`],
+//! whose workers live as long as the campaign, claim jobs off an atomic
+//! cursor and drive each on the one scratch a worker holds throughout.
 //!
 //! A block carries its own [`Meter`] — virtual time from the job's origin
 //! and a probe tally from zero — and lends it to every probe it sends, so
@@ -35,11 +35,13 @@ use crate::result::{
 };
 use crate::scratch::{novel, on_path, Scratch};
 use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
+use parking_lot::{Mutex, RwLock};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::{Contribution, Meter, Note, RequestScope, StoredRr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::{Scope, ScopedJoinHandle, Thread};
 
 /// How wide a wave runs. Campaign *results* are invariant to it; only which
 /// worker drives which job — and under route churn, what each sees — changes.
@@ -49,7 +51,8 @@ pub struct LoopConfig {
     /// cores (counted once per system, by its first wave) and the wave's
     /// jobs. `1` (the default) drives every job on
     /// the calling thread in index order — the reproducible schedule the
-    /// metrics goldens pin; more are scoped threads spawned per wave.
+    /// metrics goldens pin; more are the calling thread plus scoped threads
+    /// that live as long as the campaign ([`WavePool`]).
     pub workers: usize,
 }
 
@@ -60,7 +63,7 @@ impl Default for LoopConfig {
 }
 
 impl LoopConfig {
-    /// The production width: a small pool per wave. Results are identical
+    /// The production width: a small pool per campaign. Results are identical
     /// to [`LoopConfig::default`]; cache and probe *counters* are not
     /// reproducible (two workers can miss the same cache key and both
     /// probe), which is why golden-pinned paths use the serial default.
@@ -81,7 +84,8 @@ pub struct CampaignOutcome {
 
 /// One admitted request of an open-loop wave: a measurement plus the
 /// virtual arrival time and degradation level the admission layer fixed
-/// for it. Consumed by [`RevtrSystem::run_wave_timed`].
+/// for it. Consumed by [`WavePool::run_wave_timed`]; a campaign's pairs run
+/// as the same thing, arriving at virtual zero at full service.
 #[derive(Clone, Copy, Debug)]
 pub struct TimedJob {
     /// Reverse traceroute destination.
@@ -97,6 +101,17 @@ pub struct TimedJob {
     /// Degradation-ladder level for this request (0 = full service; see
     /// `MeasureTask::degrade`).
     pub degrade: u8,
+}
+
+impl TimedJob {
+    /// The job's control block at the starting line, its meter anchored at
+    /// the arrival time.
+    fn task<'a>(&self) -> MeasureTask<'a> {
+        let mut t = MeasureTask::new(self.dst, self.src).arriving_at(self.arrival_ms);
+        t.id = self.id;
+        t.degrade = self.degrade;
+        t
+    }
 }
 
 /// Size in bytes of one admitted measurement's control block (the path
@@ -942,6 +957,232 @@ const COLD_START_TTL: u8 = 10;
 /// 2000-request campaign reuse evidence ~30 times over.
 const STOPSET_WAVE: usize = 64;
 
+/// Builds a claimed job's control block.
+type TaskOf<'a> = fn(&TimedJob) -> MeasureTask<'a>;
+
+/// Epoch value that tells parked helpers the pool is closing.
+const CLOSED: u64 = u64::MAX;
+
+/// How many times a waiter polls before it parks. A wave's straggler and
+/// the barrier between two waves are both a few requests' worth of work —
+/// tens of microseconds — which is also what a futex sleep and wake-up
+/// cost; past that the thread gives its core back. (Measured on the
+/// 2-core reference host, `campaign-batch`-shaped rounds: 2 000 polls ran
+/// 4–8 % shorter than parking at once, for the same CPU; 200 and 20 000
+/// were level with either. EXPERIMENTS.md, *Pool plane*.)
+const SPINS: u32 = 2_000;
+
+/// Poll `ready`, then park until it holds. Whoever makes it true unparks
+/// this thread afterwards, so a wake-up is never lost; a spurious one only
+/// polls again.
+fn wait_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPINS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+    while !ready() {
+        std::thread::park();
+    }
+}
+
+/// The wave being run: written by the pool's owner between waves, read by
+/// every worker during one.
+#[derive(Default)]
+struct Wave {
+    jobs: Vec<TimedJob>,
+    /// One slot per job, by job index; grown to the widest wave and
+    /// emptied at each barrier.
+    slots: Vec<OnceLock<RevtrResult>>,
+}
+
+/// What a pool's workers share. A wave is *data*: the owner writes the
+/// jobs, resets the cursor and bumps the epoch; workers claim job indices
+/// off the cursor and count themselves out.
+///
+/// Orderings: `epoch` is stored `Release` after the wave's jobs, cursor and
+/// `running` are in place and loaded `Acquire` by helpers, so a helper that
+/// sees the new epoch sees the wave. `running` is decremented `Release`
+/// after a helper's last slot write and read `Acquire` by the owner, so at
+/// zero every result (and `events`, `poisoned`, `payload`) is visible. The
+/// rest is `Relaxed`: an index, a tally and a stop flag publish nothing.
+struct Shared<'a, 's> {
+    sys: &'a RevtrSystem<'s>,
+    task: TaskOf<'a>,
+    /// Never contended: the owner writes only while every helper is
+    /// between waves, and workers read only during one. The lock is how
+    /// safe code says so; each worker takes it once per wave.
+    wave: RwLock<Wave>,
+    /// Waves published so far, or [`CLOSED`].
+    epoch: AtomicU64,
+    /// Next unclaimed job index of the wave.
+    cursor: AtomicUsize,
+    /// Helpers still inside the wave.
+    running: AtomicUsize,
+    /// Events of the wave's finished jobs.
+    events: AtomicU64,
+    /// A job panicked: stop claiming.
+    poisoned: AtomicBool,
+    /// The first panic's payload.
+    payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// The pool's owner, which the last helper out of a wave unparks.
+    caller: Thread,
+}
+
+impl Shared<'_, '_> {
+    /// Claim jobs off the cursor until the wave is drained or poisoned,
+    /// driving each on `sx` and writing its result into the job's slot.
+    fn claim(&self, sx: &mut Scratch) {
+        let wave = self.wave.read();
+        let mut events = 0;
+        while !self.poisoned.load(Ordering::Relaxed) {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = wave.jobs.get(i) else { break };
+            match self.sys.drive((self.task)(job), sx) {
+                Ok((r, steps)) => {
+                    events += steps;
+                    let _ = wave.slots[i].set(r);
+                }
+                Err(payload) => {
+                    self.poisoned.store(true, Ordering::Relaxed);
+                    self.payload.lock().get_or_insert(payload);
+                    // Whatever the interrupted step left is not reused.
+                    *sx = Scratch::default();
+                }
+            }
+        }
+        self.events.fetch_add(events, Ordering::Relaxed);
+    }
+
+    /// A helper thread's life: park until a wave is published, claim from
+    /// it, count out, until the pool closes.
+    fn help(&self) {
+        let mut sx = self.sys.take_scratch();
+        let mut seen = 0;
+        loop {
+            wait_until(|| self.epoch.load(Ordering::Acquire) != seen);
+            seen = self.epoch.load(Ordering::Acquire);
+            if seen == CLOSED {
+                break;
+            }
+            self.claim(&mut sx);
+            if self.running.fetch_sub(1, Ordering::Release) == 1 {
+                self.caller.unpark();
+            }
+        }
+        self.sys.return_scratch(sx);
+    }
+}
+
+/// A campaign's worker pool: the calling thread plus, from the first wave
+/// with work to share, `width − 1` scoped helper threads that park between
+/// waves. Each worker keeps its scratch — and its thread's route-fill
+/// scratch and counter stripe — for the pool's whole life, so a wave costs
+/// its jobs and its barrier, never a thread.
+///
+/// One wave runs at a time. Workers claim job indices off one atomic
+/// cursor, build the claimed job's control block, drive it and write the
+/// result into the job's own slot; the owner claims too, then waits for the
+/// helpers to count out. The first panic poisons the wave: the others stop
+/// claiming and the payload comes back as `Err`, before any merge. The
+/// barrier folds what the wave's tasks buffered into the published stop
+/// sets in `(vtime, id, seq)` stamp order — functions of each task's own
+/// history, so schedule-invariant ([`STOPSET_WAVE`]).
+pub struct WavePool<'scope, 'env, 'a, 's> {
+    shared: &'env Shared<'a, 's>,
+    scope: &'scope Scope<'scope, 'env>,
+    helpers: Vec<ScopedJoinHandle<'scope, ()>>,
+    /// Workers a wave may use, the owner included.
+    width: usize,
+    /// The owner's scratch.
+    sx: Scratch,
+}
+
+impl WavePool<'_, '_, '_, '_> {
+    /// Run one admission wave of *timed* requests: each job's meter is
+    /// anchored at its virtual **arrival time** instead of zero — so a
+    /// request admitted at hour 30 has its telemetry spans offset from its
+    /// own admission, exactly as if it had arrived at a live service.
+    ///
+    /// `jobs` must be sorted by `(arrival_ms, id)` with campaign-unique,
+    /// increasing ids — the same total order the arrival generator emits.
+    /// After the wave barrier `sink` receives every result with its job's
+    /// index, in job order, identical at every width; the wave's event
+    /// count is returned.
+    pub fn run_wave_timed(
+        &mut self,
+        jobs: &[TimedJob],
+        sink: impl FnMut(usize, RevtrResult),
+    ) -> std::thread::Result<u64> {
+        // Barrier ordinal for open-loop waves: the wave's first arrival
+        // (milliseconds) — deterministic and increasing, since the
+        // admission layer feeds arrival-sorted waves.
+        let ord = jobs.first().map(|j| j.arrival_ms as u64).unwrap_or(0);
+        self.run_wave(ord, jobs.iter().copied(), sink)
+    }
+
+    fn run_wave(
+        &mut self,
+        ord: u64,
+        jobs: impl Iterator<Item = TimedJob>,
+        mut sink: impl FnMut(usize, RevtrResult),
+    ) -> std::thread::Result<u64> {
+        let shared = self.shared;
+        let admitted = {
+            let mut wave = shared.wave.write();
+            wave.jobs.clear();
+            wave.jobs.extend(jobs);
+            let admitted = wave.jobs.len();
+            if wave.slots.len() < admitted {
+                wave.slots.resize_with(admitted, OnceLock::new);
+            }
+            admitted
+        };
+        shared.cursor.store(0, Ordering::Relaxed);
+        // A wave the owner can finish alone wakes (and starts) no one.
+        let helped = self.width > 1 && admitted > 1;
+        if helped {
+            while self.helpers.len() + 1 < self.width {
+                self.helpers.push(self.scope.spawn(|| shared.help()));
+            }
+            shared.running.store(self.helpers.len(), Ordering::Relaxed);
+            shared.epoch.fetch_add(1, Ordering::Release);
+            self.helpers.iter().for_each(|h| h.thread().unpark());
+        }
+        shared.claim(&mut self.sx);
+        if helped {
+            wait_until(|| shared.running.load(Ordering::Acquire) == 0);
+        }
+        if shared.poisoned.load(Ordering::Relaxed) {
+            let payload = shared.payload.lock().take();
+            return Err(
+                payload.unwrap_or_else(|| Box::new("an earlier wave of this pool panicked"))
+            );
+        }
+        let sys = shared.sys;
+        if sys.wave_barriers() {
+            sys.stopset().merge_pending();
+        }
+        sys.record_engine_resources(ord, admitted);
+        let mut wave = shared.wave.write();
+        for (i, slot) in wave.slots[..admitted].iter_mut().enumerate() {
+            sink(i, slot.take().expect("every admitted job was driven"));
+        }
+        Ok(shared.events.swap(0, Ordering::Relaxed))
+    }
+}
+
+impl Drop for WavePool<'_, '_, '_, '_> {
+    /// Close the pool: helpers wake, hand their scratches back and exit;
+    /// the scope the pool lives in joins them.
+    fn drop(&mut self) {
+        self.shared.epoch.store(CLOSED, Ordering::Release);
+        self.helpers.iter().for_each(|h| h.thread().unpark());
+        self.shared.sys.return_scratch(std::mem::take(&mut self.sx));
+    }
+}
+
 impl<'s> RevtrSystem<'s> {
     /// Run a whole campaign: every `(dst, src)` pair is driven to
     /// completion on a meter starting at virtual zero, `lc.workers` at a
@@ -958,6 +1199,17 @@ impl<'s> RevtrSystem<'s> {
         pairs: &[(Addr, Addr)],
         lc: LoopConfig,
     ) -> std::thread::Result<CampaignOutcome> {
+        self.campaign_of(pairs, lc, TimedJob::task)
+    }
+
+    /// [`RevtrSystem::run_campaign`] with the jobs' control blocks built by
+    /// `task` (tests plant a panicking one).
+    fn campaign_of<'a>(
+        &'a self,
+        pairs: &[(Addr, Addr)],
+        lc: LoopConfig,
+        task: TaskOf<'a>,
+    ) -> std::thread::Result<CampaignOutcome> {
         let wave = if self.wave_barriers() {
             STOPSET_WAVE
         } else {
@@ -967,50 +1219,69 @@ impl<'s> RevtrSystem<'s> {
             results: Vec::with_capacity(pairs.len()),
             events: 0,
         };
-        for (ord, admitted) in pairs.chunks(wave).enumerate() {
-            let base = out.results.len();
-            let (results, events) = self.run_wave(ord as u64, admitted.len(), lc, |i| {
-                let (dst, src) = admitted[i];
-                let mut t = MeasureTask::new(dst, src);
-                t.id = base + i;
-                t
-            })?;
-            out.results.extend(results);
-            out.events += events;
-        }
+        self.pooled(lc, task, |pool| {
+            for (ord, admitted) in pairs.chunks(wave).enumerate() {
+                let base = out.results.len();
+                let jobs = admitted
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(dst, src))| TimedJob {
+                        dst,
+                        src,
+                        arrival_ms: 0.0,
+                        id: base + i,
+                        degrade: 0,
+                    });
+                out.events += pool.run_wave(ord as u64, jobs, |_, r| out.results.push(r))?;
+            }
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Run one admission wave of *timed* requests.
-    ///
-    /// This is the open-loop entry point: each [`TimedJob`]'s meter is
-    /// anchored at the job's virtual **arrival time** instead of zero —
-    /// so a request admitted at hour 30 has its telemetry spans offset
-    /// from its own admission, exactly as if it had arrived at a live
-    /// service. The caller (the admission layer) owns wave chunking,
-    /// shedding, and the degradation ladder; this method only executes
-    /// what was admitted, with the wave barrier at the end.
-    ///
-    /// `jobs` must be sorted by `(arrival_ms, id)` with campaign-unique,
-    /// increasing ids — the same total order the arrival generator emits.
-    /// Results come back in job order, identical at every `lc.workers`.
-    pub fn run_wave_timed(
-        &self,
-        jobs: &[TimedJob],
+    /// Open a worker pool for as long as `f` runs: the open-loop entry
+    /// point. The caller (the admission layer) owns wave chunking,
+    /// shedding and the degradation ladder, and hands each admitted wave
+    /// to [`WavePool::run_wave_timed`]; threads started for the first wave
+    /// wide enough to share serve every later one and are joined when `f`
+    /// returns.
+    pub fn with_pool<'a, R>(
+        &'a self,
         lc: LoopConfig,
-    ) -> std::thread::Result<CampaignOutcome> {
-        // Barrier ordinal for open-loop waves: the wave's first arrival
-        // (milliseconds) — deterministic and increasing, since the
-        // admission layer feeds arrival-sorted waves.
-        let ord = jobs.first().map(|j| j.arrival_ms as u64).unwrap_or(0);
-        let (results, events) = self.run_wave(ord, jobs.len(), lc, |i| {
-            let j = &jobs[i];
-            let mut t = MeasureTask::new(j.dst, j.src).arriving_at(j.arrival_ms);
-            t.id = j.id;
-            t.degrade = j.degrade;
-            t
-        })?;
-        Ok(CampaignOutcome { results, events })
+        f: impl FnOnce(&mut WavePool<'_, '_, 'a, 's>) -> R,
+    ) -> R {
+        self.pooled(lc, TimedJob::task, f)
+    }
+
+    fn pooled<'a, R>(
+        &'a self,
+        lc: LoopConfig,
+        task: TaskOf<'a>,
+        f: impl FnOnce(&mut WavePool<'_, '_, 'a, 's>) -> R,
+    ) -> R {
+        let shared = Shared {
+            sys: self,
+            task,
+            wave: RwLock::default(),
+            epoch: AtomicU64::new(0),
+            cursor: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            events: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            payload: Mutex::new(None),
+            caller: std::thread::current(),
+        };
+        std::thread::scope(|scope| {
+            f(&mut WavePool {
+                shared: &shared,
+                scope,
+                helpers: Vec::new(),
+                // Oversubscribing the host's cores only adds scheduler
+                // churn.
+                width: lc.workers.min(self.cores()).max(1),
+                sx: self.take_scratch(),
+            })
+        })
     }
 
     /// Whether waves end in a stop-set merge. Hardened campaigns need one
@@ -1018,73 +1289,6 @@ impl<'s> RevtrSystem<'s> {
     /// stop-set contributions and only become visible at a merge.
     pub(crate) fn wave_barriers(&self) -> bool {
         self.config().use_stop_sets || self.config().harden
-    }
-
-    /// Drive jobs `0..admitted` of one wave to completion, then cross the
-    /// wave barrier. Workers — `lc.workers` clamped to the host's cores
-    /// (oversubscription only adds scheduler churn) and the wave's jobs —
-    /// claim job indices off one atomic cursor, build the claimed job's
-    /// control block with `task`, drive it on the one scratch the worker
-    /// holds for its whole claim loop, and write the result into the job's
-    /// own slot. One worker is the calling thread itself; more are all
-    /// scoped threads the caller only joins (claiming too cost
-    /// `service-openloop` ~6 % — EXPERIMENTS.md). The first panic poisons
-    /// the wave: the others stop claiming and the payload comes back as
-    /// `Err`, before any merge. The barrier folds what the wave's tasks
-    /// buffered into the published stop sets in `(vtime, id, seq)` stamp
-    /// order — functions of each task's own history, so schedule-invariant
-    /// ([`STOPSET_WAVE`]).
-    fn run_wave<'a>(
-        &'a self,
-        ord: u64,
-        admitted: usize,
-        lc: LoopConfig,
-        task: impl Fn(usize) -> MeasureTask<'a> + Sync,
-    ) -> std::thread::Result<(Vec<RevtrResult>, u64)> {
-        let workers = lc.workers.min(self.cores()).min(admitted).max(1);
-        let slots: Vec<OnceLock<RevtrResult>> = (0..admitted).map(|_| OnceLock::new()).collect();
-        // All `Relaxed`: an index, a tally and a stop flag publish no other
-        // data — results travel through `OnceLock` slots, payloads by join.
-        let cursor = AtomicUsize::new(0);
-        let events = AtomicU64::new(0);
-        let poisoned = AtomicBool::new(false);
-        let claim = || -> std::thread::Result<()> {
-            let mut sx = self.take_scratch();
-            while !poisoned.load(Ordering::Relaxed) {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= admitted {
-                    break;
-                }
-                // A panic leaves through `?`: the scratch it interrupted
-                // is dropped here, not handed back.
-                let (r, steps) = self
-                    .drive(task(i), &mut sx)
-                    .inspect_err(|_| poisoned.store(true, Ordering::Relaxed))?;
-                events.fetch_add(steps, Ordering::Relaxed);
-                let _ = slots[i].set(r);
-            }
-            self.return_scratch(sx);
-            Ok(())
-        };
-        if workers == 1 {
-            claim()?;
-        } else {
-            std::thread::scope(|scope| {
-                let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
-                spawned
-                    .into_iter()
-                    .try_for_each(|w| w.join().and_then(|claimed| claimed))
-            })?;
-        }
-        if self.wave_barriers() {
-            self.stopset().merge_pending();
-        }
-        self.record_engine_resources(ord, admitted);
-        let results = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every admitted job was driven"))
-            .collect();
-        Ok((results, events.into_inner()))
     }
 
     /// Record the engine's own ledger plus a full subsystem snapshot at a
@@ -1145,43 +1349,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn poisoned_job_yields_err_and_leaves_system_usable() {
-        let sim = Sim::build(SimConfig::tiny(), 31);
-        let prober = Prober::new(&sim);
+    /// A tiny system with stop sets on (so campaigns run in waves) and one
+    /// registered source, plus `n` pairs toward it.
+    fn tiny_system(sim: &Sim, n: usize) -> (RevtrSystem<'_>, Vec<(Addr, Addr)>) {
+        let prober = Prober::new(sim);
         let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
         let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
         let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
-        let pool = select_atlas_probes(&sim, 60, 9);
+        let pool = select_atlas_probes(sim, 60, 9);
         let mut cfg = EngineConfig::revtr2();
         cfg.atlas_size = 30;
         cfg.use_stop_sets = true;
-        let sys = RevtrSystem::new(prober, cfg, vps.clone(), ingress, pool);
         let src = vps[0];
+        let dsts: Vec<Addr> = (sim.topo().prefixes.iter())
+            .flat_map(|p| sim.host_addrs(p.id).take(4))
+            .filter(|&d| d != src)
+            .collect();
+        assert!(dsts.len() >= n, "only {} destinations", dsts.len());
+        let sys = RevtrSystem::new(prober, cfg, vps, ingress, pool);
         sys.register_source(src);
-        let pairs: Vec<(Addr, Addr)> = vps[1..9].iter().map(|&d| (d, src)).collect();
+        (sys, dsts[..n].iter().map(|&d| (d, src)).collect())
+    }
 
-        let first = sys.measure(pairs[0].0, src);
-        for workers in [1usize, 4] {
-            // Job 3 is already `Done`: stepping it is the engine's own
-            // invariant panic, raised inside `drive`'s fence.
-            let out = sys.run_wave(0, pairs.len(), LoopConfig { workers }, |i| {
-                let mut t = MeasureTask::new(pairs[i].0, pairs[i].1);
-                t.id = i;
-                if i == 3 {
-                    t.phase = Phase::Done;
-                }
-                t
-            });
-            assert!(out.is_err(), "w{workers}: poisoned wave returned Ok");
+    #[test]
+    fn poisoned_job_yields_err_and_leaves_system_usable() {
+        let sim = Sim::build(SimConfig::tiny(), 31);
+        const PLANTED: usize = 2 * STOPSET_WAVE + 7;
+        fn planted<'a>(job: &TimedJob) -> MeasureTask<'a> {
+            let mut t = job.task();
+            if job.id == PLANTED {
+                // Already `Done`: stepping it is the engine's own invariant
+                // panic, raised inside `drive`'s fence.
+                t.phase = Phase::Done;
+            }
+            t
         }
 
-        // Still usable, both ways in.
-        assert_eq!(sys.measure(pairs[0].0, src).status, first.status);
-        let outcome = sys
-            .run_campaign(&pairs, LoopConfig { workers: 4 })
-            .expect("clean campaign after a poisoned one");
-        assert_eq!(outcome.results.len(), pairs.len());
-        assert_eq!(outcome.results[0].status, first.status);
+        for workers in [1usize, 4] {
+            // Five waves; the planted job sits in the third.
+            let (sys, pairs) = tiny_system(&sim, 5 * STOPSET_WAVE);
+            let first = sys.measure(pairs[0].0, pairs[0].1);
+            // `Err` comes back — so every helper was joined — before the
+            // poisoned wave's merge: what its finished jobs buffered is
+            // still pending.
+            let out = sys.campaign_of(&pairs, LoopConfig { workers }, planted);
+            assert!(out.is_err(), "w{workers}: poisoned campaign returned Ok");
+            assert!(sys.stopset().pending_len() > 0, "w{workers}: merged");
+
+            // Still usable, both ways in.
+            assert_eq!(sys.measure(pairs[0].0, pairs[0].1).status, first.status);
+            let outcome = sys
+                .run_campaign(&pairs, LoopConfig { workers: 4 })
+                .expect("clean campaign after a poisoned one");
+            assert_eq!(outcome.results.len(), pairs.len());
+            assert_eq!(outcome.results[0].status, first.status);
+        }
+    }
+
+    #[test]
+    fn waves_the_caller_can_finish_alone_start_no_thread() {
+        let sim = Sim::build(SimConfig::tiny(), 31);
+        let (sys, pairs) = tiny_system(&sim, 2);
+        let job = |id: usize| TimedJob {
+            dst: pairs[id].0,
+            src: pairs[id].1,
+            arrival_ms: 0.0,
+            id,
+            degrade: 0,
+        };
+        sys.with_pool(LoopConfig { workers: 4 }, |pool| {
+            // An empty campaign and a one-job campaign, as waves.
+            assert_eq!(pool.run_wave_timed(&[], |_, _| ()).expect("ran"), 0);
+            let mut got = 0;
+            let events = pool.run_wave_timed(&[job(0)], |_, _| got += 1);
+            assert!(events.expect("ran") > 0);
+            assert_eq!(got, 1);
+            assert!(pool.helpers.is_empty(), "a lone job started a thread");
+            // Helpers start with the first wave that has work to share
+            // (on a host with cores to run them) and serve the next.
+            for _ in 0..2 {
+                pool.run_wave_timed(&[job(0), job(1)], |_, _| ())
+                    .expect("ran");
+                assert_eq!(pool.helpers.len(), pool.width - 1);
+            }
+        });
+        // One worker never starts any.
+        sys.with_pool(LoopConfig::default(), |pool| {
+            pool.run_wave_timed(&[job(0), job(1)], |_, _| ())
+                .expect("ran");
+            assert!(pool.helpers.is_empty());
+        });
     }
 }

@@ -49,7 +49,7 @@ mod scratch;
 pub mod system;
 
 pub use config::{EngineConfig, SymmetryPolicy, VpSelection};
-pub use engine::{task_footprint_bytes, CampaignOutcome, LoopConfig, TimedJob};
+pub use engine::{task_footprint_bytes, CampaignOutcome, LoopConfig, TimedJob, WavePool};
 pub use result::{
     Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
     StitchTrace,

@@ -249,10 +249,10 @@ pub struct RevtrSystem<'s> {
     /// The campaign-wide probe-economy layer (consulted and fed only when
     /// [`EngineConfig::use_stop_sets`] is set).
     stopset: Arc<StopSet>,
-    /// The host's core count — the ceiling on a wave's width — resolved
-    /// by the first wave: asking the OS reads cgroup files (15 µs, four
-    /// allocations), too dear per wave and wasted on a system that never
-    /// runs one.
+    /// The host's core count — the ceiling on a pool's width — resolved
+    /// by the first pool: asking the OS reads cgroup files (15 µs, four
+    /// allocations), too dear per campaign of a few requests and wasted
+    /// on a system that never runs one.
     cores: OnceLock<usize>,
     /// Idle request scratches. A driver takes one for as long as it
     /// drives and hands it back, so the list never holds more than the

@@ -514,6 +514,93 @@ fn a_campaigns_meters_add_up_to_the_shared_totals() {
     }
 }
 
+/// A quiesced tiny world (no churn, no per-packet load balancing: what one
+/// request sees must not depend on when its neighbours ran), a stop-set
+/// system over it with three registered sources, and `n` pairs — enough
+/// for several [`LoopConfig`]-independent waves of 64.
+fn multi_wave_campaign(sim: &Sim, n: usize) -> (RevtrSystem<'_>, Vec<(Addr, Addr)>) {
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+    let prober = Prober::new(sim);
+    let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+    let mut cfg = EngineConfig::revtr2();
+    cfg.atlas_size = 20;
+    cfg.use_stop_sets = true;
+    let sys = RevtrSystem::new(
+        prober,
+        cfg,
+        vps.clone(),
+        ingress,
+        select_atlas_probes(sim, 120, 9),
+    );
+    for &src in &vps[..3] {
+        sys.register_source(src);
+    }
+    let pairs: Vec<(Addr, Addr)> = prefixes
+        .iter()
+        .flat_map(|&p| sim.host_addrs(p).take(6))
+        .filter(|d| !vps[..3].contains(d))
+        .enumerate()
+        .map(|(i, d)| (d, vps[i % 3]))
+        .take(n)
+        .collect();
+    assert_eq!(pairs.len(), n, "the tiny world has too few hosts");
+    (sys, pairs)
+}
+
+fn quiet_world(seed: u64) -> Sim {
+    let mut cfg = SimConfig::tiny();
+    cfg.behavior.churn_per_hour = 0.0;
+    cfg.behavior.router_load_balancer = 0.0;
+    Sim::build(cfg, seed)
+}
+
+#[test]
+fn a_campaign_returns_the_same_at_every_pool_width() {
+    // Six waves. Whichever worker drives a job, and however the waves'
+    // helpers interleave, every request ends the way it does serially —
+    // status, and the path hop for hop with each hop's method — after the
+    // same number of events. (Which of two workers pays for a measurement
+    // both need, and under which nonce, is theirs to settle.)
+    let sim = quiet_world(23);
+    let run = |workers: usize| {
+        let (sys, pairs) = multi_wave_campaign(&sim, 6 * 64);
+        let out = sys
+            .run_campaign(&pairs, LoopConfig { workers })
+            .expect("no task panicked");
+        let paths: Vec<_> = (out.results.into_iter())
+            .map(|r| (r.dst, r.src, r.status, r.hops))
+            .collect();
+        (paths, out.events)
+    };
+    let serial = run(1);
+    assert!(serial.1 > serial.0.len() as u64);
+    for workers in [2, 4, 16] {
+        let pooled = run(workers);
+        assert_eq!(pooled.1, serial.1, "w{workers}: events");
+        assert_eq!(pooled.0, serial.0, "w{workers}: results");
+    }
+}
+
+#[test]
+fn campaign_workers_keep_their_clock_slot() {
+    // A worker charges the clock slot of its thread's stripe. Workers
+    // that live as long as the campaign charge two slots between them —
+    // this thread's (which also registered the sources) and the helper's
+    // — however many waves run; a thread per wave would have walked the
+    // campaign through all sixteen, each holding back its own unflushed
+    // virtual minute.
+    let sim = quiet_world(23);
+    let (sys, pairs) = multi_wave_campaign(&sim, 6 * 64);
+    sys.run_campaign(&pairs, LoopConfig { workers: 2 })
+        .expect("no task panicked");
+    let slots = sys.prober().clock().slots_advanced();
+    assert!(
+        (1..=3).contains(&slots),
+        "{slots} clock slots advanced over a six-wave campaign"
+    );
+}
+
 /// `base` with record route silenced (no router stamps, so every step of a
 /// request falls through to the symmetry assumption), MPLS off (every
 /// router is one TTL) and every router answering expired probes except

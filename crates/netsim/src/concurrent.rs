@@ -1,5 +1,6 @@
 //! Concurrency primitives for the hot paths: cache-line padding, a
-//! lock-striped map, and single-flight computation.
+//! lock-striped map, single-flight computation, and thread-striped
+//! counters.
 //!
 //! Every parallel campaign worker used to funnel through a handful of
 //! global locks (`Sim`'s route/border caches, the measurement cache, the
@@ -16,15 +17,22 @@
 //!   askers of the *same* key block on a condvar (and askers of other
 //!   keys proceed untouched), eliminating both duplicated compute and
 //!   write-lock convoys.
+//! - [`StripedCounters`]: a block of counters per recording thread, summed
+//!   on read, so a count never writes a line another worker writes.
 //!
 //! Shard selection uses `std`'s `DefaultHasher::new()`, whose keys are
 //! fixed: the same key maps to the same shard in every process, keeping
-//! runs bit-reproducible.
+//! runs bit-reproducible. Inside a shard the table hashes with the
+//! workspace's word hasher: keys are simulated addresses and ids, never
+//! outside input, and a second SipHash per lookup was a measurable share
+//! of a probe.
 
 use parking_lot::RwLock;
+use revtr_telemetry::{thread_stripe, WordHasher};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Pads (and aligns) a value to a 64-byte cache line to prevent false
@@ -118,8 +126,11 @@ enum Slot<V> {
     Pending(Arc<Flight<V>>),
 }
 
+/// One shard's table.
+type Table<K, V> = HashMap<K, Slot<V>, BuildHasherDefault<WordHasher>>;
+
 /// One stripe: a padded lock around this shard's portion of the key space.
-type Shard<K, V> = CachePadded<RwLock<HashMap<K, Slot<V>>>>;
+type Shard<K, V> = CachePadded<RwLock<Table<K, V>>>;
 
 /// An N-way lock-striped hash map with single-flight fills.
 ///
@@ -142,13 +153,13 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
         let n = n.max(1).next_power_of_two();
         StripedMap {
             shards: (0..n)
-                .map(|_| CachePadded::new(RwLock::new(HashMap::new())))
+                .map(|_| CachePadded::new(RwLock::new(Table::default())))
                 .collect(),
             mask: (n - 1) as u64,
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Slot<V>>> {
+    fn shard(&self, key: &K) -> &RwLock<Table<K, V>> {
         // DefaultHasher::new() uses fixed keys: deterministic across runs
         // and processes (unlike RandomState), which keeps shard layout —
         // and therefore lock interleavings in serial runs — reproducible.
@@ -330,10 +341,58 @@ impl<K: Hash + Eq + Clone, V: Clone> Default for StripedMap<K, V> {
     }
 }
 
+/// How many recording threads get a block of their own; further threads
+/// share (every update is an atomic add, so sharing is safe, just slower).
+/// [`thread_stripe`] deals ordinals below this.
+const COUNTER_STRIPES: usize = 16;
+
+/// `N` monotonic counters, striped by recording thread: each thread adds
+/// into its own cache-line-aligned block, so concurrent workers counting
+/// the same thing never write the same line, and a read sums the blocks.
+/// Totals are exact at any instant no add is in flight; a serial run keeps
+/// every count in one block.
+///
+/// All `Relaxed`: these are statistics and publish nothing.
+#[derive(Debug)]
+pub struct StripedCounters<const N: usize> {
+    stripes: [CachePadded<[AtomicU64; N]>; COUNTER_STRIPES],
+}
+
+impl<const N: usize> StripedCounters<N> {
+    /// All zero.
+    pub fn new() -> StripedCounters<N> {
+        StripedCounters {
+            stripes: std::array::from_fn(|_| {
+                CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0)))
+            }),
+        }
+    }
+
+    /// Add `n` to counter `i` on the calling thread's stripe.
+    #[inline]
+    pub fn add(&self, i: usize, n: u64) {
+        self.stripes[thread_stripe() % COUNTER_STRIPES][i].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counter `i`, summed over every thread.
+    pub fn get(&self, i: usize) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s[i].load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl<const N: usize> Default for StripedCounters<N> {
+    fn default() -> Self {
+        StripedCounters::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn cache_padding_is_a_line() {
@@ -482,6 +541,23 @@ mod tests {
 
         let empty: StripedMap<u64, u8> = StripedMap::new();
         assert_eq!(empty.shard_skew(), 0.0);
+    }
+
+    #[test]
+    fn striped_counters_sum_across_threads() {
+        let c: StripedCounters<3> = StripedCounters::new();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        c.add(0, 1);
+                        c.add(2, 3);
+                    }
+                });
+            }
+        });
+        c.add(1, 5);
+        assert_eq!([c.get(0), c.get(1), c.get(2)], [8000, 5, 24000]);
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod addr;
 pub mod anycast;
 pub mod behavior;
 pub mod bgp;
+mod churn;
 pub mod concurrent;
 pub mod config;
 pub mod engine;
@@ -57,7 +58,7 @@ pub mod topology;
 pub mod viz;
 
 pub use addr::{Addr, Prefix};
-pub use concurrent::{CachePadded, StripedMap};
+pub use concurrent::{CachePadded, StripedCounters, StripedMap};
 pub use config::{BehaviorConfig, SimConfig, TopologyConfig};
 pub use engine::{
     EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS, TS_SLOTS,

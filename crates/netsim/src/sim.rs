@@ -1,13 +1,14 @@
 //! The simulator facade: routing caches, churn, and path walking.
 //!
-//! [`Sim`] owns the immutable topology plus the mutable-but-locked routing
-//! epoch state. All probe semantics (ICMP echo, Record Route, Timestamp,
-//! traceroute) are layered on top of the low-level [`Sim::walk`] primitive in
-//! [`crate::engine`].
+//! [`Sim`] owns the immutable topology plus the mutable routing epoch
+//! state (`churn`, read without a lock). All probe semantics (ICMP echo,
+//! Record Route, Timestamp, traceroute) are layered on top of the
+//! low-level [`Sim::walk`] primitive in [`crate::engine`].
 
 use crate::addr::Addr;
 use crate::behavior::Behavior;
 use crate::bgp::{self, RoutePlan, Routes};
+use crate::churn::Churn;
 use crate::concurrent::StripedMap;
 use crate::config::SimConfig;
 use crate::faults::Faults;
@@ -18,9 +19,6 @@ use crate::igp::Igp;
 use crate::inline::InlineVec;
 use crate::scenario::Scenarios;
 use crate::topology::Topology;
-use parking_lot::RwLock;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,6 +197,50 @@ impl SinkTree {
     }
 }
 
+/// Entries of a thread's [`RouteMemo`].
+const MEMO_SLOTS: usize = 32;
+
+/// The core route tables this thread walked over last, direct-mapped by
+/// routing key. A probe's two walks go toward few keys — the destination's
+/// prefix, the source's, a router's AS — and every worker of a campaign
+/// walks toward the same sources, so fetching the table from the shared
+/// cache per walk had all of them taking one shard's lock and bumping one
+/// table's reference count in turn. A walk toward a memoised key touches
+/// nothing shared. The cache never evicts and a key's table never
+/// changes, so an entry cannot go stale for its simulator; entries of a
+/// simulator since dropped only hold their tables until overwritten.
+struct RouteMemo {
+    slots: [Option<Memoised>; MEMO_SLOTS],
+}
+
+/// One routing key and its table.
+struct Memoised {
+    /// `(Sim::id, destination AS, salt)`.
+    key: (u64, u32, u64),
+    core: Arc<[bgp::Cell]>,
+}
+
+impl RouteMemo {
+    /// The core's table toward `dst` under `salt`.
+    fn table(&mut self, sim: &Sim, dst: AsId, salt: u64) -> &[bgp::Cell] {
+        let slot = &mut self.slots[(mix2(dst.0 as u64, salt) % MEMO_SLOTS as u64) as usize];
+        let key = (sim.id, dst.0, salt);
+        if !matches!(slot, Some(m) if m.key == key) {
+            let core = sim.routes(dst, salt).core;
+            *slot = Some(Memoised { key, core });
+        }
+        &slot.as_ref().expect("filled above").core
+    }
+}
+
+thread_local! {
+    static ROUTE_MEMO: std::cell::RefCell<RouteMemo> = const {
+        std::cell::RefCell::new(RouteMemo {
+            slots: [const { None }; MEMO_SLOTS],
+        })
+    };
+}
+
 /// Border routers per (AS, neighbour AS), compiled once: the routers of the
 /// AS with at least one link to the neighbour, sorted. Slots run parallel
 /// to [`crate::topology::AsNode::neighbors`].
@@ -247,19 +289,10 @@ impl Borders {
     }
 }
 
-/// Mutable routing-epoch state (route churn).
-#[derive(Debug)]
-struct ChurnState {
-    now_hours: f64,
-    /// Per-prefix churn epoch; bumping it re-rolls the BGP tie-break salt.
-    epochs: Vec<u32>,
-    steps: u64,
-}
-
 /// The simulated Internet.
 ///
-/// Cheap to share by reference across threads (`Sim: Sync`); all caches use
-/// interior locking.
+/// Cheap to share by reference across threads (`Sim: Sync`): the caches
+/// lock internally, and the churn state is read without one.
 pub struct Sim {
     topo: Topology,
     igp: Igp,
@@ -268,7 +301,10 @@ pub struct Sim {
     scenario: Scenarios,
     cfg: SimConfig,
     seed: u64,
-    churn: RwLock<ChurnState>,
+    /// Unique in the process: what a thread's [`RouteMemo`] tells two
+    /// simulators' tables apart by.
+    id: u64,
+    churn: Churn,
     /// The salt-independent half of the route plane.
     route_plan: RoutePlan,
     /// (dst AS, salt) → the core's routes. Lock-striped; fills are
@@ -306,6 +342,7 @@ impl Sim {
         let n_prefixes = topo.prefixes.len();
         let mut vp_hosts: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
         vp_hosts.sort_unstable();
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Sim {
             topo,
             igp,
@@ -314,11 +351,9 @@ impl Sim {
             scenario,
             cfg,
             seed,
-            churn: RwLock::new(ChurnState {
-                now_hours: 0.0,
-                epochs: vec![0; n_prefixes],
-                steps: 0,
-            }),
+            // Relaxed: an id publishes nothing, it only has to be unique.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            churn: Churn::new(n_prefixes),
             route_plan,
             route_cache: StripedMap::new(),
             borders,
@@ -394,31 +429,20 @@ impl Sim {
 
     /// Current virtual time in hours.
     pub fn now_hours(&self) -> f64 {
-        self.churn.read().now_hours
+        self.churn.now_hours()
     }
 
     /// Advance virtual time, applying route churn: each announced prefix
     /// re-rolls its interdomain tie-breaks with probability
     /// `churn_per_hour · hours`.
     pub fn advance_hours(&self, hours: f64) {
-        let mut st = self.churn.write();
-        st.now_hours += hours;
-        st.steps += 1;
-        let p = (self.cfg.behavior.churn_per_hour * hours).min(1.0);
-        if p <= 0.0 {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(mix3(self.seed, 0xc4c4, st.steps));
-        for e in st.epochs.iter_mut() {
-            if rng.gen_bool(p) {
-                *e += 1;
-            }
-        }
+        self.churn
+            .advance(self.seed, self.cfg.behavior.churn_per_hour, hours);
     }
 
     /// The current churn epoch of a prefix.
     pub fn prefix_epoch(&self, p: PrefixId) -> u32 {
-        self.churn.read().epochs[p.index()]
+        self.churn.epoch(p)
     }
 
     /// BGP tie-break salt for routing toward `p` at its current epoch.
@@ -692,22 +716,37 @@ impl Sim {
         epoch: Option<u32>,
         tree: Option<&mut SinkTree>,
     ) -> Option<Walk> {
-        let (target_as, salt, pid) = self.routing_ctx(dest, epoch);
-        let (final_router, via, deliver_to_host) = dest.delivery();
-        let dst_key = mix2(dst_addr.0 as u64, salt);
-        let looked_up;
-        let (core, mut cells): (&[bgp::Cell], Option<&mut [u32]>) = match tree {
+        let key = self.routing_ctx(dest, epoch);
+        let (target_as, salt, _) = key;
+        match tree {
             Some(tree) => {
                 let (core, cells) = tree.bind(self, dst_addr, target_as, salt);
-                (core, Some(cells))
+                self.walk_over(core, Some(cells), start, dst_addr, dest, meta, key)
             }
-            None => {
-                looked_up = self.routes(target_as, salt).core;
-                (&looked_up, None)
-            }
-        };
-        // Link-maintenance faults: read virtual time once per walk (the
-        // gate keeps fault-free sims off the churn lock entirely).
+            None => ROUTE_MEMO.with_borrow_mut(|memo| {
+                let core = memo.table(self, target_as, salt);
+                self.walk_over(core, None, start, dst_addr, dest, meta, key)
+            }),
+        }
+    }
+
+    /// [`Sim::walk_to`] once the key's route table is in hand: `core` is
+    /// the table of `key` — `routing_ctx`'s `(target AS, salt, prefix)` —
+    /// and `cells` the lent tree's, if any.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_over(
+        &self,
+        core: &[bgp::Cell],
+        mut cells: Option<&mut [u32]>,
+        start: RouterId,
+        dst_addr: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        (target_as, salt, pid): (AsId, u64, Option<PrefixId>),
+    ) -> Option<Walk> {
+        let (final_router, via, deliver_to_host) = dest.delivery();
+        let dst_key = mix2(dst_addr.0 as u64, salt);
+        // Link-maintenance faults: read virtual time once per walk.
         let maint_now = if self.faults.links_enabled() {
             Some(self.now_hours())
         } else {

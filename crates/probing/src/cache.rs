@@ -10,11 +10,10 @@
 //! Both maps are lock-striped ([`StripedMap`]): every cached probe on the
 //! hot path does a lookup here, and a single global `RwLock` per map turns
 //! into a convoy under parallel campaign workers. The hit/miss/insert/
-//! expired counters are cache-line padded for the same reason.
+//! expired counters are striped by recording thread for the same reason.
 
 use crate::prober::LastLink;
-use revtr_netsim::{Addr, CachePadded, RrReply, Sim, StripedMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use revtr_netsim::{Addr, RrReply, Sim, StripedCounters, StripedMap};
 
 /// Default cache TTL: one day of virtual time (paper Q1/D.2.2).
 pub const DEFAULT_TTL_HOURS: f64 = 24.0;
@@ -96,11 +95,14 @@ pub struct MeasurementCache {
     ttl_hours: f64,
     last_links: StripedMap<(Addr, Addr), Entry<Option<LastLink>>>,
     rr: StripedMap<RrKey, Entry<CachedRr>>,
-    hits: CachePadded<AtomicU64>,
-    misses: CachePadded<AtomicU64>,
-    inserts: CachePadded<AtomicU64>,
-    expired: CachePadded<AtomicU64>,
+    /// [`CacheStats`]' four counts, by the indices below.
+    stats: StripedCounters<4>,
 }
+
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const INSERTS: usize = 2;
+const EXPIRED: usize = 3;
 
 impl MeasurementCache {
     /// Cache with the paper's one-day TTL.
@@ -114,10 +116,7 @@ impl MeasurementCache {
             ttl_hours,
             last_links: StripedMap::new(),
             rr: StripedMap::new(),
-            hits: Default::default(),
-            misses: Default::default(),
-            inserts: Default::default(),
-            expired: Default::default(),
+            stats: StripedCounters::new(),
         }
     }
 
@@ -133,16 +132,16 @@ impl MeasurementCache {
     fn classify<T>(&self, entry: Option<Entry<T>>, now: f64) -> Option<T> {
         match entry {
             Some(e) if self.fresh(e.at_hours, now) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(HITS, 1);
                 Some(e.value)
             }
             Some(_) => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(EXPIRED, 1);
+                self.stats.add(MISSES, 1);
                 None
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(MISSES, 1);
                 None
             }
         }
@@ -157,7 +156,7 @@ impl MeasurementCache {
 
     /// Store a last-link outcome (including "unroutable").
     pub fn put_last_link(&self, sim: &Sim, src: Addr, dst: Addr, v: Option<LastLink>) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTS, 1);
         self.last_links.insert(
             (src, dst),
             Entry {
@@ -175,7 +174,7 @@ impl MeasurementCache {
 
     /// Store an RR outcome (including "no answer") with its provenance.
     pub fn put_rr(&self, sim: &Sim, key: RrKey, v: CachedRr) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTS, 1);
         self.rr.insert(
             key,
             Entry {
@@ -217,10 +216,10 @@ impl MeasurementCache {
     /// Effectiveness counters so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
+            hits: self.stats.get(HITS),
+            misses: self.stats.get(MISSES),
+            inserts: self.stats.get(INSERTS),
+            expired: self.stats.get(EXPIRED),
         }
     }
 

@@ -1,18 +1,17 @@
 //! Probe accounting, in the categories of the paper's Table 4.
 //!
 //! Counters are atomic so campaigns can run across threads; snapshots and
-//! diffs attribute a stretch of a run. Each counter sits on
-//! its own cache line ([`CachePadded`]): eight adjacent `AtomicU64`s would
-//! otherwise false-share, turning independent per-category increments
-//! from parallel workers into a single contended line.
+//! diffs attribute a stretch of a run. A request counts a couple of
+//! hundred things, so the counters are striped by recording thread
+//! ([`StripedCounters`]): a worker adds on lines only it writes, and a
+//! snapshot sums the stripes.
 //!
 //! [`Counters`] holds the *shared* totals: diffing them around one
 //! measurement would fold in whatever concurrent workers sent during the
 //! same window. What one request sent is tallied by its [`crate::Meter`] —
 //! a plain [`Snapshot`] the prober bumps alongside these totals.
 
-use revtr_netsim::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use revtr_netsim::StripedCounters;
 
 /// The probe categories tracked (Table 4 plus infrastructure kinds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +72,7 @@ impl ProbeKind {
 /// Live atomic probe counters.
 #[derive(Debug, Default)]
 pub struct Counters {
-    totals: [CachePadded<AtomicU64>; N_KINDS],
+    totals: StripedCounters<N_KINDS>,
 }
 
 /// A point-in-time copy of the counters.
@@ -207,15 +206,15 @@ impl Counters {
     /// Copy current global values (all threads).
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for (&kind, total) in ProbeKind::ALL.iter().zip(&self.totals) {
-            snap.add(kind, total.load(Ordering::Relaxed));
+        for &kind in &ProbeKind::ALL {
+            snap.add(kind, self.totals.get(kind as usize));
         }
         snap
     }
 
     /// Increment a counter by `n`.
     pub(crate) fn add(&self, kind: ProbeKind, n: u64) {
-        self.totals[kind as usize].fetch_add(n, Ordering::Relaxed);
+        self.totals.add(kind as usize, n);
     }
 }
 

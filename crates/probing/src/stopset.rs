@@ -58,9 +58,8 @@
 //! [`CacheStats`]: crate::cache::CacheStats
 
 use crate::prober::RrProvenance;
-use revtr_netsim::{Addr, RrReply, RrSlots};
+use revtr_netsim::{Addr, RrReply, RrSlots, StripedCounters};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// One reusable RR observation: the reverse hops it revealed plus the
@@ -417,23 +416,29 @@ fn block_key(addr: Addr, len: u32) -> u32 {
     (1 << len) | (addr.0 >> (32 - len))
 }
 
+// Indices of [`StopSet::stats`], one per [`StopSetSnapshot`] field.
+const BACKWARD_HITS: usize = 0;
+const BACKWARD_MISSES: usize = 1;
+const FORWARD_HITS: usize = 2;
+const FORWARD_MISSES: usize = 3;
+const DIRECT_SKIPS: usize = 4;
+const SPOOF_SKIPS: usize = 5;
+const VP_SKIPS: usize = 6;
+const WINNER_HITS: usize = 7;
+const QUARANTINE_SKIPS: usize = 8;
+const DISTANCE_HITS: usize = 9;
+const DISTANCE_MISSES: usize = 10;
+const N_STATS: usize = 11;
+
 /// The campaign-wide stop-set layer. One instance per
 /// `core::system::RevtrSystem`; cheap to share via `Arc`.
 #[derive(Debug, Default)]
 pub struct StopSet {
     published: RwLock<Published>,
     pending: Mutex<Vec<Contribution>>,
-    backward_hits: AtomicU64,
-    backward_misses: AtomicU64,
-    forward_hits: AtomicU64,
-    forward_misses: AtomicU64,
-    direct_skips: AtomicU64,
-    spoof_skips: AtomicU64,
-    vp_skips: AtomicU64,
-    winner_hits: AtomicU64,
-    quarantine_skips: AtomicU64,
-    distance_hits: AtomicU64,
-    distance_misses: AtomicU64,
+    /// [`StopSetSnapshot`]'s counts, striped by consulting thread and
+    /// indexed by the constants above.
+    stats: StripedCounters<N_STATS>,
 }
 
 impl StopSet {
@@ -459,14 +464,14 @@ impl StopSet {
     /// queues).
     pub fn note_vp_skips(&self, n: u64) {
         if n > 0 {
-            self.vp_skips.fetch_add(n, Ordering::Relaxed);
+            self.stats.add(VP_SKIPS, n);
         }
     }
 
     /// Record `n` VPs actually deprioritized on a quarantine hint.
     pub fn note_quarantine_skips(&self, n: u64) {
         if n > 0 {
-            self.quarantine_skips.fetch_add(n, Ordering::Relaxed);
+            self.stats.add(QUARANTINE_SKIPS, n);
         }
     }
 
@@ -477,11 +482,11 @@ impl StopSet {
         let g = self.published.read().expect("stopset lock poisoned");
         match g.forward.get(&(source, hop)) {
             Some(r) => {
-                self.forward_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(FORWARD_HITS, 1);
                 Some(r.clone())
             }
             None => {
-                self.forward_misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(FORWARD_MISSES, 1);
                 None
             }
         }
@@ -621,17 +626,17 @@ impl StopSet {
     /// Effectiveness counters so far.
     pub fn stats(&self) -> StopSetSnapshot {
         StopSetSnapshot {
-            backward_hits: self.backward_hits.load(Ordering::Relaxed),
-            backward_misses: self.backward_misses.load(Ordering::Relaxed),
-            forward_hits: self.forward_hits.load(Ordering::Relaxed),
-            forward_misses: self.forward_misses.load(Ordering::Relaxed),
-            direct_skips: self.direct_skips.load(Ordering::Relaxed),
-            spoof_skips: self.spoof_skips.load(Ordering::Relaxed),
-            vp_skips: self.vp_skips.load(Ordering::Relaxed),
-            winner_hits: self.winner_hits.load(Ordering::Relaxed),
-            quarantine_skips: self.quarantine_skips.load(Ordering::Relaxed),
-            distance_hits: self.distance_hits.load(Ordering::Relaxed),
-            distance_misses: self.distance_misses.load(Ordering::Relaxed),
+            backward_hits: self.stats.get(BACKWARD_HITS),
+            backward_misses: self.stats.get(BACKWARD_MISSES),
+            forward_hits: self.stats.get(FORWARD_HITS),
+            forward_misses: self.stats.get(FORWARD_MISSES),
+            direct_skips: self.stats.get(DIRECT_SKIPS),
+            spoof_skips: self.stats.get(SPOOF_SKIPS),
+            vp_skips: self.stats.get(VP_SKIPS),
+            winner_hits: self.stats.get(WINNER_HITS),
+            quarantine_skips: self.stats.get(QUARANTINE_SKIPS),
+            distance_hits: self.stats.get(DISTANCE_HITS),
+            distance_misses: self.stats.get(DISTANCE_MISSES),
         }
     }
 
@@ -674,11 +679,11 @@ impl Consult<'_> {
     pub fn backward(&self, src: Addr, cur: Addr) -> Option<(StoredRr, bool)> {
         match self.view.backward.get(&(src, cur)).and_then(|e| e.best()) {
             Some((s, spoofed)) => {
-                self.set.backward_hits.fetch_add(1, Ordering::Relaxed);
+                self.set.stats.add(BACKWARD_HITS, 1);
                 Some((*s, spoofed))
             }
             None => {
-                self.set.backward_misses.fetch_add(1, Ordering::Relaxed);
+                self.set.stats.add(BACKWARD_MISSES, 1);
                 None
             }
         }
@@ -690,7 +695,7 @@ impl Consult<'_> {
     pub fn winner(&self, plan: u64) -> Option<Addr> {
         let w = self.view.winners.get(&plan).copied();
         if w.is_some() {
-            self.set.winner_hits.fetch_add(1, Ordering::Relaxed);
+            self.set.stats.add(WINNER_HITS, 1);
         }
         w
     }
@@ -700,7 +705,7 @@ impl Consult<'_> {
     pub fn direct_futile(&self, src: Addr, cur: Addr) -> bool {
         let f = self.view.direct_futile.contains(&(src, cur));
         if f {
-            self.set.direct_skips.fetch_add(1, Ordering::Relaxed);
+            self.set.stats.add(DIRECT_SKIPS, 1);
         }
         f
     }
@@ -710,7 +715,7 @@ impl Consult<'_> {
     pub fn spoof_futile(&self, cur: Addr) -> bool {
         let f = self.view.spoof_futile.contains(&cur);
         if f {
-            self.set.spoof_skips.fetch_add(1, Ordering::Relaxed);
+            self.set.stats.add(SPOOF_SKIPS, 1);
         }
         f
     }
@@ -732,10 +737,10 @@ impl Consult<'_> {
             .into_iter()
             .find_map(|len| self.view.distances.get(&(src, block_key(addr, len))));
         let counter = match near {
-            Some(_) => &self.set.distance_hits,
-            None => &self.set.distance_misses,
+            Some(_) => DISTANCE_HITS,
+            None => DISTANCE_MISSES,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.set.stats.add(counter, 1);
         near.copied()
             .or_else(|| Some(self.view.measured_distances.get(&src)?.median))
     }

@@ -34,7 +34,7 @@
 
 use crate::service::{RevtrService, ServiceError};
 use crate::users::{ApiKey, UserError};
-use revtr::{LoopConfig, RevtrResult, Status, TimedJob};
+use revtr::{LoopConfig, RevtrResult, Status, TimedJob, WavePool};
 use revtr_netsim::Addr;
 use std::collections::BTreeMap;
 
@@ -291,6 +291,18 @@ impl<'s> RevtrService<'s> {
         plan: &AdmissionPlan,
         lc: LoopConfig,
     ) -> Result<OpenLoopOutcome, ServiceError> {
+        // One pool for the whole stream: its workers park between waves.
+        self.system()
+            .with_pool(lc, |pool| self.open_loop_on(pool, keys, arrivals, plan))
+    }
+
+    fn open_loop_on(
+        &self,
+        pool: &mut WavePool<'_, '_, '_, 's>,
+        keys: &[ApiKey],
+        arrivals: &[TimedRequest],
+        plan: &AdmissionPlan,
+    ) -> Result<OpenLoopOutcome, ServiceError> {
         let tele = self.system().prober().telemetry();
         let start_hours = self.now_hours();
         let n_classes = plan.classes.len();
@@ -431,21 +443,20 @@ impl<'s> RevtrService<'s> {
                 (jobs.len() * std::mem::size_of::<TimedJob>()) as u64,
             );
 
-            // Execute the admitted wave (`run_wave_timed`).
+            // Execute the admitted wave; each result goes straight to the
+            // archive and the arrival it answers.
             if !jobs.is_empty() {
-                let outcome = self
-                    .system()
-                    .run_wave_timed(&jobs, lc)
+                events += pool
+                    .run_wave_timed(&jobs, |job, r| {
+                        let slot = job_slots[job];
+                        let rep = &mut classes[arrivals[slot].class];
+                        if r.status == Status::Complete {
+                            rep.complete += 1;
+                        }
+                        self.store().push(&r);
+                        results[slot] = Some(r);
+                    })
                     .map_err(|_| ServiceError::WorkerPanicked)?;
-                events += outcome.events;
-                for (r, &slot) in outcome.results.into_iter().zip(&job_slots) {
-                    let rep = &mut classes[arrivals[slot].class];
-                    if r.status == Status::Complete {
-                        rep.complete += 1;
-                    }
-                    self.store().push(&r);
-                    results[slot] = Some(r);
-                }
             }
 
             // Wave barrier: burn-rate controller and the atlas-refresh

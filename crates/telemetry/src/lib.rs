@@ -56,7 +56,7 @@ pub use export::{
 };
 pub use histogram::Histogram;
 pub use journal::{Field, Journal, RequestRecord, SpanRecord};
-pub use registry::{thread_stripe, MetricKey, MetricsRegistry, MetricsSnapshot};
+pub use registry::{thread_stripe, MetricKey, MetricsRegistry, MetricsSnapshot, WordHasher};
 pub use resource::{
     flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceRegistry,
     ResourceSnapshot, SpanCost,

@@ -103,21 +103,32 @@ impl Hash for ById {
     }
 }
 
-/// Multiplicative word hasher for [`ById`] (the FxHash recipe). The words
-/// are addresses of this program's own literals, never outside input, so
-/// the default hasher's collision resistance buys nothing here.
+/// Multiplicative word hasher (the FxHash recipe): one rotate, xor and
+/// multiply per word written. The workspace's one hasher for tables keyed
+/// by words this program made itself — `ById`'s literal addresses here,
+/// simulated addresses and ids in `netsim`'s striped maps — never by
+/// outside input, so the default hasher's collision resistance buys
+/// nothing.
 #[derive(Default)]
-struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_usize(usize::from(b));
+            self.write_u64(u64::from(b));
         }
     }
 
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
     fn write_usize(&mut self, v: usize) {
-        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.write_u64(v as u64);
     }
 
     fn finish(&self) -> u64 {
