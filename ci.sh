@@ -79,11 +79,21 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region) =="
 cargo test -q --release -p revtr-vpselect -- --ignored
 
+# Route-cache bound: 2 400 virtual hours of default churn on the era-2020
+# Internet, a window of prefixes RR-pinged after every flush — the cache
+# keeps live keys only (at most one table per prefix plus one per
+# infrastructure AS), where keeping every key walked would exceed it. (The
+# tiny arm runs in the workspace tests above.)
+echo "== route-cache bound soak (release, era-2020) =="
+cargo test -q --release -p revtr-netsim --lib -- --ignored the_route_cache_keeps_only_live_keys
+
 # Allocation gates, optimized as deployed: a request allocates what it
-# returns (request plane: `measure()` and a campaign), a served request
-# nothing on top of that — the archive copies slices into its columns, a
-# telemetry scope records into its driver's buffers — and the survey what
-# it keeps. (The debug builds run in the workspace tests above.)
+# returns — one block (request plane: `measure()` ≤ 1.2 a request and a
+# campaign ≤ 1.10) — a served request nothing on top of that (≤ 1.3 a
+# request in both telemetry arms, ≤ 2.6 an open-loop arrival: the archive
+# shares the block, a telemetry scope records into its driver's buffers),
+# and the survey what it keeps. (The debug builds run in the workspace
+# tests above.)
 echo "== allocation gates (release: core, vpselect, service) =="
 cargo test -q --release -p revtr --test alloc_gate
 cargo test -q --release -p revtr-vpselect --test alloc_gate

@@ -4,8 +4,8 @@
 //! coverage for *trustworthy* reverse paths: every stitched hop is backed
 //! by a measurement or an intradomain-symmetry assumption, never by
 //! interdomain guessing. This crate turns that claim into a per-hop check:
-//! it replays each [`revtr::StitchTrace`] entry against the simulator's
-//! ground-truth oracle and grades it with a typed [`Verdict`].
+//! it replays the [`revtr::Evidence`] each hop carries against the
+//! simulator's ground-truth oracle and grades it with a typed [`Verdict`].
 //!
 //! The checks are *differential* — they re-derive each hop from the raw
 //! provenance the engine recorded (probe nonces and churn epochs, atlas
@@ -24,8 +24,9 @@
 //! * interdomain aborts must be consistent with their recorded inputs.
 //!
 //! A [`Verdict::PolicyViolation`] means the engine used (or misrecorded)
-//! an interdomain symmetry assumption under the `IntradomainOnly` policy —
-//! which must never occur; `ci.sh` gates on it.
+//! an interdomain symmetry assumption under the `IntradomainOnly` policy,
+//! or labelled a hop with a method its evidence does not imply — which
+//! must never occur; `ci.sh` gates on it.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
@@ -37,7 +38,7 @@ use revtr_netsim::{Addr, AsId, Sim};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The audit's grade for one stitch-trace entry.
+/// The audit's grade for one hop (or the terminal abort decision).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Verdict {
     /// The evidence re-derives the hop exactly.
@@ -58,7 +59,8 @@ pub enum Verdict {
     },
     /// An interdomain symmetry assumption was used — or its recorded
     /// decision inputs misrepresent what ip2as actually says — under the
-    /// `IntradomainOnly` policy. Must never occur.
+    /// `IntradomainOnly` policy; or a hop's method is not the one its
+    /// evidence implies. Must never occur.
     PolicyViolation {
         /// Why the policy check fired.
         reason: String,
@@ -75,14 +77,14 @@ impl Verdict {
     }
 }
 
-/// One graded stitch-trace entry.
+/// One graded hop.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HopAudit {
-    /// Hop index within the result (== the trace's entry index; the
-    /// terminal abort check uses the index one past the last hop).
+    /// Hop index within the result (the terminal abort check uses the
+    /// index one past the last hop).
     pub index: usize,
     /// Evidence kind label (see [`Evidence::kind`]; the terminal abort
-    /// check reports as `"abort"`, structural failures as `"structure"`).
+    /// check reports as `"abort"`).
     pub kind: String,
     /// The grade.
     pub verdict: Verdict,
@@ -95,7 +97,7 @@ pub struct TraceAudit {
     pub dst: Addr,
     /// Source of the audited measurement.
     pub src: Addr,
-    /// One grade per trace entry (plus the terminal abort check).
+    /// One grade per hop (plus the terminal abort check).
     pub findings: Vec<HopAudit>,
 }
 
@@ -274,9 +276,20 @@ impl<'s> Auditor<'s> {
             .unwrap_or_else(|| "*".to_string())
     }
 
-    /// Grade one stitch-trace entry against the hop it justifies.
-    fn grade(&self, r: &RevtrResult, i: usize, e: &Evidence) -> Verdict {
+    /// Grade hop `i` of `r` against the evidence it carries.
+    fn grade(&self, r: &RevtrResult, i: usize) -> Verdict {
         let hop = &r.hops[i];
+        let e = &hop.evidence;
+        if hop.method != e.method() {
+            return Verdict::PolicyViolation {
+                reason: format!(
+                    "hop labelled {:?}, but its {} evidence implies {:?}",
+                    hop.method,
+                    e.kind(),
+                    e.method()
+                ),
+            };
+        }
         match e {
             Evidence::Destination => {
                 if hop.addr == Some(r.dst) {
@@ -300,8 +313,8 @@ impl<'s> Auditor<'s> {
                     prov.claimed,
                     prov.dst,
                     prov.nonce,
-                    prov.fwd_epoch,
-                    prov.rep_epoch,
+                    prov.fwd_epoch.get(),
+                    prov.rep_epoch.get(),
                 );
                 match replay {
                     Some(stamps) if stamps.contains(&addr) => Verdict::Sound,
@@ -448,37 +461,22 @@ impl<'s> Auditor<'s> {
         Verdict::Sound
     }
 
-    /// Audit one measurement's stitch trace.
+    /// Audit one measurement, hop by hop.
     pub fn audit(&self, r: &RevtrResult) -> TraceAudit {
-        let mut findings = Vec::with_capacity(r.trace.entries.len() + 1);
-        if r.trace.entries.len() != r.hops.len() {
-            findings.push(HopAudit {
-                index: 0,
-                kind: "structure".to_string(),
-                verdict: Verdict::Unsound {
-                    expected: format!("{} trace entries (one per hop)", r.hops.len()),
-                    got: format!("{}", r.trace.entries.len()),
-                },
-            });
-            return TraceAudit {
-                dst: r.dst,
-                src: r.src,
-                findings,
-            };
-        }
-        for (i, e) in r.trace.entries.iter().enumerate() {
+        let mut findings = Vec::with_capacity(r.hops.len() + 1);
+        for (i, hop) in r.hops.iter().enumerate() {
             findings.push(HopAudit {
                 index: i,
-                kind: e.kind().to_string(),
-                verdict: self.grade(r, i, e),
+                kind: hop.evidence.kind().to_string(),
+                verdict: self.grade(r, i),
             });
         }
-        if let Some(StitchEnd::AbortInterdomain {
+        if let StitchEnd::AbortInterdomain {
             cur,
             penult,
             cur_as,
             penult_as,
-        }) = r.trace.end
+        } = r.end
         {
             findings.push(HopAudit {
                 index: r.hops.len(),
@@ -509,7 +507,7 @@ impl<'s> Auditor<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr::{EngineConfig, RevtrSystem};
+    use revtr::{EngineConfig, HopMethod, RevtrHop, RevtrSystem};
     use revtr_atlas::select_atlas_probes;
     use revtr_netsim::SimConfig;
     use revtr_probing::Prober;
@@ -587,33 +585,24 @@ mod tests {
                 continue;
             }
             let r = system.measure(dst, src);
-            let has_rr = r.trace.entries.iter().any(|e| {
+            let rr = r.hops.iter().position(|h| {
                 matches!(
-                    e,
+                    h.evidence,
                     Evidence::RecordRoute { .. } | Evidence::SpoofedRecordRoute { .. }
                 )
             });
-            if has_rr {
-                tampered = Some(r);
+            if let Some(idx) = rr {
+                tampered = Some((r, idx));
                 break;
             }
         }
-        let mut r = tampered.expect("some measurement uses record route");
+        let (mut r, idx) = tampered.expect("some measurement uses record route");
         assert!(auditor.audit(&r).is_clean(), "untampered audit must pass");
-        let idx = r
-            .trace
-            .entries
-            .iter()
-            .position(|e| {
-                matches!(
-                    e,
-                    Evidence::RecordRoute { .. } | Evidence::SpoofedRecordRoute { .. }
-                )
-            })
-            .expect("checked above");
         // An address that is no router's interface: the replayed stamps
         // cannot contain it.
-        r.hops[idx].addr = Some(Addr(u32::MAX - 1));
+        let mut hops = r.hops.to_vec();
+        hops[idx].addr = Some(Addr(u32::MAX - 1));
+        r.hops = hops.into();
         let audit = auditor.audit(&r);
         assert!(!audit.is_clean());
         assert!(audit
@@ -632,21 +621,9 @@ mod tests {
             src: vp0,
             status: revtr::Status::Complete,
             hops: vec![
-                revtr::RevtrHop {
-                    addr: Some(vp1),
-                    method: revtr::HopMethod::Destination,
-                    suspicious_gap_before: false,
-                },
-                revtr::RevtrHop {
-                    addr: Some(vp0),
-                    method: revtr::HopMethod::AssumedSymmetric,
-                    suspicious_gap_before: false,
-                },
-            ],
-            stats: revtr::RevtrStats::default(),
-            trace: revtr::StitchTrace {
-                entries: vec![
-                    Evidence::Destination,
+                RevtrHop::new(Some(vp1), Evidence::Destination),
+                RevtrHop::new(
+                    Some(vp0),
                     Evidence::AssumedSymmetric {
                         cur: vp1,
                         penult: vp0,
@@ -655,9 +632,11 @@ mod tests {
                         interdomain: true,
                         policy: SymmetryPolicy::IntradomainOnly,
                     },
-                ],
-                end: None,
-            },
+                ),
+            ]
+            .into(),
+            stats: revtr::RevtrStats::default(),
+            end: StitchEnd::ReachedSource,
         };
         let audit = auditor.audit(&r);
         assert!(audit
@@ -665,25 +644,105 @@ mod tests {
             .any(|f| matches!(f.verdict, Verdict::PolicyViolation { .. })));
     }
 
+    /// One evidence of each variant, in `variant` order; the match in
+    /// `variant` stops compiling when a variant is added.
+    fn every_evidence(vp0: Addr, vp1: Addr) -> Vec<Evidence> {
+        let prov = revtr_probing::RrProvenance {
+            sender: vp0,
+            claimed: vp0,
+            dst: vp1,
+            nonce: 1,
+            fwd_epoch: None.into(),
+            rep_epoch: None.into(),
+            from_cache: false,
+        };
+        vec![
+            Evidence::Destination,
+            Evidence::RecordRoute { prov },
+            Evidence::SpoofedRecordRoute { prov },
+            Evidence::AtlasIntersection {
+                source: vp0,
+                vp: vp1,
+                at_hours: 0.0,
+                joined: vp1,
+            },
+            Evidence::TrToSource {
+                source: vp0,
+                vp: vp1,
+                at_hours: 0.0,
+            },
+            Evidence::Timestamp { tested_from: vp1 },
+            Evidence::AssumedSymmetric {
+                cur: vp1,
+                penult: vp0,
+                cur_as: None,
+                penult_as: None,
+                interdomain: false,
+                policy: SymmetryPolicy::Always,
+            },
+        ]
+    }
+
+    fn variant(e: &Evidence) -> usize {
+        match e {
+            Evidence::Destination => 0,
+            Evidence::RecordRoute { .. } => 1,
+            Evidence::SpoofedRecordRoute { .. } => 2,
+            Evidence::AtlasIntersection { .. } => 3,
+            Evidence::TrToSource { .. } => 4,
+            Evidence::Timestamp { .. } => 5,
+            Evidence::AssumedSymmetric { .. } => 6,
+        }
+    }
+
+    const METHODS: [HopMethod; 6] = [
+        HopMethod::Destination,
+        HopMethod::AtlasIntersection,
+        HopMethod::RecordRoute,
+        HopMethod::SpoofedRecordRoute,
+        HopMethod::Timestamp,
+        HopMethod::AssumedSymmetric,
+    ];
+
+    /// For every evidence variant, a hop labelled with any method but the
+    /// one its evidence implies is a policy violation — whatever the
+    /// evidence itself would grade — and the hop `RevtrHop::new` builds is
+    /// not.
     #[test]
-    fn misaligned_trace_is_structurally_unsound() {
+    fn a_method_its_evidence_does_not_imply_is_a_policy_violation() {
         let sim = Sim::build(SimConfig::tiny(), 3);
         let auditor = Auditor::new(&sim, false);
-        let r = RevtrResult {
-            dst: Addr(1),
-            src: Addr(2),
-            status: revtr::Status::Stuck,
-            hops: vec![revtr::RevtrHop {
-                addr: Some(Addr(1)),
-                method: revtr::HopMethod::Destination,
-                suspicious_gap_before: false,
-            }],
-            stats: revtr::RevtrStats::default(),
-            trace: revtr::StitchTrace::default(),
-        };
-        let audit = auditor.audit(&r);
-        assert!(!audit.is_clean());
-        assert_eq!(audit.findings.len(), 1);
-        assert_eq!(audit.findings[0].kind, "structure");
+        let (vp0, vp1) = (sim.topo().vp_sites[0].host, sim.topo().vp_sites[1].host);
+        let evidence = every_evidence(vp0, vp1);
+        assert_eq!(
+            evidence.iter().map(variant).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<_>>()
+        );
+        let mislabelled = |v: &Verdict| matches!(v, Verdict::PolicyViolation { reason } if reason.contains("evidence implies"));
+        for e in evidence {
+            for method in METHODS {
+                let mut hop = RevtrHop::new(Some(vp0), e);
+                let honest = hop.method == method;
+                hop.method = method;
+                let r = RevtrResult {
+                    dst: vp1,
+                    src: vp0,
+                    status: revtr::Status::Complete,
+                    hops: vec![RevtrHop::new(Some(vp1), Evidence::Destination), hop].into(),
+                    stats: revtr::RevtrStats::default(),
+                    end: StitchEnd::ReachedSource,
+                };
+                let audit = auditor.audit(&r);
+                assert_eq!(audit.findings.len(), 2);
+                assert_eq!(audit.findings[1].kind, e.kind());
+                assert_eq!(
+                    mislabelled(&audit.findings[1].verdict),
+                    !honest,
+                    "{} evidence labelled {method:?}: {:?}",
+                    e.kind(),
+                    audit.findings[1].verdict
+                );
+            }
+        }
     }
 }

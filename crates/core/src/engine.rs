@@ -30,8 +30,7 @@
 
 use crate::config::SymmetryPolicy;
 use crate::result::{
-    Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
-    StitchTrace,
+    Evidence, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 use crate::scratch::{novel, on_path, Scratch};
 use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
@@ -162,8 +161,8 @@ enum Phase<'a> {
 
 /// The per-measurement control block: one in-flight reverse traceroute.
 /// `'a` is the borrow of the system a pending ladder reads its VP plan
-/// through. The path itself — hops and their evidence — is assembled in
-/// the driver's [`Scratch`] and copied out, exactly sized, at `finish`.
+/// through. The path itself — each hop with its evidence — is assembled in
+/// the driver's [`Scratch`] and sealed into one block at `finish`.
 pub(crate) struct MeasureTask<'a> {
     dst: Addr,
     src: Addr,
@@ -290,9 +289,9 @@ impl<'a> MeasureTask<'a> {
 
     /// Seal the result: duration and probe delta are what the task's
     /// meter read, exactly its own charges under any scheduling. The path
-    /// leaves the scratch as two exactly-sized vectors — the only
-    /// allocations a measurement makes for itself — and the telemetry
-    /// scope's buffers go back into it.
+    /// is flagged for suspicious gaps in the scratch and leaves it as one
+    /// block — the only allocation a measurement makes for itself — and the
+    /// telemetry scope's buffers go back into it.
     fn finish(
         &mut self,
         sys: &RevtrSystem<'_>,
@@ -306,24 +305,19 @@ impl<'a> MeasureTask<'a> {
             req.finish(status.label(), self.meter.ms);
             req.release(&mut sx.scope);
         }
-        let mut r = RevtrResult {
+        sys.flag_suspicious(&mut sx.hops);
+        RevtrResult {
             dst: self.dst,
             src: self.src,
             status,
-            hops: sx.hops.clone(),
+            hops: Path::new(&sx.hops),
             stats: self.stats,
-            trace: StitchTrace {
-                entries: sx.entries.clone(),
-                end: Some(end),
-            },
-        };
-        sys.flag_suspicious(&mut r);
-        r
+            end,
+        }
     }
 
     fn start(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
         sx.hops.clear();
-        sx.entries.clear();
         self.atlas = Some(sys.atlas(self.src));
         let prober = sys.prober();
         self.src_prefix = sys.sim().host_prefix(self.src);
@@ -347,12 +341,8 @@ impl<'a> MeasureTask<'a> {
             return Some(self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive));
         }
 
-        sx.hops.push(RevtrHop {
-            addr: Some(self.dst),
-            method: HopMethod::Destination,
-            suspicious_gap_before: false,
-        });
-        sx.entries.push(Evidence::Destination);
+        sx.hops
+            .push(RevtrHop::new(Some(self.dst), Evidence::Destination));
         self.cur = self.dst;
         self.phase = Phase::StitchLoop;
         None
@@ -402,7 +392,7 @@ impl<'a> MeasureTask<'a> {
                     continue; // already in the path
                 }
                 self.stats.atlas_hops += 1;
-                sx.entries.push(if i == 0 {
+                let evidence = if i == 0 {
                     // An alias join: this hop's address differs from
                     // `cur` but names the same router (or /30 link).
                     Evidence::AtlasIntersection {
@@ -417,12 +407,8 @@ impl<'a> MeasureTask<'a> {
                         vp: t.vp,
                         at_hours: t.at_hours,
                     }
-                });
-                sx.hops.push(RevtrHop {
-                    addr: *h,
-                    method: HopMethod::AtlasIntersection,
-                    suspicious_gap_before: false,
-                });
+                };
+                sx.hops.push(RevtrHop::new(*h, evidence));
             }
             let atlas_hops = u64::from(self.stats.atlas_hops);
             self.books()
@@ -737,23 +723,13 @@ impl<'a> MeasureTask<'a> {
         found: Option<RrFound>,
     ) -> Option<RevtrResult> {
         if let Some((rev, prov, spoofed)) = found {
-            let method = if spoofed {
-                HopMethod::SpoofedRecordRoute
+            let evidence = if spoofed {
+                Evidence::SpoofedRecordRoute { prov }
             } else {
-                HopMethod::RecordRoute
+                Evidence::RecordRoute { prov }
             };
-            for &h in &rev {
-                sx.entries.push(if spoofed {
-                    Evidence::SpoofedRecordRoute { prov }
-                } else {
-                    Evidence::RecordRoute { prov }
-                });
-                sx.hops.push(RevtrHop {
-                    addr: Some(h),
-                    method,
-                    suspicious_gap_before: false,
-                });
-            }
+            sx.hops
+                .extend(rev.iter().map(|&h| RevtrHop::new(Some(h), evidence)));
             // Continue from the last routable hop.
             if let Some(&next) = rev.iter().rev().find(|a| !a.is_private()) {
                 self.cur = next;
@@ -776,14 +752,10 @@ impl<'a> MeasureTask<'a> {
         let found = u64::from(adj.is_some());
         self.books().exit(ts_span, &[("found", found)]);
         if let Some(adj) = adj {
-            sx.entries.push(Evidence::Timestamp {
+            let evidence = Evidence::Timestamp {
                 tested_from: self.cur,
-            });
-            sx.hops.push(RevtrHop {
-                addr: Some(adj),
-                method: HopMethod::Timestamp,
-                suspicious_gap_before: false,
-            });
+            };
+            sx.hops.push(RevtrHop::new(Some(adj), evidence));
             self.cur = adj;
             self.chain_dist = 0;
             self.phase = Phase::StitchLoop;
@@ -878,21 +850,20 @@ impl<'a> MeasureTask<'a> {
         if d.interdomain {
             self.stats.assumed_interdomain += 1;
         }
-        sx.entries.push(Evidence::AssumedSymmetric {
+        let evidence = Evidence::AssumedSymmetric {
             cur: self.cur,
             penult: d.penult,
             cur_as: d.cur_as,
             penult_as: d.penult_as,
             interdomain: d.interdomain,
             policy,
-        });
+        };
         sx.hops.push(RevtrHop {
-            addr: Some(d.penult),
-            method: HopMethod::AssumedSymmetric,
             // The adopted hop is not known adjacent to `cur` when TTLs
             // between them stayed silent, or when `cur` never answered and
             // the trace merely ended: a hop may be missing (§5.2.2's `*`).
             suspicious_gap_before: link.gap > 0 || !link.reached,
+            ..RevtrHop::new(Some(d.penult), evidence)
         });
         self.cur = d.penult;
         self.chain_dist = link.penult_dist();

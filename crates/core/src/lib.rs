@@ -51,7 +51,6 @@ pub mod system;
 pub use config::{EngineConfig, SymmetryPolicy, VpSelection};
 pub use engine::{task_footprint_bytes, CampaignOutcome, LoopConfig, TimedJob, WavePool};
 pub use result::{
-    Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
-    StitchTrace,
+    Evidence, HopMethod, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 pub use system::{extract_reverse_hops, RevtrSystem};

@@ -1,9 +1,16 @@
 //! Reverse traceroute results and provenance.
+//!
+//! A result's path is one block: every [`RevtrHop`] carries the
+//! [`Evidence`] that justified it, so there is nothing to keep aligned and
+//! nothing to copy twice. The block is sealed once, when the measurement
+//! ends, into a [`Path`] — an immutable, reference-counted slice that the
+//! archive and every other holder share instead of copying.
 
 use crate::config::SymmetryPolicy;
 use revtr_netsim::{Addr, AsId};
 use revtr_probing::{RrProvenance, Snapshot};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a reverse hop was discovered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,17 +29,33 @@ pub enum HopMethod {
     AssumedSymmetric,
 }
 
-/// One hop of a reverse traceroute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One hop of a reverse traceroute and the evidence behind it.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RevtrHop {
     /// The hop address; `None` renders as `*` — an unresponsive atlas hop
     /// or a flagged suspicious gap (§5.2.2).
     pub addr: Option<Addr>,
-    /// Provenance.
+    /// Provenance: the method `evidence` implies ([`RevtrHop::new`]); the
+    /// audit reports a hop whose two disagree.
     pub method: HopMethod,
     /// True if the hop sits on an AS link flagged as suspicious by the
     /// missing-hop heuristic (a `*` is rendered before it).
     pub suspicious_gap_before: bool,
+    /// The measurement (or assumption) that justified the hop.
+    pub evidence: Evidence,
+}
+
+impl RevtrHop {
+    /// A hop at `addr` justified by `evidence`, under the method the
+    /// evidence implies, with no suspicious gap before it.
+    pub fn new(addr: Option<Addr>, evidence: Evidence) -> RevtrHop {
+        RevtrHop {
+            addr,
+            method: evidence.method(),
+            suspicious_gap_before: false,
+            evidence,
+        }
+    }
 }
 
 /// The measurement (or assumption) justifying one accepted reverse hop.
@@ -117,6 +140,22 @@ impl Evidence {
             Evidence::AssumedSymmetric { .. } => "assumed-symmetric",
         }
     }
+
+    /// The method a hop justified by this evidence was discovered by.
+    /// Both atlas variants are one method: the join and the suffix it
+    /// copied.
+    pub fn method(&self) -> HopMethod {
+        match self {
+            Evidence::Destination => HopMethod::Destination,
+            Evidence::RecordRoute { .. } => HopMethod::RecordRoute,
+            Evidence::SpoofedRecordRoute { .. } => HopMethod::SpoofedRecordRoute,
+            Evidence::AtlasIntersection { .. } | Evidence::TrToSource { .. } => {
+                HopMethod::AtlasIntersection
+            }
+            Evidence::Timestamp { .. } => HopMethod::Timestamp,
+            Evidence::AssumedSymmetric { .. } => HopMethod::AssumedSymmetric,
+        }
+    }
 }
 
 /// Why the stitching loop ended (the trace-level decision, as opposed to
@@ -148,15 +187,68 @@ pub enum StitchEnd {
     HopBudget,
 }
 
-/// Per-measurement audit trail: `entries[i]` is the evidence behind
-/// `hops[i]` of the owning [`RevtrResult`], and `end` records why the
-/// loop stopped. Empty on results predating trace recording.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct StitchTrace {
-    /// Per-hop evidence, aligned 1:1 with the result's `hops`.
-    pub entries: Vec<Evidence>,
-    /// The trace-level terminal decision.
-    pub end: Option<StitchEnd>,
+/// A sealed reverse path, destination first: one immutable block of hops
+/// that clones by reference count, so every holder of a result — the
+/// caller, the archive — shares it. An empty path holds no block.
+///
+/// Reads like the slice it derefs to: `len()`, `[i]`, `iter()`, `for hop in
+/// &path`; serializes as the sequence of its hops.
+#[derive(Clone, Default)]
+pub struct Path(Option<Arc<[RevtrHop]>>);
+
+impl Path {
+    /// Seal `hops` into a block of their own: one allocation, none for an
+    /// empty path.
+    pub fn new(hops: &[RevtrHop]) -> Path {
+        Path((!hops.is_empty()).then(|| Arc::from(hops)))
+    }
+}
+
+impl std::ops::Deref for Path {
+    type Target = [RevtrHop];
+
+    fn deref(&self) -> &[RevtrHop] {
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a Path {
+    type Item = &'a RevtrHop;
+    type IntoIter = std::slice::Iter<'a, RevtrHop>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<RevtrHop>> for Path {
+    fn from(hops: Vec<RevtrHop>) -> Path {
+        Path::new(&hops)
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Path) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Path {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Path {
+    fn to_value(&self) -> serde::Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Path {
+    fn from_value(v: &serde::Value) -> Result<Path, serde::DeError> {
+        Vec::<RevtrHop>::from_value(v).map(Path::from)
+    }
 }
 
 /// Why a measurement ended.
@@ -270,14 +362,15 @@ pub struct RevtrResult {
     pub src: Addr,
     /// Outcome.
     pub status: Status,
-    /// The reverse path, destination first. On `Complete`, the last
-    /// non-`None` hop is the source (or an address in its prefix).
-    pub hops: Vec<RevtrHop>,
+    /// The reverse path, destination first, each hop with its evidence.
+    /// On `Complete`, the last non-`None` hop is the source (or an address
+    /// in its prefix).
+    pub hops: Path,
     /// Statistics.
     pub stats: RevtrStats,
-    /// Stitch-trace audit trail (`trace.entries[i]` justifies `hops[i]`).
-    #[serde(default)]
-    pub trace: StitchTrace,
+    /// Why the stitching loop ended (the trace-level decision; each hop's
+    /// own is its evidence).
+    pub end: StitchEnd,
 }
 
 impl RevtrResult {
@@ -346,6 +439,80 @@ impl std::fmt::Display for RevtrResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revtr_probing::SentEpoch;
+
+    fn prov(fwd_epoch: Option<u32>) -> RrProvenance {
+        RrProvenance {
+            sender: Addr(7),
+            claimed: Addr(8),
+            dst: Addr(9),
+            nonce: 42,
+            fwd_epoch: fwd_epoch.into(),
+            rep_epoch: SentEpoch::default(),
+            from_cache: true,
+        }
+    }
+
+    /// One of every evidence variant, and the method each implies.
+    fn every_evidence() -> [(Evidence, HopMethod); 7] {
+        [
+            (Evidence::Destination, HopMethod::Destination),
+            (
+                Evidence::RecordRoute { prov: prov(None) },
+                HopMethod::RecordRoute,
+            ),
+            (
+                Evidence::SpoofedRecordRoute {
+                    prov: prov(Some(3)),
+                },
+                HopMethod::SpoofedRecordRoute,
+            ),
+            (
+                Evidence::AtlasIntersection {
+                    source: Addr(8),
+                    vp: Addr(10),
+                    at_hours: 1.5,
+                    joined: Addr(11),
+                },
+                HopMethod::AtlasIntersection,
+            ),
+            (
+                Evidence::TrToSource {
+                    source: Addr(8),
+                    vp: Addr(10),
+                    at_hours: 0.25,
+                },
+                HopMethod::AtlasIntersection,
+            ),
+            (
+                Evidence::Timestamp {
+                    tested_from: Addr(1),
+                },
+                HopMethod::Timestamp,
+            ),
+            (
+                Evidence::AssumedSymmetric {
+                    cur: Addr(12),
+                    penult: Addr(13),
+                    cur_as: Some(AsId(4)),
+                    penult_as: None,
+                    interdomain: false,
+                    policy: SymmetryPolicy::IntradomainOnly,
+                },
+                HopMethod::AssumedSymmetric,
+            ),
+        ]
+    }
+
+    fn hop(addr: Option<Addr>, evidence: Evidence) -> RevtrHop {
+        RevtrHop::new(addr, evidence)
+    }
+
+    const ATLAS: Evidence = Evidence::TrToSource {
+        source: Addr(2),
+        vp: Addr(3),
+        at_hours: 0.0,
+    };
 
     #[test]
     fn display_renders_hops_and_outcome() {
@@ -354,19 +521,15 @@ mod tests {
             src: Addr::new(11, 9, 128, 4),
             status: Status::Complete,
             hops: vec![
+                hop(Some(Addr::new(11, 1, 128, 10)), Evidence::Destination),
                 RevtrHop {
-                    addr: Some(Addr::new(11, 1, 128, 10)),
-                    method: HopMethod::Destination,
-                    suspicious_gap_before: false,
-                },
-                RevtrHop {
-                    addr: None,
-                    method: HopMethod::AtlasIntersection,
                     suspicious_gap_before: true,
+                    ..hop(None, ATLAS)
                 },
-            ],
+            ]
+            .into(),
             stats: RevtrStats::default(),
-            trace: StitchTrace::default(),
+            end: StitchEnd::AtlasSuffix,
         };
         let text = r.to_string();
         assert!(text.contains("reverse traceroute from 11.1.128.10"));
@@ -389,71 +552,65 @@ mod tests {
         assert_eq!(d.option_probes(), 11);
     }
 
+    /// A hop and its evidence fit where the two index-aligned elements
+    /// they replace took 12 + 48 bytes.
     #[test]
-    fn stitch_trace_roundtrips_through_serde() {
-        use revtr_probing::RrProvenance;
-        let trace = StitchTrace {
-            entries: vec![
-                Evidence::Destination,
-                Evidence::SpoofedRecordRoute {
-                    prov: RrProvenance {
-                        sender: Addr(7),
-                        claimed: Addr(8),
-                        dst: Addr(9),
-                        nonce: 42,
-                        fwd_epoch: Some(3),
-                        rep_epoch: None,
-                        from_cache: true,
-                    },
-                },
-                Evidence::AtlasIntersection {
-                    source: Addr(8),
-                    vp: Addr(10),
-                    at_hours: 1.5,
-                    joined: Addr(11),
-                },
-                Evidence::AssumedSymmetric {
-                    cur: Addr(12),
-                    penult: Addr(13),
-                    cur_as: Some(AsId(4)),
-                    penult_as: None,
-                    interdomain: false,
-                    policy: SymmetryPolicy::IntradomainOnly,
-                },
-            ],
-            end: Some(StitchEnd::AbortInterdomain {
+    fn a_hop_with_its_evidence_fits_in_56_bytes() {
+        assert!(std::mem::size_of::<RevtrHop>() <= 56);
+        assert_eq!(std::mem::size_of::<Path>(), 16);
+    }
+
+    #[test]
+    fn every_hop_is_built_under_the_method_its_evidence_implies() {
+        for (evidence, method) in every_evidence() {
+            assert_eq!(evidence.method(), method, "{}", evidence.kind());
+            let h = hop(Some(Addr(1)), evidence);
+            assert_eq!((h.method, h.evidence), (method, evidence));
+            assert!(!h.suspicious_gap_before);
+        }
+    }
+
+    #[test]
+    fn a_result_roundtrips_through_serde_with_its_evidence() {
+        let r = RevtrResult {
+            dst: Addr(1),
+            src: Addr(2),
+            status: Status::AbortedInterdomain,
+            hops: (every_evidence().into_iter().enumerate())
+                .map(|(i, (e, _))| hop((i % 3 > 0).then(|| Addr(i as u32)), e))
+                .collect::<Vec<_>>()
+                .into(),
+            stats: RevtrStats::default(),
+            end: StitchEnd::AbortInterdomain {
                 cur: Addr(1),
                 penult: Addr(2),
                 cur_as: Some(AsId(1)),
                 penult_as: Some(AsId(2)),
-            }),
+            },
         };
-        let json = serde_json::to_string(&trace).expect("serializes");
-        let back: StitchTrace = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(trace, back);
+        let json = serde_json::to_string(&r).expect("serializes");
+        assert!(json.contains(r#""fwd_epoch":3"#) && json.contains(r#""rep_epoch":null"#));
+        let back: RevtrResult = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(r, back);
+    }
+
+    #[test]
+    fn a_path_clones_by_sharing_its_block() {
+        let hops = [hop(Some(Addr(1)), Evidence::Destination), hop(None, ATLAS)];
+        let path = Path::new(&hops);
+        assert_eq!(path.clone().as_ptr(), path.as_ptr());
+        assert_ne!(Path::new(&hops).as_ptr(), path.as_ptr());
+        assert_eq!(&path[..], &hops[..]);
+        assert_eq!((&path).into_iter().count(), 2);
+        assert_eq!(Path::default(), Path::new(&[]));
     }
 
     #[test]
     fn evidence_kind_labels_are_distinct() {
-        let kinds = [
-            Evidence::Destination.kind(),
-            Evidence::TrToSource {
-                source: Addr(1),
-                vp: Addr(2),
-                at_hours: 0.0,
-            }
-            .kind(),
-            Evidence::Timestamp {
-                tested_from: Addr(1),
-            }
-            .kind(),
-        ];
-        assert_eq!(kinds.len(), {
-            let mut k = kinds.to_vec();
-            k.sort_unstable();
-            k.dedup();
-            k.len()
-        });
+        let mut kinds: Vec<&str> = every_evidence().iter().map(|(e, _)| e.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), every_evidence().len());
     }
 
     #[test]
@@ -463,24 +620,13 @@ mod tests {
             src: Addr(2),
             status: Status::Complete,
             hops: vec![
-                RevtrHop {
-                    addr: Some(Addr(1)),
-                    method: HopMethod::Destination,
-                    suspicious_gap_before: false,
-                },
-                RevtrHop {
-                    addr: None,
-                    method: HopMethod::AtlasIntersection,
-                    suspicious_gap_before: false,
-                },
-                RevtrHop {
-                    addr: Some(Addr(2)),
-                    method: HopMethod::AtlasIntersection,
-                    suspicious_gap_before: false,
-                },
-            ],
+                hop(Some(Addr(1)), Evidence::Destination),
+                hop(None, ATLAS),
+                hop(Some(Addr(2)), ATLAS),
+            ]
+            .into(),
             stats: RevtrStats::default(),
-            trace: StitchTrace::default(),
+            end: StitchEnd::AtlasSuffix,
         };
         assert!(r.complete());
         assert!(r.has_star());

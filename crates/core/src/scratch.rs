@@ -6,13 +6,13 @@
 //! and takes it back when the result is sealed. The path under assembly,
 //! the spoofed ladder's cursors, one round's batch and the prober's reply
 //! all live here and are overwritten in place by the next request; what a
-//! request allocates is what outlives it — its result (two exactly-sized
-//! vectors at `finish`), plus whatever it inserts into the measurement
-//! cache and publishes to the stop sets. Its telemetry scope records into
+//! request allocates is what outlives it — its result (one block, sealed
+//! at `finish`), plus whatever it inserts into the measurement cache and
+//! publishes to the stop sets. Its telemetry scope records into
 //! buffers kept here too, handed back at `finish` less what the journal
 //! retained.
 
-use crate::result::{Evidence, RevtrHop};
+use crate::result::RevtrHop;
 use revtr_netsim::{Addr, RrSlots};
 use revtr_probing::{BatchReply, ScopeBuffers};
 use revtr_vpselect::PlanView;
@@ -21,10 +21,9 @@ use revtr_vpselect::PlanView;
 /// request left half-written is dropped, never reused.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// The path under assembly, destination first.
+    /// The path under assembly, destination first, each hop with its
+    /// evidence.
     pub(crate) hops: Vec<RevtrHop>,
-    /// The evidence behind it, aligned 1:1 with `hops`.
-    pub(crate) entries: Vec<Evidence>,
     /// The telemetry scope's recorder and span buffers between requests
     /// (empty while a request has them, and with telemetry off).
     pub(crate) scope: ScopeBuffers,
@@ -373,7 +372,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::HopMethod;
+    use crate::result::Evidence;
     use proptest::prelude::*;
     use revtr_netsim::hash::mix3;
     use revtr_vpselect::IngressInfo;
@@ -386,11 +385,7 @@ mod tests {
     fn path_of(addrs: &[Option<Addr>]) -> Vec<RevtrHop> {
         addrs
             .iter()
-            .map(|&addr| RevtrHop {
-                addr,
-                method: HopMethod::RecordRoute,
-                suspicious_gap_before: false,
-            })
+            .map(|&addr| RevtrHop::new(addr, Evidence::Destination))
             .collect()
     }
 

@@ -674,8 +674,8 @@ impl<'s> RevtrSystem<'s> {
             prov.claimed,
             prov.dst,
             prov.nonce,
-            prov.fwd_epoch,
-            prov.rep_epoch,
+            prov.fwd_epoch.get(),
+            prov.rep_epoch.get(),
         ) else {
             return keep_all();
         };
@@ -1102,13 +1102,14 @@ impl<'s> RevtrSystem<'s> {
         r
     }
 
-    /// Flag suspicious AS gaps (§5.2.2): a small AS apparently adjacent to
-    /// a provider-of-its-provider with no known relationship suggests a
-    /// router that forwards RR packets without stamping.
-    pub(crate) fn flag_suspicious(&self, r: &mut RevtrResult) {
+    /// Flag suspicious AS gaps (§5.2.2) on a path before it is sealed: a
+    /// small AS apparently adjacent to a provider-of-its-provider with no
+    /// known relationship suggests a router that forwards RR packets
+    /// without stamping.
+    pub(crate) fn flag_suspicious(&self, hops: &mut [RevtrHop]) {
         let mut prev_as: Option<revtr_netsim::AsId> = None;
-        for i in 0..r.hops.len() {
-            let Some(addr) = r.hops[i].addr else { continue };
+        for hop in hops {
+            let Some(addr) = hop.addr else { continue };
             let Some(a) = self.ip2as.map(addr) else {
                 continue;
             };
@@ -1116,7 +1117,7 @@ impl<'s> RevtrSystem<'s> {
                 if p != a
                     && (self.rels.is_suspicious_link(p, a) || self.rels.is_suspicious_link(a, p))
                 {
-                    r.hops[i].suspicious_gap_before = true;
+                    hop.suspicious_gap_before = true;
                 }
             }
             prev_as = Some(a);

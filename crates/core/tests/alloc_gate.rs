@@ -1,16 +1,18 @@
 //! Allocation gate for the request plane: a reverse traceroute allocates
-//! what it returns. On a warm paper-era system with stop sets on,
+//! what it returns, and what it returns is one block. On a warm paper-era
+//! system with stop sets on,
 //!
+//! * a measured result costs exactly one allocation: almost every request
+//!   of a serial sweep makes exactly that one, none makes fewer,
 //! * a request that completes by atlas intersection on its first stitch
 //!   step allocates its result and at most one usage-map growth,
 //! * spoofed rounds and symmetry steps are free — a request that ran three
 //!   or more batches is held to the bound of one that ran a single batch:
 //!   its result,
-//! * a serial sweep averages two and a half allocations per `measure()` at
-//!   most, and a two-worker campaign over the same sweep 2.10 (2.07
-//!   measured: the workers live as long as the campaign, so a wave brings
-//!   its barrier's merge and nothing else — no thread, no handle, no
-//!   regrown scratch).
+//! * a serial sweep averages 1.2 allocations per `measure()` at most, and a
+//!   two-worker campaign over the same sweep 1.10 (the workers live as long
+//!   as the campaign, so a wave brings its barrier's merge and nothing
+//!   else — no thread, no handle, no regrown scratch).
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is process-wide (campaign workers are threads of their own),
@@ -97,10 +99,15 @@ fn warm_system<'s>(
     sys
 }
 
+/// The blocks `r` owns: none when the destination never answered.
+fn result_blocks(r: &RevtrResult) -> u64 {
+    u64::from(!r.hops.is_empty())
+}
+
 /// Reached the atlas on the first stitch step: the destination, then
 /// nothing but the intersected trace's suffix.
 fn first_step_intersection(r: &RevtrResult) -> bool {
-    r.trace.end == Some(StitchEnd::AtlasSuffix)
+    r.end == StitchEnd::AtlasSuffix
         && r.hops.len() > 1
         && r.hops[1..]
             .iter()
@@ -155,12 +162,24 @@ fn a_request_allocates_what_it_returns() {
         .collect();
     let total: u64 = served.iter().map(|(_, n)| n).sum();
     let mean = total as f64 / served.len() as f64;
-    assert!(mean <= 2.5, "serial sweep: {mean:.2} allocations/request");
+    assert!(mean <= 1.2, "serial sweep: {mean:.3} allocations/request");
+    // Exactly one per result: no request allocates less than its block,
+    // and nearly all allocate nothing else.
+    assert!(served.iter().all(|(r, n)| *n >= result_blocks(r)));
+    let exact = served
+        .iter()
+        .filter(|(r, n)| *n == result_blocks(r))
+        .count();
+    assert!(
+        exact as f64 >= 0.9 * served.len() as f64,
+        "only {exact} of {} requests allocated exactly their result",
+        served.len()
+    );
 
     // (a) First-step atlas intersections — toward routers the atlas
     // traceroutes crossed, here each trace's first hop, asked twice so the
     // counted request finds the simulator's route to it filled: the
-    // result's two vectors, and now and then the usage map growing.
+    // result's block, and now and then the usage map growing.
     let atlas = sys.atlas(vps[0]);
     let intersected: Vec<u64> = atlas
         .traces
@@ -179,8 +198,8 @@ fn a_request_allocates_what_it_returns() {
         intersected.len()
     );
     assert!(
-        intersected.iter().all(|&n| n <= 3),
-        "a first-step atlas intersection allocated more than 3 times: {intersected:?}"
+        intersected.iter().all(|&n| n <= 2),
+        "a first-step atlas intersection allocated more than twice: {intersected:?}"
     );
 
     // (b) Spoofed rounds are free, and so is the symmetry step (its last
@@ -190,8 +209,8 @@ fn a_request_allocates_what_it_returns() {
     // request's cache inserts or stop-set publications: rare, and a few
     // allocations when it happens. Requests that ran three or more batches
     // must meet the bound like those that ran one. (Hop count plays no
-    // part: the result's vectors are cut to size, one allocation each.)
-    let over_bound = |n: u64| n.saturating_sub(2);
+    // part: the result is sealed as one block.)
+    let over_bound = |n: u64| n.saturating_sub(1);
     for (batches, at_most_over) in [(1..=1, 0.05), (3..=u32::MAX, 0.25)] {
         let over: Vec<u64> = served
             .iter()
@@ -221,9 +240,9 @@ fn a_request_allocates_what_it_returns() {
     let outcome = outcome.expect("no measurement panics");
     assert_eq!(outcome.results.len(), sweep.len());
     let mean = campaign as f64 / sweep.len() as f64;
-    assert!(mean <= 2.10, "campaign: {mean:.3} allocations/request");
+    assert!(mean <= 1.10, "campaign: {mean:.3} allocations/request");
 
-    // (e) Net of the results' own vectors, and of what the second worker
+    // (e) Net of the results' own blocks, and of what the second worker
     // brings once per campaign — its thread, its scratch, its thread's
     // route-fill scratch and route memo: 50 measured — a wave accounts for
     // at most three allocations: tables growing under its merge and its
@@ -231,9 +250,7 @@ fn a_request_allocates_what_it_returns() {
     // regrown scratch (a thread per wave read 15 here, 19 with libtest
     // capturing each thread's output).
     const HELPER_ONCE: u64 = 64;
-    let own: u64 = (outcome.results.iter())
-        .map(|r| u64::from(r.hops.capacity() > 0) + u64::from(r.trace.entries.capacity() > 0))
-        .sum();
+    let own: u64 = outcome.results.iter().map(result_blocks).sum();
     let waves = sweep.len().div_ceil(64) as u64;
     let rest = campaign - own;
     assert!(

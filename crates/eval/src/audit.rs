@@ -3,7 +3,7 @@
 //! table.
 //!
 //! This is the evaluation-facing face of the `revtr-audit` crate: it
-//! audits the [`revtr::StitchTrace`] of every result of a [`CampaignRun`]
+//! audits the evidence every hop of every result of a [`CampaignRun`] carries
 //! — the campaign the SLO and economy gates judge — and aggregates the
 //! verdicts. The report's gate — zero `Unsound`, zero `PolicyViolation` —
 //! is enforced by `revtr-cli audit` (nonzero exit status) and wired into
@@ -60,7 +60,7 @@ impl AuditReport {
     }
 }
 
-/// Audit every stitch trace of a campaign run. With stop sets on this is
+/// Audit every hop of every result of a campaign run. With stop sets on this is
 /// what proves reused backward evidence replays soundly: adopted hops
 /// carry the original probe's provenance, so the auditor re-derives every
 /// reused step against the oracle exactly like a fresh one.

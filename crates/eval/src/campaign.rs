@@ -333,7 +333,7 @@ pub struct CampaignRun {
     pub ctx: EvalContext,
     /// The `(dst, src)` pairs measured, in dispatch order.
     pub workload: Vec<(Addr, Addr)>,
-    /// Per-pair results with their stitch traces, in workload order.
+    /// Per-pair results, every hop with its evidence, in workload order.
     pub results: Vec<RevtrResult>,
     /// Engine events the campaign processed.
     pub events: u64,

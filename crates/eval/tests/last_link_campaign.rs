@@ -31,8 +31,8 @@ fn full_trace(sim: &Sim, src: Addr, cur: Addr) -> Option<(Option<Addr>, bool)> {
 /// starred for a gap or a silent target).
 fn cross_check(sim: &Sim, r: &RevtrResult) -> (usize, usize) {
     let (mut steps, mut starred) = (0, 0);
-    for (hop, evidence) in r.hops.iter().zip(&r.trace.entries) {
-        if let Evidence::AssumedSymmetric { cur, penult, .. } = *evidence {
+    for hop in &r.hops {
+        if let Evidence::AssumedSymmetric { cur, penult, .. } = hop.evidence {
             let (want, adjacent) = full_trace(sim, r.src, cur).expect("a measured hop routes");
             assert_eq!(
                 Some(penult),
@@ -52,8 +52,8 @@ fn cross_check(sim: &Sim, r: &RevtrResult) -> (usize, usize) {
     // The step that ended the request, if one did: it ran at the last
     // routable hop of the path.
     let cur = r.addrs().filter(|a| !a.is_private()).last();
-    match (r.trace.end, cur) {
-        (Some(StitchEnd::AbortInterdomain { cur, penult, .. }), _) => {
+    match (r.end, cur) {
+        (StitchEnd::AbortInterdomain { cur, penult, .. }, _) => {
             let (want, _) = full_trace(sim, r.src, cur).expect("a measured hop routes");
             assert_eq!(
                 Some(penult),
@@ -64,7 +64,7 @@ fn cross_check(sim: &Sim, r: &RevtrResult) -> (usize, usize) {
             );
             steps += 1;
         }
-        (Some(StitchEnd::Stuck), Some(cur)) => {
+        (StitchEnd::Stuck, Some(cur)) => {
             let nothing_new = full_trace(sim, r.src, cur)
                 .and_then(|(want, _)| want)
                 .is_none_or(|penult| r.addrs().any(|a| a == penult));
@@ -119,10 +119,16 @@ fn symmetry_steps_match_the_full_trace_at_every_width() {
                     starred += g;
                 }
                 let sent = system.prober().counters().snapshot().since(&before);
-                let paths: Vec<_> = outcome
-                    .results
-                    .into_iter()
-                    .map(|r| (r.status, r.hops))
+                // Hops less their evidence, which names the nonce and
+                // whether the cache answered: which of two workers pays
+                // for a measurement both need is theirs to settle.
+                let paths: Vec<_> = (outcome.results.iter())
+                    .map(|r| {
+                        let hops: Vec<_> = (r.hops.iter())
+                            .map(|h| (h.addr, h.method, h.suspicious_gap_before))
+                            .collect();
+                        (r.status, hops)
+                    })
                     .collect();
                 (
                     paths,

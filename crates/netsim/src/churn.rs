@@ -57,8 +57,15 @@ impl Churn {
 
     /// Advance virtual time by `hours`; each prefix re-rolls with
     /// probability `churn_per_hour · hours`, drawn from a generator seeded
-    /// by `seed` and the flush's ordinal.
-    pub(crate) fn advance(&self, seed: u64, churn_per_hour: f64, hours: f64) {
+    /// by `seed` and the flush's ordinal. `stepped` hears of every prefix
+    /// that re-rolled and the epoch it left, once the new one is visible.
+    pub(crate) fn advance(
+        &self,
+        seed: u64,
+        churn_per_hour: f64,
+        hours: f64,
+        mut stepped: impl FnMut(PrefixId, u32),
+    ) {
         let mut steps = self.steps.lock();
         self.now_hours
             .store((self.now_hours() + hours).to_bits(), Ordering::Relaxed);
@@ -68,10 +75,12 @@ impl Churn {
             return;
         }
         let mut rng = StdRng::seed_from_u64(mix3(seed, 0xc4c4, *steps));
-        for e in self.epochs.iter() {
+        for (i, e) in self.epochs.iter().enumerate() {
             if rng.gen_bool(p) {
                 // The mutex makes this the only writer: a plain add.
-                e.store(e.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                let left = e.load(Ordering::Relaxed);
+                e.store(left + 1, Ordering::Relaxed);
+                stepped(PrefixId(i as u32), left);
             }
         }
     }
@@ -134,13 +143,21 @@ mod tests {
             let ours = Churn::new(PREFIXES);
             let reference = Locked::new(PREFIXES);
             for hours in steps {
-                ours.advance(seed, churn_per_hour, hours);
+                let before = reference.0.read().epochs.clone();
+                let mut stepped = Vec::new();
+                ours.advance(seed, churn_per_hour, hours, |p, left| stepped.push((p.index(), left)));
                 reference.advance(seed, churn_per_hour, hours);
                 let st = reference.0.read();
                 prop_assert_eq!(ours.now_hours().to_bits(), st.now_hours.to_bits());
                 for (p, &e) in st.epochs.iter().enumerate() {
                     prop_assert_eq!(ours.epoch(PrefixId(p as u32)), e);
                 }
+                // Reported: exactly the prefixes that stepped, and from where.
+                let moved: Vec<(usize, u32)> = (0..PREFIXES)
+                    .filter(|&p| st.epochs[p] != before[p])
+                    .map(|p| (p, before[p]))
+                    .collect();
+                prop_assert_eq!(stepped, moved);
             }
         }
     }
@@ -170,7 +187,7 @@ mod tests {
             }
             start.wait();
             for _ in 0..FLUSHES {
-                churn.advance(9, 0.5, 1.0);
+                churn.advance(9, 0.5, 1.0, |_, _| {});
             }
             done.store(true, Ordering::Release);
         });

@@ -182,6 +182,12 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
         self.shard(&key).write().insert(key, Slot::Ready(value));
     }
 
+    /// Drop the entry under `key`, materialized or in flight (a flight
+    /// still lands for its waiters, and its computer re-inserts the value).
+    pub fn remove(&self, key: &K) {
+        self.shard(key).write().remove(key);
+    }
+
     /// Number of materialized entries (excludes in-flight fills).
     pub fn len(&self) -> usize {
         self.shards

@@ -175,13 +175,15 @@ impl SinkTree {
     }
 
     /// Bind to `(dst_addr, salt)`, forgetting every cell if that is a new
-    /// key, and hand out the key's route table beside the cells.
+    /// key, and hand out the key's route table beside the cells. `epoch`
+    /// is what the salt stands for ([`Sim::route_table`]).
     fn bind(
         &mut self,
         sim: &Sim,
         dst_addr: Addr,
         target_as: AsId,
         salt: u64,
+        epoch: Option<(PrefixId, u32)>,
     ) -> (&[bgp::Cell], &mut [u32]) {
         if !matches!(self.bound, Some((a, s, _)) if (a, s) == (dst_addr, salt)) {
             assert_eq!(
@@ -190,7 +192,7 @@ impl SinkTree {
                 "another sim's tree"
             );
             self.cells.fill(CELL_UNKNOWN);
-            self.bound = Some((dst_addr, salt, sim.routes(target_as, salt).core));
+            self.bound = Some((dst_addr, salt, sim.route_table(target_as, salt, epoch)));
         }
         let (_, _, core) = self.bound.as_ref().expect("bound above");
         (core, &mut self.cells)
@@ -206,9 +208,12 @@ const MEMO_SLOTS: usize = 32;
 /// walks toward the same sources, so fetching the table from the shared
 /// cache per walk had all of them taking one shard's lock and bumping one
 /// table's reference count in turn. A walk toward a memoised key touches
-/// nothing shared. The cache never evicts and a key's table never
-/// changes, so an entry cannot go stale for its simulator; entries of a
-/// simulator since dropped only hold their tables until overwritten.
+/// nothing shared. A key's table never changes, so an entry cannot go
+/// stale: when churn retires a key the shared cache drops its table, and
+/// an entry here only keeps that table alive until overwritten — which is
+/// also how a walk pinned to a retired epoch keeps the table it computed
+/// for itself. A simulator's drop releases the dropping thread's entries
+/// for it; other threads' go when overwritten.
 struct RouteMemo {
     slots: [Option<Memoised>; MEMO_SLOTS],
 }
@@ -221,15 +226,31 @@ struct Memoised {
 }
 
 impl RouteMemo {
-    /// The core's table toward `dst` under `salt`.
-    fn table(&mut self, sim: &Sim, dst: AsId, salt: u64) -> &[bgp::Cell] {
+    /// The core's table toward `dst` under `salt`, which stands for
+    /// `epoch` ([`Sim::route_table`]).
+    fn table(
+        &mut self,
+        sim: &Sim,
+        dst: AsId,
+        salt: u64,
+        epoch: Option<(PrefixId, u32)>,
+    ) -> &[bgp::Cell] {
         let slot = &mut self.slots[(mix2(dst.0 as u64, salt) % MEMO_SLOTS as u64) as usize];
         let key = (sim.id, dst.0, salt);
         if !matches!(slot, Some(m) if m.key == key) {
-            let core = sim.routes(dst, salt).core;
+            let core = sim.route_table(dst, salt, epoch);
             *slot = Some(Memoised { key, core });
         }
         &slot.as_ref().expect("filled above").core
+    }
+
+    /// Drop every entry of the simulator `sim_id`.
+    fn forget(&mut self, sim_id: u64) {
+        for slot in &mut self.slots {
+            if slot.as_ref().is_some_and(|m| m.key.0 == sim_id) {
+                *slot = None;
+            }
+        }
     }
 }
 
@@ -307,9 +328,12 @@ pub struct Sim {
     churn: Churn,
     /// The salt-independent half of the route plane.
     route_plan: RoutePlan,
-    /// (dst AS, salt) → the core's routes. Lock-striped; fills are
+    /// (dst AS, salt) → the core's routes, for live keys only: one table
+    /// per infrastructure AS and at most one per announced prefix, at its
+    /// current churn epoch ([`Sim::route_table`]; a prefix's step drops
+    /// the table of the epoch it left). Lock-striped; fills are
     /// single-flight so concurrent workers never duplicate a route
-    /// computation. Never evicted, hence the compact value.
+    /// computation.
     route_cache: StripedMap<(u32, u64), Arc<[bgp::Cell]>>,
     /// (AS, neighbour AS) → border routers.
     borders: Borders,
@@ -434,10 +458,15 @@ impl Sim {
 
     /// Advance virtual time, applying route churn: each announced prefix
     /// re-rolls its interdomain tie-breaks with probability
-    /// `churn_per_hour · hours`.
+    /// `churn_per_hour · hours`, and the route cache drops the table of the
+    /// epoch it left — no live walk routes on that salt again.
     pub fn advance_hours(&self, hours: f64) {
-        self.churn
-            .advance(self.seed, self.cfg.behavior.churn_per_hour, hours);
+        let rate = self.cfg.behavior.churn_per_hour;
+        self.churn.advance(self.seed, rate, hours, |p, left| {
+            let owner = self.topo.prefix(p).owner;
+            self.route_cache
+                .remove(&(owner.0, self.prefix_salt_at(p, left)));
+        });
     }
 
     /// The current churn epoch of a prefix.
@@ -483,6 +512,30 @@ impl Sim {
             salt,
             core,
         }
+    }
+
+    /// The core's table toward `dst` under `salt`, for a walk whose salt
+    /// stands for epoch `e` of prefix `p` (`epoch = Some((p, e))`; `None`
+    /// for infrastructure destinations, which never churn). The shared
+    /// cache keeps live keys only: a walk pinned to an epoch its prefix has
+    /// left — an audit replay, the hardened RR filter — computes the table
+    /// for itself, and a fill a churn step overtook is dropped again.
+    fn route_table(
+        &self,
+        dst: AsId,
+        salt: u64,
+        epoch: Option<(PrefixId, u32)>,
+    ) -> Arc<[bgp::Cell]> {
+        let retired = || epoch.is_some_and(|(p, e)| self.prefix_epoch(p) != e);
+        if retired() {
+            self.route_computes.fetch_add(1, Ordering::Relaxed);
+            return self.route_plan.fill(dst, salt);
+        }
+        let core = self.routes(dst, salt).core;
+        if retired() {
+            self.route_cache.remove(&(dst.0, salt));
+        }
+        core
     }
 
     /// How many times `routes` actually computed a table (i.e. cache
@@ -716,15 +769,22 @@ impl Sim {
         epoch: Option<u32>,
         tree: Option<&mut SinkTree>,
     ) -> Option<Walk> {
-        let key = self.routing_ctx(dest, epoch);
+        // The epoch the walk routes on, read once: pinned, or live.
+        let epoch = match *dest {
+            Dest::Host { prefix, .. } => {
+                Some((prefix, epoch.unwrap_or_else(|| self.prefix_epoch(prefix))))
+            }
+            Dest::Router { .. } => None,
+        };
+        let key = self.routing_ctx(dest, epoch.map(|(_, e)| e));
         let (target_as, salt, _) = key;
         match tree {
             Some(tree) => {
-                let (core, cells) = tree.bind(self, dst_addr, target_as, salt);
+                let (core, cells) = tree.bind(self, dst_addr, target_as, salt, epoch);
                 self.walk_over(core, Some(cells), start, dst_addr, dest, meta, key)
             }
             None => ROUTE_MEMO.with_borrow_mut(|memo| {
-                let core = memo.table(self, target_as, salt);
+                let core = memo.table(self, target_as, salt, epoch);
                 self.walk_over(core, None, start, dst_addr, dest, meta, key)
             }),
         }
@@ -1164,6 +1224,15 @@ impl Sim {
     }
 }
 
+impl Drop for Sim {
+    /// Release this thread's memoised tables of the simulator; the route
+    /// cache releases the rest. (Other threads' entries go when their next
+    /// walks overwrite them; a thread already torn down holds none.)
+    fn drop(&mut self) {
+        let _ = ROUTE_MEMO.try_with(|memo| memo.borrow_mut().forget(self.id));
+    }
+}
+
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
@@ -1345,6 +1414,96 @@ mod tests {
         // A different salt is a different cache entry.
         let _ = s.routes(dst, 43);
         assert_eq!(s.route_computes(), 2);
+    }
+
+    /// `flushes` virtual hours on `cfg`, a rotating window of `window`
+    /// prefixes RR-pinged from a VP after each: the route cache keeps live
+    /// keys only — at most one table per prefix plus one per
+    /// infrastructure AS — where keeping every key ever walked would not.
+    fn route_cache_holds_live_keys_only(cfg: SimConfig, flushes: usize, window: usize) {
+        let s = Sim::build(cfg, 5);
+        let vp = s.topo().vp_sites[0].host;
+        let dsts: Vec<(PrefixId, Addr)> = (s.topo().prefixes.iter())
+            .filter_map(|pe| Some((pe.id, s.host_addrs(pe.id).next()?)))
+            .collect();
+        let bound = s.topo().prefixes.len() + s.topo().ases.len();
+        let mut walked = std::collections::HashSet::new();
+        for f in 0..flushes {
+            s.advance_hours(1.0);
+            for k in f * window..(f + 1) * window {
+                let (p, dst) = dsts[k % dsts.len()];
+                s.rr_ping(vp, dst, k as u64);
+                walked.insert((p, s.prefix_epoch(p)));
+            }
+            let held = s.route_cache.len();
+            assert!(held <= bound, "flush {f}: {held} tables, bound {bound}");
+        }
+        assert!(
+            walked.len() > bound,
+            "vacuous: the pings walked {} keys, bound {bound}",
+            walked.len()
+        );
+    }
+
+    #[test]
+    fn the_route_cache_keeps_only_live_keys() {
+        let mut cfg = SimConfig::tiny();
+        cfg.behavior.churn_per_hour = 0.3;
+        let prefixes = Sim::build(cfg.clone(), 5).topo().prefixes.len();
+        route_cache_holds_live_keys_only(cfg, 40, prefixes);
+    }
+
+    /// The era-2020 soak: an `ondemand-serial` run's worth of virtual
+    /// hours at the default churn rate (release, in ci.sh).
+    #[test]
+    #[ignore]
+    fn the_route_cache_keeps_only_live_keys_era_2020() {
+        route_cache_holds_live_keys_only(SimConfig::era_2020(), 2_400, 128);
+    }
+
+    #[test]
+    fn a_walk_pinned_to_a_retired_epoch_leaves_the_cache_alone() {
+        let mut cfg = SimConfig::tiny();
+        cfg.behavior.churn_per_hour = 1.0; // every prefix steps every flush
+        let s = Sim::build(cfg, 3);
+        let pe = &s.topo().prefixes[0];
+        let dst = s.host_addrs(pe.id).next().expect("hosts");
+        let meta = PktMeta::options(Addr(1), 7);
+        let e0 = s.prefix_epoch(pe.id);
+        let before = s.walk(RouterId(0), dst, &meta).expect("routes");
+        s.advance_hours(1.0);
+        assert_ne!(s.prefix_epoch(pe.id), e0);
+        let (bytes, computes) = (s.route_cache_bytes(), s.route_computes());
+        // On a thread of its own (an empty memo) the replay computes the
+        // table for itself; on this one, the memo still holds it.
+        let elsewhere = std::thread::scope(|scope| {
+            scope
+                .spawn(|| s.walk_at_epoch(RouterId(0), dst, &meta, Some(e0)))
+                .join()
+                .expect("no panic")
+        });
+        let here = s.walk_at_epoch(RouterId(0), dst, &meta, Some(e0));
+        for replay in [elsewhere, here] {
+            let replay = replay.expect("routes");
+            assert_eq!(replay.hops, before.hops);
+            assert_eq!(replay.latency_ms.to_bits(), before.latency_ms.to_bits());
+        }
+        assert_eq!(s.route_cache_bytes(), bytes);
+        assert_eq!(s.route_computes(), computes + 1);
+    }
+
+    #[test]
+    fn a_dropped_sim_leaves_no_table_in_the_dropping_threads_memo() {
+        let s = sim();
+        let pe = &s.topo().prefixes[0];
+        let dst = s.host_addrs(pe.id).next().expect("hosts");
+        s.walk(RouterId(0), dst, &PktMeta::plain(Addr(1), 0))
+            .expect("routes");
+        let held = s.routes(pe.owner, s.prefix_salt(pe.id)).core;
+        // The cache's, the memo's, and this one.
+        assert_eq!(Arc::strong_count(&held), 3);
+        drop(s);
+        assert_eq!(Arc::strong_count(&held), 1);
     }
 
     #[test]

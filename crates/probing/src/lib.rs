@@ -43,8 +43,8 @@ pub use clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 pub use counters::{Counters, ProbeKind, Snapshot};
 pub use meter::Meter;
 pub use prober::{
-    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, PROBE_TIMEOUT_MS,
-    TRACEROUTE_TIMEOUT_MS,
+    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch,
+    PROBE_TIMEOUT_MS, TRACEROUTE_TIMEOUT_MS,
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,

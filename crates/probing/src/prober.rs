@@ -35,6 +35,7 @@ use revtr_netsim::{
 };
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -119,13 +120,60 @@ pub struct RrProvenance {
     pub dst: Addr,
     /// Per-probe nonce the send routed under.
     pub nonce: u64,
-    /// Churn epoch of the destination's prefix at send time (`None` for
+    /// Churn epoch of the destination's prefix at send time (none for
     /// infrastructure destinations).
-    pub fwd_epoch: Option<u32>,
+    pub fwd_epoch: SentEpoch,
     /// Churn epoch of the claimed source's prefix at send time.
-    pub rep_epoch: Option<u32>,
+    pub rep_epoch: SentEpoch,
     /// True if this observation was served from the measurement cache.
     pub from_cache: bool,
+}
+
+/// A churn epoch recorded at send time, or none: an `Option<u32>` in four
+/// bytes. It holds `epoch + 1`, so zero is free to mean none — which keeps
+/// [`RrProvenance`], and every reverse hop that carries one, a word
+/// smaller. Reads, prints and serializes as the `Option<u32>` it stands
+/// for.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct SentEpoch(Option<NonZeroU32>);
+
+impl SentEpoch {
+    /// The recorded epoch, if any.
+    pub fn get(self) -> Option<u32> {
+        self.0.map(|e| e.get() - 1)
+    }
+}
+
+impl From<Option<u32>> for SentEpoch {
+    fn from(epoch: Option<u32>) -> SentEpoch {
+        SentEpoch(epoch.map(|e| {
+            NonZeroU32::new(e.wrapping_add(1)).expect("a churn epoch stays below u32::MAX")
+        }))
+    }
+}
+
+impl std::fmt::Debug for SentEpoch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+impl Serialize for SentEpoch {
+    fn to_value(&self) -> serde::Value {
+        self.get().to_value()
+    }
+}
+
+impl Deserialize for SentEpoch {
+    fn from_value(v: &serde::Value) -> Result<SentEpoch, serde::DeError> {
+        let epoch = Option::<u32>::from_value(v)?;
+        if epoch == Some(u32::MAX) {
+            return Err(serde::DeError::custom(
+                "churn epoch u32::MAX has no encoding",
+            ));
+        }
+        Ok(epoch.into())
+    }
 }
 
 /// The last link of the forward path from a source to a target: all the
@@ -453,8 +501,8 @@ impl<'s> Prober<'s> {
                     claimed: src,
                     dst,
                     nonce: hit.nonce,
-                    fwd_epoch: hit.fwd_epoch,
-                    rep_epoch: hit.rep_epoch,
+                    fwd_epoch: hit.fwd_epoch.into(),
+                    rep_epoch: hit.rep_epoch.into(),
                     from_cache: true,
                 };
                 return hit.reply.map(|r| (r, prov)).ok_or(ProbeLoss::Unanswered);
@@ -495,8 +543,8 @@ impl<'s> Prober<'s> {
                 claimed: src,
                 dst,
                 nonce,
-                fwd_epoch,
-                rep_epoch,
+                fwd_epoch: fwd_epoch.into(),
+                rep_epoch: rep_epoch.into(),
                 from_cache: false,
             };
             return r.map(|x| (x, prov)).ok_or(ProbeLoss::Unanswered);
@@ -630,8 +678,8 @@ impl<'s> Prober<'s> {
                             claimed,
                             dst,
                             nonce: hit.nonce,
-                            fwd_epoch: hit.fwd_epoch,
-                            rep_epoch: hit.rep_epoch,
+                            fwd_epoch: hit.fwd_epoch.into(),
+                            rep_epoch: hit.rep_epoch.into(),
                             from_cache: true,
                         });
                     }
@@ -694,8 +742,8 @@ impl<'s> Prober<'s> {
                     claimed,
                     dst,
                     nonce,
-                    fwd_epoch,
-                    rep_epoch,
+                    fwd_epoch: fwd_epoch.into(),
+                    rep_epoch: rep_epoch.into(),
                     from_cache: false,
                 });
                 replies[i] = r;

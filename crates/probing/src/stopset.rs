@@ -763,6 +763,7 @@ impl Consult<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prober::SentEpoch;
 
     fn prov(sender: Addr, claimed: Addr, dst: Addr, nonce: u64) -> RrProvenance {
         RrProvenance {
@@ -770,8 +771,8 @@ mod tests {
             claimed,
             dst,
             nonce,
-            fwd_epoch: None,
-            rep_epoch: None,
+            fwd_epoch: SentEpoch::default(),
+            rep_epoch: SentEpoch::default(),
             from_cache: false,
         }
     }

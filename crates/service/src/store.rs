@@ -1,26 +1,22 @@
 //! Result archival (Appx. A: "our system archives both user-driven and
 //! NDT-based reverse traceroutes").
 //!
-//! The archive is append-only and columnar: one [`Row`] per result — the
-//! scalars a result carries, plus where its path sits — and two path
-//! columns, hops and the evidence behind them, every result's run
-//! contiguous. Each column grows by fixed-capacity segments that are
-//! never reallocated, so archiving a result copies its slices and
-//! allocates nothing; a segment is allocated once per few thousand
-//! elements and the bytes requested stay within one segment per column of
-//! the bytes stored. Results are put back together on the way out
-//! (`lookup`, `export_json`), which are the rare operations.
+//! The archive is append-only: one entry per result, holding the result's
+//! scalars and sharing its sealed path — every hop with its evidence, one
+//! immutable block ([`revtr::Path`]) — by reference count. Archiving a
+//! result therefore copies no hop and allocates nothing: the entries sit in
+//! fixed-capacity segments that are never reallocated, one allocated per
+//! thousand-odd results, so the bytes requested stay within one segment of
+//! the bytes stored.
 
 use parking_lot::Mutex;
-use revtr::{Evidence, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd, StitchTrace};
+use revtr::{RevtrResult, Status};
 use revtr_netsim::Addr;
 
-/// Rows per index segment (~200 KB) and elements per path segment (48 KB
-/// of hops, ~200 KB of evidence): what a fresh archive wastes at most,
-/// once, per column. This module's own tests run on segments a single
-/// path overflows, so their runs straddle.
-const ROW_SEGMENT: usize = if cfg!(test) { 8 } else { 1024 };
-const PATH_SEGMENT: usize = if cfg!(test) { 16 } else { 4096 };
+/// Results per segment (~200 KB): what a fresh archive wastes at most,
+/// once. This module's own tests run on short segments, so archives
+/// straddle several.
+const SEGMENT: usize = if cfg!(test) { 8 } else { 1024 };
 
 /// An append-only vector held in segments of `SEG` elements. A segment is
 /// allocated at full capacity and never grows, so appending moves no
@@ -40,24 +36,17 @@ impl<T, const SEG: usize> Default for Column<T, SEG> {
     }
 }
 
-impl<T: Copy, const SEG: usize> Column<T, SEG> {
-    /// Append `items`, filling the open segment before opening another.
-    fn extend_from_slice(&mut self, mut items: &[T]) {
-        while !items.is_empty() {
-            if self.len.is_multiple_of(SEG) {
-                self.segments.push(Vec::with_capacity(SEG));
-            }
-            let open = self.segments.last_mut().expect("a segment is open");
-            let (fits, rest) = items.split_at(items.len().min(SEG - open.len()));
-            open.extend_from_slice(fits);
-            self.len += fits.len();
-            items = rest;
+impl<T, const SEG: usize> Column<T, SEG> {
+    /// Append `item`, opening a segment when the last one is full.
+    fn push(&mut self, item: T) {
+        if self.len.is_multiple_of(SEG) {
+            self.segments.push(Vec::with_capacity(SEG));
         }
-    }
-
-    /// Elements `start..start + len`, in order.
-    fn run(&self, start: usize, len: usize) -> impl Iterator<Item = T> + '_ {
-        (start..start + len).map(|i| self.segments[i / SEG][i % SEG])
+        self.segments
+            .last_mut()
+            .expect("a segment is open")
+            .push(item);
+        self.len += 1;
     }
 
     /// Every element, in order.
@@ -66,73 +55,10 @@ impl<T: Copy, const SEG: usize> Column<T, SEG> {
     }
 }
 
-/// One archived result less its path: the index the aggregate queries
-/// read without touching a hop.
-#[derive(Clone, Copy, Debug)]
-struct Row {
-    dst: Addr,
-    src: Addr,
-    status: Status,
-    stats: RevtrStats,
-    end: Option<StitchEnd>,
-    /// Where the result's hops and evidence start in their columns. The
-    /// two runs have their own lengths: an imported result predating
-    /// trace recording has hops and no evidence.
-    hops_at: usize,
-    entries_at: usize,
-    n_hops: u32,
-    n_entries: u32,
-}
-
-#[derive(Debug, Default)]
-struct Archive {
-    rows: Column<Row, ROW_SEGMENT>,
-    hops: Column<RevtrHop, PATH_SEGMENT>,
-    entries: Column<Evidence, PATH_SEGMENT>,
-}
-
-impl Archive {
-    fn push(&mut self, r: &RevtrResult) {
-        let len = |n: usize| u32::try_from(n).expect("a path is far shorter than 2^32 hops");
-        let row = Row {
-            dst: r.dst,
-            src: r.src,
-            status: r.status,
-            stats: r.stats,
-            end: r.trace.end,
-            hops_at: self.hops.len,
-            entries_at: self.entries.len,
-            n_hops: len(r.hops.len()),
-            n_entries: len(r.trace.entries.len()),
-        };
-        self.hops.extend_from_slice(&r.hops);
-        self.entries.extend_from_slice(&r.trace.entries);
-        self.rows.extend_from_slice(&[row]);
-    }
-
-    /// Put the result `row` indexes back together.
-    fn result(&self, row: &Row) -> RevtrResult {
-        RevtrResult {
-            dst: row.dst,
-            src: row.src,
-            status: row.status,
-            hops: self.hops.run(row.hops_at, row.n_hops as usize).collect(),
-            stats: row.stats,
-            trace: StitchTrace {
-                entries: self
-                    .entries
-                    .run(row.entries_at, row.n_entries as usize)
-                    .collect(),
-                end: row.end,
-            },
-        }
-    }
-}
-
 /// In-memory archive of measurement results with JSON export.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    archive: Mutex<Archive>,
+    archive: Mutex<Column<RevtrResult, SEGMENT>>,
 }
 
 /// Aggregate statistics over the archive.
@@ -156,14 +82,14 @@ impl ResultStore {
         ResultStore::default()
     }
 
-    /// Archive one result.
+    /// Archive one result: its path block is shared, not copied.
     pub fn push(&self, r: &RevtrResult) {
-        self.archive.lock().push(r);
+        self.archive.lock().push(r.clone());
     }
 
     /// Number of archived results.
     pub fn len(&self) -> usize {
-        self.archive.lock().rows.len
+        self.archive.lock().len
     }
 
     /// True when nothing is archived.
@@ -173,11 +99,11 @@ impl ResultStore {
 
     /// All results for a (destination, source) pair.
     pub fn lookup(&self, dst: Addr, src: Addr) -> Vec<RevtrResult> {
-        let g = self.archive.lock();
-        g.rows
+        self.archive
+            .lock()
             .iter()
-            .filter(|row| row.dst == dst && row.src == src)
-            .map(|row| g.result(row))
+            .filter(|r| r.dst == dst && r.src == src)
+            .cloned()
             .collect()
     }
 
@@ -185,14 +111,14 @@ impl ResultStore {
     pub fn stats(&self) -> StoreStats {
         let g = self.archive.lock();
         let mut s = StoreStats {
-            total: g.rows.len,
+            total: g.len,
             ..Default::default()
         };
-        for row in g.rows.iter() {
-            match row.status {
+        for r in g.iter() {
+            match r.status {
                 Status::Complete => {
                     s.complete += 1;
-                    if row.stats.assumed_symmetric > 0 {
+                    if r.has_assumption() {
                         s.with_assumption += 1;
                     }
                 }
@@ -207,13 +133,12 @@ impl ResultStore {
     /// Export the archive as JSON (the M-Lab cloud-storage stand-in): the
     /// array of results, rendered one result at a time.
     pub fn export_json(&self) -> String {
-        let g = self.archive.lock();
         let mut out = String::from("[");
-        for (i, row) in g.rows.iter().enumerate() {
+        for (i, r) in self.archive.lock().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&serde_json::to_string(&g.result(row)).expect("results serialize"));
+            out.push_str(&serde_json::to_string(r).expect("results serialize"));
         }
         out.push(']');
         out
@@ -222,18 +147,19 @@ impl ResultStore {
     /// Import a JSON archive (replaces current contents).
     pub fn import_json(&self, json: &str) -> Result<usize, serde_json::Error> {
         let v: Vec<RevtrResult> = serde_json::from_str(json)?;
-        let mut archive = Archive::default();
-        for r in &v {
+        let n = v.len();
+        let mut archive = Column::default();
+        for r in v {
             archive.push(r);
         }
         *self.archive.lock() = archive;
-        Ok(v.len())
+        Ok(n)
     }
 }
 
-/// The archive this module had before it went columnar — every result
-/// cloned into a `Vec<RevtrResult>` — kept as the executable specification
-/// of the one above.
+/// The archive this module had before it went segmented and shared — every
+/// result cloned into a `Vec<RevtrResult>` — kept as the executable
+/// specification of the one above.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -284,7 +210,7 @@ mod tests {
     use super::reference::RefStore;
     use super::*;
     use proptest::prelude::*;
-    use revtr::{HopMethod, SymmetryPolicy};
+    use revtr::{Evidence, HopMethod, RevtrHop, RevtrStats, StitchEnd, SymmetryPolicy};
     use revtr_netsim::AsId;
     use revtr_probing::RrProvenance;
 
@@ -293,13 +219,9 @@ mod tests {
             dst: Addr(1),
             src: Addr(2),
             status,
-            hops: vec![RevtrHop {
-                addr: Some(Addr(1)),
-                method: HopMethod::Destination,
-                suspicious_gap_before: false,
-            }],
+            hops: vec![RevtrHop::new(Some(Addr(1)), Evidence::Destination)].into(),
             stats: RevtrStats::default(),
-            trace: StitchTrace::default(),
+            end: StitchEnd::ReachedSource,
         }
     }
 
@@ -329,22 +251,28 @@ mod tests {
     }
 
     #[test]
-    fn a_run_may_straddle_segments_and_segments_never_regrow() {
+    fn segments_never_regrow() {
         let mut col: Column<u32, 4> = Column::default();
-        col.extend_from_slice(&[0, 1, 2]);
+        (0..3).for_each(|i| col.push(i));
         let first = col.segments[0].as_ptr();
-        col.extend_from_slice(&[3, 4, 5, 6, 7, 8]);
-        col.extend_from_slice(&[]);
+        (3..9).for_each(|i| col.push(i));
         assert_eq!(col.len, 9);
         assert_eq!(col.segments.len(), 3);
         assert!(col.segments.iter().all(|s| s.capacity() == 4));
         assert_eq!(col.segments[0].as_ptr(), first, "a stored element moved");
-        assert_eq!(col.run(2, 5).collect::<Vec<_>>(), vec![2, 3, 4, 5, 6]);
-        assert_eq!(col.run(9, 0).count(), 0);
         assert_eq!(
             col.iter().copied().collect::<Vec<_>>(),
             (0..9).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn the_archive_shares_the_block_it_is_handed() {
+        let store = ResultStore::new();
+        let r = result(Status::Complete);
+        store.push(&r);
+        let archived = store.lookup(r.dst, r.src);
+        assert_eq!(archived[0].hops.as_ptr(), r.hops.as_ptr());
     }
 
     /// Decodes a property-test word stream into results (an exhausted
@@ -365,6 +293,8 @@ mod tests {
             (self.below(3) > 0).then(|| AsId(self.below(100) as u32))
         }
 
+        /// A hop under the method its evidence implies, or — one in eight
+        /// — under a random one: the archive keeps what it is handed.
         fn hop(&mut self) -> RevtrHop {
             const METHODS: [HopMethod; 6] = [
                 HopMethod::Destination,
@@ -374,11 +304,13 @@ mod tests {
                 HopMethod::Timestamp,
                 HopMethod::AssumedSymmetric,
             ];
-            RevtrHop {
-                addr: (self.below(4) > 0).then(|| self.addr()),
-                method: METHODS[self.below(6) as usize],
-                suspicious_gap_before: self.below(4) == 0,
+            let addr = (self.below(4) > 0).then(|| self.addr());
+            let mut hop = RevtrHop::new(addr, self.evidence());
+            hop.suspicious_gap_before = self.below(4) == 0;
+            if self.below(8) == 0 {
+                hop.method = METHODS[self.below(6) as usize];
             }
+            hop
         }
 
         fn evidence(&mut self) -> Evidence {
@@ -391,8 +323,8 @@ mod tests {
                         claimed: self.addr(),
                         dst: self.addr(),
                         nonce: self.below(u64::MAX),
-                        fwd_epoch: (self.below(2) == 0).then(|| self.below(9) as u32),
-                        rep_epoch: (self.below(2) == 0).then(|| self.below(9) as u32),
+                        fwd_epoch: (self.below(2) == 0).then(|| self.below(9) as u32).into(),
+                        rep_epoch: (self.below(2) == 0).then(|| self.below(9) as u32).into(),
                         from_cache: self.below(2) == 0,
                     };
                     if k == 1 {
@@ -430,10 +362,9 @@ mod tests {
             }
         }
 
-        fn end(&mut self) -> Option<StitchEnd> {
-            Some(match self.below(7) {
-                0 => return None,
-                1 => StitchEnd::ReachedSource,
+        fn end(&mut self) -> StitchEnd {
+            match self.below(6) {
+                0 => StitchEnd::ReachedSource,
                 2 => StitchEnd::AtlasSuffix,
                 3 => StitchEnd::AbortInterdomain {
                     cur: self.addr(),
@@ -444,12 +375,11 @@ mod tests {
                 4 => StitchEnd::Unresponsive,
                 5 => StitchEnd::Stuck,
                 _ => StitchEnd::HopBudget,
-            })
+            }
         }
 
-        /// One result in three is `Unresponsive` with no hops at all, one
-        /// in seven carries hops and no evidence (an old export); paths
-        /// run to 40 hops, so runs straddle the test's short segments.
+        /// One result in three is `Unresponsive` with no hops at all; the
+        /// others' paths run to 40 hops, every hop with its evidence.
         fn result(&mut self) -> RevtrResult {
             const STATUSES: [Status; 3] =
                 [Status::Complete, Status::AbortedInterdomain, Status::Stuck];
@@ -470,28 +400,19 @@ mod tests {
                     dst,
                     src,
                     status: Status::Unresponsive,
-                    hops: Vec::new(),
+                    hops: Default::default(),
                     stats,
-                    trace: StitchTrace {
-                        entries: Vec::new(),
-                        end: Some(StitchEnd::Unresponsive),
-                    },
+                    end: StitchEnd::Unresponsive,
                 };
             }
             let n = 1 + self.below(40) as usize;
-            let traced = self.below(7) > 0;
             RevtrResult {
                 dst,
                 src,
                 status: STATUSES[self.below(3) as usize],
-                hops: (0..n).map(|_| self.hop()).collect(),
+                hops: (0..n).map(|_| self.hop()).collect::<Vec<_>>().into(),
                 stats,
-                trace: StitchTrace {
-                    entries: (0..if traced { n } else { 0 })
-                        .map(|_| self.evidence())
-                        .collect(),
-                    end: self.end(),
-                },
+                end: self.end(),
             }
         }
     }
@@ -499,11 +420,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Rows and path columns read back exactly what a vector of whole
+        /// The segmented archive reads back exactly what a vector of whole
         /// results did: every lookup, the statistics and the export to the
-        /// byte — and an export imports into an equal archive.
+        /// byte — and an export, evidence and all, imports into an equal
+        /// archive.
         #[test]
-        fn the_columnar_archive_equals_the_vector_of_results(
+        fn the_archive_equals_the_vector_of_results(
             words in proptest::collection::vec(0u64..u64::MAX, 0..6000),
             n_results in 0usize..60,
         ) {
@@ -535,6 +457,11 @@ mod tests {
             prop_assert_eq!(reimported.import_json(&json).expect("own export"), n_results);
             prop_assert_eq!(reimported.export_json(), json);
             prop_assert_eq!(reimported.stats(), reference.stats());
+            for r in &reference.results {
+                // Every hop comes back with its evidence and its method.
+                let back = reimported.lookup(r.dst, r.src);
+                prop_assert!(back.iter().any(|b| b == r));
+            }
         }
     }
 }
