@@ -89,15 +89,17 @@ cargo test -q --release -p revtr-netsim --lib -- --ignored the_route_cache_keeps
 
 # Allocation gates, optimized as deployed: a request allocates what it
 # returns — one block (request plane: `measure()` ≤ 1.2 a request and a
-# campaign ≤ 1.10) — a served request nothing on top of that (≤ 1.3 a
-# request in both telemetry arms, ≤ 2.6 an open-loop arrival: the archive
-# shares the block, a telemetry scope records into its driver's buffers),
-# and the survey what it keeps. (The debug builds run in the workspace
-# tests above.)
-echo "== allocation gates (release: core, vpselect, service) =="
+# campaign ≤ 1.10) — a served request nothing on top of that but the block
+# of a trace the journal keeps (≤ 1.3 a request in both telemetry arms,
+# ≤ 1.9 an open-loop arrival: the archive shares the block, a telemetry
+# scope records into its driver's buffers), the journal one block for a
+# record it keeps and none for one it drops, and the survey what it keeps.
+# (The debug builds run in the workspace tests above.)
+echo "== allocation gates (release: core, vpselect, service, telemetry) =="
 cargo test -q --release -p revtr --test alloc_gate
 cargo test -q --release -p revtr-vpselect --test alloc_gate
 cargo test -q --release -p revtr-service --test alloc_gate
+cargo test -q --release -p revtr-telemetry --test alloc_gate
 
 # Telemetry profile gate: the metrics subcommand must produce a populated
 # per-stage report (it exits nonzero on flag or scale errors).

@@ -55,7 +55,6 @@ pub mod oracle;
 pub mod scenario;
 pub mod sim;
 pub mod topology;
-pub mod viz;
 
 pub use addr::{Addr, Prefix};
 pub use concurrent::{CachePadded, StripedCounters, StripedMap};

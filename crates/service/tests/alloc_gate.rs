@@ -7,11 +7,12 @@
 //!   used to `format!` the `loadgen.*` counter names before asking the
 //!   handle whether it records.)
 //! * On a warm paper-era service a served `request` allocates its result's
-//!   one block, telemetry off — and telemetry on, once the journal is full:
-//!   the archive shares the block it is handed, the scope records into its
-//!   driver's buffers. A serial sweep averages 1.3 allocations a request at
-//!   most, an open-loop stream 2.6 an arrival (that one on a fresh journal,
-//!   which keeps the buffers of the records it retains).
+//!   one block, telemetry off — and telemetry on, plus the block of its
+//!   trace when the journal keeps it: the archive shares the result's
+//!   block, the scope records into its driver's buffers. A serial sweep
+//!   averages 1.3 allocations a request at most beyond kept traces, an
+//!   open-loop stream 1.9 an arrival (that one on a fresh journal, which
+//!   keeps a block for each record it retains).
 //! * Archiving a result allocates nothing (but a segment per thousand-odd
 //!   results).
 //!
@@ -317,17 +318,27 @@ fn a_served_request_allocates_the_one_block_it_returns() {
         ..TelemetryConfig::default()
     });
     let mut totals = Vec::new();
+    let mut kept = 0;
     for (arm, telemetry) in [("off", Telemetry::disabled()), ("on", journal_full.clone())] {
-        let (service, key) = era.service(telemetry);
+        let (service, key) = era.service(telemetry.clone());
         for &(dst, src) in &era.warm_up {
             service.request(key, dst, src).expect("admitted");
         }
+        // A request whose trace the journal keeps changes the retained set,
+        // so the journal's fingerprint (0 with telemetry off); the one
+        // block that trace costs is the journal's, not counted below.
         let served: Vec<(RevtrResult, u64)> = era
             .sweep
             .iter()
             .map(|&(dst, src)| {
+                let before = telemetry.journal_fingerprint();
                 let (r, n) = allocs_in(|| service.request(key, dst, src));
-                (r.expect("admitted"), n)
+                let journalled = telemetry.journal_fingerprint() != before;
+                kept += u64::from(journalled);
+                (
+                    r.expect("admitted"),
+                    n.saturating_sub(u64::from(journalled)),
+                )
             })
             .collect();
         assert_eq!(service.store().len(), era.warm_up.len() + SWEEP);
@@ -360,25 +371,28 @@ fn a_served_request_allocates_the_one_block_it_returns() {
         let archived = &store.lookup(dst, src)[0];
         assert_eq!(archived.hops.as_ptr(), served[0].0.hops.as_ptr());
     }
-    // The journal was full before the sweep began and saw all of it.
+    // The journal was full before the sweep began, saw all of it and kept
+    // some of it.
     assert_eq!(journal_full.journal_lines().len(), JOURNAL_CAP);
     let recorded = journal_full.metrics().counter("request.count");
     assert_eq!(recorded, (era.warm_up.len() + SWEEP) as u64);
-    // Recording cost the sweep the metric entries it was the first to
-    // touch and, now and then, a buffer regrown: the journal hands back
-    // the buffers of the record that lost its place, which may be smaller
-    // than the ones it took (39 allocations over the sweep, measured).
+    assert!(kept > 0, "the journal kept none of the sweep");
+    // Beyond the blocks of the traces it kept, recording cost the sweep
+    // the metric entries and names it was the first to use, and a scope
+    // buffer grown by a request larger than any before it.
     assert!(
         totals[1] <= totals[0] + SWEEP as u64 / 20,
-        "telemetry on: {} allocations over the sweep, off: {}",
+        "telemetry on: {} allocations over the sweep (and {kept} kept traces), off: {}",
         totals[1],
         totals[0]
     );
 
     // One open-loop stream, everything admitted, on a fresh service and a
-    // fresh default journal, which keeps two buffers for each of the 4096
-    // records it retains (0.7 an arrival here): the sweep six times over,
-    // eight a virtual second, in waves of 128.
+    // fresh default journal, which allocates one block for each trace it
+    // retains — its first 4 096 and each that displaces one: the sweep six
+    // times over, eight a virtual second, in waves of 128. Measured 1.75
+    // an arrival; the bound leaves 8 % for a table doubling at another
+    // size.
     let stream: Vec<TimedRequest> = (0..6 * SWEEP)
         .map(|i| {
             let (dst, src) = era.sweep[(i * 7) % SWEEP];
@@ -401,5 +415,5 @@ fn a_served_request_allocates_the_one_block_it_returns() {
     });
     assert_eq!(outcome.results.iter().flatten().count(), stream.len());
     let mean = n as f64 / stream.len() as f64;
-    assert!(mean <= 2.6, "open loop: {mean:.3} allocations/arrival");
+    assert!(mean <= 1.9, "open loop: {mean:.3} allocations/arrival");
 }

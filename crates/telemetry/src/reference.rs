@@ -8,9 +8,7 @@ use crate::histogram::Histogram;
 use crate::journal::Field;
 use crate::mix_key;
 use crate::registry::MetricsSnapshot;
-use crate::span::{
-    ScopeBuffers, Telemetry, TelemetryConfig, WatchdogFlag, RESERVED_FIELDS, RESERVED_SPANS,
-};
+use crate::span::{ScopeBuffers, Telemetry, TelemetryConfig, WatchdogFlag};
 use crate::{Fnv, SpanCost};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -128,13 +126,16 @@ impl RefTelemetry {
     /// Sort everything by `(src, dst, json)`, then truncate to the cap.
     fn retained(&self) -> Vec<RefRecord> {
         let mut recs = self.inner.lock().journal.clone();
-        recs.sort_by(|a, b| {
-            (a.src, a.dst)
-                .cmp(&(b.src, b.dst))
-                .then_with(|| a.to_json().cmp(&b.to_json()))
-        });
+        recs.sort_by_cached_key(|r| (r.src, r.dst, r.to_json()));
         recs.truncate(self.journal_cap);
         recs
+    }
+
+    /// The `telemetry.journal.dropped` ledger: once the journal is full,
+    /// every offer drops a record — itself or the one it displaces.
+    fn journal_dropped(&self) -> u64 {
+        let offered = self.inner.lock().journal.len();
+        offered.saturating_sub(self.journal_cap) as u64
     }
 
     fn journal_lines(&self) -> Vec<String> {
@@ -338,9 +339,9 @@ struct Request {
     finish: Option<(usize, f64)>,
 }
 
-/// Decodes a property-test word stream into requests (an exhausted
-/// stream reads as zeros, so every stream decodes).
-struct Draw<'a>(std::slice::Iter<'a, u64>);
+/// Decodes a property-test word stream into requests, cycling through it
+/// (an empty stream reads as zeros, so every stream decodes).
+struct Draw<'a>(std::iter::Cycle<std::slice::Iter<'a, u64>>);
 
 impl Draw<'_> {
     fn below(&mut self, n: u64) -> u64 {
@@ -372,7 +373,7 @@ impl Draw<'_> {
                 dt: self.dt(),
                 fields: {
                     // One exit in eight may carry more fields than a
-                    // scope reserves for a whole request.
+                    // whole served request records.
                     let most = if self.below(8) == 0 { 90 } else { 6 };
                     (0..self.below(most))
                         .map(|_| (FIELDS[self.index(FIELDS.len())], self.below(1000)))
@@ -474,26 +475,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Static keys folded per request into recorder stripes, and a
-    /// bounded top-k journal, read back exactly what string-keyed
-    /// per-update recording and sort-everything-then-truncate did:
-    /// snapshots (names, values, fingerprint), journal lines and watchdog
-    /// flags, for any span tree, from any number of recording threads —
-    /// each opening a scope per request, or recording them all in one
-    /// set of buffers (whatever the last request left in them: retained
-    /// by the journal, rejected, abandoned, grown past the reserve).
+    /// bounded top-k journal of packed records, read back exactly what
+    /// string-keyed per-update recording and sort-everything-then-truncate
+    /// did: snapshots (names, values, fingerprint), journal lines, records,
+    /// fingerprint, byte and drop ledgers, and watchdog flags, for any span
+    /// tree, from any number of recording threads — each opening a scope
+    /// per request, or recording them all in one set of buffers (whatever
+    /// the last request left in them: retained by the journal, rejected,
+    /// abandoned, grown). Half the cases flood the journal: every request
+    /// sampled, at least eight offers per retained place, over 18 keys.
     #[test]
     fn compiled_paths_equal_the_reference(
         words in proptest::collection::vec(0u64..u64::MAX, 0..3600),
         n_requests in 0usize..40,
         sample_every in 1u64..5,
-        journal_cap in 0usize..24,
+        journal_cap in 0usize..=64,
+        flood in 0u8..2,
         // Below 10 ms reads as "watchdog off".
         deadline_ms in 0.0f64..50.0,
         profile in 0u8..2,
         threads in 1usize..=8,
         recycle in 0u8..2,
     ) {
-        let mut draw = Draw(words.iter());
+        let mut draw = Draw(words.iter().cycle());
+        let (n_requests, sample_every) = match flood {
+            1 => (n_requests + 8 * journal_cap, 1),
+            _ => (n_requests, sample_every),
+        };
         let requests: Vec<Request> = (0..n_requests).map(|_| draw.request()).collect();
         let cfg = TelemetryConfig {
             journal_sample_every: sample_every,
@@ -536,8 +544,10 @@ proptest! {
         }
         prop_assert_eq!(new.journal_fingerprint(), fp.finish());
         if profile == 1 {
-            let ledger = new.resources().current("telemetry.journal");
-            prop_assert_eq!(ledger, old.journal_bytes());
+            let ledgers = new.resources();
+            prop_assert_eq!(ledgers.current("telemetry.journal"), old.journal_bytes());
+            let dropped = ledgers.current("telemetry.journal.dropped");
+            prop_assert_eq!(dropped, old.journal_dropped());
         }
 
         let mut got = new.watchdog_flags();
@@ -575,22 +585,22 @@ fn flat_request(dst: u32, n_spans: usize, fields_per_span: usize, finish: bool) 
 }
 
 /// A recycled scope is a fresh one: the same requests recorded in one set
-/// of buffers — through a record the journal keeps (and the buffers with
-/// it), one it rejects, one that displaces the maximum, a scope dropped
-/// unfinished and a request past both reserves — leave the metrics, the
-/// journal and its byte ledger exactly as a scope per request does.
+/// of buffers — through a record the journal keeps, one it rejects, one
+/// that displaces the maximum, a scope dropped unfinished and requests
+/// that grow the buffers or leave them larger than they need — leave the
+/// metrics, the journal and its byte ledger exactly as a scope per request
+/// does.
 #[test]
 fn a_recycled_scope_records_what_a_fresh_one_does() {
     let requests = [
         flat_request(5, 3, 4, true),  // retained: the journal has room
         flat_request(6, 2, 4, true),  // retained: fills the journal (cap 2)
         flat_request(9, 4, 4, true),  // rejected: above the maximum
-        flat_request(2, 20, 5, true), // displaces dst 6; past both reserves
+        flat_request(2, 20, 5, true), // displaces dst 6; grows both buffers
         flat_request(3, 5, 3, false), // abandoned, and displaces dst 5
-        flat_request(9, 1, 0, true),  // rejected again, on evicted buffers
-        flat_request(1, 2, 80, true), // one exit past the field reserve
+        flat_request(9, 1, 0, true),  // rejected again, on large buffers
+        flat_request(1, 2, 80, true), // one exit of 80 fields
     ];
-    const { assert!(20 > RESERVED_SPANS && 20 * 5 > RESERVED_FIELDS && 80 > RESERVED_FIELDS) };
     let cfg = TelemetryConfig {
         journal_cap: 2,
         profile: true,

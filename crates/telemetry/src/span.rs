@@ -12,7 +12,7 @@
 //! time, so spans are worker-count-invariant); this module never reads
 //! `std::time`.
 
-use crate::journal::{span_fields, Field, Journal, RequestRecord, SpanRecord, NO_SPAN};
+use crate::journal::{Field, Journal, RequestRecord, SpanRecord, NO_SPAN};
 use crate::mix_key;
 use crate::registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 use crate::resource::{ProfileAgg, ProfileStack, ResourceRegistry, ResourceSnapshot, SpanCost};
@@ -29,7 +29,10 @@ pub struct TelemetryConfig {
     /// How many sampled requests the journal retains (the smallest by
     /// `(src, dst, json)`). The default (4096) comfortably covers the
     /// standard campaign scale, so SLO windows and trace exports see
-    /// every sampled request.
+    /// every sampled request. A retained request holds one block of
+    /// 24 bytes, 32 per span and 12 per field, plus a 16-byte heap slot:
+    /// ≈ 0.9 KB for a served reverse traceroute (8–9 spans, ~48 fields),
+    /// ≈ 3.6 MB at the default cap.
     pub journal_cap: usize,
     /// Stuck-request watchdog: a finished request whose end-to-end
     /// virtual duration exceeds this deadline is flagged (never killed)
@@ -172,10 +175,11 @@ impl Telemetry {
     }
 
     /// [`request`](Telemetry::request) on storage the caller lends: the
-    /// scope takes what `lent` holds (allocating only what is missing) and
-    /// [`RequestScope::release`] hands it back, so a driver that serves
-    /// one request at a time records them all in one set of buffers.
-    /// Leaves `lent` alone when disabled.
+    /// scope takes what `lent` holds (allocating only a first request's
+    /// recorder) and [`RequestScope::release`] hands it back, so a driver
+    /// that serves one request at a time records them all in one set of
+    /// buffers, which keep what they grew to. Leaves `lent` alone when
+    /// disabled.
     pub fn request_in(
         &self,
         lent: &mut ScopeBuffers,
@@ -189,11 +193,8 @@ impl Telemetry {
         let mut a = lent.0.take().unwrap_or_else(|| {
             Box::new(Active {
                 tele: Arc::clone(inner),
-                dst,
-                src,
                 origin_ms,
-                spans: Vec::new(),
-                fields: Vec::new(),
+                rec: RequestRecord::new(dst, src, "", 0),
                 costs: Vec::new(),
                 top: NO_SPAN,
                 depth: 0,
@@ -205,18 +206,10 @@ impl Telemetry {
         }
         // Finishing closed every span: `top` and `depth` are at rest.
         debug_assert!(a.top == NO_SPAN && a.depth == 0);
-        (a.dst, a.src, a.origin_ms, a.finished) = (dst, src, origin_ms, false);
-        a.spans.clear();
-        a.fields.clear();
+        (a.rec.dst, a.rec.src, a.origin_ms, a.finished) = (dst, src, origin_ms, false);
+        a.rec.spans.clear();
+        a.rec.fields.clear();
         a.costs.clear();
-        // Nothing to reuse: a first request, or the journal kept the last
-        // one's buffers.
-        if a.spans.capacity() == 0 {
-            a.spans.reserve(RESERVED_SPANS);
-        }
-        if a.fields.capacity() == 0 {
-            a.fields.reserve(RESERVED_FIELDS);
-        }
         RequestScope { inner: Some(a) }
     }
 
@@ -349,22 +342,14 @@ impl Telemetry {
     }
 }
 
-/// Buffer space a new scope reserves, sized so an ordinary reverse
-/// traceroute (a handful of stages, four probe-delta fields and one or
-/// two stage fields each) records without growing either buffer.
-pub(crate) const RESERVED_SPANS: usize = 12;
-pub(crate) const RESERVED_FIELDS: usize = 72;
-
 struct Active {
     tele: Arc<Inner>,
-    dst: u32,
-    src: u32,
     origin_ms: f64,
-    /// The request's spans in entry order and their fields, one run per
-    /// span: the two buffers a sampled request hands to the journal whole.
-    spans: Vec<SpanRecord>,
-    fields: Vec<Field>,
-    /// Per-span costs, index-aligned with `spans` (zero for spans closed
+    /// The request's identity, its spans in entry order and their fields,
+    /// one run per span: what a sampled request offers the journal, which
+    /// copies it. `status` and `virtual_us` are set by `finish`.
+    rec: RequestRecord,
+    /// Per-span costs, index-aligned with `rec.spans` (zero for spans closed
     /// through the uncosted `exit` path); empty unless the profiler is
     /// armed.
     costs: Vec<SpanCost>,
@@ -418,7 +403,7 @@ impl Active {
     /// Pop the innermost open span off the open-span chain.
     fn pop_open(&mut self) -> Option<usize> {
         let idx = self.top as usize;
-        let span = self.spans.get(idx)?; // `NO_SPAN` indexes nothing
+        let span = self.rec.spans.get(idx)?; // `NO_SPAN` indexes nothing
         self.top = span.enclosing;
         self.depth -= 1;
         Some(idx)
@@ -436,8 +421,8 @@ impl RequestScope {
     pub fn enter(&mut self, stage: &'static str, now_ms: f64) -> Option<SpanToken> {
         let a = self.inner.as_mut()?;
         let t_us = a.rel_us(now_ms);
-        let idx = a.spans.len();
-        a.spans.push(SpanRecord {
+        let idx = a.rec.spans.len();
+        a.rec.spans.push(SpanRecord {
             stage,
             depth: a.depth,
             t_us,
@@ -460,10 +445,10 @@ impl RequestScope {
             return;
         };
         let end = a.rel_us(now_ms);
-        if let Some(span) = a.spans.get_mut(idx) {
+        if let Some(span) = a.rec.spans.get_mut(idx) {
             span.dur_us = end.saturating_sub(span.t_us);
-            span.fields = (a.fields.len() as u32, fields.len() as u32);
-            a.fields.extend_from_slice(fields);
+            span.fields = (a.rec.fields.len() as u32, fields.len() as u32);
+            a.rec.fields.extend_from_slice(fields);
         }
         // Spans are expected to nest; tolerate mismatched exits by
         // popping through to the token.
@@ -504,7 +489,7 @@ impl RequestScope {
         a.finished = true;
         let total_us = a.rel_us(now_ms);
         while let Some(idx) = a.pop_open() {
-            if let Some(span) = a.spans.get_mut(idx) {
+            if let Some(span) = a.rec.spans.get_mut(idx) {
                 span.dur_us = total_us.saturating_sub(span.t_us);
             }
         }
@@ -518,7 +503,7 @@ impl RequestScope {
                 let mut stage: &'static str = "request";
                 let mut stage_t_us = 0u64;
                 let mut best_depth = 0u32;
-                for span in &a.spans {
+                for span in &a.rec.spans {
                     let open_at_deadline =
                         span.t_us <= deadline_us && deadline_us < span.t_us + span.dur_us;
                     if open_at_deadline
@@ -531,8 +516,8 @@ impl RequestScope {
                     }
                 }
                 a.tele.watchdog.lock().push(WatchdogFlag {
-                    dst: a.dst,
-                    src: a.src,
+                    dst: a.rec.dst,
+                    src: a.rec.src,
                     status,
                     virtual_us: total_us,
                     deadline_us,
@@ -549,10 +534,10 @@ impl RequestScope {
             reg.add("request.count", 1);
             reg.add(("request.status", status), 1);
             reg.record("request.virtual_us", total_us);
-            for span in &a.spans {
+            for span in &a.rec.spans {
                 reg.add(("stage", span.stage, "spans"), 1);
                 reg.record(("stage", span.stage, "virtual_us"), span.dur_us);
-                for &(k, v) in span_fields(&a.fields, span) {
+                for &(k, v) in a.rec.fields(span) {
                     reg.add(("stage", span.stage, k), v);
                 }
             }
@@ -565,7 +550,7 @@ impl RequestScope {
         if let Some(p) = &a.tele.profile {
             p.stacks.merge("request", total_us, SpanCost::ZERO);
             let mut names: Vec<&'static str> = Vec::new();
-            for (span, cost) in a.spans.iter().zip(&a.costs) {
+            for (span, cost) in a.rec.spans.iter().zip(&a.costs) {
                 names.truncate(span.depth as usize);
                 names.push(span.stage);
                 let mut path = String::from("request");
@@ -577,22 +562,11 @@ impl RequestScope {
             }
         }
 
-        if mix_key(a.dst, a.src).is_multiple_of(a.tele.sample_every) {
-            // The journal takes the buffers whole and gives back those of
-            // the record that lost its place: this one, or the maximum it
-            // displaced. Only a record the journal had room for costs the
-            // scope its buffers.
-            let lost = a.tele.journal.push(RequestRecord {
-                dst: a.dst,
-                src: a.src,
-                status,
-                virtual_us: total_us,
-                spans: std::mem::take(&mut a.spans),
-                fields: std::mem::take(&mut a.fields),
-            });
-            if let Some(lost) = lost {
-                (a.spans, a.fields) = (lost.spans, lost.fields);
-            }
+        if mix_key(a.rec.dst, a.rec.src).is_multiple_of(a.tele.sample_every) {
+            // The journal copies what it retains into a block of its own:
+            // the scope keeps its buffers, whatever the journal decides.
+            (a.rec.status, a.rec.virtual_us) = (status, total_us);
+            a.tele.journal.push(&a.rec);
         }
     }
 
@@ -602,7 +576,13 @@ impl RequestScope {
     fn abandon(&mut self) {
         if let Some(a) = &self.inner {
             if !a.finished {
-                let last = a.spans.iter().map(|s| s.t_us + s.dur_us).max().unwrap_or(0);
+                let last = a
+                    .rec
+                    .spans
+                    .iter()
+                    .map(|s| s.t_us + s.dur_us)
+                    .max()
+                    .unwrap_or(0);
                 let now = a.origin_ms + last as f64 / 1000.0;
                 self.finish("abandoned", now);
             }

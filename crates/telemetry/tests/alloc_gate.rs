@@ -1,7 +1,9 @@
 //! Allocation gate: steady-state recording does not touch the heap per
-//! metric, a request costs its scope and two buffers — nothing on buffers
-//! its driver lends, once the journal is full — and reading the journal's
-//! fingerprint costs one sorted view however many records were offered.
+//! metric; the journal pays one allocation for a record it retains (its
+//! packed block) and none for one it drops; a scope on buffers its driver
+//! lends allocates nothing once they have grown to the request's shape;
+//! and reading the journal's fingerprint costs one sorted view however
+//! many records were offered.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
@@ -131,81 +133,87 @@ fn a_disabled_handle_neither_records_nor_allocates() {
     assert!(tele.journal_lines().is_empty());
 }
 
-#[test]
-fn spans_fit_the_reserved_buffers_and_a_request_costs_three_allocations() {
-    let tele = Telemetry::with_config(TelemetryConfig {
-        journal_cap: 4,
-        ..TelemetryConfig::default()
-    });
-    // Warm: every metric entry exists, the journal is at its cap (so its
-    // heap has its final size), this thread has its stripe.
-    for dst in 100..110 {
-        request(&tele, dst);
+/// A record of `request`'s shape built by hand: eight spans of five fields.
+fn record(dst: u32, src: u32) -> RequestRecord {
+    let mut rec = RequestRecord::new(dst, src, "Complete", u64::from(dst));
+    for (i, stage) in STAGES.iter().enumerate() {
+        rec.push_span(stage, (i % 2) as u32, i as u64, 10, &FIELDS);
     }
-
-    // enter / exit_costed on an open scope: the buffers were reserved.
-    let mut req = tele.request(50, 7, 0.0);
-    let n = allocs_in(|| {
-        for (i, stage) in STAGES.iter().enumerate() {
-            let tok = req.enter(stage, i as f64);
-            req.exit_costed(tok, i as f64 + 0.5, &FIELDS, SpanCost::ZERO);
-        }
-    });
-    assert_eq!(n, 0, "enter/exit_costed allocated {n} times");
-    // finish: one fold into the registry, one hand-off to the journal
-    // (this record displaces the journal's maximum: moved, not copied).
-    let n = allocs_in(|| req.finish("Complete", 9.0));
-    assert_eq!(n, 0, "finish allocated {n} times");
-    drop(req);
-
-    // A whole request: the scope and its two buffers, whether the
-    // journal keeps the record (dst below the retained ones) ...
-    let n = allocs_in(|| request(&tele, 40));
-    assert!(n <= 3, "retained request allocated {n} times");
-    // ... or drops it.
-    let n = allocs_in(|| request(&tele, 1000));
-    assert!(n <= 3, "dropped request allocated {n} times");
-
-    let lines = tele.journal_lines();
-    assert_eq!(lines.len(), 4);
-    assert!(lines[0].contains("\"dst\":40,") && lines[1].contains("\"dst\":50,"));
-    assert_eq!(tele.metrics().counter("stage.rr_step.probes"), 3 * 13);
+    rec
 }
 
 #[test]
-fn on_lent_buffers_a_request_costs_what_the_journal_keeps() {
+fn a_retained_offer_costs_one_allocation_and_a_rejected_one_none() {
+    const CAP: usize = 64;
+    let journal = Journal::new(CAP);
+    // Full, every name interned, the tie line grown: dst 1000..1064 under
+    // src 7, then a record tied with the maximum's key that sorts above it.
+    for dst in 1000..1000 + CAP as u32 {
+        assert!(journal.push(&record(dst, 7)));
+    }
+    let mut tie = record(1063, 7);
+    tie.virtual_us += 1;
+    assert!(!journal.push(&tie));
+
+    let offers: Vec<RequestRecord> = (0..200).map(|i| record(2000 + i, 7)).collect();
+    let n = allocs_in(|| offers.iter().for_each(|r| assert!(!journal.push(r))));
+    assert_eq!(n, 0, "200 rejected offers allocated {n} times");
+    let n = allocs_in(|| assert!(!journal.push(&tie)));
+    assert_eq!(n, 0, "a rejected tie allocated {n} times");
+    // Descending keys below the retained ones: each displaces the maximum,
+    // whose block it frees, for a block of its own.
+    let offers: Vec<RequestRecord> = (0..100).rev().map(|dst| record(dst, 7)).collect();
+    let n = allocs_in(|| offers.iter().for_each(|r| assert!(journal.push(r))));
+    assert_eq!(n, 100, "100 retained offers");
+    // Now dst 0..64 are retained: tie with the maximum, and sort below it.
+    let mut tie = record(CAP as u32 - 1, 7);
+    tie.virtual_us = 0;
+    let n = allocs_in(|| assert!(journal.push(&tie)));
+    assert_eq!(n, 1, "a retained tie");
+    assert_eq!(journal.len(), CAP);
+    assert_eq!(journal.dropped(), 1 + 200 + 1 + 100 + 1);
+}
+
+#[test]
+fn a_lent_scope_never_regrows_once_warm() {
     const CAP: usize = 4;
     let tele = Telemetry::with_config(TelemetryConfig {
         journal_cap: CAP,
         ..TelemetryConfig::default()
     });
-    request(&tele, 0); // every metric entry exists, this thread has its stripe
     let mut lent = ScopeBuffers::default();
-    // While the journal has room it keeps each record's two buffers, and
-    // the next request reserves new ones; the recorder itself is made once.
-    let filling =
-        allocs_in(|| (100..100 + CAP as u32 - 1).for_each(|d| request_in(&tele, &mut lent, d)));
-    assert!(
-        filling <= 2 * (CAP as u64 - 1) + 2,
-        "filling the journal: {filling} allocations"
+    // Warm: every metric entry exists, this thread has its stripe, the
+    // recorder and its buffers have grown to this request shape, the
+    // journal is full and has interned every name.
+    for dst in 100..100 + CAP as u32 {
+        request_in(&tele, &mut lent, dst);
+    }
+    // Full: a request the journal rejects allocates nothing ...
+    let n = allocs_in(|| (2000..2100).for_each(|d| request_in(&tele, &mut lent, d)));
+    assert_eq!(
+        n, 0,
+        "100 rejected requests on lent buffers allocated {n} times"
     );
-    // Full: a request gets back the buffers of whichever record lost its
-    // place — itself (rejected), the maximum it displaced, or neither
-    // being sampled out — and allocates nothing.
-    request_in(&tele, &mut lent, 1000);
-    let n = allocs_in(|| {
-        for dst in (10..60).chain(2000..2050) {
-            request_in(&tele, &mut lent, dst);
-        }
-    });
-    assert_eq!(n, 0, "100 requests on lent buffers allocated {n} times");
+    // ... and one it retains the block it keeps, nothing for the scope.
+    let n = allocs_in(|| (10..60).rev().for_each(|d| request_in(&tele, &mut lent, d)));
+    assert_eq!(n, 50, "50 retained requests on lent buffers");
     // A scope dropped instead of released takes the storage with it: the
-    // next request starts over.
+    // next request starts over, growing a recorder and buffers again.
     drop(tele.request_in(&mut lent, 3000, 7, 0.0));
-    let n = allocs_in(|| request_in(&tele, &mut lent, 3001));
-    assert_eq!(n, 3, "after a dropped scope");
-    assert_eq!(tele.journal_lines().len(), CAP);
-    assert_eq!(tele.metrics().counter("request.count"), 1 + 3 + 1 + 100 + 2);
+    let fresh = allocs_in(|| request_in(&tele, &mut lent, 3001));
+    assert!((3..=10).contains(&fresh), "after a dropped scope: {fresh}");
+    let n = allocs_in(|| request_in(&tele, &mut lent, 3002));
+    assert_eq!(n, 0, "the next request on the storage it left");
+    // A scope of its own is the same path on empty storage.
+    let own = allocs_in(|| request(&tele, 3003));
+    assert_eq!(own, fresh, "a scope of its own");
+
+    let lines = tele.journal_lines();
+    assert_eq!(lines.len(), CAP);
+    assert!(lines[0].contains("\"dst\":10,") && lines[3].contains("\"dst\":13,"));
+    assert_eq!(tele.metrics().counter("request.count"), 4 + 100 + 50 + 4);
+    // Every request but the dropped one recorded its `rr_step` span.
+    assert_eq!(tele.metrics().counter("stage.rr_step.probes"), 3 * 157);
 }
 
 #[test]
@@ -219,7 +227,7 @@ fn reading_the_journal_allocates_in_the_cap_not_in_the_records_offered() {
             for stage in STAGES {
                 rec.push_span(stage, 0, 0, 10, &[("probes", 1), ("pkts", 2)]);
             }
-            journal.push(rec);
+            journal.push(&rec);
         }
         assert_eq!(journal.len(), CAP);
         journal
@@ -234,13 +242,13 @@ fn reading_the_journal_allocates_in_the_cap_not_in_the_records_offered() {
     let small = fill(3_000);
     let n = allocs_in(|| assert_eq!(small.fingerprint(), fp));
     assert_eq!(n, first);
-    // Rendering is what `lines()` pays, once: a line per retained record,
-    // cached on it, plus the copy handed out.
+    // Rendering is what `lines()` pays, each time: a line per retained
+    // record, the sorted view and the vector handed out — nothing kept but
+    // the scratch line they are rendered in, grown the first time.
     let lines = allocs_in(|| assert_eq!(black_box(journal.lines()).len(), CAP));
-    assert!(lines <= 2 * CAP as u64 + 2, "lines(): {lines} allocations");
+    assert!(lines <= CAP as u64 + 2 + 16, "lines(): {lines} allocations");
+    let lines = allocs_in(|| assert_eq!(black_box(journal.lines()).len(), CAP));
+    assert_eq!(lines, CAP as u64 + 2, "lines() again");
     let again = allocs_in(|| assert_eq!(journal.fingerprint(), fp));
-    assert!(
-        again <= 1,
-        "read-out over cached lines: {again} allocations"
-    );
+    assert_eq!(again, first, "a read-out after lines()");
 }

@@ -122,10 +122,10 @@ proptest! {
         let fwd = Journal::new(cap);
         let rev = Journal::new(cap);
         for &(dst, src) in &keys {
-            fwd.push(rec(dst, src));
+            fwd.push(&rec(dst, src));
         }
         for &(dst, src) in keys.iter().rev() {
-            rev.push(rec(dst, src));
+            rev.push(&rec(dst, src));
         }
         prop_assert!(fwd.lines().len() <= cap);
         prop_assert_eq!(fwd.lines(), rev.lines());
@@ -134,7 +134,7 @@ proptest! {
         // journal over the same records, truncated to cap.
         let uncapped = Journal::new(keys.len());
         for &(dst, src) in &keys {
-            uncapped.push(rec(dst, src));
+            uncapped.push(&rec(dst, src));
         }
         let expected: Vec<String> = uncapped.lines().into_iter().take(cap).collect();
         prop_assert_eq!(fwd.lines(), expected);
@@ -153,7 +153,7 @@ fn journal_cap_zero_renders_nothing_but_stores_nothing_extra() {
     // valid "journalling off" setting.
     let j = Journal::new(0);
     for d in 0..10 {
-        j.push(rec(d, 1));
+        j.push(&rec(d, 1));
     }
     assert_eq!(j.len(), 0);
     assert!(j.is_empty());
@@ -165,7 +165,7 @@ fn journal_cap_zero_renders_nothing_but_stores_nothing_extra() {
 fn journal_cap_larger_than_population_keeps_everything() {
     let j = Journal::new(1000);
     for d in (0..25u32).rev() {
-        j.push(rec(d, 2));
+        j.push(&rec(d, 2));
     }
     let lines = j.lines();
     assert_eq!(lines.len(), 25);
@@ -186,24 +186,24 @@ fn journal_duplicate_keys_are_kept_and_tie_broken_by_json() {
     slow.virtual_us = 999_999;
     for j in [&a, &b] {
         if std::ptr::eq(j, &a) {
-            j.push(rec(4, 4));
-            j.push(slow.clone());
+            j.push(&rec(4, 4));
+            j.push(&slow);
         } else {
-            j.push(slow.clone());
-            j.push(rec(4, 4));
+            j.push(&slow);
+            j.push(&rec(4, 4));
         }
-        j.push(rec(4, 4)); // exact duplicate record
+        j.push(&rec(4, 4)); // exact duplicate record
     }
     assert_eq!(a.lines(), b.lines());
     assert_eq!(a.lines().len(), 3);
     assert!(a.lines()[0] <= a.lines()[1] && a.lines()[1] <= a.lines()[2]);
     // With a cap of 1 the same single record survives from either order.
     let capped_a = Journal::new(1);
-    capped_a.push(slow.clone());
-    capped_a.push(rec(4, 4));
+    capped_a.push(&slow);
+    capped_a.push(&rec(4, 4));
     let capped_b = Journal::new(1);
-    capped_b.push(rec(4, 4));
-    capped_b.push(slow);
+    capped_b.push(&rec(4, 4));
+    capped_b.push(&slow);
     assert_eq!(capped_a.lines(), capped_b.lines());
 }
 
@@ -222,11 +222,11 @@ fn journal_far_past_its_cap_is_still_insertion_order_independent() {
 
     let ascending = Journal::new(CAP);
     for r in &population {
-        ascending.push(r.clone());
+        ascending.push(r);
     }
     let descending = Journal::new(CAP);
     for r in population.iter().rev() {
-        descending.push(r.clone());
+        descending.push(r);
     }
     let threaded = Journal::new(CAP);
     std::thread::scope(|s| {
@@ -234,7 +234,7 @@ fn journal_far_past_its_cap_is_still_insertion_order_independent() {
             let (threaded, population) = (&threaded, &population);
             s.spawn(move || {
                 for r in population.iter().skip(t).step_by(4) {
-                    threaded.push(r.clone());
+                    threaded.push(r);
                 }
             });
         }
