@@ -101,43 +101,36 @@ cargo test -q --release -p revtr-vpselect --test alloc_gate
 cargo test -q --release -p revtr-service --test alloc_gate
 cargo test -q --release -p revtr-telemetry --test alloc_gate
 
-# Telemetry profile gate: the metrics subcommand must produce a populated
-# per-stage report (it exits nonzero on flag or scale errors).
-echo "== telemetry profile gate (release, smoke scale) =="
-./target/release/revtr-cli metrics --scale smoke | tail -n 3
-
-# SLO monitor gate: the clean standard configuration reports zero
-# violations at every pinned seed (`revtr-cli monitor` exits nonzero on
-# any firing alert). Since PR 10 the policy also carries the memory budget:
-# mem.total.hiwater under the 64 MiB ceiling and control-block capacity
-# headroom >= 0.90, so this loop doubles as the memory-budget gate...
-echo "== SLO monitor + memory-budget gate (release, standard scale, seeds 1/7/42) =="
+# SLO + memory-budget gate: the clean standard campaign's report fires
+# no rule at any pinned seed (`revtr-cli report` exits nonzero on any
+# firing alert). The policy carries the memory budget — mem.total.hiwater
+# under the 64 MiB ceiling and control-block capacity headroom >= 0.90 —
+# and each report must account at least 8 subsystems in its byte ledgers
+# (one `mem.<ledger>.hiwater` derived row each). That judging a run leaves
+# its identity alone is held by crates/eval/tests/metrics_golden.rs: one
+# CampaignRun judged by the report and the auditor reproduces the goldens
+# `report` wrote alone...
+echo "== SLO + memory-budget gate (release, standard scale, seeds 1/7/42) =="
 for seed in 1 7 42; do
-  ./target/release/revtr-cli monitor --scale standard --seed "$seed" \
-    | tail -n 1
+  report_out=$(./target/release/revtr-cli report --scale standard --seed "$seed")
+  ledgers=$(echo "$report_out" \
+    | grep -cE '^mem\.(netsim|probing|atlas|engine|service|telemetry)\.')
+  if [ "$ledgers" -lt 8 ]; then
+    echo "seed $seed: byte ledgers too thin: $ledgers subsystems"; exit 1
+  fi
+  echo "$report_out" | tail -n 1
+  echo "seed $seed: $ledgers ledgers"
 done
 
 # ...while a faulted campaign (30% transient loss, no retry budget) must
 # provably fire the coverage and stuck-request alerts.
-echo "== SLO monitor fault-detection gate (release, smoke, loss 0.3) =="
-if faulted_out=$(./target/release/revtr-cli monitor --scale smoke --seed 1 --loss 0.3 --budget 1); then
-  echo "faulted run passed the SLO gate — monitor is blind"; exit 1
+echo "== SLO fault-detection gate (release, smoke, loss 0.3) =="
+if faulted_out=$(./target/release/revtr-cli report --scale smoke --seed 1 --loss 0.3 --budget 1); then
+  echo "faulted run passed the SLO gate — the report is blind"; exit 1
 fi
 echo "$faulted_out" | grep -q 'coverage-floor' || { echo "coverage alert missing"; exit 1; }
 echo "$faulted_out" | grep -q 'stuck-requests' || { echo "stuck-request alert missing"; exit 1; }
 echo "$faulted_out" | tail -n 1
-
-# Resource-forensics gate: the profile must account at least 8 subsystems
-# in its byte ledger. (That judging a run leaves its identity alone is held
-# by crates/eval/tests/metrics_golden.rs: one CampaignRun judged by
-# metrics, profile and monitor reproduces the goldens each wrote alone.)
-echo "== resource-forensics gate (release, smoke seed 1) =="
-ledgers=$(./target/release/revtr-cli profile --scale smoke --seed 1 \
-  | grep -cE '^(netsim|probing|atlas|engine|service|telemetry)\.')
-if [ "$ledgers" -lt 8 ]; then
-  echo "profile ledger table too thin: $ledgers subsystems"; exit 1
-fi
-echo "profile: $ledgers ledgers"
 
 # Hostile-Internet scenario conformance gate: every adversarial profile
 # must (a) bite — the stock campaign's fingerprint departs from clean —
@@ -151,16 +144,16 @@ for seed in 1 7 42; do
 done
 
 # Scenario SLO must-fire gate: under each adversarial profile the stock
-# monitor must raise an alert (exit nonzero) and the firing rule set must
-# include the profile's signature rule — a monitor that stays green under
-# a hostile Internet is blind. An all-zero-severity profile must still
-# pass the full scenario policy (the verification-mode probe allowance is
-# calibrated for exactly this).
+# engine's report must raise an alert (exit nonzero) and the firing rule
+# set must include the profile's signature rule — a report that stays
+# green under a hostile Internet is blind. An all-zero-severity profile
+# must still pass the full scenario policy (the verification-mode probe
+# allowance is calibrated for exactly this).
 echo "== scenario SLO must-fire gate (release, standard seed 1) =="
 scenario_must_fire() {
   profile=$1; rule=$2
-  if out=$(./target/release/revtr-cli monitor --scale standard --seed 1 --scenario "$profile"); then
-    echo "$profile passed the SLO gate — monitor is blind"; exit 1
+  if out=$(./target/release/revtr-cli report --scale standard --seed 1 --scenario "$profile"); then
+    echo "$profile passed the SLO gate — the report is blind"; exit 1
   fi
   echo "$out" | grep -Eq "$rule +[a-z]+ +FAIL" || { echo "$profile: expected $rule alert missing"; exit 1; }
   echo "$profile: fires $rule"
@@ -170,17 +163,18 @@ scenario_must_fire dbr-violation-region dbr-verify-mismatch
 scenario_must_fire lying-rr-responders accuracy-floor
 scenario_must_fire asymmetric-rate-limiters transient-exhaustion
 scenario_must_fire poisoned-atlas accuracy-floor
-./target/release/revtr-cli monitor --scale standard --seed 1 \
+./target/release/revtr-cli report --scale standard --seed 1 \
   --scenario dbr-violation-region --severity 0 | tail -n 1
 
 # Loadtest gate: the production traffic model at standard scale. Each
 # pinned seed runs the steady pattern (clean service: full SLO policy,
 # zero sheds, quiescent ladder) and the flash-crowd pattern (overload:
 # only the lowest class sheds, gold goodput holds >= 98%, the ladder
-# engages and recovers). Every run also proves the per-arrival results
-# fingerprint, per-class accounting, and ladder-transition log are
-# bit-identical across dispatch workers {1, 4, 16} (`revtr-cli loadtest`
-# exits nonzero on any determinism or judgment failure).
+# engages and recovers). The steady policy carries the memory budget too.
+# Every run also proves the per-arrival results fingerprint, per-class
+# accounting, and ladder-transition log are bit-identical across dispatch
+# workers {1, 4, 16} (`revtr-cli loadtest` exits nonzero on any
+# determinism or judgment failure).
 echo "== loadtest gate (release, standard scale, seeds 1/7/42, steady + flash-crowd) =="
 for seed in 1 7 42; do
   ./target/release/revtr-cli loadtest --scale standard --seed "$seed" --pattern steady \
@@ -190,8 +184,8 @@ for seed in 1 7 42; do
 done
 
 # Standard-scale golden (seed 42): TSV bytes, campaign fingerprints and
-# the profile's per-ledger byte table pinned under
-# crates/eval/tests/goldens/standard42 — one campaign, two judges.
+# the rendered report (every ledger, stack, derived value and verdict)
+# pinned under crates/eval/tests/goldens/standard42.
 echo "== metrics golden gate (release, standard seed 42) =="
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 

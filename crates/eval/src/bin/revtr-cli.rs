@@ -6,30 +6,26 @@
 //! revtr-cli reproduce [--scale smoke|standard] [--out DIR]
 //! revtr-cli robustness [--scale smoke|standard] [--out DIR]
 //! revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR] [--stop-sets on|off]
-//! revtr-cli metrics   [--scale smoke|standard] [--seed N] [--out DIR]
-//! revtr-cli profile   [--scale smoke|standard] [--seed N] [--out DIR]
-//! revtr-cli monitor   [--scale ...] [--seed N] [--out DIR] [--loss P] [--budget N] [--deadline-ms MS]
-//!                     [--scenario PROFILE] [--severity F] [--harden on|off]
+//! revtr-cli report    [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N]
+//!                     [--scenario PROFILE] [--severity F]
 //! revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]
 //! revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]
 //! revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan]
-//!                     [--duration H] [--out DIR]
+//!                     [--out DIR]
 //! ```
 //!
 //! Every subcommand validates its flags against an allow-list
 //! ([`revtr_eval::cliargs`]); unknown flags are a usage error (exit 2)
 //! rather than being silently ignored. The judging subcommands (`audit`,
-//! `monitor`, `scenario`, `economy`, `loadtest`) exit non-zero when their
+//! `report`, `scenario`, `economy`, `loadtest`) exit non-zero when their
 //! gate fails, so they are usable directly as CI gates.
 
 use revtr::{EngineConfig, HopMethod, RevtrSystem};
 use revtr_atlas::select_atlas_probes;
 use revtr_eval::cliargs::{self, Flags};
 use revtr_eval::context::DEFAULT_SEED;
-use revtr_eval::{
-    audit, economy, loadtest, metrics, monitor, profile, reproduce, robustness, scenarios,
-    Campaign, Scale,
-};
+use revtr_eval::report::{self, Report};
+use revtr_eval::{audit, economy, loadtest, reproduce, robustness, scenarios, Campaign, Scale};
 use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
@@ -44,13 +40,11 @@ fn usage() -> ExitCode {
          revtr-cli reproduce [--scale smoke|standard] [--out DIR]\n  \
          revtr-cli robustness [--scale smoke|standard] [--out DIR]\n  \
          revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR] [--stop-sets on|off]\n  \
-         revtr-cli metrics   [--scale smoke|standard] [--seed N] [--out DIR]\n  \
-         revtr-cli profile   [--scale smoke|standard] [--seed N] [--out DIR]\n  \
-         revtr-cli monitor   [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N] [--deadline-ms MS]\n  \
-                     [--scenario PROFILE] [--severity F] [--harden on|off]\n  \
+         revtr-cli report    [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N]\n  \
+                     [--scenario PROFILE] [--severity F]\n  \
          revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]\n  \
          revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]\n  \
-         revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan] [--duration H] [--out DIR]"
+         revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan] [--out DIR]"
     );
     ExitCode::from(2)
 }
@@ -285,51 +279,7 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
     }
 }
 
-fn cmd_metrics(flags: &Flags) -> ExitCode {
-    let (seed, scale) = match seed_and_scale(flags) {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
-    let report = metrics::judge(&Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).run());
-    if let Some(s) = seed {
-        println!("(master seed {s})");
-    }
-    println!("{}", report.render());
-    if let Some(dir) = flags.out_dir() {
-        match report.save_tsvs(dir) {
-            Ok(()) => eprintln!("TSVs written to {}", dir.display()),
-            Err(e) => {
-                eprintln!("could not write TSVs: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_profile(flags: &Flags) -> ExitCode {
-    let (seed, scale) = match seed_and_scale(flags) {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
-    let report = profile::judge(&Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).run());
-    println!("{}", report.render());
-    if let Some(dir) = flags.out_dir() {
-        match report.save_exports(dir) {
-            Ok(paths) => {
-                let shown: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
-                eprintln!("exports: {}", shown.join("  "));
-            }
-            Err(e) => {
-                eprintln!("could not write exports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_monitor(flags: &Flags) -> ExitCode {
+fn cmd_report(flags: &Flags) -> ExitCode {
     let (seed, scale) = match seed_and_scale(flags) {
         Ok(parsed) => parsed,
         Err(code) => return code,
@@ -343,7 +293,7 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
         _ => return flag_err("--budget must be a positive integer"),
     };
     let mut campaign = Campaign::faulted(scale, seed.unwrap_or(DEFAULT_SEED), loss, budget);
-    let mut policy = monitor::default_policy(scale);
+    let mut policy = report::default_policy(scale);
     if let Some(name) = flags.get("scenario") {
         let Some(profile) = ScenarioProfile::from_name(name) else {
             return flag_err(&format!(
@@ -356,31 +306,19 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
             Err(code) => return code,
         };
         campaign = campaign.with_scenario(ScenarioConfig::profile_at(profile, severity));
-        policy = monitor::scenario_policy(scale);
+        policy = report::scenario_policy(scale);
     } else if flags.get("severity").is_some() {
         return flag_err("--severity requires --scenario");
     }
-    match flags.get("harden").unwrap_or("off") {
-        "on" => campaign = campaign.with_harden(true),
-        "off" => {}
-        other => return flag_err(&format!("--harden must be on or off, got {other:?}")),
-    }
-    if let Some(ms) = flags.get("deadline-ms") {
-        match ms.parse::<f64>() {
-            Ok(v) if v > 0.0 => campaign.watchdog_deadline_ms = v,
-            _ => return flag_err("--deadline-ms must be a positive number"),
-        }
-    }
-    let report = monitor::judge(&campaign.run(), &policy);
+    let run = campaign.run();
+    let report = Report::new(&run, &policy);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
     println!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
-        match report.save_exports(dir) {
-            Ok((trace, prom)) => {
-                eprintln!("exports: {}  {}", trace.display(), prom.display())
-            }
+        match report.save(dir) {
+            Ok(()) => eprintln!("exports written to {}", dir.display()),
             Err(e) => {
                 eprintln!("could not write exports: {e}");
                 return ExitCode::FAILURE;
@@ -490,24 +428,14 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
             loadtest::Pattern::ALL.map(|p| p.name()).join(", ")
         ));
     };
-    let mut cfg = loadtest::LoadtestConfig::new(pattern);
-    if let Some(d) = flags.get("duration") {
-        match d.parse::<f64>() {
-            Ok(v) if v > 0.0 && v.is_finite() => cfg.duration_hours = v,
-            _ => return flag_err("--duration must be a positive number of virtual hours"),
-        }
-    }
-    let report = loadtest::run(scale, seed.unwrap_or(DEFAULT_SEED), &cfg);
+    let report = loadtest::run(scale, seed.unwrap_or(DEFAULT_SEED), pattern);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
     println!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.save_exports(dir) {
-            Ok(paths) => {
-                let shown: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
-                eprintln!("exports: {}", shown.join("  "));
-            }
+            Ok(()) => eprintln!("exports written to {}", dir.display()),
             Err(e) => {
                 eprintln!("could not write exports: {e}");
                 return ExitCode::FAILURE;
@@ -529,22 +457,12 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
         "reproduce" => &["scale", "out"],
         "robustness" => &["scale", "out"],
         "audit" => &["scale", "seed", "out", "stop-sets"],
-        "metrics" => &["scale", "seed", "out"],
-        "profile" => &["scale", "seed", "out"],
-        "monitor" => &[
-            "scale",
-            "seed",
-            "out",
-            "loss",
-            "budget",
-            "deadline-ms",
-            "scenario",
-            "severity",
-            "harden",
+        "report" => &[
+            "scale", "seed", "out", "loss", "budget", "scenario", "severity",
         ],
         "scenario" => &["scale", "seed", "profile", "severity", "out"],
         "economy" => &["scale", "seed", "min-cut", "tol-quality"],
-        "loadtest" => &["scale", "seed", "pattern", "duration", "out"],
+        "loadtest" => &["scale", "seed", "pattern", "out"],
         _ => return None,
     })
 }
@@ -567,9 +485,7 @@ fn main() -> ExitCode {
         "reproduce" => cmd_reproduce(&flags),
         "robustness" => cmd_robustness(&flags),
         "audit" => cmd_audit(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "profile" => cmd_profile(&flags),
-        "monitor" => cmd_monitor(&flags),
+        "report" => cmd_report(&flags),
         "scenario" => cmd_scenario(&flags),
         "economy" => cmd_economy(&flags),
         "loadtest" => cmd_loadtest(&flags),

@@ -3,24 +3,27 @@
 //!
 //! The paper reads accuracy, coverage and probe cost off the *same* set of
 //! reverse traceroutes (§5.2, Table 4, Fig. 5). So does this crate:
-//! [`Campaign`] names a run (scale, seed, fault and engine knobs),
-//! [`Campaign::run`] is the only function of the operations harness that
-//! assembles a context, an ingress database and a system and dispatches
-//! the workload, and the [`CampaignRun`] it returns holds everything the
-//! judges read — `metrics::judge`, `profile::judge`, `monitor::judge`,
-//! `audit::judge`, `economy::arm`, `scenarios::arm` — each a pure function
-//! of `&CampaignRun`. Judging a run twice, or by two judges in either
-//! order, cannot change what either reports.
+//! [`Campaign`] names a run (scale, seed, traffic, fault and engine
+//! knobs), [`Campaign::run_with`] is the only function of the operations
+//! harness that assembles a context, an ingress database and a system and
+//! dispatches the traffic, and the [`CampaignRun`] it returns holds
+//! everything the judges read — `report::Report`, `audit::judge`,
+//! `economy::arm`, `scenarios::arm`, the loadtest's arms — each a pure
+//! function of `&CampaignRun`. Judging a run twice, or by two judges in
+//! either order, cannot change what either reports.
 //!
 //! Telemetry, the stuck-request watchdog and the resource profiler are
 //! armed on every run: all three record outside the fingerprinted
 //! registry and journal (`tests/metamorphic.rs` pins off ≡ on), so a run
-//! made for the auditor is the run the SLO monitor would have judged.
+//! made for the auditor is the run the SLO policy would have judged.
 
 use crate::context::{EvalContext, EvalScale};
+use crate::loadtest::{self, Pattern};
 use revtr::{EngineConfig, LoopConfig, RevtrResult};
+use revtr_loadgen::Arrival;
 use revtr_netsim::{Addr, ScenarioConfig, SimConfig};
 use revtr_probing::{CacheStats, RetryPolicy, Snapshot, StopSetSnapshot};
+use revtr_service::{ClassReport, LevelTransition, RevtrService, ShedReason};
 use revtr_telemetry::{
     MetricsSnapshot, ProfileStack, RequestRecord, ResourceSnapshot, Telemetry, TelemetryConfig,
     WatchdogFlag,
@@ -127,11 +130,11 @@ impl Scale {
                 probes_low_warm: 3.0,
                 rr_p99_us: 100_000_000,
                 // Clean mem.total.hiwater at seeds {1, 7, 42} reads
-                // 10.3–10.5 MB; the ceiling was set at ~1.7x the 38 MB it
-                // read before the route plane shrank its cache, and is
+                // 10.22–10.34 MB; the ceiling was set at ~1.7x the 38 MB
+                // it read before the route plane shrank its cache, and is
                 // kept as the budget.
                 mem_total_max: 64 << 20,
-                // Room for ~83 000 admitted 808-byte control blocks (the
+                // Room for ~84 000 admitted 800-byte control blocks (the
                 // standard campaign's 2 000 read 1.6 MB, headroom 0.976).
                 control_capacity: 64 << 20,
                 control_headroom: 0.9,
@@ -159,7 +162,18 @@ impl Scale {
     }
 }
 
-/// One campaign of the operations harness: which world, which workload,
+/// How a campaign's requests arrive.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Traffic {
+    /// The closed-loop workload ([`EvalContext::workload`]): every pair
+    /// dispatched at virtual zero.
+    Workload,
+    /// An open-loop multi-tenant arrival stream of this shape through the
+    /// service's admission layer (`loadtest::tenant_stream`).
+    OpenLoop(Pattern),
+}
+
+/// One campaign of the operations harness: which world, which traffic,
 /// and the fault and engine knobs it runs under.
 #[derive(Clone, Debug)]
 pub struct Campaign {
@@ -167,6 +181,8 @@ pub struct Campaign {
     pub scale: Scale,
     /// Master seed (topology, workload, faults).
     pub seed: u64,
+    /// The requests and how they arrive.
+    pub traffic: Traffic,
     /// Injected transient probe-loss probability (0.0 = clean).
     pub loss: f64,
     /// Per-kind retry attempt budget (1 = no retries, the clean default).
@@ -198,6 +214,7 @@ impl Campaign {
         Campaign {
             scale,
             seed,
+            traffic: Traffic::Workload,
             loss: 0.0,
             budget: 1,
             watchdog_deadline_ms: scale.baselines().clean_deadline_ms,
@@ -223,6 +240,15 @@ impl Campaign {
         c
     }
 
+    /// The clean campaign serving an open-loop tenant stream instead of
+    /// the closed-loop workload.
+    pub fn open_loop(scale: Scale, seed: u64, pattern: Pattern) -> Campaign {
+        Campaign {
+            traffic: Traffic::OpenLoop(pattern),
+            ..Campaign::clean(scale, seed)
+        }
+    }
+
     /// The same campaign with the stop-set knob flipped.
     pub fn with_stop_sets(mut self, on: bool) -> Campaign {
         self.use_stop_sets = on;
@@ -236,7 +262,7 @@ impl Campaign {
     }
 
     /// The same campaign under a hostile-Internet scenario, judged by
-    /// `monitor::scenario_policy`. Unlike [`Campaign::faulted`]'s envelope
+    /// `report::scenario_policy`. Unlike [`Campaign::faulted`]'s envelope
     /// tightening, scenario runs keep the *clean* watchdog deadline:
     /// adversarial profiles are judged by which SLO rules they trip, and a
     /// watchdog armed below the measured clean worst case would flag every
@@ -260,13 +286,33 @@ impl Campaign {
         cfg
     }
 
-    /// Build the world and run the workload: serial dispatch (the default
-    /// [`LoopConfig`]: one worker, requests in id order), so every counter
-    /// and histogram is a pure function of the campaign's fields.
+    /// [`Campaign::run_with`] one worker: requests in id order, so every
+    /// counter and histogram is a pure function of the campaign's fields.
     pub fn run(&self) -> CampaignRun {
+        self.run_with(1)
+    }
+
+    /// Build the world and dispatch the traffic on `workers` dispatch
+    /// workers ([`LoopConfig::workers`]).
+    pub fn run_with(&self, workers: usize) -> CampaignRun {
         let mut sim_cfg = self.scale.sim_config();
         sim_cfg.faults.probe_loss = self.loss;
         sim_cfg.scenario = self.scenario.clone();
+        if let Traffic::OpenLoop(_) = self.traffic {
+            // Route churn and per-packet load balancing must be off for an
+            // open-loop run — the two schedule couplings the engine's
+            // worker-invariance contract excludes (and that the metamorphic
+            // suite's own determinism arms disable for the same reasons).
+            // Churn is cross-request coupling through the globally
+            // *flushed* clock, and flush points are a function of the
+            // dispatch schedule. Load-balancing routers hash the per-probe
+            // nonce, and nonces come from one shared counter, so reply
+            // paths would depend on cross-task probe interleaving, which
+            // under a pool is up to the OS. The admission layer is what the
+            // loadtest judges; route dynamics have their own studies.
+            sim_cfg.behavior.churn_per_hour = 0.0;
+            sim_cfg.behavior.router_load_balancer = 0.0;
+        }
         let ctx = EvalContext::new(sim_cfg, self.scale.eval_scale(self.seed));
         let telemetry = Telemetry::with_config(TelemetryConfig {
             watchdog_deadline_ms: Some(self.watchdog_deadline_ms),
@@ -279,14 +325,49 @@ impl Campaign {
             .with_retry_policy(RetryPolicy::uniform(self.budget))
             .with_telemetry(telemetry.clone());
         let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let system = ctx.build_system(prober, self.engine_config(), ingress);
-        let workload = ctx.workload();
+        let service = RevtrService::new(ctx.build_system(prober, self.engine_config(), ingress));
+        let system = service.system();
+        let lc = LoopConfig { workers };
+        // Tenant registration probes (source bootstraps) before the
+        // campaign-only deltas start.
+        let stream = match self.traffic {
+            Traffic::Workload => None,
+            Traffic::OpenLoop(pattern) => {
+                Some(loadtest::tenant_stream(&ctx, &service, pattern, self.seed))
+            }
+        };
 
         let probes_before = system.prober().counters().snapshot();
         let virtual_before = system.prober().clock().now_ms();
-        let outcome = system
-            .run_campaign(&workload, LoopConfig::default())
-            .expect("campaign measurement panicked");
+        let (workload, results, events, open_loop) = match stream {
+            None => {
+                let pairs = ctx.workload();
+                let outcome = system
+                    .run_campaign(&pairs, lc)
+                    .expect("campaign measurement panicked");
+                (pairs, outcome.results, outcome.events, None)
+            }
+            Some((keys, arrivals, requests, plan)) => {
+                let o = service
+                    .run_open_loop(&keys, &requests, &plan, lc)
+                    .expect("open-loop run failed");
+                let workload = (requests.iter().zip(&o.sheds))
+                    .filter(|(_, shed)| shed.is_none())
+                    .map(|(r, _)| (r.dst, r.src))
+                    .collect();
+                let results = o.results.into_iter().flatten().collect();
+                let open = OpenLoopRun {
+                    arrivals,
+                    sheds: o.sheds,
+                    classes: o.classes,
+                    transitions: o.transitions,
+                    waves: o.waves,
+                    atlas_refreshes: o.atlas_refreshes,
+                    stale_atlas_skips: o.stale_atlas_skips,
+                };
+                (workload, results, o.events, Some(open))
+            }
+        };
         let probes = system.prober().counters().snapshot().since(&probes_before);
         let virtual_ms = system.prober().clock().now_ms() - virtual_before;
 
@@ -299,12 +380,13 @@ impl Campaign {
         let cache_stats = cache.stats();
         let cache_shards = cache.shard_occupancy();
         let stopset = system.stopset().stats();
-        drop(system);
+        drop(service);
         CampaignRun {
             campaign: self.clone(),
             workload,
-            results: outcome.results,
-            events: outcome.events,
+            results,
+            events,
+            open_loop,
             metrics_fingerprint,
             journal_fingerprint,
             snapshot,
@@ -325,18 +407,41 @@ impl Campaign {
     }
 }
 
+/// What the admission layer did with an open-loop campaign's arrivals.
+/// The admitted arrivals' results are [`CampaignRun::results`], in
+/// stream order: `sheds` says which arrival each one answers.
+pub struct OpenLoopRun {
+    /// Every arrival offered (after topology mapping), in stream order.
+    pub arrivals: Vec<Arrival>,
+    /// Per-arrival shed reasons, aligned with `arrivals`; `None` = admitted.
+    pub sheds: Vec<Option<ShedReason>>,
+    /// Per-class accounting, index = class index.
+    pub classes: Vec<ClassReport>,
+    /// Every ladder move, in wave order.
+    pub transitions: Vec<LevelTransition>,
+    /// Admission waves executed.
+    pub waves: usize,
+    /// SLA-driven atlas refreshes performed at wave barriers.
+    pub atlas_refreshes: u64,
+    /// SLA-due refreshes suppressed at the stale-atlas level.
+    pub stale_atlas_skips: u64,
+}
+
 /// Everything one campaign produced. Judges take it by shared reference.
 pub struct CampaignRun {
     /// The campaign that ran.
     pub campaign: Campaign,
     /// The world it ran in (the auditor and the oracle read its simulator).
     pub ctx: EvalContext,
-    /// The `(dst, src)` pairs measured, in dispatch order.
+    /// The `(dst, src)` pairs measured (an open loop's admitted arrivals),
+    /// in dispatch order.
     pub workload: Vec<(Addr, Addr)>,
     /// Per-pair results, every hop with its evidence, in workload order.
     pub results: Vec<RevtrResult>,
     /// Engine events the campaign processed.
     pub events: u64,
+    /// The admission accounting of an open-loop campaign.
+    pub open_loop: Option<OpenLoopRun>,
     /// Metrics fingerprint, captured before anything else was read.
     pub metrics_fingerprint: u64,
     /// Journal fingerprint, captured likewise.

@@ -21,7 +21,7 @@
 //! [`Snapshot::measurement_probes`]: revtr_probing::Snapshot::measurement_probes
 
 use crate::campaign::{Campaign, CampaignRun, Scale};
-use crate::monitor::OracleScore;
+use crate::report::OracleScore;
 use std::fmt::Write as _;
 
 /// The economy gate: the on-arm must cut measurement probes per revtr by

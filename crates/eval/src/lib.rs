@@ -20,10 +20,8 @@ pub mod dbr_violations;
 pub mod economy;
 pub mod ip2as_ablation;
 pub mod loadtest;
-pub mod metrics;
-pub mod monitor;
-pub mod profile;
 pub mod render;
+pub mod report;
 pub mod reproduce;
 pub mod responsiveness;
 pub mod robustness;

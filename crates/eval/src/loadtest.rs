@@ -2,11 +2,12 @@
 //! service's admission layer, judged for both protection and identity.
 //!
 //! `revtr-loadgen` offers a seed-pure arrival stream (steady, diurnal,
-//! flash-crowd, or scan-abuse shaped); this module maps it onto the
-//! simulated topology, replays it through
-//! `RevtrService::run_open_loop` at each dispatch-worker arm {1, 4, 16},
-//! and renders per-tenant goodput-vs-offered-load curves plus the
-//! shed/degrade accounting. Three judgments compose:
+//! flash-crowd, or scan-abuse shaped) of [`HOURS`] virtual hours; an
+//! open-loop [`Campaign`] maps it onto the simulated topology and replays
+//! it through `RevtrService::run_open_loop` at each dispatch-worker arm of
+//! [`WORKER_ARMS`]. This module holds the tenant mix, the admission plan
+//! and the judgment, and renders per-tenant goodput-vs-offered-load curves
+//! plus the shed/degrade accounting. Three judgments compose:
 //!
 //! * **Determinism** (every pattern): measurement-result fingerprints,
 //!   per-class shed/degrade counters, and the ladder-transition log must
@@ -14,13 +15,13 @@
 //!   are deliberately *not* compared — cache-fill races make them
 //!   schedule-dependent, which is exactly why the admission controller
 //!   never consumes them. Route churn and per-packet load balancing are
-//!   quiesced (see `quiesce`): they are the two schedule couplings the
-//!   engine's worker-invariance contract excludes.
-//! * **Steady-state SLO** (the `steady` pattern): the serial arm must
-//!   pass the full [`monitor::default_policy`] — coverage, accuracy,
-//!   probe band, latency burn — plus the loadgen extras (zero sheds,
-//!   gold goodput, a quiescent ladder). Admission control that degrades
-//!   a healthy service is not protection.
+//!   quiesced (see `Campaign::run_with`): they are the two schedule
+//!   couplings the engine's worker-invariance contract excludes.
+//! * **Steady-state SLO** (the `steady` pattern): the serial arm's
+//!   [`Report`] must pass [`steady_policy`] — the full default policy
+//!   (coverage, accuracy, probe band, memory budget, latency burn) plus
+//!   the loadgen extras (zero sheds, gold goodput, a quiescent ladder).
+//!   Admission control that degrades a healthy service is not protection.
 //! * **Must-fire** (the `flash-crowd` and `scan` patterns): overload has
 //!   to shed — but only from the lowest class, with the top class
 //!   holding ≥ 98% goodput, the ladder provably stepping down, serving
@@ -29,28 +30,21 @@
 //! `revtr-cli loadtest` drives this and exits non-zero on any failed
 //! judgment, so ci.sh uses it directly as the traffic-model gate.
 
-use crate::campaign::Scale;
+use crate::campaign::{Campaign, CampaignRun, OpenLoopRun, Scale};
 use crate::context::EvalContext;
-use crate::monitor::{self, OracleScore};
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
+use crate::report::{self, Report};
 use revtr_loadgen::{
     generate, offered_histogram, Arrival, DestPick, Envelope, PriorityClass, TenantProfile,
-    N_CLASSES,
 };
-use revtr_netsim::{Addr, SimConfig};
-use revtr_probing::RetryPolicy;
+use revtr_netsim::Addr;
 use revtr_service::{
-    AdmissionPlan, ClassPolicy, ClassReport, LadderConfig, LevelTransition, RateLimits,
+    AdmissionPlan, ApiKey, ClassPolicy, ClassReport, LadderConfig, LevelTransition, RateLimits,
     RevtrService, TimedRequest,
 };
-use revtr_telemetry::{
-    chrome_trace_json, prometheus_text, MetricsSnapshot, RequestRecord, RuleExpr, Severity,
-    SloInput, SloPolicy, SloReport, SloRule, Telemetry, TelemetryConfig,
-};
-use revtr_vpselect::Heuristics;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use revtr_telemetry::{Fnv, RuleExpr, Severity, SloPolicy, SloReport, SloRule};
+use std::fmt::Write as _;
+use std::path::Path;
 
 /// The traffic patterns `revtr-cli loadtest --pattern` accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -230,28 +224,80 @@ pub fn plan() -> AdmissionPlan {
     }
 }
 
-/// One loadtest invocation.
-#[derive(Clone, Debug)]
-pub struct LoadtestConfig {
-    /// Traffic shape.
-    pub pattern: Pattern,
-    /// Stream length in virtual hours.
-    pub duration_hours: f64,
-    /// Dispatch-worker arms to run and compare.
-    pub worker_arms: Vec<usize>,
+/// Stream length in virtual hours.
+pub const HOURS: f64 = 18.0;
+
+/// An open-loop campaign's traffic: register the pattern's tenants with
+/// the service, map its seed-pure [`HOURS`]-long arrival stream onto the
+/// topology, and pair it with the admission [`plan`]. Returns the
+/// tenants' API keys, the arrivals kept, the requests they became, and
+/// the plan.
+pub(crate) fn tenant_stream(
+    ctx: &EvalContext,
+    service: &RevtrService<'_>,
+    pattern: Pattern,
+    seed: u64,
+) -> (Vec<ApiKey>, Vec<Arrival>, Vec<TimedRequest>, AdmissionPlan) {
+    // Tenant registration: every tenant gets every source (its simulated
+    // users are spread across them), in profile × source order so the
+    // bootstrap probe sequence is identical at every worker count.
+    let profiles = tenant_mix(pattern, HOURS);
+    let sources = ctx.sources();
+    let mut keys = Vec::with_capacity(profiles.len());
+    for p in &profiles {
+        let key = service.add_user(
+            &p.name,
+            RateLimits {
+                max_parallel: 1_000_000,
+                max_per_day: p.daily_quota.unwrap_or(RateLimits::default().max_per_day),
+            },
+        );
+        for &s in &sources {
+            service
+                .add_source(key, s)
+                .expect("tenant source bootstrap failed");
+        }
+        keys.push(key);
+    }
+
+    // Destination rank space: one responsive host per sampled prefix,
+    // most-popular-first in prefix order (deterministic per seed).
+    let pool: Vec<Addr> = ctx
+        .sampled_prefixes()
+        .into_iter()
+        .filter_map(|p| ctx.responsive_dest_in(p))
+        .collect();
+    assert!(!pool.is_empty(), "no responsive destinations at this scale");
+
+    // Arrivals whose destination collides with the chosen source are
+    // dropped — identically at every worker count, since the stream is a
+    // pure function of (profiles, pool size, duration, seed).
+    let mut kept = Vec::new();
+    let mut requests = Vec::new();
+    for a in generate(&profiles, pool.len(), HOURS, seed) {
+        let dst = pool[a.dst_rank % pool.len()];
+        let src = sources[(a.user as usize) % sources.len()];
+        if dst == src {
+            continue;
+        }
+        requests.push(TimedRequest {
+            vtime_ms: a.vtime_ms,
+            tenant: a.tenant,
+            class: a.class.index(),
+            dst,
+            src,
+        });
+        kept.push(a);
+    }
+    (keys, kept, requests, plan())
 }
 
-impl LoadtestConfig {
-    /// The default judgment shape: 18 virtual hours across worker arms
-    /// {1, 4, 16}.
-    pub fn new(pattern: Pattern) -> LoadtestConfig {
-        LoadtestConfig {
-            pattern,
-            duration_hours: 18.0,
-            worker_arms: vec![1, 4, 16],
-        }
-    }
-}
+/// The dispatch-worker arms every loadtest runs and compares. The first
+/// is the serial arm the tables, the curve and the SLO judgment read.
+pub const WORKER_ARMS: [usize; 3] = [1, 4, 16];
+
+/// Buckets of the goodput curve.
+const CURVE_BUCKETS: usize = 12;
 
 /// What one worker arm produced — exactly the signals the determinism
 /// contract compares.
@@ -269,68 +315,71 @@ pub struct ArmSummary {
     pub transitions: Vec<LevelTransition>,
     /// Admission waves executed.
     pub waves: usize,
-    /// SLA-driven atlas refreshes.
-    pub atlas_refreshes: u64,
-    /// Refreshes suppressed by the stale-atlas rung.
-    pub stale_atlas_skips: u64,
 }
 
-/// One bucket of the goodput-vs-offered-load curve (serial arm).
-#[derive(Clone, Copy, Debug)]
-pub struct CurveRow {
-    /// Bucket start, virtual hours.
-    pub t_hours: f64,
-    /// Arrivals offered per class this bucket.
-    pub offered: [u64; N_CLASSES],
-    /// Arrivals admitted (measured) per class this bucket.
-    pub admitted: [u64; N_CLASSES],
+impl ArmSummary {
+    fn of(run: &CampaignRun, workers: usize) -> ArmSummary {
+        let open = open_loop(run);
+        let mut h = Fnv::new();
+        let mut results = run.results.iter();
+        let mut line = String::new();
+        for (i, shed) in open.sheds.iter().enumerate() {
+            line.clear();
+            match shed {
+                Some(reason) => {
+                    let _ = write!(line, "{i}|shed:{}", reason.label());
+                }
+                None => {
+                    let r = results.next().expect("a result per admitted arrival");
+                    let _ = write!(line, "{i}|{:?}|", r.status);
+                    for hop in &r.hops {
+                        let _ = write!(line, "{:?}/{:?};", hop.addr, hop.method);
+                    }
+                }
+            }
+            h.write(line.as_bytes());
+        }
+        ArmSummary {
+            workers,
+            results_fingerprint: h.finish(),
+            classes: open.classes.clone(),
+            transitions: open.transitions.clone(),
+            waves: open.waves,
+        }
+    }
+}
+
+fn open_loop(run: &CampaignRun) -> &OpenLoopRun {
+    run.open_loop.as_ref().expect("an open-loop campaign")
 }
 
 /// Everything a loadtest run produced.
-#[derive(Clone, Debug)]
 pub struct LoadtestReport {
     /// Traffic shape.
     pub pattern: Pattern,
-    /// Master seed.
-    pub seed: u64,
-    /// Scale the stream was mapped onto.
-    pub scale: Scale,
-    /// Stream length, virtual hours.
-    pub duration_hours: f64,
-    /// Arrivals offered (after topology mapping).
-    pub offered: usize,
-    /// One summary per worker arm, in `worker_arms` order.
+    /// The serial arm's campaign.
+    pub run: CampaignRun,
+    /// One summary per worker arm, in [`WORKER_ARMS`] order.
     pub arms: Vec<ArmSummary>,
+    /// The serial arm's [`report::derived`] values, sorted by key.
+    pub derived: Vec<(String, f64)>,
+    /// The serial arm's verdicts: [`steady_policy`] under the steady
+    /// pattern, no rule under the overload patterns (must-fire judges
+    /// those).
+    pub slo: SloReport,
     /// Cross-arm determinism violations (empty = contract held).
     pub determinism_failures: Vec<String>,
-    /// Pattern-specific must-fire/protection violations.
+    /// Pattern-specific SLO, must-fire and protection violations.
     pub gate_failures: Vec<String>,
-    /// The steady pattern's SLO judgment (serial arm); `None` for the
-    /// overload patterns, which are judged by must-fire instead.
-    pub slo: Option<SloReport>,
-    /// Serial-arm derived values, sorted by key.
-    pub derived: Vec<(String, f64)>,
-    /// Serial-arm goodput-vs-offered-load curve.
-    pub curve: Vec<CurveRow>,
-    /// Serial-arm metrics fingerprint (captured before alerts fired).
-    pub metrics_fingerprint: u64,
-    /// Serial-arm journal fingerprint.
-    pub journal_fingerprint: u64,
-    /// Serial-arm metrics snapshot (what the exports render).
-    pub snapshot: MetricsSnapshot,
-    /// Serial-arm journal records.
-    pub journal: Vec<RequestRecord>,
-    /// Serial-arm campaign virtual milliseconds.
-    pub campaign_virtual_ms: f64,
 }
 
-/// The steady-state policy: the full default monitor policy plus the
-/// loadgen extras — a clean service must shed nothing, hold gold at
-/// ≥ 98% goodput, and keep the degradation ladder quiescent.
+/// The steady-state policy: the full default policy plus the loadgen
+/// extras — a clean service must shed nothing, hold gold at ≥ 98%
+/// goodput, and keep the degradation ladder quiescent.
 pub fn steady_policy(scale: Scale) -> SloPolicy {
-    let mut policy = monitor::default_policy(scale);
+    let mut policy = report::default_policy(scale);
     // Cache-warm recalibration, the same kind of adjustment
-    // `monitor::scenario_policy` makes to the probe band: the monitor's
+    // `report::scenario_policy` makes to the probe band: the default
     // probe floor was measured on cache-bypassing survey campaigns, while
     // Zipf-shaped production traffic legitimately serves its
     // popular-destination repeats from the measurement cache and stop
@@ -376,298 +425,25 @@ pub fn steady_policy(scale: Scale) -> SloPolicy {
     policy
 }
 
-/// FNV-1a 64 step.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct ArmData {
-    summary: ArmSummary,
-    serial: Option<SerialData>,
-}
-
-/// Extras only the serial (workers = 1) arm computes: derived metrics,
-/// the SLO judgment, the curve, and the export payloads.
-struct SerialData {
-    derived: Vec<(String, f64)>,
-    slo: Option<SloReport>,
-    curve: Vec<CurveRow>,
-    metrics_fingerprint: u64,
-    journal_fingerprint: u64,
-    snapshot: MetricsSnapshot,
-    journal: Vec<RequestRecord>,
-    campaign_virtual_ms: f64,
-}
-
-/// Buckets of the goodput curve.
-const CURVE_BUCKETS: usize = 12;
-
-#[allow(clippy::too_many_lines)]
-fn run_arm(
-    scale: Scale,
-    seed: u64,
-    cfg: &LoadtestConfig,
-    workers: usize,
-    judge_slo: bool,
-) -> ArmData {
-    let ctx = EvalContext::new(quiesce(scale.sim_config()), scale.eval_scale(seed));
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        watchdog_deadline_ms: Some(scale.baselines().clean_deadline_ms),
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx
-        .prober()
-        .with_retry_policy(RetryPolicy::uniform(1))
-        .with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-    let service = RevtrService::new(system);
-
-    // Tenant registration: every tenant gets every source (its simulated
-    // users are spread across them), in profile × source order so the
-    // bootstrap probe sequence is identical at every arm.
-    let profiles = tenant_mix(cfg.pattern, cfg.duration_hours);
-    let sources = ctx.sources();
-    let mut keys = Vec::with_capacity(profiles.len());
-    for p in &profiles {
-        let key = service.add_user(
-            &p.name,
-            RateLimits {
-                max_parallel: 1_000_000,
-                max_per_day: p.daily_quota.unwrap_or(RateLimits::default().max_per_day),
-            },
-        );
-        for &s in &sources {
-            service
-                .add_source(key, s)
-                .expect("loadtest source bootstrap failed");
-        }
-        keys.push(key);
-    }
-
-    // Destination rank space: one responsive host per sampled prefix,
-    // most-popular-first in prefix order (deterministic per seed).
-    let pool: Vec<Addr> = ctx
-        .sampled_prefixes()
-        .into_iter()
-        .filter_map(|p| ctx.responsive_dest_in(p))
-        .collect();
-    assert!(!pool.is_empty(), "no responsive destinations at this scale");
-
-    // The seed-pure arrival stream, mapped onto the topology. Arrivals
-    // whose destination collides with the chosen source are dropped —
-    // identically at every arm, since the stream is a pure function of
-    // (profiles, pool size, duration, seed).
-    let mut kept: Vec<Arrival> = Vec::new();
-    let mut requests: Vec<TimedRequest> = Vec::new();
-    for a in generate(&profiles, pool.len(), cfg.duration_hours, seed) {
-        let dst = pool[a.dst_rank % pool.len()];
-        let src = sources[(a.user as usize) % sources.len()];
-        if dst == src {
-            continue;
-        }
-        requests.push(TimedRequest {
-            vtime_ms: a.vtime_ms,
-            tenant: a.tenant,
-            class: a.class.index(),
-            dst,
-            src,
-        });
-        kept.push(a);
-    }
-
-    let lc = LoopConfig { workers };
-    let probes_before = service.system().prober().counters().snapshot();
-    let virtual_before = service.system().prober().clock().now_ms();
-    let outcome = service
-        .run_open_loop(&keys, &requests, &plan(), lc)
-        .expect("open-loop run failed");
-    let probes = service
-        .system()
-        .prober()
-        .counters()
-        .snapshot()
-        .since(&probes_before);
-    let campaign_virtual_ms = service.system().prober().clock().now_ms() - virtual_before;
-
-    // The determinism fingerprint: per-arrival outcome identity only.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (i, (r, s)) in outcome.results.iter().zip(&outcome.sheds).enumerate() {
-        use std::fmt::Write as _;
-        let mut line = String::new();
-        match (r, s) {
-            (Some(r), _) => {
-                let _ = write!(line, "{i}|{:?}|", r.status);
-                for hop in &r.hops {
-                    let _ = write!(line, "{:?}/{:?};", hop.addr, hop.method);
-                }
-            }
-            (None, Some(reason)) => {
-                let _ = write!(line, "{i}|shed:{}", reason.label());
-            }
-            (None, None) => {
-                let _ = write!(line, "{i}|none");
-            }
-        }
-        h = fnv(h, line.as_bytes());
-    }
-
-    let serial = (workers == 1).then(|| {
-        // Oracle bookkeeping, monitor-style: results come back aligned
-        // with the stream, oracle lookups are probe-free.
-        let score = OracleScore::tally(
-            &ctx.sim,
-            requests
-                .iter()
-                .zip(&outcome.results)
-                .filter_map(|(req, r)| Some(((req.dst, req.src), r.as_ref()?))),
-        );
-
-        // Identity first: fingerprints before judgment.
-        let snapshot = telemetry.metrics();
-        let metrics_fingerprint = snapshot.fingerprint();
-        let journal_fingerprint = telemetry.journal_fingerprint();
-        let journal = telemetry.journal_records();
-        let watchdog = telemetry.watchdog_flags();
-
-        let admitted: u64 = outcome.classes.iter().map(|c| c.admitted).sum();
-        let shed: u64 = outcome.classes.iter().map(|c| c.shed_total()).sum();
-        let (p99_ms, max_ms) = snapshot
-            .histogram("request.virtual_us")
-            .map(|h| (h.quantile(0.99) as f64 / 1000.0, h.max() as f64 / 1000.0))
-            .unwrap_or((0.0, 0.0));
-        let mut derived: Vec<(String, f64)> = vec![
-            ("accuracy".into(), score.accuracy()),
-            (
-                "audit.as_unsound".into(),
-                (score.compared - score.sound) as f64,
-            ),
-            ("coverage".into(), score.coverage(admitted as usize)),
-            ("latency.p99_ms".into(), p99_ms),
-            ("latency.max_ms".into(), max_ms),
-            (
-                "probes.per_revtr".into(),
-                if admitted == 0 {
-                    0.0
-                } else {
-                    probes.option_probes() as f64 / admitted as f64
-                },
-            ),
-            ("requests".into(), admitted as f64),
-            ("loadgen.offered".into(), requests.len() as f64),
-            ("loadgen.shed.total".into(), shed as f64),
-            (
-                "degrade.transitions".into(),
-                outcome.transitions.len() as f64,
-            ),
-            (
-                "degrade.atlas_refreshes".into(),
-                outcome.atlas_refreshes as f64,
-            ),
-            (
-                "degrade.stale_atlas_skips".into(),
-                outcome.stale_atlas_skips as f64,
-            ),
-            ("watchdog.flagged".into(), watchdog.len() as f64),
-        ];
-        for c in &outcome.classes {
-            derived.push((format!("loadgen.goodput.{}", c.name), c.goodput_ratio()));
-            derived.push((format!("loadgen.shed.{}", c.name), c.shed_total() as f64));
-            derived.push((
-                format!("degrade.final_level.{}", c.name),
-                f64::from(c.final_level),
-            ));
-        }
-        derived.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let slo = judge_slo.then(|| {
-            let report = steady_policy(scale).evaluate(&SloInput {
-                snapshot: &snapshot,
-                requests: &journal,
-                derived: &derived,
-            });
-            // Judgment becomes metrics only after identity was captured.
-            report.fire_into(&telemetry);
-            report
-        });
-
-        // The goodput-vs-offered-load curve over time buckets.
-        let offered_rows = offered_histogram(&kept, cfg.duration_hours, CURVE_BUCKETS);
-        let mut admitted_rows = vec![[0u64; N_CLASSES]; CURVE_BUCKETS];
-        let span_ms = (cfg.duration_hours * 3_600_000.0).max(1e-9);
-        for (a, s) in kept.iter().zip(&outcome.sheds) {
-            if s.is_none() {
-                let b = ((a.vtime_ms / span_ms) * CURVE_BUCKETS as f64) as usize;
-                admitted_rows[b.min(CURVE_BUCKETS - 1)][a.class.index()] += 1;
-            }
-        }
-        let curve = offered_rows
-            .into_iter()
-            .zip(admitted_rows)
-            .enumerate()
-            .map(|(b, (offered, admitted))| CurveRow {
-                t_hours: cfg.duration_hours * b as f64 / CURVE_BUCKETS as f64,
-                offered,
-                admitted,
-            })
-            .collect();
-
-        SerialData {
-            derived,
-            slo,
-            curve,
-            metrics_fingerprint,
-            journal_fingerprint,
-            snapshot,
-            journal,
-            campaign_virtual_ms,
-        }
-    });
-
-    ArmData {
-        summary: ArmSummary {
-            workers,
-            results_fingerprint: h,
-            classes: outcome.classes,
-            transitions: outcome.transitions,
-            waves: outcome.waves,
-            atlas_refreshes: outcome.atlas_refreshes,
-            stale_atlas_skips: outcome.stale_atlas_skips,
-        },
-        serial,
-    }
-}
-
 /// Run the loadtest: every worker arm, the determinism comparison, and
 /// the pattern's judgment.
-pub fn run(scale: Scale, seed: u64, cfg: &LoadtestConfig) -> LoadtestReport {
-    assert!(
-        !cfg.worker_arms.is_empty() && cfg.worker_arms[0] == 1,
-        "worker_arms must start with the serial arm"
-    );
-    let judge_slo = cfg.pattern == Pattern::Steady;
-    let mut arms: Vec<ArmSummary> = Vec::new();
-    let mut serial: Option<SerialData> = None;
-    let mut offered = 0usize;
-    for &w in &cfg.worker_arms {
-        let data = run_arm(scale, seed, cfg, w, judge_slo);
-        if let Some(s) = data.serial {
-            offered = data
-                .summary
-                .classes
-                .iter()
-                .map(|c| c.offered as usize)
-                .sum();
-            serial = Some(s);
-        }
-        arms.push(data.summary);
-    }
-    let serial = serial.expect("serial arm ran");
+pub fn run(scale: Scale, seed: u64, pattern: Pattern) -> LoadtestReport {
+    let campaign = Campaign::open_loop(scale, seed, pattern);
+    // The parallel arms run first and are dropped once summarised, so the
+    // serial arm's world — the one the report reads — is the only one
+    // alive past its own run.
+    let parallel: Vec<ArmSummary> = WORKER_ARMS[1..]
+        .iter()
+        .map(|&w| ArmSummary::of(&campaign.run_with(w), w))
+        .collect();
+    let run = campaign.run_with(WORKER_ARMS[0]);
+    let mut arms = vec![ArmSummary::of(&run, WORKER_ARMS[0])];
+    arms.extend(parallel);
+    let policy = match pattern {
+        Pattern::Steady => steady_policy(scale),
+        _ => SloPolicy::default(),
+    };
+    let Report { derived, slo, .. } = Report::new(&run, &policy);
 
     // Determinism contract: arrival-side and result-side identity must
     // be invariant to the worker count.
@@ -696,119 +472,102 @@ pub fn run(scale: Scale, seed: u64, cfg: &LoadtestConfig) -> LoadtestReport {
         }
     }
 
-    // Pattern judgment (on the serial arm's accounting — all arms are
-    // identical once the determinism check holds).
-    let mut gate_failures = Vec::new();
-    let class = |name: &str| {
-        first
-            .classes
-            .iter()
-            .find(|c| c.name == name)
-            .cloned()
-            .unwrap_or_default()
-    };
-    let gold = class("gold");
-    let silver = class("silver");
-    let bronze = class("bronze");
-    match cfg.pattern {
-        Pattern::Steady => {
-            if let Some(slo) = &serial.slo {
-                for v in slo.alerts() {
-                    gate_failures.push(format!(
-                        "slo rule {} fired (value {:.4}, threshold {:.4})",
-                        v.rule, v.value, v.threshold
-                    ));
-                }
-            }
-        }
-        Pattern::FlashCrowd | Pattern::Scan => {
-            if bronze.shed_total() == 0 {
-                gate_failures.push("overload never shed the bronze class".into());
-            }
-            if gold.shed_total() != 0 {
-                gate_failures.push(format!("gold shed {} requests", gold.shed_total()));
-            }
-            if silver.shed_total() != 0 {
-                gate_failures.push(format!("silver shed {} requests", silver.shed_total()));
-            }
-            if gold.goodput_ratio() < 0.98 {
-                gate_failures.push(format!(
-                    "gold goodput {:.4} below the 0.98 floor",
-                    gold.goodput_ratio()
-                ));
-            }
-            if first.transitions.iter().any(|t| t.class != 2) {
-                gate_failures.push("a class other than bronze moved on the ladder".into());
-            }
-            if cfg.pattern == Pattern::FlashCrowd {
-                if bronze.stepdowns == 0 {
-                    gate_failures.push("flash crowd never engaged the ladder".into());
-                }
-                if bronze.max_level < 2 {
-                    gate_failures.push("ladder never reached the cache-only rung (level 2)".into());
-                }
-                if bronze.served_by_level[1..].iter().sum::<u64>() == 0 {
-                    gate_failures.push("no request was served degraded".into());
-                }
-                if bronze.recoveries == 0 {
-                    gate_failures.push("ladder never recovered".into());
-                }
-                if bronze.final_level != 0 {
-                    gate_failures.push(format!(
-                        "bronze ended at level {} (expected full recovery)",
-                        bronze.final_level
-                    ));
-                }
-            }
-            if cfg.pattern == Pattern::Scan && bronze.shed_quota == 0 {
-                gate_failures.push("scan abuse never tripped the daily quota".into());
-            }
-        }
-        Pattern::Diurnal => {}
-    }
-
-    LoadtestReport {
-        pattern: cfg.pattern,
-        seed,
-        scale,
-        duration_hours: cfg.duration_hours,
-        offered,
+    let mut report = LoadtestReport {
+        pattern,
+        run,
         arms,
+        derived,
+        slo,
         determinism_failures,
-        gate_failures,
-        slo: serial.slo,
-        derived: serial.derived,
-        curve: serial.curve,
-        metrics_fingerprint: serial.metrics_fingerprint,
-        journal_fingerprint: serial.journal_fingerprint,
-        snapshot: serial.snapshot,
-        journal: serial.journal,
-        campaign_virtual_ms: serial.campaign_virtual_ms,
-    }
-}
-
-/// Route churn and per-packet load balancing must be off for the
-/// loadtest — the two schedule couplings the engine's worker-invariance
-/// contract excludes (and that the metamorphic suite's own determinism
-/// arms disable for the same reasons). Churn is cross-request coupling
-/// through the globally *flushed* clock, and flush points are a function
-/// of the dispatch schedule. Load-balancing routers hash the per-probe
-/// nonce, and nonces come from one shared counter, so reply paths would
-/// depend on cross-task probe interleaving, which under a pool is up to
-/// the OS. The admission layer is what this harness judges; route
-/// dynamics have their own studies.
-fn quiesce(mut base: SimConfig) -> SimConfig {
-    base.behavior.churn_per_hour = 0.0;
-    base.behavior.router_load_balancer = 0.0;
-    base
+        gate_failures: Vec::new(),
+    };
+    report.gate_failures = report.judge();
+    report
 }
 
 impl LoadtestReport {
+    /// The serial arm's [`Report`], over the values [`run`] judged once.
+    fn report(&self) -> Report<'_> {
+        Report {
+            run: &self.run,
+            derived: self.derived.clone(),
+            slo: self.slo.clone(),
+        }
+    }
+
+    /// The pattern's judgment, on the serial arm (all arms are identical
+    /// once the determinism check holds).
+    fn judge(&self) -> Vec<String> {
+        let mut failures: Vec<String> = self
+            .slo
+            .alerts()
+            .map(|v| {
+                format!(
+                    "slo rule {} fired (value {:.4}, threshold {:.4})",
+                    v.rule, v.value, v.threshold
+                )
+            })
+            .collect();
+        if !matches!(self.pattern, Pattern::FlashCrowd | Pattern::Scan) {
+            return failures;
+        }
+        let first = &self.arms[0];
+        let class = |name: &str| {
+            first
+                .classes
+                .iter()
+                .find(|c| c.name == name)
+                .cloned()
+                .unwrap_or_default()
+        };
+        let (gold, silver, bronze) = (class("gold"), class("silver"), class("bronze"));
+        if bronze.shed_total() == 0 {
+            failures.push("overload never shed the bronze class".into());
+        }
+        if gold.shed_total() != 0 {
+            failures.push(format!("gold shed {} requests", gold.shed_total()));
+        }
+        if silver.shed_total() != 0 {
+            failures.push(format!("silver shed {} requests", silver.shed_total()));
+        }
+        if gold.goodput_ratio() < 0.98 {
+            failures.push(format!(
+                "gold goodput {:.4} below the 0.98 floor",
+                gold.goodput_ratio()
+            ));
+        }
+        if first.transitions.iter().any(|t| t.class != 2) {
+            failures.push("a class other than bronze moved on the ladder".into());
+        }
+        if self.pattern == Pattern::FlashCrowd {
+            if bronze.stepdowns == 0 {
+                failures.push("flash crowd never engaged the ladder".into());
+            }
+            if bronze.max_level < 2 {
+                failures.push("ladder never reached the cache-only rung (level 2)".into());
+            }
+            if bronze.served_by_level[1..].iter().sum::<u64>() == 0 {
+                failures.push("no request was served degraded".into());
+            }
+            if bronze.recoveries == 0 {
+                failures.push("ladder never recovered".into());
+            }
+            if bronze.final_level != 0 {
+                failures.push(format!(
+                    "bronze ended at level {} (expected full recovery)",
+                    bronze.final_level
+                ));
+            }
+        }
+        if self.pattern == Pattern::Scan && bronze.shed_quota == 0 {
+            failures.push("scan abuse never tripped the daily quota".into());
+        }
+        failures
+    }
+
     /// Whether every judgment passed.
     pub fn pass(&self) -> bool {
-        self.determinism_failures.is_empty()
-            && self.gate_failures.is_empty()
-            && self.slo.as_ref().is_none_or(|s| s.is_clean())
+        self.determinism_failures.is_empty() && self.gate_failures.is_empty()
     }
 
     /// Per-class accounting table (serial arm).
@@ -877,8 +636,18 @@ impl LoadtestReport {
         t
     }
 
-    /// The goodput-vs-offered-load curve as a table.
+    /// The serial arm's goodput-vs-offered-load curve over time buckets.
     pub fn curve_table(&self) -> Table {
+        let open = open_loop(&self.run);
+        let admitted: Vec<_> = open
+            .arrivals
+            .iter()
+            .zip(&open.sheds)
+            .filter(|(_, shed)| shed.is_none())
+            .map(|(a, _)| *a)
+            .collect();
+        let offered = offered_histogram(&open.arrivals, HOURS, CURVE_BUCKETS);
+        let admitted = offered_histogram(&admitted, HOURS, CURVE_BUCKETS);
         let mut t = Table::new(
             "Loadtest: goodput vs offered load",
             &[
@@ -891,70 +660,54 @@ impl LoadtestReport {
                 "bronze adm",
             ],
         );
-        for r in &self.curve {
+        for (b, (off, adm)) in offered.iter().zip(&admitted).enumerate() {
             t.row(&[
-                format!("{:.1}", r.t_hours),
-                r.offered[0].to_string(),
-                r.admitted[0].to_string(),
-                r.offered[1].to_string(),
-                r.admitted[1].to_string(),
-                r.offered[2].to_string(),
-                r.admitted[2].to_string(),
+                format!("{:.1}", HOURS * b as f64 / CURVE_BUCKETS as f64),
+                off[0].to_string(),
+                adm[0].to_string(),
+                off[1].to_string(),
+                adm[1].to_string(),
+                off[2].to_string(),
+                adm[2].to_string(),
             ]);
-        }
-        t
-    }
-
-    /// The derived-values table (serial arm).
-    pub fn derived_table(&self) -> Table {
-        let mut t = Table::new("Loadtest: derived values", &["key", "value"]);
-        for (k, v) in &self.derived {
-            t.row(&[k.as_str(), &format!("{v:.4}")]);
         }
         t
     }
 
     /// Render the full report.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
+        let run = &self.run;
+        let report = self.report();
         let mut s = String::new();
         let _ = writeln!(
             s,
             "loadtest: pattern {} seed {} scale {} ({:.0} virtual h offered, {} arrivals), {:.1} virtual s measured",
             self.pattern.name(),
-            self.seed,
-            self.scale.name(),
-            self.duration_hours,
-            self.offered,
-            self.campaign_virtual_ms / 1000.0
+            run.campaign.seed,
+            run.campaign.scale.name(),
+            HOURS,
+            open_loop(run).arrivals.len(),
+            run.virtual_ms / 1000.0
         );
         let _ = writeln!(
             s,
             "fingerprints: metrics {:#018x}  journal {:#018x}  ({} journalled)",
-            self.metrics_fingerprint,
-            self.journal_fingerprint,
-            self.journal.len()
+            run.metrics_fingerprint,
+            run.journal_fingerprint,
+            run.journal.len()
         );
         let _ = writeln!(s);
-        let _ = writeln!(s, "{}", self.class_table().render());
-        let _ = writeln!(s, "{}", self.arm_table().render());
-        let _ = writeln!(s, "{}", self.curve_table().render());
-        let _ = writeln!(s, "{}", self.derived_table().render());
-        if let Some(slo) = &self.slo {
-            let mut t = Table::new(
-                "Loadtest: steady-state SLO verdicts",
-                &["rule", "severity", "verdict", "value", "threshold"],
-            );
-            for v in &slo.verdicts {
-                t.row(&[
-                    v.rule.as_str(),
-                    v.severity.label(),
-                    if v.pass { "pass" } else { "FAIL" },
-                    &format!("{:.4}", v.value),
-                    &format!("{:.4}", v.threshold),
-                ]);
-            }
+        for t in [
+            self.class_table(),
+            self.arm_table(),
+            self.curve_table(),
+            report.derived_table("Loadtest: derived values"),
+        ] {
             let _ = writeln!(s, "{}", t.render());
+        }
+        if !report.slo.verdicts.is_empty() {
+            let title = "Loadtest: steady-state SLO verdicts";
+            let _ = writeln!(s, "{}", report.verdict_table(title, false).render());
         }
         for f in &self.determinism_failures {
             let _ = writeln!(s, "determinism: {f}");
@@ -972,15 +725,30 @@ impl LoadtestReport {
         s
     }
 
-    /// Write the Chrome trace, Prometheus exposition, and curve TSV
-    /// under `dir` (byte-deterministic, like the monitor's exports).
-    pub fn save_exports(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let trace = dir.join("trace.json");
-        std::fs::write(&trace, chrome_trace_json(&self.journal))?;
-        let prom = dir.join("metrics.prom");
-        std::fs::write(&prom, prometheus_text(&self.snapshot))?;
-        self.curve_table().save_tsv(dir, "goodput_curve")?;
-        Ok(vec![trace, prom, dir.join("goodput_curve.tsv")])
+    /// Write the serial arm's report exports ([`Report::save`]) and the
+    /// goodput curve as TSV under `dir`.
+    pub fn save_exports(&self, dir: &Path) -> std::io::Result<()> {
+        self.report().save(dir)?;
+        self.curve_table().save_tsv(dir, "goodput_curve")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn steady_smoke_loadtest_judges_its_memory_budget() {
+        let r = run(Scale::Smoke, 1, Pattern::Steady);
+        assert!(r.pass(), "{}", r.render());
+        // The printed results fingerprint is the FNV-1a it always was.
+        assert_eq!(r.arms[0].results_fingerprint, 0x78f3_96b0_45fb_9df8);
+        // Both memory rules read real ledgers, not the "no data" pass.
+        let value = |rule: &str| {
+            let v = r.slo.verdicts.iter().find(|v| v.rule == rule);
+            v.unwrap_or_else(|| panic!("{rule} not judged")).value
+        };
+        assert!(value("mem-ceiling") > 0.0, "{}", r.render());
+        assert!(value("capacity-headroom") < 1.0, "{}", r.render());
     }
 }

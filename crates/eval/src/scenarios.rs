@@ -33,9 +33,10 @@
 //! renders the per-profile table and exits non-zero when any profile fails
 //! its gate; ci.sh sweeps the standard scale over seeds {1, 7, 42}.
 
+use crate::audit;
 use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::Table;
-use crate::{audit, monitor};
+use crate::report::{scenario_policy, Report};
 use revtr_netsim::{ScenarioConfig, ScenarioProfile};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
@@ -299,7 +300,7 @@ pub fn arm(run: &CampaignRun) -> ScenarioArm {
             .expect("results serialize")
             .hash(&mut hasher);
     }
-    let judged = monitor::judge(run, &monitor::scenario_policy(run.campaign.scale));
+    let judged = Report::new(run, &scenario_policy(run.campaign.scale));
     let requests = run.workload.len() as u64;
     ScenarioArm {
         harden: run.campaign.harden,

@@ -15,15 +15,13 @@ fn exit_code(args: &[&str]) -> i32 {
     run(args).status.code().expect("exit code")
 }
 
-const COMMANDS: [&str; 11] = [
+const COMMANDS: [&str; 9] = [
     "topology",
     "measure",
     "reproduce",
     "robustness",
     "audit",
-    "metrics",
-    "profile",
-    "monitor",
+    "report",
     "scenario",
     "economy",
     "loadtest",
@@ -60,17 +58,17 @@ fn bad_flag_values_exit_two() {
     assert_eq!(exit_code(&["topology", "--seed", "abc"]), 2);
     assert_eq!(exit_code(&["reproduce", "--scale", "huge"]), 2);
     assert_eq!(exit_code(&["audit", "--seed", "-1"]), 2);
-    assert_eq!(exit_code(&["metrics", "--scale", "huge"]), 2);
+    assert_eq!(exit_code(&["report", "--scale", "huge"]), 2);
     assert_eq!(exit_code(&["measure", "--engine", "3"]), 2);
     assert_eq!(exit_code(&["audit", "--stop-sets", "maybe"]), 2);
     assert_eq!(exit_code(&["economy", "--min-cut", "1.5"]), 2);
     assert_eq!(exit_code(&["economy", "--tol-quality", "-0.1"]), 2);
     assert_eq!(exit_code(&["loadtest", "--pattern", "tsunami"]), 2);
-    assert_eq!(exit_code(&["loadtest", "--duration", "0"]), 2);
-    assert_eq!(exit_code(&["loadtest", "--duration", "nan"]), 2);
+    // The stream length is a constant: `--duration` is an unknown flag.
+    assert_eq!(exit_code(&["loadtest", "--duration", "18"]), 2);
     assert_eq!(exit_code(&["loadtest", "--scale", "huge"]), 2);
     // Scale names are exact everywhere: no silent smoke fallback.
-    for cmd in ["profile", "economy", "scenario", "monitor", "robustness"] {
+    for cmd in ["report", "economy", "scenario", "loadtest", "robustness"] {
         assert_eq!(exit_code(&[cmd, "--scale", "Standard"]), 2, "{cmd}");
     }
 }
@@ -81,42 +79,6 @@ fn no_arguments_or_unknown_command_prints_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
     assert_eq!(exit_code(&["frobnicate"]), 2);
-}
-
-#[test]
-fn monitor_smoke_clean_passes_and_faulted_fails() {
-    let dir = std::env::temp_dir().join(format!("revtr-cli-monitor-{}", std::process::id()));
-    let out = run(&[
-        "monitor",
-        "--scale",
-        "smoke",
-        "--seed",
-        "1",
-        "--out",
-        dir.to_str().expect("utf8 temp dir"),
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "clean monitor failed: {stdout}");
-    assert!(stdout.contains("slo gate: PASS"), "stdout: {stdout}");
-    assert!(stdout.contains("fingerprints: metrics"), "stdout: {stdout}");
-    let trace = std::fs::read_to_string(dir.join("trace.json")).expect("trace export");
-    assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\""));
-    let prom = std::fs::read_to_string(dir.join("metrics.prom")).expect("prometheus export");
-    assert!(prom.contains("revtr_request_count"));
-    std::fs::remove_dir_all(&dir).ok();
-
-    let out = run(&[
-        "monitor", "--scale", "smoke", "--seed", "1", "--loss", "0.3", "--budget", "1",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "faulted monitor passed: {stdout}"
-    );
-    assert!(stdout.contains("slo gate: FAIL"), "stdout: {stdout}");
-    assert!(stdout.contains("coverage-floor"), "stdout: {stdout}");
-    assert!(stdout.contains("stuck-requests"), "stdout: {stdout}");
 }
 
 /// The subcommands `usage()` lists, in order.
@@ -133,7 +95,14 @@ fn listed_subcommands() -> Vec<String> {
 #[test]
 fn usage_lists_exactly_the_subcommands_and_retired_ones_are_unknown() {
     assert_eq!(listed_subcommands(), COMMANDS);
-    for retired in ["bench-report", "bench-compare", "concurrency-smoke"] {
+    for retired in [
+        "bench-report",
+        "bench-compare",
+        "concurrency-smoke",
+        "metrics",
+        "profile",
+        "monitor",
+    ] {
         let out = run(&[retired]);
         assert_eq!(out.status.code(), Some(2), "{retired} still runs");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
@@ -182,10 +151,10 @@ fn ci_and_docs_name_only_subcommands_that_exist() {
 }
 
 #[test]
-fn profile_smoke_reports_subsystems_and_exports() {
-    let dir = std::env::temp_dir().join(format!("revtr-cli-profile-{}", std::process::id()));
+fn report_smoke_sections_exports_and_exit_codes() {
+    let dir = std::env::temp_dir().join(format!("revtr-cli-report-{}", std::process::id()));
     let out = run(&[
-        "profile",
+        "report",
         "--scale",
         "smoke",
         "--seed",
@@ -194,39 +163,67 @@ fn profile_smoke_reports_subsystems_and_exports() {
         dir.to_str().expect("utf8 temp dir"),
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "profile failed: {stdout}");
-    assert!(
-        stdout.contains("Profile: subsystem bytes"),
-        "stdout: {stdout}"
-    );
-    assert!(
-        stdout.contains("Profile: top cost stacks"),
-        "stdout: {stdout}"
-    );
-    assert!(
-        stdout.contains("Profile: capacity headroom"),
-        "stdout: {stdout}"
-    );
-    assert!(stdout.contains("netsim.fib"), "stdout: {stdout}");
-    assert!(stdout.contains("engine.control_blocks"), "stdout: {stdout}");
-    let folded =
-        std::fs::read_to_string(dir.join("profile_virtual_us.folded")).expect("folded export");
-    assert!(folded.lines().all(|l| l.starts_with("request")));
-    let trace = std::fs::read_to_string(dir.join("profile_trace.json")).expect("trace export");
+    assert_eq!(out.status.code(), Some(0), "clean report failed: {stdout}");
+    for section in [
+        "(master seed 42)\nrequests: ",
+        "== Stages: ",
+        "== Cache: ",
+        "== Counters: ",
+        "span tree (",
+        "profile: ",
+        "fingerprints: metrics",
+        "== Bytes: ",
+        "== Cost stacks: ",
+        "== Headroom: ",
+        "== Skew: ",
+        "== Derived values ==",
+        "== SLO verdicts ==",
+        "watchdog: 0 flagged",
+        "slo gate: PASS (0 of 11 rules firing)",
+    ] {
+        assert!(stdout.contains(section), "{section:?} missing: {stdout}");
+    }
+    // One directory, one trace: span lanes plus the ledgers' counter tracks.
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect(name);
+    let trace = read("trace.json");
+    assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\""));
     assert!(trace.contains("\"ph\":\"C\""), "counter tracks missing");
+    assert!(!dir.join("profile_trace.json").exists());
+    assert!(read("metrics.prom").contains("revtr_request_count"));
+    for folded in ["profile_virtual_us.folded", "profile_probe_bytes.folded"] {
+        let folded = read(folded);
+        assert!(!folded.is_empty());
+        assert!(folded.lines().all(|l| l.starts_with("request")));
+    }
+    assert_eq!(read("metrics_journal.jsonl").lines().count(), 25);
+    for tsv in ["metrics_stages", "metrics_cache", "metrics_counters"] {
+        assert!(read(&format!("{tsv}.tsv")).lines().count() > 1, "{tsv}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 
-    // Strict allow-list: monitor-only flags are a usage error here.
-    assert_eq!(exit_code(&["profile", "--loss", "0.3"]), 2);
-    assert_eq!(exit_code(&["profile", "--scale", "huge"]), 2);
+    let out = run(&[
+        "report", "--scale", "smoke", "--seed", "1", "--loss", "0.3", "--budget", "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "faulted report passed: {stdout}"
+    );
+    assert!(stdout.contains("slo gate: FAIL"), "stdout: {stdout}");
+    assert!(stdout.contains("coverage-floor"), "stdout: {stdout}");
+    assert!(stdout.contains("stuck-requests"), "stdout: {stdout}");
 }
 
 #[test]
-fn monitor_rejects_bad_fault_flags() {
-    assert_eq!(exit_code(&["monitor", "--loss", "1.5"]), 2);
-    assert_eq!(exit_code(&["monitor", "--budget", "0"]), 2);
-    assert_eq!(exit_code(&["monitor", "--deadline-ms", "-3"]), 2);
-    assert_eq!(exit_code(&["monitor", "--scale", "huge"]), 2);
+fn report_rejects_bad_and_retired_flags() {
+    assert_eq!(exit_code(&["report", "--loss", "1.5"]), 2);
+    assert_eq!(exit_code(&["report", "--budget", "0"]), 2);
+    assert_eq!(exit_code(&["report", "--severity", "0.5"]), 2);
+    assert_eq!(exit_code(&["report", "--scenario", "tsunami"]), 2);
+    // The campaign preset picks the deadline; `scenario` owns hardening.
+    assert_eq!(exit_code(&["report", "--deadline-ms", "30"]), 2);
+    assert_eq!(exit_code(&["report", "--harden", "on"]), 2);
 }
 
 #[test]
@@ -240,8 +237,6 @@ fn loadtest_smoke_flash_crowd_gates_and_exports() {
         "1",
         "--pattern",
         "flash-crowd",
-        "--duration",
-        "18",
         "--out",
         dir.to_str().expect("utf8 temp dir"),
     ]);

@@ -5,16 +5,18 @@
 //! EXPERIMENTS.md.
 //!
 //! One [`CampaignRun`] feeds every judge here. That is the neutrality
-//! proof: the goldens were written by `revtr-cli metrics` and `revtr-cli
-//! profile` in separate processes, and one run judged four ways reproduces
-//! them byte for byte.
+//! proof: the goldens were written by `revtr-cli report` in its own
+//! process, and a run judged by the report and the auditor, in either
+//! order, reproduces them byte for byte.
 //!
 //! Updating a golden is a deliberate act: regenerate with
-//! `revtr-cli metrics --scale smoke --seed 42 --out crates/eval/tests/goldens/smoke42`
-//! (and `--scale standard` for the TSVs under `standard42/`), then review
-//! the diff. See DESIGN.md §8 for the baseline-update procedure.
+//! `revtr-cli report --scale smoke --seed 42 --out crates/eval/tests/goldens/smoke42 > crates/eval/tests/goldens/smoke42/report.txt`
+//! (and `--scale standard` for `standard42/`), delete the exports no
+//! golden pins (`metrics.prom`, `trace.json`, the `.folded` files), then
+//! review the diff. See DESIGN.md §8 for the baseline-update procedure.
 
-use revtr_eval::{audit, metrics, monitor, profile, Campaign, CampaignRun, Scale};
+use revtr_eval::report::{default_policy, Report};
+use revtr_eval::{audit, Campaign, CampaignRun, Scale};
 use std::path::Path;
 
 fn golden_dir(name: &str) -> std::path::PathBuf {
@@ -36,7 +38,10 @@ fn assert_matches_golden(dir: &Path, name: &str, actual: &str) {
     );
 }
 
-fn assert_metrics_tsvs_match(dir: &Path, report: &metrics::MetricsReport) {
+/// The stage, cache and counter TSVs and the rendered report — the
+/// latter pins the ledger set, the cost-stack paths, every byte reading,
+/// the derived values and the verdicts at once.
+fn assert_report_matches(dir: &Path, report: &Report) {
     assert_matches_golden(dir, "metrics_stages.tsv", &report.stage_table().to_tsv());
     assert_matches_golden(dir, "metrics_cache.tsv", &report.cache_table().to_tsv());
     assert_matches_golden(
@@ -44,6 +49,7 @@ fn assert_metrics_tsvs_match(dir: &Path, report: &metrics::MetricsReport) {
         "metrics_counters.tsv",
         &report.counter_table().to_tsv(),
     );
+    assert_matches_golden(dir, "report.txt", &format!("{}\n", report.render()));
 }
 
 fn smoke42() -> CampaignRun {
@@ -51,17 +57,23 @@ fn smoke42() -> CampaignRun {
 }
 
 #[test]
-fn one_smoke_seed42_run_reproduces_every_golden_under_four_judges() {
+fn one_smoke_seed42_run_reproduces_every_golden() {
     let run = smoke42();
+    let audited = audit::judge(&run);
+    assert!(audited.is_clean(), "{}", audited.failures.join("\n"));
+    assert_eq!(audited.summary.results as usize, run.workload.len());
 
-    let report = metrics::judge(&run);
+    // Judged after the audit, whose oracle lookups filled route caches in
+    // the run's simulator: the report must not see that.
+    let report = Report::new(&run, &default_policy(Scale::Smoke));
+    assert!(report.is_clean(), "{}", report.render());
     let dir = golden_dir("smoke42");
-    assert_metrics_tsvs_match(&dir, &report);
-    let jsonl: String = report.journal.iter().map(|r| r.to_json() + "\n").collect();
+    assert_report_matches(&dir, &report);
+    let jsonl: String = run.journal.iter().map(|r| r.to_json() + "\n").collect();
     assert_matches_golden(&dir, "metrics_journal.jsonl", &jsonl);
     // The JSONL field set itself, named: a schema change should say which
     // key went missing, not just that 25 lines differ.
-    let first = report.journal.first().expect("journal non-empty").to_json();
+    let first = run.journal.first().expect("journal non-empty").to_json();
     for key in [
         "\"dst\":",
         "\"src\":",
@@ -71,44 +83,15 @@ fn one_smoke_seed42_run_reproduces_every_golden_under_four_judges() {
     ] {
         assert!(first.contains(key), "journal line lost {key}: {first}");
     }
-
-    // The resource-forensics report is a pure function of the seed: the
-    // committed rendering pins the ledger set, the cost-stack paths, and
-    // every byte reading at once. Regenerate with
-    // `revtr-cli profile --scale smoke --seed 42 > crates/eval/tests/goldens/profile_smoke42.txt`.
-    assert_matches_golden(
-        &golden_dir(""),
-        "profile_smoke42.txt",
-        &format!("{}\n", profile::judge(&run).render()),
-    );
-
-    // Judging is not a second campaign: the monitor reports the identity
-    // the metrics goldens were written under, and passes its gate.
-    let verdicts = monitor::judge(&run, &monitor::default_policy(Scale::Smoke));
-    assert!(verdicts.is_clean(), "{}", verdicts.render());
-    let identity = |text: &str| {
-        let line = text.lines().find(|l| l.starts_with("fingerprints:"));
-        line.expect("fingerprint line").to_string()
-    };
-    assert_eq!(identity(&verdicts.render()), identity(&report.render()));
-
-    let audited = audit::judge(&run);
-    assert!(audited.is_clean(), "{}", audited.failures.join("\n"));
-    assert_eq!(audited.summary.results as usize, report.requests);
 }
 
 #[test]
 fn judging_a_run_twice_gives_equal_reports() {
-    // Judges take `&CampaignRun`. The second round judges after the first
-    // round's audit, whose oracle lookups filled route caches in the run's
-    // simulator: no judge may see that.
     let run = smoke42();
-    let policy = monitor::default_policy(Scale::Smoke);
+    let policy = default_policy(Scale::Smoke);
     let judged = || {
         (
-            metrics::judge(&run).render(),
-            profile::judge(&run).render(),
-            monitor::judge(&run, &policy).render(),
+            Report::new(&run, &policy).render(),
             audit::judge(&run).table().render(),
         )
     };
@@ -116,31 +99,21 @@ fn judging_a_run_twice_gives_equal_reports() {
 }
 
 /// The standard-scale golden (seed 42). The journal is ~2.7 MB, so the
-/// TSVs are pinned byte-for-byte and the journal by fingerprint. Run by
-/// ci.sh in release mode (`--ignored`): a debug run takes minutes.
+/// TSVs and the report are pinned byte-for-byte and the journal by
+/// fingerprint. Run by ci.sh in release mode (`--ignored`): a debug run
+/// takes minutes.
 #[test]
 #[ignore = "standard scale; run in release via ci.sh"]
 fn standard_seed42_exports_match_goldens() {
     let run = Campaign::clean(Scale::Standard, 42).run();
-    let report = metrics::judge(&run);
-    let dir = golden_dir("standard42");
-    assert_metrics_tsvs_match(&dir, &report);
     assert_eq!(
         format!(
             "metrics {:#018x} journal {:#018x}",
-            report.metrics_fingerprint, report.journal_fingerprint
+            run.metrics_fingerprint, run.journal_fingerprint
         ),
         "metrics 0x08dfab5cdd628082 journal 0x0e6b75554e9eef5c",
         "standard seed-42 campaign fingerprints drifted"
     );
-
-    // Where the bytes go: the profile's per-ledger byte table, its
-    // resources fingerprint (every ledger to the byte) and the events and
-    // probe bytes per revtr, from the same run. Regenerate with
-    // `revtr-cli profile --scale standard --seed 42 > crates/eval/tests/goldens/standard42/profile.txt`.
-    assert_matches_golden(
-        &dir,
-        "profile.txt",
-        &format!("{}\n", profile::judge(&run).render()),
-    );
+    let report = Report::new(&run, &default_policy(Scale::Standard));
+    assert_report_matches(&golden_dir("standard42"), &report);
 }
