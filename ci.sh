@@ -93,13 +93,15 @@ cargo test -q --release -p revtr-netsim --lib -- --ignored the_route_cache_keeps
 # of a trace the journal keeps (≤ 1.3 a request in both telemetry arms,
 # ≤ 1.9 an open-loop arrival: the archive shares the block, a telemetry
 # scope records into its driver's buffers), the journal one block for a
-# record it keeps and none for one it drops, and the survey what it keeps.
+# record it keeps and none for one it drops, the survey what it keeps, and
+# a round's measurement cache ≤ 140 B live an entry, nothing to overwrite.
 # (The debug builds run in the workspace tests above.)
-echo "== allocation gates (release: core, vpselect, service, telemetry) =="
+echo "== allocation gates (release: core, vpselect, service, telemetry, probing) =="
 cargo test -q --release -p revtr --test alloc_gate
 cargo test -q --release -p revtr-vpselect --test alloc_gate
 cargo test -q --release -p revtr-service --test alloc_gate
 cargo test -q --release -p revtr-telemetry --test alloc_gate
+cargo test -q --release -p revtr-probing --test alloc_gate
 
 # SLO + memory-budget gate: the clean standard campaign's report fires
 # no rule at any pinned seed (`revtr-cli report` exits nonzero on any

@@ -18,7 +18,7 @@
 //! 7. **cost stacks** — per-(stage, phase) inclusive virtual time,
 //!    events, cache bytes and probe bytes, ranked by virtual time;
 //! 8. **headroom** against the policy's memory ceilings, and **skew** of
-//!    the striped maps' shard occupancy;
+//!    the measurement cache's shard occupancy;
 //! 9. **derived values**, **SLO verdicts** (alerts), and the stuck-request
 //!    **watchdog**.
 //!
@@ -31,7 +31,7 @@
 use crate::campaign::{CampaignRun, Scale};
 use crate::render::Table;
 use revtr::RevtrResult;
-use revtr_netsim::{Addr, Sim};
+use revtr_netsim::{shard_skew, Addr, Sim};
 use revtr_probing::{LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use revtr_telemetry::{
     chrome_trace_json_with_counters, flamegraph_text, prometheus_text, ProfileMetric, ProfileStack,
@@ -662,7 +662,7 @@ impl<'r> Report<'r> {
 
     /// Measurement-cache shard occupancy: `skew` is `max/mean` per shard
     /// (1.0 = perfectly balanced), evidence the deterministic hashing keeps
-    /// the striped maps balanced.
+    /// the cache's stripes balanced.
     pub fn skew_table(&self) -> Table {
         let (ll, rr) = &self.run.cache_shards;
         let mut t = Table::new(
@@ -675,18 +675,13 @@ impl<'r> Report<'r> {
         ] {
             let entries: usize = occ.iter().sum();
             let max_shard = occ.iter().copied().max().unwrap_or(0);
-            let skew = if entries == 0 {
-                0.0
-            } else {
-                max_shard as f64 / (entries as f64 / occ.len() as f64)
-            };
             t.row(&[
                 name,
                 &entries.to_string(),
                 &occ.len().to_string(),
                 &max_shard.to_string(),
                 &kb(entries as u64 * entry_bytes),
-                &format!("{skew:.2}"),
+                &format!("{:.2}", shard_skew(occ)),
             ]);
         }
         t

@@ -1,6 +1,7 @@
-//! Concurrency primitives for the hot paths: cache-line padding, a
-//! lock-striped map, single-flight computation, and thread-striped
-//! counters.
+//! Concurrency primitives for the hot paths: cache-line padding, lock
+//! stripes, a lock-striped map with single-flight computation,
+//! thread-striped counters, and the segmented column that lock-guarded
+//! append-only stores keep their entries in.
 //!
 //! Every parallel campaign worker used to funnel through a handful of
 //! global locks (`Sim`'s route/border caches, the measurement cache, the
@@ -9,9 +10,10 @@
 //!
 //! - [`CachePadded`]: pads a value to its own cache line so adjacent hot
 //!   atomics don't false-share.
-//! - [`StripedMap`]: an N-way lock-striped hash map — keys hash to one of
-//!   N shards, each behind its own `parking_lot::RwLock`, so readers and
-//!   writers of different shards never contend.
+//! - [`Stripes`]: N values, each behind its own `parking_lot::RwLock` on
+//!   its own cache line, and the fixed hash that maps a key to one — so
+//!   readers and writers of different shards never contend.
+//! - [`StripedMap`]: an N-way lock-striped hash map over [`Stripes`].
 //! - [`StripedMap::get_or_compute`]: single-flight fill — when a key is
 //!   missing, exactly one thread runs the compute closure while other
 //!   askers of the *same* key block on a condvar (and askers of other
@@ -19,6 +21,8 @@
 //!   write-lock convoys.
 //! - [`StripedCounters`]: a block of counters per recording thread, summed
 //!   on read, so a count never writes a line another worker writes.
+//! - [`Column`]: an append-only vector in fixed-capacity segments that are
+//!   never reallocated, so an append moves nothing already stored.
 //!
 //! Shard selection uses `std`'s `DefaultHasher::new()`, whose keys are
 //! fixed: the same key maps to the same shard in every process, keeping
@@ -126,20 +130,84 @@ enum Slot<V> {
     Pending(Arc<Flight<V>>),
 }
 
+/// `N` values of `T`, each behind its own `parking_lot::RwLock` on its own
+/// cache line, and the fixed hash that picks the one a key belongs to.
+#[derive(Debug)]
+pub struct Stripes<T> {
+    shards: Box<[CachePadded<RwLock<T>>]>,
+    mask: u64,
+}
+
+impl<T: Default> Stripes<T> {
+    /// [`DEFAULT_SHARDS`] stripes.
+    pub fn new() -> Stripes<T> {
+        Stripes::with_shards(DEFAULT_SHARDS)
+    }
+
+    /// `n` stripes, rounded up to a power of two.
+    pub fn with_shards(n: usize) -> Stripes<T> {
+        let n = n.max(1).next_power_of_two();
+        Stripes {
+            shards: (0..n)
+                .map(|_| CachePadded::new(RwLock::new(T::default())))
+                .collect(),
+            mask: (n - 1) as u64,
+        }
+    }
+}
+
+impl<T: Default> Default for Stripes<T> {
+    fn default() -> Self {
+        Stripes::new()
+    }
+}
+
+impl<T> Stripes<T> {
+    /// The stripe `key` belongs to.
+    pub fn of<K: Hash + ?Sized>(&self, key: &K) -> &RwLock<T> {
+        // DefaultHasher::new() uses fixed keys: deterministic across runs
+        // and processes (unlike RandomState), which keeps shard layout —
+        // and therefore lock interleavings in serial runs — reproducible.
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() & self.mask) as usize]
+    }
+
+    /// Every stripe, in shard order.
+    pub fn iter(&self) -> impl Iterator<Item = &RwLock<T>> {
+        self.shards.iter().map(|s| &**s)
+    }
+}
+
+/// Worst-case shard skew of an occupancy reading: `max / mean` (1.0 when
+/// balanced, 0.0 when empty).
+pub fn shard_skew(occupancy: &[usize]) -> f64 {
+    let total: usize = occupancy.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let mean = total as f64 / occupancy.len() as f64;
+    occupancy.iter().copied().max().unwrap_or(0) as f64 / mean
+}
+
 /// One shard's table.
 type Table<K, V> = HashMap<K, Slot<V>, BuildHasherDefault<WordHasher>>;
 
-/// One stripe: a padded lock around this shard's portion of the key space.
-type Shard<K, V> = CachePadded<RwLock<Table<K, V>>>;
+/// Materialized entries in one shard's table (excludes in-flight fills).
+fn ready<K, V>(table: &Table<K, V>) -> usize {
+    table
+        .values()
+        .filter(|v| matches!(v, Slot::Ready(_)))
+        .count()
+}
 
 /// An N-way lock-striped hash map with single-flight fills.
 ///
 /// `V` is expected to be cheap to clone (an `Arc`, a small copyable
-/// struct); `get` hands out clones so no guard outlives the call.
+/// struct); a lookup hands out clones so no guard outlives the call.
 #[derive(Debug)]
 pub struct StripedMap<K, V> {
-    shards: Box<[Shard<K, V>]>,
-    mask: u64,
+    stripes: Stripes<Table<K, V>>,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
@@ -150,36 +218,13 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
 
     /// A map with `n` stripes, rounded up to a power of two.
     pub fn with_shards(n: usize) -> StripedMap<K, V> {
-        let n = n.max(1).next_power_of_two();
         StripedMap {
-            shards: (0..n)
-                .map(|_| CachePadded::new(RwLock::new(Table::default())))
-                .collect(),
-            mask: (n - 1) as u64,
+            stripes: Stripes::with_shards(n),
         }
     }
 
     fn shard(&self, key: &K) -> &RwLock<Table<K, V>> {
-        // DefaultHasher::new() uses fixed keys: deterministic across runs
-        // and processes (unlike RandomState), which keeps shard layout —
-        // and therefore lock interleavings in serial runs — reproducible.
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() & self.mask) as usize]
-    }
-
-    /// Clone of the value under `key`, if materialized. Pending flights
-    /// are invisible to plain `get`.
-    pub fn get(&self, key: &K) -> Option<V> {
-        match self.shard(key).read().get(key) {
-            Some(Slot::Ready(v)) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
-    /// Insert (or overwrite) a materialized value.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key).write().insert(key, Slot::Ready(value));
+        self.stripes.of(key)
     }
 
     /// Drop the entry under `key`, materialized or in flight (a flight
@@ -190,15 +235,7 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
 
     /// Number of materialized entries (excludes in-flight fills).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.stripes.iter().map(|s| ready(&s.read())).sum()
     }
 
     /// True when no materialized entries exist.
@@ -211,53 +248,13 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
     /// striping should keep `max/mean ≤ 2` at realistic cardinalities, and
     /// a shard running hot means a pathological key distribution.
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
-                    .count()
-            })
-            .collect()
-    }
-
-    /// Approximate logical bytes per shard, in shard order: `per_entry`
-    /// summed over materialized entries. The caller supplies the footprint
-    /// function because entry size is a property of what the map stores
-    /// (fixed-size records vs. route vectors), not of the striping.
-    pub fn shard_bytes(&self, per_entry: impl Fn(&K, &V) -> u64) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .iter()
-                    .filter_map(|(k, v)| match v {
-                        Slot::Ready(v) => Some(per_entry(k, v)),
-                        Slot::Pending(_) => None,
-                    })
-                    .sum()
-            })
-            .collect()
+        self.stripes.iter().map(|s| ready(&s.read())).collect()
     }
 
     /// Worst-case shard skew: `max / mean` occupancy (1.0 when balanced,
     /// 0.0 when empty).
     pub fn shard_skew(&self) -> f64 {
-        let occ = self.shard_occupancy();
-        let total: usize = occ.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let mean = total as f64 / occ.len() as f64;
-        occ.iter().copied().max().unwrap_or(0) as f64 / mean
-    }
-
-    /// Drop all entries.
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.write().clear();
-        }
+        shard_skew(&self.shard_occupancy())
     }
 
     /// The value under `key`, computing it exactly once across threads.
@@ -395,6 +392,64 @@ impl<const N: usize> Default for StripedCounters<N> {
     }
 }
 
+/// An append-only vector held in segments of `SEG` elements. A segment is
+/// allocated at full capacity and never grows, so appending moves no
+/// element already stored, and the bytes requested stay within one segment
+/// of the bytes stored. Stored elements may be overwritten in place.
+#[derive(Debug)]
+pub struct Column<T, const SEG: usize> {
+    segments: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T, const SEG: usize> Default for Column<T, SEG> {
+    fn default() -> Self {
+        Column {
+            segments: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T, const SEG: usize> Column<T, SEG> {
+    /// Append `item`, opening a segment when the last one is full.
+    pub fn push(&mut self, item: T) {
+        if self.len.is_multiple_of(SEG) {
+            self.segments.push(Vec::with_capacity(SEG));
+        }
+        self.segments
+            .last_mut()
+            .expect("a segment is open")
+            .push(item);
+        self.len += 1;
+    }
+
+    /// Number of elements stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The element at position `i`, if stored.
+    pub fn get(&self, i: usize) -> Option<&T> {
+        self.segments.get(i / SEG)?.get(i % SEG)
+    }
+
+    /// The element at position `i`, if stored, to overwrite in place.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.segments.get_mut(i / SEG)?.get_mut(i % SEG)
+    }
+
+    /// Every element, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segments.iter().flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,14 +468,15 @@ mod tests {
     fn striped_map_basics() {
         let m: StripedMap<u64, u64> = StripedMap::new();
         assert!(m.is_empty());
-        assert_eq!(m.get(&1), None);
-        m.insert(1, 10);
-        m.insert(2, 20);
-        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.get_or_compute(1, || 10), 10);
+        assert_eq!(m.get_or_compute(2, || 20), 20);
+        assert_eq!(m.get_or_compute(1, || 11), 10, "a stored value is kept");
         assert_eq!(m.len(), 2);
-        m.insert(1, 11);
-        assert_eq!(m.get(&1), Some(11));
-        m.clear();
+        m.remove(&1);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get_or_compute(1, || 11), 11, "a removed key refills");
+        m.remove(&1);
+        m.remove(&2);
         assert!(m.is_empty());
     }
 
@@ -433,7 +489,7 @@ mod tests {
         // every lookup in the hot shard serializes behind one lock.
         let routes: StripedMap<(u32, u64), u64> = StripedMap::new();
         for p in 0..3_000u32 {
-            routes.insert((p, 0x5eed), u64::from(p));
+            routes.get_or_compute((p, 0x5eed), || u64::from(p));
         }
         let skew = routes.shard_skew();
         assert!(
@@ -445,7 +501,7 @@ mod tests {
         let borders: StripedMap<(u32, u32), u8> = StripedMap::new();
         for a in 0..60u32 {
             for p in 0..60u32 {
-                borders.insert((a, p), 0);
+                borders.get_or_compute((a, p), || 0);
             }
         }
         let skew = borders.shard_skew();
@@ -453,15 +509,7 @@ mod tests {
             (0.0..=2.0).contains(&skew),
             "border-cache-shaped keys skewed to {skew:.2}"
         );
-
-        // Byte stats agree with occupancy under a fixed entry footprint.
-        let occ = routes.shard_occupancy();
-        let bytes = routes.shard_bytes(|_, _| 48);
-        assert_eq!(occ.len(), bytes.len());
-        for (o, b) in occ.iter().zip(&bytes) {
-            assert_eq!(*o as u64 * 48, *b, "byte stats drifted from occupancy");
-        }
-        assert_eq!(bytes.iter().sum::<u64>(), 3_000 * 48);
+        assert_eq!(routes.shard_occupancy().iter().sum::<usize>(), 3_000);
     }
 
     #[test]
@@ -516,7 +564,7 @@ mod tests {
         assert!(r.is_err());
         // The flight must not wedge the key: a later caller recomputes.
         assert_eq!(m.get_or_compute(5, || 55), 55);
-        assert_eq!(m.get(&5), Some(55));
+        assert_eq!(m.get_or_compute(5, || 56), 55);
     }
 
     #[test]
@@ -527,7 +575,7 @@ mod tests {
         // profile` reports against.
         let pairs: StripedMap<(u32, u32), u8> = StripedMap::new();
         for i in 0..17_125u32 {
-            pairs.insert((0x0b01_8000 + (i % 900) * 64, 0x0b09_8000 + i), 0);
+            pairs.get_or_compute((0x0b01_8000 + (i % 900) * 64, 0x0b09_8000 + i), || 0);
         }
         let occ = pairs.shard_occupancy();
         assert_eq!(occ.len(), DEFAULT_SHARDS);
@@ -540,7 +588,7 @@ mod tests {
 
         let routers: StripedMap<u64, u8> = StripedMap::new();
         for i in 0..2_000u64 {
-            routers.insert(i * 7 + 1, 0);
+            routers.get_or_compute(i * 7 + 1, || 0);
         }
         let skew = routers.shard_skew();
         assert!(skew <= 2.0, "router-key shard skew {skew:.2} exceeds 2x");
@@ -570,10 +618,45 @@ mod tests {
     fn shard_choice_is_deterministic() {
         let a: StripedMap<u64, u64> = StripedMap::new();
         let b: StripedMap<u64, u64> = StripedMap::new();
+        let offset = |m: &StripedMap<u64, u64>, k: u64| {
+            (m.shard(&k) as *const _) as usize - (m.stripes.shards.as_ptr() as usize)
+        };
         for k in 0..200u64 {
-            let sa = (a.shard(&k) as *const _) as usize - (a.shards.as_ptr() as usize);
-            let sb = (b.shard(&k) as *const _) as usize - (b.shards.as_ptr() as usize);
-            assert_eq!(sa, sb);
+            assert_eq!(offset(&a, k), offset(&b, k));
         }
+    }
+
+    #[test]
+    fn column_segments_never_regrow() {
+        let mut col: Column<u32, 4> = Column::default();
+        assert!(col.is_empty());
+        (0..3).for_each(|i| col.push(i));
+        let first = col.segments[0].as_ptr();
+        (3..9).for_each(|i| col.push(i));
+        assert_eq!(col.len(), 9);
+        assert_eq!(col.segments.len(), 3);
+        assert!(col.segments.iter().all(|s| s.capacity() == 4));
+        assert_eq!(col.segments[0].as_ptr(), first, "a stored element moved");
+        assert_eq!(
+            col.iter().copied().collect::<Vec<_>>(),
+            (0..9).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn column_reads_and_overwrites_by_position() {
+        let mut col: Column<u32, 4> = Column::default();
+        (0..6).for_each(|i| col.push(i * 10));
+        assert_eq!(col.get(0), Some(&0));
+        assert_eq!(col.get(5), Some(&50), "across a segment boundary");
+        assert_eq!(col.get(6), None, "past the end of an open segment");
+        assert_eq!(col.get(8), None, "past the last segment");
+        *col.get_mut(4).expect("stored") = 7;
+        assert_eq!(col.get_mut(6), None);
+        assert_eq!(
+            col.iter().copied().collect::<Vec<_>>(),
+            [0, 10, 20, 30, 7, 50]
+        );
+        assert_eq!(col.len(), 6, "an overwrite appends nothing");
     }
 }

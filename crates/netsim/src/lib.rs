@@ -57,7 +57,7 @@ pub mod sim;
 pub mod topology;
 
 pub use addr::{Addr, Prefix};
-pub use concurrent::{CachePadded, StripedCounters, StripedMap};
+pub use concurrent::{shard_skew, CachePadded, Column, StripedCounters, StripedMap, Stripes};
 pub use config::{BehaviorConfig, SimConfig, TopologyConfig};
 pub use engine::{
     EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS, TS_SLOTS,

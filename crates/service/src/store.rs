@@ -5,55 +5,18 @@
 //! scalars and sharing its sealed path — every hop with its evidence, one
 //! immutable block ([`revtr::Path`]) — by reference count. Archiving a
 //! result therefore copies no hop and allocates nothing: the entries sit in
-//! fixed-capacity segments that are never reallocated, one allocated per
-//! thousand-odd results, so the bytes requested stay within one segment of
-//! the bytes stored.
+//! a [`Column`], fixed-capacity segments that are never reallocated, one
+//! allocated per thousand-odd results, so the bytes requested stay within
+//! one segment of the bytes stored.
 
 use parking_lot::Mutex;
 use revtr::{RevtrResult, Status};
-use revtr_netsim::Addr;
+use revtr_netsim::{Addr, Column};
 
 /// Results per segment (~200 KB): what a fresh archive wastes at most,
 /// once. This module's own tests run on short segments, so archives
 /// straddle several.
 const SEGMENT: usize = if cfg!(test) { 8 } else { 1024 };
-
-/// An append-only vector held in segments of `SEG` elements. A segment is
-/// allocated at full capacity and never grows, so appending moves no
-/// element that is already stored.
-#[derive(Debug)]
-struct Column<T, const SEG: usize> {
-    segments: Vec<Vec<T>>,
-    len: usize,
-}
-
-impl<T, const SEG: usize> Default for Column<T, SEG> {
-    fn default() -> Self {
-        Column {
-            segments: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T, const SEG: usize> Column<T, SEG> {
-    /// Append `item`, opening a segment when the last one is full.
-    fn push(&mut self, item: T) {
-        if self.len.is_multiple_of(SEG) {
-            self.segments.push(Vec::with_capacity(SEG));
-        }
-        self.segments
-            .last_mut()
-            .expect("a segment is open")
-            .push(item);
-        self.len += 1;
-    }
-
-    /// Every element, in order.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.segments.iter().flatten()
-    }
-}
 
 /// In-memory archive of measurement results with JSON export.
 #[derive(Debug, Default)]
@@ -89,7 +52,7 @@ impl ResultStore {
 
     /// Number of archived results.
     pub fn len(&self) -> usize {
-        self.archive.lock().len
+        self.archive.lock().len()
     }
 
     /// True when nothing is archived.
@@ -111,7 +74,7 @@ impl ResultStore {
     pub fn stats(&self) -> StoreStats {
         let g = self.archive.lock();
         let mut s = StoreStats {
-            total: g.len,
+            total: g.len(),
             ..Default::default()
         };
         for r in g.iter() {
@@ -248,22 +211,6 @@ mod tests {
         let store2 = ResultStore::new();
         assert_eq!(store2.import_json(&json).expect("valid json"), 1);
         assert_eq!(store2.stats().complete, 1);
-    }
-
-    #[test]
-    fn segments_never_regrow() {
-        let mut col: Column<u32, 4> = Column::default();
-        (0..3).for_each(|i| col.push(i));
-        let first = col.segments[0].as_ptr();
-        (3..9).for_each(|i| col.push(i));
-        assert_eq!(col.len, 9);
-        assert_eq!(col.segments.len(), 3);
-        assert!(col.segments.iter().all(|s| s.capacity() == 4));
-        assert_eq!(col.segments[0].as_ptr(), first, "a stored element moved");
-        assert_eq!(
-            col.iter().copied().collect::<Vec<_>>(),
-            (0..9).collect::<Vec<_>>()
-        );
     }
 
     #[test]

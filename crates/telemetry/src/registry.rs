@@ -106,9 +106,9 @@ impl Hash for ById {
 /// Multiplicative word hasher (the FxHash recipe): one rotate, xor and
 /// multiply per word written. The workspace's one hasher for tables keyed
 /// by words this program made itself — `ById`'s literal addresses here,
-/// simulated addresses and ids in `netsim`'s striped maps — never by
-/// outside input, so the default hasher's collision resistance buys
-/// nothing.
+/// simulated addresses and ids in the route cache and the measurement
+/// cache's indexes — never by outside input, so the default hasher's
+/// collision resistance buys nothing.
 #[derive(Default)]
 pub struct WordHasher(u64);
 
