@@ -34,31 +34,25 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== metamorphic suite (release, tests/metamorphic.rs) =="
 cargo test -q --release --test metamorphic
 
-# Stitch-trace audit gate: every accepted hop of a standard-scale campaign
-# replays soundly against the oracle — zero Unsound, zero PolicyViolation
-# (the subcommand exits nonzero otherwise). Each seed runs both stop-set
-# arms — the campaigns the economy gate below compares — and the on arm
-# additionally proves reused stop-set evidence replays sound.
-echo "== stitch-trace audit gate (release, standard scale, seeds 1/7/42, stop sets off/on) =="
+# Stitch-trace audit + probe-economy gate: `revtr-cli audit` runs the clean
+# standard campaign with stop sets off and then on. Every accepted hop of
+# both runs replays soundly against the oracle — zero Unsound, zero
+# PolicyViolation — so the on arm also proves reused stop-set evidence
+# replays sound. The same two runs are the probe-economy A/B: stop sets
+# must cut measurement probes per revtr by >= 25% while coverage and
+# accuracy stay within 0.02 of the off control. A "probe" there is a whole
+# traceroute, so the A/B also prints packets per revtr and TTL probes per
+# last-link measurement for both arms, and holds the stop-sets-on arm to
+# <= 6.0 packets per measurement — half a full forward trace. The
+# subcommand exits nonzero if any of these gates fails.
+echo "== stitch-trace audit + probe-economy gate (release, standard scale, seeds 1/7/42, stop sets off/on) =="
 cargo build -q --release -p revtr-eval
 for seed in 1 7 42; do
-  ./target/release/revtr-cli audit --scale standard --seed "$seed" \
-    | tail -n 1
-  ./target/release/revtr-cli audit --scale standard --seed "$seed" --stop-sets on \
-    | tail -n 1
-done
-
-# Probe-economy gate: campaign-wide stop sets must cut measurement probes
-# per revtr by >= 25% on the standard campaign while coverage and accuracy
-# stay within 0.02 of the stop-sets-off control. A "probe" there is a whole
-# traceroute, so the same run also prints packets per revtr and TTL probes
-# per last-link measurement for both arms, and holds the stop-sets-on arm
-# to <= 6.0 packets per measurement — half a full forward trace (the
-# subcommand exits nonzero on either gate).
-echo "== probe-economy gate (release, standard scale, seeds 1/7/42) =="
-for seed in 1 7 42; do
-  ./target/release/revtr-cli economy --scale standard --seed "$seed" \
-    | tail -n 6
+  status=0
+  audit_out=$(./target/release/revtr-cli audit --scale standard --seed "$seed") || status=$?
+  echo "$audit_out" | grep '^audit gate:' || true
+  echo "$audit_out" | tail -n 6
+  [ "$status" -eq 0 ] || exit "$status"
 done
 
 # Last-link gate: every symmetry-step decision of the standard campaign

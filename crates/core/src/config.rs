@@ -6,6 +6,15 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Spoofed probes per batch (paper: 3, §5.3).
+pub const BATCH_SIZE: usize = 3;
+
+/// Maximum adjacencies tested per hop via timestamp.
+pub const MAX_TS_ADJACENCIES: usize = 6;
+
+/// Hard cap on reverse-path length (loop guard).
+pub const MAX_PATH_HOPS: usize = 40;
+
 /// How spoofed-RR vantage points are chosen (Q3, §5.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VpSelection {
@@ -67,19 +76,14 @@ pub struct EngineConfig {
     /// (`revtr_probing::stopset`): reuse earlier requests' reverse-hop
     /// evidence at shared routers, skip predictably futile direct RR
     /// probes, start spoofed ladders at remembered winner VPs, and dedup
-    /// RR-atlas probes per interface. Off by default — the ci.sh economy
-    /// gate A/Bs this knob against the off control.
+    /// RR-atlas probes per interface. Off by default — `revtr-cli audit`
+    /// runs the clean campaign with this knob off and on and gates the
+    /// on arm's probe economy against the off control.
     pub use_stop_sets: bool,
     /// Symmetry assumption policy.
     pub symmetry: SymmetryPolicy,
-    /// Spoofed probes per batch (paper: 3, §5.3).
-    pub batch_size: usize,
     /// Traceroutes requested per source atlas (paper: 1000).
     pub atlas_size: usize,
-    /// Maximum adjacencies tested per hop via timestamp.
-    pub max_ts_adjacencies: usize,
-    /// Hard cap on reverse-path length (loop guard).
-    pub max_path_hops: usize,
 }
 
 impl EngineConfig {
@@ -96,10 +100,7 @@ impl EngineConfig {
             harden: false,
             use_stop_sets: false,
             symmetry: SymmetryPolicy::IntradomainOnly,
-            batch_size: 3,
             atlas_size: 1000,
-            max_ts_adjacencies: 6,
-            max_path_hops: 40,
         }
     }
 

@@ -28,7 +28,7 @@
 //! earlier wave barriers (cross-request coupling through route churn
 //! aside — the metamorphic suite pins the invariance with churn quiesced).
 
-use crate::config::SymmetryPolicy;
+use crate::config::{SymmetryPolicy, MAX_PATH_HOPS};
 use crate::result::{
     Evidence, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
@@ -349,7 +349,7 @@ impl<'a> MeasureTask<'a> {
     }
 
     fn stitch_head(&mut self, sys: &'a RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
-        if self.iters as usize == sys.config().max_path_hops {
+        if self.iters as usize == MAX_PATH_HOPS {
             return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::HopBudget));
         }
         self.iters += 1;

@@ -15,7 +15,7 @@
 //!    intradomain for 2.0, aborting rather than guessing across AS
 //!    boundaries (§4.4).
 
-use crate::config::{EngineConfig, VpSelection};
+use crate::config::{EngineConfig, VpSelection, BATCH_SIZE, MAX_TS_ADJACENCIES};
 use crate::engine::MeasureTask;
 use crate::result::{RevtrHop, RevtrResult, RevtrStats};
 use crate::scratch::{novel, on_path, Scratch, DEMOTED};
@@ -195,8 +195,8 @@ pub(crate) struct RrMachine<'a> {
     /// `SpoofFutile` publication: only a ladder with zero usable replies
     /// proves the router unreachable by this plan's VPs.
     pub(crate) usable_seen: bool,
-    /// Spoofed-batch width for this ladder: the engine's configured
-    /// `batch_size` normally, or a smaller cap when the admission
+    /// Spoofed-batch width for this ladder: [`BATCH_SIZE`] normally, or a
+    /// smaller cap when the admission
     /// layer's degradation ladder is shrinking spoofed batches.
     batch_cap: usize,
 }
@@ -218,7 +218,7 @@ pub(crate) struct RrHints {
     /// remembered winner); the full queues stay staged as a fallback.
     pub(crate) winner: Option<Addr>,
     /// Cap on the spoofed-batch width (degradation ladder L1+): `None`
-    /// uses the engine's configured `batch_size`.
+    /// uses [`BATCH_SIZE`].
     pub(crate) batch_cap: Option<usize>,
 }
 
@@ -830,7 +830,7 @@ impl<'s> RevtrSystem<'s> {
             batches0,
             plan,
             usable_seen: false,
-            batch_cap: hints.batch_cap.unwrap_or(self.cfg.batch_size).max(1),
+            batch_cap: hints.batch_cap.unwrap_or(BATCH_SIZE).max(1),
         })
     }
 
@@ -1007,7 +1007,7 @@ impl<'s> RevtrSystem<'s> {
             }
         }
         cands.retain(|&a| !on_path(path, a));
-        cands.truncate(self.cfg.max_ts_adjacencies);
+        cands.truncate(MAX_TS_ADJACENCIES);
         for adj in cands {
             match self.prober.ts_ping_outcome(meter, src, cur, &[cur, adj]) {
                 // Persistent: the destination ignores TS, stop trying.

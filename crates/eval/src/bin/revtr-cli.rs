@@ -4,12 +4,10 @@
 //! revtr-cli topology  [--era tiny|2016|2020] [--seed N]
 //! revtr-cli measure   [--era ...] [--seed N] [--engine 1|2] [--dst A.B.C.D|auto] [--src A.B.C.D|auto]
 //! revtr-cli reproduce [--scale smoke|standard] [--out DIR]
-//! revtr-cli robustness [--scale smoke|standard] [--out DIR]
-//! revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR] [--stop-sets on|off]
+//! revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR]
 //! revtr-cli report    [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N]
 //!                     [--scenario PROFILE] [--severity F]
 //! revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]
-//! revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]
 //! revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan]
 //!                     [--out DIR]
 //! ```
@@ -17,15 +15,20 @@
 //! Every subcommand validates its flags against an allow-list
 //! ([`revtr_eval::cliargs`]); unknown flags are a usage error (exit 2)
 //! rather than being silently ignored. The judging subcommands (`audit`,
-//! `report`, `scenario`, `economy`, `loadtest`) exit non-zero when their
-//! gate fails, so they are usable directly as CI gates.
+//! `report`, `scenario`, `loadtest`) exit non-zero when their gate fails,
+//! so they are usable directly as CI gates.
+//!
+//! `audit` runs the clean campaign with stop sets off and then on, and
+//! judges each run twice: the stitch-trace audit and one arm of the
+//! probe-economy A/B. `reproduce` includes the loss × retry-budget
+//! robustness cells.
 
 use revtr::{EngineConfig, HopMethod, RevtrSystem};
 use revtr_atlas::select_atlas_probes;
 use revtr_eval::cliargs::{self, Flags};
 use revtr_eval::context::DEFAULT_SEED;
 use revtr_eval::report::{self, Report};
-use revtr_eval::{audit, economy, loadtest, reproduce, robustness, scenarios, Campaign, Scale};
+use revtr_eval::{audit, loadtest, reproduce, scenarios, Campaign, Scale};
 use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
@@ -38,12 +41,10 @@ fn usage() -> ExitCode {
         "usage:\n  revtr-cli topology  [--era tiny|2016|2020] [--seed N]\n  \
          revtr-cli measure   [--era ...] [--seed N] [--engine 1|2] [--dst ADDR|auto] [--src ADDR|auto]\n  \
          revtr-cli reproduce [--scale smoke|standard] [--out DIR]\n  \
-         revtr-cli robustness [--scale smoke|standard] [--out DIR]\n  \
-         revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR] [--stop-sets on|off]\n  \
+         revtr-cli audit     [--scale smoke|standard] [--seed N] [--out DIR]\n  \
          revtr-cli report    [--scale smoke|standard] [--seed N] [--out DIR] [--loss P] [--budget N]\n  \
                      [--scenario PROFILE] [--severity F]\n  \
          revtr-cli scenario  [--scale smoke|standard] [--seed N] [--profile NAME|all] [--severity F] [--out DIR]\n  \
-         revtr-cli economy   [--scale smoke|standard] [--seed N] [--min-cut F] [--tol-quality F]\n  \
          revtr-cli loadtest  [--scale smoke|standard] [--seed N] [--pattern steady|diurnal|flash-crowd|scan] [--out DIR]"
     );
     ExitCode::from(2)
@@ -194,34 +195,10 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let rep = reproduce::run(scale.eval_scale(DEFAULT_SEED));
+    let rep = reproduce::run(scale, DEFAULT_SEED);
     println!("{}", rep.render());
     if let Some(dir) = flags.out_dir() {
         match rep.save_tsvs(dir) {
-            Ok(()) => eprintln!("TSVs written to {}", dir.display()),
-            Err(e) => {
-                eprintln!("could not write TSVs: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_robustness(flags: &Flags) -> ExitCode {
-    let report = match flags.scale() {
-        Ok(Scale::Smoke) => robustness::smoke(),
-        Ok(Scale::Standard) => robustness::standard(),
-        Err(e) => return flag_err(&e),
-    };
-    println!("{}", report.table().render());
-    println!("{}", report.figure().render());
-    if let Some(dir) = flags.out_dir() {
-        let saved = report
-            .table()
-            .save_tsv(dir, "robustness")
-            .and_then(|()| report.figure().save_tsv(dir, "robustness_coverage"));
-        match saved {
             Ok(()) => eprintln!("TSVs written to {}", dir.display()),
             Err(e) => {
                 eprintln!("could not write TSVs: {e}");
@@ -237,44 +214,49 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
         Ok(parsed) => parsed,
         Err(code) => return code,
     };
-    let stop_sets = match flags.stop_sets() {
-        Ok(b) => b,
-        Err(e) => return flag_err(&e),
-    };
-    let campaign = Campaign::clean(scale, seed.unwrap_or(DEFAULT_SEED)).with_stop_sets(stop_sets);
-    let report = audit::judge(&campaign.run());
+    let audited = audit::run(scale, seed.unwrap_or(DEFAULT_SEED));
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
-    if stop_sets {
-        println!("(stop sets on: reused-evidence soundness arm)");
-    }
-    println!("{}", report.table().render());
-    println!(
-        "audited {} measurements, {} with failing verdicts",
-        report.summary.results, report.summary.dirty_results
-    );
-    if let Some(dir) = flags.out_dir() {
-        match report.table().save_tsv(dir, "audit") {
-            Ok(()) => eprintln!("TSV written to {}", dir.display()),
-            Err(e) => {
-                eprintln!("could not write TSV: {e}");
-                return ExitCode::FAILURE;
+    let arms = [
+        (false, &audited.off, "audit"),
+        (true, &audited.on, "audit_stop_sets"),
+    ];
+    for (stop_sets, report, tsv) in arms {
+        if stop_sets {
+            println!("(stop sets on: reused-evidence soundness arm)");
+        }
+        println!("{}", report.table().render());
+        println!(
+            "audited {} measurements, {} with failing verdicts",
+            report.summary.results, report.summary.dirty_results
+        );
+        if report.is_clean() {
+            println!("audit gate: PASS (0 unsound, 0 policy violations)");
+        } else {
+            eprintln!(
+                "audit gate: FAIL ({} unsound, {} policy violations)",
+                report.summary.total_unsound(),
+                report.summary.total_policy_violations()
+            );
+            for f in &report.failures {
+                eprintln!("  {f}");
+            }
+        }
+        if let Some(dir) = flags.out_dir() {
+            match report.table().save_tsv(dir, tsv) {
+                Ok(()) => eprintln!("TSV written to {}", dir.display()),
+                Err(e) => {
+                    eprintln!("could not write TSV: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
         }
     }
-    if report.is_clean() {
-        println!("audit gate: PASS (0 unsound, 0 policy violations)");
+    println!("{}", audited.economy.render());
+    if audited.pass() {
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "audit gate: FAIL ({} unsound, {} policy violations)",
-            report.summary.total_unsound(),
-            report.summary.total_policy_violations()
-        );
-        for f in &report.failures {
-            eprintln!("  {f}");
-        }
         ExitCode::FAILURE
     }
 }
@@ -386,36 +368,6 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
     }
 }
 
-fn cmd_economy(flags: &Flags) -> ExitCode {
-    let (seed, scale) = match seed_and_scale(flags) {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
-    let min_cut = match flags
-        .get("min-cut")
-        .map(str::parse::<f64>)
-        .unwrap_or(Ok(economy::DEFAULT_MIN_CUT))
-    {
-        Ok(f) if (0.0..1.0).contains(&f) => f,
-        _ => return flag_err("--min-cut must be a fraction in [0, 1)"),
-    };
-    let tol_quality = match flags
-        .get("tol-quality")
-        .map(str::parse::<f64>)
-        .unwrap_or(Ok(economy::DEFAULT_TOL_QUALITY))
-    {
-        Ok(f) if f >= 0.0 => f,
-        _ => return flag_err("--tol-quality must be a non-negative number"),
-    };
-    let report = economy::run(scale, seed.unwrap_or(DEFAULT_SEED), min_cut, tol_quality);
-    println!("{}", report.render());
-    if report.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_loadtest(flags: &Flags) -> ExitCode {
     let (seed, scale) = match seed_and_scale(flags) {
         Ok(parsed) => parsed,
@@ -455,13 +407,11 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
         "topology" => &["era", "seed"],
         "measure" => &["era", "seed", "engine", "dst", "src"],
         "reproduce" => &["scale", "out"],
-        "robustness" => &["scale", "out"],
-        "audit" => &["scale", "seed", "out", "stop-sets"],
+        "audit" => &["scale", "seed", "out"],
         "report" => &[
             "scale", "seed", "out", "loss", "budget", "scenario", "severity",
         ],
         "scenario" => &["scale", "seed", "profile", "severity", "out"],
-        "economy" => &["scale", "seed", "min-cut", "tol-quality"],
         "loadtest" => &["scale", "seed", "pattern", "out"],
         _ => return None,
     })
@@ -483,11 +433,9 @@ fn main() -> ExitCode {
         "topology" => cmd_topology(&flags),
         "measure" => cmd_measure(&flags),
         "reproduce" => cmd_reproduce(&flags),
-        "robustness" => cmd_robustness(&flags),
         "audit" => cmd_audit(&flags),
         "report" => cmd_report(&flags),
         "scenario" => cmd_scenario(&flags),
-        "economy" => cmd_economy(&flags),
         "loadtest" => cmd_loadtest(&flags),
         _ => usage(),
     }

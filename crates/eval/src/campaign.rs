@@ -8,9 +8,12 @@
 //! harness that assembles a context, an ingress database and a system and
 //! dispatches the traffic, and the [`CampaignRun`] it returns holds
 //! everything the judges read — `report::Report`, `audit::judge`,
-//! `economy::arm`, `scenarios::arm`, the loadtest's arms — each a pure
-//! function of `&CampaignRun`. Judging a run twice, or by two judges in
-//! either order, cannot change what either reports.
+//! `economy::arm`, `robustness::RobustnessCell::of`, `scenarios::arm`, the
+//! loadtest's arms — each a pure function of `&CampaignRun`. Judging a run
+//! twice, or by two judges in either order, cannot change what either
+//! reports. The extension studies are judged on these runs too: the
+//! stop-set economy is `audit::run`'s pair of clean runs, and every
+//! robustness cell of `reproduce` is one [`Campaign::faulted`] run.
 //!
 //! Telemetry, the stuck-request watchdog and the resource profiler are
 //! armed on every run: all three record outside the fingerprinted
@@ -190,8 +193,8 @@ pub struct Campaign {
     /// Stuck-request watchdog deadline, virtual ms.
     pub watchdog_deadline_ms: f64,
     /// Enable the campaign-wide Doubletree stop sets
-    /// (`EngineConfig::use_stop_sets`). Off in the clean baseline; the
-    /// economy gate A/Bs this knob.
+    /// (`EngineConfig::use_stop_sets`). Off in the clean baseline;
+    /// `audit::run` A/Bs this knob.
     pub use_stop_sets: bool,
     /// Hostile-Internet scenario profiles injected into the simulator
     /// (`SimConfig::scenario`). Inert by default — an all-zero config is

@@ -82,17 +82,6 @@ impl Flags {
     pub fn out_dir(&self) -> Option<&std::path::Path> {
         self.get("out").map(std::path::Path::new)
     }
-
-    /// `--stop-sets on|off` as a bool (default off, matching
-    /// `EngineConfig::revtr2()` — the probe economy is opt-in so every
-    /// pre-PR7 fingerprint and baseline stays bit-identical).
-    pub fn stop_sets(&self) -> Result<bool, String> {
-        match self.get("stop-sets").unwrap_or("off") {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(format!("--stop-sets must be on or off, got {other:?}")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,15 +135,5 @@ mod tests {
         assert!(f.seed().is_err());
         assert!(f.scale().is_err());
         assert!(f.era().is_err());
-    }
-
-    #[test]
-    fn stop_sets_flag_parses_and_defaults_off() {
-        let empty = parse(&[], &["stop-sets"]).expect("parse");
-        assert!(!empty.stop_sets().expect("default"));
-        let on = parse(&argv(&["--stop-sets", "on"]), &["stop-sets"]).expect("parse");
-        assert!(on.stop_sets().expect("on"));
-        let bad = parse(&argv(&["--stop-sets", "yes"]), &["stop-sets"]).expect("parse");
-        assert!(bad.stop_sets().is_err());
     }
 }

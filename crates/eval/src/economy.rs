@@ -2,35 +2,33 @@
 //! arm of the same seeded campaign.
 //!
 //! This is the evaluation face of the campaign-wide Doubletree stop sets
-//! ([`revtr_probing::StopSet`]): it runs the clean campaign twice —
-//! identical topology, workload, and seed; only
-//! `EngineConfig::use_stop_sets` differs — and gates the economy claim of
-//! the PR: measurement probes per reverse traceroute (option probes plus
-//! atlas RR, pings, and traceroutes — see
-//! [`Snapshot::measurement_probes`]) must drop by at least
-//! [`DEFAULT_MIN_CUT`] while coverage and accuracy stay within
-//! [`DEFAULT_TOL_QUALITY`] of the control. That count takes a traceroute
-//! as one probe whatever it sent, so the same two campaigns also report
-//! packets — [`Snapshot::all_packets`] per revtr, and TTL probes per
-//! last-link measurement of the symmetry step — and gate the on arm, whose
-//! start TTLs come from the stop sets' forward distances, at
-//! [`MAX_LAST_LINK_PKTS`]. `revtr-cli economy` exits non-zero when a gate
-//! fails, and ci.sh sweeps it over the standard seeds {1, 7, 42}.
+//! ([`revtr_probing::StopSet`]). `revtr-cli audit` runs the clean campaign
+//! twice — identical topology, workload, and seed; only
+//! `EngineConfig::use_stop_sets` differs — and reads one [`arm`] off each
+//! run beside its audit. The gate: measurement probes per reverse
+//! traceroute (option probes plus atlas RR, pings, and traceroutes — see
+//! [`Snapshot::measurement_probes`]) must drop by at least [`MIN_CUT`]
+//! while coverage and accuracy stay within [`TOL_QUALITY`] of the control.
+//! That count takes a traceroute as one probe whatever it sent, so the
+//! arms also report packets — [`Snapshot::all_packets`] per revtr, and TTL
+//! probes per last-link measurement of the symmetry step — and the on arm,
+//! whose start TTLs come from the stop sets' forward distances, is gated
+//! at [`MAX_LAST_LINK_PKTS`].
 //!
 //! [`Snapshot::all_packets`]: revtr_probing::Snapshot::all_packets
 //! [`Snapshot::measurement_probes`]: revtr_probing::Snapshot::measurement_probes
 
-use crate::campaign::{Campaign, CampaignRun, Scale};
+use crate::campaign::{CampaignRun, Scale};
 use crate::report::OracleScore;
 use std::fmt::Write as _;
 
 /// The economy gate: the on-arm must cut measurement probes per revtr by
 /// at least this fraction.
-pub const DEFAULT_MIN_CUT: f64 = 0.25;
+pub const MIN_CUT: f64 = 0.25;
 
 /// The quality guard: |coverage delta| and |accuracy delta| between the
 /// arms must stay within this absolute bound.
-pub const DEFAULT_TOL_QUALITY: f64 = 0.02;
+pub const TOL_QUALITY: f64 = 0.02;
 
 /// The last-link gate: TTL probes per uncached last-link measurement on the
 /// stop-sets-on arm of the standard campaign. A full forward trace took
@@ -66,8 +64,6 @@ pub struct EconomyArm {
     pub accuracy: f64,
     /// Stop-set hits of any kind (0 for the off control).
     pub stopset_hits: u64,
-    /// Campaign journal fingerprint.
-    pub journal_fingerprint: u64,
 }
 
 impl EconomyArm {
@@ -87,7 +83,7 @@ impl EconomyArm {
     }
 }
 
-/// The paired comparison and its gate parameters.
+/// The paired comparison.
 #[derive(Clone, Debug)]
 pub struct EconomyReport {
     /// Scale both arms ran at.
@@ -98,10 +94,6 @@ pub struct EconomyReport {
     pub off: EconomyArm,
     /// The stop-sets-on treatment.
     pub on: EconomyArm,
-    /// Required fractional probe cut (e.g. 0.25 = 25%).
-    pub min_cut: f64,
-    /// Allowed absolute coverage/accuracy delta.
-    pub tol_quality: f64,
 }
 
 impl EconomyReport {
@@ -115,15 +107,15 @@ impl EconomyReport {
         1.0 - self.on.probes_per_revtr() / base
     }
 
-    /// Whether the economy gate passes: probe cut at least `min_cut`,
-    /// coverage and accuracy within `tol_quality` of the control, and — at
-    /// standard scale — the on arm's last-link measurements within
+    /// Whether the economy gate passes: probe cut at least [`MIN_CUT`],
+    /// coverage and accuracy within [`TOL_QUALITY`] of the control, and —
+    /// at standard scale — the on arm's last-link measurements within
     /// [`MAX_LAST_LINK_PKTS`].
     pub fn pass(&self) -> bool {
-        self.cut() >= self.min_cut
+        self.cut() >= MIN_CUT
             && (!self.gates_last_link() || self.on.pkts_per_last_link() <= MAX_LAST_LINK_PKTS)
-            && (self.on.coverage - self.off.coverage).abs() <= self.tol_quality
-            && (self.on.accuracy - self.off.accuracy).abs() <= self.tol_quality
+            && (self.on.coverage - self.off.coverage).abs() <= TOL_QUALITY
+            && (self.on.accuracy - self.off.accuracy).abs() <= TOL_QUALITY
     }
 
     fn gates_last_link(&self) -> bool {
@@ -169,10 +161,10 @@ impl EconomyReport {
             "  probe cut {:.1}% (gate >= {:.0}%), coverage delta {:+.4}, accuracy delta {:+.4} \
              (|delta| <= {:.3}), last link {:.2} packets/measurement with stop sets on ({})",
             self.cut() * 100.0,
-            self.min_cut * 100.0,
+            MIN_CUT * 100.0,
             self.on.coverage - self.off.coverage,
             self.on.accuracy - self.off.accuracy,
-            self.tol_quality,
+            TOL_QUALITY,
             self.on.pkts_per_last_link(),
             if self.gates_last_link() {
                 format!("gate <= {MAX_LAST_LINK_PKTS:.1}")
@@ -203,42 +195,42 @@ pub fn arm(run: &CampaignRun) -> EconomyArm {
         coverage: score.coverage(run.workload.len()),
         accuracy: score.accuracy(),
         stopset_hits: run.stopset.total_hits(),
-        journal_fingerprint: run.journal_fingerprint,
-    }
-}
-
-/// Run the full A/B at `scale`/`seed` with explicit gate parameters.
-pub fn run(scale: Scale, seed: u64, min_cut: f64, tol_quality: f64) -> EconomyReport {
-    let off = Campaign::clean(scale, seed);
-    let on = off.clone().with_stop_sets(true);
-    EconomyReport {
-        scale,
-        seed,
-        off: arm(&off.run()),
-        on: arm(&on.run()),
-        min_cut,
-        tol_quality,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::campaign::{Campaign, Scale};
+    use revtr_probing::StopSetSnapshot;
 
     #[test]
-    fn smoke_economy_cuts_probes_within_quality_bounds() {
-        let r = run(Scale::Smoke, 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
-        assert!(r.pass(), "economy gate failed:\n{}", r.render());
-        assert!(r.on.stopset_hits > 0, "on arm never hit the stop sets");
-        assert_eq!(r.off.stopset_hits, 0, "off control touched the stop sets");
-        assert_eq!(r.off.requests, r.on.requests, "workload moved between arms");
-        for arm in [&r.off, &r.on] {
-            assert!(arm.last_links > 0, "no symmetry step measured a last link");
-            assert!(
-                arm.last_link_pkts >= 2 * arm.last_links,
-                "a last link is two TTLs"
-            );
-            assert!(arm.packets > arm.probes, "packets count every TTL probe");
-        }
+    fn stop_set_hits_do_not_double_count_cache_hits() {
+        // Counter reconciliation: a stop-set hit replaces a whole RR step,
+        // so it must NOT also appear as measurement-cache traffic — the
+        // two economies are attributed to disjoint counters. The on arm
+        // therefore shows (a) stop-set lookups where the off arm has
+        // none, and (b) *no more* cache lookups than the off arm (it
+        // skips probes, so it can only consult the cache less).
+        let off = Campaign::clean(Scale::Smoke, 1).run();
+        let on = off.campaign.clone().with_stop_sets(true).run();
+        assert_eq!(off.stopset, StopSetSnapshot::default());
+        assert!(
+            on.stopset.backward_lookups() > 0,
+            "on arm never consulted the backward set: {:?}",
+            on.stopset
+        );
+        let off_lookups = off.cache.hits + off.cache.misses;
+        let on_lookups = on.cache.hits + on.cache.misses;
+        assert!(
+            on_lookups <= off_lookups,
+            "stop-set consults leaked into cache stats: {on_lookups} > {off_lookups}"
+        );
+        // And the headline economy: reuse may only cut option probes.
+        assert!(
+            on.probes.option_probes() <= off.probes.option_probes(),
+            "stop sets increased probing: {} > {}",
+            on.probes.option_probes(),
+            off.probes.option_probes()
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! One-shot reproduction driver: run every experiment at a given scale,
 //! render all tables/figures, and optionally save TSVs.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::Scale;
+use crate::context::EvalContext;
 use crate::{
     ablation, accuracy, as_graph, asymmetry, atlas_study, dbr_violations, ip2as_ablation,
-    responsiveness, symmetry_assumption, throughput, traffic_eng, vp_selection,
+    responsiveness, robustness, symmetry_assumption, throughput, traffic_eng, vp_selection,
 };
+use revtr::EngineConfig;
 use revtr_vpselect::Heuristics;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -37,37 +39,46 @@ pub struct Reproduction {
     pub ip2as: ip2as_ablation::Ip2AsAblationReport,
     /// Insight 1.3 spoofing benefit.
     pub spoofing: responsiveness::SpoofingBenefit,
-    /// Implementation wall-clock throughput.
+    /// Implementation cost per revtr.
     pub throughput: throughput::ThroughputReport,
     /// Fig. 7.
     pub traffic_eng: traffic_eng::TrafficEngReport,
+    /// Coverage under injected loss, by retry budget (`Campaign` cells).
+    pub robustness: robustness::RobustnessReport,
 }
 
-/// Run every experiment at the given scale. This is minutes of work at
-/// [`EvalScale::standard`] in release mode; tests use
-/// [`EvalScale::smoke`].
-pub fn run(scale: EvalScale) -> Reproduction {
-    let ctx = EvalContext::new(revtr_netsim::SimConfig::era_2020(), scale);
+/// Run every experiment at the given scale and master seed. The paper
+/// experiments share one paper-era context with `scale`'s workload sizes;
+/// the robustness cells are campaigns of their own at `scale`.
+pub fn run(scale: Scale, seed: u64) -> Reproduction {
+    // The cells first: each campaign's world is dropped before the next is
+    // built, and before the shared context below exists.
+    let robustness = robustness::run(scale, seed);
+
+    let sizes = scale.eval_scale(seed);
+    let ctx = EvalContext::new(revtr_netsim::SimConfig::era_2020(), sizes);
     let prober = ctx.prober();
     let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
     let workload = ctx.workload();
 
-    let table2 = symmetry_assumption::run(&ctx, &ingress, (scale.n_revtrs / 2).max(50));
+    let table2 = symmetry_assumption::run(&ctx, &ingress, (sizes.n_revtrs / 2).max(50));
     let table3 = as_graph::run(&ctx, &ingress);
     let abl = ablation::run(&ctx, &ingress, &workload);
     let acc = accuracy::run(&ctx, &ingress, &workload);
     let vps = vp_selection::run(&ctx);
-    let resp = responsiveness::run(scale);
+    let resp = responsiveness::run(sizes);
     let asym = asymmetry::run(&ctx, &ingress, &workload);
-    let split = atlas_study::collect_split(&ctx, (scale.atlas_size * 2).min(600), 3);
-    let atlas_sel = atlas_study::run_selection_study(&split, scale.seed);
+    let split = atlas_study::collect_split(&ctx, (sizes.atlas_size * 2).min(600), 3);
+    let atlas_sel = atlas_study::run_selection_study(&split, sizes.seed);
     let staleness = atlas_study::run_staleness(&ctx, &ingress);
-    let dbr = dbr_violations::run(&ctx, &ingress, (scale.n_revtrs / 2).max(100));
+    let dbr = dbr_violations::run(&ctx, &ingress, (sizes.n_revtrs / 2).max(100));
     let ip2as = ip2as_ablation::run(&ctx, &ingress, &workload);
     let spoofing = responsiveness::spoofing_benefit(&ctx);
-    // Throughput over a slice of the workload (wall-clock bound).
-    let tp_slice = &workload[..workload.len().min(400)];
-    let tp = throughput::run(&ctx, &ingress, tp_slice);
+    // Throughput over a slice of the workload, on a fresh prober.
+    let tp = throughput::run(
+        &ctx.build_system(ctx.prober(), EngineConfig::revtr2(), ingress.clone()),
+        &workload[..workload.len().min(400)],
+    );
     let te = traffic_eng::run(&ctx);
 
     Reproduction {
@@ -85,6 +96,7 @@ pub fn run(scale: EvalScale) -> Reproduction {
         spoofing,
         throughput: tp,
         traffic_eng: te,
+        robustness,
     }
 }
 
@@ -138,6 +150,8 @@ impl Reproduction {
         push(self.spoofing.table().render());
         push(self.asymmetry.definition_comparison().render());
         push(self.throughput.table().render());
+        push(self.robustness.table().render());
+        push(self.robustness.figure().render());
         out
     }
 
@@ -180,6 +194,10 @@ impl Reproduction {
             .definition_comparison()
             .save_tsv(dir, "appxG3_definitions")?;
         self.throughput.table().save_tsv(dir, "impl_throughput")?;
+        self.robustness.table().save_tsv(dir, "robustness")?;
+        self.robustness
+            .figure()
+            .save_tsv(dir, "robustness_coverage")?;
         Ok(())
     }
 }
@@ -190,7 +208,7 @@ mod tests {
 
     #[test]
     fn full_reproduction_runs_at_smoke_scale() {
-        let rep = run(EvalScale::smoke());
+        let rep = run(Scale::Smoke, crate::context::DEFAULT_SEED);
         let text = rep.render();
         // Every table/figure header present.
         for needle in [
@@ -220,8 +238,17 @@ mod tests {
             "Appendix E",
             "Appendix B.2",
             "Insight 1.3",
+            "Implementation throughput",
+            "Robustness",
         ] {
             assert!(text.contains(needle), "missing {needle} in report");
         }
+        // One serial campaign on a fault-free Internet: every cache lookup
+        // is classified, and the retry layer is invisible.
+        let tp = &rep.throughput;
+        assert!(tp.measured > 0);
+        assert!(tp.cache.hits + tp.cache.misses > 0, "{:?}", tp.cache);
+        assert_eq!((tp.retries, tp.lost), (0, 0));
+        assert_eq!(rep.robustness.cells.len(), 4);
     }
 }

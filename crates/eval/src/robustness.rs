@@ -1,25 +1,54 @@
-//! Robustness under injected faults: a sweep of transient probe-loss rate
+//! Robustness under injected faults: a grid of transient probe-loss rate
 //! against the prober's retry budget.
 //!
 //! The paper's system runs on the real Internet, where probes are lost to
 //! congestion and ICMP rate limiting; the reproduction's fault model
 //! ([`revtr_netsim::FaultConfig`]) injects the same failure modes
 //! deterministically. This study measures how the retry/degradation layer
-//! recovers: for each loss rate it runs the same campaign with and without
-//! retries and reports path coverage, AS-level soundness against the
-//! oracle, and the batch/latency cost of the recovered coverage.
+//! recovers. Each cell of the grid is one [`Campaign::faulted`] run, read
+//! the way every judge reads a run: coverage and accuracy through
+//! [`OracleScore`], retries and losses off the campaign's probe delta, and
+//! the batch/latency cost of recovery off its results. So a cell is what
+//! `revtr-cli report --loss L --budget B` judges for the same scale and
+//! seed. `reproduce` renders the grid.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::{Figure, Table};
-use crate::stats::{fraction, Distribution};
-use revtr::EngineConfig;
-use revtr_netsim::SimConfig;
-use revtr_probing::RetryPolicy;
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
+use crate::report::OracleScore;
+use crate::stats::Distribution;
 
-/// One (loss rate, retry budget) cell of the sweep.
-#[derive(Clone, Copy, Debug)]
+/// A loss × retry-budget grid.
+pub struct Grid {
+    /// Injected transient loss probabilities, ascending.
+    pub losses: &'static [f64],
+    /// Per-kind retry attempt budgets, ascending (1 = no retries).
+    pub budgets: &'static [u32],
+}
+
+/// The smoke grid (tiny topology; tests and quick looks).
+pub const SMOKE: Grid = Grid {
+    losses: &[0.0, 0.25],
+    budgets: &[1, 3],
+};
+
+/// The standard grid (paper-era topology).
+pub const STANDARD: Grid = Grid {
+    losses: &[0.0, 0.1, 0.3],
+    budgets: &[1, 3],
+};
+
+impl Grid {
+    /// The grid swept at `scale`.
+    pub fn of(scale: Scale) -> &'static Grid {
+        match scale {
+            Scale::Smoke => &SMOKE,
+            Scale::Standard => &STANDARD,
+        }
+    }
+}
+
+/// One (loss rate, retry budget) cell of the grid.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustnessCell {
     /// Injected transient loss probability per probe.
     pub loss: f64,
@@ -27,13 +56,8 @@ pub struct RobustnessCell {
     pub attempts: u32,
     /// Measurements attempted.
     pub attempted: usize,
-    /// Measurements that completed back to the source.
-    pub complete: usize,
-    /// Complete paths whose measured AS hops all lie on the oracle's true
-    /// AS path (no bogus detours).
-    pub sound: usize,
-    /// Complete paths compared against the oracle.
-    pub compared: usize,
+    /// The oracle's reading of the results.
+    pub score: OracleScore,
     /// Median spoofed batches per measurement.
     pub median_batches: f64,
     /// Median virtual duration per measurement (seconds).
@@ -45,108 +69,57 @@ pub struct RobustnessCell {
 }
 
 impl RobustnessCell {
+    /// Read a cell off a campaign run.
+    pub fn of(run: &CampaignRun) -> RobustnessCell {
+        let median = |f: fn(&revtr::RevtrResult) -> f64| {
+            Distribution::new(run.results.iter().map(f).collect()).median()
+        };
+        RobustnessCell {
+            loss: run.campaign.loss,
+            attempts: run.campaign.budget,
+            attempted: run.workload.len(),
+            score: OracleScore::of(run),
+            median_batches: median(|r| f64::from(r.stats.batches)),
+            median_duration_s: median(|r| r.stats.duration_s),
+            retries: run.probes.retries,
+            lost: run.probes.lost,
+        }
+    }
+
     /// Fraction of attempted measurements that completed.
     pub fn coverage(&self) -> f64 {
-        fraction(self.complete, self.attempted)
+        self.score.coverage(self.attempted)
     }
 
     /// Fraction of compared paths that are AS-level sound.
     pub fn accuracy(&self) -> f64 {
-        fraction(self.sound, self.compared)
+        self.score.accuracy()
     }
 }
 
 /// The robustness report: one cell per (loss, budget) pair, losses outer.
 #[derive(Clone, Debug)]
 pub struct RobustnessReport {
-    /// Sweep cells, grouped by loss rate then ascending budget.
+    /// Grid cells, grouped by loss rate then ascending budget.
     pub cells: Vec<RobustnessCell>,
 }
 
-/// Run the sweep: for each loss rate build a fresh simulated Internet with
-/// that fault level, then run the campaign once per retry budget.
-///
-/// The ingress database (the weekly background measurement of §4.3) is
-/// built once per loss rate with the most generous budget in the sweep, so
-/// every budget arm sees the same background data and the cells isolate
-/// the on-demand measurement path.
-pub fn run(base: SimConfig, scale: EvalScale, losses: &[f64], budgets: &[u32]) -> RobustnessReport {
-    let bg_budget = budgets.iter().copied().max().unwrap_or(1);
-    let mut cells = Vec::new();
-    for &loss in losses {
-        let mut cfg = base.clone();
-        cfg.faults.probe_loss = loss;
-        let ctx = EvalContext::new(cfg, scale);
-        let bg = ctx
-            .prober()
-            .with_retry_policy(RetryPolicy::uniform(bg_budget));
-        let ingress = Arc::new(ctx.build_ingress(&bg, Heuristics::FULL));
-        let workload = ctx.workload();
-        let oracle = ctx.sim.oracle();
-        for &attempts in budgets {
-            // Fresh prober per arm: its own cache, counters, and clock, so
-            // arms never warm each other's caches.
-            let prober = ctx
-                .prober()
-                .with_retry_policy(RetryPolicy::uniform(attempts));
-            let system = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
-            let before = prober.counters().snapshot();
-            let (mut complete, mut sound, mut compared) = (0usize, 0usize, 0usize);
-            let mut batches = Vec::with_capacity(workload.len());
-            let mut durations = Vec::with_capacity(workload.len());
-            for &(dst, src) in &workload {
-                let r = system.measure(dst, src);
-                batches.push(f64::from(r.stats.batches));
-                durations.push(r.stats.duration_s);
-                if !r.complete() {
-                    continue;
-                }
-                complete += 1;
-                let Some(truth) = oracle.true_as_path(dst, src) else {
-                    continue;
-                };
-                compared += 1;
-                let mut measured: Vec<_> = r.addrs().filter_map(|a| oracle.true_as_of(a)).collect();
-                measured.dedup();
-                if measured.iter().all(|a| truth.contains(a)) {
-                    sound += 1;
-                }
-            }
-            let d = prober.counters().snapshot().since(&before);
-            cells.push(RobustnessCell {
-                loss,
-                attempts,
-                attempted: workload.len(),
-                complete,
-                sound,
-                compared,
-                median_batches: Distribution::new(batches).median(),
-                median_duration_s: Distribution::new(durations).median(),
-                retries: d.retries,
-                lost: d.lost,
-            });
-        }
-    }
+/// Run every cell of `scale`'s grid under `seed`, one campaign at a time.
+pub fn run(scale: Scale, seed: u64) -> RobustnessReport {
+    let grid = Grid::of(scale);
+    let cells = grid
+        .losses
+        .iter()
+        .flat_map(|&loss| grid.budgets.iter().map(move |&budget| (loss, budget)))
+        .map(|(loss, budget)| {
+            RobustnessCell::of(&Campaign::faulted(scale, seed, loss, budget).run())
+        })
+        .collect();
     RobustnessReport { cells }
 }
 
-/// The smoke sweep (tiny topology; tests and quick looks).
-pub fn smoke() -> RobustnessReport {
-    run(SimConfig::tiny(), EvalScale::smoke(), &[0.0, 0.25], &[1, 3])
-}
-
-/// The reproduction sweep (paper-era topology).
-pub fn standard() -> RobustnessReport {
-    run(
-        SimConfig::era_2020(),
-        EvalScale::standard(),
-        &[0.0, 0.1, 0.3],
-        &[1, 3],
-    )
-}
-
 impl RobustnessReport {
-    /// Render the sweep as a table.
+    /// Render the grid as a table.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "Robustness: coverage/accuracy under injected probe loss",
@@ -168,7 +141,7 @@ impl RobustnessReport {
                 format!("{:.2}", c.loss),
                 c.attempts.to_string(),
                 format!("{:.1}", 100.0 * c.coverage()),
-                c.complete.to_string(),
+                c.score.complete.to_string(),
                 c.attempted.to_string(),
                 format!("{:.1}", 100.0 * c.accuracy()),
                 format!("{:.1}", c.median_batches),
@@ -213,22 +186,35 @@ impl RobustnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{default_policy, Report};
+
+    #[test]
+    fn cells_are_the_report_of_the_same_campaign() {
+        let report = run(Scale::Smoke, 1);
+        assert_eq!(report.cells.len(), 4);
+        for c in &report.cells {
+            let run = Campaign::faulted(Scale::Smoke, 1, c.loss, c.attempts).run();
+            let judged = Report::new(&run, &default_policy(Scale::Smoke));
+            assert_eq!(c.coverage(), judged.value("coverage"), "{c:?}");
+            assert_eq!(c.accuracy(), judged.value("accuracy"), "{c:?}");
+        }
+        // Fault-free, the retry budget is inert: every column but the
+        // budget itself is equal (no losses, no retry probes).
+        let clean1 = report.cell(0.0, 1).expect("cell");
+        let clean3 = report.cell(0.0, 3).expect("cell");
+        assert_eq!(
+            *clean1,
+            RobustnessCell {
+                attempts: 1,
+                ..*clean3
+            }
+        );
+        assert_eq!((clean1.retries, clean1.lost), (0, 0));
+    }
 
     #[test]
     fn retries_recover_coverage_under_loss() {
-        let report = smoke();
-        assert_eq!(report.cells.len(), 4);
-
-        // Fault-free: retries are free (no losses, no retry probes) and
-        // coverage is identical whatever the budget.
-        let clean1 = report.cell(0.0, 1).expect("cell");
-        let clean3 = report.cell(0.0, 3).expect("cell");
-        assert_eq!(clean1.complete, clean3.complete);
-        assert_eq!(clean1.retries, 0);
-        assert_eq!(clean3.retries, 0);
-        assert_eq!(clean1.lost, 0);
-        assert_eq!(clean3.lost, 0);
-
+        let report = run(Scale::Smoke, 1);
         // Lossy: faults actually bite…
         let lossy1 = report.cell(0.25, 1).expect("cell");
         let lossy3 = report.cell(0.25, 3).expect("cell");
@@ -244,7 +230,7 @@ mod tests {
         );
         // Accuracy of the surviving paths stays sound where compared.
         for c in &report.cells {
-            if c.compared > 0 {
+            if c.score.compared > 0 {
                 assert!(c.accuracy() >= 0.5, "accuracy collapsed: {c:?}");
             }
         }

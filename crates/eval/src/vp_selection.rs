@@ -12,6 +12,7 @@
 use crate::context::EvalContext;
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
+use revtr::config::BATCH_SIZE;
 use revtr::extract_reverse_hops;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::Prober;
@@ -86,10 +87,6 @@ pub struct VpSelectionReport {
     /// Table 5 rows: (label, fraction of prefixes with an in-range VP
     /// among the technique's planned VPs).
     pub table5_rows: Vec<(String, f64)>,
-    /// First-batch composition per technique (first `batch` entries of the
-    /// plan; for the ingress technique this is the closest VP of the top
-    /// ingresses, as in §4.3).
-    pub batch_size: usize,
     /// §4.3 candidate-stability check: (stable prefixes, evaluated
     /// prefixes) — the paper's 87.2% figure.
     pub stability: (usize, usize),
@@ -229,7 +226,6 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         prefixes,
         plans,
         table5_rows,
-        batch_size: 3,
         stability,
     }
 }
@@ -272,7 +268,9 @@ impl VpSelectionReport {
         f
     }
 
-    /// Fig. 6b: hops uncovered by the first batch (size 3), per technique.
+    /// Fig. 6b: hops uncovered by the first batch ([`BATCH_SIZE`]), per
+    /// technique. For the ingress technique that batch is the closest VP
+    /// of the top ingresses, as in §4.3.
     pub fn fig6b(&self) -> Figure {
         let mut f = Figure::new(
             "Figure 6b: reverse hops uncovered by first batch, per technique",
@@ -294,7 +292,7 @@ impl VpSelectionReport {
                 .iter()
                 .map(|p| {
                     let pl = &plan[&p.prefix];
-                    p.first_batch_revealed(&pl[..pl.len().min(self.batch_size)]) as f64
+                    p.first_batch_revealed(&pl[..pl.len().min(BATCH_SIZE)]) as f64
                 })
                 .collect();
             f.series(label, self.ccdf_hops(samples));
@@ -314,7 +312,7 @@ impl VpSelectionReport {
             let samples: Vec<f64> = self
                 .prefixes
                 .iter()
-                .map(|p| p.spoofers_tried(&plan[&p.prefix], self.batch_size) as f64)
+                .map(|p| p.spoofers_tried(&plan[&p.prefix], BATCH_SIZE) as f64)
                 .collect();
             f.series(label, Distribution::new(samples).ccdf_series(&xs));
         }

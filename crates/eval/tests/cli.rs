@@ -15,15 +15,13 @@ fn exit_code(args: &[&str]) -> i32 {
     run(args).status.code().expect("exit code")
 }
 
-const COMMANDS: [&str; 9] = [
+const COMMANDS: [&str; 7] = [
     "topology",
     "measure",
     "reproduce",
-    "robustness",
     "audit",
     "report",
     "scenario",
-    "economy",
     "loadtest",
 ];
 
@@ -60,15 +58,14 @@ fn bad_flag_values_exit_two() {
     assert_eq!(exit_code(&["audit", "--seed", "-1"]), 2);
     assert_eq!(exit_code(&["report", "--scale", "huge"]), 2);
     assert_eq!(exit_code(&["measure", "--engine", "3"]), 2);
-    assert_eq!(exit_code(&["audit", "--stop-sets", "maybe"]), 2);
-    assert_eq!(exit_code(&["economy", "--min-cut", "1.5"]), 2);
-    assert_eq!(exit_code(&["economy", "--tol-quality", "-0.1"]), 2);
+    // `audit` runs both stop-set arms: there is no arm to pick.
+    assert_eq!(exit_code(&["audit", "--stop-sets", "on"]), 2);
     assert_eq!(exit_code(&["loadtest", "--pattern", "tsunami"]), 2);
     // The stream length is a constant: `--duration` is an unknown flag.
     assert_eq!(exit_code(&["loadtest", "--duration", "18"]), 2);
     assert_eq!(exit_code(&["loadtest", "--scale", "huge"]), 2);
     // Scale names are exact everywhere: no silent smoke fallback.
-    for cmd in ["report", "economy", "scenario", "loadtest", "robustness"] {
+    for cmd in ["report", "audit", "scenario", "loadtest", "reproduce"] {
         assert_eq!(exit_code(&[cmd, "--scale", "Standard"]), 2, "{cmd}");
     }
 }
@@ -102,6 +99,8 @@ fn usage_lists_exactly_the_subcommands_and_retired_ones_are_unknown() {
         "metrics",
         "profile",
         "monitor",
+        "economy",
+        "robustness",
     ] {
         let out = run(&[retired]);
         assert_eq!(out.status.code(), Some(2), "{retired} still runs");
