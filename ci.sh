@@ -179,6 +179,24 @@ for seed in 1 7 42; do
     | tail -n 1
 done
 
+# Paper-reproduction gate: every experiment builds its own world from
+# (scale, seed), so the standard reproduction is a pure function of its
+# seed. Two processes must print byte-identical tables and save
+# byte-identical TSVs; the seed-1 text is the committed golden
+# crates/eval/tests/goldens/reproduce_standard1.txt, and the paper's shapes
+# (Table 4's ingress cut, Fig. 5b's coverage band, Table 2's gap, Fig. 14's
+# U, Fig. 5c's medians, retries under loss) hold at seeds {1, 7, 42}.
+echo "== reproduction gate (release, standard: two-process identity, golden seed 1, shapes seeds 1/7/42) =="
+repro_dir=$(mktemp -d)
+for run in a b; do
+  ./target/release/revtr-cli reproduce --scale standard --out "$repro_dir/$run" \
+    > "$repro_dir/$run.txt" 2> /dev/null
+done
+cmp "$repro_dir/a.txt" "$repro_dir/b.txt"
+diff -r "$repro_dir/a" "$repro_dir/b"
+rm -rf "$repro_dir"
+cargo test -q --release -p revtr-eval --test reproduction -- --ignored
+
 # Standard-scale golden (seed 42): TSV bytes, campaign fingerprints and
 # the rendered report (every ledger, stack, derived value and verdict)
 # pinned under crates/eval/tests/goldens/standard42.

@@ -508,13 +508,22 @@ impl<'s> RevtrSystem<'s> {
         if let Some(m) = self.alias_index.read().get(&src) {
             return m.clone();
         }
+        // An id seen at several atlas positions keeps the lowest
+        // `(trace, hop)`: the atlas index is a `HashMap`, so "the first one
+        // walked" would differ from one process to the next.
         let mut m: HashMap<u64, Intersection> = HashMap::new();
         for (addr, inter) in atlas.indexed_addrs() {
             for id in [self.resolver.snmp_id(addr), self.resolver.midar_id(addr)]
                 .into_iter()
                 .flatten()
             {
-                m.entry(id).or_insert(inter);
+                m.entry(id)
+                    .and_modify(|kept| {
+                        if (inter.trace, inter.hop) < (kept.trace, kept.hop) {
+                            *kept = inter;
+                        }
+                    })
+                    .or_insert(inter);
             }
         }
         let m = Arc::new(m);
@@ -1171,5 +1180,50 @@ mod tests {
         let dst = a(5);
         let slots = [a(1), dst, a(9), a(9)];
         assert_eq!(extract_reverse_hops(&slots, dst), Some(&[a(9), a(9)][..]));
+    }
+
+    #[test]
+    fn alias_index_keeps_the_lowest_intersection_per_id() {
+        // Two identical worlds in one process: their atlas indices are
+        // `HashMap`s with different `RandomState` keys, so they walk in
+        // different orders, and the index must not follow either walk.
+        use revtr_atlas::select_atlas_probes;
+        use revtr_netsim::SimConfig;
+        use revtr_vpselect::Heuristics;
+        use std::collections::BTreeMap;
+        let index = || {
+            let sim = Sim::build(SimConfig::tiny(), 5);
+            let prober = Prober::new(&sim);
+            let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+            let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+            let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+            let mut cfg = EngineConfig::revtr1();
+            cfg.atlas_size = 60;
+            let pool = select_atlas_probes(&sim, 120, 9);
+            let sys = RevtrSystem::new(prober, cfg, vps.clone(), ingress, pool);
+            let atlas = sys.atlas(vps[0]);
+            let mut seen: BTreeMap<u64, Vec<(usize, usize)>> = BTreeMap::new();
+            for (addr, i) in atlas.indexed_addrs() {
+                for id in [sys.resolver.snmp_id(addr), sys.resolver.midar_id(addr)]
+                    .into_iter()
+                    .flatten()
+                {
+                    seen.entry(id).or_default().push((i.trace, i.hop));
+                }
+            }
+            assert!(
+                seen.values().any(|at| at.iter().min() != at.iter().max()),
+                "no alias id has two atlas positions: nothing to choose"
+            );
+            let kept: BTreeMap<u64, (usize, usize)> = (sys.alias_index_for(vps[0], &atlas).iter())
+                .map(|(&id, i)| (id, (i.trace, i.hop)))
+                .collect();
+            let lowest: BTreeMap<u64, (usize, usize)> = (seen.into_iter())
+                .map(|(id, at)| (id, at.into_iter().min().expect("seen at least once")))
+                .collect();
+            assert_eq!(kept, lowest);
+            kept
+        };
+        assert_eq!(index(), index());
     }
 }

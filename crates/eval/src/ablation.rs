@@ -1,14 +1,17 @@
 //! Table 4 + Fig. 5c + §5.2.4: probe counts, latency, and throughput
 //! across the component ablation ladder
 //! `revtr 2.0 = revtr 1.0 + ingress + cache − TS + RR atlas`.
+//!
+//! Each ladder step is one [`Campaign`] on its named preset, over the
+//! standard workload in a world of its own; a row reads the run's probe
+//! delta and results. Sources bootstrap inside the run, so a source's
+//! first request carries its atlas build's time (its atlas traceroutes and
+//! RR pings are not the option probes Table 4 counts).
 
-use crate::context::EvalContext;
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::{Figure, Table};
 use crate::stats::Distribution;
 use revtr::EngineConfig;
-use revtr_netsim::Addr;
-use revtr_vpselect::IngressDb;
-use std::sync::Arc;
 
 /// One ladder row's measurements.
 #[derive(Clone, Debug)]
@@ -32,6 +35,21 @@ pub struct AblationRow {
 }
 
 impl AblationRow {
+    /// Read the row of the preset labelled `name` off its campaign run.
+    pub fn of(name: &str, run: &CampaignRun) -> AblationRow {
+        let p = &run.probes;
+        AblationRow {
+            name: name.to_string(),
+            rr: p.rr,
+            spoof_rr: p.spoof_rr,
+            ts: p.ts,
+            spoof_ts: p.spoof_ts,
+            durations: run.results.iter().map(|r| r.stats.duration_s).collect(),
+            completed: run.results.iter().filter(|r| r.complete()).count(),
+            attempted: run.workload.len(),
+        }
+    }
+
     /// Table 4's "Total" (option-carrying probes).
     pub fn total(&self) -> u64 {
         self.rr + self.spoof_rr + self.ts + self.spoof_ts
@@ -65,59 +83,17 @@ pub struct AblationReport {
     pub rows: Vec<AblationRow>,
 }
 
-/// Run the Table 4 workload under every ladder config.
-///
-/// Each config gets a fresh prober (fresh counters, cache, and atlases) so
-/// rows are independent; the expensive ingress database is shared, exactly
-/// as the background measurements are shared in the real system.
-pub fn run(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-) -> AblationReport {
-    let mut rows = Vec::new();
-    for (name, cfg) in EngineConfig::table4_ladder() {
-        rows.push(run_config(ctx, ingress, workload, name, cfg));
-    }
+/// Run every ladder preset's campaign, one at a time.
+pub fn run(scale: Scale, seed: u64) -> AblationReport {
+    let rows = (EngineConfig::table4_ladder().into_iter())
+        .map(|(name, engine)| {
+            AblationRow::of(
+                name,
+                &Campaign::clean(scale, seed).with_engine(engine).run(),
+            )
+        })
+        .collect();
     AblationReport { rows }
-}
-
-/// Run one configuration over the workload.
-pub fn run_config(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-    name: &str,
-    cfg: EngineConfig,
-) -> AblationRow {
-    let prober = ctx.prober();
-    let system = ctx.build_system(prober.clone(), cfg, ingress.clone());
-    // Pre-register sources so atlas construction (background budget) stays
-    // out of the per-measurement accounting.
-    for &(_, src) in workload {
-        system.register_source(src);
-    }
-    let before = prober.counters().snapshot();
-    let mut durations = Vec::with_capacity(workload.len());
-    let mut completed = 0;
-    for &(dst, src) in workload {
-        let r = system.measure(dst, src);
-        durations.push(r.stats.duration_s);
-        if r.complete() {
-            completed += 1;
-        }
-    }
-    let d = prober.counters().snapshot().since(&before);
-    AblationRow {
-        name: name.to_string(),
-        rr: d.rr,
-        spoof_rr: d.spoof_rr,
-        ts: d.ts,
-        spoof_ts: d.spoof_ts,
-        durations,
-        completed,
-        attempted: workload.len(),
-    }
 }
 
 impl AblationReport {
@@ -200,16 +176,10 @@ impl AblationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_probing::Prober;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn ladder_shapes_hold_on_smoke_scale() {
-        let ctx = EvalContext::smoke();
-        let prober = Prober::new(&ctx.sim);
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let report = run(&ctx, &ingress, &workload);
+        let report = run(Scale::Smoke, 1);
         assert_eq!(report.rows.len(), 5);
         let by_name: std::collections::HashMap<&str, &AblationRow> =
             report.rows.iter().map(|r| (r.name.as_str(), r)).collect();

@@ -8,15 +8,59 @@
 //! registry IP-to-AS mapping. The "router optimistic" line counts
 //! unresolvable direct hops as matches; "forward record route" calibrates
 //! how hard RR-vs-traceroute alignment is even for known-correct paths.
+//!
+//! Each system is one preset's [`Campaign`], and its [`ground_truth`] is
+//! probed in the run's own world after the run. The one arm that is no
+//! preset — revtr 2.0 + TS fed the oracle's router adjacencies (Appx.
+//! D.1's upper bound) — dispatches its campaign in a world of its own.
 
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::context::EvalContext;
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
-use revtr::{extract_reverse_hops, EngineConfig, RevtrResult};
+use revtr::{extract_reverse_hops, EngineConfig, LoopConfig};
 use revtr_aliasing::{AliasResolver, Ip2As};
-use revtr_netsim::{Addr, AsId};
-use revtr_vpselect::IngressDb;
+use revtr_netsim::{Addr, AsId, TraceResult};
+use revtr_vpselect::Heuristics;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What one measured pair is compared against.
+#[derive(Clone, Debug)]
+pub struct PairTruth {
+    /// The direct traceroute `dst → src`: its responsive hops other than
+    /// `dst` if it reached, else empty.
+    pub direct: Vec<Addr>,
+    /// The forward traceroute `src → dst`, likewise, if it reached.
+    pub forward: Option<Vec<Addr>>,
+    /// The forward RR ping `src → dst`: the slots before `dst`'s stamp, if
+    /// the stamp was located.
+    pub forward_rr: Option<Vec<Addr>>,
+}
+
+/// Probe every pair's ground truth in `run`'s world, pair by pair in
+/// workload order. Probing advances that world's clock, so a run's truth
+/// is taken once, right after the run, before any judge reads it.
+pub fn ground_truth(run: &CampaignRun) -> Vec<PairTruth> {
+    let probe = run.ctx.prober();
+    let hops = |t: Option<TraceResult>, dst: Addr| {
+        t.filter(|t| t.reached).map(|t| {
+            t.responsive_hops()
+                .filter(|&h| h != dst)
+                .collect::<Vec<_>>()
+        })
+    };
+    (run.workload.iter())
+        .map(|&(dst, src)| PairTruth {
+            direct: hops(probe.traceroute_fresh(dst, src), dst).unwrap_or_default(),
+            forward: hops(probe.traceroute_fresh(src, dst), dst),
+            forward_rr: probe
+                .rr_ping(src, dst)
+                .filter(|rr| extract_reverse_hops(&rr.slots, dst).is_some())
+                .map(|rr| rr.slots.iter().copied().take_while(|&s| s != dst).collect()),
+        })
+        .collect()
+}
 
 /// Fraction-of-hops-seen samples for one technique, plus AS-path match
 /// classification.
@@ -53,10 +97,6 @@ pub struct AccuracyReport {
     pub coverage: Vec<(String, usize, usize)>,
 }
 
-fn as_path_of(ip2as: &Ip2As, hops: impl IntoIterator<Item = Addr>) -> Vec<AsId> {
-    ip2as.as_path(hops)
-}
-
 /// Is `sub` a subsequence of `full`?
 fn is_subsequence(sub: &[AsId], full: &[AsId]) -> bool {
     let mut it = full.iter();
@@ -88,8 +128,8 @@ fn score_pair(
         .push(fraction(optimistic, direct_hops.len()));
 
     // AS-level.
-    let direct_as = as_path_of(ip2as, direct_hops.iter().copied());
-    let rev_as = as_path_of(ip2as, revtr_hops.iter().copied());
+    let direct_as = ip2as.as_path(direct_hops.iter().copied());
+    let rev_as = ip2as.as_path(revtr_hops.iter().copied());
     let seen = direct_as.iter().filter(|a| rev_as.contains(a)).count();
     acc.as_level.push(fraction(seen, direct_as.len()));
     if rev_as == direct_as {
@@ -101,133 +141,122 @@ fn score_pair(
     }
 }
 
-/// Run the §5.2 comparison campaign.
-pub fn run(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-) -> AccuracyReport {
-    let resolver = AliasResolver::new(&ctx.sim);
-    let ip2as = Ip2As::new(&ctx.sim);
-
-    let prober_v2 = ctx.prober();
-    let sys2 = ctx.build_system(prober_v2.clone(), EngineConfig::revtr2(), ingress.clone());
-    let prober_v1 = ctx.prober();
-    let sys1 = ctx.build_system(prober_v1.clone(), EngineConfig::revtr1(), ingress.clone());
-    let prober_ts = ctx.prober();
-    let sys2_ts = ctx.build_system(
-        prober_ts.clone(),
-        EngineConfig::revtr2_with_ts(),
-        ingress.clone(),
-    );
-    let prober_tso = ctx.prober();
-    let sys2_ts_oracle = ctx.build_system(
-        prober_tso.clone(),
-        EngineConfig::revtr2_with_ts(),
-        ingress.clone(),
-    );
-
-    // Feed the oracle-adjacency variant perfect adjacency data (Appx. D.1's
-    // upper bound for the TS technique).
-    {
-        let oracle = ctx.sim.oracle();
-        let mut map = std::collections::HashMap::new();
-        for l in &ctx.sim.topo().links {
-            for addr in [l.addr_a, l.addr_b] {
-                map.insert(addr, oracle.router_adjacencies(addr));
-            }
+/// Score `run`'s complete results against its own direct traceroutes.
+pub fn score(run: &CampaignRun, truth: &[PairTruth]) -> TechniqueAccuracy {
+    let resolver = AliasResolver::new(&run.ctx.sim);
+    let ip2as = Ip2As::new(&run.ctx.sim);
+    let mut acc = TechniqueAccuracy::default();
+    for ((&(dst, _), r), t) in run.workload.iter().zip(&run.results).zip(truth) {
+        if r.complete() && !t.direct.is_empty() {
+            let hops: Vec<Addr> = r.addrs().filter(|&h| h != dst).collect();
+            score_pair(&resolver, &ip2as, &t.direct, &hops, &mut acc);
         }
-        sys2_ts_oracle.set_extra_adjacencies(map);
     }
+    acc
+}
 
-    let mut v2 = TechniqueAccuracy::default();
-    let mut v1 = TechniqueAccuracy::default();
-    let mut fwd_rr_router = Vec::new();
-    let mut fwd_rr_as = Vec::new();
-    let (mut done2, mut done1, mut done_ts, mut done_tso) = (0usize, 0, 0, 0);
-    let mut attempted = 0usize;
-
-    let probe = ctx.prober(); // direct traceroutes & forward RR calibration
-
-    for &(dst, src) in workload {
-        attempted += 1;
-        // Direct traceroute dst → src: the approximate ground truth.
-        let direct = probe.traceroute_fresh(dst, src);
-        let direct_hops: Vec<Addr> = match &direct {
-            Some(t) if t.reached => t.responsive_hops().filter(|&h| h != dst).collect(),
-            _ => Vec::new(),
+/// Forward RR calibration, `(router, AS)` samples: one packet `src → dst`
+/// records the true forward path, compared with a traceroute in the same
+/// direction.
+pub fn forward_rr(run: &CampaignRun, truth: &[PairTruth]) -> (Vec<f64>, Vec<f64>) {
+    let resolver = AliasResolver::new(&run.ctx.sim);
+    let ip2as = Ip2As::new(&run.ctx.sim);
+    let (mut router, mut as_level) = (Vec::new(), Vec::new());
+    for t in truth {
+        let (Some(tr_hops), Some(fwd_slots)) = (&t.forward, &t.forward_rr) else {
+            continue;
         };
-
-        let r2: RevtrResult = sys2.measure(dst, src);
-        if r2.complete() {
-            done2 += 1;
-        }
-        let r1 = sys1.measure(dst, src);
-        if r1.complete() {
-            done1 += 1;
-        }
-        if sys2_ts.measure(dst, src).complete() {
-            done_ts += 1;
-        }
-        if sys2_ts_oracle.measure(dst, src).complete() {
-            done_tso += 1;
-        }
-
-        if direct_hops.is_empty() {
+        if tr_hops.is_empty() {
             continue;
         }
-        if r2.complete() {
-            let hops: Vec<Addr> = r2.addrs().filter(|&h| h != dst).collect();
-            score_pair(&resolver, &ip2as, &direct_hops, &hops, &mut v2);
-        }
-        if r1.complete() {
-            let hops: Vec<Addr> = r1.addrs().filter(|&h| h != dst).collect();
-            score_pair(&resolver, &ip2as, &direct_hops, &hops, &mut v1);
-        }
+        let m = (tr_hops.iter())
+            .filter(|&&h| fwd_slots.iter().any(|&s| resolver.hop_match(h, s)))
+            .count();
+        router.push(fraction(m, tr_hops.len()));
+        let tr_as = ip2as.as_path(tr_hops.iter().copied());
+        let rr_as = ip2as.as_path(fwd_slots.iter().copied());
+        let ma = tr_as.iter().filter(|a| rr_as.contains(a)).count();
+        as_level.push(fraction(ma, tr_as.len()));
+    }
+    (router, as_level)
+}
 
-        // Forward RR calibration: one packet src → dst records the true
-        // forward path; compare with a traceroute in the same direction.
-        if let (Some(rr), Some(fwd_tr)) =
-            (probe.rr_ping(src, dst), probe.traceroute_fresh(src, dst))
-        {
-            if fwd_tr.reached && extract_reverse_hops(&rr.slots, dst).is_some() {
-                let fwd_slots: Vec<Addr> =
-                    rr.slots.iter().copied().take_while(|&s| s != dst).collect();
-                let tr_hops: Vec<Addr> = fwd_tr.responsive_hops().filter(|&h| h != dst).collect();
-                if !tr_hops.is_empty() {
-                    let m = tr_hops
-                        .iter()
-                        .filter(|&&h| fwd_slots.iter().any(|&s| resolver.hop_match(h, s)))
-                        .count();
-                    fwd_rr_router.push(fraction(m, tr_hops.len()));
-                    let tr_as = as_path_of(&ip2as, tr_hops.iter().copied());
-                    let rr_as = as_path_of(&ip2as, fwd_slots.iter().copied());
-                    let ma = tr_as.iter().filter(|a| rr_as.contains(a)).count();
-                    fwd_rr_as.push(fraction(ma, tr_as.len()));
-                }
-            }
+/// Fig. 5b's row for the run of the preset labelled `name`:
+/// `(label, complete, attempted)`.
+pub fn coverage(name: &str, run: &CampaignRun) -> (String, usize, usize) {
+    let complete = run.results.iter().filter(|r| r.complete()).count();
+    (name.to_string(), complete, run.workload.len())
+}
+
+/// Fig. 5b's last row: revtr 2.0 + TS fed the oracle's router adjacencies,
+/// dispatched like a campaign over the workload of its own world.
+pub fn ground_truth_adjacency(scale: Scale, seed: u64) -> (String, usize, usize) {
+    let ctx = EvalContext::of(scale, seed);
+    let prober = ctx.prober();
+    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
+    let sys = ctx.build_system(prober, EngineConfig::revtr2_with_ts(), ingress);
+    let oracle = ctx.sim.oracle();
+    let mut map = HashMap::new();
+    for l in &ctx.sim.topo().links {
+        for addr in [l.addr_a, l.addr_b] {
+            map.insert(addr, oracle.router_adjacencies(addr));
         }
     }
+    sys.set_extra_adjacencies(map);
+    let workload = ctx.workload();
+    let results = (sys.run_campaign(&workload, LoopConfig { workers: 1 }))
+        .expect("ground-truth adjacency campaign panicked")
+        .results;
+    let complete = results.iter().filter(|r| r.complete()).count();
+    (
+        "revtr 2.0 + TS + ground truth adj.".to_string(),
+        complete,
+        workload.len(),
+    )
+}
 
-    AccuracyReport {
-        v2,
-        v1,
-        fwd_rr_router,
-        fwd_rr_as,
-        coverage: vec![
-            ("revtr 1.0".into(), done1, attempted),
-            ("revtr 2.0".into(), done2, attempted),
-            ("revtr 2.0 + TS".into(), done_ts, attempted),
-            (
-                "revtr 2.0 + TS + ground truth adj.".into(),
-                done_tso,
-                attempted,
-            ),
-        ],
-    }
+/// revtr 1.0's part of the report, judged on its run (the preset labelled
+/// `name`) against that run's own ground truth: its score and Fig. 5b row.
+pub fn revtr1(name: &str, run: &CampaignRun) -> (TechniqueAccuracy, (String, usize, usize)) {
+    (score(run, &ground_truth(run)), coverage(name, run))
+}
+
+/// Run Fig. 5a/5b and §5.2.2: the revtr 1.0, revtr 2.0 and + TS presets'
+/// campaigns, one at a time, and the ground-truth adjacency arm.
+pub fn run(scale: Scale, seed: u64) -> AccuracyReport {
+    let campaign = |engine| Campaign::clean(scale, seed).with_engine(engine).run();
+    let (v1_score, v1_row) = revtr1("revtr 1.0", &campaign(EngineConfig::revtr1()));
+    let mut report = {
+        let v2 = Campaign::clean(scale, seed).run();
+        AccuracyReport::new(&v2, &ground_truth(&v2), v1_score, v1_row)
+    };
+    let ts = coverage("revtr 2.0 + TS", &campaign(EngineConfig::revtr2_with_ts()));
+    report
+        .coverage
+        .extend([ts, ground_truth_adjacency(scale, seed)]);
+    report
 }
 
 impl AccuracyReport {
+    /// The report of the revtr 2.0 run `v2` (its ground truth `truth`)
+    /// beside revtr 1.0's score and Fig. 5b row; the + TS rows extend
+    /// `coverage` after.
+    pub fn new(
+        v2: &CampaignRun,
+        truth: &[PairTruth],
+        v1: TechniqueAccuracy,
+        v1_row: (String, usize, usize),
+    ) -> AccuracyReport {
+        let (fwd_rr_router, fwd_rr_as) = forward_rr(v2, truth);
+        AccuracyReport {
+            v2: score(v2, truth),
+            v1,
+            fwd_rr_router,
+            fwd_rr_as,
+            coverage: vec![v1_row, coverage("revtr 2.0", v2)],
+        }
+    }
+
     /// Render the Fig. 5a CCDF.
     pub fn fig5a(&self) -> Figure {
         let mut f = Figure::new(
@@ -297,15 +326,10 @@ impl AccuracyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn accuracy_shapes_hold_on_smoke_scale() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let report = run(&ctx, &ingress, &workload);
+        let report = run(Scale::Smoke, 1);
 
         assert!(report.v2.compared > 0, "no pairs compared");
         // AS-level accuracy beats router-level (aliasing is hard).

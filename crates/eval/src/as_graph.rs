@@ -13,15 +13,19 @@
 //!
 //! Correctness is scored against the oracle's true reverse paths;
 //! completeness is the fraction of all ASes for which a technique infers
-//! at least one link toward the source.
+//! at least one link toward the source. The experiment runs in a world of
+//! its own: one revtr 2.0 campaign over every (sampled destination,
+//! source) pair, then the forward and Atlas traceroutes and the oracle's
+//! paths, all taken after the campaign.
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::Table;
 use crate::stats::fraction;
-use revtr::EngineConfig;
+use revtr::{EngineConfig, LoopConfig};
 use revtr_aliasing::Ip2As;
-use revtr_netsim::AsId;
-use revtr_vpselect::IngressDb;
+use revtr_netsim::{Addr, AsId};
+use revtr_vpselect::Heuristics;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -92,10 +96,30 @@ fn record_path(
     }
 }
 
-/// Run the Table 3 comparison.
-pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> AsGraphReport {
+/// Run the Table 3 comparison in the world of `(scale, seed)`.
+pub fn run(scale: Scale, seed: u64) -> AsGraphReport {
+    run_in(&EvalContext::of(scale, seed))
+}
+
+fn run_in(ctx: &EvalContext) -> AsGraphReport {
     let prober = ctx.prober();
-    let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
+    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
+    let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress);
+    let sources = ctx.sources();
+    let dests: Vec<Addr> = (ctx.sampled_prefixes().into_iter())
+        .filter_map(|p| ctx.responsive_dest_in(p))
+        .collect();
+    let pairs: Vec<(Addr, Addr)> = (sources.iter())
+        .flat_map(|&src| {
+            dests
+                .iter()
+                .filter(move |&&d| d != src)
+                .map(move |&d| (d, src))
+        })
+        .collect();
+    let results = (sys.run_campaign(&pairs, LoopConfig { workers: 1 }))
+        .expect("Table 3 campaign panicked")
+        .results;
     let ip2as = Ip2As::new(&ctx.sim);
     let oracle = ctx.sim.oracle();
     let atlas_probes = ctx.atlas_pool();
@@ -104,24 +128,17 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> AsGraphReport {
     let mut atlas = TechniqueGraph::default();
     let mut fwd_sym = TechniqueGraph::default();
 
-    for &src in &ctx.sources() {
+    for &src in &sources {
         let mut cov_r = HashSet::new();
         let mut cov_a = HashSet::new();
         let mut cov_f = HashSet::new();
 
-        for p in ctx.sampled_prefixes() {
-            let Some(dst) = ctx.responsive_dest_in(p) else {
-                continue;
-            };
-            if dst == src {
-                continue;
-            }
+        for (&(dst, _), r) in pairs.iter().zip(&results).filter(|(p, _)| p.1 == src) {
             let Some(truth) = oracle.true_as_path(dst, src) else {
                 continue;
             };
 
             // revtr 2.0.
-            let r = sys.measure(dst, src);
             if r.complete() {
                 let path = ip2as.as_path(r.addrs());
                 record_path(&mut revtr, &path, &truth, &mut cov_r);
@@ -221,19 +238,15 @@ impl AsGraphReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn table3_shape_holds_on_smoke_scale() {
         // Mirror the paper's scale ratio: destinations in (almost) every
         // routed prefix versus a much smaller Atlas probe population.
-        let mut scale = crate::context::EvalScale::smoke();
+        let mut scale = Scale::Smoke.eval_scale(1);
         scale.prefix_sample = 70;
         scale.atlas_size = 12;
-        let ctx = EvalContext::new(revtr_netsim::SimConfig::tiny(), scale);
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let report = run(&ctx, &ingress);
+        let report = run_in(&EvalContext::new(Scale::Smoke.sim_config(), scale));
 
         assert!(report.revtr.links_checked > 0, "revtr inferred no links");
         assert!(report.atlas.links_checked > 0, "atlas inferred no links");

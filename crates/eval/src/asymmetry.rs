@@ -2,19 +2,18 @@
 //! Table 7.
 //!
 //! Bidirectional campaign: forward traceroute `src → dst` paired with a
-//! revtr 2.0 reverse traceroute `dst → src`. Path symmetry is quantified
+//! revtr 2.0 reverse traceroute `dst → src` — the revtr 2.0 campaign and
+//! the forward traceroutes of its ground truth. Path symmetry is quantified
 //! as the paper does: the fraction of forward-traceroute hops also on the
 //! reverse traceroute, at router and AS granularity.
 
-use crate::context::EvalContext;
+use crate::accuracy::{ground_truth, PairTruth};
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
-use revtr::EngineConfig;
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_netsim::{Addr, AsId, AsTier};
-use revtr_vpselect::IngressDb;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One bidirectional measurement pair.
 #[derive(Clone, Debug)]
@@ -38,6 +37,13 @@ impl PairRecord {
     pub fn symmetric_as(&self) -> bool {
         self.frac_as >= 1.0 - 1e-9
     }
+
+    /// Asymmetric under de Vries et al.'s definition: the reversed reverse
+    /// AS path differs from the forward one at all (Appx. G.3).
+    pub fn edit_asymmetric(&self) -> bool {
+        let rev: Vec<AsId> = self.rev_as.iter().rev().copied().collect();
+        edit_distance(&self.fwd_as, &rev) > 0
+    }
 }
 
 /// The asymmetry study report.
@@ -54,38 +60,31 @@ pub struct AsymmetryReport {
     pub tier1: Vec<AsId>,
 }
 
-/// Run the bidirectional campaign.
-pub fn run(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-) -> AsymmetryReport {
-    let prober = ctx.prober();
-    let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
-    let resolver = AliasResolver::new(&ctx.sim);
-    let ip2as = Ip2As::new(&ctx.sim);
-    let rels = RelationshipDb::new(&ctx.sim);
+/// Run the revtr 2.0 campaign and judge it.
+pub fn run(scale: Scale, seed: u64) -> AsymmetryReport {
+    let run = Campaign::clean(scale, seed).run();
+    judge(&run, &ground_truth(&run))
+}
+
+/// Pair every complete reverse path of `run` with its forward traceroute.
+pub fn judge(run: &CampaignRun, truth: &[PairTruth]) -> AsymmetryReport {
+    let sim = &run.ctx.sim;
+    let resolver = AliasResolver::new(sim);
+    let ip2as = Ip2As::new(sim);
+    let rels = RelationshipDb::new(sim);
 
     let mut pairs = Vec::new();
     let mut participation: HashMap<AsId, (usize, usize, AsTier)> = HashMap::new();
     let mut asymmetric_pairs = 0usize;
 
-    for &(dst, src) in workload {
-        let Some(fwd) = prober.traceroute_fresh(src, dst) else {
+    for (rev, t) in run.results.iter().zip(truth) {
+        let Some(fwd_hops) = &t.forward else {
             continue;
         };
-        if !fwd.reached {
+        if !rev.complete() || fwd_hops.is_empty() {
             continue;
         }
-        let rev = sys.measure(dst, src);
-        if !rev.complete() {
-            continue;
-        }
-        let fwd_hops: Vec<Addr> = fwd.responsive_hops().filter(|&h| h != dst).collect();
         let rev_hops: Vec<Addr> = rev.addrs().collect();
-        if fwd_hops.is_empty() {
-            continue;
-        }
         let matched = fwd_hops
             .iter()
             .filter(|&&h| rev_hops.iter().any(|&r| resolver.hop_match(h, r)))
@@ -123,18 +122,14 @@ pub fn run(
             for a in involved {
                 let e = participation
                     .entry(a)
-                    .or_insert_with(|| (0, rels.cone_size(a), ctx.sim.topo().asn(a).tier));
+                    .or_insert_with(|| (0, rels.cone_size(a), sim.topo().asn(a).tier));
                 e.0 += 1;
             }
         }
         pairs.push(rec);
     }
 
-    let tier1 = ctx
-        .sim
-        .topo()
-        .ases
-        .iter()
+    let tier1 = (sim.topo().ases.iter())
         .filter(|a| a.tier == AsTier::Tier1)
         .map(|a| a.id)
         .collect();
@@ -208,8 +203,9 @@ impl AsymmetryReport {
                 _ => other.push(pt),
             }
         }
+        // `participation` is a `HashMap`: ties on x must not keep its order.
         for v in [&mut t1, &mut nren, &mut other] {
-            v.sort_by(|a, b| a.0.total_cmp(&b.0));
+            v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         }
         f.series("Tier-1s", t1);
         f.series("NRENs", nren);
@@ -224,7 +220,7 @@ impl AsymmetryReport {
             .iter()
             .map(|(&a, &(count, cone, tier))| (a, count, cone, tier))
             .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse((r.1, r.2)));
+        rows.sort_by_key(|r| (std::cmp::Reverse((r.1, r.2)), r.0));
         let mut t = Table::new(
             "Table 7: ASes most frequently involved in path asymmetry",
             &["Rank", "AS", "Prevalence", "Tier", "Customer cone"],
@@ -336,15 +332,7 @@ impl AsymmetryReport {
         );
         let total = self.pairs.len();
         let containment = self.pairs.iter().filter(|p| !p.symmetric_as()).count();
-        let edit = self
-            .pairs
-            .iter()
-            .filter(|p| {
-                let mut rev = p.rev_as.clone();
-                rev.reverse();
-                edit_distance(&p.fwd_as, &rev) > 0
-            })
-            .count();
+        let edit = self.pairs.iter().filter(|p| p.edit_asymmetric()).count();
         t.row(&[
             "containment (this paper): some forward AS missing from reverse".to_string(),
             containment.to_string(),
@@ -362,7 +350,6 @@ impl AsymmetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn edit_distance_basics() {
@@ -374,45 +361,55 @@ mod tests {
     }
 
     #[test]
-    fn edit_definition_is_stricter_than_containment() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let report = run(&ctx, &ingress, &workload);
-        let t = report.definition_comparison();
-        assert_eq!(t.len(), 2);
-        // Every containment-asymmetric pair is edit-asymmetric, so the
-        // edit-distance fraction is at least as large (the G.3 explanation
-        // for 87% vs 47%).
-        let containment = report.pairs.iter().filter(|p| !p.symmetric_as()).count();
-        let edit = report
-            .pairs
-            .iter()
-            .filter(|p| {
-                let mut rev = p.rev_as.clone();
-                rev.reverse();
-                edit_distance(&p.fwd_as, &rev) > 0
-            })
-            .count();
-        assert!(edit >= containment);
+    fn ties_in_fig8b_and_table7_break_on_value_and_as_id() {
+        // Twenty ASes with one cone size: Fig. 8b ties on x everywhere, and
+        // the first ten also tie on (count, cone) in Table 7.
+        let participation: HashMap<AsId, (usize, usize, AsTier)> = (0..20u32)
+            .map(|i| (AsId(100 - i), ((i as usize % 10).max(5), 7, AsTier::Stub)))
+            .collect();
+        let report = AsymmetryReport {
+            pairs: Vec::new(),
+            participation,
+            asymmetric_pairs: 40,
+            tier1: Vec::new(),
+        };
+        let other = &report.fig8b().series[2].points;
+        assert_eq!(other.len(), 20);
+        assert!(other
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
+        let ranked: Vec<String> = report
+            .table7(20)
+            .to_tsv()
+            .lines()
+            .skip(1)
+            .map(|l| l.split('\t').nth(1).expect("AS column").to_string())
+            .collect();
+        // Two ASes each at counts 9, 8, 7 and 6, then twelve at count 5:
+        // within a count, ascending AS id.
+        let want: Vec<String> = [
+            81u32, 91, 82, 92, 83, 93, 84, 94, 85, 86, 87, 88, 89, 90, 95, 96, 97, 98, 99, 100,
+        ]
+        .into_iter()
+        .map(|a| AsId(a).to_string())
+        .collect();
+        assert_eq!(ranked, want);
     }
 
     #[test]
     fn asymmetry_study_on_smoke_scale() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let report = run(&ctx, &ingress, &workload);
+        let report = run(Scale::Smoke, 1);
         assert!(!report.pairs.is_empty(), "no bidirectional pairs measured");
 
         // Asymmetry exists: not every pair is AS-symmetric.
         let sym = report.as_symmetric_fraction();
         assert!(sym > 0.0, "no symmetric pair at all is suspicious");
-        // Router-level symmetry never exceeds AS-level for a pair.
+        // Router-level symmetry never exceeds AS-level for a pair, and every
+        // containment-asymmetric pair is edit-asymmetric (the G.3
+        // explanation for 87% vs 47%).
         for p in &report.pairs {
             assert!(p.frac_router <= p.frac_as + 1e-9);
+            assert!(p.symmetric_as() || p.edit_asymmetric());
             assert_eq!(p.fwd_as_on_reverse.len(), p.fwd_as.len());
         }
         // Renders.
@@ -426,5 +423,6 @@ mod tests {
             2,
             "fig12 must carry AS + router series"
         );
+        assert_eq!(report.definition_comparison().len(), 2);
     }
 }

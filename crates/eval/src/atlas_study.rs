@@ -10,8 +10,12 @@
 //! * Fig. 9d runs revtr 2.0 over a churning day and checks each
 //!   intersected atlas trace against a fresh re-measurement, classifying
 //!   stale intersections (hop gone, or AS path after the intersection
-//!   changed).
+//!   changed). It is the one experiment that measures request by request:
+//!   its method spreads the workload across a virtual day of churn.
+//!
+//! Each study runs in a world of its own.
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::Figure;
 use crate::stats::fraction;
@@ -20,7 +24,7 @@ use rand::rngs::StdRng;
 use revtr::EngineConfig;
 use revtr_aliasing::Ip2As;
 use revtr_netsim::Addr;
-use revtr_vpselect::IngressDb;
+use revtr_vpselect::Heuristics;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -142,8 +146,16 @@ pub struct AtlasStudyReport {
     pub fig9c: Figure,
 }
 
-/// Run the Figs. 9a–c study on collected split data.
-pub fn run_selection_study(data: &SplitData, seed: u64) -> AtlasStudyReport {
+/// Run Figs. 9a–c in the world of `(scale, seed)`: split traceroutes
+/// toward three sources.
+pub fn run_selection(scale: Scale, seed: u64) -> AtlasStudyReport {
+    let ctx = EvalContext::of(scale, seed);
+    let split = collect_split(&ctx, (ctx.scale.atlas_size * 2).min(600), 3);
+    selection_study(&split, seed)
+}
+
+/// The Figs. 9a–c study on collected split data.
+pub fn selection_study(data: &SplitData, seed: u64) -> AtlasStudyReport {
     let n = data.candidates.len();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xa7a5);
     let mut shuffled: Vec<usize> = (0..n).collect();
@@ -293,11 +305,14 @@ impl StalenessReport {
     }
 }
 
-/// Run the Fig. 9d staleness experiment: revtrs spread over 24 virtual
-/// hours of route churn, each intersected trace re-verified immediately.
-pub fn run_staleness(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> StalenessReport {
+/// Run the Fig. 9d staleness experiment in the world of `(scale, seed)`:
+/// revtrs spread over 24 virtual hours of route churn, each intersected
+/// trace re-verified immediately.
+pub fn run_staleness(scale: Scale, seed: u64) -> StalenessReport {
+    let ctx = EvalContext::of(scale, seed);
     let prober = ctx.prober();
-    let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
+    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
+    let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress);
     let ip2as = Ip2As::new(&ctx.sim);
     let workload = ctx.workload();
     let n = workload.len().max(1);
@@ -349,7 +364,6 @@ pub fn run_staleness(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> StalenessRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn saved_fraction_semantics() {
@@ -365,10 +379,10 @@ mod tests {
 
     #[test]
     fn optimal_beats_or_matches_random() {
-        let ctx = EvalContext::smoke();
+        let ctx = EvalContext::of(Scale::Smoke, 1);
         let data = collect_split(&ctx, 25, 2);
         assert!(data.candidates.len() >= 10, "too few candidate traces");
-        let report = run_selection_study(&data, 7);
+        let report = selection_study(&data, 7);
 
         // At every atlas size, optimal-revtr ≥ random (same xs by
         // construction).
@@ -404,14 +418,7 @@ mod tests {
 
     #[test]
     fn staleness_experiment_runs_and_is_bounded() {
-        let mut ctx = EvalContext::smoke();
-        // Boost churn so a smoke-sized day shows staleness.
-        let mut cfg = revtr_netsim::SimConfig::tiny();
-        cfg.behavior.churn_per_hour = 0.05;
-        ctx = EvalContext::new(cfg, ctx.scale);
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let report = run_staleness(&ctx, &ingress);
+        let report = run_staleness(Scale::Smoke, 1);
         assert!(report.intersected > 0, "nothing intersected the atlas");
         let f = report.cumulative_stale_fraction();
         assert!((0.0..=1.0).contains(&f));

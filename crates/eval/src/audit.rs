@@ -68,10 +68,7 @@ impl AuditReport {
 /// carry the original probe's provenance, so the auditor re-derives every
 /// reused step against the oracle exactly like a fresh one.
 pub fn judge(run: &CampaignRun) -> AuditReport {
-    let auditor = Auditor::new(
-        &run.ctx.sim,
-        run.campaign.engine_config().registry_only_ip2as,
-    );
+    let auditor = Auditor::new(&run.ctx.sim, run.campaign.engine.registry_only_ip2as);
     let mut summary = AuditSummary::default();
     let mut failures = Vec::new();
     for (&(dst, src), r) in run.workload.iter().zip(&run.results) {

@@ -20,8 +20,10 @@
 //!
 //! `audit` runs the clean campaign with stop sets off and then on, and
 //! judges each run twice: the stitch-trace audit and one arm of the
-//! probe-economy A/B. `reproduce` includes the loss × retry-budget
-//! robustness cells.
+//! probe-economy A/B. `reproduce` runs every paper experiment, each in a
+//! world of its own, and ends with the loss × retry-budget robustness
+//! cells; its standard output is pinned by
+//! `crates/eval/tests/goldens/reproduce_standard1.txt`.
 
 use revtr::{EngineConfig, HopMethod, RevtrSystem};
 use revtr_atlas::select_atlas_probes;
@@ -196,7 +198,7 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
         Err(e) => return flag_err(&e),
     };
     let rep = reproduce::run(scale, DEFAULT_SEED);
-    println!("{}", rep.render());
+    print!("{}", rep.render());
     if let Some(dir) = flags.out_dir() {
         match rep.save_tsvs(dir) {
             Ok(()) => eprintln!("TSVs written to {}", dir.display()),

@@ -1,19 +1,24 @@
-//! The operations harness: one seeded campaign, built and run in one
-//! place, handed to every judge as one artefact.
+//! The harness: one seeded campaign, built and run in one place, handed to
+//! every judge as one artefact.
 //!
 //! The paper reads accuracy, coverage and probe cost off the *same* set of
 //! reverse traceroutes (§5.2, Table 4, Fig. 5). So does this crate:
-//! [`Campaign`] names a run (scale, seed, traffic, fault and engine
-//! knobs), [`Campaign::run_with`] is the only function of the operations
-//! harness that assembles a context, an ingress database and a system and
-//! dispatches the traffic, and the [`CampaignRun`] it returns holds
-//! everything the judges read — `report::Report`, `audit::judge`,
-//! `economy::arm`, `robustness::RobustnessCell::of`, `scenarios::arm`, the
-//! loadtest's arms — each a pure function of `&CampaignRun`. Judging a run
-//! twice, or by two judges in either order, cannot change what either
-//! reports. The extension studies are judged on these runs too: the
-//! stop-set economy is `audit::run`'s pair of clean runs, and every
-//! robustness cell of `reproduce` is one [`Campaign::faulted`] run.
+//! [`Campaign`] names a run (scale, seed, traffic, faults, scenario and a
+//! named engine preset), [`Campaign::run_with`] assembles a world, an
+//! ingress database and a system and dispatches the traffic, and the
+//! [`CampaignRun`] it returns holds everything the judges read.
+//!
+//! - The operations judges — `report::Report`, `audit::judge`,
+//!   `economy::arm`, `robustness::RobustnessCell::of`, `scenarios::arm`,
+//!   the loadtest's arms — are pure functions of `&CampaignRun`: judging a
+//!   run twice, or by two judges in either order, cannot change what
+//!   either reports.
+//! - The paper experiments that measure reverse traceroutes judge one run
+//!   per preset. Table 4 and Fig. 5c read each `EngineConfig::table4_ladder`
+//!   run; Fig. 5a/5b and §5.2.2 the revtr 1.0, revtr 2.0 and + TS runs;
+//!   §6.2, Appx. B.2 and the throughput row the revtr 2.0 run, which is
+//!   [`Campaign::clean`]. Their ground truth (`accuracy::ground_truth`) is
+//!   probed in the run's own world after the run, once per run.
 //!
 //! Telemetry, the stuck-request watchdog and the resource profiler are
 //! armed on every run: all three record outside the fingerprinted
@@ -111,11 +116,24 @@ impl Scale {
 
     /// The workload sizes, under an explicit master seed.
     pub fn eval_scale(self, seed: u64) -> EvalScale {
-        let sizes = match self {
-            Scale::Smoke => EvalScale::smoke(),
-            Scale::Standard => EvalScale::standard(),
-        };
-        EvalScale { seed, ..sizes }
+        match self {
+            Scale::Smoke => EvalScale {
+                prefix_sample: 30,
+                n_revtrs: 25,
+                atlas_size: 30,
+                atlas_pool: 120,
+                n_sources: 3,
+                seed,
+            },
+            Scale::Standard => EvalScale {
+                prefix_sample: 900,
+                n_revtrs: 2000,
+                atlas_size: 250,
+                atlas_pool: 1200,
+                n_sources: 8,
+                seed,
+            },
+        }
     }
 
     /// The measured clean baselines for this scale.
@@ -176,8 +194,8 @@ pub enum Traffic {
     OpenLoop(Pattern),
 }
 
-/// One campaign of the operations harness: which world, which traffic,
-/// and the fault and engine knobs it runs under.
+/// One campaign: which world, which traffic, and the faults, scenario and
+/// engine it runs under.
 #[derive(Clone, Debug)]
 pub struct Campaign {
     /// Topology and workload size.
@@ -192,22 +210,15 @@ pub struct Campaign {
     pub budget: u32,
     /// Stuck-request watchdog deadline, virtual ms.
     pub watchdog_deadline_ms: f64,
-    /// Enable the campaign-wide Doubletree stop sets
-    /// (`EngineConfig::use_stop_sets`). Off in the clean baseline;
-    /// `audit::run` A/Bs this knob.
-    pub use_stop_sets: bool,
     /// Hostile-Internet scenario profiles injected into the simulator
     /// (`SimConfig::scenario`). Inert by default — an all-zero config is
     /// byte-identical to no scenario at all.
     pub scenario: ScenarioConfig,
-    /// Run the hardened engine (`EngineConfig::harden`): audit-replay
-    /// cross-validation, VP quarantine, atlas pre-grading, DBR demotion.
-    pub harden: bool,
-    /// Run the Appx.-E optional verification mode
-    /// (`EngineConfig::verify_dbr`): every RR-revealed chain is re-probed
-    /// and mismatches feed `core.verify.dbr_mismatch`. Off in the clean
-    /// baseline (zero extra probes).
-    pub verify_dbr: bool,
+    /// The engine the campaign runs, and its auditor replays under: a named
+    /// `EngineConfig` preset ([`EngineConfig::revtr2`] unless
+    /// [`Campaign::with_engine`] names another), which the `with_*`
+    /// builders edit.
+    pub engine: EngineConfig,
 }
 
 impl Campaign {
@@ -221,10 +232,8 @@ impl Campaign {
             loss: 0.0,
             budget: 1,
             watchdog_deadline_ms: scale.baselines().clean_deadline_ms,
-            use_stop_sets: false,
             scenario: ScenarioConfig::default(),
-            harden: false,
-            verify_dbr: false,
+            engine: EngineConfig::revtr2(),
         }
     }
 
@@ -252,15 +261,25 @@ impl Campaign {
         }
     }
 
-    /// The same campaign with the stop-set knob flipped.
-    pub fn with_stop_sets(mut self, on: bool) -> Campaign {
-        self.use_stop_sets = on;
+    /// The same campaign on another named engine preset (a Table 4 ladder
+    /// step, say): the row a paper table labels with the preset's name.
+    pub fn with_engine(mut self, engine: EngineConfig) -> Campaign {
+        self.engine = engine;
         self
     }
 
-    /// The same campaign with the hardened engine toggled.
+    /// The same campaign with the campaign-wide Doubletree stop sets
+    /// (`EngineConfig::use_stop_sets`) switched; `audit::run` A/Bs this.
+    pub fn with_stop_sets(mut self, on: bool) -> Campaign {
+        self.engine.use_stop_sets = on;
+        self
+    }
+
+    /// The same campaign with the hardened engine (`EngineConfig::harden`:
+    /// audit-replay cross-validation, VP quarantine, atlas pre-grading, DBR
+    /// demotion) switched.
     pub fn with_harden(mut self, on: bool) -> Campaign {
-        self.harden = on;
+        self.engine.harden = on;
         self
     }
 
@@ -270,23 +289,15 @@ impl Campaign {
     /// adversarial profiles are judged by which SLO rules they trip, and a
     /// watchdog armed below the measured clean worst case would flag every
     /// profile alike — a siren, not a signal. The stock engine never
-    /// re-probes on its own, so the Appx.-E verification mode is switched
-    /// on to give the policy's `dbr-verify-mismatch` rule a live counter.
+    /// re-probes on its own, so the Appx.-E verification mode
+    /// (`EngineConfig::verify_dbr`: every RR-revealed chain is re-probed) is
+    /// switched on to give the policy's `dbr-verify-mismatch` rule a live
+    /// counter.
     pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Campaign {
         self.watchdog_deadline_ms = self.scale.baselines().clean_deadline_ms;
         self.scenario = scenario;
-        self.verify_dbr = true;
+        self.engine.verify_dbr = true;
         self
-    }
-
-    /// The engine configuration the campaign runs (and its auditor must
-    /// replay under).
-    pub fn engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig::revtr2();
-        cfg.use_stop_sets = self.use_stop_sets;
-        cfg.harden = self.harden;
-        cfg.verify_dbr = self.verify_dbr;
-        cfg
     }
 
     /// [`Campaign::run_with`] one worker: requests in id order, so every
@@ -328,7 +339,7 @@ impl Campaign {
             .with_retry_policy(RetryPolicy::uniform(self.budget))
             .with_telemetry(telemetry.clone());
         let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let service = RevtrService::new(ctx.build_system(prober, self.engine_config(), ingress));
+        let service = RevtrService::new(ctx.build_system(prober, self.engine, ingress));
         let system = service.system();
         let lc = LoopConfig { workers };
         // Tenant registration probes (source bootstraps) before the
@@ -494,10 +505,7 @@ mod tests {
             assert!(err.contains("unknown scale"), "{bad:?}: {err}");
         }
         assert_eq!(Scale::Smoke.eval_scale(7).seed, 7);
-        assert_eq!(
-            Scale::Standard.eval_scale(DEFAULT_SEED).n_revtrs,
-            EvalScale::standard().n_revtrs
-        );
+        assert_eq!(Scale::Standard.eval_scale(DEFAULT_SEED).n_revtrs, 2000);
     }
 
     #[test]
@@ -509,6 +517,7 @@ mod tests {
         assert!(faulted.watchdog_deadline_ms < clean.watchdog_deadline_ms);
         let hostile = faulted.with_scenario(ScenarioConfig::default());
         assert_eq!(hostile.watchdog_deadline_ms, clean.watchdog_deadline_ms);
-        assert!(hostile.verify_dbr && !clean.verify_dbr);
+        assert!(hostile.engine.verify_dbr && !clean.engine.verify_dbr);
+        assert_eq!(clean.engine, EngineConfig::revtr2());
     }
 }

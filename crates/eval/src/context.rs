@@ -1,5 +1,10 @@
-//! Shared evaluation context: simulator, workloads, and system assembly.
+//! One world: a simulated Internet plus its workload helpers and system
+//! assembly. [`Campaign::run_with`](crate::campaign::Campaign::run_with)
+//! builds one per campaign, and so does every paper experiment that
+//! probes, each from its own `(Scale, seed)`: no two experiments share a
+//! world.
 
+use crate::campaign::Scale;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use revtr::{EngineConfig, RevtrSystem};
@@ -12,9 +17,8 @@ use std::sync::Arc;
 /// The master seed every entry point runs under unless told otherwise.
 pub const DEFAULT_SEED: u64 = 1;
 
-/// Workload sizes for an evaluation run. Everything is scaled down from
-/// the paper's campaigns; `smoke` keeps tests fast, `standard` is the
-/// reproduction default used by `reproduce_all` and the ci.sh gates.
+/// Workload sizes for an evaluation run, scaled down from the paper's
+/// campaigns ([`Scale::eval_scale`]).
 #[derive(Clone, Copy, Debug)]
 pub struct EvalScale {
     /// Prefixes probed for the ingress DB and used as workload targets.
@@ -29,32 +33,6 @@ pub struct EvalScale {
     pub n_sources: usize,
     /// Master seed.
     pub seed: u64,
-}
-
-impl EvalScale {
-    /// Small and fast, for unit tests.
-    pub fn smoke() -> EvalScale {
-        EvalScale {
-            prefix_sample: 30,
-            n_revtrs: 25,
-            atlas_size: 30,
-            atlas_pool: 120,
-            n_sources: 3,
-            seed: DEFAULT_SEED,
-        }
-    }
-
-    /// The reproduction default (minutes of runtime in release mode).
-    pub fn standard() -> EvalScale {
-        EvalScale {
-            prefix_sample: 900,
-            n_revtrs: 2000,
-            atlas_size: 250,
-            atlas_pool: 1200,
-            n_sources: 8,
-            seed: DEFAULT_SEED,
-        }
-    }
 }
 
 /// An evaluation context: a simulated Internet plus workload helpers.
@@ -74,14 +52,9 @@ impl EvalContext {
         }
     }
 
-    /// Tiny topology + smoke scale (tests).
-    pub fn smoke() -> EvalContext {
-        EvalContext::new(SimConfig::tiny(), EvalScale::smoke())
-    }
-
-    /// Paper-era topology + standard scale.
-    pub fn standard() -> EvalContext {
-        EvalContext::new(SimConfig::era_2020(), EvalScale::standard())
+    /// The world `scale` runs its experiments in, under `seed`.
+    pub fn of(scale: Scale, seed: u64) -> EvalContext {
+        EvalContext::new(scale.sim_config(), scale.eval_scale(seed))
     }
 
     /// All vantage point host addresses.
@@ -149,8 +122,8 @@ impl EvalContext {
         Prober::new(&self.sim)
     }
 
-    /// Build the background ingress database (shared across experiments —
-    /// this is the expensive weekly measurement of §4.3).
+    /// Build the background ingress database (the expensive weekly
+    /// measurement of §4.3).
     pub fn build_ingress(&self, prober: &Prober<'_>, h: Heuristics) -> IngressDb {
         IngressDb::build(prober, &self.vps(), &self.sampled_prefixes(), h)
     }
@@ -178,7 +151,7 @@ mod tests {
 
     #[test]
     fn smoke_context_produces_workload() {
-        let ctx = EvalContext::smoke();
+        let ctx = EvalContext::of(Scale::Smoke, DEFAULT_SEED);
         let w = ctx.workload();
         assert!(!w.is_empty());
         assert!(w.len() <= ctx.scale.n_revtrs);
@@ -191,21 +164,10 @@ mod tests {
 
     #[test]
     fn sampled_prefixes_deterministic_and_bounded() {
-        let ctx = EvalContext::smoke();
+        let ctx = EvalContext::of(Scale::Smoke, DEFAULT_SEED);
         let a = ctx.sampled_prefixes();
         let b = ctx.sampled_prefixes();
         assert_eq!(a, b);
         assert!(a.len() <= ctx.scale.prefix_sample);
-    }
-
-    #[test]
-    fn system_assembly_runs_a_measurement() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let sys = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-        let (d, s) = ctx.workload()[0];
-        let r = sys.measure(d, s);
-        assert_eq!(r.dst, d);
     }
 }

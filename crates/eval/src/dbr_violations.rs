@@ -7,15 +7,15 @@
 //! balancers (multiple next hops across probes) from genuine violators
 //! (stable but source-dependent paths).
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::Table;
 use crate::stats::fraction;
-use revtr::extract_reverse_hops;
+use crate::symmetry_assumption::{ingress_vps, reveal_reverse_hops};
 use revtr_aliasing::{AliasResolver, Ip2As};
 use revtr_netsim::Addr;
 use revtr_probing::Prober;
-use revtr_vpselect::IngressDb;
-use std::sync::Arc;
+use revtr_vpselect::{Heuristics, IngressDb};
 
 /// Appx. E outcome counts.
 #[derive(Clone, Copy, Debug, Default)]
@@ -71,51 +71,28 @@ impl DbrReport {
     }
 }
 
-/// First spoofed RR reply's reverse hops for `target` as `claimed`, trying
-/// the plan VPs (no batching subtleties needed here).
+/// Reverse hops toward `claimed` from `target`: its ingress plan padded
+/// with the head of the global order.
 fn reverse_hops_once(
     prober: &Prober<'_>,
     ingress: &IngressDb,
     target: Addr,
     claimed: Addr,
 ) -> Vec<Addr> {
-    let sim = prober.sim();
-    let plan_prefix = sim.topo().prefix_of(target).or_else(|| {
-        sim.topo()
-            .block_owner(target)
-            .and_then(|a| sim.topo().asn(a).prefixes.first().copied())
-    });
-    let mut plan: Vec<Addr> = plan_prefix
-        .map(|p| {
-            ingress
-                .ingress_plan(p)
-                .into_iter()
-                .flat_map(|q| q.vps)
-                .collect()
-        })
-        .unwrap_or_default();
+    let mut plan = ingress_vps(ingress, prober.sim(), target);
     plan.extend(ingress.global_plan().iter().copied().take(6));
-    plan.truncate(9);
-    for chunk in plan.chunks(3) {
-        let pairs: Vec<(Addr, Addr)> = chunk.iter().map(|&vp| (vp, target)).collect();
-        for reply in prober
-            .spoofed_rr_batch(&pairs, claimed)
-            .replies
-            .into_iter()
-            .flatten()
-        {
-            if let Some(rev) = extract_reverse_hops(&reply.slots, target) {
-                if !rev.is_empty() {
-                    return rev.to_vec();
-                }
-            }
-        }
-    }
-    Vec::new()
+    reveal_reverse_hops(prober, &plan, target, claimed)
 }
 
-/// Run the Appx. E study over up to `max_tuples` tuples.
-pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>, max_tuples: usize) -> DbrReport {
+/// Run the Appx. E study in the world of `(scale, seed)`.
+pub fn run(scale: Scale, seed: u64) -> DbrReport {
+    let ctx = EvalContext::of(scale, seed);
+    run_in(&ctx, (ctx.scale.n_revtrs / 2).max(100))
+}
+
+/// The study over up to `max_tuples` tuples.
+fn run_in(ctx: &EvalContext, max_tuples: usize) -> DbrReport {
+    let ingress = ctx.build_ingress(&ctx.prober(), Heuristics::FULL);
     // Cache must be off: the load-balancer test needs genuinely repeated
     // probes.
     let prober = ctx.prober().with_cache_enabled(false);
@@ -124,7 +101,7 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>, max_tuples: usize) -> Db
     let mut report = DbrReport::default();
 
     'outer: for &(dst, src) in &ctx.workload() {
-        let rev = reverse_hops_once(&prober, ingress, dst, src);
+        let rev = reverse_hops_once(&prober, &ingress, dst, src);
         // Consecutive reverse-hop pairs, skipping private addresses.
         let rev: Vec<Addr> = rev.into_iter().filter(|a| !a.is_private()).collect();
         for w in rev.windows(2) {
@@ -132,7 +109,7 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>, max_tuples: usize) -> Db
             if report.tuples >= max_tuples {
                 break 'outer;
             }
-            let probe1 = reverse_hops_once(&prober, ingress, r, src);
+            let probe1 = reverse_hops_once(&prober, &ingress, r, src);
             if probe1.is_empty() {
                 continue; // R unresponsive to direct probing: out of scope
             }
@@ -145,7 +122,7 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>, max_tuples: usize) -> Db
             // first hops → per-packet balancing, not a violation.
             let mut first_hops: Vec<Option<Addr>> = vec![probe1.first().copied()];
             for _ in 0..3 {
-                let p = reverse_hops_once(&prober, ingress, r, src);
+                let p = reverse_hops_once(&prober, &ingress, r, src);
                 first_hops.push(p.first().copied());
             }
             let mut uniq: Vec<Option<Addr>> = first_hops.clone();
@@ -171,7 +148,6 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>, max_tuples: usize) -> Db
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn violations_are_rare_but_present() {
@@ -179,10 +155,7 @@ mod tests {
         // contains some.
         let mut cfg = revtr_netsim::SimConfig::tiny();
         cfg.behavior.dbr_violation = 0.15;
-        let ctx = EvalContext::new(cfg, crate::context::EvalScale::smoke());
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let report = run(&ctx, &ingress, 150);
+        let report = run_in(&EvalContext::new(cfg, Scale::Smoke.eval_scale(1)), 150);
         assert!(report.tuples > 0, "no tuples tested");
         // The violation rate is bounded and far below 1.
         let rate = report.violation_rate();
@@ -197,10 +170,7 @@ mod tests {
         let mut cfg = revtr_netsim::SimConfig::tiny();
         cfg.behavior.dbr_violation = 0.0;
         cfg.behavior.router_load_balancer = 0.0;
-        let ctx = EvalContext::new(cfg, crate::context::EvalScale::smoke());
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let report = run(&ctx, &ingress, 100);
+        let report = run_in(&EvalContext::new(cfg, Scale::Smoke.eval_scale(1)), 100);
         assert!(report.tuples > 0);
         // Not exactly zero: the Appx. E methodology itself has a small
         // false-positive channel (a probe of R may surface a different

@@ -185,7 +185,7 @@ impl EconomyReport {
 pub fn arm(run: &CampaignRun) -> EconomyArm {
     let score = OracleScore::of(run);
     EconomyArm {
-        stop_sets: run.campaign.use_stop_sets,
+        stop_sets: run.campaign.engine.use_stop_sets,
         probes: run.probes.measurement_probes(),
         option_probes: run.probes.option_probes(),
         packets: run.probes.all_packets(),

@@ -6,15 +6,21 @@
 //! intra→inter, 1.5% inter→intra; ±0.1% of trustworthy paths). We replay
 //! the ablation with our two mappings: registry-only origins (naive) vs
 //! origins corrected by interconnection data (the Arnold-et-al.-style
-//! default).
+//! default). Each mapping is one campaign over the same workload: the
+//! revtr 2.0 run and the [`registry_only`] preset's, zipped pair by pair.
 
-use crate::context::EvalContext;
+use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::Table;
 use crate::stats::fraction;
-use revtr::{EngineConfig, Status};
-use revtr_netsim::Addr;
-use revtr_vpselect::IngressDb;
-use std::sync::Arc;
+use revtr::{EngineConfig, RevtrResult, Status};
+
+/// The Appx. B.2 preset: revtr 2.0 deciding Q5 on registry-only origins.
+pub fn registry_only() -> EngineConfig {
+    EngineConfig {
+        registry_only_ip2as: true,
+        ..EngineConfig::revtr2()
+    }
+}
 
 /// Outcomes of the mapping ablation.
 #[derive(Clone, Copy, Debug, Default)]
@@ -72,30 +78,27 @@ impl Ip2AsAblationReport {
     }
 }
 
-/// Run the ablation over a workload.
-pub fn run(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    workload: &[(Addr, Addr)],
-) -> Ip2AsAblationReport {
-    let mut naive_cfg = EngineConfig::revtr2();
-    naive_cfg.registry_only_ip2as = true;
-    let prober_n = ctx.prober();
-    let sys_naive = ctx.build_system(prober_n, naive_cfg, ingress.clone());
-    let prober_f = ctx.prober();
-    let sys_full = ctx.build_system(prober_f, EngineConfig::revtr2(), ingress.clone());
+/// Run the revtr 2.0 and registry-only campaigns, one at a time.
+pub fn run(scale: Scale, seed: u64) -> Ip2AsAblationReport {
+    let full = Campaign::clean(scale, seed).run().results;
+    judge(
+        &full,
+        &Campaign::clean(scale, seed)
+            .with_engine(registry_only())
+            .run(),
+    )
+}
 
-    let mut report = Ip2AsAblationReport::default();
-    for &(dst, src) in workload {
-        report.attempted += 1;
-        let rn = sys_naive.measure(dst, src);
-        let rf = sys_full.measure(dst, src);
-        if rn.complete() {
-            report.complete_naive += 1;
-        }
-        if rf.complete() {
-            report.complete_full += 1;
-        }
+/// Zip the corrected mapping's results (the revtr 2.0 run's) with the
+/// registry-only run's.
+pub fn judge(full: &[RevtrResult], naive: &CampaignRun) -> Ip2AsAblationReport {
+    let mut report = Ip2AsAblationReport {
+        attempted: naive.workload.len(),
+        ..Ip2AsAblationReport::default()
+    };
+    for (rn, rf) in naive.results.iter().zip(full) {
+        report.complete_naive += usize::from(rn.complete());
+        report.complete_full += usize::from(rf.complete());
         match (rn.status, rf.status) {
             (Status::AbortedInterdomain, Status::Complete) => report.naive_lost += 1,
             (Status::Complete, Status::AbortedInterdomain) => report.naive_kept_suspect += 1,
@@ -108,16 +111,11 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn corrected_mapping_changes_few_decisions() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        let report = run(&ctx, &ingress, &workload);
-        assert_eq!(report.attempted, workload.len());
+        let report = run(Scale::Smoke, 1);
+        assert_eq!(report.attempted, Scale::Smoke.eval_scale(1).n_revtrs);
         assert!(report.complete_full > 0);
         // The paper's conclusion: the mapping upgrade moves a small
         // fraction of decisions, not the bulk of coverage.

@@ -1,8 +1,8 @@
 //! Plain-text rendering of tables and curve series, plus TSV export.
 //!
 //! Every experiment renders the same rows/series the paper reports, so
-//! `cargo run --example reproduce_all` prints a textual version of each
-//! table and figure.
+//! `revtr-cli reproduce` prints a textual version of each table and figure
+//! (and `--out DIR` saves each as TSV).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -174,12 +174,6 @@ impl Figure {
             let _ = writeln!(out, "{}", row.join("\t"));
         }
         out
-    }
-
-    /// Write the TSV form under `dir/<name>.tsv`.
-    pub fn save_tsv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{name}.tsv")), self.to_tsv())
     }
 }
 

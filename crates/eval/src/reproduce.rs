@@ -1,17 +1,26 @@
-//! One-shot reproduction driver: run every experiment at a given scale,
-//! render all tables/figures, and optionally save TSVs.
+//! The paper reproduction: every experiment at one scale and master seed,
+//! rendered in paper order and optionally saved as TSVs.
+//!
+//! Every experiment is a pure function of `(Scale, seed)`: each builds its
+//! own world, so no number depends on which experiments ran before it. The
+//! ones that measure reverse traceroutes judge one [`Campaign`] per named
+//! engine preset, and the preset's name is the row label. The revtr 2.0
+//! run is [`Campaign::clean`] — the campaign `revtr-cli report` judges —
+//! and Table 4, Fig. 5a–c, §5.2.2, §6.2 / Appx. G, Appx. B.2 and the
+//! throughput row all read that one run. Runs go one at a time; a judge
+//! that pairs two keeps the earlier one's results, not its world.
 
-use crate::campaign::Scale;
-use crate::context::EvalContext;
+use crate::ablation::{AblationReport, AblationRow};
+use crate::accuracy::{self, AccuracyReport};
+use crate::campaign::{Campaign, Scale};
+use crate::render::{Figure, Table};
+use crate::throughput::ThroughputReport;
 use crate::{
-    ablation, accuracy, as_graph, asymmetry, atlas_study, dbr_violations, ip2as_ablation,
-    responsiveness, robustness, symmetry_assumption, throughput, traffic_eng, vp_selection,
+    as_graph, asymmetry, atlas_study, dbr_violations, ip2as_ablation, responsiveness, robustness,
+    symmetry_assumption, traffic_eng, vp_selection,
 };
 use revtr::EngineConfig;
-use revtr_vpselect::Heuristics;
-use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Everything the reproduction produces.
 pub struct Reproduction {
@@ -20,9 +29,9 @@ pub struct Reproduction {
     /// Table 3.
     pub table3: as_graph::AsGraphReport,
     /// Table 4 / Fig. 5c / throughput.
-    pub ablation: ablation::AblationReport,
+    pub ablation: AblationReport,
     /// Fig. 5a/5b.
-    pub accuracy: accuracy::AccuracyReport,
+    pub accuracy: AccuracyReport,
     /// Table 5 / Fig. 6.
     pub vp_selection: vp_selection::VpSelectionReport,
     /// Table 6 / Fig. 11.
@@ -40,164 +49,157 @@ pub struct Reproduction {
     /// Insight 1.3 spoofing benefit.
     pub spoofing: responsiveness::SpoofingBenefit,
     /// Implementation cost per revtr.
-    pub throughput: throughput::ThroughputReport,
+    pub throughput: ThroughputReport,
     /// Fig. 7.
     pub traffic_eng: traffic_eng::TrafficEngReport,
     /// Coverage under injected loss, by retry budget (`Campaign` cells).
     pub robustness: robustness::RobustnessReport,
 }
 
-/// Run every experiment at the given scale and master seed. The paper
-/// experiments share one paper-era context with `scale`'s workload sizes;
-/// the robustness cells are campaigns of their own at `scale`.
+/// Run every experiment at `scale` under master seed `seed`.
 pub fn run(scale: Scale, seed: u64) -> Reproduction {
-    // The cells first: each campaign's world is dropped before the next is
-    // built, and before the shared context below exists.
-    let robustness = robustness::run(scale, seed);
+    // Order is free; the largest world goes first, on an empty heap: VP
+    // selection's three ingress surveys set the reproduction's peak RSS.
+    let vp_selection = vp_selection::run(scale, seed);
+    let campaign = |engine| Campaign::clean(scale, seed).with_engine(engine).run();
+    // Table 4's ladder below revtr 2.0, one run at a time.
+    let mut ladder = EngineConfig::table4_ladder();
+    let (v2_name, _) = ladder.pop().expect("the ladder ends at revtr 2.0");
+    let mut rows = Vec::new();
+    let mut v1 = None;
+    for (name, engine) in ladder {
+        let run = campaign(engine);
+        rows.push(AblationRow::of(name, &run));
+        // revtr 1.0 heads the ladder; Fig. 5a/5b and §5.2.2 judge it too.
+        v1.get_or_insert_with(|| accuracy::revtr1(name, &run));
+    }
+    let (v1_score, v1_row) = v1.expect("the ladder starts at revtr 1.0");
 
-    let sizes = scale.eval_scale(seed);
-    let ctx = EvalContext::new(revtr_netsim::SimConfig::era_2020(), sizes);
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let workload = ctx.workload();
-
-    let table2 = symmetry_assumption::run(&ctx, &ingress, (sizes.n_revtrs / 2).max(50));
-    let table3 = as_graph::run(&ctx, &ingress);
-    let abl = ablation::run(&ctx, &ingress, &workload);
-    let acc = accuracy::run(&ctx, &ingress, &workload);
-    let vps = vp_selection::run(&ctx);
-    let resp = responsiveness::run(sizes);
-    let asym = asymmetry::run(&ctx, &ingress, &workload);
-    let split = atlas_study::collect_split(&ctx, (sizes.atlas_size * 2).min(600), 3);
-    let atlas_sel = atlas_study::run_selection_study(&split, sizes.seed);
-    let staleness = atlas_study::run_staleness(&ctx, &ingress);
-    let dbr = dbr_violations::run(&ctx, &ingress, (sizes.n_revtrs / 2).max(100));
-    let ip2as = ip2as_ablation::run(&ctx, &ingress, &workload);
-    let spoofing = responsiveness::spoofing_benefit(&ctx);
-    // Throughput over a slice of the workload, on a fresh prober.
-    let tp = throughput::run(
-        &ctx.build_system(ctx.prober(), EngineConfig::revtr2(), ingress.clone()),
-        &workload[..workload.len().min(400)],
-    );
-    let te = traffic_eng::run(&ctx);
+    // revtr 2.0: its ground truth is taken once, right after the run, and
+    // five judges read the run; only its results outlive its world.
+    let (v2_results, mut accuracy, asymmetry, throughput) = {
+        let run = Campaign::clean(scale, seed).run();
+        let truth = accuracy::ground_truth(&run);
+        rows.push(AblationRow::of(v2_name, &run));
+        let accuracy = AccuracyReport::new(&run, &truth, v1_score, v1_row);
+        let asymmetry = asymmetry::judge(&run, &truth);
+        let throughput = ThroughputReport::of(&run);
+        (run.results, accuracy, asymmetry, throughput)
+    };
+    let ip2as = ip2as_ablation::judge(&v2_results, &campaign(ip2as_ablation::registry_only()));
+    let ts = accuracy::coverage("revtr 2.0 + TS", &campaign(EngineConfig::revtr2_with_ts()));
+    accuracy
+        .coverage
+        .extend([ts, accuracy::ground_truth_adjacency(scale, seed)]);
 
     Reproduction {
-        table2,
-        table3,
-        ablation: abl,
-        accuracy: acc,
-        vp_selection: vps,
-        responsiveness: resp,
-        asymmetry: asym,
-        atlas_sel,
-        staleness,
-        dbr,
+        table2: symmetry_assumption::run(scale, seed),
+        table3: as_graph::run(scale, seed),
+        ablation: AblationReport { rows },
+        accuracy,
+        vp_selection,
+        responsiveness: responsiveness::run(scale, seed),
+        asymmetry,
+        atlas_sel: atlas_study::run_selection(scale, seed),
+        staleness: atlas_study::run_staleness(scale, seed),
+        dbr: dbr_violations::run(scale, seed),
         ip2as,
-        spoofing,
-        throughput: tp,
-        traffic_eng: te,
-        robustness,
+        spoofing: responsiveness::spoofing_benefit(scale, seed),
+        throughput,
+        traffic_eng: traffic_eng::run(scale, seed),
+        robustness: robustness::run(scale, seed),
     }
 }
 
+/// One artefact of the reproduction: its name, its text, and its TSV form
+/// (none for a one-line reading).
+pub type Artefact = (&'static str, String, Option<String>);
+
 impl Reproduction {
+    /// Every artefact in paper order.
+    pub fn artefacts(&self) -> Vec<Artefact> {
+        let table = |name, t: Table| (name, t.render(), Some(t.to_tsv()));
+        let figure = |name, f: &Figure| (name, f.render(), Some(f.to_tsv()));
+        let line = |name, s: String| (name, s + "\n", None);
+        let (abl, acc, vps, asym) = (
+            &self.ablation,
+            &self.accuracy,
+            &self.vp_selection,
+            &self.asymmetry,
+        );
+        vec![
+            table("table2", self.table2.table2()),
+            table("table3", self.table3.table3()),
+            table("per_source_coverage", self.table3.per_source_summary()),
+            table("table4", abl.table4()),
+            table("throughput", abl.throughput_table()),
+            figure("fig5a", &acc.fig5a()),
+            table("fig5b_coverage", acc.fig5b()),
+            table("as_match", acc.as_match_table()),
+            figure("fig5c", &abl.fig5c()),
+            figure("fig6a", &vps.fig6a()),
+            figure("fig6b", &vps.fig6b()),
+            figure("fig6c", &vps.fig6c()),
+            table("table5", vps.table5()),
+            line(
+                "stability",
+                format!(
+                    "Ingress-candidate stability on a third destination: {:.3} (paper: 0.872)",
+                    vps.stability_fraction()
+                ),
+            ),
+            table("fig7", self.traffic_eng.fig7()),
+            figure("fig8a", &asym.fig8a()),
+            figure("fig8b", &asym.fig8b()),
+            line(
+                "as_symmetric",
+                format!(
+                    "AS-symmetric fraction of paths: {:.2} (paper: 0.53)",
+                    asym.as_symmetric_fraction()
+                ),
+            ),
+            figure("fig9a", &self.atlas_sel.fig9a),
+            figure("fig9b", &self.atlas_sel.fig9b),
+            figure("fig9c", &self.atlas_sel.fig9c),
+            figure("fig9d", &self.staleness.fig9d()),
+            line(
+                "stale",
+                format!(
+                    "Cumulative stale-intersection fraction over a day: {:.4} (paper: 0.007)",
+                    self.staleness.cumulative_stale_fraction()
+                ),
+            ),
+            table("table6", self.responsiveness.table6()),
+            figure("fig11", &self.responsiveness.fig11()),
+            figure("fig12", &asym.fig12()),
+            figure("fig13", &asym.fig13()),
+            figure("fig14", &asym.fig14()),
+            table("table7", asym.table7(10)),
+            table("appxE", self.dbr.table()),
+            table("appxB2", self.ip2as.table()),
+            table("insight1_3_spoofing", self.spoofing.table()),
+            table("appxG3_definitions", asym.definition_comparison()),
+            table("impl_throughput", self.throughput.table()),
+            table("robustness", self.robustness.table()),
+            figure("robustness_coverage", &self.robustness.figure()),
+        ]
+    }
+
     /// Render the full text report, in paper order.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut push = |s: String| {
-            let _ = writeln!(out, "{s}");
-        };
-        push(self.table2.table2().render());
-        push(self.table3.table3().render());
-        push(self.table3.per_source_summary().render());
-        push(self.ablation.table4().render());
-        push(self.ablation.throughput_table().render());
-        push(self.accuracy.fig5a().render());
-        push(self.accuracy.fig5b().render());
-        push(self.accuracy.as_match_table().render());
-        push(self.ablation.fig5c().render());
-        push(self.vp_selection.fig6a().render());
-        push(self.vp_selection.fig6b().render());
-        push(self.vp_selection.fig6c().render());
-        push(self.vp_selection.table5().render());
-        push(format!(
-            "Ingress-candidate stability on a third destination: {:.3} (paper: 0.872)\n",
-            self.vp_selection.stability_fraction()
-        ));
-        push(self.traffic_eng.fig7().render());
-        push(self.asymmetry.fig8a().render());
-        push(self.asymmetry.fig8b().render());
-        push(format!(
-            "AS-symmetric fraction of paths: {:.2} (paper: 0.53)\n",
-            self.asymmetry.as_symmetric_fraction()
-        ));
-        push(self.atlas_sel.fig9a.render());
-        push(self.atlas_sel.fig9b.render());
-        push(self.atlas_sel.fig9c.render());
-        push(self.staleness.fig9d().render());
-        push(format!(
-            "Cumulative stale-intersection fraction over a day: {:.4} (paper: 0.007)\n",
-            self.staleness.cumulative_stale_fraction()
-        ));
-        push(self.responsiveness.table6().render());
-        push(self.responsiveness.fig11().render());
-        push(self.asymmetry.fig12().render());
-        push(self.asymmetry.fig13().render());
-        push(self.asymmetry.fig14().render());
-        push(self.asymmetry.table7(10).render());
-        push(self.dbr.table().render());
-        push(self.ip2as.table().render());
-        push(self.spoofing.table().render());
-        push(self.asymmetry.definition_comparison().render());
-        push(self.throughput.table().render());
-        push(self.robustness.table().render());
-        push(self.robustness.figure().render());
-        out
+        (self.artefacts().into_iter())
+            .map(|(_, text, _)| text + "\n")
+            .collect()
     }
 
     /// Save every table/figure as TSV under `dir`.
     pub fn save_tsvs(&self, dir: &Path) -> std::io::Result<()> {
-        self.table2.table2().save_tsv(dir, "table2")?;
-        self.table3.table3().save_tsv(dir, "table3")?;
-        self.table3
-            .per_source_summary()
-            .save_tsv(dir, "per_source_coverage")?;
-        self.ablation.table4().save_tsv(dir, "table4")?;
-        self.ablation
-            .throughput_table()
-            .save_tsv(dir, "throughput")?;
-        self.accuracy.fig5a().save_tsv(dir, "fig5a")?;
-        self.accuracy.fig5b().save_tsv(dir, "fig5b_coverage")?;
-        self.accuracy.as_match_table().save_tsv(dir, "as_match")?;
-        self.ablation.fig5c().save_tsv(dir, "fig5c")?;
-        self.vp_selection.fig6a().save_tsv(dir, "fig6a")?;
-        self.vp_selection.fig6b().save_tsv(dir, "fig6b")?;
-        self.vp_selection.fig6c().save_tsv(dir, "fig6c")?;
-        self.vp_selection.table5().save_tsv(dir, "table5")?;
-        self.traffic_eng.fig7().save_tsv(dir, "fig7")?;
-        self.asymmetry.fig8a().save_tsv(dir, "fig8a")?;
-        self.asymmetry.fig8b().save_tsv(dir, "fig8b")?;
-        self.atlas_sel.fig9a.save_tsv(dir, "fig9a")?;
-        self.atlas_sel.fig9b.save_tsv(dir, "fig9b")?;
-        self.atlas_sel.fig9c.save_tsv(dir, "fig9c")?;
-        self.staleness.fig9d().save_tsv(dir, "fig9d")?;
-        self.responsiveness.table6().save_tsv(dir, "table6")?;
-        self.responsiveness.fig11().save_tsv(dir, "fig11")?;
-        self.asymmetry.fig12().save_tsv(dir, "fig12")?;
-        self.asymmetry.fig13().save_tsv(dir, "fig13")?;
-        self.asymmetry.fig14().save_tsv(dir, "fig14")?;
-        self.asymmetry.table7(10).save_tsv(dir, "table7")?;
-        self.dbr.table().save_tsv(dir, "appxE")?;
-        self.ip2as.table().save_tsv(dir, "appxB2")?;
-        self.spoofing.table().save_tsv(dir, "insight1_3_spoofing")?;
-        self.asymmetry
-            .definition_comparison()
-            .save_tsv(dir, "appxG3_definitions")?;
-        self.throughput.table().save_tsv(dir, "impl_throughput")?;
-        self.robustness.table().save_tsv(dir, "robustness")?;
-        self.robustness
-            .figure()
-            .save_tsv(dir, "robustness_coverage")?;
+        std::fs::create_dir_all(dir)?;
+        for (name, _, tsv) in self.artefacts() {
+            if let Some(tsv) = tsv {
+                std::fs::write(dir.join(format!("{name}.tsv")), tsv)?;
+            }
+        }
         Ok(())
     }
 }

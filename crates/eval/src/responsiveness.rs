@@ -5,8 +5,9 @@
 //! sites and the flattened 2020 one with 146 — and one destination per
 //! prefix is probed: a plain ping, then RR pings from every VP. The
 //! distance to the closest VP is the slot index at which the destination's
-//! stamp appears.
+//! stamp appears. Each era is a world of its own, with `scale`'s sizes.
 
+use crate::campaign::Scale;
 use crate::context::{EvalContext, EvalScale};
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
@@ -83,8 +84,12 @@ fn probe_era(ctx: &EvalContext, vps: &[Addr]) -> (EraStats, EraDistances) {
     (stats, dists)
 }
 
-/// Run the two-era study.
-pub fn run(scale: EvalScale) -> ResponsivenessReport {
+/// Run the two-era study under `seed`.
+pub fn run(scale: Scale, seed: u64) -> ResponsivenessReport {
+    run_eras(scale.eval_scale(seed))
+}
+
+fn run_eras(scale: EvalScale) -> ResponsivenessReport {
     let ctx16 = EvalContext::new(SimConfig::era_2016(), scale);
     let ctx20 = EvalContext::new(SimConfig::era_2020(), scale);
 
@@ -124,36 +129,28 @@ impl ResponsivenessReport {
             "Table 6: destination responsiveness and reachability",
             &["Metric", "2016", "2020"],
         );
-        let get = |f: fn(&EraStats) -> usize| -> Vec<String> {
-            self.eras
-                .iter()
-                .map(|(_, s)| format!("{} ({:.0}%)", f(s), 100.0 * fraction(f(s), s.probed)))
-                .collect()
-        };
-        let probed: Vec<String> = self
-            .eras
-            .iter()
-            .map(|(_, s)| s.probed.to_string())
-            .collect();
-        t.row(&[
-            "All probed".to_string(),
-            probed[0].clone(),
-            probed[1].clone(),
-        ]);
-        let ping = get(|s| s.ping_responsive);
-        t.row(&[
-            "Ping responsive".to_string(),
-            ping[0].clone(),
-            ping[1].clone(),
-        ]);
-        let rr = get(|s| s.rr_responsive);
-        t.row(&["RR responsive".to_string(), rr[0].clone(), rr[1].clone()]);
-        let reach = get(|s| s.rr_reachable_8);
-        t.row(&[
-            "RR reachable in <=8 hops".to_string(),
-            reach[0].clone(),
-            reach[1].clone(),
-        ]);
+        let metrics = [
+            "All probed",
+            "Ping responsive",
+            "RR responsive",
+            "RR reachable in <=8 hops",
+        ];
+        for (i, name) in metrics.into_iter().enumerate() {
+            let mut row = vec![name.to_string()];
+            row.extend(self.eras.iter().map(|(_, s)| {
+                let n = [
+                    s.probed,
+                    s.ping_responsive,
+                    s.rr_responsive,
+                    s.rr_reachable_8,
+                ][i];
+                match i {
+                    0 => n.to_string(),
+                    _ => format!("{n} ({:.0}%)", 100.0 * fraction(n, s.probed)),
+                }
+            }));
+            t.row(&row);
+        }
         t
     }
 
@@ -209,8 +206,10 @@ impl SpoofingBenefit {
     }
 }
 
-/// Measure the spoofing benefit over `(src, dst)` pairs.
-pub fn spoofing_benefit(ctx: &EvalContext) -> SpoofingBenefit {
+/// Measure the spoofing benefit over `(src, dst)` pairs in the world of
+/// `(scale, seed)`.
+pub fn spoofing_benefit(scale: Scale, seed: u64) -> SpoofingBenefit {
+    let ctx = EvalContext::of(scale, seed);
     let prober = ctx.prober();
     let vps = ctx.vps();
     let mut out = SpoofingBenefit::default();
@@ -249,8 +248,7 @@ mod tests {
 
     #[test]
     fn spoofing_expands_coverage() {
-        let ctx = EvalContext::smoke();
-        let b = spoofing_benefit(&ctx);
+        let b = spoofing_benefit(Scale::Smoke, 1);
         assert!(b.pairs > 0, "no RR-responsive pairs");
         assert!(
             b.with_spoofing >= b.without_spoofing,
@@ -264,9 +262,9 @@ mod tests {
 
     #[test]
     fn flattening_brings_destinations_closer() {
-        let mut scale = EvalScale::smoke();
+        let mut scale = Scale::Smoke.eval_scale(1);
         scale.prefix_sample = 150;
-        let report = run(scale);
+        let report = run_eras(scale);
         let s16 = report.eras[0].1;
         let s20 = report.eras[1].1;
         assert!(s16.probed > 0 && s20.probed > 0);

@@ -17,35 +17,16 @@ use crate::render::{Figure, Table};
 use crate::report::OracleScore;
 use crate::stats::Distribution;
 
-/// A loss × retry-budget grid.
-pub struct Grid {
-    /// Injected transient loss probabilities, ascending.
-    pub losses: &'static [f64],
-    /// Per-kind retry attempt budgets, ascending (1 = no retries).
-    pub budgets: &'static [u32],
-}
-
-/// The smoke grid (tiny topology; tests and quick looks).
-pub const SMOKE: Grid = Grid {
-    losses: &[0.0, 0.25],
-    budgets: &[1, 3],
-};
-
-/// The standard grid (paper-era topology).
-pub const STANDARD: Grid = Grid {
-    losses: &[0.0, 0.1, 0.3],
-    budgets: &[1, 3],
-};
-
-impl Grid {
-    /// The grid swept at `scale`.
-    pub fn of(scale: Scale) -> &'static Grid {
-        match scale {
-            Scale::Smoke => &SMOKE,
-            Scale::Standard => &STANDARD,
-        }
+/// The injected transient loss probabilities swept at `scale`, ascending.
+fn losses(scale: Scale) -> &'static [f64] {
+    match scale {
+        Scale::Smoke => &[0.0, 0.25],
+        Scale::Standard => &[0.0, 0.1, 0.3],
     }
 }
+
+/// The per-kind retry budgets crossed with each loss (1 = no retries).
+const BUDGETS: [u32; 2] = [1, 3];
 
 /// One (loss rate, retry budget) cell of the grid.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -106,11 +87,8 @@ pub struct RobustnessReport {
 
 /// Run every cell of `scale`'s grid under `seed`, one campaign at a time.
 pub fn run(scale: Scale, seed: u64) -> RobustnessReport {
-    let grid = Grid::of(scale);
-    let cells = grid
-        .losses
-        .iter()
-        .flat_map(|&loss| grid.budgets.iter().map(move |&budget| (loss, budget)))
+    let cells = (losses(scale).iter())
+        .flat_map(|&loss| BUDGETS.map(|budget| (loss, budget)))
         .map(|(loss, budget)| {
             RobustnessCell::of(&Campaign::faulted(scale, seed, loss, budget).run())
         })

@@ -283,8 +283,9 @@ pub fn campaign(scale: Scale, seed: u64, scenario: &ScenarioConfig, harden: bool
     // Deliberate: the arms are judged by the verify-mode policy but run
     // without the Appx.-E re-probe. Every committed conformance number was
     // measured that way; whether the arms should pay for verification is
-    // ROADMAP item 5's to settle, with the oracle leak.
-    c.verify_dbr = false;
+    // open until hardening validates from measurements alone, without the
+    // oracle replays it uses today.
+    c.engine.verify_dbr = false;
     c
 }
 
@@ -303,7 +304,7 @@ pub fn arm(run: &CampaignRun) -> ScenarioArm {
     let judged = Report::new(run, &scenario_policy(run.campaign.scale));
     let requests = run.workload.len() as u64;
     ScenarioArm {
-        harden: run.campaign.harden,
+        harden: run.campaign.engine.harden,
         requests,
         coverage: judged.value("coverage"),
         accuracy: judged.value("accuracy"),

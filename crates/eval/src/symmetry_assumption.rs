@@ -8,15 +8,15 @@
 //! spoofed RR pings; classify the penultimate hop as on / not on / unknown
 //! using alias evidence, split by intradomain vs interdomain last link.
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::Table;
 use crate::stats::fraction;
 use revtr::extract_reverse_hops;
 use revtr_aliasing::{AliasResolver, Ip2As};
-use revtr_netsim::Addr;
+use revtr_netsim::{Addr, Sim};
 use revtr_probing::Prober;
-use revtr_vpselect::IngressDb;
-use std::sync::Arc;
+use revtr_vpselect::{Heuristics, IngressDb};
 
 /// Classification counts for one link class.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -84,22 +84,13 @@ impl SymmetryAssumptionReport {
     }
 }
 
-/// Reveal reverse hops toward `src` from `target` with spoofed RR pings,
-/// walking the ingress plan in batches of three (the §4.3 discipline).
-fn reveal_reverse_hops(
-    prober: &Prober<'_>,
-    ingress: &IngressDb,
-    target: Addr,
-    src: Addr,
-    fallback_vps: &[Addr],
-) -> Vec<Addr> {
-    let sim = prober.sim();
-    let plan_prefix = sim.topo().prefix_of(target).or_else(|| {
-        sim.topo()
-            .block_owner(target)
-            .and_then(|a| sim.topo().asn(a).prefixes.first().copied())
-    });
-    let mut plan: Vec<Addr> = plan_prefix
+/// The VPs of `target`'s ingress plan, in plan order: its announced
+/// prefix's, or for an infrastructure address its AS's first prefix's.
+pub(crate) fn ingress_vps(ingress: &IngressDb, sim: &Sim, target: Addr) -> Vec<Addr> {
+    let topo = sim.topo();
+    let plan_prefix = (topo.prefix_of(target))
+        .or_else(|| (topo.block_owner(target)).and_then(|a| topo.asn(a).prefixes.first().copied()));
+    plan_prefix
         .map(|p| {
             ingress
                 .ingress_plan(p)
@@ -107,19 +98,22 @@ fn reveal_reverse_hops(
                 .flat_map(|q| q.vps)
                 .collect()
         })
-        .unwrap_or_default();
-    if plan.is_empty() {
-        plan = fallback_vps.iter().copied().take(9).collect();
-    }
-    plan.truncate(9);
-    for chunk in plan.chunks(3) {
+        .unwrap_or_default()
+}
+
+/// Reveal reverse hops toward `src` from `target` with spoofed RR pings
+/// from the first nine VPs of `plan`, in batches of three (the §4.3
+/// discipline): the first reply that reveals any.
+pub(crate) fn reveal_reverse_hops(
+    prober: &Prober<'_>,
+    plan: &[Addr],
+    target: Addr,
+    src: Addr,
+) -> Vec<Addr> {
+    for chunk in plan[..plan.len().min(9)].chunks(3) {
         let pairs: Vec<(Addr, Addr)> = chunk.iter().map(|&vp| (vp, target)).collect();
-        for reply in prober
-            .spoofed_rr_batch(&pairs, src)
-            .replies
-            .into_iter()
-            .flatten()
-        {
+        let replies = prober.spoofed_rr_batch(&pairs, src).replies;
+        for reply in replies.into_iter().flatten() {
             if let Some(rev) = extract_reverse_hops(&reply.slots, target) {
                 if !rev.is_empty() {
                     return rev.to_vec();
@@ -130,18 +124,16 @@ fn reveal_reverse_hops(
     Vec::new()
 }
 
-/// Run the Table 2 study over up to `max_targets` /30-derived targets and
-/// up to 5 sources each.
-pub fn run(
-    ctx: &EvalContext,
-    ingress: &Arc<IngressDb>,
-    max_targets: usize,
-) -> SymmetryAssumptionReport {
+/// Run the Table 2 study in the world of `(scale, seed)`, over up to
+/// `max(n_revtrs / 2, 50)` /30-derived targets and up to 5 sources each.
+pub fn run(scale: Scale, seed: u64) -> SymmetryAssumptionReport {
+    let ctx = EvalContext::of(scale, seed);
+    let max_targets = (ctx.scale.n_revtrs / 2).max(50);
+    let ingress = ctx.build_ingress(&ctx.prober(), Heuristics::FULL);
     let prober = ctx.prober();
     let resolver = AliasResolver::new(&ctx.sim);
     let ip2as = Ip2As::new(&ctx.sim);
     let sources: Vec<Addr> = ctx.sources();
-    let fallback: Vec<Addr> = ingress.global_plan().to_vec();
 
     // Targets: the /30 peers of SNMP-responsive interfaces, sampled
     // uniformly across the whole topology (the ITDK dataset spans core and
@@ -182,7 +174,11 @@ pub fn run(
             else {
                 continue;
             };
-            let rev = reveal_reverse_hops(&prober, ingress, target, src, &fallback);
+            let mut plan = ingress_vps(&ingress, &ctx.sim, target);
+            if plan.is_empty() {
+                plan = ingress.global_plan().to_vec();
+            }
+            let rev = reveal_reverse_hops(&prober, &plan, target, src);
             if rev.is_empty() {
                 continue; // methodology requires at least one reverse hop
             }
@@ -208,14 +204,10 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_vpselect::Heuristics;
 
     #[test]
     fn table2_shape_holds_on_smoke_scale() {
-        let ctx = EvalContext::smoke();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let report = run(&ctx, &ingress, 60);
+        let report = run(Scale::Smoke, 1);
         let all = report.all();
         assert!(all.total() > 0, "no classified paths");
         // The paper's key finding: intradomain symmetry assumptions are far

@@ -12,6 +12,7 @@
 //! * **balancing** (Fig. 7 right): no-export one site's announcement from
 //!   its dominant upstream to even out the split between two sites.
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::Table;
 use crate::stats::fraction;
@@ -52,7 +53,7 @@ pub struct TrafficEngReport {
     pub balancing: TeScenario,
 }
 
-fn snapshot(ctx: &EvalContext, routes: &AnycastRoutes, monitored: &[AsId]) -> CatchmentSnapshot {
+fn snapshot(routes: &AnycastRoutes, monitored: &[AsId]) -> CatchmentSnapshot {
     let mut catchment = HashMap::new();
     let mut lens = Vec::new();
     for &a in monitored {
@@ -66,7 +67,6 @@ fn snapshot(ctx: &EvalContext, routes: &AnycastRoutes, monitored: &[AsId]) -> Ca
     } else {
         lens.iter().sum::<f64>() / lens.len() as f64
     };
-    let _ = ctx;
     CatchmentSnapshot {
         catchment,
         mean_path_len,
@@ -111,8 +111,9 @@ fn dominant_transit(
         .map(|(a, _)| a)
 }
 
-/// Run both TE scenarios.
-pub fn run(ctx: &EvalContext) -> TrafficEngReport {
+/// Run both TE scenarios on the topology of `(scale, seed)`.
+pub fn run(scale: Scale, seed: u64) -> TrafficEngReport {
+    let ctx = &EvalContext::of(scale, seed);
     let topo = ctx.sim.topo();
     // Monitored destinations: the owners of the sampled prefixes (the
     // "15,300 representative groups" of §6.1, scaled).
@@ -148,14 +149,14 @@ pub fn run(ctx: &EvalContext) -> TrafficEngReport {
     // --- Scenario 1: steering away from a suboptimal transit. -----------
     let cfg0 = AnycastConfig::new(vec![edu, other]);
     let routes0 = anycast_routes(topo, &cfg0, salt);
-    let before = snapshot(ctx, &routes0, &monitored);
+    let before = snapshot(&routes0, &monitored);
     // The dominant transit feeding the *other* (far) site.
     let transit = dominant_transit(ctx, &routes0, &monitored, other).unwrap_or(AsId(0));
     // Poison that transit on the far site's announcement: its routes must
     // shift to the edu site.
     let cfg1 = cfg0.clone().block(transit, other);
     let routes1 = anycast_routes(topo, &cfg1, salt);
-    let after = snapshot(ctx, &routes1, &monitored);
+    let after = snapshot(&routes1, &monitored);
     let steering = TeScenario {
         name: "Steering (poison dominant transit on far site)".into(),
         sites: vec![edu, other],
@@ -169,7 +170,7 @@ pub fn run(ctx: &EvalContext) -> TrafficEngReport {
     let (c1, c2) = (colos[0], colos[1 % colos.len()]);
     let cfg0 = AnycastConfig::new(vec![c1, c2]);
     let routes0 = anycast_routes(topo, &cfg0, salt ^ 1);
-    let before = snapshot(ctx, &routes0, &monitored);
+    let before = snapshot(&routes0, &monitored);
     // Determine the dominant-side site and no-export its announcement from
     // its dominant upstream ("Fusix").
     let dominant_site = if share(&before, c1) >= share(&before, c2) {
@@ -180,7 +181,7 @@ pub fn run(ctx: &EvalContext) -> TrafficEngReport {
     let upstream = dominant_transit(ctx, &routes0, &monitored, dominant_site).unwrap_or(AsId(0));
     let cfg1 = cfg0.clone().block(upstream, dominant_site);
     let routes1 = anycast_routes(topo, &cfg1, salt ^ 1);
-    let after = snapshot(ctx, &routes1, &monitored);
+    let after = snapshot(&routes1, &monitored);
     let balancing = TeScenario {
         name: "Balancing (no-export dominant site via its upstream)".into(),
         sites: vec![c1, c2],
@@ -231,8 +232,7 @@ mod tests {
 
     #[test]
     fn te_actions_shift_catchments() {
-        let ctx = EvalContext::smoke();
-        let report = run(&ctx);
+        let report = run(Scale::Smoke, 1);
 
         // Steering: the far site loses share, the near (edu) site gains.
         let sc = &report.steering;

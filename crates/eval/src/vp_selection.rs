@@ -9,6 +9,7 @@
 //! reverse hop is found (Fig. 6c), and whether each heuristic ladder finds
 //! an in-range VP at all (Table 5).
 
+use crate::campaign::Scale;
 use crate::context::EvalContext;
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
@@ -109,9 +110,10 @@ fn flatten_queues(queues: &[IngressQueue]) -> Vec<Addr> {
     out
 }
 
-/// Run the VP-selection evaluation.
-pub fn run(ctx: &EvalContext) -> VpSelectionReport {
-    run_on(ctx, ctx.prober())
+/// Run the VP-selection evaluation in the world of `(scale, seed)`.
+pub fn run(scale: Scale, seed: u64) -> VpSelectionReport {
+    let ctx = EvalContext::of(scale, seed);
+    run_on(&ctx, ctx.prober())
 }
 
 /// [`run`] on the caller's prober, whose cache all heuristics share.
@@ -231,8 +233,23 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
 }
 
 impl VpSelectionReport {
-    fn ccdf_hops(&self, samples: Vec<f64>) -> Vec<(f64, f64)> {
+    /// CCDF of the reverse hops uncovered by the first `batch` VPs of each
+    /// prefix's `plan`, or (`None`) by the best VP — the "Optimal" line.
+    fn first_batch_ccdf(
+        &self,
+        plan: Option<&HashMap<PrefixId, Vec<Addr>>>,
+        batch: usize,
+    ) -> Vec<(f64, f64)> {
         let xs: Vec<f64> = (0..=9).map(|i| i as f64).collect();
+        let samples = (self.prefixes.iter())
+            .map(|p| match plan {
+                Some(plan) => {
+                    let pl = &plan[&p.prefix];
+                    p.first_batch_revealed(&pl[..pl.len().min(batch)]) as f64
+                }
+                None => p.optimal().revealed as f64,
+            })
+            .collect();
         Distribution::new(samples).ccdf_series(&xs)
     }
 
@@ -244,26 +261,10 @@ impl VpSelectionReport {
             "uncovered reverse hops by the first batch",
             "CCDF of BGP prefixes",
         );
-        let ingress = &self.plans[0].1;
-        f.series(
-            "Optimal",
-            self.ccdf_hops(
-                self.prefixes
-                    .iter()
-                    .map(|p| p.optimal().revealed as f64)
-                    .collect(),
-            ),
-        );
+        f.series("Optimal", self.first_batch_ccdf(None, 0));
         for b in [5usize, 3, 1] {
-            let samples: Vec<f64> = self
-                .prefixes
-                .iter()
-                .map(|p| {
-                    let plan = &ingress[&p.prefix];
-                    p.first_batch_revealed(&plan[..plan.len().min(b)]) as f64
-                })
-                .collect();
-            f.series(&format!("Batches of {b}"), self.ccdf_hops(samples));
+            let ccdf = self.first_batch_ccdf(Some(&self.plans[0].1), b);
+            f.series(&format!("Batches of {b}"), ccdf);
         }
         f
     }
@@ -277,25 +278,9 @@ impl VpSelectionReport {
             "uncovered reverse hops by the first batch",
             "CCDF of BGP prefixes",
         );
-        f.series(
-            "Optimal",
-            self.ccdf_hops(
-                self.prefixes
-                    .iter()
-                    .map(|p| p.optimal().revealed as f64)
-                    .collect(),
-            ),
-        );
+        f.series("Optimal", self.first_batch_ccdf(None, 0));
         for (label, plan) in &self.plans {
-            let samples: Vec<f64> = self
-                .prefixes
-                .iter()
-                .map(|p| {
-                    let pl = &plan[&p.prefix];
-                    p.first_batch_revealed(&pl[..pl.len().min(BATCH_SIZE)]) as f64
-                })
-                .collect();
-            f.series(label, self.ccdf_hops(samples));
+            f.series(label, self.first_batch_ccdf(Some(plan), BATCH_SIZE));
         }
         f
     }
@@ -343,8 +328,7 @@ mod tests {
 
     #[test]
     fn vp_selection_shapes_hold_on_smoke_scale() {
-        let ctx = EvalContext::smoke();
-        let report = run(&ctx);
+        let report = run(Scale::Smoke, 1);
         assert!(!report.prefixes.is_empty(), "no evaluation prefixes");
 
         // Table 5 ladder is monotone, and Optimal bounds everything.
@@ -401,7 +385,7 @@ mod tests {
         // the shared prober, so nonces and clock — and with them every
         // per-packet-balanced reply — follow the order of the prefixes.
         let run_once = || {
-            let ctx = EvalContext::smoke();
+            let ctx = EvalContext::of(Scale::Smoke, 1);
             let prober = ctx.prober();
             let report = run_on(&ctx, prober.clone());
             (

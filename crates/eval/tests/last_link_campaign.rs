@@ -10,7 +10,8 @@
 //! minutes.
 
 use revtr::{EngineConfig, Evidence, LoopConfig, RevtrResult, StitchEnd};
-use revtr_eval::context::{EvalContext, EvalScale};
+use revtr_eval::context::EvalContext;
+use revtr_eval::Scale;
 use revtr_netsim::{Addr, Sim, SimConfig};
 use revtr_probing::Prober;
 use revtr_vpselect::Heuristics;
@@ -87,9 +88,7 @@ fn symmetry_steps_match_the_full_trace_at_every_width() {
         let mut sim_cfg = SimConfig::era_2020();
         sim_cfg.behavior.churn_per_hour = 0.0;
         sim_cfg.behavior.router_load_balancer = 0.0;
-        let mut scale = EvalScale::standard();
-        scale.seed = seed;
-        let ctx = EvalContext::new(sim_cfg, scale);
+        let ctx = EvalContext::new(sim_cfg, Scale::Standard.eval_scale(seed));
         let ingress = Arc::new(ctx.build_ingress(&ctx.prober(), Heuristics::FULL));
         let workload = ctx.workload();
 

@@ -2,7 +2,7 @@
 //!
 //! Where [`crate::faults`] models *benign* failures (loss, rate limits,
 //! maintenance), this module models an Internet that actively misbehaves
-//! the way ROADMAP item 5 and the spoofing/deception literature describe:
+//! the way the spoofing/deception literature describes:
 //! spoof-filter rollouts that silently shrink the usable VP pool, regions
 //! with systematic destination-based-routing violations, responders that
 //! return plausible-but-false Record Route slots, asymmetric ICMP rate

@@ -1,5 +1,5 @@
 //! Campaign-wide Doubletree-style stop sets: the cross-request probe
-//! economy layer (ROADMAP item 3).
+//! economy layer (`EngineConfig::use_stop_sets`).
 //!
 //! Doubletree (Donnet et al., "Efficient Route Tracing from a Single
 //! Source") observes that redundant probing collapses when monitors share

@@ -4,26 +4,16 @@
 //!
 //! Run with: `cargo run --release --example asymmetry_survey`
 
-use revtr_eval::context::{EvalContext, EvalScale};
-use revtr_eval::{asymmetry, Figure};
-use revtr_netsim::SimConfig;
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
+use revtr_eval::context::DEFAULT_SEED;
+use revtr_eval::{asymmetry, Figure, Scale};
 
 fn main() {
-    let mut scale = EvalScale::smoke();
-    scale.prefix_sample = 120;
-    scale.n_revtrs = 300;
-    scale.atlas_size = 80;
-    let ctx = EvalContext::new(SimConfig::era_2020(), scale);
-    println!("simulated Internet: {:?}", ctx.sim);
-
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let workload = ctx.workload();
-    println!("bidirectional pairs attempted: {}\n", workload.len());
-
-    let report = asymmetry::run(&ctx, &ingress, &workload);
+    let scale = Scale::Standard;
+    println!(
+        "bidirectional pairs attempted: {} (the standard revtr 2.0 campaign)\n",
+        scale.eval_scale(DEFAULT_SEED).n_revtrs
+    );
+    let report = asymmetry::run(scale, DEFAULT_SEED);
     println!(
         "pairs with complete forward + reverse paths: {}",
         report.pairs.len()

@@ -4,17 +4,12 @@
 //!
 //! Run with: `cargo run --release --example traffic_engineering`
 
-use revtr_eval::context::{EvalContext, EvalScale};
+use revtr_eval::context::DEFAULT_SEED;
 use revtr_eval::traffic_eng::{self, share};
-use revtr_netsim::SimConfig;
+use revtr_eval::Scale;
 
 fn main() {
-    let mut scale = EvalScale::smoke();
-    scale.prefix_sample = 120;
-    let ctx = EvalContext::new(SimConfig::era_2020(), scale);
-    println!("simulated Internet: {:?}\n", ctx.sim);
-
-    let report = traffic_eng::run(&ctx);
+    let report = traffic_eng::run(Scale::Standard, DEFAULT_SEED);
     println!("{}", report.fig7().render());
 
     let sc = &report.steering;

@@ -619,8 +619,8 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
         // the same measurement-cache key between `get` and `put` and both
         // probe, each charged its own fill. A pool can only duplicate a
         // fill the serial order would have shared, never share one it paid
-        // for, so serial bytes are a floor (claim-before-probe, which would
-        // make them exact again, is ROADMAP item 2).
+        // for, so serial bytes are a floor (claiming a cache key before
+        // probing it would make them exact again).
         for workers in [4usize, 16] {
             let arm = run(true, workers);
             assert_arms_identical(&format!("profile w{workers}"), seed, &on.0, &arm.0);
