@@ -68,18 +68,24 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 # is the survey the standalone `probe_prefix` makes walking every hop:
 # every `PrefixInfo`, the counters, and the clock, simulator-time and
 # route-compute readings to the bit, with default churn moving salts under
-# the trees, under link maintenance, and in `dbr_region` ASes. (The tiny
-# arms run in the workspace tests above.)
-echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region) =="
+# the trees, under link maintenance, and in `dbr_region` ASes. Both sides
+# share the simulator's Record Route exchange, so the seed-1 survey is also
+# pinned to constants: a digest of every `PrefixInfo`, the clock and
+# simulator-time bits, the counters and the route computes. (The tiny arms
+# run in the workspace tests above.)
+echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + pinned seed 1) =="
 cargo test -q --release -p revtr-vpselect -- --ignored
 
 # Route-cache bound: 2 400 virtual hours of default churn on the era-2020
 # Internet, a window of prefixes RR-pinged after every flush — the cache
 # keeps live keys only (at most one table per prefix plus one per
 # infrastructure AS), where keeping every key walked would exceed it. (The
-# tiny arm runs in the workspace tests above.)
-echo "== route-cache bound soak (release, era-2020) =="
-cargo test -q --release -p revtr-netsim --lib -- --ignored the_route_cache_keeps_only_live_keys
+# tiny arm runs in the workspace tests above.) Beside it, the O(1)
+# `prefix_of` is held to the binary search over every address of every
+# era-2020 AS block, router addresses and unallocated space.
+echo "== route-cache bound soak + prefix_of on every era-2020 address (release) =="
+cargo test -q --release -p revtr-netsim --lib -- --ignored \
+  the_route_cache_keeps_only_live_keys prefix_of_matches_the_search
 
 # Allocation gates, optimized as deployed: a request allocates what it
 # returns — one block (request plane: `measure()` ≤ 1.2 a request and a

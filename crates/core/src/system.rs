@@ -497,9 +497,12 @@ impl<'s> RevtrSystem<'s> {
             .expect("register_source populates the atlas")
     }
 
-    /// Registered sources.
+    /// Registered sources, ascending (not the atlas map's per-process
+    /// order).
     pub fn sources(&self) -> Vec<Addr> {
-        self.atlases.read().keys().copied().collect()
+        let mut sources: Vec<Addr> = self.atlases.read().keys().copied().collect();
+        sources.sort_unstable();
+        sources
     }
 
     // ---- intersection (Q2) -----------------------------------------------------
@@ -1225,5 +1228,24 @@ mod tests {
             kept
         };
         assert_eq!(index(), index());
+    }
+
+    #[test]
+    fn sources_read_back_ascending() {
+        use revtr_atlas::select_atlas_probes;
+        use revtr_netsim::SimConfig;
+        let sim = Sim::build(SimConfig::tiny(), 5);
+        let mut vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let mut cfg = EngineConfig::revtr2();
+        cfg.atlas_size = 4;
+        let pool = select_atlas_probes(&sim, 8, 9);
+        let ingress = Arc::new(IngressDb::default());
+        let sys = RevtrSystem::new(Prober::new(&sim), cfg, vps.clone(), ingress, pool);
+        vps.sort_unstable_by(|a, b| b.cmp(a));
+        for &src in &vps {
+            sys.register_source(src);
+        }
+        vps.reverse();
+        assert_eq!(sys.sources(), vps);
     }
 }

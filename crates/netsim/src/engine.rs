@@ -10,8 +10,8 @@ use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{PrefixId, RouterId};
 use crate::inline::InlineVec;
-use crate::sim::{Dest, Hop, PktMeta, Sim, SinkTree, Walk, HOST_LINK_MS, MAX_HOPS};
-use crate::topology::{LinkKind, StampMode};
+use crate::sim::{Dest, Hop, HopSink, PktMeta, Sim, SinkTree, Walk, HOST_LINK_MS, MAX_HOPS};
+use crate::topology::StampMode;
 
 /// Number of Record Route slots in an IPv4 header (RFC 791).
 pub const RR_SLOTS: usize = 9;
@@ -151,26 +151,81 @@ enum ProbeKind {
     Ts,
 }
 
-impl Sim {
-    /// True if this hop is invisible to TTL and IP options: an interior hop
-    /// of an MPLS backbone (entered and left on intra links of an AS whose
-    /// LSPs do not propagate TTL) — §5.2.2's hidden tunnels.
-    fn mpls_hidden(&self, hop: &Hop) -> bool {
-        let asn = self.topo().router_as(hop.router);
-        if !self.topo().asn(asn).mpls {
-            return false;
-        }
-        let intra = |l: Option<crate::ids::LinkId>| {
-            l.map(|l| matches!(self.topo().link(l).kind, LinkKind::Intra(a) if a == asn))
-                .unwrap_or(false)
-        };
-        intra(hop.in_link) && intra(hop.out_link)
-    }
+/// One leg of a Record Route exchange, stamping as it walks: each
+/// forwarding router the packet crosses writes its stamp into the next free
+/// slot, until all nine are taken.
+struct RrLeg<'a> {
+    slots: &'a mut RrSlots,
+    /// The leg ends at a destination router, which stamps by the
+    /// destination rules instead ([`Sim::stamp_dest`]).
+    skip_last: bool,
+    /// The host-side interfaces the leg's first and last hops may stamp
+    /// ([`Sim::rr_stamp`]).
+    first_gw: Option<Addr>,
+    last_gw: Option<Addr>,
+}
 
+impl HopSink for RrLeg<'_> {
+    fn hop(&mut self, sim: &Sim, hop: Hop) {
+        // The leg's last hop is the one with no out-link; an LSP-interior
+        // hop never processes the IP header.
+        if (self.skip_last && hop.out_link.is_none())
+            || self.slots.is_full()
+            || sim.mpls_hidden(&hop)
+        {
+            return;
+        }
+        let mode = sim.stamp_mode(hop.router);
+        if let Some(a) = sim.rr_stamp(mode, &hop, self.first_gw, self.last_gw) {
+            self.slots.push(a);
+        }
+    }
+}
+
+/// One leg of a Timestamp-prespec exchange, visiting as it walks: a router
+/// fills the next prespecified slot if it processes the option and owns
+/// that address.
+struct TsLeg<'a> {
+    prespec: &'a [Addr],
+    filled: usize,
+    /// Pass over the leg's first hop (no in-link) or its last (no
+    /// out-link): a destination router's own, answered by the destination
+    /// rules.
+    skip_first: bool,
+    skip_last: bool,
+    /// Pass over LSP-interior hops (the forward leg does; the reply leg, as
+    /// modelled, does not).
+    hide_mpls: bool,
+}
+
+impl TsLeg<'_> {
+    fn visit(&mut self, sim: &Sim, r: RouterId) {
+        let Some(&want) = self.prespec.get(self.filled) else {
+            return;
+        };
+        if sim.topo().router(r).ts_capable && sim.topo().router_at(want) == Some(r) {
+            self.filled += 1;
+        }
+    }
+}
+
+impl HopSink for TsLeg<'_> {
+    fn hop(&mut self, sim: &Sim, hop: Hop) {
+        if (self.skip_first && hop.in_link.is_none())
+            || (self.skip_last && hop.out_link.is_none())
+            || (self.hide_mpls && sim.mpls_hidden(&hop))
+        {
+            return;
+        }
+        self.visit(sim, hop.router);
+    }
+}
+
+impl Sim {
     // ---- responsiveness ----------------------------------------------------
 
     fn dest_responds(&self, dest: &Dest, addr: Addr, kind: ProbeKind) -> bool {
-        if self.is_vp_host(addr) {
+        if self.is_vp_dest(dest, addr) {
             return true; // our own machines answer everything
         }
         match *dest {
@@ -244,13 +299,14 @@ impl Sim {
         if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
             return None;
         }
-        let fwd = self.walk_to(
+        let fwd_ms = self.walk_to(
             attach,
             dst,
             &dest,
             &PktMeta::plain(claimed_src, 0),
             None,
             None,
+            &mut (),
         )?;
         let back = if claimed_src == sender {
             Dest::Host {
@@ -260,30 +316,39 @@ impl Sim {
         } else {
             self.resolve_dest(claimed_src)?
         };
-        let rep = self.walk_to(
+        let rep_ms = self.walk_to(
             Self::reply_start(&dest),
             claimed_src,
             &back,
             &PktMeta::plain(dst, 0),
             None,
             None,
+            &mut (),
         )?;
         Some(EchoReply {
             from: dst,
-            rtt_ms: HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
+            rtt_ms: HOST_LINK_MS + fwd_ms + rep_ms,
         })
     }
 
     // ---- record route --------------------------------------------------------
 
-    /// RR stamp address for a forwarding router, given surrounding context.
+    /// RR stamp address for a forwarding router stamping by `mode`, given
+    /// surrounding context.
     ///
     /// `first_gw`/`last_gw` supply the virtual host-side interface for the
-    /// first hop after a sending host (ingress side) and the last hop before
-    /// a receiving host (egress side).
-    fn rr_stamp(&self, hop: &Hop, first_gw: Option<Addr>, last_gw: Option<Addr>) -> Option<Addr> {
+    /// first hop after a sending host (ingress side: the hop with no
+    /// in-link) and the last hop before a receiving host (egress side: the
+    /// hop with no out-link).
+    fn rr_stamp(
+        &self,
+        mode: StampMode,
+        hop: &Hop,
+        first_gw: Option<Addr>,
+        last_gw: Option<Addr>,
+    ) -> Option<Addr> {
         let r = self.topo().router(hop.router);
-        match r.stamp {
+        match mode {
             StampMode::NoStamp => None,
             StampMode::Loopback => Some(r.loopback),
             StampMode::Private => Some(r.private_alias),
@@ -298,35 +363,6 @@ impl Sim {
         }
     }
 
-    /// Apply forwarding-router stamps for a walk segment.
-    fn stamp_walk(
-        &self,
-        walk: &Walk,
-        slots: &mut RrSlots,
-        skip_first: bool,
-        skip_last: bool,
-        first_gw: Option<Addr>,
-        last_gw: Option<Addr>,
-    ) {
-        let n = walk.hops.len();
-        for (i, hop) in walk.hops.iter().enumerate() {
-            if (i == 0 && skip_first) || (i + 1 == n && skip_last) {
-                continue;
-            }
-            if slots.is_full() {
-                break;
-            }
-            if self.mpls_hidden(hop) {
-                continue; // LSP interior: the IP header is never processed
-            }
-            let fg = if i == 0 { first_gw } else { None };
-            let lg = if i + 1 == n { last_gw } else { None };
-            if let Some(a) = self.rr_stamp(hop, fg, lg) {
-                slots.push(a);
-            }
-        }
-    }
-
     /// Destination stamping behaviour (Appx. C cases).
     fn stamp_dest(&self, dest: &Dest, dst: Addr, slots: &mut RrSlots) {
         let mut push = |a: Addr| {
@@ -334,7 +370,7 @@ impl Sim {
                 slots.push(a);
             }
         };
-        if self.is_vp_host(dst) {
+        if self.is_vp_dest(dest, dst) {
             push(dst);
             return;
         }
@@ -429,10 +465,11 @@ impl Sim {
     /// One Record Route echo exchange, forward leg then reply leg, with
     /// each leg's churn epoch pinned (`None` reads the live epoch) and its
     /// sink tree lent, if the caller keeps one: forward walk, destination
-    /// stamp, reply walk. Returns the stamped slots, where the reply leg's
-    /// stamps begin in them, and the round-trip latency. Every address is
-    /// resolved once, whatever the number of legs that route on it.
-    fn rr_exchange(
+    /// stamp, reply walk, each leg stamping as it walks. Returns the
+    /// stamped slots, where the reply leg's stamps begin in them, and the
+    /// round-trip latency. Every address is resolved once, whatever the
+    /// number of legs that route on it.
+    pub(crate) fn rr_exchange(
         &self,
         sender: Addr,
         claimed_src: Addr,
@@ -448,52 +485,53 @@ impl Sim {
         }
         let (recv_prefix, recv_attach) =
             self.receiver(sender, (snd_prefix, attach), claimed_src)?;
-
-        let fwd = self.walk_to(
-            attach,
-            dst,
-            &dest,
-            &PktMeta::options(claimed_src, nonce),
-            fwd_epoch,
-            fwd_tree,
-        )?;
-        let mut slots = RrSlots::new();
-        let sender_gw = Some(self.prefix_gateway(snd_prefix));
-        let is_router_dest = matches!(dest, Dest::Router { .. });
         let dest_gw = match dest {
             Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
             Dest::Router { .. } => None,
         };
+
+        let mut slots = RrSlots::new();
         // Forward stamping: the destination router (if the target is a
         // router) stamps via the destination rules, not as a forwarder.
-        self.stamp_walk(&fwd, &mut slots, false, is_router_dest, sender_gw, dest_gw);
+        let mut leg = RrLeg {
+            slots: &mut slots,
+            skip_last: matches!(dest, Dest::Router { .. }),
+            first_gw: Some(self.prefix_gateway(snd_prefix)),
+            last_gw: dest_gw,
+        };
+        let meta = PktMeta::options(claimed_src, nonce);
+        let fwd_ms = self.walk_to(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, &mut leg)?;
         self.stamp_dest(&dest, dst, &mut slots);
 
-        // Reply path.
-        let rep = self.walk_to(
-            Self::reply_start(&dest),
+        // Reply path. For host destinations the attach router forwards the
+        // reply and stamps (ingress side = the destination prefix gateway).
+        // For router destinations the destination router *also* stamps as
+        // the first forwarder of its own reply, revealing its
+        // reverse-facing interface — the alias the RR-atlas technique
+        // (§4.2) harvests.
+        let reply_mark = slots.len();
+        let mut leg = RrLeg {
+            slots: &mut slots,
+            skip_last: false,
+            first_gw: dest_gw,
+            last_gw: Some(self.prefix_gateway(recv_prefix)),
+        };
+        let back = Dest::Host {
+            prefix: recv_prefix,
+            attach: recv_attach,
+        };
+        let meta = PktMeta::options(dst, mix2(nonce, 1));
+        let start = Self::reply_start(&dest);
+        let rep_ms = self.walk_to(
+            start,
             claimed_src,
-            &Dest::Host {
-                prefix: recv_prefix,
-                attach: recv_attach,
-            },
-            &PktMeta::options(dst, mix2(nonce, 1)),
+            &back,
+            &meta,
             rep_epoch,
             rep_tree,
+            &mut leg,
         )?;
-        let recv_gw = Some(self.prefix_gateway(recv_prefix));
-        // For host destinations the attach router forwards the reply and
-        // stamps (ingress side = the destination prefix gateway). For router
-        // destinations the destination router *also* stamps as the first
-        // forwarder of its own reply, revealing its reverse-facing interface
-        // — the alias the RR-atlas technique (§4.2) harvests.
-        let reply_mark = slots.len();
-        self.stamp_walk(&rep, &mut slots, false, false, dest_gw, recv_gw);
-        Some((
-            slots,
-            reply_mark,
-            HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
-        ))
+        Some((slots, reply_mark, HOST_LINK_MS + fwd_ms + rep_ms))
     }
 
     /// Re-derive the Record Route stamps that the **reply leg** of an
@@ -553,76 +591,45 @@ impl Sim {
         let (recv_prefix, recv_attach) =
             self.receiver(sender, (snd_prefix, attach), claimed_src)?;
 
-        let mut filled = 0usize;
-        let visit_router = |r: RouterId, filled: &mut usize| {
-            if *filled >= prespec.len() {
-                return;
-            }
-            let router = self.topo().router(r);
-            if router.ts_capable && self.topo().router_at(prespec[*filled]) == Some(r) {
-                *filled += 1;
-            }
-        };
-
-        let fwd = self.walk_to(
-            attach,
-            dst,
-            &dest,
-            &PktMeta::options(claimed_src, nonce),
-            None,
-            None,
-        )?;
+        // The destination router, if the target is one, is handled below.
         let is_router_dest = matches!(dest, Dest::Router { .. });
-        let n = fwd.hops.len();
-        for (i, hop) in fwd.hops.iter().enumerate() {
-            if i + 1 == n && is_router_dest {
-                break; // destination handled below
-            }
-            if self.mpls_hidden(hop) {
-                continue;
-            }
-            visit_router(hop.router, &mut filled);
-        }
+        let mut leg = TsLeg {
+            prespec,
+            filled: 0,
+            skip_first: false,
+            skip_last: is_router_dest,
+            hide_mpls: true,
+        };
+        let meta = PktMeta::options(claimed_src, nonce);
+        let fwd_ms = self.walk_to(attach, dst, &dest, &meta, None, None, &mut leg)?;
         // Destination stamping.
-        if filled < prespec.len() {
-            match dest {
-                Dest::Host { .. } => {
-                    if prespec[filled] == dst {
-                        filled += 1;
-                    }
-                }
-                Dest::Router { router, .. } => {
-                    if self.topo().router(router).ts_capable
-                        && self.topo().router_at(prespec[filled]) == Some(router)
-                    {
-                        filled += 1;
-                    }
+        match dest {
+            Dest::Host { .. } => {
+                if prespec.get(leg.filled) == Some(&dst) {
+                    leg.filled += 1;
                 }
             }
+            Dest::Router { router, .. } => leg.visit(self, router),
         }
 
-        let rep = self.walk_to(
-            Self::reply_start(&dest),
-            claimed_src,
-            &Dest::Host {
-                prefix: recv_prefix,
-                attach: recv_attach,
-            },
-            &PktMeta::options(dst, mix2(nonce, 3)),
-            None,
-            None,
-        )?;
-        for (i, hop) in rep.hops.iter().enumerate() {
-            if i == 0 && is_router_dest {
-                continue;
-            }
-            visit_router(hop.router, &mut filled);
-        }
+        let mut leg = TsLeg {
+            skip_first: is_router_dest,
+            skip_last: false,
+            hide_mpls: false,
+            ..leg
+        };
+        let back = Dest::Host {
+            prefix: recv_prefix,
+            attach: recv_attach,
+        };
+        let meta = PktMeta::options(dst, mix2(nonce, 3));
+        let start = Self::reply_start(&dest);
+        let rep_ms = self.walk_to(start, claimed_src, &back, &meta, None, None, &mut leg)?;
 
         Some(TsReply {
             from: dst,
-            filled,
-            rtt_ms: HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
+            filled: leg.filled,
+            rtt_ms: HOST_LINK_MS + fwd_ms + rep_ms,
         })
     }
 
@@ -667,7 +674,7 @@ impl Sim {
     pub fn traceroute(&self, src: Addr, dst: Addr, flow: u16) -> Option<TraceResult> {
         let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
-        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
+        let fwd = self.walk_hops(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
 
         // One entry per walk hop at most, plus the destination's answer.
         let mut hops: Vec<Option<Addr>> = Vec::with_capacity(fwd.hops.len() + 1);
@@ -698,7 +705,7 @@ impl Sim {
     pub fn ttl_view(&self, src: Addr, dst: Addr, flow: u16) -> Option<TtlView> {
         let (pid, attach) = self.resolve_host(src)?;
         let dest = self.resolve_dest(dst)?;
-        let fwd = self.walk_to(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
+        let fwd = self.walk_hops(attach, dst, &dest, &PktMeta::plain(src, flow), None, None)?;
         Some(TtlView {
             hops: self
                 .ttl_hops(&fwd, &dest, self.prefix_gateway(pid))
@@ -727,6 +734,115 @@ impl Sim {
             return None;
         }
         Some(mix2(self.seed() ^ 0x1d, r.0 as u64))
+    }
+}
+
+/// The Record Route exchange as it ran before its legs stamped as they
+/// walked: each leg walked whole into a [`Walk`], then stamped by hop
+/// position, with the stamp mode and the MPLS test read off the topology
+/// hop by hop. The differential test in `sim.rs` holds
+/// [`Sim::rr_exchange`] to it.
+#[cfg(test)]
+impl Sim {
+    /// [`Sim::rr_exchange`] of the reference, lending no tree.
+    pub(crate) fn rr_exchange_reference(
+        &self,
+        sender: Addr,
+        claimed_src: Addr,
+        dst: Addr,
+        nonce: u64,
+        [fwd_epoch, rep_epoch]: [Option<u32>; 2],
+    ) -> Option<(RrSlots, usize, f64)> {
+        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
+        let dest = self.resolve_dest(dst)?;
+        if !self.dest_responds(&dest, dst, ProbeKind::Rr) {
+            return None;
+        }
+        let (recv_prefix, recv_attach) =
+            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
+
+        let fwd = self.walk_hops(
+            attach,
+            dst,
+            &dest,
+            &PktMeta::options(claimed_src, nonce),
+            fwd_epoch,
+            None,
+        )?;
+        let mut slots = RrSlots::new();
+        let sender_gw = Some(self.prefix_gateway(snd_prefix));
+        let is_router_dest = matches!(dest, Dest::Router { .. });
+        let dest_gw = match dest {
+            Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
+            Dest::Router { .. } => None,
+        };
+        self.stamp_walk(&fwd, &mut slots, is_router_dest, sender_gw, dest_gw);
+        self.stamp_dest(&dest, dst, &mut slots);
+
+        let rep = self.walk_hops(
+            Self::reply_start(&dest),
+            claimed_src,
+            &Dest::Host {
+                prefix: recv_prefix,
+                attach: recv_attach,
+            },
+            &PktMeta::options(dst, mix2(nonce, 1)),
+            rep_epoch,
+            None,
+        )?;
+        let recv_gw = Some(self.prefix_gateway(recv_prefix));
+        let reply_mark = slots.len();
+        self.stamp_walk(&rep, &mut slots, false, dest_gw, recv_gw);
+        Some((
+            slots,
+            reply_mark,
+            HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
+        ))
+    }
+
+    /// Apply forwarding-router stamps for a walk segment.
+    fn stamp_walk(
+        &self,
+        walk: &Walk,
+        slots: &mut RrSlots,
+        skip_last: bool,
+        first_gw: Option<Addr>,
+        last_gw: Option<Addr>,
+    ) {
+        let n = walk.hops.len();
+        for (i, hop) in walk.hops.iter().enumerate() {
+            if i + 1 == n && skip_last {
+                continue;
+            }
+            if slots.is_full() {
+                break;
+            }
+            if self.mpls_hidden_reference(hop) {
+                continue;
+            }
+            let fg = if i == 0 { first_gw } else { None };
+            let lg = if i + 1 == n { last_gw } else { None };
+            let mode = self.topo().router(hop.router).stamp;
+            if let Some(a) = self.rr_stamp(mode, hop, fg, lg) {
+                slots.push(a);
+            }
+        }
+    }
+
+    /// [`Sim::mpls_hidden`] read off the hop router's AS and the links'
+    /// kinds.
+    fn mpls_hidden_reference(&self, hop: &Hop) -> bool {
+        let asn = self.topo().router_as(hop.router);
+        if !self.topo().asn(asn).mpls {
+            return false;
+        }
+        let intra = |l: Option<crate::ids::LinkId>| {
+            l.map(|l| {
+                matches!(self.topo().link(l).kind, crate::topology::LinkKind::Intra(a) if a == asn)
+            })
+            .unwrap_or(false)
+        };
+        intra(hop.in_link) && intra(hop.out_link)
     }
 }
 

@@ -22,8 +22,9 @@ pub const BLOCK_BASE: u32 = 11 << 24;
 
 /// Offset (within an AS block) of the first /24 used for link /30s.
 const LINK_SPACE_OFFSET: u32 = 16 * 256;
-/// Offset of the first announced host /24.
-const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
+/// Offset of the first announced host /24: an AS's `j`-th prefix is the
+/// `j`-th /24 from here, which is where [`Topology::prefix_of`] looks.
+pub(crate) const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
 
 /// Generate a complete topology from a configuration and seed.
 pub fn generate(cfg: &SimConfig, seed: u64) -> Topology {

@@ -18,7 +18,7 @@ use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use crate::igp::Igp;
 use crate::inline::InlineVec;
 use crate::scenario::Scenarios;
-use crate::topology::Topology;
+use crate::topology::{LinkKind, StampMode, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -122,6 +122,27 @@ pub struct Hop {
 
 /// The hops of a walk, held inline (a walk allocates nothing).
 pub type Hops = InlineVec<Hop, MAX_HOPS>;
+
+/// What a walk hands each hop to, in walk order, as it goes. A hop arrives
+/// whole — both its links known — so a sink tells the first hop of a walk
+/// (no in-link) and the last (no out-link) by the hop alone. A walk that
+/// drops has handed over a prefix of its hops and returns `None`.
+pub(crate) trait HopSink {
+    /// Take the next hop.
+    fn hop(&mut self, sim: &Sim, hop: Hop);
+}
+
+/// The walk kept whole, for the callers that read it as a value.
+impl HopSink for Hops {
+    fn hop(&mut self, _: &Sim, hop: Hop) {
+        self.push(hop);
+    }
+}
+
+/// Nobody reads the hops: a plain echo's legs only sum latency.
+impl HopSink for () {
+    fn hop(&mut self, _: &Sim, _: Hop) {}
+}
 
 /// A completed router-level walk.
 #[derive(Clone, Debug)]
@@ -310,6 +331,26 @@ impl Borders {
     }
 }
 
+/// One bit per dense index.
+#[derive(Debug)]
+struct Bits(Box<[u64]>);
+
+impl Bits {
+    /// Bits `0..n`, all clear.
+    fn new(n: usize) -> Bits {
+        Bits(vec![0; n.div_ceil(64)].into())
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+}
+
 /// The simulated Internet.
 ///
 /// Cheap to share by reference across threads (`Sim: Sync`): the caches
@@ -342,6 +383,16 @@ pub struct Sim {
     /// Vantage point host addresses (always responsive: our own machines),
     /// sorted.
     vp_hosts: Vec<Addr>,
+    /// By prefix index: some VP host lives in the prefix. Every VP host
+    /// does live in one, so an address outside these prefixes is no VP
+    /// host, and the search of `vp_hosts` is left to the few inside.
+    vp_prefixes: Bits,
+    /// By router index: how the router stamps Record Route.
+    stamp_modes: Box<[StampMode]>,
+    /// By link index: an intra link of an MPLS AS. A hop entered and left
+    /// on two such links is LSP interior — both links are of the hop
+    /// router's own AS, as an intra link joins routers of its AS alone.
+    mpls_links: Bits,
     /// Optional telemetry handle for fault-event counters (disabled-by-
     /// absence; set once via [`Sim::set_telemetry`]).
     telemetry: std::sync::OnceLock<revtr_telemetry::Telemetry>,
@@ -364,8 +415,26 @@ impl Sim {
         let faults = Faults::new(seed, cfg.faults.clone());
         let scenario = Scenarios::new(seed, cfg.scenario.clone());
         let n_prefixes = topo.prefixes.len();
+        assert!(
+            topo.prefix_layout_holds(),
+            "announced prefixes must sit in their owners' blocks as the generator places them"
+        );
         let mut vp_hosts: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
         vp_hosts.sort_unstable();
+        let mut vp_prefixes = Bits::new(n_prefixes);
+        for &h in &vp_hosts {
+            let p = topo
+                .prefix_of(h)
+                .expect("VP hosts live in announced prefixes");
+            vp_prefixes.set(p.index());
+        }
+        let stamp_modes = topo.routers.iter().map(|r| r.stamp).collect();
+        let mut mpls_links = Bits::new(topo.links.len());
+        for l in &topo.links {
+            if matches!(l.kind, LinkKind::Intra(a) if topo.asn(a).mpls) {
+                mpls_links.set(l.id.index());
+            }
+        }
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Sim {
             topo,
@@ -383,6 +452,9 @@ impl Sim {
             borders,
             route_computes: AtomicU64::new(0),
             vp_hosts,
+            vp_prefixes,
+            stamp_modes,
+            mpls_links,
             telemetry: std::sync::OnceLock::new(),
         }
     }
@@ -405,6 +477,33 @@ impl Sim {
     /// responsive to every probe flavour — they run our own software).
     pub fn is_vp_host(&self, addr: Addr) -> bool {
         self.vp_hosts.binary_search(&addr).is_ok()
+    }
+
+    /// [`Sim::is_vp_host`] of a destination already resolved, as the probe
+    /// primitives ask it: only a host of a prefix some VP lives in can be
+    /// one.
+    pub(crate) fn is_vp_dest(&self, dest: &Dest, addr: Addr) -> bool {
+        match *dest {
+            Dest::Host { prefix, .. } => {
+                self.vp_prefixes.get(prefix.index()) && self.is_vp_host(addr)
+            }
+            Dest::Router { .. } => false,
+        }
+    }
+
+    /// How router `r` stamps Record Route.
+    #[inline]
+    pub(crate) fn stamp_mode(&self, r: RouterId) -> StampMode {
+        self.stamp_modes[r.index()]
+    }
+
+    /// True if this hop is invisible to TTL and IP options: an interior hop
+    /// of an MPLS backbone (entered and left on intra links of an AS whose
+    /// LSPs do not propagate TTL) — §5.2.2's hidden tunnels.
+    #[inline]
+    pub(crate) fn mpls_hidden(&self, hop: &Hop) -> bool {
+        let interior = |l: Option<LinkId>| l.is_some_and(|l| self.mpls_links.get(l.index()));
+        interior(hop.in_link) && interior(hop.out_link)
     }
 
     /// The immutable topology.
@@ -736,16 +835,36 @@ impl Sim {
         epoch: Option<u32>,
     ) -> Option<Walk> {
         let dest = self.resolve_dest(dst_addr)?;
-        self.walk_to(start, dst_addr, &dest, meta, epoch, None)
+        self.walk_hops(start, dst_addr, &dest, meta, epoch, None)
+    }
+
+    /// [`Sim::walk_to`] into a [`Walk`]: the hops kept whole, for the
+    /// callers that read a path as a value — traceroute, TTL views, the
+    /// oracle.
+    pub(crate) fn walk_hops(
+        &self,
+        start: RouterId,
+        dst_addr: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        epoch: Option<u32>,
+        tree: Option<&mut SinkTree>,
+    ) -> Option<Walk> {
+        let mut hops = Hops::new();
+        let latency_ms = self.walk_to(start, dst_addr, dest, meta, epoch, tree, &mut hops)?;
+        Some(Walk { hops, latency_ms })
     }
 
     /// [`Sim::walk_at_epoch`] for a destination the caller has already
     /// resolved (`dest` must be `resolve_dest(dst_addr)`): the probe
     /// primitives resolve each address once per probe, not once per leg.
+    /// Each hop goes to `sink` as it is taken, and the walk's latency is
+    /// returned — a probe primitive reads what it needs of a hop on the
+    /// way instead of holding the walk.
     ///
-    /// Steady state allocates nothing: hops go into the walk's inline
-    /// buffer, and every candidate set `choose_idx` picks from is either a
-    /// slice of a precompiled table or counted and re-walked in place. The
+    /// Steady state allocates nothing: the walk holds no hop, and every
+    /// candidate set `choose_idx` picks from is either a slice of a
+    /// precompiled table or counted and re-walked in place. The
     /// sets, and their order, are part of the forwarding model — intra leg:
     /// equal-cost next hops by (neighbour, link); direct egress: the
     /// adjacency's links incident on this router, in the adjacency's link
@@ -760,7 +879,8 @@ impl Sim {
     /// reassociate, so a stored suffix sum would not be bit-equal), the
     /// maintenance check runs on every link crossed (it reads the clock),
     /// and a walk that drops or finds no route teaches the cell nothing.
-    pub(crate) fn walk_to(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn walk_to<S: HopSink>(
         &self,
         start: RouterId,
         dst_addr: Addr,
@@ -768,7 +888,8 @@ impl Sim {
         meta: &PktMeta,
         epoch: Option<u32>,
         tree: Option<&mut SinkTree>,
-    ) -> Option<Walk> {
+        sink: &mut S,
+    ) -> Option<f64> {
         // The epoch the walk routes on, read once: pinned, or live.
         let epoch = match *dest {
             Dest::Host { prefix, .. } => {
@@ -781,11 +902,11 @@ impl Sim {
         match tree {
             Some(tree) => {
                 let (core, cells) = tree.bind(self, dst_addr, target_as, salt, epoch);
-                self.walk_over(core, Some(cells), start, dst_addr, dest, meta, key)
+                self.walk_over(core, Some(cells), start, dst_addr, dest, meta, key, sink)
             }
             None => ROUTE_MEMO.with_borrow_mut(|memo| {
                 let core = memo.table(self, target_as, salt, epoch);
-                self.walk_over(core, None, start, dst_addr, dest, meta, key)
+                self.walk_over(core, None, start, dst_addr, dest, meta, key, sink)
             }),
         }
     }
@@ -794,7 +915,7 @@ impl Sim {
     /// the table of `key` — `routing_ctx`'s `(target AS, salt, prefix)` —
     /// and `cells` the lent tree's, if any.
     #[allow(clippy::too_many_arguments)]
-    fn walk_over(
+    fn walk_over<S: HopSink>(
         &self,
         core: &[bgp::Cell],
         mut cells: Option<&mut [u32]>,
@@ -803,7 +924,8 @@ impl Sim {
         dest: &Dest,
         meta: &PktMeta,
         (target_as, salt, pid): (AsId, u64, Option<PrefixId>),
-    ) -> Option<Walk> {
+        sink: &mut S,
+    ) -> Option<f64> {
         let (final_router, via, deliver_to_host) = dest.delivery();
         let dst_key = mix2(dst_addr.0 as u64, salt);
         // Link-maintenance faults: read virtual time once per walk.
@@ -813,21 +935,19 @@ impl Sim {
             None
         };
 
-        let mut walk = Walk {
-            hops: Hops::new(),
-            latency_ms: 0.0,
-        };
+        let mut latency_ms = 0.0;
         let mut cur = start;
         let mut in_link: Option<LinkId> = None;
         // The AS last asked for its BGP choice, and the answer: hops inside
         // one AS ask again, and a leaf AS re-derives it on every lookup.
         let mut chosen: Option<(AsId, usize)> = None;
 
-        for _ in 0..MAX_HOPS {
+        // `taken` hops have gone to the sink: one per pass.
+        for taken in 0..MAX_HOPS {
             if cur == final_router {
                 // Deliver: to the local host, across `via`, or to self.
                 if let Some(v) = via {
-                    if walk.hops.len() + 2 > MAX_HOPS {
+                    if taken + 2 > MAX_HOPS {
                         return None; // the far router would be one too many
                     }
                     if let Some(now) = maint_now {
@@ -837,28 +957,31 @@ impl Sim {
                         }
                     }
                     let l = self.topo.link(v);
-                    walk.hops.push(Hop {
+                    let hop = Hop {
                         router: cur,
                         in_link,
                         out_link: Some(v),
-                    });
-                    walk.latency_ms += l.latency_ms;
-                    walk.hops.push(Hop {
+                    };
+                    sink.hop(self, hop);
+                    latency_ms += l.latency_ms;
+                    let far = Hop {
                         router: l.other(cur),
                         in_link: Some(v),
                         out_link: None,
-                    });
+                    };
+                    sink.hop(self, far);
                 } else {
-                    walk.hops.push(Hop {
+                    let hop = Hop {
                         router: cur,
                         in_link,
                         out_link: None,
-                    });
+                    };
+                    sink.hop(self, hop);
                     if deliver_to_host {
-                        walk.latency_ms += HOST_LINK_MS;
+                        latency_ms += HOST_LINK_MS;
                     }
                 }
-                return Some(walk);
+                return Some(latency_ms);
             }
 
             // Determine the next link. Without a tree every router reads
@@ -927,12 +1050,13 @@ impl Sim {
                 }
             }
             let l = self.topo.link(next_link);
-            walk.hops.push(Hop {
+            let hop = Hop {
                 router: cur,
                 in_link,
                 out_link: Some(next_link),
-            });
-            walk.latency_ms += l.latency_ms;
+            };
+            sink.hop(self, hop);
+            latency_ms += l.latency_ms;
             cur = l.other(cur);
             in_link = Some(next_link);
         }
@@ -1818,7 +1942,7 @@ mod tests {
                         prop_assert!(sim.walk(start, dst, &meta).is_none());
                         continue;
                     };
-                    let lent = sim.walk_to(start, dst, &dest, &meta, None, Some(&mut tree));
+                    let lent = sim.walk_hops(start, dst, &dest, &meta, None, Some(&mut tree));
                     let unlent = sim.walk_at_epoch(start, dst, &meta, None);
                     match (lent, unlent) {
                         (None, None) => {}
@@ -1855,7 +1979,7 @@ mod tests {
                 for v in &topo.vp_sites {
                     let start = sim.host_attach(v.host).expect("vp host");
                     let meta = PktMeta::options(v.host, u64::from(v.host.0));
-                    sim.walk_to(start, dst, &dest, &meta, None, Some(&mut *tree));
+                    sim.walk_hops(start, dst, &dest, &meta, None, Some(&mut *tree));
                 }
             };
             sweep(&mut tree);
@@ -1870,7 +1994,7 @@ mod tests {
             let start = sim.host_attach(topo.vp_sites[0].host).expect("vp host");
             let meta = PktMeta::plain(topo.vp_sites[0].host, 0);
             let dest = sim.resolve_dest(other).expect("a host");
-            let w = sim.walk_to(start, other, &dest, &meta, None, Some(&mut tree));
+            let w = sim.walk_hops(start, other, &dest, &meta, None, Some(&mut tree));
             let (known, dynamic) = learned(&tree);
             assert!(known + dynamic < w.expect("routable").hops.len());
         }
@@ -1914,7 +2038,7 @@ mod tests {
                     found += 1;
                     // The plain packet goes first and teaches the tree...
                     let mut tree = SinkTree::new(sim);
-                    let lent = sim.walk_to(start, dst, &dest, &plain, None, Some(&mut tree));
+                    let lent = sim.walk_hops(start, dst, &dest, &plain, None, Some(&mut tree));
                     assert_eq!(lent.expect("walked above").hops[..], p.hops[..]);
                     assert_eq!(
                         tree.cells[router.index()],
@@ -1922,7 +2046,7 @@ mod tests {
                         "{router} toward {dst}"
                     );
                     // ...nothing the option packet could be misled by.
-                    let lent = sim.walk_to(start, dst, &dest, &option, None, Some(&mut tree));
+                    let lent = sim.walk_hops(start, dst, &dest, &option, None, Some(&mut tree));
                     assert_eq!(lent.expect("walked above").hops[..], o.hops[..]);
                 }
             }
@@ -1947,6 +2071,115 @@ mod tests {
                 .ases
                 .iter()
                 .any(|a| dbr.scenario().dbr_region(a.id)));
+        }
+
+        /// Address `i` of the arm's pool: mostly destinations of
+        /// `arm.dests` (`vp_first`: mostly VP hosts), else the other kind.
+        fn pick(arm: &Arm, i: usize, vp_first: bool) -> Addr {
+            let vps = &arm.sim.topo().vp_sites;
+            if i.is_multiple_of(4) != vp_first {
+                vps[i / 4 % vps.len()].host
+            } else {
+                arm.dests[i / 4 % arm.dests.len()]
+            }
+        }
+
+        /// A churn epoch for routing toward `addr`'s prefix: live (`k` = 0,
+        /// or no host), else pinned at, before or after the live one.
+        fn pin(sim: &Sim, k: u32, addr: Addr) -> Option<u32> {
+            match (k, sim.host_prefix(addr)) {
+                (0, _) | (_, None) => None,
+                (k, Some(p)) => Some((sim.prefix_epoch(p) + k).saturating_sub(2)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// The Record Route exchange whose legs stamp as they walk is
+            /// the exchange that walks each leg whole and stamps it after
+            /// (`rr_exchange_reference`): equal slots, equal reply mark,
+            /// round trip to the bit, the same unanswered probes — sent by
+            /// VP hosts or by other addresses, claiming their own source or
+            /// another, toward hosts, VP hosts, router addresses and `via`
+            /// interfaces, with each leg's epoch live or pinned.
+            #[test]
+            fn rr_exchange_matches_reference(
+                arm in 0usize..8,
+                sender in 0usize..1 << 16,
+                claimed in 0usize..1 << 16,
+                dest in 0usize..1 << 16,
+                nonce in 0u64..1 << 40,
+                fwd_pin in 0u32..4,
+                rep_pin in 0u32..4,
+            ) {
+                let arm = &arms()[arm];
+                let sim = &arm.sim;
+                let sender = pick(arm, sender, true);
+                let claimed = if claimed % 3 == 0 { sender } else { pick(arm, claimed, true) };
+                let dst = pick(arm, dest, false);
+                let vp_dest = sim.resolve_dest(dst).is_some_and(|d| sim.is_vp_dest(&d, dst));
+                prop_assert_eq!(vp_dest, sim.is_vp_host(dst));
+                let epochs = [pin(sim, fwd_pin, dst), pin(sim, rep_pin, claimed)];
+                let got = sim.rr_exchange(sender, claimed, dst, nonce, epochs, [None, None]);
+                let want = sim.rr_exchange_reference(sender, claimed, dst, nonce, epochs);
+                match (got, want) {
+                    (None, None) => {}
+                    (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
+                        prop_assert_eq!(&slots[..], &want_slots[..]);
+                        prop_assert_eq!(mark, want_mark);
+                        prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                    }
+                    (got, want) => prop_assert!(
+                        false,
+                        "{sender} as {claimed} -> {dst}: {got:?}, reference {want:?}"
+                    ),
+                }
+            }
+        }
+
+        /// What `rr_exchange_matches_reference` draws from answers in every
+        /// case it claims: host, router, `via` and VP-host destinations,
+        /// spoofed sources, a full nine slots, and forward legs crossing
+        /// LSP-interior hops.
+        #[test]
+        fn the_rr_exchange_arms_reach_every_case() {
+            let mut seen = [0usize; 7];
+            for arm in arms() {
+                let sim = &arm.sim;
+                let vps = &sim.topo().vp_sites;
+                let vp_dsts = vps.iter().take(4).map(|v| v.host);
+                for (i, dst) in arm.dests.iter().copied().chain(vp_dsts).enumerate() {
+                    let sender = vps[i % vps.len()].host;
+                    for claimed in [sender, vps[(i + 1) % vps.len()].host] {
+                        let nonce = i as u64;
+                        let Some((slots, ..)) = sim.rr_exchange(
+                            sender,
+                            claimed,
+                            dst,
+                            nonce,
+                            [None, None],
+                            [None, None],
+                        ) else {
+                            continue;
+                        };
+                        let case = match sim.resolve_dest(dst) {
+                            Some(Dest::Host { .. }) if sim.is_vp_host(dst) => 3,
+                            Some(Dest::Host { .. }) => 0,
+                            Some(Dest::Router { via: None, .. }) => 1,
+                            _ => 2,
+                        };
+                        seen[case] += 1;
+                        seen[4] += usize::from(claimed != sender);
+                        seen[5] += usize::from(slots.is_full());
+                        let attach = sim.host_attach(sender).expect("a VP host");
+                        let fwd = sim.walk(attach, dst, &PktMeta::options(claimed, nonce));
+                        let hidden = fwd.is_some_and(|w| w.hops.iter().any(|h| sim.mpls_hidden(h)));
+                        seen[6] += usize::from(hidden);
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
         }
     }
 }

@@ -5,6 +5,7 @@
 //! indexed data with O(1)/O(log n) lookup helpers.
 
 use crate::addr::{Addr, Prefix};
+use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -311,7 +312,43 @@ impl Topology {
 
     /// The announced /24 containing `addr`, if any. Host addresses resolve
     /// here; infrastructure addresses do not.
+    ///
+    /// Two reads, no search: the /16 block names the AS, and the /24 within
+    /// the block indexes that AS's run of prefixes — the layout the
+    /// generator allocates and [`Topology::prefix_layout_holds`] checks.
     pub fn prefix_of(&self, addr: Addr) -> Option<PrefixId> {
+        let owner = self.asn(self.block_owner(addr)?);
+        let run = (addr.0 & 0xFFFF).checked_sub(PREFIX_SPACE_OFFSET)? >> 8;
+        owner.prefixes.get(run as usize).copied()
+    }
+
+    /// True if every announced prefix sits where [`Topology::prefix_of`]
+    /// looks for it: AS `i`'s block is the `i`-th /16 from `block_base`,
+    /// and the `j`-th prefix it lists is the `j`-th /24 from
+    /// `PREFIX_SPACE_OFFSET` in that block, owned by it; and every prefix
+    /// is listed by exactly one AS.
+    pub(crate) fn prefix_layout_holds(&self) -> bool {
+        let listed: usize = self.ases.iter().map(|a| a.prefixes.len()).sum();
+        listed == self.prefixes.len()
+            && self.block_base & 0xFFFF == 0
+            && (0u32..).zip(&self.ases).all(|(i, a)| {
+                let block = Prefix::new(Addr(self.block_base + (i << 16)), 16);
+                a.id == AsId(i)
+                    && a.block == block
+                    && (0u32..).zip(&a.prefixes).all(|(j, &p)| {
+                        let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + 256 * j);
+                        block.contains(base)
+                            && self.prefixes.get(p.index()).is_some_and(|pe| {
+                                pe.id == p && pe.owner == a.id && pe.prefix == Prefix::new(base, 24)
+                            })
+                    })
+            })
+    }
+
+    /// [`Topology::prefix_of`] as a search of the sorted prefix list, which
+    /// assumes no layout: the differential test holds the two equal.
+    #[cfg(test)]
+    pub(crate) fn prefix_of_reference(&self, addr: Addr) -> Option<PrefixId> {
         let i = self.prefixes.partition_point(|p| p.prefix.base.0 <= addr.0);
         if i == 0 {
             return None;
@@ -410,67 +447,119 @@ mod tests {
         assert_eq!(l.addr_of(RouterId(2)), Addr::new(11, 0, 1, 2));
     }
 
-    #[test]
-    fn prefix_of_binary_search() {
-        let mk = |i: u32, base: Addr| PrefixEntry {
-            id: PrefixId(i),
-            prefix: Prefix::new(base, 24),
-            owner: AsId(0),
-            attach: RouterId(0),
-        };
-        let topo = Topology {
-            prefixes: vec![
-                mk(0, Addr::new(11, 0, 128, 0)),
-                mk(1, Addr::new(11, 1, 128, 0)),
-                mk(2, Addr::new(11, 2, 128, 0)),
-            ],
+    /// `n` ASes from 11.0.0.0, AS `i` announcing `runs[i]` prefixes laid
+    /// out as the generator lays them out.
+    fn blocks(runs: &[u32]) -> Topology {
+        let mut topo = Topology {
+            block_base: Addr::new(11, 0, 0, 0).0,
             ..Default::default()
         };
+        for (i, &run) in (0u32..).zip(runs) {
+            let block = Prefix::new(Addr(topo.block_base + (i << 16)), 16);
+            let mut prefixes = Vec::new();
+            for j in 0..run {
+                let id = PrefixId(topo.prefixes.len() as u32);
+                let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + 256 * j);
+                topo.prefixes.push(PrefixEntry {
+                    id,
+                    prefix: Prefix::new(base, 24),
+                    owner: AsId(i),
+                    attach: RouterId(0),
+                });
+                prefixes.push(id);
+            }
+            topo.ases.push(AsNode {
+                id: AsId(i),
+                tier: AsTier::Stub,
+                neighbors: vec![],
+                routers: vec![],
+                prefixes,
+                block,
+                spoof_filter: false,
+                colo: false,
+                edu: false,
+                mpls: false,
+            });
+        }
+        topo
+    }
+
+    #[test]
+    fn prefix_of_reads_the_block_run() {
+        let mut topo = blocks(&[1, 2, 1]);
+        assert!(topo.prefix_layout_holds());
         assert_eq!(topo.prefix_of(Addr::new(11, 1, 128, 77)), Some(PrefixId(1)));
-        assert_eq!(topo.prefix_of(Addr::new(11, 1, 129, 0)), None);
+        assert_eq!(topo.prefix_of(Addr::new(11, 1, 129, 0)), Some(PrefixId(2)));
+        assert_eq!(topo.prefix_of(Addr::new(11, 1, 130, 0)), None);
+        assert_eq!(topo.prefix_of(Addr::new(11, 1, 127, 255)), None);
         assert_eq!(topo.prefix_of(Addr::new(10, 0, 0, 1)), None);
+        assert_eq!(topo.prefix_of(Addr::new(11, 3, 128, 1)), None);
         assert_eq!(
             topo.prefix_of(Addr::new(11, 2, 128, 255)),
-            Some(PrefixId(2))
+            Some(PrefixId(3))
         );
+        // Any prefix moved off its place breaks the layout.
+        topo.prefixes[2].prefix = Prefix::new(Addr::new(11, 1, 140, 0), 24);
+        assert!(!topo.prefix_layout_holds());
+        let mut topo = blocks(&[1, 2, 1]);
+        topo.ases[1].prefixes.swap(0, 1);
+        assert!(!topo.prefix_layout_holds());
+        let mut topo = blocks(&[1, 2, 1]);
+        topo.ases[2].prefixes.clear();
+        assert!(!topo.prefix_layout_holds());
     }
 
     #[test]
     fn block_owner_math() {
-        let topo = Topology {
-            ases: vec![
-                AsNode {
-                    id: AsId(0),
-                    tier: AsTier::Stub,
-                    neighbors: vec![],
-                    routers: vec![],
-                    prefixes: vec![],
-                    block: Prefix::new(Addr::new(11, 0, 0, 0), 16),
-                    spoof_filter: false,
-                    colo: false,
-                    edu: false,
-                    mpls: false,
-                },
-                AsNode {
-                    id: AsId(1),
-                    tier: AsTier::Stub,
-                    neighbors: vec![],
-                    routers: vec![],
-                    prefixes: vec![],
-                    block: Prefix::new(Addr::new(11, 1, 0, 0), 16),
-                    spoof_filter: false,
-                    colo: false,
-                    edu: false,
-                    mpls: false,
-                },
-            ],
-            block_base: Addr::new(11, 0, 0, 0).0,
-            ..Default::default()
-        };
+        let topo = blocks(&[0, 0]);
         assert_eq!(topo.block_owner(Addr::new(11, 0, 5, 5)), Some(AsId(0)));
         assert_eq!(topo.block_owner(Addr::new(11, 1, 200, 1)), Some(AsId(1)));
         assert_eq!(topo.block_owner(Addr::new(11, 2, 0, 1)), None);
         assert_eq!(topo.block_owner(Addr::new(10, 1, 1, 1)), None);
+    }
+
+    /// Every address of every AS block, every router address (private
+    /// aliases included) and unallocated space on both sides of the blocks:
+    /// the O(1) `prefix_of` answers as the search does.
+    fn prefix_of_matches_the_search(cfg: crate::config::SimConfig, seed: u64) {
+        let topo = crate::gen::generate(&cfg, seed);
+        assert!(topo.prefix_layout_holds());
+        let check = |addr: Addr| {
+            assert_eq!(
+                topo.prefix_of(addr),
+                topo.prefix_of_reference(addr),
+                "seed {seed}: {addr}"
+            );
+        };
+        let mut hosts = 0;
+        for a in &topo.ases {
+            for addr in (a.block.base.0..=a.block.last().0).map(Addr) {
+                check(addr);
+                hosts += usize::from(topo.prefix_of(addr).is_some());
+            }
+        }
+        assert_eq!(hosts, 256 * topo.prefixes.len(), "seed {seed}");
+        let routers = topo.routers.iter();
+        routers
+            .flat_map(|r| topo.router_addrs(r.id))
+            .for_each(check);
+        let end = topo.block_base + ((topo.ases.len() as u32) << 16);
+        let outside = (topo.block_base - 0x1_0000..topo.block_base).chain(end..end + 0x1_0000);
+        outside.chain([0, u32::MAX]).map(Addr).for_each(check);
+    }
+
+    #[test]
+    fn prefix_of_matches_the_search_on_tiny() {
+        for seed in [1, 7, 42] {
+            prefix_of_matches_the_search(crate::config::SimConfig::tiny(), seed);
+        }
+    }
+
+    /// 90 million addresses: run in release (ci.sh does).
+    #[test]
+    #[ignore]
+    fn prefix_of_matches_the_search_on_era_2020() {
+        prefix_of_matches_the_search(crate::config::SimConfig::era_2020(), 1);
     }
 }
 

@@ -10,7 +10,7 @@
 //! release by `ci.sh`.
 
 use revtr_netsim::{Addr, PrefixId, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, Snapshot};
 use revtr_vpselect::ingress::probe_prefix;
 use revtr_vpselect::{Heuristics, IngressDb};
 
@@ -76,6 +76,70 @@ fn tiny_surveys_agree() {
     let mut churning = SimConfig::tiny();
     churning.behavior.churn_per_hour = 6.0;
     assert!(build_matches_probe_prefix(churning, 7) > 10);
+}
+
+/// FNV-1a-64 over every surveyed `PrefixInfo` of `db`: destinations,
+/// ingresses with their cover and queues, the fallback ranking, the in-range
+/// bits of all `n_vps` VPs, the closest VP and the candidate set.
+fn survey_digest(db: &IngressDb, n_vps: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let addrs = |eat: &mut dyn FnMut(u64), addrs: &[Addr]| {
+        eat(addrs.len() as u64);
+        addrs.iter().for_each(|a| eat(u64::from(a.0)));
+    };
+    for (p, info) in db.prefixes() {
+        eat(u64::from(p.0));
+        addrs(&mut eat, &info.dests);
+        eat(info.ingresses.len() as u64);
+        for ingress in &info.ingresses {
+            eat(u64::from(ingress.addr.0));
+            eat(ingress.cover as u64);
+            addrs(&mut eat, &ingress.ranked_vps);
+        }
+        addrs(&mut eat, &info.fallback);
+        (0..n_vps).for_each(|i| eat(u64::from(info.in_range_at(i))));
+        eat(info.closest_vp().map_or(u64::MAX, |a| u64::from(a.0)));
+        addrs(&mut eat, info.candidates());
+    }
+    h
+}
+
+/// The era-2020 seed-1 survey as `IngressDb::build` runs it, pinned to
+/// constants: the survey-tree gate above compares two surveys that share
+/// the simulator's Record Route exchange, so a stamping change both sides
+/// make alike would pass it — this one would not.
+#[test]
+#[ignore = "one full-size survey: run in release (ci.sh does)"]
+fn era_2020_survey_is_pinned() {
+    let sim = Sim::build(SimConfig::era_2020(), 1);
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+    let prober = Prober::new(&sim);
+    let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
+    let got = (
+        survey_digest(&db, vps.len()),
+        prober.clock().now_ms().to_bits(),
+        sim.now_hours().to_bits(),
+        prober.counters().snapshot(),
+        sim.route_computes(),
+    );
+    let want = (
+        0xdd3e_b20b_8f88_97ee,
+        0x41b2_c2cd_dd39_8720,
+        0x4055_dabe_8de6_8484,
+        Snapshot {
+            ping: 5_371,
+            rr: 594_512,
+            ..Snapshot::default()
+        },
+        2_049,
+    );
+    assert_eq!(got, want, "{got:#x?}");
 }
 
 #[test]

@@ -26,7 +26,9 @@
 //!   two alternating sources, on `workers` workers (default: the pool's
 //!   production width; `1` is the serial loop);
 //! * `survey` — `bootstrap-cold`-shaped rounds: `Sim::build` and a seeded
-//!   sweep of `ingress::probe_prefix`.
+//!   sweep of the tree-less `ingress::probe_prefix` over 400 prefixes;
+//! * `setup` — what the warm workloads' `setup_s` pays: `Sim::build` and
+//!   `IngressDb::build` over every prefix, sink trees lent.
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=1 \
@@ -34,12 +36,12 @@
 //! ```
 //!
 //! Defaults: 30 rounds (12 000 requests for `serial`, 3 rounds for
-//! `survey`), seed 1, 250 Hz. A fifth argument `leaf` adds a third table:
-//! of the samples whose innermost frame contains that text (`futex`, say),
-//! the first frame in this repository's crates — who is calling it.
-//! Without frame pointers the walk stops at the first frame (the self
-//! table stays right); without debug info `addr2line` names functions but
-//! no inlined frames. Linux on x86-64 only.
+//! `survey`, 16 for `setup`), seed 1, 250 Hz. A fifth argument `leaf` adds
+//! a third table: of the samples whose innermost frame contains that text
+//! (`futex`, say), the first frame in this repository's crates — who is
+//! calling it. Without frame pointers the walk stops at the first frame
+//! (the self table stays right); without debug info `addr2line` names
+//! functions but no inlined frames. Linux on x86-64 only.
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 fn main() {
@@ -607,6 +609,19 @@ mod linux {
         }
     }
 
+    fn setup_rounds(rounds: usize, seed: u64) {
+        for round in 0..rounds {
+            timed(&format!("round {round} (set-up)"), || {
+                let sim = Sim::build(SimConfig::era_2020(), seed);
+                let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+                let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+                let prober = Prober::new(&sim);
+                let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
+                std::hint::black_box(db);
+            });
+        }
+    }
+
     pub fn main() {
         let mode = std::env::args().nth(1).unwrap_or_default();
         let at = if mode == "campaign" { 3 } else { 2 };
@@ -614,11 +629,13 @@ mod linux {
             "serial" => 12_000,
             "campaign" => 30,
             "survey" => 3,
+            "setup" => 16,
             _ => {
                 eprintln!(
                     "usage: cpu_sites serial [requests] [seed] [leaf]\n       \
                      cpu_sites campaign [workers] [rounds] [seed] [leaf]\n       \
-                     cpu_sites survey [rounds] [seed] [leaf]"
+                     cpu_sites survey [rounds] [seed] [leaf]\n       \
+                     cpu_sites setup [rounds] [seed] [leaf]"
                 );
                 std::process::exit(2);
             }
@@ -633,7 +650,8 @@ mod linux {
                 let workers = arg(2, "workers", LoopConfig::parallel().workers);
                 campaign_rounds(workers, rounds, seed);
             }
-            _ => survey_rounds(rounds, seed),
+            "survey" => survey_rounds(rounds, seed),
+            _ => setup_rounds(rounds, seed),
         }
         let [wall, cpu] = [0, 1].map(|i| ROUNDS_NS[i].load(Ordering::Relaxed) as f64 / 1e9);
         println!("{mode}: {wall:.2} s of wall and {cpu:.2} s of CPU inside the rounds");
