@@ -82,10 +82,14 @@ cargo test -q --release -p revtr-vpselect -- --ignored
 # infrastructure AS), where keeping every key walked would exceed it. (The
 # tiny arm runs in the workspace tests above.) Beside it, the O(1)
 # `prefix_of` is held to the binary search over every address of every
-# era-2020 AS block, router addresses and unallocated space.
-echo "== route-cache bound soak + prefix_of on every era-2020 address (release) =="
+# era-2020 AS block, router addresses and unallocated space, and the
+# word-hashed address index (`router_at`) to its ordered reference over
+# every address from the private aliases through the /16 past the last
+# block.
+echo "== route-cache bound soak + prefix_of and router_at on every era-2020 address (release) =="
 cargo test -q --release -p revtr-netsim --lib -- --ignored \
-  the_route_cache_keeps_only_live_keys prefix_of_matches_the_search
+  the_route_cache_keeps_only_live_keys prefix_of_matches_the_search \
+  router_at_matches_the_reference
 
 # Allocation gates, optimized as deployed: a request allocates what it
 # returns — one block (request plane: `measure()` ≤ 1.2 a request and a

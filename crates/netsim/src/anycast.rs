@@ -19,8 +19,10 @@
 use crate::hash::mix3;
 use crate::ids::AsId;
 use crate::topology::{Rel, Topology};
+use revtr_telemetry::WordHasher;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// Customer-stage heap entry: (class, metric, tie, AS, via, origin).
 type CustomerEntry = (u8, u16, u64, u32, u32, u32);
@@ -33,8 +35,9 @@ pub struct AnycastConfig {
     /// Announcing ASes (the anycast sites).
     pub origins: Vec<AsId>,
     /// `(AS, origin)` pairs: the AS refuses/never sees that origin's
-    /// announcement (poisoning / no-export).
-    pub blocked: HashSet<(AsId, AsId)>,
+    /// announcement (poisoning / no-export). Only asked `contains`, never
+    /// iterated: a word hash is enough.
+    pub blocked: HashSet<(AsId, AsId), BuildHasherDefault<WordHasher>>,
 }
 
 impl AnycastConfig {
@@ -42,7 +45,7 @@ impl AnycastConfig {
     pub fn new(origins: Vec<AsId>) -> AnycastConfig {
         AnycastConfig {
             origins,
-            blocked: HashSet::new(),
+            blocked: HashSet::default(),
         }
     }
 

@@ -26,8 +26,10 @@ use crate::addr::Addr;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{LinkId, RouterId};
 use parking_lot::Mutex;
+use revtr_telemetry::WordHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Salts for independent fault draws.
 mod salt {
@@ -112,7 +114,9 @@ struct Bucket {
 pub struct Faults {
     seed: u64,
     cfg: FaultConfig,
-    buckets: Mutex<HashMap<u32, Bucket>>,
+    /// Router id → its bucket, made on the router's first reply. Only
+    /// looked up, never iterated: a word hash is enough.
+    buckets: Mutex<HashMap<u32, Bucket, BuildHasherDefault<WordHasher>>>,
 }
 
 impl Faults {
@@ -121,7 +125,7 @@ impl Faults {
         Faults {
             seed: mix2(seed, salt::SEED),
             cfg,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::default(),
         }
     }
 

@@ -15,7 +15,6 @@ use crate::topology::{
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Base of the public allocation space: AS `i` owns `11.0.0.0 + i·2^16 /16`.
 pub const BLOCK_BASE: u32 = 11 << 24;
@@ -29,6 +28,20 @@ pub(crate) const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
 /// Generate a complete topology from a configuration and seed.
 pub fn generate(cfg: &SimConfig, seed: u64) -> Topology {
     Builder::new(cfg, seed).build()
+}
+
+/// Turn `(a, b, rel of b to a)` entries into one entry per AS pair, sorted
+/// by `(a, b)` with `a < b`: each entry is oriented (flipping `rel`), a
+/// stable sort keeps a pair's entries in the order they were added, and the
+/// first of them wins.
+fn dedup_adjacencies(adjacencies: &mut Vec<(AsId, AsId, Rel)>) {
+    for adj in adjacencies.iter_mut() {
+        if adj.0 > adj.1 {
+            *adj = (adj.1, adj.0, adj.2.flip());
+        }
+    }
+    adjacencies.sort_by_key(|&(a, b, _)| (a, b));
+    adjacencies.dedup_by_key(|&mut (a, b, _)| (a, b));
 }
 
 struct Builder<'c> {
@@ -97,7 +110,10 @@ impl<'c> Builder<'c> {
             .choose_multiple(&mut self.rng, t.n_colo.min(t.n_transit))
             .copied()
             .collect();
-        let colo_set: std::collections::HashSet<usize> = colo.into_iter().collect();
+        let mut is_colo = vec![false; total];
+        for i in colo {
+            is_colo[i] = true;
+        }
 
         // Education stubs: the first slice of stub ids (deterministic), homed
         // to NRENs below. Roughly 6 per NREN, capped to a quarter of stubs.
@@ -105,7 +121,7 @@ impl<'c> Builder<'c> {
         let stub_start = t.n_tier1 + t.n_transit + t.n_nren;
 
         for (i, &tier) in tiers.iter().enumerate() {
-            let colo = colo_set.contains(&i);
+            let colo = is_colo[i];
             let edu = tier == AsTier::Stub && i - stub_start < n_edu;
             // Colo and education networks host measurement platforms and
             // permit spoofing by agreement (M-Lab's hosting requirements).
@@ -211,6 +227,8 @@ impl<'c> Builder<'c> {
         // (this dual-homing is the driver of NREN-heavy asymmetry, §6.2).
         // Ordinary stubs: 1..=max providers among transits.
         for &s in &stubs {
+            // Only this iteration pushes entries with `a == s`.
+            let own = self.adjacencies.len();
             let edu = self.topo.ases[s.index()].edu;
             if edu && !nren.is_empty() {
                 let n = *nren.choose(&mut self.rng).expect("nren set nonempty");
@@ -238,27 +256,16 @@ impl<'c> Builder<'c> {
             // Occasional direct peering with a transit (flattening).
             if self.rng.gen_bool(t.stub_peering_prob) {
                 let p = *transit.choose(&mut self.rng).expect("transit set nonempty");
-                if self
-                    .adjacencies
-                    .iter()
-                    .all(|&(a, b, _)| !(a == s && b == p))
-                {
+                if self.adjacencies[own..].iter().all(|&(_, b, _)| b != p) {
                     self.add_adj(s, p, Rel::Peer);
                 }
             }
         }
 
-        // Dedup (keep first relationship if double-added) and materialise
-        // neighbor lists on both sides.
-        let mut seen: HashMap<(AsId, AsId), Rel> = HashMap::new();
-        for &(a, b, rel) in &self.adjacencies {
-            let key = if a.0 < b.0 { (a, b) } else { (b, a) };
-            let rel_of_key1 = if a.0 < b.0 { rel } else { rel.flip() };
-            seen.entry(key).or_insert(rel_of_key1);
-        }
-        self.adjacencies = seen.into_iter().map(|((a, b), rel)| (a, b, rel)).collect();
-        self.adjacencies.sort_unstable_by_key(|&(a, b, _)| (a, b));
-
+        // Materialise neighbor lists on both sides. In `(a, b)` order with
+        // `a < b`, an AS meets its lower neighbours in id order, then its
+        // higher ones: each list comes out sorted by neighbor id.
+        dedup_adjacencies(&mut self.adjacencies);
         for &(a, b, rel_of_b) in &self.adjacencies {
             self.topo.ases[a.index()].neighbors.push(Neighbor {
                 asn: b,
@@ -271,9 +278,11 @@ impl<'c> Builder<'c> {
                 links: Vec::new(),
             });
         }
-        for a in &mut self.topo.ases {
-            a.neighbors.sort_unstable_by_key(|n| n.asn);
-        }
+        debug_assert!(self
+            .topo
+            .ases
+            .iter()
+            .all(|a| a.neighbors.windows(2).all(|w| w[0].asn < w[1].asn)));
     }
 
     // ---- Routers ---------------------------------------------------------
@@ -448,6 +457,9 @@ impl<'c> Builder<'c> {
     }
 
     fn create_inter_links(&mut self) {
+        // The adjacencies run in `(a, b)` order, as they were materialised,
+        // so the n-th one an AS is met in names its n-th neighbour.
+        let mut met = vec![0usize; self.topo.ases.len()];
         for adj in 0..self.adjacencies.len() {
             let (a, b, rel_of_b) = self.adjacencies[adj];
             // Number of parallel physical links: core adjacencies sometimes
@@ -493,14 +505,10 @@ impl<'c> Builder<'c> {
 
             // Attach link ids to both neighbor entries.
             for (x, y) in [(a, b), (b, a)] {
-                let node = &mut self.topo.ases[x.index()];
-                let i = node
-                    .neighbors
-                    .binary_search_by_key(&y, |n| n.asn)
-                    .expect("adjacency recorded for both sides");
-                node.neighbors[i]
-                    .links
-                    .extend_from_slice(&link_ids[..n_links]);
+                let nb = &mut self.topo.ases[x.index()].neighbors[met[x.index()]];
+                met[x.index()] += 1;
+                debug_assert_eq!(nb.asn, y, "adjacency recorded for both sides");
+                nb.links.extend_from_slice(&link_ids[..n_links]);
             }
         }
     }
@@ -567,7 +575,7 @@ impl<'c> Builder<'c> {
             !colo.is_empty(),
             "topology must have at least one colo AS for VP sites"
         );
-        let mut per_as_count: HashMap<AsId, u32> = HashMap::new();
+        let mut per_as_count = vec![0u32; self.topo.ases.len()];
         for i in 0..want {
             // ~85% of sites in colos, the rest at education stubs
             // (universities), which is what creates the paper's NREN effect.
@@ -578,7 +586,7 @@ impl<'c> Builder<'c> {
             };
             let pid = self.topo.ases[asid.index()].prefixes[0];
             let pe = self.topo.prefixes[pid.index()].clone();
-            let k = per_as_count.entry(asid).or_insert(0);
+            let k = &mut per_as_count[asid.index()];
             let host = pe.prefix.nth(4 + *k);
             *k += 1;
             let legacy_2016 = i % 10 < 3; // deterministic ~30% overlap set
@@ -622,6 +630,29 @@ mod tests {
         assert!(
             a.links.iter().map(|l| l.latency_ms).collect::<Vec<_>>()
                 != c.links.iter().map(|l| l.latency_ms).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn adjacency_dedup_keeps_the_first_and_sorts() {
+        let [a0, a1, a2, a3] = [0, 1, 2, 3].map(AsId);
+        let mut adj = vec![
+            (a3, a1, Rel::Provider),
+            (a0, a2, Rel::Peer),
+            // 1–3 again, the other way round and with another relationship.
+            (a1, a3, Rel::Peer),
+            (a2, a1, Rel::Customer),
+            (a1, a3, Rel::Provider),
+            (a0, a2, Rel::Peer),
+        ];
+        dedup_adjacencies(&mut adj);
+        assert_eq!(
+            adj,
+            [
+                (a0, a2, Rel::Peer),
+                (a1, a2, Rel::Provider),
+                (a1, a3, Rel::Customer),
+            ]
         );
     }
 

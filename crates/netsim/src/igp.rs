@@ -37,19 +37,13 @@ struct Cell {
     set: u8,
 }
 
-/// IGP state for one AS: the flattened `n × n` table, `cells[i*n + j]`,
-/// indexed by the routers' positions in [`crate::topology::AsNode::routers`].
-#[derive(Clone, Debug)]
-pub struct AsIgp {
-    n: usize,
-    cells: Vec<Cell>,
-}
-
-impl AsIgp {
-    #[inline]
-    fn cell(&self, i: usize, j: usize) -> Cell {
-        self.cells[i * self.n + j]
-    }
+/// Where one AS's `n × n` table sits in [`Igp::cells`]: cell `(i, j)` is
+/// `cells[off + i*n + j]`, indexed by the routers' positions in
+/// [`crate::topology::AsNode::routers`].
+#[derive(Clone, Copy, Debug)]
+struct AsIgp {
+    off: u32,
+    n: u32,
 }
 
 /// A next-hop set too large (or too far into a run) for a [`Cell`].
@@ -74,6 +68,8 @@ pub struct Igp {
     hops: Vec<(LinkId, RouterId)>,
     /// Per-AS tables, indexed by [`AsId`].
     tables: Vec<AsIgp>,
+    /// Every AS's table, back to back.
+    cells: Vec<Cell>,
     /// Sorted by `(from, to)`.
     spill: Vec<Spill>,
 }
@@ -125,61 +121,71 @@ impl Igp {
             adj_off,
             hops,
             tables: Vec::with_capacity(topo.ases.len()),
+            cells: Vec::with_capacity(topo.ases.iter().map(|a| a.routers.len().pow(2)).sum()),
             spill: Vec::new(),
         };
+        // Per AS, reused: each router's adjacency run as local indices, at
+        // the run's positions; the distance matrix; the BFS queue.
+        let mut nbr: Vec<u16> = Vec::new();
+        let mut nbr_off: Vec<usize> = Vec::new();
         let mut dist: Vec<u16> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue: Vec<u16> = Vec::new();
         for a in &topo.ases {
             let n = a.routers.len();
+            nbr.clear();
+            nbr_off.clear();
+            for &r in &a.routers {
+                nbr_off.push(nbr.len());
+                let run = igp.adjacency(r).iter();
+                nbr.extend(run.map(|&(_, v)| igp.local[v.index()]));
+            }
+            nbr_off.push(nbr.len());
+            let run = |i: usize| &nbr[nbr_off[i]..nbr_off[i + 1]];
 
             // BFS from every router.
             dist.clear();
             dist.resize(n * n, UNREACHABLE);
             for s in 0..n {
-                dist[s * n + s] = 0;
+                let row = &mut dist[s * n..][..n];
+                row[s] = 0;
                 queue.clear();
-                queue.push_back(s);
-                while let Some(u) = queue.pop_front() {
-                    let du = dist[s * n + u];
-                    for &(_, v) in igp.adjacency(a.routers[u]) {
-                        let v = igp.local[v.index()] as usize;
-                        if dist[s * n + v] == UNREACHABLE {
-                            dist[s * n + v] = du + 1;
-                            queue.push_back(v);
+                queue.push(s as u16);
+                let mut head = 0;
+                while let Some(&u) = queue.get(head) {
+                    head += 1;
+                    let du = row[usize::from(u)];
+                    for &v in run(usize::from(u)) {
+                        if row[usize::from(v)] == UNREACHABLE {
+                            row[usize::from(v)] = du + 1;
+                            queue.push(v);
                         }
                     }
                 }
             }
 
-            let mut cells = Vec::with_capacity(n * n);
+            let off = igp.cells.len();
             for (i, &from) in a.routers.iter().enumerate() {
-                let run =
-                    igp.adj_off[from.index()] as usize..igp.adj_off[from.index() + 1] as usize;
+                let first = igp.adj_off[from.index()] as usize;
                 for (j, &to) in a.routers.iter().enumerate() {
                     let d = dist[i * n + j];
                     if d == UNREACHABLE {
-                        cells.push(Cell {
+                        igp.cells.push(Cell {
                             dist: FAR,
                             set: NO_HOP,
                         });
                         continue;
                     }
                     assert!(d < u16::from(FAR), "{} is {d} intra hops across", a.id);
-                    let closer = |&(_, v): &(LinkId, RouterId)| {
-                        dist[igp.local[v.index()] as usize * n + j] + 1 == d
-                    };
-                    let mut set = igp.hops[run.clone()]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, h)| closer(h));
+                    let closer = |v: u16| dist[usize::from(v) * n + j] + 1 == d;
+                    let mut set = run(i).iter().enumerate().filter(|&(_, &v)| closer(v));
                     let set = match (set.next(), set.next()) {
                         (None, _) => NO_HOP,
                         (Some((k, _)), None) if k < usize::from(SPILLED) => k as u8,
                         _ => {
                             let start = igp.hops.len();
-                            for k in run.clone() {
-                                let h = igp.hops[k];
-                                if closer(&h) {
+                            for (k, &v) in run(i).iter().enumerate() {
+                                if closer(v) {
+                                    let h = igp.hops[first + k];
                                     igp.hops.push(h);
                                 }
                             }
@@ -192,10 +198,13 @@ impl Igp {
                             SPILLED
                         }
                     };
-                    cells.push(Cell { dist: d as u8, set });
+                    igp.cells.push(Cell { dist: d as u8, set });
                 }
             }
-            igp.tables.push(AsIgp { n, cells });
+            igp.tables.push(AsIgp {
+                off: off as u32,
+                n: n as u32,
+            });
         }
         igp.spill.sort_unstable_by_key(|s| (s.from, s.to));
         igp
@@ -213,6 +222,14 @@ impl Igp {
         self.local[r.index()] as usize
     }
 
+    /// `asid`'s table and its side `n`: cell `(i, j)` is `[i * n + j]`.
+    #[inline]
+    fn table(&self, asid: AsId) -> (&[Cell], usize) {
+        let t = self.tables[asid.index()];
+        let n = t.n as usize;
+        (&self.cells[t.off as usize..][..n * n], n)
+    }
+
     /// Logical byte footprint of the tables: the router → local index and
     /// router → adjacency-run arrays, the adjacency runs with any spilled
     /// next-hop sets, and the two-byte cells. A pure function of the
@@ -222,7 +239,7 @@ impl Igp {
         (self.local.len() * size_of::<u16>()
             + self.adj_off.len() * size_of::<u32>()
             + self.hops.len() * size_of::<(LinkId, RouterId)>()
-            + self.tables.iter().map(|t| t.cells.len()).sum::<usize>() * size_of::<Cell>()
+            + self.cells.len() * size_of::<Cell>()
             + self.spill.len() * size_of::<Spill>()) as u64
     }
 
@@ -233,10 +250,8 @@ impl Igp {
         if topo.router_as(b) != asid {
             return UNREACHABLE;
         }
-        match self.tables[asid.index()]
-            .cell(self.local(a), self.local(b))
-            .dist
-        {
+        let (cells, n) = self.table(asid);
+        match cells[self.local(a) * n + self.local(b)].dist {
             FAR => UNREACHABLE,
             d => u16::from(d),
         }
@@ -255,10 +270,8 @@ impl Igp {
     ) -> &[(LinkId, RouterId)] {
         let asid = topo.router_as(r);
         debug_assert_eq!(asid, topo.router_as(target));
-        match self.tables[asid.index()]
-            .cell(self.local(r), self.local(target))
-            .set
-        {
+        let (cells, n) = self.table(asid);
+        match cells[self.local(r) * n + self.local(target)].set {
             NO_HOP => &[],
             SPILLED => {
                 let s = self
@@ -282,11 +295,12 @@ impl Igp {
         r: RouterId,
         targets: &'a [RouterId],
     ) -> Option<impl Iterator<Item = (LinkId, RouterId)> + Clone + 'a> {
-        let t = &self.tables[asid.index()];
+        let (cells, n) = self.table(asid);
+        let cell = move |i: usize, j: usize| cells[i * n + j];
         let i = self.local(r);
         let dmin = targets
             .iter()
-            .map(|&b| t.cell(i, self.local(b)).dist)
+            .map(|&b| cell(i, self.local(b)).dist)
             .min()
             .filter(|&d| d != FAR)?;
         // A neighbour is a next hop iff it is one hop closer to a nearest
@@ -296,7 +310,7 @@ impl Igp {
             let v = self.local(v);
             targets.iter().any(|&b| {
                 let j = self.local(b);
-                t.cell(i, j).dist == dmin && u16::from(t.cell(v, j).dist) + 1 == u16::from(dmin)
+                cell(i, j).dist == dmin && u16::from(cell(v, j).dist) + 1 == u16::from(dmin)
             })
         }))
     }

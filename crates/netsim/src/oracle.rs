@@ -21,12 +21,16 @@ use crate::ids::{AsId, RouterId};
 use crate::sim::{PktMeta, Sim};
 use crate::topology::Rel;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use revtr_telemetry::WordHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Ground-truth view over a [`Sim`].
 pub struct Oracle<'a> {
     sim: &'a Sim,
-    cone_cache: Mutex<HashMap<AsId, usize>>,
+    /// AS → customer cone size. Only looked up, never iterated: a word
+    /// hash is enough.
+    cone_cache: Mutex<HashMap<AsId, usize, BuildHasherDefault<WordHasher>>>,
 }
 
 impl Sim {
@@ -34,7 +38,7 @@ impl Sim {
     pub fn oracle(&self) -> Oracle<'_> {
         Oracle {
             sim: self,
-            cone_cache: Mutex::new(HashMap::new()),
+            cone_cache: Mutex::default(),
         }
     }
 }
@@ -103,19 +107,21 @@ impl<'a> Oracle<'a> {
         if let Some(&n) = self.cone_cache.lock().get(&asn) {
             return n;
         }
-        let mut seen: HashSet<AsId> = HashSet::new();
+        // By AS index: the walk reached it (ids are dense).
+        let mut seen = vec![false; self.sim.topo().n_ases()];
+        let mut n = 0;
         let mut stack = vec![asn];
         while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
+            if std::mem::replace(&mut seen[x.index()], true) {
                 continue;
             }
-            for (n, rel) in self.sim.topo().as_neighbors(x) {
-                if rel == Rel::Customer && !seen.contains(&n) {
-                    stack.push(n);
+            n += 1;
+            for (c, rel) in self.sim.topo().as_neighbors(x) {
+                if rel == Rel::Customer && !seen[c.index()] {
+                    stack.push(c);
                 }
             }
         }
-        let n = seen.len();
         self.cone_cache.lock().insert(asn, n);
         n
     }

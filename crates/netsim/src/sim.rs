@@ -1712,6 +1712,16 @@ mod tests {
         (Sim::from_topology(topo, SimConfig::tiny(), 5), far)
     }
 
+    /// The customer router is a clone of router 0, private alias and all:
+    /// the repeated address resolves to the customer, the last inserted.
+    #[test]
+    fn a_repeated_address_resolves_to_its_last_router() {
+        let (s, _) = chain_with_customer(4);
+        crate::topology::tests::router_at_matches_the_reference(s.topo());
+        let alias = s.topo().routers[0].private_alias;
+        assert_eq!(s.topo().router_at(alias), Some(RouterId(4)));
+    }
+
     #[test]
     fn via_delivery_counts_against_the_hop_cap() {
         // MAX_HOPS - 1 chain routers plus the customer router: exactly at

@@ -7,8 +7,14 @@
 use crate::addr::{Addr, Prefix};
 use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
+use revtr_telemetry::WordHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// addr → router. Keyed by addresses the generator (or a test) numbered,
+/// never by outside input: a word hash is enough.
+type AddrIndex = HashMap<Addr, RouterId, BuildHasherDefault<WordHasher>>;
 
 /// Where an AS sits in the Internet hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -248,14 +254,20 @@ pub struct Topology {
     /// addr → router, for every interface / loopback / private alias.
     /// Rebuilt on deserialization (JSON maps need string keys).
     #[serde(skip)]
-    pub(crate) addr_to_router: HashMap<Addr, RouterId>,
+    pub(crate) addr_to_router: AddrIndex,
 }
 
 impl Topology {
     /// Rebuild the address index (interfaces, loopbacks, private aliases).
     /// Called by the generator and after deserialization.
+    ///
+    /// One table, sized once to its entries, for generated, loaded and
+    /// hand-built topologies alike (hand-built ones number loopbacks inside
+    /// link space, so no block arithmetic stands in for it). Filled routers
+    /// first, then links: an address listed twice resolves to the last.
     pub fn rebuild_address_index(&mut self) {
-        let mut map = HashMap::new();
+        let entries = 2 * (self.routers.len() + self.links.len());
+        let mut map = AddrIndex::with_capacity_and_hasher(entries, Default::default());
         for r in &self.routers {
             map.insert(r.loopback, r.id);
             map.insert(r.private_alias, r.id);
@@ -308,6 +320,23 @@ impl Topology {
     /// if any.
     pub fn router_at(&self, addr: Addr) -> Option<RouterId> {
         self.addr_to_router.get(&addr).copied()
+    }
+
+    /// The address index as an ordered map filled in the index's own order
+    /// (routers, then links; a repeated address keeps the last): the
+    /// differential test holds [`Topology::router_at`] to it.
+    #[cfg(test)]
+    pub(crate) fn address_index_reference(&self) -> std::collections::BTreeMap<Addr, RouterId> {
+        let mut map = std::collections::BTreeMap::new();
+        for r in &self.routers {
+            map.insert(r.loopback, r.id);
+            map.insert(r.private_alias, r.id);
+        }
+        for l in &self.links {
+            map.insert(l.addr_a, l.a);
+            map.insert(l.addr_b, l.b);
+        }
+        map
     }
 
     /// The announced /24 containing `addr`, if any. Host addresses resolve
@@ -418,7 +447,7 @@ impl Topology {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -560,6 +589,71 @@ mod tests {
     #[ignore]
     fn prefix_of_matches_the_search_on_era_2020() {
         prefix_of_matches_the_search(crate::config::SimConfig::era_2020(), 1);
+    }
+
+    /// `router_at` answers as the ordered reference does on every router
+    /// address (loopback, private alias, both ends of every link), and
+    /// `None` on hosts, network addresses, unallocated and non-alias
+    /// private space.
+    pub(crate) fn router_at_matches_the_reference(topo: &Topology) {
+        let reference = topo.address_index_reference();
+        for r in &topo.routers {
+            for addr in topo.router_addrs(r.id) {
+                let want = reference.get(&addr).copied();
+                assert!(want.is_some(), "{addr} of {} missing", r.id);
+                assert_eq!(topo.router_at(addr), want, "{addr}");
+            }
+        }
+        let end = topo.block_base + ((topo.ases.len() as u32) << 16);
+        let hosts = (topo.prefixes.iter()).flat_map(|p| [p.prefix.nth(1), p.prefix.last()]);
+        let networks = (topo.prefixes.iter().map(|p| p.prefix.base))
+            .chain(topo.ases.iter().map(|a| a.block.base));
+        let unallocated = [Addr(end), Addr(end + 0x1_0101), Addr(0), Addr(u32::MAX)];
+        let private = [
+            Addr((10 << 24) | topo.routers.len() as u32),
+            Addr::new(10, 255, 255, 255),
+        ];
+        for addr in hosts.chain(networks).chain(unallocated).chain(private) {
+            assert_eq!(reference.get(&addr), None, "{addr} is a router address");
+            assert_eq!(topo.router_at(addr), None, "{addr}");
+        }
+    }
+
+    #[test]
+    fn router_at_matches_the_reference_on_generated() {
+        for seed in [1, 7, 42] {
+            let topo = crate::gen::generate(&crate::config::SimConfig::tiny(), seed);
+            router_at_matches_the_reference(&topo);
+        }
+        let topo = crate::gen::generate(&crate::config::SimConfig::era_2020(), 1);
+        router_at_matches_the_reference(&topo);
+    }
+
+    /// Hand-built topologies number loopbacks inside the generator's link
+    /// space; the one index serves them as it serves generated ones.
+    #[test]
+    fn router_at_matches_the_reference_on_hand_built() {
+        router_at_matches_the_reference(&crate::bgp::tests::edge_case_graph());
+        let ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 0)];
+        router_at_matches_the_reference(&crate::igp::tests::single_as(6, &ring));
+    }
+
+    /// Every address from `10.0.0.0` (the private aliases) through the /16
+    /// past the last era-2020 AS block, walked in order beside the
+    /// reference's keys: 107 million addresses, run in release (ci.sh
+    /// does).
+    #[test]
+    #[ignore]
+    fn router_at_matches_the_reference_on_every_era_2020_address() {
+        let topo = crate::gen::generate(&crate::config::SimConfig::era_2020(), 1);
+        let reference = topo.address_index_reference();
+        let mut keys = reference.iter().peekable();
+        let end = topo.block_base + ((topo.ases.len() as u32) << 16);
+        for addr in ((10 << 24)..end + 0x1_0000).map(Addr) {
+            let want = keys.next_if(|&(&k, _)| k == addr).map(|(_, &r)| r);
+            assert_eq!(topo.router_at(addr), want, "{addr}");
+        }
+        assert!(keys.next().is_none(), "router addresses outside the sweep");
     }
 }
 

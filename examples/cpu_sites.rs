@@ -28,7 +28,9 @@
 //! * `survey` — `bootstrap-cold`-shaped rounds: `Sim::build` and a seeded
 //!   sweep of the tree-less `ingress::probe_prefix` over 400 prefixes;
 //! * `setup` — what the warm workloads' `setup_s` pays: `Sim::build` and
-//!   `IngressDb::build` over every prefix, sink trees lent.
+//!   `IngressDb::build` over every prefix, sink trees lent;
+//! * `build` — what `bootstrap-cold`'s `setup_s` pays: 100 era-2020
+//!   `Sim::build`s a round, each dropped before the next.
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=1 \
@@ -36,12 +38,12 @@
 //! ```
 //!
 //! Defaults: 30 rounds (12 000 requests for `serial`, 3 rounds for
-//! `survey`, 16 for `setup`), seed 1, 250 Hz. A fifth argument `leaf` adds
-//! a third table: of the samples whose innermost frame contains that text
-//! (`futex`, say), the first frame in this repository's crates — who is
-//! calling it. Without frame pointers the walk stops at the first frame
-//! (the self table stays right); without debug info `addr2line` names
-//! functions but no inlined frames. Linux on x86-64 only.
+//! `survey`, 16 for `setup`, 10 for `build`), seed 1, 250 Hz. A fifth
+//! argument `leaf` adds a third table: of the samples whose innermost frame
+//! contains that text (`futex`, say), the first frame in this repository's
+//! crates — who is calling it. Without frame pointers the walk stops at the
+//! first frame (the self table stays right); without debug info `addr2line`
+//! names functions but no inlined frames. Linux on x86-64 only.
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 fn main() {
@@ -622,6 +624,19 @@ mod linux {
         }
     }
 
+    fn build_rounds(rounds: usize, seed: u64) {
+        for round in 0..rounds {
+            timed(&format!("round {round} (100 builds)"), || {
+                for _ in 0..100 {
+                    drop(std::hint::black_box(Sim::build(
+                        SimConfig::era_2020(),
+                        seed,
+                    )));
+                }
+            });
+        }
+    }
+
     pub fn main() {
         let mode = std::env::args().nth(1).unwrap_or_default();
         let at = if mode == "campaign" { 3 } else { 2 };
@@ -630,12 +645,14 @@ mod linux {
             "campaign" => 30,
             "survey" => 3,
             "setup" => 16,
+            "build" => 10,
             _ => {
                 eprintln!(
                     "usage: cpu_sites serial [requests] [seed] [leaf]\n       \
                      cpu_sites campaign [workers] [rounds] [seed] [leaf]\n       \
                      cpu_sites survey [rounds] [seed] [leaf]\n       \
-                     cpu_sites setup [rounds] [seed] [leaf]"
+                     cpu_sites setup [rounds] [seed] [leaf]\n       \
+                     cpu_sites build [rounds] [seed] [leaf]"
                 );
                 std::process::exit(2);
             }
@@ -651,6 +668,7 @@ mod linux {
                 campaign_rounds(workers, rounds, seed);
             }
             "survey" => survey_rounds(rounds, seed),
+            "build" => build_rounds(rounds, seed),
             _ => setup_rounds(rounds, seed),
         }
         let [wall, cpu] = [0, 1].map(|i| ROUNDS_NS[i].load(Ordering::Relaxed) as f64 / 1e9);
