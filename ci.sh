@@ -85,11 +85,13 @@ cargo test -q --release -p revtr-vpselect -- --ignored
 # era-2020 AS block, router addresses and unallocated space, and the
 # word-hashed address index (`router_at`) to its ordered reference over
 # every address from the private aliases through the /16 past the last
-# block.
-echo "== route-cache bound soak + prefix_of and router_at on every era-2020 address (release) =="
+# block, and the route plane to the whole-graph `routes_to` at every AS
+# toward every era-2020 destination AS, under the epoch-0 salt of each of
+# its prefixes and under its infrastructure salt.
+echo "== route-cache bound soak + prefix_of, router_at and routes on every era-2020 address and AS (release) =="
 cargo test -q --release -p revtr-netsim --lib -- --ignored \
   the_route_cache_keeps_only_live_keys prefix_of_matches_the_search \
-  router_at_matches_the_reference
+  router_at_matches_the_reference every_era_2020_destination
 
 # Allocation gates, optimized as deployed: a request allocates what it
 # returns — one block (request plane: `measure()` ≤ 1.2 a request and a

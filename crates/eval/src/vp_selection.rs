@@ -18,7 +18,7 @@ use revtr::extract_reverse_hops;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::Prober;
 use revtr_vpselect::{third_destination_consistent, Heuristics, IngressDb, IngressQueue, RR_RANGE};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Outcome of one VP's spoofed probe toward a prefix's held-out
@@ -39,7 +39,7 @@ pub struct PrefixEval {
     /// Held-out destination.
     pub dest: Addr,
     /// Outcome per VP.
-    pub outcomes: HashMap<Addr, VpOutcome>,
+    pub outcomes: BTreeMap<Addr, VpOutcome>,
 }
 
 impl PrefixEval {
@@ -84,7 +84,7 @@ pub struct VpSelectionReport {
     /// Per-prefix data.
     pub prefixes: Vec<PrefixEval>,
     /// Plans per technique: (label, per-prefix plan of VPs in try order).
-    pub plans: Vec<(String, HashMap<PrefixId, Vec<Addr>>)>,
+    pub plans: Vec<(String, BTreeMap<PrefixId, Vec<Addr>>)>,
     /// Table 5 rows: (label, fraction of prefixes with an in-range VP
     /// among the technique's planned VPs).
     pub table5_rows: Vec<(String, f64)>,
@@ -145,7 +145,7 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         };
         // Probe from every VP (batched purely for accounting; the cache
         // dedups repeats).
-        let mut outcomes = HashMap::new();
+        let mut outcomes = BTreeMap::new();
         for &vp in &vps {
             let replies = prober.spoofed_rr_batch(&[(vp, dest)], claimed);
             let out = replies.replies[0]
@@ -173,10 +173,10 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
     }
 
     // Technique plans over the full-heuristic DB.
-    let mut plans: Vec<(String, HashMap<PrefixId, Vec<Addr>>)> = Vec::new();
-    let mut ingress_plan = HashMap::new();
-    let mut revtr1_plan = HashMap::new();
-    let mut global_plan = HashMap::new();
+    let mut plans: Vec<(String, BTreeMap<PrefixId, Vec<Addr>>)> = Vec::new();
+    let mut ingress_plan = BTreeMap::new();
+    let mut revtr1_plan = BTreeMap::new();
+    let mut global_plan = BTreeMap::new();
     for pe in &prefixes {
         // The engine falls back to the head of the global order for
         // prefixes without a usable ingress plan (§4.3's 2.3% case);
@@ -237,7 +237,7 @@ impl VpSelectionReport {
     /// prefix's `plan`, or (`None`) by the best VP — the "Optimal" line.
     fn first_batch_ccdf(
         &self,
-        plan: Option<&HashMap<PrefixId, Vec<Addr>>>,
+        plan: Option<&BTreeMap<PrefixId, Vec<Addr>>>,
         batch: usize,
     ) -> Vec<(f64, f64)> {
         let xs: Vec<f64> = (0..=9).map(|i| i as f64).collect();
@@ -332,7 +332,7 @@ mod tests {
         assert!(!report.prefixes.is_empty(), "no evaluation prefixes");
 
         // Table 5 ladder is monotone, and Optimal bounds everything.
-        let rows: HashMap<&str, f64> = report
+        let rows: BTreeMap<&str, f64> = report
             .table5_rows
             .iter()
             .map(|(n, f)| (n.as_str(), *f))

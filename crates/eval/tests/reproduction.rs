@@ -4,7 +4,8 @@
 //!   renders exactly its artefacts of the full reproduction (tier-1, smoke).
 //! - The standard seed-1 reproduction is byte-for-byte the committed
 //!   golden `goldens/reproduce_standard1.txt`, and the paper's shapes hold
-//!   at seeds {1, 7, 42} — orderings, factors and crossovers, not levels.
+//!   at seeds {1, 7, 42} — orderings, factors and crossovers, not levels,
+//!   Table 5's heuristic ladder among them.
 //!   Both are `#[ignore]`d: ci.sh runs them in release.
 //!
 //! Regenerating the golden is a deliberate act, taken with the list of
@@ -126,6 +127,27 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
     assert!(
         counts.iter().all(|&c| c == counts[0]),
         "one revtr 2.0 run (seed {seed}) reads as {counts:?} complete"
+    );
+
+    let table5 = |label: &str| {
+        (rep.vp_selection.table5_rows.iter().find(|r| r.0 == label))
+            .unwrap_or_else(|| panic!("Table 5 has no {label:?} row"))
+            .1
+    };
+    let ladder = [
+        "Ingress",
+        "Ingress + double stamp",
+        "Ingress + double stamp + loop (revtr 2.0)",
+    ]
+    .map(table5);
+    assert!(
+        ladder.windows(2).all(|w| w[0] <= w[1]),
+        "Table 5 (seed {seed}): a heuristic lowers the in-range fraction: {ladder:?}"
+    );
+    let (v1, optimal) = (table5("revtr 1.0"), table5("Optimal"));
+    assert!(
+        v1 == optimal,
+        "Table 5 (seed {seed}): revtr 1.0 reads {v1:.3}, Optimal {optimal:.3}"
     );
 }
 

@@ -20,8 +20,6 @@ use crate::hash::{chance, mix2, mix64};
 use crate::ids::AsId;
 use crate::topology::{Rel, Topology};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Fraction of (AS, destination) decisions that follow the AS's canonical
@@ -125,16 +123,76 @@ impl Cell {
     };
 }
 
-/// Pending adoption in stages 1 and 3, ordered as the heap settles them:
-/// (metric, tie, AS, via AS, position of via in AS's `neighbors`). An
-/// (AS, via) pair is pushed at most once per stage, so the last field never
-/// decides the order.
-type Pending = Reverse<(u16, u64, u32, u32, u16)>;
+/// The least route offered so far to one core AS that has none yet.
+#[derive(Clone, Copy)]
+struct Offer {
+    dist: u16,
+    /// Position of `via` in the offered AS's `neighbors`.
+    hop: u16,
+    via: AsId,
+    /// `Salt::tie` of `via`, hashed once a second offer meets this one on
+    /// the same metric.
+    tie: Option<u64>,
+}
+
+impl Offer {
+    const NONE: Offer = Offer {
+        dist: UNREACHABLE,
+        hop: NO_HOP,
+        via: AsId(u32::MAX),
+        tie: None,
+    };
+
+    /// Keep the least `(metric, tie, via)` of this offer and `me`'s route
+    /// via `via` at `dist`.
+    fn take(&mut self, salt: Salt, me: AsId, dist: u16, via: AsId, hop: u16) {
+        if dist < self.dist {
+            *self = Offer {
+                dist,
+                hop,
+                via,
+                tie: None,
+            };
+        } else if dist == self.dist {
+            let tie = salt.tie(me, via);
+            let held = *self.tie.get_or_insert_with(|| salt.tie(me, self.via));
+            if (tie, via) < (held, self.via) {
+                *self = Offer {
+                    dist,
+                    hop,
+                    via,
+                    tie: Some(tie),
+                };
+            }
+        }
+    }
+}
+
+/// End of a bucket's list in [`Scratch::queued`].
+const NIL: u32 = u32::MAX;
 
 #[derive(Default)]
 struct Scratch {
-    heap: BinaryHeap<Pending>,
     cells: Vec<Cell>,
+    /// By core index: the least offer made to the AS, while it has no cell.
+    offers: Vec<Offer>,
+    /// By metric: the last entry of that bucket's list in `queued`, [`NIL`]
+    /// when empty — and every bucket is empty between stages.
+    bucket: Vec<u32>,
+    /// Highest metric queued in this stage.
+    top: usize,
+    /// Bucket entries: (core index, previous entry of its bucket).
+    queued: Vec<(u32, u32)>,
+}
+
+impl Scratch {
+    /// Put core AS `ci` in the bucket of metric `dist`.
+    fn queue(&mut self, dist: u16, ci: usize) {
+        let m = dist as usize;
+        self.queued.push((ci as u32, self.bucket[m]));
+        self.bucket[m] = (self.queued.len() - 1) as u32;
+        self.top = self.top.max(m);
+    }
 }
 
 thread_local! {
@@ -318,29 +376,47 @@ impl RoutePlan {
     }
 
     /// `from`, routed at metric `dist`, offers that route to its unrouted
-    /// core neighbours of relationship `to`.
+    /// core neighbours of relationship `to`; an AS whose least offer it
+    /// becomes, on a lower metric than before, goes into that bucket.
     fn offer(&self, s: &mut Scratch, salt: Salt, from: AsId, dist: u16, to: Rel) {
         for e in self.run(from, to) {
-            if s.cells[e.core as usize].dist == UNREACHABLE {
-                let d = dist + salt.weight(e.asn, from);
-                let tie = salt.tie(e.asn, from);
-                s.heap.push(Reverse((d, tie, e.asn.0, from.0, e.back)));
+            let ci = e.core as usize;
+            if s.cells[ci].dist != UNREACHABLE {
+                continue;
+            }
+            let d = dist + salt.weight(e.asn, from);
+            let held = s.offers[ci].dist;
+            s.offers[ci].take(salt, e.asn, d, from, e.back);
+            if d < held {
+                s.queue(d, ci);
             }
         }
     }
 
-    /// Dijkstra over the pending offers: each AS settles on the least one
-    /// made to it, as a route of `class`, and offers it on to its `to`
-    /// neighbours.
+    /// Dijkstra over the queued offers, one metric bucket at a time: each
+    /// AS settles, as a route of `class`, on the least `(tie, via)` offer
+    /// of the first bucket it is in, and offers it on to its `to`
+    /// neighbours. Edge weights are at least 1, so nothing settled in a
+    /// bucket offers into it, and the order inside one cannot matter: this
+    /// is the heap's `(metric, tie, AS, via)` argmin.
     fn settle(&self, s: &mut Scratch, salt: Salt, class: RouteClass, to: Rel) {
-        while let Some(Reverse((dist, _, x, _, hop))) = s.heap.pop() {
-            let c = &mut s.cells[self.core_of[x as usize] as usize];
-            if c.dist != UNREACHABLE {
-                continue; // already settled (shorter or better-hashed)
+        let mut m = 0;
+        while m <= s.top {
+            let mut at = std::mem::replace(&mut s.bucket[m], NIL);
+            while at != NIL {
+                let (ci, prev) = s.queued[at as usize];
+                at = prev;
+                let (c, o) = (s.cells[ci as usize], s.offers[ci as usize]);
+                if c.dist != UNREACHABLE || usize::from(o.dist) != m {
+                    continue; // settled, or moved to a lower bucket
+                }
+                let (dist, hop) = (o.dist, o.hop);
+                s.cells[ci as usize] = Cell { dist, hop, class };
+                self.offer(s, salt, self.core[ci as usize], dist, to);
             }
-            *c = Cell { dist, hop, class };
-            self.offer(s, salt, AsId(x), dist, to);
+            m += 1;
         }
+        s.top = 0;
     }
 
     /// The core's routes toward `dst` under `salt`: the three stages of the
@@ -352,9 +428,21 @@ impl RoutePlan {
     pub(crate) fn fill(&self, dst: AsId, salt: u64) -> Arc<[Cell]> {
         let salt = Salt(salt);
         SCRATCH.with_borrow_mut(|s| {
-            s.heap.clear();
+            let n = self.core.len();
             s.cells.clear();
-            s.cells.resize(self.core.len(), Cell::NONE);
+            s.cells.resize(n, Cell::NONE);
+            s.offers.clear();
+            s.offers.resize(n, Offer::NONE);
+            // A route's AS path crosses each core AS once, at weight ≤ 3 a
+            // hop: no metric, offered or settled, passes `3 * n`.
+            if s.bucket.len() <= 3 * n {
+                s.bucket.resize(3 * n + 1, NIL);
+            }
+            // An AS offers once a stage, along its edges of one kind, and
+            // an offer queues at most one entry.
+            let kind = |r: Rel| self.runs[Self::kind(r)].edges.len();
+            s.queued.clear();
+            s.queued.reserve(kind(Rel::Provider) + kind(Rel::Customer));
             if let Some(c) = s.cells.get_mut(self.core_of[dst.index()] as usize) {
                 c.dist = 0;
                 c.class = RouteClass::Customer;
@@ -362,24 +450,48 @@ impl RoutePlan {
 
             // Stage 1: customer routes, Dijkstra "uphill" from dst: an AS x
             // obtains a customer route via neighbor c (x's customer) if c
-            // is dst or c has a customer route. The heap settles each AS on
-            // its best (metric, tie) candidate; edge penalties make the
-            // metric differ from hop count. A provider has a customer, so
-            // every AS settled here is core.
+            // is dst or c has a customer route. Each AS settles on its best
+            // (metric, tie) candidate; edge penalties make the metric
+            // differ from hop count. A provider has a customer, so every AS
+            // settled here is core.
             self.offer(s, salt, dst, 0, Rel::Provider);
             self.settle(s, salt, RouteClass::Customer, Rel::Provider);
 
             // Stage 2: peer routes, for ASes without a customer route. x
-            // may use peer y iff y is dst or y holds a customer route — so
-            // a peer route adopted here (class `Peer`) is never itself a
-            // candidate, and the updates can be applied as they are found.
-            for (ci, &x) in self.core.iter().enumerate() {
-                if s.cells[ci].dist != UNREACHABLE {
-                    continue;
+            // may use peer y iff y is dst or y holds a customer route, so
+            // the routed side offers: dst and each customer-routed AS to
+            // its unrouted core peers, and each peer keeps the least
+            // (metric, tie, y) — `via_peer`'s choice, made in any order. A
+            // peer route adopted here is never itself an offer, so they
+            // are applied once all are made: every AS offered one is still
+            // unrouted (stage 1 settled every AS it offered to).
+            let offer_across = |s: &mut Scratch, y: AsId, at: u16| {
+                for e in self.run(y, Rel::Peer) {
+                    let ci = e.core as usize;
+                    if e.core == LEAF || s.cells[ci].dist != UNREACHABLE {
+                        continue;
+                    }
+                    let d = at + salt.weight(e.asn, y);
+                    s.offers[ci].take(salt, e.asn, d, y, e.back);
                 }
-                if let Some((dist, hop)) = self.via_peer(&s.cells, dst, salt, x) {
-                    let class = RouteClass::Peer;
-                    s.cells[ci] = Cell { dist, hop, class };
+            };
+            if self.core_of[dst.index()] == LEAF {
+                offer_across(s, dst, 0);
+            }
+            for ci in 0..n {
+                let c = s.cells[ci];
+                if c.dist != UNREACHABLE && c.class == RouteClass::Customer {
+                    offer_across(s, self.core[ci], c.dist);
+                }
+            }
+            for (c, o) in s.cells.iter_mut().zip(&s.offers) {
+                if c.dist == UNREACHABLE && o.dist != UNREACHABLE {
+                    let (dist, hop) = (o.dist, o.hop);
+                    *c = Cell {
+                        dist,
+                        hop,
+                        class: RouteClass::Peer,
+                    };
                 }
             }
 
@@ -877,7 +989,8 @@ pub(crate) mod tests {
         topo
     }
 
-    /// Twelve ASes holding every leaf case the stages distinguish:
+    /// Seventeen ASes holding every leaf case the stages distinguish, and a
+    /// core AS whose two peers tie:
     ///
     /// ```text
     ///        0 ===== 1            (tier-1 peers)         10   (isolated
@@ -887,18 +1000,34 @@ pub(crate) mod tests {
     ///     4  7  \\ /  5  \\      4 === 5 peer; 6 and 11 are
     ///        |   6,11   (6,11)   multihomed to 2 and 3
     ///        8
+    ///
+    ///   0 — 12 === 15 === 13 — 1   12, 13: transits under 0 and 1,
+    ///        \\     |     /        both providers of the stub 14;
+    ///          `-- 14 --'          15: under 0, peer of 12 and 13,
+    ///              16 — 15         provider of the stub 16
     /// ```
     ///
     /// AS7 is tiered `Stub` yet has the customer AS8; AS9's only provider,
-    /// AS10, has no neighbour but AS9.
+    /// AS10, has no neighbour but AS9. Toward AS14, the core AS15 holds no
+    /// customer route and two peer routes of one metric unless an edge is
+    /// penalised.
     pub(crate) fn edge_case_graph() -> Topology {
         use AsTier::{Stub, Tier1, Transit};
         use Rel::{Peer, Provider};
         as_graph(
             &[
                 Tier1, Tier1, Transit, Transit, Stub, Stub, Stub, Stub, Stub, Stub, Transit, Stub,
+                Transit, Transit, Stub, Transit, Stub,
             ],
             &[
+                (12, 0, Provider),
+                (13, 1, Provider),
+                (14, 12, Provider),
+                (14, 13, Provider),
+                (15, 0, Provider),
+                (15, 12, Peer),
+                (15, 13, Peer),
+                (16, 15, Provider),
                 (0, 1, Peer),
                 (2, 0, Provider),
                 (3, 1, Provider),
@@ -924,7 +1053,7 @@ pub(crate) mod tests {
         // customer, the `Transit`-tier AS10 has one too, nobody else below
         // the transits does.
         let core: Vec<u32> = plan.core.iter().map(|a| a.0).collect();
-        assert_eq!(core, [0, 1, 2, 3, 7, 10]);
+        assert_eq!(core, [0, 1, 2, 3, 7, 10, 12, 13, 15]);
 
         let via = |r: &Routes<'_>, x: u32| {
             let x = AsId(x);
@@ -932,6 +1061,7 @@ pub(crate) mod tests {
                 .map(|rt| (rt.class, rt.hop.map(|h| topo.asn(x).neighbors[h].asn.0)))
         };
         let mut tie_winners = std::collections::BTreeSet::new();
+        let mut peer_tie_winners = std::collections::BTreeSet::new();
         for salt in 0..400 {
             let toward = |dst: u32| Routes {
                 plan: &plan,
@@ -964,6 +1094,17 @@ pub(crate) mod tests {
             {
                 tie_winners.insert(hop);
             }
+            // A core AS whose two peers hold customer routes of one metric:
+            // stage 2 of the fill breaks the tie.
+            let r = toward(14);
+            let (class, hop) = via(&r, 15).expect("routed");
+            assert_eq!(class, RouteClass::Peer);
+            let across = |y: u32| {
+                r.route(AsId(y)).expect("routed").dist + Salt(salt).weight(AsId(15), AsId(y))
+            };
+            if across(12) == across(13) {
+                peer_tie_winners.insert(hop);
+            }
             // A stub whose only provider has no route: unreachable, both ways.
             assert_eq!(via(&toward(4), 9), None);
             assert_eq!(via(&toward(4), 10), None);
@@ -975,8 +1116,13 @@ pub(crate) mod tests {
             assert_eq!(via(&toward(8), 7), Some((RouteClass::Customer, Some(8))));
             assert_eq!(via(&toward(4), 8), Some((RouteClass::Provider, Some(7))));
         }
-        // The tie went both ways over the salts.
+        // Both ties went both ways over the salts.
         assert_eq!(tie_winners.len(), 2, "{tie_winners:?}");
+        assert_eq!(
+            peer_tie_winners,
+            [Some(12), Some(13)].into(),
+            "{peer_tie_winners:?}"
+        );
     }
 
     mod differential {
@@ -1036,6 +1182,27 @@ pub(crate) mod tests {
                 let mismatch = first_mismatch(topo, &sim.routes(dst, salt), &routes_to(topo, dst, salt));
                 prop_assert!(mismatch.is_none(), "salt {salt:#x}: {}", mismatch.unwrap_or_default());
             }
+        }
+
+        /// Every destination AS of the seed-1 era-2020 Internet, under the
+        /// epoch-0 salt of each of its prefixes and its infrastructure
+        /// salt: the plane is the reference at every source AS.
+        #[test]
+        #[ignore = "3 400 whole-graph references: run in release (ci.sh does)"]
+        fn core_plane_matches_reference_at_every_era_2020_destination() {
+            let sim = Sim::build(SimConfig::era_2020(), 1);
+            let topo = sim.topo();
+            let mut keys = 0;
+            for a in &topo.ases {
+                let prefixes = a.prefixes.iter().map(|&p| sim.prefix_salt_at(p, 0));
+                for salt in prefixes.chain([sim.infra_salt(a.id)]) {
+                    let reference = routes_to(topo, a.id, salt);
+                    let mismatch = first_mismatch(topo, &sim.routes(a.id, salt), &reference);
+                    assert!(mismatch.is_none(), "salt {salt:#x}: {mismatch:?}");
+                    keys += 1;
+                }
+            }
+            assert_eq!(keys, topo.ases.len() + topo.prefixes.len());
         }
 
         #[test]

@@ -8,7 +8,7 @@
 use crate::addr::Addr;
 use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
-use crate::ids::{PrefixId, RouterId};
+use crate::ids::{AsId, PrefixId, RouterId};
 use crate::inline::InlineVec;
 use crate::sim::{Dest, Hop, HopSink, PktMeta, Sim, SinkTree, Walk, HOST_LINK_MS, MAX_HOPS};
 use crate::topology::StampMode;
@@ -153,9 +153,11 @@ enum ProbeKind {
 
 /// One leg of a Record Route exchange, stamping as it walks: each
 /// forwarding router the packet crosses writes its stamp into the next free
-/// slot, until all nine are taken.
-struct RrLeg<'a> {
-    slots: &'a mut RrSlots,
+/// slot of an option of its own, until all nine are taken. A router stamps
+/// the same whatever the slots before hold, so the leg's stamps after `k`
+/// taken slots are the first `9 - k` of these.
+struct RrLeg {
+    slots: RrSlots,
     /// The leg ends at a destination router, which stamps by the
     /// destination rules instead ([`Sim::stamp_dest`]).
     skip_last: bool,
@@ -163,9 +165,26 @@ struct RrLeg<'a> {
     /// ([`Sim::rr_stamp`]).
     first_gw: Option<Addr>,
     last_gw: Option<Addr>,
+    /// Some router picked its link among several candidates.
+    several: bool,
+    /// Some router's choice was not fixed for the walk's key.
+    dynamic: bool,
 }
 
-impl HopSink for RrLeg<'_> {
+impl RrLeg {
+    fn new(skip_last: bool, first_gw: Option<Addr>, last_gw: Option<Addr>) -> RrLeg {
+        RrLeg {
+            slots: RrSlots::new(),
+            skip_last,
+            first_gw,
+            last_gw,
+            several: false,
+            dynamic: false,
+        }
+    }
+}
+
+impl HopSink for RrLeg {
     fn hop(&mut self, sim: &Sim, hop: Hop) {
         // The leg's last hop is the one with no out-link; an LSP-interior
         // hop never processes the IP header.
@@ -180,7 +199,39 @@ impl HopSink for RrLeg<'_> {
             self.slots.push(a);
         }
     }
+
+    fn choice(&mut self, several: bool, fixed: bool) {
+        self.several |= several;
+        self.dynamic |= !fixed;
+    }
 }
+
+/// One leg of a Record Route exchange as a lent reply tree remembers it
+/// ([`SinkTree`]'s `legs`): what its hops were a function of, the stamps
+/// they make in an empty option, and its latency.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LegMemo {
+    key: LegKey,
+    stamps: RrSlots,
+    latency_ms: f64,
+}
+
+/// What a walk's hops and stamps depend on once none of its choices could
+/// see the packet: where it starts and ends, its routing key, the address
+/// its choices hash (`None` when every choice had one candidate, so none
+/// hashed it), and the gateways its end hops may stamp.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct LegKey {
+    start: RouterId,
+    end: RouterId,
+    target: (AsId, u64),
+    addr: Option<Addr>,
+    gws: (Option<Addr>, Option<Addr>),
+}
+
+/// Which legs of an exchange a lent reply tree remembers.
+const FORWARD: usize = 0;
+const REPLY: usize = 1;
 
 /// One leg of a Timestamp-prespec exchange, visiting as it walks: a router
 /// fills the next prespecified slot if it processes the option and owns
@@ -427,6 +478,11 @@ impl Sim {
     /// sources and keeps their sink trees: `forward` is lent to the walk
     /// toward `dst`, `reply` to the walk back toward `src`. The reply is
     /// the one [`Sim::rr_ping`] observes, whatever the trees hold.
+    ///
+    /// `reply` also remembers `src`'s last two legs, and an exchange
+    /// replays a remembered leg instead of walking it when the walk could
+    /// not differ ([`Sim::rr_exchange`]): a source pinging two hosts of
+    /// one prefix walks most of the second exchange's legs once.
     pub fn rr_ping_lent(
         &self,
         src: Addr,
@@ -469,6 +525,18 @@ impl Sim {
     /// stamped slots, where the reply leg's stamps begin in them, and the
     /// round-trip latency. Every address is resolved once, whatever the
     /// number of legs that route on it.
+    ///
+    /// A lent reply tree remembers the exchange's legs toward a host, when
+    /// walks read no clock (link maintenance off), and the next exchange
+    /// replays one — same stamps, same latency bits — instead of walking
+    /// it when it must take the same hops:
+    /// - a forward leg from the same router, on the same routing key, to
+    ///   the same final router between the same gateways, after a leg on
+    ///   which every choice had one candidate — no choice could see the
+    ///   address or the packet;
+    /// - a reply leg from the same router toward the same address on the
+    ///   same key between the same gateways, after a leg on which every
+    ///   choice was fixed for that key.
     pub(crate) fn rr_exchange(
         &self,
         sender: Addr,
@@ -476,7 +544,7 @@ impl Sim {
         dst: Addr,
         nonce: u64,
         [fwd_epoch, rep_epoch]: [Option<u32>; 2],
-        [fwd_tree, rep_tree]: [Option<&mut SinkTree>; 2],
+        [fwd_tree, mut rep_tree]: [Option<&mut SinkTree>; 2],
     ) -> Option<(RrSlots, usize, f64)> {
         let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
@@ -489,18 +557,21 @@ impl Sim {
             Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
             Dest::Router { .. } => None,
         };
+        let replay = matches!(dest, Dest::Host { .. }) && !self.faults().links_enabled();
 
-        let mut slots = RrSlots::new();
         // Forward stamping: the destination router (if the target is a
         // router) stamps via the destination rules, not as a forwarder.
-        let mut leg = RrLeg {
-            slots: &mut slots,
-            skip_last: matches!(dest, Dest::Router { .. }),
-            first_gw: Some(self.prefix_gateway(snd_prefix)),
-            last_gw: dest_gw,
-        };
+        let leg = RrLeg::new(
+            matches!(dest, Dest::Router { .. }),
+            Some(self.prefix_gateway(snd_prefix)),
+            dest_gw,
+        );
         let meta = PktMeta::options(claimed_src, nonce);
-        let fwd_ms = self.walk_to(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, &mut leg)?;
+        let memo = (rep_tree.as_deref_mut())
+            .filter(|_| replay)
+            .map(|t| (&mut t.legs[FORWARD], FORWARD));
+        let (mut slots, fwd_ms) =
+            self.rr_leg(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, leg, memo)?;
         self.stamp_dest(&dest, dst, &mut slots);
 
         // Reply path. For host destinations the attach router forwards the
@@ -510,28 +581,75 @@ impl Sim {
         // reverse-facing interface — the alias the RR-atlas technique
         // (§4.2) harvests.
         let reply_mark = slots.len();
-        let mut leg = RrLeg {
-            slots: &mut slots,
-            skip_last: false,
-            first_gw: dest_gw,
-            last_gw: Some(self.prefix_gateway(recv_prefix)),
-        };
+        let leg = RrLeg::new(false, dest_gw, Some(self.prefix_gateway(recv_prefix)));
         let back = Dest::Host {
             prefix: recv_prefix,
             attach: recv_attach,
         };
         let meta = PktMeta::options(dst, mix2(nonce, 1));
         let start = Self::reply_start(&dest);
-        let rep_ms = self.walk_to(
-            start,
-            claimed_src,
-            &back,
-            &meta,
-            rep_epoch,
-            rep_tree,
-            &mut leg,
-        )?;
+        // The reply memo is held beside the tree while the tree is lent to
+        // the walk (a leg that drops forgets it).
+        let mut held = (rep_tree.as_deref_mut())
+            .filter(|_| replay)
+            .map(|t| t.legs[REPLY].take());
+        let memo = held.as_mut().map(|m| (m, REPLY));
+        let tree = rep_tree.as_deref_mut();
+        let (stamps, rep_ms) =
+            self.rr_leg(start, claimed_src, &back, &meta, rep_epoch, tree, leg, memo)?;
+        for &a in stamps.iter().take(RR_SLOTS - slots.len()) {
+            slots.push(a);
+        }
+        if let (Some(tree), Some(held)) = (rep_tree, held) {
+            tree.legs[REPLY] = held;
+        }
         Some((slots, reply_mark, HOST_LINK_MS + fwd_ms + rep_ms))
+    }
+
+    /// One leg of a Record Route exchange toward `to`: its stamps in an
+    /// empty option and its latency. With `memo` — the remembered leg of
+    /// this kind, and which kind it is — the leg is the remembered one if
+    /// that took the hops this must take, else it is walked and remembered
+    /// if the next exchange may replay it.
+    #[allow(clippy::too_many_arguments)]
+    fn rr_leg(
+        &self,
+        start: RouterId,
+        to: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        epoch: Option<u32>,
+        tree: Option<&mut SinkTree>,
+        mut leg: RrLeg,
+        memo: Option<(&mut Option<LegMemo>, usize)>,
+    ) -> Option<(RrSlots, f64)> {
+        let Some((held, which)) = memo else {
+            let ms = self.walk_to(start, to, dest, meta, epoch, tree, &mut leg)?;
+            return Some((leg.slots, ms));
+        };
+        // The memo's key and the walk read one epoch.
+        let (epoch, route) = self.route_key(dest, epoch);
+        let key = LegKey {
+            start,
+            end: dest.delivery().0,
+            target: (route.0, route.1),
+            addr: (which == REPLY).then_some(to),
+            gws: (leg.first_gw, leg.last_gw),
+        };
+        if let Some(m) = held.as_ref().filter(|m| m.key == key) {
+            return Some((m.stamps, m.latency_ms));
+        }
+        let ms = self.walk_keyed(start, to, dest, meta, epoch, route, tree, &mut leg)?;
+        let replayable = match which {
+            FORWARD => !leg.several,
+            _ => !leg.dynamic,
+        };
+        *held = replayable.then_some(LegMemo {
+            key,
+            stamps: leg.slots,
+            latency_ms: ms,
+        });
+        Some((leg.slots, ms))
     }
 
     /// Re-derive the Record Route stamps that the **reply leg** of an

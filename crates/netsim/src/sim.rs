@@ -11,6 +11,7 @@ use crate::bgp::{self, RoutePlan, Routes};
 use crate::churn::Churn;
 use crate::concurrent::StripedMap;
 use crate::config::SimConfig;
+use crate::engine::LegMemo;
 use crate::faults::Faults;
 use crate::gen;
 use crate::hash::{chance, mix2, mix3};
@@ -21,6 +22,10 @@ use crate::scenario::Scenarios;
 use crate::topology::{LinkKind, StampMode, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// What a walk routes on ([`Sim::routing_ctx`]): the target AS, its BGP
+/// tie-break salt, and the destination prefix (`None` for infrastructure).
+pub(crate) type RoutingKey = (AsId, u64, Option<PrefixId>);
 
 /// Latency of the virtual host↔attach-router link, per direction (ms).
 pub const HOST_LINK_MS: f64 = 1.0;
@@ -60,7 +65,7 @@ impl Dest {
     /// How a walk ends: the router it is routed to, the interdomain link to
     /// cross from there (for `via` destinations), and whether a host link
     /// follows.
-    fn delivery(&self) -> (RouterId, Option<LinkId>, bool) {
+    pub(crate) fn delivery(&self) -> (RouterId, Option<LinkId>, bool) {
         match *self {
             Dest::Host { attach, .. } => (attach, None, true),
             Dest::Router { anchor, via, .. } if via.is_some() => (anchor, via, false),
@@ -130,6 +135,13 @@ pub type Hops = InlineVec<Hop, MAX_HOPS>;
 pub(crate) trait HopSink {
     /// Take the next hop.
     fn hop(&mut self, sim: &Sim, hop: Hop);
+
+    /// Hear how the walk chose the link it leaves a router by: among
+    /// `several` candidates or one, and whether the choice was `fixed` —
+    /// the one every packet routed on the walk's key makes there.
+    fn choice(&mut self, several: bool, fixed: bool) {
+        let _ = (several, fixed);
+    }
 }
 
 /// The walk kept whole, for the callers that read it as a value.
@@ -159,6 +171,9 @@ pub struct Walk {
 const CELL_UNKNOWN: u32 = u32::MAX;
 /// A sink tree cell of a router whose choice depends on the packet.
 const CELL_DYNAMIC: u32 = u32::MAX - 1;
+/// Set beside a learned link picked among several candidates: which one
+/// the key's hash picks there may differ between two addresses.
+const CELL_SEVERAL: u32 = 1 << 31;
 
 /// What walks toward one routing key — a destination address under one
 /// BGP tie-break salt — have learned about where routers send it: per
@@ -172,26 +187,34 @@ const CELL_DYNAMIC: u32 = u32::MAX - 1;
 /// another key — another address, or the same one after churn re-rolled
 /// its prefix's salt — clears the tree and rebinds it.
 ///
+/// Lent to the reply legs of one source's Record Route exchanges, a tree
+/// also remembers that source's last forward and reply leg, for the next
+/// exchange to replay ([`Sim::rr_ping_lent`]).
+///
 /// A tree serves the [`Sim`] it was made for.
 #[derive(Debug)]
 pub struct SinkTree {
     /// The key the cells were learned under: destination address, its
     /// salt, and the core's route table for that pair.
     bound: Option<(Addr, u64, Arc<[bgp::Cell]>)>,
-    /// By router index: [`CELL_UNKNOWN`], [`CELL_DYNAMIC`] or a [`LinkId`].
+    /// By router index: [`CELL_UNKNOWN`], [`CELL_DYNAMIC`] or a [`LinkId`],
+    /// with [`CELL_SEVERAL`] beside it if it was picked among several.
     cells: Box<[u32]>,
+    /// The last forward and reply leg an exchange may replay.
+    pub(crate) legs: [Option<LegMemo>; 2],
 }
 
 impl SinkTree {
     /// An empty tree over `sim`'s routers (4 B each).
     pub fn new(sim: &Sim) -> SinkTree {
         assert!(
-            sim.topo.links.len() < CELL_DYNAMIC as usize,
+            sim.topo.links.len() < (CELL_DYNAMIC & !CELL_SEVERAL) as usize,
             "link ids collide with the cell markers"
         );
         SinkTree {
             bound: None,
             cells: vec![CELL_UNKNOWN; sim.topo.routers.len()].into(),
+            legs: [None; 2],
         }
     }
 
@@ -726,7 +749,7 @@ impl Sim {
     /// destinations (churned), or `None` for infrastructure addresses.
     /// `epoch` pins the churn epoch for host destinations (replay);
     /// `None` reads the live epoch.
-    fn routing_ctx(&self, dest: &Dest, epoch: Option<u32>) -> (AsId, u64, Option<PrefixId>) {
+    fn routing_ctx(&self, dest: &Dest, epoch: Option<u32>) -> RoutingKey {
         match *dest {
             Dest::Host { prefix, .. } => {
                 let owner = self.topo.prefix(prefix).owner;
@@ -890,14 +913,39 @@ impl Sim {
         tree: Option<&mut SinkTree>,
         sink: &mut S,
     ) -> Option<f64> {
-        // The epoch the walk routes on, read once: pinned, or live.
+        let (epoch, key) = self.route_key(dest, epoch);
+        self.walk_keyed(start, dst_addr, dest, meta, epoch, key, tree, sink)
+    }
+
+    /// The epoch a walk toward `dest` routes on, read once — pinned, or
+    /// live — and its [`Sim::routing_ctx`] key.
+    pub(crate) fn route_key(
+        &self,
+        dest: &Dest,
+        epoch: Option<u32>,
+    ) -> (Option<(PrefixId, u32)>, RoutingKey) {
         let epoch = match *dest {
             Dest::Host { prefix, .. } => {
                 Some((prefix, epoch.unwrap_or_else(|| self.prefix_epoch(prefix))))
             }
             Dest::Router { .. } => None,
         };
-        let key = self.routing_ctx(dest, epoch.map(|(_, e)| e));
+        (epoch, self.routing_ctx(dest, epoch.map(|(_, e)| e)))
+    }
+
+    /// [`Sim::walk_to`] once [`Sim::route_key`] is read.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn walk_keyed<S: HopSink>(
+        &self,
+        start: RouterId,
+        dst_addr: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        epoch: Option<(PrefixId, u32)>,
+        key: RoutingKey,
+        tree: Option<&mut SinkTree>,
+        sink: &mut S,
+    ) -> Option<f64> {
         let (target_as, salt, _) = key;
         match tree {
             Some(tree) => {
@@ -923,7 +971,7 @@ impl Sim {
         dst_addr: Addr,
         dest: &Dest,
         meta: &PktMeta,
-        (target_as, salt, pid): (AsId, u64, Option<PrefixId>),
+        (target_as, salt, pid): RoutingKey,
         sink: &mut S,
     ) -> Option<f64> {
         let (final_router, via, deliver_to_host) = dest.delivery();
@@ -988,17 +1036,18 @@ impl Sim {
             // as dynamic: derived on the spot, nothing learned.
             let cell = cells.as_deref().map_or(CELL_DYNAMIC, |c| c[cur.index()]);
             let next_link = if cell < CELL_DYNAMIC {
-                LinkId(cell)
+                sink.choice(cell & CELL_SEVERAL != 0, true);
+                LinkId(cell & !CELL_SEVERAL)
             } else {
                 let cur_as = self.topo.router_as(cur);
-                let (link, fixed) = if cur_as == target_as {
+                let (link, n, fixed) = if cur_as == target_as {
                     // Intradomain leg toward the final router.
                     let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
                     if cands.is_empty() {
                         return None; // disconnected intra graph (shouldn't happen)
                     }
                     let (i, fixed) = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
-                    (cands[i].0, fixed)
+                    (cands[i].0, cands.len(), fixed)
                 } else {
                     let nbr = match chosen {
                         Some((asn, nbr)) if asn == cur_as => nbr,
@@ -1022,8 +1071,9 @@ impl Sim {
                                 link.a == cur || link.b == cur
                             })
                         };
-                        let (i, fixed) = self.choose_idx(cur, direct().count(), dst_key, pid, meta);
-                        (direct().nth(i).expect("index below the count"), fixed)
+                        let n = direct().count();
+                        let (i, fixed) = self.choose_idx(cur, n, dst_key, pid, meta);
+                        (direct().nth(i).expect("index below the count"), n, fixed)
                     } else {
                         // Hot potato: head for the nearest border toward next_as.
                         let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
@@ -1032,12 +1082,17 @@ impl Sim {
                             return None;
                         }
                         let (i, fixed) = self.choose_idx(cur, n, dst_key, pid, meta);
-                        (cands.nth(i).expect("index below the count").0, fixed)
+                        (cands.nth(i).expect("index below the count").0, n, fixed)
                     }
                 };
+                sink.choice(n > 1, fixed);
                 if cell == CELL_UNKNOWN {
                     if let Some(cells) = cells.as_deref_mut() {
-                        cells[cur.index()] = if fixed { link.0 } else { CELL_DYNAMIC };
+                        cells[cur.index()] = match (fixed, n > 1) {
+                            (false, _) => CELL_DYNAMIC,
+                            (true, false) => link.0,
+                            (true, true) => link.0 | CELL_SEVERAL,
+                        };
                     }
                 }
                 link
@@ -1775,7 +1830,7 @@ mod tests {
             }
         }
         // AS9 and AS10 reach each other and nobody else, nor anybody them.
-        assert_eq!(dropped, 2 * 2 * 10);
+        assert_eq!(dropped, 2 * 2 * (s.topo().n_ases() - 2));
     }
 
     mod differential {
@@ -1848,6 +1903,13 @@ mod tests {
         /// and a clock moved under `compiled_walk_matches_reference`'s feet
         /// would part its two walks' live epochs.
         fn moving_arms() -> &'static [Arm] {
+            static ARMS: OnceLock<Vec<Arm>> = OnceLock::new();
+            ARMS.get_or_init(build_arms)
+        }
+
+        /// And once more for `replayed_legs_match_reference`, the other
+        /// test that moves the clock.
+        fn replay_arms() -> &'static [Arm] {
             static ARMS: OnceLock<Vec<Arm>> = OnceLock::new();
             ARMS.get_or_init(build_arms)
         }
@@ -2146,6 +2208,119 @@ mod tests {
                     ),
                 }
             }
+        }
+
+        /// Host `i` of prefix `p`, counted among those that answer RR when
+        /// the prefix has any.
+        fn rr_host(sim: &Sim, p: PrefixId, i: usize) -> Addr {
+            let answering = || {
+                sim.host_addrs(p)
+                    .filter(|&a| sim.behavior().host_rr_responsive(a))
+            };
+            match answering().count() {
+                0 => sim.host_addrs(p).nth(i % 241).expect("241 hosts"),
+                n => answering().nth(i % n).expect("index below the count"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1000))]
+
+            /// A small survey: VPs each RR-ping two hosts of one prefix in
+            /// turn, every forward leg lent its destination's tree and every
+            /// reply leg its VP's, which remembers the VP's legs for the
+            /// next exchange to replay. Every exchange is the
+            /// `rr_exchange_reference` one — slots, reply mark, rtt bits —
+            /// whether it replays a leg or must not: across a churn step
+            /// between two pings, through `dbr_region` routers, under link
+            /// maintenance.
+            #[test]
+            fn replayed_legs_match_reference(
+                arm in 0usize..8,
+                prefix in 0usize..1 << 16,
+                first in 0usize..1 << 16,
+                second in 0usize..1 << 16,
+                vps in proptest::collection::vec(0usize..1 << 16, 1..5),
+                nonce in 0u64..1 << 40,
+                churn_at in 0usize..12,
+            ) {
+                let arm = &replay_arms()[arm];
+                let sim = &arm.sim;
+                let topo = sim.topo();
+                let p = topo.prefixes[prefix % topo.prefixes.len()].id;
+                let dsts = [rr_host(sim, p, first), rr_host(sim, p, second)];
+                let mut forward = [SinkTree::new(sim), SinkTree::new(sim)];
+                let mut reply: Vec<SinkTree> = vps.iter().map(|_| SinkTree::new(sim)).collect();
+                let mut sent = 0;
+                // A VP drawn twice keeps its tree and pings again.
+                for (at, &vp) in vps.iter().enumerate() {
+                    let vp_at = vps.iter().position(|&v| v == vp).expect("drawn");
+                    let src = topo.vp_sites[vp % topo.vp_sites.len()].host;
+                    for (k, &dst) in dsts.iter().enumerate() {
+                        if sent == churn_at {
+                            sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
+                        }
+                        sent += 1;
+                        let nonce = nonce + sent as u64;
+                        let trees = [Some(&mut forward[k]), Some(&mut reply[vp_at])];
+                        let got = sim.rr_exchange(src, src, dst, nonce, [None, None], trees);
+                        let want = sim.rr_exchange_reference(src, src, dst, nonce, [None, None]);
+                        match (got, want) {
+                            (None, None) => {}
+                            (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
+                                prop_assert!(slots == want_slots, "VP {at} ping {k}: {slots:?}, reference {want_slots:?}");
+                                prop_assert_eq!(mark, want_mark);
+                                prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                            }
+                            (got, want) => prop_assert!(
+                                false,
+                                "{src} -> {dst}: {got:?}, reference {want:?}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+
+        /// What `replayed_legs_match_reference` claims to cover occurs: a
+        /// second forward leg replayed (its destination's fresh tree left
+        /// unbound), reply legs remembered, forward legs not remembered for
+        /// a choice among several candidates, and nothing remembered under
+        /// link maintenance.
+        #[test]
+        fn replayed_legs_hit_and_miss() {
+            let mut seen = [0usize; 4];
+            for (i, arm) in arms().iter().enumerate() {
+                let sim = &arm.sim;
+                let topo = sim.topo();
+                for pe in topo.prefixes.iter().step_by(topo.prefixes.len() / 12 + 1) {
+                    let dsts = [rr_host(sim, pe.id, 0), rr_host(sim, pe.id, 1)];
+                    for v in topo.vp_sites.iter().step_by(7).take(6) {
+                        let mut forward = [SinkTree::new(sim), SinkTree::new(sim)];
+                        let mut reply = SinkTree::new(sim);
+                        let ping = |k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
+                            let trees = [Some(forward), Some(reply)];
+                            sim.rr_exchange(v.host, v.host, dsts[k], k as u64, [None, None], trees)
+                        };
+                        if ping(0, &mut forward[0], &mut reply).is_none() {
+                            continue;
+                        }
+                        let [fwd, rep] = reply.legs.map(|l| l.is_some());
+                        if i == 6 {
+                            seen[3] += usize::from(fwd || rep);
+                            continue;
+                        }
+                        seen[1] += usize::from(!fwd);
+                        seen[2] += usize::from(rep);
+                        if ping(1, &mut forward[1], &mut reply).is_some() {
+                            seen[0] += usize::from(forward[1].bound.is_none());
+                        }
+                    }
+                }
+            }
+            let [hits, several, replies, maintained] = seen;
+            assert!(hits > 0 && several > 0 && replies > 0, "{seen:?}");
+            assert_eq!(maintained, 0, "a leg remembered under link maintenance");
         }
 
         /// What `rr_exchange_matches_reference` draws from answers in every

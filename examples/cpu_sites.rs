@@ -30,7 +30,10 @@
 //! * `setup` — what the warm workloads' `setup_s` pays: `Sim::build` and
 //!   `IngressDb::build` over every prefix, sink trees lent;
 //! * `build` — what `bootstrap-cold`'s `setup_s` pays: 100 era-2020
-//!   `Sim::build`s a round, each dropped before the next.
+//!   `Sim::build`s a round, each dropped before the next;
+//! * `fill` — the survey's route fills: every prefix's `(owner, salt)`
+//!   table, once each, on a fresh era-2020 `Sim` a round (the build is
+//!   outside the timed part).
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=1 \
@@ -38,7 +41,8 @@
 //! ```
 //!
 //! Defaults: 30 rounds (12 000 requests for `serial`, 3 rounds for
-//! `survey`, 16 for `setup`, 10 for `build`), seed 1, 250 Hz. A fifth
+//! `survey`, 16 for `setup`, 10 for `build`, 20 for `fill`), seed 1,
+//! 250 Hz. A fifth
 //! argument `leaf` adds a third table: of the samples whose innermost frame
 //! contains that text (`futex`, say), the first frame in this repository's
 //! crates — who is calling it. Without frame pointers the walk stops at the
@@ -60,6 +64,7 @@ fn main() {
 mod linux {
     use revtr_suite::atlas::select_atlas_probes;
     use revtr_suite::netsim::hash::mix3;
+    use revtr_suite::netsim::sim::PktMeta;
     use revtr_suite::netsim::{Addr, Sim, SimConfig};
     use revtr_suite::probing::Prober;
     use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem};
@@ -637,6 +642,28 @@ mod linux {
         }
     }
 
+    /// A walk from a prefix's attach router to one of its hosts is
+    /// delivered where it starts: all it costs is the fill of the table it
+    /// routes on, the prefix's `(owner, salt)`.
+    fn fill_rounds(rounds: usize, seed: u64) {
+        for round in 0..rounds {
+            let sim = Sim::build(SimConfig::era_2020(), seed);
+            let walks: Vec<_> = (sim.topo().prefixes.iter())
+                .map(|pe| (pe.attach, sim.host_addrs(pe.id).next().expect("hosts")))
+                .collect();
+            timed(&format!("round {round} ({} fills)", walks.len()), || {
+                for &(attach, host) in &walks {
+                    std::hint::black_box(sim.walk(attach, host, &PktMeta::plain(host, 0)));
+                }
+            });
+            assert_eq!(
+                sim.route_computes(),
+                walks.len() as u64,
+                "one fill a prefix"
+            );
+        }
+    }
+
     pub fn main() {
         let mode = std::env::args().nth(1).unwrap_or_default();
         let at = if mode == "campaign" { 3 } else { 2 };
@@ -646,13 +673,15 @@ mod linux {
             "survey" => 3,
             "setup" => 16,
             "build" => 10,
+            "fill" => 20,
             _ => {
                 eprintln!(
                     "usage: cpu_sites serial [requests] [seed] [leaf]\n       \
                      cpu_sites campaign [workers] [rounds] [seed] [leaf]\n       \
                      cpu_sites survey [rounds] [seed] [leaf]\n       \
                      cpu_sites setup [rounds] [seed] [leaf]\n       \
-                     cpu_sites build [rounds] [seed] [leaf]"
+                     cpu_sites build [rounds] [seed] [leaf]\n       \
+                     cpu_sites fill [rounds] [seed] [leaf]"
                 );
                 std::process::exit(2);
             }
@@ -669,6 +698,7 @@ mod linux {
             }
             "survey" => survey_rounds(rounds, seed),
             "build" => build_rounds(rounds, seed),
+            "fill" => fill_rounds(rounds, seed),
             _ => setup_rounds(rounds, seed),
         }
         let [wall, cpu] = [0, 1].map(|i| ROUNDS_NS[i].load(Ordering::Relaxed) as f64 / 1e9);
