@@ -215,10 +215,13 @@ cargo test -q --release -p revtr-eval --test reproduction -- --ignored
 echo "== metrics golden gate (release, standard seed 42) =="
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 
-echo "== cargo clippy --all-targets -- -D warnings =="
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # -D clippy::disallowed-methods enforces clippy.toml: no wall-clock
 # sleeps, no free thread spawns (campaign workers are scoped threads).
-cargo clippy --all-targets -- -D warnings -D clippy::disallowed-methods
+# --workspace lints every crate, so each library's
+# `#![warn(unreachable_pub)]` fails the gate: a `pub` item that nothing
+# outside its crate can reach must say `pub(crate)`.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::disallowed-methods
 
 # The audit crate is the arbiter of everyone else's soundness, and the
 # telemetry crate sits inside every hot path: both are additionally held
@@ -241,6 +244,12 @@ echo "== no per-thread state in the request plane (crates/probing/src, crates/co
 if grep -rnE 'thread_local!|thread_ms|thread_snapshot|swap_thread_' crates/probing/src crates/core/src; then
   echo "per-thread state in the request plane: charge the task's Meter instead"; exit 1
 fi
+
+# Rustdoc is warning-free: a doc link to a private, renamed or deleted
+# item fails here, so narrowing the public surface cannot leave a dangling
+# or private link behind in the rendered docs.
+echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -13,6 +13,7 @@
 //!   evidence, deliberately partial.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ip2as;
 pub mod relationships;

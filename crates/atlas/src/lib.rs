@@ -13,9 +13,10 @@
 //!   bookkeeping for the refresh policy studies (Appx. D.2).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod atlas;
 pub mod probes;
 
-pub use atlas::{AtlasTrace, Intersection, SourceAtlas};
+pub use atlas::{Intersection, SourceAtlas};
 pub use probes::select_atlas_probes;

@@ -29,6 +29,7 @@
 //! must never occur; `ci.sh` gates on it.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
 use revtr::{Evidence, RevtrResult, StitchEnd, SymmetryPolicy};
@@ -489,18 +490,6 @@ impl<'s> Auditor<'s> {
             src: r.src,
             findings,
         }
-    }
-
-    /// Audit a whole campaign and aggregate the per-kind table.
-    pub fn audit_all<'r>(
-        &self,
-        results: impl IntoIterator<Item = &'r RevtrResult>,
-    ) -> AuditSummary {
-        let mut summary = AuditSummary::default();
-        for r in results {
-            summary.add(&self.audit(r));
-        }
-        summary
     }
 }
 

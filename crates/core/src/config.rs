@@ -46,12 +46,10 @@ pub struct EngineConfig {
     pub use_cache: bool,
     /// Try IP timestamp adjacency testing when RR fails (revtr 1.0 only).
     pub use_timestamp: bool,
-    /// Use the RR-atlas intersection index (§4.2); when off, intersections
-    /// need an exact address match or external alias data (revtr 1.0).
+    /// Use the RR-atlas intersection index (§4.2). When off, intersections
+    /// need an exact address match or the external alias datasets
+    /// (MIDAR-lite / SNMP) — revtr 1.0's approach to Q2.
     pub use_rr_atlas: bool,
-    /// Consult the external alias datasets (MIDAR-lite / SNMP) for atlas
-    /// intersection — revtr 1.0's approach to Q2.
-    pub use_alias_datasets: bool,
     /// Use only registry-origin IP-to-AS data for the intradomain/
     /// interdomain decision (Q5), without the PeeringDB/EuroIX border
     /// corrections — the naive baseline of the Appx. B.2 mapping ablation.
@@ -94,7 +92,6 @@ impl EngineConfig {
             use_cache: true,
             use_timestamp: false,
             use_rr_atlas: true,
-            use_alias_datasets: false,
             registry_only_ip2as: false,
             verify_dbr: false,
             harden: false,
@@ -111,7 +108,6 @@ impl EngineConfig {
             use_cache: false,
             use_timestamp: true,
             use_rr_atlas: false,
-            use_alias_datasets: true,
             symmetry: SymmetryPolicy::Always,
             ..EngineConfig::revtr2()
         }

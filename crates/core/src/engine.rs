@@ -1,16 +1,16 @@
 //! The measurement engine: one state machine, one driver.
 //!
-//! Each reverse traceroute is a [`MeasureTask`]: a small control block
+//! Each reverse traceroute is a `MeasureTask`: a small control block
 //! holding the stitching state (current hop, open telemetry spans, the VP
-//! plan a pending ladder walks) and an explicit [`Phase`] enum mirroring
+//! plan a pending ladder walks) and an explicit `Phase` enum mirroring
 //! the stages the telemetry layer instruments — destination probe → atlas
 //! intersection → rr / spoofed-rr rounds → ts → assume-symmetry. The path
 //! being stitched lives in the driver's scratch (`crate::scratch`).
-//! [`MeasureTask::step`] advances the block by exactly one stage (or one
+//! `MeasureTask::step` advances the block by exactly one stage (or one
 //! spoofed-batch round, the virtual 10 s timer of §5.2.4); one step is one
 //! *event*.
 //!
-//! A revtr executes exactly one way: [`RevtrSystem::drive`] steps its block
+//! A revtr executes exactly one way: `RevtrSystem::drive` steps its block
 //! to completion behind a panic fence. Spoofed-batch waits are virtual —
 //! they cost no wall time — so there is nothing to gain from interleaving
 //! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
@@ -1059,7 +1059,7 @@ impl Shared<'_, '_> {
 /// claiming and the payload comes back as `Err`, before any merge. The
 /// barrier folds what the wave's tasks buffered into the published stop
 /// sets in `(vtime, id, seq)` stamp order — functions of each task's own
-/// history, so schedule-invariant ([`STOPSET_WAVE`]).
+/// history, so schedule-invariant (`STOPSET_WAVE`).
 pub struct WavePool<'scope, 'env, 'a, 's> {
     shared: &'env Shared<'a, 's>,
     scope: &'scope Scope<'scope, 'env>,
@@ -1159,7 +1159,7 @@ impl<'s> RevtrSystem<'s> {
     /// completion on a meter starting at virtual zero, `lc.workers` at a
     /// time. With stop sets off the campaign is one wave; with them on (or
     /// hardening, whose quarantine windows are ordinary buffered stop-set
-    /// contributions) it is admitted in [`STOPSET_WAVE`]-sized waves with
+    /// contributions) it is admitted in `STOPSET_WAVE`-sized waves with
     /// a deterministic stop-set merge barrier after each.
     ///
     /// Results come back in input order. A panicking measurement aborts
@@ -1365,7 +1365,12 @@ mod tests {
             // still pending.
             let out = sys.campaign_of(&pairs, LoopConfig { workers }, planted);
             assert!(out.is_err(), "w{workers}: poisoned campaign returned Ok");
-            assert!(sys.stopset().pending_len() > 0, "w{workers}: merged");
+            let unmerged = sys.stopset().approx_bytes().total();
+            sys.stopset().merge_pending();
+            assert!(
+                sys.stopset().approx_bytes().total() > unmerged,
+                "w{workers}: merged"
+            );
 
             // Still usable, both ways in.
             assert_eq!(sys.measure(pairs[0].0, pairs[0].1).status, first.status);

@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod config;
 pub mod engine;
@@ -48,9 +49,9 @@ pub mod result;
 mod scratch;
 pub mod system;
 
-pub use config::{EngineConfig, SymmetryPolicy, VpSelection};
-pub use engine::{task_footprint_bytes, CampaignOutcome, LoopConfig, TimedJob, WavePool};
+pub use config::{EngineConfig, SymmetryPolicy};
+pub use engine::{task_footprint_bytes, LoopConfig, TimedJob, WavePool};
 pub use result::{
-    Evidence, HopMethod, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
+    Evidence, HopMethod, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 pub use system::{extract_reverse_hops, RevtrSystem};

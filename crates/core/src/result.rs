@@ -388,14 +388,6 @@ impl RevtrResult {
     pub fn has_assumption(&self) -> bool {
         self.stats.assumed_symmetric > 0
     }
-
-    /// True if the rendered path contains a `*` (unresponsive hop, private
-    /// address gap, or suspicious-link flag).
-    pub fn has_star(&self) -> bool {
-        self.hops
-            .iter()
-            .any(|h| h.addr.is_none() || h.suspicious_gap_before)
-    }
 }
 
 impl std::fmt::Display for RevtrResult {
@@ -577,7 +569,7 @@ mod tests {
             src: Addr(2),
             status: Status::AbortedInterdomain,
             hops: (every_evidence().into_iter().enumerate())
-                .map(|(i, (e, _))| hop((i % 3 > 0).then(|| Addr(i as u32)), e))
+                .map(|(i, (e, _))| hop((i % 3 > 0).then_some(Addr(i as u32)), e))
                 .collect::<Vec<_>>()
                 .into(),
             stats: RevtrStats::default(),
@@ -629,7 +621,7 @@ mod tests {
             end: StitchEnd::AtlasSuffix,
         };
         assert!(r.complete());
-        assert!(r.has_star());
+        assert!(r.hops.iter().any(|h| h.addr.is_none()));
         assert!(!r.has_assumption());
         assert_eq!(r.addrs().collect::<Vec<_>>(), vec![Addr(1), Addr(2)]);
     }

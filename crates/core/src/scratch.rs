@@ -471,7 +471,8 @@ mod tests {
         }
         // Transient on ~half the probes; budgets of 1, 2 or 6 re-batches,
         // the three the engine uses.
-        let transient = |round: usize, vp: Addr| mix3(salt, round as u64, vp.0 as u64) % 2 == 0;
+        let transient =
+            |round: usize, vp: Addr| mix3(salt, round as u64, vp.0 as u64).is_multiple_of(2);
         let budget = |vp: Addr| [1, 2, 6][(mix3(salt, 77, vp.0 as u64) % 3) as usize];
         let mut batch = Vec::new();
         let mut round = 0;
@@ -576,7 +577,7 @@ mod tests {
     fn ranks_order_as_successive_stable_partitions() {
         let vps: Vec<Addr> = (0..8).map(a).collect();
         let far = |vp: Addr| vp.0 % 2 == 1;
-        let dead = |vp: Addr| vp.0 % 3 == 0;
+        let dead = |vp: Addr| vp.0.is_multiple_of(3);
         let mut l = Ladder::default();
         let plan = PlanView::Ranking(&vps);
         let moved = l.open(

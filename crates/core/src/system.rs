@@ -546,7 +546,7 @@ impl<'s> RevtrSystem<'s> {
         if let Some(i) = atlas.lookup(addr) {
             return Some(i);
         }
-        if self.cfg.use_alias_datasets {
+        if !self.cfg.use_rr_atlas {
             let idx = self.alias_index_for(src, atlas);
             for id in [self.resolver.snmp_id(addr), self.resolver.midar_id(addr)]
                 .into_iter()
@@ -1096,8 +1096,8 @@ impl<'s> RevtrSystem<'s> {
 
     /// Measure the reverse path from `dst` back to `src` (Fig. 2).
     ///
-    /// One control block ([`MeasureTask`]) driven inline by the same
-    /// [`RevtrSystem::drive`] a campaign wave uses: a one-pair campaign —
+    /// One control block (`MeasureTask`) driven inline by the same
+    /// `RevtrSystem::drive` a campaign wave uses: a one-pair campaign —
     /// request id 0, meter at zero — without the wave's result slots. A
     /// panicking measurement unwinds into the caller.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {

@@ -430,7 +430,7 @@ fn a_campaigns_meters_add_up_to_the_shared_totals() {
     // sum to what the shared counters and clock moved by. (Sources are
     // registered first: an atlas build is background work, charged to the
     // shared totals alone.) A probe site that forgets the meter fails here.
-    // Loss with a retry budget and backoff exercises the retry charges;
+    // Loss with a retry budget exercises the retry charges;
     // timestamps and the Appx. E re-probe put every probe kind in play.
     let mut sim_cfg = SimConfig::tiny();
     sim_cfg.faults = FaultConfig::lossy(0.15);
@@ -454,10 +454,7 @@ fn a_campaigns_meters_add_up_to_the_shared_totals() {
     cfg.use_stop_sets = true;
     cfg.verify_dbr = true;
     for workers in [1, 4] {
-        let prober = Prober::new(&sim).with_retry_policy(RetryPolicy {
-            backoff_ms: 50.0,
-            ..RetryPolicy::uniform(3)
-        });
+        let prober = Prober::new(&sim).with_retry_policy(RetryPolicy::uniform(3));
         let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
         let pool = select_atlas_probes(&sim, 120, 9);
         let sys = RevtrSystem::new(prober, cfg, vps.clone(), ingress, pool);
@@ -589,25 +586,6 @@ fn a_campaign_returns_the_same_at_every_pool_width() {
     }
 }
 
-#[test]
-fn campaign_workers_keep_their_clock_slot() {
-    // A worker charges the clock slot of its thread's stripe. Workers
-    // that live as long as the campaign charge two slots between them —
-    // this thread's (which also registered the sources) and the helper's
-    // — however many waves run; a thread per wave would have walked the
-    // campaign through all sixteen, each holding back its own unflushed
-    // virtual minute.
-    let sim = quiet_world(23);
-    let (sys, pairs) = multi_wave_campaign(&sim, 6 * 64);
-    sys.run_campaign(&pairs, LoopConfig { workers: 2 })
-        .expect("no task panicked");
-    let slots = sys.prober().clock().slots_advanced();
-    assert!(
-        (1..=3).contains(&slots),
-        "{slots} clock slots advanced over a six-wave campaign"
-    );
-}
-
 /// `base` with record route silenced (no router stamps, so every step of a
 /// request falls through to the symmetry assumption), MPLS off (every
 /// router is one TTL) and every router answering expired probes except
@@ -684,7 +662,6 @@ fn assumed_hop_behind_a_silent_router_is_starred() {
     assert_eq!(r.hops[1].method, HopMethod::AssumedSymmetric);
     assert_eq!(r.hops[1].addr, clean.hops[n - 3]);
     assert!(r.hops[1].suspicious_gap_before, "gap not reported: {r}");
-    assert!(r.has_star());
 }
 
 #[test]

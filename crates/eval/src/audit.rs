@@ -26,7 +26,7 @@ const MAX_REPORTED_FAILURES: usize = 20;
 pub struct AuditReport {
     /// Aggregated verdicts.
     pub summary: AuditSummary,
-    /// Up to [`MAX_REPORTED_FAILURES`] rendered failures.
+    /// Up to `MAX_REPORTED_FAILURES` rendered failures.
     pub failures: Vec<String>,
 }
 

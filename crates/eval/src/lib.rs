@@ -6,6 +6,7 @@
 //! paper-vs-measured results.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablation;
 pub mod accuracy;
@@ -32,7 +33,6 @@ pub mod throughput;
 pub mod traffic_eng;
 pub mod vp_selection;
 
-pub use campaign::{Campaign, CampaignRun, Scale};
-pub use context::{EvalContext, EvalScale};
-pub use render::{Figure, Series, Table};
-pub use stats::{fraction, linspace, Distribution};
+pub use campaign::{Campaign, Scale};
+
+pub use render::Figure;

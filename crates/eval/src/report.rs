@@ -34,8 +34,8 @@ use revtr::RevtrResult;
 use revtr_netsim::{shard_skew, Addr, Sim};
 use revtr_probing::{LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use revtr_telemetry::{
-    chrome_trace_json_with_counters, flamegraph_text, prometheus_text, ProfileMetric, ProfileStack,
-    RuleExpr, Severity, SloInput, SloPolicy, SloReport, SloRule,
+    chrome_trace_json, flamegraph_text, prometheus_text, ProfileMetric, ProfileStack, RuleExpr,
+    Severity, SloInput, SloPolicy, SloReport, SloRule,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -817,7 +817,7 @@ impl<'r> Report<'r> {
         std::fs::write(dir.join("metrics.prom"), prometheus_text(&run.snapshot))?;
         std::fs::write(
             dir.join("trace.json"),
-            chrome_trace_json_with_counters(&run.journal, &run.series),
+            chrome_trace_json(&run.journal, &run.series),
         )?;
         for (name, metric) in [
             ("profile_virtual_us.folded", ProfileMetric::VirtualUs),

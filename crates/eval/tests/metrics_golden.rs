@@ -15,8 +15,9 @@
 //! golden pins (`metrics.prom`, `trace.json`, the `.folded` files), then
 //! review the diff. See DESIGN.md §8 for the baseline-update procedure.
 
+use revtr_eval::campaign::CampaignRun;
 use revtr_eval::report::{default_policy, Report};
-use revtr_eval::{audit, Campaign, CampaignRun, Scale};
+use revtr_eval::{audit, Campaign, Scale};
 use std::path::Path;
 
 fn golden_dir(name: &str) -> std::path::PathBuf {

@@ -22,6 +22,8 @@
 //! users spreads its load across sources while a 50-seat scanner hammers
 //! from a handful.
 
+#![warn(unreachable_pub)]
+
 use rand::{Rng, SeedableRng, StdRng};
 use serde::{Deserialize, Serialize};
 

@@ -43,11 +43,6 @@ impl Addr {
         self.0 >> 24 == 10
     }
 
-    /// The other address of this address's `/31` pair.
-    pub const fn p2p31_peer(self) -> Addr {
-        Addr(self.0 ^ 1)
-    }
-
     /// The two usable addresses of a `/30` are `base+1` and `base+2`; given
     /// one of them, return the other. Returns `None` if the address is a
     /// network or broadcast address of its `/30`.
@@ -187,8 +182,7 @@ mod tests {
     fn slash31_peers() {
         let a = Addr::new(1, 2, 3, 4);
         let b = Addr::new(1, 2, 3, 5);
-        assert_eq!(a.p2p31_peer(), b);
-        assert_eq!(b.p2p31_peer(), a);
+        assert!(b.same_slash31(a));
         assert!(a.same_slash31(b));
         assert!(!a.same_slash31(Addr::new(1, 2, 3, 6)));
     }

@@ -14,13 +14,13 @@ use crate::ids::{PrefixId, RouterId};
 
 /// Salts for independent behaviour draws.
 mod salt {
-    pub const HOST_PING: u64 = 0x01;
-    pub const HOST_RR: u64 = 0x02;
-    pub const HOST_STAMP: u64 = 0x03;
-    pub const HOST_TS: u64 = 0x04;
-    pub const ROUTER_PING: u64 = 0x11;
-    pub const ROUTER_RR: u64 = 0x12;
-    pub const DBR_VIOLATION: u64 = 0x21;
+    pub(crate) const HOST_PING: u64 = 0x01;
+    pub(crate) const HOST_RR: u64 = 0x02;
+    pub(crate) const HOST_STAMP: u64 = 0x03;
+    pub(crate) const HOST_TS: u64 = 0x04;
+    pub(crate) const ROUTER_PING: u64 = 0x11;
+    pub(crate) const ROUTER_RR: u64 = 0x12;
+    pub(crate) const DBR_VIOLATION: u64 = 0x21;
 }
 
 /// How a destination host treats the RR option in a probe it answers.

@@ -217,7 +217,7 @@ struct Runs {
 /// customers only, and it has none; customer routes would go to everyone,
 /// but the only one it can hold is the route to itself), so the core's
 /// routes toward any destination are closed under the three stages:
-/// [`RoutePlan::fill`] computes them without looking at a leaf, and a
+/// `RoutePlan::fill` computes them without looking at a leaf, and a
 /// leaf's own route is a pure function of its peers' and providers'
 /// entries, resolved on lookup ([`Routes::route`]).
 #[derive(Debug)]
@@ -308,7 +308,7 @@ impl RoutePlan {
         (size_of_val(&*self.core_of) + size_of_val(&*self.core) + runs.sum::<usize>()) as u64
     }
 
-    /// Bytes of one table [`RoutePlan::fill`] returns: the shared slice's
+    /// Bytes of one table `RoutePlan::fill` returns: the shared slice's
     /// two reference counts and a cell per core AS.
     pub fn table_bytes(&self) -> u64 {
         use std::mem::size_of;

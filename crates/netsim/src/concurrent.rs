@@ -52,11 +52,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> CachePadded<T> {
         CachePadded { value }
     }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> std::ops::Deref for CachePadded<T> {
@@ -461,7 +456,6 @@ mod tests {
         assert!(std::mem::size_of::<CachePadded<u64>>() >= 64);
         let p = CachePadded::new(7u64);
         assert_eq!(*p, 7);
-        assert_eq!(p.into_inner(), 7);
     }
 
     #[test]

@@ -481,7 +481,7 @@ impl Sim {
     ///
     /// `reply` also remembers `src`'s last two legs, and an exchange
     /// replays a remembered leg instead of walking it when the walk could
-    /// not differ ([`Sim::rr_exchange`]): a source pinging two hosts of
+    /// not differ (`Sim::rr_exchange`): a source pinging two hosts of
     /// one prefix walks most of the second exchange's legs once.
     pub fn rr_ping_lent(
         &self,

@@ -6,11 +6,11 @@
 //! most a few dozen routers) and built once at `Sim::build` time; nothing
 //! here hashes, locks or allocates after that.
 //!
-//! Layout: one two-byte [`Cell`] per ordered router pair of an AS holds the
+//! Layout: one two-byte `Cell` per ordered router pair of an AS holds the
 //! hop distance and names the equal-cost next-hop set. A set of one — every
 //! set, in generated topologies, whose intra graphs have unique shortest
 //! paths — is an entry of the source router's own sorted adjacency run in
-//! [`Igp::hops`], so it costs no storage beyond the cell; larger sets are
+//! `Igp::hops`, so it costs no storage beyond the cell; larger sets are
 //! spilled behind the adjacency runs and found by binary search.
 
 use crate::ids::{AsId, LinkId, RouterId};

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod addr;
 pub mod anycast;
@@ -58,12 +59,10 @@ pub mod topology;
 
 pub use addr::{Addr, Prefix};
 pub use concurrent::{shard_skew, CachePadded, Column, StripedCounters, StripedMap, Stripes};
-pub use config::{BehaviorConfig, SimConfig, TopologyConfig};
-pub use engine::{
-    EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS, TS_SLOTS,
-};
-pub use faults::{FaultConfig, Faults};
-pub use ids::{AsId, LinkId, PrefixId, RouterId};
+pub use config::SimConfig;
+pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS};
+pub use faults::FaultConfig;
+pub use ids::{AsId, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};
-pub use sim::{Dest, Sim, SinkTree};
-pub use topology::{AsTier, Rel, StampMode, Topology, VpSite};
+pub use sim::{Sim, SinkTree};
+pub use topology::{AsTier, Rel, StampMode};

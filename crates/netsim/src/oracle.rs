@@ -20,26 +20,16 @@ use crate::addr::Addr;
 use crate::ids::{AsId, RouterId};
 use crate::sim::{PktMeta, Sim};
 use crate::topology::Rel;
-use parking_lot::Mutex;
-use revtr_telemetry::WordHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Ground-truth view over a [`Sim`].
 pub struct Oracle<'a> {
     sim: &'a Sim,
-    /// AS → customer cone size. Only looked up, never iterated: a word
-    /// hash is enough.
-    cone_cache: Mutex<HashMap<AsId, usize, BuildHasherDefault<WordHasher>>>,
 }
 
 impl Sim {
     /// Ground truth access (evaluation only).
     pub fn oracle(&self) -> Oracle<'_> {
-        Oracle {
-            sim: self,
-            cone_cache: Mutex::default(),
-        }
+        Oracle { sim: self }
     }
 }
 
@@ -98,32 +88,6 @@ impl<'a> Oracle<'a> {
             .topo()
             .prefix_of(addr)
             .map(|p| self.sim.topo().prefix(p).owner)
-    }
-
-    /// Customer cone size of an AS: the number of ASes reachable by walking
-    /// only provider→customer edges (including the AS itself), as in
-    /// CAIDA's definition.
-    pub fn customer_cone_size(&self, asn: AsId) -> usize {
-        if let Some(&n) = self.cone_cache.lock().get(&asn) {
-            return n;
-        }
-        // By AS index: the walk reached it (ids are dense).
-        let mut seen = vec![false; self.sim.topo().n_ases()];
-        let mut n = 0;
-        let mut stack = vec![asn];
-        while let Some(x) = stack.pop() {
-            if std::mem::replace(&mut seen[x.index()], true) {
-                continue;
-            }
-            n += 1;
-            for (c, rel) in self.sim.topo().as_neighbors(x) {
-                if rel == Rel::Customer && !seen[c.index()] {
-                    stack.push(c);
-                }
-            }
-        }
-        self.cone_cache.lock().insert(asn, n);
-        n
     }
 
     /// True relationship between two ASes, if adjacent (the perspective is
@@ -228,26 +192,12 @@ impl<'a> Oracle<'a> {
         self.sim
             .replay_rr_reply_stamps(sender, claimed_src, dst, nonce, fwd_epoch, rep_epoch)
     }
-
-    /// The true next hop (router) after `addr`'s router on the path toward
-    /// host `to`, if the router forwards toward it. Used by the Appx. D.1
-    /// "perfect adjacency" experiment.
-    pub fn true_next_hop_toward(&self, addr: Addr, to: Addr) -> Option<Addr> {
-        let r = self.sim.topo().router_at(addr)?;
-        let walk = self.sim.walk(r, to, &PktMeta::plain(addr, 0))?;
-        // hops[0] is r itself; the next entry is the next router. Report the
-        // interface on the next router facing r.
-        let hop = walk.hops.get(1)?;
-        let l = hop.in_link?;
-        Some(self.sim.topo().link(l).addr_of(hop.router))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::topology::AsTier;
 
     fn sim() -> Sim {
         Sim::build(SimConfig::tiny(), 9)
@@ -269,25 +219,6 @@ mod tests {
         assert_eq!(*as_path.last().expect("nonempty"), s.topo().vp_sites[1].asn);
         // No consecutive duplicates.
         assert!(as_path.windows(2).all(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn cone_sizes_respect_hierarchy() {
-        let s = sim();
-        let o = s.oracle();
-        let mut t1_min = usize::MAX;
-        let mut stub_max = 0;
-        for a in &s.topo().ases {
-            let c = o.customer_cone_size(a.id);
-            assert!(c >= 1);
-            match a.tier {
-                AsTier::Tier1 => t1_min = t1_min.min(c),
-                AsTier::Stub => stub_max = stub_max.max(c),
-                _ => {}
-            }
-        }
-        assert_eq!(stub_max, 1, "stubs have no customers");
-        assert!(t1_min > 1, "tier-1s must have customers in their cone");
     }
 
     #[test]

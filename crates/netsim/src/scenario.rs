@@ -27,17 +27,17 @@ use serde::{Deserialize, Serialize};
 /// Salts for independent per-profile draws. Each profile owns its own
 /// salt(s), so composed profiles draw from disjoint hash streams.
 mod salt {
-    pub const ROLLOUT_COHORT: u64 = 0x51;
-    pub const ROLLOUT_FRONTIER: u64 = 0x52;
-    pub const DBR_REGION: u64 = 0x53;
-    pub const DBR_PICK: u64 = 0x54;
-    pub const LIE_DRAW: u64 = 0x55;
-    pub const LIE_FAKE: u64 = 0x56;
-    pub const RATE_COHORT: u64 = 0x57;
-    pub const RATE_DROP: u64 = 0x58;
-    pub const POISON_DRAW: u64 = 0x59;
-    pub const POISON_HOP: u64 = 0x5a;
-    pub const SEED: u64 = 0x5ce_a10;
+    pub(crate) const ROLLOUT_COHORT: u64 = 0x51;
+    pub(crate) const ROLLOUT_FRONTIER: u64 = 0x52;
+    pub(crate) const DBR_REGION: u64 = 0x53;
+    pub(crate) const DBR_PICK: u64 = 0x54;
+    pub(crate) const LIE_DRAW: u64 = 0x55;
+    pub(crate) const LIE_FAKE: u64 = 0x56;
+    pub(crate) const RATE_COHORT: u64 = 0x57;
+    pub(crate) const RATE_DROP: u64 = 0x58;
+    pub(crate) const POISON_DRAW: u64 = 0x59;
+    pub(crate) const POISON_HOP: u64 = 0x5a;
+    pub(crate) const SEED: u64 = 0x5ce_a10;
 }
 
 /// The five named adversarial profiles.
@@ -99,22 +99,28 @@ impl ScenarioProfile {
     }
 }
 
-/// Scenario severities and shape knobs. All severities default to
-/// **zero** (scenarios off), so existing seeds reproduce byte-identically
-/// unless a study opts in. The shape knobs (`rollout_progress`,
-/// `rate_limit_direct_factor`) are inert while their profile's severity
-/// is zero.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Rollout progress: P(a cohort AS has deployed the spoof filter on the
+/// path toward any given destination). The "mid-campaign" frontier —
+/// keyed per (AS, destination), not per time, so the campaign stays
+/// schedule-invariant.
+const ROLLOUT_PROGRESS: f64 = 0.7;
+
+/// Per-attempt drop probability for *spoofed* probes at an asymmetric
+/// limiter.
+const RATE_LIMIT_SPOOF_DROP: f64 = 0.85;
+
+/// Direct probes drop at [`RATE_LIMIT_SPOOF_DROP`] times this factor (the
+/// asymmetry).
+const RATE_LIMIT_DIRECT_FACTOR: f64 = 0.2;
+
+/// Scenario severities, one per profile. All default to **zero**
+/// (scenarios off), so existing seeds reproduce byte-identically unless a
+/// study opts in.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// P(an AS joins the spoof-filter rollout cohort).
     #[serde(default)]
     pub spoof_filter_rollout: f64,
-    /// Rollout progress: P(a cohort AS has deployed the filter on the
-    /// path toward any given destination). The "mid-campaign" frontier —
-    /// keyed per (AS, destination), not per time, so the campaign stays
-    /// schedule-invariant.
-    #[serde(default = "default_rollout_progress")]
-    pub rollout_progress: f64,
     /// P(an AS belongs to the DBR-violating region).
     #[serde(default)]
     pub dbr_violation_region: f64,
@@ -124,44 +130,9 @@ pub struct ScenarioConfig {
     /// P(a destination sits behind an asymmetric rate limiter).
     #[serde(default)]
     pub asymmetric_rate_limiters: f64,
-    /// Per-attempt drop probability for *spoofed* probes at an
-    /// asymmetric limiter.
-    #[serde(default = "default_rate_limit_spoof_drop")]
-    pub rate_limit_spoof_drop: f64,
-    /// Direct probes drop at `rate_limit_spoof_drop` times this factor
-    /// (the asymmetry).
-    #[serde(default = "default_rate_limit_direct_factor")]
-    pub rate_limit_direct_factor: f64,
     /// P(an atlas (vp, source) traceroute carries a fabricated hop).
     #[serde(default)]
     pub poisoned_atlas: f64,
-}
-
-fn default_rollout_progress() -> f64 {
-    0.7
-}
-
-fn default_rate_limit_spoof_drop() -> f64 {
-    0.85
-}
-
-fn default_rate_limit_direct_factor() -> f64 {
-    0.2
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            spoof_filter_rollout: 0.0,
-            rollout_progress: default_rollout_progress(),
-            dbr_violation_region: 0.0,
-            lying_rr_responders: 0.0,
-            asymmetric_rate_limiters: 0.0,
-            rate_limit_spoof_drop: default_rate_limit_spoof_drop(),
-            rate_limit_direct_factor: default_rate_limit_direct_factor(),
-            poisoned_atlas: 0.0,
-        }
-    }
 }
 
 impl ScenarioConfig {
@@ -181,20 +152,6 @@ impl ScenarioConfig {
             ScenarioProfile::PoisonedAtlas => cfg.poisoned_atlas = severity,
         }
         cfg
-    }
-
-    /// Compose another profile into this config (severities are
-    /// per-profile knobs, so composition is field-wise max).
-    pub fn with_profile_at(mut self, p: ScenarioProfile, severity: f64) -> ScenarioConfig {
-        let other = ScenarioConfig::profile_at(p, severity);
-        self.spoof_filter_rollout = self.spoof_filter_rollout.max(other.spoof_filter_rollout);
-        self.dbr_violation_region = self.dbr_violation_region.max(other.dbr_violation_region);
-        self.lying_rr_responders = self.lying_rr_responders.max(other.lying_rr_responders);
-        self.asymmetric_rate_limiters = self
-            .asymmetric_rate_limiters
-            .max(other.asymmetric_rate_limiters);
-        self.poisoned_atlas = self.poisoned_atlas.max(other.poisoned_atlas);
-        self
     }
 
     /// True if any profile is active. When false no scenario draw is ever
@@ -251,7 +208,7 @@ impl Scenarios {
     /// Is a spoofed packet from a VP inside `vp_as` dropped toward `dst`?
     /// The per-(AS, destination) frontier draw models rollout progress
     /// without any time dependence: the filtered pair set is fixed for
-    /// the campaign, covering `rollout_progress` of destinations.
+    /// the campaign, covering `ROLLOUT_PROGRESS` of destinations.
     pub fn spoof_filtered(&self, vp_as: AsId, dst: Addr) -> bool {
         self.rollout_cohort(vp_as)
             && chance(
@@ -260,7 +217,7 @@ impl Scenarios {
                     vp_as.0 as u64,
                     dst.0 as u64,
                 ),
-                self.cfg.rollout_progress,
+                ROLLOUT_PROGRESS,
             )
     }
 
@@ -321,9 +278,9 @@ impl Scenarios {
             return false;
         }
         let p = if spoofed {
-            self.cfg.rate_limit_spoof_drop
+            RATE_LIMIT_SPOOF_DROP
         } else {
-            self.cfg.rate_limit_spoof_drop * self.cfg.rate_limit_direct_factor
+            RATE_LIMIT_SPOOF_DROP * RATE_LIMIT_DIRECT_FACTOR
         };
         chance(
             mix3(
@@ -427,11 +384,13 @@ mod tests {
         );
         let composed = Scenarios::new(
             5,
-            ScenarioConfig::profile_at(ScenarioProfile::LyingRrResponders, 0.5)
-                .with_profile_at(ScenarioProfile::PoisonedAtlas, 0.7)
-                .with_profile_at(ScenarioProfile::SpoofFilterRollout, 0.7)
-                .with_profile_at(ScenarioProfile::AsymmetricRateLimiters, 0.7)
-                .with_profile_at(ScenarioProfile::DbrViolationRegion, 0.7),
+            ScenarioConfig {
+                spoof_filter_rollout: 0.7,
+                dbr_violation_region: 0.7,
+                lying_rr_responders: 0.5,
+                asymmetric_rate_limiters: 0.7,
+                poisoned_atlas: 0.7,
+            },
         );
         for i in 0..2_000u32 {
             assert_eq!(

@@ -279,17 +279,10 @@ impl Topology {
         self.addr_to_router = map;
     }
 
-    /// Serialize the full topology to JSON (for archival / sharing a
-    /// generated Internet between runs).
-    pub fn to_json(&self) -> String {
+    /// Serialize the full topology to JSON (the generator's golden digest).
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string(self).expect("topology serializes")
-    }
-
-    /// Load a topology from JSON, rebuilding the address index.
-    pub fn from_json(json: &str) -> Result<Topology, serde_json::Error> {
-        let mut t: Topology = serde_json::from_str(json)?;
-        t.rebuild_address_index();
-        Ok(t)
     }
 
     /// AS node by id.
@@ -344,7 +337,7 @@ impl Topology {
     ///
     /// Two reads, no search: the /16 block names the AS, and the /24 within
     /// the block indexes that AS's run of prefixes — the layout the
-    /// generator allocates and [`Topology::prefix_layout_holds`] checks.
+    /// generator allocates and `Topology::prefix_layout_holds` checks.
     pub fn prefix_of(&self, addr: Addr) -> Option<PrefixId> {
         let owner = self.asn(self.block_owner(addr)?);
         let run = (addr.0 & 0xFFFF).checked_sub(PREFIX_SPACE_OFFSET)? >> 8;
@@ -654,44 +647,5 @@ pub(crate) mod tests {
             assert_eq!(topo.router_at(addr), want, "{addr}");
         }
         assert!(keys.next().is_none(), "router addresses outside the sweep");
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-    use crate::config::SimConfig;
-    use crate::gen::generate;
-
-    #[test]
-    fn topology_json_roundtrip_preserves_everything() {
-        let t = generate(&SimConfig::tiny(), 12);
-        let json = t.to_json();
-        let t2 = Topology::from_json(&json).expect("valid json");
-        assert_eq!(t.ases.len(), t2.ases.len());
-        assert_eq!(t.routers.len(), t2.routers.len());
-        assert_eq!(t.links.len(), t2.links.len());
-        assert_eq!(t.prefixes.len(), t2.prefixes.len());
-        assert_eq!(t.vp_sites.len(), t2.vp_sites.len());
-        // The rebuilt address index answers identically.
-        for l in t.links.iter().take(50) {
-            assert_eq!(t2.router_at(l.addr_a), Some(l.a));
-            assert_eq!(t2.router_at(l.addr_b), Some(l.b));
-        }
-        for r in t.routers.iter().take(50) {
-            assert_eq!(t2.router_at(r.loopback), Some(r.id));
-        }
-    }
-
-    #[test]
-    fn loaded_topology_drives_a_sim() {
-        let cfg = SimConfig::tiny();
-        let t = generate(&cfg, 12);
-        let json = t.to_json();
-        let t2 = Topology::from_json(&json).expect("valid json");
-        let sim = crate::sim::Sim::from_topology(t2, cfg, 12);
-        let a = sim.topo().vp_sites[0].host;
-        let b = sim.topo().vp_sites[1].host;
-        assert!(sim.ping(a, b).is_some());
     }
 }

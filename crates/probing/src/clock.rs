@@ -93,17 +93,6 @@ impl Clock {
             .sum()
     }
 
-    /// How many accumulation slots have ever advanced: the distinct
-    /// [`thread_stripe`] ordinals (modulo the slot count) of the threads
-    /// that charged this clock. Each slot holds back up to a virtual
-    /// minute of its own, so this bounds how far the simulator can lag.
-    pub fn slots_advanced(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.total_ms.load(Ordering::Relaxed) != 0)
-            .count()
-    }
-
     /// Advance the clock; flushes churn time into `sim` once this thread's
     /// slot has accumulated enough.
     pub fn advance(&self, ms: f64, sim: &Sim) {

@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod clock;
@@ -36,19 +37,12 @@ pub mod prober;
 pub mod stopset;
 
 pub use cache::{
-    CacheStats, CachedRr, MeasurementCache, RrKey, DEFAULT_TTL_HOURS, LAST_LINK_ENTRY_BYTES,
-    RR_ENTRY_BYTES,
+    CacheStats, CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES,
 };
-pub use clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
-pub use counters::{Counters, ProbeKind, Snapshot};
+pub use counters::Snapshot;
 pub use meter::Meter;
-pub use prober::{
-    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch,
-    PROBE_TIMEOUT_MS, TRACEROUTE_TIMEOUT_MS,
-};
+pub use prober::{BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch};
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
 };
-pub use stopset::{
-    BackwardEntry, Contribution, Note, StopSet, StopSetBytes, StopSetSnapshot, StoredRr,
-};
+pub use stopset::{Contribution, Note, StopSet, StopSetSnapshot, StoredRr};

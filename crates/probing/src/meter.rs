@@ -15,8 +15,8 @@
 //! for the reading (background surveys, atlas builds) goes through the
 //! prober's meterless wrappers, which charge a throw-away one.
 //!
-//! [`Clock`]: crate::Clock
-//! [`Counters`]: crate::Counters
+//! [`Clock`]: crate::clock::Clock
+//! [`Counters`]: crate::counters::Counters
 
 use crate::counters::Snapshot;
 

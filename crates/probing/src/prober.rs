@@ -19,12 +19,11 @@
 //! When the sim's [`revtr_netsim::FaultConfig`] enables faults, individual
 //! probe attempts can be lost (transient loss, ICMP rate limiting, VP
 //! spoof-filter flaps). The prober re-sends fault-lost attempts up to the
-//! per-kind budgets of its [`RetryPolicy`], charging virtual backoff
-//! between attempts and counting every re-send in
+//! budget of its [`RetryPolicy`], counting every re-send in
 //! [`ProbeKind::Retries`] / every fault loss in [`ProbeKind::Lost`].
 //! Genuine unresponsiveness is deterministic in-sim, so it is *not*
-//! retried: budgets are spent only where a real retry could help, and a
-//! fault-free sim behaves bit-identically whatever the budgets are.
+//! retried: the budget is spent only where a real retry could help, and a
+//! fault-free sim behaves bit-identically whatever the budget is.
 
 use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
@@ -45,51 +44,27 @@ pub const PROBE_TIMEOUT_MS: f64 = 2_000.0;
 /// Timeout charged for a traceroute that never completes (virtual ms).
 pub const TRACEROUTE_TIMEOUT_MS: f64 = 5_000.0;
 
-/// Per-kind retry budgets and backoff. An *attempt budget* of `n` means
-/// one initial send plus up to `n - 1` re-sends of fault-lost attempts;
-/// the default budgets (all 1) disable retrying entirely.
+/// The retry budget: an *attempt budget* of `n` means one initial send
+/// plus up to `n - 1` re-sends of fault-lost attempts, for every probe
+/// kind (a spoofed batch re-collects its fault-lost pairs, each round
+/// costing one batch collection timeout). The default budget, 1, disables
+/// retrying entirely.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
-    /// Attempt budget for plain pings.
-    pub ping_attempts: u32,
-    /// Attempt budget for non-spoofed RR pings (and atlas RR pings).
-    pub rr_attempts: u32,
-    /// Attempt budget for TS-prespec pings.
-    pub ts_attempts: u32,
-    /// Attempt budget for whole traceroutes.
-    pub traceroute_attempts: u32,
-    /// Rounds a spoofed batch re-collects its fault-lost pairs (each
-    /// round costs one batch collection timeout).
-    pub batch_attempts: u32,
-    /// Virtual backoff before re-send number `k` (charged as
-    /// `k · backoff_ms`; linear, bounded by the attempt budget).
-    pub backoff_ms: f64,
+    attempts: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            ping_attempts: 1,
-            rr_attempts: 1,
-            ts_attempts: 1,
-            traceroute_attempts: 1,
-            batch_attempts: 1,
-            backoff_ms: 0.0,
-        }
+        RetryPolicy::uniform(1)
     }
 }
 
 impl RetryPolicy {
-    /// The same attempt budget for every probe kind, no backoff.
+    /// The same attempt budget (at least 1) for every probe kind.
     pub fn uniform(attempts: u32) -> RetryPolicy {
-        let a = attempts.max(1);
         RetryPolicy {
-            ping_attempts: a,
-            rr_attempts: a,
-            ts_attempts: a,
-            traceroute_attempts: a,
-            batch_attempts: a,
-            backoff_ms: 0.0,
+            attempts: attempts.max(1),
         }
     }
 }
@@ -427,14 +402,10 @@ impl<'s> Prober<'s> {
         )
     }
 
-    /// Charge backoff before re-send number `attempt` (1-based) and count
-    /// the retry.
-    fn charge_retry(&self, m: &mut Meter, attempt: u32) {
+    /// Count one re-send.
+    fn charge_retry(&self, m: &mut Meter) {
         self.count(m, ProbeKind::Retries, 1);
         self.telemetry.counter_add("probing.retries", 1);
-        if self.retry.backoff_ms > 0.0 {
-            self.advance(m, self.retry.backoff_ms * attempt as f64);
-        }
     }
 
     // ---- pings ------------------------------------------------------------
@@ -446,9 +417,9 @@ impl<'s> Prober<'s> {
 
     /// [`Prober::ping`], charged to the caller's meter.
     pub fn ping_metered(&self, m: &mut Meter, src: Addr, dst: Addr) -> Option<EchoReply> {
-        for attempt in 0..self.retry.ping_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if attempt > 0 {
-                self.charge_retry(m, attempt);
+                self.charge_retry(m);
             }
             self.count(m, ProbeKind::Ping, 1);
             if self.fault_lost(None, dst) {
@@ -508,9 +479,9 @@ impl<'s> Prober<'s> {
                 return hit.reply.map(|r| (r, prov)).ok_or(ProbeLoss::Unanswered);
             }
         }
-        for attempt in 0..self.retry.rr_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if attempt > 0 {
-                self.charge_retry(m, attempt);
+                self.charge_retry(m);
             }
             self.count(m, ProbeKind::Rr, 1);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
@@ -568,9 +539,9 @@ impl<'s> Prober<'s> {
         mut reply: Option<&mut SinkTree>,
     ) -> Option<RrReply> {
         let m = &mut Meter::default();
-        for attempt in 0..self.retry.rr_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if attempt > 0 {
-                self.charge_retry(m, attempt);
+                self.charge_retry(m);
             }
             self.count(m, ProbeKind::Rr, 1);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
@@ -598,9 +569,9 @@ impl<'s> Prober<'s> {
     pub fn atlas_rr_ping(&self, sender: Addr, claimed: Addr, dst: Addr) -> Option<RrReply> {
         let m = &mut Meter::default();
         let spoofed = sender != claimed;
-        for attempt in 0..self.retry.rr_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if attempt > 0 {
-                self.charge_retry(m, attempt);
+                self.charge_retry(m);
             }
             self.count(m, ProbeKind::AtlasRr, 1);
             if self.fault_lost(spoofed.then_some(sender), dst)
@@ -624,7 +595,8 @@ impl<'s> Prober<'s> {
     /// `(vantage point, destination)` pair. Each *collection round* costs
     /// one 10-second timeout of virtual time (§5.2.4), which is what makes
     /// batch count the dominant latency factor (Fig. 5c); fault-lost pairs
-    /// are re-collected for up to [`RetryPolicy::batch_attempts`] rounds.
+    /// are re-collected for up to the [`RetryPolicy`]'s attempt budget of
+    /// rounds.
     /// An empty or fully cached batch costs nothing.
     pub fn spoofed_rr_batch(&self, pairs: &[(Addr, Addr)], claimed: Addr) -> BatchReply {
         let mut out = BatchReply::default();
@@ -695,7 +667,7 @@ impl<'s> Prober<'s> {
             self.telemetry
                 .counter_add("probing.batch.cached_pairs", (n - pending.len()) as u64);
         }
-        for round in 0..self.retry.batch_attempts.max(1) {
+        for round in 0..self.retry.attempts {
             if pending.is_empty() {
                 break;
             }
@@ -772,9 +744,9 @@ impl<'s> Prober<'s> {
         dst: Addr,
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
-        for attempt in 0..self.retry.ts_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if attempt > 0 {
-                self.charge_retry(m, attempt);
+                self.charge_retry(m);
             }
             self.count(m, ProbeKind::Ts, 1);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
@@ -795,7 +767,7 @@ impl<'s> Prober<'s> {
 
     /// A batch of spoofed TS pings (one collection timeout per round, as
     /// for [`Prober::spoofed_rr_batch`]; fault-lost probes re-collect
-    /// within [`RetryPolicy::batch_attempts`]), charged to `m`.
+    /// within the [`RetryPolicy`]'s attempt budget), charged to `m`.
     pub fn spoofed_ts_batch(
         &self,
         m: &mut Meter,
@@ -812,7 +784,7 @@ impl<'s> Prober<'s> {
         }
         let mut out: Vec<Option<TsReply>> = vec![None; n];
         let mut pending: Vec<usize> = (0..n).collect();
-        for round in 0..self.retry.batch_attempts.max(1) {
+        for round in 0..self.retry.attempts {
             if pending.is_empty() {
                 break;
             }
@@ -851,12 +823,12 @@ impl<'s> Prober<'s> {
     }
 
     /// Open attempt number `attempt` of a traceroute-kind measurement
-    /// toward `dst`: charge the retry backoff, count the traceroute and
+    /// toward `dst`: count the retry and the traceroute, and
     /// draw its fault fate. True if the attempt was lost (its timeout is
     /// charged here).
     fn trace_attempt_lost(&self, m: &mut Meter, attempt: u32, dst: Addr) -> bool {
         if attempt > 0 {
-            self.charge_retry(m, attempt);
+            self.charge_retry(m);
         }
         self.count(m, ProbeKind::Traceroutes, 1);
         if !self.fault_lost(None, dst) {
@@ -873,7 +845,7 @@ impl<'s> Prober<'s> {
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
         let m = &mut Meter::default();
         let flow = Self::paris_flow(src, dst);
-        for attempt in 0..self.retry.traceroute_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if self.trace_attempt_lost(m, attempt, dst) {
                 continue;
             }
@@ -910,7 +882,7 @@ impl<'s> Prober<'s> {
             }
         }
         let flow = Self::paris_flow(src, cur);
-        for attempt in 0..self.retry.traceroute_attempts.max(1) {
+        for attempt in 0..self.retry.attempts {
             if self.trace_attempt_lost(m, attempt, cur) {
                 continue;
             }

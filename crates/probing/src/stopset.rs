@@ -51,7 +51,7 @@
 //!
 //! Stop-set consults never touch the [`MeasurementCache`] and never bump
 //! its [`CacheStats`]: economy wins are attributed to the dedicated
-//! hit/miss counters here ([`StopSetStats`]), reconciled against cache
+//! hit/miss counters here ([`StopSetSnapshot`]), reconciled against cache
 //! stats in `eval::throughput`'s counter-reconciliation test.
 //!
 //! [`MeasurementCache`]: crate::cache::MeasurementCache
@@ -639,29 +639,6 @@ impl StopSet {
             distance_misses: self.stats.get(DISTANCE_MISSES),
         }
     }
-
-    /// Published backward entries (for reports/tests).
-    pub fn backward_len(&self) -> usize {
-        self.published
-            .read()
-            .expect("stopset lock poisoned")
-            .backward
-            .len()
-    }
-
-    /// Published forward-discovery entries (for reports/tests).
-    pub fn forward_len(&self) -> usize {
-        self.published
-            .read()
-            .expect("stopset lock poisoned")
-            .forward
-            .len()
-    }
-
-    /// Buffered, not-yet-merged contributions (0 outside a wave).
-    pub fn pending_len(&self) -> usize {
-        self.pending.lock().expect("stopset lock poisoned").len()
-    }
 }
 
 /// An open consult of the published view (see [`StopSet::consult`]). Its
@@ -803,9 +780,9 @@ mod tests {
             s.consult().backward(src, cur).is_none(),
             "pending must be invisible"
         );
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(s.pending.lock().expect("unpoisoned").len(), 1);
         s.merge_pending();
-        assert_eq!(s.pending_len(), 0);
+        assert_eq!(s.pending.lock().expect("unpoisoned").len(), 0);
         let (stored, spoofed) = s
             .consult()
             .backward(src, cur)
@@ -974,7 +951,7 @@ mod tests {
         s.forward_insert(a, hop, None);
         s.forward_insert(b, hop, None);
         s.forward_insert(a, hop, None); // duplicate: kept, not re-counted
-        assert_eq!(s.forward_len(), 2);
+        assert_eq!(s.published.read().expect("unpoisoned").forward.len(), 2);
         assert_eq!(s.forward(a, hop), Some(None), "known-unanswered is a hit");
         s.forward_clear_source(a);
         assert!(s.forward(a, hop).is_none(), "cleared source re-measures");

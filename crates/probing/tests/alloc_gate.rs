@@ -75,7 +75,7 @@ fn rr_key(i: u32) -> RrKey {
     let sender = Addr(0x0a00_0000 + i % 97);
     RrKey {
         sender,
-        claimed: if i % 3 == 0 {
+        claimed: if i.is_multiple_of(3) {
             Addr(0x0a01_0000 + i % 13)
         } else {
             sender
@@ -87,14 +87,14 @@ fn rr_key(i: u32) -> RrKey {
 /// One in five unanswered; the rest record 1–9 slots.
 fn outcome(i: u32) -> CachedRr {
     CachedRr {
-        reply: (i % 5 != 0).then(|| RrReply {
+        reply: (!i.is_multiple_of(5)).then(|| RrReply {
             from: Addr(0x0b00_0000 + i),
             slots: (0..1 + i % 9).map(|k| Addr(0x0c00_0000 + i + k)).collect(),
             rtt_ms: f64::from(i % 300) + 0.5,
         }),
         nonce: u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        fwd_epoch: (i % 2 == 0).then_some(i % 7),
-        rep_epoch: (i % 4 == 0).then_some(i % 5),
+        fwd_epoch: i.is_multiple_of(2).then_some(i % 7),
+        rep_epoch: i.is_multiple_of(4).then_some(i % 5),
     }
 }
 
@@ -103,11 +103,11 @@ fn link_key(i: u32) -> (Addr, Addr) {
 }
 
 fn link(i: u32) -> Option<LastLink> {
-    (i % 6 != 0).then(|| LastLink {
-        penult: (i % 4 != 0).then(|| Addr(0x0c00_0000 + i)),
+    (!i.is_multiple_of(6)).then(|| LastLink {
+        penult: (!i.is_multiple_of(4)).then_some(Addr(0x0c00_0000 + i)),
         dist: 2 + (i % 20) as u8,
         gap: (i % 2) as u8,
-        reached: i % 3 != 0,
+        reached: !i.is_multiple_of(3),
     })
 }
 

@@ -10,10 +10,11 @@
 //! * [`RevtrService`] — source bootstrap (with the RR-reachability check),
 //!   on-demand requests, batch campaigns, and the
 //!   NDT-triggered measurement hook,
-//! * [`ResultStore`] — the archive (JSON import/export standing in for
-//!   M-Lab's cloud storage).
+//! * [`ResultStore`](store::ResultStore) — the archive (JSON export
+//!   standing in for M-Lab's cloud storage).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod admission;
 pub mod service;
@@ -24,6 +25,6 @@ pub use admission::{
     AdmissionPlan, ClassPolicy, ClassReport, LadderConfig, LevelTransition, OpenLoopOutcome,
     ShedReason, TimedRequest,
 };
-pub use service::{RequestOptions, RevtrService, ServedRequest, ServiceError};
-pub use store::{ResultStore, StoreStats};
-pub use users::{ApiKey, RateLimits, UserDb, UserError};
+pub use service::RevtrService;
+
+pub use users::{ApiKey, RateLimits, UserDb};

@@ -3,7 +3,7 @@
 //!
 //! The archive is append-only: one entry per result, holding the result's
 //! scalars and sharing its sealed path — every hop with its evidence, one
-//! immutable block ([`revtr::Path`]) — by reference count. Archiving a
+//! immutable block ([`revtr::result::Path`]) — by reference count. Archiving a
 //! result therefore copies no hop and allocates nothing: the entries sit in
 //! a [`Column`], fixed-capacity segments that are never reallocated, one
 //! allocated per thousand-odd results, so the bytes requested stay within
@@ -106,18 +106,6 @@ impl ResultStore {
         out.push(']');
         out
     }
-
-    /// Import a JSON archive (replaces current contents).
-    pub fn import_json(&self, json: &str) -> Result<usize, serde_json::Error> {
-        let v: Vec<RevtrResult> = serde_json::from_str(json)?;
-        let n = v.len();
-        let mut archive = Column::default();
-        for r in v {
-            archive.push(r);
-        }
-        *self.archive.lock() = archive;
-        Ok(n)
-    }
 }
 
 /// The archive this module had before it went segmented and shared — every
@@ -201,16 +189,6 @@ mod tests {
         assert_eq!(s.unresponsive, 1);
         assert_eq!(store.lookup(Addr(1), Addr(2)).len(), 3);
         assert_eq!(store.lookup(Addr(9), Addr(2)).len(), 0);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let store = ResultStore::new();
-        store.push(&result(Status::Complete));
-        let json = store.export_json();
-        let store2 = ResultStore::new();
-        assert_eq!(store2.import_json(&json).expect("valid json"), 1);
-        assert_eq!(store2.stats().complete, 1);
     }
 
     #[test]
@@ -398,17 +376,9 @@ mod tests {
             let json = store.export_json();
             prop_assert_eq!(&json, &reference.export_json());
 
-            // Over a non-empty archive: the import replaces, not appends.
-            let reimported = ResultStore::new();
-            reimported.push(&result(Status::Stuck));
-            prop_assert_eq!(reimported.import_json(&json).expect("own export"), n_results);
-            prop_assert_eq!(reimported.export_json(), json);
-            prop_assert_eq!(reimported.stats(), reference.stats());
-            for r in &reference.results {
-                // Every hop comes back with its evidence and its method.
-                let back = reimported.lookup(r.dst, r.src);
-                prop_assert!(back.iter().any(|b| b == r));
-            }
+            // Every hop comes back with its evidence and its method.
+            let back: Vec<RevtrResult> = serde_json::from_str(&json).expect("own export");
+            prop_assert_eq!(&back, &reference.results);
         }
     }
 }

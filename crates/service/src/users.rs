@@ -33,7 +33,6 @@ pub struct ApiKey(pub u64);
 
 #[derive(Debug)]
 struct UserState {
-    name: String,
     limits: RateLimits,
     sources: Vec<Addr>,
     in_flight: u32,
@@ -109,15 +108,15 @@ impl UserDb {
         UserDb::default()
     }
 
-    /// Register a user; returns their API key.
-    pub fn add_user(&self, name: &str, limits: RateLimits) -> ApiKey {
+    /// Register a user; returns their API key. The name is the caller's
+    /// label only: the registry knows a user by its key.
+    pub fn add_user(&self, _name: &str, limits: RateLimits) -> ApiKey {
         let mut next = self.next_key.lock();
         *next += 1;
         let key = ApiKey(0xA91_0000 + *next);
         self.users.lock().insert(
             key,
             UserState {
-                name: name.to_string(),
                 limits,
                 sources: Vec::new(),
                 in_flight: 0,
@@ -126,11 +125,6 @@ impl UserDb {
             },
         );
         key
-    }
-
-    /// The user's display name.
-    pub fn user_name(&self, key: ApiKey) -> Option<String> {
-        self.users.lock().get(&key).map(|u| u.name.clone())
     }
 
     /// Attach a source address to a user.
@@ -205,7 +199,6 @@ mod tests {
                 max_per_day: 3,
             },
         );
-        assert_eq!(db.user_name(key).as_deref(), Some("alice"));
         let src = Addr::new(11, 0, 128, 4);
         assert_eq!(
             db.admit(key, src, 0.0).unwrap_err(),

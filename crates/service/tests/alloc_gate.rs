@@ -364,7 +364,7 @@ fn a_served_request_allocates_the_one_block_it_returns() {
 
         // Archiving shares the block: a fresh store takes the whole sweep
         // for its two segments and the list that holds them.
-        let store = revtr_service::ResultStore::new();
+        let store = revtr_service::store::ResultStore::new();
         let ((), archived) = allocs_in(|| served.iter().for_each(|(r, _)| store.push(r)));
         assert_eq!(archived, 3, "telemetry {arm}: archiving the sweep");
         let (dst, src) = era.sweep[0];

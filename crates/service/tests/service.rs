@@ -5,7 +5,9 @@ use revtr::EngineConfig;
 use revtr_atlas::select_atlas_probes;
 use revtr_netsim::{Addr, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_probing::Prober;
-use revtr_service::{RateLimits, RevtrService, ServiceError, UserError};
+use revtr_service::service::{RequestOptions, ServiceError};
+use revtr_service::users::UserError;
+use revtr_service::{RateLimits, RevtrService};
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -188,8 +190,8 @@ fn store_export_roundtrips_through_json() {
         .request(key, responsive_dest(&sim, 2), src)
         .expect("request");
     let json = service.store().export_json();
-    let store = revtr_service::ResultStore::new();
-    assert_eq!(store.import_json(&json).expect("valid"), 1);
+    let back: Vec<revtr::RevtrResult> = serde_json::from_str(&json).expect("valid");
+    assert_eq!(back, service.store().lookup(back[0].dst, back[0].src));
 }
 
 #[test]
@@ -207,7 +209,7 @@ fn request_options_forward_traceroute_and_staleness() {
             key,
             dst,
             src,
-            revtr_service::RequestOptions {
+            RequestOptions {
                 max_atlas_age_hours: None,
                 with_forward_traceroute: true,
             },
@@ -225,7 +227,7 @@ fn request_options_forward_traceroute_and_staleness() {
             key,
             dst,
             src,
-            revtr_service::RequestOptions {
+            RequestOptions {
                 max_atlas_age_hours: Some(24.0),
                 with_forward_traceroute: false,
             },

@@ -14,7 +14,8 @@ use crate::journal::{Field, RequestRecord};
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write as _;
 
-/// Render journalled request traces in the Chrome trace-event format.
+/// Render journalled request traces in the Chrome trace-event format,
+/// with Perfetto **counter tracks** beside them.
 ///
 /// Each request gets its own thread lane (`pid` 1, `tid` = 1 + sorted
 /// index) named after the request key, with duration `B`/`E` event pairs
@@ -23,20 +24,16 @@ use std::fmt::Write as _;
 /// ties are broken by bumping one microsecond so every lane's timestamps
 /// are strictly monotone (Perfetto's importer requires non-decreasing
 /// timestamps and renders strictly-monotone ones unambiguously).
-pub fn chrome_trace_json(records: &[RequestRecord]) -> String {
-    chrome_trace_json_with_counters(records, &[])
-}
-
-/// [`chrome_trace_json`] plus Perfetto **counter tracks**: each
-/// `(name, (ord, value) series)` pair — typically a resource ledger's
-/// wave-barrier byte samples from
+///
+/// Each `(name, (ord, value) series)` pair of `counters` — typically a
+/// resource ledger's wave-barrier byte samples from
 /// [`Telemetry::resource_series`](crate::Telemetry::resource_series) —
 /// becomes a `ph:"C"` track under `pid` 2 with `args.bytes` values, so
 /// per-subsystem memory renders as a counter plot over virtual time
 /// alongside the span lanes. Series are emitted in input (name-sorted)
 /// order with non-decreasing `ts` per track, keeping the export
 /// byte-deterministic.
-pub fn chrome_trace_json_with_counters(
+pub fn chrome_trace_json(
     records: &[RequestRecord],
     counters: &[(String, Vec<(u64, u64)>)],
 ) -> String {
@@ -175,65 +172,9 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// One parsed Prometheus sample line.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PromSample {
-    /// Metric name.
-    pub name: String,
-    /// Label pairs, in exposition order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
-}
-
-/// A tiny parser for the Prometheus text exposition format (the subset
-/// [`prometheus_text`] emits: `# `-comments, `name value`, and
-/// `name{k="v",...} value` lines). Used by tests and CI to load-check the
-/// export.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
-    let mut samples = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}", lineno + 1);
-        let (head, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| err("expected `name value`"))?;
-        let value: f64 = value.parse().map_err(|_| err("bad sample value"))?;
-        let (name, labels) = match head.split_once('{') {
-            None => (head.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let body = rest.strip_suffix('}').ok_or_else(|| err("unclosed {"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    labels.push((k.to_string(), v.to_string()));
-                }
-                (name.to_string(), labels)
-            }
-        };
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(err("bad metric name"));
-        }
-        samples.push(PromSample {
-            name,
-            labels,
-            value,
-        });
-    }
-    Ok(samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
 
     fn record() -> RequestRecord {
         let mut rec = RequestRecord::new(7, 3, "Complete", 5_000);
@@ -246,8 +187,8 @@ mod tests {
     #[test]
     fn chrome_trace_is_deterministic_and_balanced() {
         let recs = vec![record()];
-        let a = chrome_trace_json(&recs);
-        let b = chrome_trace_json(&recs);
+        let a = chrome_trace_json(&recs, &[]);
+        let b = chrome_trace_json(&recs, &[]);
         assert_eq!(a, b);
         assert_eq!(a.matches("\"ph\":\"B\"").count(), 4); // request + 3 spans
         assert_eq!(a.matches("\"ph\":\"E\"").count(), 4);
@@ -259,7 +200,7 @@ mod tests {
     fn chrome_trace_ts_is_strictly_monotone_per_lane() {
         // rr_step and rr_direct both start at t=0: the tie-break must
         // still order request < rr_step < rr_direct strictly.
-        let json = chrome_trace_json(&[record()]);
+        let json = chrome_trace_json(&[record()], &[]);
         let mut ts: Vec<u64> = Vec::new();
         for ev in json.split('{').filter(|e| e.contains("\"ts\":")) {
             let t = ev
@@ -284,53 +225,10 @@ mod tests {
             ),
             ("mem.probing.cache".to_string(), vec![(0, 50)]),
         ];
-        let json = chrome_trace_json_with_counters(&[record()], &tracks);
+        let json = chrome_trace_json(&[record()], &tracks);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 4);
         assert!(json.contains("\"name\":\"mem.netsim.route_cache\",\"args\":{\"bytes\":300}"));
         assert!(json.contains("\"name\":\"mem.probing.cache\",\"args\":{\"bytes\":50}"));
-        // Span lanes are untouched; with no tracks the output equals the
-        // plain export.
-        assert_eq!(
-            chrome_trace_json_with_counters(&[record()], &[]),
-            chrome_trace_json(&[record()])
-        );
-        assert_eq!(json, chrome_trace_json_with_counters(&[record()], &tracks));
-    }
-
-    #[test]
-    fn prometheus_round_trips_through_the_parser() {
-        let reg = MetricsRegistry::new();
-        reg.add("request.count", 12);
-        reg.add("probing.batch.pairs", 90);
-        for v in [5u64, 10, 20, 500] {
-            reg.record("stage.rr_step.virtual_us", v);
-        }
-        let text = prometheus_text(&reg.snapshot());
-        assert_eq!(text, prometheus_text(&reg.snapshot()), "not deterministic");
-
-        let samples = parse_prometheus(&text).expect("parses");
-        // 2 counters + (3 quantiles + sum + count) for one histogram.
-        assert_eq!(samples.len(), 7);
-        let find = |n: &str, l: usize| {
-            samples
-                .iter()
-                .find(|s| s.name == n && s.labels.len() == l)
-                .unwrap_or_else(|| panic!("missing {n}"))
-        };
-        assert_eq!(find("revtr_request_count", 0).value, 12.0);
-        assert_eq!(find("revtr_stage_rr_step_virtual_us_count", 0).value, 4.0);
-        assert_eq!(find("revtr_stage_rr_step_virtual_us_sum", 0).value, 535.0);
-        let p99 = samples
-            .iter()
-            .find(|s| s.labels == vec![("quantile".to_string(), "0.99".to_string())])
-            .expect("p99 sample");
-        assert_eq!(p99.name, "revtr_stage_rr_step_virtual_us");
-        // rank ⌊0.99·(4-1)⌋ = 2 → the third-smallest sample.
-        assert_eq!(p99.value, 20.0);
-
-        // The parser rejects garbage.
-        assert!(parse_prometheus("no_value_here").is_err());
-        assert!(parse_prometheus("bad-name 1").is_err());
-        assert!(parse_prometheus("x{k=unquoted} 1").is_err());
+        assert_eq!(json, chrome_trace_json(&[record()], &tracks));
     }
 }

@@ -1,22 +1,16 @@
 //! The bounded, order-independent JSONL request journal.
 //!
-//! Sampled request traces (a span tree with virtual-time offsets and
-//! probe deltas) are stored as structured records and rendered as one
-//! JSON object per line. Two design rules keep the journal deterministic
-//! under parallel campaigns:
-//!
-//! 1. **Sampling is a pure function of the request key.** A request is
-//!    journalled iff `mix(dst, src) % sample_every == 0` — never "first N
-//!    seen", which would depend on worker interleaving.
-//! 2. **Retention is top-k under a total order.** The journal keeps the
-//!    `cap` smallest records by `(src, dst, rendered JSON)` in a bounded
-//!    max-heap: a new record either displaces the current maximum or is
-//!    dropped. The `cap` smallest elements of a multiset do not depend on
-//!    the order its elements arrive in, so the retained set — and every
-//!    line and fingerprint rendered from it — is the same for any
-//!    insertion order, any worker count and any number of sampled
-//!    requests. Memory is `O(cap)`; reading never touches more than
-//!    `cap` records.
+//! Request traces (a span tree with virtual-time offsets and probe
+//! deltas) are stored as structured records and rendered as one JSON
+//! object per line. **Retention is top-k under a total order**, which
+//! keeps the journal deterministic under parallel campaigns: the journal
+//! keeps the `cap` smallest records by `(src, dst, rendered JSON)` in a
+//! bounded max-heap, and a new record either displaces the current
+//! maximum or is dropped. The `cap` smallest elements of a multiset do not
+//! depend on the order its elements arrive in, so the retained set — and
+//! every line and fingerprint rendered from it — is the same for any
+//! insertion order, any worker count and any number of requests. Memory
+//! is `O(cap)`; reading never touches more than `cap` records.
 //!
 //! An offered record is copied, never taken: a retained one becomes one
 //! exact-size block of integers ([`Block`]), its names interned in a
@@ -33,7 +27,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One stage-specific integer field of a span (probe delta, hit flag, ...).
-pub type Field = (&'static str, u64);
+pub(crate) type Field = (&'static str, u64);
 
 /// [`SpanRecord::enclosing`] of a top-level span.
 pub(crate) const NO_SPAN: u32 = u32::MAX;

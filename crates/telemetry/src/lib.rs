@@ -1,7 +1,7 @@
 //! Deterministic, virtual-time observability for the revtr reproduction.
 //!
 //! Every instrumented subsystem in this workspace is driven by simulated
-//! time ([`probing::Clock`]-style virtual milliseconds) and deterministic
+//! time (`revtr_probing::Clock`-style virtual milliseconds) and deterministic
 //! PRNG draws, so its telemetry can be deterministic too — the same seed
 //! must produce byte-identical metrics, and enabling telemetry must not
 //! perturb the system under observation. This crate provides the three
@@ -38,6 +38,7 @@
 //! audit verdicts are byte-identical with telemetry on, off, or absent.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
 mod export;
@@ -50,16 +51,12 @@ mod resource;
 pub mod slo;
 mod span;
 
-pub use export::{
-    chrome_trace_json, chrome_trace_json_with_counters, parse_prometheus, prometheus_text,
-    PromSample,
-};
+pub use export::{chrome_trace_json, prometheus_text};
 pub use histogram::Histogram;
-pub use journal::{Field, Journal, RequestRecord, SpanRecord};
+pub use journal::{Journal, RequestRecord, SpanRecord};
 pub use registry::{thread_stripe, MetricKey, MetricsRegistry, MetricsSnapshot, WordHasher};
 pub use resource::{
-    flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceRegistry,
-    ResourceSnapshot, SpanCost,
+    flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceSnapshot, SpanCost,
 };
 pub use slo::{Alert, RuleExpr, Severity, SloInput, SloPolicy, SloReport, SloRule, Verdict};
 pub use span::{RequestScope, ScopeBuffers, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag};
@@ -106,15 +103,6 @@ impl Default for Fnv {
     }
 }
 
-/// Deterministic 64-bit mix of a `(dst, src)` request key, used for
-/// order-independent journal sampling (splitmix64 finalizer).
-pub(crate) fn mix_key(dst: u32, src: u32) -> u64 {
-    let mut z = (u64::from(dst) << 32 | u64::from(src)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,11 +119,5 @@ mod tests {
         h2.write_u64(42);
         assert_eq!(first, h2.finish());
         assert_ne!(first, Fnv::new().finish());
-    }
-
-    #[test]
-    fn mix_key_spreads_and_is_deterministic() {
-        assert_eq!(mix_key(1, 2), mix_key(1, 2));
-        assert_ne!(mix_key(1, 2), mix_key(2, 1));
     }
 }

@@ -6,7 +6,6 @@
 
 use crate::histogram::Histogram;
 use crate::journal::Field;
-use crate::mix_key;
 use crate::registry::MetricsSnapshot;
 use crate::span::{ScopeBuffers, Telemetry, TelemetryConfig, WatchdogFlag};
 use crate::{Fnv, SpanCost};
@@ -106,7 +105,6 @@ struct RefInner {
 
 struct RefTelemetry {
     inner: Mutex<RefInner>,
-    sample_every: u64,
     journal_cap: usize,
     watchdog_deadline_us: Option<u64>,
 }
@@ -115,7 +113,6 @@ impl RefTelemetry {
     fn with_config(cfg: &TelemetryConfig) -> RefTelemetry {
         RefTelemetry {
             inner: Mutex::default(),
-            sample_every: cfg.journal_sample_every.max(1),
             journal_cap: cfg.journal_cap,
             watchdog_deadline_us: cfg
                 .watchdog_deadline_ms
@@ -260,15 +257,13 @@ impl RefScope<'_> {
                 reg.add(&format!("stage.{}.{k}", span.stage), *v);
             }
         }
-        if mix_key(self.dst, self.src).is_multiple_of(self.tele.sample_every) {
-            sink.journal.push(RefRecord {
-                dst: self.dst,
-                src: self.src,
-                status,
-                virtual_us: total_us,
-                spans: std::mem::take(&mut self.spans),
-            });
-        }
+        sink.journal.push(RefRecord {
+            dst: self.dst,
+            src: self.src,
+            status,
+            virtual_us: total_us,
+            spans: std::mem::take(&mut self.spans),
+        });
     }
 
     /// What dropping an unfinished scope did.
@@ -488,7 +483,6 @@ proptest! {
     fn compiled_paths_equal_the_reference(
         words in proptest::collection::vec(0u64..u64::MAX, 0..3600),
         n_requests in 0usize..40,
-        sample_every in 1u64..5,
         journal_cap in 0usize..=64,
         flood in 0u8..2,
         // Below 10 ms reads as "watchdog off".
@@ -498,13 +492,12 @@ proptest! {
         recycle in 0u8..2,
     ) {
         let mut draw = Draw(words.iter().cycle());
-        let (n_requests, sample_every) = match flood {
-            1 => (n_requests + 8 * journal_cap, 1),
-            _ => (n_requests, sample_every),
+        let n_requests = match flood {
+            1 => n_requests + 8 * journal_cap,
+            _ => n_requests,
         };
         let requests: Vec<Request> = (0..n_requests).map(|_| draw.request()).collect();
         let cfg = TelemetryConfig {
-            journal_sample_every: sample_every,
             journal_cap,
             watchdog_deadline_ms: (deadline_ms >= 10.0).then_some(deadline_ms - 10.0),
             profile: profile == 1,

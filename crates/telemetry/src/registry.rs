@@ -154,7 +154,7 @@ struct Stripe {
 struct Padded(Mutex<Stripe>);
 
 /// This thread's stripe, in `0..16`: threads take ordinals round-robin the
-/// first time they ask, so up to [`N_STRIPES`] concurrent recorders never
+/// first time they ask, so up to `N_STRIPES` concurrent recorders never
 /// meet on a lock. Public because it is the workspace's one per-thread
 /// ordinal: the prober's clock spreads its accumulation slots by it too.
 pub fn thread_stripe() -> usize {

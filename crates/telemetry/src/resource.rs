@@ -177,7 +177,7 @@ struct Padded(Mutex<Shard>);
 /// so the view is independent of which thread (or in what order)
 /// reported what.
 #[derive(Debug)]
-pub struct ResourceRegistry {
+pub(crate) struct ResourceRegistry {
     shards: [Padded; N_SHARDS],
 }
 
@@ -195,7 +195,7 @@ fn shard_of(name: &str) -> usize {
 
 impl ResourceRegistry {
     /// An empty registry.
-    pub fn new() -> ResourceRegistry {
+    pub(crate) fn new() -> ResourceRegistry {
         ResourceRegistry {
             shards: Default::default(),
         }
@@ -203,7 +203,7 @@ impl ResourceRegistry {
 
     /// Set the current logical bytes of ledger `name`, raising its
     /// high-water mark if exceeded.
-    pub fn set(&self, name: &'static str, bytes: u64) {
+    pub(crate) fn set(&self, name: &'static str, bytes: u64) {
         let mut shard = self.shards[shard_of(name)].0.lock();
         let ledger = shard.ledgers.entry(name).or_default();
         ledger.current = bytes;
@@ -214,7 +214,7 @@ impl ResourceRegistry {
     /// sample for counter-track export. `ord` is any caller-supplied
     /// monotone ordinate (wave number, virtual ms) — the registry never
     /// reads a clock of its own.
-    pub fn record(&self, name: &'static str, ord: u64, bytes: u64) {
+    pub(crate) fn record(&self, name: &'static str, ord: u64, bytes: u64) {
         let mut shard = self.shards[shard_of(name)].0.lock();
         let ledger = shard.ledgers.entry(name).or_default();
         ledger.current = bytes;
@@ -223,7 +223,7 @@ impl ResourceRegistry {
     }
 
     /// Merge every shard into one name-sorted snapshot.
-    pub fn snapshot(&self) -> ResourceSnapshot {
+    pub(crate) fn snapshot(&self) -> ResourceSnapshot {
         let mut ledgers: Vec<LedgerReading> = Vec::new();
         for shard in &self.shards {
             let s = shard.0.lock();
@@ -239,7 +239,7 @@ impl ResourceRegistry {
 
     /// All `(name, series)` pairs with a non-empty sample series, sorted
     /// by name — the input to Perfetto counter-track export.
-    pub fn series(&self) -> Vec<(String, Vec<(u64, u64)>)> {
+    pub(crate) fn series(&self) -> Vec<(String, Vec<(u64, u64)>)> {
         let mut out: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
         for shard in &self.shards {
             let s = shard.0.lock();
@@ -256,7 +256,7 @@ impl ResourceRegistry {
 
     /// Logical bytes retained by the registry itself (ledger table plus
     /// series samples) — the `telemetry.resources` self-accounting input.
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         for shard in &self.shards {
             let s = shard.0.lock();
@@ -280,7 +280,7 @@ pub struct LedgerReading {
     pub hiwater: u64,
 }
 
-/// A name-sorted view of a [`ResourceRegistry`].
+/// A name-sorted view of a `ResourceRegistry`.
 #[derive(Clone, Debug, Default)]
 pub struct ResourceSnapshot {
     /// All ledgers, sorted by name.

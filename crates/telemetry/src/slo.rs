@@ -346,114 +346,6 @@ impl SloPolicy {
             verdicts: self.rules.iter().map(|r| eval_rule(r, input)).collect(),
         }
     }
-
-    /// Parse a policy from the TOML subset:
-    ///
-    /// ```toml
-    /// [[rule]]
-    /// name = "coverage-floor"
-    /// severity = "critical"      # optional, default critical
-    /// kind = "derived_min"       # counter_max | quantile_max |
-    ///                            # derived_min | derived_max | burn_rate
-    /// key = "coverage"
-    /// min = 0.9
-    /// ```
-    ///
-    /// Comments (`#`) and blank lines are ignored; values are bare numbers
-    /// or double-quoted strings.
-    pub fn parse_toml(text: &str) -> Result<SloPolicy, String> {
-        let mut rules = Vec::new();
-        let mut current: Option<Vec<(String, String)>> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[rule]]" {
-                if let Some(kv) = current.take() {
-                    rules.push(build_rule(&kv)?);
-                }
-                current = Some(Vec::new());
-                continue;
-            }
-            let Some((k, v)) = line.split_once('=') else {
-                return Err(format!("line {}: expected `key = value`", lineno + 1));
-            };
-            let Some(kv) = current.as_mut() else {
-                return Err(format!(
-                    "line {}: key outside a [[rule]] section",
-                    lineno + 1
-                ));
-            };
-            let val = v.trim().trim_matches('"').to_string();
-            kv.push((k.trim().to_string(), val));
-        }
-        if let Some(kv) = current.take() {
-            rules.push(build_rule(&kv)?);
-        }
-        Ok(SloPolicy { rules })
-    }
-}
-
-fn build_rule(kv: &[(String, String)]) -> Result<SloRule, String> {
-    let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-    let req = |key: &str| get(key).ok_or_else(|| format!("rule is missing `{key}`"));
-    let num = |key: &str| -> Result<f64, String> {
-        req(key)?
-            .parse::<f64>()
-            .map_err(|_| format!("`{key}` must be a number"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        req(key)?
-            .parse::<u64>()
-            .map_err(|_| format!("`{key}` must be an unsigned integer"))
-    };
-    let name = req("name")?.to_string();
-    let severity = match get("severity").unwrap_or("critical") {
-        "warning" => Severity::Warning,
-        "critical" => Severity::Critical,
-        other => return Err(format!("unknown severity {other:?}")),
-    };
-    let expr = match req("kind")? {
-        "counter_max" => RuleExpr::CounterMax {
-            counter: req("counter")?.to_string(),
-            max: int("max")?,
-        },
-        "quantile_max" => RuleExpr::QuantileMax {
-            histogram: req("histogram")?.to_string(),
-            q: num("q")?,
-            max: int("max")?,
-        },
-        "derived_min" => RuleExpr::DerivedMin {
-            key: req("key")?.to_string(),
-            min: num("min")?,
-        },
-        "derived_max" => RuleExpr::DerivedMax {
-            key: req("key")?.to_string(),
-            max: num("max")?,
-        },
-        "mem_ceiling" => RuleExpr::MemCeiling {
-            key: req("key")?.to_string(),
-            max_bytes: int("max_bytes")?,
-        },
-        "capacity_headroom" => RuleExpr::CapacityHeadroom {
-            key: req("key")?.to_string(),
-            ceiling: int("ceiling")?,
-            min_headroom: num("min_headroom")?,
-        },
-        "burn_rate" => RuleExpr::BurnRate {
-            window_ms: num("window_ms")?,
-            slow_ms: num("slow_ms")?,
-            budget: num("budget")?,
-            max_burn: num("max_burn")?,
-        },
-        other => return Err(format!("unknown rule kind {other:?}")),
-    };
-    Ok(SloRule {
-        name,
-        severity,
-        expr,
-    })
 }
 
 #[cfg(test)]
@@ -608,94 +500,6 @@ mod tests {
             derived: &[],
         });
         assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn toml_round_trips_every_rule_kind() {
-        let text = r#"
-            # reproduction guardrails
-            [[rule]]
-            name = "no-unsound"
-            kind = "derived_max"
-            key = "audit.unsound"
-            max = 0
-
-            [[rule]]
-            name = "coverage-floor"
-            severity = "critical"
-            kind = "derived_min"
-            key = "coverage"
-            min = 0.92
-
-            [[rule]]
-            name = "rr-p99"
-            severity = "warning"
-            kind = "quantile_max"
-            histogram = "stage.rr_step.virtual_us"
-            q = 0.99
-            max = 12000000
-
-            [[rule]]
-            name = "queue-depth"
-            kind = "counter_max"
-            counter = "service.batch.campaigns"
-            max = 10
-
-            [[rule]]
-            name = "latency-burn"
-            kind = "burn_rate"
-            window_ms = 60000
-            slow_ms = 30000
-            budget = 0.1
-            max_burn = 2.0
-
-            [[rule]]
-            name = "cache-mem"
-            kind = "mem_ceiling"
-            key = "mem.probing.cache.hiwater"
-            max_bytes = 8000000
-
-            [[rule]]
-            name = "queue-headroom"
-            severity = "warning"
-            kind = "capacity_headroom"
-            key = "mem.engine.control_blocks.hiwater"
-            ceiling = 1000000
-            min_headroom = 0.5
-        "#;
-        let policy = SloPolicy::parse_toml(text).expect("parse");
-        assert_eq!(policy.rules.len(), 7);
-        assert_eq!(
-            policy.rules[5].expr,
-            RuleExpr::MemCeiling {
-                key: "mem.probing.cache.hiwater".into(),
-                max_bytes: 8_000_000,
-            }
-        );
-        assert_eq!(
-            policy.rules[6].expr,
-            RuleExpr::CapacityHeadroom {
-                key: "mem.engine.control_blocks.hiwater".into(),
-                ceiling: 1_000_000,
-                min_headroom: 0.5,
-            }
-        );
-        assert_eq!(policy.rules[0].severity, Severity::Critical); // default
-        assert_eq!(policy.rules[2].severity, Severity::Warning);
-        assert_eq!(
-            policy.rules[4].expr,
-            RuleExpr::BurnRate {
-                window_ms: 60000.0,
-                slow_ms: 30000.0,
-                budget: 0.1,
-                max_burn: 2.0,
-            }
-        );
-        // Errors are diagnosed.
-        assert!(SloPolicy::parse_toml("name = \"x\"").is_err()); // outside section
-        assert!(SloPolicy::parse_toml("[[rule]]\nname = \"x\"\nkind = \"bogus\"").is_err());
-        assert!(SloPolicy::parse_toml("[[rule]]\nkind = \"counter_max\"").is_err());
-        // no name
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! `std::time`.
 
 use crate::journal::{Field, Journal, RequestRecord, SpanRecord, NO_SPAN};
-use crate::mix_key;
 use crate::registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 use crate::resource::{ProfileAgg, ProfileStack, ResourceRegistry, ResourceSnapshot, SpanCost};
 use parking_lot::Mutex;
@@ -22,14 +21,10 @@ use std::sync::Arc;
 /// Tuning knobs for an enabled telemetry handle.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Journal one request in `journal_sample_every` (keyed by a hash of
-    /// `(dst, src)`, so the sampled *set* is interleaving-independent).
-    /// 1 = journal every request.
-    pub journal_sample_every: u64,
-    /// How many sampled requests the journal retains (the smallest by
+    /// How many requests the journal retains (the smallest by
     /// `(src, dst, json)`). The default (4096) comfortably covers the
     /// standard campaign scale, so SLO windows and trace exports see
-    /// every sampled request. A retained request holds one block of
+    /// every request. A retained request holds one block of
     /// 24 bytes, 32 per span and 12 per field, plus a 16-byte heap slot:
     /// ≈ 0.9 KB for a served reverse traceroute (8–9 spans, ~48 fields),
     /// ≈ 3.6 MB at the default cap.
@@ -53,7 +48,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
-            journal_sample_every: 1,
             journal_cap: 4096,
             watchdog_deadline_ms: None,
             profile: false,
@@ -87,7 +81,6 @@ pub struct WatchdogFlag {
 struct Inner {
     registry: MetricsRegistry,
     journal: Journal,
-    sample_every: u64,
     watchdog_deadline_us: Option<u64>,
     watchdog: Mutex<Vec<WatchdogFlag>>,
     /// Byte ledgers + collapsed-stack cost profile, present only when
@@ -128,7 +121,6 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: MetricsRegistry::new(),
                 journal: Journal::new(cfg.journal_cap),
-                sample_every: cfg.journal_sample_every.max(1),
                 watchdog_deadline_us: cfg
                     .watchdog_deadline_ms
                     .map(|ms| (ms.max(0.0) * 1000.0).round() as u64),
@@ -276,14 +268,6 @@ impl Telemetry {
     /// skip the cost of *computing* byte footprints when it is not.
     pub fn profiling(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.profile.is_some())
-    }
-
-    /// Set the current logical bytes of resource ledger `name` (no-op
-    /// unless profiling).
-    pub fn resource_set(&self, name: &'static str, bytes: u64) {
-        if let Some(p) = self.profile_store() {
-            p.resources.set(name, bytes);
-        }
     }
 
     /// Set ledger `name` and record one `(ord, bytes)` counter-track
@@ -562,12 +546,10 @@ impl RequestScope {
             }
         }
 
-        if mix_key(a.rec.dst, a.rec.src).is_multiple_of(a.tele.sample_every) {
-            // The journal copies what it retains into a block of its own:
-            // the scope keeps its buffers, whatever the journal decides.
-            (a.rec.status, a.rec.virtual_us) = (status, total_us);
-            a.tele.journal.push(&a.rec);
-        }
+        // The journal copies what it retains into a block of its own: the
+        // scope keeps its buffers, whatever the journal decides.
+        (a.rec.status, a.rec.virtual_us) = (status, total_us);
+        a.tele.journal.push(&a.rec);
     }
 
     /// A scope that was never finished (early return / panic unwind)
@@ -806,31 +788,9 @@ mod tests {
 
         // Disabled handles stay inert.
         let d = Telemetry::disabled();
-        d.resource_set("x", 1);
         assert!(!d.profiling());
         assert!(d.resources().ledgers.is_empty());
         assert!(d.profile_stacks().is_empty());
         assert!(d.resource_series().is_empty());
-    }
-
-    #[test]
-    fn sampling_is_a_pure_function_of_the_key() {
-        let cfg = TelemetryConfig {
-            journal_sample_every: 3,
-            journal_cap: 256,
-            watchdog_deadline_ms: None,
-            profile: false,
-        };
-        let a = Telemetry::with_config(cfg.clone());
-        let b = Telemetry::with_config(cfg);
-        for dst in 0..30u32 {
-            a.request(dst, 7, 0.0).finish("Complete", 1.0);
-        }
-        for dst in (0..30u32).rev() {
-            b.request(dst, 7, 0.0).finish("Complete", 1.0);
-        }
-        assert_eq!(a.journal_fingerprint(), b.journal_fingerprint());
-        let n = a.journal_lines().len();
-        assert!(n > 0 && n < 30, "sampled {n} of 30");
     }
 }

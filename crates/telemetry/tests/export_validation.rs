@@ -4,11 +4,64 @@
 //! the tiny parser with every metric family present.
 
 use revtr_telemetry::{
-    chrome_trace_json, chrome_trace_json_with_counters, parse_prometheus, prometheus_text,
-    Telemetry, TelemetryConfig,
+    chrome_trace_json, prometheus_text, MetricsRegistry, Telemetry, TelemetryConfig,
 };
 use serde::Value;
 use std::collections::HashMap;
+
+/// One parsed Prometheus sample line.
+#[derive(Clone, Debug, PartialEq)]
+struct PromSample {
+    /// Metric name.
+    name: String,
+    /// Label pairs, in exposition order.
+    labels: Vec<(String, String)>,
+    /// Sample value.
+    value: f64,
+}
+
+/// A tiny parser for the Prometheus text exposition format (the subset
+/// `prometheus_text` emits: `# `-comments, `name value`, and
+/// `name{k="v",...} value` lines), to load-check the export.
+fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
+    let mut samples = Vec::new();
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let err = |what: &str| format!("line {}: {what}", lineno + 1);
+        let (head, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| err("expected `name value`"))?;
+        let value: f64 = value.parse().map_err(|_| err("bad sample value"))?;
+        let (name, labels) = match head.split_once('{') {
+            None => (head.to_string(), Vec::new()),
+            Some((name, rest)) => {
+                let body = rest.strip_suffix('}').ok_or_else(|| err("unclosed {"))?;
+                let mut labels = Vec::new();
+                for pair in body.split(',').filter(|p| !p.is_empty()) {
+                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
+                    let v = v
+                        .strip_prefix('"')
+                        .and_then(|v| v.strip_suffix('"'))
+                        .ok_or_else(|| err("unquoted label value"))?;
+                    labels.push((k.to_string(), v.to_string()));
+                }
+                (name.to_string(), labels)
+            }
+        };
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return Err(err("bad metric name"));
+        }
+        samples.push(PromSample {
+            name,
+            labels,
+            value,
+        });
+    }
+    Ok(samples)
+}
 
 /// Record a small synthetic campaign: a few requests with nested stage
 /// spans, one with a zero-duration span and coinciding start times (the
@@ -54,10 +107,10 @@ fn str_of(v: &Value) -> Option<&str> {
 #[test]
 fn chrome_trace_is_wellformed_monotone_and_balanced() {
     let t = synthetic_telemetry();
-    let json = chrome_trace_json(&t.journal_records());
+    let json = chrome_trace_json(&t.journal_records(), &[]);
     assert_eq!(
         json,
-        chrome_trace_json(&t.journal_records()),
+        chrome_trace_json(&t.journal_records(), &[]),
         "export not byte-deterministic"
     );
 
@@ -125,10 +178,10 @@ fn counter_tracks_are_wellformed_and_monotone_per_track() {
         ),
         ("probing.cache.rr".to_string(), vec![(0, 0), (2, 896)]),
     ];
-    let json = chrome_trace_json_with_counters(&t.journal_records(), &series);
+    let json = chrome_trace_json(&t.journal_records(), &series);
     assert_eq!(
         json,
-        chrome_trace_json_with_counters(&t.journal_records(), &series),
+        chrome_trace_json(&t.journal_records(), &series),
         "export not byte-deterministic"
     );
 
@@ -170,7 +223,7 @@ fn counter_tracks_are_wellformed_and_monotone_per_track() {
 
     // Counters are additive: the span lanes must be exactly the
     // counter-free export's.
-    let plain: Value = serde_json::from_str(&chrome_trace_json(&t.journal_records()))
+    let plain: Value = serde_json::from_str(&chrome_trace_json(&t.journal_records(), &[]))
         .expect("counter-free trace is valid JSON");
     let plain_events = match plain.get("traceEvents") {
         Some(Value::Array(evs)) => evs.len(),
@@ -211,4 +264,41 @@ fn prometheus_exposition_load_checks() {
     // Quantile samples carry the quantile label.
     assert!(samples.iter().any(|s| s.name == "revtr_request_virtual_us"
         && s.labels == vec![("quantile".to_string(), "0.99".to_string())]));
+}
+
+#[test]
+fn prometheus_round_trips_through_the_parser() {
+    let reg = MetricsRegistry::new();
+    reg.add("request.count", 12);
+    reg.add("probing.batch.pairs", 90);
+    for v in [5u64, 10, 20, 500] {
+        reg.record("stage.rr_step.virtual_us", v);
+    }
+    let text = prometheus_text(&reg.snapshot());
+    assert_eq!(text, prometheus_text(&reg.snapshot()), "not deterministic");
+
+    let samples = parse_prometheus(&text).expect("parses");
+    // 2 counters + (3 quantiles + sum + count) for one histogram.
+    assert_eq!(samples.len(), 7);
+    let find = |n: &str, l: usize| {
+        samples
+            .iter()
+            .find(|s| s.name == n && s.labels.len() == l)
+            .unwrap_or_else(|| panic!("missing {n}"))
+    };
+    assert_eq!(find("revtr_request_count", 0).value, 12.0);
+    assert_eq!(find("revtr_stage_rr_step_virtual_us_count", 0).value, 4.0);
+    assert_eq!(find("revtr_stage_rr_step_virtual_us_sum", 0).value, 535.0);
+    let p99 = samples
+        .iter()
+        .find(|s| s.labels == vec![("quantile".to_string(), "0.99".to_string())])
+        .expect("p99 sample");
+    assert_eq!(p99.name, "revtr_stage_rr_step_virtual_us");
+    // rank ⌊0.99·(4-1)⌋ = 2 → the third-smallest sample.
+    assert_eq!(p99.value, 20.0);
+
+    // The parser rejects garbage.
+    assert!(parse_prometheus("no_value_here").is_err());
+    assert!(parse_prometheus("bad-name 1").is_err());
+    assert!(parse_prometheus("x{k=unquoted} 1").is_err());
 }

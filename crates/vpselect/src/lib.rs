@@ -16,6 +16,7 @@
 //!   greedy "Global" baseline.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ingress;
 pub mod parse;
@@ -23,7 +24,6 @@ pub mod parse;
 mod reference;
 
 pub use ingress::{
-    third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PlanView, PrefixInfo,
-    RR_RANGE, VPS_PER_INGRESS,
+    third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PlanView, RR_RANGE,
 };
-pub use parse::{parse_rr, path_view, Heuristics, PathView, RrParse};
+pub use parse::{path_view, Heuristics};

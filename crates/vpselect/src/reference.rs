@@ -3,8 +3,9 @@
 //! below hold [`crate::parse::path_view`] and [`crate::ingress::probe_prefix`]
 //! to it, output for output and probe for probe.
 
+use crate::ingress::VPS_PER_INGRESS;
 use crate::parse::{parse_rr, Heuristics};
-use crate::{IngressInfo, RR_RANGE, VPS_PER_INGRESS};
+use crate::{IngressInfo, RR_RANGE};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, Prefix, PrefixId};
 use revtr_probing::Prober;
@@ -78,7 +79,7 @@ pub(crate) struct VpView {
 }
 
 impl VpView {
-    pub fn in_range(&self) -> bool {
+    pub(crate) fn in_range(&self) -> bool {
         matches!(self.dest_dist, Some(d) if d <= RR_RANGE as f64)
     }
 }
@@ -95,7 +96,7 @@ pub(crate) struct PrefixInfo {
 impl PrefixInfo {
     /// What `core::system::closest_vp` used to compute from the views on
     /// every timestamp step.
-    pub fn closest_vp(&self) -> Option<Addr> {
+    pub(crate) fn closest_vp(&self) -> Option<Addr> {
         self.views
             .iter()
             .filter_map(|(&vp, view)| view.dest_dist.map(|d| (d, vp)))
@@ -104,7 +105,7 @@ impl PrefixInfo {
     }
 
     /// What `third_destination_consistent` used to collect into a set.
-    pub fn candidates(&self) -> Vec<Addr> {
+    pub(crate) fn candidates(&self) -> Vec<Addr> {
         let mut all: Vec<Addr> = self
             .views
             .values()

@@ -17,8 +17,9 @@
 
 use revtr_netsim::{Addr, Prefix, PrefixId, Sim, SimConfig};
 use revtr_probing::Prober;
-use revtr_vpselect::ingress::probe_prefix;
-use revtr_vpselect::{parse_rr, path_view, Heuristics, IngressDb, PrefixInfo};
+use revtr_vpselect::ingress::{probe_prefix, PrefixInfo};
+use revtr_vpselect::parse::parse_rr;
+use revtr_vpselect::{path_view, Heuristics, IngressDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -4,6 +4,8 @@
 //! exists to host the workspace-level integration tests (`tests/`) and the
 //! runnable examples (`examples/`).
 
+#![warn(unreachable_pub)]
+
 pub use revtr;
 pub use revtr_aliasing as aliasing;
 pub use revtr_atlas as atlas;

@@ -117,7 +117,6 @@ fn maintenance_schedule_is_frozen_within_a_window() {
     let mut cfg = SimConfig::tiny();
     cfg.behavior.churn_per_hour = 0.0;
     cfg.faults.link_maintenance_rate = 0.5;
-    cfg.faults.link_maintenance_window_hours = 6.0;
     let sim = Sim::build(cfg, 17);
     let src = sim.topo().vp_sites[0].host;
     let dests = destinations(&sim, 20);
@@ -162,11 +161,11 @@ fn walks_snapshot_maintenance_state_atomically() {
     let mut cfg = SimConfig::tiny();
     cfg.behavior.churn_per_hour = 0.0;
     cfg.faults.link_maintenance_rate = 0.4;
-    cfg.faults.link_maintenance_window_hours = 1.0;
     let seed = 18;
 
     // Pick a (start router, destination) whose path actually changes
-    // across windows, then record the pure path for windows 0..=20.
+    // across windows, then record the pure path for windows 0..=20 (a
+    // maintenance window is six virtual hours).
     let probe = |sim: &Sim, start: RouterId, dst: Addr| -> Option<Vec<RouterId>> {
         sim.walk(start, dst, &PktMeta::plain(dst, 5))
             .map(|w| w.hops.iter().map(|h| h.router).collect())
@@ -180,7 +179,7 @@ fn walks_snapshot_maintenance_state_atomically() {
             allowed[i].push(probe(&reference, start, d));
         }
         if w < 20 {
-            reference.advance_hours(1.0);
+            reference.advance_hours(6.0);
         }
     }
     assert!(
@@ -197,7 +196,7 @@ fn walks_snapshot_maintenance_state_atomically() {
     std::thread::scope(|scope| {
         let advancer = scope.spawn(|| {
             for _ in 0..200 {
-                live.advance_hours(0.1);
+                live.advance_hours(0.6);
                 std::thread::yield_now();
             }
         });

@@ -428,33 +428,43 @@ fn slo_verdicts_and_exports_are_worker_count_invariant() {
     // independence: on a warm shared prober, a serial and an 8-worker
     // campaign produce byte-identical Chrome-trace / Prometheus exports
     // and identical SLO verdicts.
-    use revtr_suite::telemetry::{chrome_trace_json, prometheus_text, SloInput, SloPolicy};
+    use revtr_suite::telemetry::{
+        chrome_trace_json, prometheus_text, RuleExpr, Severity, SloInput, SloPolicy, SloRule,
+    };
 
-    let policy = SloPolicy::parse_toml(
-        r#"
-        [[rule]]
-        name = "requests-present"
-        kind = "counter_max"
-        counter = "probing.transient_lost"
-        max = 0
-
-        [[rule]]
-        name = "request-p99"
-        kind = "quantile_max"
-        histogram = "request.virtual_us"
-        q = 0.99
-        max = 400000000
-
-        [[rule]]
-        name = "burn"
-        kind = "burn_rate"
-        window_ms = 600000.0
-        slow_ms = 120000.0
-        budget = 0.05
-        max_burn = 20.0
-        "#,
-    )
-    .expect("policy parses");
+    let rule = |name: &str, expr: RuleExpr| SloRule {
+        name: name.to_string(),
+        severity: Severity::Critical,
+        expr,
+    };
+    let policy = SloPolicy {
+        rules: vec![
+            rule(
+                "requests-present",
+                RuleExpr::CounterMax {
+                    counter: "probing.transient_lost".to_string(),
+                    max: 0,
+                },
+            ),
+            rule(
+                "request-p99",
+                RuleExpr::QuantileMax {
+                    histogram: "request.virtual_us".to_string(),
+                    q: 0.99,
+                    max: 400_000_000,
+                },
+            ),
+            rule(
+                "burn",
+                RuleExpr::BurnRate {
+                    window_ms: 600_000.0,
+                    slow_ms: 120_000.0,
+                    budget: 0.05,
+                    max_burn: 20.0,
+                },
+            ),
+        ],
+    };
 
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
@@ -472,7 +482,7 @@ fn slo_verdicts_and_exports_are_worker_count_invariant() {
                 derived: &[],
             });
             (
-                chrome_trace_json(&journal),
+                chrome_trace_json(&journal, &[]),
                 prometheus_text(&snapshot),
                 format!("{:?}", report.verdicts),
             )

@@ -177,6 +177,18 @@ proptest! {
     }
 }
 
+/// `cfg` with profile `p` composed in at `severity`.
+fn with_severity(mut cfg: ScenarioConfig, p: ScenarioProfile, severity: f64) -> ScenarioConfig {
+    *match p {
+        ScenarioProfile::SpoofFilterRollout => &mut cfg.spoof_filter_rollout,
+        ScenarioProfile::DbrViolationRegion => &mut cfg.dbr_violation_region,
+        ScenarioProfile::LyingRrResponders => &mut cfg.lying_rr_responders,
+        ScenarioProfile::AsymmetricRateLimiters => &mut cfg.asymmetric_rate_limiters,
+        ScenarioProfile::PoisonedAtlas => &mut cfg.poisoned_atlas,
+    } = severity;
+    cfg
+}
+
 /// One representative adversarial draw per profile, over arbitrary entity
 /// keys, encoded for equality comparison. Each profile's draws must be a
 /// pure function of (seed, own severity, entity keys).
@@ -265,7 +277,7 @@ proptest! {
         let alone = Scenarios::new(seed, ScenarioConfig::profile_at(a, sev_a));
         let composed = Scenarios::new(
             seed,
-            ScenarioConfig::profile_at(a, sev_a).with_profile_at(b, sev_b),
+            with_severity(ScenarioConfig::profile_at(a, sev_a), b, sev_b),
         );
         prop_assert_eq!(
             profile_draw(&alone, a, e1, e2, attempt),
