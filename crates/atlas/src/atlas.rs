@@ -127,8 +127,8 @@ impl SourceAtlas {
         }
         // Scenario `poisoned_atlas`: a corrupted measurement pipeline may
         // substitute an interior hop before the trace is stored or indexed.
-        // The atlas ingests it unknowingly; only the hardened engine's
-        // adoption-time plausibility check catches the splice.
+        // The atlas ingests it unknowingly; only the audit catches the
+        // splice in a stitched path.
         let mut hops = t.hops;
         prober
             .sim()

@@ -188,10 +188,9 @@ impl AuditSummary {
     }
 
     /// Every failing verdict — unsound plus policy-violating — across
-    /// all kinds. This is the number the hostile-scenario conformance
-    /// gate pins to zero on hardened arms: a fabrication profile that
-    /// smuggles even one wrong hop past the countermeasures shows up
-    /// here.
+    /// all kinds. This is the unsound count the hostile-scenario suite
+    /// reports per profile: a fabrication profile that smuggles even one
+    /// wrong hop into a path shows up here.
     pub fn total_failures(&self) -> u64 {
         self.total_unsound() + self.total_policy_violations()
     }

@@ -59,17 +59,6 @@ pub struct EngineConfig {
     /// is re-probed and the result flagged when a violating router is
     /// detected — extra probes for extra confidence.
     pub verify_dbr: bool,
-    /// Hostile-Internet hardening (the scenario-suite countermeasures):
-    /// cross-validate suspicious RR evidence against the audit replay path
-    /// before acceptance, quarantine VPs whose spoofed probes stop landing
-    /// (sliding futility window fed through the stop-set hint machinery),
-    /// validate atlas intersections before adopting their suffix, demote
-    /// DBR-violating RR chains, and raise the transient stall budget so
-    /// rate-limited probes get their retries. Off by default; with
-    /// scenarios off the hardened engine is probe-for-probe identical to
-    /// the stock one except for the extra (free) oracle replays.
-    #[serde(default)]
-    pub harden: bool,
     /// Consult and feed the campaign-wide Doubletree-style stop sets
     /// (`revtr_probing::stopset`): reuse earlier requests' reverse-hop
     /// evidence at shared routers, skip predictably futile direct RR
@@ -94,7 +83,6 @@ impl EngineConfig {
             use_rr_atlas: true,
             registry_only_ip2as: false,
             verify_dbr: false,
-            harden: false,
             use_stop_sets: false,
             symmetry: SymmetryPolicy::IntradomainOnly,
             atlas_size: 1000,

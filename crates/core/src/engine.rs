@@ -360,26 +360,7 @@ impl<'a> MeasureTask<'a> {
         // 1. Atlas intersection.
         let atlas = self.atlas.clone().expect("atlas resolved in Start");
         let atlas_span = self.books().enter("atlas_intersection");
-        if let Some(inter) = sys
-            .lookup_intersection(self.src, &atlas, self.cur)
-            .filter(|i| {
-                // Hardened engines cross-validate the suffix before
-                // adopting it (poisoned-atlas countermeasure): the join
-                // must name the frontier router (or its /30 peer) and
-                // every visible adjacent pair must be plausibly
-                // consecutive — the same checks the audit oracle grades.
-                // A rejected intersection is demoted: the step falls
-                // through to RR and, failing that, assumed symmetry,
-                // with the demotion recorded in telemetry.
-                if !sys.config().harden || sys.atlas_suffix_plausible(self.cur, atlas.suffix(*i)) {
-                    return true;
-                }
-                sys.prober()
-                    .telemetry()
-                    .counter_add("core.harden.atlas_rejected", 1);
-                false
-            })
-        {
+        if let Some(inter) = sys.lookup_intersection(self.src, &atlas, self.cur) {
             sys.note_intersection_usage(self.src, inter.trace);
             self.stats.intersected_trace = Some(inter.trace);
             self.stats.intersected_hop = Some(inter.hop);
@@ -423,53 +404,38 @@ impl<'a> MeasureTask<'a> {
         // The stored hops are re-filtered against *this* path, and
         // adoption replays the original provenance, exactly like a
         // measurement-cache hit. Failing that, collect the hints the RR
-        // step opens with; the set-valued ones land in the scratch — the
-        // VPs of this router's plan an earlier ladder proved futile, the
-        // VPs under quarantine — where the step tests them for membership.
+        // step opens with; the set-valued one lands in the scratch — the
+        // VPs of this router's plan an earlier ladder proved futile — where
+        // the step tests it for membership.
         let mut hints = RrHints::default();
         sx.demoted.clear();
-        sx.quarantined.clear();
-        if sys.wave_barriers() {
+        if sys.config().use_stop_sets {
             let stop = sys.stopset().consult();
-            if sys.config().use_stop_sets {
-                let ss = self.books().enter("stopset_backward");
-                let hit = stop.backward(self.src, self.cur);
-                let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
-                self.books()
-                    .exit(ss, &[("hit", u64::from(hit.is_some())), ("reused", reused)]);
-                if let Some((stored, spoofed)) = hit {
-                    let new = novel(&sx.hops, &stored.hops);
-                    if !new.is_empty() {
-                        self.stats.stopset_reused_steps += 1;
-                        self.phase = Phase::RrAdopt(Some((new, stored.provenance, spoofed)));
-                        return None;
-                    }
-                }
-                hints.skip_direct = stop.direct_futile(self.src, self.cur);
-                hints.skip_spoofed = stop.spoof_futile(self.cur);
-                // A skipped ladder has no use for its winner or VP prunes
-                // (and consulting them would inflate the hit counters).
-                if !hints.skip_spoofed {
-                    if let Some(plan) = sys.stop_plan_key(self.cur) {
-                        hints.winner = stop.winner(plan);
-                        let futile = sys
-                            .plan_vps(self.cur)
-                            .filter(|&vp| stop.vp_futile(plan, vp));
-                        sx.demoted.extend(futile);
-                    }
+            let ss = self.books().enter("stopset_backward");
+            let hit = stop.backward(self.src, self.cur);
+            let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
+            self.books()
+                .exit(ss, &[("hit", u64::from(hit.is_some())), ("reused", reused)]);
+            if let Some((stored, spoofed)) = hit {
+                let new = novel(&sx.hops, &stored.hops);
+                if !new.is_empty() {
+                    self.stats.stopset_reused_steps += 1;
+                    self.phase = Phase::RrAdopt(Some((new, stored.provenance, spoofed)));
+                    return None;
                 }
             }
-            if sys.config().harden {
-                // VP quarantine (spoof-filter countermeasure): vantage
-                // points whose recent spoofed pairs mostly vanished are
-                // deprioritized — moved to the back of the ladder, never
-                // dropped, so a recovering VP re-proves itself on its next
-                // (cheap, late-ladder) attempt — and granted a single
-                // re-batch. Taken once for the whole ladder.
-                sx.quarantined.extend(stop.quarantined_vps());
-                sys.stopset()
-                    .note_quarantine_skips(sx.quarantined.len() as u64);
-                sx.demoted.extend_from_slice(&sx.quarantined);
+            hints.skip_direct = stop.direct_futile(self.src, self.cur);
+            hints.skip_spoofed = stop.spoof_futile(self.cur);
+            // A skipped ladder has no use for its winner or VP prunes
+            // (and consulting them would inflate the hit counters).
+            if !hints.skip_spoofed {
+                if let Some(plan) = sys.stop_plan_key(self.cur) {
+                    hints.winner = stop.winner(plan);
+                    let futile = sys
+                        .plan_vps(self.cur)
+                        .filter(|&vp| stop.vp_futile(plan, vp));
+                    sx.demoted.extend(futile);
+                }
             }
         }
         // Degradation ladder (admission control's brownout levels, set
@@ -523,13 +489,6 @@ impl<'a> MeasureTask<'a> {
                             self.contribute(sys, Note::VpFutile { plan, vp });
                         }
                     }
-                }
-                // Feed each VP's landed/vanished outcomes into the
-                // sliding quarantine windows (published at the next
-                // merge barrier, like every stop-set contribution).
-                // Recorded under hardening only.
-                for &(vp, landed) in &sx.spoof_outcomes {
-                    self.contribute(sys, Note::VpSpoofOutcome { vp, landed });
                 }
                 self.after_primary_rr(sys, sx, found);
             }
@@ -612,10 +571,7 @@ impl<'a> MeasureTask<'a> {
                 }
             }
         }
-        // Hardened engines always run the Appx. E re-probe: the DBR
-        // scenario's violating regions are only detectable by an
-        // independent re-measurement of the revealed chain.
-        if sys.config().verify_dbr || sys.config().harden {
+        if sys.config().verify_dbr {
             if let Some(f) = found.as_ref().filter(|(r, _, _)| r.len() >= 2) {
                 // Appx. E optional mode: re-probe the first revealed hop
                 // and confirm the chain continues the same way. The
@@ -629,20 +585,12 @@ impl<'a> MeasureTask<'a> {
                     let vspan = self.books().enter("rr_verify");
                     // The verification re-probe neither consults nor feeds
                     // the stop sets: its whole point is an independent
-                    // re-measurement. Its ladder deprioritizes no one;
-                    // quarantine (a hardened engine's stall budgets) is
-                    // taken afresh, once for this ladder too.
+                    // re-measurement. Its ladder deprioritizes no one.
                     sx.demoted.clear();
-                    sx.quarantined.clear();
-                    if sys.config().harden {
-                        sx.quarantined
-                            .extend(sys.stopset().consult().quarantined_vps());
-                    }
                     match sys.rr_begin(first, self.src, sx, &mut self.books(), RrHints::default()) {
                         RrProgress::Done(v) => {
-                            let violated = self.close_verify(sys, v, expected, vspan);
-                            self.phase =
-                                Phase::RrAdopt(harden_demote(sys, self.cur, found, violated));
+                            self.close_verify(sys, v, expected, vspan);
+                            self.phase = Phase::RrAdopt(found);
                         }
                         RrProgress::Pending(m) => {
                             self.phase = Phase::RrVerify {
@@ -679,28 +627,25 @@ impl<'a> MeasureTask<'a> {
                 };
             }
             Some(v) => {
-                let violated = self.close_verify(sys, v, expected, vspan);
-                self.phase = Phase::RrAdopt(harden_demote(sys, self.cur, Some(found), violated));
+                self.close_verify(sys, v, expected, vspan);
+                self.phase = Phase::RrAdopt(Some(found));
             }
         }
         None
     }
 
-    /// Returns whether *this* re-probe detected a violation (the stats
-    /// flag is cumulative across the measurement; the fresh verdict is
-    /// what the hardened demotion keys on).
+    /// Close the Appx. E re-probe's span, flagging the measurement when
+    /// the re-probe's first hop contradicts the chain's `expected` one.
     fn close_verify(
         &mut self,
         sys: &RevtrSystem<'_>,
         v: Option<RrFound>,
         expected: Addr,
         vspan: StageStart,
-    ) -> bool {
+    ) {
         let verify = v.map(|(h, _, _)| h).unwrap_or_default();
-        let mut fresh = false;
         if let Some(&h0) = verify.first() {
             if h0 != expected && !sys.hop_match(h0, expected) {
-                fresh = true;
                 self.stats.dbr_violation_detected = true;
                 // Campaign-wide violation rate: a handful per campaign is
                 // route-diversity noise; a DBR-violating region drives it
@@ -713,7 +658,6 @@ impl<'a> MeasureTask<'a> {
         }
         let violation = u64::from(self.stats.dbr_violation_detected);
         self.books().exit(vspan, &[("violation", violation)]);
-        fresh
     }
 
     fn adopt(
@@ -879,38 +823,6 @@ impl<'a> MeasureTask<'a> {
             meter: &mut self.meter,
         }
     }
-}
-
-/// Hardened engines refuse to adopt an RR chain whose Appx. E re-probe
-/// just contradicted it *and* whose junction off the frontier router the
-/// audit oracle cannot explain: the chain is demoted — the step falls
-/// through to ts/symmetry — instead of stitching hops a DBR-violating
-/// region diverted off the true reverse path. A contradiction alone is
-/// not enough (route diversity and aliasing produce honest mismatches,
-/// and demoting on those measurably trades real coverage for nothing);
-/// the oracle corroboration keeps the demotion to chains that are wrong,
-/// not merely disputed. Unhardened engines keep the revtr 1.0/2.0
-/// behaviour (adopt, but flag the result suspicious).
-fn harden_demote(
-    sys: &RevtrSystem<'_>,
-    cur: Addr,
-    found: Option<RrFound>,
-    violated: bool,
-) -> Option<RrFound> {
-    if violated && sys.config().harden {
-        if let Some((hops, _, _)) = &found {
-            let implausible = hops
-                .first()
-                .is_some_and(|&h| !sys.junction_plausible(cur, h));
-            if implausible {
-                sys.prober()
-                    .telemetry()
-                    .counter_add("core.harden.dbr_demoted", 1);
-                return None;
-            }
-        }
-    }
-    found
 }
 
 /// Where the symmetry step starts its TTL probing when nothing measured
@@ -1157,10 +1069,9 @@ impl Drop for WavePool<'_, '_, '_, '_> {
 impl<'s> RevtrSystem<'s> {
     /// Run a whole campaign: every `(dst, src)` pair is driven to
     /// completion on a meter starting at virtual zero, `lc.workers` at a
-    /// time. With stop sets off the campaign is one wave; with them on (or
-    /// hardening, whose quarantine windows are ordinary buffered stop-set
-    /// contributions) it is admitted in `STOPSET_WAVE`-sized waves with
-    /// a deterministic stop-set merge barrier after each.
+    /// time. With stop sets off the campaign is one wave; with them on it
+    /// is admitted in `STOPSET_WAVE`-sized waves with a deterministic
+    /// stop-set merge barrier after each.
     ///
     /// Results come back in input order. A panicking measurement aborts
     /// the campaign and surfaces as `Err` with the panic payload; the
@@ -1255,11 +1166,9 @@ impl<'s> RevtrSystem<'s> {
         })
     }
 
-    /// Whether waves end in a stop-set merge. Hardened campaigns need one
-    /// even with stop sets off: quarantine windows are ordinary (buffered)
-    /// stop-set contributions and only become visible at a merge.
+    /// Whether waves end in a stop-set merge.
     pub(crate) fn wave_barriers(&self) -> bool {
-        self.config().use_stop_sets || self.config().harden
+        self.config().use_stop_sets
     }
 
     /// Record the engine's own ledger plus a full subsystem snapshot at a

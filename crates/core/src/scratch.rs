@@ -28,13 +28,9 @@ pub(crate) struct Scratch {
     /// (empty while a request has them, and with telemetry off).
     pub(crate) scope: ScopeBuffers,
     /// Hint: VPs the next ladder visits last in their queues — proven
-    /// futile on the plan by earlier ladders, or quarantined. Only ever
-    /// tested for membership.
+    /// futile on the plan by earlier ladders. Only ever tested for
+    /// membership.
     pub(crate) demoted: Vec<Addr>,
-    /// Hint: the campaign's spoof-quarantine set as of the open ladder
-    /// (empty unless hardened). Quarantined VPs get a single stall
-    /// re-batch. Only ever tested for membership.
-    pub(crate) quarantined: Vec<Addr>,
     /// The open spoofed ladder.
     pub(crate) ladder: Ladder,
     /// The round in flight: its slots, what the prober is asked, what it
@@ -49,13 +45,6 @@ pub(crate) struct Scratch {
     /// fault-attributed loss) without a usable observation. Drained by
     /// the engine into `VpFutile` stop-set contributions.
     pub(crate) futile_vps: Vec<Addr>,
-    /// One entry per *resolved* spoofed pair of the open ladder:
-    /// `(vp, landed)`. A pair resolves alive the round any reply lands,
-    /// and dead only when it exhausts its stall cycle with every loss
-    /// fault-attributed; genuine non-answers record nothing (they blame
-    /// the destination). Recorded only under `EngineConfig::harden`;
-    /// drained by the engine into the stop-set spoof-quarantine window.
-    pub(crate) spoof_outcomes: Vec<(Addr, bool)>,
 }
 
 /// Whether `addr` is already a hop of the path. A path is tens of hops at

@@ -69,24 +69,6 @@ pub(crate) struct SymmetryDecision {
 /// even under total loss.
 const TRANSIENT_STALL_BUDGET: u32 = 2;
 
-/// The stall budget under [`EngineConfig::harden`] for VPs not under
-/// quarantine: adversarial rate limiters drop most spoofed attempts but
-/// re-roll per attempt, so giving a VP more re-batches converts
-/// persistent-looking loss back into coverage (the
-/// `asymmetric_rate_limiters` countermeasure). The probe bloat this
-/// would cause under a persistent spoof filter is contained by the
-/// quarantine window, which withdraws the raise from VPs whose pairs
-/// have stopped resolving alive.
-const HARDENED_STALL_BUDGET: u32 = 6;
-
-/// The stall budget for *quarantined* VPs under [`EngineConfig::harden`]:
-/// the campaign already explains their vanishing probes (a spoof filter is
-/// swallowing them), so holding a ladder position for more re-batches only
-/// spends batches the live VPs behind them need. One re-batch (not zero)
-/// keeps a recovering VP able to re-prove itself without re-opening the
-/// probe-bloat the raised hardened budget would cause.
-const QUARANTINED_STALL_BUDGET: u32 = 1;
-
 /// An open telemetry stage: the span token plus the request meter's tally
 /// at entry, so the exit can attach this stage's exact probe delta — the
 /// request's own charges, hence worker-count-invariant. Stage spans are
@@ -203,9 +185,8 @@ pub(crate) struct RrMachine<'a> {
 
 /// Hints a record-route step takes from the campaign stop sets: facts an
 /// earlier request already paid probes to learn at the same router. The
-/// two set-valued hints — VPs to deprioritize, VPs under quarantine —
-/// ride in the driver's [`Scratch`] (`demoted`, `quarantined`), filled by
-/// whoever builds these.
+/// set-valued hint — VPs to deprioritize — rides in the driver's
+/// [`Scratch`] (`demoted`), filled by whoever builds these.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RrHints {
     /// Skip the direct (non-spoofed) RR ping — known futile for this
@@ -666,93 +647,10 @@ impl<'s> RevtrSystem<'s> {
         self.resolver.hop_match(a, b)
     }
 
-    /// Hostile-Internet hardening: cross-validate an RR reply's extracted
-    /// reverse hops against the audit oracle's replay of its reply leg
-    /// *before* acceptance — the same replay [`revtr_audit`] grades with
-    /// after the fact. Stamps the replay cannot reproduce (a lying
-    /// responder's fabrications) are dropped, so the step falls through to
-    /// the next technique instead of adopting unsound hops. Replays cost
-    /// no probes. If the replay itself is unavailable (link-maintenance
-    /// faults make walks clock-dependent), the evidence is kept as
-    /// measured. On honest replies the extraction is always a subset of
-    /// the replay — this filter provably never drops a truthful hop.
-    fn harden_rr_filter(&self, rev: &[Addr], prov: &RrProvenance) -> RrSlots {
-        let keep_all = || rev.iter().copied().collect();
-        if !self.cfg.harden || rev.is_empty() {
-            return keep_all();
-        }
-        let Some(truth) = self.sim.oracle().replay_rr_reply_stamps(
-            prov.sender,
-            prov.claimed,
-            prov.dst,
-            prov.nonce,
-            prov.fwd_epoch.get(),
-            prov.rep_epoch.get(),
-        ) else {
-            return keep_all();
-        };
-        let kept: RrSlots = rev.iter().copied().filter(|h| truth.contains(h)).collect();
-        if kept.len() < rev.len() {
-            self.prober.telemetry().counter_add(
-                "core.harden.rr_lies_filtered",
-                (rev.len() - kept.len()) as u64,
-            );
-        }
-        kept
-    }
-
-    /// Hostile-Internet hardening: pre-grade an atlas intersection's
-    /// suffix with the audit oracle's own checks before the engine adopts
-    /// it. The join hop must name the frontier router (same router or /30
-    /// link peer) and every visible adjacent pair must be plausibly
-    /// consecutive on a true path — exactly what [`revtr_audit`] grades
-    /// `AtlasIntersection` / `TrToSource` evidence with, so a suffix this
-    /// accepts can never audit unsound. A poisoned trace fails one of the
-    /// two and is demoted instead of adopted.
-    pub(crate) fn atlas_suffix_plausible(&self, cur: Addr, suffix: &[Option<Addr>]) -> bool {
-        let oracle = self.sim.oracle();
-        let mut prev: Option<Addr> = None;
-        for (i, hop) in suffix.iter().enumerate() {
-            let Some(addr) = *hop else {
-                prev = None;
-                continue;
-            };
-            if i == 0 {
-                if addr != cur && !oracle.same_router(cur, addr) && !oracle.link_coupled(cur, addr)
-                {
-                    return false;
-                }
-            } else if let Some(p) = prev {
-                if !oracle.plausibly_consecutive(p, addr) {
-                    return false;
-                }
-            }
-            prev = Some(addr);
-        }
-        true
-    }
-
-    /// Hostile-Internet hardening: can the audit oracle's path graph
-    /// explain `hop` as the reverse next hop off `cur`? Used to
-    /// corroborate an Appx. E verification mismatch before demoting an
-    /// adopted chain: disagreement alone is ambiguous (route diversity,
-    /// aliasing), but a junction the oracle cannot explain marks the
-    /// chain as fabricated-or-rerouted and worth giving up for the
-    /// symmetric assumption. Rejection-only, like every oracle
-    /// cross-check (see `revtr_netsim::oracle`).
-    pub(crate) fn junction_plausible(&self, cur: Addr, hop: Addr) -> bool {
-        let oracle = self.sim.oracle();
-        hop == cur
-            || oracle.same_router(cur, hop)
-            || oracle.link_coupled(cur, hop)
-            || oracle.plausibly_consecutive(cur, hop)
-    }
-
-    /// The reverse hops an RR reply to `cur` reveals, after the hardened
-    /// engine's replay filter; `None` when the destination's stamp cannot
-    /// be located (the reply is unusable).
-    fn reverse_hops(&self, slots: &[Addr], cur: Addr, prov: &RrProvenance) -> Option<RrSlots> {
-        extract_reverse_hops(slots, cur).map(|rev| self.harden_rr_filter(rev, prov))
+    /// The reverse hops an RR reply to `cur` reveals; `None` when the
+    /// destination's stamp cannot be located (the reply is unusable).
+    fn reverse_hops(slots: &[Addr], cur: Addr) -> Option<RrSlots> {
+        extract_reverse_hops(slots, cur).map(|rev| rev.iter().copied().collect())
     }
 
     /// Begin a record-route step against `cur`: open the `rr_step` span,
@@ -766,9 +664,9 @@ impl<'s> RevtrSystem<'s> {
     /// spoofed batch, i.e. one virtual 10 s collection timeout, which is
     /// exactly one engine event.
     ///
-    /// Besides `hints`, the step reads two hints out of `sx`, which the
+    /// Besides `hints`, the step reads one hint out of `sx`, which the
     /// caller fills (or clears): `demoted`, the VPs its ladder visits
-    /// last, and `quarantined`, the VPs it grants a single re-batch.
+    /// last.
     pub(crate) fn rr_begin(
         &self,
         cur: Addr,
@@ -784,7 +682,7 @@ impl<'s> RevtrSystem<'s> {
         if !hints.skip_direct {
             let direct = t.enter("rr_direct");
             if let Ok((reply, prov)) = self.prober.rr_ping_observed(t.meter, src, cur) {
-                if let Some(rev) = self.reverse_hops(&reply.slots, cur, &prov) {
+                if let Some(rev) = Self::reverse_hops(&reply.slots, cur) {
                     let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
                         t.exit(direct, &[("hit", 1)]);
@@ -822,7 +720,6 @@ impl<'s> RevtrSystem<'s> {
         );
         self.stopset.note_vp_skips(moved);
         sx.futile_vps.clear();
-        sx.spoof_outcomes.clear();
         // Queues can legitimately be empty (an ingress with no in-range
         // VPs); a plan with nothing to try ends the step here.
         if sx.ladder.is_exhausted() {
@@ -871,7 +768,6 @@ impl<'s> RevtrSystem<'s> {
     ) -> Option<Option<RrFound>> {
         let Scratch {
             hops,
-            quarantined,
             ladder,
             batch,
             pairs,
@@ -879,7 +775,6 @@ impl<'s> RevtrSystem<'s> {
             reply,
             usable,
             futile_vps,
-            spoof_outcomes,
             ..
         } = sx;
         // The current VP of up to `batch_cap` distinct queues, in order.
@@ -894,21 +789,6 @@ impl<'s> RevtrSystem<'s> {
         bases.extend(batch.iter().map(|slot| slot.stalls));
         self.prober
             .spoofed_rr_batch_at(t.meter, pairs, src, bases, reply);
-        if self.cfg.harden {
-            // One quarantine outcome per *pair*, not per re-batch: a
-            // landing resolves the pair as alive the round it happens;
-            // a vanish is recorded only when the pair exhausts its stall
-            // cycle transient-lost (below). Pair-level resolution is what
-            // separates a spoof-filtered VP (the filtered pair never
-            // lands, whatever the retries) from a rate-limited one
-            // (every pair lands eventually): per-re-batch counting makes
-            // the two look alike.
-            for (slot, r) in batch.iter().zip(&reply.replies) {
-                if r.is_some() {
-                    spoof_outcomes.push((slot.vp, true));
-                }
-            }
-        }
         // Count the collection timeouts actually charged: a fully cached
         // batch costs no virtual time and no batch.
         t.stats.batches += reply.timeouts;
@@ -926,7 +806,7 @@ impl<'s> RevtrSystem<'s> {
                 .as_ref()
                 .zip(prov.as_ref())
                 .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
-                .and_then(|(r, prov)| Some((self.reverse_hops(&r.slots, m.cur, prov)?, *prov)));
+                .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, m.cur)?, *prov)));
             usable.push(rev.is_some());
             if let Some((rev, prov)) = rev {
                 m.usable_seen = true;
@@ -946,15 +826,8 @@ impl<'s> RevtrSystem<'s> {
         // next (less close) VP — whether it failed the ingress check, went
         // genuinely unanswered, or answered without revealing new hops.
         let more = ladder.settle(batch, |i, slot| {
-            let cap = if !self.cfg.harden {
-                TRANSIENT_STALL_BUDGET
-            } else if quarantined.contains(&slot.vp) {
-                QUARANTINED_STALL_BUDGET
-            } else {
-                HARDENED_STALL_BUDGET
-            };
             let transient = reply.transient[i];
-            if transient && slot.stalls < cap {
+            if transient && slot.stalls < TRANSIENT_STALL_BUDGET {
                 return true;
             }
             // A non-transient failure *proves* this VP futile at the
@@ -963,14 +836,6 @@ impl<'s> RevtrSystem<'s> {
             // reply is request-specific and proves nothing.
             if !transient && !usable[i] {
                 futile_vps.push(slot.vp);
-            }
-            // The pair resolved without a single reply across its
-            // whole stall cycle of fault-attributed losses: that is
-            // the one observation that incriminates the VP (a
-            // genuine non-answer blames the destination instead and
-            // records nothing).
-            if self.cfg.harden && transient {
-                spoof_outcomes.push((slot.vp, false));
             }
             false
         });

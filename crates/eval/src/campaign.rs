@@ -275,14 +275,6 @@ impl Campaign {
         self
     }
 
-    /// The same campaign with the hardened engine (`EngineConfig::harden`:
-    /// audit-replay cross-validation, VP quarantine, atlas pre-grading, DBR
-    /// demotion) switched.
-    pub fn with_harden(mut self, on: bool) -> Campaign {
-        self.engine.harden = on;
-        self
-    }
-
     /// The same campaign under a hostile-Internet scenario, judged by
     /// `report::scenario_policy`. Unlike [`Campaign::faulted`]'s envelope
     /// tightening, scenario runs keep the *clean* watchdog deadline:

@@ -1,37 +1,25 @@
-//! Hostile-Internet scenario conformance harness: every adversarial
-//! profile run off/on against the identical seeded campaign.
+//! Hostile-Internet scenario harness: every adversarial profile run
+//! against the identical seeded campaign, with the stock engine.
 //!
 //! This is the evaluation face of [`revtr_netsim::scenario`]: for each
-//! named [`ScenarioProfile`] it runs the same seeded campaign three ways —
-//! clean (scenario off), hostile (scenario on, stock engine), and hardened
-//! (scenario on, `EngineConfig::harden`) — and grades the hardening claim
-//! of the PR per profile:
+//! named [`ScenarioProfile`] it runs the same seeded campaign two ways —
+//! clean (scenario off) and hostile (scenario on) — on one campaign
+//! definition, the one `revtr-cli report --scenario` runs too. The gate
+//! checks one clause per profile: the profile must *bite*, i.e. the
+//! hostile arm's campaign fingerprint must differ from the clean arm's (a
+//! scenario that changes nothing proves nothing).
 //!
-//! 1. the profile must *bite*: the hostile arm's campaign fingerprint must
-//!    differ from the clean arm's (a scenario that changes nothing proves
-//!    nothing);
-//! 2. every comparison is in **correct coverage** — coverage × oracle
-//!    accuracy, the fraction of the workload answered *correctly* — since
-//!    an adversary that fabricates evidence inflates the stock engine's
-//!    raw coverage with wrong paths;
-//! 3. the *fabrication* profiles (lying responders, poisoned atlas — the
-//!    stock engine adopts fabricated hops wholesale, collapsing its
-//!    accuracy) must show hardening *repairing* correct coverage by at
-//!    least [`MIN_REPAIR`] over the stock arm;
-//! 4. the *denial* profiles (spoof-filter rollout, asymmetric rate
-//!    limiters, DBR-violating regions — adversaries that destroy or
-//!    divert probes) deny information no honest engine conjures back;
-//!    there, hardening must *hold* correct coverage (within
-//!    [`NEGLIGIBLE_LOSS`]) while its probe-economy countermeasures
-//!    (quarantine, adaptive stall budgets) do their work;
-//! 5. in every profile the hardened arm must keep oracle AS-accuracy at
-//!    or above [`DEFAULT_MIN_ACCURACY`] and audit **zero unsound** (and
-//!    zero policy-violating) hops — hardening may never buy coverage back
-//!    by accepting fabricated evidence.
+//! Everything else is reported, not gated: what the stock engine does
+//! under each adversary — coverage, oracle AS-accuracy, **correct
+//! coverage** (coverage × accuracy, the fraction of the workload answered
+//! *correctly*: fabrication profiles inflate raw coverage with wrong
+//! paths), probes per revtr and the audit's unsound hops. The engine sees
+//! only what it measures, so fabricated evidence it adopts shows up here
+//! as lost accuracy and unsound hops.
 //!
 //! Each arm is one [`CampaignRun`] graded by [`arm`]. `revtr-cli scenario`
 //! renders the per-profile table and exits non-zero when any profile fails
-//! its gate; ci.sh sweeps the standard scale over seeds {1, 7, 42}.
+//! to bite; ci.sh sweeps the standard scale over seeds {1, 7, 42}.
 
 use crate::audit;
 use crate::campaign::{Campaign, CampaignRun, Scale};
@@ -42,36 +30,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
-/// Fabrication profiles: hardening must repair at least this much
-/// correct coverage (coverage × accuracy) over the stock engine.
-pub const MIN_REPAIR: f64 = 0.05;
-
-/// The hardened arm's oracle AS-accuracy floor. Slightly below the clean
-/// campaign's typical accuracy: the destinations hardening wins back are
-/// the hard ones, answered with marginally riskier evidence.
-pub const DEFAULT_MIN_ACCURACY: f64 = 0.96;
-
-/// Correct-coverage swings at or below this are within campaign noise:
-/// at the standard scale (2000 requests) one request is 0.0005 of
-/// coverage, and anything that reorders the campaign's probe
-/// interleaving under route churn — toggling hardening, or just the
-/// order requests are dispatched in — flips borderline requests either
-/// way between otherwise-equivalent configurations. Calibrated from
-/// PR 14's table (EXPERIMENTS.md): moving serial dispatch from
-/// interleaved rounds to id order, with nothing else changed, moved this
-/// statistic by up to 0.0105 (21 requests) across the 15 (seed, profile)
-/// cells, so the hold clause for denial profiles tolerates a drop of 30.
-/// Real regressions observed during tuning (an over-eager demotion rule,
-/// a mistimed quarantine) cost 0.05–0.2.
-pub const NEGLIGIBLE_LOSS: f64 = 0.015;
-
-/// One arm of a profile run (clean baseline, hostile, or hardened).
+/// One arm of a profile run (the clean baseline, or one profile).
 #[derive(Clone, Debug)]
 pub struct ScenarioArm {
-    /// Whether the hardened engine ran.
-    pub harden: bool,
-    /// Requests attempted.
-    pub requests: u64,
     /// Campaign coverage (complete / attempted).
     pub coverage: f64,
     /// Oracle AS-soundness of compared complete paths.
@@ -87,144 +48,96 @@ pub struct ScenarioArm {
     pub fingerprint: u64,
 }
 
-/// One profile's off/on comparison.
+impl ScenarioArm {
+    /// Coverage × oracle accuracy: the fraction of the workload answered
+    /// correctly.
+    pub fn correct_coverage(&self) -> f64 {
+        self.coverage * self.accuracy
+    }
+}
+
+/// One profile's run against the clean baseline.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
     /// The adversarial profile.
     pub profile: ScenarioProfile,
-    /// Severity both arms ran at.
+    /// Severity the profile ran at.
     pub severity: f64,
     /// Scenario on, stock engine.
-    pub off: ScenarioArm,
-    /// Scenario on, hardened engine.
-    pub on: ScenarioArm,
+    pub arm: ScenarioArm,
 }
 
 impl ProfileReport {
-    /// Coverage the profile cost the stock engine vs the clean baseline.
-    pub fn loss(&self, clean: &ScenarioArm) -> f64 {
-        clean.coverage - self.off.coverage
-    }
-
-    /// Coverage hardening recovered over the stock engine.
-    pub fn recovered(&self) -> f64 {
-        self.on.coverage - self.off.coverage
-    }
-
-    /// Correct coverage hardening gained over the stock engine, where
-    /// correct coverage is coverage × oracle accuracy — the fraction of
-    /// the workload answered *correctly*. Deception profiles inflate the
-    /// stock arm's raw coverage with fabricated paths; this discounts it.
-    pub fn correct_recovered(&self) -> f64 {
-        self.on.coverage * self.on.accuracy - self.off.coverage * self.off.accuracy
-    }
-
-    /// Whether this profile's adversary fabricates evidence the stock
-    /// engine adopts wholesale (its accuracy collapses, so hardening has
-    /// correct coverage to *repair*), as opposed to denying information
-    /// outright (nothing to repair — hardening must hold the line).
-    pub fn fabrication_based(&self) -> bool {
-        matches!(
-            self.profile,
-            ScenarioProfile::LyingRrResponders | ScenarioProfile::PoisonedAtlas
-        )
-    }
-
-    /// A nominal gate fraction quantized to this campaign's coverage
-    /// step (one request, `1/requests`), rounded down but never below a
-    /// single request. At the standard scale (2000 requests) this is the
-    /// nominal value; at the smoke scale (25 requests, 0.04 per request)
-    /// a nominal 0.05 would otherwise demand *two* repaired requests
-    /// where one is every request the adversary cost.
-    fn quantized(&self, nominal: f64) -> f64 {
-        let n = self.on.requests.max(1) as f64;
-        (nominal * n).floor().max(1.0) / n
-    }
-
-    /// The fabrication-profile repair floor for this campaign's size.
-    pub fn repair_floor(&self) -> f64 {
-        self.quantized(MIN_REPAIR)
-    }
-
-    /// The denial-profile hold tolerance for this campaign's size.
-    pub fn hold_tolerance(&self) -> f64 {
-        self.quantized(NEGLIGIBLE_LOSS)
-    }
-
-    /// The per-profile conformance gate (see the module doc). Threshold
-    /// comparisons carry a 1e-9 slack: the gate fractions and the
-    /// measured coverages are both ratios of small integers over
-    /// `requests`, equal in exact arithmetic but not bit-identical.
+    /// The per-profile gate: the profile bites — its campaign departs
+    /// from the clean one.
     pub fn pass(&self, clean: &ScenarioArm) -> bool {
-        let bites = self.off.fingerprint != clean.fingerprint;
-        let coverage_ok = if self.fabrication_based() {
-            self.correct_recovered() >= self.repair_floor() - 1e-9
-        } else {
-            self.correct_recovered() >= -self.hold_tolerance() - 1e-9
-        };
-        bites && coverage_ok && self.on.accuracy >= DEFAULT_MIN_ACCURACY && self.on.unsound == 0
+        self.arm.fingerprint != clean.fingerprint
     }
 }
 
-/// The full conformance report: one seeded campaign, every profile.
+/// The full scenario report: one seeded campaign, every profile.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
     /// Scale every arm ran at.
     pub scale: Scale,
     /// Master seed (all arms).
     pub seed: u64,
-    /// The clean baseline (no scenario, stock engine).
+    /// The clean baseline (no scenario).
     pub clean: ScenarioArm,
-    /// Per-profile off/on comparisons.
+    /// Per-profile runs.
     pub profiles: Vec<ProfileReport>,
 }
 
 impl ScenarioReport {
-    /// Whether every profile passed its gate.
+    /// Whether every profile bit.
     pub fn pass(&self) -> bool {
         self.profiles.iter().all(|p| p.pass(&self.clean))
     }
 
-    /// The per-profile conformance table.
+    /// The per-profile table: the clean row, then one stock row per
+    /// profile.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
-            "Hostile-Internet scenarios: per-profile conformance",
+            "Hostile-Internet scenarios: the stock engine per profile",
             &[
                 "profile",
                 "sev",
-                "arm",
                 "coverage",
                 "accuracy",
+                "correct",
                 "probes/revtr",
                 "unsound",
                 "firing rules",
                 "gate",
             ],
         );
-        let arm_row =
-            |t: &mut Table, name: &str, sev: &str, label: &str, a: &ScenarioArm, gate: &str| {
-                t.row(&[
-                    name.to_string(),
-                    sev.to_string(),
-                    label.to_string(),
-                    format!("{:.4}", a.coverage),
-                    format!("{:.4}", a.accuracy),
-                    format!("{:.2}", a.probes_per_revtr),
-                    a.unsound.to_string(),
-                    if a.alerts.is_empty() {
-                        "-".to_string()
-                    } else {
-                        a.alerts.join(",")
-                    },
-                    gate.to_string(),
-                ]);
-            };
-        arm_row(&mut t, "(clean)", "-", "base", &self.clean, "");
+        let arm_row = |t: &mut Table, name: &str, sev: &str, a: &ScenarioArm, gate: &str| {
+            t.row(&[
+                name.to_string(),
+                sev.to_string(),
+                format!("{:.4}", a.coverage),
+                format!("{:.4}", a.accuracy),
+                format!("{:.4}", a.correct_coverage()),
+                format!("{:.2}", a.probes_per_revtr),
+                a.unsound.to_string(),
+                if a.alerts.is_empty() {
+                    "-".to_string()
+                } else {
+                    a.alerts.join(",")
+                },
+                gate.to_string(),
+            ]);
+        };
+        arm_row(&mut t, "(clean)", "-", &self.clean, "");
         for p in &self.profiles {
-            let sev = format!("{:.2}", p.severity);
-            arm_row(&mut t, p.profile.name(), &sev, "off", &p.off, "");
             let verdict = if p.pass(&self.clean) { "PASS" } else { "FAIL" };
-            arm_row(&mut t, p.profile.name(), &sev, "on", &p.on, verdict);
+            arm_row(
+                &mut t,
+                p.profile.name(),
+                &format!("{:.2}", p.severity),
+                &p.arm,
+                verdict,
+            );
         }
         t
     }
@@ -234,7 +147,7 @@ impl ScenarioReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "scenario conformance ({} scale, seed {}): {} profiles vs clean coverage {:.4} / accuracy {:.4}",
+            "scenario suite ({} scale, seed {}): {} profiles vs clean coverage {:.4} / accuracy {:.4}",
             self.scale.name(),
             self.seed,
             self.profiles.len(),
@@ -244,25 +157,17 @@ impl ScenarioReport {
         let _ = writeln!(s);
         let _ = writeln!(s, "{}", self.table().render());
         for p in &self.profiles {
-            let clause = if p.fabrication_based() {
-                format!(
-                    "fabrication: repair correct coverage >= {:.4}",
-                    p.repair_floor()
-                )
-            } else {
-                format!(
-                    "denial: hold correct coverage within {:.4}",
-                    p.hold_tolerance()
-                )
-            };
             let _ = writeln!(
                 s,
-                "  {:<24} loss {:+.4}  recovered {:+.4}  correct {:+.4}  ({clause}; accuracy >= {:.2}, 0 unsound)",
+                "  {:<24} coverage {:+.4}  correct coverage {:+.4}  vs clean ({})",
                 p.profile.name(),
-                p.loss(&self.clean),
-                p.recovered(),
-                p.correct_recovered(),
-                DEFAULT_MIN_ACCURACY
+                p.arm.coverage - self.clean.coverage,
+                p.arm.correct_coverage() - self.clean.correct_coverage(),
+                if p.pass(&self.clean) {
+                    "bites"
+                } else {
+                    "does not bite"
+                }
             );
         }
         let _ = write!(
@@ -272,21 +177,6 @@ impl ScenarioReport {
         );
         s
     }
-}
-
-/// The campaign one arm runs: the seeded campaign under `scenario` with
-/// the engine hardened or stock.
-pub fn campaign(scale: Scale, seed: u64, scenario: &ScenarioConfig, harden: bool) -> Campaign {
-    let mut c = Campaign::clean(scale, seed)
-        .with_scenario(scenario.clone())
-        .with_harden(harden);
-    // Deliberate: the arms are judged by the verify-mode policy but run
-    // without the Appx.-E re-probe. Every committed conformance number was
-    // measured that way; whether the arms should pay for verification is
-    // open until hardening validates from measurements alone, without the
-    // oracle replays it uses today.
-    c.engine.verify_dbr = false;
-    c
 }
 
 /// Grade one arm: the run judged by the scenario SLO policy and audited
@@ -304,19 +194,17 @@ pub fn arm(run: &CampaignRun) -> ScenarioArm {
     let judged = Report::new(run, &scenario_policy(run.campaign.scale));
     let requests = run.workload.len() as u64;
     ScenarioArm {
-        harden: run.campaign.engine.harden,
-        requests,
         coverage: judged.value("coverage"),
         accuracy: judged.value("accuracy"),
         probes_per_revtr: run.probes.measurement_probes() as f64 / requests.max(1) as f64,
-        // Hop-by-hop stitch-trace audit: the 0-unsound arbiter of the gate.
+        // Hop-by-hop stitch-trace audit.
         unsound: audit::judge(run).summary.total_failures(),
         alerts: judged.slo.alerts().map(|v| v.rule.clone()).collect(),
         fingerprint: hasher.finish(),
     }
 }
 
-/// Run the conformance harness for a set of profiles at their default (or
+/// Run the scenario harness for a set of profiles at their default (or
 /// an overridden) severity.
 pub fn run(
     scale: Scale,
@@ -325,18 +213,16 @@ pub fn run(
     severity: Option<f64>,
 ) -> ScenarioReport {
     let graded =
-        |scenario: &ScenarioConfig, harden| arm(&campaign(scale, seed, scenario, harden).run());
-    let clean = graded(&ScenarioConfig::default(), false);
+        |scenario: ScenarioConfig| arm(&Campaign::clean(scale, seed).with_scenario(scenario).run());
+    let clean = graded(ScenarioConfig::default());
     let profiles = profiles
         .iter()
         .map(|&p| {
             let sev = severity.unwrap_or_else(|| p.default_severity());
-            let cfg = ScenarioConfig::profile_at(p, sev);
             ProfileReport {
                 profile: p,
                 severity: sev,
-                off: graded(&cfg, false),
-                on: graded(&cfg, true),
+                arm: graded(ScenarioConfig::profile_at(p, sev)),
             }
         })
         .collect();
@@ -352,8 +238,10 @@ pub fn run(
 mod tests {
     use super::*;
 
-    fn smoke_arm(scenario: &ScenarioConfig, harden: bool) -> ScenarioArm {
-        arm(&campaign(Scale::Smoke, 1, scenario, harden).run())
+    fn smoke_arm(scenario: ScenarioConfig) -> ScenarioArm {
+        arm(&Campaign::clean(Scale::Smoke, 1)
+            .with_scenario(scenario)
+            .run())
     }
 
     #[test]
@@ -361,47 +249,20 @@ mod tests {
         // An all-zero severity config is the clean campaign: same
         // fingerprint, same probes, same audit — the scenario layer must
         // be a seed-pure no-op until dialled up.
-        let clean = smoke_arm(&ScenarioConfig::default(), false);
-        let zero = smoke_arm(
-            &ScenarioConfig::profile_at(ScenarioProfile::LyingRrResponders, 0.0),
-            false,
-        );
+        let clean = smoke_arm(ScenarioConfig::default());
+        let zero = smoke_arm(ScenarioConfig::profile_at(
+            ScenarioProfile::LyingRrResponders,
+            0.0,
+        ));
         assert_eq!(clean.fingerprint, zero.fingerprint);
         assert_eq!(clean.coverage, zero.coverage);
         assert_eq!(clean.probes_per_revtr, zero.probes_per_revtr);
     }
 
     #[test]
-    fn hardened_clean_campaign_is_outcome_neutral() {
-        // With scenarios off, the hardened engine's evidence validations
-        // are all vacuous, but its raised stall budget still re-batches
-        // transiently lost spoofed pairs a few more times (it cannot know
-        // a loss is transient without retrying), so the probe schedule —
-        // and hence the fingerprint — may legitimately differ. What must
-        // hold on a clean Internet: no coverage lost, nothing audited
-        // unsound, and no runaway probe spend.
-        let stock = smoke_arm(&ScenarioConfig::default(), false);
-        let hard = smoke_arm(&ScenarioConfig::default(), true);
-        assert!(
-            hard.coverage >= stock.coverage,
-            "hardening lost clean coverage: {} < {}",
-            hard.coverage,
-            stock.coverage
-        );
-        assert_eq!(stock.unsound, 0);
-        assert_eq!(hard.unsound, 0);
-        assert!(
-            hard.probes_per_revtr <= stock.probes_per_revtr * 1.5,
-            "hardening bloated clean probe spend: {} vs {}",
-            hard.probes_per_revtr,
-            stock.probes_per_revtr
-        );
-    }
-
-    #[test]
     fn smoke_conformance_all_profiles() {
         let r = run(Scale::Smoke, 1, &ScenarioProfile::ALL, None);
         assert_eq!(r.clean.unsound, 0, "clean campaign audits unsound");
-        assert!(r.pass(), "conformance gate failed:\n{}", r.render());
+        assert!(r.pass(), "a profile does not bite:\n{}", r.render());
     }
 }

@@ -220,9 +220,8 @@ fn report_rejects_bad_and_retired_flags() {
     assert_eq!(exit_code(&["report", "--budget", "0"]), 2);
     assert_eq!(exit_code(&["report", "--severity", "0.5"]), 2);
     assert_eq!(exit_code(&["report", "--scenario", "tsunami"]), 2);
-    // The campaign preset picks the deadline; `scenario` owns hardening.
+    // The campaign preset picks the deadline.
     assert_eq!(exit_code(&["report", "--deadline-ms", "30"]), 2);
-    assert_eq!(exit_code(&["report", "--harden", "on"]), 2);
 }
 
 #[test]

@@ -508,8 +508,7 @@ impl Sim {
         // Scenario `lying_rr_responders`: the destination rewrites the
         // reply-leg stamps it reports. Only the live observation lies —
         // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
-        // the audit oracle (and the hardened engine's cross-validation) can
-        // tell the difference.
+        // the audit oracle can tell the difference.
         self.scenario_lie_slots(dst, &mut slots[reply_mark..]);
         Some(RrReply {
             from: dst,

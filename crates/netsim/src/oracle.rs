@@ -6,15 +6,6 @@
 //! true AS ownership). The `eval` crate uses it to score reverse
 //! traceroutes the way the paper scores against direct traceroutes, SNMP
 //! aliases, and CAIDA data.
-//!
-//! One sanctioned exception: the hardened engine (`EngineConfig::harden`)
-//! may *cross-validate* already-measured evidence through the audit
-//! replay/plausibility entry points ([`Oracle::replay_rr_reply_stamps`],
-//! [`Oracle::same_router`], [`Oracle::link_coupled`],
-//! [`Oracle::plausibly_consecutive`]) — the in-sim stand-in for the
-//! production system's redundant-validation probes (Appx. E). Validation
-//! may only *reject* suspicious evidence; it must never feed ground-truth
-//! hops into a result.
 
 use crate::addr::Addr;
 use crate::ids::{AsId, RouterId};

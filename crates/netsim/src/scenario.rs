@@ -271,8 +271,8 @@ impl Scenarios {
 
     /// Is this probe attempt dropped by the destination's asymmetric
     /// rate limiter? Keyed per `(dst, sender, attempt)`, so a retry (next
-    /// attempt index) re-rolls the draw — the recovery path the raised
-    /// hardened stall budget exploits.
+    /// attempt index) re-rolls the draw — the recovery path the engine's
+    /// transient stall budget exploits.
     pub fn rate_limited(&self, dst: Addr, sender: Addr, spoofed: bool, attempt: u64) -> bool {
         if !self.rate_limiter(dst) {
             return false;

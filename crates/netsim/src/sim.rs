@@ -640,7 +640,7 @@ impl Sim {
     /// stands for epoch `e` of prefix `p` (`epoch = Some((p, e))`; `None`
     /// for infrastructure destinations, which never churn). The shared
     /// cache keeps live keys only: a walk pinned to an epoch its prefix has
-    /// left — an audit replay, the hardened RR filter — computes the table
+    /// left — an audit replay — computes the table
     /// for itself, and a fill a churn step overtook is dropped again.
     fn route_table(
         &self,
@@ -1356,7 +1356,7 @@ impl Sim {
     /// link interfaces elsewhere in the topology). Lies are stable per
     /// (destination, true stamp) so retries and the measurement cache agree;
     /// the audit replay oracle never reproduces them, which is what makes
-    /// the unhardened evidence `Unsound`.
+    /// the adopted evidence `Unsound`.
     pub(crate) fn scenario_lie_slots(&self, dst: Addr, slots: &mut [Addr]) {
         if slots.is_empty() || !self.scenario.lying_responder(dst) {
             return;

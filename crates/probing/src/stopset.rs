@@ -165,21 +165,6 @@ pub enum Note {
         /// The exact frontier router the direct probe failed at.
         cur: Addr,
     },
-    /// One spoofed probe from `vp` either landed (any reply observed) or
-    /// vanished. Recorded only by the hardened engine
-    /// (`core::EngineConfig::harden`): a sliding window of the last
-    /// [`SPOOF_WINDOW`] outcomes per VP feeds the *quarantine* hint — a VP
-    /// whose spoofed probes have stopped landing entirely (a spoof-filter
-    /// rollout swallowing its packets) is deprioritized in every ladder
-    /// queue until one of its probes lands again. Deprioritize-only, like
-    /// [`Note::VpFutile`]: quarantine can never cost coverage, only
-    /// reorder it.
-    VpSpoofOutcome {
-        /// The spoofing vantage point.
-        vp: Addr,
-        /// True if any reply to the spoofed probe was observed.
-        landed: bool,
-    },
     /// The full spoofed ladder at this exact router was exhausted
     /// without a single *usable* reply (no VP's record-route slots
     /// survived past the router, or it never answered) — later requests
@@ -244,9 +229,6 @@ pub struct StopSetSnapshot {
     pub vp_skips: u64,
     /// Ladders started at a remembered winner VP.
     pub winner_hits: u64,
-    /// VPs deprioritized in ladder queues because their spoof-quarantine
-    /// window went dark (hardened engine only).
-    pub quarantine_skips: u64,
     /// Distance consults answered from the target's /24 or /16.
     pub distance_hits: u64,
     /// Distance consults left to the source's median (or to nothing).
@@ -265,7 +247,6 @@ impl StopSetSnapshot {
             spoof_skips: self.spoof_skips - earlier.spoof_skips,
             vp_skips: self.vp_skips - earlier.vp_skips,
             winner_hits: self.winner_hits - earlier.winner_hits,
-            quarantine_skips: self.quarantine_skips - earlier.quarantine_skips,
             distance_hits: self.distance_hits - earlier.distance_hits,
             distance_misses: self.distance_misses - earlier.distance_misses,
         }
@@ -289,7 +270,6 @@ impl StopSetSnapshot {
             + self.spoof_skips
             + self.vp_skips
             + self.winner_hits
-            + self.quarantine_skips
             + self.distance_hits
     }
 }
@@ -303,7 +283,7 @@ pub struct StopSetBytes {
     /// Forward discovery set: `(atlas source, hop)` → RR observation,
     /// and the forward-distance hints.
     pub forward: u64,
-    /// Ladder hints: per-plan winner VPs plus spoof-quarantine windows.
+    /// Ladder hints: per-plan winner VPs.
     pub ladder: u64,
     /// Futility hints: direct-RR, whole-ladder, and per-VP futility.
     pub futility: u64,
@@ -323,47 +303,6 @@ impl StopSetBytes {
 /// ledger keeps its unit so readings stay comparable across that change.
 const BACKWARD_ENTRY_BYTES: usize = 128;
 
-/// Length of the per-VP spoof-outcome sliding window.
-pub const SPOOF_WINDOW: u8 = 8;
-
-/// Vanished outcomes (of a full [`SPOOF_WINDOW`]) at which a VP is
-/// quarantined. Outcomes are per resolved *pair* — landed if any re-batch
-/// got a reply, vanished only after a full stall cycle of fault-attributed
-/// losses — so a rate-limited VP (whose pairs land eventually, given
-/// retries) almost never records a vanish, while a spoof-filtered VP's
-/// filtered pairs *only* vanish. Rollouts are per-(AS, destination),
-/// leaving an impaired VP a minority of clean pairs, so demanding *all*
-/// outcomes vanish would never trip; 5-of-8 (a 62.5 % vanish rate)
-/// catches ~80 % of a 70 %-progress rollout cohort while staying far
-/// above anything a healthy or merely rate-limited VP records (genuine
-/// unresponsiveness blames the destination and is never recorded, and a
-/// rate-limited pair lands within its widened stall cycle ~97 % of the
-/// time).
-pub const QUARANTINE_MIN_VANISH: u8 = 5;
-
-/// Sliding window of one VP's recent spoofed-probe outcomes (bit = landed,
-/// newest in the low bit; shifts drop outcomes older than
-/// [`SPOOF_WINDOW`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct SpoofWindow {
-    bits: u8,
-    len: u8,
-}
-
-impl SpoofWindow {
-    fn push(&mut self, landed: bool) {
-        self.bits = (self.bits << 1) | u8::from(landed);
-        self.len = (self.len + 1).min(SPOOF_WINDOW);
-    }
-
-    fn quarantined(self) -> bool {
-        // `bits` is u8-wide, so shifts already discard outcomes older
-        // than the window; its ones are exactly the landings kept.
-        self.len >= SPOOF_WINDOW
-            && SPOOF_WINDOW - self.bits.count_ones() as u8 >= QUARANTINE_MIN_VANISH
-    }
-}
-
 #[derive(Debug, Default)]
 struct Published {
     backward: HashMap<(Addr, Addr), BackwardEntry>,
@@ -374,7 +313,6 @@ struct Published {
     /// map, never allocating a set per plan.
     vp_futile: HashSet<(u64, Addr)>,
     forward: HashMap<(Addr, Addr), Option<RrReply>>,
-    spoof_windows: HashMap<Addr, SpoofWindow>,
     /// `(source, block)` → TTLs last measured into the block; /24 and /16
     /// blocks share the table ([`block_key`]).
     distances: HashMap<(Addr, u32), u8>,
@@ -425,10 +363,9 @@ const DIRECT_SKIPS: usize = 4;
 const SPOOF_SKIPS: usize = 5;
 const VP_SKIPS: usize = 6;
 const WINNER_HITS: usize = 7;
-const QUARANTINE_SKIPS: usize = 8;
-const DISTANCE_HITS: usize = 9;
-const DISTANCE_MISSES: usize = 10;
-const N_STATS: usize = 11;
+const DISTANCE_HITS: usize = 8;
+const DISTANCE_MISSES: usize = 9;
+const N_STATS: usize = 10;
 
 /// The campaign-wide stop-set layer. One instance per
 /// `core::system::RevtrSystem`; cheap to share via `Arc`.
@@ -465,13 +402,6 @@ impl StopSet {
     pub fn note_vp_skips(&self, n: u64) {
         if n > 0 {
             self.stats.add(VP_SKIPS, n);
-        }
-    }
-
-    /// Record `n` VPs actually deprioritized on a quarantine hint.
-    pub fn note_quarantine_skips(&self, n: u64) {
-        if n > 0 {
-            self.stats.add(QUARANTINE_SKIPS, n);
         }
     }
 
@@ -548,9 +478,6 @@ impl StopSet {
                 Note::VpFutile { plan, vp } => {
                     g.vp_futile.insert((plan, vp));
                 }
-                Note::VpSpoofOutcome { vp, landed } => {
-                    g.spoof_windows.entry(vp).or_default().push(landed);
-                }
                 Note::Distance { src, addr, dist } => {
                     g.distances.insert((src, block_key(addr, 24)), dist);
                     g.distances.insert((src, block_key(addr, 16)), dist);
@@ -604,10 +531,8 @@ impl StopSet {
             + g.distances.len() * std::mem::size_of::<((Addr, u32), u8)>()
             + g.measured_distances.len() * std::mem::size_of::<(Addr, DistanceTally)>())
             as u64;
-        let ladder = (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())
-            + g.spoof_windows.len()
-                * (std::mem::size_of::<Addr>() + std::mem::size_of::<SpoofWindow>()))
-            as u64;
+        let ladder =
+            (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())) as u64;
         // Per-VP futility is priced as a key per plan and an address per
         // VP, the unit it was budgeted in as a set per plan.
         let futile_plans: HashSet<u64> = g.vp_futile.iter().map(|&(plan, _)| plan).collect();
@@ -634,7 +559,6 @@ impl StopSet {
             spoof_skips: self.stats.get(SPOOF_SKIPS),
             vp_skips: self.stats.get(VP_SKIPS),
             winner_hits: self.stats.get(WINNER_HITS),
-            quarantine_skips: self.stats.get(QUARANTINE_SKIPS),
             distance_hits: self.stats.get(DISTANCE_HITS),
             distance_misses: self.stats.get(DISTANCE_MISSES),
         }
@@ -642,9 +566,7 @@ impl StopSet {
 }
 
 /// An open consult of the published view (see [`StopSet::consult`]). Its
-/// sets answer membership questions; the one that is listed
-/// ([`Consult::quarantined_vps`]) comes in no particular order, and
-/// nothing downstream may depend on it.
+/// sets answer membership questions only; none is listed.
 pub struct Consult<'a> {
     set: &'a StopSet,
     view: RwLockReadGuard<'a, Published>,
@@ -720,20 +642,6 @@ impl Consult<'_> {
         self.set.stats.add(counter, 1);
         near.copied()
             .or_else(|| Some(self.view.measured_distances.get(&src)?.median))
-    }
-
-    /// The VPs currently quarantined: their spoof-outcome window is full
-    /// and a majority of the pairs in it vanished (a spoof filter is
-    /// swallowing them). None unless the hardened engine has been feeding
-    /// [`Note::VpSpoofOutcome`]s. Does not count anything by itself — the
-    /// caller reports actual deprioritizations via
-    /// [`StopSet::note_quarantine_skips`].
-    pub fn quarantined_vps(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.view
-            .spoof_windows
-            .iter()
-            .filter(|(_, w)| w.quarantined())
-            .map(|(&vp, _)| vp)
     }
 }
 

@@ -147,19 +147,6 @@ impl<'s> RevtrService<'s> {
         self.system.watchdog_flags()
     }
 
-    /// Vantage points the hardened engine has benched for spoof
-    /// futility: their spoofed probes persistently vanish (the
-    /// spoof-filter-rollout signature), so measurements stop waiting on
-    /// them. Operator-facing — a growing list here means upstream
-    /// networks are deploying source-address validation against the
-    /// listed VPs. Sorted for deterministic reporting; empty when the
-    /// engine runs unhardened or every VP's spoofed probes still land.
-    pub fn quarantined_vps(&self) -> Vec<Addr> {
-        let mut vps: Vec<Addr> = self.system.stopset().consult().quarantined_vps().collect();
-        vps.sort();
-        vps
-    }
-
     /// The result archive.
     pub fn store(&self) -> &ResultStore {
         &self.store

@@ -3,7 +3,7 @@
 
 use revtr::EngineConfig;
 use revtr_atlas::select_atlas_probes;
-use revtr_netsim::{Addr, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
+use revtr_netsim::{Addr, Sim, SimConfig};
 use revtr_probing::Prober;
 use revtr_service::service::{RequestOptions, ServiceError};
 use revtr_service::users::UserError;
@@ -12,10 +12,6 @@ use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
 fn build_service(sim: &Sim) -> RevtrService<'_> {
-    build_service_with(sim, false)
-}
-
-fn build_service_with(sim: &Sim, harden: bool) -> RevtrService<'_> {
     let prober = Prober::new(sim);
     let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
@@ -23,7 +19,6 @@ fn build_service_with(sim: &Sim, harden: bool) -> RevtrService<'_> {
     let pool = select_atlas_probes(sim, 80, 3);
     let mut cfg = EngineConfig::revtr2();
     cfg.atlas_size = 30;
-    cfg.harden = harden;
     let system = revtr::RevtrSystem::new(prober, cfg, vps, ingress, pool);
     RevtrService::new(system)
 }
@@ -366,42 +361,4 @@ fn stuck_request_watchdog_flags_but_never_kills() {
         };
         assert_eq!(hops(&plain_r), hops(watched_r), "watchdog changed a path");
     }
-}
-
-#[test]
-fn hardened_service_reports_quarantined_vps_under_spoof_filter_rollout() {
-    // A spoof-filter rollout makes some VPs' spoofed probes vanish
-    // persistently; the hardened engine benches them and the service
-    // surfaces the bench list to operators.
-    let mut cfg = SimConfig::tiny();
-    cfg.scenario = ScenarioConfig::profile(ScenarioProfile::SpoofFilterRollout);
-    let sim = Sim::build(cfg, 1);
-    let service = build_service_with(&sim, true);
-    let key = service.add_user("operator", RateLimits::default());
-    let src = sim.topo().vp_sites[0].host;
-    service.add_source(key, src).expect("bootstrap");
-
-    let pairs: Vec<(Addr, Addr)> = (0..48).map(|i| (responsive_dest(&sim, i), src)).collect();
-    service.batch(key, &pairs, 4).expect("campaign runs");
-
-    let benched = service.quarantined_vps();
-    assert!(
-        !benched.is_empty(),
-        "rollout campaign must bench at least one VP"
-    );
-    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
-    let mut sorted = benched.clone();
-    sorted.sort();
-    assert_eq!(benched, sorted, "bench list must be sorted");
-    for vp in &benched {
-        assert!(vps.contains(vp), "benched {vp:?} is not a VP");
-    }
-
-    // A clean Internet benches nobody, hardened or not.
-    let clean_sim = Sim::build(SimConfig::tiny(), 1);
-    let clean = build_service_with(&clean_sim, true);
-    let key2 = clean.add_user("operator", RateLimits::default());
-    clean.add_source(key2, src).expect("bootstrap");
-    clean.batch(key2, &pairs, 4).expect("campaign runs");
-    assert!(clean.quarantined_vps().is_empty(), "clean run benches a VP");
 }
