@@ -198,8 +198,11 @@ done
 # byte-identical TSVs; the seed-1 text is the committed golden
 # crates/eval/tests/goldens/reproduce_standard1.txt, and the paper's shapes
 # (Table 4's ingress cut, Fig. 5b's coverage band, Table 2's gap, Fig. 14's
-# U, Fig. 5c's medians, retries under loss) hold at seeds {1, 7, 42}.
-echo "== reproduction gate (release, standard: two-process identity, golden seed 1, shapes seeds 1/7/42) =="
+# U, Fig. 5c's medians and knee, retries under loss) hold at seeds
+# {1, 4, 7, 42}. The operations harness's own outputs are held to the same
+# two-process identity: `report` and `audit` at standard seed 1, stdout
+# and every export.
+echo "== reproduction gate (release, standard: two-process identity of reproduce/report/audit, golden seed 1, shapes seeds 1/4/7/42) =="
 repro_dir=$(mktemp -d)
 for run in a b; do
   ./target/release/revtr-cli reproduce --scale standard --out "$repro_dir/$run" \
@@ -207,6 +210,16 @@ for run in a b; do
 done
 cmp "$repro_dir/a.txt" "$repro_dir/b.txt"
 diff -r "$repro_dir/a" "$repro_dir/b"
+for sub in report audit; do
+  for run in a b; do
+    # One export path for both runs: stdout names it.
+    ./target/release/revtr-cli "$sub" --scale standard --seed 1 --out "$repro_dir/$sub" \
+      > "$repro_dir/$sub-$run.txt"
+    mv "$repro_dir/$sub" "$repro_dir/$sub-$run"
+  done
+  cmp "$repro_dir/$sub-a.txt" "$repro_dir/$sub-b.txt"
+  diff -r "$repro_dir/$sub-a" "$repro_dir/$sub-b"
+done
 rm -rf "$repro_dir"
 cargo test -q --release -p revtr-eval --test reproduction -- --ignored
 

@@ -1,39 +1,38 @@
-//! The measurement engine: one state machine, one driver.
+//! The measurement engine: one reverse traceroute is one function.
 //!
-//! Each reverse traceroute is a `MeasureTask`: a small control block
-//! holding the stitching state (current hop, open telemetry spans, the VP
-//! plan a pending ladder walks) and an explicit `Phase` enum mirroring
-//! the stages the telemetry layer instruments — destination probe → atlas
-//! intersection → rr / spoofed-rr rounds → ts → assume-symmetry. The path
-//! being stitched lives in the driver's scratch (`crate::scratch`).
-//! `MeasureTask::step` advances the block by exactly one stage (or one
-//! spoofed-batch round, the virtual 10 s timer of §5.2.4); one step is one
-//! *event*.
+//! `RevtrSystem::drive` runs the loop of Fig. 2 straight through: the
+//! destination probe, then per hop the atlas intersection, the campaign
+//! stop sets, the record-route step (direct, then spoofed batches from the
+//! plan's VPs, then the optional Appx. E re-probe), the timestamp step
+//! (revtr 1.0) and the symmetry assumption. The request's own state is a
+//! plain `Request`; the path it stitches lives in the driver's scratch
+//! (`crate::scratch`). Spoofed-batch waits are virtual — they cost no wall
+//! time — so a request never yields: it runs to completion on the thread
+//! that claimed it.
 //!
-//! A revtr executes exactly one way: `RevtrSystem::drive` steps its block
-//! to completion behind a panic fence. Spoofed-batch waits are virtual —
-//! they cost no wall time — so there is nothing to gain from interleaving
-//! one block's steps with its neighbours'. [`RevtrSystem::measure`] drives
-//! one block inline; [`RevtrSystem::run_campaign`] and the service's open
-//! loop ([`WavePool::run_wave_timed`]) run their waves on one [`WavePool`],
+//! [`RevtrSystem::measure`] drives one request inline;
+//! [`RevtrSystem::run_campaign`] and the service's open loop
+//! ([`WavePool::run_wave_timed`]) run their waves on one [`WavePool`],
 //! whose workers live as long as the campaign, claim jobs off an atomic
-//! cursor and drive each on the one scratch a worker holds throughout.
+//! cursor and drive each, behind a panic fence, on the one scratch a
+//! worker holds throughout.
 //!
-//! A block carries its own [`Meter`] — virtual time from the job's origin
-//! and a probe tally from zero — and lends it to every probe it sends, so
-//! its duration, probe delta, span offsets and stop-set stamps read its
-//! own charges and nothing else. Which worker runs which job is up to the
-//! OS; campaign *results* are not, because a measurement's outcome depends
-//! only on its own probe sequence and on stop-set evidence published at
-//! earlier wave barriers (cross-request coupling through route churn
-//! aside — the metamorphic suite pins the invariance with churn quiesced).
+//! A request carries its own [`Meter`] — virtual time from the job's
+//! origin and a probe tally from zero — and lends it to every probe it
+//! sends, so its duration, probe delta, span offsets and stop-set stamps
+//! read its own charges and nothing else. Which worker runs which job is
+//! up to the OS; campaign *results* are not, because a measurement's
+//! outcome depends only on its own probe sequence and on stop-set evidence
+//! published at earlier wave barriers (cross-request coupling through
+//! route churn aside — the metamorphic suite pins the invariance with
+//! churn quiesced).
 
 use crate::config::{SymmetryPolicy, MAX_PATH_HOPS};
 use crate::result::{
     Evidence, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 use crate::scratch::{novel, on_path, Scratch};
-use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
+use crate::system::{Books, RevtrSystem, RrFound, RrHints};
 use parking_lot::{Mutex, RwLock};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
@@ -76,15 +75,17 @@ impl LoopConfig {
 pub struct CampaignOutcome {
     /// Per-pair results, in input order.
     pub results: Vec<RevtrResult>,
-    /// Total events: one per stage or spoofed-batch round, summed over
-    /// the campaign's measurements. Identical at every width.
+    /// Total events, summed over the campaign's measurements (see
+    /// `RevtrSystem::drive` for where a request charges one). Identical
+    /// at every width.
     pub events: u64,
 }
 
 /// One admitted request of an open-loop wave: a measurement plus the
 /// virtual arrival time and degradation level the admission layer fixed
 /// for it. Consumed by [`WavePool::run_wave_timed`]; a campaign's pairs run
-/// as the same thing, arriving at virtual zero at full service.
+/// as the same thing, arriving at virtual zero at full service, and
+/// [`RevtrSystem::measure`] as request 0 of a one-pair campaign.
 #[derive(Clone, Copy, Debug)]
 pub struct TimedJob {
     /// Reverse traceroute destination.
@@ -92,160 +93,177 @@ pub struct TimedJob {
     /// Registered source the path is stitched toward.
     pub src: Addr,
     /// Virtual arrival time in milliseconds since campaign start: where
-    /// the control block's meter starts.
+    /// the request's meter starts.
     pub arrival_ms: f64,
     /// Campaign-unique request id (stop-set contribution stamp); callers
     /// use the global arrival index.
     pub id: usize,
-    /// Degradation-ladder level for this request (0 = full service; see
-    /// `MeasureTask::degrade`).
+    /// Degradation-ladder level for this request (0 = full service; 1 =
+    /// spoofed batches capped at one probe; 2+ = cache, stop-set and atlas
+    /// evidence only, no new RR probes).
     pub degrade: u8,
 }
 
-impl TimedJob {
-    /// The job's control block at the starting line, its meter anchored at
-    /// the arrival time.
-    fn task<'a>(&self) -> MeasureTask<'a> {
-        let mut t = MeasureTask::new(self.dst, self.src).arriving_at(self.arrival_ms);
-        t.id = self.id;
-        t.degrade = self.degrade;
-        t
-    }
-}
-
-/// Size in bytes of one admitted measurement's control block (the path
-/// it is stitching sits in its driver's scratch, not in the block). The
+/// Size in bytes of one admitted measurement's state (the path it is
+/// stitching sits in its driver's scratch, not here). The
 /// `engine.control_blocks` ledger prices a wave at this much per admitted
 /// request.
 pub fn task_footprint_bytes() -> usize {
-    std::mem::size_of::<MeasureTask<'_>>()
+    std::mem::size_of::<Request>()
 }
 
-/// Where a control block resumes on its next step. The variants track the
-/// stage spans PR 4's telemetry already names; `Rr`/`RrVerify` park the
-/// mid-flight spoofed-batch machine across the virtual 10 s timer.
-// `RrVerify` carries a concluded discovery beside its machine and is about
-// twice the next variant. The phase sits inline in the control block and
-// is swapped in place every step; boxing the variant would put an
-// allocation on every verification re-probe to save bytes no ledger
-// misses (the block is priced at its full size either way).
-#[allow(clippy::large_enum_variant)]
-enum Phase<'a> {
-    /// Atlas lookup, request-scope open, destination probe.
-    Start,
-    /// Top of the stitching loop: hop budget, reached-check, atlas
-    /// intersection, and the beginning of the RR step.
-    StitchLoop,
-    /// Spoofed-RR rounds of the primary RR step.
-    Rr(RrMachine<'a>),
-    /// Spoofed-RR rounds of the Appx. E verification re-probe.
-    RrVerify {
-        /// The primary step's (already concluded) discovery.
-        found: RrFound,
-        /// The open `rr_verify` span.
-        vspan: StageStart,
-        /// The hop the re-probe must reconfirm (`rev[1]`).
-        expected: Addr,
-        /// The nested step's spoofed-round state.
-        m: RrMachine<'a>,
-    },
-    /// Adopt the RR step's hops, or fall through to ts/symmetry.
-    RrAdopt(Option<RrFound>),
-    /// Timestamp adjacency tests (revtr 1.0 only).
-    Ts,
-    /// Last-link measurement + symmetry assumption / interdomain abort.
-    Symmetry,
-    /// Terminal: the result has been produced.
-    Done,
-}
-
-/// The per-measurement control block: one in-flight reverse traceroute.
-/// `'a` is the borrow of the system a pending ladder reads its VP plan
-/// through. The path itself — each hop with its evidence — is assembled in
-/// the driver's [`Scratch`] and sealed into one block at `finish`.
-pub(crate) struct MeasureTask<'a> {
+/// One reverse traceroute in flight: what it measures toward, its books,
+/// and where the stitch stands. The path itself — each hop with its
+/// evidence — is assembled in the driver's [`Scratch`] and sealed into one
+/// block at `finish`.
+struct Request {
     dst: Addr,
     src: Addr,
     src_prefix: Option<PrefixId>,
-    atlas: Option<Arc<SourceAtlas>>,
-    req: Option<RequestScope>,
-    /// The task's own clock and probe tally: virtual time from
+    atlas: Arc<SourceAtlas>,
+    req: RequestScope,
+    /// The request's own clock and probe tally: virtual time from
     /// `origin_ms`, probes and events from zero, charged by every probe
-    /// the task sends and every step it takes.
+    /// it sends and every event it takes.
     meter: Meter,
+    origin_ms: f64,
     stats: RevtrStats,
+    /// The hop the stitch continues from.
     cur: Addr,
-    /// Stitch-loop iterations so far. Narrow on purpose: with a word here
-    /// the block's small fields spill into one more.
-    iters: u32,
-    phase: Phase<'a>,
-    /// Campaign request id — the middle component of stop-set
-    /// contribution stamps (0 on the serial [`RevtrSystem::measure`]
-    /// path, the pair index under [`RevtrSystem::run_campaign`]).
-    pub(crate) id: usize,
-    /// Per-request stop-set contribution sequence (stamp tie-break).
-    cseq: u64,
-    /// Whether the in-flight RR step skipped its direct probe on a
-    /// futility hint — a step that then reveals nothing must not publish
-    /// `DirectFutile` as if it had (re)measured the futility.
-    rr_direct_skipped: bool,
-    /// Same guard for the spoofed ladder: a step that skipped the ladder
-    /// on a `SpoofFutile` hint must not re-publish the futility.
-    rr_spoof_skipped: bool,
-    /// Whether the in-flight ladder saw any usable reply (see
-    /// `RrMachine::usable_seen`) — a ladder that did must not be
-    /// published as futile even when it revealed nothing novel here.
-    rr_ladder_usable: bool,
     /// How many TTLs from the source `cur` sits, when the previous
     /// symmetry step just measured it (`cur` is the hop that step's probes
     /// found); 0 once `cur` moved any other way.
     chain_dist: u8,
-    /// Where `meter` started: 0 for `measure()` and campaigns, the arrival
-    /// time for timed jobs ([`MeasureTask::arriving_at`]).
-    origin_ms: f64,
-    /// Degradation-ladder level assigned at admission (0 = full service;
-    /// 1 = spoofed batches capped at one probe; 2+ = cache/stop-set/atlas
-    /// evidence only, no new RR probes). Fixed for the task's lifetime —
-    /// the admission layer, not the engine, moves the ladder.
-    pub(crate) degrade: u8,
+    /// Campaign request id — the middle component of stop-set
+    /// contribution stamps (0 on the serial [`RevtrSystem::measure`]
+    /// path, the pair index under [`RevtrSystem::run_campaign`]).
+    id: usize,
+    /// Per-request stop-set contribution sequence (stamp tie-break).
+    cseq: u64,
+    /// Degradation-ladder level assigned at admission, fixed for the
+    /// request's lifetime — the admission layer, not the engine, moves the
+    /// ladder.
+    degrade: u8,
 }
 
-impl<'a> MeasureTask<'a> {
-    /// A control block at the starting line. Does not probe; the first
-    /// [`MeasureTask::step`] does.
-    pub(crate) fn new(dst: Addr, src: Addr) -> MeasureTask<'a> {
-        MeasureTask {
-            dst,
-            src,
-            src_prefix: None,
-            atlas: None,
-            req: None,
-            meter: Meter::default(),
+impl Request {
+    /// A request at the starting line: its source's atlas resolved, its
+    /// meter anchored at the job's arrival, its telemetry scope open. Does
+    /// not probe.
+    fn new(sys: &RevtrSystem<'_>, job: &TimedJob, sx: &mut Scratch) -> Request {
+        sx.hops.clear();
+        let meter = Meter::at(job.arrival_ms);
+        Request {
+            dst: job.dst,
+            src: job.src,
+            atlas: sys.atlas(job.src),
+            src_prefix: sys.sim().host_prefix(job.src),
+            // Telemetry request scope (inert unless the prober carries an
+            // enabled handle). The origin is this request's virtual time,
+            // so span offsets are invariant to concurrent measurements'
+            // advances.
+            req: (sys.prober().telemetry()).request_in(
+                &mut sx.scope,
+                job.dst.0,
+                job.src.0,
+                meter.ms,
+            ),
+            meter,
+            origin_ms: job.arrival_ms,
             stats: RevtrStats::default(),
-            cur: dst,
-            iters: 0,
-            phase: Phase::Start,
-            id: 0,
-            cseq: 0,
-            rr_direct_skipped: false,
-            rr_spoof_skipped: false,
-            rr_ladder_usable: false,
+            cur: job.dst,
             chain_dist: 0,
-            origin_ms: 0.0,
-            degrade: 0,
+            id: job.id,
+            cseq: 0,
+            degrade: job.degrade,
         }
     }
 
-    /// The same block with its meter anchored at a timed job's virtual
-    /// arrival. Before the first step only.
-    pub(crate) fn arriving_at(mut self, arrival_ms: f64) -> MeasureTask<'a> {
-        self.origin_ms = arrival_ms;
-        self.meter = Meter::at(arrival_ms);
-        self
+    /// Fig. 2, start to finish; returns the result with its event count.
+    fn run(mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> (RevtrResult, u64) {
+        self.event(sys);
+        // The destination must answer something.
+        let (src, dst) = (self.src, self.dst);
+        let mut t = self.books();
+        let st = t.enter("destination_probe");
+        let answered = sys.prober().ping_metered(t.meter, src, dst).is_some();
+        t.exit(st, &[("answered", u64::from(answered))]);
+        if !answered {
+            return self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive);
+        }
+        sx.hops
+            .push(RevtrHop::new(Some(dst), Evidence::Destination));
+
+        let mut iters = 0;
+        loop {
+            self.event(sys);
+            if iters == MAX_PATH_HOPS {
+                return self.finish(sys, sx, Status::Stuck, StitchEnd::HopBudget);
+            }
+            iters += 1;
+            if sys.reached(self.cur, self.src, self.src_prefix) {
+                return self.finish(sys, sx, Status::Complete, StitchEnd::ReachedSource);
+            }
+            if self.atlas_suffix(sys, sx) {
+                return self.finish(sys, sx, Status::Complete, StitchEnd::AtlasSuffix);
+            }
+            let found = self.record_route(sys, sx);
+            self.event(sys);
+            if self.adopt(sx, found) {
+                continue;
+            }
+            if sys.config().use_timestamp {
+                self.event(sys);
+                if self.ts(sys, sx) {
+                    continue;
+                }
+            }
+            self.event(sys);
+            if let Some((status, end)) = self.symmetry(sys, sx) {
+                return self.finish(sys, sx, status, end);
+            }
+        }
     }
 
-    /// Buffer a stop-set contribution stamped with this task's own virtual
-    /// time and `(request id, sequence)` — a pure function of the task's
+    /// Charge one engine event: where the request starts, at each loop
+    /// head and before each technique that follows the RR step — outside
+    /// every stage span. The RR step charges its spoofed rounds itself,
+    /// inside its spans, so `rr_step` and `rr_spoofed` carry every event
+    /// a stage cost stack shows.
+    fn event(&mut self, sys: &RevtrSystem<'_>) {
+        sys.prober().count_events(&mut self.meter, 1);
+    }
+
+    /// Seal the result: duration and probe delta are what the request's
+    /// meter read, exactly its own charges under any scheduling. The path
+    /// is flagged for suspicious gaps in the scratch and leaves it as one
+    /// block — the only allocation a measurement makes for itself — and
+    /// the telemetry scope's buffers go back into it.
+    fn finish(
+        mut self,
+        sys: &RevtrSystem<'_>,
+        sx: &mut Scratch,
+        status: Status,
+        end: StitchEnd,
+    ) -> (RevtrResult, u64) {
+        self.stats.duration_s = (self.meter.ms - self.origin_ms) / 1000.0;
+        self.stats.probes = ProbeDelta::from_snapshot(&self.meter.tally);
+        self.req.finish(status.label(), self.meter.ms);
+        self.req.release(&mut sx.scope);
+        sys.flag_suspicious(&mut sx.hops);
+        let r = RevtrResult {
+            dst: self.dst,
+            src: self.src,
+            status,
+            hops: Path::new(&sx.hops),
+            stats: self.stats,
+            end,
+        };
+        (r, self.meter.tally.events)
+    }
+
+    /// Buffer a stop-set contribution stamped with this request's own
+    /// virtual time and `(request id, sequence)` — a pure function of its
     /// measurement history, so merge order is schedule-invariant.
     fn contribute(&mut self, sys: &RevtrSystem<'_>, note: Note) {
         let seq = self.cseq;
@@ -258,147 +276,57 @@ impl<'a> MeasureTask<'a> {
         });
     }
 
-    /// Advance the measurement by one stage (or one spoofed-batch round)
-    /// on the driver's scratch — the same one for every step of a task.
-    /// Returns the finished result, or `None` when the block yielded.
-    pub(crate) fn step(
-        &mut self,
-        sys: &'a RevtrSystem<'_>,
-        sx: &mut Scratch,
-    ) -> Option<RevtrResult> {
-        // One loop event per step, charged before any stage span opens so
-        // every stage's cost delta includes it. A pure function of the
-        // task's own history — identical at any worker count.
-        sys.prober().count_events(&mut self.meter, 1);
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::Start => self.start(sys, sx),
-            Phase::StitchLoop => self.stitch_head(sys, sx),
-            Phase::Rr(m) => self.rr_pending(sys, sx, m),
-            Phase::RrVerify {
-                found,
-                vspan,
-                expected,
-                m,
-            } => self.verify_pending(sys, sx, found, vspan, expected, m),
-            Phase::RrAdopt(found) => self.adopt(sys, sx, found),
-            Phase::Ts => self.ts(sys, sx),
-            Phase::Symmetry => self.symmetry(sys, sx),
-            Phase::Done => unreachable!("stepped a finished measurement"),
-        }
-    }
-
-    /// Seal the result: duration and probe delta are what the task's
-    /// meter read, exactly its own charges under any scheduling. The path
-    /// is flagged for suspicious gaps in the scratch and leaves it as one
-    /// block — the only allocation a measurement makes for itself — and the
-    /// telemetry scope's buffers go back into it.
-    fn finish(
-        &mut self,
-        sys: &RevtrSystem<'_>,
-        sx: &mut Scratch,
-        status: Status,
-        end: StitchEnd,
-    ) -> RevtrResult {
-        self.stats.duration_s = (self.meter.ms - self.origin_ms) / 1000.0;
-        self.stats.probes = ProbeDelta::from_snapshot(&self.meter.tally);
-        if let Some(mut req) = self.req.take() {
-            req.finish(status.label(), self.meter.ms);
-            req.release(&mut sx.scope);
-        }
-        sys.flag_suspicious(&mut sx.hops);
-        RevtrResult {
-            dst: self.dst,
-            src: self.src,
-            status,
-            hops: Path::new(&sx.hops),
-            stats: self.stats,
-            end,
-        }
-    }
-
-    fn start(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
-        sx.hops.clear();
-        self.atlas = Some(sys.atlas(self.src));
-        let prober = sys.prober();
-        self.src_prefix = sys.sim().host_prefix(self.src);
-        // Telemetry request scope (inert unless the prober carries an
-        // enabled handle). The origin is this task's virtual time, so
-        // span offsets are invariant to concurrent measurements' advances.
-        self.req = Some(prober.telemetry().request_in(
-            &mut sx.scope,
-            self.dst.0,
-            self.src.0,
-            self.meter.ms,
-        ));
-
-        // The destination must answer something.
-        let (src, dst) = (self.src, self.dst);
-        let mut t = self.books();
-        let st = t.enter("destination_probe");
-        let answered = prober.ping_metered(t.meter, src, dst).is_some();
-        t.exit(st, &[("answered", u64::from(answered))]);
-        if !answered {
-            return Some(self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive));
-        }
-
-        sx.hops
-            .push(RevtrHop::new(Some(self.dst), Evidence::Destination));
-        self.cur = self.dst;
-        self.phase = Phase::StitchLoop;
-        None
-    }
-
-    fn stitch_head(&mut self, sys: &'a RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
-        if self.iters as usize == MAX_PATH_HOPS {
-            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::HopBudget));
-        }
-        self.iters += 1;
-        if sys.reached(self.cur, self.src, self.src_prefix) {
-            return Some(self.finish(sys, sx, Status::Complete, StitchEnd::ReachedSource));
-        }
-
-        // 1. Atlas intersection.
-        let atlas = self.atlas.clone().expect("atlas resolved in Start");
+    /// Step 1: does `cur` intersect the source's atlas? Then the atlas
+    /// trace's suffix completes the path.
+    fn atlas_suffix(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> bool {
+        let atlas = Arc::clone(&self.atlas);
         let atlas_span = self.books().enter("atlas_intersection");
-        if let Some(inter) = sys.lookup_intersection(self.src, &atlas, self.cur) {
-            sys.note_intersection_usage(self.src, inter.trace);
-            self.stats.intersected_trace = Some(inter.trace);
-            self.stats.intersected_hop = Some(inter.hop);
-            self.stats.intersected_trace_age_h =
-                Some(atlas.trace_age_hours(inter, sys.sim().now_hours()));
-            let t = &atlas.traces[inter.trace];
-            let suffix = atlas.suffix(inter);
-            for (i, h) in suffix.iter().enumerate() {
-                if i == 0 && *h == Some(self.cur) {
-                    continue; // already in the path
-                }
-                self.stats.atlas_hops += 1;
-                let evidence = if i == 0 {
-                    // An alias join: this hop's address differs from
-                    // `cur` but names the same router (or /30 link).
-                    Evidence::AtlasIntersection {
-                        source: self.src,
-                        vp: t.vp,
-                        at_hours: t.at_hours,
-                        joined: self.cur,
-                    }
-                } else {
-                    Evidence::TrToSource {
-                        source: self.src,
-                        vp: t.vp,
-                        at_hours: t.at_hours,
-                    }
-                };
-                sx.hops.push(RevtrHop::new(*h, evidence));
+        let Some(inter) = sys.lookup_intersection(self.src, &atlas, self.cur) else {
+            self.books().exit(atlas_span, &[("hit", 0)]);
+            return false;
+        };
+        sys.note_intersection_usage(self.src, inter.trace);
+        self.stats.intersected_trace = Some(inter.trace);
+        self.stats.intersected_hop = Some(inter.hop);
+        self.stats.intersected_trace_age_h =
+            Some(atlas.trace_age_hours(inter, sys.sim().now_hours()));
+        let t = &atlas.traces[inter.trace];
+        for (i, h) in atlas.suffix(inter).iter().enumerate() {
+            if i == 0 && *h == Some(self.cur) {
+                continue; // already in the path
             }
-            let atlas_hops = u64::from(self.stats.atlas_hops);
-            self.books()
-                .exit(atlas_span, &[("hit", 1), ("atlas_hops", atlas_hops)]);
-            return Some(self.finish(sys, sx, Status::Complete, StitchEnd::AtlasSuffix));
+            self.stats.atlas_hops += 1;
+            let evidence = if i == 0 {
+                // An alias join: this hop's address differs from `cur` but
+                // names the same router (or /30 link).
+                Evidence::AtlasIntersection {
+                    source: self.src,
+                    vp: t.vp,
+                    at_hours: t.at_hours,
+                    joined: self.cur,
+                }
+            } else {
+                Evidence::TrToSource {
+                    source: self.src,
+                    vp: t.vp,
+                    at_hours: t.at_hours,
+                }
+            };
+            sx.hops.push(RevtrHop::new(*h, evidence));
         }
-        self.books().exit(atlas_span, &[("hit", 0)]);
+        let atlas_hops = u64::from(self.stats.atlas_hops);
+        self.books()
+            .exit(atlas_span, &[("hit", 1), ("atlas_hops", atlas_hops)]);
+        true
+    }
 
-        // 2. Campaign stop sets, everything under one read lock: reuse an
+    /// Step 2: the next reverse hops from record route. An earlier
+    /// request's evidence in the campaign stop sets answers first; failing
+    /// that, the RR step probes — its hints taken from the stop sets and
+    /// the degradation ladder — publishes what it learned, and, in the
+    /// Appx. E mode, re-probes the first hop it revealed.
+    fn record_route(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RrFound> {
+        // Campaign stop sets, everything under one read lock: reuse an
         // earlier request's reverse-hop evidence at this (source, router)
         // before spending any probes — the Doubletree-style backward stop.
         // The stored hops are re-filtered against *this* path, and
@@ -420,8 +348,7 @@ impl<'a> MeasureTask<'a> {
                 let new = novel(&sx.hops, &stored.hops);
                 if !new.is_empty() {
                     self.stats.stopset_reused_steps += 1;
-                    self.phase = Phase::RrAdopt(Some((new, stored.provenance, spoofed)));
-                    return None;
+                    return Some((new, stored.provenance, spoofed));
                 }
             }
             hints.skip_direct = stop.direct_futile(self.src, self.cur);
@@ -441,9 +368,9 @@ impl<'a> MeasureTask<'a> {
         // Degradation ladder (admission control's brownout levels, set
         // per timed job): L1 shrinks the spoofed batch to one probe; L2+
         // additionally answers from cache/stop-set/atlas evidence only —
-        // no new RR probes at all. The skip flags below keep a degraded
-        // step from publishing false futility into the stop sets, the
-        // same guard the stop-set hints already need.
+        // no new RR probes at all. Publication below reads the skips, so a
+        // degraded step never publishes false futility into the stop sets,
+        // the same guard the stop-set hints already need.
         match self.degrade {
             0 => {}
             1 => {
@@ -461,190 +388,102 @@ impl<'a> MeasureTask<'a> {
                     .counter_add("core.degrade.rr_suppressed", 1);
             }
         }
-        self.rr_direct_skipped = hints.skip_direct;
-        self.rr_spoof_skipped = hints.skip_spoofed;
-        self.rr_ladder_usable = false;
 
-        // 3. Record route (direct probe now; spoofed rounds event-driven).
-        match sys.rr_begin(self.cur, self.src, sx, &mut self.books(), hints) {
-            RrProgress::Done(found) => self.after_primary_rr(sys, sx, found),
-            RrProgress::Pending(m) => self.phase = Phase::Rr(m),
-        }
-        None
-    }
-
-    fn rr_pending(
-        &mut self,
-        sys: &'a RevtrSystem<'_>,
-        sx: &mut Scratch,
-        mut m: RrMachine<'a>,
-    ) -> Option<RevtrResult> {
-        match sys.rr_round(&mut m, self.src, sx, &mut self.books()) {
-            None => self.phase = Phase::Rr(m),
-            Some(found) => {
-                self.rr_ladder_usable = m.usable_seen;
-                if sys.config().use_stop_sets {
-                    if let Some(plan) = sys.stop_plan_key(self.cur) {
-                        for &vp in &sx.futile_vps {
-                            self.contribute(sys, Note::VpFutile { plan, vp });
-                        }
-                    }
-                }
-                self.after_primary_rr(sys, sx, found);
-            }
-        }
-        None
-    }
-
-    /// The primary RR step concluded: start the Appx. E verification
-    /// re-probe when configured and applicable, else go adopt.
-    fn after_primary_rr(
-        &mut self,
-        sys: &'a RevtrSystem<'_>,
-        sx: &mut Scratch,
-        found: Option<RrFound>,
-    ) {
-        // Publish what the step learned to the campaign stop sets
-        // (buffered; visible to other requests after the next merge
-        // barrier). `self.cur` is still the frontier router here — adopt
-        // has not advanced it yet.
+        let (cur, src) = (self.cur, self.src);
+        let (found, usable_seen) = sys.rr_step(cur, src, sx, &mut self.books(), hints);
         if sys.config().use_stop_sets {
-            match found.as_ref() {
-                Some((rev, prov, spoofed)) => {
-                    self.contribute(
-                        sys,
-                        Note::Backward {
-                            src: self.src,
-                            cur: self.cur,
-                            spoofed: *spoofed,
-                            stored: StoredRr {
-                                hops: *rev,
-                                provenance: *prov,
-                            },
-                        },
-                    );
-                    if *spoofed {
-                        if let Some(plan) = sys.stop_plan_key(self.cur) {
-                            self.contribute(
-                                sys,
-                                Note::Winner {
-                                    plan,
-                                    vp: prov.sender,
-                                },
-                            );
-                        }
-                        // The spoofed ladder won, so the direct probe
-                        // (when actually sent) revealed nothing.
-                        if !self.rr_direct_skipped {
-                            self.contribute(
-                                sys,
-                                Note::DirectFutile {
-                                    src: self.src,
-                                    cur: self.cur,
-                                },
-                            );
-                        }
-                    }
-                }
-                None => {
-                    if !self.rr_direct_skipped {
-                        self.contribute(
-                            sys,
-                            Note::DirectFutile {
-                                src: self.src,
-                                cur: self.cur,
-                            },
-                        );
-                    }
-                    // An empty-handed conclusion with the ladder actually
-                    // run means the *full* ladder was exhausted (the
-                    // winner-solo path falls back to the staged full
-                    // queues before concluding).
-                    // Only mark the router spoof-futile when the whole
-                    // ladder saw *zero usable replies*: a reply that was
-                    // usable but merely not novel for this request's path
-                    // is request-specific evidence, not proof the router
-                    // ignores spoofed RR probes.
-                    if !self.rr_spoof_skipped && !self.rr_ladder_usable {
-                        self.contribute(sys, Note::SpoofFutile { cur: self.cur });
-                    }
-                }
-            }
+            self.publish(sys, sx, found.as_ref(), hints, usable_seen);
         }
         if sys.config().verify_dbr {
-            if let Some(f) = found.as_ref().filter(|(r, _, _)| r.len() >= 2) {
-                // Appx. E optional mode: re-probe the first revealed hop
-                // and confirm the chain continues the same way. The
-                // comparison is against the *immediate* next hop: a
-                // source-dependent router sends the two probes' replies
-                // down different links right away, and a weaker
-                // "appears anywhere later" check misses detours that
-                // reconverge within a hop or two.
-                if let Some(first) = f.0.first().copied().filter(|a| !a.is_private()) {
-                    let expected = f.0[1];
-                    let vspan = self.books().enter("rr_verify");
-                    // The verification re-probe neither consults nor feeds
-                    // the stop sets: its whole point is an independent
-                    // re-measurement. Its ladder deprioritizes no one.
-                    sx.demoted.clear();
-                    match sys.rr_begin(first, self.src, sx, &mut self.books(), RrHints::default()) {
-                        RrProgress::Done(v) => {
-                            self.close_verify(sys, v, expected, vspan);
-                            self.phase = Phase::RrAdopt(found);
-                        }
-                        RrProgress::Pending(m) => {
-                            self.phase = Phase::RrVerify {
-                                found: found.expect("filter above matched Some"),
-                                vspan,
-                                expected,
-                                m,
-                            };
-                        }
+            self.verify(sys, sx, found.as_ref());
+        }
+        found
+    }
+
+    /// Publish what an RR step learned at `cur` to the campaign stop sets
+    /// (buffered; visible to other requests after the next merge barrier).
+    fn publish(
+        &mut self,
+        sys: &RevtrSystem<'_>,
+        sx: &Scratch,
+        found: Option<&RrFound>,
+        hints: RrHints,
+        usable_seen: bool,
+    ) {
+        let (src, cur) = (self.src, self.cur);
+        let plan = sys.stop_plan_key(cur);
+        if let Some(plan) = plan {
+            for &vp in &sx.futile_vps {
+                self.contribute(sys, Note::VpFutile { plan, vp });
+            }
+        }
+        // A skipped probe republishes nothing: the skip came from a hint
+        // (or the degradation ladder), not from a measurement.
+        let direct_futile = Note::DirectFutile { src, cur };
+        match found {
+            Some(&(rev, prov, spoofed)) => {
+                let stored = StoredRr {
+                    hops: rev,
+                    provenance: prov,
+                };
+                let backward = Note::Backward {
+                    src,
+                    cur,
+                    spoofed,
+                    stored,
+                };
+                self.contribute(sys, backward);
+                if spoofed {
+                    if let Some(plan) = plan {
+                        let vp = prov.sender;
+                        self.contribute(sys, Note::Winner { plan, vp });
                     }
-                    return;
+                    // The spoofed ladder won, so the direct probe (when
+                    // actually sent) revealed nothing.
+                    if !hints.skip_direct {
+                        self.contribute(sys, direct_futile);
+                    }
+                }
+            }
+            None => {
+                if !hints.skip_direct {
+                    self.contribute(sys, direct_futile);
+                }
+                // An empty-handed step with the ladder run exhausted the
+                // *full* ladder (a solo winner falls back to the full
+                // queues before concluding). Only a ladder that saw *zero
+                // usable replies* marks the router spoof-futile: a reply
+                // that was usable but merely not novel for this request's
+                // path is request-specific evidence, not proof the router
+                // ignores spoofed RR probes.
+                if !hints.skip_spoofed && !usable_seen {
+                    self.contribute(sys, Note::SpoofFutile { cur });
                 }
             }
         }
-        self.phase = Phase::RrAdopt(found);
     }
 
-    fn verify_pending(
-        &mut self,
-        sys: &'a RevtrSystem<'_>,
-        sx: &mut Scratch,
-        found: RrFound,
-        vspan: StageStart,
-        expected: Addr,
-        mut m: RrMachine<'a>,
-    ) -> Option<RevtrResult> {
-        match sys.rr_round(&mut m, self.src, sx, &mut self.books()) {
-            None => {
-                self.phase = Phase::RrVerify {
-                    found,
-                    vspan,
-                    expected,
-                    m,
-                };
-            }
-            Some(v) => {
-                self.close_verify(sys, v, expected, vspan);
-                self.phase = Phase::RrAdopt(Some(found));
-            }
+    /// Appx. E optional mode: re-probe the first revealed hop and confirm
+    /// the chain continues the same way, flagging the measurement when it
+    /// does not. The comparison is against the *immediate* next hop: a
+    /// source-dependent router sends the two probes' replies down
+    /// different links right away, and a weaker "appears anywhere later"
+    /// check misses detours that reconverge within a hop or two.
+    fn verify(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch, found: Option<&RrFound>) {
+        let Some(&[first, expected, ..]) = found.map(|(rev, _, _)| &rev[..]) else {
+            return;
+        };
+        if first.is_private() {
+            return;
         }
-        None
-    }
-
-    /// Close the Appx. E re-probe's span, flagging the measurement when
-    /// the re-probe's first hop contradicts the chain's `expected` one.
-    fn close_verify(
-        &mut self,
-        sys: &RevtrSystem<'_>,
-        v: Option<RrFound>,
-        expected: Addr,
-        vspan: StageStart,
-    ) {
-        let verify = v.map(|(h, _, _)| h).unwrap_or_default();
-        if let Some(&h0) = verify.first() {
+        let vspan = self.books().enter("rr_verify");
+        // The verification re-probe neither consults nor feeds the stop
+        // sets: its whole point is an independent re-measurement. Its
+        // ladder deprioritizes no one.
+        sx.demoted.clear();
+        let src = self.src;
+        let (v, _) = sys.rr_step(first, src, sx, &mut self.books(), RrHints::default());
+        if let Some(&h0) = v.as_ref().and_then(|(h, _, _)| h.first()) {
             if h0 != expected && !sys.hop_match(h0, expected) {
                 self.stats.dbr_violation_detected = true;
                 // Campaign-wide violation rate: a handful per campaign is
@@ -660,56 +499,51 @@ impl<'a> MeasureTask<'a> {
         self.books().exit(vspan, &[("violation", violation)]);
     }
 
-    fn adopt(
-        &mut self,
-        sys: &RevtrSystem<'_>,
-        sx: &mut Scratch,
-        found: Option<RrFound>,
-    ) -> Option<RevtrResult> {
-        if let Some((rev, prov, spoofed)) = found {
-            let evidence = if spoofed {
-                Evidence::SpoofedRecordRoute { prov }
-            } else {
-                Evidence::RecordRoute { prov }
-            };
-            sx.hops
-                .extend(rev.iter().map(|&h| RevtrHop::new(Some(h), evidence)));
-            // Continue from the last routable hop.
-            if let Some(&next) = rev.iter().rev().find(|a| !a.is_private()) {
-                self.cur = next;
-                self.chain_dist = 0;
-                self.phase = Phase::StitchLoop;
-                return None;
-            }
-        }
-        self.phase = if sys.config().use_timestamp {
-            Phase::Ts
-        } else {
-            Phase::Symmetry
+    /// Adopt what the RR step found; true when the stitch moved on to its
+    /// last routable hop.
+    fn adopt(&mut self, sx: &mut Scratch, found: Option<RrFound>) -> bool {
+        let Some((rev, prov, spoofed)) = found else {
+            return false;
         };
-        None
+        let evidence = if spoofed {
+            Evidence::SpoofedRecordRoute { prov }
+        } else {
+            Evidence::RecordRoute { prov }
+        };
+        sx.hops
+            .extend(rev.iter().map(|&h| RevtrHop::new(Some(h), evidence)));
+        // Continue from the last routable hop.
+        let Some(&next) = rev.iter().rev().find(|a| !a.is_private()) else {
+            return false;
+        };
+        self.cur = next;
+        self.chain_dist = 0;
+        true
     }
 
-    fn ts(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
+    /// Step 3 (revtr 1.0): timestamp adjacency tests; true when one
+    /// confirmed the next hop.
+    fn ts(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> bool {
         let ts_span = self.books().enter("ts_step");
         let adj = sys.ts_step(&mut self.meter, self.cur, self.src, &sx.hops);
         let found = u64::from(adj.is_some());
         self.books().exit(ts_span, &[("found", found)]);
-        if let Some(adj) = adj {
-            let evidence = Evidence::Timestamp {
-                tested_from: self.cur,
-            };
-            sx.hops.push(RevtrHop::new(Some(adj), evidence));
-            self.cur = adj;
-            self.chain_dist = 0;
-            self.phase = Phase::StitchLoop;
-        } else {
-            self.phase = Phase::Symmetry;
-        }
-        None
+        let Some(adj) = adj else {
+            return false;
+        };
+        let evidence = Evidence::Timestamp {
+            tested_from: self.cur,
+        };
+        sx.hops.push(RevtrHop::new(Some(adj), evidence));
+        self.cur = adj;
+        self.chain_dist = 0;
+        true
     }
 
-    fn symmetry(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RevtrResult> {
+    /// Step 4: measure the last link of the forward path to `cur` and
+    /// assume it symmetric, or end the request — stuck, or aborted at an
+    /// interdomain link under the revtr 2.0 trust policy.
+    fn symmetry(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<(Status, StitchEnd)> {
         let policy = sys.config().symmetry;
         let sym_span = self.books().enter("assume_symmetry");
         // Where to start probing: what the deployment already measured,
@@ -776,10 +610,10 @@ impl<'a> MeasureTask<'a> {
         }
         self.books().exit(sym_span, &fields[..used]);
         let (Some(d), Some(link)) = (sym, link) else {
-            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
+            return Some((Status::Stuck, StitchEnd::Stuck));
         };
         if on_path(&sx.hops, d.penult) {
-            return Some(self.finish(sys, sx, Status::Stuck, StitchEnd::Stuck));
+            return Some((Status::Stuck, StitchEnd::Stuck));
         }
         if d.interdomain && policy == SymmetryPolicy::IntradomainOnly {
             let end = StitchEnd::AbortInterdomain {
@@ -788,7 +622,7 @@ impl<'a> MeasureTask<'a> {
                 cur_as: d.cur_as,
                 penult_as: d.penult_as,
             };
-            return Some(self.finish(sys, sx, Status::AbortedInterdomain, end));
+            return Some((Status::AbortedInterdomain, end));
         }
         self.stats.assumed_symmetric += 1;
         if d.interdomain {
@@ -811,15 +645,14 @@ impl<'a> MeasureTask<'a> {
         });
         self.cur = d.penult;
         self.chain_dist = link.penult_dist();
-        self.phase = Phase::StitchLoop;
         None
     }
 
-    /// This task's books, lent for a stage.
+    /// This request's books, lent for a stage.
     fn books(&mut self) -> Books<'_> {
         Books {
             stats: &mut self.stats,
-            req: self.req.as_mut().expect("request scope opened in Start"),
+            req: &mut self.req,
             meter: &mut self.meter,
         }
     }
@@ -832,7 +665,7 @@ impl<'a> MeasureTask<'a> {
 const COLD_START_TTL: u8 = 10;
 
 /// Campaign wave width when stop sets are enabled: requests admitted per
-/// merge barrier. Between barriers tasks only *buffer* stop-set
+/// merge barrier. Between barriers requests only *buffer* stop-set
 /// contributions, so every request in a wave sees exactly the evidence
 /// published by earlier waves — a pure function of the input order, never
 /// of worker scheduling. Smaller waves share evidence sooner; larger ones
@@ -840,8 +673,9 @@ const COLD_START_TTL: u8 = 10;
 /// 2000-request campaign reuse evidence ~30 times over.
 const STOPSET_WAVE: usize = 64;
 
-/// Builds a claimed job's control block.
-type TaskOf<'a> = fn(&TimedJob) -> MeasureTask<'a>;
+/// Runs one claimed job to its result and event count:
+/// `RevtrSystem::drive` (tests plant a panicking one).
+type Driver<'s> = fn(&RevtrSystem<'s>, &TimedJob, &mut Scratch) -> (RevtrResult, u64);
 
 /// Epoch value that tells parked helpers the pool is closing.
 const CLOSED: u64 = u64::MAX;
@@ -892,7 +726,7 @@ struct Wave {
 /// rest is `Relaxed`: an index, a tally and a stop flag publish nothing.
 struct Shared<'a, 's> {
     sys: &'a RevtrSystem<'s>,
-    task: TaskOf<'a>,
+    drive: Driver<'s>,
     /// Never contended: the owner writes only while every helper is
     /// between waves, and workers read only during one. The lock is how
     /// safe code says so; each worker takes it once per wave.
@@ -915,22 +749,24 @@ struct Shared<'a, 's> {
 
 impl Shared<'_, '_> {
     /// Claim jobs off the cursor until the wave is drained or poisoned,
-    /// driving each on `sx` and writing its result into the job's slot.
+    /// driving each on `sx` behind a panic fence and writing its result
+    /// into the job's slot.
     fn claim(&self, sx: &mut Scratch) {
         let wave = self.wave.read();
         let mut events = 0;
         while !self.poisoned.load(Ordering::Relaxed) {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             let Some(job) = wave.jobs.get(i) else { break };
-            match self.sys.drive((self.task)(job), sx) {
-                Ok((r, steps)) => {
-                    events += steps;
+            let fenced = std::panic::AssertUnwindSafe(|| (self.drive)(self.sys, job, sx));
+            match std::panic::catch_unwind(fenced) {
+                Ok((r, charged)) => {
+                    events += charged;
                     let _ = wave.slots[i].set(r);
                 }
                 Err(payload) => {
                     self.poisoned.store(true, Ordering::Relaxed);
                     self.payload.lock().get_or_insert(payload);
-                    // Whatever the interrupted step left is not reused.
+                    // Whatever the interrupted request left is not reused.
                     *sx = Scratch::default();
                 }
             }
@@ -965,13 +801,13 @@ impl Shared<'_, '_> {
 /// its jobs and its barrier, never a thread.
 ///
 /// One wave runs at a time. Workers claim job indices off one atomic
-/// cursor, build the claimed job's control block, drive it and write the
-/// result into the job's own slot; the owner claims too, then waits for the
+/// cursor, drive the claimed job and write the result into the job's own
+/// slot; the owner claims too, then waits for the
 /// helpers to count out. The first panic poisons the wave: the others stop
 /// claiming and the payload comes back as `Err`, before any merge. The
-/// barrier folds what the wave's tasks buffered into the published stop
-/// sets in `(vtime, id, seq)` stamp order — functions of each task's own
-/// history, so schedule-invariant (`STOPSET_WAVE`).
+/// barrier folds what the wave's requests buffered into the published
+/// stop sets in `(vtime, id, seq)` stamp order — functions of each
+/// request's own history, so schedule-invariant (`STOPSET_WAVE`).
 pub struct WavePool<'scope, 'env, 'a, 's> {
     shared: &'env Shared<'a, 's>,
     scope: &'scope Scope<'scope, 'env>,
@@ -1081,16 +917,15 @@ impl<'s> RevtrSystem<'s> {
         pairs: &[(Addr, Addr)],
         lc: LoopConfig,
     ) -> std::thread::Result<CampaignOutcome> {
-        self.campaign_of(pairs, lc, TimedJob::task)
+        self.campaign_of(pairs, lc, RevtrSystem::drive)
     }
 
-    /// [`RevtrSystem::run_campaign`] with the jobs' control blocks built by
-    /// `task` (tests plant a panicking one).
-    fn campaign_of<'a>(
-        &'a self,
+    /// [`RevtrSystem::run_campaign`] with each job run by `drive`.
+    fn campaign_of(
+        &self,
         pairs: &[(Addr, Addr)],
         lc: LoopConfig,
-        task: TaskOf<'a>,
+        drive: Driver<'s>,
     ) -> std::thread::Result<CampaignOutcome> {
         let wave = if self.wave_barriers() {
             STOPSET_WAVE
@@ -1101,7 +936,7 @@ impl<'s> RevtrSystem<'s> {
             results: Vec::with_capacity(pairs.len()),
             events: 0,
         };
-        self.pooled(lc, task, |pool| {
+        self.pooled(lc, drive, |pool| {
             for (ord, admitted) in pairs.chunks(wave).enumerate() {
                 let base = out.results.len();
                 let jobs = admitted
@@ -1132,18 +967,18 @@ impl<'s> RevtrSystem<'s> {
         lc: LoopConfig,
         f: impl FnOnce(&mut WavePool<'_, '_, 'a, 's>) -> R,
     ) -> R {
-        self.pooled(lc, TimedJob::task, f)
+        self.pooled(lc, RevtrSystem::drive, f)
     }
 
     fn pooled<'a, R>(
         &'a self,
         lc: LoopConfig,
-        task: TaskOf<'a>,
+        drive: Driver<'s>,
         f: impl FnOnce(&mut WavePool<'_, '_, 'a, 's>) -> R,
     ) -> R {
         let shared = Shared {
             sys: self,
-            task,
+            drive,
             wave: RwLock::default(),
             epoch: AtomicU64::new(0),
             cursor: AtomicUsize::new(0),
@@ -1173,7 +1008,7 @@ impl<'s> RevtrSystem<'s> {
 
     /// Record the engine's own ledger plus a full subsystem snapshot at a
     /// wave barrier (no-op unless profiling is enabled). The wave just
-    /// drained admitted `admitted` control blocks — a peak fixed by the
+    /// drained admitted `admitted` requests — a peak fixed by the
     /// admission plan, not by how many workers the host gave it.
     fn record_engine_resources(&self, ord: u64, admitted: usize) {
         let tele = self.prober().telemetry();
@@ -1188,24 +1023,16 @@ impl<'s> RevtrSystem<'s> {
         self.snapshot_resources(ord);
     }
 
-    /// The one way a reverse traceroute executes: step its control block
-    /// to completion, on the scratch its driver lends it, behind a panic
-    /// fence. Returns the result with its event count. After an `Err` the
-    /// scratch holds whatever the interrupted step left: drop it.
-    pub(crate) fn drive<'a>(
-        &'a self,
-        mut task: MeasureTask<'a>,
-        sx: &mut Scratch,
-    ) -> std::thread::Result<(RevtrResult, u64)> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut events = 0u64;
-            loop {
-                events += 1;
-                if let Some(r) = task.step(self, sx) {
-                    return (r, events);
-                }
-            }
-        }))
+    /// The one way a reverse traceroute executes, on the scratch its
+    /// driver lends it: the destination probe, then the stitching loop
+    /// (Fig. 2) until the path reaches the source, stalls, or runs out of
+    /// hop budget. Returns the result with its event count — one event
+    /// where the request starts, one at each loop head, one per spoofed
+    /// round (the primary RR step's and the Appx. E re-probe's), one as
+    /// each RR step concludes (a stop-set adoption included), one per
+    /// timestamp step and one per symmetry step.
+    pub(crate) fn drive(&self, job: &TimedJob, sx: &mut Scratch) -> (RevtrResult, u64) {
+        Request::new(self, job, sx).run(self, sx)
     }
 }
 
@@ -1223,8 +1050,8 @@ mod tests {
         // `engine.control_blocks` and the benchmark's `core.task_bytes`
         // price a wave at this much per admitted request.
         assert!(
-            task_footprint_bytes() <= 808,
-            "the control block grew to {} bytes",
+            task_footprint_bytes() <= 312,
+            "the request state grew to {} bytes",
             task_footprint_bytes()
         );
     }
@@ -1255,14 +1082,10 @@ mod tests {
     fn poisoned_job_yields_err_and_leaves_system_usable() {
         let sim = Sim::build(SimConfig::tiny(), 31);
         const PLANTED: usize = 2 * STOPSET_WAVE + 7;
-        fn planted<'a>(job: &TimedJob) -> MeasureTask<'a> {
-            let mut t = job.task();
-            if job.id == PLANTED {
-                // Already `Done`: stepping it is the engine's own invariant
-                // panic, raised inside `drive`'s fence.
-                t.phase = Phase::Done;
-            }
-            t
+        fn planted(sys: &RevtrSystem<'_>, job: &TimedJob, sx: &mut Scratch) -> (RevtrResult, u64) {
+            // Raised inside the pool's panic fence.
+            assert_ne!(job.id, PLANTED, "planted panic");
+            sys.drive(job, sx)
         }
 
         for workers in [1usize, 4] {

@@ -207,20 +207,15 @@ impl Ladder {
     /// Settle a batch that concluded nothing: `hold(i, slot)` says whether
     /// slot `i`'s queue keeps its current VP for one more re-batch (the
     /// caller's stall budget) or moves on to its next one. A solo winner
-    /// that moves on falls back — once — to the full queues. Returns
-    /// whether any VP is left to try.
-    pub(crate) fn settle(
-        &mut self,
-        batch: &[Slot],
-        mut hold: impl FnMut(usize, &Slot) -> bool,
-    ) -> bool {
+    /// that moves on falls back — once — to the full queues.
+    pub(crate) fn settle(&mut self, batch: &[Slot], mut hold: impl FnMut(usize, &Slot) -> bool) {
         if let Some(s) = &mut self.solo {
             if hold(0, &batch[0]) {
                 s.stalls += 1;
-                return true;
+            } else {
+                self.solo = None;
             }
-            self.solo = None;
-            return !self.active.is_empty();
+            return;
         }
         for (i, slot) in batch.iter().enumerate() {
             let q = &mut self.queues[slot.queue];
@@ -233,7 +228,6 @@ impl Ladder {
         }
         let queues = &self.queues;
         self.active.retain(|&qi| queues[qi].cursor < queues[qi].len);
-        !self.active.is_empty()
     }
 }
 
@@ -483,10 +477,11 @@ mod tests {
             let old_more = old.settle(&old_batch, |_, vp, stalls| {
                 transient(round, vp) && stalls < budget(vp)
             });
-            let new_more = new.settle(&batch, |_, s| {
+            new.settle(&batch, |_, s| {
                 transient(round, s.vp) && s.stalls < budget(s.vp)
             });
-            if old_more != new_more || new_more == new.is_exhausted() {
+            let new_more = !new.is_exhausted();
+            if old_more != new_more {
                 return Err(format!("round {round}: go-on {old_more} vs {new_more}"));
             }
             round += 1;

@@ -16,7 +16,7 @@
 //!    boundaries (§4.4).
 
 use crate::config::{EngineConfig, VpSelection, BATCH_SIZE, MAX_TS_ADJACENCIES};
-use crate::engine::MeasureTask;
+use crate::engine::TimedJob;
 use crate::result::{RevtrHop, RevtrResult, RevtrStats};
 use crate::scratch::{novel, on_path, Scratch, DEMOTED};
 use parking_lot::{Mutex, RwLock};
@@ -71,27 +71,15 @@ const TRANSIENT_STALL_BUDGET: u32 = 2;
 
 /// An open telemetry stage: the span token plus the request meter's tally
 /// at entry, so the exit can attach this stage's exact probe delta — the
-/// request's own charges, hence worker-count-invariant. Stage spans are
-/// held across steps inside a measurement's control block.
+/// request's own charges, hence worker-count-invariant.
 pub(crate) struct StageStart {
     tok: Option<SpanToken>,
     snap: Snapshot,
 }
 
-impl StageStart {
-    /// An inert placeholder (exit on it is a no-op); used when moving a
-    /// live span out of a partially-consumed [`RrMachine`].
-    pub(crate) fn empty() -> StageStart {
-        StageStart {
-            tok: None,
-            snap: Snapshot::default(),
-        }
-    }
-}
-
-/// What a request keeps account of while it runs, lent by its control
-/// block to the stage functions for one step: the result statistics, the
-/// telemetry scope, and the meter every probe and every span reads.
+/// What a request keeps account of while it runs, lent to a stage
+/// function for the stage: the result statistics, the telemetry scope, and
+/// the meter every probe and every span reads.
 pub(crate) struct Books<'t> {
     pub(crate) stats: &'t mut RevtrStats,
     pub(crate) req: &'t mut RequestScope,
@@ -103,7 +91,10 @@ impl Books<'_> {
     /// tally is not even copied then, keeping the disabled path free).
     pub(crate) fn enter(&mut self, stage: &'static str) -> StageStart {
         if !self.req.active() {
-            return StageStart::empty();
+            return StageStart {
+                tok: None,
+                snap: Snapshot::default(),
+            };
         }
         StageStart {
             tok: self.req.enter(stage, self.meter.ms),
@@ -143,45 +134,6 @@ impl Books<'_> {
 /// revealing probe (all hops of one return come from one reply), and
 /// whether that probe was spoofed.
 pub(crate) type RrFound = (RrSlots, RrProvenance, bool);
-
-/// Outcome of [`RevtrSystem::rr_begin`]: either the step concluded without
-/// needing a spoofed batch, or a machine carrying the spoofed-round state.
-// A transient return value, destructured by the caller on the next line —
-// never stored — so the Done/Pending size gap costs nothing; boxing the
-// machine would add a heap round-trip per RR step instead.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum RrProgress<'a> {
-    /// The step finished (direct RR hit, or no usable VP queues).
-    Done(Option<RrFound>),
-    /// Spoofed rounds pending; drive with [`RevtrSystem::rr_round`].
-    Pending(RrMachine<'a>),
-}
-
-/// Mid-flight state of a record-route step's spoofed-batch rounds: the VP
-/// plan it walks — borrowed from the ingress database, never copied —
-/// plus the open `rr_step`/`rr_spoofed` telemetry spans. The walk itself
-/// (per-queue cursor, stalls and visiting order) and what the rounds
-/// learn sit in the driver's [`Scratch`]. One [`RevtrSystem::rr_round`]
-/// call issues one batch — one virtual 10 s collection timeout — and is
-/// one step (one event) of the control block that parks the machine
-/// between rounds.
-pub(crate) struct RrMachine<'a> {
-    cur: Addr,
-    st: StageStart,
-    spoof_span: StageStart,
-    batches0: u32,
-    plan: PlanView<'a>,
-    /// Whether any round produced a *usable* reply (ingress check passed
-    /// and slots survived past the target), even if it revealed nothing
-    /// novel for this request's path. Gates the cross-source
-    /// `SpoofFutile` publication: only a ladder with zero usable replies
-    /// proves the router unreachable by this plan's VPs.
-    pub(crate) usable_seen: bool,
-    /// Spoofed-batch width for this ladder: [`BATCH_SIZE`] normally, or a
-    /// smaller cap when the admission
-    /// layer's degradation ladder is shrinking spoofed batches.
-    batch_cap: usize,
-}
 
 /// Hints a record-route step takes from the campaign stop sets: facts an
 /// earlier request already paid probes to learn at the same router. The
@@ -653,29 +605,30 @@ impl<'s> RevtrSystem<'s> {
         extract_reverse_hops(slots, cur).map(|rev| rev.iter().copied().collect())
     }
 
-    /// Begin a record-route step against `cur`: open the `rr_step` span,
-    /// try the direct (non-spoofed) RR ping from the source, and — if that
-    /// reveals nothing — set up the spoofed-batch machine.
+    /// A record-route step against `cur`: the direct (non-spoofed) RR
+    /// ping from the source, then — if that reveals nothing — spoofed
+    /// batches from the VP plan until one reveals novel hops or the ladder
+    /// runs out. Each batch is one round, one virtual 10 s collection
+    /// timeout, and one engine event, charged inside the step's spans.
     ///
-    /// Returns [`RrProgress::Done`] when the step finished without any
-    /// spoofed batch (direct hit, or no usable VP queues);
-    /// [`RrProgress::Pending`] hands back an [`RrMachine`] whose rounds
-    /// the caller drives via [`RevtrSystem::rr_round`] — each round is one
-    /// spoofed batch, i.e. one virtual 10 s collection timeout, which is
-    /// exactly one engine event.
-    ///
-    /// Besides `hints`, the step reads one hint out of `sx`, which the
-    /// caller fills (or clears): `demoted`, the VPs its ladder visits
-    /// last.
-    pub(crate) fn rr_begin(
+    /// Returns what the step found, and whether any round saw a *usable*
+    /// reply (ingress check passed and slots survived past the target),
+    /// even one that revealed nothing novel for this request's path —
+    /// only a ladder with none proves the router unreachable by this
+    /// plan's VPs. Besides `hints`, the step reads one hint out of `sx`,
+    /// which the caller fills (or clears): `demoted`, the VPs its ladder
+    /// visits last; it leaves `sx.futile_vps` holding the VPs its rounds
+    /// proved futile at `cur`.
+    pub(crate) fn rr_step(
         &self,
         cur: Addr,
         src: Addr,
         sx: &mut Scratch,
         t: &mut Books<'_>,
         hints: RrHints,
-    ) -> RrProgress<'_> {
+    ) -> (Option<RrFound>, bool) {
         let st = t.enter("rr_step");
+        sx.futile_vps.clear();
 
         // Direct (non-spoofed) RR ping from the source — skipped when an
         // earlier request proved it futile on this ingress plan.
@@ -686,7 +639,7 @@ impl<'s> RevtrSystem<'s> {
                     let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
                         t.exit(direct, &[("hit", 1)]);
-                        return RrProgress::Done(Self::rr_close(t, st, Some((new, prov, false))));
+                        return (Self::rr_close(t, st, Some((new, prov, false))), false);
                     }
                 }
             }
@@ -697,7 +650,7 @@ impl<'s> RevtrSystem<'s> {
         // earlier request exhausted this plan's full ladder without any
         // evidence, so the step falls through to the next technique.
         if hints.skip_spoofed {
-            return RrProgress::Done(Self::rr_close(t, st, None));
+            return (Self::rr_close(t, st, None), false);
         }
 
         // Spoofed batches from the VP plan, walked in place. Deprioritized
@@ -719,28 +672,21 @@ impl<'s> RevtrSystem<'s> {
             hints.winner,
         );
         self.stopset.note_vp_skips(moved);
-        sx.futile_vps.clear();
+        let cap = hints.batch_cap.unwrap_or(BATCH_SIZE).max(1);
         // Queues can legitimately be empty (an ingress with no in-range
-        // VPs); a plan with nothing to try ends the step here.
-        if sx.ladder.is_exhausted() {
-            t.exit(
-                spoof_span,
-                &[
-                    ("hit", 0),
-                    ("batches", u64::from(t.stats.batches - batches0)),
-                ],
-            );
-            return RrProgress::Done(Self::rr_close(t, st, None));
+        // VPs); a plan with nothing to try ends the step without a round.
+        let (mut found, mut usable_seen) = (None, false);
+        while found.is_none() && !sx.ladder.is_exhausted() {
+            self.prober.count_events(t.meter, 1);
+            let usable;
+            (found, usable) = self.rr_round(plan, cur, cap, src, sx, t);
+            usable_seen |= usable;
         }
-        RrProgress::Pending(RrMachine {
-            cur,
-            st,
-            spoof_span,
-            batches0,
-            plan,
-            usable_seen: false,
-            batch_cap: hints.batch_cap.unwrap_or(BATCH_SIZE).max(1),
-        })
+        let batches = u64::from(t.stats.batches - batches0);
+        let hit = u64::from(found.is_some());
+        t.exit(spoof_span, &[("hit", hit), ("batches", batches)]);
+        let found = found.map(|(new, prov)| (new, prov, true));
+        (Self::rr_close(t, st, found), usable_seen)
     }
 
     /// Close the `rr_step` span with the step's summary fields and pass
@@ -754,18 +700,21 @@ impl<'s> RevtrSystem<'s> {
         out
     }
 
-    /// One spoofed-batch round of a pending record-route step: compose a
-    /// batch from the ladder in `sx`, issue it, and either conclude the
-    /// step (`Some(outcome)`) or leave the ladder ready for the next round
-    /// (`None`). Allocates nothing: batch, prober reply and verdicts all
-    /// overwrite the scratch's buffers.
-    pub(crate) fn rr_round(
+    /// One spoofed-batch round of the ladder open in `sx` over `plan`:
+    /// compose a batch of at most `cap` probes, issue it, and return the
+    /// usable reply with the most novel hops — or, when none revealed any,
+    /// settle the ladder for the next round and return `None` — with
+    /// whether any reply was usable. Allocates nothing: batch, prober
+    /// reply and verdicts all overwrite the scratch's buffers.
+    fn rr_round(
         &self,
-        m: &mut RrMachine<'_>,
+        plan: PlanView<'_>,
+        cur: Addr,
+        cap: usize,
         src: Addr,
         sx: &mut Scratch,
         t: &mut Books<'_>,
-    ) -> Option<Option<RrFound>> {
+    ) -> (Option<(RrSlots, RrProvenance)>, bool) {
         let Scratch {
             hops,
             ladder,
@@ -777,10 +726,10 @@ impl<'s> RevtrSystem<'s> {
             futile_vps,
             ..
         } = sx;
-        // The current VP of up to `batch_cap` distinct queues, in order.
-        ladder.compose(m.plan, m.batch_cap, batch);
+        // The current VP of up to `cap` distinct queues, in order.
+        ladder.compose(plan, cap, batch);
         pairs.clear();
-        pairs.extend(batch.iter().map(|slot| (slot.vp, m.cur)));
+        pairs.extend(batch.iter().map(|slot| (slot.vp, cur)));
         // A re-batched pair passes its stall count as the scenario attempt
         // base, so adversarial rate limiters re-roll their per-attempt
         // drop instead of repeating one verdict forever (request-local
@@ -806,18 +755,18 @@ impl<'s> RevtrSystem<'s> {
                 .as_ref()
                 .zip(prov.as_ref())
                 .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
-                .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, m.cur)?, *prov)));
+                .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, cur)?, *prov)));
             usable.push(rev.is_some());
             if let Some((rev, prov)) = rev {
-                m.usable_seen = true;
                 let new = novel(hops, &rev);
                 if new.len() > best.as_ref().map_or(0, |(b, _)| b.len()) {
                     best = Some((new, prov));
                 }
             }
         }
-        if let Some((new, prov)) = best {
-            return Some(Self::rr_conclude(m, t, Some((new, prov, true))));
+        let any_usable = usable.contains(&true);
+        if best.is_some() {
+            return (best, any_usable);
         }
         // Nothing came back. A queue whose probe was *transiently* lost
         // (fault-attributed, budget exhausted) keeps its current VP for a
@@ -825,7 +774,7 @@ impl<'s> RevtrSystem<'s> {
         // because of packet loss. Every other probed queue advances to its
         // next (less close) VP — whether it failed the ingress check, went
         // genuinely unanswered, or answered without revealing new hops.
-        let more = ladder.settle(batch, |i, slot| {
+        ladder.settle(batch, |i, slot| {
             let transient = reply.transient[i];
             if transient && slot.stalls < TRANSIENT_STALL_BUDGET {
                 return true;
@@ -839,28 +788,7 @@ impl<'s> RevtrSystem<'s> {
             }
             false
         });
-        if more {
-            return None;
-        }
-        Some(Self::rr_conclude(m, t, None))
-    }
-
-    /// Close a ladder's `rr_spoofed` and `rr_step` spans around `out`.
-    fn rr_conclude(
-        m: &mut RrMachine<'_>,
-        t: &mut Books<'_>,
-        out: Option<RrFound>,
-    ) -> Option<RrFound> {
-        let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
-        t.exit(
-            spoof_span,
-            &[
-                ("hit", u64::from(out.is_some())),
-                ("batches", u64::from(t.stats.batches - m.batches0)),
-            ],
-        );
-        let st = std::mem::replace(&mut m.st, StageStart::empty());
-        Self::rr_close(t, st, out)
+        (None, any_usable)
     }
 
     /// The timestamp step (revtr 1.0 only): test traceroute-derived
@@ -961,15 +889,20 @@ impl<'s> RevtrSystem<'s> {
 
     /// Measure the reverse path from `dst` back to `src` (Fig. 2).
     ///
-    /// One control block (`MeasureTask`) driven inline by the same
-    /// `RevtrSystem::drive` a campaign wave uses: a one-pair campaign —
-    /// request id 0, meter at zero — without the wave's result slots. A
-    /// panicking measurement unwinds into the caller.
+    /// The one function a campaign wave runs per job,
+    /// `RevtrSystem::drive`, called inline on a one-pair campaign's job —
+    /// request id 0, meter at zero — without the wave's result slots or its
+    /// panic fence: a panicking measurement unwinds into the caller.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {
         let mut sx = self.take_scratch();
-        let (r, _events) = self
-            .drive(MeasureTask::new(dst, src), &mut sx)
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let job = TimedJob {
+            dst,
+            src,
+            arrival_ms: 0.0,
+            id: 0,
+            degrade: 0,
+        };
+        let (r, _events) = self.drive(&job, &mut sx);
         self.return_scratch(sx);
         if self.wave_barriers() {
             // A serial request is a wave of one: it merges at completion,

@@ -701,3 +701,107 @@ fn assumed_hop_before_an_echo_silent_target_is_starred() {
         "unreached not reported: {r}"
     );
 }
+
+/// FNV-1a-64 over each result's status, hop addresses and evidence kinds.
+fn outcome_digest(results: &[revtr::RevtrResult]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in results {
+        eat(r.status.label().as_bytes());
+        for hop in r.hops.iter() {
+            eat(&hop.addr.map_or(u32::MAX, |a| a.0).to_le_bytes());
+            eat(hop.evidence.kind().as_bytes());
+        }
+        eat(b"|");
+    }
+    h
+}
+
+#[test]
+fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
+    // One tiny world, the same 60 pairs, four engines: revtr 1.0 (the
+    // timestamp step and the set-cover ladder), revtr 2.0 with the Appx. E
+    // re-probe (verification rounds), with stop sets (adoptions, solo
+    // winners, futility skips) and plain. Each pins the engine events, the
+    // option probes and the spoofed batches it charged, and a digest of
+    // what it stitched: a change to how a request walks its stages that
+    // moves when an event is charged, or which probe goes out, fails here.
+    let f = Fixture::new(44);
+    let vps: Vec<Addr> = f.sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let pairs: Vec<(Addr, Addr)> = (f.destinations(20).into_iter())
+        .flat_map(|d| vps[..3].iter().map(move |&s| (d, s)))
+        .filter(|(d, s)| d != s)
+        .collect();
+    let mut verify = EngineConfig::revtr2();
+    verify.verify_dbr = true;
+    let mut stop_sets = EngineConfig::revtr2();
+    stop_sets.use_stop_sets = true;
+    let arms = [
+        (
+            "revtr1",
+            EngineConfig::revtr1(),
+            (456, 227, 137, 0xd6d9_bd09_1ac8_435e),
+        ),
+        ("verify_dbr", verify, (464, 270, 134, 0xeb5d_6ad3_f44e_a55f)),
+        (
+            "stop_sets",
+            stop_sets,
+            (350, 134, 50, 0xeb5d_6ad3_f44e_a55f),
+        ),
+        (
+            "revtr2",
+            EngineConfig::revtr2(),
+            (378, 157, 73, 0xeb5d_6ad3_f44e_a55f),
+        ),
+    ];
+    let (mut events, mut readings, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, cfg, pinned) in arms {
+        let sys = f.system(cfg);
+        for &src in &vps[..3] {
+            sys.register_source(src);
+        }
+        let (snap0, ss0) = (sys.prober().counters().snapshot(), sys.stopset().stats());
+        let results: Vec<_> = pairs.iter().map(|&(d, s)| sys.measure(d, s)).collect();
+        let d = sys.prober().counters().snapshot().since(&snap0);
+        let got = (
+            d.events,
+            results
+                .iter()
+                .map(|r| r.stats.probes.option_probes())
+                .sum::<u64>(),
+            results
+                .iter()
+                .map(|r| u64::from(r.stats.batches))
+                .sum::<u64>(),
+            outcome_digest(&results),
+        );
+        match name {
+            "revtr1" => assert!(d.ts + d.spoof_ts > 0, "no timestamp step ran"),
+            "stop_sets" => {
+                let ss = sys.stopset().stats().since(&ss0);
+                assert!(results.iter().any(|r| r.stats.stopset_reused_steps > 0));
+                assert!(
+                    ss.winner_hits > 0 && ss.direct_skips + ss.spoof_skips > 0,
+                    "{ss:?}"
+                );
+            }
+            _ => {}
+        }
+        events.push(d.events);
+        readings.push((name, got));
+        expected.push((name, pinned));
+    }
+    assert_eq!(
+        readings, expected,
+        "(events, option probes, batches, digest)"
+    );
+    // The re-probe's spoofed rounds are events of their own.
+    assert!(
+        events[1] > events[3],
+        "no verification round ran: {events:?}"
+    );
+}
