@@ -1115,6 +1115,96 @@ mod tests {
     }
 
     #[test]
+    fn the_hold_path_survives_loss_retry_budgets_and_degrade_levels() {
+        // 15 % transient loss under retry budgets {1, 3} and degrade levels
+        // {0, 1, 2}, stop sets on (so solo winners get held too): every
+        // request ends with a status, a held VP goes out at most
+        // TRANSIENT_STALL_BUDGET + 1 times a pick, and the requests'
+        // batches add up to the collection timeouts the prober charged.
+        use crate::scratch::Slot;
+        use crate::system::TRANSIENT_STALL_BUDGET;
+        use revtr_netsim::FaultConfig;
+        use revtr_probing::{RetryPolicy, Telemetry};
+
+        let mut sim_cfg = SimConfig::tiny();
+        sim_cfg.faults = FaultConfig::lossy(0.15);
+        let sim = Sim::build(sim_cfg, 38);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        let dests: Vec<Addr> = (prefixes.iter())
+            .filter_map(|&p| (sim.host_addrs(p)).find(|&a| sim.behavior().host_rr_responsive(a)))
+            .collect();
+        let mut held = 0;
+        for attempts in [1, 3] {
+            let tele = Telemetry::enabled();
+            let prober = (Prober::new(&sim).with_telemetry(tele.clone()))
+                .with_retry_policy(RetryPolicy::uniform(attempts));
+            let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+            let mut cfg = EngineConfig::revtr2();
+            cfg.atlas_size = 20;
+            cfg.use_stop_sets = true;
+            let sys = RevtrSystem::new(
+                prober,
+                cfg,
+                vps.clone(),
+                ingress,
+                select_atlas_probes(&sim, 120, 9),
+            );
+            for &src in &vps[..3] {
+                sys.register_source(src);
+            }
+            let timeouts = || tele.metrics().counter("probing.batch.timeouts");
+            for degrade in 0..=2u8 {
+                let before = timeouts();
+                let mut batches = 0;
+                let mut sx = Scratch::default();
+                for (id, &dst) in dests.iter().enumerate() {
+                    let job = TimedJob {
+                        dst,
+                        src: vps[id % 3],
+                        arrival_ms: 0.0,
+                        id,
+                        degrade,
+                    };
+                    sx.sent.clear();
+                    let (r, _) = sys.drive(&job, &mut sx);
+                    let arm = format!("attempts {attempts}, L{degrade}, {dst}");
+                    assert_eq!((r.dst, r.src), (job.dst, job.src), "{arm}");
+                    assert!(!r.status.label().is_empty(), "{arm}");
+                    batches += u64::from(r.stats.batches);
+                    // A VP goes out fresh (0 stalls) once per time the
+                    // ladder picks it — twice for a solo winner that falls
+                    // back to its queue — and is then held at most the
+                    // budget's re-batches.
+                    for ladder in &sx.sent {
+                        for slot in ladder {
+                            assert!(slot.stalls <= TRANSIENT_STALL_BUDGET, "{arm}: {slot:?}");
+                            let same = |s: &&Slot| {
+                                (s.vp, s.expected_ingress) == (slot.vp, slot.expected_ingress)
+                            };
+                            let sent = ladder.iter().filter(same).count() as u32;
+                            let picked =
+                                ladder.iter().filter(same).filter(|s| s.stalls == 0).count() as u32;
+                            assert!(
+                                sent <= picked * (TRANSIENT_STALL_BUDGET + 1),
+                                "{arm}: {slot:?} went out {sent} times for {picked} picks"
+                            );
+                            held += usize::from(slot.stalls > 0);
+                        }
+                    }
+                }
+                sys.stopset().merge_pending();
+                assert_eq!(
+                    batches,
+                    timeouts() - before,
+                    "attempts {attempts}, L{degrade}: the requests' batches are not the prober's timeouts"
+                );
+            }
+        }
+        assert!(held > 0, "no VP was held: the arm is vacuous");
+    }
+
+    #[test]
     fn waves_the_caller_can_finish_alone_start_no_thread() {
         let sim = Sim::build(SimConfig::tiny(), 31);
         let (sys, pairs) = tiny_system(&sim, 2);

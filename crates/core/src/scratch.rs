@@ -45,6 +45,10 @@ pub(crate) struct Scratch {
     /// fault-attributed loss) without a usable observation. Drained by
     /// the engine into `VpFutile` stop-set contributions.
     pub(crate) futile_vps: Vec<Addr>,
+    /// Every slot each spoofed ladder sent, one list per ladder, until the
+    /// test that reads it clears it.
+    #[cfg(test)]
+    pub(crate) sent: Vec<Vec<Slot>>,
 }
 
 /// Whether `addr` is already a hop of the path. A path is tens of hops at
@@ -71,53 +75,55 @@ pub(crate) fn novel(path: &[RevtrHop], hops: &[Addr]) -> RrSlots {
 /// changed its queue's order.
 pub(crate) const DEMOTED: u8 = 2;
 
-/// One VP queue of the ladder: where its visiting order sits in
-/// [`Ladder::order`], how far along it is, and how many consecutive
-/// re-batches its current VP has held its position.
+/// Where one VP queue's visiting order sits in [`Ladder::order`].
 #[derive(Clone, Copy, Debug)]
 struct Queue {
     start: usize,
     len: usize,
-    cursor: usize,
-    stalls: u32,
-}
-
-/// A remembered winner VP running alone ahead of the full ladder.
-#[derive(Clone, Copy, Debug)]
-struct Solo {
-    queue: usize,
-    vp: Addr,
-    stalls: u32,
 }
 
 /// One probe of a spoofed batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Slot {
-    /// The plan queue this slot advances.
-    queue: usize,
     /// The VP to probe from.
     pub(crate) vp: Addr,
-    /// Re-batches this VP has already held its position for (the
-    /// scenario attempt base of the probe).
+    /// Re-batches this VP has already been held for (the scenario attempt
+    /// base of the probe).
     pub(crate) stalls: u32,
     /// The ingress a usable reply must have traversed.
     pub(crate) expected_ingress: Option<Addr>,
 }
 
 /// The spoofed ladder as a view: the VP queues stay where the ingress
-/// survey put them ([`PlanView`]) and the ladder keeps, per queue, a
-/// cursor, a stall count and a visiting order — a permutation of positions
-/// into the queue's own VP slice. Deprioritizing hinted VPs is a stable
-/// reorder of that permutation, and a remembered winner runs *solo* ahead
-/// of queues that are simply not started yet.
+/// survey put them ([`PlanView`]) and the ladder keeps a visiting order
+/// per queue — a permutation of positions into the queue's own VP slice —
+/// and one cursor into the plan's try order ([`PlanView::try_order`]):
+/// depth-major across the queues, each queue read in its visiting order.
+/// Deprioritizing hinted VPs is a stable reorder of a permutation, and a
+/// remembered winner runs *solo* ahead of the queues.
+///
+/// The round rule: the first round from the queues carries the closest VP
+/// of each queue, up to the cap (§4.3's favourites, which usually win);
+/// every later round fills to the cap with the next VPs in try order.
+/// A VP held for a re-batch (transient loss) goes out again at the head of
+/// the next round, on top of the cap, with its own re-batch count.
 #[derive(Debug, Default)]
 pub(crate) struct Ladder {
     /// Every queue's visiting order, concatenated.
     order: Vec<u32>,
     queues: Vec<Queue>,
-    /// Queues with VPs left to try, in plan order.
-    active: Vec<usize>,
-    solo: Option<Solo>,
+    /// The try-order cursor: the next VP is at `depth` in queue `next` —
+    /// or none is left once `depth` reaches `deepest`, the longest queue.
+    depth: usize,
+    next: usize,
+    deepest: usize,
+    /// Whether the next round from the queues is the first one.
+    opening: bool,
+    /// VPs held for the next round, in the order they went out.
+    held: Vec<Slot>,
+    /// Whether `held` is a remembered winner running alone ahead of the
+    /// queues.
+    solo: bool,
 }
 
 impl Ladder {
@@ -139,9 +145,9 @@ impl Ladder {
     ) -> u64 {
         self.order.clear();
         self.queues.clear();
-        self.active.clear();
+        self.held.clear();
         let mut moved = 0;
-        for (qi, (_, vps)) in plan.queues().enumerate() {
+        for (_, vps) in plan.queues() {
             let start = self.order.len();
             let len = vps.len();
             self.order
@@ -152,92 +158,94 @@ impl Ladder {
             if dead > 0 && dead < len {
                 moved += dead as u64;
             }
-            if len > 0 {
-                self.active.push(qi);
-            }
-            self.queues.push(Queue {
-                start,
-                len,
-                cursor: 0,
-                stalls: 0,
-            });
+            self.queues.push(Queue { start, len });
         }
-        self.solo = winner.and_then(|vp| {
-            let queue = plan.queues().position(|(_, vps)| vps.contains(&vp))?;
-            Some(Solo {
-                queue,
+        self.deepest = self.queues.iter().map(|q| q.len).max().unwrap_or(0);
+        (self.depth, self.next) = (0, 0);
+        if self.deepest > 0 && self.queues[0].len == 0 {
+            self.advance();
+        }
+        let solo = winner.and_then(|vp| {
+            let (expected_ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&vp))?;
+            Some(Slot {
                 vp,
                 stalls: 0,
+                expected_ingress,
             })
         });
+        self.held.extend(solo);
+        self.solo = solo.is_some();
+        self.opening = !self.solo;
         moved
+    }
+
+    /// Move the cursor to the next VP in try order, or past the last.
+    fn advance(&mut self) {
+        loop {
+            self.next += 1;
+            if self.next == self.queues.len() {
+                (self.depth, self.next) = (self.depth + 1, 0);
+            }
+            if self.depth >= self.deepest || self.depth < self.queues[self.next].len {
+                return;
+            }
+        }
     }
 
     /// True when no VP is left to try.
     pub(crate) fn is_exhausted(&self) -> bool {
-        self.solo.is_none() && self.active.is_empty()
+        self.held.is_empty() && self.depth >= self.deepest
     }
 
-    /// Compose the next batch into `out`: the solo winner alone, else the
-    /// current VP of up to `cap` distinct queues, in plan order. `plan`
-    /// must be the view the ladder was opened over.
-    pub(crate) fn compose(&self, plan: PlanView<'_>, cap: usize, out: &mut Vec<Slot>) {
+    /// Compose the next batch into `out`: the solo winner alone; else the
+    /// held VPs, then up to `cap` VPs in try order — of the closest VPs
+    /// only in the first round. `plan` must be the view the ladder was
+    /// opened over.
+    pub(crate) fn compose(&mut self, plan: PlanView<'_>, cap: usize, out: &mut Vec<Slot>) {
         out.clear();
-        if let Some(s) = self.solo {
-            out.push(Slot {
-                queue: s.queue,
-                vp: s.vp,
-                stalls: s.stalls,
-                expected_ingress: plan.queue(s.queue).0,
-            });
+        out.append(&mut self.held);
+        if self.solo {
             return;
         }
-        for &qi in self.active.iter().take(cap) {
-            let q = self.queues[qi];
-            let (expected_ingress, vps) = plan.queue(qi);
+        let last_depth = if self.opening { 0 } else { usize::MAX };
+        self.opening = false;
+        for _ in 0..cap {
+            if self.depth >= self.deepest || self.depth > last_depth {
+                break;
+            }
+            let q = self.queues[self.next];
+            let (expected_ingress, vps) = plan.queue(self.next);
             out.push(Slot {
-                queue: qi,
-                vp: vps[self.order[q.start + q.cursor] as usize],
-                stalls: q.stalls,
+                vp: vps[self.order[q.start + self.depth] as usize],
+                stalls: 0,
                 expected_ingress,
             });
+            self.advance();
         }
     }
 
     /// Settle a batch that concluded nothing: `hold(i, slot)` says whether
-    /// slot `i`'s queue keeps its current VP for one more re-batch (the
-    /// caller's stall budget) or moves on to its next one. A solo winner
-    /// that moves on falls back — once — to the full queues.
+    /// slot `i`'s VP goes out once more in the next round (the caller's
+    /// stall budget) or is done. A solo winner that is done falls back —
+    /// once — to the full queues.
     pub(crate) fn settle(&mut self, batch: &[Slot], mut hold: impl FnMut(usize, &Slot) -> bool) {
-        if let Some(s) = &mut self.solo {
-            if hold(0, &batch[0]) {
-                s.stalls += 1;
-            } else {
-                self.solo = None;
-            }
-            return;
-        }
         for (i, slot) in batch.iter().enumerate() {
-            let q = &mut self.queues[slot.queue];
             if hold(i, slot) {
-                q.stalls += 1;
-            } else {
-                q.cursor += 1;
-                q.stalls = 0;
+                self.held.push(Slot {
+                    stalls: slot.stalls + 1,
+                    ..*slot
+                });
             }
         }
-        let queues = &self.queues;
-        self.active.retain(|&qi| queues[qi].cursor < queues[qi].len);
+        self.solo &= !self.held.is_empty();
     }
 }
 
-/// What this module replaced, kept as the oracles of the differential
-/// tests below: the `HashSet`-clone novelty filter and the ladder over
-/// owned, cloned and partitioned VP queues.
+/// What this module replaced, kept as the oracle of the differential test
+/// below: the `HashSet`-clone novelty filter.
 #[cfg(test)]
 pub(crate) mod reference {
     use revtr_netsim::Addr;
-    use revtr_vpselect::IngressQueue;
     use std::collections::HashSet;
 
     /// The hops of `hops` not already on the path, first occurrence order,
@@ -252,109 +260,12 @@ pub(crate) mod reference {
         }
         out
     }
-
-    /// The ladder state `rr_begin` built and `rr_round` walked.
-    pub(crate) struct Ladder {
-        pub(crate) queues: Vec<IngressQueue>,
-        pub(crate) cursors: Vec<usize>,
-        pub(crate) stalls: Vec<u32>,
-        pub(crate) active: Vec<usize>,
-        pub(crate) staged: Option<Vec<IngressQueue>>,
-    }
-
-    impl Ladder {
-        /// `rr_begin`'s queue set-up over a cloned plan; also returns the
-        /// count it reported to `note_vp_skips`.
-        pub(crate) fn open(
-            mut full: Vec<IngressQueue>,
-            futile: &HashSet<Addr>,
-            winner: Option<Addr>,
-        ) -> (Ladder, u64) {
-            let mut moved = 0u64;
-            if !futile.is_empty() {
-                for q in &mut full {
-                    let (live, dead): (Vec<Addr>, Vec<Addr>) =
-                        q.vps.iter().copied().partition(|v| !futile.contains(v));
-                    if !dead.is_empty() && !live.is_empty() {
-                        moved += dead.len() as u64;
-                        q.vps = live;
-                        q.vps.extend(dead);
-                    }
-                }
-            }
-            let solo = winner.and_then(|w| {
-                full.iter()
-                    .find(|q| q.vps.contains(&w))
-                    .map(|q| IngressQueue {
-                        expected_ingress: q.expected_ingress,
-                        vps: vec![w],
-                    })
-            });
-            let (queues, staged) = match solo {
-                Some(q) => (vec![q], Some(full)),
-                None => (full, None),
-            };
-            let active = (0..queues.len())
-                .filter(|&qi| !queues[qi].vps.is_empty())
-                .collect();
-            let ladder = Ladder {
-                cursors: vec![0; queues.len()],
-                stalls: vec![0; queues.len()],
-                active,
-                queues,
-                staged,
-            };
-            (ladder, moved)
-        }
-
-        /// `rr_round`'s batch: `(queue, vp)` per slot.
-        pub(crate) fn compose(&self, cap: usize) -> Vec<(usize, Addr)> {
-            self.active
-                .iter()
-                .take(cap)
-                .map(|&qi| (qi, self.queues[qi].vps[self.cursors[qi]]))
-                .collect()
-        }
-
-        /// `rr_round`'s tail after an empty-handed batch; returns whether
-        /// the step goes on.
-        pub(crate) fn settle(
-            &mut self,
-            batch: &[(usize, Addr)],
-            mut hold: impl FnMut(usize, Addr, u32) -> bool,
-        ) -> bool {
-            for (slot, &(qi, vp)) in batch.iter().enumerate() {
-                if hold(slot, vp, self.stalls[qi]) {
-                    self.stalls[qi] += 1;
-                } else {
-                    self.cursors[qi] += 1;
-                    self.stalls[qi] = 0;
-                }
-            }
-            let (cursors, queues) = (&self.cursors, &self.queues);
-            self.active.retain(|&qi| cursors[qi] < queues[qi].vps.len());
-            if self.active.is_empty() {
-                if let Some(full) = self.staged.take() {
-                    self.cursors = vec![0; full.len()];
-                    self.stalls = vec![0; full.len()];
-                    self.active = (0..full.len())
-                        .filter(|&qi| !full[qi].vps.is_empty())
-                        .collect();
-                    self.queues = full;
-                    if !self.active.is_empty() {
-                        return true;
-                    }
-                }
-                return false;
-            }
-            true
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BATCH_SIZE;
     use crate::result::Evidence;
     use proptest::prelude::*;
     use revtr_netsim::hash::mix3;
@@ -427,64 +338,135 @@ mod tests {
         (ingresses, dedup(ranking))
     }
 
-    /// Walk both ladders to exhaustion under one pseudo-random pattern of
-    /// transient losses and per-VP stall budgets; `Err` names the first
-    /// place they part. `open` lets a test swap in a broken ladder.
-    fn walk_both(
+    fn view_of((ingresses, ranking): &(Vec<IngressInfo>, Vec<Addr>)) -> PlanView<'_> {
+        if ingresses.is_empty() {
+            PlanView::Ranking(ranking)
+        } else {
+            PlanView::Ingresses(ingresses)
+        }
+    }
+
+    /// The try order of the plan with each queue's `futile` VPs moved,
+    /// stably, behind its live ones.
+    fn try_order_after_demotion(
         (ingresses, ranking): &(Vec<IngressInfo>, Vec<Addr>),
+        futile: &HashSet<Addr>,
+    ) -> Vec<(Option<Addr>, Addr)> {
+        let live_first = |vps: &[Addr]| {
+            let (live, dead): (Vec<Addr>, Vec<Addr>) =
+                vps.iter().partition(|vp| !futile.contains(vp));
+            [live, dead].concat()
+        };
+        let ingresses: Vec<IngressInfo> = (ingresses.iter())
+            .map(|i| IngressInfo {
+                ranked_vps: live_first(&i.ranked_vps),
+                ..i.clone()
+            })
+            .collect();
+        let ranking = live_first(ranking);
+        view_of(&(ingresses, ranking)).try_order().collect()
+    }
+
+    /// Walk a ladder to exhaustion under one pseudo-random pattern of
+    /// transient losses and per-VP stall budgets, checking every round
+    /// against the round rule; `Err` names the first breach, `Ok` the
+    /// rounds walked. `open` lets a test swap in a broken ladder.
+    ///
+    /// (i) Held VPs aside, the VPs go out in try order after demotion,
+    /// behind the solo winner under its queue's expectation. (ii) The
+    /// first round from the queues carries min(cap, non-empty queues) new
+    /// VPs, a solo round one, and every later round min(cap, VPs left) —
+    /// plus, at its head, the VPs the round before held, each with one
+    /// stall more. (iii) So every VP goes out once unless held, and no
+    /// more often than its stall budget allows.
+    fn walk_checked(
+        draw: &(Vec<IngressInfo>, Vec<Addr>),
         futile: &HashSet<Addr>,
         winner: Option<Addr>,
         cap: usize,
         salt: u64,
         open: impl Fn(&mut Ladder, PlanView<'_>) -> u64,
     ) -> Result<usize, String> {
-        let plan = if ingresses.is_empty() {
-            PlanView::Ranking(ranking)
-        } else {
-            PlanView::Ingresses(ingresses)
-        };
-        let (mut old, old_moved) = reference::Ladder::open(plan.to_queues(), futile, winner);
-        let mut new = Ladder::default();
-        let new_moved = open(&mut new, plan);
-        if old_moved != new_moved {
-            return Err(format!("moved: {old_moved} vs {new_moved}"));
+        let plan = view_of(draw);
+        let mut ladder = Ladder::default();
+        let moved = open(&mut ladder, plan);
+        let want_moved: u64 = (plan.queues())
+            .map(|(_, vps)| {
+                let dead = vps.iter().filter(|vp| futile.contains(vp)).count();
+                if dead > 0 && dead < vps.len() {
+                    dead as u64
+                } else {
+                    0
+                }
+            })
+            .sum();
+        if moved != want_moved {
+            return Err(format!("moved {moved}, want {want_moved}"));
         }
-        if old.active.is_empty() != new.is_exhausted() {
-            return Err("one ladder opens exhausted, the other does not".into());
-        }
-        // Transient on ~half the probes; budgets of 1, 2 or 6 re-batches,
-        // the three the engine uses.
+        let solo = winner.and_then(|w| {
+            let (ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&w))?;
+            Some((ingress, w))
+        });
+        let want: Vec<(Option<Addr>, Addr)> = (solo.into_iter())
+            .chain(try_order_after_demotion(draw, futile))
+            .collect();
+        let non_empty = plan.queues().filter(|(_, vps)| !vps.is_empty()).count();
+        // Transient on ~half the probes; budgets of 1, 2 or 6 re-batches.
         let transient =
             |round: usize, vp: Addr| mix3(salt, round as u64, vp.0 as u64).is_multiple_of(2);
         let budget = |vp: Addr| [1, 2, 6][(mix3(salt, 77, vp.0 as u64) % 3) as usize];
-        let mut batch = Vec::new();
+        let (mut issued, mut held, mut batch) = (Vec::new(), Vec::<Slot>::new(), Vec::new());
+        let mut solo_live = solo.is_some();
         let mut round = 0;
-        while !old.active.is_empty() {
-            let old_batch = old.compose(cap);
-            new.compose(plan, cap, &mut batch);
-            let issued = |vp, stalls, expected| (vp, stalls, expected);
-            let old_slots: Vec<_> = old_batch
-                .iter()
-                .map(|&(qi, vp)| issued(vp, old.stalls[qi], old.queues[qi].expected_ingress))
-                .collect();
-            let new_slots: Vec<_> = batch
-                .iter()
-                .map(|s| issued(s.vp, s.stalls, s.expected_ingress))
-                .collect();
-            if old_slots != new_slots {
-                return Err(format!("round {round}: {old_slots:?} vs {new_slots:?}"));
+        while !ladder.is_exhausted() {
+            if round > 1_000 {
+                return Err("the ladder never ends".into());
             }
-            let old_more = old.settle(&old_batch, |_, vp, stalls| {
-                transient(round, vp) && stalls < budget(vp)
-            });
-            new.settle(&batch, |_, s| {
-                transient(round, s.vp) && s.stalls < budget(s.vp)
-            });
-            let new_more = !new.is_exhausted();
-            if old_more != new_more {
-                return Err(format!("round {round}: go-on {old_more} vs {new_more}"));
+            ladder.compose(plan, cap, &mut batch);
+            let again: Vec<Slot> = (held.iter())
+                .map(|s| Slot {
+                    stalls: s.stalls + 1,
+                    ..*s
+                })
+                .collect();
+            if batch.get(..again.len()) != Some(&again[..]) {
+                return Err(format!("round {round}: held {again:?}, sent {batch:?}"));
             }
+            let fresh = &batch[again.len()..];
+            let size = match (round, solo_live) {
+                (0, true) => 1,
+                (_, true) => 0,
+                (0, false) => cap.min(non_empty),
+                _ => cap.min(want.len() - issued.len()),
+            };
+            if fresh.len() != size || fresh.iter().any(|s| s.stalls != 0) {
+                return Err(format!("round {round}: {size} new VPs due, sent {batch:?}"));
+            }
+            if batch.is_empty() {
+                return Err(format!("round {round} is empty"));
+            }
+            issued.extend(fresh.iter().map(|s| (s.expected_ingress, s.vp)));
+            if want.get(..issued.len()) != Some(&issued[..]) {
+                return Err(format!(
+                    "round {round}: sent {issued:?}, try order {want:?}"
+                ));
+            }
+            if let Some(s) = batch.iter().find(|s| s.stalls > budget(s.vp)) {
+                return Err(format!("round {round}: {s:?} held past its budget"));
+            }
+            held.clear();
+            ladder.settle(&batch, |_, s| {
+                let keep = transient(round, s.vp) && s.stalls < budget(s.vp);
+                if keep {
+                    held.push(*s);
+                }
+                keep
+            });
+            solo_live &= !held.is_empty();
             round += 1;
+        }
+        if issued != want || !held.is_empty() {
+            return Err(format!("exhausted after {issued:?}, try order {want:?}"));
         }
         Ok(round)
     }
@@ -502,13 +484,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3_000))]
 
-        /// The view issues the VP the cloned-and-partitioned queues
-        /// issued, with the same stall count and ingress expectation, in
-        /// every slot of every round — under random futile sets, winner
-        /// hints (in a queue, in none, absent), empty queues, batch caps
-        /// 1–3, transient-stall patterns and the staged fallback.
+        /// The ladder keeps the round rule in every slot of every round —
+        /// under random futile sets, winner hints (in a queue, in none,
+        /// absent), overlapping and empty queues, batch caps 1–3,
+        /// transient-stall patterns and the solo fallback.
         #[test]
-        fn ladder_view_matches_the_owning_reference(
+        fn ladder_keeps_the_round_rule(
             queues in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..6), 0..5),
             ranking in proptest::collection::vec(0u32..12, 0..6),
             futile in proptest::collection::vec(0u32..14, 0..8),
@@ -520,17 +501,17 @@ mod tests {
             let futile: HashSet<Addr> = futile.into_iter().map(a).collect();
             // VPs 12 and 13 are in no queue; 14 and up mean "no hint".
             let winner = (winner < 14).then(|| a(winner));
-            let walked = walk_both(&plan, &futile, winner, cap, salt, |l, p| {
+            let walked = walk_checked(&plan, &futile, winner, cap, salt, |l, p| {
                 l.open(p, rank_of(&futile), winner)
             });
             prop_assert!(walked.is_ok(), "{}", walked.unwrap_err());
         }
     }
 
-    /// The differential test has teeth: a ladder that demotes the dead VPs
-    /// but reverses their relative order is caught.
+    /// The rule check has teeth: a ladder that demotes the dead VPs but
+    /// reverses their relative order is caught.
     #[test]
-    fn reversing_the_dead_tail_fails_the_differential() {
+    fn reversing_the_dead_tail_fails_the_round_rule() {
         let plan = (
             vec![IngressInfo {
                 addr: a(100),
@@ -541,18 +522,57 @@ mod tests {
         );
         let futile: HashSet<Addr> = [a(1), a(3)].into_iter().collect();
         // Live [2, 4] then dead [1, 3]: the stable order passes…
-        let stable = walk_both(&plan, &futile, None, 3, 9, |l, p| {
+        let stable = walk_checked(&plan, &futile, None, 3, 9, |l, p| {
             l.open(p, rank_of(&futile), None)
         });
-        assert_eq!(stable.map(|rounds| rounds >= 4), Ok(true));
+        assert_eq!(stable.map(|rounds| rounds >= 2), Ok(true));
         // …and dead [3, 1] does not.
-        let reversed = walk_both(&plan, &futile, None, 3, 9, |l, p| {
+        let reversed = walk_checked(&plan, &futile, None, 3, 9, |l, p| {
             let moved = l.open(p, rank_of(&futile), None);
             let tail = l.order.len() - futile.len();
             l.order[tail..].reverse();
             moved
         });
         assert!(reversed.is_err(), "an unstable dead tail went unnoticed");
+    }
+
+    /// The round rule on one plan, by hand: two ingress queues, a batch
+    /// cap of three. The first round carries each queue's closest VP; the
+    /// second fills to three in try order; a VP held in it goes out again
+    /// at the head of the third, beside the last VP.
+    #[test]
+    fn later_rounds_fill_to_the_cap_in_try_order() {
+        let ingresses = [
+            IngressInfo {
+                addr: a(100),
+                cover: 4,
+                ranked_vps: vec![a(1), a(2), a(3), a(4)],
+            },
+            IngressInfo {
+                addr: a(101),
+                cover: 2,
+                ranked_vps: vec![a(5), a(6)],
+            },
+        ];
+        let plan = PlanView::Ingresses(&ingresses);
+        let mut l = Ladder::default();
+        assert_eq!(l.open(plan, |_| 0, None), 0);
+        let mut batch = Vec::new();
+        let mut rounds = Vec::new();
+        while !l.is_exhausted() {
+            l.compose(plan, BATCH_SIZE, &mut batch);
+            rounds.push(batch.iter().map(|s| (s.vp, s.stalls)).collect::<Vec<_>>());
+            l.settle(&batch, |_, s| s.vp == a(6) && s.stalls == 0);
+        }
+        let vp = |n, stalls| (a(n), stalls);
+        assert_eq!(
+            rounds,
+            [
+                vec![vp(1, 0), vp(5, 0)],
+                vec![vp(2, 0), vp(6, 0), vp(3, 0)],
+                vec![vp(6, 1), vp(4, 0)],
+            ]
+        );
     }
 
     /// Ranks compose: demotion is applied over a set-cover style

@@ -63,11 +63,10 @@ pub(crate) struct SymmetryDecision {
     pub(crate) interdomain: bool,
 }
 
-/// How many consecutive re-batches a VP queue may hold its position when
-/// its probe is lost to a *transient* fault, before the queue advances to
-/// the next (less close) VP anyway. Bounded so rr_step always terminates
-/// even under total loss.
-const TRANSIENT_STALL_BUDGET: u32 = 2;
+/// How many consecutive re-batches the spoofed ladder holds a VP for when
+/// its probe is lost to a *transient* fault, before it gives up on that VP
+/// anyway. Bounded so rr_step always terminates even under total loss.
+pub(crate) const TRANSIENT_STALL_BUDGET: u32 = 2;
 
 /// An open telemetry stage: the span token plus the request meter's tally
 /// at entry, so the exit can attach this stage's exact probe delta — the
@@ -610,6 +609,10 @@ impl<'s> RevtrSystem<'s> {
     /// batches from the VP plan until one reveals novel hops or the ladder
     /// runs out. Each batch is one round, one virtual 10 s collection
     /// timeout, and one engine event, charged inside the step's spans.
+    /// The first round carries the closest VP of each ingress queue (or a
+    /// remembered winner alone); every later round fills to the batch cap
+    /// with the next VPs in the plan's try order, so a 5-VP queue takes
+    /// three rounds, not five.
     ///
     /// Returns what the step found, and whether any round saw a *usable*
     /// reply (ingress check passed and slots survived past the target),
@@ -672,6 +675,8 @@ impl<'s> RevtrSystem<'s> {
             hints.winner,
         );
         self.stopset.note_vp_skips(moved);
+        #[cfg(test)]
+        sx.sent.push(Vec::new());
         let cap = hints.batch_cap.unwrap_or(BATCH_SIZE).max(1);
         // Queues can legitimately be empty (an ingress with no in-range
         // VPs); a plan with nothing to try ends the step without a round.
@@ -681,6 +686,8 @@ impl<'s> RevtrSystem<'s> {
             let usable;
             (found, usable) = self.rr_round(plan, cur, cap, src, sx, t);
             usable_seen |= usable;
+            #[cfg(test)]
+            sx.sent.last_mut().expect("opened").extend(&sx.batch);
         }
         let batches = u64::from(t.stats.batches - batches0);
         let hit = u64::from(found.is_some());
@@ -701,7 +708,8 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// One spoofed-batch round of the ladder open in `sx` over `plan`:
-    /// compose a batch of at most `cap` probes, issue it, and return the
+    /// compose a batch of at most `cap` new probes (plus the VPs the last
+    /// round held), issue it, and return the
     /// usable reply with the most novel hops — or, when none revealed any,
     /// settle the ladder for the next round and return `None` — with
     /// whether any reply was usable. Allocates nothing: batch, prober
@@ -726,7 +734,7 @@ impl<'s> RevtrSystem<'s> {
             futile_vps,
             ..
         } = sx;
-        // The current VP of up to `cap` distinct queues, in order.
+        // The held VPs, then up to `cap` VPs in try order.
         ladder.compose(plan, cap, batch);
         pairs.clear();
         pairs.extend(batch.iter().map(|slot| (slot.vp, cur)));
@@ -768,12 +776,12 @@ impl<'s> RevtrSystem<'s> {
         if best.is_some() {
             return (best, any_usable);
         }
-        // Nothing came back. A queue whose probe was *transiently* lost
-        // (fault-attributed, budget exhausted) keeps its current VP for a
-        // bounded number of re-batches — a close VP should not be burned
-        // because of packet loss. Every other probed queue advances to its
-        // next (less close) VP — whether it failed the ingress check, went
-        // genuinely unanswered, or answered without revealing new hops.
+        // Nothing came back. A VP whose probe was *transiently* lost
+        // (fault-attributed, budget exhausted) goes out again next round,
+        // for a bounded number of re-batches — a close VP should not be
+        // burned because of packet loss. Every other VP is done — whether
+        // it failed the ingress check, went genuinely unanswered, or
+        // answered without revealing new hops.
         ladder.settle(batch, |i, slot| {
             let transient = reply.transient[i];
             if transient && slot.stalls < TRANSIENT_STALL_BUDGET {

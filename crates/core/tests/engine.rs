@@ -744,18 +744,18 @@ fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
         (
             "revtr1",
             EngineConfig::revtr1(),
-            (456, 227, 137, 0xd6d9_bd09_1ac8_435e),
+            (378, 227, 59, 0xd6d9_bd09_1ac8_435e),
         ),
-        ("verify_dbr", verify, (464, 270, 134, 0xeb5d_6ad3_f44e_a55f)),
+        ("verify_dbr", verify, (398, 270, 85, 0xeb5d_6ad3_f44e_a55f)),
         (
             "stop_sets",
             stop_sets,
-            (350, 134, 50, 0xeb5d_6ad3_f44e_a55f),
+            (328, 134, 34, 0xeb5d_6ad3_f44e_a55f),
         ),
         (
             "revtr2",
             EngineConfig::revtr2(),
-            (378, 157, 73, 0xeb5d_6ad3_f44e_a55f),
+            (346, 157, 47, 0xeb5d_6ad3_f44e_a55f),
         ),
     ];
     let (mut events, mut readings, mut expected) = (Vec::new(), Vec::new(), Vec::new());

@@ -17,7 +17,7 @@ use revtr::config::BATCH_SIZE;
 use revtr::extract_reverse_hops;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::Prober;
-use revtr_vpselect::{third_destination_consistent, Heuristics, IngressDb, IngressQueue, RR_RANGE};
+use revtr_vpselect::{third_destination_consistent, Heuristics, IngressDb, PlanView, RR_RANGE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -93,18 +93,13 @@ pub struct VpSelectionReport {
     pub stability: (usize, usize),
 }
 
-fn flatten_queues(queues: &[IngressQueue]) -> Vec<Addr> {
-    // Try order: first the closest VP of each ingress (coverage order),
-    // then second-closest of each, etc. — matching the batching discipline.
+/// The distinct VPs of `plan` in its try order (a VP two ingresses share
+/// counts once, at its first place).
+fn distinct_try_order(plan: PlanView<'_>) -> Vec<Addr> {
     let mut out = Vec::new();
-    let max_len = queues.iter().map(|q| q.vps.len()).max().unwrap_or(0);
-    for depth in 0..max_len {
-        for q in queues {
-            if let Some(&vp) = q.vps.get(depth) {
-                if !out.contains(&vp) {
-                    out.push(vp);
-                }
-            }
+    for (_, vp) in plan.try_order() {
+        if !out.contains(&vp) {
+            out.push(vp);
         }
     }
     out
@@ -181,7 +176,7 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         // The engine falls back to the head of the global order for
         // prefixes without a usable ingress plan (§4.3's 2.3% case);
         // mirror that here.
-        let mut plan = flatten_queues(&full_db.ingress_plan(pe.prefix));
+        let mut plan = distinct_try_order(full_db.plan_view(pe.prefix));
         if plan.is_empty() {
             plan = full_db.global_plan().iter().copied().take(9).collect();
         }
@@ -199,7 +194,7 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         let found = prefixes
             .iter()
             .filter(|pe| {
-                flatten_queues(&db.ingress_plan(pe.prefix))
+                distinct_try_order(db.plan_view(pe.prefix))
                     .iter()
                     .any(|vp| pe.outcomes.get(vp).map(|o| o.in_range).unwrap_or(false))
             })

@@ -112,7 +112,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0x08dfab5cdd628082 journal 0x0e6b75554e9eef5c",
+        "metrics 0x6334b9b36649c428 journal 0x7be872cbc78f8ee2",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

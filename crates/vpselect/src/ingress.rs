@@ -11,7 +11,12 @@
 //! 5. rank each ingress's VPs by RR slot distance (closest first).
 //!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
-//! from the closest VP to that ingress, in batches of three (§4.3).
+//! from the closest VP to that ingress, in batches of three (§4.3). The
+//! engine's first spoofed round carries the closest VP of each ingress
+//! queue (up to three); every later round fills to three with the next
+//! VPs in [`PlanView::try_order`] — depth-major across the queues — so the
+//! VPs go out closest first and no 10 s collection round carries one VP
+//! while others wait.
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
@@ -121,6 +126,20 @@ impl<'a> PlanView<'a> {
     /// All queues, in order.
     pub fn queues(self) -> impl Iterator<Item = (Option<Addr>, &'a [Addr])> {
         (0..self.len()).map(move |i| self.queue(i))
+    }
+
+    /// The plan's try order: depth-major across the queues — the closest
+    /// VP of every queue in queue order, then every queue's second, and so
+    /// on — each VP with the ingress its reply must traverse. A VP in two
+    /// queues comes up once per queue. The engine's spoofed ladder issues
+    /// a plan's VPs in this order (each queue first reordered by its
+    /// hints), three to a batch, and the §5.3 evaluation reads plans in
+    /// it.
+    pub fn try_order(self) -> impl Iterator<Item = (Option<Addr>, Addr)> + 'a {
+        let deepest = self.queues().map(|(_, vps)| vps.len()).max().unwrap_or(0);
+        (0..deepest).flat_map(move |depth| {
+            (self.queues()).filter_map(move |(ingress, vps)| Some((ingress, *vps.get(depth)?)))
+        })
     }
 
     /// The plan as owned queues.
