@@ -67,12 +67,16 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 # runs it — a sink tree lent to every RR ping, per destination and per VP —
 # is the survey the standalone `probe_prefix` makes walking every hop:
 # every `PrefixInfo`, the counters, and the clock, simulator-time and
-# route-compute readings to the bit, with default churn moving salts under
-# the trees, under link maintenance, and in `dbr_region` ASes. Both sides
-# share the simulator's Record Route exchange, so the seed-1 survey is also
-# pinned to constants: a digest of every `PrefixInfo`, the clock and
-# simulator-time bits, the counters and the route computes. (The tiny arms
-# run in the workspace tests above.)
+# route-compute readings to the bit, with churn moving salts under the
+# trees, under link maintenance, and in `dbr_region` ASes. A prefix's RR
+# pings go out as one round that charges the clock once, by its slowest
+# ping (some eighty virtual minutes a survey), so the churn arms re-roll
+# one prefix in seven a virtual hour to keep a few hundred salts moving
+# mid-survey. Both sides share the simulator's Record Route exchange, so
+# the seed-1 survey is also pinned to constants: a digest of every
+# `PrefixInfo`, the clock and simulator-time bits, the counters and the
+# route computes. (The tiny arms, a lossy rate-limited one with three
+# attempts a probe among them, run in the workspace tests above.)
 echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + pinned seed 1) =="
 cargo test -q --release -p revtr-vpselect -- --ignored
 

@@ -2,8 +2,10 @@
 //!
 //! All latency in the reproduction is *virtual*: probes advance the clock by
 //! their simulated RTT, spoofed batches by their 10-second collection
-//! timeout (paper §5.2.4). The clock periodically flushes accumulated time
-//! into the simulator so route churn progresses while campaigns run.
+//! timeout (paper §5.2.4), and a round of the ingress survey
+//! ([`crate::SurveyRound`]) by its slowest ping. The clock periodically
+//! flushes accumulated time into the simulator so route churn progresses
+//! while campaigns run.
 //!
 //! [`Clock`] is the *shared* clock: `now_ms` is the sum of every advance
 //! any thread ever made, so it says how much measurement the whole system

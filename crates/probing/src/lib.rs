@@ -41,7 +41,9 @@ pub use cache::{
 };
 pub use counters::Snapshot;
 pub use meter::Meter;
-pub use prober::{BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch};
+pub use prober::{
+    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch, SurveyRound,
+};
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
 };

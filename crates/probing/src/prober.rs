@@ -10,9 +10,10 @@
 //! helpers that charge the shared [`Clock`] / [`Counters`] *and* the
 //! caller's [`Meter`]. The engine's entry points take the meter of the
 //! request they probe for; everyone else calls the meterless wrappers
-//! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::survey_rr_ping`],
-//! [`Prober::spoofed_rr_batch`], [`Prober::traceroute_fresh`],
-//! [`Prober::atlas_rr_ping`]), which charge a throw-away one.
+//! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
+//! [`Prober::traceroute_fresh`], [`Prober::atlas_rr_ping`]), which charge a
+//! throw-away one. A [`SurveyRound`] charges the shared clock alone, once,
+//! when it closes.
 //!
 //! # Faults and retries
 //!
@@ -341,11 +342,13 @@ impl<'s> Prober<'s> {
         self.advance(m, reply_rtt.unwrap_or(PROBE_TIMEOUT_MS));
     }
 
-    /// Draw the fault fate of one probe attempt toward `dst` (spoofed
-    /// attempts also pass the sending VP for the flap check). Consumes a
-    /// nonce — and takes any lock — only when faults are active, so
-    /// fault-free runs stay bit-identical to pre-fault builds.
-    fn fault_lost(&self, spoof_vp: Option<Addr>, dst: Addr) -> bool {
+    /// Draw the fault fate of one probe attempt toward `dst` sent at
+    /// virtual instant `sent_ms` (spoofed attempts also pass the sending VP
+    /// for the flap check). The instant is what the destination's ICMP
+    /// token bucket refills to; it is read only when faults are active.
+    /// Consumes a nonce — and takes any lock — only when faults are
+    /// active, so fault-free runs stay bit-identical to pre-fault builds.
+    fn fault_lost(&self, spoof_vp: Option<Addr>, dst: Addr, sent_ms: impl FnOnce() -> f64) -> bool {
         let faults = self.sim.faults();
         if !faults.any_enabled() {
             return false;
@@ -359,7 +362,7 @@ impl<'s> Prober<'s> {
             }
         }
         match self.sim.responder_router(dst) {
-            Some(r) => !faults.icmp_allowed(r, self.clock.now_ms()),
+            Some(r) => !faults.icmp_allowed(r, sent_ms()),
             None => false,
         }
     }
@@ -422,7 +425,7 @@ impl<'s> Prober<'s> {
                 self.charge_retry(m);
             }
             self.count(m, ProbeKind::Ping, 1);
-            if self.fault_lost(None, dst) {
+            if self.fault_lost(None, dst, || self.clock.now_ms()) {
                 self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
                 self.charge(m, None);
@@ -484,7 +487,9 @@ impl<'s> Prober<'s> {
                 self.charge_retry(m);
             }
             self.count(m, ProbeKind::Rr, 1);
-            if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
+            if self.fault_lost(None, dst, || self.clock.now_ms())
+                || self.scenario_lost(None, src, dst, attempt)
+            {
                 self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
                 self.charge(m, None);
@@ -524,44 +529,16 @@ impl<'s> Prober<'s> {
         Err(ProbeLoss::Transient)
     }
 
-    /// One RR ping of the §4.3 ingress survey: the probe [`Prober::rr_ping`]
-    /// sends on a cache-disabled handle — same fault and scenario draws,
-    /// nonce, counters and clock — but never near the measurement cache (a
-    /// VP→scan-destination ping is one no measurement re-issues), with no
-    /// replay provenance (nothing audits the survey), and lending the
-    /// caller's sink trees to the two legs: `forward` toward `dst`, `reply`
-    /// back toward `src`.
-    pub fn survey_rr_ping(
-        &self,
-        src: Addr,
-        dst: Addr,
-        mut forward: Option<&mut SinkTree>,
-        mut reply: Option<&mut SinkTree>,
-    ) -> Option<RrReply> {
-        let m = &mut Meter::default();
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.charge_retry(m);
-            }
-            self.count(m, ProbeKind::Rr, 1);
-            if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
-                self.count(m, ProbeKind::Lost, 1);
-                self.tele_lost();
-                self.charge(m, None);
-                continue;
-            }
-            let r = self.sim.rr_ping_lent(
-                src,
-                dst,
-                self.next_nonce(),
-                forward.as_deref_mut(),
-                reply.as_deref_mut(),
-            );
-            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            return r;
+    /// Open one collection round of the §4.3 ingress survey: RR pings that
+    /// do not depend on each other all go out at this instant, and the
+    /// round costs the virtual time of its slowest ping, charged to the
+    /// shared clock once, when the returned handle drops.
+    pub fn survey_round(&self) -> SurveyRound<'_, 's> {
+        SurveyRound {
+            prober: self,
+            start_ms: self.clock.now_ms(),
+            longest_ms: 0.0,
         }
-        self.telemetry.counter_add("probing.transient_exhausted", 1);
-        None
     }
 
     /// RR ping issued for the background RR-atlas (§4.2): identical
@@ -574,7 +551,7 @@ impl<'s> Prober<'s> {
                 self.charge_retry(m);
             }
             self.count(m, ProbeKind::AtlasRr, 1);
-            if self.fault_lost(spoofed.then_some(sender), dst)
+            if self.fault_lost(spoofed.then_some(sender), dst, || self.clock.now_ms())
                 || self.scenario_lost(spoofed.then_some(sender), claimed, dst, attempt)
             {
                 self.count(m, ProbeKind::Lost, 1);
@@ -681,7 +658,8 @@ impl<'s> Prober<'s> {
                 let (vp, dst) = pairs[i];
                 self.count(m, ProbeKind::SpoofRr, 1);
                 let att = attempt_base.get(i).copied().unwrap_or(0) + round;
-                if self.fault_lost(Some(vp), dst) || self.scenario_lost(Some(vp), claimed, dst, att)
+                if self.fault_lost(Some(vp), dst, || self.clock.now_ms())
+                    || self.scenario_lost(Some(vp), claimed, dst, att)
                 {
                     self.count(m, ProbeKind::Lost, 1);
                     self.tele_lost();
@@ -749,7 +727,9 @@ impl<'s> Prober<'s> {
                 self.charge_retry(m);
             }
             self.count(m, ProbeKind::Ts, 1);
-            if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
+            if self.fault_lost(None, dst, || self.clock.now_ms())
+                || self.scenario_lost(None, src, dst, attempt)
+            {
                 self.count(m, ProbeKind::Lost, 1);
                 self.tele_lost();
                 self.charge(m, None);
@@ -797,7 +777,7 @@ impl<'s> Prober<'s> {
             for &i in &pending {
                 let (vp, dst, prespec) = &probes[i];
                 self.count(m, ProbeKind::SpoofTs, 1);
-                if self.fault_lost(Some(*vp), *dst)
+                if self.fault_lost(Some(*vp), *dst, || self.clock.now_ms())
                     || self.scenario_lost(Some(*vp), claimed, *dst, round)
                 {
                     self.count(m, ProbeKind::Lost, 1);
@@ -831,7 +811,7 @@ impl<'s> Prober<'s> {
             self.charge_retry(m);
         }
         self.count(m, ProbeKind::Traceroutes, 1);
-        if !self.fault_lost(None, dst) {
+        if !self.fault_lost(None, dst, || self.clock.now_ms()) {
             return false;
         }
         self.count(m, ProbeKind::Lost, 1);
@@ -910,6 +890,81 @@ impl<'s> Prober<'s> {
             return measured;
         }
         None
+    }
+}
+
+/// One collection round of the §4.3 ingress survey, opened by
+/// [`Prober::survey_round`]. Its pings go out at the round's start; each
+/// keeps its own attempt chain — [`PROBE_TIMEOUT_MS`] per fault-lost
+/// attempt, then the reply's RTT, or the timeout if nothing answers — and
+/// the round ends with its longest chain. Dropping the handle closes the
+/// round and charges that chain to the shared clock, once: no churn flush,
+/// and no other probe's time, falls between a round's pings.
+pub struct SurveyRound<'p, 's> {
+    prober: &'p Prober<'s>,
+    /// The shared clock when the round opened.
+    start_ms: f64,
+    /// The longest attempt chain so far.
+    longest_ms: f64,
+}
+
+impl SurveyRound<'_, '_> {
+    /// One RR ping of the round: the probe [`Prober::rr_ping`] sends on a
+    /// cache-disabled handle — same fault and scenario draws, nonce and
+    /// counters — but never near the measurement cache (a VP→scan-destination
+    /// ping is one no measurement re-issues), with no replay provenance
+    /// (nothing audits the survey), and lending the caller's sink trees to
+    /// the two legs: `forward` toward `dst`, `reply` back toward `src`.
+    /// Attempt `k` draws its faults at the round's start plus the timeouts
+    /// this ping has waited, so an ICMP token bucket refills between its
+    /// retries.
+    pub fn rr_ping(
+        &mut self,
+        src: Addr,
+        dst: Addr,
+        mut forward: Option<&mut SinkTree>,
+        mut reply: Option<&mut SinkTree>,
+    ) -> Option<RrReply> {
+        let p = self.prober;
+        let m = &mut Meter::default();
+        let mut waited_ms = 0.0;
+        for attempt in 0..p.retry.attempts {
+            if attempt > 0 {
+                p.charge_retry(m);
+            }
+            p.count(m, ProbeKind::Rr, 1);
+            let sent_ms = self.start_ms + waited_ms;
+            if p.fault_lost(None, dst, || sent_ms) || p.scenario_lost(None, src, dst, attempt) {
+                p.count(m, ProbeKind::Lost, 1);
+                p.tele_lost();
+                waited_ms += PROBE_TIMEOUT_MS;
+                continue;
+            }
+            let r = p.sim.rr_ping_lent(
+                src,
+                dst,
+                p.next_nonce(),
+                forward.as_deref_mut(),
+                reply.as_deref_mut(),
+            );
+            let chain_ms = waited_ms + r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
+            self.longest_ms = self.longest_ms.max(chain_ms);
+            return r;
+        }
+        p.telemetry.counter_add("probing.transient_exhausted", 1);
+        self.longest_ms = self.longest_ms.max(waited_ms);
+        None
+    }
+}
+
+impl Drop for SurveyRound<'_, '_> {
+    fn drop(&mut self) {
+        // A round abandoned by a panic charges nothing: a flush into a
+        // simulator the panic left half-updated could panic again here.
+        if std::thread::panicking() {
+            return;
+        }
+        self.prober.advance(&mut Meter::default(), self.longest_ms);
     }
 }
 
@@ -1108,6 +1163,71 @@ mod tests {
         let d = p2.counters().snapshot().since(&before);
         assert_eq!(d.rr, 1, "deterministic non-answers are not retried");
         assert_eq!(d.retries, 0);
+    }
+
+    #[test]
+    fn a_survey_round_charges_its_slowest_ping_once() {
+        let s = sim();
+        let p = Prober::new(&s);
+        let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
+        let t0 = p.clock().now_ms();
+        let mut round = p.survey_round();
+        let mut longest: f64 = 0.0;
+        for &dst in &vps[1..] {
+            let r = round.rr_ping(vps[0], dst, None, None);
+            longest = longest.max(r.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
+        }
+        assert_eq!(
+            p.clock().now_ms(),
+            t0,
+            "nothing is charged while it is open"
+        );
+        drop(round);
+        assert_eq!(p.clock().now_ms().to_bits(), (t0 + longest).to_bits());
+        assert_eq!(p.counters().snapshot().rr, vps.len() as u64 - 1);
+    }
+
+    #[test]
+    fn a_round_bursts_at_a_router_limiter_and_retries_after_the_refill() {
+        let mut cfg = SimConfig::tiny();
+        cfg.faults.icmp_rate_limit_pps = 100.0;
+        let s = Sim::build(cfg, 21);
+        let src = s.topo().vp_sites[0].host;
+        // A router interface that answers Record Route: its router's ICMP
+        // limiter meters every reply.
+        let hop = (s.topo().vp_sites.iter().skip(1))
+            .filter_map(|far| s.traceroute(src, far.host, Prober::paris_flow(src, far.host)))
+            .flat_map(|t| t.responsive_hops().collect::<Vec<_>>())
+            .find(|&a| s.responder_router(a).is_some() && s.rr_ping(src, a, 0).is_some())
+            .expect("a router on the way to a VP answers RR");
+        // Sent at one instant, a round outruns the limiter's burst; a lost
+        // ping's retry goes out a probe timeout later, after the bucket
+        // has refilled, and is answered. (The bucket hears a round's draws
+        // in send order, ping by ping: the first retry's refill also
+        // serves the first attempts drawn after it.)
+        let round_of = |attempts: u32| {
+            // A fresh limiter (its bucket is the simulator's) and clock.
+            let s = Sim::build(s.config().clone(), 21);
+            let p = Prober::new(&s).with_retry_policy(RetryPolicy::uniform(attempts));
+            let t0 = p.clock().now_ms();
+            let mut round = p.survey_round();
+            let answered = (0..80)
+                .filter(|_| round.rr_ping(src, hop, None, None).is_some())
+                .count();
+            drop(round);
+            let snap = p.counters().snapshot();
+            (answered, snap.lost, p.clock().now_ms() - t0)
+        };
+        let (answered, lost, round_ms) = round_of(1);
+        assert!(
+            lost > 0 && answered + lost as usize == 80,
+            "{answered} answered, {lost} lost"
+        );
+        assert!((round_ms - PROBE_TIMEOUT_MS).abs() < 1e-6, "{round_ms} ms");
+        let (answered, lost_retried, round_ms) = round_of(2);
+        assert_eq!(answered, 80, "every retry is answered");
+        assert!(lost_retried > 0);
+        assert!(round_ms > PROBE_TIMEOUT_MS && round_ms < 2.0 * PROBE_TIMEOUT_MS);
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl IngressDb {
     /// This is the weekly background measurement of §4.3; probes are
     /// charged to the prober's counters (pings + RR). Survey probes
     /// bypass the measurement cache entirely
-    /// ([`Prober::survey_rr_ping`]): they are VP→scan-destination
+    /// ([`revtr_probing::SurveyRound::rr_ping`]): they are VP→scan-destination
     /// RR pings no reverse-traceroute measurement ever re-issues (the
     /// engine probes source→hop), so caching them only bloats the store —
     /// they were ~94% of all inserts at an ~0.8% overall hit rate before
@@ -359,6 +359,26 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
     SurveyScratch::new(vps.len(), None).survey(prober, vps, p, h)
 }
 
+/// Step 1 of the survey: up to two responsive destinations of `p`, pinged
+/// one after another from the first VP (any source works: responsiveness
+/// is a destination property). The scan stops at the second responsive
+/// host, so it stays serial — sent at once, it would send more pings.
+fn responsive_dests(prober: &Prober<'_>, vps: &[Addr], p: PrefixId) -> Vec<Addr> {
+    let mut dests: Vec<Addr> = Vec::new();
+    let Some(&pinger) = vps.first() else {
+        return dests;
+    };
+    for cand in prober.sim().host_addrs(p).take(DEST_SCAN_LIMIT) {
+        if prober.ping(pinger, cand).is_some() {
+            dests.push(cand);
+            if dests.len() == DESTS_PER_PREFIX {
+                break;
+            }
+        }
+    }
+    dests
+}
+
 /// One `(ingress candidate, VP)` incidence of a prefix's survey.
 #[derive(Clone, Copy)]
 struct Incidence {
@@ -428,7 +448,8 @@ impl SurveyScratch {
     }
 
     /// §4.3 for one prefix. Probes go out in a fixed order — the scan
-    /// pings, then one RR ping per (VP, destination), VP-major — and every
+    /// pings one after another, then one RR ping per (VP, destination),
+    /// VP-major, all in one [`revtr_probing::SurveyRound`] — and every
     /// choice among VPs is made on their addresses, never their positions,
     /// so a permuted VP list gives the same answer.
     fn survey(
@@ -438,34 +459,33 @@ impl SurveyScratch {
         p: PrefixId,
         h: Heuristics,
     ) -> PrefixInfo {
-        let sim = prober.sim();
-        let prefix = sim.topo().prefix(p).prefix;
-
-        // 1. Find up to two responsive destinations. The scan itself uses
-        // the first VP as the pinger (any source works: responsiveness is a
-        // destination property).
-        let Some(&pinger) = vps.first() else {
-            return PrefixInfo::default();
-        };
-        let mut dests: Vec<Addr> = Vec::new();
-        for cand in sim.host_addrs(p).take(DEST_SCAN_LIMIT) {
-            if prober.ping(pinger, cand).is_some() {
-                dests.push(cand);
-                if dests.len() == DESTS_PER_PREFIX {
-                    break;
-                }
-            }
-        }
+        let dests = responsive_dests(prober, vps, p);
         if dests.is_empty() {
             return PrefixInfo::default();
         }
+        self.survey_dests(prober, vps, p, h, dests)
+    }
 
-        // 2–3. RR-ping the destinations from every VP and fold each VP's
-        // merged view into the tables.
+    /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
+    /// found (at least one).
+    fn survey_dests(
+        &mut self,
+        prober: &Prober<'_>,
+        vps: &[Addr],
+        p: PrefixId,
+        h: Heuristics,
+        dests: Vec<Addr>,
+    ) -> PrefixInfo {
+        let sim = prober.sim();
+        let prefix = sim.topo().prefix(p).prefix;
+
+        // 2–3. RR-ping the destinations from every VP, all in one round,
+        // and fold each VP's merged view into the tables.
         self.run.clear();
         self.near.clear();
         let mut in_range = vec![0u64; vps.len().div_ceil(64)].into_boxed_slice();
         let mut closest: Option<(f64, Addr)> = None;
+        let mut round = prober.survey_round();
         for (at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;
@@ -474,7 +494,7 @@ impl SurveyScratch {
                     Some(t) => (Some(&mut t.forward[dest_at]), Some(&mut t.reply[at])),
                     None => (None, None),
                 };
-                if let Some(r) = prober.survey_rr_ping(vp, d, forward, reply) {
+                if let Some(r) = round.rr_ping(vp, d, forward, reply) {
                     views[answered] = path_view(&r.slots, prefix, h);
                     answered += 1;
                 }
@@ -509,6 +529,7 @@ impl SurveyScratch {
                 }
             }
         }
+        drop(round);
         self.run.sort_unstable_by_key(|i| (i.cand, i.vp));
         let mut candidates = Vec::with_capacity(self.run.chunk_by(same_candidate).count());
         candidates.extend(self.run.chunk_by(same_candidate).map(|g| g[0].cand));
@@ -573,7 +594,9 @@ impl SurveyScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_netsim::{Sim, SimConfig};
+    use revtr_netsim::{FaultConfig, Sim, SimConfig};
+    use revtr_probing::prober::PROBE_TIMEOUT_MS;
+    use revtr_probing::RetryPolicy;
 
     fn setup() -> (Sim, Vec<Addr>) {
         let sim = Sim::build(SimConfig::tiny(), 17);
@@ -687,6 +710,45 @@ mod tests {
             per_prefix > size_of::<Option<PrefixInfo>>() as u64 && per_prefix <= bound,
             "{per_prefix} B per surveyed prefix, bound {bound}"
         );
+    }
+
+    /// A round's pings draw their faults at the instants they would go
+    /// out, retries included: under loss and an ICMP rate limiter (which
+    /// meters router addresses, not the end hosts a survey probes), with
+    /// three attempts a ping, a prefix's RR round still ends with its
+    /// longest attempt chain — never more than three probe timeouts.
+    #[test]
+    fn a_lossy_round_lasts_at_most_its_attempt_budget() {
+        let mut cfg = SimConfig::tiny();
+        cfg.faults = FaultConfig {
+            icmp_rate_limit_pps: 100.0,
+            ..FaultConfig::lossy(0.3)
+        };
+        let sim = Sim::build(cfg, 17);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prober = Prober::new(&sim)
+            .with_cache_enabled(false)
+            .with_retry_policy(RetryPolicy::uniform(3));
+        let mut scratch = SurveyScratch::new(vps.len(), None);
+        let (mut rounds, mut retried) = (0, 0);
+        for p in sim.topo().prefixes.iter().map(|p| p.id) {
+            let dests = responsive_dests(&prober, &vps, p);
+            if dests.is_empty() {
+                continue;
+            }
+            let t0 = prober.clock().now_ms();
+            scratch.survey_dests(&prober, &vps, p, Heuristics::FULL, dests);
+            let round_ms = prober.clock().now_ms() - t0;
+            assert!(
+                round_ms <= 3.0 * PROBE_TIMEOUT_MS + 1e-6,
+                "{p}: a {round_ms} ms round"
+            );
+            rounds += 1;
+            retried += usize::from(round_ms > PROBE_TIMEOUT_MS);
+        }
+        assert!(rounds > 10, "{rounds} rounds");
+        assert!(retried > 0, "no round waited out a lost attempt");
+        assert!(prober.counters().snapshot().retries > 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::{IngressInfo, RR_RANGE};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, Prefix, PrefixId};
 use revtr_probing::Prober;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// [`crate::parse::RrParse::loop_span`], found with an owned `seen` list.
 fn loop_span(slots: &[Addr]) -> Option<(usize, usize)> {
@@ -88,7 +88,7 @@ impl VpView {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PrefixInfo {
     pub dests: Vec<Addr>,
-    pub views: HashMap<Addr, VpView>,
+    pub views: BTreeMap<Addr, VpView>,
     pub ingresses: Vec<IngressInfo>,
     pub fallback: Vec<Addr>,
 }
@@ -144,11 +144,12 @@ pub(crate) fn probe_prefix(
         return PrefixInfo::default();
     }
 
-    let mut views: HashMap<Addr, VpView> = HashMap::new();
+    let mut views: BTreeMap<Addr, VpView> = BTreeMap::new();
+    let mut round = prober.survey_round();
     for &vp in vps {
         let mut per_dest: Vec<(Option<usize>, Vec<Addr>)> = Vec::new();
         for &d in &dests {
-            if let Some(r) = prober.rr_ping(vp, d) {
+            if let Some(r) = round.rr_ping(vp, d, None, None) {
                 per_dest.push(path_view(&r.slots, prefix, h));
             }
         }
@@ -177,6 +178,7 @@ pub(crate) fn probe_prefix(
             },
         );
     }
+    drop(round);
 
     let mut uncovered: Vec<Addr> = views
         .iter()
@@ -186,7 +188,7 @@ pub(crate) fn probe_prefix(
     uncovered.sort_unstable();
     let mut ingresses: Vec<IngressInfo> = Vec::new();
     while !uncovered.is_empty() {
-        let mut cover: HashMap<Addr, Vec<Addr>> = HashMap::new();
+        let mut cover: BTreeMap<Addr, Vec<Addr>> = BTreeMap::new();
         for &vp in &uncovered {
             for &(cand, _) in &views[&vp].candidates {
                 cover.entry(cand).or_default().push(vp);
@@ -293,7 +295,10 @@ mod tests {
         /// same order (equal counters and clock on twin simulators), same
         /// plan, and the same answers to everything that used to be read
         /// off the per-VP views — under a permuted VP list too, and with
-        /// more VPs than one word of the in-range set holds.
+        /// more VPs than one word of the in-range set holds. A round costs
+        /// its slowest ping whatever order its pings went out in: the same
+        /// list with every VP but the scan's pinger turned charges the
+        /// clock the same bits.
         #[test]
         fn probe_prefix_matches_reference(
             seed in (0usize..3).prop_map(|i| [17u64, 19, 42][i]),
@@ -304,11 +309,15 @@ mod tests {
             let mut cfg = SimConfig::tiny();
             cfg.topology.n_vp_sites = n_vp_sites;
             let sim_ref = Sim::build(cfg.clone(), seed);
-            let sim_new = Sim::build(cfg, seed);
+            let sim_new = Sim::build(cfg.clone(), seed);
+            let sim_turned = Sim::build(cfg, seed);
             let mut vps: Vec<Addr> = sim_ref.topo().vp_sites.iter().map(|v| v.host).collect();
             prop_assert_eq!(vps.len(), n_vp_sites);
             vps.rotate_left(rotation % n_vp_sites);
+            let mut turned_vps = vps.clone();
+            turned_vps[1..].rotate_left(rotation % (n_vp_sites - 1) + 1);
             let (reference, compiled) = (Prober::new(&sim_ref), Prober::new(&sim_new));
+            let turned = Prober::new(&sim_turned).with_cache_enabled(false);
             let (survey_ref, survey_new) =
                 (reference.with_cache_enabled(false), compiled.with_cache_enabled(false));
             let (mut contested, mut beyond_one_word) = (0, 0);
@@ -330,6 +339,12 @@ mod tests {
                     reference.counters().snapshot()
                 );
                 prop_assert_eq!(compiled.clock().now_ms(), reference.clock().now_ms());
+                ingress::probe_prefix(&turned, &turned_vps, p, h);
+                let (turned_ms, compiled_ms) = (turned.clock().now_ms(), compiled.clock().now_ms());
+                prop_assert!(
+                    turned_ms.to_bits() == compiled_ms.to_bits(),
+                    "{p}: {turned_ms} ms after turning the VP list, {compiled_ms} ms before"
+                );
                 contested += usize::from(want.ingresses.len() > 1);
                 beyond_one_word += (64..vps.len()).filter(|&at| got.in_range_at(at)).count();
             }
