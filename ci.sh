@@ -271,6 +271,15 @@ if grep -rnE '\.oracle\(\)' crates/core/src crates/probing/src crates/vpselect/s
   echo "oracle call in the request plane: adopt only measured evidence"; exit 1
 fi
 
+# ...and sends every probe through one attempt step, driven by one of two
+# loops — the chain (single probes) and the collection loop (spoofed
+# batches) — so the retry budget is read in those two places alone.
+echo "== one attempt loop (crates/probing/src/prober.rs) =="
+reads=$(grep -c 'retry.attempts' crates/probing/src/prober.rs)
+if [ "$reads" -ne 2 ]; then
+  echo "retry.attempts read in $reads places: send through Prober::chain or Prober::collect"; exit 1
+fi
+
 # Rustdoc is warning-free: a doc link to a private, renamed or deleted
 # item fails here, so narrowing the public surface cannot leave a dangling
 # or private link behind in the rendered docs.

@@ -755,13 +755,9 @@ impl<'s> RevtrSystem<'s> {
         // located in it; the usable reply with the most novel hops wins.
         let mut best: Option<(RrSlots, RrProvenance)> = None;
         usable.clear();
-        for (slot, (r, prov)) in batch
-            .iter()
-            .zip(reply.replies.iter().zip(&reply.provenance))
-        {
+        for (slot, r) in batch.iter().zip(&reply.replies) {
             let rev = r
                 .as_ref()
-                .zip(prov.as_ref())
                 .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
                 .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, cur)?, *prov)));
             usable.push(rev.is_some());
@@ -835,13 +831,11 @@ impl<'s> RevtrSystem<'s> {
                     // retry once spoofed from the closest vantage point (the
                     // forward path may have consumed the stamp order).
                     if let Some(vp) = self.closest_vp(cur) {
-                        let replies =
-                            self.prober
-                                .spoofed_ts_batch(meter, &[(vp, cur, vec![cur, adj])], src);
-                        if let Some(Some(r2)) = replies.into_iter().next() {
-                            if r2.filled >= 2 {
-                                return Some(adj);
-                            }
+                        let r2 = self
+                            .prober
+                            .spoofed_ts_ping(meter, vp, src, cur, &[cur, adj]);
+                        if r2.is_some_and(|r2| r2.filled >= 2) {
+                            return Some(adj);
                         }
                     }
                 }

@@ -233,7 +233,7 @@ pub fn spoofing_benefit(scale: Scale, seed: u64) -> SpoofingBenefit {
         // Spoofed: any VP will do; the paper's claim is about the best one.
         let best = vps.iter().take(30).any(|&vp| {
             let replies = prober.spoofed_rr_batch(&[(vp, dst)], src);
-            reveals(replies.replies.into_iter().next().flatten())
+            reveals(replies.replies.into_iter().next().flatten().map(|(r, _)| r))
         });
         if best {
             out.with_spoofing += 1;

@@ -113,7 +113,7 @@ pub(crate) fn reveal_reverse_hops(
     for chunk in plan[..plan.len().min(9)].chunks(3) {
         let pairs: Vec<(Addr, Addr)> = chunk.iter().map(|&vp| (vp, target)).collect();
         let replies = prober.spoofed_rr_batch(&pairs, src).replies;
-        for reply in replies.into_iter().flatten() {
+        for (reply, _) in replies.into_iter().flatten() {
             if let Some(rev) = extract_reverse_hops(&reply.slots, target) {
                 if !rev.is_empty() {
                     return rev.to_vec();

@@ -145,7 +145,7 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
             let replies = prober.spoofed_rr_batch(&[(vp, dest)], claimed);
             let out = replies.replies[0]
                 .as_ref()
-                .map(|r| {
+                .map(|(r, _)| {
                     let pos =
                         r.slots.iter().position(|&s| s == dest).or_else(|| {
                             r.slots.windows(2).position(|w| w[0] == w[1]).map(|i| i + 1)

@@ -4,6 +4,28 @@
 //! A [`Prober`] is cheap to clone and thread-safe; campaign code clones one
 //! per worker so counters/clock/cache are shared.
 //!
+//! # One attempt step, two loops
+//!
+//! Every probe goes out through one private attempt step. It counts the
+//! send, and the retry past a probe's first attempt; draws the attempt's
+//! faults at its send instant; draws the adversarial scenario for the
+//! kinds that carry IP options (RR and TS, not pings or traceroutes); and
+//! counts a loss. One of two loops drives the step, and the three time
+//! rules are theirs:
+//!
+//! * the **chain** sends one probe until an attempt gets through or the
+//!   [`RetryPolicy`]'s budget runs out. Each lost attempt waits its kind's
+//!   timeout: [`PROBE_TIMEOUT_MS`], or [`TRACEROUTE_TIMEOUT_MS`] for
+//!   traceroutes. A *serial* chain charges each wait as it happens and
+//!   sends the next attempt at the clock's new reading; the attempt that
+//!   gets through charges its own outcome (its RTT, or the timeout);
+//! * a chain in a [`SurveyRound`] charges nothing: its attempt `k` goes out
+//!   at the round's start plus the waits before it, and the round charges
+//!   its longest chain, once, when it closes;
+//! * the **collection loop** sends a spoofed batch in rounds: each round
+//!   sends one attempt per pair still lost, then charges one
+//!   [`SPOOF_BATCH_TIMEOUT_MS`].
+//!
 //! # Metering
 //!
 //! Every charge — virtual time, a counted probe — goes through two private
@@ -12,8 +34,7 @@
 //! request they probe for; everyone else calls the meterless wrappers
 //! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
 //! [`Prober::traceroute_fresh`], [`Prober::atlas_rr_ping`]), which charge a
-//! throw-away one. A [`SurveyRound`] charges the shared clock alone, once,
-//! when it closes.
+//! throw-away one. A [`SurveyRound`] charges the shared clock alone.
 //!
 //! # Faults and retries
 //!
@@ -21,10 +42,13 @@
 //! probe attempts can be lost (transient loss, ICMP rate limiting, VP
 //! spoof-filter flaps). The prober re-sends fault-lost attempts up to the
 //! budget of its [`RetryPolicy`], counting every re-send in
-//! [`ProbeKind::Retries`] / every fault loss in [`ProbeKind::Lost`].
-//! Genuine unresponsiveness is deterministic in-sim, so it is *not*
-//! retried: the budget is spent only where a real retry could help, and a
-//! fault-free sim behaves bit-identically whatever the budget is.
+//! [`ProbeKind::Retries`] / every fault loss in [`ProbeKind::Lost`]. A
+//! single probe whose budget runs out is counted in the
+//! `probing.transient_exhausted` telemetry counter, a batch pair in
+//! [`BatchReply::transient`]. Genuine unresponsiveness is deterministic
+//! in-sim, so it is *not* retried: the budget is spent only where a real
+//! retry could help, and a fault-free sim behaves bit-identically whatever
+//! the budget is.
 
 use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_ENTRY_BYTES};
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
@@ -105,6 +129,22 @@ pub struct RrProvenance {
     pub from_cache: bool,
 }
 
+impl RrProvenance {
+    /// What the exchange `ex` for `key` observed: its reply, with the
+    /// provenance to replay it, or `None` if nothing answered.
+    fn observed(key: RrKey, ex: CachedRr, from_cache: bool) -> Option<(RrReply, RrProvenance)> {
+        let prov = RrProvenance {
+            sender: key.sender,
+            claimed: key.claimed,
+            dst: key.dst,
+            nonce: ex.nonce,
+            fwd_epoch: ex.fwd_epoch.into(),
+            rep_epoch: ex.rep_epoch.into(),
+            from_cache,
+        };
+        ex.reply.map(|r| (r, prov))
+    }
+}
 /// A churn epoch recorded at send time, or none: an `Option<u32>` in four
 /// bytes. It holds `epoch + 1`, so zero is free to mean none — which keeps
 /// [`RrProvenance`], and every reverse hop that carries one, a word
@@ -215,19 +255,40 @@ impl LastLink {
 /// ([`Prober::spoofed_rr_batch_at`]), so its vectors are allocated once.
 #[derive(Clone, Debug, Default)]
 pub struct BatchReply {
-    /// Per-pair replies, in input order (`None` = no reply).
-    pub replies: Vec<Option<RrReply>>,
-    /// Per-pair replay provenance, `Some` exactly where `replies` is
-    /// (cache hits carry the original send's provenance).
-    pub provenance: Vec<Option<RrProvenance>>,
+    /// Per-pair replies, in input order, each with the provenance to
+    /// replay it (a cache hit carries the original send's); `None` = no
+    /// reply.
+    pub replies: Vec<Option<(RrReply, RrProvenance)>>,
     /// `transient[i]` is true when pair `i`'s misses were fault losses
     /// (its retry budget ran out) rather than genuine unresponsiveness.
     pub transient: Vec<bool>,
     /// Collection timeouts actually charged (0 for an empty or fully
     /// cached batch; > 1 when fault-lost pairs were re-collected).
     pub timeouts: u32,
-    /// Working list of a fill: the pairs still waiting for a reply.
-    pending: Vec<usize>,
+}
+
+/// One probe as its attempts draw their fates: its kind, the VP that
+/// spoofs it (if any), the source it claims, its destination, and the
+/// scenario attempt number its first attempt draws.
+#[derive(Clone, Copy)]
+struct Probe {
+    kind: ProbeKind,
+    spoof_vp: Option<Addr>,
+    claimed: Addr,
+    dst: Addr,
+    base: u32,
+}
+
+impl Probe {
+    fn new(kind: ProbeKind, spoof_vp: Option<Addr>, claimed: Addr, dst: Addr) -> Probe {
+        Probe {
+            kind,
+            spoof_vp,
+            claimed,
+            dst,
+            base: 0,
+        }
+    }
 }
 
 /// Probe issuance facade.
@@ -309,11 +370,6 @@ impl<'s> Prober<'s> {
         &self.telemetry
     }
 
-    /// Count one fault-attributed probe loss in telemetry.
-    fn tele_lost(&self) {
-        self.telemetry.counter_add("probing.fault_lost", 1);
-    }
-
     fn next_nonce(&self) -> u64 {
         self.nonce.fetch_add(1, Ordering::Relaxed)
     }
@@ -393,22 +449,88 @@ impl<'s> Prober<'s> {
             .scenario_rate_limited(dst, sender, spoof_vp.is_some(), u64::from(attempt))
     }
 
-    /// Churn epochs of the (destination, claimed source) prefixes at this
-    /// instant. Must be read *immediately before* the sim probe call —
-    /// `charge` can flush virtual hours into the sim and bump epochs.
-    fn epochs(&self, dst: Addr, claimed: Addr) -> (Option<u32>, Option<u32>) {
-        (
-            self.sim.host_prefix(dst).map(|p| self.sim.prefix_epoch(p)),
-            self.sim
-                .host_prefix(claimed)
-                .map(|p| self.sim.prefix_epoch(p)),
-        )
+    /// The attempt step: send attempt `k` of probe `p` at `sent_ms`. Count
+    /// the send, and the retry past the first attempt; draw its faults,
+    /// then — for the kinds that carry IP options — its scenario, as
+    /// attempt `p.base + k`. True if the attempt was lost: the loss is
+    /// counted here, its wait is the loop's to charge.
+    fn attempt_lost(&self, m: &mut Meter, p: Probe, k: u32, sent_ms: impl FnOnce() -> f64) -> bool {
+        if k > 0 {
+            self.count(m, ProbeKind::Retries, 1);
+            self.telemetry.counter_add("probing.retries", 1);
+        }
+        self.count(m, p.kind, 1);
+        let options = !matches!(p.kind, ProbeKind::Ping | ProbeKind::Traceroutes);
+        let lost = self.fault_lost(p.spoof_vp, p.dst, sent_ms)
+            || (options && self.scenario_lost(p.spoof_vp, p.claimed, p.dst, p.base + k));
+        if lost {
+            self.count(m, ProbeKind::Lost, 1);
+            self.telemetry.counter_add("probing.fault_lost", 1);
+        }
+        lost
     }
 
-    /// Count one re-send.
-    fn charge_retry(&self, m: &mut Meter) {
-        self.count(m, ProbeKind::Retries, 1);
-        self.telemetry.counter_add("probing.retries", 1);
+    /// The chain loop: send probe `p` until an attempt gets through or the
+    /// budget runs out, each lost attempt waiting the kind's timeout. A
+    /// serial chain (`round_start` `None`) charges each wait as it happens
+    /// and sends the next attempt at the clock's new reading; a survey
+    /// round's chain charges nothing and sends attempt `k` at
+    /// `round_start` plus the waits before it. `send` sends the attempt
+    /// that got through and charges its own outcome. Returns what `send`
+    /// returned (`None`: every attempt was lost) and the time the chain
+    /// waited on lost attempts.
+    fn chain<R>(
+        &self,
+        m: &mut Meter,
+        p: Probe,
+        round_start: Option<f64>,
+        send: impl FnOnce(&mut Meter) -> R,
+    ) -> (Option<R>, f64) {
+        let timeout_ms = match p.kind {
+            ProbeKind::Traceroutes => TRACEROUTE_TIMEOUT_MS,
+            _ => PROBE_TIMEOUT_MS,
+        };
+        let mut waited_ms = 0.0;
+        for k in 0..self.retry.attempts {
+            let sent_ms = || round_start.map_or_else(|| self.clock.now_ms(), |t| t + waited_ms);
+            if !self.attempt_lost(m, p, k, sent_ms) {
+                return (Some(send(m)), waited_ms);
+            }
+            waited_ms += timeout_ms;
+            if round_start.is_none() {
+                self.advance(m, timeout_ms);
+            }
+        }
+        self.telemetry.counter_add("probing.transient_exhausted", 1);
+        (None, waited_ms)
+    }
+
+    /// The collection loop: send spoofed probes in rounds until every pair
+    /// got through or the budget runs out. `lost[i]` marks pair `i` as
+    /// still to send (probe `probe(i)`); each round sends one attempt per
+    /// marked pair, in order, clearing the mark of — and calling `send`
+    /// for — each that got through, then charges one
+    /// [`SPOOF_BATCH_TIMEOUT_MS`]. Marks left standing ran out of budget.
+    /// Returns the rounds charged.
+    fn collect(
+        &self,
+        m: &mut Meter,
+        lost: &mut [bool],
+        probe: impl Fn(usize) -> Probe,
+        mut send: impl FnMut(&mut Meter, usize),
+    ) -> u32 {
+        let mut rounds = 0;
+        while rounds < self.retry.attempts && lost.contains(&true) {
+            for (i, marked) in lost.iter_mut().enumerate() {
+                if *marked && !self.attempt_lost(m, probe(i), rounds, || self.clock.now_ms()) {
+                    *marked = false;
+                    send(m, i);
+                }
+            }
+            rounds += 1;
+            self.advance(m, SPOOF_BATCH_TIMEOUT_MS);
+        }
+        rounds
     }
 
     // ---- pings ------------------------------------------------------------
@@ -420,43 +542,30 @@ impl<'s> Prober<'s> {
 
     /// [`Prober::ping`], charged to the caller's meter.
     pub fn ping_metered(&self, m: &mut Meter, src: Addr, dst: Addr) -> Option<EchoReply> {
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.charge_retry(m);
-            }
-            self.count(m, ProbeKind::Ping, 1);
-            if self.fault_lost(None, dst, || self.clock.now_ms()) {
-                self.count(m, ProbeKind::Lost, 1);
-                self.tele_lost();
-                self.charge(m, None);
-                continue;
-            }
+        let p = Probe::new(ProbeKind::Ping, None, src, dst);
+        let (r, _) = self.chain(m, p, None, |m| {
             let r = self.sim.ping(src, dst);
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            return r;
-        }
-        None
+            r
+        });
+        r.flatten()
     }
 
     // ---- record route -------------------------------------------------------
 
     /// Non-spoofed RR ping from `src`, reusing a fresh cached result when
-    /// caching is enabled. Collapses [`Prober::rr_ping_outcome`]'s loss
-    /// attribution.
+    /// caching is enabled. Collapses [`Prober::rr_ping_observed`]'s loss
+    /// attribution and provenance.
     pub fn rr_ping(&self, src: Addr, dst: Addr) -> Option<RrReply> {
-        self.rr_ping_outcome(src, dst).ok()
-    }
-
-    /// Non-spoofed RR ping distinguishing *why* it failed: genuinely
-    /// unanswered (persistent) vs fault-lost beyond the retry budget
-    /// (transient).
-    pub fn rr_ping_outcome(&self, src: Addr, dst: Addr) -> Result<RrReply, ProbeLoss> {
         self.rr_ping_observed(&mut Meter::default(), src, dst)
+            .ok()
             .map(|(r, _)| r)
     }
 
-    /// [`Prober::rr_ping_outcome`] plus the send-time provenance needed to
-    /// replay the observation (stitch-trace audit), charged to `m`.
+    /// Non-spoofed RR ping with the send-time provenance needed to replay
+    /// the observation (stitch-trace audit), charged to `m`, distinguishing
+    /// *why* it failed: genuinely unanswered (persistent) vs fault-lost
+    /// beyond the retry budget (transient).
     pub fn rr_ping_observed(
         &self,
         m: &mut Meter,
@@ -468,65 +577,57 @@ impl<'s> Prober<'s> {
             claimed: src,
             dst,
         };
+        if let Some(hit) = self.rr_lookup(key) {
+            return hit.ok_or(ProbeLoss::Unanswered);
+        }
+        let (kept, _) = self.chain(m, Probe::new(ProbeKind::Rr, None, src, dst), None, |m| {
+            let ex = self.rr_exchange(key);
+            // Charge, then keep: the put stamps the sim's hour, which the
+            // charge can move forward.
+            self.charge(m, ex.reply.as_ref().map(|x| x.rtt_ms));
+            self.rr_keep(m, key, ex)
+        });
+        kept.ok_or(ProbeLoss::Transient)?
+            .ok_or(ProbeLoss::Unanswered)
+    }
+
+    /// The measurement cache's fresh observation for `key`, when caching
+    /// is enabled: `Some(None)` is a cached non-answer.
+    fn rr_lookup(&self, key: RrKey) -> Option<Option<(RrReply, RrProvenance)>> {
+        if !self.use_cache {
+            return None;
+        }
+        let hit = self.cache.get_rr(self.sim, key)?;
+        Some(RrProvenance::observed(key, hit, true))
+    }
+
+    /// One live Record Route exchange for `key`: a fresh nonce, the churn
+    /// epochs of the (destination, claimed source) prefixes — read right
+    /// before the send, since a charge can flush virtual hours into the sim
+    /// and bump them — and the reply.
+    fn rr_exchange(&self, key: RrKey) -> CachedRr {
+        let nonce = self.next_nonce();
+        let epoch = |a| self.sim.host_prefix(a).map(|p| self.sim.prefix_epoch(p));
+        let (fwd_epoch, rep_epoch) = (epoch(key.dst), epoch(key.claimed));
+        CachedRr {
+            reply: self
+                .sim
+                .rr_ping_from(key.sender, key.claimed, key.dst, nonce),
+            nonce,
+            fwd_epoch,
+            rep_epoch,
+        }
+    }
+
+    /// Keep a live exchange: in the cache when caching is enabled — genuine
+    /// outcomes only, a fault loss never gets here to be negative-cached —
+    /// and as the observation it returns.
+    fn rr_keep(&self, m: &mut Meter, key: RrKey, ex: CachedRr) -> Option<(RrReply, RrProvenance)> {
         if self.use_cache {
-            if let Some(hit) = self.cache.get_rr(self.sim, key) {
-                let prov = RrProvenance {
-                    sender: src,
-                    claimed: src,
-                    dst,
-                    nonce: hit.nonce,
-                    fwd_epoch: hit.fwd_epoch.into(),
-                    rep_epoch: hit.rep_epoch.into(),
-                    from_cache: true,
-                };
-                return hit.reply.map(|r| (r, prov)).ok_or(ProbeLoss::Unanswered);
-            }
+            self.count(m, ProbeKind::CacheBytes, RR_ENTRY_BYTES);
+            self.cache.put_rr(self.sim, key, ex.clone());
         }
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.charge_retry(m);
-            }
-            self.count(m, ProbeKind::Rr, 1);
-            if self.fault_lost(None, dst, || self.clock.now_ms())
-                || self.scenario_lost(None, src, dst, attempt)
-            {
-                self.count(m, ProbeKind::Lost, 1);
-                self.tele_lost();
-                self.charge(m, None);
-                continue;
-            }
-            let nonce = self.next_nonce();
-            let (fwd_epoch, rep_epoch) = self.epochs(dst, src);
-            let r = self.sim.rr_ping(src, dst, nonce);
-            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            if self.use_cache {
-                // Cache only genuine outcomes; fault losses above are
-                // transient and must not be negative-cached.
-                self.count(m, ProbeKind::CacheBytes, RR_ENTRY_BYTES);
-                self.cache.put_rr(
-                    self.sim,
-                    key,
-                    CachedRr {
-                        reply: r.clone(),
-                        nonce,
-                        fwd_epoch,
-                        rep_epoch,
-                    },
-                );
-            }
-            let prov = RrProvenance {
-                sender: src,
-                claimed: src,
-                dst,
-                nonce,
-                fwd_epoch: fwd_epoch.into(),
-                rep_epoch: rep_epoch.into(),
-                from_cache: false,
-            };
-            return r.map(|x| (x, prov)).ok_or(ProbeLoss::Unanswered);
-        }
-        self.telemetry.counter_add("probing.transient_exhausted", 1);
-        Err(ProbeLoss::Transient)
+        RrProvenance::observed(key, ex, false)
     }
 
     /// Open one collection round of the §4.3 ingress survey: RR pings that
@@ -544,28 +645,16 @@ impl<'s> Prober<'s> {
     /// RR ping issued for the background RR-atlas (§4.2): identical
     /// semantics, separate accounting (offline budget).
     pub fn atlas_rr_ping(&self, sender: Addr, claimed: Addr, dst: Addr) -> Option<RrReply> {
-        let m = &mut Meter::default();
-        let spoofed = sender != claimed;
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.charge_retry(m);
-            }
-            self.count(m, ProbeKind::AtlasRr, 1);
-            if self.fault_lost(spoofed.then_some(sender), dst, || self.clock.now_ms())
-                || self.scenario_lost(spoofed.then_some(sender), claimed, dst, attempt)
-            {
-                self.count(m, ProbeKind::Lost, 1);
-                self.tele_lost();
-                self.charge(m, None);
-                continue;
-            }
+        let spoof_vp = (sender != claimed).then_some(sender);
+        let p = Probe::new(ProbeKind::AtlasRr, spoof_vp, claimed, dst);
+        let (r, _) = self.chain(&mut Meter::default(), p, None, |m| {
             let r = self
                 .sim
                 .rr_ping_from(sender, claimed, dst, self.next_nonce());
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            return r;
-        }
-        None
+            r
+        });
+        r.flatten()
     }
 
     /// A batch of spoofed RR pings, all claiming source `claimed`, one per
@@ -597,112 +686,39 @@ impl<'s> Prober<'s> {
         attempt_base: &[u32],
         out: &mut BatchReply,
     ) {
-        let n = pairs.len();
         let BatchReply {
             replies,
-            provenance,
             transient,
             timeouts,
-            pending,
         } = out;
+        let key = |i: usize| RrKey {
+            sender: pairs[i].0,
+            claimed,
+            dst: pairs[i].1,
+        };
         replies.clear();
-        replies.resize(n, None);
-        provenance.clear();
-        provenance.resize(n, None);
         transient.clear();
-        transient.resize(n, false);
-        *timeouts = 0;
-        pending.clear();
-        for (i, &(vp, dst)) in pairs.iter().enumerate() {
-            let key = RrKey {
-                sender: vp,
-                claimed,
-                dst,
-            };
-            if self.use_cache {
-                if let Some(hit) = self.cache.get_rr(self.sim, key) {
-                    if hit.reply.is_some() {
-                        provenance[i] = Some(RrProvenance {
-                            sender: vp,
-                            claimed,
-                            dst,
-                            nonce: hit.nonce,
-                            fwd_epoch: hit.fwd_epoch.into(),
-                            rep_epoch: hit.rep_epoch.into(),
-                            from_cache: true,
-                        });
-                    }
-                    replies[i] = hit.reply;
-                    continue;
-                }
-            }
-            pending.push(i);
+        for i in 0..pairs.len() {
+            let hit = self.rr_lookup(key(i));
+            // A miss is still to send: the collection loop's mark.
+            transient.push(hit.is_none());
+            replies.push(hit.flatten());
         }
+        let n = pairs.len();
         if self.telemetry.is_enabled() && n > 0 {
+            let cached = transient.iter().filter(|&&t| !t).count();
             self.telemetry.counter_add("probing.batches", 1);
             self.telemetry.record("probing.batch.pairs", n as u64);
             self.telemetry
-                .counter_add("probing.batch.cached_pairs", (n - pending.len()) as u64);
+                .counter_add("probing.batch.cached_pairs", cached as u64);
         }
-        for round in 0..self.retry.attempts {
-            if pending.is_empty() {
-                break;
-            }
-            if round > 0 {
-                self.count(m, ProbeKind::Retries, pending.len() as u64);
-                self.telemetry
-                    .counter_add("probing.retries", pending.len() as u64);
-            }
-            // Probe the pending pairs in order; the fault-lost ones stay.
-            pending.retain(|&i| {
-                let (vp, dst) = pairs[i];
-                self.count(m, ProbeKind::SpoofRr, 1);
-                let att = attempt_base.get(i).copied().unwrap_or(0) + round;
-                if self.fault_lost(Some(vp), dst, || self.clock.now_ms())
-                    || self.scenario_lost(Some(vp), claimed, dst, att)
-                {
-                    self.count(m, ProbeKind::Lost, 1);
-                    self.tele_lost();
-                    transient[i] = true;
-                    return true;
-                }
-                let nonce = self.next_nonce();
-                let (fwd_epoch, rep_epoch) = self.epochs(dst, claimed);
-                let r = self.sim.rr_ping_from(vp, claimed, dst, nonce);
-                if self.use_cache {
-                    let key = RrKey {
-                        sender: vp,
-                        claimed,
-                        dst,
-                    };
-                    self.count(m, ProbeKind::CacheBytes, RR_ENTRY_BYTES);
-                    self.cache.put_rr(
-                        self.sim,
-                        key,
-                        CachedRr {
-                            reply: r.clone(),
-                            nonce,
-                            fwd_epoch,
-                            rep_epoch,
-                        },
-                    );
-                }
-                provenance[i] = r.as_ref().map(|_| RrProvenance {
-                    sender: vp,
-                    claimed,
-                    dst,
-                    nonce,
-                    fwd_epoch: fwd_epoch.into(),
-                    rep_epoch: rep_epoch.into(),
-                    from_cache: false,
-                });
-                replies[i] = r;
-                transient[i] = false;
-                false
-            });
-            *timeouts += 1;
-            self.advance(m, SPOOF_BATCH_TIMEOUT_MS);
-        }
+        let probe = |i: usize| Probe {
+            base: attempt_base.get(i).copied().unwrap_or(0),
+            ..Probe::new(ProbeKind::SpoofRr, Some(pairs[i].0), claimed, pairs[i].1)
+        };
+        *timeouts = self.collect(m, transient, probe, |m, i| {
+            replies[i] = self.rr_keep(m, key(i), self.rr_exchange(key(i)));
+        });
         if self.telemetry.is_enabled() && n > 0 {
             self.telemetry
                 .record("probing.batch.rounds", u64::from(*timeouts));
@@ -722,77 +738,45 @@ impl<'s> Prober<'s> {
         dst: Addr,
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.charge_retry(m);
-            }
-            self.count(m, ProbeKind::Ts, 1);
-            if self.fault_lost(None, dst, || self.clock.now_ms())
-                || self.scenario_lost(None, src, dst, attempt)
-            {
-                self.count(m, ProbeKind::Lost, 1);
-                self.tele_lost();
-                self.charge(m, None);
-                continue;
-            }
+        let (r, _) = self.chain(m, Probe::new(ProbeKind::Ts, None, src, dst), None, |m| {
             let r = self
                 .sim
                 .ts_ping_from(src, src, dst, prespec, self.next_nonce());
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            return r.ok_or(ProbeLoss::Unanswered);
-        }
-        self.telemetry.counter_add("probing.transient_exhausted", 1);
-        Err(ProbeLoss::Transient)
+            r
+        });
+        r.ok_or(ProbeLoss::Transient)?.ok_or(ProbeLoss::Unanswered)
     }
 
-    /// A batch of spoofed TS pings (one collection timeout per round, as
-    /// for [`Prober::spoofed_rr_batch`]; fault-lost probes re-collect
-    /// within the [`RetryPolicy`]'s attempt budget), charged to `m`.
-    pub fn spoofed_ts_batch(
+    /// A spoofed TS-prespec ping from `vp` claiming `claimed`, collected
+    /// as a batch of one: one collection timeout a round, as for
+    /// [`Prober::spoofed_rr_batch`], re-collected while fault-lost within
+    /// the [`RetryPolicy`]'s attempt budget. Charged to `m`.
+    pub fn spoofed_ts_ping(
         &self,
         m: &mut Meter,
-        probes: &[(Addr, Addr, Vec<Addr>)],
+        vp: Addr,
         claimed: Addr,
-    ) -> Vec<Option<TsReply>> {
-        if probes.is_empty() {
-            return Vec::new();
-        }
-        let n = probes.len();
+        dst: Addr,
+        prespec: &[Addr],
+    ) -> Option<TsReply> {
         if self.telemetry.is_enabled() {
             self.telemetry.counter_add("probing.ts_batches", 1);
-            self.telemetry.record("probing.ts_batch.pairs", n as u64);
+            self.telemetry.record("probing.ts_batch.pairs", 1);
         }
-        let mut out: Vec<Option<TsReply>> = vec![None; n];
-        let mut pending: Vec<usize> = (0..n).collect();
-        for round in 0..self.retry.attempts {
-            if pending.is_empty() {
-                break;
-            }
-            if round > 0 {
-                self.count(m, ProbeKind::Retries, pending.len() as u64);
-                self.telemetry
-                    .counter_add("probing.retries", pending.len() as u64);
-            }
-            let mut still_pending = Vec::new();
-            for &i in &pending {
-                let (vp, dst, prespec) = &probes[i];
-                self.count(m, ProbeKind::SpoofTs, 1);
-                if self.fault_lost(Some(*vp), *dst, || self.clock.now_ms())
-                    || self.scenario_lost(Some(*vp), claimed, *dst, round)
-                {
-                    self.count(m, ProbeKind::Lost, 1);
-                    self.tele_lost();
-                    still_pending.push(i);
-                    continue;
-                }
-                out[i] = self
+        let p = Probe::new(ProbeKind::SpoofTs, Some(vp), claimed, dst);
+        let mut reply = None;
+        self.collect(
+            m,
+            &mut [true],
+            |_| p,
+            |_, _| {
+                reply = self
                     .sim
-                    .ts_ping_from(*vp, claimed, *dst, prespec, self.next_nonce());
-            }
-            self.advance(m, SPOOF_BATCH_TIMEOUT_MS);
-            pending = still_pending;
-        }
-        out
+                    .ts_ping_from(vp, claimed, dst, prespec, self.next_nonce());
+            },
+        );
+        reply
     }
 
     // ---- traceroute --------------------------------------------------------------
@@ -802,33 +786,12 @@ impl<'s> Prober<'s> {
         (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16
     }
 
-    /// Open attempt number `attempt` of a traceroute-kind measurement
-    /// toward `dst`: count the retry and the traceroute, and
-    /// draw its fault fate. True if the attempt was lost (its timeout is
-    /// charged here).
-    fn trace_attempt_lost(&self, m: &mut Meter, attempt: u32, dst: Addr) -> bool {
-        if attempt > 0 {
-            self.charge_retry(m);
-        }
-        self.count(m, ProbeKind::Traceroutes, 1);
-        if !self.fault_lost(None, dst, || self.clock.now_ms()) {
-            return false;
-        }
-        self.count(m, ProbeKind::Lost, 1);
-        self.tele_lost();
-        self.advance(m, TRACEROUTE_TIMEOUT_MS);
-        true
-    }
-
     /// A full (Paris) traceroute, TTL 1 upward: what atlases are built
     /// from. Never cached — an atlas keeps its own traces.
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
-        let m = &mut Meter::default();
         let flow = Self::paris_flow(src, dst);
-        for attempt in 0..self.retry.attempts {
-            if self.trace_attempt_lost(m, attempt, dst) {
-                continue;
-            }
+        let p = Probe::new(ProbeKind::Traceroutes, None, src, dst);
+        let (r, _) = self.chain(&mut Meter::default(), p, None, |m| {
             let r = self.sim.traceroute(src, dst, flow);
             match &r {
                 Some(t) => {
@@ -837,9 +800,9 @@ impl<'s> Prober<'s> {
                 }
                 None => self.advance(m, TRACEROUTE_TIMEOUT_MS),
             }
-            return r;
-        }
-        None
+            r
+        });
+        r.flatten()
     }
 
     /// The last link of the path a traceroute from `src` to `cur` would
@@ -862,10 +825,8 @@ impl<'s> Prober<'s> {
             }
         }
         let flow = Self::paris_flow(src, cur);
-        for attempt in 0..self.retry.attempts {
-            if self.trace_attempt_lost(m, attempt, cur) {
-                continue;
-            }
+        let p = Probe::new(ProbeKind::Traceroutes, None, src, cur);
+        let (r, _) = self.chain(m, p, None, |m| {
             let measured = self.sim.ttl_view(src, cur, flow).map(|mut view| {
                 let link = LastLink::sweep(&mut view, cur, hint);
                 let pkts = view.packets();
@@ -881,15 +842,15 @@ impl<'s> Prober<'s> {
                 self.advance(m, TRACEROUTE_TIMEOUT_MS);
             }
             if self.use_cache {
-                // Genuine outcomes only, as for RR: a fault loss above is
-                // transient and must not be negative-cached.
+                // Genuine outcomes only, as for RR: a fault loss never
+                // gets here to be negative-cached.
                 self.count(m, ProbeKind::CacheBytes, LAST_LINK_ENTRY_BYTES);
                 self.cache
                     .put_last_link(self.sim, src, cur, measured.map(|(link, _)| link));
             }
-            return measured;
-        }
-        None
+            measured
+        });
+        r.flatten()
     }
 }
 
@@ -922,38 +883,20 @@ impl SurveyRound<'_, '_> {
         &mut self,
         src: Addr,
         dst: Addr,
-        mut forward: Option<&mut SinkTree>,
-        mut reply: Option<&mut SinkTree>,
+        forward: Option<&mut SinkTree>,
+        reply: Option<&mut SinkTree>,
     ) -> Option<RrReply> {
         let p = self.prober;
-        let m = &mut Meter::default();
-        let mut waited_ms = 0.0;
-        for attempt in 0..p.retry.attempts {
-            if attempt > 0 {
-                p.charge_retry(m);
-            }
-            p.count(m, ProbeKind::Rr, 1);
-            let sent_ms = self.start_ms + waited_ms;
-            if p.fault_lost(None, dst, || sent_ms) || p.scenario_lost(None, src, dst, attempt) {
-                p.count(m, ProbeKind::Lost, 1);
-                p.tele_lost();
-                waited_ms += PROBE_TIMEOUT_MS;
-                continue;
-            }
-            let r = p.sim.rr_ping_lent(
-                src,
-                dst,
-                p.next_nonce(),
-                forward.as_deref_mut(),
-                reply.as_deref_mut(),
-            );
-            let chain_ms = waited_ms + r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
-            self.longest_ms = self.longest_ms.max(chain_ms);
-            return r;
-        }
-        p.telemetry.counter_add("probing.transient_exhausted", 1);
-        self.longest_ms = self.longest_ms.max(waited_ms);
-        None
+        let probe = Probe::new(ProbeKind::Rr, None, src, dst);
+        let (r, waited_ms) = p.chain(&mut Meter::default(), probe, Some(self.start_ms), |_| {
+            p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply)
+        });
+        // The chain: its waits, then the reply's RTT or the timeout.
+        let outcome_ms = r
+            .as_ref()
+            .map_or(0.0, |r| r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms));
+        self.longest_ms = self.longest_ms.max(waited_ms + outcome_ms);
+        r.flatten()
     }
 }
 
@@ -993,7 +936,7 @@ mod tests {
         p.spoofed_rr_batch_at(m, &pairs, vp2, &[], &mut BatchReply::default());
         p.last_link(m, vp0, vp1, 9);
         let _ = p.ts_ping_outcome(m, vp0, vp1, &[vp1]);
-        p.spoofed_ts_batch(m, &[(vp1, vp2, vec![vp2])], vp0);
+        p.spoofed_ts_ping(m, vp1, vp0, vp2, &[vp2]);
         let snap = p.counters().snapshot();
         assert_eq!(m.tally, snap);
         assert_eq!(m.ms.to_bits(), p.clock().now_ms().to_bits());
@@ -1092,7 +1035,24 @@ mod tests {
             0,
             "no probes re-sent"
         );
-        assert_eq!(first.replies, second.replies);
+        // A hit replays the first send: its reply, under the original
+        // nonce and epochs, marked as served from the cache.
+        assert!(
+            first.replies.iter().any(Option::is_some),
+            "nothing answered"
+        );
+        for (fresh, hit) in first.replies.iter().zip(&second.replies) {
+            assert_eq!(fresh.is_some(), hit.is_some());
+            if let (Some((r, prov)), Some((hit_r, hit_prov))) = (fresh, hit) {
+                assert_eq!(r, hit_r);
+                assert!(!prov.from_cache);
+                let replayed = RrProvenance {
+                    from_cache: true,
+                    ..*prov
+                };
+                assert_eq!(replayed, *hit_prov);
+            }
+        }
     }
 
     #[test]
@@ -1146,7 +1106,7 @@ mod tests {
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         assert_eq!(
-            p.rr_ping_outcome(vp0, vp1),
+            p.rr_ping_observed(&mut Meter::default(), vp0, vp1),
             Err(ProbeLoss::Transient),
             "total loss must be attributed to faults"
         );
@@ -1157,7 +1117,7 @@ mod tests {
         let vp = s2.topo().vp_sites[0].host;
         let before = p2.counters().snapshot();
         assert_eq!(
-            p2.rr_ping_outcome(vp, Addr::new(10, 9, 9, 9)),
+            p2.rr_ping_observed(&mut Meter::default(), vp, Addr::new(10, 9, 9, 9)),
             Err(ProbeLoss::Unanswered)
         );
         let d = p2.counters().snapshot().since(&before);
@@ -1264,9 +1224,8 @@ mod more_tests {
         let p = Prober::new(&s);
         let vps = &s.topo().vp_sites;
         let t0 = p.clock().now_ms();
-        let probes = vec![(vps[1].host, vps[2].host, vec![vps[2].host])];
-        let out = p.spoofed_ts_batch(&mut Meter::default(), &probes, vps[0].host);
-        assert_eq!(out.len(), 1);
+        let (vp, dst) = (vps[1].host, vps[2].host);
+        p.spoofed_ts_ping(&mut Meter::default(), vp, vps[0].host, dst, &[dst]);
         assert_eq!(p.counters().snapshot().spoof_ts, 1);
         assert!((p.clock().now_ms() - t0 - crate::clock::SPOOF_BATCH_TIMEOUT_MS).abs() < 1e-9);
     }

@@ -59,7 +59,9 @@
 
 use crate::prober::RrProvenance;
 use revtr_netsim::{Addr, RrReply, RrSlots, StripedCounters};
+use revtr_telemetry::WordHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// One reusable RR observation: the reverse hops it revealed plus the
@@ -303,21 +305,27 @@ impl StopSetBytes {
 /// ledger keeps its unit so readings stay comparable across that change.
 const BACKWARD_ENTRY_BYTES: usize = 128;
 
+/// The published view's tables are keyed by simulated addresses and ids
+/// and read only by key or by order-free sums, so they hash a word at a
+/// time, as the measurement cache's indexes do.
+type Map<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+type Set<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
 #[derive(Debug, Default)]
 struct Published {
-    backward: HashMap<(Addr, Addr), BackwardEntry>,
-    winners: HashMap<u64, Addr>,
-    direct_futile: HashSet<(Addr, Addr)>,
-    spoof_futile: HashSet<Addr>,
+    backward: Map<(Addr, Addr), BackwardEntry>,
+    winners: Map<u64, Addr>,
+    direct_futile: Set<(Addr, Addr)>,
+    spoof_futile: Set<Addr>,
     /// `(plan, vp)` pairs, one flat table: a publication grows it like any
     /// map, never allocating a set per plan.
-    vp_futile: HashSet<(u64, Addr)>,
-    forward: HashMap<(Addr, Addr), Option<RrReply>>,
+    vp_futile: Set<(u64, Addr)>,
+    forward: Map<(Addr, Addr), Option<RrReply>>,
     /// `(source, block)` → TTLs last measured into the block; /24 and /16
     /// blocks share the table ([`block_key`]).
-    distances: HashMap<(Addr, u32), u8>,
+    distances: Map<(Addr, u32), u8>,
     /// Source → every distance it measured, for their median.
-    measured_distances: HashMap<Addr, DistanceTally>,
+    measured_distances: Map<Addr, DistanceTally>,
 }
 
 /// The distances one source measured, counted per TTL (the last bucket
@@ -535,7 +543,7 @@ impl StopSet {
             (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())) as u64;
         // Per-VP futility is priced as a key per plan and an address per
         // VP, the unit it was budgeted in as a set per plan.
-        let futile_plans: HashSet<u64> = g.vp_futile.iter().map(|&(plan, _)| plan).collect();
+        let futile_plans: Set<u64> = g.vp_futile.iter().map(|&(plan, _)| plan).collect();
         let futility = (g.direct_futile.len() * key2
             + g.spoof_futile.len() * std::mem::size_of::<Addr>()
             + futile_plans.len() * std::mem::size_of::<u64>()

@@ -4,12 +4,17 @@
 //!   identically-configured simulators measure byte-identical campaigns;
 //! * `FaultConfig::default()` is inert — with faults off, retry budgets
 //!   change nothing: results *and* probe accounting are byte-identical to
-//!   a no-retry run, so every pre-fault-model seed still reproduces.
+//!   a no-retry run, so every pre-fault-model seed still reproduces;
+//! * under faults, every probe entry point's retry bookkeeping reconciles:
+//!   each re-send follows one loss, and each loss is re-sent or ends its
+//!   probe's budget.
 
 use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::netsim::sim::PktMeta;
 use revtr_suite::netsim::{Addr, FaultConfig, RouterId, Sim, SimConfig};
-use revtr_suite::probing::{Meter, ProbeLoss, Prober, RetryPolicy};
+use revtr_suite::probing::{
+    BatchReply, Meter, ProbeLoss, Prober, RetryPolicy, Snapshot, Telemetry,
+};
 use revtr_suite::revtr::{EngineConfig, RevtrResult, RevtrSystem};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
@@ -227,7 +232,10 @@ fn unanswered_probes_are_never_retried() {
     let vp = sim.topo().vp_sites[0].host;
     let dark = Addr::new(10, 9, 9, 9); // unallocated: never answers
     let before = p.counters().snapshot();
-    assert_eq!(p.rr_ping_outcome(vp, dark), Err(ProbeLoss::Unanswered));
+    assert_eq!(
+        p.rr_ping_observed(&mut Meter::default(), vp, dark),
+        Err(ProbeLoss::Unanswered)
+    );
     assert_eq!(
         p.ts_ping_outcome(&mut Meter::default(), vp, dark, &[dark]),
         Err(ProbeLoss::Unanswered)
@@ -243,52 +251,167 @@ fn unanswered_probes_are_never_retried() {
     assert_eq!(d.lost, 0, "no faults enabled, nothing to lose");
 }
 
+/// Attempt budget of the loss-identity test.
+const BUDGET: u32 = 4;
+
+/// Send one probe to each of `dests` through `send` and check the loss
+/// identities on what the prober counted in `kind`:
+///   sends  == calls + re-sends      (kind == calls + retries)
+///   losses == re-sends + ended lost (lost == retries + ended lost)
+/// A call ended lost when all `BUDGET` of its attempts were — a lost
+/// attempt with budget left is always re-sent. A `single` probe that ended
+/// lost is counted once in `probing.transient_exhausted`; a batch pair is
+/// flagged in its `transient` instead. Returns the calls that ended lost.
+fn check_losses<R>(
+    p: &Prober<'_>,
+    dests: &[Addr],
+    kind: fn(&Snapshot) -> u64,
+    single: bool,
+    mut send: impl FnMut(Addr) -> R,
+) -> u64 {
+    let exhausted = || {
+        p.telemetry()
+            .metrics()
+            .counter("probing.transient_exhausted")
+    };
+    let (before, exhausted_before) = (p.counters().snapshot(), exhausted());
+    let mut ended_lost = 0;
+    for &d in dests {
+        let call_before = p.counters().snapshot();
+        send(d);
+        ended_lost +=
+            u64::from(p.counters().snapshot().since(&call_before).lost == u64::from(BUDGET));
+    }
+    let d = p.counters().snapshot().since(&before);
+    assert_eq!(kind(&d), dests.len() as u64 + d.retries, "sends identity");
+    assert_eq!(d.lost, d.retries + ended_lost, "losses identity");
+    let counted = if single { ended_lost } else { 0 };
+    assert_eq!(
+        exhausted() - exhausted_before,
+        counted,
+        "exhaustions counted"
+    );
+    assert!(d.lost > 0, "loss rate 0.4 injected nothing (vacuous)");
+    ended_lost
+}
+
 #[test]
 fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
-    // Bookkeeping identities under faults, per probe category:
-    //   sends  == fresh probes + re-sends        (kind == calls + retries)
-    //   losses == re-sends + unrecovered         (lost == retries + transient)
-    // Every re-send is provoked by exactly one prior fault loss, and every
-    // loss either provokes a re-send or exhausts the budget (surfacing as
-    // `ProbeLoss::Transient` / a `transient` batch flag).
+    // Bookkeeping identities under faults, at every entry point: every
+    // re-send is provoked by exactly one prior fault loss, and every loss
+    // either provokes a re-send or exhausts the budget (surfacing as
+    // `ProbeLoss::Transient`, the `probing.transient_exhausted` counter, or
+    // a `transient` batch flag).
     let mut cfg = SimConfig::tiny();
-    cfg.faults.probe_loss = 0.35;
+    cfg.faults.probe_loss = 0.4;
     let sim = Sim::build(cfg, 96);
     let p = Prober::new(&sim)
         .with_cache_enabled(false)
-        .with_retry_policy(RetryPolicy::uniform(4));
-    let vps = &sim.topo().vp_sites;
+        .with_retry_policy(RetryPolicy::uniform(BUDGET))
+        .with_telemetry(Telemetry::enabled());
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let (src, spoofer) = (vps[0], vps[1]);
     let responsive: Vec<Addr> = destinations(&sim, 30);
+    let m = &mut Meter::default();
 
-    // Unicast RR leg.
-    let before = p.counters().snapshot();
-    let mut transient = 0u64;
-    for &d in &responsive {
-        match p.rr_ping_outcome(vps[0].host, d) {
-            Ok(_) | Err(ProbeLoss::Unanswered) => {}
-            Err(ProbeLoss::Transient) => transient += 1,
-        }
-    }
-    let d = p.counters().snapshot().since(&before);
-    assert_eq!(d.rr, responsive.len() as u64 + d.retries, "sends identity");
-    assert_eq!(d.lost, d.retries + transient, "losses identity");
-    assert!(d.lost > 0, "loss rate 0.35 injected nothing (vacuous)");
+    // Unicast RR leg: what exhausts its budget reports itself transient.
+    let dests = &responsive[..];
+    let mut transient = 0;
+    let rr_lost = check_losses(
+        &p,
+        dests,
+        |s| s.rr,
+        true,
+        |d| {
+            transient += u64::from(p.rr_ping_observed(m, src, d) == Err(ProbeLoss::Transient));
+        },
+    );
+    assert_eq!(transient, rr_lost);
+    // Every other single probe, and a spoofed TS ping (a batch of one).
+    let ended_lost = [
+        check_losses(&p, dests, |s| s.ping, true, |d| p.ping(src, d)),
+        check_losses(
+            &p,
+            dests,
+            |s| s.ts,
+            true,
+            |d| p.ts_ping_outcome(m, src, d, &[d]),
+        ),
+        check_losses(
+            &p,
+            dests,
+            |s| s.traceroutes,
+            true,
+            |d| p.traceroute_fresh(src, d),
+        ),
+        check_losses(
+            &p,
+            dests,
+            |s| s.traceroutes,
+            true,
+            |d| p.last_link(m, src, d, 9),
+        ),
+        check_losses(
+            &p,
+            dests,
+            |s| s.atlas_rr,
+            true,
+            |d| p.atlas_rr_ping(spoofer, src, d),
+        ),
+        check_losses(
+            &p,
+            dests,
+            |s| s.spoof_ts,
+            false,
+            |d| p.spoofed_ts_ping(m, spoofer, src, d, &[d]),
+        ),
+    ];
+    let mut round = p.survey_round();
+    check_losses(
+        &p,
+        dests,
+        |s| s.rr,
+        true,
+        |d| round.rr_ping(src, d, None, None),
+    );
+    drop(round);
+    assert!(
+        ended_lost.iter().sum::<u64>() > 0,
+        "no probe exhausted its budget (vacuous)"
+    );
 
     // Spoofed batch leg: same identities from the per-pair flags.
     let pairs: Vec<(Addr, Addr)> = responsive
         .iter()
         .enumerate()
-        .map(|(i, &d)| (vps[1 + i % (vps.len() - 1)].host, d))
+        .map(|(i, &d)| (vps[1 + i % (vps.len() - 1)], d))
         .collect();
     let before = p.counters().snapshot();
-    let batch = p.spoofed_rr_batch(&pairs, vps[0].host);
+    let batch = p.spoofed_rr_batch(&pairs, src);
     let d = p.counters().snapshot().since(&before);
     let still_transient = batch.transient.iter().filter(|&&t| t).count() as u64;
     assert_eq!(d.spoof_rr, pairs.len() as u64 + d.retries, "sends identity");
     assert_eq!(d.lost, d.retries + still_transient, "losses identity");
     assert!(
-        batch.timeouts >= 1 && batch.timeouts <= 4,
+        batch.timeouts >= 1 && batch.timeouts <= BUDGET,
         "round count outside the budget: {}",
         batch.timeouts
     );
+
+    // Under faults too, a meter lent to the metered entry points reads
+    // exactly what they moved the shared counters and clock by.
+    let q = Prober::new(&sim).with_retry_policy(RetryPolicy::uniform(BUDGET));
+    let m = &mut Meter::default();
+    let reply = &mut BatchReply::default();
+    for &d in &responsive {
+        q.ping_metered(m, src, d);
+        let _ = q.rr_ping_observed(m, src, d);
+        let _ = q.ts_ping_outcome(m, src, d, &[d]);
+        q.spoofed_ts_ping(m, spoofer, src, d, &[d]);
+        q.last_link(m, src, d, 9);
+        q.spoofed_rr_batch_at(m, &[(spoofer, d), (vps[2], d)], src, &[], reply);
+    }
+    assert!(m.tally.lost > 0 && m.tally.retries > 0, "vacuous");
+    assert_eq!(m.tally, q.counters().snapshot());
+    assert_eq!(m.ms.to_bits(), q.clock().now_ms().to_bits());
 }
