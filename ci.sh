@@ -279,6 +279,19 @@ reads=$(grep -c 'retry.attempts' crates/probing/src/prober.rs)
 if [ "$reads" -ne 2 ]; then
   echo "retry.attempts read in $reads places: send through Prober::chain or Prober::collect"; exit 1
 fi
+# ...and an atlas build is one collection round: the atlas crate's library
+# code (each file up to its first `#[cfg(test)]`) sends every probe as a
+# member of a `Prober::round`, never through a serial entry point that
+# charges the shared clock probe by probe.
+echo "== atlas builds send through one round (crates/atlas/src, non-test code) =="
+serial=$(for f in crates/atlas/src/*.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+done | grep -E 'traceroute_fresh|\.(ping|ping_metered|rr_ping|rr_ping_observed|spoofed_rr_batch|spoofed_rr_batch_at|ts_ping_outcome|spoofed_ts_ping|last_link)\(' \
+  | grep -vE 'round\.rr_ping\(' || true)
+if [ -n "$serial" ]; then
+  echo "$serial"
+  echo "serial probe in the atlas crate: send it as a member of the build's Prober::round"; exit 1
+fi
 
 # Rustdoc is warning-free: a doc link to a private, renamed or deleted
 # item fails here, so narrowing the public surface cannot leave a dangling

@@ -15,7 +15,7 @@
 
 use revtr_aliasing::AliasResolver;
 use revtr_netsim::Addr;
-use revtr_probing::{Prober, StopSet};
+use revtr_probing::{Prober, Round, StopSet};
 use std::collections::HashMap;
 
 /// Where an address intersects the atlas.
@@ -68,25 +68,24 @@ pub struct SourceAtlas {
 impl SourceAtlas {
     /// Build an atlas for `source` from traceroutes issued by `probes`.
     ///
-    /// When `rr_atlas` is set, every responsive hop is RR-pinged from the
-    /// source and the revealed reply-path aliases are indexed (charged to
-    /// the `atlas_rr` background budget).
-    pub fn build(
-        prober: &Prober<'_>,
-        source: Addr,
-        probes: &[Addr],
-        rr_atlas: bool,
-    ) -> SourceAtlas {
-        SourceAtlas::build_with_discovery(prober, source, probes, rr_atlas, None)
-    }
-
-    /// [`SourceAtlas::build`] with an optional campaign forward-discovery
-    /// set: RR-atlas observations for each `(source, hop)` are looked up
-    /// there before probing and recorded after, so interfaces shared by
+    /// When `rr_atlas` is set, every responsive router hop is RR-pinged
+    /// from the source and the revealed reply-path aliases are indexed
+    /// (charged to the `atlas_rr` background budget). With a campaign
+    /// forward-discovery set, each `(source, hop)` observation is looked
+    /// up there before probing and recorded after, so interfaces shared by
     /// many atlas traces are RR-pinged once per campaign instead of once
     /// per trace. Indexing (alias anchoring) still runs per trace — only
     /// the probe itself is deduplicated.
-    pub fn build_with_discovery(
+    ///
+    /// The build is one collection round ([`Prober::round`]): every
+    /// traceroute goes out at the round's start, and a trace's RR-atlas
+    /// pings once its chain ends. The round charges the shared clock
+    /// once, its slowest trace plus that trace's slowest RR-atlas ping,
+    /// and every trace is stamped with the hour the round opened at.
+    /// Probes go out in trace order — traceroute `i`, then its RR pings,
+    /// then traceroute `i + 1` — so nonces, and with them fault draws,
+    /// follow the probe order.
+    pub fn build(
         prober: &Prober<'_>,
         source: Addr,
         probes: &[Addr],
@@ -99,47 +98,30 @@ impl SourceAtlas {
             index: HashMap::new(),
             rr_atlas_enabled: rr_atlas,
         };
+        let at_hours = prober.sim().now_hours();
+        let mut round = prober.round();
         for &vp in probes {
-            atlas.add_trace_with_discovery(prober, vp, rr_atlas, discovery);
+            let (trace, trace_ms) = round.traceroute(vp, source);
+            let Some(t) = trace.filter(|t| t.reached) else {
+                continue; // unusable: no suffix to the source
+            };
+            // Scenario `poisoned_atlas`: a corrupted measurement pipeline
+            // may substitute an interior hop before the trace is stored or
+            // indexed. The atlas ingests it unknowingly; only the audit
+            // catches the splice in a stitched path.
+            let mut hops = t.hops;
+            prober.sim().scenario_poison_trace(vp, source, &mut hops);
+            let idx = atlas.traces.len();
+            atlas.traces.push(AtlasTrace { vp, hops, at_hours });
+            atlas.index_trace(
+                prober,
+                idx,
+                rr_atlas.then_some((&mut round, trace_ms)),
+                discovery,
+            );
         }
+        drop(round);
         atlas
-    }
-
-    /// Measure one more traceroute from `vp` and index it.
-    pub fn add_trace(&mut self, prober: &Prober<'_>, vp: Addr, rr_atlas: bool) {
-        self.add_trace_with_discovery(prober, vp, rr_atlas, None);
-    }
-
-    /// [`SourceAtlas::add_trace`], consulting a forward-discovery set for
-    /// the RR-atlas pass (see [`SourceAtlas::build_with_discovery`]).
-    pub fn add_trace_with_discovery(
-        &mut self,
-        prober: &Prober<'_>,
-        vp: Addr,
-        rr_atlas: bool,
-        discovery: Option<&StopSet>,
-    ) {
-        let Some(t) = prober.traceroute_fresh(vp, self.source) else {
-            return;
-        };
-        if !t.reached {
-            return; // unusable: no suffix to the source
-        }
-        // Scenario `poisoned_atlas`: a corrupted measurement pipeline may
-        // substitute an interior hop before the trace is stored or indexed.
-        // The atlas ingests it unknowingly; only the audit catches the
-        // splice in a stitched path.
-        let mut hops = t.hops;
-        prober
-            .sim()
-            .scenario_poison_trace(vp, self.source, &mut hops);
-        let idx = self.traces.len();
-        self.traces.push(AtlasTrace {
-            vp,
-            hops,
-            at_hours: prober.sim().now_hours(),
-        });
-        self.index_trace(prober, idx, rr_atlas, discovery);
     }
 
     fn insert(&mut self, addr: Addr, inter: Intersection, prio: Priority) {
@@ -154,11 +136,15 @@ impl SourceAtlas {
         }
     }
 
+    /// Index trace `idx`'s hops, and — given the build's round and the
+    /// trace's chain length, when the RR-atlas runs — RR-ping its router
+    /// hops through the round once the trace is in, indexing what they
+    /// reveal.
     fn index_trace(
         &mut self,
         prober: &Prober<'_>,
         idx: usize,
-        rr_atlas: bool,
+        rr_atlas: Option<(&mut Round<'_, '_>, f64)>,
         discovery: Option<&StopSet>,
     ) {
         // The trace's responsive hops, read in place: indexing writes
@@ -169,9 +155,9 @@ impl SourceAtlas {
                 self.insert(a, Intersection { trace: idx, hop: i }, Priority::Exact);
             }
         }
-        if !rr_atlas {
+        let Some((round, trace_ms)) = rr_atlas else {
             return;
-        }
+        };
         // RR-atlas: RR-ping each hop from the source; everything revealed
         // after the hop's own stamp is a reverse-path address from that hop
         // toward the source.
@@ -186,16 +172,17 @@ impl SourceAtlas {
             // Forward-discovery dedup: replay the campaign's existing RR
             // observation for this (source, hop) if there is one —
             // including "known unanswered" — and record fresh probes.
+            let mut ping = || round.atlas_rr_ping(trace_ms, self.source, self.source, a);
             let reply = match discovery {
                 Some(d) => match d.forward(self.source, a) {
                     Some(cached) => cached,
                     None => {
-                        let fresh = prober.atlas_rr_ping(self.source, self.source, a);
+                        let fresh = ping();
                         d.forward_insert(self.source, a, fresh.clone());
                         fresh
                     }
                 },
-                None => prober.atlas_rr_ping(self.source, self.source, a),
+                None => ping(),
             };
             let Some(reply) = reply else {
                 continue;
@@ -332,7 +319,7 @@ mod tests {
         let prober = Prober::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true);
+        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
         assert!(!atlas.traces.is_empty());
         assert!(atlas.index_size() > 0);
         for t in &atlas.traces {
@@ -358,8 +345,8 @@ mod tests {
         let prober = Prober::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let plain = SourceAtlas::build(&prober, source, &probes, false);
-        let with_rr = SourceAtlas::build(&prober, source, &probes, true);
+        let plain = SourceAtlas::build(&prober, source, &probes, false, None);
+        let with_rr = SourceAtlas::build(&prober, source, &probes, true, None);
         assert!(
             with_rr.index_size() > plain.index_size(),
             "RR-atlas must index additional (alias) addresses: {} vs {}",
@@ -379,7 +366,7 @@ mod tests {
         let o = sim.oracle();
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true);
+        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
         let mut alias_entries = 0;
         for (addr, inter) in atlas.indexed_addrs() {
             let hop_addr = atlas.traces[inter.trace].hops[inter.hop];
@@ -411,7 +398,7 @@ mod more_tests {
         let prober = Prober::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 10, 4);
-        let atlas = SourceAtlas::build(&prober, source, &probes, false);
+        let atlas = SourceAtlas::build(&prober, source, &probes, false, None);
         let inter = atlas
             .traces
             .iter()
@@ -439,10 +426,10 @@ mod more_tests {
         // traces are probes; unreached means the trace toward the source
         // failed, which cannot happen for a VP source. Instead check that
         // an unroutable probe contributes nothing.
-        let mut atlas = SourceAtlas::build(&prober, source, &[], false);
-        assert!(atlas.traces.is_empty());
-        atlas.add_trace(&prober, revtr_netsim::Addr::new(10, 0, 0, 1), false);
+        let unroutable = [revtr_netsim::Addr::new(10, 0, 0, 1)];
+        let atlas = SourceAtlas::build(&prober, source, &unroutable, true, None);
         assert!(atlas.traces.is_empty(), "unroutable probe added a trace");
+        assert_eq!(prober.counters().snapshot().traceroutes, 1);
     }
 
     #[test]
@@ -451,12 +438,150 @@ mod more_tests {
         let prober = Prober::new(&sim);
         let source = sim.topo().vp_sites[1].host;
         let probes = select_atlas_probes(&sim, 25, 5);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true);
+        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
         for (addr, inter) in atlas.indexed_addrs() {
             assert!(!addr.is_private());
             assert_ne!(addr, source);
             assert!(inter.trace < atlas.traces.len());
             assert!(inter.hop < atlas.traces[inter.trace].hops.len());
         }
+    }
+}
+
+#[cfg(test)]
+mod round_tests {
+    use super::*;
+    use crate::probes::select_atlas_probes;
+    use revtr_netsim::{FaultConfig, Sim, SimConfig};
+    use revtr_probing::prober::{PROBE_TIMEOUT_MS, TRACEROUTE_TIMEOUT_MS};
+    use revtr_probing::{RetryPolicy, Snapshot};
+
+    /// The tiny Internet with churn and per-packet load balancing
+    /// quiesced, so a probe's answer depends on neither its send time nor
+    /// its nonce — only on whether its attempts were lost.
+    fn quiet_sim(faults: FaultConfig) -> Sim {
+        let mut cfg = SimConfig::tiny();
+        cfg.behavior.churn_per_hour = 0.0;
+        cfg.behavior.router_load_balancer = 0.0;
+        cfg.faults = faults;
+        Sim::build(cfg, 23)
+    }
+
+    /// FNV-1a-64 over the atlas content: every trace's probe and hops,
+    /// then the index sorted by address, each entry with its intersection
+    /// and priority. Measurement hours are left out.
+    fn digest(atlas: &SourceAtlas) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in &atlas.traces {
+            eat(u64::from(t.vp.0));
+            eat(t.hops.len() as u64);
+            for hop in &t.hops {
+                eat(hop.map_or(u64::MAX, |a| u64::from(a.0)));
+            }
+        }
+        let mut index: Vec<_> = atlas.index.iter().collect();
+        index.sort_unstable_by_key(|&(&a, _)| a);
+        for (a, (inter, prio)) in index {
+            eat(u64::from(a.0));
+            eat(inter.trace as u64);
+            eat(inter.hop as u64);
+            eat(*prio as u64);
+        }
+        h
+    }
+
+    /// One 30-probe RR-atlas build on a fresh prober: the atlas and the
+    /// prober that built it.
+    fn build_one<'s>(
+        sim: &'s Sim,
+        budget: u32,
+        discovery: Option<&StopSet>,
+    ) -> (SourceAtlas, Prober<'s>) {
+        let prober = Prober::new(sim).with_retry_policy(RetryPolicy::uniform(budget));
+        let source = sim.topo().vp_sites[0].host;
+        let probes = select_atlas_probes(sim, 30, 2);
+        let atlas = SourceAtlas::build(&prober, source, &probes, true, discovery);
+        (atlas, prober)
+    }
+
+    /// The build sends the probes the serial build sent, in its order, so
+    /// it keeps that build's atlas and counters, pinned here as constants
+    /// the serial build produced. Under 30 % loss with retries every
+    /// attempt's fate is drawn from its nonce: a build that sent its
+    /// probes in another order would lose other attempts and keep another
+    /// atlas.
+    #[test]
+    fn a_round_build_keeps_the_serial_atlas_and_counters() {
+        let sim = quiet_sim(FaultConfig::default());
+        let (atlas, prober) = build_one(&sim, 1, None);
+        let want = Snapshot {
+            traceroute_pkts: 215,
+            traceroutes: 30,
+            atlas_rr: 148,
+            ..Snapshot::default()
+        };
+        assert_eq!(prober.counters().snapshot(), want);
+        assert_eq!((atlas.traces.len(), atlas.index_size()), (30, 118));
+        assert_eq!(digest(&atlas), 0xdcb0_bde7_b451_ffb7);
+
+        let sim = quiet_sim(FaultConfig::lossy(0.3));
+        let discovery = StopSet::new();
+        let (atlas, prober) = build_one(&sim, 3, Some(&discovery));
+        let want = Snapshot {
+            traceroute_pkts: 201,
+            traceroutes: 47,
+            atlas_rr: 83,
+            retries: 40,
+            lost: 42,
+            ..Snapshot::default()
+        };
+        assert_eq!(prober.counters().snapshot(), want);
+        assert_eq!((atlas.traces.len(), atlas.index_size()), (28, 110));
+        assert_eq!(digest(&atlas), 0x60e9_917a_8f5e_e258);
+    }
+
+    /// Fault-free, a build charges the shared clock once: its slowest
+    /// trace plus that trace's slowest RR-atlas ping, recomputed here from
+    /// the simulator's own answers.
+    #[test]
+    fn a_build_charges_its_slowest_trace_and_rr_ping_once() {
+        let sim = quiet_sim(FaultConfig::default());
+        let (atlas, prober) = build_one(&sim, 1, None);
+        let source = atlas.source;
+        let rr_ms = |a: Addr| {
+            sim.rr_ping(source, a, 0)
+                .map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms)
+        };
+        let slowest = select_atlas_probes(&sim, 30, 2)
+            .into_iter()
+            .map(|vp| {
+                let Some(t) = sim.traceroute(vp, source, Prober::paris_flow(vp, source)) else {
+                    return TRACEROUTE_TIMEOUT_MS;
+                };
+                let pinged = t
+                    .hops
+                    .iter()
+                    .flatten()
+                    .filter(|&&a| t.reached && a != source && sim.host_prefix(a).is_none());
+                t.rtt_ms + pinged.map(|&a| rr_ms(a)).fold(0.0, f64::max)
+            })
+            .fold(0.0, f64::max);
+        let charged = prober.clock().now_ms();
+        assert_eq!(
+            charged.to_bits(),
+            slowest.to_bits(),
+            "{charged} vs {slowest}"
+        );
+        assert!(
+            charged <= TRACEROUTE_TIMEOUT_MS + PROBE_TIMEOUT_MS,
+            "{charged}"
+        );
+        // One opening hour for every trace.
+        assert!(atlas.traces.iter().all(|t| t.at_hours == 0.0));
     }
 }

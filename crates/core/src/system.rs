@@ -360,13 +360,15 @@ impl<'s> RevtrSystem<'s> {
 
     /// Register `src` as a reverse traceroute source: build its traceroute
     /// atlas (and RR-atlas, per config). This is the source bootstrap of
-    /// Appx. A (~15 virtual minutes of measurement).
+    /// Appx. A, one collection round ([`SourceAtlas::build`]): it charges
+    /// the shared clock its slowest traceroute plus that trace's slowest
+    /// RR-atlas ping, at most 7 virtual seconds without retries.
     pub fn register_source(&self, src: Addr) {
         if self.atlases.read().contains_key(&src) {
             return;
         }
         let probes = self.pick_atlas_probes(src, &[]);
-        let atlas = Arc::new(SourceAtlas::build_with_discovery(
+        let atlas = Arc::new(SourceAtlas::build(
             &self.prober,
             src,
             &probes,
@@ -402,7 +404,7 @@ impl<'s> RevtrSystem<'s> {
             // discovery observations would defeat it.
             self.stopset.forward_clear_source(src);
         }
-        let atlas = Arc::new(SourceAtlas::build_with_discovery(
+        let atlas = Arc::new(SourceAtlas::build(
             &self.prober,
             src,
             &probes,

@@ -742,7 +742,7 @@ mod tests {
         let r = run(Scale::Smoke, 1, Pattern::Steady);
         assert!(r.pass(), "{}", r.render());
         // The printed results fingerprint is the FNV-1a it always was.
-        assert_eq!(r.arms[0].results_fingerprint, 0x78f3_96b0_45fb_9df8);
+        assert_eq!(r.arms[0].results_fingerprint, 0xa392_6cd2_5bf2_bb68);
         // Both memory rules read real ledgers, not the "no data" pass.
         let value = |rule: &str| {
             let v = r.slo.verdicts.iter().find(|v| v.rule == rule);

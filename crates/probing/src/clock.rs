@@ -2,8 +2,9 @@
 //!
 //! All latency in the reproduction is *virtual*: probes advance the clock by
 //! their simulated RTT, spoofed batches by their 10-second collection
-//! timeout (paper §5.2.4), and a round of the ingress survey
-//! ([`crate::SurveyRound`]) by its slowest ping. The clock periodically
+//! timeout (paper §5.2.4), and a collection round ([`crate::Round`]: one
+//! prefix of the ingress survey, or one source's atlas build) once, by its
+//! slowest attempt chain. The clock periodically
 //! flushes accumulated time into the simulator so route churn progresses
 //! while campaigns run.
 //!

@@ -42,7 +42,7 @@ pub use cache::{
 pub use counters::Snapshot;
 pub use meter::Meter;
 pub use prober::{
-    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, RrProvenance, SentEpoch, SurveyRound,
+    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, Round, RrProvenance, SentEpoch,
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,

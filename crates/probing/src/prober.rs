@@ -19,9 +19,13 @@
 //!   traceroutes. A *serial* chain charges each wait as it happens and
 //!   sends the next attempt at the clock's new reading; the attempt that
 //!   gets through charges its own outcome (its RTT, or the timeout);
-//! * a chain in a [`SurveyRound`] charges nothing: its attempt `k` goes out
-//!   at the round's start plus the waits before it, and the round charges
-//!   its longest chain, once, when it closes;
+//! * a chain in a [`Round`] charges nothing: a member sent some delay into
+//!   the round (0 unless it waits on another member's answer) sends its
+//!   attempt `k` at the round's start plus that delay plus the waits
+//!   before it, and the round charges its latest member's end, once, when
+//!   it closes. The ingress survey sends a prefix's RR pings as one round
+//!   (§4.3); an atlas build sends a source's traceroutes, and each trace's
+//!   RR-atlas pings once that trace's chain ends, as one round (§4.2);
 //! * the **collection loop** sends a spoofed batch in rounds: each round
 //!   sends one attempt per pair still lost, then charges one
 //!   [`SPOOF_BATCH_TIMEOUT_MS`].
@@ -33,8 +37,8 @@
 //! caller's [`Meter`]. The engine's entry points take the meter of the
 //! request they probe for; everyone else calls the meterless wrappers
 //! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
-//! [`Prober::traceroute_fresh`], [`Prober::atlas_rr_ping`]), which charge a
-//! throw-away one. A [`SurveyRound`] charges the shared clock alone.
+//! [`Prober::traceroute_fresh`]), which charge a throw-away one. A
+//! [`Round`] charges the shared clock alone.
 //!
 //! # Faults and retries
 //!
@@ -473,8 +477,8 @@ impl<'s> Prober<'s> {
     /// The chain loop: send probe `p` until an attempt gets through or the
     /// budget runs out, each lost attempt waiting the kind's timeout. A
     /// serial chain (`round_start` `None`) charges each wait as it happens
-    /// and sends the next attempt at the clock's new reading; a survey
-    /// round's chain charges nothing and sends attempt `k` at
+    /// and sends the next attempt at the clock's new reading; a round
+    /// member's chain charges nothing and sends attempt `k` at
     /// `round_start` plus the waits before it. `send` sends the attempt
     /// that got through and charges its own outcome. Returns what `send`
     /// returned (`None`: every attempt was lost) and the time the chain
@@ -630,31 +634,17 @@ impl<'s> Prober<'s> {
         RrProvenance::observed(key, ex, false)
     }
 
-    /// Open one collection round of the §4.3 ingress survey: RR pings that
-    /// do not depend on each other all go out at this instant, and the
-    /// round costs the virtual time of its slowest ping, charged to the
-    /// shared clock once, when the returned handle drops.
-    pub fn survey_round(&self) -> SurveyRound<'_, 's> {
-        SurveyRound {
+    /// Open one collection round: probes that do not wait on each other
+    /// go out together — a prefix's §4.3 ingress-survey pings, a source's
+    /// §4.2 atlas build — and the round costs the virtual time of its
+    /// slowest member, charged to the shared clock once, when the returned
+    /// handle drops.
+    pub fn round(&self) -> Round<'_, 's> {
+        Round {
             prober: self,
             start_ms: self.clock.now_ms(),
             longest_ms: 0.0,
         }
-    }
-
-    /// RR ping issued for the background RR-atlas (§4.2): identical
-    /// semantics, separate accounting (offline budget).
-    pub fn atlas_rr_ping(&self, sender: Addr, claimed: Addr, dst: Addr) -> Option<RrReply> {
-        let spoof_vp = (sender != claimed).then_some(sender);
-        let p = Probe::new(ProbeKind::AtlasRr, spoof_vp, claimed, dst);
-        let (r, _) = self.chain(&mut Meter::default(), p, None, |m| {
-            let r = self
-                .sim
-                .rr_ping_from(sender, claimed, dst, self.next_nonce());
-            self.charge(m, r.as_ref().map(|x| x.rtt_ms));
-            r
-        });
-        r.flatten()
     }
 
     /// A batch of spoofed RR pings, all claiming source `claimed`, one per
@@ -786,23 +776,32 @@ impl<'s> Prober<'s> {
         (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16
     }
 
-    /// A full (Paris) traceroute, TTL 1 upward: what atlases are built
-    /// from. Never cached — an atlas keeps its own traces.
+    /// A full (Paris) traceroute, TTL 1 upward, serial on the shared
+    /// clock. Never cached; an atlas build sends its traceroutes through
+    /// [`Round::traceroute`] instead.
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
-        let flow = Self::paris_flow(src, dst);
         let p = Probe::new(ProbeKind::Traceroutes, None, src, dst);
         let (r, _) = self.chain(&mut Meter::default(), p, None, |m| {
-            let r = self.sim.traceroute(src, dst, flow);
-            match &r {
-                Some(t) => {
-                    self.count(m, ProbeKind::TraceroutePkts, t.hops.len() as u64);
-                    self.advance(m, t.rtt_ms);
-                }
-                None => self.advance(m, TRACEROUTE_TIMEOUT_MS),
-            }
+            let (r, ms) = self.trace_once(m, src, dst);
+            self.advance(m, ms);
             r
         });
         r.flatten()
+    }
+
+    /// One traceroute attempt that got through: the trace, its packets
+    /// counted, and its outcome's time — the trace's RTT, or
+    /// [`TRACEROUTE_TIMEOUT_MS`] when nothing routes to `dst`.
+    fn trace_once(&self, m: &mut Meter, src: Addr, dst: Addr) -> (Option<TraceResult>, f64) {
+        let r = self.sim.traceroute(src, dst, Self::paris_flow(src, dst));
+        let ms = match &r {
+            Some(t) => {
+                self.count(m, ProbeKind::TraceroutePkts, t.hops.len() as u64);
+                t.rtt_ms
+            }
+            None => TRACEROUTE_TIMEOUT_MS,
+        };
+        (r, ms)
     }
 
     /// The last link of the path a traceroute from `src` to `cur` would
@@ -854,31 +853,51 @@ impl<'s> Prober<'s> {
     }
 }
 
-/// One collection round of the §4.3 ingress survey, opened by
-/// [`Prober::survey_round`]. Its pings go out at the round's start; each
-/// keeps its own attempt chain — [`PROBE_TIMEOUT_MS`] per fault-lost
-/// attempt, then the reply's RTT, or the timeout if nothing answers — and
-/// the round ends with its longest chain. Dropping the handle closes the
-/// round and charges that chain to the shared clock, once: no churn flush,
-/// and no other probe's time, falls between a round's pings.
-pub struct SurveyRound<'p, 's> {
+/// One collection round, opened by [`Prober::round`]: a prefix's ingress
+/// survey pings (§4.3), or a source's atlas build (§4.2). Each member keeps
+/// its own attempt chain — its kind's timeout per fault-lost attempt, then
+/// the reply's RTT, or the timeout if nothing answers — sent some delay
+/// into the round (0 for a member that waits on nothing), and the round
+/// ends with its latest member's end. Dropping the handle closes the round
+/// and charges that end to the shared clock, once: no churn flush, and no
+/// other probe's time, falls between a round's probes.
+pub struct Round<'p, 's> {
     prober: &'p Prober<'s>,
     /// The shared clock when the round opened.
     start_ms: f64,
-    /// The longest attempt chain so far.
+    /// The latest member's end so far, from the round's start.
     longest_ms: f64,
 }
 
-impl SurveyRound<'_, '_> {
-    /// One RR ping of the round: the probe [`Prober::rr_ping`] sends on a
-    /// cache-disabled handle — same fault and scenario draws, nonce and
-    /// counters — but never near the measurement cache (a VP→scan-destination
-    /// ping is one no measurement re-issues), with no replay provenance
-    /// (nothing audits the survey), and lending the caller's sink trees to
-    /// the two legs: `forward` toward `dst`, `reply` back toward `src`.
-    /// Attempt `k` draws its faults at the round's start plus the timeouts
-    /// this ping has waited, so an ICMP token bucket refills between its
-    /// retries.
+impl Round<'_, '_> {
+    /// One member: probe `p`'s attempt chain, sent `after_ms` into the
+    /// round, so attempt `k` draws its faults at the round's start plus
+    /// `after_ms` plus the timeouts the chain has waited, and an ICMP
+    /// token bucket refills between its retries. `send` sends the attempt
+    /// that got through and returns it with its outcome's time. Returns
+    /// what `send` returned (`None`: every attempt was lost) and the
+    /// chain's length: its waits, then the outcome's time.
+    fn member<R>(
+        &mut self,
+        after_ms: f64,
+        p: Probe,
+        send: impl FnOnce(&mut Meter) -> (R, f64),
+    ) -> (Option<R>, f64) {
+        let start = Some(self.start_ms + after_ms);
+        let (r, waited_ms) = self.prober.chain(&mut Meter::default(), p, start, send);
+        let (r, outcome_ms) = r.map_or((None, 0.0), |(r, ms)| (Some(r), ms));
+        let chain_ms = waited_ms + outcome_ms;
+        self.longest_ms = self.longest_ms.max(after_ms + chain_ms);
+        (r, chain_ms)
+    }
+
+    /// One survey RR ping, at the round's start: the probe
+    /// [`Prober::rr_ping`] sends on a cache-disabled handle — same fault
+    /// and scenario draws, nonce and counters — but never near the
+    /// measurement cache (a VP→scan-destination ping is one no measurement
+    /// re-issues), with no replay provenance (nothing audits the survey),
+    /// and lending the caller's sink trees to the two legs: `forward`
+    /// toward `dst`, `reply` back toward `src`.
     pub fn rr_ping(
         &mut self,
         src: Addr,
@@ -888,19 +907,48 @@ impl SurveyRound<'_, '_> {
     ) -> Option<RrReply> {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Rr, None, src, dst);
-        let (r, waited_ms) = p.chain(&mut Meter::default(), probe, Some(self.start_ms), |_| {
-            p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply)
+        let (r, _) = self.member(0.0, probe, |_| {
+            let r = p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply);
+            let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
+            (r, ms)
         });
-        // The chain: its waits, then the reply's RTT or the timeout.
-        let outcome_ms = r
-            .as_ref()
-            .map_or(0.0, |r| r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms));
-        self.longest_ms = self.longest_ms.max(waited_ms + outcome_ms);
+        r.flatten()
+    }
+
+    /// One atlas traceroute (§4.2), at the round's start: the probe
+    /// [`Prober::traceroute_fresh`] sends. Returns the trace and its chain's
+    /// length, which is when the trace's RR-atlas pings can go out.
+    pub fn traceroute(&mut self, src: Addr, dst: Addr) -> (Option<TraceResult>, f64) {
+        let p = self.prober;
+        let probe = Probe::new(ProbeKind::Traceroutes, None, src, dst);
+        let (r, chain_ms) = self.member(0.0, probe, |m| p.trace_once(m, src, dst));
+        (r.flatten(), chain_ms)
+    }
+
+    /// One RR ping of the background RR-atlas (§4.2), sent `after_ms` into
+    /// the round: Record Route semantics, counted in its own
+    /// [`ProbeKind::AtlasRr`] budget, never cached. A `sender` other than
+    /// `claimed` spoofs it.
+    pub fn atlas_rr_ping(
+        &mut self,
+        after_ms: f64,
+        sender: Addr,
+        claimed: Addr,
+        dst: Addr,
+    ) -> Option<RrReply> {
+        let p = self.prober;
+        let spoof_vp = (sender != claimed).then_some(sender);
+        let probe = Probe::new(ProbeKind::AtlasRr, spoof_vp, claimed, dst);
+        let (r, _) = self.member(after_ms, probe, |_| {
+            let r = p.sim.rr_ping_from(sender, claimed, dst, p.next_nonce());
+            let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
+            (r, ms)
+        });
         r.flatten()
     }
 }
 
-impl Drop for SurveyRound<'_, '_> {
+impl Drop for Round<'_, '_> {
     fn drop(&mut self) {
         // A round abandoned by a panic charges nothing: a flush into a
         // simulator the panic left half-updated could panic again here.
@@ -1131,7 +1179,7 @@ mod tests {
         let p = Prober::new(&s);
         let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
         let t0 = p.clock().now_ms();
-        let mut round = p.survey_round();
+        let mut round = p.round();
         let mut longest: f64 = 0.0;
         for &dst in &vps[1..] {
             let r = round.rr_ping(vps[0], dst, None, None);
@@ -1170,7 +1218,7 @@ mod tests {
             let s = Sim::build(s.config().clone(), 21);
             let p = Prober::new(&s).with_retry_policy(RetryPolicy::uniform(attempts));
             let t0 = p.clock().now_ms();
-            let mut round = p.survey_round();
+            let mut round = p.round();
             let answered = (0..80)
                 .filter(|_| round.rr_ping(src, hop, None, None).is_some())
                 .count();

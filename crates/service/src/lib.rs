@@ -2,7 +2,9 @@
 //!
 //! The paper operates revtr 2.0 as an open service: users register, add
 //! their own hosts as sources (a ~15-minute bootstrap builds each source's
-//! traceroute atlas), and request measurements through REST/gRPC APIs under
+//! traceroute atlas; the simulator does not model RIPE Atlas's scheduling
+//! delay, so here it is one collection round of a few virtual seconds),
+//! and request measurements through REST/gRPC APIs under
 //! per-user rate limits; results are archived. This crate reproduces that
 //! orchestration layer over [`revtr::RevtrSystem`]:
 //!

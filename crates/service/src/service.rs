@@ -159,7 +159,9 @@ impl<'s> RevtrService<'s> {
 
     /// Register a source for a user: checks the host can receive RR
     /// packets, then bootstraps its traceroute atlas (and RR-atlas) — the
-    /// ~15-minute process of Appx. A, in virtual time.
+    /// ~15-minute process of Appx. A. The simulator does not model RIPE
+    /// Atlas's scheduling delay: here the bootstrap is one collection
+    /// round of a few virtual seconds.
     pub fn add_source(&self, key: ApiKey, src: Addr) -> Result<(), ServiceError> {
         // Bootstrap check: send the source an RR ping from a VP; if the
         // source can't receive RR packets, Reverse Traceroute can't work.

@@ -227,7 +227,7 @@ impl IngressDb {
     /// This is the weekly background measurement of §4.3; probes are
     /// charged to the prober's counters (pings + RR). Survey probes
     /// bypass the measurement cache entirely
-    /// ([`revtr_probing::SurveyRound::rr_ping`]): they are VP→scan-destination
+    /// ([`revtr_probing::Round::rr_ping`]): they are VP→scan-destination
     /// RR pings no reverse-traceroute measurement ever re-issues (the
     /// engine probes source→hop), so caching them only bloats the store —
     /// they were ~94% of all inserts at an ~0.8% overall hit rate before
@@ -449,7 +449,7 @@ impl SurveyScratch {
 
     /// §4.3 for one prefix. Probes go out in a fixed order — the scan
     /// pings one after another, then one RR ping per (VP, destination),
-    /// VP-major, all in one [`revtr_probing::SurveyRound`] — and every
+    /// VP-major, all in one [`revtr_probing::Round`] — and every
     /// choice among VPs is made on their addresses, never their positions,
     /// so a permuted VP list gives the same answer.
     fn survey(
@@ -485,7 +485,7 @@ impl SurveyScratch {
         self.near.clear();
         let mut in_range = vec![0u64; vps.len().div_ceil(64)].into_boxed_slice();
         let mut closest: Option<(f64, Addr)> = None;
-        let mut round = prober.survey_round();
+        let mut round = prober.round();
         for (at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;

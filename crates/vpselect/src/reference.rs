@@ -145,7 +145,7 @@ pub(crate) fn probe_prefix(
     }
 
     let mut views: BTreeMap<Addr, VpView> = BTreeMap::new();
-    let mut round = prober.survey_round();
+    let mut round = prober.round();
     for &vp in vps {
         let mut per_dest: Vec<(Option<usize>, Vec<Addr>)> = Vec::new();
         for &d in &dests {

@@ -27,7 +27,9 @@ fn main() {
 
     // A researcher signs up and registers a source they control. The
     // bootstrap checks the source receives RR packets and builds its
-    // traceroute atlas (~15 virtual minutes in the real system).
+    // traceroute atlas (~15 minutes in the deployment; the simulator does
+    // not model RIPE Atlas's scheduling delay, so here it is one
+    // collection round of a few virtual seconds).
     let key = service.add_user(
         "researcher",
         RateLimits {

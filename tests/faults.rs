@@ -351,13 +351,16 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
             true,
             |d| p.last_link(m, src, d, 9),
         ),
-        check_losses(
-            &p,
-            dests,
-            |s| s.atlas_rr,
-            true,
-            |d| p.atlas_rr_ping(spoofer, src, d),
-        ),
+        {
+            let mut round = p.round();
+            check_losses(
+                &p,
+                dests,
+                |s| s.atlas_rr,
+                true,
+                |d| round.atlas_rr_ping(0.0, spoofer, src, d),
+            )
+        },
         check_losses(
             &p,
             dests,
@@ -366,7 +369,7 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
             |d| p.spoofed_ts_ping(m, spoofer, src, d, &[d]),
         ),
     ];
-    let mut round = p.survey_round();
+    let mut round = p.round();
     check_losses(
         &p,
         dests,
