@@ -68,11 +68,11 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 # is the survey the standalone `probe_prefix` makes walking every hop:
 # every `PrefixInfo`, the counters, and the clock, simulator-time and
 # route-compute readings to the bit, with churn moving salts under the
-# trees, under link maintenance, and in `dbr_region` ASes. A prefix's RR
-# pings go out as one round that charges the clock once, by its slowest
-# ping (some eighty virtual minutes a survey), so the churn arms re-roll
-# one prefix in seven a virtual hour to keep a few hundred salts moving
-# mid-survey. Both sides share the simulator's Record Route exchange, so
+# trees, under link maintenance, and in `dbr_region` ASes. A prefix's scan
+# and RR pings go out as one round that charges the clock once, by its
+# latest ping (some seventy virtual minutes a survey), so the churn arms
+# re-roll one prefix in seven a virtual hour to keep a few hundred salts
+# moving mid-survey. Both sides share the simulator's Record Route exchange, so
 # the seed-1 survey is also pinned to constants: a digest of every
 # `PrefixInfo`, the clock and simulator-time bits, the counters and the
 # route computes. (The tiny arms, a lossy rate-limited one with three
@@ -279,18 +279,21 @@ reads=$(grep -c 'retry.attempts' crates/probing/src/prober.rs)
 if [ "$reads" -ne 2 ]; then
   echo "retry.attempts read in $reads places: send through Prober::chain or Prober::collect"; exit 1
 fi
-# ...and an atlas build is one collection round: the atlas crate's library
-# code (each file up to its first `#[cfg(test)]`) sends every probe as a
-# member of a `Prober::round`, never through a serial entry point that
-# charges the shared clock probe by probe.
-echo "== atlas builds send through one round (crates/atlas/src, non-test code) =="
-serial=$(for f in crates/atlas/src/*.rs; do
+# ...and an atlas build and a prefix's ingress survey are one collection
+# round each: the atlas and vpselect crates' library code (each file up to
+# its first `#[cfg(test)]`) sends every probe as a member of a
+# `Prober::round`, never through a serial entry point that charges the
+# shared clock probe by probe. (`third_destination_consistent`, §4.3's
+# validation experiment, sits below the ingress unit tests and probes
+# serially: it is not the survey.)
+echo "== atlas builds and surveys send through one round (crates/{atlas,vpselect}/src, non-test code) =="
+serial=$(for f in crates/atlas/src/*.rs crates/vpselect/src/*.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
 done | grep -E 'traceroute_fresh|\.(ping|ping_metered|rr_ping|rr_ping_observed|spoofed_rr_batch|spoofed_rr_batch_at|ts_ping_outcome|spoofed_ts_ping|last_link)\(' \
-  | grep -vE 'round\.rr_ping\(' || true)
+  | grep -vE 'round\.(ping|rr_ping)\(' || true)
 if [ -n "$serial" ]; then
   echo "$serial"
-  echo "serial probe in the atlas crate: send it as a member of the build's Prober::round"; exit 1
+  echo "serial probe in an atlas build or survey: send it as a member of the Prober::round"; exit 1
 fi
 
 # Rustdoc is warning-free: a doc link to a private, renamed or deleted

@@ -15,8 +15,14 @@
 
 use revtr_aliasing::AliasResolver;
 use revtr_netsim::Addr;
-use revtr_probing::{Prober, Round, StopSet};
+use revtr_probing::{Prober, Round, StopSet, WordHasher};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// The intersection index, keyed by simulated addresses. Its order never
+/// escapes: `indexed_addrs`' one order-sensitive reader (`alias_index_for`
+/// in `core`) keeps the lowest `(trace, hop)` per alias id.
+type Index = HashMap<Addr, (Intersection, Priority), BuildHasherDefault<WordHasher>>;
 
 /// Where an address intersects the atlas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +64,7 @@ pub struct SourceAtlas {
     /// Traceroutes from Atlas probes toward `source`.
     pub traces: Vec<AtlasTrace>,
     /// addr → best intersection.
-    index: HashMap<Addr, (Intersection, Priority)>,
+    index: Index,
     /// Whether the RR-atlas pass ran (§4.2). Without it, intersections are
     /// exact-address only (plus whatever external alias data the engine
     /// consults — the revtr 1.0 mode).
@@ -95,7 +101,7 @@ impl SourceAtlas {
         let mut atlas = SourceAtlas {
             source,
             traces: Vec::with_capacity(probes.len()),
-            index: HashMap::new(),
+            index: Index::default(),
             rr_atlas_enabled: rr_atlas,
         };
         let at_hours = prober.sim().now_hours();

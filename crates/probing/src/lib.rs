@@ -46,5 +46,6 @@ pub use prober::{
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
+    WordHasher,
 };
 pub use stopset::{Contribution, Note, StopSet, StopSetSnapshot, StoredRr};

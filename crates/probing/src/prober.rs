@@ -23,7 +23,8 @@
 //!   the round (0 unless it waits on another member's answer) sends its
 //!   attempt `k` at the round's start plus that delay plus the waits
 //!   before it, and the round charges its latest member's end, once, when
-//!   it closes. The ingress survey sends a prefix's RR pings as one round
+//!   it closes. The ingress survey sends a prefix's scan pings, and each
+//!   destination's RR pings once its scan ping answered, as one round
 //!   (§4.3); an atlas build sends a source's traceroutes, and each trace's
 //!   RR-atlas pings once that trace's chain ends, as one round (§4.2);
 //! * the **collection loop** sends a spoofed batch in rounds: each round
@@ -634,11 +635,11 @@ impl<'s> Prober<'s> {
         RrProvenance::observed(key, ex, false)
     }
 
-    /// Open one collection round: probes that do not wait on each other
-    /// go out together — a prefix's §4.3 ingress-survey pings, a source's
-    /// §4.2 atlas build — and the round costs the virtual time of its
-    /// slowest member, charged to the shared clock once, when the returned
-    /// handle drops.
+    /// Open one collection round: probes go out together, each as soon as
+    /// the answer it waits on (if any) is in — a prefix's §4.3 ingress
+    /// survey, a source's §4.2 atlas build — and the round costs the
+    /// virtual time of its latest member's end, charged to the shared
+    /// clock once, when the returned handle drops.
     pub fn round(&self) -> Round<'_, 's> {
         Round {
             prober: self,
@@ -854,13 +855,14 @@ impl<'s> Prober<'s> {
 }
 
 /// One collection round, opened by [`Prober::round`]: a prefix's ingress
-/// survey pings (§4.3), or a source's atlas build (§4.2). Each member keeps
-/// its own attempt chain — its kind's timeout per fault-lost attempt, then
-/// the reply's RTT, or the timeout if nothing answers — sent some delay
-/// into the round (0 for a member that waits on nothing), and the round
-/// ends with its latest member's end. Dropping the handle closes the round
-/// and charges that end to the shared clock, once: no churn flush, and no
-/// other probe's time, falls between a round's probes.
+/// survey (§4.3) — its scan pings, and each destination's RR pings once
+/// that destination answered — or a source's atlas build (§4.2). Each
+/// member keeps its own attempt chain — its kind's timeout per fault-lost
+/// attempt, then the reply's RTT, or the timeout if nothing answers — sent
+/// some delay into the round (0 for a member that waits on nothing), and
+/// the round ends with its latest member's end. Dropping the handle closes
+/// the round and charges that end to the shared clock, once: no churn
+/// flush, and no other probe's time, falls between a round's probes.
 pub struct Round<'p, 's> {
     prober: &'p Prober<'s>,
     /// The shared clock when the round opened.
@@ -891,15 +893,31 @@ impl Round<'_, '_> {
         (r, chain_ms)
     }
 
-    /// One survey RR ping, at the round's start: the probe
-    /// [`Prober::rr_ping`] sends on a cache-disabled handle — same fault
-    /// and scenario draws, nonce and counters — but never near the
-    /// measurement cache (a VP→scan-destination ping is one no measurement
-    /// re-issues), with no replay provenance (nothing audits the survey),
-    /// and lending the caller's sink trees to the two legs: `forward`
-    /// toward `dst`, `reply` back toward `src`.
+    /// One survey scan ping (§4.3), sent `after_ms` into the round: the
+    /// probe [`Prober::ping`] sends. Returns the reply and the chain's
+    /// length, so the reply came in at `after_ms` plus that length.
+    pub fn ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> (Option<EchoReply>, f64) {
+        let p = self.prober;
+        let probe = Probe::new(ProbeKind::Ping, None, src, dst);
+        let (r, chain_ms) = self.member(after_ms, probe, |_| {
+            let r = p.sim.ping(src, dst);
+            let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
+            (r, ms)
+        });
+        (r.flatten(), chain_ms)
+    }
+
+    /// One survey RR ping, sent `after_ms` into the round (when its
+    /// destination's scan ping answered): the probe [`Prober::rr_ping`]
+    /// sends on a cache-disabled handle — same fault and scenario draws,
+    /// nonce and counters — but never near the measurement cache (a
+    /// VP→scan-destination ping is one no measurement re-issues), with no
+    /// replay provenance (nothing audits the survey), and lending the
+    /// caller's sink trees to the two legs: `forward` toward `dst`, `reply`
+    /// back toward `src`.
     pub fn rr_ping(
         &mut self,
+        after_ms: f64,
         src: Addr,
         dst: Addr,
         forward: Option<&mut SinkTree>,
@@ -907,7 +925,7 @@ impl Round<'_, '_> {
     ) -> Option<RrReply> {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Rr, None, src, dst);
-        let (r, _) = self.member(0.0, probe, |_| {
+        let (r, _) = self.member(after_ms, probe, |_| {
             let r = p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
@@ -1182,9 +1200,13 @@ mod tests {
         let mut round = p.round();
         let mut longest: f64 = 0.0;
         for &dst in &vps[1..] {
-            let r = round.rr_ping(vps[0], dst, None, None);
+            let r = round.rr_ping(0.0, vps[0], dst, None, None);
             longest = longest.max(r.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
         }
+        // A member sent once the slowest ping answered ends the round.
+        let (reply, chain_ms) = round.ping(longest, vps[0], vps[1]);
+        assert_eq!(chain_ms, reply.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
+        longest += chain_ms;
         assert_eq!(
             p.clock().now_ms(),
             t0,
@@ -1192,7 +1214,8 @@ mod tests {
         );
         drop(round);
         assert_eq!(p.clock().now_ms().to_bits(), (t0 + longest).to_bits());
-        assert_eq!(p.counters().snapshot().rr, vps.len() as u64 - 1);
+        let snap = p.counters().snapshot();
+        assert_eq!((snap.rr, snap.ping), (vps.len() as u64 - 1, 1));
     }
 
     #[test]
@@ -1220,7 +1243,7 @@ mod tests {
             let t0 = p.clock().now_ms();
             let mut round = p.round();
             let answered = (0..80)
-                .filter(|_| round.rr_ping(src, hop, None, None).is_some())
+                .filter(|_| round.rr_ping(0.0, src, hop, None, None).is_some())
                 .count();
             drop(round);
             let snap = p.counters().snapshot();

@@ -6,8 +6,16 @@
 
 use parking_lot::Mutex;
 use revtr_netsim::Addr;
+use revtr_probing::WordHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// The user table. Only keys this registry issues (sequential, never
+/// chosen outside the program) are inserted, so no caller can crowd a
+/// bucket; and it is only looked up, never iterated, so its order never
+/// escapes.
+type Users = HashMap<ApiKey, UserState, BuildHasherDefault<WordHasher>>;
 
 /// Per-user rate limits, as in the paper's user database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,7 +90,7 @@ impl std::error::Error for UserError {}
 /// The user database.
 #[derive(Debug, Default)]
 pub struct UserDb {
-    users: Mutex<HashMap<ApiKey, UserState>>,
+    users: Mutex<Users>,
     next_key: Mutex<u64>,
 }
 

@@ -10,6 +10,11 @@
 //! 4. greedily set-cover the VPs with candidates → the prefix's ingresses,
 //! 5. rank each ingress's VPs by RR slot distance (closest first).
 //!
+//! Steps 1 and 2 are one collection round ([`Round`]) a prefix: the scan
+//! keeps as many pings in flight as it still needs hosts, which sends
+//! exactly the pings a serial scan sends, and each destination's RR pings
+//! go out as soon as it answers.
+//!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3). The
 //! engine's first spoofed round carries the closest VP of each ingress
@@ -21,7 +26,7 @@
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, PrefixId, Sim, SinkTree};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, Round};
 use std::mem::size_of;
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
@@ -359,24 +364,91 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
     SurveyScratch::new(vps.len(), None).survey(prober, vps, p, h)
 }
 
-/// Step 1 of the survey: up to two responsive destinations of `p`, pinged
-/// one after another from the first VP (any source works: responsiveness
-/// is a destination property). The scan stops at the second responsive
-/// host, so it stays serial — sent at once, it would send more pings.
-fn responsive_dests(prober: &Prober<'_>, vps: &[Addr], p: PrefixId) -> Vec<Addr> {
-    let mut dests: Vec<Addr> = Vec::new();
-    let Some(&pinger) = vps.first() else {
-        return dests;
+/// Step 1 of the survey: up to two responsive destinations of `p`, in
+/// candidate order, pinged from the first VP (any source works:
+/// responsiveness is a destination property) into the prefix's round, a
+/// [`scan_window`] at a time; with the window, whose `found[k]` is when
+/// destination `k` answered.
+fn responsive_dests(
+    round: &mut Round<'_, '_>,
+    sim: &Sim,
+    vps: &[Addr],
+    p: PrefixId,
+) -> (Vec<Addr>, Window) {
+    let mut cands = [Addr(0); DEST_SCAN_LIMIT];
+    let n = (cands.iter_mut().zip(sim.host_addrs(p)))
+        .map(|(c, a)| *c = a)
+        .count();
+    // No VP, no pinger: nothing to scan with.
+    let n = if vps.is_empty() { 0 } else { n };
+    let window = scan_window(n, |i, at_ms| {
+        let (reply, chain_ms) = round.ping(at_ms, vps[0], cands[i]);
+        (reply.is_some(), chain_ms)
+    });
+    let dests = window.found[..window.len].iter().map(|&(i, _)| cands[i]);
+    (dests.collect(), window)
+}
+
+/// The scan's schedule over candidates `0..n`, in ms from the start of
+/// the prefix's round: the candidates that answered (at most two, in
+/// candidate order, each with the instant its reply came in), and when the
+/// last ping ended.
+#[derive(Clone, Copy)]
+struct Window {
+    found: [(usize, f64); DESTS_PER_PREFIX],
+    len: usize,
+    end_ms: f64,
+}
+
+/// Ping candidates `0..n` in order until two answer, keeping
+/// `DESTS_PER_PREFIX − found` pings in flight. `send(i, at_ms)` sends
+/// candidate `i` at `at_ms` and returns whether it answered and its
+/// chain's length. In-flight pings resolve in `(end, candidate)` order and
+/// the next candidate goes out at the resolving instant.
+///
+/// The serial scan sends candidate `j` iff fewer than two of `0..j`
+/// answered. The window sends `j` only while `r + k ≤ 1` (`r` answers in,
+/// `k` pings out), so at most one of `0..j` can have answered: `j` goes out
+/// serially too. And if at most one of `0..j` answered, the window sends
+/// `j` at the latest once all of `0..j` are in (`k = 0`, `r ≤ 1`). So it
+/// sends the serial scan's pings, in candidate order, and finds the same
+/// two hosts — only sooner.
+fn scan_window(n: usize, mut send: impl FnMut(usize, f64) -> (bool, f64)) -> Window {
+    let mut w = Window {
+        found: [(0, 0.0); DESTS_PER_PREFIX],
+        len: 0,
+        end_ms: 0.0,
     };
-    for cand in prober.sim().host_addrs(p).take(DEST_SCAN_LIMIT) {
-        if prober.ping(pinger, cand).is_some() {
-            dests.push(cand);
-            if dests.len() == DESTS_PER_PREFIX {
-                break;
-            }
+    // `(end, candidate, answered)` of the pings in flight.
+    let mut flight = [(0.0, 0, false); DESTS_PER_PREFIX];
+    let (mut out, mut next) = (0, 0);
+    loop {
+        // Pings resolve in end order, so the last one resolved is both
+        // "now" and, once the window empties, its end.
+        let now = w.end_ms;
+        while w.len + out < DESTS_PER_PREFIX && next < n {
+            let (answered, chain_ms) = send(next, now);
+            flight[out] = (now + chain_ms, next, answered);
+            out += 1;
+            next += 1;
+        }
+        let Some(first) = (0..out).min_by(|&a, &b| {
+            let (x, y) = (flight[a], flight[b]);
+            x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
+        }) else {
+            break;
+        };
+        let (end, cand, answered) = flight[first];
+        out -= 1;
+        flight.swap(first, out);
+        w.end_ms = end;
+        if answered {
+            w.found[w.len] = (cand, end);
+            w.len += 1;
         }
     }
-    dests
+    w.found[..w.len].sort_unstable_by_key(|&(cand, _)| cand);
+    w
 }
 
 /// One `(ingress candidate, VP)` incidence of a prefix's survey.
@@ -447,11 +519,11 @@ impl SurveyScratch {
         }
     }
 
-    /// §4.3 for one prefix. Probes go out in a fixed order — the scan
-    /// pings one after another, then one RR ping per (VP, destination),
-    /// VP-major, all in one [`revtr_probing::Round`] — and every
-    /// choice among VPs is made on their addresses, never their positions,
-    /// so a permuted VP list gives the same answer.
+    /// §4.3 for one prefix, as one [`Round`]: the scan's pings, then one
+    /// RR ping per (VP, destination), VP-major, each sent when its
+    /// destination's scan ping answered. Probes go out in a fixed order and
+    /// every choice among VPs is made on their addresses, never their
+    /// positions, so a permuted VP list gives the same answer.
     fn survey(
         &mut self,
         prober: &Prober<'_>,
@@ -459,42 +531,43 @@ impl SurveyScratch {
         p: PrefixId,
         h: Heuristics,
     ) -> PrefixInfo {
-        let dests = responsive_dests(prober, vps, p);
-        if dests.is_empty() {
+        let mut round = prober.round();
+        let scan = responsive_dests(&mut round, prober.sim(), vps, p);
+        if scan.0.is_empty() {
             return PrefixInfo::default();
         }
-        self.survey_dests(prober, vps, p, h, dests)
+        self.survey_dests(&mut round, prober.sim(), vps, p, h, scan)
     }
 
     /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
-    /// found (at least one).
+    /// found (at least one) and its window, into the prefix's round.
     fn survey_dests(
         &mut self,
-        prober: &Prober<'_>,
+        round: &mut Round<'_, '_>,
+        sim: &Sim,
         vps: &[Addr],
         p: PrefixId,
         h: Heuristics,
-        dests: Vec<Addr>,
+        (dests, window): (Vec<Addr>, Window),
     ) -> PrefixInfo {
-        let sim = prober.sim();
         let prefix = sim.topo().prefix(p).prefix;
 
-        // 2–3. RR-ping the destinations from every VP, all in one round,
-        // and fold each VP's merged view into the tables.
+        // 2–3. RR-ping the destinations from every VP, each as soon as its
+        // scan ping answered, and fold each VP's merged view into the
+        // tables.
         self.run.clear();
         self.near.clear();
         let mut in_range = vec![0u64; vps.len().div_ceil(64)].into_boxed_slice();
         let mut closest: Option<(f64, Addr)> = None;
-        let mut round = prober.round();
-        for (at, &vp) in vps.iter().enumerate() {
+        for (vp_at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;
             for (dest_at, &d) in dests.iter().enumerate() {
                 let (forward, reply) = match &mut self.trees {
-                    Some(t) => (Some(&mut t.forward[dest_at]), Some(&mut t.reply[at])),
+                    Some(t) => (Some(&mut t.forward[dest_at]), Some(&mut t.reply[vp_at])),
                     None => (None, None),
                 };
-                if let Some(r) = round.rr_ping(vp, d, forward, reply) {
+                if let Some(r) = round.rr_ping(window.found[dest_at].1, vp, d, forward, reply) {
                     views[answered] = path_view(&r.slots, prefix, h);
                     answered += 1;
                 }
@@ -512,7 +585,7 @@ impl SurveyScratch {
                     closest = Some((dist, vp));
                 }
                 if dist <= RR_RANGE as f64 {
-                    in_range[at / 64] |= 1 << (at % 64);
+                    in_range[vp_at / 64] |= 1 << (vp_at % 64);
                     self.near.push((dist, vp));
                 }
             }
@@ -523,13 +596,12 @@ impl SurveyScratch {
                     self.run.push(Incidence {
                         cand,
                         vp,
-                        vp_at: at as u32,
+                        vp_at: vp_at as u32,
                         dist: rank as u8,
                     });
                 }
             }
         }
-        drop(round);
         self.run.sort_unstable_by_key(|i| (i.cand, i.vp));
         let mut candidates = Vec::with_capacity(self.run.chunk_by(same_candidate).count());
         candidates.extend(self.run.chunk_by(same_candidate).map(|g| g[0].cand));
@@ -715,8 +787,9 @@ mod tests {
     /// A round's pings draw their faults at the instants they would go
     /// out, retries included: under loss and an ICMP rate limiter (which
     /// meters router addresses, not the end hosts a survey probes), with
-    /// three attempts a ping, a prefix's RR round still ends with its
-    /// longest attempt chain — never more than three probe timeouts.
+    /// three attempts a ping, each RR ping ends within three probe timeouts
+    /// of its destination's answer — so a prefix's round, which holds the
+    /// scan too, ends by the later of the scan's end and those bounds.
     #[test]
     fn a_lossy_round_lasts_at_most_its_attempt_budget() {
         let mut cfg = SimConfig::tiny();
@@ -732,23 +805,134 @@ mod tests {
         let mut scratch = SurveyScratch::new(vps.len(), None);
         let (mut rounds, mut retried) = (0, 0);
         for p in sim.topo().prefixes.iter().map(|p| p.id) {
-            let dests = responsive_dests(&prober, &vps, p);
-            if dests.is_empty() {
+            let t0 = prober.clock().now_ms();
+            let mut round = prober.round();
+            let scan = responsive_dests(&mut round, &sim, &vps, p);
+            let window = scan.1;
+            if scan.0.is_empty() {
                 continue;
             }
-            let t0 = prober.clock().now_ms();
-            scratch.survey_dests(&prober, &vps, p, Heuristics::FULL, dests);
+            scratch.survey_dests(&mut round, &sim, &vps, p, Heuristics::FULL, scan);
+            drop(round);
             let round_ms = prober.clock().now_ms() - t0;
-            assert!(
-                round_ms <= 3.0 * PROBE_TIMEOUT_MS + 1e-6,
-                "{p}: a {round_ms} ms round"
-            );
+            let answered = (window.found[..window.len].iter())
+                .map(|&(_, at)| at)
+                .fold(0.0, f64::max);
+            let bound = window.end_ms.max(answered + 3.0 * PROBE_TIMEOUT_MS);
+            assert!(round_ms <= bound + 1e-6, "{p}: a {round_ms} ms round");
             rounds += 1;
-            retried += usize::from(round_ms > PROBE_TIMEOUT_MS);
+            // Past the scan and a timeout after the last answer: an RR
+            // ping waited out a lost attempt.
+            retried += usize::from(round_ms > window.end_ms.max(answered + PROBE_TIMEOUT_MS));
         }
         assert!(rounds > 10, "{rounds} rounds");
-        assert!(retried > 0, "no round waited out a lost attempt");
+        assert!(retried > 0, "no RR ping waited out a lost attempt");
         assert!(prober.counters().snapshot().retries > 0);
+    }
+
+    /// A prefix's round charges the clock once, by its latest member: the
+    /// scan window's last ping, or destination `k`'s slowest RR ping, sent
+    /// when `k` answered. Both are recomputed here from the simulator's
+    /// own answers, the scan by the reference's two-lane schedule.
+    #[test]
+    fn a_prefix_round_charges_scan_and_rr_once() {
+        let mut cfg = SimConfig::tiny();
+        cfg.behavior.churn_per_hour = 0.0;
+        cfg.behavior.router_load_balancer = 0.0;
+        let sim = Sim::build(cfg, 17);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let ms = |r: Option<f64>| r.unwrap_or(PROBE_TIMEOUT_MS);
+        let (mut surveyed, mut overlapped) = (0, 0);
+        for p in sim.topo().prefixes.iter().map(|p| p.id) {
+            let cands: Vec<Addr> = sim.host_addrs(p).take(DEST_SCAN_LIMIT).collect();
+            let mut serial_ms = 0.0;
+            let (found, scan_end) = crate::reference::scan_lanes(cands.len(), |i, _| {
+                let r = sim.ping(vps[0], cands[i]).map(|r| r.rtt_ms);
+                serial_ms += ms(r);
+                (r.is_some(), ms(r))
+            });
+            let rr_end = (found.iter())
+                .map(|&(i, at)| {
+                    let rr = vps
+                        .iter()
+                        .map(|&vp| ms(sim.rr_ping(vp, cands[i], 0).map(|r| r.rtt_ms)));
+                    at + rr.fold(0.0, f64::max)
+                })
+                .fold(0.0, f64::max);
+            let prober = Prober::new(&sim);
+            let info = probe_prefix(&prober, &vps, p, Heuristics::FULL);
+            let charged = prober.clock().now_ms();
+            let want = scan_end.max(rr_end);
+            assert_eq!(
+                charged.to_bits(),
+                want.to_bits(),
+                "{p}: {charged} vs {want}"
+            );
+            surveyed += usize::from(!info.dests.is_empty());
+            overlapped += usize::from(scan_end < serial_ms);
+        }
+        // Some scans overlapped a ping with an unanswered one: a serial
+        // scan would have charged those prefixes more.
+        assert!(surveyed > 10, "{surveyed} prefixes surveyed");
+        assert!(overlapped > 10, "{overlapped} scans overlapped");
+    }
+
+    /// The scan window against the serial rule (ping candidates in order,
+    /// stop at the second answer) over every answered/unanswered pattern
+    /// of the candidates, under RTT draws with ties and with chains that
+    /// waited out lost attempts: the same pings in the same order, the same
+    /// two destinations, each answer at its send instant plus its chain,
+    /// and an end no later than the serial scan's.
+    #[test]
+    fn the_scan_window_sends_the_serial_scans_pings() {
+        const T: f64 = PROBE_TIMEOUT_MS;
+        let draws: [fn(usize) -> f64; 4] = [
+            |_| 40.0,
+            |i| 5.0 + (i * 7 % 12) as f64 * 31.5,
+            |i| [12.5, 300.0, 12.5, 80.0][i % 4],
+            |i| (i % 3) as f64 * T + 20.0 + (i % 2) as f64 * 15.0,
+        ];
+        let mut overlapped = 0;
+        for pattern in 0u32..1 << DEST_SCAN_LIMIT {
+            let answers = |i: usize| pattern >> i & 1 == 1;
+            for rtt in draws {
+                // An unanswered chain waits out one to three timeouts.
+                let chain = |i: usize| {
+                    if answers(i) {
+                        rtt(i)
+                    } else {
+                        (1 + i % 3) as f64 * T
+                    }
+                };
+                let (mut serial, mut serial_found, mut serial_ms) = (Vec::new(), Vec::new(), 0.0);
+                for i in 0..DEST_SCAN_LIMIT {
+                    serial.push(i);
+                    serial_ms += chain(i);
+                    if answers(i) {
+                        serial_found.push(i);
+                        if serial_found.len() == DESTS_PER_PREFIX {
+                            break;
+                        }
+                    }
+                }
+                let mut sent = Vec::new();
+                let w = scan_window(DEST_SCAN_LIMIT, |i, at_ms| {
+                    sent.push((i, at_ms));
+                    (answers(i), chain(i))
+                });
+                let order: Vec<usize> = sent.iter().map(|&(i, _)| i).collect();
+                assert_eq!(order, serial, "pattern {pattern:#x}");
+                let found = &w.found[..w.len];
+                let found_cands: Vec<usize> = found.iter().map(|&(i, _)| i).collect();
+                assert_eq!(found_cands, serial_found, "pattern {pattern:#x}");
+                for &(i, at) in found {
+                    assert_eq!(at, sent[i].1 + chain(i), "pattern {pattern:#x}, {i}");
+                }
+                assert!(w.end_ms <= serial_ms, "pattern {pattern:#x}: {}", w.end_ms);
+                overlapped += usize::from(w.end_ms < serial_ms);
+            }
+        }
+        assert!(overlapped > 0);
     }
 
     #[test]

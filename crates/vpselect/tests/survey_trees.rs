@@ -76,9 +76,10 @@ fn tiny_surveys_agree() {
     }
     build_matches_probe_prefix(with_maintenance(SimConfig::tiny()), 7);
     build_matches_probe_prefix(with_dbr_regions(SimConfig::tiny()), 42);
-    // A tiny survey is over in four virtual minutes and default churn
-    // moves nothing under it: re-roll a prefix in ten per virtual minute,
-    // so that forward and reply trees are rebound in mid-survey.
+    // A tiny survey is over in three and a half virtual minutes and
+    // default churn moves nothing under it: re-roll a prefix in ten per
+    // virtual minute, so that forward and reply trees are rebound in
+    // mid-survey.
     let mut churning = SimConfig::tiny();
     churning.behavior.churn_per_hour = 6.0;
     assert!(build_matches_probe_prefix(churning, 7) > 10);
@@ -145,8 +146,8 @@ fn era_2020_survey_is_pinned() {
     );
     let want = (
         0x686b_a41a_0f51_db4d,
-        0x4152_8d10_7264_57c8,
-        0x3ff5_692e_c634_449f,
+        0x414f_b649_8b92_989d,
+        0x3ff2_6c8e_145d_57ee,
         Snapshot {
             ping: 5_371,
             rr: 594_512,
@@ -161,10 +162,11 @@ fn era_2020_survey_is_pinned() {
 #[ignore = "five full-size surveys, twice each: run in release (ci.sh does)"]
 fn era_2020_surveys_agree() {
     for seed in [1, 7, 42] {
-        // A survey is over in some eighty virtual minutes, under which
-        // default churn moves a handful of prefixes: re-roll one in seven
-        // a virtual hour, so that a few hundred — surveyed ones and VPs'
-        // own — change salt under the trees.
+        // A survey is over in some seventy virtual minutes (a prefix's
+        // scan and RR pings are one round), under which default churn
+        // moves a handful of prefixes: re-roll one in seven a virtual
+        // hour, so that a few hundred — surveyed ones and VPs' own —
+        // change salt under the trees.
         let mut churning = SimConfig::era_2020();
         churning.behavior.churn_per_hour = 0.15;
         assert!(build_matches_probe_prefix(churning, seed) > 100);

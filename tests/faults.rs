@@ -361,6 +361,10 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
                 |d| round.atlas_rr_ping(0.0, spoofer, src, d),
             )
         },
+        {
+            let mut round = p.round();
+            check_losses(&p, dests, |s| s.ping, true, |d| round.ping(0.0, src, d))
+        },
         check_losses(
             &p,
             dests,
@@ -375,7 +379,7 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         dests,
         |s| s.rr,
         true,
-        |d| round.rr_ping(src, d, None, None),
+        |d| round.rr_ping(0.0, src, d, None, None),
     );
     drop(round);
     assert!(
