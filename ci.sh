@@ -264,11 +264,29 @@ if grep -rnE 'thread_local!|thread_ms|thread_snapshot|swap_thread_' crates/probi
 fi
 # ...and sees no ground truth: the engine, the prober, VP selection and
 # the service adopt only evidence a deployment could measure, so none of
-# them calls the simulator's oracle. (The atlas and aliasing crates call it
-# only inside their `#[cfg(test)]` modules.)
-echo "== no ground truth in the request plane (crates/{core,probing,vpselect,service}/src) =="
+# them calls the simulator's oracle, tests included. (The atlas and
+# aliasing crates call it only inside their `#[cfg(test)]` modules.)
+# Nor does the request plane read the simulator at all: `probing` is the
+# deployment boundary, and the library code of the engine, the survey, the
+# atlas and the service (each file up to its first `#[cfg(test)]`, comment
+# lines aside — doc examples build a world as a caller does) names no
+# `Sim` or `SinkTree` and calls no `.sim()`, `.topo()` or `.oracle()`: it
+# reads the world through `Prober`'s deployment reads and the `aliasing`
+# datasets. One exemption: `atlas/src/probes.rs`, whose
+# `select_atlas_probes(&Sim, …)` builds the Atlas host list a caller hands
+# the system.
+echo "== no ground truth in the request plane (crates/{core,probing,vpselect,service,atlas}/src) =="
 if grep -rnE '\.oracle\(\)' crates/core/src crates/probing/src crates/vpselect/src crates/service/src; then
   echo "oracle call in the request plane: adopt only measured evidence"; exit 1
+fi
+reads=$(for f in crates/core/src/*.rs crates/vpselect/src/*.rs crates/service/src/*.rs crates/atlas/src/*.rs; do
+  [ "$f" = crates/atlas/src/probes.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+done | grep -vE '^[^:]+:[0-9]+: *//' \
+  | grep -E '\bSim\b|\bSinkTree\b|\.(sim|topo|oracle)\(\)' || true)
+if [ -n "$reads" ]; then
+  echo "$reads"
+  echo "simulator read in the request plane: read the world through a Prober deployment read"; exit 1
 fi
 
 # ...and sends every probe through one attempt step, driven by one of two
@@ -283,9 +301,7 @@ fi
 # round each: the atlas and vpselect crates' library code (each file up to
 # its first `#[cfg(test)]`) sends every probe as a member of a
 # `Prober::round`, never through a serial entry point that charges the
-# shared clock probe by probe. (`third_destination_consistent`, §4.3's
-# validation experiment, sits below the ingress unit tests and probes
-# serially: it is not the survey.)
+# shared clock probe by probe.
 echo "== atlas builds and surveys send through one round (crates/{atlas,vpselect}/src, non-test code) =="
 serial=$(for f in crates/atlas/src/*.rs crates/vpselect/src/*.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"

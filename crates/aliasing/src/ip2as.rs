@@ -12,6 +12,7 @@
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::topology::LinkKind;
 use revtr_netsim::{Addr, AsId, Sim};
+use revtr_probing::Prober;
 use std::collections::HashMap;
 
 /// Fraction of interdomain interfaces whose true ownership is published in
@@ -43,6 +44,17 @@ impl Ip2As {
     /// provider-numbered border).
     pub fn registry_only(sim: &Sim) -> Ip2As {
         Ip2As::with_ix_coverage(sim, 0.0)
+    }
+
+    /// The mapper a deployment downloads for the world `prober` measures:
+    /// [`Ip2As::registry_only`] when `registry_only` is set, else
+    /// [`Ip2As::new`].
+    pub fn for_prober(prober: &Prober<'_>, registry_only: bool) -> Ip2As {
+        if registry_only {
+            Ip2As::registry_only(prober.sim())
+        } else {
+            Ip2As::new(prober.sim())
+        }
     }
 
     /// Build with a given fraction of interdomain interfaces covered by

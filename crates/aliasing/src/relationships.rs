@@ -8,6 +8,7 @@
 
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{AsId, Rel, Sim};
+use revtr_probing::Prober;
 use std::collections::{HashMap, HashSet};
 
 /// Default fraction of true relationships present in the dataset.
@@ -93,6 +94,12 @@ impl RelationshipDb {
     /// Build with default coverage.
     pub fn new(sim: &Sim) -> RelationshipDb {
         Self::build(sim, DEFAULT_COVERAGE)
+    }
+
+    /// The dataset a deployment downloads for the world `prober`
+    /// measures: [`RelationshipDb::new`].
+    pub fn for_prober(prober: &Prober<'_>) -> RelationshipDb {
+        Self::new(prober.sim())
     }
 
     /// Known relationship: what `b` is to `a`, if the dataset has the pair.

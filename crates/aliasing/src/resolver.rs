@@ -21,6 +21,7 @@
 use parking_lot::RwLock;
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{Addr, Sim};
+use revtr_probing::Prober;
 use std::collections::HashMap;
 
 /// Fraction of routers whose IP-ID behaviour lets MIDAR cluster them.
@@ -42,6 +43,12 @@ impl<'s> AliasResolver<'s> {
             sim,
             snmp_cache: RwLock::new(HashMap::new()),
         }
+    }
+
+    /// The resolver a deployment runs against the world `prober`
+    /// measures: MIDAR-lite data it downloads, SNMPv3 probes it sends.
+    pub fn for_prober(prober: &Prober<'s>) -> AliasResolver<'s> {
+        AliasResolver::new(prober.sim())
     }
 
     /// SNMPv3 engine id for an address, if its router answers (probed once,

@@ -12,6 +12,11 @@
 //! traceroute, RR-ping every hop from the source; the addresses stamped on
 //! the *reply* path are exactly the RR-visible addresses a later reverse
 //! traceroute would uncover, so they are indexed ahead of time.
+//!
+//! A build sees what a deployment sees: its probes and the hour through
+//! the [`Prober`], alias evidence through the system's [`AliasResolver`],
+//! and traces as the measurement pipeline returns them — poisoned, under
+//! the `poisoned_atlas` scenario, by [`Round::traceroute`].
 
 use revtr_aliasing::AliasResolver;
 use revtr_netsim::Addr;
@@ -76,11 +81,12 @@ impl SourceAtlas {
     ///
     /// When `rr_atlas` is set, every responsive router hop is RR-pinged
     /// from the source and the revealed reply-path aliases are indexed
-    /// (charged to the `atlas_rr` background budget). With a campaign
-    /// forward-discovery set, each `(source, hop)` observation is looked
-    /// up there before probing and recorded after, so interfaces shared by
-    /// many atlas traces are RR-pinged once per campaign instead of once
-    /// per trace. Indexing (alias anchoring) still runs per trace — only
+    /// (charged to the `atlas_rr` background budget), `resolver`'s alias
+    /// evidence deciding which router a doubled stamp belongs to. With a
+    /// campaign forward-discovery set, each `(source, hop)` observation is
+    /// looked up there before probing and recorded after, so interfaces
+    /// shared by many atlas traces are RR-pinged once per campaign instead
+    /// of once per trace. Indexing (alias anchoring) still runs per trace — only
     /// the probe itself is deduplicated.
     ///
     /// The build is one collection round ([`Prober::round`]): every
@@ -93,6 +99,7 @@ impl SourceAtlas {
     /// follow the probe order.
     pub fn build(
         prober: &Prober<'_>,
+        resolver: &AliasResolver<'_>,
         source: Addr,
         probes: &[Addr],
         rr_atlas: bool,
@@ -104,23 +111,22 @@ impl SourceAtlas {
             index: Index::default(),
             rr_atlas_enabled: rr_atlas,
         };
-        let at_hours = prober.sim().now_hours();
+        let at_hours = prober.now_hours();
         let mut round = prober.round();
         for &vp in probes {
             let (trace, trace_ms) = round.traceroute(vp, source);
             let Some(t) = trace.filter(|t| t.reached) else {
                 continue; // unusable: no suffix to the source
             };
-            // Scenario `poisoned_atlas`: a corrupted measurement pipeline
-            // may substitute an interior hop before the trace is stored or
-            // indexed. The atlas ingests it unknowingly; only the audit
-            // catches the splice in a stitched path.
-            let mut hops = t.hops;
-            prober.sim().scenario_poison_trace(vp, source, &mut hops);
             let idx = atlas.traces.len();
-            atlas.traces.push(AtlasTrace { vp, hops, at_hours });
+            atlas.traces.push(AtlasTrace {
+                vp,
+                hops: t.hops,
+                at_hours,
+            });
             atlas.index_trace(
                 prober,
+                resolver,
                 idx,
                 rr_atlas.then_some((&mut round, trace_ms)),
                 discovery,
@@ -149,6 +155,7 @@ impl SourceAtlas {
     fn index_trace(
         &mut self,
         prober: &Prober<'_>,
+        resolver: &AliasResolver<'_>,
         idx: usize,
         rr_atlas: Option<(&mut Round<'_, '_>, f64)>,
         discovery: Option<&StopSet>,
@@ -167,12 +174,11 @@ impl SourceAtlas {
         // RR-atlas: RR-ping each hop from the source; everything revealed
         // after the hop's own stamp is a reverse-path address from that hop
         // toward the source.
-        let resolver = AliasResolver::new(prober.sim());
         for i in 0..n_hops {
             let Some(a) = self.traces[idx].hops[i] else {
                 continue;
             };
-            if a == self.source || prober.sim().host_prefix(a).is_some() {
+            if a == self.source || prober.host_prefix(a).is_some() {
                 continue; // only router hops are worth probing
             }
             // Forward-discovery dedup: replay the campaign's existing RR
@@ -323,9 +329,10 @@ mod tests {
     fn atlas_indexes_hops_and_suffixes_reach_source() {
         let sim = setup();
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &probes, true, None);
         assert!(!atlas.traces.is_empty());
         assert!(atlas.index_size() > 0);
         for t in &atlas.traces {
@@ -349,10 +356,11 @@ mod tests {
     fn rr_atlas_adds_alias_entries() {
         let sim = setup();
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let plain = SourceAtlas::build(&prober, source, &probes, false, None);
-        let with_rr = SourceAtlas::build(&prober, source, &probes, true, None);
+        let plain = SourceAtlas::build(&prober, &aliases, source, &probes, false, None);
+        let with_rr = SourceAtlas::build(&prober, &aliases, source, &probes, true, None);
         assert!(
             with_rr.index_size() > plain.index_size(),
             "RR-atlas must index additional (alias) addresses: {} vs {}",
@@ -369,10 +377,11 @@ mod tests {
         // yields a suffix whose hops truly lead to the source.
         let sim = setup();
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let o = sim.oracle();
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 30, 2);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &probes, true, None);
         let mut alias_entries = 0;
         for (addr, inter) in atlas.indexed_addrs() {
             let hop_addr = atlas.traces[inter.trace].hops[inter.hop];
@@ -402,9 +411,10 @@ mod more_tests {
     fn trace_age_tracks_virtual_time() {
         let sim = Sim::build(SimConfig::tiny(), 29);
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(&sim, 10, 4);
-        let atlas = SourceAtlas::build(&prober, source, &probes, false, None);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &probes, false, None);
         let inter = atlas
             .traces
             .iter()
@@ -426,6 +436,7 @@ mod more_tests {
     fn unreached_traceroutes_are_not_indexed() {
         let sim = Sim::build(SimConfig::tiny(), 29);
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let source = sim.topo().vp_sites[0].host;
         // A ping-unresponsive probe host: its traceroute never "reaches"
         // and can't serve as an atlas trace... but atlas *sources* of the
@@ -433,7 +444,7 @@ mod more_tests {
         // failed, which cannot happen for a VP source. Instead check that
         // an unroutable probe contributes nothing.
         let unroutable = [revtr_netsim::Addr::new(10, 0, 0, 1)];
-        let atlas = SourceAtlas::build(&prober, source, &unroutable, true, None);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &unroutable, true, None);
         assert!(atlas.traces.is_empty(), "unroutable probe added a trace");
         assert_eq!(prober.counters().snapshot().traceroutes, 1);
     }
@@ -442,9 +453,10 @@ mod more_tests {
     fn index_never_contains_private_or_source() {
         let sim = Sim::build(SimConfig::tiny(), 30);
         let prober = Prober::new(&sim);
+        let aliases = AliasResolver::new(&sim);
         let source = sim.topo().vp_sites[1].host;
         let probes = select_atlas_probes(&sim, 25, 5);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true, None);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &probes, true, None);
         for (addr, inter) in atlas.indexed_addrs() {
             assert!(!addr.is_private());
             assert_ne!(addr, source);
@@ -509,9 +521,10 @@ mod round_tests {
         discovery: Option<&StopSet>,
     ) -> (SourceAtlas, Prober<'s>) {
         let prober = Prober::new(sim).with_retry_policy(RetryPolicy::uniform(budget));
+        let aliases = AliasResolver::new(sim);
         let source = sim.topo().vp_sites[0].host;
         let probes = select_atlas_probes(sim, 30, 2);
-        let atlas = SourceAtlas::build(&prober, source, &probes, true, discovery);
+        let atlas = SourceAtlas::build(&prober, &aliases, source, &probes, true, discovery);
         (atlas, prober)
     }
 

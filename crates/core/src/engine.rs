@@ -157,7 +157,7 @@ impl Request {
             dst: job.dst,
             src: job.src,
             atlas: sys.atlas(job.src),
-            src_prefix: sys.sim().host_prefix(job.src),
+            src_prefix: sys.prober().host_prefix(job.src),
             // Telemetry request scope (inert unless the prober carries an
             // enabled handle). The origin is this request's virtual time,
             // so span offsets are invariant to concurrent measurements'
@@ -289,7 +289,7 @@ impl Request {
         self.stats.intersected_trace = Some(inter.trace);
         self.stats.intersected_hop = Some(inter.hop);
         self.stats.intersected_trace_age_h =
-            Some(atlas.trace_age_hours(inter, sys.sim().now_hours()));
+            Some(atlas.trace_age_hours(inter, sys.prober().now_hours()));
         let t = &atlas.traces[inter.trace];
         for (i, h) in atlas.suffix(inter).iter().enumerate() {
             if i == 0 && *h == Some(self.cur) {

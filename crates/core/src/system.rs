@@ -23,13 +23,14 @@ use parking_lot::{Mutex, RwLock};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, AsId, PrefixId, RrSlots, Sim};
+use revtr_netsim::{Addr, AsId, PrefixId, RrSlots};
 use revtr_probing::{
     LastLink, Meter, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken,
-    StopSet,
+    StopSet, WordHasher,
 };
 use revtr_vpselect::{IngressDb, PlanView};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock};
 
 /// Extract reverse hops from an RR reply to `dst`: the slots after the
@@ -52,8 +53,14 @@ pub fn extract_reverse_hops(slots: &[Addr], dst: Addr) -> Option<&[Addr]> {
     Some(&slots[pos + 1..])
 }
 
-/// Ark-style adjacency dataset: address → neighbouring addresses.
-type AdjacencyDb = HashMap<Addr, Vec<Addr>>;
+/// A table the system only looks up by key (or folds in an order-free
+/// way): keys are simulated addresses and ids, hashed a word at a time
+/// with a fixed key, so no per-process random state exists to leak.
+type Table<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Ark-style adjacency dataset: address → neighbouring addresses. Looked
+/// up only.
+type AdjacencyDb = Table<Addr, Vec<Addr>>;
 
 /// The symmetry step's decision inputs (recorded as stitch evidence).
 pub(crate) struct SymmetryDecision {
@@ -158,7 +165,6 @@ pub(crate) struct RrHints {
 /// and the measurement engine. Thread-safe; campaigns call
 /// [`RevtrSystem::measure`] concurrently.
 pub struct RevtrSystem<'s> {
-    sim: &'s Sim,
     cfg: EngineConfig,
     prober: Prober<'s>,
     vps: Vec<Addr>,
@@ -167,17 +173,22 @@ pub struct RevtrSystem<'s> {
     rels: Arc<RelationshipDb>,
     resolver: Arc<AliasResolver<'s>>,
     atlas_pool: Vec<Addr>,
-    atlases: RwLock<HashMap<Addr, Arc<SourceAtlas>>>,
+    /// Per-source atlas. Its walks sum byte ledgers, union adjacencies
+    /// into sorted lists and list sources sorted: no order escapes.
+    atlases: RwLock<Table<Addr, Arc<SourceAtlas>>>,
     /// Per-source: alias cluster id → intersection (revtr 1.0's Q2).
-    alias_index: RwLock<HashMap<Addr, Arc<HashMap<u64, Intersection>>>>,
+    /// Looked up only; built keeping the lowest `(trace, hop)` per id.
+    alias_index: RwLock<Table<Addr, Arc<Table<u64, Intersection>>>>,
     adjacency: RwLock<Option<Arc<AdjacencyDb>>>,
     /// Extra adjacencies injected by the caller (the Fig. 5b / Appx. D.1
     /// "ground truth adjacencies" experiment feeds oracle data here).
-    extra_adjacency: RwLock<HashMap<Addr, Vec<Addr>>>,
+    extra_adjacency: RwLock<AdjacencyDb>,
     /// (source, trace) → times intersected, for the refresh policy.
-    usage: Mutex<HashMap<(Addr, usize), u64>>,
+    /// Looked up, bumped and pruned by source: never walked in order.
+    usage: Mutex<Table<(Addr, usize), u64>>,
     /// Per-source refresh generation (selects new random atlas probes).
-    generation: Mutex<HashMap<Addr, u64>>,
+    /// Looked up only.
+    generation: Mutex<Table<Addr, u64>>,
     /// The campaign-wide probe-economy layer (consulted and fed only when
     /// [`EngineConfig::use_stop_sets`] is set).
     stopset: Arc<StopSet>,
@@ -208,29 +219,22 @@ impl<'s> RevtrSystem<'s> {
         ingress: Arc<IngressDb>,
         atlas_pool: Vec<Addr>,
     ) -> RevtrSystem<'s> {
-        let sim = prober.sim();
         let prober = prober.with_cache_enabled(cfg.use_cache);
-        let ip2as = if cfg.registry_only_ip2as {
-            Ip2As::registry_only(sim)
-        } else {
-            Ip2As::new(sim)
-        };
         RevtrSystem {
-            sim,
+            ip2as: Ip2As::for_prober(&prober, cfg.registry_only_ip2as),
+            rels: Arc::new(RelationshipDb::for_prober(&prober)),
+            resolver: Arc::new(AliasResolver::for_prober(&prober)),
             cfg,
-            ip2as,
-            rels: Arc::new(RelationshipDb::new(sim)),
-            resolver: Arc::new(AliasResolver::new(sim)),
             prober,
             vps,
             ingress,
             atlas_pool,
-            atlases: RwLock::new(HashMap::new()),
-            alias_index: RwLock::new(HashMap::new()),
+            atlases: RwLock::default(),
+            alias_index: RwLock::default(),
             adjacency: RwLock::new(None),
-            extra_adjacency: RwLock::new(HashMap::new()),
-            usage: Mutex::new(HashMap::new()),
-            generation: Mutex::new(HashMap::new()),
+            extra_adjacency: RwLock::default(),
+            usage: Mutex::default(),
+            generation: Mutex::default(),
             stopset: Arc::new(StopSet::new()),
             cores: OnceLock::new(),
             scratches: Mutex::new(Vec::new()),
@@ -279,11 +283,6 @@ impl<'s> RevtrSystem<'s> {
         self.prober.telemetry().watchdog_flags()
     }
 
-    /// The simulator.
-    pub fn sim(&self) -> &'s Sim {
-        self.sim
-    }
-
     /// The vantage points.
     pub fn vps(&self) -> &[Addr] {
         &self.vps
@@ -301,10 +300,9 @@ impl<'s> RevtrSystem<'s> {
         if !tele.profiling() {
             return;
         }
-        let sim = self.sim;
-        tele.resource_record("netsim.route_cache", ord, sim.route_cache_bytes());
-        tele.resource_record("netsim.border_cache", ord, sim.border_cache_bytes());
-        tele.resource_record("netsim.fib", ord, sim.fib_bytes());
+        for (ledger, bytes) in self.prober.sim_ledgers() {
+            tele.resource_record(ledger, ord, bytes);
+        }
         let cache = self.prober.cache();
         tele.resource_record(
             "probing.cache.last_link",
@@ -345,7 +343,7 @@ impl<'s> RevtrSystem<'s> {
         let mut i = 0u64;
         while out.len() < want.min(n) && i < (n as u64) * 4 {
             let idx = (mix3(
-                self.sim.seed() ^ 0xa71c,
+                self.prober.seed() ^ 0xa71c,
                 src.0 as u64,
                 generation ^ (i << 20),
             ) % n as u64) as usize;
@@ -370,6 +368,7 @@ impl<'s> RevtrSystem<'s> {
         let probes = self.pick_atlas_probes(src, &[]);
         let atlas = Arc::new(SourceAtlas::build(
             &self.prober,
+            &self.resolver,
             src,
             &probes,
             self.cfg.use_rr_atlas,
@@ -406,6 +405,7 @@ impl<'s> RevtrSystem<'s> {
         }
         let atlas = Arc::new(SourceAtlas::build(
             &self.prober,
+            &self.resolver,
             src,
             &probes,
             self.cfg.use_rr_atlas,
@@ -441,14 +441,14 @@ impl<'s> RevtrSystem<'s> {
 
     // ---- intersection (Q2) -----------------------------------------------------
 
-    fn alias_index_for(&self, src: Addr, atlas: &SourceAtlas) -> Arc<HashMap<u64, Intersection>> {
+    fn alias_index_for(&self, src: Addr, atlas: &SourceAtlas) -> Arc<Table<u64, Intersection>> {
         if let Some(m) = self.alias_index.read().get(&src) {
             return m.clone();
         }
         // An id seen at several atlas positions keeps the lowest
-        // `(trace, hop)`: the atlas index is a `HashMap`, so "the first one
-        // walked" would differ from one process to the next.
-        let mut m: HashMap<u64, Intersection> = HashMap::new();
+        // `(trace, hop)`: the atlas index is a hash table, so "the first
+        // one walked" would follow its layout, not the atlas.
+        let mut m: Table<u64, Intersection> = Table::default();
         for (addr, inter) in atlas.indexed_addrs() {
             for id in [self.resolver.snmp_id(addr), self.resolver.midar_id(addr)]
                 .into_iter()
@@ -502,7 +502,7 @@ impl<'s> RevtrSystem<'s> {
         }
         // Ark-style adjacency extraction: consecutive responsive hops of
         // every atlas traceroute, both directions.
-        let mut adj: HashMap<Addr, Vec<Addr>> = HashMap::new();
+        let mut adj = AdjacencyDb::default();
         for atlas in self.atlases.read().values() {
             for t in &atlas.traces {
                 let hops: Vec<Addr> = t.hops.iter().filter_map(|h| *h).collect();
@@ -525,28 +525,27 @@ impl<'s> RevtrSystem<'s> {
 
     // ---- helpers ------------------------------------------------------------------
 
-    /// True if `addr` means we have arrived at the source.
+    /// True if `addr` means we have arrived at the source: it is the
+    /// source, or inside the source's announced prefix.
     pub(crate) fn reached(&self, addr: Addr, src: Addr, src_prefix: Option<PrefixId>) -> bool {
-        addr == src
-            || (src_prefix.is_some() && self.sim.host_prefix(addr) == src_prefix)
-            || (src_prefix.is_some() && self.sim.topo().prefix_of(addr) == src_prefix)
+        addr == src || (src_prefix.is_some() && self.prober.prefix_of(addr) == src_prefix)
     }
 
     /// Inject additional adjacency data for the timestamp technique (used
     /// by the Appx. D.1 "perfect adjacencies" experiment).
-    pub fn set_extra_adjacencies(&self, map: HashMap<Addr, Vec<Addr>>) {
-        *self.extra_adjacency.write() = map;
+    pub fn set_extra_adjacencies(&self, map: impl IntoIterator<Item = (Addr, Vec<Addr>)>) {
+        *self.extra_adjacency.write() = map.into_iter().collect();
     }
 
     /// The ingress-plan key for a probe target: its announced prefix, or
     /// (for infrastructure addresses) the first announced prefix of the
     /// block-owning AS — ingresses are shared across an AS's prefixes.
     fn plan_key(&self, addr: Addr) -> Option<PrefixId> {
-        if let Some(p) = self.sim.topo().prefix_of(addr) {
+        if let Some(p) = self.prober.prefix_of(addr) {
             return Some(p);
         }
-        let owner = self.sim.topo().block_owner(addr)?;
-        self.sim.topo().asn(owner).prefixes.first().copied()
+        let owner = self.prober.block_owner(addr)?;
+        self.prober.as_prefixes(owner).first().copied()
     }
 
     /// The ingress-plan key encoded for the stop-set hint maps. Two
@@ -942,6 +941,7 @@ impl<'s> RevtrSystem<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revtr_netsim::Sim;
 
     fn a(n: u32) -> Addr {
         Addr(0x0B00_0000 + n)
@@ -989,9 +989,9 @@ mod tests {
 
     #[test]
     fn alias_index_keeps_the_lowest_intersection_per_id() {
-        // Two identical worlds in one process: their atlas indices are
-        // `HashMap`s with different `RandomState` keys, so they walk in
-        // different orders, and the index must not follow either walk.
+        // Two identical worlds in one process, and an alias id seen at
+        // several atlas positions: the index must keep the lowest, not
+        // whichever one the atlas index walks first.
         use revtr_atlas::select_atlas_probes;
         use revtr_netsim::SimConfig;
         use revtr_vpselect::Heuristics;

@@ -17,7 +17,8 @@ use revtr::config::BATCH_SIZE;
 use revtr::extract_reverse_hops;
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::Prober;
-use revtr_vpselect::{third_destination_consistent, Heuristics, IngressDb, PlanView, RR_RANGE};
+use revtr_vpselect::ingress::{PrefixInfo, DEST_SCAN_LIMIT};
+use revtr_vpselect::{path_view, Heuristics, IngressDb, PlanView, RR_RANGE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -103,6 +104,52 @@ fn distinct_try_order(plan: PlanView<'_>) -> Vec<Addr> {
         }
     }
     out
+}
+
+/// §4.3's validation that two destinations suffice: probe a *third*
+/// responsive destination and check whether its forward paths traverse the
+/// already-identified candidate ingresses (the paper: true for 87.2% of
+/// prefixes). Returns `None` when the prefix lacks a third destination or
+/// prior candidates.
+fn third_destination_consistent(
+    prober: &Prober<'_>,
+    vps: &[Addr],
+    info: &PrefixInfo,
+    p: PrefixId,
+    h: Heuristics,
+) -> Option<bool> {
+    let prefix = prober.prefix(p);
+    let third = prober
+        .host_addrs(p)
+        .filter(|a| !info.dests.contains(a))
+        .take(DEST_SCAN_LIMIT)
+        .find(|&a| prober.ping(vps[0], a).is_some())?;
+    let known = info.candidates();
+    if known.is_empty() {
+        return None;
+    }
+    // The third destination is consistent if every VP whose path to it is
+    // parseable traverses at least one known candidate.
+    let mut checked = 0;
+    let mut consistent = 0;
+    for &vp in vps {
+        let Some(r) = prober.rr_ping(vp, third) else {
+            continue;
+        };
+        let view = path_view(&r.slots, prefix, h);
+        if view.candidates.is_empty() {
+            continue;
+        }
+        checked += 1;
+        if view
+            .candidates
+            .iter()
+            .any(|c| known.binary_search(c).is_ok())
+        {
+            consistent += 1;
+        }
+    }
+    (checked > 0).then_some(consistent == checked)
 }
 
 /// Run the VP-selection evaluation in the world of `(scale, seed)`.
@@ -320,6 +367,32 @@ impl VpSelectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revtr_netsim::{Sim, SimConfig};
+
+    #[test]
+    fn most_prefixes_have_stable_candidates() {
+        let sim = Sim::build(SimConfig::tiny(), 19);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prober = Prober::new(&sim);
+        let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).take(40).collect();
+        let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
+        let (mut stable, mut total) = (0, 0);
+        for (p, info) in db.prefixes() {
+            if let Some(ok) = third_destination_consistent(&prober, &vps, info, p, Heuristics::FULL)
+            {
+                total += 1;
+                if ok {
+                    stable += 1;
+                }
+            }
+        }
+        assert!(total > 5, "too few prefixes evaluated: {total}");
+        // The paper's 87.2%: a clear majority must be stable.
+        assert!(
+            stable * 4 >= total * 3,
+            "only {stable}/{total} prefixes have stable ingress candidates"
+        );
+    }
 
     #[test]
     fn vp_selection_shapes_hold_on_smoke_scale() {

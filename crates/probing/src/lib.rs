@@ -43,6 +43,7 @@ pub use counters::Snapshot;
 pub use meter::Meter;
 pub use prober::{
     BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, Round, RrProvenance, SentEpoch,
+    SurveyTrees,
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,

@@ -4,6 +4,21 @@
 //! A [`Prober`] is cheap to clone and thread-safe; campaign code clones one
 //! per worker so counters/clock/cache are shared.
 //!
+//! # The deployment boundary
+//!
+//! The prober is the request plane's one handle on the simulator. Besides
+//! probes, it offers the few reads a deployment makes without ground
+//! truth, each forwarding one simulator call: deployment time
+//! ([`Prober::now_hours`], [`Prober::clock_hours`]), the seed, the BGP
+//! table and registry ([`Prober::prefix_of`], [`Prober::host_prefix`],
+//! [`Prober::block_owner`], [`Prober::as_prefixes`], [`Prober::prefix`]),
+//! a prefix's hitlist ([`Prober::host_addrs`]) and the simulator's byte
+//! ledgers. The survey's sink trees ([`SurveyTrees`]) and the
+//! `poisoned_atlas` scenario sit behind [`Round`]'s probes. The engine,
+//! the survey, the atlas and the service read nothing else of the world;
+//! [`Prober::sim`] is for the `aliasing` dataset builders, the evaluation
+//! and tests.
+//!
 //! # One attempt step, two loops
 //!
 //! Every probe goes out through one private attempt step. It counts the
@@ -60,7 +75,8 @@ use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
 use revtr_netsim::{
-    Addr, EchoReply, RrReply, Sim, SinkTree, TraceResult, TsReply, TtlAnswer, TtlView,
+    Addr, AsId, EchoReply, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TsReply,
+    TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -349,9 +365,75 @@ impl<'s> Prober<'s> {
         p
     }
 
-    /// The simulator this prober probes.
+    /// The simulator this prober probes: ground truth. The request plane
+    /// reads the world through the deployment reads below instead; this
+    /// is for the `aliasing` dataset builders, the evaluation and tests.
     pub fn sim(&self) -> &'s Sim {
         self.sim
+    }
+
+    // ---- what a deployment can read -------------------------------------------
+
+    /// The virtual hour the simulator has been flushed to: when a
+    /// measurement happened, for staleness.
+    pub fn now_hours(&self) -> f64 {
+        self.sim.now_hours()
+    }
+
+    /// The virtual hour including the clock's unflushed charges: the
+    /// admission layer's day boundaries, exact whatever the flush state.
+    pub fn clock_hours(&self) -> f64 {
+        self.sim.now_hours() + self.clock.pending_ms() / 3_600_000.0
+    }
+
+    /// The deployment's seed: what its random draws (atlas probes,
+    /// set-cover ties) are keyed on.
+    pub fn seed(&self) -> u64 {
+        self.sim.seed()
+    }
+
+    /// The announced prefix `host` is a host address of: the one covering
+    /// it (BGP table), unless `host` is that prefix's network address.
+    pub fn host_prefix(&self, host: Addr) -> Option<PrefixId> {
+        self.sim.host_prefix(host)
+    }
+
+    /// The announced prefix covering `addr` (BGP table), if any.
+    pub fn prefix_of(&self, addr: Addr) -> Option<PrefixId> {
+        self.sim.topo().prefix_of(addr)
+    }
+
+    /// The AS the address block holding `addr` is registered to (RIR
+    /// registry), if any.
+    pub fn block_owner(&self, addr: Addr) -> Option<AsId> {
+        self.sim.topo().block_owner(addr)
+    }
+
+    /// The prefixes `asn` announces, in its announcement order (BGP
+    /// table).
+    pub fn as_prefixes(&self, asn: AsId) -> &'s [PrefixId] {
+        &self.sim.topo().asn(asn).prefixes
+    }
+
+    /// Prefix `p`'s address range (BGP table).
+    pub fn prefix(&self, p: PrefixId) -> Prefix {
+        self.sim.topo().prefix(p).prefix
+    }
+
+    /// The host addresses of prefix `p` a scan walks, in order (a
+    /// hitlist).
+    pub fn host_addrs(&self, p: PrefixId) -> impl Iterator<Item = Addr> + 's {
+        self.sim.host_addrs(p)
+    }
+
+    /// The simulator's own byte ledgers, named for the telemetry ledger
+    /// registry: its route cache, border-router table and IGP FIBs.
+    pub fn sim_ledgers(&self) -> [(&'static str, u64); 3] {
+        [
+            ("netsim.route_cache", self.sim.route_cache_bytes()),
+            ("netsim.border_cache", self.sim.border_cache_bytes()),
+            ("netsim.fib", self.sim.fib_bytes()),
+        ]
     }
 
     /// Shared probe counters.
@@ -643,8 +725,19 @@ impl<'s> Prober<'s> {
     pub fn round(&self) -> Round<'_, 's> {
         Round {
             prober: self,
+            trees: None,
             start_ms: self.clock.now_ms(),
             longest_ms: 0.0,
+        }
+    }
+
+    /// [`Prober::round`] for one prefix of a survey that lends `trees` to
+    /// its RR pings ([`Round::rr_ping`]).
+    pub fn survey_round<'p>(&'p self, trees: &'p mut SurveyTrees) -> Round<'p, 's> {
+        trees.open();
+        Round {
+            trees: Some(trees),
+            ..self.round()
         }
     }
 
@@ -854,6 +947,68 @@ impl<'s> Prober<'s> {
     }
 }
 
+/// The sink trees a survey over many prefixes lends its RR pings
+/// ([`Prober::survey_round`]): the forward walks of one prefix converge on
+/// its destinations, the replies of every prefix on the VPs. Lending
+/// changes no walk, only how much of it is read instead of derived.
+pub struct SurveyTrees {
+    /// The forward trees, each with the destination the open round lent
+    /// it to (rebound by each round's destinations); then a reply tree per
+    /// VP with its address, in the survey's VP order (a VP's tree lives
+    /// across rounds, until churn re-rolls the VP's own prefix).
+    trees: Vec<(Option<Addr>, SinkTree)>,
+    /// How many forward trees lead `trees`.
+    dests: usize,
+    /// The reply tree lent last, by position among the reply trees: a
+    /// survey pings VP-major, so the next ping is from its VP or the next.
+    cursor: usize,
+}
+
+impl SurveyTrees {
+    /// Empty trees for a survey from `vps` (distinct addresses) that pings
+    /// at most `dests` destinations a round.
+    pub fn new(prober: &Prober<'_>, vps: &[Addr], dests: usize) -> SurveyTrees {
+        let mut trees = Vec::with_capacity(dests + vps.len());
+        let keys = std::iter::repeat_n(None, dests).chain(vps.iter().map(|&vp| Some(vp)));
+        trees.extend(keys.map(|key| (key, SinkTree::new(prober.sim))));
+        SurveyTrees {
+            trees,
+            dests,
+            cursor: 0,
+        }
+    }
+
+    /// A new round: every forward tree is free to lend.
+    fn open(&mut self) {
+        for (lent, _) in &mut self.trees[..self.dests] {
+            *lent = None;
+        }
+    }
+
+    /// The trees an RR ping from `src` to `dst` walks: the forward tree
+    /// lent to `dst` (a destination new to the round takes the next free
+    /// one) and the reply tree of `src`. `None` for a destination past
+    /// the round's count or a VP the trees were not made for.
+    fn lend(&mut self, src: Addr, dst: Addr) -> (Option<&mut SinkTree>, Option<&mut SinkTree>) {
+        let (forward, reply) = self.trees.split_at_mut(self.dests);
+        let at = (forward.iter().position(|&(lent, _)| lent == Some(dst)))
+            .or_else(|| forward.iter().position(|&(lent, _)| lent.is_none()));
+        let forward = at.map(|at| {
+            let (lent, tree) = &mut forward[at];
+            *lent = Some(dst);
+            tree
+        });
+        let is_src = |at: &usize| reply.get(*at).is_some_and(|&(vp, _)| vp == Some(src));
+        let near = self.cursor..self.cursor + 2;
+        let vp = near.chain(0..reply.len()).find(is_src);
+        let reply = vp.map(|at| {
+            self.cursor = at;
+            &mut reply[at].1
+        });
+        (forward, reply)
+    }
+}
+
 /// One collection round, opened by [`Prober::round`]: a prefix's ingress
 /// survey (§4.3) — its scan pings, and each destination's RR pings once
 /// that destination answered — or a source's atlas build (§4.2). Each
@@ -865,6 +1020,8 @@ impl<'s> Prober<'s> {
 /// flush, and no other probe's time, falls between a round's probes.
 pub struct Round<'p, 's> {
     prober: &'p Prober<'s>,
+    /// The survey's sink trees, lent to its RR pings.
+    trees: Option<&'p mut SurveyTrees>,
     /// The shared clock when the round opened.
     start_ms: f64,
     /// The latest member's end so far, from the round's start.
@@ -912,35 +1069,43 @@ impl Round<'_, '_> {
     /// sends on a cache-disabled handle — same fault and scenario draws,
     /// nonce and counters — but never near the measurement cache (a
     /// VP→scan-destination ping is one no measurement re-issues), with no
-    /// replay provenance (nothing audits the survey), and lending the
-    /// caller's sink trees to the two legs: `forward` toward `dst`, `reply`
-    /// back toward `src`.
-    pub fn rr_ping(
-        &mut self,
-        after_ms: f64,
-        src: Addr,
-        dst: Addr,
-        forward: Option<&mut SinkTree>,
-        reply: Option<&mut SinkTree>,
-    ) -> Option<RrReply> {
+    /// replay provenance (nothing audits the survey), and, in a
+    /// [`Prober::survey_round`], lending the survey's sink trees to the two
+    /// legs: `dst`'s toward `dst`, `src`'s back toward `src`.
+    pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> Option<RrReply> {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Rr, None, src, dst);
+        let mut trees = self.trees.take();
+        let (forward, reply) = match trees.as_deref_mut() {
+            Some(t) => t.lend(src, dst),
+            None => (None, None),
+        };
         let (r, _) = self.member(after_ms, probe, |_| {
             let r = p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
+        self.trees = trees;
         r.flatten()
     }
 
     /// One atlas traceroute (§4.2), at the round's start: the probe
     /// [`Prober::traceroute_fresh`] sends. Returns the trace and its chain's
     /// length, which is when the trace's RR-atlas pings can go out.
+    ///
+    /// Under the `poisoned_atlas` scenario, a corrupted measurement
+    /// pipeline may substitute an interior hop of the trace as it comes
+    /// back: the atlas stores and indexes it unknowingly, and only the
+    /// audit catches the splice in a stitched path.
     pub fn traceroute(&mut self, src: Addr, dst: Addr) -> (Option<TraceResult>, f64) {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Traceroutes, None, src, dst);
         let (r, chain_ms) = self.member(0.0, probe, |m| p.trace_once(m, src, dst));
-        (r.flatten(), chain_ms)
+        let mut trace = r.flatten();
+        if let Some(t) = &mut trace {
+            p.sim.scenario_poison_trace(src, dst, &mut t.hops);
+        }
+        (trace, chain_ms)
     }
 
     /// One RR ping of the background RR-atlas (§4.2), sent `after_ms` into
@@ -984,6 +1149,57 @@ mod tests {
 
     fn sim() -> Sim {
         Sim::build(SimConfig::tiny(), 21)
+    }
+
+    /// Every deployment read is the simulator's own answer, over every
+    /// prefix of a tiny world and a sample of its addresses: hosts, every
+    /// prefix's network and gateway address, router interfaces, loopbacks
+    /// and private aliases, and addresses outside every block.
+    #[test]
+    fn deployment_reads_forward_the_simulator() {
+        let s = sim();
+        let p = Prober::new(&s);
+        let topo = s.topo();
+        assert_eq!(p.seed(), s.seed());
+        let mut sample: Vec<Addr> = vec![Addr(0), Addr(u32::MAX), Addr::new(10, 0, 0, 9)];
+        for pe in &topo.prefixes {
+            assert_eq!(p.prefix(pe.id), pe.prefix);
+            assert!(p.host_addrs(pe.id).eq(s.host_addrs(pe.id)));
+            sample.extend([pe.prefix.base, s.prefix_gateway(pe.id)]);
+            sample.extend(s.host_addrs(pe.id).step_by(60));
+        }
+        for a in &topo.ases {
+            assert_eq!(p.as_prefixes(a.id), &a.prefixes[..]);
+        }
+        for r in topo.routers.iter().step_by(3) {
+            sample.extend([r.loopback, r.private_alias]);
+        }
+        sample.extend(
+            topo.links
+                .iter()
+                .step_by(5)
+                .flat_map(|l| [l.addr_a, l.addr_b]),
+        );
+        for &a in &sample {
+            assert_eq!(p.host_prefix(a), s.host_prefix(a), "{a}");
+            assert_eq!(p.prefix_of(a), topo.prefix_of(a), "{a}");
+            assert_eq!(p.block_owner(a), topo.block_owner(a), "{a}");
+        }
+        // Time, flushed and pending, across 25 s charges, one of which
+        // flushes a virtual minute into the simulator.
+        for _ in 0..4 {
+            let hours = p.clock().pending_ms() / 3_600_000.0;
+            assert_eq!(p.now_hours().to_bits(), s.now_hours().to_bits());
+            assert_eq!(p.clock_hours().to_bits(), (s.now_hours() + hours).to_bits());
+            p.clock().advance(25_000.0, &s);
+        }
+        assert!(s.now_hours() > 0.0, "no charge flushed into the simulator");
+        let ledgers = [
+            ("netsim.route_cache", s.route_cache_bytes()),
+            ("netsim.border_cache", s.border_cache_bytes()),
+            ("netsim.fib", s.fib_bytes()),
+        ];
+        assert_eq!(p.sim_ledgers(), ledgers);
     }
 
     #[test]
@@ -1200,7 +1416,7 @@ mod tests {
         let mut round = p.round();
         let mut longest: f64 = 0.0;
         for &dst in &vps[1..] {
-            let r = round.rr_ping(0.0, vps[0], dst, None, None);
+            let r = round.rr_ping(0.0, vps[0], dst);
             longest = longest.max(r.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
         }
         // A member sent once the slowest ping answered ends the round.
@@ -1243,7 +1459,7 @@ mod tests {
             let t0 = p.clock().now_ms();
             let mut round = p.round();
             let answered = (0..80)
-                .filter(|_| round.rr_ping(0.0, src, hop, None, None).is_some())
+                .filter(|_| round.rr_ping(0.0, src, hop).is_some())
                 .count();
             drop(round);
             let snap = p.counters().snapshot();

@@ -135,7 +135,7 @@ impl<'s> RevtrService<'s> {
     /// regardless of flush state, so both paths — and any admission
     /// layer built on the service — use this helper.
     pub fn now_hours(&self) -> f64 {
-        self.system.sim().now_hours() + self.system.prober().clock().pending_ms() / 3_600_000.0
+        self.system.prober().clock_hours()
     }
 
     /// The stuck-request watchdog report: served requests whose

@@ -15,6 +15,11 @@
 //! exactly the pings a serial scan sends, and each destination's RR pings
 //! go out as soon as it answers.
 //!
+//! The survey sees what a deployment sees: it reads a prefix's range, its
+//! hitlist and the set-cover tie seed through the [`Prober`], and
+//! [`IngressDb::build`] lends its RR pings a
+//! [`revtr_probing::SurveyTrees`] through [`Prober::survey_round`].
+//!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3). The
 //! engine's first spoofed round carries the closest VP of each ingress
@@ -25,8 +30,8 @@
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, PrefixId, Sim, SinkTree};
-use revtr_probing::{Prober, Round};
+use revtr_netsim::{Addr, PrefixId};
+use revtr_probing::{Prober, Round, SurveyTrees};
 use std::mem::size_of;
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
@@ -251,15 +256,15 @@ impl IngressDb {
         prefixes: &[PrefixId],
         h: Heuristics,
     ) -> IngressDb {
-        let trees = SurveyTrees::new(prober.sim(), vps.len());
-        let mut scratch = SurveyScratch::new(vps.len(), Some(trees));
+        let mut trees = SurveyTrees::new(prober, vps, DESTS_PER_PREFIX);
+        let mut scratch = SurveyScratch::new(vps.len());
         let mut per_prefix = Vec::new();
         per_prefix.resize_with(
             prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
             || None,
         );
         for &p in prefixes {
-            per_prefix[p.index()] = Some(scratch.survey(prober, vps, p, h));
+            per_prefix[p.index()] = Some(scratch.survey(prober, Some(&mut trees), vps, p, h));
         }
         let mut vp_index: Vec<(Addr, u32)> = (0u32..).zip(vps).map(|(i, &vp)| (vp, i)).collect();
         vp_index.sort_unstable();
@@ -361,7 +366,7 @@ impl IngressDb {
 /// share with the next call, and a fresh one per call would cost more
 /// than the call's whole working memory.
 pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristics) -> PrefixInfo {
-    SurveyScratch::new(vps.len(), None).survey(prober, vps, p, h)
+    SurveyScratch::new(vps.len()).survey(prober, None, vps, p, h)
 }
 
 /// Step 1 of the survey: up to two responsive destinations of `p`, in
@@ -371,12 +376,12 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
 /// destination `k` answered.
 fn responsive_dests(
     round: &mut Round<'_, '_>,
-    sim: &Sim,
+    prober: &Prober<'_>,
     vps: &[Addr],
     p: PrefixId,
 ) -> (Vec<Addr>, Window) {
     let mut cands = [Addr(0); DEST_SCAN_LIMIT];
-    let n = (cands.iter_mut().zip(sim.host_addrs(p)))
+    let n = (cands.iter_mut().zip(prober.host_addrs(p)))
         .map(|(c, a)| *c = a)
         .count();
     // No VP, no pinger: nothing to scan with.
@@ -481,33 +486,10 @@ struct SurveyScratch {
     near: Vec<(f64, Addr)>,
     /// Ingresses picked so far, copied out at their exact count.
     picked: Vec<IngressInfo>,
-    /// The sink trees lent to the RR pings, when the caller surveys enough
-    /// prefixes to share them.
-    trees: Option<SurveyTrees>,
-}
-
-/// The sink trees of a survey over many prefixes: the walks of one prefix
-/// converge on its two destinations, the replies of all prefixes on the
-/// VPs.
-struct SurveyTrees {
-    /// By destination position; rebound by each prefix's destinations.
-    forward: [SinkTree; DESTS_PER_PREFIX],
-    /// By VP position; a VP's tree lives across prefixes (until churn
-    /// re-rolls the VP's own prefix).
-    reply: Vec<SinkTree>,
-}
-
-impl SurveyTrees {
-    fn new(sim: &Sim, n_vps: usize) -> SurveyTrees {
-        SurveyTrees {
-            forward: std::array::from_fn(|_| SinkTree::new(sim)),
-            reply: (0..n_vps).map(|_| SinkTree::new(sim)).collect(),
-        }
-    }
 }
 
 impl SurveyScratch {
-    fn new(n_vps: usize, trees: Option<SurveyTrees>) -> SurveyScratch {
+    fn new(n_vps: usize) -> SurveyScratch {
         SurveyScratch {
             // Era-2020 prefixes average under three shared candidates a VP;
             // one in seven has more than four and doubles the run once.
@@ -515,28 +497,32 @@ impl SurveyScratch {
             covered: Vec::with_capacity(n_vps),
             near: Vec::with_capacity(n_vps),
             picked: Vec::with_capacity(16),
-            trees,
         }
     }
 
-    /// §4.3 for one prefix, as one [`Round`]: the scan's pings, then one
-    /// RR ping per (VP, destination), VP-major, each sent when its
+    /// §4.3 for one prefix, as one [`Round`] (lending `trees`, when the
+    /// caller surveys enough prefixes to share them): the scan's pings,
+    /// then one RR ping per (VP, destination), VP-major, each sent when its
     /// destination's scan ping answered. Probes go out in a fixed order and
     /// every choice among VPs is made on their addresses, never their
     /// positions, so a permuted VP list gives the same answer.
     fn survey(
         &mut self,
         prober: &Prober<'_>,
+        trees: Option<&mut SurveyTrees>,
         vps: &[Addr],
         p: PrefixId,
         h: Heuristics,
     ) -> PrefixInfo {
-        let mut round = prober.round();
-        let scan = responsive_dests(&mut round, prober.sim(), vps, p);
+        let mut round = match trees {
+            Some(trees) => prober.survey_round(trees),
+            None => prober.round(),
+        };
+        let scan = responsive_dests(&mut round, prober, vps, p);
         if scan.0.is_empty() {
             return PrefixInfo::default();
         }
-        self.survey_dests(&mut round, prober.sim(), vps, p, h, scan)
+        self.survey_dests(&mut round, prober, vps, p, h, scan)
     }
 
     /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
@@ -544,13 +530,13 @@ impl SurveyScratch {
     fn survey_dests(
         &mut self,
         round: &mut Round<'_, '_>,
-        sim: &Sim,
+        prober: &Prober<'_>,
         vps: &[Addr],
         p: PrefixId,
         h: Heuristics,
         (dests, window): (Vec<Addr>, Window),
     ) -> PrefixInfo {
-        let prefix = sim.topo().prefix(p).prefix;
+        let prefix = prober.prefix(p);
 
         // 2–3. RR-ping the destinations from every VP, each as soon as its
         // scan ping answered, and fold each VP's merged view into the
@@ -562,12 +548,8 @@ impl SurveyScratch {
         for (vp_at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;
-            for (dest_at, &d) in dests.iter().enumerate() {
-                let (forward, reply) = match &mut self.trees {
-                    Some(t) => (Some(&mut t.forward[dest_at]), Some(&mut t.reply[vp_at])),
-                    None => (None, None),
-                };
-                if let Some(r) = round.rr_ping(window.found[dest_at].1, vp, d, forward, reply) {
+            for (&d, &(_, at_ms)) in dests.iter().zip(&window.found) {
+                if let Some(r) = round.rr_ping(at_ms, vp, d) {
                     views[answered] = path_view(&r.slots, prefix, h);
                     answered += 1;
                 }
@@ -612,7 +594,7 @@ impl SurveyScratch {
         // fall, so the picks come out in coverage order.
         self.covered.clear();
         self.covered.resize(vps.len(), false);
-        let tie_seed = sim.seed() ^ 0x5e7c;
+        let tie_seed = prober.seed() ^ 0x5e7c;
         loop {
             let mut best: Option<((usize, u64, Addr), usize)> = None;
             let mut start = 0;
@@ -802,17 +784,17 @@ mod tests {
         let prober = Prober::new(&sim)
             .with_cache_enabled(false)
             .with_retry_policy(RetryPolicy::uniform(3));
-        let mut scratch = SurveyScratch::new(vps.len(), None);
+        let mut scratch = SurveyScratch::new(vps.len());
         let (mut rounds, mut retried) = (0, 0);
         for p in sim.topo().prefixes.iter().map(|p| p.id) {
             let t0 = prober.clock().now_ms();
             let mut round = prober.round();
-            let scan = responsive_dests(&mut round, &sim, &vps, p);
+            let scan = responsive_dests(&mut round, &prober, &vps, p);
             let window = scan.1;
             if scan.0.is_empty() {
                 continue;
             }
-            scratch.survey_dests(&mut round, &sim, &vps, p, Heuristics::FULL, scan);
+            scratch.survey_dests(&mut round, &prober, &vps, p, Heuristics::FULL, scan);
             drop(round);
             let round_ms = prober.clock().now_ms() - t0;
             let answered = (window.found[..window.len].iter())
@@ -956,83 +938,5 @@ mod tests {
         let full = count_found(Heuristics::FULL);
         assert!(dbl >= base, "double stamp lost prefixes: {dbl} < {base}");
         assert!(full >= dbl, "loop heuristic lost prefixes: {full} < {dbl}");
-    }
-}
-
-/// §4.3's validation that two destinations suffice: probe a *third*
-/// responsive destination and check whether its forward paths traverse the
-/// already-identified candidate ingresses (the paper: true for 87.2% of
-/// prefixes). Returns `None` when the prefix lacks a third destination or
-/// prior candidates.
-pub fn third_destination_consistent(
-    prober: &Prober<'_>,
-    vps: &[Addr],
-    info: &PrefixInfo,
-    p: PrefixId,
-    h: Heuristics,
-) -> Option<bool> {
-    let sim = prober.sim();
-    let prefix = sim.topo().prefix(p).prefix;
-    let third = sim
-        .host_addrs(p)
-        .filter(|a| !info.dests.contains(a))
-        .take(DEST_SCAN_LIMIT)
-        .find(|&a| prober.ping(vps[0], a).is_some())?;
-    let known = info.candidates();
-    if known.is_empty() {
-        return None;
-    }
-    // The third destination is consistent if every VP whose path to it is
-    // parseable traverses at least one known candidate.
-    let mut checked = 0;
-    let mut consistent = 0;
-    for &vp in vps {
-        let Some(r) = prober.rr_ping(vp, third) else {
-            continue;
-        };
-        let view = path_view(&r.slots, prefix, h);
-        if view.candidates.is_empty() {
-            continue;
-        }
-        checked += 1;
-        if view
-            .candidates
-            .iter()
-            .any(|c| known.binary_search(c).is_ok())
-        {
-            consistent += 1;
-        }
-    }
-    (checked > 0).then_some(consistent == checked)
-}
-
-#[cfg(test)]
-mod stability_tests {
-    use super::*;
-    use revtr_netsim::{Sim, SimConfig};
-
-    #[test]
-    fn most_prefixes_have_stable_candidates() {
-        let sim = Sim::build(SimConfig::tiny(), 19);
-        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
-        let prober = Prober::new(&sim);
-        let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).take(40).collect();
-        let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
-        let (mut stable, mut total) = (0, 0);
-        for (p, info) in db.prefixes() {
-            if let Some(ok) = third_destination_consistent(&prober, &vps, info, p, Heuristics::FULL)
-            {
-                total += 1;
-                if ok {
-                    stable += 1;
-                }
-            }
-        }
-        assert!(total > 5, "too few prefixes evaluated: {total}");
-        // The paper's 87.2%: a clear majority must be stable.
-        assert!(
-            stable * 4 >= total * 3,
-            "only {stable}/{total} prefixes have stable ingress candidates"
-        );
     }
 }

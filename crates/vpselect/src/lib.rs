@@ -23,7 +23,5 @@ pub mod parse;
 #[cfg(test)]
 mod reference;
 
-pub use ingress::{
-    third_destination_consistent, IngressDb, IngressInfo, IngressQueue, PlanView, RR_RANGE,
-};
+pub use ingress::{IngressDb, IngressInfo, IngressQueue, PlanView, RR_RANGE};
 pub use parse::{path_view, Heuristics};

@@ -159,14 +159,13 @@ pub(crate) fn probe_prefix(
     p: PrefixId,
     h: Heuristics,
 ) -> PrefixInfo {
-    let sim = prober.sim();
-    let prefix = sim.topo().prefix(p).prefix;
+    let prefix = prober.prefix(p);
 
     let pinger = match vps.first() {
         Some(&v) => v,
         None => return PrefixInfo::default(),
     };
-    let cands: Vec<Addr> = sim
+    let cands: Vec<Addr> = prober
         .host_addrs(p)
         .take(crate::ingress::DEST_SCAN_LIMIT)
         .collect();
@@ -184,7 +183,7 @@ pub(crate) fn probe_prefix(
     for &vp in vps {
         let mut per_dest: Vec<(Option<usize>, Vec<Addr>)> = Vec::new();
         for (&d, &(_, at_ms)) in dests.iter().zip(&found) {
-            if let Some(r) = round.rr_ping(at_ms, vp, d, None, None) {
+            if let Some(r) = round.rr_ping(at_ms, vp, d) {
                 per_dest.push(path_view(&r.slots, prefix, h));
             }
         }
@@ -232,7 +231,7 @@ pub(crate) fn probe_prefix(
         let Some((&best, _)) = cover.iter().max_by_key(|(a, vps_c)| {
             (
                 vps_c.len(),
-                mix3(sim.seed() ^ 0x5e7c, a.0 as u64, p.0 as u64), // random tie
+                mix3(prober.seed() ^ 0x5e7c, a.0 as u64, p.0 as u64), // random tie
             )
         }) else {
             break;
