@@ -289,6 +289,22 @@ if [ -n "$reads" ]; then
   echo "simulator read in the request plane: read the world through a Prober deployment read"; exit 1
 fi
 
+# ...and keys every hash container with a fixed-key hasher: a std
+# `HashMap`/`HashSet` draws per-process random keys, and once its
+# iteration order reaches a tie-break or a first-wins choice, two identical
+# runs disagree. The library code of the request plane and the datasets it
+# reads (each file up to its first `#[cfg(test)]`) names no hash container
+# without `WordHasher` and calls none of the std containers' RandomState-only
+# constructors (`new`, `with_capacity`; build one with `default()`).
+echo "== fixed-key hashers in the request plane (crates/{core,probing,vpselect,atlas,service,aliasing}/src, non-test code) =="
+hashed=$(for f in $(find crates/{core,probing,vpselect,atlas,service,aliasing}/src -name '*.rs' | sort); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+done | awk '(/Hash(Map|Set)</ && !/WordHasher/) || /Hash(Map|Set)::(new|with_capacity)\(/' || true)
+if [ -n "$hashed" ]; then
+  echo "$hashed"
+  echo "std hasher in the request plane: key it with BuildHasherDefault<WordHasher>"; exit 1
+fi
+
 # ...and sends every probe through one attempt step, driven by one of two
 # loops — the chain (single probes) and the collection loop (spoofed
 # batches) — so the retry budget is read in those two places alone.

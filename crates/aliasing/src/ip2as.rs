@@ -12,8 +12,9 @@
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::topology::LinkKind;
 use revtr_netsim::{Addr, AsId, Sim};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, WordHasher};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Fraction of interdomain interfaces whose true ownership is published in
 /// the PeeringDB/EuroIX-like dataset (the paper's mapping prioritizes
@@ -29,8 +30,9 @@ pub struct Ip2As {
     n_ases: u32,
     /// PeeringDB/EuroIX-style published interface ownership for a subset
     /// of interdomain interfaces (the customer side of provider-numbered
-    /// /30s — exactly where the registry is wrong).
-    ix_data: HashMap<Addr, AsId>,
+    /// /30s — exactly where the registry is wrong). Only looked up by
+    /// address, so its order never escapes.
+    ix_data: HashMap<Addr, AsId, BuildHasherDefault<WordHasher>>,
 }
 
 impl Ip2As {
@@ -61,7 +63,7 @@ impl Ip2As {
     /// published interconnection data.
     pub fn with_ix_coverage(sim: &Sim, coverage: f64) -> Ip2As {
         let topo = sim.topo();
-        let mut ix_data = HashMap::new();
+        let mut ix_data = HashMap::default();
         if coverage > 0.0 {
             for l in &topo.links {
                 if l.kind != LinkKind::Inter {

@@ -8,8 +8,9 @@
 
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{AsId, Rel, Sim};
-use revtr_probing::Prober;
-use std::collections::{HashMap, HashSet};
+use revtr_probing::{Prober, WordHasher};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Default fraction of true relationships present in the dataset.
 pub const DEFAULT_COVERAGE: f64 = 0.90;
@@ -24,7 +25,9 @@ pub const SMALL_AS_MAX_CONE: usize = 10;
 #[derive(Clone, Debug)]
 pub struct RelationshipDb {
     /// (a, b) → b's relationship to a, for known pairs (both orders stored).
-    rels: HashMap<(AsId, AsId), Rel>,
+    /// Only looked up by key, so its order never escapes; a fixed-key
+    /// hasher leaves no per-process state in it either way.
+    rels: HashMap<(AsId, AsId), Rel, BuildHasherDefault<WordHasher>>,
     /// Customer cone sizes computed over *known* customer edges.
     cone: Vec<usize>,
     /// Known providers per AS.
@@ -37,7 +40,7 @@ impl RelationshipDb {
     pub fn build(sim: &Sim, coverage: f64) -> RelationshipDb {
         let topo = sim.topo();
         let n = topo.ases.len();
-        let mut rels = HashMap::new();
+        let mut rels = HashMap::default();
         let mut providers: Vec<Vec<AsId>> = vec![Vec::new(); n];
         let mut customers: Vec<Vec<AsId>> = vec![Vec::new(); n];
         for a in &topo.ases {
@@ -67,22 +70,26 @@ impl RelationshipDb {
                 }
             }
         }
-        // Customer cones over the known customer edges.
+        // Customer cones over the known customer edges: a cone is a count,
+        // so the walk's order cannot escape. `seen[x] == a` marks `x` as
+        // counted in `a`'s cone, so the marks never need clearing.
         let mut cone = vec![0usize; n];
+        let mut seen = vec![usize::MAX; n];
+        let mut stack = Vec::new();
         for (a, slot) in cone.iter_mut().enumerate() {
-            let mut seen: HashSet<AsId> = HashSet::new();
-            let mut stack = vec![AsId(a as u32)];
+            stack.push(AsId(a as u32));
             while let Some(x) = stack.pop() {
-                if !seen.insert(x) {
+                if seen[x.index()] == a {
                     continue;
                 }
+                seen[x.index()] = a;
+                *slot += 1;
                 for &c in &customers[x.index()] {
-                    if !seen.contains(&c) {
+                    if seen[c.index()] != a {
                         stack.push(c);
                     }
                 }
             }
-            *slot = seen.len();
         }
         RelationshipDb {
             rels,

@@ -21,8 +21,9 @@
 use parking_lot::RwLock;
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{Addr, Sim};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, WordHasher};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Fraction of routers whose IP-ID behaviour lets MIDAR cluster them.
 pub const MIDAR_ROUTER_COVERAGE: f64 = 0.55;
@@ -33,7 +34,9 @@ pub const MIDAR_ADDR_RESPONSE: f64 = 0.85;
 /// Measured alias resolver.
 pub struct AliasResolver<'s> {
     sim: &'s Sim,
-    snmp_cache: RwLock<HashMap<Addr, Option<u64>>>,
+    /// SNMPv3 answers already probed. Only looked up by address (an
+    /// answer is a pure function of it), so its order never escapes.
+    snmp_cache: RwLock<HashMap<Addr, Option<u64>, BuildHasherDefault<WordHasher>>>,
 }
 
 impl<'s> AliasResolver<'s> {
@@ -41,7 +44,7 @@ impl<'s> AliasResolver<'s> {
     pub fn new(sim: &'s Sim) -> AliasResolver<'s> {
         AliasResolver {
             sim,
-            snmp_cache: RwLock::new(HashMap::new()),
+            snmp_cache: RwLock::new(HashMap::default()),
         }
     }
 

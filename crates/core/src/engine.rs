@@ -332,11 +332,8 @@ impl Request {
         // The stored hops are re-filtered against *this* path, and
         // adoption replays the original provenance, exactly like a
         // measurement-cache hit. Failing that, collect the hints the RR
-        // step opens with; the set-valued one lands in the scratch — the
-        // VPs of this router's plan an earlier ladder proved futile — where
-        // the step tests it for membership.
+        // step opens with.
         let mut hints = RrHints::default();
-        sx.demoted.clear();
         if sys.config().use_stop_sets {
             let stop = sys.stopset().consult();
             let ss = self.books().enter("stopset_backward");
@@ -353,16 +350,12 @@ impl Request {
             }
             hints.skip_direct = stop.direct_futile(self.src, self.cur);
             hints.skip_spoofed = stop.spoof_futile(self.cur);
-            // A skipped ladder has no use for its winner or VP prunes
-            // (and consulting them would inflate the hit counters).
+            // A skipped ladder has no use for its winner (and consulting
+            // it would inflate the hit counter).
             if !hints.skip_spoofed {
-                if let Some(plan) = sys.stop_plan_key(self.cur) {
-                    hints.winner = stop.winner(plan);
-                    let futile = sys
-                        .plan_vps(self.cur)
-                        .filter(|&vp| stop.vp_futile(plan, vp));
-                    sx.demoted.extend(futile);
-                }
+                hints.winner = sys
+                    .stop_plan_key(self.cur)
+                    .and_then(|plan| stop.winner(plan));
             }
         }
         // Degradation ladder (admission control's brownout levels, set
@@ -392,7 +385,7 @@ impl Request {
         let (cur, src) = (self.cur, self.src);
         let (found, usable_seen) = sys.rr_step(cur, src, sx, &mut self.books(), hints);
         if sys.config().use_stop_sets {
-            self.publish(sys, sx, found.as_ref(), hints, usable_seen);
+            self.publish(sys, found.as_ref(), hints, usable_seen);
         }
         if sys.config().verify_dbr {
             self.verify(sys, sx, found.as_ref());
@@ -405,18 +398,11 @@ impl Request {
     fn publish(
         &mut self,
         sys: &RevtrSystem<'_>,
-        sx: &Scratch,
         found: Option<&RrFound>,
         hints: RrHints,
         usable_seen: bool,
     ) {
         let (src, cur) = (self.src, self.cur);
-        let plan = sys.stop_plan_key(cur);
-        if let Some(plan) = plan {
-            for &vp in &sx.futile_vps {
-                self.contribute(sys, Note::VpFutile { plan, vp });
-            }
-        }
         // A skipped probe republishes nothing: the skip came from a hint
         // (or the degradation ladder), not from a measurement.
         let direct_futile = Note::DirectFutile { src, cur };
@@ -434,7 +420,7 @@ impl Request {
                 };
                 self.contribute(sys, backward);
                 if spoofed {
-                    if let Some(plan) = plan {
+                    if let Some(plan) = sys.stop_plan_key(cur) {
                         let vp = prov.sender;
                         self.contribute(sys, Note::Winner { plan, vp });
                     }
@@ -478,9 +464,7 @@ impl Request {
         }
         let vspan = self.books().enter("rr_verify");
         // The verification re-probe neither consults nor feeds the stop
-        // sets: its whole point is an independent re-measurement. Its
-        // ladder deprioritizes no one.
-        sx.demoted.clear();
+        // sets: its whole point is an independent re-measurement.
         let src = self.src;
         let (v, _) = sys.rr_step(first, src, sx, &mut self.books(), RrHints::default());
         if let Some(&h0) = v.as_ref().and_then(|(h, _, _)| h.first()) {

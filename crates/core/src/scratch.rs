@@ -27,24 +27,18 @@ pub(crate) struct Scratch {
     /// The telemetry scope's recorder and span buffers between requests
     /// (empty while a request has them, and with telemetry off).
     pub(crate) scope: ScopeBuffers,
-    /// Hint: VPs the next ladder visits last in their queues — proven
-    /// futile on the plan by earlier ladders. Only ever tested for
-    /// membership.
-    pub(crate) demoted: Vec<Addr>,
     /// The open spoofed ladder.
     pub(crate) ladder: Ladder,
-    /// The round in flight: its slots, what the prober is asked, what it
-    /// answered, and which answers were usable.
+    /// The revtr 1.0 plan of the open ladder's prefix
+    /// ([`revtr_vpselect::IngressDb::revtr1_plan`]), rewritten by each
+    /// set-cover ladder in place.
+    pub(crate) revtr1_plan: Vec<Addr>,
+    /// The round in flight: its slots, what the prober is asked and what
+    /// it answered.
     pub(crate) batch: Vec<Slot>,
     pub(crate) pairs: Vec<(Addr, Addr)>,
     pub(crate) bases: Vec<u32>,
     pub(crate) reply: BatchReply,
-    pub(crate) usable: Vec<bool>,
-    /// VPs the open ladder *proved* futile at the router: a reply arrived
-    /// (or the probe went genuinely unanswered — not a transient,
-    /// fault-attributed loss) without a usable observation. Drained by
-    /// the engine into `VpFutile` stop-set contributions.
-    pub(crate) futile_vps: Vec<Addr>,
     /// Every slot each spoofed ladder sent, one list per ladder, until the
     /// test that reads it clears it.
     #[cfg(test)]
@@ -70,18 +64,6 @@ pub(crate) fn novel(path: &[RevtrHop], hops: &[Addr]) -> RrSlots {
     out
 }
 
-/// Rank bit [`Ladder::open`] reads as "deprioritized by a hint": the VP is
-/// visited after every VP without it, and counts as moved when that
-/// changed its queue's order.
-pub(crate) const DEMOTED: u8 = 2;
-
-/// Where one VP queue's visiting order sits in [`Ladder::order`].
-#[derive(Clone, Copy, Debug)]
-struct Queue {
-    start: usize,
-    len: usize,
-}
-
 /// One probe of a spoofed batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Slot {
@@ -95,12 +77,10 @@ pub(crate) struct Slot {
 }
 
 /// The spoofed ladder as a view: the VP queues stay where the ingress
-/// survey put them ([`PlanView`]) and the ladder keeps a visiting order
-/// per queue — a permutation of positions into the queue's own VP slice —
-/// and one cursor into the plan's try order ([`PlanView::try_order`]):
-/// depth-major across the queues, each queue read in its visiting order.
-/// Deprioritizing hinted VPs is a stable reorder of a permutation, and a
-/// remembered winner runs *solo* ahead of the queues.
+/// survey put them ([`PlanView`]) and the ladder keeps one cursor into
+/// the plan's try order ([`PlanView::try_order`]): depth-major across the
+/// queues, each queue read closest VP first. A remembered winner runs
+/// *solo* ahead of the queues.
 ///
 /// The round rule: the first round from the queues carries the closest VP
 /// of each queue, up to the cap (§4.3's favourites, which usually win);
@@ -109,9 +89,6 @@ pub(crate) struct Slot {
 /// the next round, on top of the cap, with its own re-batch count.
 #[derive(Debug, Default)]
 pub(crate) struct Ladder {
-    /// Every queue's visiting order, concatenated.
-    order: Vec<u32>,
-    queues: Vec<Queue>,
     /// The try-order cursor: the next VP is at `depth` in queue `next` —
     /// or none is left once `depth` reaches `deepest`, the longest queue.
     depth: usize,
@@ -127,43 +104,15 @@ pub(crate) struct Ladder {
 }
 
 impl Ladder {
-    /// Start a ladder over `plan`. Each queue is visited in ascending
-    /// `rank(vp)`, plan order within a rank — so VPs
-    /// ranked [`DEMOTED`] or above are deprioritized, never dropped: a
-    /// winning ladder skips the known-dead prefix, while an exhausting
-    /// ladder still reaches every VP (pruning measurably costs coverage —
-    /// a "futile" sibling VP is occasionally the only one in range). A
-    /// `winner` found in some queue opens the ladder solo, under that
-    /// queue's ingress expectation, with the full queues as the fallback.
-    ///
-    /// Returns how many demoted VPs actually moved behind a live one.
-    pub(crate) fn open(
-        &mut self,
-        plan: PlanView<'_>,
-        rank: impl Fn(Addr) -> u8,
-        winner: Option<Addr>,
-    ) -> u64 {
-        self.order.clear();
-        self.queues.clear();
+    /// Start a ladder over `plan`. A `winner` found in some queue opens
+    /// the ladder solo, under that queue's ingress expectation, with the
+    /// full queues as the fallback.
+    pub(crate) fn open(&mut self, plan: PlanView<'_>, winner: Option<Addr>) {
         self.held.clear();
-        let mut moved = 0;
-        for (_, vps) in plan.queues() {
-            let start = self.order.len();
-            let len = vps.len();
-            self.order
-                .extend(0..u32::try_from(len).expect("a VP queue is far shorter than 2^32"));
-            // Stable, and in place for anything queue-sized.
-            self.order[start..].sort_by_key(|&i| rank(vps[i as usize]));
-            let dead = vps.iter().filter(|&&vp| rank(vp) >= DEMOTED).count();
-            if dead > 0 && dead < len {
-                moved += dead as u64;
-            }
-            self.queues.push(Queue { start, len });
-        }
-        self.deepest = self.queues.iter().map(|q| q.len).max().unwrap_or(0);
+        self.deepest = plan.queues().map(|(_, vps)| vps.len()).max().unwrap_or(0);
         (self.depth, self.next) = (0, 0);
-        if self.deepest > 0 && self.queues[0].len == 0 {
-            self.advance();
+        if self.deepest > 0 && plan.queue(0).1.is_empty() {
+            self.advance(plan);
         }
         let solo = winner.and_then(|vp| {
             let (expected_ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&vp))?;
@@ -176,17 +125,16 @@ impl Ladder {
         self.held.extend(solo);
         self.solo = solo.is_some();
         self.opening = !self.solo;
-        moved
     }
 
     /// Move the cursor to the next VP in try order, or past the last.
-    fn advance(&mut self) {
+    fn advance(&mut self, plan: PlanView<'_>) {
         loop {
             self.next += 1;
-            if self.next == self.queues.len() {
+            if self.next == plan.len() {
                 (self.depth, self.next) = (self.depth + 1, 0);
             }
-            if self.depth >= self.deepest || self.depth < self.queues[self.next].len {
+            if self.depth >= self.deepest || self.depth < plan.queue(self.next).1.len() {
                 return;
             }
         }
@@ -213,14 +161,13 @@ impl Ladder {
             if self.depth >= self.deepest || self.depth > last_depth {
                 break;
             }
-            let q = self.queues[self.next];
             let (expected_ingress, vps) = plan.queue(self.next);
             out.push(Slot {
-                vp: vps[self.order[q.start + self.depth] as usize],
+                vp: vps[self.depth],
                 stalls: 0,
                 expected_ingress,
             });
-            self.advance();
+            self.advance(plan);
         }
     }
 
@@ -346,34 +293,13 @@ mod tests {
         }
     }
 
-    /// The try order of the plan with each queue's `futile` VPs moved,
-    /// stably, behind its live ones.
-    fn try_order_after_demotion(
-        (ingresses, ranking): &(Vec<IngressInfo>, Vec<Addr>),
-        futile: &HashSet<Addr>,
-    ) -> Vec<(Option<Addr>, Addr)> {
-        let live_first = |vps: &[Addr]| {
-            let (live, dead): (Vec<Addr>, Vec<Addr>) =
-                vps.iter().partition(|vp| !futile.contains(vp));
-            [live, dead].concat()
-        };
-        let ingresses: Vec<IngressInfo> = (ingresses.iter())
-            .map(|i| IngressInfo {
-                ranked_vps: live_first(&i.ranked_vps),
-                ..i.clone()
-            })
-            .collect();
-        let ranking = live_first(ranking);
-        view_of(&(ingresses, ranking)).try_order().collect()
-    }
-
     /// Walk a ladder to exhaustion under one pseudo-random pattern of
     /// transient losses and per-VP stall budgets, checking every round
     /// against the round rule; `Err` names the first breach, `Ok` the
-    /// rounds walked. `open` lets a test swap in a broken ladder.
+    /// rounds walked.
     ///
-    /// (i) Held VPs aside, the VPs go out in try order after demotion,
-    /// behind the solo winner under its queue's expectation. (ii) The
+    /// (i) Held VPs aside, the VPs go out in the plan's try order, behind
+    /// the solo winner under its queue's expectation. (ii) The
     /// first round from the queues carries min(cap, non-empty queues) new
     /// VPs, a solo round one, and every later round min(cap, VPs left) —
     /// plus, at its head, the VPs the round before held, each with one
@@ -381,35 +307,18 @@ mod tests {
     /// more often than its stall budget allows.
     fn walk_checked(
         draw: &(Vec<IngressInfo>, Vec<Addr>),
-        futile: &HashSet<Addr>,
         winner: Option<Addr>,
         cap: usize,
         salt: u64,
-        open: impl Fn(&mut Ladder, PlanView<'_>) -> u64,
     ) -> Result<usize, String> {
         let plan = view_of(draw);
         let mut ladder = Ladder::default();
-        let moved = open(&mut ladder, plan);
-        let want_moved: u64 = (plan.queues())
-            .map(|(_, vps)| {
-                let dead = vps.iter().filter(|vp| futile.contains(vp)).count();
-                if dead > 0 && dead < vps.len() {
-                    dead as u64
-                } else {
-                    0
-                }
-            })
-            .sum();
-        if moved != want_moved {
-            return Err(format!("moved {moved}, want {want_moved}"));
-        }
+        ladder.open(plan, winner);
         let solo = winner.and_then(|w| {
             let (ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&w))?;
             Some((ingress, w))
         });
-        let want: Vec<(Option<Addr>, Addr)> = (solo.into_iter())
-            .chain(try_order_after_demotion(draw, futile))
-            .collect();
+        let want: Vec<(Option<Addr>, Addr)> = (solo.into_iter()).chain(plan.try_order()).collect();
         let non_empty = plan.queues().filter(|(_, vps)| !vps.is_empty()).count();
         // Transient on ~half the probes; budgets of 1, 2 or 6 re-batches.
         let transient =
@@ -471,69 +380,27 @@ mod tests {
         Ok(round)
     }
 
-    fn rank_of(futile: &HashSet<Addr>) -> impl Fn(Addr) -> u8 + '_ {
-        |vp| {
-            if futile.contains(&vp) {
-                DEMOTED
-            } else {
-                0
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3_000))]
 
         /// The ladder keeps the round rule in every slot of every round —
-        /// under random futile sets, winner hints (in a queue, in none,
-        /// absent), overlapping and empty queues, batch caps 1–3,
-        /// transient-stall patterns and the solo fallback.
+        /// under winner hints (in a queue, in none, absent), overlapping
+        /// and empty queues, batch caps 1–3, transient-stall patterns and
+        /// the solo fallback.
         #[test]
         fn ladder_keeps_the_round_rule(
             queues in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..6), 0..5),
             ranking in proptest::collection::vec(0u32..12, 0..6),
-            futile in proptest::collection::vec(0u32..14, 0..8),
             winner in 0u32..20,
             cap in 1usize..4,
             salt in 0u64..u64::MAX,
         ) {
             let plan = plan_of(queues, ranking);
-            let futile: HashSet<Addr> = futile.into_iter().map(a).collect();
             // VPs 12 and 13 are in no queue; 14 and up mean "no hint".
             let winner = (winner < 14).then(|| a(winner));
-            let walked = walk_checked(&plan, &futile, winner, cap, salt, |l, p| {
-                l.open(p, rank_of(&futile), winner)
-            });
+            let walked = walk_checked(&plan, winner, cap, salt);
             prop_assert!(walked.is_ok(), "{}", walked.unwrap_err());
         }
-    }
-
-    /// The rule check has teeth: a ladder that demotes the dead VPs but
-    /// reverses their relative order is caught.
-    #[test]
-    fn reversing_the_dead_tail_fails_the_round_rule() {
-        let plan = (
-            vec![IngressInfo {
-                addr: a(100),
-                cover: 4,
-                ranked_vps: vec![a(1), a(2), a(3), a(4)],
-            }],
-            Vec::new(),
-        );
-        let futile: HashSet<Addr> = [a(1), a(3)].into_iter().collect();
-        // Live [2, 4] then dead [1, 3]: the stable order passes…
-        let stable = walk_checked(&plan, &futile, None, 3, 9, |l, p| {
-            l.open(p, rank_of(&futile), None)
-        });
-        assert_eq!(stable.map(|rounds| rounds >= 2), Ok(true));
-        // …and dead [3, 1] does not.
-        let reversed = walk_checked(&plan, &futile, None, 3, 9, |l, p| {
-            let moved = l.open(p, rank_of(&futile), None);
-            let tail = l.order.len() - futile.len();
-            l.order[tail..].reverse();
-            moved
-        });
-        assert!(reversed.is_err(), "an unstable dead tail went unnoticed");
     }
 
     /// The round rule on one plan, by hand: two ingress queues, a batch
@@ -556,7 +423,7 @@ mod tests {
         ];
         let plan = PlanView::Ingresses(&ingresses);
         let mut l = Ladder::default();
-        assert_eq!(l.open(plan, |_| 0, None), 0);
+        l.open(plan, None);
         let mut batch = Vec::new();
         let mut rounds = Vec::new();
         while !l.is_exhausted() {
@@ -573,35 +440,5 @@ mod tests {
                 vec![vp(6, 1), vp(4, 0)],
             ]
         );
-    }
-
-    /// Ranks compose: demotion is applied over a set-cover style
-    /// "in range first" order exactly as two successive stable partitions.
-    #[test]
-    fn ranks_order_as_successive_stable_partitions() {
-        let vps: Vec<Addr> = (0..8).map(a).collect();
-        let far = |vp: Addr| vp.0 % 2 == 1;
-        let dead = |vp: Addr| vp.0.is_multiple_of(3);
-        let mut l = Ladder::default();
-        let plan = PlanView::Ranking(&vps);
-        let moved = l.open(
-            plan,
-            |vp| u8::from(far(vp)) + if dead(vp) { DEMOTED } else { 0 },
-            None,
-        );
-        let (near, farther): (Vec<Addr>, Vec<Addr>) = vps.iter().partition(|&&v| !far(v));
-        let (live, dying): (Vec<Addr>, Vec<Addr>) = [near, farther]
-            .concat()
-            .into_iter()
-            .partition(|&v| !dead(v));
-        assert_eq!(moved, dying.len() as u64);
-        let mut walked = Vec::new();
-        let mut batch = Vec::new();
-        while !l.is_exhausted() {
-            l.compose(plan, 1, &mut batch);
-            walked.push(batch[0].vp);
-            l.settle(&batch, |_, _| false);
-        }
-        assert_eq!(walked, [live, dying].concat());
     }
 }

@@ -18,7 +18,7 @@
 use crate::config::{EngineConfig, VpSelection, BATCH_SIZE, MAX_TS_ADJACENCIES};
 use crate::engine::TimedJob;
 use crate::result::{RevtrHop, RevtrResult, RevtrStats};
-use crate::scratch::{novel, on_path, Scratch, DEMOTED};
+use crate::scratch::{novel, on_path, Scratch};
 use parking_lot::{Mutex, RwLock};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_atlas::{Intersection, SourceAtlas};
@@ -142,9 +142,7 @@ impl Books<'_> {
 pub(crate) type RrFound = (RrSlots, RrProvenance, bool);
 
 /// Hints a record-route step takes from the campaign stop sets: facts an
-/// earlier request already paid probes to learn at the same router. The
-/// set-valued hint — VPs to deprioritize — rides in the driver's
-/// [`Scratch`] (`demoted`), filled by whoever builds these.
+/// earlier request already paid probes to learn at the same router.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RrHints {
     /// Skip the direct (non-spoofed) RR ping — known futile for this
@@ -550,41 +548,34 @@ impl<'s> RevtrSystem<'s> {
 
     /// The ingress-plan key encoded for the stop-set hint maps. Two
     /// routers with equal keys get the very same VP queues from
-    /// [`RevtrSystem::vp_plan`], which is what makes plan-keyed ladder
-    /// hints (winner VP, per-VP futility) transfer between siblings: the
-    /// ladder walks the same VP sequence at both.
+    /// [`RevtrSystem::vp_plan`], which is what makes the plan-keyed winner
+    /// hint transfer between siblings: the ladder walks the same VP
+    /// sequence at both.
     pub(crate) fn stop_plan_key(&self, addr: Addr) -> Option<u64> {
         self.plan_key(addr).map(|p| u64::from(p.0))
     }
 
     /// The VP plan for probing `cur` under the configured selection
-    /// policy, borrowed from the ingress database, plus — for the
-    /// set-cover policy — the prefix whose in-range VPs go first.
-    fn vp_plan(&self, cur: Addr) -> (PlanView<'_>, Option<PrefixId>) {
+    /// policy, borrowed from the ingress database — or, for the set-cover
+    /// policy, written into `revtr1_plan` ([`IngressDb::revtr1_plan`]).
+    fn vp_plan<'a>(&'a self, cur: Addr, revtr1_plan: &'a mut Vec<Addr>) -> PlanView<'a> {
         let global = self.ingress.global_plan();
         match self.cfg.vp_selection {
-            VpSelection::Ingress => {
-                let plan = self
-                    .plan_key(cur)
-                    .map(|p| self.ingress.plan_view(p))
-                    .filter(|plan| !plan.is_empty())
-                    // Never-probed prefix: fall back to the global head.
-                    .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)]));
-                (plan, None)
-            }
-            // The revtr 1.0 order is the global one with the prefix's
-            // in-range VPs moved to the front ([`IngressDb::revtr1_plan`]):
-            // the ladder ranks them there instead of copying the plan.
-            VpSelection::SetCover => (PlanView::Ranking(global), self.plan_key(cur)),
-            VpSelection::Global => (PlanView::Ranking(global), None),
+            VpSelection::Ingress => self
+                .plan_key(cur)
+                .map(|p| self.ingress.plan_view(p))
+                .filter(|plan| !plan.is_empty())
+                // Never-probed prefix: fall back to the global head.
+                .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)])),
+            VpSelection::SetCover => match self.plan_key(cur) {
+                Some(p) => {
+                    self.ingress.revtr1_plan_into(p, revtr1_plan);
+                    PlanView::Ranking(revtr1_plan)
+                }
+                None => PlanView::Ranking(global),
+            },
+            VpSelection::Global => PlanView::Ranking(global),
         }
-    }
-
-    /// Every VP the spoofed ladder at `cur` could probe from, queue by
-    /// queue (a VP covering two ingresses shows up twice).
-    pub(crate) fn plan_vps(&self, cur: Addr) -> impl Iterator<Item = Addr> + '_ {
-        let (plan, _) = self.vp_plan(cur);
-        plan.queues().flat_map(|(_, vps)| vps.iter().copied())
     }
 
     /// Bump the intersected-trace usage counter feeding the atlas refresh
@@ -619,10 +610,7 @@ impl<'s> RevtrSystem<'s> {
     /// reply (ingress check passed and slots survived past the target),
     /// even one that revealed nothing novel for this request's path —
     /// only a ladder with none proves the router unreachable by this
-    /// plan's VPs. Besides `hints`, the step reads one hint out of `sx`,
-    /// which the caller fills (or clears): `demoted`, the VPs its ladder
-    /// visits last; it leaves `sx.futile_vps` holding the VPs its rounds
-    /// proved futile at `cur`.
+    /// plan's VPs.
     pub(crate) fn rr_step(
         &self,
         cur: Addr,
@@ -632,7 +620,6 @@ impl<'s> RevtrSystem<'s> {
         hints: RrHints,
     ) -> (Option<RrFound>, bool) {
         let st = t.enter("rr_step");
-        sx.futile_vps.clear();
 
         // Direct (non-spoofed) RR ping from the source — skipped when an
         // earlier request proved it futile on this ingress plan.
@@ -657,25 +644,17 @@ impl<'s> RevtrSystem<'s> {
             return (Self::rr_close(t, st, None), false);
         }
 
-        // Spoofed batches from the VP plan, walked in place. Deprioritized
-        // (never dropped) are the VPs earlier ladders proved futile on
-        // this plan; a remembered ladder winner opens the step solo (one
-        // probe instead of a whole batch) under its own queue's ingress
-        // expectation, so a usable reply passes the same check a full
-        // ladder would have applied — see [`crate::scratch::Ladder`].
+        // Spoofed batches from the VP plan, walked in place. A remembered
+        // ladder winner opens the step solo (one probe instead of a whole
+        // batch) under its own queue's ingress expectation, so a usable
+        // reply passes the same check a full ladder would have applied —
+        // see [`crate::scratch::Ladder`]. The set-cover plan is written
+        // into the scratch's buffer, lent out while the ladder reads it.
         let spoof_span = t.enter("rr_spoofed");
         let batches0 = t.stats.batches;
-        let (plan, near) = self.vp_plan(cur);
-        let demoted = &sx.demoted;
-        let moved = sx.ladder.open(
-            plan,
-            |vp| {
-                let far = near.is_some_and(|p| !self.ingress.in_range(p, vp));
-                u8::from(far) + if demoted.contains(&vp) { DEMOTED } else { 0 }
-            },
-            hints.winner,
-        );
-        self.stopset.note_vp_skips(moved);
+        let mut revtr1_plan = std::mem::take(&mut sx.revtr1_plan);
+        let plan = self.vp_plan(cur, &mut revtr1_plan);
+        sx.ladder.open(plan, hints.winner);
         #[cfg(test)]
         sx.sent.push(Vec::new());
         let cap = hints.batch_cap.unwrap_or(BATCH_SIZE).max(1);
@@ -690,6 +669,7 @@ impl<'s> RevtrSystem<'s> {
             #[cfg(test)]
             sx.sent.last_mut().expect("opened").extend(&sx.batch);
         }
+        sx.revtr1_plan = revtr1_plan;
         let batches = u64::from(t.stats.batches - batches0);
         let hit = u64::from(found.is_some());
         t.exit(spoof_span, &[("hit", hit), ("batches", batches)]);
@@ -713,8 +693,8 @@ impl<'s> RevtrSystem<'s> {
     /// round held), issue it, and return the
     /// usable reply with the most novel hops — or, when none revealed any,
     /// settle the ladder for the next round and return `None` — with
-    /// whether any reply was usable. Allocates nothing: batch, prober
-    /// reply and verdicts all overwrite the scratch's buffers.
+    /// whether any reply was usable. Allocates nothing: batch and prober
+    /// reply overwrite the scratch's buffers.
     fn rr_round(
         &self,
         plan: PlanView<'_>,
@@ -731,8 +711,6 @@ impl<'s> RevtrSystem<'s> {
             pairs,
             bases,
             reply,
-            usable,
-            futile_vps,
             ..
         } = sx;
         // The held VPs, then up to `cap` VPs in try order.
@@ -754,14 +732,13 @@ impl<'s> RevtrSystem<'s> {
         // A reply (it always comes with its provenance) is usable when it
         // traversed the expected ingress and the router's own stamp can be
         // located in it; the usable reply with the most novel hops wins.
-        let mut best: Option<(RrSlots, RrProvenance)> = None;
-        usable.clear();
+        let (mut best, mut any_usable): (Option<(RrSlots, RrProvenance)>, _) = (None, false);
         for (slot, r) in batch.iter().zip(&reply.replies) {
             let rev = r
                 .as_ref()
                 .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
                 .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, cur)?, *prov)));
-            usable.push(rev.is_some());
+            any_usable |= rev.is_some();
             if let Some((rev, prov)) = rev {
                 let new = novel(hops, &rev);
                 if new.len() > best.as_ref().map_or(0, |(b, _)| b.len()) {
@@ -769,7 +746,6 @@ impl<'s> RevtrSystem<'s> {
                 }
             }
         }
-        let any_usable = usable.contains(&true);
         if best.is_some() {
             return (best, any_usable);
         }
@@ -780,18 +756,7 @@ impl<'s> RevtrSystem<'s> {
         // it failed the ingress check, went genuinely unanswered, or
         // answered without revealing new hops.
         ladder.settle(batch, |i, slot| {
-            let transient = reply.transient[i];
-            if transient && slot.stalls < TRANSIENT_STALL_BUDGET {
-                return true;
-            }
-            // A non-transient failure *proves* this VP futile at the
-            // router (unanswered, wrong ingress, or slots spent before
-            // arrival) — campaign evidence. A usable-but-not-novel
-            // reply is request-specific and proves nothing.
-            if !transient && !usable[i] {
-                futile_vps.push(slot.vp);
-            }
-            false
+            reply.transient[i] && slot.stalls < TRANSIENT_STALL_BUDGET
         });
         (None, any_usable)
     }
@@ -1049,5 +1014,69 @@ mod tests {
         }
         vps.reverse();
         assert_eq!(sys.sources(), vps);
+    }
+
+    /// A spoofed ladder visits its plan exactly as the survey ranked it,
+    /// at every prefix of a tiny world: under set cover (revtr 1.0) the
+    /// prefix's [`IngressDb::revtr1_plan`], under ingress selection the
+    /// prefix's [`PlanView::try_order`].
+    #[test]
+    fn ladders_walk_the_survey_plans_at_every_prefix() {
+        use crate::scratch::Ladder;
+        use revtr_atlas::select_atlas_probes;
+        use revtr_netsim::SimConfig;
+        use revtr_vpselect::Heuristics;
+        let sim = Sim::build(SimConfig::tiny(), 5);
+        let prober = Prober::new(&sim);
+        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+        let pool = select_atlas_probes(&sim, 8, 9);
+        let (mut reordered, mut ragged) = (0, 0);
+        for cfg in [EngineConfig::revtr1(), EngineConfig::revtr2()] {
+            let selection = cfg.vp_selection;
+            let sys = RevtrSystem::new(
+                Prober::new(&sim),
+                cfg,
+                vps.clone(),
+                Arc::clone(&ingress),
+                pool.clone(),
+            );
+            let (mut buf, mut batch) = (Vec::new(), Vec::new());
+            for &p in &prefixes {
+                let cur = Addr(sim.topo().prefix(p).prefix.base.0 + 10);
+                assert_eq!(sys.plan_key(cur), Some(p));
+                let plan = sys.vp_plan(cur, &mut buf);
+                let mut ladder = Ladder::default();
+                ladder.open(plan, None);
+                let mut walked = Vec::new();
+                while !ladder.is_exhausted() {
+                    ladder.compose(plan, BATCH_SIZE, &mut batch);
+                    walked.extend(batch.iter().map(|s| (s.expected_ingress, s.vp)));
+                    ladder.settle(&batch, |_, _| false);
+                }
+                let want: Vec<(Option<Addr>, Addr)> = match selection {
+                    VpSelection::SetCover => {
+                        let revtr1 = ingress.revtr1_plan(p);
+                        reordered += usize::from(revtr1 != ingress.global_plan());
+                        revtr1.into_iter().map(|vp| (None, vp)).collect()
+                    }
+                    _ => {
+                        // A prefix the survey left without a plan falls
+                        // back to the global head.
+                        let global = ingress.global_plan();
+                        let view = Some(ingress.plan_view(p))
+                            .filter(|view| !view.is_empty())
+                            .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)]));
+                        let lens: Vec<usize> = view.queues().map(|(_, vps)| vps.len()).collect();
+                        ragged += usize::from(lens.iter().min() != lens.iter().max());
+                        view.try_order().collect()
+                    }
+                };
+                assert_eq!(walked, want, "{selection:?} at {p:?}");
+            }
+        }
+        assert!(reordered > 0, "no set-cover plan moves an in-range VP up");
+        assert!(ragged > 0, "no ingress plan has queues of unequal length");
     }
 }

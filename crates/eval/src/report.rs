@@ -323,7 +323,6 @@ pub fn derived(run: &CampaignRun) -> Vec<(String, f64)> {
                 ("stopset.direct_skips".into(), ss.direct_skips as f64),
                 ("stopset.forward_hits".into(), ss.forward_hits as f64),
                 ("stopset.spoof_skips".into(), ss.spoof_skips as f64),
-                ("stopset.vp_skips".into(), ss.vp_skips as f64),
                 ("stopset.winner_hits".into(), ss.winner_hits as f64),
                 ("events_per_revtr".into(), frac(run.events, attempted)),
                 (

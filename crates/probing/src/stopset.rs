@@ -12,17 +12,16 @@
 //!   reverse-hop evidence some earlier request already measured at that
 //!   router — the full RR observation (hops + send-time
 //!   [`RrProvenance`]), so reuse replays against the audit oracle exactly
-//!   like a measurement-cache hit. Alongside the evidence it keeps five
-//!   cheaper hints: the spoofed-ladder *winner VP* per ingress plan,
-//!   per-`(plan, VP)` *probe futility*, per-router *ladder futility*
-//!   (all three source-free — slot survival on the VP→router leg does
-//!   not depend on the spoofed-for source), a *direct-RR futility*
-//!   marker per `(source, router)`, and the *forward distance* a source
-//!   last measured into a /24 (FlashRoute's neighbour prediction).
-//!   Together they let a later request open the ladder at its proven
-//!   winner, prune predictably useless VPs, skip exhausted ladders, skip
-//!   the predictably unanswered direct probe, and start the symmetry
-//!   step's TTL probing next to its target instead of at TTL 1;
+//!   like a measurement-cache hit. Alongside the evidence it keeps four
+//!   cheaper hints: the spoofed-ladder *winner VP* per ingress plan and
+//!   per-router *ladder futility* (both source-free — slot survival on
+//!   the VP→router leg does not depend on the spoofed-for source), a
+//!   *direct-RR futility* marker per `(source, router)`, and the *forward
+//!   distance* a source last measured into a /24 (FlashRoute's neighbour
+//!   prediction). Together they let a later request open the ladder at
+//!   its proven winner, skip exhausted ladders, skip the predictably
+//!   unanswered direct probe, and start the symmetry step's TTL probing
+//!   next to its target instead of at TTL 1;
 //! * the **forward discovery set** maps `(atlas source, hop)` to the RR
 //!   observation the atlas builder already made for that hop, so
 //!   rebuilding or refreshing atlases re-measures each interface once per
@@ -134,27 +133,6 @@ pub enum Note {
         /// The winning vantage point.
         vp: Addr,
     },
-    /// One VP's spoofed probe to a router on this plan came back without
-    /// a usable record-route observation (unanswered, failed the ingress
-    /// check, or its slots were spent before the router) — later ladders
-    /// on the same plan *deprioritize* that VP to the back of its queue.
-    /// Keyed on `(plan, vp)`: routers sharing a plan share the exact VP
-    /// queues, so a VP that could not reach one sibling usably is
-    /// walking dead weight at the others. Deprioritizing (never
-    /// dropping) is what keeps this coverage-safe: a winning ladder
-    /// skips the known-dead prefix, while an exhausting ladder still
-    /// reaches every VP — a "futile" sibling VP is occasionally the
-    /// only one in range at a particular router, and pruning it
-    /// measurably costs coverage. A VP whose reply was usable but
-    /// merely not *novel for that request's path* must NOT be marked
-    /// futile, and neither must transient (fault-attributed) losses —
-    /// those are retried, not proven futile.
-    VpFutile {
-        /// Ingress-plan key the VP proved futile on.
-        plan: u64,
-        /// The vantage point whose probe proved futile there.
-        vp: Addr,
-    },
     /// Direct (non-spoofed) RR from `src` revealed nothing at this exact
     /// router — later requests whose path reaches the same router skip
     /// the direct probe. Futility is keyed per router, not per ingress
@@ -227,7 +205,9 @@ pub struct StopSetSnapshot {
     pub direct_skips: u64,
     /// Whole spoofed ladders skipped on a futility hint.
     pub spoof_skips: u64,
-    /// Individual VPs deprioritized in ladder queues on a futility hint.
+    /// Always 0: the per-VP futility hint it counted is gone. Kept only
+    /// because the benchmark package reads it; a change to that package
+    /// drops the field.
     pub vp_skips: u64,
     /// Ladders started at a remembered winner VP.
     pub winner_hits: u64,
@@ -270,7 +250,6 @@ impl StopSetSnapshot {
             + self.forward_hits
             + self.direct_skips
             + self.spoof_skips
-            + self.vp_skips
             + self.winner_hits
             + self.distance_hits
     }
@@ -287,7 +266,7 @@ pub struct StopSetBytes {
     pub forward: u64,
     /// Ladder hints: per-plan winner VPs.
     pub ladder: u64,
-    /// Futility hints: direct-RR, whole-ladder, and per-VP futility.
+    /// Futility hints: direct-RR and whole-ladder futility.
     pub futility: u64,
 }
 
@@ -317,9 +296,6 @@ struct Published {
     winners: Map<u64, Addr>,
     direct_futile: Set<(Addr, Addr)>,
     spoof_futile: Set<Addr>,
-    /// `(plan, vp)` pairs, one flat table: a publication grows it like any
-    /// map, never allocating a set per plan.
-    vp_futile: Set<(u64, Addr)>,
     forward: Map<(Addr, Addr), Option<RrReply>>,
     /// `(source, block)` → TTLs last measured into the block; /24 and /16
     /// blocks share the table ([`block_key`]).
@@ -369,11 +345,10 @@ const FORWARD_HITS: usize = 2;
 const FORWARD_MISSES: usize = 3;
 const DIRECT_SKIPS: usize = 4;
 const SPOOF_SKIPS: usize = 5;
-const VP_SKIPS: usize = 6;
-const WINNER_HITS: usize = 7;
-const DISTANCE_HITS: usize = 8;
-const DISTANCE_MISSES: usize = 9;
-const N_STATS: usize = 10;
+const WINNER_HITS: usize = 6;
+const DISTANCE_HITS: usize = 7;
+const DISTANCE_MISSES: usize = 8;
+const N_STATS: usize = 9;
 
 /// The campaign-wide stop-set layer. One instance per
 /// `core::system::RevtrSystem`; cheap to share via `Arc`.
@@ -401,15 +376,6 @@ impl StopSet {
         Consult {
             set: self,
             view: self.published.read().expect("stopset lock poisoned"),
-        }
-    }
-
-    /// Record `n` VPs actually deprioritized in a ladder queue on
-    /// futility hints (called by the step driver after reordering its
-    /// queues).
-    pub fn note_vp_skips(&self, n: u64) {
-        if n > 0 {
-            self.stats.add(VP_SKIPS, n);
         }
     }
 
@@ -483,9 +449,6 @@ impl StopSet {
                 Note::SpoofFutile { cur } => {
                     g.spoof_futile.insert(cur);
                 }
-                Note::VpFutile { plan, vp } => {
-                    g.vp_futile.insert((plan, vp));
-                }
                 Note::Distance { src, addr, dist } => {
                     g.distances.insert((src, block_key(addr, 24)), dist);
                     g.distances.insert((src, block_key(addr, 16)), dist);
@@ -541,13 +504,8 @@ impl StopSet {
             as u64;
         let ladder =
             (g.winners.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Addr>())) as u64;
-        // Per-VP futility is priced as a key per plan and an address per
-        // VP, the unit it was budgeted in as a set per plan.
-        let futile_plans: Set<u64> = g.vp_futile.iter().map(|&(plan, _)| plan).collect();
         let futility = (g.direct_futile.len() * key2
-            + g.spoof_futile.len() * std::mem::size_of::<Addr>()
-            + futile_plans.len() * std::mem::size_of::<u64>()
-            + g.vp_futile.len() * std::mem::size_of::<Addr>()) as u64;
+            + g.spoof_futile.len() * std::mem::size_of::<Addr>()) as u64;
         StopSetBytes {
             backward,
             forward,
@@ -565,7 +523,7 @@ impl StopSet {
             forward_misses: self.stats.get(FORWARD_MISSES),
             direct_skips: self.stats.get(DIRECT_SKIPS),
             spoof_skips: self.stats.get(SPOOF_SKIPS),
-            vp_skips: self.stats.get(VP_SKIPS),
+            vp_skips: 0,
             winner_hits: self.stats.get(WINNER_HITS),
             distance_hits: self.stats.get(DISTANCE_HITS),
             distance_misses: self.stats.get(DISTANCE_MISSES),
@@ -625,14 +583,6 @@ impl Consult<'_> {
             self.set.stats.add(SPOOF_SKIPS, 1);
         }
         f
-    }
-
-    /// Whether `vp` is known futile on an ingress plan. Does not count
-    /// anything by itself: a futile VP only matters when a ladder actually
-    /// deprioritizes it, which the caller reports via
-    /// [`StopSet::note_vp_skips`].
-    pub fn vp_futile(&self, plan: u64, vp: Addr) -> bool {
-        self.view.vp_futile.contains(&(plan, vp))
     }
 
     /// How many TTLs from `src` a probe toward `addr` should start at: the
@@ -824,39 +774,6 @@ mod tests {
         assert_eq!(st.winner_hits, 1);
         assert_eq!(st.direct_skips, 1);
         assert_eq!(st.spoof_skips, 1);
-    }
-
-    #[test]
-    fn vp_futility_accumulates_per_plan_and_counts_only_real_prunes() {
-        let s = StopSet::new();
-        let (plan, other) = (40u64, 41u64);
-        assert!(!s.consult().vp_futile(plan, Addr(70)));
-        for (seq, vp) in [Addr(70), Addr(71)].into_iter().enumerate() {
-            s.contribute(Contribution {
-                vtime: 1.0,
-                req: 0,
-                seq: seq as u64,
-                note: Note::VpFutile { plan, vp },
-            });
-        }
-        s.merge_pending();
-        let c = s.consult();
-        assert!(
-            c.vp_futile(plan, Addr(70)) && c.vp_futile(plan, Addr(71)),
-            "futile VPs accumulate under one plan"
-        );
-        assert!(!c.vp_futile(plan, Addr(72)));
-        assert!(
-            !c.vp_futile(other, Addr(70)),
-            "futility stays per-plan, not global"
-        );
-        drop(c);
-        // Consults alone count nothing; only reported prunes do.
-        assert_eq!(s.stats().vp_skips, 0);
-        s.note_vp_skips(2);
-        s.note_vp_skips(0);
-        assert_eq!(s.stats().vp_skips, 2);
-        assert_eq!(s.stats().total_hits(), 2);
     }
 
     #[test]

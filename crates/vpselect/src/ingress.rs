@@ -326,12 +326,18 @@ impl IngressDb {
     /// both runs in global order: coverage first, *not* distance. A stable
     /// partition of [`IngressDb::global_plan`] by [`IngressDb::in_range`].
     pub fn revtr1_plan(&self, p: PrefixId) -> Vec<Addr> {
-        let (mut plan, far): (Vec<Addr>, Vec<Addr>) = self
-            .global_order
-            .iter()
-            .partition(|&&vp| self.in_range(p, vp));
-        plan.extend(far);
+        let mut plan = Vec::new();
+        self.revtr1_plan_into(p, &mut plan);
         plan
+    }
+
+    /// [`IngressDb::revtr1_plan`] written over `plan`, whose buffer a
+    /// caller walking many plans reuses.
+    pub fn revtr1_plan_into(&self, p: PrefixId, plan: &mut Vec<Addr>) {
+        plan.clear();
+        for near in [true, false] {
+            plan.extend((self.global_order.iter()).filter(|&&vp| self.in_range(p, vp) == near));
+        }
     }
 
     /// The "Global" baseline plan: the same greedy global order for every
