@@ -72,7 +72,11 @@ pub(crate) struct Slot {
     /// Re-batches this VP has already been held for (the scenario attempt
     /// base of the probe).
     pub(crate) stalls: u32,
-    /// The ingress a usable reply must have traversed.
+    /// The ingress a usable reply must have traversed: the queue's
+    /// surveyed ingress when the plan was measured for the target's own
+    /// prefix; `None` under a ranking or a lent plan
+    /// ([`PlanView::Lent`]), whose replies are judged on their stamps
+    /// alone.
     pub(crate) expected_ingress: Option<Addr>,
 }
 

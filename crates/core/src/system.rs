@@ -535,40 +535,51 @@ impl<'s> RevtrSystem<'s> {
         *self.extra_adjacency.write() = map.into_iter().collect();
     }
 
-    /// The ingress-plan key for a probe target: its announced prefix, or
-    /// (for infrastructure addresses) the first announced prefix of the
-    /// block-owning AS — ingresses are shared across an AS's prefixes.
-    fn plan_key(&self, addr: Addr) -> Option<PrefixId> {
+    /// The ingress-plan key for a probe target, and whether it is
+    /// borrowed: the target's own announced prefix (`false`), or — for an
+    /// address outside every announced prefix, such as a router interface
+    /// — the first announced prefix of the block-owning AS (`true`). The
+    /// survey measures ingresses per prefix, toward that prefix's hosts
+    /// (§4.3), so a borrowed key lends its VP queues but not its
+    /// ingresses: a probe to the router need not cross them.
+    fn plan_key(&self, addr: Addr) -> Option<(PrefixId, bool)> {
         if let Some(p) = self.prober.prefix_of(addr) {
-            return Some(p);
+            return Some((p, false));
         }
         let owner = self.prober.block_owner(addr)?;
-        self.prober.as_prefixes(owner).first().copied()
+        let p = self.prober.as_prefixes(owner).first().copied()?;
+        Some((p, true))
     }
 
-    /// The ingress-plan key encoded for the stop-set hint maps. Two
-    /// routers with equal keys get the very same VP queues from
+    /// The ingress-plan key encoded for the stop-set hint maps, shared by
+    /// a prefix and the routers that borrow its plan. Two routers with
+    /// equal keys get the very same VP queues from
     /// [`RevtrSystem::vp_plan`], which is what makes the plan-keyed winner
     /// hint transfer between siblings: the ladder walks the same VP
     /// sequence at both.
     pub(crate) fn stop_plan_key(&self, addr: Addr) -> Option<u64> {
-        self.plan_key(addr).map(|p| u64::from(p.0))
+        self.plan_key(addr).map(|(p, _)| u64::from(p.0))
     }
 
     /// The VP plan for probing `cur` under the configured selection
-    /// policy, borrowed from the ingress database — or, for the set-cover
-    /// policy, written into `revtr1_plan` ([`IngressDb::revtr1_plan`]).
+    /// policy, borrowed from the ingress database — as [`PlanView::Lent`],
+    /// without its ingresses, when its key is borrowed — or, for the
+    /// set-cover policy, written into `revtr1_plan`
+    /// ([`IngressDb::revtr1_plan`]).
     fn vp_plan<'a>(&'a self, cur: Addr, revtr1_plan: &'a mut Vec<Addr>) -> PlanView<'a> {
         let global = self.ingress.global_plan();
         match self.cfg.vp_selection {
             VpSelection::Ingress => self
                 .plan_key(cur)
-                .map(|p| self.ingress.plan_view(p))
+                .map(|(p, borrowed)| match self.ingress.plan_view(p) {
+                    PlanView::Ingresses(ingresses) if borrowed => PlanView::Lent(ingresses),
+                    plan => plan,
+                })
                 .filter(|plan| !plan.is_empty())
                 // Never-probed prefix: fall back to the global head.
                 .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)])),
             VpSelection::SetCover => match self.plan_key(cur) {
-                Some(p) => {
+                Some((p, _)) => {
                     self.ingress.revtr1_plan_into(p, revtr1_plan);
                     PlanView::Ranking(revtr1_plan)
                 }
@@ -607,7 +618,8 @@ impl<'s> RevtrSystem<'s> {
     /// three rounds, not five.
     ///
     /// Returns what the step found, and whether any round saw a *usable*
-    /// reply (ingress check passed and slots survived past the target),
+    /// reply (slots survived past the target's stamp and, where the survey
+    /// measured an ingress for `cur`'s own prefix, include that ingress),
     /// even one that revealed nothing novel for this request's path —
     /// only a ladder with none proves the router unreachable by this
     /// plan's VPs.
@@ -690,11 +702,12 @@ impl<'s> RevtrSystem<'s> {
 
     /// One spoofed-batch round of the ladder open in `sx` over `plan`:
     /// compose a batch of at most `cap` new probes (plus the VPs the last
-    /// round held), issue it, and return the
-    /// usable reply with the most novel hops — or, when none revealed any,
-    /// settle the ladder for the next round and return `None` — with
-    /// whether any reply was usable. Allocates nothing: batch and prober
-    /// reply overwrite the scratch's buffers.
+    /// round held), issue it, and return the usable reply (its stamp
+    /// located, its slot's [`crate::scratch::Slot::expected_ingress`]
+    /// crossed if it has one) with the most novel hops — or, when none
+    /// revealed any, settle the ladder for the next round and return
+    /// `None` — with whether any reply was usable. Allocates nothing:
+    /// batch and prober reply overwrite the scratch's buffers.
     fn rr_round(
         &self,
         plan: PlanView<'_>,
@@ -729,9 +742,11 @@ impl<'s> RevtrSystem<'s> {
         // batch costs no virtual time and no batch.
         t.stats.batches += reply.timeouts;
 
-        // A reply (it always comes with its provenance) is usable when it
-        // traversed the expected ingress and the router's own stamp can be
-        // located in it; the usable reply with the most novel hops wins.
+        // A reply (it always comes with its provenance) is usable when the
+        // router's own stamp can be located in it and it traversed its
+        // slot's expected ingress, if the slot has one — only a plan
+        // surveyed for `cur`'s own prefix does (`vp_plan`). The usable
+        // reply with the most novel hops wins.
         let (mut best, mut any_usable): (Option<(RrSlots, RrProvenance)>, _) = (None, false);
         for (slot, r) in batch.iter().zip(&reply.replies) {
             let rev = r
@@ -816,7 +831,7 @@ impl<'s> RevtrSystem<'s> {
     /// with no measured distances fall back to the ranked ingress plan,
     /// and unknown prefixes to the first VP.
     fn closest_vp(&self, cur: Addr) -> Option<Addr> {
-        if let Some(pid) = self.plan_key(cur) {
+        if let Some((pid, _)) = self.plan_key(cur) {
             if let Some(vp) = self.ingress.prefix(pid).and_then(|info| info.closest_vp()) {
                 return Some(vp);
             }
@@ -1016,10 +1031,21 @@ mod tests {
         assert_eq!(sys.sources(), vps);
     }
 
+    /// Every router loopback and link interface address of `topo`.
+    fn router_interfaces(
+        topo: &revtr_netsim::topology::Topology,
+    ) -> impl Iterator<Item = Addr> + '_ {
+        (topo.routers.iter().map(|r| r.loopback))
+            .chain(topo.links.iter().flat_map(|l| [l.addr_a, l.addr_b]))
+    }
+
     /// A spoofed ladder visits its plan exactly as the survey ranked it,
-    /// at every prefix of a tiny world: under set cover (revtr 1.0) the
-    /// prefix's [`IngressDb::revtr1_plan`], under ingress selection the
-    /// prefix's [`PlanView::try_order`].
+    /// at every prefix of a tiny world and at every router interface
+    /// address: under set cover (revtr 1.0) the prefix's
+    /// [`IngressDb::revtr1_plan`], under ingress selection the prefix's
+    /// [`PlanView::try_order`]. A router, outside every announced prefix,
+    /// walks the try order of the prefix it borrows with no ingress
+    /// expectation on any slot; a host keeps its queues' ingresses.
     #[test]
     fn ladders_walk_the_survey_plans_at_every_prefix() {
         use crate::scratch::Ladder;
@@ -1027,12 +1053,30 @@ mod tests {
         use revtr_netsim::SimConfig;
         use revtr_vpselect::Heuristics;
         let sim = Sim::build(SimConfig::tiny(), 5);
+        let topo = sim.topo();
         let prober = Prober::new(&sim);
-        let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
-        let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+        let vps: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<PrefixId> = topo.prefixes.iter().map(|p| p.id).collect();
         let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
         let pool = select_atlas_probes(&sim, 8, 9);
-        let (mut reordered, mut ragged) = (0, 0);
+        // Every target with the plan key it must get: a host of each
+        // prefix (its own), then every router interface address (its AS's
+        // first prefix, borrowed).
+        let mut targets: Vec<(Addr, PrefixId, bool)> = (topo.prefixes.iter())
+            .map(|p| (Addr(p.prefix.base.0 + 10), p.id, false))
+            .collect();
+        for addr in router_interfaces(topo).filter(|&a| topo.prefix_of(a).is_none()) {
+            let owner = topo.block_owner(addr).map(|owner| topo.asn(owner));
+            if let Some(&p) = owner.and_then(|owner| owner.prefixes.first()) {
+                targets.push((addr, p, true));
+            }
+        }
+        let routers = targets.iter().filter(|t| t.2).count();
+        assert!(
+            routers > topo.routers.len(),
+            "too few router interfaces: {routers}"
+        );
+        let (mut reordered, mut ragged, mut unchecked, mut checked) = (0, 0, 0, 0);
         for cfg in [EngineConfig::revtr1(), EngineConfig::revtr2()] {
             let selection = cfg.vp_selection;
             let sys = RevtrSystem::new(
@@ -1043,9 +1087,8 @@ mod tests {
                 pool.clone(),
             );
             let (mut buf, mut batch) = (Vec::new(), Vec::new());
-            for &p in &prefixes {
-                let cur = Addr(sim.topo().prefix(p).prefix.base.0 + 10);
-                assert_eq!(sys.plan_key(cur), Some(p));
+            for &(cur, p, borrowed) in &targets {
+                assert_eq!(sys.plan_key(cur), Some((p, borrowed)), "{cur}");
                 let plan = sys.vp_plan(cur, &mut buf);
                 let mut ladder = Ladder::default();
                 ladder.open(plan, None);
@@ -1070,13 +1113,121 @@ mod tests {
                             .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)]));
                         let lens: Vec<usize> = view.queues().map(|(_, vps)| vps.len()).collect();
                         ragged += usize::from(lens.iter().min() != lens.iter().max());
-                        view.try_order().collect()
+                        let expects = view.queues().any(|(ingress, _)| ingress.is_some());
+                        if borrowed {
+                            unchecked += usize::from(expects);
+                            view.try_order().map(|(_, vp)| (None, vp)).collect()
+                        } else {
+                            checked += usize::from(expects);
+                            view.try_order().collect()
+                        }
                     }
                 };
-                assert_eq!(walked, want, "{selection:?} at {p:?}");
+                assert_eq!(
+                    walked, want,
+                    "{selection:?} at {cur} ({p:?}, borrowed {borrowed})"
+                );
             }
         }
         assert!(reordered > 0, "no set-cover plan moves an in-range VP up");
         assert!(ragged > 0, "no ingress plan has queues of unequal length");
+        assert!(unchecked > 0, "no router borrows a plan that has ingresses");
+        assert!(checked > 0, "no host's plan has ingresses");
+    }
+
+    /// The ingress check reads only where the survey measured one: a
+    /// spoofed reply that misses its queue's ingress but locates the
+    /// target's stamp is adopted at a router (a lent plan) and discarded
+    /// at a host of the surveyed prefix itself. Each fixture is the first
+    /// such (target, VP) pair of a tiny world; the ladder opens with that
+    /// VP as its remembered winner, so the reply found by the search is
+    /// the one the step's first round reads back from the cache.
+    #[test]
+    fn a_reply_that_misses_the_ingress_counts_only_at_a_router() {
+        use revtr_atlas::select_atlas_probes;
+        use revtr_netsim::SimConfig;
+        use revtr_probing::Telemetry;
+        use revtr_vpselect::Heuristics;
+        let sim = Sim::build(SimConfig::tiny(), 5);
+        let topo = sim.topo();
+        let prober = Prober::new(&sim);
+        let vps: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
+        let prefixes: Vec<PrefixId> = topo.prefixes.iter().map(|p| p.id).collect();
+        let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+        let pool = select_atlas_probes(&sim, 8, 9);
+        let sys = RevtrSystem::new(prober, EngineConfig::revtr2(), vps.clone(), ingress, pool);
+        let src = vps[0];
+        // The first (target, VP) of `targets` whose reply locates the
+        // target's stamp, reveals hops, and lacks the ingress of the first
+        // queue holding the VP — the queue a winner opens under.
+        let miss = |targets: Vec<Addr>| {
+            targets.into_iter().find_map(|cur| {
+                let (p, _) = sys.plan_key(cur)?;
+                let plan = sys.ingress.plan_view(p);
+                plan.queues().flat_map(|(_, vps)| vps).find_map(|&vp| {
+                    let (expected, _) = plan.queues().find(|(_, vps)| vps.contains(&vp))?;
+                    let expected = expected?;
+                    let batch = sys.prober.spoofed_rr_batch(&[(vp, cur)], src);
+                    let (reply, _) = batch.replies[0].as_ref()?;
+                    let rev = RevtrSystem::reverse_hops(&reply.slots, cur)?;
+                    (vp != src && !rev.is_empty() && !reply.slots.contains(&expected))
+                        .then_some((cur, vp, expected))
+                })
+            })
+        };
+        let step = |cur: Addr, vp: Addr| {
+            let mut sx = Scratch::default();
+            let (mut stats, mut meter) = (RevtrStats::default(), Meter::default());
+            let mut req = Telemetry::disabled().request(0, 0, 0.0);
+            let mut books = Books {
+                stats: &mut stats,
+                req: &mut req,
+                meter: &mut meter,
+            };
+            let hints = RrHints {
+                skip_direct: true,
+                winner: Some(vp),
+                ..RrHints::default()
+            };
+            let (found, _) = sys.rr_step(cur, src, &mut sx, &mut books, hints);
+            (found.map(|(_, prov, _)| prov.sender), sx.sent.remove(0))
+        };
+
+        let routers = router_interfaces(topo)
+            .filter(|&a| sys.plan_key(a).is_some_and(|(_, borrowed)| borrowed));
+        let (cur, vp, _) =
+            miss(routers.collect()).expect("no router reply misses its lent ingress");
+        let (found, sent) = step(cur, vp);
+        assert_eq!(sent[0].expected_ingress, None, "{sent:?}");
+        assert_eq!(
+            found,
+            Some(vp),
+            "router {cur}: the winner's reply was not adopted"
+        );
+
+        // A host whose winner sits in one queue only, so no other queue's
+        // ingress can vouch for the same reply.
+        let hosts = (sys.ingress.prefixes())
+            .flat_map(|(p, _)| sys.prober.host_addrs(p).take(16))
+            .filter(|&cur| {
+                let Some((p, false)) = sys.plan_key(cur) else {
+                    return false;
+                };
+                let plan = sys.ingress.plan_view(p);
+                let mut seen = Vec::new();
+                plan.queues().all(|(_, vps)| {
+                    let fresh = vps.iter().all(|vp| !seen.contains(vp));
+                    seen.extend_from_slice(vps);
+                    fresh
+                })
+            });
+        let (cur, vp, expected) = miss(hosts.collect()).expect("no host reply misses its ingress");
+        let (found, sent) = step(cur, vp);
+        assert_eq!(sent[0].expected_ingress, Some(expected), "{sent:?}");
+        assert_ne!(
+            found,
+            Some(vp),
+            "host {cur}: a reply off its ingress was adopted"
+        );
     }
 }

@@ -141,6 +141,7 @@ impl Reproduction {
             figure("fig6b", &vps.fig6b()),
             figure("fig6c", &vps.fig6c()),
             table("table5", vps.table5()),
+            table("ingress_check", vps.ingress_check_table()),
             line(
                 "stability",
                 format!(
@@ -218,6 +219,7 @@ mod tests {
             "Table 3",
             "Table 4",
             "Table 5",
+            "Section 4.3 ingress check",
             "Table 6",
             "Table 7",
             "Figure 5a",

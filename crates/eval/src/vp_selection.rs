@@ -7,7 +7,8 @@
 //! measurements we replay what each technique's plan would have done:
 //! hops uncovered by the first batch (Figs. 6a/b), spoofers tried until a
 //! reverse hop is found (Fig. 6c), and whether each heuristic ladder finds
-//! an in-range VP at all (Table 5).
+//! an in-range VP at all (Table 5). The same probes judge §4.3's ingress
+//! check against the simulator's ground truth ([`IngressCheck`]).
 
 use crate::campaign::Scale;
 use crate::context::EvalContext;
@@ -15,8 +16,9 @@ use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
 use revtr::config::BATCH_SIZE;
 use revtr::extract_reverse_hops;
-use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::Prober;
+use revtr_netsim::sim::PktMeta;
+use revtr_netsim::{Addr, PrefixId, RouterId, RrSlots};
+use revtr_probing::{Prober, RrProvenance};
 use revtr_vpselect::ingress::{PrefixInfo, DEST_SCAN_LIMIT};
 use revtr_vpselect::{path_view, Heuristics, IngressDb, PlanView, RR_RANGE};
 use std::collections::BTreeMap;
@@ -79,6 +81,30 @@ impl PrefixEval {
     }
 }
 
+/// §4.3's ingress check at the held-out destinations: every slot of the
+/// revtr 2.0 plan whose VP's reply locates the destination's stamp, split
+/// by whether the reply carries the slot's expected ingress and, when it
+/// does not, whether the probe's forward walk crossed that ingress's
+/// router at all (the simulator's ground truth, replayed from the probe's
+/// provenance) and, if so, whether the reply's forward stamps hold another
+/// address of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IngressCheck {
+    /// The reply carries the expected ingress: the check keeps it.
+    pub pass: usize,
+    /// No stamp of the ingress, yet the probe crossed its router, and
+    /// the reply's forward stamps hold another of that router's
+    /// addresses: the check discards a reply that did enter through the
+    /// ingress.
+    pub fail_aliased: usize,
+    /// No stamp of the ingress, yet the probe crossed its router, which
+    /// left no address among the reply's forward stamps.
+    pub fail_unstamped: usize,
+    /// No stamp of the ingress, and the probe entered elsewhere: the
+    /// check is right to discard it.
+    pub fail_elsewhere: usize,
+}
+
 /// The §5.3 report.
 #[derive(Clone, Debug)]
 pub struct VpSelectionReport {
@@ -92,6 +118,8 @@ pub struct VpSelectionReport {
     /// §4.3 candidate-stability check: (stable prefixes, evaluated
     /// prefixes) — the paper's 87.2% figure.
     pub stability: (usize, usize),
+    /// §4.3's ingress check over the revtr 2.0 plans.
+    pub ingress_check: IngressCheck,
 }
 
 /// The distinct VPs of `plan` in its try order (a VP two ingresses share
@@ -181,6 +209,7 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
 
     // Evaluation prefixes: ones with a third responsive destination.
     let mut prefixes: Vec<PrefixEval> = Vec::new();
+    let mut ingress_check = IngressCheck::default();
     for p in ctx.sampled_prefixes() {
         let Some(dest) = ctx.responsive_dest_near(p, 2) else {
             continue;
@@ -188,25 +217,23 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         // Probe from every VP (batched purely for accounting; the cache
         // dedups repeats).
         let mut outcomes = BTreeMap::new();
+        let mut located: BTreeMap<Addr, Located> = BTreeMap::new();
         for &vp in &vps {
             let replies = prober.spoofed_rr_batch(&[(vp, dest)], claimed);
-            let out = replies.replies[0]
-                .as_ref()
-                .map(|(r, _)| {
-                    let pos =
-                        r.slots.iter().position(|&s| s == dest).or_else(|| {
-                            r.slots.windows(2).position(|w| w[0] == w[1]).map(|i| i + 1)
-                        });
-                    VpOutcome {
-                        revealed: extract_reverse_hops(&r.slots, dest)
-                            .map(|v| v.len())
-                            .unwrap_or(0),
-                        in_range: pos.map(|i| i <= RR_RANGE).unwrap_or(false),
-                    }
-                })
-                .unwrap_or_default();
+            let mut out = VpOutcome::default();
+            if let Some((r, prov)) = &replies.replies[0] {
+                let pos = (r.slots.iter().position(|&s| s == dest))
+                    .or_else(|| r.slots.windows(2).position(|w| w[0] == w[1]).map(|i| i + 1));
+                out.in_range = pos.is_some_and(|i| i <= RR_RANGE);
+                if let Some(rev) = extract_reverse_hops(&r.slots, dest) {
+                    out.revealed = rev.len();
+                    let forward = r.slots.len() - rev.len() - 1;
+                    located.insert(vp, (r.slots, forward, *prov));
+                }
+            }
             outcomes.insert(vp, out);
         }
+        ingress_check.judge(ctx, full_db.plan_view(p), &located);
         prefixes.push(PrefixEval {
             prefix: p,
             dest,
@@ -271,7 +298,53 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
         plans,
         table5_rows,
         stability,
+        ingress_check,
     }
+}
+
+/// A reply that locates the held-out destination's stamp: its slots, how
+/// many of them the forward leg stamped, and its provenance.
+type Located = (RrSlots, usize, RrProvenance);
+
+impl IngressCheck {
+    /// Judge every slot of `plan` that expects an ingress and whose VP's
+    /// reply is in `located`.
+    fn judge(&mut self, ctx: &EvalContext, plan: PlanView<'_>, located: &BTreeMap<Addr, Located>) {
+        for (expected, vp) in plan.try_order() {
+            let (Some(ingress), Some((slots, forward, prov))) = (expected, located.get(&vp)) else {
+                continue;
+            };
+            let router = owner(ctx, ingress);
+            if slots.contains(&ingress) {
+                self.pass += 1;
+            } else if !router.is_some_and(|r| forward_crosses(ctx, prov, r)) {
+                self.fail_elsewhere += 1;
+            } else if slots[..*forward].iter().any(|&a| owner(ctx, a) == router) {
+                self.fail_aliased += 1;
+            } else {
+                self.fail_unstamped += 1;
+            }
+        }
+    }
+}
+
+/// The router an RR stamp names: the one owning the address, or for an
+/// address inside an announced prefix (the prefix gateway's stamp) the
+/// router the prefix attaches to.
+fn owner(ctx: &EvalContext, addr: Addr) -> Option<RouterId> {
+    let topo = ctx.sim.topo();
+    (topo.router_at(addr)).or_else(|| topo.prefix_of(addr).map(|p| topo.prefix(p).attach))
+}
+
+/// Whether the forward leg of the probe `prov` records crossed `router`:
+/// the walk the simulator took, replayed from the sender's attachment
+/// with the probe's claimed source, nonce and destination epoch.
+fn forward_crosses(ctx: &EvalContext, prov: &RrProvenance, router: RouterId) -> bool {
+    let sim = &ctx.sim;
+    let meta = PktMeta::options(prov.claimed, prov.nonce);
+    (sim.host_attach(prov.sender))
+        .and_then(|start| sim.walk_at_epoch(start, prov.dst, &meta, prov.fwd_epoch.get()))
+        .is_some_and(|walk| walk.hops.iter().any(|h| h.router == router))
 }
 
 impl VpSelectionReport {
@@ -351,6 +424,30 @@ impl VpSelectionReport {
         fraction(self.stability.0, self.stability.1)
     }
 
+    /// §4.3's ingress check at the held-out destinations
+    /// ([`IngressCheck`]).
+    pub fn ingress_check_table(&self) -> Table {
+        let mut t = Table::new(
+            "Section 4.3 ingress check: revtr 2.0 plan slots whose spoofed reply locates the held-out destination's stamp, by where the probe entered",
+            &["Reply", "Slots", "Share"],
+        );
+        let c = self.ingress_check;
+        let all = c.pass + c.fail_aliased + c.fail_unstamped + c.fail_elsewhere;
+        for (name, n) in [
+            ("carries the expected ingress (kept)", c.pass),
+            ("crossed its router, another alias stamped", c.fail_aliased),
+            ("crossed its router, no stamp of it", c.fail_unstamped),
+            ("entered elsewhere", c.fail_elsewhere),
+        ] {
+            t.row(&[
+                name.to_string(),
+                n.to_string(),
+                format!("{:.3}", fraction(n, all)),
+            ]);
+        }
+        t
+    }
+
     /// Table 5.
     pub fn table5(&self) -> Table {
         let mut t = Table::new(
@@ -392,6 +489,38 @@ mod tests {
             stable * 4 >= total * 3,
             "only {stable}/{total} prefixes have stable ingress candidates"
         );
+    }
+
+    /// The replayed forward walk is the probe's: wherever a reply's
+    /// forward stamps (those before the destination's) carry a plan's
+    /// expected ingress, the replay crosses that ingress's router.
+    #[test]
+    fn the_forward_replay_crosses_every_stamped_ingress() {
+        let ctx = EvalContext::of(Scale::Smoke, 1);
+        let prober = ctx.prober();
+        let vps = ctx.vps();
+        let db = ctx.build_ingress(&prober, Heuristics::FULL);
+        let mut checked = 0;
+        for (_, info) in db.prefixes() {
+            for &dest in &info.dests {
+                for (expected, vp) in info.plan_view().try_order() {
+                    let Some(ingress) = expected else { continue };
+                    let batch = prober.spoofed_rr_batch(&[(vp, dest)], vps[0]);
+                    let Some((r, prov)) = &batch.replies[0] else {
+                        continue;
+                    };
+                    let Some(at) = r.slots.iter().position(|&a| a == dest) else {
+                        continue;
+                    };
+                    if r.slots[..at].contains(&ingress) {
+                        checked += 1;
+                        let router = owner(&ctx, ingress).expect("an ingress names a router");
+                        assert!(forward_crosses(&ctx, prov, router), "{prov:?} {ingress}");
+                    }
+                }
+            }
+        }
+        assert!(checked > 20, "too few stamped ingresses: {checked}");
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0xae2790dc1a964a38 journal 0x7f33b90887687569",
+        "metrics 0xc7e410a3744efb5d journal 0xbdc30be10bdcf799",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

@@ -87,7 +87,7 @@ pub struct PrefixInfo {
 #[derive(Clone, Debug)]
 pub struct IngressQueue {
     /// The ingress address this queue targets (`None` for the fallback
-    /// ranking of ingress-less prefixes).
+    /// ranking of ingress-less prefixes, and for a lent plan).
     pub expected_ingress: Option<Addr>,
     /// VPs in preference order.
     pub vps: Vec<Addr>,
@@ -100,6 +100,11 @@ pub struct IngressQueue {
 pub enum PlanView<'a> {
     /// One queue per identified ingress, in coverage order.
     Ingresses(&'a [IngressInfo]),
+    /// Another prefix's ingress queues, lent to a target the survey never
+    /// measured (an address outside every announced prefix): the same
+    /// queues in the same order, with no ingress expectation — those
+    /// ingresses were measured toward the lending prefix's hosts.
+    Lent(&'a [IngressInfo]),
     /// One queue with no ingress expectation (a fallback or global
     /// ranking) — or no queue at all when the ranking is empty.
     Ranking(&'a [Addr]),
@@ -109,7 +114,7 @@ impl<'a> PlanView<'a> {
     /// Number of queues.
     pub fn len(&self) -> usize {
         match self {
-            PlanView::Ingresses(i) => i.len(),
+            PlanView::Ingresses(i) | PlanView::Lent(i) => i.len(),
             PlanView::Ranking(vps) => usize::from(!vps.is_empty()),
         }
     }
@@ -126,6 +131,7 @@ impl<'a> PlanView<'a> {
     pub fn queue(&self, i: usize) -> (Option<Addr>, &'a [Addr]) {
         match *self {
             PlanView::Ingresses(ing) => (Some(ing[i].addr), &ing[i].ranked_vps),
+            PlanView::Lent(ing) => (None, &ing[i].ranked_vps),
             PlanView::Ranking(vps) => {
                 assert!(i < self.len(), "queue {i} of a one-queue plan");
                 (None, vps)
@@ -140,11 +146,10 @@ impl<'a> PlanView<'a> {
 
     /// The plan's try order: depth-major across the queues — the closest
     /// VP of every queue in queue order, then every queue's second, and so
-    /// on — each VP with the ingress its reply must traverse. A VP in two
-    /// queues comes up once per queue. The engine's spoofed ladder issues
-    /// a plan's VPs in this order (each queue first reordered by its
-    /// hints), three to a batch, and the §5.3 evaluation reads plans in
-    /// it.
+    /// on — each VP with the ingress its reply must traverse, if the plan
+    /// expects one. A VP in two queues comes up once per queue. The
+    /// engine's spoofed ladder issues a plan's VPs in this order, three to
+    /// a batch, and the §5.3 evaluation reads plans in it.
     pub fn try_order(self) -> impl Iterator<Item = (Option<Addr>, Addr)> + 'a {
         let deepest = self.queues().map(|(_, vps)| vps.len()).max().unwrap_or(0);
         (0..deepest).flat_map(move |depth| {
