@@ -31,6 +31,13 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # audited accuracy. Seeds {1, 7, 42} are baked into the suite. It carries
 # the telemetry gates too: tracing off byte-neutral, tracing on
 # deterministic across reruns and worker counts (fingerprint equality).
+# One arm turns per-packet load balancing on at every router with the
+# measurement cache off: a campaign at widths {1, 2, 4, 16} gives every
+# request the result, probe count and duration bits a serial measure()
+# gives it, since a probe's nonce is a function of the packet.
+# The other arms keep churn and load balancing off: churn couples requests
+# through the shared clock's flush points, and load balancing through the
+# cache, whose hits replay whichever request measured a key first.
 echo "== metamorphic suite (release, tests/metamorphic.rs) =="
 cargo test -q --release --test metamorphic
 

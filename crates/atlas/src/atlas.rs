@@ -95,8 +95,9 @@ impl SourceAtlas {
     /// once, its slowest trace plus that trace's slowest RR-atlas ping,
     /// and every trace is stamped with the hour the round opened at.
     /// Probes go out in trace order — traceroute `i`, then its RR pings,
-    /// then traceroute `i + 1` — so nonces, and with them fault draws,
-    /// follow the probe order.
+    /// then traceroute `i + 1`. Each attempt's nonce, and with it its loss
+    /// draw, is a function of the packet and its instant in the round, so
+    /// that order moves no draw; only an ICMP token bucket hears it.
     pub fn build(
         prober: &Prober<'_>,
         resolver: &AliasResolver<'_>,
@@ -528,12 +529,13 @@ mod round_tests {
         (atlas, prober)
     }
 
-    /// The build sends the probes the serial build sent, in its order, so
-    /// it keeps that build's atlas and counters, pinned here as constants
-    /// the serial build produced. Under 30 % loss with retries every
-    /// attempt's fate is drawn from its nonce: a build that sent its
-    /// probes in another order would lose other attempts and keep another
-    /// atlas.
+    /// The build's atlas and counters, pinned as constants. Fault-free,
+    /// they are the ones the serial build produced: a probe's answer
+    /// depends on nothing but the probe. Under 30 % loss with retries every
+    /// attempt's fate is drawn from its nonce, a function of the packet and
+    /// the instant it leaves in the round: a build that sent other probes,
+    /// or sent them at other instants, would lose other attempts and keep
+    /// another atlas. The order it sends them in moves nothing.
     #[test]
     fn a_round_build_keeps_the_serial_atlas_and_counters() {
         let sim = quiet_sim(FaultConfig::default());
@@ -552,16 +554,16 @@ mod round_tests {
         let discovery = StopSet::new();
         let (atlas, prober) = build_one(&sim, 3, Some(&discovery));
         let want = Snapshot {
-            traceroute_pkts: 201,
-            traceroutes: 47,
-            atlas_rr: 83,
-            retries: 40,
-            lost: 42,
+            traceroute_pkts: 215,
+            traceroutes: 40,
+            atlas_rr: 97,
+            retries: 43,
+            lost: 45,
             ..Snapshot::default()
         };
         assert_eq!(prober.counters().snapshot(), want);
-        assert_eq!((atlas.traces.len(), atlas.index_size()), (28, 110));
-        assert_eq!(digest(&atlas), 0x60e9_917a_8f5e_e258);
+        assert_eq!((atlas.traces.len(), atlas.index_size()), (30, 117));
+        assert_eq!(digest(&atlas), 0x1734_dbd3_76b8_23b8);
     }
 
     /// Fault-free, a build charges the shared clock once: its slowest

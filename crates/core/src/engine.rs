@@ -22,10 +22,15 @@
 //! sends, so its duration, probe delta, span offsets and stop-set stamps
 //! read its own charges and nothing else. Which worker runs which job is
 //! up to the OS; campaign *results* are not, because a measurement's
-//! outcome depends only on its own probe sequence and on stop-set evidence
-//! published at earlier wave barriers (cross-request coupling through
-//! route churn aside — the metamorphic suite pins the invariance with
-//! churn quiesced).
+//! outcome depends only on its own probe sequence — a probe's nonce is a
+//! function of the packet and its instant on the request's meter — and on
+//! stop-set evidence published at earlier wave barriers. Two couplings
+//! across requests remain: route churn (the shared clock's flush points
+//! follow the schedule) and, under per-packet load balancing, the
+//! measurement cache (a hit replays whichever request measured the key
+//! first, down to the path its probe was balanced onto). The metamorphic
+//! suite pins the invariance with churn off and either one of load
+//! balancing or the cache off.
 
 use crate::config::{SymmetryPolicy, MAX_PATH_HOPS};
 use crate::result::{
@@ -41,8 +46,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle, Thread};
 
-/// How wide a wave runs. Campaign *results* are invariant to it; only which
-/// worker drives which job — and under route churn, what each sees — changes.
+/// How wide a wave runs. Campaign *results* are invariant to it when route
+/// churn is off and either per-packet load balancing or the measurement
+/// cache is off; otherwise which worker drives which job can change what
+/// each request sees (see [`LoopConfig::parallel`]).
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
     /// Workers claiming jobs off a wave's cursor, clamped to the host's
@@ -62,9 +69,14 @@ impl Default for LoopConfig {
 
 impl LoopConfig {
     /// The production width: a small pool per campaign. Results are identical
-    /// to [`LoopConfig::default`]; cache and probe *counters* are not
-    /// reproducible (two workers can miss the same cache key and both
-    /// probe), which is why golden-pinned paths use the serial default.
+    /// to [`LoopConfig::default`] when route churn is off and either
+    /// per-packet load balancing or the measurement cache is off. Churn
+    /// flushes at points the schedule picks; a cache hit replays whichever
+    /// request measured the key first, and under load balancing that
+    /// request's nonce picked the reply's path. Cache and probe *counters*
+    /// are not reproducible even then (two workers can miss the same cache
+    /// key and both probe), which is why golden-pinned paths use the serial
+    /// default.
     pub fn parallel() -> LoopConfig {
         LoopConfig { workers: 8 }
     }

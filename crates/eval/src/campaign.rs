@@ -313,10 +313,12 @@ impl Campaign {
             // Churn is cross-request coupling through the globally
             // *flushed* clock, and flush points are a function of the
             // dispatch schedule. Load-balancing routers hash the per-probe
-            // nonce, and nonces come from one shared counter, so reply
-            // paths would depend on cross-task probe interleaving, which
-            // under a pool is up to the OS. The admission layer is what the
-            // loadtest judges; route dynamics have their own studies.
+            // nonce, a function of the packet and its send instant, and
+            // the run keeps its measurement cache on: a hit replays
+            // whichever request measured the key first, so which path a
+            // reply took would be up to the OS's schedule. The admission
+            // layer is what the loadtest judges; route dynamics have their
+            // own studies.
             sim_cfg.behavior.churn_per_hour = 0.0;
             sim_cfg.behavior.router_load_balancer = 0.0;
         }

@@ -15,8 +15,10 @@
 //!   are deliberately *not* compared — cache-fill races make them
 //!   schedule-dependent, which is exactly why the admission controller
 //!   never consumes them. Route churn and per-packet load balancing are
-//!   quiesced (see `Campaign::run_with`): they are the two schedule
-//!   couplings the engine's worker-invariance contract excludes.
+//!   quiesced (see `Campaign::run_with`): churn, and load balancing under
+//!   the measurement cache these runs keep on (a hit replays whichever
+//!   request measured the key first), are the two schedule couplings the
+//!   engine's worker-invariance contract excludes.
 //! * **Steady-state SLO** (the `steady` pattern): the serial arm's
 //!   [`Report`] must pass [`steady_policy`] — the full default policy
 //!   (coverage, accuracy, probe band, memory budget, latency burn) plus

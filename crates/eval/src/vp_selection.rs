@@ -579,8 +579,9 @@ mod tests {
     #[test]
     fn two_runs_on_one_seed_probe_alike() {
         // The stability check probes third destinations prefix by prefix on
-        // the shared prober, so nonces and clock — and with them every
-        // per-packet-balanced reply — follow the order of the prefixes.
+        // the shared prober, so the clock — and with it every probe's
+        // nonce and every per-packet-balanced reply — follows the order of
+        // the prefixes.
         let run_once = || {
             let ctx = EvalContext::of(Scale::Smoke, 1);
             let prober = ctx.prober();

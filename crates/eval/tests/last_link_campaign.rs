@@ -3,9 +3,10 @@
 //! is the one a full forward traceroute to the same hop gives, at every
 //! width, and what the steps send does not depend on the width.
 //!
-//! Churn and per-packet load balancing are quiesced (the exclusions every
-//! width-invariance gate in the repo runs under), so a trace taken after
-//! the campaign is the trace the step would have taken on the spot. Run by
+//! Churn and per-packet load balancing are quiesced (the exclusions the
+//! width-invariance gates that keep the measurement cache on run under),
+//! so a trace taken after the campaign is the trace the step would have
+//! taken on the spot. Run by
 //! ci.sh in release (`--ignored`): the survey alone takes a debug build
 //! minutes.
 
@@ -126,9 +127,10 @@ fn symmetry_steps_match_the_full_trace_at_every_width() {
                     starred += g;
                 }
                 let sent = system.prober().counters().snapshot().since(&before);
-                // Hops less their evidence, which names the nonce and
-                // whether the cache answered: which of two workers pays
-                // for a measurement both need is theirs to settle.
+                // Hops less their evidence, which names whether the cache
+                // answered and, on a hit, the nonce of whichever request
+                // measured the key first: which of two workers pays for a
+                // measurement both need is theirs to settle.
                 let paths: Vec<_> = (outcome.results.iter())
                     .map(|r| {
                         let hops: Vec<_> = (r.hops.iter())

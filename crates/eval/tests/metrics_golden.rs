@@ -112,7 +112,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0xc7e410a3744efb5d journal 0xbdc30be10bdcf799",
+        "metrics 0xa7f75e8d97d33744 journal 0xca4f061739657203",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

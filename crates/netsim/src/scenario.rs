@@ -10,7 +10,7 @@
 //!
 //! Every draw is a **pure function of stable entity keys** — AS ids,
 //! addresses, attempt indices — under a per-profile salt. Nothing here
-//! reads virtual time, consumes shared nonces, or keeps mutable state, so
+//! reads virtual time or probe nonces, or keeps mutable state, so
 //! (a) a campaign under any profile is exactly reproducible from its
 //! seed at any dispatch worker count (the measurement cache can be filled
 //! by any task in any order and still record the same values), and (b)

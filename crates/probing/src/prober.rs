@@ -25,8 +25,13 @@
 //! send, and the retry past a probe's first attempt; draws the attempt's
 //! faults at its send instant; draws the adversarial scenario for the
 //! kinds that carry IP options (RR and TS, not pings or traceroutes); and
-//! counts a loss. One of two loops drives the step, and the three time
-//! rules are theirs:
+//! counts a loss. The attempt's nonce — what its loss draw and, for an
+//! option-carrying probe, a per-packet load balancer hash — is a pure
+//! function of the packet: kind, sender, claimed source, destination,
+//! attempt number and the instant it leaves on its sender's clock. The
+//! prober holds no nonce state, so a request's replies never depend on
+//! what other requests sent. One of two loops drives the step, and the
+//! three time rules are theirs:
 //!
 //! * the **chain** sends one probe until an attempt gets through or the
 //!   [`RetryPolicy`]'s budget runs out. Each lost attempt waits its kind's
@@ -53,8 +58,11 @@
 //! caller's [`Meter`]. The engine's entry points take the meter of the
 //! request they probe for; everyone else calls the meterless wrappers
 //! ([`Prober::ping`], [`Prober::rr_ping`], [`Prober::spoofed_rr_batch`],
-//! [`Prober::traceroute_fresh`]), which charge a throw-away one. A
-//! [`Round`] charges the shared clock alone.
+//! [`Prober::traceroute_fresh`]), which charge a throw-away one anchored at
+//! the shared clock's reading. A [`Round`] charges the shared clock alone.
+//! A probe's sender's clock is what its nonce reads: the caller's meter
+//! for a metered probe, the throw-away meter for a meterless one, and the
+//! round's own instants for a round member.
 //!
 //! # Faults and retries
 //!
@@ -74,6 +82,7 @@ use crate::cache::{CachedRr, MeasurementCache, RrKey, LAST_LINK_ENTRY_BYTES, RR_
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
+use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{
     Addr, AsId, EchoReply, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TsReply,
     TtlAnswer, TtlView,
@@ -81,7 +90,6 @@ use revtr_netsim::{
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Timeout charged for an unanswered non-spoofed probe (virtual ms).
@@ -290,7 +298,7 @@ pub struct BatchReply {
 
 /// One probe as its attempts draw their fates: its kind, the VP that
 /// spoofs it (if any), the source it claims, its destination, and the
-/// scenario attempt number its first attempt draws.
+/// attempt number its first attempt draws.
 #[derive(Clone, Copy)]
 struct Probe {
     kind: ProbeKind,
@@ -310,6 +318,18 @@ impl Probe {
             base: 0,
         }
     }
+
+    /// The nonce of attempt `k`, leaving at `at_ms` on its sender's clock:
+    /// a pure function of the packet — kind, sender, claimed source,
+    /// destination, attempt number and send instant — so which path a
+    /// per-packet load balancer gives it, and whether it is lost, never
+    /// depends on what else was sent.
+    fn nonce(&self, k: u32, at_ms: f64) -> u64 {
+        let sender = self.spoof_vp.unwrap_or(self.claimed);
+        let [sender, claimed, dst] = [sender, self.claimed, self.dst].map(|a| u64::from(a.0));
+        let from = mix3(self.kind as u64, sender, claimed);
+        mix3(from, mix2(dst, u64::from(self.base + k)), at_ms.to_bits())
+    }
 }
 
 /// Probe issuance facade.
@@ -321,7 +341,6 @@ pub struct Prober<'s> {
     cache: Arc<MeasurementCache>,
     use_cache: bool,
     retry: RetryPolicy,
-    nonce: Arc<AtomicU64>,
     telemetry: Telemetry,
 }
 
@@ -335,7 +354,6 @@ impl<'s> Prober<'s> {
             cache: Arc::new(MeasurementCache::new()),
             use_cache: true,
             retry: RetryPolicy::default(),
-            nonce: Arc::new(AtomicU64::new(1)),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -457,8 +475,10 @@ impl<'s> Prober<'s> {
         &self.telemetry
     }
 
-    fn next_nonce(&self) -> u64 {
-        self.nonce.fetch_add(1, Ordering::Relaxed)
+    /// The throw-away meter a meterless wrapper charges: its clock starts
+    /// at the shared clock's reading, so its probes leave at that instant.
+    fn meterless(&self) -> Meter {
+        Meter::at(self.clock.now_ms())
     }
 
     /// Charge `ms` of virtual time, to the shared clock and to `m`.
@@ -485,18 +505,23 @@ impl<'s> Prober<'s> {
         self.advance(m, reply_rtt.unwrap_or(PROBE_TIMEOUT_MS));
     }
 
-    /// Draw the fault fate of one probe attempt toward `dst` sent at
-    /// virtual instant `sent_ms` (spoofed attempts also pass the sending VP
-    /// for the flap check). The instant is what the destination's ICMP
-    /// token bucket refills to; it is read only when faults are active.
-    /// Consumes a nonce — and takes any lock — only when faults are
-    /// active, so fault-free runs stay bit-identical to pre-fault builds.
-    fn fault_lost(&self, spoof_vp: Option<Addr>, dst: Addr, sent_ms: impl FnOnce() -> f64) -> bool {
+    /// Draw the fault fate of one probe attempt toward `dst` under
+    /// `nonce`, sent at virtual instant `sent_ms` on the shared clock
+    /// (spoofed attempts also pass the sending VP for the flap check). The
+    /// instant is what the destination's ICMP token bucket refills to; it
+    /// is read — and any lock taken — only when faults are active.
+    fn fault_lost(
+        &self,
+        spoof_vp: Option<Addr>,
+        dst: Addr,
+        nonce: u64,
+        sent_ms: impl FnOnce() -> f64,
+    ) -> bool {
         let faults = self.sim.faults();
         if !faults.any_enabled() {
             return false;
         }
-        if faults.probe_lost(self.next_nonce()) {
+        if faults.probe_lost(nonce) {
             return true;
         }
         if let Some(vp) = spoof_vp {
@@ -513,8 +538,8 @@ impl<'s> Prober<'s> {
     /// Draw the adversarial-scenario fate of one *option-carrying* probe
     /// attempt (RR/TS ride the router slow path, which is where spoof
     /// filters and asymmetric rate limiters bite). Unlike [`Prober::fault_lost`]
-    /// this is pure in stable entity keys — it consumes no nonce and reads
-    /// no clock — so cache hit/miss patterns stay schedule-invariant and
+    /// this is pure in stable entity keys — it reads neither nonce nor
+    /// clock — so cache hit/miss patterns stay schedule-invariant and
     /// campaigns fingerprint identically across dispatch worker counts.
     fn scenario_lost(
         &self,
@@ -536,42 +561,54 @@ impl<'s> Prober<'s> {
             .scenario_rate_limited(dst, sender, spoof_vp.is_some(), u64::from(attempt))
     }
 
-    /// The attempt step: send attempt `k` of probe `p` at `sent_ms`. Count
-    /// the send, and the retry past the first attempt; draw its faults,
-    /// then — for the kinds that carry IP options — its scenario, as
-    /// attempt `p.base + k`. True if the attempt was lost: the loss is
-    /// counted here, its wait is the loop's to charge.
-    fn attempt_lost(&self, m: &mut Meter, p: Probe, k: u32, sent_ms: impl FnOnce() -> f64) -> bool {
+    /// The attempt step: send attempt `k` of probe `p`, leaving at `at_ms`
+    /// on its sender's clock and at `sent_ms` on the shared one. Count the
+    /// send, and the retry past the first attempt; draw its faults under
+    /// its nonce ([`Probe::nonce`]), then — for the kinds that carry IP
+    /// options — its scenario, as attempt `p.base + k`. Returns the nonce
+    /// if the attempt got through, for its send to route under; `None` if
+    /// it was lost: the loss is counted here, its wait is the loop's to
+    /// charge.
+    fn attempt(
+        &self,
+        m: &mut Meter,
+        p: Probe,
+        k: u32,
+        at_ms: f64,
+        sent_ms: impl FnOnce() -> f64,
+    ) -> Option<u64> {
         if k > 0 {
             self.count(m, ProbeKind::Retries, 1);
             self.telemetry.counter_add("probing.retries", 1);
         }
         self.count(m, p.kind, 1);
+        let nonce = p.nonce(k, at_ms);
         let options = !matches!(p.kind, ProbeKind::Ping | ProbeKind::Traceroutes);
-        let lost = self.fault_lost(p.spoof_vp, p.dst, sent_ms)
+        let lost = self.fault_lost(p.spoof_vp, p.dst, nonce, sent_ms)
             || (options && self.scenario_lost(p.spoof_vp, p.claimed, p.dst, p.base + k));
         if lost {
             self.count(m, ProbeKind::Lost, 1);
             self.telemetry.counter_add("probing.fault_lost", 1);
+            return None;
         }
-        lost
+        Some(nonce)
     }
 
     /// The chain loop: send probe `p` until an attempt gets through or the
     /// budget runs out, each lost attempt waiting the kind's timeout. A
     /// serial chain (`round_start` `None`) charges each wait as it happens
-    /// and sends the next attempt at the clock's new reading; a round
-    /// member's chain charges nothing and sends attempt `k` at
-    /// `round_start` plus the waits before it. `send` sends the attempt
-    /// that got through and charges its own outcome. Returns what `send`
-    /// returned (`None`: every attempt was lost) and the time the chain
-    /// waited on lost attempts.
+    /// and sends the next attempt at its meter's and the shared clock's new
+    /// readings; a round member's chain charges nothing and sends attempt
+    /// `k` at `round_start` plus the waits before it. `send` sends the
+    /// attempt that got through, under that attempt's nonce, and charges
+    /// its own outcome. Returns what `send` returned (`None`: every attempt
+    /// was lost) and the time the chain waited on lost attempts.
     fn chain<R>(
         &self,
         m: &mut Meter,
         p: Probe,
         round_start: Option<f64>,
-        send: impl FnOnce(&mut Meter) -> R,
+        send: impl FnOnce(&mut Meter, u64) -> R,
     ) -> (Option<R>, f64) {
         let timeout_ms = match p.kind {
             ProbeKind::Traceroutes => TRACEROUTE_TIMEOUT_MS,
@@ -579,9 +616,10 @@ impl<'s> Prober<'s> {
         };
         let mut waited_ms = 0.0;
         for k in 0..self.retry.attempts {
-            let sent_ms = || round_start.map_or_else(|| self.clock.now_ms(), |t| t + waited_ms);
-            if !self.attempt_lost(m, p, k, sent_ms) {
-                return (Some(send(m)), waited_ms);
+            let at_ms = round_start.map_or(m.ms, |t| t + waited_ms);
+            let sent_ms = || round_start.map_or_else(|| self.clock.now_ms(), |_| at_ms);
+            if let Some(nonce) = self.attempt(m, p, k, at_ms, sent_ms) {
+                return (Some(send(m, nonce)), waited_ms);
             }
             waited_ms += timeout_ms;
             if round_start.is_none() {
@@ -595,23 +633,25 @@ impl<'s> Prober<'s> {
     /// The collection loop: send spoofed probes in rounds until every pair
     /// got through or the budget runs out. `lost[i]` marks pair `i` as
     /// still to send (probe `probe(i)`); each round sends one attempt per
-    /// marked pair, in order, clearing the mark of — and calling `send`
-    /// for — each that got through, then charges one
-    /// [`SPOOF_BATCH_TIMEOUT_MS`]. Marks left standing ran out of budget.
-    /// Returns the rounds charged.
+    /// marked pair, in order, at the meter's reading, clearing the mark of
+    /// — and calling `send` for — each that got through, under its nonce,
+    /// then charges one [`SPOOF_BATCH_TIMEOUT_MS`]. Marks left standing ran
+    /// out of budget. Returns the rounds charged.
     fn collect(
         &self,
         m: &mut Meter,
         lost: &mut [bool],
         probe: impl Fn(usize) -> Probe,
-        mut send: impl FnMut(&mut Meter, usize),
+        mut send: impl FnMut(&mut Meter, usize, u64),
     ) -> u32 {
         let mut rounds = 0;
+        let now = || self.clock.now_ms();
         while rounds < self.retry.attempts && lost.contains(&true) {
-            for (i, marked) in lost.iter_mut().enumerate() {
-                if *marked && !self.attempt_lost(m, probe(i), rounds, || self.clock.now_ms()) {
+            let at_ms = m.ms;
+            for (i, marked) in lost.iter_mut().enumerate().filter(|(_, marked)| **marked) {
+                if let Some(nonce) = self.attempt(m, probe(i), rounds, at_ms, now) {
                     *marked = false;
-                    send(m, i);
+                    send(m, i, nonce);
                 }
             }
             rounds += 1;
@@ -624,13 +664,13 @@ impl<'s> Prober<'s> {
 
     /// Plain ping, retrying fault-lost attempts within budget.
     pub fn ping(&self, src: Addr, dst: Addr) -> Option<EchoReply> {
-        self.ping_metered(&mut Meter::default(), src, dst)
+        self.ping_metered(&mut self.meterless(), src, dst)
     }
 
     /// [`Prober::ping`], charged to the caller's meter.
     pub fn ping_metered(&self, m: &mut Meter, src: Addr, dst: Addr) -> Option<EchoReply> {
         let p = Probe::new(ProbeKind::Ping, None, src, dst);
-        let (r, _) = self.chain(m, p, None, |m| {
+        let (r, _) = self.chain(m, p, None, |m, _| {
             let r = self.sim.ping(src, dst);
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             r
@@ -644,7 +684,7 @@ impl<'s> Prober<'s> {
     /// caching is enabled. Collapses [`Prober::rr_ping_observed`]'s loss
     /// attribution and provenance.
     pub fn rr_ping(&self, src: Addr, dst: Addr) -> Option<RrReply> {
-        self.rr_ping_observed(&mut Meter::default(), src, dst)
+        self.rr_ping_observed(&mut self.meterless(), src, dst)
             .ok()
             .map(|(r, _)| r)
     }
@@ -667,8 +707,9 @@ impl<'s> Prober<'s> {
         if let Some(hit) = self.rr_lookup(key) {
             return hit.ok_or(ProbeLoss::Unanswered);
         }
-        let (kept, _) = self.chain(m, Probe::new(ProbeKind::Rr, None, src, dst), None, |m| {
-            let ex = self.rr_exchange(key);
+        let p = Probe::new(ProbeKind::Rr, None, src, dst);
+        let (kept, _) = self.chain(m, p, None, |m, nonce| {
+            let ex = self.rr_exchange(key, nonce);
             // Charge, then keep: the put stamps the sim's hour, which the
             // charge can move forward.
             self.charge(m, ex.reply.as_ref().map(|x| x.rtt_ms));
@@ -688,12 +729,11 @@ impl<'s> Prober<'s> {
         Some(RrProvenance::observed(key, hit, true))
     }
 
-    /// One live Record Route exchange for `key`: a fresh nonce, the churn
-    /// epochs of the (destination, claimed source) prefixes — read right
-    /// before the send, since a charge can flush virtual hours into the sim
-    /// and bump them — and the reply.
-    fn rr_exchange(&self, key: RrKey) -> CachedRr {
-        let nonce = self.next_nonce();
+    /// One live Record Route exchange for `key` under `nonce`: the nonce,
+    /// the churn epochs of the (destination, claimed source) prefixes —
+    /// read right before the send, since a charge can flush virtual hours
+    /// into the sim and bump them — and the reply.
+    fn rr_exchange(&self, key: RrKey, nonce: u64) -> CachedRr {
         let epoch = |a| self.sim.host_prefix(a).map(|p| self.sim.prefix_epoch(p));
         let (fwd_epoch, rep_epoch) = (epoch(key.dst), epoch(key.claimed));
         CachedRr {
@@ -750,7 +790,7 @@ impl<'s> Prober<'s> {
     /// An empty or fully cached batch costs nothing.
     pub fn spoofed_rr_batch(&self, pairs: &[(Addr, Addr)], claimed: Addr) -> BatchReply {
         let mut out = BatchReply::default();
-        self.spoofed_rr_batch_at(&mut Meter::default(), pairs, claimed, &[], &mut out);
+        self.spoofed_rr_batch_at(&mut self.meterless(), pairs, claimed, &[], &mut out);
         out
     }
 
@@ -800,8 +840,8 @@ impl<'s> Prober<'s> {
             base: attempt_base.get(i).copied().unwrap_or(0),
             ..Probe::new(ProbeKind::SpoofRr, Some(pairs[i].0), claimed, pairs[i].1)
         };
-        *timeouts = self.collect(m, transient, probe, |m, i| {
-            replies[i] = self.rr_keep(m, key(i), self.rr_exchange(key(i)));
+        *timeouts = self.collect(m, transient, probe, |m, i, nonce| {
+            replies[i] = self.rr_keep(m, key(i), self.rr_exchange(key(i), nonce));
         });
         if self.telemetry.is_enabled() && n > 0 {
             self.telemetry
@@ -822,10 +862,9 @@ impl<'s> Prober<'s> {
         dst: Addr,
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
-        let (r, _) = self.chain(m, Probe::new(ProbeKind::Ts, None, src, dst), None, |m| {
-            let r = self
-                .sim
-                .ts_ping_from(src, src, dst, prespec, self.next_nonce());
+        let p = Probe::new(ProbeKind::Ts, None, src, dst);
+        let (r, _) = self.chain(m, p, None, |m, nonce| {
+            let r = self.sim.ts_ping_from(src, src, dst, prespec, nonce);
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             r
         });
@@ -854,11 +893,7 @@ impl<'s> Prober<'s> {
             m,
             &mut [true],
             |_| p,
-            |_, _| {
-                reply = self
-                    .sim
-                    .ts_ping_from(vp, claimed, dst, prespec, self.next_nonce());
-            },
+            |_, _, nonce| reply = self.sim.ts_ping_from(vp, claimed, dst, prespec, nonce),
         );
         reply
     }
@@ -867,7 +902,7 @@ impl<'s> Prober<'s> {
 
     /// The Paris flow id every TTL probe from `src` to `dst` carries.
     pub fn paris_flow(src: Addr, dst: Addr) -> u16 {
-        (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16
+        (mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16
     }
 
     /// A full (Paris) traceroute, TTL 1 upward, serial on the shared
@@ -875,7 +910,7 @@ impl<'s> Prober<'s> {
     /// [`Round::traceroute`] instead.
     pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
         let p = Probe::new(ProbeKind::Traceroutes, None, src, dst);
-        let (r, _) = self.chain(&mut Meter::default(), p, None, |m| {
+        let (r, _) = self.chain(&mut self.meterless(), p, None, |m, _| {
             let (r, ms) = self.trace_once(m, src, dst);
             self.advance(m, ms);
             r
@@ -919,7 +954,7 @@ impl<'s> Prober<'s> {
         }
         let flow = Self::paris_flow(src, cur);
         let p = Probe::new(ProbeKind::Traceroutes, None, src, cur);
-        let (r, _) = self.chain(m, p, None, |m| {
+        let (r, _) = self.chain(m, p, None, |m, _| {
             let measured = self.sim.ttl_view(src, cur, flow).map(|mut view| {
                 let link = LastLink::sweep(&mut view, cur, hint);
                 let pkts = view.packets();
@@ -1033,14 +1068,14 @@ impl Round<'_, '_> {
     /// round, so attempt `k` draws its faults at the round's start plus
     /// `after_ms` plus the timeouts the chain has waited, and an ICMP
     /// token bucket refills between its retries. `send` sends the attempt
-    /// that got through and returns it with its outcome's time. Returns
-    /// what `send` returned (`None`: every attempt was lost) and the
-    /// chain's length: its waits, then the outcome's time.
+    /// that got through, under its nonce, and returns it with its outcome's
+    /// time. Returns what `send` returned (`None`: every attempt was lost)
+    /// and the chain's length: its waits, then the outcome's time.
     fn member<R>(
         &mut self,
         after_ms: f64,
         p: Probe,
-        send: impl FnOnce(&mut Meter) -> (R, f64),
+        send: impl FnOnce(&mut Meter, u64) -> (R, f64),
     ) -> (Option<R>, f64) {
         let start = Some(self.start_ms + after_ms);
         let (r, waited_ms) = self.prober.chain(&mut Meter::default(), p, start, send);
@@ -1056,7 +1091,7 @@ impl Round<'_, '_> {
     pub fn ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> (Option<EchoReply>, f64) {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Ping, None, src, dst);
-        let (r, chain_ms) = self.member(after_ms, probe, |_| {
+        let (r, chain_ms) = self.member(after_ms, probe, |_, _| {
             let r = p.sim.ping(src, dst);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
@@ -1066,8 +1101,9 @@ impl Round<'_, '_> {
 
     /// One survey RR ping, sent `after_ms` into the round (when its
     /// destination's scan ping answered): the probe [`Prober::rr_ping`]
-    /// sends on a cache-disabled handle — same fault and scenario draws,
-    /// nonce and counters — but never near the measurement cache (a
+    /// sends on a cache-disabled handle — same counters, same fault and
+    /// scenario draws, and the nonce that probe would carry if it left at
+    /// this member's instant — but never near the measurement cache (a
     /// VP→scan-destination ping is one no measurement re-issues), with no
     /// replay provenance (nothing audits the survey), and, in a
     /// [`Prober::survey_round`], lending the survey's sink trees to the two
@@ -1080,8 +1116,8 @@ impl Round<'_, '_> {
             Some(t) => t.lend(src, dst),
             None => (None, None),
         };
-        let (r, _) = self.member(after_ms, probe, |_| {
-            let r = p.sim.rr_ping_lent(src, dst, p.next_nonce(), forward, reply);
+        let (r, _) = self.member(after_ms, probe, |_, nonce| {
+            let r = p.sim.rr_ping_lent(src, dst, nonce, forward, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
@@ -1100,7 +1136,7 @@ impl Round<'_, '_> {
     pub fn traceroute(&mut self, src: Addr, dst: Addr) -> (Option<TraceResult>, f64) {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Traceroutes, None, src, dst);
-        let (r, chain_ms) = self.member(0.0, probe, |m| p.trace_once(m, src, dst));
+        let (r, chain_ms) = self.member(0.0, probe, |m, _| p.trace_once(m, src, dst));
         let mut trace = r.flatten();
         if let Some(t) = &mut trace {
             p.sim.scenario_poison_trace(src, dst, &mut t.hops);
@@ -1122,8 +1158,8 @@ impl Round<'_, '_> {
         let p = self.prober;
         let spoof_vp = (sender != claimed).then_some(sender);
         let probe = Probe::new(ProbeKind::AtlasRr, spoof_vp, claimed, dst);
-        let (r, _) = self.member(after_ms, probe, |_| {
-            let r = p.sim.rr_ping_from(sender, claimed, dst, p.next_nonce());
+        let (r, _) = self.member(after_ms, probe, |_, nonce| {
+            let r = p.sim.rr_ping_from(sender, claimed, dst, nonce);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
@@ -1334,6 +1370,52 @@ mod tests {
                 };
                 assert_eq!(replayed, *hit_prov);
             }
+        }
+    }
+
+    #[test]
+    fn a_metered_nonce_does_not_depend_on_what_else_was_sent() {
+        let s = sim();
+        let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
+        let nonce = |p: &Prober<'_>| {
+            let (_, prov) = p
+                .rr_ping_observed(&mut Meter::default(), vps[0], vps[1])
+                .expect("VPs answer RR");
+            prov.nonce
+        };
+        let fresh = Prober::new(&s).with_cache_enabled(false);
+        let busy = Prober::new(&s).with_cache_enabled(false);
+        for i in 0..300 {
+            let (src, dst) = (vps[i % vps.len()], vps[(i + 2) % vps.len()]);
+            busy.ping(src, dst);
+            busy.rr_ping(src, dst);
+        }
+        assert_eq!(busy.counters().snapshot().rr, 300);
+        assert_eq!(nonce(&busy), nonce(&fresh));
+    }
+
+    #[test]
+    fn repeated_meterless_batches_carry_new_nonces() {
+        // Appx. E's load-balancer exclusion re-probes one tuple and needs
+        // each repeat to route under a nonce of its own: the second batch
+        // leaves a collection timeout after the first, on the shared clock.
+        let s = sim();
+        let p = Prober::new(&s).with_cache_enabled(false);
+        let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
+        let pairs = [(vps[1], vps[2]), (vps[2], vps[1])];
+        let nonces = || -> Vec<u64> {
+            let b = p.spoofed_rr_batch(&pairs, vps[0]);
+            b.replies
+                .iter()
+                .flatten()
+                .map(|(_, prov)| prov.nonce)
+                .collect()
+        };
+        let (first, second) = (nonces(), nonces());
+        assert_eq!(first.len(), pairs.len(), "every pair answers");
+        assert_eq!(second.len(), pairs.len());
+        for (a, b) in first.iter().zip(&second) {
+            assert_ne!(a, b, "a repeated batch reused a nonce");
         }
     }
 

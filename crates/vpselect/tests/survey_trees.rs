@@ -145,9 +145,9 @@ fn era_2020_survey_is_pinned() {
         sim.route_computes(),
     );
     let want = (
-        0x686b_a41a_0f51_db4d,
-        0x414f_b649_8b92_989d,
-        0x3ff2_6c8e_145d_57ee,
+        0xbfb6_5524_21e7_3dda,
+        0x414f_b652_9fb2_1aa4,
+        0x3ff2_6c93_5e43_b2b2,
         Snapshot {
             ping: 5_371,
             rr: 594_512,

@@ -11,10 +11,19 @@
 //! never audited accuracy: both arms must still pass the stitch-trace
 //! audit with zero unsound verdicts.
 //!
-//! Load balancing and churn are disabled in every arm: both make probe
-//! replies depend on nonce-consumption order and virtual-time partitioning,
-//! which the transforms deliberately perturb. The properties under test
-//! are about the *engine*, not the simulator's stochastic layers.
+//! Churn and per-packet load balancing are disabled in every arm but one.
+//! Churn makes probe replies depend on how virtual time is partitioned
+//! across workers. Load balancing makes an option-carrying probe's path
+//! depend on its nonce, a pure function of the packet (kind, endpoints,
+//! attempt, send instant on its sender's clock): the transforms that
+//! change what a request sends (cache toggle, retries, VP order) re-roll
+//! paths, and with the measurement cache on, a hit replays whichever
+//! request measured the key first, so the schedule picks the reply. The
+//! properties under test are about the *engine*, not the simulator's
+//! stochastic layers. The one load-balanced arm
+//! (`load_balanced_requests_are_width_invariant_without_the_cache`) turns
+//! the cache off and holds every request of a campaign to the result,
+//! probe count and duration a serial `measure()` gives it, at every width.
 
 use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::audit::Auditor;
@@ -40,7 +49,9 @@ fn fingerprint(r: &revtr_suite::revtr::RevtrResult) -> Fingerprint {
 
 /// Deterministic base simulator: no churn (virtual-time partitioning
 /// across workers would move epoch flushes) and no per-packet load
-/// balancing (retries and cache misses would re-roll paths).
+/// balancing (a transform that changes what a request sends — the cache
+/// toggle, retries, VP order — would re-roll its probes' paths, and a
+/// cache hit replays whichever request measured the key first).
 fn base_cfg() -> SimConfig {
     let mut cfg = SimConfig::tiny();
     cfg.behavior.churn_per_hour = 0.0;
@@ -160,7 +171,7 @@ fn run_with_prober(sim: &Sim, prober: Prober<'_>, workers: usize) -> Vec<Fingerp
 /// Run the baseline workload as one campaign `workers` wide, returning
 /// fingerprints in input order plus the outcome's own accounting.
 fn run_campaign_arm(sim: &Sim, workers: usize) -> (Vec<Fingerprint>, u64) {
-    let (sys, _, src, dests) = stop_set_system(sim, false);
+    let (sys, _, src, dests) = stop_set_system(sim, false, true);
     let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
     let outcome = sys
         .run_campaign(&pairs, LoopConfig { workers })
@@ -249,8 +260,8 @@ fn measure_is_a_one_pair_campaign() {
     // agree.
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
-        let (serial, _, src, dests) = stop_set_system(&sim, true);
-        let (campaign, _, _, _) = stop_set_system(&sim, true);
+        let (serial, _, src, dests) = stop_set_system(&sim, true, true);
+        let (campaign, _, _, _) = stop_set_system(&sim, true, true);
         for &d in &dests {
             let m = serial.measure(d, src);
             let mut c = campaign
@@ -271,6 +282,46 @@ fn measure_is_a_one_pair_campaign() {
             campaign.stopset().stats(),
             "stop-set state diverged (seed {seed})"
         );
+    }
+}
+
+#[test]
+fn load_balanced_requests_are_width_invariant_without_the_cache() {
+    // Every router balances option-carrying packets on their nonce, and a
+    // nonce is a function of the packet and its instant on the request's
+    // meter, never of what other requests sent. So with the measurement
+    // cache off (a hit would replay whichever request measured the key
+    // first) every request of a campaign stitches, costs and lasts exactly
+    // what a serial `measure()` gives it, at any width. Widths 4
+    // and 16 clamp to the host's cores (two on the reference host), so on
+    // a small host they re-run its widest pool. At the tiny world's
+    // default share of balancing routers (0.04) the arm is too weak to
+    // catch a nonce that depends on other requests' sends, so every router
+    // balances here.
+    for seed in SEEDS {
+        let mut cfg = base_cfg();
+        cfg.behavior.router_load_balancer = 1.0;
+        let sim = Sim::build(cfg, seed);
+        let (serial, _, src, dests) = stop_set_system(&sim, false, false);
+        let base: Vec<_> = dests.iter().map(|&d| serial.measure(d, src)).collect();
+        let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
+        for workers in [1usize, 2, 4, 16] {
+            let (sys, _, _, _) = stop_set_system(&sim, false, false);
+            let outcome = sys
+                .run_campaign(&pairs, LoopConfig { workers })
+                .expect("no task panicked");
+            assert_eq!(outcome.results.len(), base.len());
+            for (i, (m, c)) in base.iter().zip(&outcome.results).enumerate() {
+                let at = format!("seed {seed}, w{workers}, request {i}");
+                assert_eq!(fingerprint(m), fingerprint(c), "{at}");
+                assert_eq!(m.stats.probes, c.stats.probes, "{at}");
+                assert_eq!(
+                    m.stats.duration_s.to_bits(),
+                    c.stats.duration_s.to_bits(),
+                    "{at}"
+                );
+            }
+        }
     }
 }
 
@@ -655,11 +706,13 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
     }
 }
 
-/// Build a campaign system with the stop sets toggled, returning it with
-/// a counter-sharing prober clone and the baseline workload.
+/// Build a campaign system with the stop sets and the measurement cache
+/// toggled, returning it with a counter-sharing prober clone and the
+/// baseline workload.
 fn stop_set_system<'s>(
     sim: &'s Sim,
     use_stop_sets: bool,
+    use_cache: bool,
 ) -> (RevtrSystem<'s>, Prober<'s>, Addr, Vec<Addr>) {
     let prober = Prober::new(sim);
     let shared = prober.clone();
@@ -670,6 +723,7 @@ fn stop_set_system<'s>(
     let mut cfg = EngineConfig::revtr2();
     cfg.atlas_size = pool.len();
     cfg.use_stop_sets = use_stop_sets;
+    cfg.use_cache = use_cache;
     let sys = RevtrSystem::new(prober, cfg, vps, ingress, pool);
     let (src, dests) = workload(sim, 24);
     sys.register_source(src);
@@ -688,7 +742,7 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
     // across {1, 4, 16} workers cannot leak into the published view.
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
-        let (off_sys, off_probes, src, dests) = stop_set_system(&sim, false);
+        let (off_sys, off_probes, src, dests) = stop_set_system(&sim, false, true);
         let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
         let off = off_sys
             .run_campaign(&pairs, LoopConfig::default())
@@ -702,7 +756,7 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
         let off_atlas_rr = off_probes.counters().snapshot().atlas_rr;
 
         for workers in [1usize, 4, 16] {
-            let (on_sys, on_probes, on_src, on_dests) = stop_set_system(&sim, true);
+            let (on_sys, on_probes, on_src, on_dests) = stop_set_system(&sim, true, true);
             assert_eq!(
                 (on_src, &on_dests),
                 (src, &dests),
@@ -736,7 +790,7 @@ fn stop_set_reuse_is_audit_sound_and_coverage_monotone() {
     let complete = |fps: &[Fingerprint]| fps.iter().filter(|(s, _)| *s == Status::Complete).count();
     for seed in SEEDS {
         let sim = Sim::build(base_cfg(), seed);
-        let (sys, _probes, src, dests) = stop_set_system(&sim, true);
+        let (sys, _probes, src, dests) = stop_set_system(&sim, true, true);
         let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
         let lc = || LoopConfig { workers: 4 };
         let first = sys.run_campaign(&pairs, lc()).expect("no task panicked");
