@@ -240,13 +240,19 @@ cargo test -q --release -p revtr-eval --test reproduction -- --ignored
 echo "== metrics golden gate (release, standard seed 42) =="
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+echo "== cargo clippy --workspace --all-targets -- -D warnings (disallowed methods and types) =="
 # -D clippy::disallowed-methods enforces clippy.toml: no wall-clock
 # sleeps, no free thread spawns (campaign workers are scoped threads).
+# -D clippy::disallowed-types keeps std's randomly keyed HashMap/HashSet
+# out of every crate and target: a hash container is a
+# revtr_telemetry::{WordMap, WordSet} (crates/telemetry/src/registry.rs,
+# re-exported by revtr_probing), whose two definitions carry the
+# workspace's only #[allow(clippy::disallowed_types)].
 # --workspace lints every crate, so each library's
 # `#![warn(unreachable_pub)]` fails the gate: a `pub` item that nothing
 # outside its crate can reach must say `pub(crate)`.
-cargo clippy --workspace --all-targets -- -D warnings -D clippy::disallowed-methods
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::disallowed-methods \
+  -D clippy::disallowed-types
 
 # The audit crate is the arbiter of everyone else's soundness, and the
 # telemetry crate sits inside every hot path: both are additionally held
@@ -294,22 +300,6 @@ done | grep -vE '^[^:]+:[0-9]+: *//' \
 if [ -n "$reads" ]; then
   echo "$reads"
   echo "simulator read in the request plane: read the world through a Prober deployment read"; exit 1
-fi
-
-# ...and keys every hash container with a fixed-key hasher: a std
-# `HashMap`/`HashSet` draws per-process random keys, and once its
-# iteration order reaches a tie-break or a first-wins choice, two identical
-# runs disagree. The library code of the request plane and the datasets it
-# reads (each file up to its first `#[cfg(test)]`) names no hash container
-# without `WordHasher` and calls none of the std containers' RandomState-only
-# constructors (`new`, `with_capacity`; build one with `default()`).
-echo "== fixed-key hashers in the request plane (crates/{core,probing,vpselect,atlas,service,aliasing}/src, non-test code) =="
-hashed=$(for f in $(find crates/{core,probing,vpselect,atlas,service,aliasing}/src -name '*.rs' | sort); do
-  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
-done | awk '(/Hash(Map|Set)</ && !/WordHasher/) || /Hash(Map|Set)::(new|with_capacity)\(/' || true)
-if [ -n "$hashed" ]; then
-  echo "$hashed"
-  echo "std hasher in the request plane: key it with BuildHasherDefault<WordHasher>"; exit 1
 fi
 
 # ...and sends every probe through one attempt step, driven by one of two

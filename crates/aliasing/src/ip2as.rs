@@ -12,9 +12,7 @@
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::topology::LinkKind;
 use revtr_netsim::{Addr, AsId, Sim};
-use revtr_probing::{Prober, WordHasher};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use revtr_probing::{Prober, WordMap};
 
 /// Fraction of interdomain interfaces whose true ownership is published in
 /// the PeeringDB/EuroIX-like dataset (the paper's mapping prioritizes
@@ -32,7 +30,7 @@ pub struct Ip2As {
     /// of interdomain interfaces (the customer side of provider-numbered
     /// /30s — exactly where the registry is wrong). Only looked up by
     /// address, so its order never escapes.
-    ix_data: HashMap<Addr, AsId, BuildHasherDefault<WordHasher>>,
+    ix_data: WordMap<Addr, AsId>,
 }
 
 impl Ip2As {
@@ -63,7 +61,7 @@ impl Ip2As {
     /// published interconnection data.
     pub fn with_ix_coverage(sim: &Sim, coverage: f64) -> Ip2As {
         let topo = sim.topo();
-        let mut ix_data = HashMap::default();
+        let mut ix_data = WordMap::default();
         if coverage > 0.0 {
             for l in &topo.links {
                 if l.kind != LinkKind::Inter {

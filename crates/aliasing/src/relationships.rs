@@ -8,9 +8,7 @@
 
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{AsId, Rel, Sim};
-use revtr_probing::{Prober, WordHasher};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use revtr_probing::{Prober, WordMap};
 
 /// Default fraction of true relationships present in the dataset.
 pub const DEFAULT_COVERAGE: f64 = 0.90;
@@ -27,7 +25,7 @@ pub struct RelationshipDb {
     /// (a, b) → b's relationship to a, for known pairs (both orders stored).
     /// Only looked up by key, so its order never escapes; a fixed-key
     /// hasher leaves no per-process state in it either way.
-    rels: HashMap<(AsId, AsId), Rel, BuildHasherDefault<WordHasher>>,
+    rels: WordMap<(AsId, AsId), Rel>,
     /// Customer cone sizes computed over *known* customer edges.
     cone: Vec<usize>,
     /// Known providers per AS.
@@ -40,7 +38,7 @@ impl RelationshipDb {
     pub fn build(sim: &Sim, coverage: f64) -> RelationshipDb {
         let topo = sim.topo();
         let n = topo.ases.len();
-        let mut rels = HashMap::default();
+        let mut rels = WordMap::default();
         let mut providers: Vec<Vec<AsId>> = vec![Vec::new(); n];
         let mut customers: Vec<Vec<AsId>> = vec![Vec::new(); n];
         for a in &topo.ases {

@@ -21,9 +21,7 @@
 use parking_lot::RwLock;
 use revtr_netsim::hash::{chance, mix3};
 use revtr_netsim::{Addr, Sim};
-use revtr_probing::{Prober, WordHasher};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use revtr_probing::{Prober, WordMap};
 
 /// Fraction of routers whose IP-ID behaviour lets MIDAR cluster them.
 pub const MIDAR_ROUTER_COVERAGE: f64 = 0.55;
@@ -36,7 +34,7 @@ pub struct AliasResolver<'s> {
     sim: &'s Sim,
     /// SNMPv3 answers already probed. Only looked up by address (an
     /// answer is a pure function of it), so its order never escapes.
-    snmp_cache: RwLock<HashMap<Addr, Option<u64>, BuildHasherDefault<WordHasher>>>,
+    snmp_cache: RwLock<WordMap<Addr, Option<u64>>>,
 }
 
 impl<'s> AliasResolver<'s> {
@@ -44,7 +42,7 @@ impl<'s> AliasResolver<'s> {
     pub fn new(sim: &'s Sim) -> AliasResolver<'s> {
         AliasResolver {
             sim,
-            snmp_cache: RwLock::new(HashMap::default()),
+            snmp_cache: RwLock::new(WordMap::default()),
         }
     }
 

@@ -20,14 +20,12 @@
 
 use revtr_aliasing::AliasResolver;
 use revtr_netsim::Addr;
-use revtr_probing::{Prober, Round, StopSet, WordHasher};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use revtr_probing::{Prober, Round, StopSet, WordMap};
 
 /// The intersection index, keyed by simulated addresses. Its order never
 /// escapes: `indexed_addrs`' one order-sensitive reader (`alias_index_for`
 /// in `core`) keeps the lowest `(trace, hop)` per alias id.
-type Index = HashMap<Addr, (Intersection, Priority), BuildHasherDefault<WordHasher>>;
+type Index = WordMap<Addr, (Intersection, Priority)>;
 
 /// Where an address intersects the atlas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -193,15 +193,15 @@ impl Ladder {
 }
 
 /// What this module replaced, kept as the oracle of the differential test
-/// below: the `HashSet`-clone novelty filter.
+/// below: the set-clone novelty filter.
 #[cfg(test)]
 pub(crate) mod reference {
     use revtr_netsim::Addr;
-    use std::collections::HashSet;
+    use revtr_probing::WordSet;
 
     /// The hops of `hops` not already on the path, first occurrence order,
     /// deduplicated.
-    pub(crate) fn novel(path_set: &HashSet<Addr>, hops: &[Addr]) -> Vec<Addr> {
+    pub(crate) fn novel(path_set: &WordSet<Addr>, hops: &[Addr]) -> Vec<Addr> {
         let mut out = Vec::new();
         let mut seen = path_set.clone();
         for &h in hops {
@@ -220,8 +220,8 @@ mod tests {
     use crate::result::Evidence;
     use proptest::prelude::*;
     use revtr_netsim::hash::mix3;
+    use revtr_probing::WordSet;
     use revtr_vpselect::IngressInfo;
-    use std::collections::HashSet;
 
     fn a(n: u32) -> Addr {
         Addr(0x0B00_0000 + n)
@@ -238,7 +238,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
         /// The scan over the path's own hops keeps exactly what the
-        /// cloned-`HashSet` filter kept, in the same order.
+        /// cloned-set filter kept, in the same order.
         #[test]
         fn novel_matches_the_hashset_clone_reference(
             path in proptest::collection::vec(0u32..40, 0..65),
@@ -254,7 +254,7 @@ mod tests {
                 .map(|(i, &n)| (stars >> (i % 64) & 1 == 0 || n % 3 != 0).then(|| a(n)))
                 .collect();
             let hops: Vec<Addr> = hops.into_iter().map(a).collect();
-            let set: HashSet<Addr> = path.iter().flatten().copied().collect();
+            let set: WordSet<Addr> = path.iter().flatten().copied().collect();
             let got = novel(&path_of(&path), &hops);
             prop_assert_eq!(&got[..], &reference::novel(&set, &hops)[..]);
             for &h in &hops {
@@ -268,7 +268,7 @@ mod tests {
     /// — with no queue drawn — a ranking.
     fn plan_of(queues: Vec<Vec<u32>>, ranking: Vec<u32>) -> (Vec<IngressInfo>, Vec<Addr>) {
         let dedup = |q: Vec<u32>| {
-            let mut seen = HashSet::new();
+            let mut seen = WordSet::default();
             q.into_iter()
                 .filter(|&n| seen.insert(n))
                 .map(a)

@@ -26,11 +26,9 @@ use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, AsId, PrefixId, RrSlots};
 use revtr_probing::{
     LastLink, Meter, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken,
-    StopSet, WordHasher,
+    StopSet, WordMap,
 };
 use revtr_vpselect::{IngressDb, PlanView};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock};
 
 /// Extract reverse hops from an RR reply to `dst`: the slots after the
@@ -53,14 +51,9 @@ pub fn extract_reverse_hops(slots: &[Addr], dst: Addr) -> Option<&[Addr]> {
     Some(&slots[pos + 1..])
 }
 
-/// A table the system only looks up by key (or folds in an order-free
-/// way): keys are simulated addresses and ids, hashed a word at a time
-/// with a fixed key, so no per-process random state exists to leak.
-type Table<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
 /// Ark-style adjacency dataset: address → neighbouring addresses. Looked
 /// up only.
-type AdjacencyDb = Table<Addr, Vec<Addr>>;
+type AdjacencyDb = WordMap<Addr, Vec<Addr>>;
 
 /// The symmetry step's decision inputs (recorded as stitch evidence).
 pub(crate) struct SymmetryDecision {
@@ -173,20 +166,20 @@ pub struct RevtrSystem<'s> {
     atlas_pool: Vec<Addr>,
     /// Per-source atlas. Its walks sum byte ledgers, union adjacencies
     /// into sorted lists and list sources sorted: no order escapes.
-    atlases: RwLock<Table<Addr, Arc<SourceAtlas>>>,
+    atlases: RwLock<WordMap<Addr, Arc<SourceAtlas>>>,
     /// Per-source: alias cluster id → intersection (revtr 1.0's Q2).
     /// Looked up only; built keeping the lowest `(trace, hop)` per id.
-    alias_index: RwLock<Table<Addr, Arc<Table<u64, Intersection>>>>,
+    alias_index: RwLock<WordMap<Addr, Arc<WordMap<u64, Intersection>>>>,
     adjacency: RwLock<Option<Arc<AdjacencyDb>>>,
     /// Extra adjacencies injected by the caller (the Fig. 5b / Appx. D.1
     /// "ground truth adjacencies" experiment feeds oracle data here).
     extra_adjacency: RwLock<AdjacencyDb>,
     /// (source, trace) → times intersected, for the refresh policy.
     /// Looked up, bumped and pruned by source: never walked in order.
-    usage: Mutex<Table<(Addr, usize), u64>>,
+    usage: Mutex<WordMap<(Addr, usize), u64>>,
     /// Per-source refresh generation (selects new random atlas probes).
     /// Looked up only.
-    generation: Mutex<Table<Addr, u64>>,
+    generation: Mutex<WordMap<Addr, u64>>,
     /// The campaign-wide probe-economy layer (consulted and fed only when
     /// [`EngineConfig::use_stop_sets`] is set).
     stopset: Arc<StopSet>,
@@ -363,18 +356,7 @@ impl<'s> RevtrSystem<'s> {
         if self.atlases.read().contains_key(&src) {
             return;
         }
-        let probes = self.pick_atlas_probes(src, &[]);
-        let atlas = Arc::new(SourceAtlas::build(
-            &self.prober,
-            &self.resolver,
-            src,
-            &probes,
-            self.cfg.use_rr_atlas,
-            self.cfg.use_stop_sets.then(|| &*self.stopset),
-        ));
-        self.atlases.write().insert(src, atlas);
-        self.alias_index.write().remove(&src);
-        self.adjacency.write().take();
+        self.install_atlas(src, &self.pick_atlas_probes(src, &[]));
     }
 
     /// Refresh a source's atlas (the daily cycle of Q1): traces that were
@@ -401,19 +383,26 @@ impl<'s> RevtrSystem<'s> {
             // discovery observations would defeat it.
             self.stopset.forward_clear_source(src);
         }
+        self.install_atlas(src, &probes);
+        let mut usage = self.usage.lock();
+        usage.retain(|(s, _), _| *s != src);
+    }
+
+    /// Build `src`'s atlas from `probes` and put it in place of any older
+    /// one, dropping what was derived from that: the source's alias index
+    /// and the adjacency dataset.
+    fn install_atlas(&self, src: Addr, probes: &[Addr]) {
         let atlas = Arc::new(SourceAtlas::build(
             &self.prober,
             &self.resolver,
             src,
-            &probes,
+            probes,
             self.cfg.use_rr_atlas,
             self.cfg.use_stop_sets.then(|| &*self.stopset),
         ));
         self.atlases.write().insert(src, atlas);
         self.alias_index.write().remove(&src);
         self.adjacency.write().take();
-        let mut usage = self.usage.lock();
-        usage.retain(|(s, _), _| *s != src);
     }
 
     /// The current atlas for a source (auto-registers on first use).
@@ -439,14 +428,14 @@ impl<'s> RevtrSystem<'s> {
 
     // ---- intersection (Q2) -----------------------------------------------------
 
-    fn alias_index_for(&self, src: Addr, atlas: &SourceAtlas) -> Arc<Table<u64, Intersection>> {
+    fn alias_index_for(&self, src: Addr, atlas: &SourceAtlas) -> Arc<WordMap<u64, Intersection>> {
         if let Some(m) = self.alias_index.read().get(&src) {
             return m.clone();
         }
         // An id seen at several atlas positions keeps the lowest
         // `(trace, hop)`: the atlas index is a hash table, so "the first
         // one walked" would follow its layout, not the atlas.
-        let mut m: Table<u64, Intersection> = Table::default();
+        let mut m: WordMap<u64, Intersection> = WordMap::default();
         for (addr, inter) in atlas.indexed_addrs() {
             for id in [self.resolver.snmp_id(addr), self.resolver.midar_id(addr)]
                 .into_iter()

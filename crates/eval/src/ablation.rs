@@ -181,7 +181,7 @@ mod tests {
     fn ladder_shapes_hold_on_smoke_scale() {
         let report = run(Scale::Smoke, 1);
         assert_eq!(report.rows.len(), 5);
-        let by_name: std::collections::HashMap<&str, &AblationRow> =
+        let by_name: revtr_telemetry::WordMap<&str, &AblationRow> =
             report.rows.iter().map(|r| (r.name.as_str(), r)).collect();
         let v1 = by_name["revtr 1.0"];
         let v2 = by_name["revtr 2.0"];

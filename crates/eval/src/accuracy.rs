@@ -22,7 +22,6 @@ use revtr::{extract_reverse_hops, EngineConfig, LoopConfig};
 use revtr_aliasing::{AliasResolver, Ip2As};
 use revtr_netsim::{Addr, AsId, TraceResult};
 use revtr_vpselect::Heuristics;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What one measured pair is compared against.
@@ -196,13 +195,12 @@ pub fn ground_truth_adjacency(scale: Scale, seed: u64) -> (String, usize, usize)
     let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
     let sys = ctx.build_system(prober, EngineConfig::revtr2_with_ts(), ingress);
     let oracle = ctx.sim.oracle();
-    let mut map = HashMap::new();
-    for l in &ctx.sim.topo().links {
-        for addr in [l.addr_a, l.addr_b] {
-            map.insert(addr, oracle.router_adjacencies(addr));
-        }
-    }
-    sys.set_extra_adjacencies(map);
+    let links = ctx.sim.topo().links.iter();
+    sys.set_extra_adjacencies(
+        links
+            .flat_map(|l| [l.addr_a, l.addr_b])
+            .map(|addr| (addr, oracle.router_adjacencies(addr))),
+    );
     let workload = ctx.workload();
     let results = (sys.run_campaign(&workload, LoopConfig { workers: 1 }))
         .expect("ground-truth adjacency campaign panicked")

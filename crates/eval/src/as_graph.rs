@@ -25,8 +25,8 @@ use crate::stats::fraction;
 use revtr::{EngineConfig, LoopConfig};
 use revtr_aliasing::Ip2As;
 use revtr_netsim::{Addr, AsId};
+use revtr_telemetry::WordSet;
 use revtr_vpselect::Heuristics;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Per-technique accumulators.
@@ -40,7 +40,7 @@ pub struct TechniqueGraph {
     /// completeness average).
     pub as_cover_per_source: Vec<usize>,
     /// Distinct ASes seen across all sources.
-    pub ases_seen: HashSet<AsId>,
+    pub ases_seen: WordSet<AsId>,
 }
 
 impl TechniqueGraph {
@@ -83,7 +83,7 @@ fn record_path(
     g: &mut TechniqueGraph,
     measured: &[AsId],
     truth: &[AsId],
-    covered: &mut HashSet<AsId>,
+    covered: &mut WordSet<AsId>,
 ) {
     for w in measured.windows(2) {
         g.links_checked += 1;
@@ -129,9 +129,9 @@ fn run_in(ctx: &EvalContext) -> AsGraphReport {
     let mut fwd_sym = TechniqueGraph::default();
 
     for &src in &sources {
-        let mut cov_r = HashSet::new();
-        let mut cov_a = HashSet::new();
-        let mut cov_f = HashSet::new();
+        let mut cov_r = WordSet::default();
+        let mut cov_a = WordSet::default();
+        let mut cov_f = WordSet::default();
 
         for (&(dst, _), r) in pairs.iter().zip(&results).filter(|(p, _)| p.1 == src) {
             let Some(truth) = oracle.true_as_path(dst, src) else {

@@ -13,7 +13,7 @@ use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_netsim::{Addr, AsId, AsTier};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One bidirectional measurement pair.
 #[derive(Clone, Debug)]
@@ -53,7 +53,7 @@ pub struct AsymmetryReport {
     pub pairs: Vec<PairRecord>,
     /// Per-AS: (times part of an observed asymmetry, customer cone size,
     /// tier).
-    pub participation: HashMap<AsId, (usize, usize, AsTier)>,
+    pub participation: BTreeMap<AsId, (usize, usize, AsTier)>,
     /// Number of asymmetric pairs (denominator for prevalence).
     pub asymmetric_pairs: usize,
     /// Tier-1 AS ids (for Fig. 13's conditioning).
@@ -74,7 +74,7 @@ pub fn judge(run: &CampaignRun, truth: &[PairTruth]) -> AsymmetryReport {
     let rels = RelationshipDb::new(sim);
 
     let mut pairs = Vec::new();
-    let mut participation: HashMap<AsId, (usize, usize, AsTier)> = HashMap::new();
+    let mut participation: BTreeMap<AsId, (usize, usize, AsTier)> = BTreeMap::new();
     let mut asymmetric_pairs = 0usize;
 
     for (rev, t) in run.results.iter().zip(truth) {
@@ -203,7 +203,7 @@ impl AsymmetryReport {
                 _ => other.push(pt),
             }
         }
-        // `participation` is a `HashMap`: ties on x must not keep its order.
+        // Each series in (x, y) order, not the map's AS order.
         for v in [&mut t1, &mut nren, &mut other] {
             v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         }
@@ -364,7 +364,7 @@ mod tests {
     fn ties_in_fig8b_and_table7_break_on_value_and_as_id() {
         // Twenty ASes with one cone size: Fig. 8b ties on x everywhere, and
         // the first ten also tie on (count, cone) in Table 7.
-        let participation: HashMap<AsId, (usize, usize, AsTier)> = (0..20u32)
+        let participation: BTreeMap<AsId, (usize, usize, AsTier)> = (0..20u32)
             .map(|i| (AsId(100 - i), ((i as usize % 10).max(5), 7, AsTier::Stub)))
             .collect();
         let report = AsymmetryReport {

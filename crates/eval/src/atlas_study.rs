@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use revtr::EngineConfig;
 use revtr_aliasing::Ip2As;
 use revtr_netsim::Addr;
+use revtr_telemetry::{WordMap, WordSet};
 use revtr_vpselect::Heuristics;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One collected traceroute (responsive hops only, destination first is
@@ -43,7 +43,7 @@ pub struct SplitData {
 
 /// The savings of one reverse traceroute given an atlas hop set: fraction
 /// of hops from the earliest intersected hop to the source.
-pub fn saved_fraction(revtr: &Trace, atlas_hops: &HashSet<Addr>) -> f64 {
+pub fn saved_fraction(revtr: &Trace, atlas_hops: &WordSet<Addr>) -> f64 {
     if revtr.is_empty() {
         return 0.0;
     }
@@ -53,7 +53,7 @@ pub fn saved_fraction(revtr: &Trace, atlas_hops: &HashSet<Addr>) -> f64 {
     }
 }
 
-fn hopset(traces: &[&Trace]) -> HashSet<Addr> {
+fn hopset(traces: &[&Trace]) -> WordSet<Addr> {
     traces.iter().flat_map(|t| t.iter().copied()).collect()
 }
 
@@ -71,14 +71,14 @@ pub fn mean_savings(data: &SplitData, atlas: &[usize]) -> f64 {
 /// of its distance to the source (suffix length) — covering an address
 /// close to the destination side saves more hops.
 pub fn optimal_selection(candidates: &[Trace], weight_from: &[Trace], k: usize) -> Vec<usize> {
-    let mut weight: HashMap<Addr, f64> = HashMap::new();
+    let mut weight: WordMap<Addr, f64> = WordMap::default();
     for t in weight_from {
         let n = t.len();
         for (i, &a) in t.iter().enumerate() {
             *weight.entry(a).or_insert(0.0) += (n - i) as f64;
         }
     }
-    let mut covered: HashSet<Addr> = HashSet::new();
+    let mut covered: WordSet<Addr> = WordSet::default();
     let mut chosen: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = (0..candidates.len()).collect();
     for _ in 0..k.min(candidates.len()) {
@@ -198,13 +198,13 @@ pub fn selection_study(data: &SplitData, seed: u64) -> AtlasStudyReport {
             .revtrs
             .choose_multiple(&mut rng, (data.revtrs.len() / 2).max(1))
             .collect();
-        let mut used: HashSet<usize> = HashSet::new();
+        let mut used: WordSet<usize> = WordSet::default();
         for r in sample {
             // Best = the atlas trace containing the earliest-intersecting
             // hop of this revtr.
             let mut best: Option<(usize, usize)> = None; // (pos in revtr, trace)
             for &ti in &atlas {
-                let hops: HashSet<Addr> = data.candidates[ti].iter().copied().collect();
+                let hops: WordSet<Addr> = data.candidates[ti].iter().copied().collect();
                 if let Some(pos) = r.iter().position(|h| hops.contains(h)) {
                     if best.is_none_or(|(bp, _)| pos < bp) {
                         best = Some((pos, ti));
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn saved_fraction_semantics() {
         let trace: Trace = vec![Addr(1), Addr(2), Addr(3), Addr(4)];
-        let mut set = HashSet::new();
+        let mut set = WordSet::default();
         assert_eq!(saved_fraction(&trace, &set), 0.0);
         set.insert(Addr(3));
         assert!((saved_fraction(&trace, &set) - 0.5).abs() < 1e-9);
@@ -386,7 +386,7 @@ mod tests {
 
         // At every atlas size, optimal-revtr ≥ random (same xs by
         // construction).
-        let by_label: HashMap<&str, &crate::render::Series> = report
+        let by_label: WordMap<&str, &crate::render::Series> = report
             .fig9a
             .series
             .iter()

@@ -34,7 +34,7 @@ use revtr_eval::{audit, loadtest, reproduce, scenarios, Campaign, Scale};
 use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ fn cmd_topology(flags: &Flags) -> ExitCode {
     };
     let topo = sim.topo();
     println!("{sim:?}");
-    let mut by_tier: HashMap<&str, usize> = HashMap::new();
+    let mut by_tier: BTreeMap<&str, usize> = BTreeMap::new();
     for a in &topo.ases {
         *by_tier
             .entry(match a.tier {

@@ -8,17 +8,17 @@
 
 use crate::campaign::Scale;
 use revtr_netsim::SimConfig;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed `--flag value` pairs, validated against an allow-list.
 #[derive(Clone, Debug, Default)]
 pub struct Flags {
-    map: HashMap<String, String>,
+    map: BTreeMap<String, String>,
 }
 
 /// Parse `args` as `--flag value` pairs, accepting only `allowed` names.
 pub fn parse(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
-    let mut map = HashMap::new();
+    let mut map = BTreeMap::new();
     let mut it = args.iter();
     while let Some(tok) = it.next() {
         let Some(key) = tok.strip_prefix("--") else {

@@ -18,13 +18,13 @@ use crate::render::Table;
 use crate::stats::fraction;
 use revtr_netsim::anycast::{anycast_routes, AnycastConfig, AnycastRoutes};
 use revtr_netsim::{AsId, AsTier};
-use std::collections::HashMap;
+use revtr_telemetry::WordMap;
 
 /// Catchment snapshot for a set of monitored ASes.
 #[derive(Clone, Debug)]
 pub struct CatchmentSnapshot {
     /// Monitored AS → chosen site, for reachable ASes.
-    pub catchment: HashMap<AsId, AsId>,
+    pub catchment: WordMap<AsId, AsId>,
     /// Mean AS-path length to the chosen site (latency proxy).
     pub mean_path_len: f64,
 }
@@ -54,7 +54,7 @@ pub struct TrafficEngReport {
 }
 
 fn snapshot(routes: &AnycastRoutes, monitored: &[AsId]) -> CatchmentSnapshot {
-    let mut catchment = HashMap::new();
+    let mut catchment = WordMap::default();
     let mut lens = Vec::new();
     for &a in monitored {
         if let Some(site) = routes.catchment[a.index()] {
@@ -89,7 +89,7 @@ fn dominant_transit(
     monitored: &[AsId],
     site: AsId,
 ) -> Option<AsId> {
-    let mut count: HashMap<AsId, usize> = HashMap::new();
+    let mut count: WordMap<AsId, usize> = WordMap::default();
     for &a in monitored {
         if routes.catchment[a.index()] != Some(site) {
             continue;

@@ -19,10 +19,9 @@
 use crate::hash::mix3;
 use crate::ids::AsId;
 use crate::topology::{Rel, Topology};
-use revtr_telemetry::WordHasher;
+use revtr_telemetry::WordSet;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::BinaryHeap;
 
 /// Customer-stage heap entry: (class, metric, tie, AS, via, origin).
 type CustomerEntry = (u8, u16, u64, u32, u32, u32);
@@ -35,9 +34,8 @@ pub struct AnycastConfig {
     /// Announcing ASes (the anycast sites).
     pub origins: Vec<AsId>,
     /// `(AS, origin)` pairs: the AS refuses/never sees that origin's
-    /// announcement (poisoning / no-export). Only asked `contains`, never
-    /// iterated: a word hash is enough.
-    pub blocked: HashSet<(AsId, AsId), BuildHasherDefault<WordHasher>>,
+    /// announcement (poisoning / no-export). Only asked `contains`.
+    pub blocked: WordSet<(AsId, AsId)>,
 }
 
 impl AnycastConfig {
@@ -45,7 +43,7 @@ impl AnycastConfig {
     pub fn new(origins: Vec<AsId>) -> AnycastConfig {
         AnycastConfig {
             origins,
-            blocked: HashSet::default(),
+            blocked: WordSet::default(),
         }
     }
 

@@ -1,18 +1,17 @@
-//! Concurrency primitives for the hot paths: cache-line padding, lock
-//! stripes, a lock-striped map with single-flight computation,
-//! thread-striped counters, and the segmented column that lock-guarded
-//! append-only stores keep their entries in.
+//! Concurrency primitives for the hot paths: lock stripes, a lock-striped
+//! map with single-flight computation, thread-striped counters, and the
+//! segmented column that lock-guarded append-only stores keep their
+//! entries in.
 //!
 //! Every parallel campaign worker used to funnel through a handful of
 //! global locks (`Sim`'s route/border caches, the measurement cache, the
 //! virtual clock). This module provides the shared building blocks that
 //! de-serialize them:
 //!
-//! - [`CachePadded`]: pads a value to its own cache line so adjacent hot
-//!   atomics don't false-share.
 //! - [`Stripes`]: N values, each behind its own `parking_lot::RwLock` on
-//!   its own cache line, and the fixed hash that maps a key to one — so
-//!   readers and writers of different shards never contend.
+//!   its own cache line ([`CachePadded`]), and the fixed hash that maps a
+//!   key to one — so readers and writers of different shards never
+//!   contend.
 //! - [`StripedMap`]: an N-way lock-striped hash map over [`Stripes`].
 //! - [`StripedMap::get_or_compute`]: single-flight fill — when a key is
 //!   missing, exactly one thread runs the compute closure while other
@@ -32,44 +31,14 @@
 //! of a probe.
 
 use parking_lot::RwLock;
-use revtr_telemetry::{thread_stripe, WordHasher};
+use revtr_telemetry::{thread_stripe, CachePadded, WordMap};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Pads (and aligns) a value to a 64-byte cache line to prevent false
-/// sharing between adjacent hot fields.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-impl<T> CachePadded<T> {
-    /// Wrap a value.
-    pub const fn new(value: T) -> CachePadded<T> {
-        CachePadded { value }
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> std::ops::DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
-/// Default shard count: enough that a handful of workers rarely collide,
-/// small enough to stay cheap to clear/iterate.
+/// The shard count of every [`Stripes`]: enough that a handful of workers
+/// rarely collide, small enough to stay cheap to clear/iterate.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Result slot shared between the computing thread and same-key waiters.
@@ -130,23 +99,15 @@ enum Slot<V> {
 #[derive(Debug)]
 pub struct Stripes<T> {
     shards: Box<[CachePadded<RwLock<T>>]>,
-    mask: u64,
 }
 
 impl<T: Default> Stripes<T> {
     /// [`DEFAULT_SHARDS`] stripes.
     pub fn new() -> Stripes<T> {
-        Stripes::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// `n` stripes, rounded up to a power of two.
-    pub fn with_shards(n: usize) -> Stripes<T> {
-        let n = n.max(1).next_power_of_two();
         Stripes {
-            shards: (0..n)
+            shards: (0..DEFAULT_SHARDS)
                 .map(|_| CachePadded::new(RwLock::new(T::default())))
                 .collect(),
-            mask: (n - 1) as u64,
         }
     }
 }
@@ -165,7 +126,7 @@ impl<T> Stripes<T> {
         // and therefore lock interleavings in serial runs — reproducible.
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() & self.mask) as usize]
+        &self.shards[(h.finish() % DEFAULT_SHARDS as u64) as usize]
     }
 
     /// Every stripe, in shard order.
@@ -186,7 +147,7 @@ pub fn shard_skew(occupancy: &[usize]) -> f64 {
 }
 
 /// One shard's table.
-type Table<K, V> = HashMap<K, Slot<V>, BuildHasherDefault<WordHasher>>;
+type Table<K, V> = WordMap<K, Slot<V>>;
 
 /// Materialized entries in one shard's table (excludes in-flight fills).
 fn ready<K, V>(table: &Table<K, V>) -> usize {
@@ -208,13 +169,8 @@ pub struct StripedMap<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
     /// A map with [`DEFAULT_SHARDS`] stripes.
     pub fn new() -> StripedMap<K, V> {
-        StripedMap::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A map with `n` stripes, rounded up to a power of two.
-    pub fn with_shards(n: usize) -> StripedMap<K, V> {
         StripedMap {
-            stripes: Stripes::with_shards(n),
+            stripes: Stripes::new(),
         }
     }
 
@@ -451,14 +407,6 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn cache_padding_is_a_line() {
-        assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 64);
-        assert!(std::mem::size_of::<CachePadded<u64>>() >= 64);
-        let p = CachePadded::new(7u64);
-        assert_eq!(*p, 7);
-    }
-
-    #[test]
     fn striped_map_basics() {
         let m: StripedMap<u64, u64> = StripedMap::new();
         assert!(m.is_empty());
@@ -525,7 +473,7 @@ mod tests {
     // one deliberately widens a data race window in a concurrency test.
     #[allow(clippy::disallowed_methods)]
     fn get_or_compute_single_flight_under_contention() {
-        let m: StripedMap<u32, u64> = StripedMap::with_shards(4);
+        let m: StripedMap<u32, u64> = StripedMap::new();
         let calls = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {

@@ -26,10 +26,8 @@ use crate::addr::Addr;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{LinkId, RouterId};
 use parking_lot::Mutex;
-use revtr_telemetry::WordHasher;
+use revtr_telemetry::WordMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Salts for independent fault draws.
 mod salt {
@@ -104,8 +102,8 @@ pub struct Faults {
     seed: u64,
     cfg: FaultConfig,
     /// Router id → its bucket, made on the router's first reply. Only
-    /// looked up, never iterated: a word hash is enough.
-    buckets: Mutex<HashMap<u32, Bucket, BuildHasherDefault<WordHasher>>>,
+    /// looked up.
+    buckets: Mutex<WordMap<u32, Bucket>>,
 }
 
 impl Faults {

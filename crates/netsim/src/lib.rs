@@ -58,7 +58,7 @@ pub mod sim;
 pub mod topology;
 
 pub use addr::{Addr, Prefix};
-pub use concurrent::{shard_skew, CachePadded, Column, StripedCounters, StripedMap, Stripes};
+pub use concurrent::{shard_skew, Column, StripedCounters, StripedMap, Stripes};
 pub use config::SimConfig;
 pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS};
 pub use faults::FaultConfig;

@@ -1126,7 +1126,7 @@ impl Sim {
     #[cfg(test)]
     pub(crate) fn walk_reference(
         &self,
-        routes: &mut std::collections::HashMap<(u32, u64), bgp::AsRoutes>,
+        routes: &mut revtr_telemetry::WordMap<(u32, u64), bgp::AsRoutes>,
         start: RouterId,
         dst_addr: Addr,
         meta: &PktMeta,
@@ -1606,7 +1606,7 @@ mod tests {
             .filter_map(|pe| Some((pe.id, s.host_addrs(pe.id).next()?)))
             .collect();
         let bound = s.topo().prefixes.len() + s.topo().ases.len();
-        let mut walked = std::collections::HashSet::new();
+        let mut walked = revtr_telemetry::WordSet::default();
         for f in 0..flushes {
             s.advance_hours(1.0);
             for k in f * window..(f + 1) * window {
@@ -1791,7 +1791,7 @@ mod tests {
         assert_eq!(w.hops.len(), MAX_HOPS);
         assert_eq!(w.hops.last().expect("nonempty").router, RouterId(63));
         assert_eq!(w.latency_ms, 62.0 + 2.0);
-        let mut memo = std::collections::HashMap::new();
+        let mut memo = revtr_telemetry::WordMap::default();
         let (hops, latency) = s
             .walk_reference(&mut memo, RouterId(0), far, &meta, None)
             .expect("at the cap");
@@ -1837,7 +1837,7 @@ mod tests {
         use super::*;
         use crate::scenario::{ScenarioConfig, ScenarioProfile};
         use proptest::prelude::*;
-        use std::collections::HashMap;
+        use revtr_telemetry::WordMap;
         use std::sync::{Mutex, OnceLock};
 
         /// A sim after churn, the reference walk's route memo, and the
@@ -1845,7 +1845,7 @@ mod tests {
         /// the sim's own route cache stay warm across cases).
         struct Arm {
             sim: Sim,
-            routes: Mutex<HashMap<(u32, u64), bgp::AsRoutes>>,
+            routes: Mutex<WordMap<(u32, u64), bgp::AsRoutes>>,
             dests: Vec<Addr>,
         }
 
@@ -1873,7 +1873,7 @@ mod tests {
                 .any(|&d| matches!(sim.resolve_dest(d), Some(Dest::Router { via: Some(_), .. }))));
             Arm {
                 sim,
-                routes: Mutex::new(HashMap::new()),
+                routes: Mutex::new(WordMap::default()),
                 dests,
             }
         }

@@ -7,14 +7,12 @@
 use crate::addr::{Addr, Prefix};
 use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
-use revtr_telemetry::WordHasher;
+use revtr_telemetry::WordMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// addr → router. Keyed by addresses the generator (or a test) numbered,
-/// never by outside input: a word hash is enough.
-type AddrIndex = HashMap<Addr, RouterId, BuildHasherDefault<WordHasher>>;
+/// never by outside input.
+type AddrIndex = WordMap<Addr, RouterId>;
 
 /// Where an AS sits in the Internet hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -3,7 +3,7 @@
 
 use revtr_netsim::sim::PktMeta;
 use revtr_netsim::{AsTier, Rel, Sim, SimConfig};
-use std::collections::HashSet;
+use revtr_telemetry::WordSet;
 
 fn sim() -> Sim {
     Sim::build(SimConfig::era_2020(), 1)
@@ -33,7 +33,7 @@ fn full_scale_topology_is_well_formed() {
     }
 
     // Address uniqueness across every interface, loopback, and prefix base.
-    let mut seen = HashSet::new();
+    let mut seen = WordSet::default();
     for l in &topo.links {
         assert!(seen.insert(l.addr_a), "duplicate address {}", l.addr_a);
         assert!(seen.insert(l.addr_b), "duplicate address {}", l.addr_b);

@@ -22,9 +22,9 @@
 
 use crate::prober::{LastLink, SentEpoch};
 use revtr_netsim::{shard_skew, Addr, Column, RrReply, RrSlots, Sim, StripedCounters, Stripes};
-use revtr_telemetry::WordHasher;
-use std::collections::{hash_map, HashMap};
-use std::hash::{BuildHasherDefault, Hash};
+use revtr_telemetry::WordMap;
+use std::collections::hash_map;
+use std::hash::Hash;
 
 /// Default cache TTL: one day of virtual time (paper Q1/D.2.2).
 pub const DEFAULT_TTL_HOURS: f64 = 24.0;
@@ -158,14 +158,14 @@ const SEGMENT: usize = if cfg!(test) { 4 } else { 1024 };
 /// One stripe of a [`Log`]: where each key's record sits, and the records.
 #[derive(Debug)]
 struct Stripe<K, V> {
-    index: HashMap<K, u32, BuildHasherDefault<WordHasher>>,
+    index: WordMap<K, u32>,
     log: Column<Entry<V>, SEGMENT>,
 }
 
 impl<K, V> Default for Stripe<K, V> {
     fn default() -> Self {
         Stripe {
-            index: HashMap::default(),
+            index: WordMap::default(),
             log: Column::default(),
         }
     }
@@ -365,8 +365,8 @@ mod reference {
 
     pub(super) struct RefCache {
         ttl_hours: f64,
-        last_links: HashMap<(Addr, Addr), Entry<Option<LastLink>>>,
-        rr: HashMap<RrKey, Entry<CachedRr>>,
+        last_links: WordMap<(Addr, Addr), Entry<Option<LastLink>>>,
+        rr: WordMap<RrKey, Entry<CachedRr>>,
         pub(super) stats: CacheStats,
     }
 
@@ -374,8 +374,8 @@ mod reference {
         pub(super) fn with_ttl(ttl_hours: f64) -> RefCache {
             RefCache {
                 ttl_hours,
-                last_links: HashMap::new(),
-                rr: HashMap::new(),
+                last_links: WordMap::default(),
+                rr: WordMap::default(),
                 stats: CacheStats::default(),
             }
         }

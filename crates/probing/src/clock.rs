@@ -23,8 +23,8 @@
 //! serial run uses one slot, so its flush points are a function of its
 //! advances alone).
 
-use revtr_netsim::{CachePadded, Sim};
-use revtr_telemetry::thread_stripe;
+use revtr_netsim::Sim;
+use revtr_telemetry::{thread_stripe, CachePadded};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Spoofed-probe batch collection timeout, in virtual milliseconds

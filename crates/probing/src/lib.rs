@@ -47,6 +47,6 @@ pub use prober::{
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
-    WordHasher,
+    WordMap, WordSet,
 };
 pub use stopset::{Contribution, Note, StopSet, StopSetSnapshot, StoredRr};

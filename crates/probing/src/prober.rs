@@ -1,8 +1,9 @@
 //! The prober: issue probes against the simulated Internet with accounting,
 //! virtual latency, optional measurement reuse, and bounded retries.
 //!
-//! A [`Prober`] is cheap to clone and thread-safe; campaign code clones one
-//! per worker so counters/clock/cache are shared.
+//! A [`Prober`] is cheap to clone and thread-safe: a `RevtrSystem` holds
+//! one, and a campaign's pool workers share it through `&RevtrSystem`, so
+//! every worker charges the same counters, clock and cache.
 //!
 //! # The deployment boundary
 //!

@@ -58,9 +58,7 @@
 
 use crate::prober::RrProvenance;
 use revtr_netsim::{Addr, RrReply, RrSlots, StripedCounters};
-use revtr_telemetry::WordHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use revtr_telemetry::{WordMap, WordSet};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// One reusable RR observation: the reverse hops it revealed plus the
@@ -284,24 +282,20 @@ impl StopSetBytes {
 /// ledger keeps its unit so readings stay comparable across that change.
 const BACKWARD_ENTRY_BYTES: usize = 128;
 
-/// The published view's tables are keyed by simulated addresses and ids
-/// and read only by key or by order-free sums, so they hash a word at a
-/// time, as the measurement cache's indexes do.
-type Map<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-type Set<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
-
+/// The published view. Its tables are read only by key or by order-free
+/// sums.
 #[derive(Debug, Default)]
 struct Published {
-    backward: Map<(Addr, Addr), BackwardEntry>,
-    winners: Map<u64, Addr>,
-    direct_futile: Set<(Addr, Addr)>,
-    spoof_futile: Set<Addr>,
-    forward: Map<(Addr, Addr), Option<RrReply>>,
+    backward: WordMap<(Addr, Addr), BackwardEntry>,
+    winners: WordMap<u64, Addr>,
+    direct_futile: WordSet<(Addr, Addr)>,
+    spoof_futile: WordSet<Addr>,
+    forward: WordMap<(Addr, Addr), Option<RrReply>>,
     /// `(source, block)` → TTLs last measured into the block; /24 and /16
     /// blocks share the table ([`block_key`]).
-    distances: Map<(Addr, u32), u8>,
+    distances: WordMap<(Addr, u32), u8>,
     /// Source → every distance it measured, for their median.
-    measured_distances: Map<Addr, DistanceTally>,
+    measured_distances: WordMap<Addr, DistanceTally>,
 }
 
 /// The distances one source measured, counted per TTL (the last bucket

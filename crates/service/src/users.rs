@@ -6,16 +6,14 @@
 
 use parking_lot::Mutex;
 use revtr_netsim::Addr;
-use revtr_probing::WordHasher;
+use revtr_probing::WordMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// The user table. Only keys this registry issues (sequential, never
 /// chosen outside the program) are inserted, so no caller can crowd a
 /// bucket; and it is only looked up, never iterated, so its order never
 /// escapes.
-type Users = HashMap<ApiKey, UserState, BuildHasherDefault<WordHasher>>;
+type Users = WordMap<ApiKey, UserState>;
 
 /// Per-user rate limits, as in the paper's user database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

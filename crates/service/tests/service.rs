@@ -331,7 +331,7 @@ fn stuck_request_watchdog_flags_but_never_kills() {
     let flags = watched.watchdog_flags();
     assert_eq!(
         flags.len(),
-        dests.iter().collect::<std::collections::HashSet<_>>().len(),
+        dests.iter().collect::<revtr_probing::WordSet<_>>().len(),
         "every distinct request overran a 1 ms deadline"
     );
     // ...with a deterministic sort and a non-empty stage attribution.

@@ -18,12 +18,10 @@
 //! kept — a `(src, dst)` tie renders one side into the journal's one
 //! scratch line, and [`Journal::lines`] renders at read-out.
 
-use crate::registry::WordHasher;
+use crate::registry::WordMap;
 use crate::Fnv;
 use parking_lot::Mutex;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One stage-specific integer field of a span (probe delta, hit flag, ...).
@@ -269,7 +267,7 @@ impl Trace for RequestRecord {
 /// literals spelling one name get two ids, which render alike.
 #[derive(Debug, Default)]
 struct Names {
-    ids: HashMap<(usize, usize), u32, BuildHasherDefault<WordHasher>>,
+    ids: WordMap<(usize, usize), u32>,
     list: Vec<&'static str>,
 }
 

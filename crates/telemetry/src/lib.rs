@@ -54,7 +54,10 @@ mod span;
 pub use export::{chrome_trace_json, prometheus_text};
 pub use histogram::Histogram;
 pub use journal::{Journal, RequestRecord, SpanRecord};
-pub use registry::{thread_stripe, MetricKey, MetricsRegistry, MetricsSnapshot, WordHasher};
+pub use registry::{
+    thread_stripe, CachePadded, MetricKey, MetricsRegistry, MetricsSnapshot, WordHasher, WordMap,
+    WordSet,
+};
 pub use resource::{
     flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceSnapshot, SpanCost,
 };

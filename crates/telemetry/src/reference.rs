@@ -11,12 +11,12 @@ use crate::span::{ScopeBuffers, Telemetry, TelemetryConfig, WatchdogFlag};
 use crate::{Fnv, SpanCost};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Default)]
 struct RefRegistry {
-    counters: HashMap<String, u64>,
-    histograms: HashMap<String, Histogram>,
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl RefRegistry {
@@ -32,18 +32,9 @@ impl RefRegistry {
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> =
-            self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        let mut histograms: Vec<(String, Histogram)> = self
-            .histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
-            counters,
-            histograms,
+            counters: self.counters.clone().into_iter().collect(),
+            histograms: self.histograms.clone().into_iter().collect(),
         }
     }
 }

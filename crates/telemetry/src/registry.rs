@@ -20,8 +20,8 @@
 use crate::histogram::Histogram;
 use crate::Fnv;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N_STRIPES: usize = 16;
@@ -104,11 +104,12 @@ impl Hash for ById {
 }
 
 /// Multiplicative word hasher (the FxHash recipe): one rotate, xor and
-/// multiply per word written. The workspace's one hasher for tables keyed
-/// by words this program made itself — `ById`'s literal addresses here,
-/// simulated addresses and ids in the route cache and the measurement
-/// cache's indexes — never by outside input, so the default hasher's
-/// collision resistance buys nothing.
+/// multiply per word written. The workspace's one hasher, behind
+/// [`WordMap`] and [`WordSet`]: its tables are keyed by what this program
+/// made itself — `ById`'s literal addresses here, simulated addresses and
+/// ids in the route cache and the measurement cache's indexes — never by
+/// outside input, so the default hasher's collision resistance buys
+/// nothing.
 #[derive(Default)]
 pub struct WordHasher(u64);
 
@@ -138,7 +139,21 @@ impl Hasher for WordHasher {
     }
 }
 
-type KeyMap<V> = HashMap<ById, V, BuildHasherDefault<WordHasher>>;
+/// A hash map keyed by [`WordHasher`]: the workspace's one hash map. A
+/// std `HashMap` draws per-process random keys, so its iteration order
+/// differs between two identical runs; this one's order is a function of
+/// its inserts. Code that reads an order it should not depend on still
+/// wants a `BTreeMap` or a sorted `Vec`.
+// The one place the std containers are named: clippy.toml bans them elsewhere.
+#[allow(clippy::disallowed_types)]
+pub type WordMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+
+/// A hash set keyed by [`WordHasher`]; see [`WordMap`].
+// The one place the std containers are named: clippy.toml bans them elsewhere.
+#[allow(clippy::disallowed_types)]
+pub type WordSet<T> = std::collections::HashSet<T, std::hash::BuildHasherDefault<WordHasher>>;
+
+type KeyMap<V> = WordMap<ById, V>;
 
 #[derive(Default, Debug)]
 struct Stripe {
@@ -146,12 +161,36 @@ struct Stripe {
     histograms: KeyMap<Histogram>,
 }
 
-/// Pad each stripe to its own cache line so adjacent mutexes don't false-
-/// share (same layout trick as `netsim::concurrent::CachePadded`; the
-/// type is re-rolled here to keep this crate a leaf).
+/// Pads (and aligns) a value to a 64-byte cache line to prevent false
+/// sharing between adjacent hot fields: the registry's stripes, the
+/// resource ledgers' shards, the route cache's lock stripes and the
+/// prober's clock slots.
+#[derive(Debug, Default)]
 #[repr(align(64))]
-#[derive(Default, Debug)]
-struct Padded(Mutex<Stripe>);
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> CachePadded<T> {
+    /// Wrap a value.
+    pub const fn new(value: T) -> CachePadded<T> {
+        CachePadded { value }
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> std::ops::DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
 
 /// This thread's stripe, in `0..16`: threads take ordinals round-robin the
 /// first time they ask, so up to `N_STRIPES` concurrent recorders never
@@ -170,9 +209,10 @@ pub fn thread_stripe() -> usize {
 /// A recorder-striped store of monotonic counters and value histograms.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    stripes: [Padded; N_STRIPES],
-    /// Counters whose names only exist at run time (SLO rule names read
-    /// from a policy file). A cold path: judging, never recording.
+    stripes: [CachePadded<Mutex<Stripe>>; N_STRIPES],
+    /// Counters whose names only exist at run time (`slo.alert.<rule>`,
+    /// one per SLO rule's `String` name). A cold path: judging, never
+    /// recording.
     named: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -213,7 +253,7 @@ impl MetricsRegistry {
 
     /// Lock the calling thread's stripe for a batch of updates.
     pub(crate) fn fold(&self) -> Fold<'_> {
-        Fold(self.stripes[thread_stripe()].0.lock())
+        Fold(self.stripes[thread_stripe()].lock())
     }
 
     /// Add `n` to the counter `key` (creating it at zero).
@@ -248,7 +288,7 @@ impl MetricsRegistry {
             .collect();
         let mut histograms: Vec<(String, Histogram)> = Vec::new();
         for stripe in &self.stripes {
-            let s = stripe.0.lock();
+            let s = stripe.lock();
             counters.extend(s.counters.iter().map(|(k, v)| (k.0.name(), *v)));
             histograms.extend(s.histograms.iter().map(|(k, v)| (k.0.name(), v.clone())));
         }
@@ -322,6 +362,14 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_padding_is_a_line() {
+        assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 64);
+        assert!(std::mem::size_of::<CachePadded<u64>>() >= 64);
+        let p = CachePadded::new(7u64);
+        assert_eq!(*p, 7);
+    }
 
     #[test]
     fn snapshot_is_order_independent() {

@@ -15,10 +15,9 @@
 //! fingerprinted metrics registry and journal, so turning profiling on
 //! or off can never move a campaign's telemetry fingerprints.
 
-use crate::Fnv;
+use crate::{CachePadded, Fnv, WordMap};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 const N_SHARDS: usize = 8;
@@ -78,7 +77,7 @@ struct Cell {
 /// commutatively and read back name-sorted.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileAgg {
-    cells: Mutex<HashMap<String, Cell>>,
+    cells: Mutex<WordMap<String, Cell>>,
 }
 
 impl ProfileAgg {
@@ -163,14 +162,8 @@ struct Ledger {
 
 #[derive(Debug, Default)]
 struct Shard {
-    ledgers: HashMap<&'static str, Ledger>,
+    ledgers: WordMap<&'static str, Ledger>,
 }
-
-/// Pad each shard to its own cache line (same trick as the metrics
-/// registry) so adjacent mutexes don't false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Padded(Mutex<Shard>);
 
 /// A name-sharded store of byte ledgers, one per long-lived subsystem
 /// structure. Readings merge into one name-sorted [`ResourceSnapshot`],
@@ -178,7 +171,7 @@ struct Padded(Mutex<Shard>);
 /// reported what.
 #[derive(Debug)]
 pub(crate) struct ResourceRegistry {
-    shards: [Padded; N_SHARDS],
+    shards: [CachePadded<Mutex<Shard>>; N_SHARDS],
 }
 
 impl Default for ResourceRegistry {
@@ -204,7 +197,7 @@ impl ResourceRegistry {
     /// Set the current logical bytes of ledger `name`, raising its
     /// high-water mark if exceeded.
     pub(crate) fn set(&self, name: &'static str, bytes: u64) {
-        let mut shard = self.shards[shard_of(name)].0.lock();
+        let mut shard = self.shards[shard_of(name)].lock();
         let ledger = shard.ledgers.entry(name).or_default();
         ledger.current = bytes;
         ledger.hiwater = ledger.hiwater.max(bytes);
@@ -215,7 +208,7 @@ impl ResourceRegistry {
     /// monotone ordinate (wave number, virtual ms) — the registry never
     /// reads a clock of its own.
     pub(crate) fn record(&self, name: &'static str, ord: u64, bytes: u64) {
-        let mut shard = self.shards[shard_of(name)].0.lock();
+        let mut shard = self.shards[shard_of(name)].lock();
         let ledger = shard.ledgers.entry(name).or_default();
         ledger.current = bytes;
         ledger.hiwater = ledger.hiwater.max(bytes);
@@ -226,7 +219,7 @@ impl ResourceRegistry {
     pub(crate) fn snapshot(&self) -> ResourceSnapshot {
         let mut ledgers: Vec<LedgerReading> = Vec::new();
         for shard in &self.shards {
-            let s = shard.0.lock();
+            let s = shard.lock();
             ledgers.extend(s.ledgers.iter().map(|(name, l)| LedgerReading {
                 name: (*name).to_string(),
                 current: l.current,
@@ -242,7 +235,7 @@ impl ResourceRegistry {
     pub(crate) fn series(&self) -> Vec<(String, Vec<(u64, u64)>)> {
         let mut out: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
         for shard in &self.shards {
-            let s = shard.0.lock();
+            let s = shard.lock();
             out.extend(
                 s.ledgers
                     .iter()
@@ -259,7 +252,7 @@ impl ResourceRegistry {
     pub(crate) fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         for shard in &self.shards {
-            let s = shard.0.lock();
+            let s = shard.lock();
             for (name, l) in &s.ledgers {
                 total += (name.len() + std::mem::size_of::<Ledger>()) as u64;
                 total += (l.series.len() * std::mem::size_of::<(u64, u64)>()) as u64;

@@ -20,10 +20,6 @@
 //!    writes `slo.alert.<rule>` counters into the registry so alerts are
 //!    first-class metrics, but the monitor captures the campaign
 //!    fingerprints first — judging a run must not change its identity.
-//!
-//! Policies can be built in code or parsed from a small TOML subset
-//! (`[[rule]]` sections of `key = value` lines) so deployments can ship
-//! threshold files without recompiling.
 
 use crate::journal::RequestRecord;
 use crate::registry::MetricsSnapshot;
@@ -39,7 +35,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase label used in tables and TOML.
+    /// Lowercase label used in tables.
     pub fn label(self) -> &'static str {
         match self {
             Severity::Warning => "warning",

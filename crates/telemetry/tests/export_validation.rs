@@ -4,10 +4,9 @@
 //! the tiny parser with every metric family present.
 
 use revtr_telemetry::{
-    chrome_trace_json, prometheus_text, MetricsRegistry, Telemetry, TelemetryConfig,
+    chrome_trace_json, prometheus_text, MetricsRegistry, Telemetry, TelemetryConfig, WordMap,
 };
 use serde::Value;
-use std::collections::HashMap;
 
 /// One parsed Prometheus sample line.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,8 +123,8 @@ fn chrome_trace_is_wellformed_monotone_and_balanced() {
 
     // Per-lane: strictly monotone ts over B/E events, every B closed by
     // an E, never more E than B.
-    let mut last_ts: HashMap<u64, u64> = HashMap::new();
-    let mut open: HashMap<u64, i64> = HashMap::new();
+    let mut last_ts: WordMap<u64, u64> = WordMap::default();
+    let mut open: WordMap<u64, i64> = WordMap::default();
     let mut lanes = 0usize;
     for ev in events {
         let ph = str_of(ev.get("ph").expect("ph")).expect("ph is a string");
@@ -190,7 +189,7 @@ fn counter_tracks_are_wellformed_and_monotone_per_track() {
         Some(Value::Array(evs)) => evs,
         other => panic!("traceEvents missing or not an array: {other:?}"),
     };
-    let mut per_track: HashMap<String, Vec<u64>> = HashMap::new();
+    let mut per_track: WordMap<String, Vec<u64>> = WordMap::default();
     let mut span_events = 0usize;
     for ev in events {
         let ph = str_of(ev.get("ph").expect("ph")).expect("ph is a string");

@@ -36,12 +36,12 @@ use revtr_suite::netsim::{Addr, Sim, SimConfig};
 use revtr_suite::probing::{Prober, Telemetry};
 use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem};
 use revtr_suite::service::{AdmissionPlan, ApiKey, RateLimits, RevtrService, TimedRequest};
+use revtr_suite::telemetry::WordMap;
 use revtr_suite::vpselect::ingress::probe_prefix;
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -174,7 +174,7 @@ fn main() {
     let allocs = ALLOCS.load(Ordering::Relaxed);
     let bytes = BYTES.load(Ordering::Relaxed);
     let samples = std::mem::take(&mut *SAMPLES.lock().expect("sampler never panics"));
-    let mut by_site: HashMap<&str, (u64, u64)> = HashMap::new();
+    let mut by_site: WordMap<&str, (u64, u64)> = WordMap::default();
     for (site, size) in &samples {
         let e = by_site.entry(site).or_default();
         e.0 += 1;

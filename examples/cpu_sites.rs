@@ -69,9 +69,10 @@ mod linux {
     use revtr_suite::probing::Prober;
     use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem};
     use revtr_suite::service::{RateLimits, RevtrService};
+    use revtr_suite::telemetry::{WordMap, WordSet};
     use revtr_suite::vpselect::ingress::probe_prefix;
     use revtr_suite::vpselect::{Heuristics, IngressDb};
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::BTreeMap;
     use std::ffi::c_void;
     use std::io::Write;
     use std::process::{Command, Stdio};
@@ -269,7 +270,7 @@ mod linux {
 
     fn executable_mappings() -> Vec<Mapping> {
         let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
-        let mut first_start: HashMap<String, u64> = HashMap::new();
+        let mut first_start: WordMap<String, u64> = WordMap::default();
         let mut out = Vec::new();
         for line in maps.lines() {
             let mut f = line.split_whitespace();
@@ -305,7 +306,7 @@ mod linux {
     type Names = Vec<(String, String)>;
 
     /// `addr2line -a -f -C -i` over the executable's addresses.
-    fn symbolise_exe(exe: &str, addrs: &[u64]) -> HashMap<u64, Names> {
+    fn symbolise_exe(exe: &str, addrs: &[u64]) -> WordMap<u64, Names> {
         let mut child = Command::new("addr2line")
             .args(["-a", "-f", "-C", "-i", "-e", exe])
             .stdin(Stdio::piped())
@@ -320,7 +321,7 @@ mod linux {
             child.wait_with_output()
         });
         let text = String::from_utf8_lossy(&output.expect("addr2line ran").stdout).into_owned();
-        let mut out: HashMap<u64, Names> = HashMap::new();
+        let mut out: WordMap<u64, Names> = WordMap::default();
         let mut cur = None;
         let mut lines = text.lines();
         while let Some(line) = lines.next() {
@@ -384,14 +385,15 @@ mod linux {
         let exe = std::env::current_exe().expect("the running executable");
         let exe = exe.to_string_lossy().into_owned();
         let locate = |pc: u64| maps.iter().find(|m| (m.start..m.end).contains(&pc));
-        let exe_addrs: HashSet<u64> = raw
+        let mut exe_addrs: Vec<u64> = raw
             .iter()
             .flatten()
             .filter_map(|&pc| locate(pc).filter(|m| m.path == exe).map(|m| pc - m.base))
             .collect();
-        let exe_addrs: Vec<u64> = exe_addrs.into_iter().collect();
+        exe_addrs.sort_unstable();
+        exe_addrs.dedup();
         let exe_names = symbolise_exe(&exe, &exe_addrs);
-        let mut libs: HashMap<&str, Vec<(u64, String)>> = HashMap::new();
+        let mut libs: WordMap<&str, Vec<(u64, String)>> = WordMap::default();
 
         let mut name = |pc: u64| -> Names {
             let Some(m) = locate(pc) else {
@@ -452,7 +454,7 @@ mod linux {
         let mut matched = 0;
         for stack in &samples {
             let leaf = innermost(stack);
-            let seen: HashSet<&str> = stack.iter().flatten().map(|(f, _)| f.as_str()).collect();
+            let seen: WordSet<&str> = stack.iter().flatten().map(|(f, _)| f.as_str()).collect();
             for func in seen {
                 *inclusive.entry(func.to_string()).or_default() += 1;
             }
