@@ -147,8 +147,16 @@ echo "== SLO fault-detection gate (release, smoke, loss 0.3) =="
 if faulted_out=$(./target/release/revtr-cli report --scale smoke --seed 1 --loss 0.3 --budget 1); then
   echo "faulted run passed the SLO gate — the report is blind"; exit 1
 fi
-echo "$faulted_out" | grep -q 'coverage-floor' || { echo "coverage alert missing"; exit 1; }
-echo "$faulted_out" | grep -q 'stuck-requests' || { echo "stuck-request alert missing"; exit 1; }
+echo "$faulted_out" | grep -Eq '^coverage-floor +critical +FAIL' || { echo "coverage alert missing"; exit 1; }
+echo "$faulted_out" | grep -Eq '^stuck-requests +critical +FAIL' || { echo "stuck-request alert missing"; exit 1; }
+# How far past its threshold each alert fires: a change that re-keys a
+# fault draw or reorders a request's probes moves both, and the stall
+# alert rests on one slow request.
+echo "$faulted_out" | awk '
+  /^coverage-floor / && !c++ { cov = $4; floor = $5 }
+  /^latency\.max_ms / { slow = $2 / 1000 }
+  /^watchdog: / && match($0, /deadline [0-9.]+/) { dl = substr($0, RSTART + 9, RLENGTH - 9) / 1000 }
+  END { printf "margins: coverage %s under the floor %s; slowest request %.1f s against the %.0f s deadline\n", cov, floor, slow, dl }'
 echo "$faulted_out" | tail -n 1
 
 # Hostile-Internet scenario gate: it checks bite only — every adversarial

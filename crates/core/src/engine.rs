@@ -1,9 +1,11 @@
 //! The measurement engine: one reverse traceroute is one function.
 //!
 //! `RevtrSystem::drive` runs the loop of Fig. 2 straight through: the
-//! destination probe, then per hop the atlas intersection, the campaign
-//! stop sets, the record-route step (direct, then spoofed batches from the
-//! plan's VPs, then the optional Appx. E re-probe), the timestamp step
+//! destination check (the direct RR ping the first record-route step
+//! reads, a plain ping only where that goes unanswered or no RR step
+//! follows), then per hop the atlas intersection, the campaign stop sets,
+//! the record-route step (direct, then spoofed batches from the plan's
+//! VPs, then the optional Appx. E re-probe), the timestamp step
 //! (revtr 1.0) and the symmetry assumption. The request's own state is a
 //! plain `Request`; the path it stitches lives in the driver's scratch
 //! (`crate::scratch`). Spoofed-batch waits are virtual — they cost no wall
@@ -37,11 +39,11 @@ use crate::result::{
     Evidence, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 use crate::scratch::{novel, on_path, Scratch};
-use crate::system::{Books, RevtrSystem, RrFound, RrHints};
+use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrObserved};
 use parking_lot::{Mutex, RwLock};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::{Contribution, Meter, Note, RequestScope, StoredRr};
+use revtr_probing::{Contribution, Meter, Note, ProbeLoss, RequestScope, StoredRr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle, Thread};
@@ -112,7 +114,8 @@ pub struct TimedJob {
     pub id: usize,
     /// Degradation-ladder level for this request (0 = full service; 1 =
     /// spoofed batches capped at one probe; 2+ = cache, stop-set and atlas
-    /// evidence only, no new RR probes).
+    /// evidence only, no new RR probes, so the destination check is a
+    /// plain ping).
     pub degrade: u8,
 }
 
@@ -194,12 +197,32 @@ impl Request {
     /// Fig. 2, start to finish; returns the result with its event count.
     fn run(mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> (RevtrResult, u64) {
         self.event(sys);
-        // The destination must answer something.
+        // The destination must answer something. The check is the direct
+        // RR ping the first RR step sends anyway: any echo reply proves D
+        // alive, usable stamps or not — a fresh cached one too, as the
+        // cache serves it to the RR step — and that step reads the
+        // observation instead of sending it again. A destination that
+        // drops RR-option packets, or whose RR ping an option filter
+        // dropped, gets a plain ping; one whose RR ping is lost to faults
+        // past the retry budget is unresponsive, as a lost ping is. The
+        // check is the plain ping where no RR step follows: at degradation
+        // L2+ (no new RR probes) and inside the source's own prefix.
         let (src, dst) = (self.src, self.dst);
+        let rr_check = self.degrade < 2 && !sys.reached(dst, src, self.src_prefix);
         let mut t = self.books();
         let st = t.enter("destination_probe");
-        let answered = sys.prober().ping_metered(t.meter, src, dst).is_some();
-        t.exit(st, &[("answered", u64::from(answered))]);
+        let mut direct = rr_check.then(|| sys.prober().rr_ping_observed(t.meter, src, dst));
+        let fallback = !matches!(direct, Some(Ok(_) | Err(ProbeLoss::Transient)));
+        let answered = match direct {
+            Some(Ok(_)) => true,
+            Some(Err(ProbeLoss::Transient)) => false,
+            _ => sys.prober().ping_metered(t.meter, src, dst).is_some(),
+        };
+        let fields = [
+            ("answered", u64::from(answered)),
+            ("fallback", u64::from(fallback)),
+        ];
+        t.exit(st, &fields);
         if !answered {
             return self.finish(sys, sx, Status::Unresponsive, StitchEnd::Unresponsive);
         }
@@ -219,7 +242,8 @@ impl Request {
             if self.atlas_suffix(sys, sx) {
                 return self.finish(sys, sx, Status::Complete, StitchEnd::AtlasSuffix);
             }
-            let found = self.record_route(sys, sx);
+            // The first RR step is at D: it reads the check's RR ping.
+            let found = self.record_route(sys, sx, direct.take());
             self.event(sys);
             if self.adopt(sx, found) {
                 continue;
@@ -336,8 +360,14 @@ impl Request {
     /// request's evidence in the campaign stop sets answers first; failing
     /// that, the RR step probes — its hints taken from the stop sets and
     /// the degradation ladder — publishes what it learned, and, in the
-    /// Appx. E mode, re-probes the first hop it revealed.
-    fn record_route(&mut self, sys: &RevtrSystem<'_>, sx: &mut Scratch) -> Option<RrFound> {
+    /// Appx. E mode, re-probes the first hop it revealed. `direct` is the
+    /// direct RR ping to `cur` the request already sent, if any.
+    fn record_route(
+        &mut self,
+        sys: &RevtrSystem<'_>,
+        sx: &mut Scratch,
+        direct: Option<RrObserved>,
+    ) -> Option<RrFound> {
         // Campaign stop sets, everything under one read lock: reuse an
         // earlier request's reverse-hop evidence at this (source, router)
         // before spending any probes — the Doubletree-style backward stop.
@@ -345,7 +375,10 @@ impl Request {
         // adoption replays the original provenance, exactly like a
         // measurement-cache hit. Failing that, collect the hints the RR
         // step opens with.
-        let mut hints = RrHints::default();
+        let mut hints = RrHints {
+            direct,
+            ..RrHints::default()
+        };
         if sys.config().use_stop_sets {
             let stop = sys.stopset().consult();
             let ss = self.books().enter("stopset_backward");
@@ -395,9 +428,9 @@ impl Request {
         }
 
         let (cur, src) = (self.cur, self.src);
-        let (found, usable_seen) = sys.rr_step(cur, src, sx, &mut self.books(), hints);
+        let (found, usable_seen) = sys.rr_step(cur, src, sx, &mut self.books(), &hints);
         if sys.config().use_stop_sets {
-            self.publish(sys, found.as_ref(), hints, usable_seen);
+            self.publish(sys, found.as_ref(), &hints, usable_seen);
         }
         if sys.config().verify_dbr {
             self.verify(sys, sx, found.as_ref());
@@ -411,12 +444,15 @@ impl Request {
         &mut self,
         sys: &RevtrSystem<'_>,
         found: Option<&RrFound>,
-        hints: RrHints,
+        hints: &RrHints,
         usable_seen: bool,
     ) {
         let (src, cur) = (self.src, self.cur);
         // A skipped probe republishes nothing: the skip came from a hint
-        // (or the degradation ladder), not from a measurement.
+        // (or the degradation ladder), not from a measurement. Under a
+        // futility hint the step may still read the destination check's
+        // probe (it is paid for); its miss repeats what the stop sets
+        // already hold, so nothing is published for it either.
         let direct_futile = Note::DirectFutile { src, cur };
         match found {
             Some(&(rev, prov, spoofed)) => {
@@ -478,7 +514,7 @@ impl Request {
         // The verification re-probe neither consults nor feeds the stop
         // sets: its whole point is an independent re-measurement.
         let src = self.src;
-        let (v, _) = sys.rr_step(first, src, sx, &mut self.books(), RrHints::default());
+        let (v, _) = sys.rr_step(first, src, sx, &mut self.books(), &RrHints::default());
         if let Some(&h0) = v.as_ref().and_then(|(h, _, _)| h.first()) {
             if h0 != expected && !sys.hop_match(h0, expected) {
                 self.stats.dbr_violation_detected = true;
@@ -1020,13 +1056,16 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The one way a reverse traceroute executes, on the scratch its
-    /// driver lends it: the destination probe, then the stitching loop
-    /// (Fig. 2) until the path reaches the source, stalls, or runs out of
-    /// hop budget. Returns the result with its event count — one event
-    /// where the request starts, one at each loop head, one per spoofed
-    /// round (the primary RR step's and the Appx. E re-probe's), one as
-    /// each RR step concludes (a stop-set adoption included), one per
-    /// timestamp step and one per symmetry step.
+    /// driver lends it: the destination check — the direct RR ping the
+    /// first RR step reads instead of sending, with a plain ping only where
+    /// it goes unanswered, at degradation L2+ or inside the source's prefix
+    /// — then the stitching loop (Fig. 2) until the path reaches the
+    /// source, stalls, or runs out of hop budget. Returns the result with
+    /// its event count — one event where the request starts, one at each
+    /// loop head, one per spoofed round (the primary RR step's and the
+    /// Appx. E re-probe's), one as each RR step concludes (a stop-set
+    /// adoption included), one per timestamp step and one per symmetry
+    /// step.
     pub(crate) fn drive(&self, job: &TimedJob, sx: &mut Scratch) -> (RevtrResult, u64) {
         Request::new(self, job, sx).run(self, sx)
     }

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, AsId, PrefixId, RrSlots};
+use revtr_netsim::{Addr, AsId, PrefixId, RrReply, RrSlots};
 use revtr_probing::{
     LastLink, Meter, ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken,
     StopSet, WordMap,
@@ -134,13 +134,24 @@ impl Books<'_> {
 /// whether that probe was spoofed.
 pub(crate) type RrFound = (RrSlots, RrProvenance, bool);
 
-/// Hints a record-route step takes from the campaign stop sets: facts an
-/// earlier request already paid probes to learn at the same router.
-#[derive(Clone, Copy, Debug, Default)]
+/// What one direct (non-spoofed) RR ping observed: the reply with its
+/// provenance, or why none came.
+pub(crate) type RrObserved = Result<(RrReply, RrProvenance), ProbeLoss>;
+
+/// Hints a record-route step opens with: facts an earlier request already
+/// paid probes to learn at the same router (the campaign stop sets), the
+/// degradation ladder's limits, and the direct probe this request already
+/// sent.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct RrHints {
     /// Skip the direct (non-spoofed) RR ping — known futile for this
     /// source at this router.
     pub(crate) skip_direct: bool,
+    /// The direct RR ping's outcome when the request already sent that
+    /// very probe (its destination check): the step reads it in place of
+    /// sending its own, even when `skip_direct` is set — the skip saves a
+    /// send, and this one is already paid for.
+    pub(crate) direct: Option<RrObserved>,
     /// Skip the whole spoofed ladder — an earlier request exhausted it at
     /// this router without a single usable reply.
     pub(crate) skip_spoofed: bool,
@@ -618,20 +629,29 @@ impl<'s> RevtrSystem<'s> {
         src: Addr,
         sx: &mut Scratch,
         t: &mut Books<'_>,
-        hints: RrHints,
+        hints: &RrHints,
     ) -> (Option<RrFound>, bool) {
         let st = t.enter("rr_step");
 
-        // Direct (non-spoofed) RR ping from the source — skipped when an
-        // earlier request proved it futile on this ingress plan.
-        if !hints.skip_direct {
+        // Direct (non-spoofed) RR ping from the source — read off the hints
+        // when the request already sent it, else sent unless an earlier
+        // request proved it futile on this ingress plan.
+        if hints.direct.is_some() || !hints.skip_direct {
             let direct = t.enter("rr_direct");
-            if let Ok((reply, prov)) = self.prober.rr_ping_observed(t.meter, src, cur) {
+            let live;
+            let observed = match &hints.direct {
+                Some(observed) => observed,
+                None => {
+                    live = self.prober.rr_ping_observed(t.meter, src, cur);
+                    &live
+                }
+            };
+            if let Ok((reply, prov)) = observed {
                 if let Some(rev) = Self::reverse_hops(&reply.slots, cur) {
                     let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
                         t.exit(direct, &[("hit", 1)]);
-                        return (Self::rr_close(t, st, Some((new, prov, false))), false);
+                        return (Self::rr_close(t, st, Some((new, *prov, false))), false);
                     }
                 }
             }
@@ -791,10 +811,10 @@ impl<'s> RevtrSystem<'s> {
             match self.prober.ts_ping_outcome(meter, src, cur, &[cur, adj]) {
                 // Persistent: the destination ignores TS, stop trying.
                 Err(ProbeLoss::Unanswered) => return None,
-                // Transient: the probe was lost beyond its retry budget —
-                // that says nothing about TS support; try the next
+                // Lost beyond its retry budget, to faults or to an option
+                // filter — that says nothing about TS support; try the next
                 // adjacency rather than writing the technique off.
-                Err(ProbeLoss::Transient) => continue,
+                Err(ProbeLoss::Transient | ProbeLoss::Filtered) => continue,
                 Ok(r) if r.filled >= 2 => return Some(adj),
                 Ok(r) if r.filled == 1 => {
                     // The current hop stamped but the adjacency did not;
@@ -1178,7 +1198,7 @@ mod tests {
                 winner: Some(vp),
                 ..RrHints::default()
             };
-            let (found, _) = sys.rr_step(cur, src, &mut sx, &mut books, hints);
+            let (found, _) = sys.rr_step(cur, src, &mut sx, &mut books, &hints);
             (found.map(|(_, prov, _)| prov.sender), sx.sent.remove(0))
         };
 

@@ -2,10 +2,12 @@
 //! policy, and the ablation knobs, exercised end-to-end on a small
 //! simulated Internet.
 
-use revtr::{EngineConfig, HopMethod, LoopConfig, RevtrSystem, Status, SymmetryPolicy};
+use revtr::{
+    EngineConfig, HopMethod, LoopConfig, RevtrResult, RevtrSystem, Status, SymmetryPolicy,
+};
 use revtr_atlas::select_atlas_probes;
-use revtr_netsim::{Addr, FaultConfig, Sim, SimConfig};
-use revtr_probing::{Prober, RetryPolicy};
+use revtr_netsim::{Addr, FaultConfig, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
+use revtr_probing::{Meter, ProbeLoss, Prober, RetryPolicy, Telemetry};
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -20,9 +22,13 @@ impl Fixture {
         }
     }
 
-    fn system(&self, mut cfg: EngineConfig) -> RevtrSystem<'_> {
+    fn system(&self, cfg: EngineConfig) -> RevtrSystem<'_> {
+        self.system_on(Prober::new(&self.sim), cfg)
+    }
+
+    /// [`Fixture::system`], probing through `prober`.
+    fn system_on<'a>(&'a self, prober: Prober<'a>, mut cfg: EngineConfig) -> RevtrSystem<'a> {
         cfg.atlas_size = 40;
-        let prober = Prober::new(&self.sim);
         let vps: Vec<Addr> = self.sim.topo().vp_sites.iter().map(|v| v.host).collect();
         let prefixes: Vec<_> = self.sim.topo().prefixes.iter().map(|p| p.id).collect();
         let ingress = Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
@@ -202,6 +208,114 @@ fn unresponsive_destination_reported() {
     let r = sys.measure(dead, src);
     assert_eq!(r.status, Status::Unresponsive);
     assert!(r.hops.is_empty());
+}
+
+/// One request from `src` to `dst` on a fresh system over `f`, the
+/// measurement cache on or off: its result, its destination check span's
+/// (pkts, fallback, answered), and whether an RR step ran its direct probe.
+fn destination_check(
+    f: &Fixture,
+    src: Addr,
+    dst: Addr,
+    cache: bool,
+) -> (RevtrResult, CheckSpan, bool) {
+    let tele = Telemetry::enabled();
+    let prober = Prober::new(&f.sim).with_telemetry(tele.clone());
+    let mut cfg = EngineConfig::revtr2();
+    cfg.use_cache = cache;
+    let r = f.system_on(prober, cfg).measure(dst, src);
+    let journal = tele.journal_records();
+    let rec = (journal.iter())
+        .find(|rec| rec.dst == dst.0)
+        .expect("journaled");
+    let span = |stage| rec.spans().iter().find(|s| s.stage == stage);
+    let check = span("destination_probe").expect("the check ran");
+    let field = |k| rec.fields(check).iter().find(|(n, _)| *n == k).map(|f| f.1);
+    let seen = (field("pkts"), field("fallback"), field("answered"));
+    (r, seen, span("rr_direct").is_some())
+}
+
+/// A destination check span's (pkts, fallback, answered) fields.
+type CheckSpan = (Option<u64>, Option<u64>, Option<u64>);
+
+/// Asserts that the request to `dst`, the cache on and off, passes its
+/// check (or not: `answered`) on `pkts` packets, `pings` of them plain
+/// pings, and sends as many RR packets with the cache off as on a cold
+/// cache.
+fn assert_check(f: &Fixture, src: Addr, dst: Addr, pkts: u64, pings: u64, answered: bool) {
+    let mut rr = Vec::new();
+    for cache in [true, false] {
+        let (r, seen, _) = destination_check(f, src, dst, cache);
+        let want = (Some(pkts), Some(pings), Some(u64::from(answered)));
+        assert_eq!(
+            seen, want,
+            "{dst} cache {cache}: (pkts, fallback, answered)"
+        );
+        assert_eq!(r.stats.probes.ping, pings, "{dst} cache {cache}: {r}");
+        assert_eq!(r.status == Status::Unresponsive, !answered, "{dst}: {r}");
+        rr.push(r.stats.probes.rr);
+    }
+    assert_eq!(rr[0], rr[1], "{dst}: RR packets, cold cache vs cache off");
+}
+
+#[test]
+fn the_destination_check_is_the_first_rr_ping() {
+    // The check's three outcomes, with the measurement cache on and off:
+    // an RR-responsive host passes on the one RR packet, with no plain
+    // ping; a host that drops RR-option packets costs the RR ping and a
+    // plain ping, and its request goes on; a silent host costs both and is
+    // unresponsive. The first RR step reads the check's observation instead
+    // of sending it again, so a request sends exactly the RR packets with
+    // the cache off that it sends on a cold cache.
+    let f = Fixture::new(36);
+    let b = f.sim.behavior();
+    let src = f.sim.topo().vp_sites[0].host;
+    let src_prefix = f.sim.host_prefix(src);
+    // A host outside the source's prefix; an answering one must reach an
+    // RR step at D (no atlas intersection there), which reads the check.
+    let host = |want: &dyn Fn(Addr) -> bool| {
+        (f.sim.topo().prefixes.iter())
+            .filter(|pe| Some(pe.id) != src_prefix)
+            .flat_map(|pe| f.sim.host_addrs(pe.id))
+            .filter(|&a| want(a))
+            .find(|&a| !b.host_ping_responsive(a) || destination_check(&f, src, a, true).2)
+            .expect("the fixture holds such a host")
+    };
+    let rr_host = host(&|a| b.host_rr_responsive(a));
+    assert_check(&f, src, rr_host, 1, 0, true);
+    let ping_only = host(&|a| b.host_ping_responsive(a) && !b.host_rr_responsive(a));
+    assert_check(&f, src, ping_only, 2, 1, true);
+    let silent = host(&|a| !b.host_ping_responsive(a));
+    assert_check(&f, src, silent, 2, 1, false);
+}
+
+#[test]
+fn the_destination_check_tells_an_option_filter_from_a_fault() {
+    // An RR ping a rate limiter dropped for its option is no proof D is
+    // down: the check sends the plain ping the limiter lets through, and
+    // the request goes on. One lost to faults past the retry budget is
+    // treated as a lost ping was: D is unresponsive, on the one packet.
+    let mut cfg = SimConfig::tiny();
+    cfg.scenario = ScenarioConfig::profile_at(ScenarioProfile::AsymmetricRateLimiters, 1.0);
+    let f = Fixture {
+        sim: Sim::build(cfg, 36),
+    };
+    let src = f.sim.topo().vp_sites[0].host;
+    let probe = Prober::new(&f.sim).with_cache_enabled(false);
+    let filtered = (f.destinations(usize::MAX).into_iter())
+        .find(|&d| {
+            probe.rr_ping_observed(&mut Meter::default(), src, d) == Err(ProbeLoss::Filtered)
+        })
+        .expect("a limiter drops some direct RR ping");
+    assert_check(&f, src, filtered, 2, 1, true);
+
+    let mut cfg = SimConfig::tiny();
+    cfg.faults.probe_loss = 1.0;
+    let f = Fixture {
+        sim: Sim::build(cfg, 36),
+    };
+    let (src, dst) = (f.sim.topo().vp_sites[0].host, f.destinations(1)[0]);
+    assert_check(&f, src, dst, 1, 0, false);
 }
 
 #[test]
@@ -413,8 +527,8 @@ fn cached_measurements_cost_no_batches() {
         warm.stats.batches, 0,
         "fully cached re-measurement still counted spoofed batches"
     );
-    // Per-probe RTTs (plain pings are uncached) may still tick, but no
-    // 10 s spoofed-batch collection timeout may be charged.
+    // Whatever the cache does not hold may still tick per-probe RTTs, but
+    // no 10 s spoofed-batch collection timeout may be charged.
     assert!(
         warm.stats.duration_s < 10.0,
         "fully cached re-measurement still charged a batch timeout: {:.1}s",
@@ -436,18 +550,19 @@ fn a_campaigns_meters_add_up_to_the_shared_totals() {
     // registered first: an atlas build is background work, charged to the
     // shared totals alone.) A probe site that forgets the meter fails here.
     // Loss with a retry budget exercises the retry charges;
-    // timestamps and the Appx. E re-probe put every probe kind in play.
+    // timestamps and the Appx. E re-probe put every probe kind in play,
+    // and a host that drops RR-option packets the destination check's
+    // plain ping.
     let mut sim_cfg = SimConfig::tiny();
     sim_cfg.faults = FaultConfig::lossy(0.15);
     let sim = Sim::build(sim_cfg, 38);
     let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
-    let dests: Vec<Addr> = prefixes
-        .iter()
-        .filter_map(|&p| {
-            sim.host_addrs(p)
-                .find(|&a| sim.behavior().host_rr_responsive(a))
-        })
+    let b = sim.behavior();
+    let ping_only = |a: Addr| b.host_ping_responsive(a) && !b.host_rr_responsive(a);
+    let dests: Vec<Addr> = (prefixes.iter())
+        .filter_map(|&p| sim.host_addrs(p).find(|&a| b.host_rr_responsive(a)))
+        .chain(sim.host_addrs(prefixes[0]).find(|&a| ping_only(a)))
         .collect();
     let pairs: Vec<(Addr, Addr)> = dests
         .iter()

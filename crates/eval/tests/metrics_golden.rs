@@ -10,8 +10,9 @@
 //! order, reproduces them byte for byte.
 //!
 //! Updating a golden is a deliberate act: regenerate with
-//! `revtr-cli report --scale smoke --seed 42 --out crates/eval/tests/goldens/smoke42 > crates/eval/tests/goldens/smoke42/report.txt`
-//! (and `--scale standard` for `standard42/`), delete the exports no
+//! `revtr-cli report --scale smoke --seed 42 --out crates/eval/tests/goldens/smoke42 | tail -n +2 > crates/eval/tests/goldens/smoke42/report.txt`
+//! (the dropped first line names the master seed, which the golden does
+//! not pin; `--scale standard` for `standard42/`), delete the exports no
 //! golden pins (`metrics.prom`, `trace.json`, the `.folded` files), then
 //! review the diff. See DESIGN.md §8 for the baseline-update procedure.
 
@@ -112,7 +113,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0xa7f75e8d97d33744 journal 0xca4f061739657203",
+        "metrics 0x0b763a1d147ca0ae journal 0x48d6a6bc742f8bef",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

@@ -133,6 +133,11 @@ pub enum ProbeLoss {
     /// Every attempt in the budget was lost to injected faults; a larger
     /// budget (or later retry) might still succeed.
     Transient,
+    /// Every attempt in the budget was lost, at least one of them to the
+    /// scenario's policing of IP-option packets (a rate limiter or spoof
+    /// filter): the path carried it, the option was what got it dropped,
+    /// so a packet without options may still get an answer.
+    Filtered,
 }
 
 /// Send-time provenance of one Record Route observation: everything the
@@ -567,9 +572,9 @@ impl<'s> Prober<'s> {
     /// send, and the retry past the first attempt; draw its faults under
     /// its nonce ([`Probe::nonce`]), then — for the kinds that carry IP
     /// options — its scenario, as attempt `p.base + k`. Returns the nonce
-    /// if the attempt got through, for its send to route under; `None` if
-    /// it was lost: the loss is counted here, its wait is the loop's to
-    /// charge.
+    /// if the attempt got through, for its send to route under, or why it
+    /// was lost (`Transient` to faults, `Filtered` to the scenario): the
+    /// loss is counted here, its wait is the loop's to charge.
     fn attempt(
         &self,
         m: &mut Meter,
@@ -577,7 +582,7 @@ impl<'s> Prober<'s> {
         k: u32,
         at_ms: f64,
         sent_ms: impl FnOnce() -> f64,
-    ) -> Option<u64> {
+    ) -> Result<u64, ProbeLoss> {
         if k > 0 {
             self.count(m, ProbeKind::Retries, 1);
             self.telemetry.counter_add("probing.retries", 1);
@@ -585,14 +590,16 @@ impl<'s> Prober<'s> {
         self.count(m, p.kind, 1);
         let nonce = p.nonce(k, at_ms);
         let options = !matches!(p.kind, ProbeKind::Ping | ProbeKind::Traceroutes);
-        let lost = self.fault_lost(p.spoof_vp, p.dst, nonce, sent_ms)
-            || (options && self.scenario_lost(p.spoof_vp, p.claimed, p.dst, p.base + k));
-        if lost {
-            self.count(m, ProbeKind::Lost, 1);
-            self.telemetry.counter_add("probing.fault_lost", 1);
-            return None;
-        }
-        Some(nonce)
+        let lost = if self.fault_lost(p.spoof_vp, p.dst, nonce, sent_ms) {
+            ProbeLoss::Transient
+        } else if options && self.scenario_lost(p.spoof_vp, p.claimed, p.dst, p.base + k) {
+            ProbeLoss::Filtered
+        } else {
+            return Ok(nonce);
+        };
+        self.count(m, ProbeKind::Lost, 1);
+        self.telemetry.counter_add("probing.fault_lost", 1);
+        Err(lost)
     }
 
     /// The chain loop: send probe `p` until an attempt gets through or the
@@ -602,25 +609,29 @@ impl<'s> Prober<'s> {
     /// readings; a round member's chain charges nothing and sends attempt
     /// `k` at `round_start` plus the waits before it. `send` sends the
     /// attempt that got through, under that attempt's nonce, and charges
-    /// its own outcome. Returns what `send` returned (`None`: every attempt
-    /// was lost) and the time the chain waited on lost attempts.
+    /// its own outcome. Returns what `send` returned — or, when every
+    /// attempt was lost, `Filtered` if the scenario dropped any of them and
+    /// `Transient` if faults took them all — and the time the chain waited
+    /// on lost attempts.
     fn chain<R>(
         &self,
         m: &mut Meter,
         p: Probe,
         round_start: Option<f64>,
         send: impl FnOnce(&mut Meter, u64) -> R,
-    ) -> (Option<R>, f64) {
+    ) -> (Result<R, ProbeLoss>, f64) {
         let timeout_ms = match p.kind {
             ProbeKind::Traceroutes => TRACEROUTE_TIMEOUT_MS,
             _ => PROBE_TIMEOUT_MS,
         };
-        let mut waited_ms = 0.0;
+        let (mut waited_ms, mut loss) = (0.0, ProbeLoss::Transient);
         for k in 0..self.retry.attempts {
             let at_ms = round_start.map_or(m.ms, |t| t + waited_ms);
             let sent_ms = || round_start.map_or_else(|| self.clock.now_ms(), |_| at_ms);
-            if let Some(nonce) = self.attempt(m, p, k, at_ms, sent_ms) {
-                return (Some(send(m, nonce)), waited_ms);
+            match self.attempt(m, p, k, at_ms, sent_ms) {
+                Ok(nonce) => return (Ok(send(m, nonce)), waited_ms),
+                Err(ProbeLoss::Filtered) => loss = ProbeLoss::Filtered,
+                Err(_) => {}
             }
             waited_ms += timeout_ms;
             if round_start.is_none() {
@@ -628,7 +639,7 @@ impl<'s> Prober<'s> {
             }
         }
         self.telemetry.counter_add("probing.transient_exhausted", 1);
-        (None, waited_ms)
+        (Err(loss), waited_ms)
     }
 
     /// The collection loop: send spoofed probes in rounds until every pair
@@ -650,7 +661,7 @@ impl<'s> Prober<'s> {
         while rounds < self.retry.attempts && lost.contains(&true) {
             let at_ms = m.ms;
             for (i, marked) in lost.iter_mut().enumerate().filter(|(_, marked)| **marked) {
-                if let Some(nonce) = self.attempt(m, probe(i), rounds, at_ms, now) {
+                if let Ok(nonce) = self.attempt(m, probe(i), rounds, at_ms, now) {
                     *marked = false;
                     send(m, i, nonce);
                 }
@@ -676,7 +687,7 @@ impl<'s> Prober<'s> {
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             r
         });
-        r.flatten()
+        r.ok().flatten()
     }
 
     // ---- record route -------------------------------------------------------
@@ -692,8 +703,9 @@ impl<'s> Prober<'s> {
 
     /// Non-spoofed RR ping with the send-time provenance needed to replay
     /// the observation (stitch-trace audit), charged to `m`, distinguishing
-    /// *why* it failed: genuinely unanswered (persistent) vs fault-lost
-    /// beyond the retry budget (transient).
+    /// *why* it failed: genuinely unanswered (persistent), fault-lost
+    /// beyond the retry budget (transient), or dropped for its option
+    /// (filtered).
     pub fn rr_ping_observed(
         &self,
         m: &mut Meter,
@@ -716,8 +728,7 @@ impl<'s> Prober<'s> {
             self.charge(m, ex.reply.as_ref().map(|x| x.rtt_ms));
             self.rr_keep(m, key, ex)
         });
-        kept.ok_or(ProbeLoss::Transient)?
-            .ok_or(ProbeLoss::Unanswered)
+        kept?.ok_or(ProbeLoss::Unanswered)
     }
 
     /// The measurement cache's fresh observation for `key`, when caching
@@ -855,7 +866,7 @@ impl<'s> Prober<'s> {
     // ---- timestamp -------------------------------------------------------------
 
     /// Non-spoofed TS-prespec ping distinguishing persistent from
-    /// transient (fault-budget-exhausted) failure, charged to `m`.
+    /// budget-exhausted (transient or filtered) failure, charged to `m`.
     pub fn ts_ping_outcome(
         &self,
         m: &mut Meter,
@@ -869,7 +880,7 @@ impl<'s> Prober<'s> {
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             r
         });
-        r.ok_or(ProbeLoss::Transient)?.ok_or(ProbeLoss::Unanswered)
+        r?.ok_or(ProbeLoss::Unanswered)
     }
 
     /// A spoofed TS-prespec ping from `vp` claiming `claimed`, collected
@@ -916,7 +927,7 @@ impl<'s> Prober<'s> {
             self.advance(m, ms);
             r
         });
-        r.flatten()
+        r.ok().flatten()
     }
 
     /// One traceroute attempt that got through: the trace, its packets
@@ -979,7 +990,7 @@ impl<'s> Prober<'s> {
             }
             measured
         });
-        r.flatten()
+        r.ok().flatten()
     }
 }
 
@@ -1182,7 +1193,7 @@ impl Drop for Round<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revtr_netsim::SimConfig;
+    use revtr_netsim::{ScenarioConfig, ScenarioProfile, SimConfig};
 
     fn sim() -> Sim {
         Sim::build(SimConfig::tiny(), 21)
@@ -1488,6 +1499,40 @@ mod tests {
         let d = p2.counters().snapshot().since(&before);
         assert_eq!(d.rr, 1, "deterministic non-answers are not retried");
         assert_eq!(d.retries, 0);
+    }
+
+    #[test]
+    fn outcome_tells_an_option_filter_from_a_fault() {
+        // Every destination a rate limiter: the direct RR pings it drops
+        // are `Filtered`, not `Transient`, and the plain ping to the same
+        // destination, carrying no option, gets through.
+        let mut cfg = SimConfig::tiny();
+        cfg.scenario = ScenarioConfig::profile_at(ScenarioProfile::AsymmetricRateLimiters, 1.0);
+        let s = Sim::build(cfg, 24);
+        let p = Prober::new(&s).with_cache_enabled(false);
+        let vp0 = s.topo().vp_sites[0].host;
+        let outcomes: Vec<_> = (s.topo().vp_sites[1..].iter())
+            .map(|v| {
+                (
+                    v.host,
+                    p.rr_ping_observed(&mut Meter::default(), vp0, v.host),
+                )
+            })
+            .collect();
+        let filtered: Vec<Addr> = (outcomes.iter())
+            .filter(|(_, o)| *o == Err(ProbeLoss::Filtered))
+            .map(|&(d, _)| d)
+            .collect();
+        assert!(!filtered.is_empty(), "the limiters dropped no RR ping");
+        assert!(!outcomes
+            .iter()
+            .any(|(_, o)| *o == Err(ProbeLoss::Transient)));
+        for d in filtered {
+            assert!(
+                p.ping(vp0, d).is_some(),
+                "{d}: the plain ping is not policed"
+            );
+        }
     }
 
     #[test]

@@ -86,10 +86,19 @@ fn concurrent_source_registration_is_idempotent() {
     assert!(!sys.atlas(src).traces.is_empty());
 }
 
+/// One measured request: status, path, probe counts, virtual duration bits.
+type Measured = (
+    revtr_suite::revtr::Status,
+    Vec<Addr>,
+    revtr_suite::revtr::ProbeDelta,
+    u64,
+);
+
 /// One small campaign on a fresh, identically-seeded stack: a serial warm
 /// pass over all pairs, then a measured pass over the same pairs with
-/// `workers` threads. Returns the measured pass's per-request
-/// (status, path, probe counts, virtual duration bits), in input order.
+/// `workers` threads. Returns the packets the warm pass sent, and the
+/// measured pass's per-request (status, path, probe counts, virtual
+/// duration bits), in input order.
 ///
 /// The warm pass pins down cache attribution: on a cold cache, requests
 /// share cacheable keys (non-spoofed RR probes of common reverse hops),
@@ -100,15 +109,7 @@ fn concurrent_source_registration_is_idempotent() {
 /// count, and so must the durations: each is what the request's own meter
 /// read. Churn is disabled because its flush points depend on how
 /// virtual time partitions across workers.
-fn campaign(
-    workers: usize,
-    seed: u64,
-) -> Vec<(
-    revtr_suite::revtr::Status,
-    Vec<Addr>,
-    revtr_suite::revtr::ProbeDelta,
-    u64,
-)> {
+fn campaign(workers: usize, seed: u64) -> (u64, Vec<Measured>) {
     let mut cfg = SimConfig::tiny();
     cfg.behavior.churn_per_hour = 0.0;
     let sim = Sim::build(cfg, seed);
@@ -120,9 +121,11 @@ fn campaign(
     let ds = dests(&sim, srcs.len());
     let pairs: Vec<(Addr, Addr)> = ds.into_iter().zip(srcs).collect();
 
+    let warm_up = sys.prober().counters().snapshot();
     for &(d, s) in &pairs {
         let _ = sys.measure(d, s);
     }
+    let warm_up = sys.prober().counters().snapshot().since(&warm_up);
 
     let slots: Vec<parking_lot_stub::Slot> = (0..pairs.len())
         .map(|_| parking_lot_stub::Slot::new())
@@ -140,7 +143,7 @@ fn campaign(
             });
         }
     });
-    slots
+    let measured = slots
         .iter()
         .map(|slot| {
             let r = slot.get();
@@ -151,7 +154,8 @@ fn campaign(
                 r.stats.duration_s.to_bits(),
             )
         })
-        .collect()
+        .collect();
+    (warm_up.all_packets(), measured)
 }
 
 #[test]
@@ -159,21 +163,31 @@ fn campaign_results_are_worker_count_invariant() {
     // The same campaign serially and with 8 workers: every request must
     // produce the identical status, path, probe-count snapshot and
     // virtual duration, to the bit.
-    let serial = campaign(1, 7);
-    let parallel = campaign(8, 7);
+    let (warm_up, serial) = campaign(1, 7);
+    let (_, parallel) = campaign(8, 7);
     assert_eq!(serial.len(), parallel.len());
     assert!(serial.len() >= 4, "campaign too small to be meaningful");
-    let mut probes_seen = 0;
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.0, p.0, "status diverged for request {i}");
         assert_eq!(s.1, p.1, "path diverged for request {i}");
         assert_eq!(s.2, p.2, "probe counts diverged for request {i}");
         assert_eq!(s.3, p.3, "duration diverged for request {i}");
-        probes_seen += s.2.ping + s.2.rr + s.2.spoof_rr + s.2.ts + s.2.spoof_ts;
+        // Every option probe and traceroute a warm request needs is cached
+        // (plain pings are not: a destination inside its source's prefix
+        // is checked by one).
+        assert_eq!(
+            s.2.option_probes() + s.2.traceroute_pkts,
+            0,
+            "warm request {i} missed the cache: {:?}",
+            s.2
+        );
     }
-    assert!(probes_seen > 0, "warm campaign sent no probes at all");
+    assert!(
+        warm_up > 0,
+        "the warm-up pass sent no probes: the check is vacuous"
+    );
     // And serial runs are bit-reproducible.
-    assert_eq!(serial, campaign(1, 7));
+    assert_eq!((warm_up, serial), campaign(1, 7));
 }
 
 mod parking_lot_stub {
