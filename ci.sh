@@ -3,27 +3,67 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release =="
+# Every step below runs, in this order, in a bash of its own under
+# `set -euo pipefail`. A failing step is recorded and the next one runs;
+# the table of failures and the nonzero exit come at the end. A build step
+# is fatal: the steps after it run what it builds, and running them on a
+# stale binary would pass gates the new code never faced.
+failures=()
+summary() {
+  if [ "${#failures[@]}" -eq 0 ]; then
+    echo "CI OK"
+    exit 0
+  fi
+  echo "== CI FAILED: ${#failures[@]} step(s) =="
+  printf 'exit\tstep\n'
+  printf '%s\n' "${failures[@]}"
+  exit 1
+}
+# step [--fatal] NAME: run the script on stdin as one step.
+step() {
+  local fatal=0 name body status=0
+  if [ "$1" = --fatal ]; then
+    fatal=1
+    shift
+  fi
+  name=$1
+  body=$(cat)
+  echo "== $name =="
+  bash -euo pipefail -c "$body" || status=$?
+  if [ "$status" -ne 0 ]; then
+    failures+=("$status	$name")
+    echo "-- step failed (exit $status): $name"
+    if [ "$fatal" -eq 1 ]; then
+      summary
+    fi
+  fi
+}
+
+step --fatal "cargo build --release" <<'STEP'
 cargo build --release
+STEP
 
 # The workspace run includes the root package's own suites (tier-1's
 # `cargo test -q`: tests/faults.rs — the fault model's seed-pure no-op
 # gate — metamorphic, hostile_regressions, ...), so they are not re-run
 # one by one in debug.
-echo "== cargo test -q --workspace =="
+step "cargo test -q --workspace" <<'STEP'
 cargo test -q --workspace
+STEP
 
 # Examples are built by neither command above; check them so an API
 # change cannot rot them silently.
-echo "== cargo check --workspace --all-targets =="
+step "cargo check --workspace --all-targets" <<'STEP'
 cargo check -q --workspace --all-targets --offline
+STEP
 
 # The repo benchmark is a package of its own (own [workspace], never built
 # by the commands above) that calls the layer crates' public API: build it
 # and run its unit tests here, so an API change that breaks it fails
 # tier-1 rather than the benchmark pipeline.
-echo "== benchmark package (cargo test, benchmark/Cargo.toml) =="
+step "benchmark package (cargo test, benchmark/Cargo.toml)" <<'STEP'
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+STEP
 
 # Metamorphic gate: semantics-preserving transforms (cache, workers, VP
 # permutation, recovered faults) leave stitched paths bit-identical;
@@ -38,8 +78,9 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # The other arms keep churn and load balancing off: churn couples requests
 # through the shared clock's flush points, and load balancing through the
 # cache, whose hits replay whichever request measured a key first.
-echo "== metamorphic suite (release, tests/metamorphic.rs) =="
+step "metamorphic suite (release, tests/metamorphic.rs)" <<'STEP'
 cargo test -q --release --test metamorphic
+STEP
 
 # Stitch-trace audit + probe-economy gate: `revtr-cli audit` runs the clean
 # standard campaign with stop sets off and then on. Every accepted hop of
@@ -52,7 +93,7 @@ cargo test -q --release --test metamorphic
 # last-link measurement for both arms, and holds the stop-sets-on arm to
 # <= 6.0 packets per measurement — half a full forward trace. The
 # subcommand exits nonzero if any of these gates fails.
-echo "== stitch-trace audit + probe-economy gate (release, standard scale, seeds 1/7/42, stop sets off/on) =="
+step "stitch-trace audit + probe-economy gate (release, standard scale, seeds 1/7/42, stop sets off/on)" <<'STEP'
 cargo build -q --release -p revtr-eval
 for seed in 1 7 42; do
   status=0
@@ -61,14 +102,16 @@ for seed in 1 7 42; do
   echo "$audit_out" | tail -n 6
   [ "$status" -eq 0 ] || exit "$status"
 done
+STEP
 
 # Last-link gate: every symmetry-step decision of the standard campaign
 # (hop adopted, interdomain abort, stuck) is the one a full forward
 # traceroute gives, at widths 1 and 4, and with the measurement cache off
 # the traceroute packets sent are equal across widths. Seeds {1, 7, 42}
 # are baked into the test.
-echo "== last-link campaign gate (release, standard scale, seeds 1/7/42, workers 1/4) =="
+step "last-link campaign gate (release, standard scale, seeds 1/7/42, workers 1/4)" <<'STEP'
 cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
+STEP
 
 # Survey-tree gate: the full era-2020 ingress survey as `IngressDb::build`
 # runs it — a sink tree lent to every RR ping, per destination and per VP —
@@ -84,8 +127,9 @@ cargo test -q --release -p revtr-eval --test last_link_campaign -- --ignored
 # `PrefixInfo`, the clock and simulator-time bits, the counters and the
 # route computes. (The tiny arms, a lossy rate-limited one with three
 # attempts a probe among them, run in the workspace tests above.)
-echo "== survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + pinned seed 1) =="
+step "survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + pinned seed 1)" <<'STEP'
 cargo test -q --release -p revtr-vpselect -- --ignored
+STEP
 
 # Route-cache bound: 2 400 virtual hours of default churn on the era-2020
 # Internet, a window of prefixes RR-pinged after every flush — the cache
@@ -99,10 +143,11 @@ cargo test -q --release -p revtr-vpselect -- --ignored
 # block, and the route plane to the whole-graph `routes_to` at every AS
 # toward every era-2020 destination AS, under the epoch-0 salt of each of
 # its prefixes and under its infrastructure salt.
-echo "== route-cache bound soak + prefix_of, router_at and routes on every era-2020 address and AS (release) =="
+step "route-cache bound soak + prefix_of, router_at and routes on every era-2020 address and AS (release)" <<'STEP'
 cargo test -q --release -p revtr-netsim --lib -- --ignored \
   the_route_cache_keeps_only_live_keys prefix_of_matches_the_search \
   router_at_matches_the_reference every_era_2020_destination
+STEP
 
 # Allocation gates, optimized as deployed: a request allocates what it
 # returns — one block (request plane: `measure()` ≤ 1.2 a request and a
@@ -113,12 +158,13 @@ cargo test -q --release -p revtr-netsim --lib -- --ignored \
 # record it keeps and none for one it drops, the survey what it keeps, and
 # a round's measurement cache ≤ 140 B live an entry, nothing to overwrite.
 # (The debug builds run in the workspace tests above.)
-echo "== allocation gates (release: core, vpselect, service, telemetry, probing) =="
+step "allocation gates (release: core, vpselect, service, telemetry, probing)" <<'STEP'
 cargo test -q --release -p revtr --test alloc_gate
 cargo test -q --release -p revtr-vpselect --test alloc_gate
 cargo test -q --release -p revtr-service --test alloc_gate
 cargo test -q --release -p revtr-telemetry --test alloc_gate
 cargo test -q --release -p revtr-probing --test alloc_gate
+STEP
 
 # SLO + memory-budget gate: the clean standard campaign's report fires
 # no rule at any pinned seed (`revtr-cli report` exits nonzero on any
@@ -129,7 +175,7 @@ cargo test -q --release -p revtr-probing --test alloc_gate
 # its identity alone is held by crates/eval/tests/metrics_golden.rs: one
 # CampaignRun judged by the report and the auditor reproduces the goldens
 # `report` wrote alone...
-echo "== SLO + memory-budget gate (release, standard scale, seeds 1/7/42) =="
+step "SLO + memory-budget gate (release, standard scale, seeds 1/7/42)" <<'STEP'
 for seed in 1 7 42; do
   report_out=$(./target/release/revtr-cli report --scale standard --seed "$seed")
   ledgers=$(echo "$report_out" \
@@ -140,10 +186,11 @@ for seed in 1 7 42; do
   echo "$report_out" | tail -n 1
   echo "seed $seed: $ledgers ledgers"
 done
+STEP
 
 # ...while a faulted campaign (30% transient loss, no retry budget) must
 # provably fire the coverage and stuck-request alerts.
-echo "== SLO fault-detection gate (release, smoke, loss 0.3) =="
+step "SLO fault-detection gate (release, smoke, loss 0.3)" <<'STEP'
 if faulted_out=$(./target/release/revtr-cli report --scale smoke --seed 1 --loss 0.3 --budget 1); then
   echo "faulted run passed the SLO gate — the report is blind"; exit 1
 fi
@@ -158,6 +205,7 @@ echo "$faulted_out" | awk '
   /^watchdog: / && match($0, /deadline [0-9.]+/) { dl = substr($0, RSTART + 9, RLENGTH - 9) / 1000 }
   END { printf "margins: coverage %s under the floor %s; slowest request %.1f s against the %.0f s deadline\n", cov, floor, slow, dl }'
 echo "$faulted_out" | tail -n 1
+STEP
 
 # Hostile-Internet scenario gate: it checks bite only — every adversarial
 # profile's campaign fingerprint must depart from the clean campaign's
@@ -165,11 +213,12 @@ echo "$faulted_out" | tail -n 1
 # table it prints reports the stock engine's coverage, accuracy, probes
 # and unsound hops per profile; none of those is gated. Three pinned
 # master seeds, same as the SLO gate.
-echo "== scenario bite gate (release, standard scale, seeds 1/7/42) =="
+step "scenario bite gate (release, standard scale, seeds 1/7/42)" <<'STEP'
 for seed in 1 7 42; do
   ./target/release/revtr-cli scenario --scale standard --seed "$seed" \
     | tail -n 1
 done
+STEP
 
 # Scenario SLO must-fire gate: under each adversarial profile the stock
 # engine's report must raise an alert (exit nonzero) and the firing rule
@@ -177,7 +226,7 @@ done
 # green under a hostile Internet is blind. An all-zero-severity profile
 # must still pass the full scenario policy (the verification-mode probe
 # allowance is calibrated for exactly this).
-echo "== scenario SLO must-fire gate (release, standard seed 1) =="
+step "scenario SLO must-fire gate (release, standard seed 1)" <<'STEP'
 scenario_must_fire() {
   profile=$1; rule=$2
   if out=$(./target/release/revtr-cli report --scale standard --seed 1 --scenario "$profile"); then
@@ -193,6 +242,7 @@ scenario_must_fire asymmetric-rate-limiters transient-exhaustion
 scenario_must_fire poisoned-atlas accuracy-floor
 ./target/release/revtr-cli report --scale standard --seed 1 \
   --scenario dbr-violation-region --severity 0 | tail -n 1
+STEP
 
 # Loadtest gate: the production traffic model at standard scale. Each
 # pinned seed runs the steady pattern (clean service: full SLO policy,
@@ -203,13 +253,14 @@ scenario_must_fire poisoned-atlas accuracy-floor
 # accounting, and ladder-transition log are bit-identical across dispatch
 # workers {1, 4, 16} (`revtr-cli loadtest` exits nonzero on any
 # determinism or judgment failure).
-echo "== loadtest gate (release, standard scale, seeds 1/7/42, steady + flash-crowd) =="
+step "loadtest gate (release, standard scale, seeds 1/7/42, steady + flash-crowd)" <<'STEP'
 for seed in 1 7 42; do
   ./target/release/revtr-cli loadtest --scale standard --seed "$seed" --pattern steady \
     | tail -n 1
   ./target/release/revtr-cli loadtest --scale standard --seed "$seed" --pattern flash-crowd \
     | tail -n 1
 done
+STEP
 
 # Paper-reproduction gate: every experiment builds its own world from
 # (scale, seed), so the standard reproduction is a pure function of its
@@ -221,7 +272,7 @@ done
 # and 42 (the `--ignored` run below). The operations harness's own
 # outputs are held to the same two-process identity: `report` and `audit`
 # at standard seed 1, stdout and every export.
-echo "== reproduction gate (release, standard: two-process identity of reproduce/report/audit, golden seed 1, shapes seeds 1-16 and 42) =="
+step "reproduction gate (release, standard: two-process identity of reproduce/report/audit, golden seed 1, shapes seeds 1-16 and 42)" <<'STEP'
 repro_dir=$(mktemp -d)
 for run in a b; do
   ./target/release/revtr-cli reproduce --scale standard --out "$repro_dir/$run" \
@@ -241,14 +292,16 @@ for sub in report audit; do
 done
 rm -rf "$repro_dir"
 cargo test -q --release -p revtr-eval --test reproduction -- --ignored
+STEP
 
 # Standard-scale golden (seed 42): TSV bytes, campaign fingerprints and
 # the rendered report (every ledger, stack, derived value and verdict)
 # pinned under crates/eval/tests/goldens/standard42.
-echo "== metrics golden gate (release, standard seed 42) =="
+step "metrics golden gate (release, standard seed 42)" <<'STEP'
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
+STEP
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings (disallowed methods and types) =="
+step "cargo clippy --workspace --all-targets -- -D warnings (disallowed methods and types)" <<'STEP'
 # -D clippy::disallowed-methods enforces clippy.toml: no wall-clock
 # sleeps, no free thread spawns (campaign workers are scoped threads).
 # -D clippy::disallowed-types keeps std's randomly keyed HashMap/HashSet
@@ -261,12 +314,13 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings (disallowed metho
 # outside its crate can reach must say `pub(crate)`.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::disallowed-methods \
   -D clippy::disallowed-types
+STEP
 
 # The audit crate is the arbiter of everyone else's soundness, and the
 # telemetry crate sits inside every hot path: both are additionally held
 # to no-unwrap (a panicking auditor proves nothing; a panicking tracer
 # would violate behaviour-neutrality).
-echo "== clippy unwrap gate (crates/audit, crates/telemetry; lib targets of crates/core, crates/probing, crates/vpselect) =="
+step "clippy unwrap gate (crates/audit, crates/telemetry; lib targets of crates/core, crates/probing, crates/vpselect)" <<'STEP'
 cargo clippy -p revtr-audit --all-targets -- -D warnings -D clippy::unwrap_used
 cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_used
 # The request plane — engine and prober — runs inside every measurement,
@@ -274,15 +328,17 @@ cargo clippy -p revtr-telemetry --all-targets -- -D warnings -D clippy::unwrap_u
 # value must be there (`expect`) or handles its absence. Tests may still
 # unwrap.
 cargo clippy -p revtr -p revtr-probing -p revtr-vpselect -- -D warnings -D clippy::unwrap_used
+STEP
 # ...and keeps no ambient per-thread state: a request's clock and probe
 # tally are its control block's `Meter`, lent down the probe path (the
 # workspace's three thread-locals — the telemetry stripe ordinal, the BGP
 # fill scratch, the walk's route-table memo — live in other crates and
 # hold nothing a result depends on).
-echo "== no per-thread state in the request plane (crates/probing/src, crates/core/src) =="
+step "no per-thread state in the request plane (crates/probing/src, crates/core/src)" <<'STEP'
 if grep -rnE 'thread_local!|thread_ms|thread_snapshot|swap_thread_' crates/probing/src crates/core/src; then
   echo "per-thread state in the request plane: charge the task's Meter instead"; exit 1
 fi
+STEP
 # ...and sees no ground truth: the engine, the prober, VP selection and
 # the service adopt only evidence a deployment could measure, so none of
 # them calls the simulator's oracle, tests included. (The atlas and
@@ -296,7 +352,7 @@ fi
 # datasets. One exemption: `atlas/src/probes.rs`, whose
 # `select_atlas_probes(&Sim, …)` builds the Atlas host list a caller hands
 # the system.
-echo "== no ground truth in the request plane (crates/{core,probing,vpselect,service,atlas}/src) =="
+step "no ground truth in the request plane (crates/{core,probing,vpselect,service,atlas}/src)" <<'STEP'
 if grep -rnE '\.oracle\(\)' crates/core/src crates/probing/src crates/vpselect/src crates/service/src; then
   echo "oracle call in the request plane: adopt only measured evidence"; exit 1
 fi
@@ -309,21 +365,23 @@ if [ -n "$reads" ]; then
   echo "$reads"
   echo "simulator read in the request plane: read the world through a Prober deployment read"; exit 1
 fi
+STEP
 
 # ...and sends every probe through one attempt step, driven by one of two
 # loops — the chain (single probes) and the collection loop (spoofed
 # batches) — so the retry budget is read in those two places alone.
-echo "== one attempt loop (crates/probing/src/prober.rs) =="
+step "one attempt loop (crates/probing/src/prober.rs)" <<'STEP'
 reads=$(grep -c 'retry.attempts' crates/probing/src/prober.rs)
 if [ "$reads" -ne 2 ]; then
   echo "retry.attempts read in $reads places: send through Prober::chain or Prober::collect"; exit 1
 fi
+STEP
 # ...and an atlas build and a prefix's ingress survey are one collection
 # round each: the atlas and vpselect crates' library code (each file up to
 # its first `#[cfg(test)]`) sends every probe as a member of a
 # `Prober::round`, never through a serial entry point that charges the
 # shared clock probe by probe.
-echo "== atlas builds and surveys send through one round (crates/{atlas,vpselect}/src, non-test code) =="
+step "atlas builds and surveys send through one round (crates/{atlas,vpselect}/src, non-test code)" <<'STEP'
 serial=$(for f in crates/atlas/src/*.rs crates/vpselect/src/*.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
 done | grep -E 'traceroute_fresh|\.(ping|ping_metered|rr_ping|rr_ping_observed|spoofed_rr_batch|spoofed_rr_batch_at|ts_ping_outcome|spoofed_ts_ping|last_link)\(' \
@@ -332,14 +390,17 @@ if [ -n "$serial" ]; then
   echo "$serial"
   echo "serial probe in an atlas build or survey: send it as a member of the Prober::round"; exit 1
 fi
+STEP
 
 # Rustdoc is warning-free: a doc link to a private, renamed or deleted
 # item fails here, so narrowing the public surface cannot leave a dangling
 # or private link behind in the rendered docs.
-echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
+step "cargo doc (RUSTDOCFLAGS=-D warnings)" <<'STEP'
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
+STEP
 
-echo "== cargo fmt --check =="
+step "cargo fmt --check" <<'STEP'
 cargo fmt --check
+STEP
 
-echo "CI OK"
+summary

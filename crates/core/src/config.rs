@@ -19,7 +19,10 @@ pub const MAX_PATH_HOPS: usize = 40;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VpSelection {
     /// revtr 2.0: one VP per ingress of the destination prefix, closest
-    /// first, batches of three.
+    /// first, batches of three — and none at a hop that left the
+    /// source's own direct RR ping unanswered: a spoofed RR ping goes to
+    /// the same responder, and its reply comes back to the same source.
+    /// The other selections keep trying every VP there.
     Ingress,
     /// revtr 1.0: destination set-cover order, then everything.
     SetCover,
@@ -62,8 +65,10 @@ pub struct EngineConfig {
     /// Consult and feed the campaign-wide Doubletree-style stop sets
     /// (`revtr_probing::stopset`): reuse earlier requests' reverse-hop
     /// evidence at shared routers, skip predictably futile direct RR
-    /// probes, start spoofed ladders at remembered winner VPs, and dedup
-    /// RR-atlas probes per interface. Off by default — `revtr-cli audit`
+    /// probes — and, at a router that left the source's direct RR ping
+    /// unanswered, the spoofed ladder that [`VpSelection::Ingress`] skips
+    /// there too — start spoofed ladders at remembered winner VPs, and
+    /// dedup RR-atlas probes per interface. Off by default — `revtr-cli audit`
     /// runs the clean campaign with this knob off and on and gates the
     /// on arm's probe economy against the off control.
     pub use_stop_sets: bool,

@@ -39,11 +39,11 @@ use crate::result::{
     Evidence, Path, ProbeDelta, RevtrHop, RevtrResult, RevtrStats, Status, StitchEnd,
 };
 use crate::scratch::{novel, on_path, Scratch};
-use crate::system::{Books, RevtrSystem, RrFound, RrHints, RrObserved};
+use crate::system::{Books, Ladder, RevtrSystem, RrFound, RrHints, RrObserved};
 use parking_lot::{Mutex, RwLock};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::{Contribution, Meter, Note, ProbeLoss, RequestScope, StoredRr};
+use revtr_probing::{Contribution, DirectVerdict, Meter, Note, ProbeLoss, RequestScope, StoredRr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle, Thread};
@@ -393,11 +393,13 @@ impl Request {
                     return Some((new, stored.provenance, spoofed));
                 }
             }
-            hints.skip_direct = stop.direct_futile(self.src, self.cur);
-            hints.skip_spoofed = stop.spoof_futile(self.cur);
-            // A skipped ladder has no use for its winner (and consulting
-            // it would inflate the hit counter).
-            if !hints.skip_spoofed {
+            let verdict = stop.direct_futile(self.src, self.cur);
+            hints.skip_direct = verdict.is_some();
+            hints.silent = verdict == Some(DirectVerdict::Silent);
+            // A skipped ladder has no use for its winner or its futility
+            // (and consulting them would inflate the hit counters).
+            hints.skip_spoofed = !hints.silent && stop.spoof_futile(self.cur);
+            if !hints.skip_spoofed && !hints.silent {
                 hints.winner = sys
                     .stop_plan_key(self.cur)
                     .and_then(|plan| stop.winner(plan));
@@ -428,9 +430,9 @@ impl Request {
         }
 
         let (cur, src) = (self.cur, self.src);
-        let (found, usable_seen) = sys.rr_step(cur, src, sx, &mut self.books(), &hints);
+        let (found, ladder) = sys.rr_step(cur, src, sx, &mut self.books(), &hints);
         if sys.config().use_stop_sets {
-            self.publish(sys, found.as_ref(), &hints, usable_seen);
+            self.publish(sys, found.as_ref(), &hints, ladder);
         }
         if sys.config().verify_dbr {
             self.verify(sys, sx, found.as_ref());
@@ -445,7 +447,7 @@ impl Request {
         sys: &RevtrSystem<'_>,
         found: Option<&RrFound>,
         hints: &RrHints,
-        usable_seen: bool,
+        ladder: Ladder,
     ) {
         let (src, cur) = (self.src, self.cur);
         // A skipped probe republishes nothing: the skip came from a hint
@@ -453,7 +455,8 @@ impl Request {
         // futility hint the step may still read the destination check's
         // probe (it is paid for); its miss repeats what the stop sets
         // already hold, so nothing is published for it either.
-        let direct_futile = Note::DirectFutile { src, cur };
+        let silent = ladder == Ladder::Silent;
+        let direct_futile = Note::DirectFutile { src, cur, silent };
         match found {
             Some(&(rev, prov, spoofed)) => {
                 let stored = StoredRr {
@@ -489,8 +492,10 @@ impl Request {
                 // usable replies* marks the router spoof-futile: a reply
                 // that was usable but merely not novel for this request's
                 // path is request-specific evidence, not proof the router
-                // ignores spoofed RR probes.
-                if !hints.skip_spoofed && !usable_seen {
+                // ignores spoofed RR probes. A ladder skipped for a router
+                // silent to the source publishes none either: that verdict
+                // is the source's, carried by the direct futility note.
+                if ladder == (Ladder::Ran { usable_seen: false }) {
                     self.contribute(sys, Note::SpoofFutile { cur });
                 }
             }

@@ -155,12 +155,33 @@ pub(crate) struct RrHints {
     /// Skip the whole spoofed ladder — an earlier request exhausted it at
     /// this router without a single usable reply.
     pub(crate) skip_spoofed: bool,
+    /// The router was silent to this source: an earlier request's direct
+    /// RR ping here went unanswered. Under ingress selection the step
+    /// forms no ladder, as it would on seeing that non-answer itself.
+    pub(crate) silent: bool,
     /// Open the spoofed ladder with this VP alone (the router's
     /// remembered winner); the full queues stay staged as a fallback.
     pub(crate) winner: Option<Addr>,
     /// Cap on the spoofed-batch width (degradation ladder L1+): `None`
     /// uses [`BATCH_SIZE`].
     pub(crate) batch_cap: Option<usize>,
+}
+
+/// How a record-route step's spoofed ladder went.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ladder {
+    /// Never formed: the direct probe revealed the next hop, or a hint
+    /// (stop-set futility, the degradation ladder) skipped it.
+    Skipped,
+    /// Never formed: the router is silent to the source — its direct RR
+    /// ping went unanswered, seen now or by an earlier request.
+    Silent,
+    /// Ran to a hop or to exhaustion; whether any reply was usable.
+    Ran {
+        /// Some reply's stamp was located (and crossed its slot's
+        /// expected ingress).
+        usable_seen: bool,
+    },
 }
 
 /// The orchestrating system (Appx. A): sources, atlases, vantage points,
@@ -630,12 +651,13 @@ impl<'s> RevtrSystem<'s> {
         sx: &mut Scratch,
         t: &mut Books<'_>,
         hints: &RrHints,
-    ) -> (Option<RrFound>, bool) {
+    ) -> (Option<RrFound>, Ladder) {
         let st = t.enter("rr_step");
 
         // Direct (non-spoofed) RR ping from the source — read off the hints
         // when the request already sent it, else sent unless an earlier
-        // request proved it futile on this ingress plan.
+        // request proved it futile from this source at this router.
+        let mut silent = hints.silent;
         if hints.direct.is_some() || !hints.skip_direct {
             let direct = t.enter("rr_direct");
             let live;
@@ -651,18 +673,28 @@ impl<'s> RevtrSystem<'s> {
                     let new = novel(&sx.hops, &rev);
                     if !new.is_empty() {
                         t.exit(direct, &[("hit", 1)]);
-                        return (Self::rr_close(t, st, Some((new, *prov, false))), false);
+                        let found = Some((new, *prov, false));
+                        return (Self::rr_close(t, st, found, false), Ladder::Skipped);
                     }
                 }
             }
+            silent |= matches!(observed, Err(ProbeLoss::Unanswered));
             t.exit(direct, &[("hit", 0)]);
         }
 
+        // A router silent to the source gets no ladder under ingress
+        // selection: a spoofed RR ping goes to the same responder, and its
+        // reply comes back to the same source. A filtered or fault-lost
+        // direct ping proves neither, so it keeps the ladder; revtr 1.0's
+        // set-cover rows keep trying every VP (§4.1).
+        if silent && self.cfg.vp_selection == VpSelection::Ingress {
+            return (Self::rr_close(t, st, None, true), Ladder::Silent);
+        }
         // A futility hint ends the step before the ladder even forms: an
         // earlier request exhausted this plan's full ladder without any
         // evidence, so the step falls through to the next technique.
         if hints.skip_spoofed {
-            return (Self::rr_close(t, st, None), false);
+            return (Self::rr_close(t, st, None, false), Ladder::Skipped);
         }
 
         // Spoofed batches from the VP plan, walked in place. A remembered
@@ -695,17 +727,31 @@ impl<'s> RevtrSystem<'s> {
         let hit = u64::from(found.is_some());
         t.exit(spoof_span, &[("hit", hit), ("batches", batches)]);
         let found = found.map(|(new, prov)| (new, prov, true));
-        (Self::rr_close(t, st, found), usable_seen)
+        (
+            Self::rr_close(t, st, found, false),
+            Ladder::Ran { usable_seen },
+        )
     }
 
-    /// Close the `rr_step` span with the step's summary fields and pass
-    /// the outcome through.
-    fn rr_close(t: &mut Books<'_>, st: StageStart, out: Option<RrFound>) -> Option<RrFound> {
+    /// Close the `rr_step` span with the step's summary fields — `silent`
+    /// is 1 when the step skipped its ladder for a router silent to the
+    /// source — and pass the outcome through.
+    fn rr_close(
+        t: &mut Books<'_>,
+        st: StageStart,
+        out: Option<RrFound>,
+        silent: bool,
+    ) -> Option<RrFound> {
         let (revealed, spoofed) = match &out {
             Some((v, _, sp)) => (v.len() as u64, u64::from(*sp)),
             None => (0, 0),
         };
-        t.exit(st, &[("revealed", revealed), ("spoofed", spoofed)]);
+        let fields = [
+            ("revealed", revealed),
+            ("spoofed", spoofed),
+            ("silent", u64::from(silent)),
+        ];
+        t.exit(st, &fields);
         out
     }
 

@@ -866,16 +866,12 @@ fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
             EngineConfig::revtr1(),
             (378, 227, 59, 0xd6d9_bd09_1ac8_435e),
         ),
-        ("verify_dbr", verify, (392, 259, 79, 0x553d_3396_9a12_2e32)),
-        (
-            "stop_sets",
-            stop_sets,
-            (326, 131, 32, 0x553d_3396_9a12_2e32),
-        ),
+        ("verify_dbr", verify, (311, 153, 18, 0x553d_3396_9a12_2e32)),
+        ("stop_sets", stop_sets, (302, 92, 10, 0x553d_3396_9a12_2e32)),
         (
             "revtr2",
             EngineConfig::revtr2(),
-            (344, 154, 45, 0x553d_3396_9a12_2e32),
+            (308, 101, 15, 0x553d_3396_9a12_2e32),
         ),
     ];
     let (mut events, mut readings, mut expected) = (Vec::new(), Vec::new(), Vec::new());
@@ -924,4 +920,204 @@ fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
         events[1] > events[3],
         "no verification round ran: {events:?}"
     );
+}
+
+/// One RR step as its request's journal shows it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Step {
+    /// Packets the step sent.
+    pkts: u64,
+    /// The span's `silent` field: the ladder was skipped for a router
+    /// silent to the source.
+    silent: u64,
+    /// The direct probe's (packets, fault-lost attempts), when the step
+    /// sent or read one.
+    direct: Option<(u64, u64)>,
+    /// Spoofed rounds, when a ladder formed.
+    batches: Option<u64>,
+    /// The stage the request went on to.
+    next: Option<&'static str>,
+}
+
+/// Every journalled request to `dst` from `src` under `tele`, as its RR
+/// steps in order.
+fn rr_steps(tele: &Telemetry, dst: Addr, src: Addr) -> Vec<Vec<Step>> {
+    let records = tele.journal_records();
+    let mine = records
+        .iter()
+        .filter(|rec| (rec.dst, rec.src) == (dst.0, src.0));
+    mine.map(|rec| {
+        let spans = rec.spans();
+        let field = |i: usize, k: &str| {
+            (rec.fields(&spans[i]).iter())
+                .find(|(n, _)| *n == k)
+                .map(|f| f.1)
+        };
+        let mut steps = Vec::new();
+        for (i, s) in spans.iter().enumerate() {
+            if s.stage != "rr_step" {
+                continue;
+            }
+            let inner = spans[i + 1..].iter().take_while(|c| c.depth > s.depth);
+            let end = i + 1 + inner.count();
+            let child = |stage| (i + 1..end).find(|&c| spans[c].stage == stage);
+            steps.push(Step {
+                pkts: field(i, "pkts").expect("every span counts packets"),
+                silent: field(i, "silent").expect("an rr_step says whether it skipped"),
+                direct: child("rr_direct").map(|c| {
+                    let pkts = field(c, "pkts").expect("counted");
+                    (pkts, field(c, "lost").expect("counted"))
+                }),
+                batches: child("rr_spoofed").map(|c| field(c, "batches").expect("counted")),
+                next: (spans[end..].iter())
+                    .find(|n| n.depth <= s.depth)
+                    .map(|n| n.stage),
+            });
+        }
+        steps
+    })
+    .collect()
+}
+
+/// A system over `f` journalling every request, with its telemetry.
+fn journalled(f: &Fixture, cfg: EngineConfig) -> (RevtrSystem<'_>, Telemetry) {
+    let tele = Telemetry::enabled();
+    let sys = f.system_on(Prober::new(&f.sim).with_telemetry(tele.clone()), cfg);
+    (sys, tele)
+}
+
+/// `(dst, src)` pairs of the fixture's VPs toward `n` destinations.
+fn pairs_of(f: &Fixture, n: usize) -> Vec<(Addr, Addr)> {
+    let vps: Vec<Addr> = f.sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    (f.destinations(n).into_iter())
+        .flat_map(|d| vps[..3].iter().map(move |&s| (d, s)))
+        .filter(|(d, s)| d != s)
+        .collect()
+}
+
+#[test]
+fn a_router_silent_to_the_source_gets_no_spoofed_ladder() {
+    // A router that drops RR-option pings from the source drops the
+    // spoofed ones sent in the source's name too, and their replies would
+    // come back to the same source. Under ingress selection its RR step
+    // sends the direct probe and no spoofed probe, charges no batch, and
+    // falls to the symmetry step; revtr 1.0's set cover still tries every
+    // VP; with stop sets on, a second request at the same (source, router)
+    // sends neither probe.
+    let f = Fixture {
+        sim: quiet_world(44),
+    };
+    let silent_step = Step {
+        pkts: 1,
+        silent: 1,
+        direct: Some((1, 0)),
+        batches: None,
+        next: Some("assume_symmetry"),
+    };
+    let (v2, t2) = journalled(&f, EngineConfig::revtr2());
+    let (v1, t1) = journalled(&f, EngineConfig::revtr1());
+    // A pair whose direct RR ping at D reveals the hops up to a router R
+    // silent to the source, so that both engines' second RR step is at R.
+    let reached = |r: &RevtrResult| {
+        let rr = r.hops[1..]
+            .iter()
+            .take_while(|h| h.method == HopMethod::RecordRoute)
+            .count();
+        r.hops[..=rr]
+            .iter()
+            .map(|h| (h.addr, h.method))
+            .collect::<Vec<_>>()
+    };
+    let found = pairs_of(&f, 20).into_iter().find_map(|(d, s)| {
+        let r2 = v2.measure(d, s);
+        let steps = rr_steps(&t2, d, s).pop()?;
+        (steps.len() >= 2 && steps[1] == silent_step).then_some(())?;
+        let r1 = v1.measure(d, s);
+        let upto = reached(&r2);
+        (upto.len() >= 2 && r1.hops.len() > upto.len() && reached(&r1)[..] == upto[..])
+            .then_some((d, s, r1))
+    });
+    let (dst, src, r1) = found.expect("some hop is silent to its source");
+    let steps1 = rr_steps(&t1, dst, src).pop().expect("journalled");
+    let at_r = steps1[1];
+    assert_eq!(at_r.direct, Some((1, 0)), "revtr 1.0 at R: {steps1:?}");
+    assert_eq!(at_r.silent, 0, "revtr 1.0 at R: {steps1:?}");
+    assert!(
+        at_r.batches.is_some_and(|b| b > 0) && r1.stats.probes.spoof_rr > 0,
+        "revtr 1.0 formed no ladder at R: {steps1:?}"
+    );
+
+    // Stop sets on: the first request learns R is silent to the source;
+    // the second reuses D's hops, then skips both probes at R.
+    let mut cfg = EngineConfig::revtr2();
+    cfg.use_stop_sets = true;
+    let (vs, ts) = journalled(&f, cfg);
+    vs.measure(dst, src);
+    let skips0 = vs.stopset().stats();
+    let again = vs.measure(dst, src);
+    let skips = vs.stopset().stats().since(&skips0);
+    assert_eq!((skips.direct_skips, skips.spoof_skips), (1, 0), "{skips:?}");
+    let records = rr_steps(&ts, dst, src);
+    let skipped = Step {
+        pkts: 0,
+        direct: None,
+        ..silent_step
+    };
+    assert!(
+        records.iter().any(|steps| steps.first() == Some(&skipped)),
+        "the second request probed at R: {records:?}"
+    );
+    assert!(records
+        .iter()
+        .any(|steps| steps.get(1) == Some(&silent_step)));
+    assert_eq!(again.stats.batches, 0, "{again}");
+}
+
+#[test]
+fn a_filtered_or_lost_direct_probe_keeps_the_ladder() {
+    // Only a genuine non-answer says the router is silent to the source.
+    // A direct RR ping an option rate limiter dropped, or one lost to
+    // faults past its retry budget, proves neither: the ladder forms.
+    let mut cfg = SimConfig::tiny();
+    cfg.scenario = ScenarioConfig::profile_at(ScenarioProfile::AsymmetricRateLimiters, 1.0);
+    let f = Fixture {
+        sim: Sim::build(cfg, 36),
+    };
+    let src = f.sim.topo().vp_sites[0].host;
+    let probe = Prober::new(&f.sim).with_cache_enabled(false);
+    let (sys, tele) = journalled(&f, EngineConfig::revtr2());
+    let filtered = (f.destinations(usize::MAX).into_iter())
+        .filter(|&d| {
+            probe.rr_ping_observed(&mut Meter::default(), src, d) == Err(ProbeLoss::Filtered)
+        })
+        .find_map(|d| {
+            sys.measure(d, src);
+            let first = *rr_steps(&tele, d, src).pop()?.first()?;
+            Some((d, first))
+        });
+    // The step reads the destination check's filtered probe.
+    let (d, step) = filtered.expect("a limiter drops some direct RR ping before an RR step");
+    assert_eq!(
+        (step.direct, step.silent),
+        (Some((0, 0)), 0),
+        "{d}: {step:?}"
+    );
+    assert!(step.batches.is_some(), "{d}: no ladder formed: {step:?}");
+
+    let mut cfg = SimConfig::tiny();
+    cfg.behavior.churn_per_hour = 0.0;
+    cfg.faults.probe_loss = 0.4;
+    let f = Fixture {
+        sim: Sim::build(cfg, 36),
+    };
+    let (sys, tele) = journalled(&f, EngineConfig::revtr2());
+    let lost = pairs_of(&f, 20).into_iter().find_map(|(d, s)| {
+        sys.measure(d, s);
+        let steps = rr_steps(&tele, d, s).pop()?;
+        let lost = |s: &&Step| s.direct.is_some_and(|(p, l)| p > 0 && p == l);
+        steps.iter().find(lost).copied()
+    });
+    let step = lost.expect("faults exhaust some direct probe's retry budget");
+    assert_eq!(step.silent, 0, "{step:?}");
+    assert!(step.batches.is_some(), "no ladder formed: {step:?}");
 }

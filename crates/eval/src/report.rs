@@ -900,6 +900,27 @@ mod tests {
     }
 
     #[test]
+    fn probe_budget_floor_fires_on_a_campaign_that_probes_under_it() {
+        // The floor was set under the clean closed-loop campaign, which
+        // clears it. A cache-warm open loop serves its repeats from the
+        // measurement cache and reads under it — the reason the loadtest
+        // judges that traffic by its own warm floor instead.
+        let policy = default_policy(Scale::Smoke);
+        let floor = |run: &CampaignRun| {
+            let r = Report::new(run, &policy);
+            let v = (r.slo.verdicts.iter())
+                .find(|v| v.rule == "probe-budget-floor")
+                .expect("the default policy has a probe floor");
+            (v.pass, v.value, v.threshold)
+        };
+        let clean = floor(&Campaign::clean(Scale::Smoke, 1).run());
+        assert!(clean.0, "the clean campaign fired the floor: {clean:?}");
+        let warm = Campaign::open_loop(Scale::Smoke, 1, crate::loadtest::Pattern::Steady);
+        let warm = floor(&warm.run());
+        assert!(!warm.0 && warm.1 < warm.2, "under the floor: {warm:?}");
+    }
+
+    #[test]
     fn exports_are_written_once_and_parse() {
         let run = Campaign::clean(Scale::Smoke, 7).run();
         let dir = std::env::temp_dir().join(format!("revtr_report_export_{}", std::process::id()));

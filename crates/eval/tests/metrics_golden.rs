@@ -113,7 +113,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0x0b763a1d147ca0ae journal 0x48d6a6bc742f8bef",
+        "metrics 0xd5c458faa0ebe0a8 journal 0x8bd782c9fa13556d",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

@@ -49,4 +49,4 @@ pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,
     WordMap, WordSet,
 };
-pub use stopset::{Contribution, Note, StopSet, StopSetSnapshot, StoredRr};
+pub use stopset::{Contribution, DirectVerdict, Note, StopSet, StopSetSnapshot, StoredRr};

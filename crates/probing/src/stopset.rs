@@ -142,6 +142,9 @@ pub enum Note {
         src: Addr,
         /// The exact frontier router the direct probe failed at.
         cur: Addr,
+        /// The router left the probe genuinely unanswered, so the step
+        /// skipped its spoofed ladder too ([`DirectVerdict::Silent`]).
+        silent: bool,
     },
     /// The full spoofed ladder at this exact router was exhausted
     /// without a single *usable* reply (no VP's record-route slots
@@ -173,6 +176,20 @@ pub enum Note {
         /// TTLs from `src` to `addr`.
         dist: u8,
     },
+}
+
+/// What the stop sets hold about the direct RR ping from a source at one
+/// router.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DirectVerdict {
+    /// The ping revealed nothing: answered without novel hops, or lost.
+    Futile,
+    /// The router left the ping unanswered. A spoofed RR ping goes to the
+    /// same responder and its reply comes back to the same source, so the
+    /// step that learned this skipped its spoofed ladder as well — and so
+    /// does a later request at the same `(source, router)`. Keyed on the
+    /// source, unlike [`Note::SpoofFutile`]: it is the source's verdict.
+    Silent,
 }
 
 /// A buffered stop-set update, stamped for deterministic merging.
@@ -288,7 +305,9 @@ const BACKWARD_ENTRY_BYTES: usize = 128;
 struct Published {
     backward: WordMap<(Addr, Addr), BackwardEntry>,
     winners: WordMap<u64, Addr>,
-    direct_futile: WordSet<(Addr, Addr)>,
+    /// `(source, router)` → whether the router was silent to the source
+    /// ([`DirectVerdict::Silent`]).
+    direct_futile: WordMap<(Addr, Addr), bool>,
     spoof_futile: WordSet<Addr>,
     forward: WordMap<(Addr, Addr), Option<RrReply>>,
     /// `(source, block)` → TTLs last measured into the block; /24 and /16
@@ -437,8 +456,10 @@ impl StopSet {
                 Note::Winner { plan, vp } => {
                     g.winners.entry(plan).or_insert(vp);
                 }
-                Note::DirectFutile { src, cur } => {
-                    g.direct_futile.insert((src, cur));
+                // Silence is a fact about the responder: once seen, it
+                // stays, whatever order the notes merge in.
+                Note::DirectFutile { src, cur, silent } => {
+                    *g.direct_futile.entry((src, cur)).or_default() |= silent;
                 }
                 Note::SpoofFutile { cur } => {
                     g.spoof_futile.insert(cur);
@@ -559,14 +580,15 @@ impl Consult<'_> {
         w
     }
 
-    /// Whether direct RR from `src` is known futile at this exact router.
-    /// Counts a skip when true.
-    pub fn direct_futile(&self, src: Addr, cur: Addr) -> bool {
-        let f = self.view.direct_futile.contains(&(src, cur));
-        if f {
-            self.set.stats.add(DIRECT_SKIPS, 1);
-        }
-        f
+    /// Whether direct RR from `src` is known futile at this exact router,
+    /// and how. Counts a skip when it is.
+    pub fn direct_futile(&self, src: Addr, cur: Addr) -> Option<DirectVerdict> {
+        let silent = *self.view.direct_futile.get(&(src, cur))?;
+        self.set.stats.add(DIRECT_SKIPS, 1);
+        Some(match silent {
+            true => DirectVerdict::Silent,
+            false => DirectVerdict::Futile,
+        })
     }
 
     /// Whether the spoofed ladder at `cur` is known exhausted without a
@@ -720,7 +742,7 @@ mod tests {
         let src = Addr(1);
         let cur = Addr(40);
         assert!(s.consult().winner(4).is_none());
-        assert!(!s.consult().direct_futile(src, cur));
+        assert_eq!(s.consult().direct_futile(src, cur), None);
         assert!(!s.consult().spoof_futile(cur));
         s.contribute(Contribution {
             vtime: 1.0,
@@ -735,7 +757,11 @@ mod tests {
             vtime: 1.0,
             req: 0,
             seq: 1,
-            note: Note::DirectFutile { src, cur },
+            note: Note::DirectFutile {
+                src,
+                cur,
+                silent: false,
+            },
         });
         s.contribute(Contribution {
             vtime: 1.0,
@@ -755,19 +781,45 @@ mod tests {
         });
         s.merge_pending();
         assert_eq!(s.consult().winner(4), Some(Addr(77)));
-        assert!(s.consult().direct_futile(src, cur));
+        assert_eq!(
+            s.consult().direct_futile(src, cur),
+            Some(DirectVerdict::Futile)
+        );
         assert!(
             s.consult().spoof_futile(cur),
             "router-keyed futility is source-free"
         );
-        assert!(
-            !s.consult().direct_futile(Addr(2), cur),
+        assert_eq!(
+            s.consult().direct_futile(Addr(2), cur),
+            None,
             "direct futility stays per-source"
         );
         let st = s.stats();
         assert_eq!(st.winner_hits, 1);
         assert_eq!(st.direct_skips, 1);
         assert_eq!(st.spoof_skips, 1);
+    }
+
+    #[test]
+    fn silence_outlasts_a_plain_futility_note_in_either_order() {
+        let (src, cur) = (Addr(1), Addr(40));
+        let note = |silent| Note::DirectFutile { src, cur, silent };
+        for order in [[false, true], [true, false]] {
+            let s = StopSet::new();
+            for (seq, silent) in order.into_iter().enumerate() {
+                s.contribute(Contribution {
+                    vtime: 1.0,
+                    req: 0,
+                    seq: seq as u64,
+                    note: note(silent),
+                });
+            }
+            s.merge_pending();
+            let c = s.consult();
+            assert_eq!(c.direct_futile(src, cur), Some(DirectVerdict::Silent));
+            assert_eq!(c.direct_futile(Addr(2), cur), None, "the source's own");
+            assert!(!c.spoof_futile(cur), "silence marks no router futile");
+        }
     }
 
     #[test]
@@ -862,6 +914,7 @@ mod tests {
             note: Note::DirectFutile {
                 src: Addr(1),
                 cur: Addr(2),
+                silent: false,
             },
         });
         s.merge_pending();
