@@ -19,10 +19,14 @@ pub const MAX_PATH_HOPS: usize = 40;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VpSelection {
     /// revtr 2.0: one VP per ingress of the destination prefix, closest
-    /// first, batches of three — and none at a hop that left the
-    /// source's own direct RR ping unanswered: a spoofed RR ping goes to
-    /// the same responder, and its reply comes back to the same source.
-    /// The other selections keep trying every VP there.
+    /// first, batches of three. A queue's next VP goes out only while its
+    /// VPs miss the ingress: one whose reply crossed it and revealed
+    /// nothing settles the queue, since the VPs ranked after it would
+    /// follow the same ingress→target leg with no more free slots. No VP
+    /// goes out at a hop that left the source's own direct RR ping
+    /// unanswered: a spoofed RR ping goes to the same responder, and its
+    /// reply comes back to the same source. The other selections keep
+    /// trying every VP there.
     Ingress,
     /// revtr 1.0: destination set-cover order, then everything.
     SetCover,

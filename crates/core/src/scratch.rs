@@ -78,6 +78,31 @@ pub(crate) struct Slot {
     /// ([`PlanView::Lent`]), whose replies are judged on their stamps
     /// alone.
     pub(crate) expected_ingress: Option<Addr>,
+    /// The queue the VP was drawn from, and its rank there (0: closest).
+    pub(crate) queue: usize,
+    pub(crate) rank: usize,
+}
+
+impl Slot {
+    /// Whether a reply with these RR slots crossed the slot's expected
+    /// ingress; `None` when the slot expects none. The one predicate
+    /// behind both the usability check (`!= Some(false)`) and settling a
+    /// queue (`== Some(true)`).
+    pub(crate) fn crossed(&self, slots: &[Addr]) -> Option<bool> {
+        self.expected_ingress
+            .map(|ingress| slots.contains(&ingress))
+    }
+}
+
+/// What became of one probe of a batch that concluded nothing.
+#[derive(Debug)]
+pub(crate) enum Fate<'r> {
+    /// Transiently lost within its stall budget: it goes out again.
+    Held,
+    /// Answered with these RR slots, revealing no novel hop.
+    Answered(&'r [Addr]),
+    /// No reply.
+    Lost,
 }
 
 /// The spoofed ladder as a view: the VP queues stay where the ingress
@@ -91,6 +116,16 @@ pub(crate) struct Slot {
 /// every later round fills to the cap with the next VPs in try order.
 /// A VP held for a re-batch (transient loss) goes out again at the head of
 /// the next round, on top of the cap, with its own re-batch count.
+///
+/// The settling rule: a queue is there to find a VP whose probe traverses
+/// its ingress — the paper gives up on an ingress after five VPs fail to
+/// (§4.3). A reply that crossed the queue's expected ingress and still
+/// revealed nothing settles the queue at that VP's rank: a VP ranked after
+/// it would enter through the same ingress and follow the same
+/// ingress→target leg with no more free slots, so none goes out, held or
+/// not. A queue whose VPs miss the ingress, go unanswered or are held
+/// walks on; a queue with no expected ingress (a ranking, a lent plan)
+/// never settles.
 #[derive(Debug, Default)]
 pub(crate) struct Ladder {
     /// The try-order cursor: the next VP is at `depth` in queue `next` —
@@ -98,6 +133,9 @@ pub(crate) struct Ladder {
     depth: usize,
     next: usize,
     deepest: usize,
+    /// Each queue's end: its VPs ranked at or past it do not go out. The
+    /// queue's length until a crossed ingress settles it.
+    ends: Vec<usize>,
     /// Whether the next round from the queues is the first one.
     opening: bool,
     /// VPs held for the next round, in the order they went out.
@@ -113,18 +151,23 @@ impl Ladder {
     /// full queues as the fallback.
     pub(crate) fn open(&mut self, plan: PlanView<'_>, winner: Option<Addr>) {
         self.held.clear();
-        self.deepest = plan.queues().map(|(_, vps)| vps.len()).max().unwrap_or(0);
+        self.ends.clear();
+        self.ends.extend(plan.queues().map(|(_, vps)| vps.len()));
+        self.deepest = self.ends.iter().copied().max().unwrap_or(0);
         (self.depth, self.next) = (0, 0);
-        if self.deepest > 0 && plan.queue(0).1.is_empty() {
-            self.advance(plan);
-        }
+        self.seek();
         let solo = winner.and_then(|vp| {
-            let (expected_ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&vp))?;
-            Some(Slot {
-                vp,
-                stalls: 0,
-                expected_ingress,
-            })
+            plan.queues()
+                .enumerate()
+                .find_map(|(queue, (expected_ingress, vps))| {
+                    Some(Slot {
+                        vp,
+                        stalls: 0,
+                        expected_ingress,
+                        queue,
+                        rank: vps.iter().position(|&v| v == vp)?,
+                    })
+                })
         });
         self.held.extend(solo);
         self.solo = solo.is_some();
@@ -132,15 +175,22 @@ impl Ladder {
     }
 
     /// Move the cursor to the next VP in try order, or past the last.
-    fn advance(&mut self, plan: PlanView<'_>) {
+    fn advance(&mut self) {
+        self.next += 1;
+        self.seek();
+    }
+
+    /// Move the cursor, if it must, to the first VP at or after it in try
+    /// order that may still go out, or past the last.
+    fn seek(&mut self) {
         loop {
-            self.next += 1;
-            if self.next == plan.len() {
+            if self.next == self.ends.len() {
                 (self.depth, self.next) = (self.depth + 1, 0);
             }
-            if self.depth >= self.deepest || self.depth < plan.queue(self.next).1.len() {
+            if self.depth >= self.deepest || self.depth < self.ends[self.next] {
                 return;
             }
+            self.next += 1;
         }
     }
 
@@ -170,25 +220,49 @@ impl Ladder {
                 vp: vps[self.depth],
                 stalls: 0,
                 expected_ingress,
+                queue: self.next,
+                rank: self.depth,
             });
-            self.advance(plan);
+            self.advance();
         }
     }
 
-    /// Settle a batch that concluded nothing: `hold(i, slot)` says whether
-    /// slot `i`'s VP goes out once more in the next round (the caller's
-    /// stall budget) or is done. A solo winner that is done falls back —
-    /// once — to the full queues.
-    pub(crate) fn settle(&mut self, batch: &[Slot], mut hold: impl FnMut(usize, &Slot) -> bool) {
+    /// Settle a batch that concluded nothing: `fate(i, slot)` says what
+    /// became of slot `i`'s probe. A held VP goes out once more in the
+    /// next round (the caller keeps the stall budget); a reply that
+    /// crossed its slot's expected ingress settles the slot's queue at the
+    /// slot's rank; every other VP is done. A solo winner that is done
+    /// falls back — once — to the full queues, where the VPs ranked at or
+    /// before it in a queue it settled still go out.
+    pub(crate) fn settle<'r>(
+        &mut self,
+        batch: &[Slot],
+        mut fate: impl FnMut(usize, &Slot) -> Fate<'r>,
+    ) {
         for (i, slot) in batch.iter().enumerate() {
-            if hold(i, slot) {
-                self.held.push(Slot {
+            match fate(i, slot) {
+                Fate::Held => self.held.push(Slot {
                     stalls: slot.stalls + 1,
                     ..*slot
-                });
+                }),
+                Fate::Answered(slots) if slot.crossed(slots) == Some(true) => {
+                    let end = &mut self.ends[slot.queue];
+                    *end = (*end).min(slot.rank + 1);
+                }
+                Fate::Answered(_) | Fate::Lost => {}
             }
         }
+        let ends = &self.ends;
+        self.held.retain(|s| s.rank < ends[s.queue]);
         self.solo &= !self.held.is_empty();
+        self.seek();
+    }
+
+    /// Queues a crossed ingress has cut short so far.
+    pub(crate) fn settled(&self, plan: PlanView<'_>) -> usize {
+        (plan.queues().zip(&self.ends))
+            .filter(|((_, vps), &end)| end < vps.len())
+            .count()
     }
 }
 
@@ -289,46 +363,89 @@ mod tests {
         (ingresses, dedup(ranking))
     }
 
-    fn view_of((ingresses, ranking): &(Vec<IngressInfo>, Vec<Addr>)) -> PlanView<'_> {
-        if ingresses.is_empty() {
-            PlanView::Ranking(ranking)
-        } else {
-            PlanView::Ingresses(ingresses)
+    /// The drawn plan's view: its ingress queues — as surveyed for the
+    /// target, or `lent` without their ingresses — or its ranking.
+    fn view_of((ingresses, ranking): &(Vec<IngressInfo>, Vec<Addr>), lent: bool) -> PlanView<'_> {
+        match (ingresses.is_empty(), lent) {
+            (true, _) => PlanView::Ranking(ranking),
+            (false, false) => PlanView::Ingresses(ingresses),
+            (false, true) => PlanView::Lent(ingresses),
         }
     }
 
     /// Walk a ladder to exhaustion under one pseudo-random pattern of
-    /// transient losses and per-VP stall budgets, checking every round
-    /// against the round rule; `Err` names the first breach, `Ok` the
-    /// rounds walked.
+    /// transient losses, per-VP stall budgets and replies, checking every
+    /// round against the round and settling rules; `Err` names the first
+    /// breach, `Ok` the rounds walked.
+    ///
+    /// A reply either goes unanswered, misses its queue's ingress, or
+    /// crosses it (its slots hold the queue's surveyed ingress, which a
+    /// slot expects only under the target's own plan). A crossed expected
+    /// ingress settles the slot's queue at the slot's rank.
     ///
     /// (i) Held VPs aside, the VPs go out in the plan's try order, behind
-    /// the solo winner under its queue's expectation. (ii) The
-    /// first round from the queues carries min(cap, non-empty queues) new
-    /// VPs, a solo round one, and every later round min(cap, VPs left) —
-    /// plus, at its head, the VPs the round before held, each with one
-    /// stall more. (iii) So every VP goes out once unless held, and no
-    /// more often than its stall budget allows.
+    /// the solo winner under its queue's expectation, less every VP ranked
+    /// past its queue's settling VP. (ii) The first round from the queues
+    /// carries min(cap, non-empty queues) new VPs, a solo round one, and
+    /// every later round min(cap, VPs left) — plus, at its head, the VPs
+    /// the round before held, each with one stall more, unless its queue
+    /// settled above it. (iii) So every VP not settled away goes out once
+    /// unless held, and no more often than its stall budget allows.
     fn walk_checked(
         draw: &(Vec<IngressInfo>, Vec<Addr>),
+        lent: bool,
         winner: Option<Addr>,
         cap: usize,
         salt: u64,
     ) -> Result<usize, String> {
-        let plan = view_of(draw);
+        let plan = view_of(draw, lent);
         let mut ladder = Ladder::default();
         ladder.open(plan, winner);
+        // The try order, each VP with its queue and rank.
+        let deepest = plan.queues().map(|(_, vps)| vps.len()).max().unwrap_or(0);
+        let order: Vec<Slot> = (0..deepest)
+            .flat_map(|rank| {
+                (plan.queues().enumerate()).filter_map(move |(queue, (expected_ingress, vps))| {
+                    Some(Slot {
+                        vp: *vps.get(rank)?,
+                        stalls: 0,
+                        expected_ingress,
+                        queue,
+                        rank,
+                    })
+                })
+            })
+            .collect();
+        if !(order.iter().map(|s| (s.expected_ingress, s.vp))).eq(plan.try_order()) {
+            return Err(format!("{order:?} is not the try order"));
+        }
+        // The winner runs under the first queue that holds it.
         let solo = winner.and_then(|w| {
-            let (ingress, _) = plan.queues().find(|(_, vps)| vps.contains(&w))?;
-            Some((ingress, w))
+            (plan.queues().enumerate()).find_map(|(queue, (expected_ingress, vps))| {
+                Some(Slot {
+                    vp: w,
+                    stalls: 0,
+                    expected_ingress,
+                    queue,
+                    rank: vps.iter().position(|&vp| vp == w)?,
+                })
+            })
         });
-        let want: Vec<(Option<Addr>, Addr)> = (solo.into_iter()).chain(plan.try_order()).collect();
         let non_empty = plan.queues().filter(|(_, vps)| !vps.is_empty()).count();
         // Transient on ~half the probes; budgets of 1, 2 or 6 re-batches.
         let transient =
             |round: usize, vp: Addr| mix3(salt, round as u64, vp.0 as u64).is_multiple_of(2);
         let budget = |vp: Addr| [1, 2, 6][(mix3(salt, 77, vp.0 as u64) % 3) as usize];
-        let (mut issued, mut held, mut batch) = (Vec::new(), Vec::<Slot>::new(), Vec::new());
+        // Of the rest, a quarter unanswered, a quarter crossing the
+        // queue's ingress, half missing it.
+        let answer = |round: usize, vp: Addr| mix3(salt, round as u64, 1_000 + vp.0 as u64) % 4;
+        let replies: Vec<[Addr; 2]> = (0..plan.len() as u32)
+            .map(|q| [a(300), a(100 + q)])
+            .collect();
+        // The rank each queue settled at, if it has.
+        let mut cut: Vec<Option<usize>> = vec![None; plan.len()];
+        let live = |cut: &[Option<usize>], s: &Slot| cut[s.queue].is_none_or(|r| s.rank <= r);
+        let (mut due, mut held, mut batch) = (0, Vec::<Slot>::new(), Vec::new());
         let mut solo_live = solo.is_some();
         let mut round = 0;
         while !ladder.is_exhausted() {
@@ -345,12 +462,16 @@ mod tests {
             if batch.get(..again.len()) != Some(&again[..]) {
                 return Err(format!("round {round}: held {again:?}, sent {batch:?}"));
             }
+            if let Some(s) = batch.iter().find(|s| !live(&cut, s)) {
+                return Err(format!("round {round}: {s:?} went out past {cut:?}"));
+            }
             let fresh = &batch[again.len()..];
+            let left = order[due..].iter().filter(|s| live(&cut, s)).count();
             let size = match (round, solo_live) {
                 (0, true) => 1,
                 (_, true) => 0,
                 (0, false) => cap.min(non_empty),
-                _ => cap.min(want.len() - issued.len()),
+                _ => cap.min(left),
             };
             if fresh.len() != size || fresh.iter().any(|s| s.stalls != 0) {
                 return Err(format!("round {round}: {size} new VPs due, sent {batch:?}"));
@@ -358,28 +479,61 @@ mod tests {
             if batch.is_empty() {
                 return Err(format!("round {round} is empty"));
             }
-            issued.extend(fresh.iter().map(|s| (s.expected_ingress, s.vp)));
-            if want.get(..issued.len()) != Some(&issued[..]) {
-                return Err(format!(
-                    "round {round}: sent {issued:?}, try order {want:?}"
-                ));
+            for s in fresh {
+                let want = if (round, solo_live) == (0, true) {
+                    solo
+                } else {
+                    while order.get(due).is_some_and(|o| !live(&cut, o)) {
+                        due += 1;
+                    }
+                    due += 1;
+                    order.get(due - 1).copied()
+                };
+                if want != Some(*s) {
+                    return Err(format!("round {round}: sent {s:?}, due {want:?}"));
+                }
             }
             if let Some(s) = batch.iter().find(|s| s.stalls > budget(s.vp)) {
                 return Err(format!("round {round}: {s:?} held past its budget"));
             }
             held.clear();
             ladder.settle(&batch, |_, s| {
-                let keep = transient(round, s.vp) && s.stalls < budget(s.vp);
-                if keep {
+                if transient(round, s.vp) && s.stalls < budget(s.vp) {
                     held.push(*s);
+                    return Fate::Held;
                 }
-                keep
+                let reply = &replies[s.queue];
+                match answer(round, s.vp) {
+                    0 => Fate::Lost,
+                    1 => Fate::Answered(reply),
+                    _ => Fate::Answered(&reply[..1]),
+                }
             });
+            for s in &batch {
+                let crossed = answer(round, s.vp) == 1
+                    && !(transient(round, s.vp) && s.stalls < budget(s.vp))
+                    && s.expected_ingress.is_some();
+                if crossed {
+                    cut[s.queue] = Some(cut[s.queue].map_or(s.rank, |r| r.min(s.rank)));
+                }
+            }
+            held.retain(|s| live(&cut, s));
             solo_live &= !held.is_empty();
             round += 1;
         }
-        if issued != want || !held.is_empty() {
-            return Err(format!("exhausted after {issued:?}, try order {want:?}"));
+        let missed: Vec<&Slot> = order[due..].iter().filter(|s| live(&cut, s)).collect();
+        if !missed.is_empty() || !held.is_empty() {
+            return Err(format!("exhausted before {missed:?}, holding {held:?}"));
+        }
+        // A queue settled at its last VP lost nothing to the rule.
+        let cut_short = (plan.queues().zip(&cut))
+            .filter(|((_, vps), r)| r.is_some_and(|r| r + 1 < vps.len()))
+            .count();
+        if ladder.settled(plan) != cut_short {
+            return Err(format!(
+                "settled {} queues, cut {cut:?}",
+                ladder.settled(plan)
+            ));
         }
         Ok(round)
     }
@@ -387,14 +541,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3_000))]
 
-        /// The ladder keeps the round rule in every slot of every round —
-        /// under winner hints (in a queue, in none, absent), overlapping
-        /// and empty queues, batch caps 1–3, transient-stall patterns and
-        /// the solo fallback.
+        /// The ladder keeps the round and settling rules in every slot of
+        /// every round — under winner hints (in a queue, in none, absent),
+        /// overlapping and empty queues, surveyed, lent and ranked plans,
+        /// batch caps 1–3, transient-stall and reply patterns and the solo
+        /// fallback.
         #[test]
         fn ladder_keeps_the_round_rule(
             queues in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..6), 0..5),
             ranking in proptest::collection::vec(0u32..12, 0..6),
+            lent in 0u8..2,
             winner in 0u32..20,
             cap in 1usize..4,
             salt in 0u64..u64::MAX,
@@ -402,7 +558,7 @@ mod tests {
             let plan = plan_of(queues, ranking);
             // VPs 12 and 13 are in no queue; 14 and up mean "no hint".
             let winner = (winner < 14).then(|| a(winner));
-            let walked = walk_checked(&plan, winner, cap, salt);
+            let walked = walk_checked(&plan, lent == 1, winner, cap, salt);
             prop_assert!(walked.is_ok(), "{}", walked.unwrap_err());
         }
     }
@@ -433,7 +589,13 @@ mod tests {
         while !l.is_exhausted() {
             l.compose(plan, BATCH_SIZE, &mut batch);
             rounds.push(batch.iter().map(|s| (s.vp, s.stalls)).collect::<Vec<_>>());
-            l.settle(&batch, |_, s| s.vp == a(6) && s.stalls == 0);
+            l.settle(&batch, |_, s| {
+                if s.vp == a(6) && s.stalls == 0 {
+                    Fate::Held
+                } else {
+                    Fate::Lost
+                }
+            });
         }
         let vp = |n, stalls| (a(n), stalls);
         assert_eq!(

@@ -18,7 +18,7 @@
 use crate::config::{EngineConfig, VpSelection, BATCH_SIZE, MAX_TS_ADJACENCIES};
 use crate::engine::TimedJob;
 use crate::result::{RevtrHop, RevtrResult, RevtrStats};
-use crate::scratch::{novel, on_path, Scratch};
+use crate::scratch::{novel, on_path, Fate, Scratch};
 use parking_lot::{Mutex, RwLock};
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_atlas::{Intersection, SourceAtlas};
@@ -636,7 +636,9 @@ impl<'s> RevtrSystem<'s> {
     /// The first round carries the closest VP of each ingress queue (or a
     /// remembered winner alone); every later round fills to the batch cap
     /// with the next VPs in the plan's try order, so a 5-VP queue takes
-    /// three rounds, not five.
+    /// three rounds, not five. A queue whose VP's reply crossed its
+    /// expected ingress and revealed nothing sends none of its later VPs
+    /// (the settling rule of [`crate::scratch::Ladder`]).
     ///
     /// Returns what the step found, and whether any round saw a *usable*
     /// reply (slots survived past the target's stamp and, where the survey
@@ -722,10 +724,12 @@ impl<'s> RevtrSystem<'s> {
             #[cfg(test)]
             sx.sent.last_mut().expect("opened").extend(&sx.batch);
         }
+        let settled = sx.ladder.settled(plan) as u64;
         sx.revtr1_plan = revtr1_plan;
         let batches = u64::from(t.stats.batches - batches0);
         let hit = u64::from(found.is_some());
-        t.exit(spoof_span, &[("hit", hit), ("batches", batches)]);
+        let fields = [("hit", hit), ("batches", batches), ("settled", settled)];
+        t.exit(spoof_span, &fields);
         let found = found.map(|(new, prov)| (new, prov, true));
         (
             Self::rr_close(t, st, found, false),
@@ -806,7 +810,7 @@ impl<'s> RevtrSystem<'s> {
         for (slot, r) in batch.iter().zip(&reply.replies) {
             let rev = r
                 .as_ref()
-                .filter(|(r, _)| slot.expected_ingress.is_none_or(|i| r.slots.contains(&i)))
+                .filter(|(r, _)| slot.crossed(&r.slots) != Some(false))
                 .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, cur)?, *prov)));
             any_usable |= rev.is_some();
             if let Some((rev, prov)) = rev {
@@ -824,9 +828,14 @@ impl<'s> RevtrSystem<'s> {
         // for a bounded number of re-batches — a close VP should not be
         // burned because of packet loss. Every other VP is done — whether
         // it failed the ingress check, went genuinely unanswered, or
-        // answered without revealing new hops.
+        // answered without revealing new hops; one that crossed its
+        // queue's ingress settles that queue.
         ladder.settle(batch, |i, slot| {
-            reply.transient[i] && slot.stalls < TRANSIENT_STALL_BUDGET
+            if reply.transient[i] && slot.stalls < TRANSIENT_STALL_BUDGET {
+                Fate::Held
+            } else {
+                (reply.replies[i].as_ref()).map_or(Fate::Lost, |(r, _)| Fate::Answered(&r.slots))
+            }
         });
         (None, any_usable)
     }
@@ -1151,7 +1160,7 @@ mod tests {
                 while !ladder.is_exhausted() {
                     ladder.compose(plan, BATCH_SIZE, &mut batch);
                     walked.extend(batch.iter().map(|s| (s.expected_ingress, s.vp)));
-                    ladder.settle(&batch, |_, _| false);
+                    ladder.settle(&batch, |_, _| Fate::Lost);
                 }
                 let want: Vec<(Option<Addr>, Addr)> = match selection {
                     VpSelection::SetCover => {

@@ -67,7 +67,10 @@ const SOURCES: usize = 4;
 /// Every `SURVEY_STEP`-th prefix is surveyed and measured toward (the full
 /// survey takes a debug build the better part of a minute).
 const SURVEY_STEP: usize = 5;
-const SWEEP: usize = 2_000;
+/// Requests in the sweep: enough that the bucket of requests that ran three
+/// batches or more holds the 200 its bound needs (226 at 2 400; settled
+/// ingress queues left 188 of 2 000).
+const SWEEP: usize = 2_400;
 
 /// A system as every gate runs it — stop sets on, 250-trace atlases —
 /// with its sources registered and `warm_up` already measured, so caches,

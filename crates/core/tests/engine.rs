@@ -866,12 +866,12 @@ fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
             EngineConfig::revtr1(),
             (378, 227, 59, 0xd6d9_bd09_1ac8_435e),
         ),
-        ("verify_dbr", verify, (311, 153, 18, 0x553d_3396_9a12_2e32)),
-        ("stop_sets", stop_sets, (302, 92, 10, 0x553d_3396_9a12_2e32)),
+        ("verify_dbr", verify, (305, 142, 13, 0x553d_3396_9a12_2e32)),
+        ("stop_sets", stop_sets, (300, 88, 8, 0x553d_3396_9a12_2e32)),
         (
             "revtr2",
             EngineConfig::revtr2(),
-            (308, 101, 15, 0x553d_3396_9a12_2e32),
+            (302, 90, 10, 0x553d_3396_9a12_2e32),
         ),
     ];
     let (mut events, mut readings, mut expected) = (Vec::new(), Vec::new(), Vec::new());
@@ -935,6 +935,8 @@ struct Step {
     direct: Option<(u64, u64)>,
     /// Spoofed rounds, when a ladder formed.
     batches: Option<u64>,
+    /// Queues a crossed ingress cut short, when a ladder formed.
+    settled: Option<u64>,
     /// The stage the request went on to.
     next: Option<&'static str>,
 }
@@ -969,6 +971,7 @@ fn rr_steps(tele: &Telemetry, dst: Addr, src: Addr) -> Vec<Vec<Step>> {
                     (pkts, field(c, "lost").expect("counted"))
                 }),
                 batches: child("rr_spoofed").map(|c| field(c, "batches").expect("counted")),
+                settled: child("rr_spoofed").map(|c| field(c, "settled").expect("counted")),
                 next: (spans[end..].iter())
                     .find(|n| n.depth <= s.depth)
                     .map(|n| n.stage),
@@ -1012,6 +1015,7 @@ fn a_router_silent_to_the_source_gets_no_spoofed_ladder() {
         silent: 1,
         direct: Some((1, 0)),
         batches: None,
+        settled: None,
         next: Some("assume_symmetry"),
     };
     let (v2, t2) = journalled(&f, EngineConfig::revtr2());
@@ -1120,4 +1124,75 @@ fn a_filtered_or_lost_direct_probe_keeps_the_ladder() {
     let step = lost.expect("faults exhaust some direct probe's retry budget");
     assert_eq!(step.silent, 0, "{step:?}");
     assert!(step.batches.is_some(), "no ladder formed: {step:?}");
+}
+
+/// The first RR step of the first request over the quiet world `f` — to a
+/// host of some prefix, from one of the first three VPs — whose target's
+/// plan is one surveyed ingress queue of two VPs or more, whose
+/// step at the target forms a spoofed ladder, and whose queue's closest VP
+/// answers a spoofed RR ping with slots that miss the queue's ingress or,
+/// as `crossing` asks, cross it and locate no novel hop. The first RR
+/// step of a request is at its target: an atlas hit there would have ended
+/// the request.
+fn one_queue_ladder(f: &Fixture, crossing: bool) -> Option<(Addr, Addr, Step)> {
+    let probe = Prober::new(&f.sim).with_cache_enabled(false);
+    let vps: Vec<Addr> = f.sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let prefixes: Vec<_> = f.sim.topo().prefixes.iter().map(|p| p.id).collect();
+    let ingress = IngressDb::build(&probe, &vps, &prefixes, Heuristics::FULL);
+    let (sys, tele) = journalled(f, EngineConfig::revtr2());
+    // Not only the survey's own destinations, toward which the closest VP
+    // hardly ever misses its ingress.
+    let hosts = (prefixes.iter())
+        .flat_map(|&p| f.sim.host_addrs(p).take(16))
+        .filter(|&a| f.sim.behavior().host_rr_responsive(a) && !vps.contains(&a));
+    let mut pairs = hosts.flat_map(|d| vps[..3].iter().map(move |&s| (d, s)));
+    pairs.find_map(|(d, s)| {
+        let plan = Some(ingress.plan_view(probe.prefix_of(d)?)).filter(|p| p.len() == 1)?;
+        let (Some(gate), &[closest, _, ..]) = plan.queue(0) else {
+            return None;
+        };
+        (closest != s).then_some(())?;
+        let batch = probe.spoofed_rr_batch(&[(closest, d)], s);
+        let (reply, _) = batch.replies[0].as_ref()?;
+        let novel = revtr::extract_reverse_hops(&reply.slots, d)
+            .is_some_and(|rev| rev.iter().any(|&h| h != d));
+        let crossed = reply.slots.contains(&gate);
+        (crossed == crossing && !(crossed && novel)).then_some(())?;
+        sys.measure(d, s);
+        let step = *rr_steps(&tele, d, s).pop()?.first()?;
+        step.batches.is_some().then_some((d, s, step))
+    })
+}
+
+#[test]
+fn a_crossed_ingress_settles_its_queue() {
+    // The closest VP's probe entered the target's prefix through the
+    // queue's ingress and its reply still located no new hop: the next VP
+    // would enter through the same ingress and follow the same leg to the
+    // target with no more free slots. So the ladder sends no further VP
+    // of that queue — one round, one probe — and says it settled it.
+    let f = Fixture {
+        sim: quiet_world(44),
+    };
+    let (d, s, step) = one_queue_ladder(&f, true).expect("some closest VP crosses its ingress");
+    assert_eq!(
+        (step.pkts, step.batches, step.settled),
+        (1, Some(1), Some(1)),
+        "{d} from {s}: {step:?}"
+    );
+}
+
+#[test]
+fn a_missed_ingress_walks_on_to_the_next_vp() {
+    // A reply that never crossed the queue's ingress says nothing about
+    // the queue's other VPs, which may well enter through it (§4.3's
+    // five-VP retry): the ladder goes on to the next VP.
+    let f = Fixture {
+        sim: quiet_world(44),
+    };
+    let (d, s, step) = one_queue_ladder(&f, false).expect("some closest VP misses its ingress");
+    assert!(
+        step.pkts >= 2 && step.batches.is_some_and(|b| b >= 2),
+        "{d} from {s}: {step:?}"
+    );
 }

@@ -64,8 +64,8 @@ pub struct Baselines {
     pub probes_high: f64,
     /// The probe floor under cache-warm Zipf traffic (`loadtest`): popular
     /// destinations are legitimately served from the measurement cache and
-    /// stop sets (steady pattern, seeds {1, 7, 42}: 2.94–3.26 probes/revtr
-    /// at standard, 0.23–0.31 at smoke).
+    /// stop sets (steady pattern, seeds {1, 7, 42}: 2.70–2.95 probes/revtr
+    /// at standard, 0.21–0.26 at smoke).
     pub probes_low_warm: f64,
     /// Clean `stage.rr_step.virtual_us` p99 upper bound (µs).
     pub rr_p99_us: u64,
@@ -77,7 +77,7 @@ pub struct Baselines {
     /// Minimum tolerated control-block headroom against that capacity.
     pub control_headroom: f64,
     /// Watchdog deadline (virtual ms) above the slowest clean request
-    /// (seeds {1, 7, 42}: standard max 235–414 s, smoke max 20–62 s), so
+    /// (seeds {1, 7, 42}: standard max 235–414 s, smoke max 10–62 s), so
     /// on a healthy campaign any flag is a genuine regression.
     pub clean_deadline_ms: f64,
     /// The clean p99 latency envelope (virtual ms) — the deadline a
@@ -85,7 +85,7 @@ pub struct Baselines {
     /// surviving requests burn extra 10 s spoofed-batch timeouts, pushing
     /// the p99 band past the clean envelope (seeds {1, 7, 42}, standard:
     /// 88–92 s clean vs 101–113 s faulted, faulted max 165–196 s; smoke:
-    /// 2–30 s clean vs 24–44 s faulted, faulted max 47–107 s), so
+    /// 2–10 s clean vs 22–52 s faulted, faulted max 47–107 s), so
     /// fault-induced stalls overrun it while it still sits above almost
     /// every clean request. At standard scale the 300 s envelope now sits
     /// above every faulted request too; only the smoke envelope still
@@ -146,13 +146,14 @@ impl Scale {
         match self {
             // Measured clean, seeds {1, 7, 42}, serial campaign with
             // survey probes bypassing the measurement cache, router hops
-            // judged on their stamps under a lent plan, and no spoofed
-            // ladder at a hop silent to the source: coverage
-            // 0.8475–0.8525, accuracy 0.9947–1.0, probes/revtr 4.55–4.70,
-            // rr_step p99 39 846 ms at every seed. The two probe floors
-            // keep their ratio to the lowest clean reading (5.0 against
-            // 6.08, 3.0 against the warm 3.96), applied to today's 4.55
-            // and warm 2.94.
+            // judged on their stamps under a lent plan, no spoofed ladder
+            // at a hop silent to the source, and ingress queues settled by
+            // a crossed ingress: coverage 0.8480–0.8530, accuracy
+            // 0.9936–1.0, probes/revtr 4.23–4.35, rr_step p99 39 846 ms at
+            // every seed. The two probe floors keep their ratio to the
+            // lowest clean reading (5.0 against 6.08, 3.0 against the warm
+            // 3.96), applied to the 4.55 and warm 2.94 read before queues
+            // settled; the lowest readings are now 4.23 and warm 2.70.
             Scale::Standard => Baselines {
                 coverage: 0.845,
                 accuracy: 0.96,
@@ -173,7 +174,7 @@ impl Scale {
                 envelope_deadline_ms: 300_000.0,
             },
             // Measured clean, seeds {1, 7, 42}: coverage 0.80–1.0, accuracy
-            // 1.0, probes/revtr 1.84–2.80, rr_step p99 1 966–29 360 ms.
+            // 1.0, probes/revtr 1.68–2.48, rr_step p99 1 966–29 360 ms.
             Scale::Smoke => Baselines {
                 coverage: 0.80,
                 accuracy: 0.95,

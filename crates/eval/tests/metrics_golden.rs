@@ -113,7 +113,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0xd5c458faa0ebe0a8 journal 0x8bd782c9fa13556d",
+        "metrics 0x84708098746a6d6d journal 0x1ac9c01bc6b691b6",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

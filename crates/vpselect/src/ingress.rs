@@ -26,7 +26,9 @@
 //! queue (up to three); every later round fills to three with the next
 //! VPs in [`PlanView::try_order`] — depth-major across the queues — so the
 //! VPs go out closest first and no 10 s collection round carries one VP
-//! while others wait.
+//! while others wait. A queue's later VPs are retries for probes that
+//! missed its ingress: once a reply crossed the ingress without revealing
+//! a new hop, the engine sends none of the VPs ranked after that one.
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
@@ -42,7 +44,9 @@ pub const DEST_SCAN_LIMIT: usize = 12;
 const DESTS_PER_PREFIX: usize = 2;
 
 /// VPs kept per ingress queue (paper: give up on an ingress after five
-/// VPs fail to traverse it).
+/// VPs fail to traverse it). Traversing is what the queue is for: the
+/// engine tries the next VP only while the queue's VPs miss the ingress,
+/// and a reply that crossed it settles the queue.
 pub const VPS_PER_INGRESS: usize = 5;
 
 /// RR range: a VP is "in range" of a destination it reaches within this
