@@ -13,6 +13,7 @@
 //!   evidence, deliberately partial.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod ip2as;

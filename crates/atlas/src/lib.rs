@@ -13,6 +13,7 @@
 //!   bookkeeping for the refresh policy studies (Appx. D.2).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod atlas;

@@ -29,6 +29,7 @@
 //! must never occur; `ci.sh` gates on it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 

@@ -30,8 +30,6 @@ pub enum VpSelection {
     Ingress,
     /// revtr 1.0: destination set-cover order, then everything.
     SetCover,
-    /// Greedy global order (the "Global" baseline of Fig. 6).
-    Global,
 }
 
 /// What to do when no technique finds the next reverse hop (Q5).
@@ -49,7 +47,9 @@ pub enum SymmetryPolicy {
 pub struct EngineConfig {
     /// VP selection technique.
     pub vp_selection: VpSelection,
-    /// Reuse cached traceroutes / RR measurements (one-day TTL).
+    /// Reuse cached traceroutes / RR measurements (one-day TTL). Off turns
+    /// the system's prober cache-off; on leaves the prober's own switch
+    /// (see [`RevtrSystem::new`](crate::RevtrSystem::new)).
     pub use_cache: bool,
     /// Try IP timestamp adjacency testing when RR fails (revtr 1.0 only).
     pub use_timestamp: bool,

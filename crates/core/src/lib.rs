@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod config;

@@ -231,7 +231,9 @@ impl<'s> RevtrSystem<'s> {
     /// Assemble a system.
     ///
     /// * `prober` supplies counters/clock/cache shared with any background
-    ///   measurement already performed (e.g. the `ingress` build);
+    ///   measurement already performed (e.g. the `ingress` build). Its cache
+    ///   switch stands unless `cfg` turns caching off: a prober handed in
+    ///   with [`Prober::with_cache_enabled`]`(false)` stays cache-off;
     /// * `vps` are the M-Lab-like spoof-capable vantage points;
     /// * `atlas_pool` is the population of Atlas-like probe hosts atlases
     ///   draw from.
@@ -242,7 +244,11 @@ impl<'s> RevtrSystem<'s> {
         ingress: Arc<IngressDb>,
         atlas_pool: Vec<Addr>,
     ) -> RevtrSystem<'s> {
-        let prober = prober.with_cache_enabled(cfg.use_cache);
+        let prober = if cfg.use_cache {
+            prober
+        } else {
+            prober.with_cache_enabled(false)
+        };
         RevtrSystem {
             ip2as: Ip2As::for_prober(&prober, cfg.registry_only_ip2as),
             rels: Arc::new(RelationshipDb::for_prober(&prober)),
@@ -606,7 +612,6 @@ impl<'s> RevtrSystem<'s> {
                 }
                 None => PlanView::Ranking(global),
             },
-            VpSelection::Global => PlanView::Ranking(global),
         }
     }
 

@@ -19,49 +19,15 @@
 //! so everything runs inside one `#[test]`.
 
 use revtr::{EngineConfig, HopMethod, LoopConfig, RevtrResult, RevtrSystem, StitchEnd};
+use revtr_alloccount::process_allocs_in;
 use revtr_atlas::select_atlas_probes;
 use revtr_netsim::{Addr, Sim, SimConfig};
 use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting is one atomic add, so it
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `alloc` and `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations (`alloc` + `realloc` calls, any thread) made by `f`.
-fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
+static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 const SOURCES: usize = 4;
 /// Every `SURVEY_STEP`-th prefix is surveyed and measured toward (the full
@@ -161,7 +127,7 @@ fn a_request_allocates_what_it_returns() {
     let sys = warm_system(&sim, &vps, &ingress, &warm_up);
     let served: Vec<(RevtrResult, u64)> = sweep
         .iter()
-        .map(|&(dst, src)| allocs_in(|| sys.measure(dst, src)))
+        .map(|&(dst, src)| process_allocs_in(|| sys.measure(dst, src)))
         .collect();
     let total: u64 = served.iter().map(|(_, n)| n).sum();
     let mean = total as f64 / served.len() as f64;
@@ -190,7 +156,7 @@ fn a_request_allocates_what_it_returns() {
         .filter_map(|t| t.hops.iter().flatten().next())
         .map(|&router| {
             sys.measure(router, vps[0]);
-            allocs_in(|| sys.measure(router, vps[0]))
+            process_allocs_in(|| sys.measure(router, vps[0]))
         })
         .filter(|(r, _)| first_step_intersection(r))
         .map(|(_, n)| n)
@@ -239,7 +205,8 @@ fn a_request_allocates_what_it_returns() {
     // same way: what a request costs serially, and nothing per wave but
     // the barrier's merge.
     let sys = warm_system(&sim, &vps, &ingress, &warm_up);
-    let (outcome, campaign) = allocs_in(|| sys.run_campaign(&sweep, LoopConfig { workers: 2 }));
+    let (outcome, campaign) =
+        process_allocs_in(|| sys.run_campaign(&sweep, LoopConfig { workers: 2 }));
     let outcome = outcome.expect("no measurement panics");
     assert_eq!(outcome.results.len(), sweep.len());
     let mean = campaign as f64 / sweep.len() as f64;

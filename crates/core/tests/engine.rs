@@ -922,6 +922,53 @@ fn every_technique_charges_the_events_probes_and_batches_it_always_did() {
     );
 }
 
+#[test]
+fn a_cache_off_prober_keeps_its_system_cache_off() {
+    // `EngineConfig::use_cache` can turn the measurement cache off, never
+    // back on: a revtr 2.0 system built on a cache-off prober probes a
+    // repeated pair list afresh, packet for packet and result for result
+    // as a `use_cache = false` system does, where a cache-on system
+    // replays its first pass.
+    let f = Fixture::new(44);
+    let pairs = pairs_of(&f, 10);
+    let twice = |prober, cfg| {
+        let sys = f.system_on(prober, cfg);
+        let snap0 = sys.prober().counters().snapshot();
+        let digests: Vec<u64> = (0..2)
+            .map(|_| {
+                outcome_digest(
+                    &pairs
+                        .iter()
+                        .map(|&(d, s)| sys.measure(d, s))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let pkts = sys
+            .prober()
+            .counters()
+            .snapshot()
+            .since(&snap0)
+            .all_packets();
+        (pkts, digests)
+    };
+    let mut cache_off = EngineConfig::revtr2();
+    cache_off.use_cache = false;
+    let handed = twice(
+        Prober::new(&f.sim).with_cache_enabled(false),
+        EngineConfig::revtr2(),
+    );
+    let configured = twice(Prober::new(&f.sim), cache_off);
+    let cached = twice(Prober::new(&f.sim), EngineConfig::revtr2());
+    assert_eq!(handed, configured, "(packets, digests per pass)");
+    assert!(
+        handed.0 > cached.0,
+        "cache-off {} packets, cache-on {}",
+        handed.0,
+        cached.0
+    );
+}
+
 /// One RR step as its request's journal shows it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Step {

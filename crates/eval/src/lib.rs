@@ -6,6 +6,7 @@
 //! paper-vs-measured results.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod ablation;

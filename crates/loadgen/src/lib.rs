@@ -22,6 +22,7 @@
 //! users spreads its load across sources while a 50-seat scanner hammers
 //! from a handful.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 use rand::{Rng, SeedableRng, StdRng};

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod addr;

@@ -10,7 +10,6 @@
 use crate::addr::Addr;
 use crate::ids::{AsId, RouterId};
 use crate::sim::{PktMeta, Sim};
-use crate::topology::Rel;
 
 /// Ground-truth view over a [`Sim`].
 pub struct Oracle<'a> {
@@ -52,15 +51,6 @@ impl<'a> Oracle<'a> {
         self.sim.topo().router_at(addr)
     }
 
-    /// True aliases of an address (all addresses of the owning router), or
-    /// just the address itself for hosts.
-    pub fn aliases(&self, addr: Addr) -> Vec<Addr> {
-        match self.sim.topo().router_at(addr) {
-            Some(r) => self.sim.topo().router_addrs(r),
-            None => vec![addr],
-        }
-    }
-
     /// True: `a` and `b` name the same router (or are the same host addr).
     pub fn same_router(&self, a: Addr, b: Addr) -> bool {
         match (self.router_of(a), self.router_of(b)) {
@@ -79,12 +69,6 @@ impl<'a> Oracle<'a> {
             .topo()
             .prefix_of(addr)
             .map(|p| self.sim.topo().prefix(p).owner)
-    }
-
-    /// True relationship between two ASes, if adjacent (the perspective is
-    /// `a`'s: what `b` is to `a`).
-    pub fn relationship(&self, a: AsId, b: AsId) -> Option<Rel> {
-        self.sim.topo().asn(a).rel_with(b)
     }
 
     /// True router-level adjacencies of the router owning `addr`: the set

@@ -7,51 +7,13 @@
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
 
+use revtr_alloccount::allocs_in;
 use revtr_netsim::sim::PktMeta;
 use revtr_netsim::{Addr, Sim, SimConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates and stays valid while the thread is torn down.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only a
-// destructor-free thread-local, so it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: as for `alloc` and `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Heap allocations this thread makes while running `f`.
-fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 #[test]
 fn warm_probe_primitives_do_not_allocate() {
@@ -90,31 +52,37 @@ fn warm_probe_primitives_do_not_allocate() {
             allocs[0] += allocs_in(|| {
                 let w = black_box(sim.walk(attach, dst, &PktMeta::plain(vp, 0)));
                 answered[0] += usize::from(w.is_some());
-            });
+            })
+            .1;
             if let Some(start) = stub_attach(dst) {
                 allocs[5] += allocs_in(|| {
                     let w = black_box(sim.walk(start, vp, &PktMeta::plain(dst, 0)));
                     answered[5] += usize::from(w.is_some());
-                });
+                })
+                .1;
             }
             allocs[1] += allocs_in(|| {
                 let r = black_box(sim.ping_from(vp, vp, dst));
                 answered[1] += usize::from(r.is_some());
                 black_box(sim.ping_from(vp, other, dst));
-            });
+            })
+            .1;
             allocs[2] += allocs_in(|| {
                 let r = black_box(sim.rr_ping_from(vp, vp, dst, nonce));
                 answered[2] += usize::from(r.is_some());
                 black_box(sim.rr_ping_from(vp, other, dst, nonce));
-            });
+            })
+            .1;
             allocs[3] += allocs_in(|| {
                 let r = black_box(sim.ts_ping_from(vp, vp, dst, &[dst, vp], nonce));
                 answered[3] += usize::from(r.is_some());
-            });
+            })
+            .1;
             allocs[4] += allocs_in(|| {
                 let t = black_box(sim.traceroute(vp, dst, 1));
                 answered[4] += usize::from(t.is_some());
-            });
+            })
+            .1;
             allocs[6] += allocs_in(|| {
                 if let Some(mut view) = black_box(sim.ttl_view(vp, dst, 1)) {
                     for ttl in 1..=40 {
@@ -123,7 +91,8 @@ fn warm_probe_primitives_do_not_allocate() {
                     black_box((view.packets(), view.rtt_ms()));
                     answered[6] += 1;
                 }
-            });
+            })
+            .1;
         }
         allocs
     };
@@ -175,6 +144,7 @@ fn warm_probe_primitives_do_not_allocate() {
             allocs_in(|| {
                 black_box(sim.routes(a.id, 0xa110_c000 + i));
             })
+            .1
         })
         .collect();
     assert_eq!(sim.route_computes(), fills + FILLS, "every salt was fresh");

@@ -365,7 +365,9 @@ impl<'s> Prober<'s> {
     }
 
     /// Same shared state, with caching toggled (the Table 4 "cache"
-    /// ablation knob).
+    /// ablation knob). A system built on a cache-off prober stays
+    /// cache-off: `EngineConfig::use_cache` can turn caching off, never
+    /// back on.
     pub fn with_cache_enabled(&self, enabled: bool) -> Prober<'s> {
         let mut p = self.clone();
         p.use_cache = enabled;

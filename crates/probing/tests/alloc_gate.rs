@@ -7,64 +7,12 @@
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
 
+use revtr_alloccount::{allocs_in, live_after};
 use revtr_netsim::{Addr, RrReply, Sim, SimConfig};
 use revtr_probing::{CachedRr, LastLink, MeasurementCache, RrKey};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates and stays valid while the thread is torn down.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(allocs: u64, bytes: i64) {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
-    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only destructor-free
-// thread-locals, so it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`, above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64);
-        // SAFETY: as for `alloc` and `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// What `f` returns, and the heap bytes this thread holds more after it.
-fn live_after<T>(f: impl FnOnce() -> T) -> (T, i64) {
-    let before = LIVE.with(Cell::get);
-    let out = f();
-    (out, LIVE.with(Cell::get) - before)
-}
-
-/// Heap allocations this thread makes while running `f`.
-fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 const RR_ENTRIES: u32 = 60_000;
 const LINK_ENTRIES: u32 = 8_000;
@@ -147,7 +95,7 @@ fn overwriting_or_reading_a_stored_key_allocates_nothing() {
     let sim = Sim::build(SimConfig::tiny(), 1);
     let cache = MeasurementCache::new();
     fill(&sim, &cache, 5_000, 1_000);
-    let n = allocs_in(|| {
+    let ((), n) = allocs_in(|| {
         for i in 0..5_000 {
             cache.put_rr(&sim, rr_key(i), outcome(i + 1));
             assert_eq!(cache.get_rr(&sim, rr_key(i)), Some(outcome(i + 1)));

@@ -16,6 +16,7 @@
 //!   standing in for M-Lab's cloud storage).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod admission;

@@ -21,6 +21,7 @@
 //! `run_open_loop` on the calling one.
 
 use revtr::{EngineConfig, LoopConfig, RevtrResult, RevtrSystem};
+use revtr_alloccount::allocs_in;
 use revtr_atlas::select_atlas_probes;
 use revtr_netsim::{Addr, Sim, SimConfig};
 use revtr_probing::{Prober, Telemetry, TelemetryConfig};
@@ -29,49 +30,10 @@ use revtr_service::{
     ShedReason, TimedRequest,
 };
 use revtr_vpselect::{Heuristics, IngressDb};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates and stays valid while the thread is torn down.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only a
-// destructor-free thread-local, so it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: as for `alloc` and `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations (`alloc` + `realloc` calls) this thread makes in `f`.
-fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
+static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 /// Three classes, one per way to be shed: `open` admits until its
 /// tenant's daily quota (4) runs out, `dry` has an empty token bucket,

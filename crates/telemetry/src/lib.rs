@@ -22,8 +22,8 @@
 //! On top of the raw telemetry sit the judgment and export layers:
 //!
 //! - [`slo`]: a declarative SLO rule engine (thresholds, quantile bounds,
-//!   virtual-time burn-rate windows) whose failing verdicts are typed
-//!   [`Alert`]s fired into the registry *after* fingerprinting.
+//!   virtual-time burn-rate windows) whose failing verdicts are the
+//!   alerts; judging a run records nothing into it.
 //! - [`chrome_trace_json`] / [`prometheus_text`]: byte-deterministic
 //!   Chrome-trace and Prometheus exports of the journal and snapshot.
 //! - A stuck-request watchdog ([`TelemetryConfig::watchdog_deadline_ms`]):
@@ -38,6 +38,7 @@
 //! audit verdicts are byte-identical with telemetry on, off, or absent.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
@@ -61,7 +62,7 @@ pub use registry::{
 pub use resource::{
     flamegraph_text, LedgerReading, ProfileMetric, ProfileStack, ResourceSnapshot, SpanCost,
 };
-pub use slo::{Alert, RuleExpr, Severity, SloInput, SloPolicy, SloReport, SloRule, Verdict};
+pub use slo::{RuleExpr, Severity, SloInput, SloPolicy, SloReport, SloRule, Verdict};
 pub use span::{RequestScope, ScopeBuffers, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag};
 
 /// FNV-1a 64-bit hasher used for metrics/journal fingerprints.

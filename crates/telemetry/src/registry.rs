@@ -20,7 +20,6 @@
 use crate::histogram::Histogram;
 use crate::Fnv;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -210,10 +209,6 @@ pub fn thread_stripe() -> usize {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     stripes: [CachePadded<Mutex<Stripe>>; N_STRIPES],
-    /// Counters whose names only exist at run time (`slo.alert.<rule>`,
-    /// one per SLO rule's `String` name). A cold path: judging, never
-    /// recording.
-    named: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Default for MetricsRegistry {
@@ -247,7 +242,6 @@ impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             stripes: Default::default(),
-            named: Mutex::default(),
         }
     }
 
@@ -266,26 +260,9 @@ impl MetricsRegistry {
         self.fold().record(key, v);
     }
 
-    /// Add `n` to a counter whose name is built at run time. Takes a
-    /// registry-wide lock and compares names: for cold paths only.
-    pub fn add_named(&self, name: &str, n: u64) {
-        let mut named = self.named.lock();
-        match named.get_mut(name) {
-            Some(v) => *v += n,
-            None => {
-                named.insert(name.to_owned(), n);
-            }
-        }
-    }
-
     /// Merge every stripe into one sorted, order-independent snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .named
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
+        let mut counters: Vec<(String, u64)> = Vec::new();
         let mut histograms: Vec<(String, Histogram)> = Vec::new();
         for stripe in &self.stripes {
             let s = stripe.lock();
@@ -415,14 +392,10 @@ mod tests {
         reg.add("stage.rr_step.probes", 1);
         reg.add(("stage.rr_step", "probes"), 2);
         reg.add(("stage", "rr_step", "probes"), 4);
-        reg.add_named("stage.rr_step.probes", 8);
         reg.record("stage.rr_step.virtual_us", 10);
         reg.record(("stage", "rr_step", "virtual_us"), 20);
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("stage.rr_step.probes".to_string(), 15)]
-        );
+        assert_eq!(snap.counters, vec![("stage.rr_step.probes".to_string(), 7)]);
         assert_eq!(snap.histograms.len(), 1);
         let h = snap.histogram("stage.rr_step.virtual_us").expect("hist");
         assert_eq!((h.count(), h.sum()), (2, 30));

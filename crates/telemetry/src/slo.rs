@@ -16,14 +16,12 @@
 //!    order or the global clock, both of which depend on worker
 //!    interleaving. The same campaign yields the same verdicts at any
 //!    worker count.
-//! 2. **Alerts are fired *after* fingerprinting.** [`SloReport::fire_into`]
-//!    writes `slo.alert.<rule>` counters into the registry so alerts are
-//!    first-class metrics, but the monitor captures the campaign
-//!    fingerprints first — judging a run must not change its identity.
+//! 2. **Judging writes nothing back.** A report is read, never recorded:
+//!    no verdict reaches the registry or the journal, so judging a run
+//!    cannot change its identity.
 
 use crate::journal::RequestRecord;
 use crate::registry::MetricsSnapshot;
-use crate::Telemetry;
 
 /// How bad a firing rule is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,7 +118,7 @@ pub enum RuleExpr {
 /// One named, severity-tagged SLO rule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloRule {
-    /// Rule name (alert counter suffix: `slo.alert.<name>`).
+    /// Rule name, as the report's tables and alert lists print it.
     pub name: String,
     /// Severity when firing.
     pub severity: Severity,
@@ -140,7 +138,8 @@ pub struct SloPolicy {
 pub struct SloInput<'a> {
     /// The campaign's metrics snapshot (sorted names).
     pub snapshot: &'a MetricsSnapshot,
-    /// Journal records sorted by `(src, dst)` — [`Telemetry::journal_records`]
+    /// Journal records sorted by `(src, dst)` —
+    /// [`Telemetry::journal_records`](crate::Telemetry::journal_records)
     /// order. Burn-rate windows are cut over this order.
     pub requests: &'a [RequestRecord],
     /// Caller-derived `(key, value)` pairs, sorted by key.
@@ -174,10 +173,6 @@ pub struct Verdict {
     pub detail: String,
 }
 
-/// A failing [`Verdict`] — the typed alert a firing rule produces and
-/// [`SloReport::fire_into`] records as a `slo.alert.<rule>` counter.
-pub type Alert = Verdict;
-
 /// All verdicts of one policy evaluation, in rule order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SloReport {
@@ -199,16 +194,6 @@ impl SloReport {
     /// Whether every rule held.
     pub fn is_clean(&self) -> bool {
         self.verdicts.iter().all(|v| v.pass)
-    }
-
-    /// Fire the alerts into a telemetry handle as `slo.alert.<rule>`
-    /// counters (plus `slo.rules_evaluated`). Call *after* capturing the
-    /// campaign fingerprints: judging a run must not change its identity.
-    pub fn fire_into(&self, tele: &Telemetry) {
-        tele.counter_add("slo.rules_evaluated", self.verdicts.len() as u64);
-        for v in self.alerts() {
-            tele.counter_add_named(&format!("slo.alert.{}", v.rule), 1);
-        }
     }
 }
 
@@ -572,37 +557,5 @@ mod tests {
         assert!((report.verdicts[2].value - 0.1).abs() < 1e-9, "headroom");
         assert!(report.verdicts[4].detail.contains("no data"));
         assert!(report.verdicts[5].detail.contains("no data"));
-    }
-
-    #[test]
-    fn alerts_fire_into_the_registry_as_counters() {
-        let tele = Telemetry::enabled();
-        let before = tele.metrics_fingerprint();
-        let report = SloReport {
-            verdicts: vec![
-                Verdict {
-                    rule: "ok".into(),
-                    severity: Severity::Warning,
-                    pass: true,
-                    value: 0.0,
-                    threshold: 1.0,
-                    detail: String::new(),
-                },
-                Verdict {
-                    rule: "bad".into(),
-                    severity: Severity::Critical,
-                    pass: false,
-                    value: 2.0,
-                    threshold: 1.0,
-                    detail: String::new(),
-                },
-            ],
-        };
-        report.fire_into(&tele);
-        let snap = tele.metrics();
-        assert_eq!(snap.counter("slo.rules_evaluated"), 2);
-        assert_eq!(snap.counter("slo.alert.bad"), 1);
-        assert_eq!(snap.counter("slo.alert.ok"), 0);
-        assert_ne!(tele.metrics_fingerprint(), before, "alerts are metrics");
     }
 }

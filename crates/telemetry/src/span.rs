@@ -150,15 +150,6 @@ impl Telemetry {
         }
     }
 
-    /// Add `n` to a counter named at run time (no-op when disabled).
-    /// One shared lock and a string compare per call: for cold paths such
-    /// as firing SLO alerts.
-    pub fn counter_add_named(&self, name: &str, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.add_named(name, n);
-        }
-    }
-
     /// Open a request scope for `(dst, src)` with its virtual-time origin
     /// (the caller's per-thread clock reading at request start). Inactive
     /// when disabled.

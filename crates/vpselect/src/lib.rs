@@ -16,6 +16,7 @@
 //!   greedy "Global" baseline.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod ingress;

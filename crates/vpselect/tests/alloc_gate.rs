@@ -15,49 +15,15 @@
 //! Its own test binary because it installs a counting global allocator;
 //! everything runs inside one `#[test]` because the count is process-wide.
 
+use revtr_alloccount::process_allocs_in;
 use revtr_netsim::{Addr, Prefix, PrefixId, Sim, SimConfig};
 use revtr_probing::Prober;
 use revtr_vpselect::ingress::{probe_prefix, PrefixInfo};
 use revtr_vpselect::parse::parse_rr;
 use revtr_vpselect::{path_view, Heuristics, IngressDb};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting is one atomic add, so it
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `alloc` and `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations (`alloc` + `realloc` calls) made by `f`.
-fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
+static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 /// The heap blocks a surveyed prefix is returned in.
 fn output_blocks(info: &PrefixInfo) -> u64 {
@@ -95,7 +61,7 @@ fn the_survey_allocates_what_it_returns() {
     IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
 
     let (db, build) =
-        allocs_in(|| IngressDb::build(&prober, &vps, &prefixes[1..], Heuristics::FULL));
+        process_allocs_in(|| IngressDb::build(&prober, &vps, &prefixes[1..], Heuristics::FULL));
     let outputs: u64 = db.prefixes().map(|(_, info)| output_blocks(info)).sum();
     assert_eq!(db.prefixes().count(), 40);
     let contested = db
@@ -113,7 +79,7 @@ fn the_survey_allocates_what_it_returns() {
 
     let survey = prober.with_cache_enabled(false);
     for &p in &prefixes[1..] {
-        let (info, n) = allocs_in(|| probe_prefix(&survey, &vps, p, Heuristics::FULL));
+        let (info, n) = process_allocs_in(|| probe_prefix(&survey, &vps, p, Heuristics::FULL));
         assert!(
             n <= output_blocks(&info) + SCRATCH,
             "probe_prefix({p}) allocated {n} times for {} output blocks",
@@ -142,7 +108,7 @@ fn the_survey_allocates_what_it_returns() {
         ],
         &[],
     ];
-    let ((), parsing) = allocs_in(|| {
+    let ((), parsing) = process_allocs_in(|| {
         for slots in replies {
             std::hint::black_box(parse_rr(slots, prefix));
             for h in [

@@ -4,6 +4,7 @@
 //! exists to host the workspace-level integration tests (`tests/`) and the
 //! runnable examples (`examples/`).
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub use revtr;
