@@ -190,7 +190,7 @@ STEP
 
 # ...while a faulted campaign (30% transient loss, no retry budget) must
 # provably fire the coverage and stuck-request alerts.
-step "SLO fault-detection gate (release, smoke, loss 0.3)" <<'STEP'
+step "SLO fault-detection gate (release, smoke + standard, loss 0.3)" <<'STEP'
 if faulted_out=$(./target/release/revtr-cli report --scale smoke --seed 1 --loss 0.3 --budget 1); then
   echo "faulted run passed the SLO gate — the report is blind"; exit 1
 fi
@@ -205,6 +205,9 @@ echo "$faulted_out" | awk '
   /^watchdog: / && match($0, /deadline [0-9.]+/) { dl = substr($0, RSTART + 9, RLENGTH - 9) / 1000 }
   END { printf "margins: coverage %s under the floor %s; slowest request %.1f s against the %.0f s deadline\n", cov, floor, slow, dl }'
 echo "$faulted_out" | tail -n 1
+# At standard scale the watchdog arms the clean p99 envelope too: the
+# faulted seed-1 campaign's slowest requests overrun it.
+cargo test -q --release -p revtr-eval --lib faulted_standard_report_fires_stuck_requests -- --ignored
 STEP
 
 # Hostile-Internet scenario gate: it checks bite only — every adversarial

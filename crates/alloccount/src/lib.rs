@@ -77,14 +77,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-// The helpers are `#[inline]` so that each instance is compiled into its
-// caller's codegen unit, as a gate's own helper was. The telemetry
-// registry keys a metric by its name literal's address, and a literal
-// reached from another unit may sit at another address: a gate's warm-up
-// would then warm an entry other than the one it measures.
-
 /// What `f` returns, and the allocations this thread makes while running it.
-#[inline]
 pub fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
@@ -92,7 +85,6 @@ pub fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// What `f` returns, and the allocations every thread makes while it runs.
-#[inline]
 pub fn process_allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = PROCESS_ALLOCS.load(Ordering::Relaxed);
     let out = f();
@@ -100,7 +92,6 @@ pub fn process_allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// What `f` returns, and the heap bytes this thread holds more after it.
-#[inline]
 pub fn live_after<T>(f: impl FnOnce() -> T) -> (T, i64) {
     let before = LIVE.with(Cell::get);
     let out = f();

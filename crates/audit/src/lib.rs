@@ -37,11 +37,10 @@ use revtr::{Evidence, RevtrResult, StitchEnd, SymmetryPolicy};
 use revtr_aliasing::Ip2As;
 use revtr_netsim::oracle::Oracle;
 use revtr_netsim::{Addr, AsId, Sim};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The audit's grade for one hop (or the terminal abort decision).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Verdict {
     /// The evidence re-derives the hop exactly.
     Sound,
@@ -80,7 +79,7 @@ impl Verdict {
 }
 
 /// One graded hop.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HopAudit {
     /// Hop index within the result (the terminal abort check uses the
     /// index one past the last hop).
@@ -93,7 +92,7 @@ pub struct HopAudit {
 }
 
 /// The full audit of one measurement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceAudit {
     /// Destination of the audited measurement.
     pub dst: Addr,
@@ -116,7 +115,7 @@ impl TraceAudit {
 }
 
 /// Per-evidence-kind verdict tally.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KindTally {
     /// `Sound` verdicts.
     pub sound: u64,
@@ -153,7 +152,7 @@ impl KindTally {
 
 /// Aggregated audit results over a campaign: a per-evidence-kind
 /// soundness table.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AuditSummary {
     /// Verdict tallies keyed by evidence kind.
     pub per_kind: BTreeMap<String, KindTally>,

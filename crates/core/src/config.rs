@@ -4,7 +4,7 @@
 //! trust policy (intradomain-only symmetry). Each knob is independent so
 //! every ablation row of Table 4 is runnable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Spoofed probes per batch (paper: 3, §5.3).
 pub const BATCH_SIZE: usize = 3;
@@ -16,7 +16,7 @@ pub const MAX_TS_ADJACENCIES: usize = 6;
 pub const MAX_PATH_HOPS: usize = 40;
 
 /// How spoofed-RR vantage points are chosen (Q3, §5.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VpSelection {
     /// revtr 2.0: one VP per ingress of the destination prefix, closest
     /// first, batches of three. A queue's next VP goes out only while its
@@ -33,7 +33,7 @@ pub enum VpSelection {
 }
 
 /// What to do when no technique finds the next reverse hop (Q5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum SymmetryPolicy {
     /// revtr 1.0: always assume the last traceroute link is symmetric.
     Always,
@@ -43,7 +43,7 @@ pub enum SymmetryPolicy {
 }
 
 /// Full engine configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// VP selection technique.
     pub vp_selection: VpSelection,

@@ -9,11 +9,11 @@
 use crate::config::SymmetryPolicy;
 use revtr_netsim::{Addr, AsId};
 use revtr_probing::{RrProvenance, Snapshot};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// How a reverse hop was discovered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum HopMethod {
     /// The destination itself (the path's first entry).
     Destination,
@@ -30,7 +30,7 @@ pub enum HopMethod {
 }
 
 /// One hop of a reverse traceroute and the evidence behind it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RevtrHop {
     /// The hop address; `None` renders as `*` — an unresponsive atlas hop
     /// or a flagged suspicious gap (§5.2.2).
@@ -66,7 +66,7 @@ impl RevtrHop {
 /// RR reply leg under the original nonce and churn epochs, atlas
 /// snapshots pin the intersected trace, and symmetry evidence records
 /// the engine's full decision inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum Evidence {
     /// The path's first entry: the destination answered a ping.
     Destination,
@@ -160,7 +160,7 @@ impl Evidence {
 
 /// Why the stitching loop ended (the trace-level decision, as opposed to
 /// the per-hop evidence).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum StitchEnd {
     /// The current hop reached the source (or an address in its prefix).
     ReachedSource,
@@ -245,14 +245,8 @@ impl Serialize for Path {
     }
 }
 
-impl Deserialize for Path {
-    fn from_value(v: &serde::Value) -> Result<Path, serde::DeError> {
-        Vec::<RevtrHop>::from_value(v).map(Path::from)
-    }
-}
-
 /// Why a measurement ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Status {
     /// Reached the source: a complete, trustworthy reverse path.
     Complete,
@@ -278,7 +272,7 @@ impl Status {
 }
 
 /// Per-measurement statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct RevtrStats {
     /// Spoofed batches issued (each costs ~10 s, §5.2.4).
     pub batches: u32,
@@ -310,7 +304,7 @@ pub struct RevtrStats {
 
 /// Probe counts attributable to one measurement (a serializable
 /// [`Snapshot`] diff).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ProbeDelta {
     /// Plain pings.
     pub ping: u64,
@@ -354,7 +348,7 @@ impl ProbeDelta {
 }
 
 /// A reverse traceroute measurement result.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RevtrResult {
     /// The uncontrolled destination the path starts from.
     pub dst: Addr,
@@ -562,8 +556,31 @@ mod tests {
         }
     }
 
+    /// Each evidence kind's tag in the export and the keys of its payload.
+    const EVIDENCE_KEYS: [(&str, &[&str]); 7] = [
+        ("Destination", &[]),
+        ("RecordRoute", &["prov"]),
+        ("SpoofedRecordRoute", &["prov"]),
+        ("AtlasIntersection", &["source", "vp", "at_hours", "joined"]),
+        ("TrToSource", &["source", "vp", "at_hours"]),
+        ("Timestamp", &["tested_from"]),
+        (
+            "AssumedSymmetric",
+            &[
+                "cur",
+                "penult",
+                "cur_as",
+                "penult_as",
+                "interdomain",
+                "policy",
+            ],
+        ),
+    ];
+
+    /// The export is written for readers of the archive, never read back
+    /// into a `RevtrResult`: what it must hold is the document itself.
     #[test]
-    fn a_result_roundtrips_through_serde_with_its_evidence() {
+    fn a_result_exports_every_evidence_kind_as_json() {
         let r = RevtrResult {
             dst: Addr(1),
             src: Addr(2),
@@ -582,8 +599,46 @@ mod tests {
         };
         let json = serde_json::to_string(&r).expect("serializes");
         assert!(json.contains(r#""fwd_epoch":3"#) && json.contains(r#""rep_epoch":null"#));
-        let back: RevtrResult = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(r, back);
+        let exported = serde_json::from_str(&json).expect("the export is JSON");
+        assert_eq!(exported, r.to_value());
+
+        let Some(serde::Value::Array(hops)) = exported.get("hops") else {
+            panic!("no hop array in {json}");
+        };
+        assert_eq!(hops.len(), EVIDENCE_KEYS.len());
+        for (hop, (tag, keys)) in hops.iter().zip(EVIDENCE_KEYS) {
+            let evidence = hop.get("evidence").expect("every hop carries its evidence");
+            if keys.is_empty() {
+                assert_eq!(evidence, &serde::Value::Str(tag.to_string()));
+                continue;
+            }
+            let payload = evidence
+                .get(tag)
+                .unwrap_or_else(|| panic!("{tag}: {evidence:?}"));
+            let names: Vec<&str> = (payload.as_object().expect("a payload object").iter())
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(names, keys, "{tag}");
+        }
+        let prov = hops[1].get("evidence").and_then(|e| e.get("RecordRoute"));
+        let names: Vec<&str> = (prov.and_then(|p| p.get("prov")))
+            .and_then(serde::Value::as_object)
+            .expect("a provenance object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "sender",
+                "claimed",
+                "dst",
+                "nonce",
+                "fwd_epoch",
+                "rep_epoch",
+                "from_cache"
+            ]
+        );
     }
 
     #[test]

@@ -84,12 +84,13 @@ pub struct Baselines {
     /// *faulted* campaign arms. Injected loss with no retry budget makes
     /// surviving requests burn extra 10 s spoofed-batch timeouts, pushing
     /// the p99 band past the clean envelope (seeds {1, 7, 42}, standard:
-    /// 88–92 s clean vs 101–113 s faulted, faulted max 165–196 s; smoke:
-    /// 2–10 s clean vs 22–52 s faulted, faulted max 47–107 s), so
-    /// fault-induced stalls overrun it while it still sits above almost
-    /// every clean request. At standard scale the 300 s envelope now sits
-    /// above every faulted request too; only the smoke envelope still
-    /// separates the two.
+    /// 88.1 / 88.1 / 92.3 s clean vs 100.7 / 113.2 / 100.7 s faulted,
+    /// faulted max 187.6 / 195.7 / 164.6 s; smoke: 2–10 s clean vs 22–52 s
+    /// faulted, faulted max 47–107 s), so fault-induced stalls overrun it
+    /// while it still sits above almost every clean request. The standard
+    /// envelope is the slowest clean p99 rounded up to 95 s (DESIGN §8):
+    /// below every seed's faulted maximum, so a faulted standard campaign
+    /// fires `stuck-requests` (31 / 30 / 27 flags).
     pub envelope_deadline_ms: f64,
 }
 
@@ -171,7 +172,7 @@ impl Scale {
                 control_capacity: 64 << 20,
                 control_headroom: 0.9,
                 clean_deadline_ms: 1_500_000.0,
-                envelope_deadline_ms: 300_000.0,
+                envelope_deadline_ms: 95_000.0,
             },
             // Measured clean, seeds {1, 7, 42}: coverage 0.80–1.0, accuracy
             // 1.0, probes/revtr 1.68–2.48, rr_step p99 1 966–29 360 ms.

@@ -899,6 +899,23 @@ mod tests {
         assert!(text.contains("slo gate: FAIL"));
     }
 
+    /// The standard envelope sits below the faulted campaign's slowest
+    /// requests, so its watchdog flags them and the stall alert fires.
+    /// Standard scale: slow in a debug build, so ci.sh runs it in release.
+    #[test]
+    #[ignore = "standard scale; ci.sh runs it in release"]
+    fn faulted_standard_report_fires_stuck_requests() {
+        let run = Campaign::faulted(Scale::Standard, 1, 0.3, 1).run();
+        let r = Report::new(&run, &default_policy(Scale::Standard));
+        let firing: Vec<&str> = r.slo.alerts().map(|v| v.rule.as_str()).collect();
+        assert!(!run.watchdog.is_empty(), "no request overran the envelope");
+        assert!(
+            firing.contains(&"stuck-requests"),
+            "{firing:?}\n{}",
+            r.render()
+        );
+    }
+
     #[test]
     fn probe_budget_floor_fires_on_a_campaign_that_probes_under_it() {
         // The floor was set under the clean closed-loop campaign, which

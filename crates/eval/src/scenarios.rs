@@ -26,9 +26,8 @@ use crate::campaign::{Campaign, CampaignRun, Scale};
 use crate::render::Table;
 use crate::report::{scenario_policy, Report};
 use revtr_netsim::{ScenarioConfig, ScenarioProfile};
-use std::collections::hash_map::DefaultHasher;
+use revtr_telemetry::Fnv;
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 
 /// One arm of a profile run (the clean baseline, or one profile).
 #[derive(Clone, Debug)]
@@ -185,11 +184,10 @@ pub fn arm(run: &CampaignRun) -> ScenarioArm {
     // Identity: the campaign fingerprint is a pure function of the
     // results (status, hops, evidence, stats) — the seed-purity /
     // worker-invariance tests pin it.
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = Fnv::new();
     for r in &run.results {
-        serde_json::to_string(r)
-            .expect("results serialize")
-            .hash(&mut hasher);
+        let json = serde_json::to_string(r).expect("results serialize");
+        hasher.write(json.as_bytes());
     }
     let judged = Report::new(run, &scenario_policy(run.campaign.scale));
     let requests = run.workload.len() as u64;

@@ -26,12 +26,11 @@
 #![warn(unreachable_pub)]
 
 use rand::{Rng, SeedableRng, StdRng};
-use serde::{Deserialize, Serialize};
 
 /// Service priority classes, best first. Admission control spends the
 /// probe budget on Gold before Silver before Bronze; the degradation
 /// ladder sheds Bronze first and protects Gold to the end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityClass {
     /// Interactive / platform-integration traffic with an SLO.
     Gold,
@@ -75,7 +74,7 @@ impl PriorityClass {
 
 /// Time-varying demand envelope: a multiplier on the tenant's base
 /// offered rate as a function of virtual time in hours.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Envelope {
     /// Constant demand.
     Steady,
@@ -157,7 +156,7 @@ impl Envelope {
 }
 
 /// How a tenant picks destinations from the rank space.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum DestPick {
     /// Zipf(s) over ranks: popular content gets the bulk of requests,
     /// so sibling requests overlap and caches/stop sets can pay off.
@@ -173,7 +172,7 @@ pub enum DestPick {
 /// One tenant of the service: a named customer with a priority class, a
 /// base offered rate, a demand envelope, a destination-popularity model,
 /// and a simulated user population.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantProfile {
     /// Stable display name (also the service-side account name).
     pub name: String,
@@ -195,7 +194,7 @@ pub struct TenantProfile {
 }
 
 /// One request arrival in the open-loop stream.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Arrival {
     /// Virtual arrival time in milliseconds since campaign start.
     pub vtime_ms: f64,

@@ -8,14 +8,14 @@
 //! as in the real Internet). `10.0.0.0/8` is reserved for routers that stamp
 //! Record Route packets with private addresses.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// An IPv4 address, stored as a host-order `u32`.
 ///
 /// A thin newtype rather than `std::net::Ipv4Addr` so that arithmetic
 /// (prefix masking, /30 neighbours) stays explicit and allocation-friendly.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Addr(pub u32);
 
 impl Addr {
@@ -85,7 +85,7 @@ impl From<u32> for Addr {
 }
 
 /// An IPv4 prefix (`base/len`), with `base` already masked to `len` bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Prefix {
     /// Network base address (low bits zero).
     pub base: Addr,

@@ -8,10 +8,9 @@
 
 use crate::faults::FaultConfig;
 use crate::scenario::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// Shape of the generated AS-level topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TopologyConfig {
     /// Number of tier-1 ASes (full peering clique).
     pub n_tier1: usize,
@@ -120,7 +119,7 @@ impl Default for TopologyConfig {
 
 /// Behavioural rates for hosts and routers, calibrated to the paper's
 /// measurements (Appx. F, §4.4, §5.2.2, Appx. E).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BehaviorConfig {
     /// P(host responds to plain ping) — paper Table 6: 73–77%.
     pub host_ping_responsive: f64,
@@ -195,7 +194,7 @@ impl Default for BehaviorConfig {
 }
 
 /// Full simulation configuration.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SimConfig {
     /// Topology shape.
     pub topology: TopologyConfig,
@@ -205,7 +204,6 @@ pub struct SimConfig {
     pub faults: FaultConfig,
     /// Adversarial scenario severities (all off by default — see
     /// [`ScenarioConfig`]).
-    #[serde(default)]
     pub scenario: ScenarioConfig,
 }
 

@@ -27,7 +27,6 @@ use crate::hash::{chance, mix2, mix3};
 use crate::ids::{LinkId, RouterId};
 use parking_lot::Mutex;
 use revtr_telemetry::WordMap;
-use serde::{Deserialize, Serialize};
 
 /// Salts for independent fault draws.
 mod salt {
@@ -49,7 +48,7 @@ const LINK_MAINTENANCE_WINDOW_HOURS: f64 = 6.0;
 
 /// Fault-injection rates. All rates default to **zero** (faults off), so
 /// existing seeds reproduce byte-identically unless a study opts in.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultConfig {
     /// P(a single probe packet — or its reply — is lost in transit).
     /// Applied per probe attempt, independently, keyed by the probe nonce.

@@ -4,14 +4,14 @@
 //! indices (rather than addresses or hash keys) keeps routing-table and
 //! FIB computations cache-friendly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize,
         )]
         pub struct $name(pub u32);
 

@@ -22,7 +22,6 @@
 use crate::addr::Addr;
 use crate::hash::{chance, mix2, mix3};
 use crate::ids::{AsId, RouterId};
-use serde::{Deserialize, Serialize};
 
 /// Salts for independent per-profile draws. Each profile owns its own
 /// salt(s), so composed profiles draw from disjoint hash streams.
@@ -41,7 +40,7 @@ mod salt {
 }
 
 /// The five named adversarial profiles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScenarioProfile {
     /// A mid-campaign spoof-filter rollout: a cohort of ASes deploys
     /// source-address validation, and spoofed packets from VPs inside
@@ -116,22 +115,17 @@ const RATE_LIMIT_DIRECT_FACTOR: f64 = 0.2;
 /// Scenario severities, one per profile. All default to **zero**
 /// (scenarios off), so existing seeds reproduce byte-identically unless a
 /// study opts in.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioConfig {
     /// P(an AS joins the spoof-filter rollout cohort).
-    #[serde(default)]
     pub spoof_filter_rollout: f64,
     /// P(an AS belongs to the DBR-violating region).
-    #[serde(default)]
     pub dbr_violation_region: f64,
     /// P(a destination's RR reply leg is rewritten with false slots).
-    #[serde(default)]
     pub lying_rr_responders: f64,
     /// P(a destination sits behind an asymmetric rate limiter).
-    #[serde(default)]
     pub asymmetric_rate_limiters: f64,
     /// P(an atlas (vp, source) traceroute carries a fabricated hop).
-    #[serde(default)]
     pub poisoned_atlas: f64,
 }
 

@@ -8,14 +8,14 @@ use crate::addr::{Addr, Prefix};
 use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use revtr_telemetry::WordMap;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// addr → router. Keyed by addresses the generator (or a test) numbered,
 /// never by outside input.
 type AddrIndex = WordMap<Addr, RouterId>;
 
 /// Where an AS sits in the Internet hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum AsTier {
     /// Settlement-free core; full peering clique among tier-1s.
     Tier1,
@@ -30,7 +30,7 @@ pub enum AsTier {
 
 /// Business relationship of a neighbor, from the perspective of the AS that
 /// stores the entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Rel {
     /// The neighbor sells us transit.
     Provider,
@@ -52,7 +52,7 @@ impl Rel {
 }
 
 /// One AS-level adjacency, possibly realised by several physical links.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Neighbor {
     /// The adjacent AS.
     pub asn: AsId,
@@ -63,7 +63,7 @@ pub struct Neighbor {
 }
 
 /// An autonomous system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct AsNode {
     /// Dense id.
     pub id: AsId,
@@ -116,7 +116,7 @@ impl AsNode {
 }
 
 /// How a router stamps Record Route packets it forwards (§4.2, Appx. C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum StampMode {
     /// Standard RFC 791 behaviour: stamp the outgoing interface.
     Egress,
@@ -131,7 +131,7 @@ pub enum StampMode {
 }
 
 /// A router.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Router {
     /// Dense id.
     pub id: RouterId,
@@ -158,7 +158,7 @@ pub struct Router {
 }
 
 /// Link flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum LinkKind {
     /// Both endpoints in the same AS.
     Intra(AsId),
@@ -167,7 +167,7 @@ pub enum LinkKind {
 }
 
 /// A point-to-point link between two routers, numbered as a /30.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Link {
     /// Dense id.
     pub id: LinkId,
@@ -208,7 +208,7 @@ impl Link {
 }
 
 /// A BGP-announced destination prefix (always a /24 in the simulator).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PrefixEntry {
     /// Dense id.
     pub id: PrefixId,
@@ -221,7 +221,7 @@ pub struct PrefixEntry {
 }
 
 /// An M-Lab-style vantage point site: a spoof-capable host in a colo AS.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct VpSite {
     /// The site's host address (also a revtr source address).
     pub host: Addr,
@@ -235,7 +235,7 @@ pub struct VpSite {
 }
 
 /// The complete immutable topology.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Topology {
     /// All ASes, indexed by [`AsId`].
     pub ases: Vec<AsNode>,
@@ -250,17 +250,17 @@ pub struct Topology {
     /// First /16 block base (blocks are consecutive per AS id).
     pub block_base: u32,
     /// addr → router, for every interface / loopback / private alias.
-    /// Rebuilt on deserialization (JSON maps need string keys).
+    /// Derived from the routers and links, so the JSON leaves it out.
     #[serde(skip)]
     pub(crate) addr_to_router: AddrIndex,
 }
 
 impl Topology {
     /// Rebuild the address index (interfaces, loopbacks, private aliases).
-    /// Called by the generator and after deserialization.
+    /// Called by the generator and by whoever builds a topology by hand.
     ///
-    /// One table, sized once to its entries, for generated, loaded and
-    /// hand-built topologies alike (hand-built ones number loopbacks inside
+    /// One table, sized once to its entries, for generated and hand-built
+    /// topologies alike (hand-built ones number loopbacks inside
     /// link space, so no block arithmetic stands in for it). Filled routers
     /// first, then links: an address listed twice resolves to the last.
     pub fn rebuild_address_index(&mut self) {

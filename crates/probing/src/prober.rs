@@ -89,7 +89,7 @@ use revtr_netsim::{
     TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
@@ -145,7 +145,7 @@ pub enum ProbeLoss {
 /// ([`revtr_netsim::oracle::Oracle::replay_rr_reply_stamps`]). A cache hit
 /// carries the provenance of the *original* send — the stamps in the
 /// cached reply were produced under that nonce and those churn epochs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RrProvenance {
     /// Emitting vantage point.
     pub sender: Addr,
@@ -212,18 +212,6 @@ impl std::fmt::Debug for SentEpoch {
 impl Serialize for SentEpoch {
     fn to_value(&self) -> serde::Value {
         self.get().to_value()
-    }
-}
-
-impl Deserialize for SentEpoch {
-    fn from_value(v: &serde::Value) -> Result<SentEpoch, serde::DeError> {
-        let epoch = Option::<u32>::from_value(v)?;
-        if epoch == Some(u32::MAX) {
-            return Err(serde::DeError::custom(
-                "churn epoch u32::MAX has no encoding",
-            ));
-        }
-        Ok(epoch.into())
     }
 }
 

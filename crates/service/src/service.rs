@@ -7,14 +7,13 @@ use crate::store::ResultStore;
 use crate::users::{ApiKey, RateLimits, UserDb, UserError};
 use revtr::{LoopConfig, RevtrResult, RevtrSystem};
 use revtr_netsim::{Addr, TraceResult};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-request tuning options (Appx. A: "the user can specify options to
 /// tune the request, such as how stale traceroutes are allowed to be and
 /// whether to run a forward traceroute after the Reverse Traceroute
 /// completes").
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RequestOptions {
     /// Maximum acceptable age (virtual hours) of the atlas traceroute the
     /// measurement intersects; the source's atlas is refreshed first when

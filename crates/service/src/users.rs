@@ -7,7 +7,6 @@
 use parking_lot::Mutex;
 use revtr_netsim::Addr;
 use revtr_probing::WordMap;
-use serde::{Deserialize, Serialize};
 
 /// The user table. Only keys this registry issues (sequential, never
 /// chosen outside the program) are inserted, so no caller can crowd a
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 type Users = WordMap<ApiKey, UserState>;
 
 /// Per-user rate limits, as in the paper's user database.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RateLimits {
     /// Maximum concurrent reverse traceroutes.
     pub max_parallel: u32,
@@ -34,7 +33,7 @@ impl Default for RateLimits {
 }
 
 /// An API key issued to a user.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ApiKey(pub u64);
 
 #[derive(Debug)]

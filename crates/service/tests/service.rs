@@ -9,6 +9,7 @@ use revtr_service::service::{RequestOptions, ServiceError};
 use revtr_service::users::UserError;
 use revtr_service::{RateLimits, RevtrService};
 use revtr_vpselect::{Heuristics, IngressDb};
+use serde::Serialize;
 use std::sync::Arc;
 
 fn build_service(sim: &Sim) -> RevtrService<'_> {
@@ -175,18 +176,18 @@ fn ndt_hook_measures_client_paths() {
 }
 
 #[test]
-fn store_export_roundtrips_through_json() {
+fn store_export_parses_to_the_archived_results() {
     let sim = Sim::build(SimConfig::tiny(), 56);
     let service = build_service(&sim);
     let key = service.add_user("archiver", RateLimits::default());
     let src = sim.topo().vp_sites[0].host;
     service.add_source(key, src).expect("bootstrap");
-    service
-        .request(key, responsive_dest(&sim, 2), src)
-        .expect("request");
-    let json = service.store().export_json();
-    let back: Vec<revtr::RevtrResult> = serde_json::from_str(&json).expect("valid");
-    assert_eq!(back, service.store().lookup(back[0].dst, back[0].src));
+    let dst = responsive_dest(&sim, 2);
+    service.request(key, dst, src).expect("request");
+    let archived = service.store().lookup(dst, src);
+    assert_eq!(archived.len(), 1);
+    let exported = serde_json::from_str(&service.store().export_json()).expect("valid");
+    assert_eq!(exported, archived.to_value());
 }
 
 #[test]

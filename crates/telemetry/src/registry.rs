@@ -5,10 +5,11 @@
 //! str` parts, `Copy`, never rendered while recording — and each
 //! recording thread writes to its own mutex-guarded stripe, chosen by a
 //! per-thread ordinal rather than by a hash of the name. A warm update is
-//! therefore one uncontended lock, one hash of the key's part addresses
-//! and one in-place add: no allocation, no string building, no name
-//! bytes read. A whole finished request folds in under a single lock
-//! acquisition ([`Fold`]).
+//! therefore one uncontended lock, one hash of each part's length and
+//! last word, one address compare per part (a byte compare only when a
+//! literal's copy sits elsewhere) and one in-place add: no allocation and
+//! no string building. A whole finished request folds in under a single
+//! lock acquisition ([`Fold`]).
 //!
 //! [`MetricsRegistry::snapshot`] renders every key to its dotted name,
 //! sorts, and merges entries of equal name across stripes (counters add,
@@ -74,38 +75,43 @@ impl From<(&'static str, &'static str, &'static str)> for MetricKey {
     }
 }
 
-/// A [`MetricKey`] as a stripe's map key: compared and hashed by the
-/// *identity* of its parts — address and length of each `&'static str` —
-/// not their bytes. A warm update then costs a few word operations instead
-/// of hashing and comparing ~30 bytes of name. Two call sites may spell
-/// one name from literals at different addresses; they get two entries,
-/// which the snapshot merges by rendered name like any two stripes' —
-/// identity only has to be *sufficient* for equality, never necessary.
-#[derive(Clone, Copy, Debug)]
-struct ById(MetricKey);
-
-impl PartialEq for ById {
-    fn eq(&self, other: &ById) -> bool {
-        let (a, b) = (self.0.parts(), other.0.parts());
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y))
+/// Two keys are one map entry when they have as many parts and each
+/// part's bytes match; a part held at one address, as every update from
+/// one call site's literal is, matches without reading its bytes. A
+/// literal the compiler copies into two codegen units is two addresses of
+/// one text, so identity alone would split one call site's metric.
+impl PartialEq for MetricKey {
+    fn eq(&self, other: &MetricKey) -> bool {
+        let (a, b) = (self.parts(), other.parts());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y) || x == y)
     }
 }
 
-impl Eq for ById {}
+impl Eq for MetricKey {}
 
-impl Hash for ById {
+/// Each part's length and last word (up to eight trailing bytes): two
+/// words a part, however long the name, and equal for equal parts.
+impl Hash for MetricKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for part in self.0.parts() {
-            state.write_usize(part.as_ptr() as usize);
+        for part in self.parts() {
             state.write_usize(part.len());
+            state.write_u64(last_word(part.as_bytes()));
         }
+    }
+}
+
+/// The last eight bytes of `bytes` as a word; all of them, if fewer.
+fn last_word(bytes: &[u8]) -> u64 {
+    match bytes.last_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => (bytes.iter()).fold(0, |word, &b| word << 8 | u64::from(b)),
     }
 }
 
 /// Multiplicative word hasher (the FxHash recipe): one rotate, xor and
 /// multiply per word written. The workspace's one hasher, behind
 /// [`WordMap`] and [`WordSet`]: its tables are keyed by what this program
-/// made itself — `ById`'s literal addresses here, simulated addresses and
+/// made itself — metric names' tail words here, simulated addresses and
 /// ids in the route cache and the measurement cache's indexes — never by
 /// outside input, so the default hasher's collision resistance buys
 /// nothing.
@@ -152,7 +158,7 @@ pub type WordMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherD
 #[allow(clippy::disallowed_types)]
 pub type WordSet<T> = std::collections::HashSet<T, std::hash::BuildHasherDefault<WordHasher>>;
 
-type KeyMap<V> = WordMap<ById, V>;
+type KeyMap<V> = WordMap<MetricKey, V>;
 
 #[derive(Default, Debug)]
 struct Stripe {
@@ -162,8 +168,7 @@ struct Stripe {
 
 /// Pads (and aligns) a value to a 64-byte cache line to prevent false
 /// sharing between adjacent hot fields: the registry's stripes, the
-/// resource ledgers' shards, the route cache's lock stripes and the
-/// prober's clock slots.
+/// route cache's lock stripes and the prober's clock slots.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct CachePadded<T> {
@@ -224,16 +229,12 @@ pub(crate) struct Fold<'a>(MutexGuard<'a, Stripe>);
 impl Fold<'_> {
     /// Add `n` to counter `key`.
     pub(crate) fn add(&mut self, key: impl Into<MetricKey>, n: u64) {
-        *self.0.counters.entry(ById(key.into())).or_insert(0) += n;
+        *self.0.counters.entry(key.into()).or_insert(0) += n;
     }
 
     /// Record one observation `v` in histogram `key`.
     pub(crate) fn record(&mut self, key: impl Into<MetricKey>, v: u64) {
-        self.0
-            .histograms
-            .entry(ById(key.into()))
-            .or_default()
-            .record(v);
+        self.0.histograms.entry(key.into()).or_default().record(v);
     }
 }
 
@@ -266,8 +267,8 @@ impl MetricsRegistry {
         let mut histograms: Vec<(String, Histogram)> = Vec::new();
         for stripe in &self.stripes {
             let s = stripe.lock();
-            counters.extend(s.counters.iter().map(|(k, v)| (k.0.name(), *v)));
-            histograms.extend(s.histograms.iter().map(|(k, v)| (k.0.name(), v.clone())));
+            counters.extend(s.counters.iter().map(|(k, v)| (k.name(), *v)));
+            histograms.extend(s.histograms.iter().map(|(k, v)| (k.name(), v.clone())));
         }
         // Stable sort, then fold runs of one name into their first entry.
         counters.sort_by(|a, b| a.0.cmp(&b.0));

@@ -4,9 +4,10 @@
 //! sets, atlas traces, engine control blocks, admission queues, the
 //! telemetry stores themselves) self-report *logical* bytes — entries ×
 //! entry footprint, no allocator hooks, no wall clock — into a
-//! name-sharded [`ResourceRegistry`]. Ledgers are sampled at engine wave
-//! barriers (serial points in virtual time), so every reading is a pure
-//! function of the seed and invariant across dispatch worker counts.
+//! [`ResourceRegistry`]. Ledgers are sampled at engine wave barriers and
+//! in the open-loop admission loop (serial points in virtual time), so
+//! every reading is a pure function of the seed and invariant across
+//! dispatch worker counts, and one lock serves every writer.
 //!
 //! The same module holds the collapsed-stack profile cells fed by
 //! [`SpanCost`]s: per-span loop-events-processed, cache-byte deltas, and
@@ -15,12 +16,8 @@
 //! fingerprinted metrics registry and journal, so turning profiling on
 //! or off can never move a campaign's telemetry fingerprints.
 
-use crate::{CachePadded, Fnv, WordMap};
+use crate::{Fnv, WordMap};
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
-const N_SHARDS: usize = 8;
 
 /// Per-span cost delta attached at stage exit: what the span *consumed*
 /// beyond virtual time. All three are counter diffs computed by the
@@ -160,45 +157,20 @@ struct Ledger {
     series: Vec<(u64, u64)>,
 }
 
+/// A store of byte ledgers, one per long-lived subsystem structure.
+/// Readings come out as one name-sorted [`ResourceSnapshot`], so the
+/// view is independent of which thread (or in what order) reported what.
 #[derive(Debug, Default)]
-struct Shard {
-    ledgers: WordMap<&'static str, Ledger>,
-}
-
-/// A name-sharded store of byte ledgers, one per long-lived subsystem
-/// structure. Readings merge into one name-sorted [`ResourceSnapshot`],
-/// so the view is independent of which thread (or in what order)
-/// reported what.
-#[derive(Debug)]
 pub(crate) struct ResourceRegistry {
-    shards: [CachePadded<Mutex<Shard>>; N_SHARDS],
-}
-
-impl Default for ResourceRegistry {
-    fn default() -> ResourceRegistry {
-        ResourceRegistry::new()
-    }
-}
-
-fn shard_of(name: &str) -> usize {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) % N_SHARDS
+    ledgers: Mutex<WordMap<&'static str, Ledger>>,
 }
 
 impl ResourceRegistry {
-    /// An empty registry.
-    pub(crate) fn new() -> ResourceRegistry {
-        ResourceRegistry {
-            shards: Default::default(),
-        }
-    }
-
     /// Set the current logical bytes of ledger `name`, raising its
     /// high-water mark if exceeded.
     pub(crate) fn set(&self, name: &'static str, bytes: u64) {
-        let mut shard = self.shards[shard_of(name)].lock();
-        let ledger = shard.ledgers.entry(name).or_default();
+        let mut ledgers = self.ledgers.lock();
+        let ledger = ledgers.entry(name).or_default();
         ledger.current = bytes;
         ledger.hiwater = ledger.hiwater.max(bytes);
     }
@@ -208,24 +180,22 @@ impl ResourceRegistry {
     /// monotone ordinate (wave number, virtual ms) — the registry never
     /// reads a clock of its own.
     pub(crate) fn record(&self, name: &'static str, ord: u64, bytes: u64) {
-        let mut shard = self.shards[shard_of(name)].lock();
-        let ledger = shard.ledgers.entry(name).or_default();
+        let mut ledgers = self.ledgers.lock();
+        let ledger = ledgers.entry(name).or_default();
         ledger.current = bytes;
         ledger.hiwater = ledger.hiwater.max(bytes);
         ledger.series.push((ord, bytes));
     }
 
-    /// Merge every shard into one name-sorted snapshot.
+    /// Every ledger's reading, sorted by name.
     pub(crate) fn snapshot(&self) -> ResourceSnapshot {
-        let mut ledgers: Vec<LedgerReading> = Vec::new();
-        for shard in &self.shards {
-            let s = shard.lock();
-            ledgers.extend(s.ledgers.iter().map(|(name, l)| LedgerReading {
+        let mut ledgers: Vec<LedgerReading> = (self.ledgers.lock().iter())
+            .map(|(name, l)| LedgerReading {
                 name: (*name).to_string(),
                 current: l.current,
                 hiwater: l.hiwater,
-            }));
-        }
+            })
+            .collect();
         ledgers.sort_by(|a, b| a.name.cmp(&b.name));
         ResourceSnapshot { ledgers }
     }
@@ -233,16 +203,10 @@ impl ResourceRegistry {
     /// All `(name, series)` pairs with a non-empty sample series, sorted
     /// by name — the input to Perfetto counter-track export.
     pub(crate) fn series(&self) -> Vec<(String, Vec<(u64, u64)>)> {
-        let mut out: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
-        for shard in &self.shards {
-            let s = shard.lock();
-            out.extend(
-                s.ledgers
-                    .iter()
-                    .filter(|(_, l)| !l.series.is_empty())
-                    .map(|(name, l)| ((*name).to_string(), l.series.clone())),
-            );
-        }
+        let mut out: Vec<(String, Vec<(u64, u64)>)> = (self.ledgers.lock().iter())
+            .filter(|(_, l)| !l.series.is_empty())
+            .map(|(name, l)| ((*name).to_string(), l.series.clone()))
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -251,12 +215,9 @@ impl ResourceRegistry {
     /// series samples) — the `telemetry.resources` self-accounting input.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
-        for shard in &self.shards {
-            let s = shard.lock();
-            for (name, l) in &s.ledgers {
-                total += (name.len() + std::mem::size_of::<Ledger>()) as u64;
-                total += (l.series.len() * std::mem::size_of::<(u64, u64)>()) as u64;
-            }
+        for (name, l) in self.ledgers.lock().iter() {
+            total += (name.len() + std::mem::size_of::<Ledger>()) as u64;
+            total += (l.series.len() * std::mem::size_of::<(u64, u64)>()) as u64;
         }
         total
     }
@@ -319,7 +280,7 @@ mod tests {
 
     #[test]
     fn ledgers_track_current_and_hiwater() {
-        let r = ResourceRegistry::new();
+        let r = ResourceRegistry::default();
         r.set("a.cache", 100);
         r.set("a.cache", 40);
         r.set("b.queue", 7);
@@ -333,24 +294,24 @@ mod tests {
 
     #[test]
     fn snapshot_is_order_independent() {
-        let a = ResourceRegistry::new();
+        let a = ResourceRegistry::default();
         a.set("x", 1);
         a.set("y", 2);
         a.set("x", 3);
-        let b = ResourceRegistry::new();
+        let b = ResourceRegistry::default();
         b.set("y", 2);
         b.set("x", 1);
         b.set("x", 3);
         assert_eq!(a.snapshot().fingerprint(), b.snapshot().fingerprint());
         assert_ne!(
             a.snapshot().fingerprint(),
-            ResourceRegistry::new().snapshot().fingerprint()
+            ResourceRegistry::default().snapshot().fingerprint()
         );
     }
 
     #[test]
     fn series_samples_are_kept_in_order() {
-        let r = ResourceRegistry::new();
+        let r = ResourceRegistry::default();
         r.record("engine.control_blocks", 0, 10);
         r.record("engine.control_blocks", 1, 30);
         r.record("engine.control_blocks", 2, 20);

@@ -26,8 +26,7 @@ static STAGES: [&str; 8] = [
     "assume_symmetry",
 ];
 
-/// Metric keys are matched by the identity of their static parts, so
-/// "warm" means *these* literals have been seen: one instance, shared.
+/// The span fields every request records, as one shared table.
 static FIELDS: [(&str, u64); 5] = [
     ("probes", 3),
     ("pkts", 9),
@@ -76,6 +75,39 @@ fn warm_metric_updates_do_not_allocate() {
     assert_eq!(snap.counter("loadgen.shed.bronze.rate"), 500_500);
     let depth = snap.histogram("loadgen.queue_depth.gold").expect("hist");
     assert_eq!(depth.count(), 1001);
+}
+
+/// A metric is keyed by its name's text, not by where a literal sits: the
+/// compiler may hold one literal at several addresses (a copy per codegen
+/// unit), and updates through any copy land in the entry the first one
+/// warmed — without allocating, and as one snapshot entry.
+#[test]
+fn a_copy_of_a_warm_name_updates_its_entry_without_allocating() {
+    let tele = Telemetry::enabled();
+    tele.counter_add("probing.retries", 1);
+    tele.record(("loadgen.queue_depth", "gold"), 1);
+    let copies: Vec<(&'static str, &'static str)> = (0..64)
+        .map(|_| {
+            let name: &'static str = Box::leak("probing.retries".into());
+            let leaf: &'static str = Box::leak("gold".into());
+            (name, leaf)
+        })
+        .collect();
+    let ((), n) = allocs_in(|| {
+        for &(name, leaf) in &copies {
+            tele.counter_add(name, 1);
+            tele.record(("loadgen.queue_depth", leaf), 2);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "updates through copies of warm names allocated {n} times"
+    );
+    let snap = tele.metrics();
+    assert_eq!(snap.counters, vec![("probing.retries".to_string(), 65)]);
+    assert_eq!(snap.histograms.len(), 1);
+    let depth = snap.histogram("loadgen.queue_depth.gold").expect("hist");
+    assert_eq!((depth.count(), depth.sum()), (65, 129));
 }
 
 #[test]

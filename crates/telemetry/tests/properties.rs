@@ -11,7 +11,7 @@ fn fp(h: &Histogram) -> u64 {
     f.finish()
 }
 
-fn from_values(vs: &[u64]) -> Histogram {
+fn histogram_of(vs: &[u64]) -> Histogram {
     let mut h = Histogram::new();
     for &v in vs {
         h.record(v);
@@ -28,7 +28,7 @@ proptest! {
         a in proptest::collection::vec(0u64..1_000_000, 0..80),
         b in proptest::collection::vec(0u64..1_000_000, 0..80),
     ) {
-        let (ha, hb) = (from_values(&a), from_values(&b));
+        let (ha, hb) = (histogram_of(&a), histogram_of(&b));
         let mut ab = ha.clone();
         ab.merge(&hb);
         let mut ba = hb.clone();
@@ -45,7 +45,7 @@ proptest! {
         b in proptest::collection::vec(0u64..u64::MAX, 0..60),
         c in proptest::collection::vec(0u64..u64::MAX, 0..60),
     ) {
-        let (ha, hb, hc) = (from_values(&a), from_values(&b), from_values(&c));
+        let (ha, hb, hc) = (histogram_of(&a), histogram_of(&b), histogram_of(&c));
         let mut left = ha.clone();
         left.merge(&hb);
         left.merge(&hc);
@@ -61,7 +61,7 @@ proptest! {
     fn histogram_quantiles_are_monotone_in_q(
         vs in proptest::collection::vec(0u64..10_000_000, 1..200),
     ) {
-        let h = from_values(&vs);
+        let h = histogram_of(&vs);
         let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
         let mut last = h.min();
         for q in qs {
@@ -98,7 +98,7 @@ proptest! {
                 });
             }
         });
-        let whole = from_values(&vs);
+        let whole = histogram_of(&vs);
         let snap = reg.snapshot();
         let merged = snap.histogram("lat").expect("recorded");
         prop_assert_eq!(merged.count(), whole.count());
