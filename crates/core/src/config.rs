@@ -22,7 +22,9 @@ pub enum VpSelection {
     /// first, batches of three. A queue's next VP goes out only while its
     /// VPs miss the ingress: one whose reply crossed it and revealed
     /// nothing settles the queue, since the VPs ranked after it would
-    /// follow the same ingress→target leg with no more free slots. No VP
+    /// follow the same ingress→target leg with no more free slots. The
+    /// ingress ranks and settles, it never judges: a reply that locates
+    /// the target's stamp counts whichever ingress it crossed. No VP
     /// goes out at a hop that left the source's own direct RR ping
     /// unanswered: a spoofed RR ping goes to the same responder, and its
     /// reply comes back to the same source. The other selections keep

@@ -489,12 +489,14 @@ impl Request {
                 // An empty-handed step with the ladder run exhausted the
                 // *full* ladder (a solo winner falls back to the full
                 // queues before concluding). Only a ladder that saw *zero
-                // usable replies* marks the router spoof-futile: a reply
-                // that was usable but merely not novel for this request's
-                // path is request-specific evidence, not proof the router
-                // ignores spoofed RR probes. A ladder skipped for a router
-                // silent to the source publishes none either: that verdict
-                // is the source's, carried by the direct futility note.
+                // usable replies* (no reply located the router's stamp,
+                // whichever ingress it crossed) marks the router
+                // spoof-futile: a reply that was usable but merely not
+                // novel for this request's path is request-specific
+                // evidence, not proof the router ignores spoofed RR
+                // probes. A ladder skipped for a router silent to the
+                // source publishes none either: that verdict is the
+                // source's, carried by the direct futility note.
                 if ladder == (Ladder::Ran { usable_seen: false }) {
                     self.contribute(sys, Note::SpoofFutile { cur });
                 }

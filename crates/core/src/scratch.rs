@@ -72,11 +72,11 @@ pub(crate) struct Slot {
     /// Re-batches this VP has already been held for (the scenario attempt
     /// base of the probe).
     pub(crate) stalls: u32,
-    /// The ingress a usable reply must have traversed: the queue's
+    /// The ingress whose crossing settles the slot's queue: the queue's
     /// surveyed ingress when the plan was measured for the target's own
     /// prefix; `None` under a ranking or a lent plan
-    /// ([`PlanView::Lent`]), whose replies are judged on their stamps
-    /// alone.
+    /// ([`PlanView::Lent`]), whose queues never settle. It never judges
+    /// a reply: every reply is judged on its stamps alone.
     pub(crate) expected_ingress: Option<Addr>,
     /// The queue the VP was drawn from, and its rank there (0: closest).
     pub(crate) queue: usize,
@@ -85,12 +85,11 @@ pub(crate) struct Slot {
 
 impl Slot {
     /// Whether a reply with these RR slots crossed the slot's expected
-    /// ingress; `None` when the slot expects none. The one predicate
-    /// behind both the usability check (`!= Some(false)`) and settling a
-    /// queue (`== Some(true)`).
-    pub(crate) fn crossed(&self, slots: &[Addr]) -> Option<bool> {
+    /// ingress; false when the slot expects none. Only settling a queue
+    /// reads it.
+    fn crossed(&self, slots: &[Addr]) -> bool {
         self.expected_ingress
-            .map(|ingress| slots.contains(&ingress))
+            .is_some_and(|ingress| slots.contains(&ingress))
     }
 }
 
@@ -125,7 +124,9 @@ pub(crate) enum Fate<'r> {
 /// ingress→target leg with no more free slots, so none goes out, held or
 /// not. A queue whose VPs miss the ingress, go unanswered or are held
 /// walks on; a queue with no expected ingress (a ranking, a lent plan)
-/// never settles.
+/// never settles. Settling is all the expected ingress does here: a reply
+/// that locates the target's stamp is usable whichever ingress it
+/// crossed.
 #[derive(Debug, Default)]
 pub(crate) struct Ladder {
     /// The try-order cursor: the next VP is at `depth` in queue `next` —
@@ -245,7 +246,7 @@ impl Ladder {
                     stalls: slot.stalls + 1,
                     ..*slot
                 }),
-                Fate::Answered(slots) if slot.crossed(slots) == Some(true) => {
+                Fate::Answered(slots) if slot.crossed(slots) => {
                     let end = &mut self.ends[slot.queue];
                     *end = (*end).min(slot.rank + 1);
                 }

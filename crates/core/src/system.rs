@@ -178,8 +178,7 @@ pub(crate) enum Ladder {
     Silent,
     /// Ran to a hop or to exhaustion; whether any reply was usable.
     Ran {
-        /// Some reply's stamp was located (and crossed its slot's
-        /// expected ingress).
+        /// Some reply's stamp was located.
         usable_seen: bool,
     },
 }
@@ -646,11 +645,10 @@ impl<'s> RevtrSystem<'s> {
     /// (the settling rule of [`crate::scratch::Ladder`]).
     ///
     /// Returns what the step found, and whether any round saw a *usable*
-    /// reply (slots survived past the target's stamp and, where the survey
-    /// measured an ingress for `cur`'s own prefix, include that ingress),
-    /// even one that revealed nothing novel for this request's path —
-    /// only a ladder with none proves the router unreachable by this
-    /// plan's VPs.
+    /// reply (the target's stamp located in its slots, whichever ingress
+    /// it crossed), even one that revealed nothing novel for this
+    /// request's path — only a ladder with none proves the router
+    /// unreachable by this plan's VPs.
     pub(crate) fn rr_step(
         &self,
         cur: Addr,
@@ -706,9 +704,9 @@ impl<'s> RevtrSystem<'s> {
 
         // Spoofed batches from the VP plan, walked in place. A remembered
         // ladder winner opens the step solo (one probe instead of a whole
-        // batch) under its own queue's ingress expectation, so a usable
-        // reply passes the same check a full ladder would have applied —
-        // see [`crate::scratch::Ladder`]. The set-cover plan is written
+        // batch) under its own queue's ingress expectation, so its reply
+        // settles that queue as a full ladder's would have — see
+        // [`crate::scratch::Ladder`]. The set-cover plan is written
         // into the scratch's buffer, lent out while the ladder reads it.
         let spoof_span = t.enter("rr_spoofed");
         let batches0 = t.stats.batches;
@@ -767,11 +765,10 @@ impl<'s> RevtrSystem<'s> {
     /// One spoofed-batch round of the ladder open in `sx` over `plan`:
     /// compose a batch of at most `cap` new probes (plus the VPs the last
     /// round held), issue it, and return the usable reply (its stamp
-    /// located, its slot's [`crate::scratch::Slot::expected_ingress`]
-    /// crossed if it has one) with the most novel hops — or, when none
-    /// revealed any, settle the ladder for the next round and return
-    /// `None` — with whether any reply was usable. Allocates nothing:
-    /// batch and prober reply overwrite the scratch's buffers.
+    /// located) with the most novel hops — or, when none revealed any,
+    /// settle the ladder for the next round and return `None` — with
+    /// whether any reply was usable. Allocates nothing: batch and prober
+    /// reply overwrite the scratch's buffers.
     fn rr_round(
         &self,
         plan: PlanView<'_>,
@@ -807,15 +804,13 @@ impl<'s> RevtrSystem<'s> {
         t.stats.batches += reply.timeouts;
 
         // A reply (it always comes with its provenance) is usable when the
-        // router's own stamp can be located in it and it traversed its
-        // slot's expected ingress, if the slot has one — only a plan
-        // surveyed for `cur`'s own prefix does (`vp_plan`). The usable
-        // reply with the most novel hops wins.
+        // router's own stamp can be located in it, whichever ingress it
+        // crossed: the hops after that stamp are written on the reply's
+        // way back to the source, which the VP's forward leg never sees.
+        // The usable reply with the most novel hops wins.
         let (mut best, mut any_usable): (Option<(RrSlots, RrProvenance)>, _) = (None, false);
-        for (slot, r) in batch.iter().zip(&reply.replies) {
-            let rev = r
-                .as_ref()
-                .filter(|(r, _)| slot.crossed(&r.slots) != Some(false))
+        for r in &reply.replies {
+            let rev = (r.as_ref())
                 .and_then(|(r, prov)| Some((Self::reverse_hops(&r.slots, cur)?, *prov)));
             any_usable |= rev.is_some();
             if let Some((rev, prov)) = rev {
@@ -832,8 +827,8 @@ impl<'s> RevtrSystem<'s> {
         // (fault-attributed, budget exhausted) goes out again next round,
         // for a bounded number of re-batches — a close VP should not be
         // burned because of packet loss. Every other VP is done — whether
-        // it failed the ingress check, went genuinely unanswered, or
-        // answered without revealing new hops; one that crossed its
+        // it went genuinely unanswered, answered with no locatable stamp,
+        // or answered without revealing new hops; one that crossed its
         // queue's ingress settles that queue.
         ladder.settle(batch, |i, slot| {
             if reply.transient[i] && slot.stalls < TRANSIENT_STALL_BUDGET {
@@ -1204,15 +1199,16 @@ mod tests {
         assert!(checked > 0, "no host's plan has ingresses");
     }
 
-    /// The ingress check reads only where the survey measured one: a
-    /// spoofed reply that misses its queue's ingress but locates the
-    /// target's stamp is adopted at a router (a lent plan) and discarded
-    /// at a host of the surveyed prefix itself. Each fixture is the first
-    /// such (target, VP) pair of a tiny world; the ladder opens with that
-    /// VP as its remembered winner, so the reply found by the search is
-    /// the one the step's first round reads back from the cache.
+    /// The surveyed ingress never judges a reply: a spoofed reply that
+    /// misses its queue's ingress but locates the target's stamp is
+    /// adopted at a router (a lent plan, no expectation) and at a host of
+    /// the surveyed prefix itself (the queue's ingress expected). Each
+    /// fixture is the first such (target, VP) pair of a tiny world; the
+    /// ladder opens with that VP as its remembered winner, so the reply
+    /// found by the search is the one the step's first round reads back
+    /// from the cache.
     #[test]
-    fn a_reply_that_misses_the_ingress_counts_only_at_a_router() {
+    fn a_reply_that_misses_the_ingress_is_adopted_at_a_router_and_a_host() {
         use revtr_atlas::select_atlas_probes;
         use revtr_netsim::SimConfig;
         use revtr_probing::Telemetry;
@@ -1274,8 +1270,8 @@ mod tests {
             "router {cur}: the winner's reply was not adopted"
         );
 
-        // A host whose winner sits in one queue only, so no other queue's
-        // ingress can vouch for the same reply.
+        // A host whose winner sits in one queue only, so the slot's
+        // expectation is that queue's ingress and no other's.
         let hosts = (sys.ingress.prefixes())
             .flat_map(|(p, _)| sys.prober.host_addrs(p).take(16))
             .filter(|&cur| {
@@ -1293,10 +1289,10 @@ mod tests {
         let (cur, vp, expected) = miss(hosts.collect()).expect("no host reply misses its ingress");
         let (found, sent) = step(cur, vp);
         assert_eq!(sent[0].expected_ingress, Some(expected), "{sent:?}");
-        assert_ne!(
+        assert_eq!(
             found,
             Some(vp),
-            "host {cur}: a reply off its ingress was adopted"
+            "host {cur}: the winner's reply off its ingress was not adopted"
         );
     }
 }

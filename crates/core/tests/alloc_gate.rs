@@ -30,13 +30,17 @@ use std::sync::Arc;
 static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 const SOURCES: usize = 4;
-/// Every `SURVEY_STEP`-th prefix is surveyed and measured toward (the full
-/// survey takes a debug build the better part of a minute).
-const SURVEY_STEP: usize = 5;
+/// Every `SURVEY_STEP`-th prefix is surveyed and measured toward.
+const SURVEY_STEP: usize = 2;
+/// RR-responsive hosts taken per surveyed prefix: two warm up, the rest
+/// are swept.
+const HOSTS: usize = 12;
 /// Requests in the sweep: enough that the bucket of requests that ran three
-/// batches or more holds the 200 its bound needs (226 at 2 400; settled
-/// ingress queues left 188 of 2 000).
-const SWEEP: usize = 2_400;
+/// batches or more holds the 200 its bound needs. It reads 345 at 10 000
+/// over half the prefixes; a fifth of them with eight hosts each gave 103
+/// of 2 400 once a reply off its queue's ingress counted, 226 before, and
+/// settled ingress queues left 188 of 2 000.
+const SWEEP: usize = 10_000;
 
 /// A system as every gate runs it — stop sets on, 250-trace atlases —
 /// with its sources registered and `warm_up` already measured, so caches,
@@ -107,7 +111,7 @@ fn a_request_allocates_what_it_returns() {
         .map(|&p| {
             sim.host_addrs(p)
                 .filter(|&a| sim.behavior().host_rr_responsive(a) && !sim.is_vp_host(a))
-                .take(8)
+                .take(HOSTS)
                 .collect()
         })
         .collect();
@@ -119,7 +123,7 @@ fn a_request_allocates_what_it_returns() {
             .collect()
     };
     let warm_up = requests(0..2);
-    let mut sweep = requests(2..8);
+    let mut sweep = requests(2..HOSTS);
     assert!(sweep.len() >= SWEEP, "only {} sweep requests", sweep.len());
     sweep.truncate(SWEEP);
 

@@ -982,6 +982,8 @@ struct Step {
     direct: Option<(u64, u64)>,
     /// Spoofed rounds, when a ladder formed.
     batches: Option<u64>,
+    /// Whether the ladder found a hop, when one formed.
+    hit: Option<u64>,
     /// Queues a crossed ingress cut short, when a ladder formed.
     settled: Option<u64>,
     /// The stage the request went on to.
@@ -1018,6 +1020,7 @@ fn rr_steps(tele: &Telemetry, dst: Addr, src: Addr) -> Vec<Vec<Step>> {
                     (pkts, field(c, "lost").expect("counted"))
                 }),
                 batches: child("rr_spoofed").map(|c| field(c, "batches").expect("counted")),
+                hit: child("rr_spoofed").map(|c| field(c, "hit").expect("counted")),
                 settled: child("rr_spoofed").map(|c| field(c, "settled").expect("counted")),
                 next: (spans[end..].iter())
                     .find(|n| n.depth <= s.depth)
@@ -1062,6 +1065,7 @@ fn a_router_silent_to_the_source_gets_no_spoofed_ladder() {
         silent: 1,
         direct: Some((1, 0)),
         batches: None,
+        hit: None,
         settled: None,
         next: Some("assume_symmetry"),
     };
@@ -1177,11 +1181,11 @@ fn a_filtered_or_lost_direct_probe_keeps_the_ladder() {
 /// host of some prefix, from one of the first three VPs — whose target's
 /// plan is one surveyed ingress queue of two VPs or more, whose
 /// step at the target forms a spoofed ladder, and whose queue's closest VP
-/// answers a spoofed RR ping with slots that miss the queue's ingress or,
-/// as `crossing` asks, cross it and locate no novel hop. The first RR
-/// step of a request is at its target: an atlas hit there would have ended
-/// the request.
-fn one_queue_ladder(f: &Fixture, crossing: bool) -> Option<(Addr, Addr, Step)> {
+/// answers a spoofed RR ping with slots that cross the queue's ingress or
+/// miss it, as `crossing` asks, and that locate a novel hop or none, as
+/// `novel` asks. The first RR step of a request is at its target: an
+/// atlas hit there would have ended the request.
+fn one_queue_ladder(f: &Fixture, crossing: bool, novel: bool) -> Option<(Addr, Addr, Step)> {
     let probe = Prober::new(&f.sim).with_cache_enabled(false);
     let vps: Vec<Addr> = f.sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<_> = f.sim.topo().prefixes.iter().map(|p| p.id).collect();
@@ -1201,10 +1205,10 @@ fn one_queue_ladder(f: &Fixture, crossing: bool) -> Option<(Addr, Addr, Step)> {
         (closest != s).then_some(())?;
         let batch = probe.spoofed_rr_batch(&[(closest, d)], s);
         let (reply, _) = batch.replies[0].as_ref()?;
-        let novel = revtr::extract_reverse_hops(&reply.slots, d)
+        let new = revtr::extract_reverse_hops(&reply.slots, d)
             .is_some_and(|rev| rev.iter().any(|&h| h != d));
         let crossed = reply.slots.contains(&gate);
-        (crossed == crossing && !(crossed && novel)).then_some(())?;
+        ((crossed, new) == (crossing, novel)).then_some(())?;
         sys.measure(d, s);
         let step = *rr_steps(&tele, d, s).pop()?.first()?;
         step.batches.is_some().then_some((d, s, step))
@@ -1221,7 +1225,8 @@ fn a_crossed_ingress_settles_its_queue() {
     let f = Fixture {
         sim: quiet_world(44),
     };
-    let (d, s, step) = one_queue_ladder(&f, true).expect("some closest VP crosses its ingress");
+    let (d, s, step) =
+        one_queue_ladder(&f, true, false).expect("some closest VP crosses its ingress");
     assert_eq!(
         (step.pkts, step.batches, step.settled),
         (1, Some(1), Some(1)),
@@ -1231,15 +1236,35 @@ fn a_crossed_ingress_settles_its_queue() {
 
 #[test]
 fn a_missed_ingress_walks_on_to_the_next_vp() {
-    // A reply that never crossed the queue's ingress says nothing about
-    // the queue's other VPs, which may well enter through it (§4.3's
-    // five-VP retry): the ladder goes on to the next VP.
+    // A reply that never crossed the queue's ingress and located no new
+    // hop says nothing about the queue's other VPs, which may well enter
+    // through it (§4.3's five-VP retry): the ladder goes on to the next VP.
     let f = Fixture {
         sim: quiet_world(44),
     };
-    let (d, s, step) = one_queue_ladder(&f, false).expect("some closest VP misses its ingress");
+    let (d, s, step) = one_queue_ladder(&f, false, false)
+        .expect("some closest VP misses its ingress with nothing new");
     assert!(
         step.pkts >= 2 && step.batches.is_some_and(|b| b >= 2),
+        "{d} from {s}: {step:?}"
+    );
+}
+
+#[test]
+fn a_missed_ingress_with_new_hops_ends_the_ladder() {
+    // The surveyed ingress ranks the VPs; it does not judge their replies.
+    // The hops RR records after the target's stamp are written on the
+    // reply's way back to the source, whichever ingress the VP's probe
+    // entered by: a reply that missed the queue's ingress and located new
+    // hops is adopted, in one round of one probe.
+    let f = Fixture {
+        sim: quiet_world(44),
+    };
+    let (d, s, step) = one_queue_ladder(&f, false, true)
+        .expect("some closest VP misses its ingress with new hops");
+    assert_eq!(
+        (step.pkts, step.batches, step.hit),
+        (1, Some(1), Some(1)),
         "{d} from {s}: {step:?}"
     );
 }

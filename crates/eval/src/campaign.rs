@@ -148,13 +148,14 @@ impl Scale {
             // Measured clean, seeds {1, 7, 42}, serial campaign with
             // survey probes bypassing the measurement cache, router hops
             // judged on their stamps under a lent plan, no spoofed ladder
-            // at a hop silent to the source, and ingress queues settled by
-            // a crossed ingress: coverage 0.8480–0.8530, accuracy
-            // 0.9936–1.0, probes/revtr 4.23–4.35, rr_step p99 39 846 ms at
-            // every seed. The two probe floors keep their ratio to the
-            // lowest clean reading (5.0 against 6.08, 3.0 against the warm
-            // 3.96), applied to the 4.55 and warm 2.94 read before queues
-            // settled; the lowest readings are now 4.23 and warm 2.70.
+            // at a hop silent to the source, ingress queues settled by a
+            // crossed ingress, and every spoofed reply judged on its
+            // stamps: coverage 0.8520–0.8585, accuracy 0.9936–1.0,
+            // probes/revtr 3.99–4.15, rr_step p99 39 846 ms at every seed.
+            // The two probe floors keep their ratio to the lowest clean
+            // reading (5.0 against 6.08, 3.0 against the warm 3.96),
+            // applied to the 4.55 and warm 2.94 read before queues
+            // settled; the lowest readings are now 3.99 and warm 2.69.
             Scale::Standard => Baselines {
                 coverage: 0.845,
                 accuracy: 0.96,

@@ -744,7 +744,7 @@ mod tests {
         let r = run(Scale::Smoke, 1, Pattern::Steady);
         assert!(r.pass(), "{}", r.render());
         // The printed results fingerprint is the FNV-1a it always was.
-        assert_eq!(r.arms[0].results_fingerprint, 0xa392_6cd2_5bf2_bb68);
+        assert_eq!(r.arms[0].results_fingerprint, 0xf015_d06d_8afc_41da);
         // Both memory rules read real ledgers, not the "no data" pass.
         let value = |rule: &str| {
             let v = r.slo.verdicts.iter().find(|v| v.rule == rule);

@@ -87,21 +87,23 @@ impl PrefixEval {
 /// does not, whether the probe's forward walk crossed that ingress's
 /// router at all (the simulator's ground truth, replayed from the probe's
 /// provenance) and, if so, whether the reply's forward stamps hold another
-/// address of it.
+/// address of it. It measures how well the survey predicts where a
+/// ranked VP's probe enters the prefix; the engine discards no reply on
+/// it (the surveyed ingress ranks VPs and settles queues only).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngressCheck {
-    /// The reply carries the expected ingress: the check keeps it.
+    /// The reply carries the expected ingress: the survey predicted the
+    /// entry, and the reply could settle its queue.
     pub pass: usize,
     /// No stamp of the ingress, yet the probe crossed its router, and
     /// the reply's forward stamps hold another of that router's
-    /// addresses: the check discards a reply that did enter through the
-    /// ingress.
+    /// addresses: the probe did enter through the ingress.
     pub fail_aliased: usize,
     /// No stamp of the ingress, yet the probe crossed its router, which
     /// left no address among the reply's forward stamps.
     pub fail_unstamped: usize,
     /// No stamp of the ingress, and the probe entered elsewhere: the
-    /// check is right to discard it.
+    /// survey's prediction missed.
     pub fail_elsewhere: usize,
 }
 
@@ -434,7 +436,7 @@ impl VpSelectionReport {
         let c = self.ingress_check;
         let all = c.pass + c.fail_aliased + c.fail_unstamped + c.fail_elsewhere;
         for (name, n) in [
-            ("carries the expected ingress (kept)", c.pass),
+            ("carries the expected ingress", c.pass),
             ("crossed its router, another alias stamped", c.fail_aliased),
             ("crossed its router, no stamp of it", c.fail_unstamped),
             ("entered elsewhere", c.fail_elsewhere),

@@ -113,7 +113,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0x84708098746a6d6d journal 0x1ac9c01bc6b691b6",
+        "metrics 0xba204dbd215c5bd3 journal 0x500f11c84349f1c4",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

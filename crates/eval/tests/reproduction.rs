@@ -23,6 +23,7 @@ use revtr_eval::{
     Campaign, Scale,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The one revtr 2.0 run's complete count, as four artefacts read it.
 fn revtr2_complete_counts(rep: &Reproduction) -> [usize; 4] {
@@ -83,18 +84,24 @@ fn each_experiment_alone_renders_its_artefacts_of_the_full_standard_reproduction
     each_experiment_alone_renders_its_artefacts_at(Scale::Standard);
 }
 
-/// The paper's shapes in a standard-scale reproduction, each failure
-/// naming its artefact.
-fn assert_shapes(rep: &Reproduction, seed: u64) {
+/// The paper's shapes a standard-scale reproduction breaks, each failure
+/// naming its seed and its artefact; empty when every shape holds.
+fn shape_failures(rep: &Reproduction, seed: u64) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut check = |holds: bool, failure: String| {
+        if !holds {
+            failures.push(failure);
+        }
+    };
     let row = |name: &str| {
         (rep.ablation.rows.iter().find(|r| r.name == name))
             .unwrap_or_else(|| panic!("Table 4 has no {name:?} row"))
     };
     let (v1, v2) = (row("revtr 1.0"), row("revtr 2.0"));
     let cut = v1.total() as f64 / row("revtr 1.0 + ingress").total() as f64;
-    assert!(
+    check(
         cut >= 5.0,
-        "Table 4 (seed {seed}): the ingress step cuts probes only {cut:.1}x"
+        format!("Table 4 (seed {seed}): the ingress step cuts probes only {cut:.1}x"),
     );
 
     let coverage = |label: &str| {
@@ -103,15 +110,15 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
         c.1 as f64 / c.2 as f64
     };
     let (cov1, cov2) = (coverage("revtr 1.0"), coverage("revtr 2.0"));
-    assert!(
+    check(
         (0.65..=0.85).contains(&cov2) && cov2 < cov1,
-        "Fig. 5b (seed {seed}): revtr 2.0 coverage {cov2:.3} (revtr 1.0: {cov1:.3})"
+        format!("Fig. 5b (seed {seed}): revtr 2.0 coverage {cov2:.3} (revtr 1.0: {cov1:.3})"),
     );
 
     let gap = rep.table2.intra.yes_over_decided() - rep.table2.inter.yes_over_decided();
-    assert!(
+    check(
         gap >= 0.25,
-        "Table 2 (seed {seed}): intra - inter is {gap:.2}"
+        format!("Table 2 (seed {seed}): intra - inter is {gap:.2}"),
     );
 
     let fig14 = rep.asymmetry.fig14();
@@ -123,16 +130,16 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
             .map(|p| p.1)
             .collect();
         let (ends, interior) = ([ys[0], ys[ys.len() - 1]], &ys[1..ys.len() - 1]);
-        assert!(
+        check(
             interior.iter().all(|&y| ends.iter().all(|&e| e > y)),
-            "Fig. 14 (seed {seed}): the {label} curve is not U-shaped: {ys:?}"
+            format!("Fig. 14 (seed {seed}): the {label} curve is not U-shaped: {ys:?}"),
         );
     }
 
     let (m1, m2) = (v1.median_duration_s(), v2.median_duration_s());
-    assert!(
+    check(
         m2 < m1,
-        "Fig. 5c (seed {seed}): revtr 2.0 median {m2:.1} s, revtr 1.0 {m1:.1} s"
+        format!("Fig. 5c (seed {seed}): revtr 2.0 median {m2:.1} s, revtr 1.0 {m1:.1} s"),
     );
 
     // Fig. 5c's knee: a spoofed batch costs the 10 s collection timeout of
@@ -145,33 +152,38 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
     for (name, engine) in EngineConfig::table4_ladder() {
         let run = (Campaign::clean(Scale::Standard, seed).with_engine(engine)).run();
         let durations: Vec<f64> = run.results.iter().map(|r| r.stats.duration_s).collect();
-        assert!(
+        check(
             durations == row(name).durations,
-            "Fig. 5c (seed {seed}): {name}: the campaign re-run differs from the row"
+            format!("Fig. 5c (seed {seed}): {name}: the campaign re-run differs from the row"),
         );
         let quick = (run.results.iter())
             .filter(|r| r.stats.batches > 0 && r.stats.duration_s <= 10.0)
             .count();
         let knee = durations.iter().filter(|&&d| d > 10.0 && d <= 20.0).count();
         let knee = knee as f64 / durations.len() as f64;
-        assert!(
+        check(
             quick == 0 && knee >= 0.05,
-            "Fig. 5c (seed {seed}): {name}: {quick} requests sent a spoofed batch yet took <= 10 s, \
-             {knee:.3} of durations in (10, 20] s"
+            format!(
+                "Fig. 5c (seed {seed}): {name}: {quick} requests sent a spoofed batch yet took \
+                 <= 10 s, {knee:.3} of durations in (10, 20] s"
+            ),
         );
     }
 
     let cell = |budget| rep.robustness.cell(0.3, budget).expect("a loss-0.3 cell");
     let (once, thrice) = (cell(1).coverage(), cell(3).coverage());
-    assert!(
+    check(
         thrice > once,
-        "robustness (seed {seed}): at loss 0.3, budget 3 covers {thrice:.3} vs budget 1 {once:.3}"
+        format!(
+            "robustness (seed {seed}): at loss 0.3, budget 3 covers {thrice:.3} vs budget 1 \
+             {once:.3}"
+        ),
     );
 
     let counts = revtr2_complete_counts(rep);
-    assert!(
+    check(
         counts.iter().all(|&c| c == counts[0]),
-        "one revtr 2.0 run (seed {seed}) reads as {counts:?} complete"
+        format!("one revtr 2.0 run (seed {seed}) reads as {counts:?} complete"),
     );
 
     let table5 = |label: &str| {
@@ -185,15 +197,22 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
         "Ingress + double stamp + loop (revtr 2.0)",
     ]
     .map(table5);
-    assert!(
+    check(
         ladder.windows(2).all(|w| w[0] <= w[1]),
-        "Table 5 (seed {seed}): a heuristic lowers the in-range fraction: {ladder:?}"
+        format!("Table 5 (seed {seed}): a heuristic lowers the in-range fraction: {ladder:?}"),
     );
     let (v1, optimal) = (table5("revtr 1.0"), table5("Optimal"));
-    assert!(
+    check(
         v1 == optimal,
-        "Table 5 (seed {seed}): revtr 1.0 reads {v1:.3}, Optimal {optimal:.3}"
+        format!("Table 5 (seed {seed}): revtr 1.0 reads {v1:.3}, Optimal {optimal:.3}"),
     );
+    failures
+}
+
+/// Fail with every shape the reproduction of `seed` breaks.
+fn assert_shapes(rep: &Reproduction, seed: u64) {
+    let failures = shape_failures(rep, seed);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]
@@ -219,20 +238,35 @@ fn standard_seed1_reproduction_matches_its_golden() {
 
 /// Seeds 2–16 and 42; seed 1's shapes are asserted beside its golden.
 /// Each seed is a world of its own, so the seeds run on a few scoped
-/// threads, and a failure names its seed.
+/// threads. Every seed runs to its end and the test fails once, listing
+/// each seed's failures in seed order, so one broken shape hides no other.
 #[test]
 #[ignore = "standard scale; run in release via ci.sh"]
 fn paper_shapes_hold_at_standard_seeds_2_to_16_and_42() {
     let seeds: Vec<u64> = (2..=16).chain([42]).collect();
     let next = AtomicUsize::new(0);
+    let failures = Mutex::new(Vec::new());
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 while let Some(&seed) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    assert_shapes(&reproduce::run(Scale::Standard, seed), seed);
+                    let broken = shape_failures(&reproduce::run(Scale::Standard, seed), seed);
+                    failures
+                        .lock()
+                        .expect("no worker panics")
+                        .push((seed, broken));
                 }
             });
         }
     });
+    let mut failures = failures.into_inner().expect("no worker panicked");
+    failures.sort_unstable_by_key(|&(seed, _)| seed);
+    let broken: Vec<String> = failures.into_iter().flat_map(|(_, f)| f).collect();
+    assert!(
+        broken.is_empty(),
+        "{} shape failures:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
 }

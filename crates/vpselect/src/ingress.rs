@@ -28,7 +28,10 @@
 //! VPs go out closest first and no 10 s collection round carries one VP
 //! while others wait. A queue's later VPs are retries for probes that
 //! missed its ingress: once a reply crossed the ingress without revealing
-//! a new hop, the engine sends none of the VPs ranked after that one.
+//! a new hop, the engine sends none of the VPs ranked after that one. The
+//! surveyed ingress ranks and settles; it never discards a reply: one that
+//! locates the target's stamp counts, whichever ingress it crossed, since
+//! the hops after that stamp are written on the reply's way back.
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
@@ -45,8 +48,10 @@ const DESTS_PER_PREFIX: usize = 2;
 
 /// VPs kept per ingress queue (paper: give up on an ingress after five
 /// VPs fail to traverse it). Traversing is what the queue is for: the
-/// engine tries the next VP only while the queue's VPs miss the ingress,
-/// and a reply that crossed it settles the queue.
+/// engine tries the next VP only while the queue's VPs miss the ingress
+/// and reveal no new hop, and a reply that crossed it settles the queue.
+/// A reply that missed it still counts when it locates the target's
+/// stamp: the ingress orders the VPs, it does not judge their replies.
 pub const VPS_PER_INGRESS: usize = 5;
 
 /// RR range: a VP is "in range" of a destination it reaches within this
