@@ -297,9 +297,10 @@ rm -rf "$repro_dir"
 cargo test -q --release -p revtr-eval --test reproduction -- --ignored
 STEP
 
-# Standard-scale golden (seed 42): TSV bytes, campaign fingerprints and
-# the rendered report (every ledger, stack, derived value and verdict)
-# pinned under crates/eval/tests/goldens/standard42.
+# Standard-scale golden (seed 42): the campaign fingerprints (the journal's
+# only pin) and the rendered report (every table, ledger, stack, derived
+# value and verdict) pinned as crates/eval/tests/goldens/standard42/report.txt;
+# a drift prints the rows that moved.
 step "metrics golden gate (release, standard seed 42)" <<'STEP'
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 STEP
@@ -404,6 +405,18 @@ STEP
 
 step "cargo fmt --check" <<'STEP'
 cargo fmt --check
+STEP
+
+# No tracked file over 1 MiB: an output is pinned by the cheapest check
+# that names what moved (a fingerprint, a rendered report), never by a
+# bulk copy of itself.
+step "no tracked file over 1 MiB" <<'STEP'
+big=$(git ls-files -z | xargs -0 stat -c '%s %n' -- | awk '$1 > 1048576')
+if [ -n "$big" ]; then
+  echo "tracked files over 1 MiB (bytes, path):"
+  echo "$big"
+  exit 1
+fi
 STEP
 
 summary

@@ -11,9 +11,13 @@
 //!   them.
 //!   Both are `#[ignore]`d: ci.sh runs them in release.
 //!
-//! Regenerating the golden is a deliberate act, taken with the list of
-//! rows that moved and why:
+//! Regenerating the golden is a deliberate act, one command:
 //! `revtr-cli reproduce --scale standard > crates/eval/tests/goldens/reproduce_standard1.txt`.
+//! A drifted golden fails with the table of the rows that moved
+//! (`golden/mod.rs`); that table, with why each row moved, goes with the
+//! re-pin.
+
+mod golden;
 
 use revtr::EngineConfig;
 use revtr_eval::reproduce::{self, Reproduction};
@@ -219,20 +223,7 @@ fn assert_shapes(rep: &Reproduction, seed: u64) {
 #[ignore = "standard scale; run in release via ci.sh"]
 fn standard_seed1_reproduction_matches_its_golden() {
     let rep = reproduce::run(Scale::Standard, 1);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/goldens/reproduce_standard1.txt");
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    let text = rep.render();
-    let drift = (text.lines().zip(golden.lines()).enumerate()).find(|(_, (a, b))| a != b);
-    if let Some((i, (got, want))) = drift {
-        panic!(
-            "the standard reproduction drifted from {} at line {}:\n  got:  {got}\n  want: {want}",
-            path.display(),
-            i + 1
-        );
-    }
-    assert_eq!(text, golden, "{} drifted in length", path.display());
+    golden::assert_matches("reproduce_standard1.txt", &rep.render());
     assert_shapes(&rep, 1);
 }
 

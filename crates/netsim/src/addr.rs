@@ -85,7 +85,7 @@ impl From<u32> for Addr {
 }
 
 /// An IPv4 prefix (`base/len`), with `base` already masked to `len` bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     /// Network base address (low bits zero).
     pub base: Addr,

@@ -8,14 +8,13 @@ use crate::addr::{Addr, Prefix};
 use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use revtr_telemetry::WordMap;
-use serde::Serialize;
 
 /// addr → router. Keyed by addresses the generator (or a test) numbered,
 /// never by outside input.
 type AddrIndex = WordMap<Addr, RouterId>;
 
 /// Where an AS sits in the Internet hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AsTier {
     /// Settlement-free core; full peering clique among tier-1s.
     Tier1,
@@ -30,7 +29,7 @@ pub enum AsTier {
 
 /// Business relationship of a neighbor, from the perspective of the AS that
 /// stores the entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rel {
     /// The neighbor sells us transit.
     Provider,
@@ -52,7 +51,7 @@ impl Rel {
 }
 
 /// One AS-level adjacency, possibly realised by several physical links.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Neighbor {
     /// The adjacent AS.
     pub asn: AsId,
@@ -63,7 +62,7 @@ pub struct Neighbor {
 }
 
 /// An autonomous system.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AsNode {
     /// Dense id.
     pub id: AsId,
@@ -116,7 +115,7 @@ impl AsNode {
 }
 
 /// How a router stamps Record Route packets it forwards (§4.2, Appx. C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StampMode {
     /// Standard RFC 791 behaviour: stamp the outgoing interface.
     Egress,
@@ -131,7 +130,7 @@ pub enum StampMode {
 }
 
 /// A router.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Router {
     /// Dense id.
     pub id: RouterId,
@@ -158,7 +157,7 @@ pub struct Router {
 }
 
 /// Link flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkKind {
     /// Both endpoints in the same AS.
     Intra(AsId),
@@ -167,7 +166,7 @@ pub enum LinkKind {
 }
 
 /// A point-to-point link between two routers, numbered as a /30.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Link {
     /// Dense id.
     pub id: LinkId,
@@ -208,7 +207,7 @@ impl Link {
 }
 
 /// A BGP-announced destination prefix (always a /24 in the simulator).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PrefixEntry {
     /// Dense id.
     pub id: PrefixId,
@@ -221,7 +220,7 @@ pub struct PrefixEntry {
 }
 
 /// An M-Lab-style vantage point site: a spoof-capable host in a colo AS.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VpSite {
     /// The site's host address (also a revtr source address).
     pub host: Addr,
@@ -235,7 +234,7 @@ pub struct VpSite {
 }
 
 /// The complete immutable topology.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// All ASes, indexed by [`AsId`].
     pub ases: Vec<AsNode>,
@@ -250,8 +249,7 @@ pub struct Topology {
     /// First /16 block base (blocks are consecutive per AS id).
     pub block_base: u32,
     /// addr → router, for every interface / loopback / private alias.
-    /// Derived from the routers and links, so the JSON leaves it out.
-    #[serde(skip)]
+    /// Derived from the routers and links.
     pub(crate) addr_to_router: AddrIndex,
 }
 
@@ -275,12 +273,6 @@ impl Topology {
             map.insert(l.addr_b, l.b);
         }
         self.addr_to_router = map;
-    }
-
-    /// Serialize the full topology to JSON (the generator's golden digest).
-    #[cfg(test)]
-    pub(crate) fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("topology serializes")
     }
 
     /// AS node by id.

@@ -51,7 +51,8 @@
 //! Stop-set consults never touch the [`MeasurementCache`] and never bump
 //! its [`CacheStats`]: economy wins are attributed to the dedicated
 //! hit/miss counters here ([`StopSetSnapshot`]), reconciled against cache
-//! stats in `eval::throughput`'s counter-reconciliation test.
+//! stats in `eval::economy`'s counter-reconciliation test
+//! (`stop_set_hits_do_not_double_count_cache_hits`).
 //!
 //! [`MeasurementCache`]: crate::cache::MeasurementCache
 //! [`CacheStats`]: crate::cache::CacheStats
