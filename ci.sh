@@ -409,9 +409,12 @@ STEP
 
 # No tracked file over 1 MiB: an output is pinned by the cheapest check
 # that names what moved (a fingerprint, a rendered report), never by a
-# bulk copy of itself.
+# bulk copy of itself. A tracked file missing from the working tree has no
+# size to judge, so only the files that exist are measured.
 step "no tracked file over 1 MiB" <<'STEP'
-big=$(git ls-files -z | xargs -0 stat -c '%s %n' -- | awk '$1 > 1048576')
+big=$(git ls-files -z | while IFS= read -r -d '' f; do
+  if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+done | xargs -0 -r stat -c '%s %n' -- | awk '$1 > 1048576')
 if [ -n "$big" ]; then
   echo "tracked files over 1 MiB (bytes, path):"
   echo "$big"

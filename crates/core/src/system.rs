@@ -588,28 +588,26 @@ impl<'s> RevtrSystem<'s> {
     }
 
     /// The VP plan for probing `cur` under the configured selection
-    /// policy, borrowed from the ingress database — as [`PlanView::Lent`],
-    /// without its ingresses, when its key is borrowed — or, for the
-    /// set-cover policy, written into `revtr1_plan`
-    /// ([`IngressDb::revtr1_plan`]).
+    /// policy, borrowed from the ingress database. Under ingress selection
+    /// that is [`IngressDb::target_plan`]'s chain: the plan of `cur`'s key
+    /// (as [`PlanView::Lent`], without its ingresses, when the key is
+    /// borrowed); else, when the survey left that key without a plan, the
+    /// first prefix of `cur`'s block owner that has one, lent; else the
+    /// head of the global order. Under set cover it is written into
+    /// `revtr1_plan` ([`IngressDb::revtr1_plan`]).
     fn vp_plan<'a>(&'a self, cur: Addr, revtr1_plan: &'a mut Vec<Addr>) -> PlanView<'a> {
-        let global = self.ingress.global_plan();
         match self.cfg.vp_selection {
-            VpSelection::Ingress => self
-                .plan_key(cur)
-                .map(|(p, borrowed)| match self.ingress.plan_view(p) {
-                    PlanView::Ingresses(ingresses) if borrowed => PlanView::Lent(ingresses),
-                    plan => plan,
-                })
-                .filter(|plan| !plan.is_empty())
-                // Never-probed prefix: fall back to the global head.
-                .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)])),
+            VpSelection::Ingress => {
+                let siblings = (self.prober.block_owner(cur))
+                    .map_or(&[][..], |owner| self.prober.as_prefixes(owner));
+                self.ingress.target_plan(self.plan_key(cur), siblings)
+            }
             VpSelection::SetCover => match self.plan_key(cur) {
                 Some((p, _)) => {
                     self.ingress.revtr1_plan_into(p, revtr1_plan);
                     PlanView::Ranking(revtr1_plan)
                 }
-                None => PlanView::Ranking(global),
+                None => PlanView::Ranking(self.ingress.global_plan()),
             },
         }
     }
@@ -1106,17 +1104,31 @@ mod tests {
     /// A spoofed ladder visits its plan exactly as the survey ranked it,
     /// at every prefix of a tiny world and at every router interface
     /// address: under set cover (revtr 1.0) the prefix's
-    /// [`IngressDb::revtr1_plan`], under ingress selection the prefix's
-    /// [`PlanView::try_order`]. A router, outside every announced prefix,
-    /// walks the try order of the prefix it borrows with no ingress
-    /// expectation on any slot; a host keeps its queues' ingresses.
+    /// [`IngressDb::revtr1_plan`], under ingress selection the try order
+    /// of the first plan of this chain:
+    ///
+    /// 1. the target's own key: a host keeps its prefix's queues and their
+    ///    ingresses; a router, outside every announced prefix, walks its
+    ///    AS's first prefix's queues with no expectation on any slot;
+    /// 2. when the survey left that key without a plan, the first prefix
+    ///    of the target's AS that has one, with no expectation on any
+    ///    slot, host or router;
+    /// 3. when no prefix of the AS has a plan, the global head.
+    ///
+    /// Seed 1 is the first tiny world that reaches every rung, the second
+    /// at a host and at a router alike, with a lent plan of more than one
+    /// queue: the survey leaves a few prefixes without a plan whose AS
+    /// announces others it did plan (7 hosts and 8 routers are lent
+    /// ingress queues, 6 of them two or more, and 5 targets get the
+    /// global head). Most tiny worlds survey one ingress per prefix, so
+    /// seed 5, which the other fixtures use, lends no two-queue plan.
     #[test]
     fn ladders_walk_the_survey_plans_at_every_prefix() {
         use crate::scratch::Ladder;
         use revtr_atlas::select_atlas_probes;
         use revtr_netsim::SimConfig;
         use revtr_vpselect::Heuristics;
-        let sim = Sim::build(SimConfig::tiny(), 5);
+        let sim = Sim::build(SimConfig::tiny(), 1);
         let topo = sim.topo();
         let prober = Prober::new(&sim);
         let vps: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
@@ -1140,7 +1152,14 @@ mod tests {
             routers > topo.routers.len(),
             "too few router interfaces: {routers}"
         );
+        // The global head: a ranking that opens the global order.
+        let head = ingress.target_plan(None, &[]);
+        let PlanView::Ranking(head_vps) = head else {
+            panic!("the global head is not a ranking: {head:?}");
+        };
+        assert!(!head_vps.is_empty() && ingress.global_plan().starts_with(head_vps));
         let (mut reordered, mut ragged, mut unchecked, mut checked) = (0, 0, 0, 0);
+        let (mut host_lent, mut router_lent, mut headless, mut wide) = (0, 0, 0, 0);
         for cfg in [EngineConfig::revtr1(), EngineConfig::revtr2()] {
             let selection = cfg.vp_selection;
             let sys = RevtrSystem::new(
@@ -1157,8 +1176,10 @@ mod tests {
                 let mut ladder = Ladder::default();
                 ladder.open(plan, None);
                 let mut walked = Vec::new();
+                let mut first_round = None;
                 while !ladder.is_exhausted() {
                     ladder.compose(plan, BATCH_SIZE, &mut batch);
+                    first_round.get_or_insert(batch.len());
                     walked.extend(batch.iter().map(|s| (s.expected_ingress, s.vp)));
                     ladder.settle(&batch, |_, _| Fate::Lost);
                 }
@@ -1169,16 +1190,41 @@ mod tests {
                         revtr1.into_iter().map(|vp| (None, vp)).collect()
                     }
                     _ => {
-                        // A prefix the survey left without a plan falls
-                        // back to the global head.
-                        let global = ingress.global_plan();
-                        let view = Some(ingress.plan_view(p))
-                            .filter(|view| !view.is_empty())
-                            .unwrap_or(PlanView::Ranking(&global[..global.len().min(9)]));
+                        let siblings = topo
+                            .block_owner(cur)
+                            .map_or(&[][..], |owner| &topo.asn(owner).prefixes[..]);
+                        let sibling = (siblings.iter())
+                            .map(|&s| ingress.plan_view(s))
+                            .find(|view| !view.is_empty());
+                        let own = ingress.plan_view(p);
+                        let (view, lent) = match sibling {
+                            _ if !own.is_empty() => (own, borrowed),
+                            Some(view) => {
+                                if let PlanView::Ingresses(_) = view {
+                                    if borrowed {
+                                        router_lent += 1;
+                                    } else {
+                                        host_lent += 1;
+                                    }
+                                    if view.len() > 1 {
+                                        assert!(
+                                            first_round > Some(1),
+                                            "{cur}: lent plan's first round {first_round:?}"
+                                        );
+                                        wide += 1;
+                                    }
+                                }
+                                (view, true)
+                            }
+                            None => {
+                                headless += 1;
+                                (head, true)
+                            }
+                        };
                         let lens: Vec<usize> = view.queues().map(|(_, vps)| vps.len()).collect();
                         ragged += usize::from(lens.iter().min() != lens.iter().max());
                         let expects = view.queues().any(|(ingress, _)| ingress.is_some());
-                        if borrowed {
+                        if lent {
                             unchecked += usize::from(expects);
                             view.try_order().map(|(_, vp)| (None, vp)).collect()
                         } else {
@@ -1197,6 +1243,13 @@ mod tests {
         assert!(ragged > 0, "no ingress plan has queues of unequal length");
         assert!(unchecked > 0, "no router borrows a plan that has ingresses");
         assert!(checked > 0, "no host's plan has ingresses");
+        assert!(host_lent > 0, "no host is lent a sibling's ingress queues");
+        assert!(
+            router_lent > 0,
+            "no router is lent a sibling's ingress queues"
+        );
+        assert!(wide > 0, "no lent sibling plan has two queues");
+        assert!(headless > 0, "no target's AS is without a plan");
     }
 
     /// The surveyed ingress never judges a reply: a spoofed reply that

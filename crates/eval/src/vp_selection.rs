@@ -249,14 +249,11 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
     let mut revtr1_plan = BTreeMap::new();
     let mut global_plan = BTreeMap::new();
     for pe in &prefixes {
-        // The engine falls back to the head of the global order for
-        // prefixes without a usable ingress plan (§4.3's 2.3% case);
-        // mirror that here.
-        let mut plan = distinct_try_order(full_db.plan_view(pe.prefix));
-        if plan.is_empty() {
-            plan = full_db.global_plan().iter().copied().take(9).collect();
-        }
-        ingress_plan.insert(pe.prefix, plan);
+        // The engine's chain for a host of the prefix: its own plan, else
+        // an AS sibling's, lent, else the head of the global order.
+        let siblings = (prober.block_owner(pe.dest)).map_or(&[][..], |a| prober.as_prefixes(a));
+        let plan = full_db.target_plan(Some((pe.prefix, false)), siblings);
+        ingress_plan.insert(pe.prefix, distinct_try_order(plan));
         revtr1_plan.insert(pe.prefix, full_db.revtr1_plan(pe.prefix));
         global_plan.insert(pe.prefix, full_db.global_plan().to_vec());
     }

@@ -94,7 +94,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0xba204dbd215c5bd3 journal 0x500f11c84349f1c4",
+        "metrics 0x2f2d8e95f60993dc journal 0xd4aa5c1c1eff3da2",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

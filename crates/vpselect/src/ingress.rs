@@ -110,9 +110,10 @@ pub enum PlanView<'a> {
     /// One queue per identified ingress, in coverage order.
     Ingresses(&'a [IngressInfo]),
     /// Another prefix's ingress queues, lent to a target the survey never
-    /// measured (an address outside every announced prefix): the same
-    /// queues in the same order, with no ingress expectation — those
-    /// ingresses were measured toward the lending prefix's hosts.
+    /// measured (an address outside every announced prefix) or left
+    /// without a plan ([`IngressDb::target_plan`]): the same queues in the
+    /// same order, with no ingress expectation — those ingresses were
+    /// measured toward the lending prefix's hosts.
     Lent(&'a [IngressInfo]),
     /// One queue with no ingress expectation (a fallback or global
     /// ranking) — or no queue at all when the ranking is empty.
@@ -317,6 +318,38 @@ impl IngressDb {
     pub fn plan_view(&self, p: PrefixId) -> PlanView<'_> {
         self.prefix(p)
             .map_or(PlanView::Ranking(&[]), |i| i.plan_view())
+    }
+
+    /// The revtr 2.0 plan for a probe target, by the first rung of this
+    /// chain that has a plan:
+    ///
+    /// 1. the target's own plan key `key` — its prefix, or a prefix it
+    ///    borrows (`(prefix, true)`, lent without ingresses);
+    /// 2. the first of `siblings` (the prefixes its block owner announces)
+    ///    with a plan, lent: ingress queues as [`PlanView::Lent`], a
+    ///    fallback ranking as it is — those ingresses were measured toward
+    ///    the sibling's hosts;
+    /// 3. the head of the global order: its first nine VPs as one
+    ///    ranking, which sends a single VP in a ladder's first round.
+    pub fn target_plan(
+        &self,
+        key: Option<(PrefixId, bool)>,
+        siblings: &[PrefixId],
+    ) -> PlanView<'_> {
+        let lend = |plan| match plan {
+            PlanView::Ingresses(ingresses) => PlanView::Lent(ingresses),
+            plan => plan,
+        };
+        let own = key.map(|(p, borrowed)| match self.plan_view(p) {
+            plan if borrowed => lend(plan),
+            plan => plan,
+        });
+        own.into_iter()
+            .chain(siblings.iter().map(|&p| lend(self.plan_view(p))))
+            .find(|plan| !plan.is_empty())
+            .unwrap_or_else(|| {
+                PlanView::Ranking(&self.global_order[..self.global_order.len().min(9)])
+            })
     }
 
     /// [`IngressDb::plan_view`] as owned queues.
