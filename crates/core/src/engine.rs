@@ -725,7 +725,8 @@ const CLOSED: u64 = u64::MAX;
 /// cost; past that the thread gives its core back. (Measured on the
 /// 2-core reference host, `campaign-batch`-shaped rounds: 2 000 polls ran
 /// 4–8 % shorter than parking at once, for the same CPU; 200 and 20 000
-/// were level with either. EXPERIMENTS.md, *Pool plane*.)
+/// were level with either. EXPERIMENTS.md *Pool: how long a waiter polls
+/// before it parks*.)
 const SPINS: u32 = 2_000;
 
 /// Poll `ready`, then park until it holds. Whoever makes it true unparks

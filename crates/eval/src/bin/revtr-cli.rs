@@ -35,8 +35,29 @@ use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// Write to stdout. A reader that closed the pipe
+/// (`revtr-cli report | head -1`) ends the output, not the command: the
+/// rest of the text is dropped, exports are still written and the exit
+/// code still carries the gate's verdict. Any other write error panics,
+/// as `print!` does.
+fn write_stdout(text: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -90,7 +111,7 @@ fn cmd_topology(flags: &Flags) -> ExitCode {
         Err(e) => return flag_err(&e),
     };
     let topo = sim.topo();
-    println!("{sim:?}");
+    outln!("{sim:?}");
     let mut by_tier: BTreeMap<&str, usize> = BTreeMap::new();
     for a in &topo.ases {
         *by_tier
@@ -102,14 +123,14 @@ fn cmd_topology(flags: &Flags) -> ExitCode {
             })
             .or_insert(0) += 1;
     }
-    println!("ASes by tier: {by_tier:?}");
-    println!(
+    outln!("ASes by tier: {by_tier:?}");
+    outln!(
         "colo ASes: {}  edu stubs: {}  MPLS backbones: {}",
         topo.ases.iter().filter(|a| a.colo).count(),
         topo.ases.iter().filter(|a| a.edu).count(),
         topo.ases.iter().filter(|a| a.mpls).count(),
     );
-    println!(
+    outln!(
         "VP sites: {} ({} legacy-2016)",
         topo.vp_sites.len(),
         topo.vp_sites.iter().filter(|v| v.legacy_2016).count()
@@ -160,7 +181,7 @@ fn cmd_measure(flags: &Flags) -> ExitCode {
     cfg.atlas_size = 100;
     let system = RevtrSystem::new(prober, cfg, vps, ingress, pool);
 
-    println!("reverse traceroute from {dst} back to {src}:");
+    outln!("reverse traceroute from {dst} back to {src}:");
     let r = system.measure(dst, src);
     for (i, hop) in r.hops.iter().enumerate() {
         let addr = hop
@@ -180,9 +201,9 @@ fn cmd_measure(flags: &Flags) -> ExitCode {
         } else {
             ""
         };
-        println!("  {i:2}  {addr:<16} {how}{star}");
+        outln!("  {i:2}  {addr:<16} {how}{star}");
     }
-    println!(
+    outln!(
         "status: {:?}  probes: {} option pkts  batches: {}  {:.1}s virtual",
         r.status,
         r.stats.probes.option_probes(),
@@ -198,7 +219,7 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
         Err(e) => return flag_err(&e),
     };
     let rep = reproduce::run(scale, DEFAULT_SEED);
-    print!("{}", rep.render());
+    write_stdout(format_args!("{}", rep.render()));
     if let Some(dir) = flags.out_dir() {
         match rep.save_tsvs(dir) {
             Ok(()) => eprintln!("TSVs written to {}", dir.display()),
@@ -218,7 +239,7 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
     };
     let audited = audit::run(scale, seed.unwrap_or(DEFAULT_SEED));
     if let Some(s) = seed {
-        println!("(master seed {s})");
+        outln!("(master seed {s})");
     }
     let arms = [
         (false, &audited.off, "audit"),
@@ -226,15 +247,16 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
     ];
     for (stop_sets, report, tsv) in arms {
         if stop_sets {
-            println!("(stop sets on: reused-evidence soundness arm)");
+            outln!("(stop sets on: reused-evidence soundness arm)");
         }
-        println!("{}", report.table().render());
-        println!(
+        outln!("{}", report.table().render());
+        outln!(
             "audited {} measurements, {} with failing verdicts",
-            report.summary.results, report.summary.dirty_results
+            report.summary.results,
+            report.summary.dirty_results
         );
         if report.is_clean() {
-            println!("audit gate: PASS (0 unsound, 0 policy violations)");
+            outln!("audit gate: PASS (0 unsound, 0 policy violations)");
         } else {
             eprintln!(
                 "audit gate: FAIL ({} unsound, {} policy violations)",
@@ -255,7 +277,7 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
             }
         }
     }
-    println!("{}", audited.economy.render());
+    outln!("{}", audited.economy.render());
     if audited.pass() {
         ExitCode::SUCCESS
     } else {
@@ -297,9 +319,9 @@ fn cmd_report(flags: &Flags) -> ExitCode {
     let run = campaign.run();
     let report = Report::new(&run, &policy);
     if let Some(s) = seed {
-        println!("(master seed {s})");
+        outln!("(master seed {s})");
     }
-    println!("{}", report.render());
+    outln!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.save(dir) {
             Ok(()) => eprintln!("exports written to {}", dir.display()),
@@ -351,9 +373,9 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
     };
     let report = scenarios::run(scale, seed.unwrap_or(DEFAULT_SEED), &profiles, severity);
     if let Some(s) = seed {
-        println!("(master seed {s})");
+        outln!("(master seed {s})");
     }
-    println!("{}", report.render());
+    outln!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.table().save_tsv(dir, "scenarios") {
             Ok(()) => eprintln!("TSV written to {}", dir.display()),
@@ -384,9 +406,9 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
     };
     let report = loadtest::run(scale, seed.unwrap_or(DEFAULT_SEED), pattern);
     if let Some(s) = seed {
-        println!("(master seed {s})");
+        outln!("(master seed {s})");
     }
-    println!("{}", report.render());
+    outln!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.save_exports(dir) {
             Ok(()) => eprintln!("exports written to {}", dir.display()),

@@ -52,7 +52,7 @@ pub enum Scale {
 
 /// Clean-campaign measurements (seeds {1, 7, 42}, serial dispatch) the
 /// default SLO policy's floors and the watchdog deadlines are derived
-/// from. EXPERIMENTS.md § "SLO monitor & perf sentinel" has the readings.
+/// from. EXPERIMENTS.md *SLO baselines* has the readings.
 pub struct Baselines {
     /// Clean campaign coverage (complete / attempted), worst seed.
     pub coverage: f64,
@@ -77,20 +77,20 @@ pub struct Baselines {
     /// Minimum tolerated control-block headroom against that capacity.
     pub control_headroom: f64,
     /// Watchdog deadline (virtual ms) above the slowest clean request
-    /// (seeds {1, 7, 42}: standard max 235–414 s, smoke max 10–62 s), so
+    /// (seeds {1, 7, 42}: standard max 192–414 s, smoke max 10–62 s), so
     /// on a healthy campaign any flag is a genuine regression.
     pub clean_deadline_ms: f64,
     /// The clean p99 latency envelope (virtual ms) — the deadline a
     /// *faulted* campaign arms. Injected loss with no retry budget makes
     /// surviving requests burn extra 10 s spoofed-batch timeouts, pushing
     /// the p99 band past the clean envelope (seeds {1, 7, 42}, standard:
-    /// 88.1 / 88.1 / 92.3 s clean vs 100.7 / 113.2 / 100.7 s faulted,
-    /// faulted max 187.6 / 195.7 / 164.6 s; smoke: 2–10 s clean vs 22–52 s
+    /// 62.9 / 79.7 / 79.7 s clean vs 88.1 / 96.5 / 88.1 s faulted,
+    /// faulted max 187.6 / 187.1 / 164.6 s; smoke: 2–10 s clean vs 22–52 s
     /// faulted, faulted max 47–107 s), so fault-induced stalls overrun it
     /// while it still sits above almost every clean request. The standard
-    /// envelope is the slowest clean p99 rounded up to 95 s (DESIGN §8):
-    /// below every seed's faulted maximum, so a faulted standard campaign
-    /// fires `stuck-requests` (31 / 30 / 27 flags).
+    /// envelope, 95 s, sits above every clean p99 and below every seed's
+    /// faulted maximum (DESIGN.md §15 *Baseline updates*), so a faulted
+    /// standard campaign fires `stuck-requests` (16 / 21 / 18 flags).
     pub envelope_deadline_ms: f64,
 }
 

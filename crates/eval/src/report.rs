@@ -968,9 +968,9 @@ mod tests {
     /// deadlines are derived from, clean vs faulted, seeds {1, 7, 42}. Set
     /// `MONITOR_CALIBRATE_STANDARD=1` to measure the standard scale
     /// (release build recommended). This is step 1 of the baseline-update
-    /// procedure in DESIGN.md §8.
+    /// procedure in DESIGN.md §15 *Baseline updates*.
     #[test]
-    #[ignore = "manual calibration helper; see DESIGN.md §8"]
+    #[ignore = "manual calibration helper; see DESIGN.md §15 *Baseline updates*"]
     fn calibrate_policy_baselines() {
         let scale = if std::env::var("MONITOR_CALIBRATE_STANDARD").is_ok() {
             Scale::Standard

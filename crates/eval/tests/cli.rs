@@ -2,7 +2,7 @@
 //! flags against its allow-list and exits 2 on anything unexpected — and
 //! the subcommands ci.sh and the docs invoke are the ones that exist.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_revtr-cli"))
@@ -135,7 +135,13 @@ fn ci_and_docs_name_only_subcommands_that_exist() {
     // cannot outlive the subcommand it calls.
     let listed = listed_subcommands();
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for file in ["ci.sh", "README.md", ".claude/skills/verify/SKILL.md"] {
+    for file in [
+        "ci.sh",
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
         let text = std::fs::read_to_string(root.join(file))
             .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
         let named = named_subcommands(&text);
@@ -147,6 +153,23 @@ fn ci_and_docs_name_only_subcommands_that_exist() {
             );
         }
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    // `revtr-cli report | head -1`: the reader is gone before the report
+    // is written. The command must not panic on the broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_revtr-cli"))
+        .args(["report", "--scale", "smoke", "--seed", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn revtr-cli");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for revtr-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]

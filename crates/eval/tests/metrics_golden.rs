@@ -18,7 +18,7 @@
 //! is the one export pinned as a file:
 //! `revtr-cli report --scale smoke --seed 42 --out DIR`, then copy
 //! `DIR/metrics_journal.jsonl` to `smoke42/`. Review the drift table the
-//! failing test printed; DESIGN.md §8 has the baseline-update procedure.
+//! failing test printed; DESIGN.md §15 *Baseline updates* has the procedure.
 
 mod golden;
 

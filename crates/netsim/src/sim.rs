@@ -690,8 +690,9 @@ impl Sim {
         self.igp.approx_bytes()
     }
 
-    /// `max/mean` shard skew of the route cache (0.0 while it is empty),
-    /// for `revtr-cli profile`.
+    /// `max/mean` shard skew of the route cache (0.0 while it is empty):
+    /// the "sim route/border cache worst shard skew" line under
+    /// `revtr-cli report`'s Skew table.
     pub fn cache_shard_skew(&self) -> f64 {
         self.route_cache.shard_skew()
     }
