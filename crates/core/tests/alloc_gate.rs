@@ -135,6 +135,7 @@ fn a_request_allocates_what_it_returns() {
         .collect();
     let total: u64 = served.iter().map(|(_, n)| n).sum();
     let mean = total as f64 / served.len() as f64;
+    eprintln!("serial sweep: {mean:.3} allocations a request (bound 1.2)");
     assert!(mean <= 1.2, "serial sweep: {mean:.3} allocations/request");
     // Exactly one per result: no request allocates less than its block,
     // and nearly all allocate nothing else.
@@ -214,6 +215,7 @@ fn a_request_allocates_what_it_returns() {
     let outcome = outcome.expect("no measurement panics");
     assert_eq!(outcome.results.len(), sweep.len());
     let mean = campaign as f64 / sweep.len() as f64;
+    eprintln!("campaign: {mean:.3} allocations a request (bound 1.10)");
     assert!(mean <= 1.10, "campaign: {mean:.3} allocations/request");
 
     // (e) Net of the results' own blocks, and of what the second worker

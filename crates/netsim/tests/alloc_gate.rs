@@ -121,6 +121,12 @@ fn warm_probe_primitives_do_not_allocate() {
             pairs.len()
         );
     }
+    eprintln!(
+        "warm walk {walk}, stub walk {stub_walk}, ping {ping}, RR {rr}, TS {ts}, TTL view \
+         {ttl_view} allocations (bound 0 each); traceroute {traceroute} for {} results (bound \
+         1 each)",
+        answered[4]
+    );
     assert_eq!(walk, 0, "walk allocated");
     assert_eq!(stub_walk, 0, "walk from a stub AS allocated");
     assert_eq!(ping, 0, "ping_from allocated");

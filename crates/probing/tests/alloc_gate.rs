@@ -80,7 +80,7 @@ fn a_filled_cache_holds_at_most_140_bytes_an_entry() {
     assert_eq!(cache.rr_len(), RR_ENTRIES as usize);
     assert_eq!(cache.last_link_len(), LINK_ENTRIES as usize);
     let per_entry = live as f64 / f64::from(RR_ENTRIES + LINK_ENTRIES);
-    eprintln!("{live} B live, {per_entry:.1} B an entry");
+    eprintln!("{live} B live, {per_entry:.1} B an entry (bound 140)");
     // Two 16-shard hash maps holding whole entries in their buckets (the
     // cache before it kept logs) held 225.8 B an entry here; the logs
     // hold 118.9.

@@ -307,6 +307,7 @@ fn a_served_request_allocates_the_one_block_it_returns() {
 
         let total: u64 = served.iter().map(|(_, n)| n).sum();
         let mean = total as f64 / SWEEP as f64;
+        eprintln!("telemetry {arm}: {mean:.3} allocations a request (bound 1.3)");
         assert!(
             mean <= 1.3,
             "telemetry {arm}: {mean:.3} allocations/request"
@@ -377,5 +378,6 @@ fn a_served_request_allocates_the_one_block_it_returns() {
     });
     assert_eq!(outcome.results.iter().flatten().count(), stream.len());
     let mean = n as f64 / stream.len() as f64;
+    eprintln!("open loop: {mean:.3} allocations an arrival (bound 1.9)");
     assert!(mean <= 1.9, "open loop: {mean:.3} allocations/arrival");
 }

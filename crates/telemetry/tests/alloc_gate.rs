@@ -69,6 +69,7 @@ fn warm_metric_updates_do_not_allocate() {
     };
     update(0); // creates the five entries
     let ((), n) = allocs_in(|| (1..=1000).for_each(update));
+    eprintln!("1 000 warm updates: {n} allocations (bound 0)");
     assert_eq!(n, 0, "warm counter_add/record allocated {n} times");
     let snap = tele.metrics();
     assert_eq!(snap.counter("probing.retries"), 1001);
@@ -150,6 +151,7 @@ fn a_retained_offer_costs_one_allocation_and_a_rejected_one_none() {
 
     let offers: Vec<RequestRecord> = (0..200).map(|i| record(2000 + i, 7)).collect();
     let ((), n) = allocs_in(|| offers.iter().for_each(|r| assert!(!journal.push(r))));
+    eprintln!("200 dropped journal offers: {n} allocations (bound 0)");
     assert_eq!(n, 0, "200 rejected offers allocated {n} times");
     let ((), n) = allocs_in(|| assert!(!journal.push(&tie)));
     assert_eq!(n, 0, "a rejected tie allocated {n} times");
@@ -157,6 +159,7 @@ fn a_retained_offer_costs_one_allocation_and_a_rejected_one_none() {
     // whose block it frees, for a block of its own.
     let offers: Vec<RequestRecord> = (0..100).rev().map(|dst| record(dst, 7)).collect();
     let ((), n) = allocs_in(|| offers.iter().for_each(|r| assert!(journal.push(r))));
+    eprintln!("100 kept journal offers: {n} allocations (bound 100)");
     assert_eq!(n, 100, "100 retained offers");
     // Now dst 0..64 are retained: tie with the maximum, and sort below it.
     let mut tie = record(CAP as u32 - 1, 7);

@@ -11,9 +11,10 @@
 //! 5. rank each ingress's VPs by RR slot distance (closest first).
 //!
 //! Steps 1 and 2 are one collection round ([`Round`]) a prefix: the scan
-//! keeps as many pings in flight as it still needs hosts, which sends
-//! exactly the pings a serial scan sends, and each destination's RR pings
-//! go out as soon as it answers.
+//! pings every hitlist candidate (up to [`DEST_SCAN_LIMIT`]) at the round's
+//! start and keeps the first two in candidate order that answer — the
+//! hosts a serial scan finds, for the price of one probe timeout — and each
+//! destination's RR pings go out as soon as it answers.
 //!
 //! The survey sees what a deployment sees: it reads a prefix's range, its
 //! hitlist and the set-cover tie seed through the [`Prober`], and
@@ -424,88 +425,59 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
 
 /// Step 1 of the survey: up to two responsive destinations of `p`, in
 /// candidate order, pinged from the first VP (any source works:
-/// responsiveness is a destination property) into the prefix's round, a
-/// [`scan_window`] at a time; with the window, whose `found[k]` is when
-/// destination `k` answered.
+/// responsiveness is a destination property) into the prefix's round as
+/// one [`wave`]; with the wave, whose `found[k]` is when destination `k`
+/// answered.
 fn responsive_dests(
     round: &mut Round<'_, '_>,
     prober: &Prober<'_>,
     vps: &[Addr],
     p: PrefixId,
-) -> (Vec<Addr>, Window) {
+) -> (Vec<Addr>, Wave) {
     let mut cands = [Addr(0); DEST_SCAN_LIMIT];
     let n = (cands.iter_mut().zip(prober.host_addrs(p)))
         .map(|(c, a)| *c = a)
         .count();
     // No VP, no pinger: nothing to scan with.
     let n = if vps.is_empty() { 0 } else { n };
-    let window = scan_window(n, |i, at_ms| {
-        let (reply, chain_ms) = round.ping(at_ms, vps[0], cands[i]);
+    let wave = wave(n, |i| {
+        let (reply, chain_ms) = round.ping(0.0, vps[0], cands[i]);
         (reply.is_some(), chain_ms)
     });
-    let dests = window.found[..window.len].iter().map(|&(i, _)| cands[i]);
-    (dests.collect(), window)
+    let dests = wave.found[..wave.len].iter().map(|&(i, _)| cands[i]);
+    (dests.collect(), wave)
 }
 
-/// The scan's schedule over candidates `0..n`, in ms from the start of
-/// the prefix's round: the candidates that answered (at most two, in
-/// candidate order, each with the instant its reply came in), and when the
-/// last ping ended.
+/// The scan's answers over candidates `0..n`: the first two that answered,
+/// in candidate order, each with the instant its reply came in, in ms from
+/// the start of the prefix's round.
 #[derive(Clone, Copy)]
-struct Window {
+struct Wave {
     found: [(usize, f64); DESTS_PER_PREFIX],
     len: usize,
-    end_ms: f64,
 }
 
-/// Ping candidates `0..n` in order until two answer, keeping
-/// `DESTS_PER_PREFIX − found` pings in flight. `send(i, at_ms)` sends
-/// candidate `i` at `at_ms` and returns whether it answered and its
-/// chain's length. In-flight pings resolve in `(end, candidate)` order and
-/// the next candidate goes out at the resolving instant.
+/// Ping candidates `0..n` at once, at the round's start. `send(i)` sends
+/// candidate `i` then and returns whether it answered and its chain's
+/// length, so an answer comes in at its chain's end and the wave lasts its
+/// longest chain.
 ///
-/// The serial scan sends candidate `j` iff fewer than two of `0..j`
-/// answered. The window sends `j` only while `r + k ≤ 1` (`r` answers in,
-/// `k` pings out), so at most one of `0..j` can have answered: `j` goes out
-/// serially too. And if at most one of `0..j` answered, the window sends
-/// `j` at the latest once all of `0..j` are in (`k = 0`, `r ≤ 1`). So it
-/// sends the serial scan's pings, in candidate order, and finds the same
-/// two hosts — only sooner.
-fn scan_window(n: usize, mut send: impl FnMut(usize, f64) -> (bool, f64)) -> Window {
-    let mut w = Window {
+/// The serial rule pings candidates in order until two answer, so it finds
+/// the first two that answer at all: the wave keeps exactly those, and
+/// finds each when its own chain ends rather than after every earlier
+/// candidate's.
+fn wave(n: usize, mut send: impl FnMut(usize) -> (bool, f64)) -> Wave {
+    let mut w = Wave {
         found: [(0, 0.0); DESTS_PER_PREFIX],
         len: 0,
-        end_ms: 0.0,
     };
-    // `(end, candidate, answered)` of the pings in flight.
-    let mut flight = [(0.0, 0, false); DESTS_PER_PREFIX];
-    let (mut out, mut next) = (0, 0);
-    loop {
-        // Pings resolve in end order, so the last one resolved is both
-        // "now" and, once the window empties, its end.
-        let now = w.end_ms;
-        while w.len + out < DESTS_PER_PREFIX && next < n {
-            let (answered, chain_ms) = send(next, now);
-            flight[out] = (now + chain_ms, next, answered);
-            out += 1;
-            next += 1;
-        }
-        let Some(first) = (0..out).min_by(|&a, &b| {
-            let (x, y) = (flight[a], flight[b]);
-            x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
-        }) else {
-            break;
-        };
-        let (end, cand, answered) = flight[first];
-        out -= 1;
-        flight.swap(first, out);
-        w.end_ms = end;
-        if answered {
-            w.found[w.len] = (cand, end);
+    for i in 0..n {
+        let (answered, chain_ms) = send(i);
+        if answered && w.len < DESTS_PER_PREFIX {
+            w.found[w.len] = (i, chain_ms);
             w.len += 1;
         }
     }
-    w.found[..w.len].sort_unstable_by_key(|&(cand, _)| cand);
     w
 }
 
@@ -579,7 +551,7 @@ impl SurveyScratch {
     }
 
     /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
-    /// found (at least one) and its window, into the prefix's round.
+    /// found (at least one) and its wave, into the prefix's round.
     fn survey_dests(
         &mut self,
         round: &mut Round<'_, '_>,
@@ -587,7 +559,7 @@ impl SurveyScratch {
         vps: &[Addr],
         p: PrefixId,
         h: Heuristics,
-        (dests, window): (Vec<Addr>, Window),
+        (dests, wave): (Vec<Addr>, Wave),
     ) -> PrefixInfo {
         let prefix = prober.prefix(p);
 
@@ -601,7 +573,7 @@ impl SurveyScratch {
         for (vp_at, &vp) in vps.iter().enumerate() {
             let mut views = [PathView::default(); DESTS_PER_PREFIX];
             let mut answered = 0;
-            for (&d, &(_, at_ms)) in dests.iter().zip(&window.found) {
+            for (&d, &(_, at_ms)) in dests.iter().zip(&wave.found) {
                 if let Some(r) = round.rr_ping(at_ms, vp, d) {
                     views[answered] = path_view(&r.slots, prefix, h);
                     answered += 1;
@@ -822,9 +794,10 @@ mod tests {
     /// A round's pings draw their faults at the instants they would go
     /// out, retries included: under loss and an ICMP rate limiter (which
     /// meters router addresses, not the end hosts a survey probes), with
-    /// three attempts a ping, each RR ping ends within three probe timeouts
-    /// of its destination's answer — so a prefix's round, which holds the
-    /// scan too, ends by the later of the scan's end and those bounds.
+    /// three attempts a ping, each ping's chain ends within three probe
+    /// timeouts of its send instant — the scan's at the round's start, each
+    /// RR ping at its destination's answer — so a prefix's round ends within
+    /// three timeouts of its later answer.
     #[test]
     fn a_lossy_round_lasts_at_most_its_attempt_budget() {
         let mut cfg = SimConfig::tiny();
@@ -843,32 +816,35 @@ mod tests {
             let t0 = prober.clock().now_ms();
             let mut round = prober.round();
             let scan = responsive_dests(&mut round, &prober, &vps, p);
-            let window = scan.1;
+            let wave = scan.1;
             if scan.0.is_empty() {
                 continue;
             }
             scratch.survey_dests(&mut round, &prober, &vps, p, Heuristics::FULL, scan);
             drop(round);
             let round_ms = prober.clock().now_ms() - t0;
-            let answered = (window.found[..window.len].iter())
+            let answered = (wave.found[..wave.len].iter())
                 .map(|&(_, at)| at)
                 .fold(0.0, f64::max);
-            let bound = window.end_ms.max(answered + 3.0 * PROBE_TIMEOUT_MS);
+            let bound = answered + 3.0 * PROBE_TIMEOUT_MS;
             assert!(round_ms <= bound + 1e-6, "{p}: a {round_ms} ms round");
             rounds += 1;
-            // Past the scan and a timeout after the last answer: an RR
-            // ping waited out a lost attempt.
-            retried += usize::from(round_ms > window.end_ms.max(answered + PROBE_TIMEOUT_MS));
+            // Without a loss every scan ping ends within a timeout of the
+            // round's start and every RR ping within one of its answer:
+            // past that, some ping of the round waited out a lost attempt.
+            retried += usize::from(round_ms > answered + PROBE_TIMEOUT_MS + 1e-6);
         }
         assert!(rounds > 10, "{rounds} rounds");
-        assert!(retried > 0, "no RR ping waited out a lost attempt");
+        assert!(retried > 0, "no ping waited out a lost attempt");
         assert!(prober.counters().snapshot().retries > 0);
     }
 
     /// A prefix's round charges the clock once, by its latest member: the
-    /// scan window's last ping, or destination `k`'s slowest RR ping, sent
+    /// wave's longest scan ping, or destination `k`'s slowest RR ping, sent
     /// when `k` answered. Both are recomputed here from the simulator's
-    /// own answers, the scan by the reference's two-lane schedule.
+    /// own answers, the scan by the reference's wave; so is the charge of
+    /// a serial scan (candidates one after another until two answered),
+    /// which finds the same hosts later.
     #[test]
     fn a_prefix_round_charges_scan_and_rr_once() {
         let mut cfg = SimConfig::tiny();
@@ -877,49 +853,70 @@ mod tests {
         let sim = Sim::build(cfg, 17);
         let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
         let ms = |r: Option<f64>| r.unwrap_or(PROBE_TIMEOUT_MS);
-        let (mut surveyed, mut overlapped) = (0, 0);
-        for p in sim.topo().prefixes.iter().map(|p| p.id) {
-            let cands: Vec<Addr> = sim.host_addrs(p).take(DEST_SCAN_LIMIT).collect();
-            let mut serial_ms = 0.0;
-            let (found, scan_end) = crate::reference::scan_lanes(cands.len(), |i, _| {
-                let r = sim.ping(vps[0], cands[i]).map(|r| r.rtt_ms);
-                serial_ms += ms(r);
-                (r.is_some(), ms(r))
-            });
-            let rr_end = (found.iter())
+        let rr_end = |found: &[(usize, f64)], cands: &[Addr]| {
+            (found.iter())
                 .map(|&(i, at)| {
                     let rr = vps
                         .iter()
                         .map(|&vp| ms(sim.rr_ping(vp, cands[i], 0).map(|r| r.rtt_ms)));
                     at + rr.fold(0.0, f64::max)
                 })
-                .fold(0.0, f64::max);
+                .fold(0.0, f64::max)
+        };
+        let (mut surveyed, mut sooner) = (0, 0);
+        for p in sim.topo().prefixes.iter().map(|p| p.id) {
+            let cands: Vec<Addr> = sim.host_addrs(p).take(DEST_SCAN_LIMIT).collect();
+            let ping = |i: usize| sim.ping(vps[0], cands[i]).map(|r| r.rtt_ms);
+            let (found, scan_end) = crate::reference::scan_wave(cands.len(), |i| {
+                let r = ping(i);
+                (r.is_some(), ms(r))
+            });
+            // The serial rule: candidates one after another until two
+            // answered, each answer at the sum of the chains before it.
+            let (mut serial, mut serial_ms) = (Vec::new(), 0.0);
+            for i in 0..cands.len() {
+                if serial.len() == DESTS_PER_PREFIX {
+                    break;
+                }
+                serial_ms += ms(ping(i));
+                if ping(i).is_some() {
+                    serial.push((i, serial_ms));
+                }
+            }
+            let found_cands: Vec<usize> = found.iter().map(|&(i, _)| i).collect();
+            let serial_cands: Vec<usize> = serial.iter().map(|&(i, _)| i).collect();
+            assert_eq!(found_cands, serial_cands, "{p}");
             let prober = Prober::new(&sim);
             let info = probe_prefix(&prober, &vps, p, Heuristics::FULL);
             let charged = prober.clock().now_ms();
-            let want = scan_end.max(rr_end);
+            let want = scan_end.max(rr_end(&found, &cands));
             assert_eq!(
                 charged.to_bits(),
                 want.to_bits(),
                 "{p}: {charged} vs {want}"
             );
+            let serial_charged = serial_ms.max(rr_end(&serial, &cands));
+            if p.0 == 0 {
+                eprintln!("{p}: {charged:.0} ms a round; the serial scan's {serial_charged:.0}");
+            }
             surveyed += usize::from(!info.dests.is_empty());
-            overlapped += usize::from(scan_end < serial_ms);
+            sooner += usize::from(charged < serial_charged);
         }
-        // Some scans overlapped a ping with an unanswered one: a serial
-        // scan would have charged those prefixes more.
+        // Some rounds waited on a silent candidate before their second host
+        // under the serial scan: the wave charged those prefixes less.
         assert!(surveyed > 10, "{surveyed} prefixes surveyed");
-        assert!(overlapped > 10, "{overlapped} scans overlapped");
+        assert!(sooner > 10, "{sooner} rounds ended sooner");
     }
 
-    /// The scan window against the serial rule (ping candidates in order,
-    /// stop at the second answer) over every answered/unanswered pattern
-    /// of the candidates, under RTT draws with ties and with chains that
-    /// waited out lost attempts: the same pings in the same order, the same
-    /// two destinations, each answer at its send instant plus its chain,
-    /// and an end no later than the serial scan's.
+    /// The wave against the serial rule (ping candidates in order, stop at
+    /// the second answer) over every answered/unanswered pattern of the
+    /// candidates, under RTT draws with ties and with chains that waited out
+    /// lost attempts: every candidate pinged once, in candidate order, at
+    /// the round's start, so the scan ends at its longest chain; the serial
+    /// rule's two destinations, each found at its send instant (0) plus its
+    /// chain — never later than the serial rule finds it.
     #[test]
-    fn the_scan_window_sends_the_serial_scans_pings() {
+    fn the_wave_finds_the_serial_scans_hosts() {
         const T: f64 = PROBE_TIMEOUT_MS;
         let draws: [fn(usize) -> f64; 4] = [
             |_| 40.0,
@@ -927,7 +924,7 @@ mod tests {
             |i| [12.5, 300.0, 12.5, 80.0][i % 4],
             |i| (i % 3) as f64 * T + 20.0 + (i % 2) as f64 * 15.0,
         ];
-        let mut overlapped = 0;
+        let mut sooner = 0;
         for pattern in 0u32..1 << DEST_SCAN_LIMIT {
             let answers = |i: usize| pattern >> i & 1 == 1;
             for rtt in draws {
@@ -939,35 +936,34 @@ mod tests {
                         (1 + i % 3) as f64 * T
                     }
                 };
-                let (mut serial, mut serial_found, mut serial_ms) = (Vec::new(), Vec::new(), 0.0);
+                let (mut serial_found, mut serial_ms) = (Vec::new(), 0.0);
                 for i in 0..DEST_SCAN_LIMIT {
-                    serial.push(i);
                     serial_ms += chain(i);
                     if answers(i) {
-                        serial_found.push(i);
+                        serial_found.push((i, serial_ms));
                         if serial_found.len() == DESTS_PER_PREFIX {
                             break;
                         }
                     }
                 }
                 let mut sent = Vec::new();
-                let w = scan_window(DEST_SCAN_LIMIT, |i, at_ms| {
-                    sent.push((i, at_ms));
+                let w = wave(DEST_SCAN_LIMIT, |i| {
+                    sent.push(i);
                     (answers(i), chain(i))
                 });
-                let order: Vec<usize> = sent.iter().map(|&(i, _)| i).collect();
-                assert_eq!(order, serial, "pattern {pattern:#x}");
+                let all: Vec<usize> = (0..DEST_SCAN_LIMIT).collect();
+                assert_eq!(sent, all, "pattern {pattern:#x}");
                 let found = &w.found[..w.len];
-                let found_cands: Vec<usize> = found.iter().map(|&(i, _)| i).collect();
-                assert_eq!(found_cands, serial_found, "pattern {pattern:#x}");
-                for &(i, at) in found {
-                    assert_eq!(at, sent[i].1 + chain(i), "pattern {pattern:#x}, {i}");
+                assert_eq!(found.len(), serial_found.len(), "pattern {pattern:#x}");
+                for (&(i, at), &(serial_i, serial_at)) in found.iter().zip(&serial_found) {
+                    assert_eq!(i, serial_i, "pattern {pattern:#x}");
+                    assert_eq!(at, 0.0 + chain(i), "pattern {pattern:#x}, {i}");
+                    assert!(at <= serial_at, "pattern {pattern:#x}, {i}: {at}");
+                    sooner += usize::from(at < serial_at);
                 }
-                assert!(w.end_ms <= serial_ms, "pattern {pattern:#x}: {}", w.end_ms);
-                overlapped += usize::from(w.end_ms < serial_ms);
             }
         }
-        assert!(overlapped > 0);
+        assert!(sooner > 0);
     }
 
     #[test]

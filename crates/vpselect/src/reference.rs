@@ -117,42 +117,32 @@ impl PrefixInfo {
     }
 }
 
-/// The scan as two lanes, each pinging candidates one after another until
-/// one answers: candidate `j` goes out on the open lane that frees first
-/// (ties: the lane whose last ping was the earlier candidate), when it
-/// frees. `send(j, at_ms)` returns whether `j` answered and its chain's
-/// length. Returns the candidates that answered, in candidate order, with
-/// the instants they answered, and the instant the last ping ended.
-pub(crate) fn scan_lanes(
+/// The scan as one wave: `send(j)` pings candidate `j` at the round's
+/// start and returns whether it answered and its chain's length. Returns
+/// the first two candidates that answered, in candidate order, with the
+/// instants they answered, and the instant the last ping ended.
+pub(crate) fn scan_wave(
     n: usize,
-    mut send: impl FnMut(usize, f64) -> (bool, f64),
+    mut send: impl FnMut(usize) -> (bool, f64),
 ) -> (Vec<(usize, f64)>, f64) {
-    // (free at, last candidate sent, still open)
-    let mut lanes: Vec<(f64, Option<usize>, bool)> = vec![(0.0, None, true); 2];
-    let mut found = Vec::new();
-    for j in 0..n {
-        let Some(lane) = (lanes.iter_mut())
-            .filter(|l| l.2)
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        else {
-            break;
-        };
-        let (answered, chain_ms) = send(j, lane.0);
-        lane.0 += chain_ms;
-        lane.1 = Some(j);
-        if answered {
-            lane.2 = false;
-            found.push((j, lane.0));
-        }
-    }
-    found.sort_by_key(|&(j, _)| j);
-    let end = lanes.iter().map(|l| l.0).fold(0.0, f64::max);
+    let pings: Vec<(usize, bool, f64)> = (0..n)
+        .map(|j| {
+            let (answered, chain_ms) = send(j);
+            (j, answered, chain_ms)
+        })
+        .collect();
+    let found = (pings.iter())
+        .filter(|p| p.1)
+        .take(2)
+        .map(|&(j, _, chain_ms)| (j, chain_ms))
+        .collect();
+    let end = pings.iter().map(|p| p.2).fold(0.0, f64::max);
     (found, end)
 }
 
 /// Probe one prefix from all VPs and derive its [`PrefixInfo`], as one
-/// round: the scan's two lanes, then each destination's RR pings sent when
-/// it answered.
+/// round: the scan's wave, then each destination's RR pings sent when it
+/// answered.
 pub(crate) fn probe_prefix(
     prober: &Prober<'_>,
     vps: &[Addr],
@@ -170,8 +160,8 @@ pub(crate) fn probe_prefix(
         .take(crate::ingress::DEST_SCAN_LIMIT)
         .collect();
     let mut round = prober.round();
-    let (found, _) = scan_lanes(cands.len(), |j, at_ms| {
-        let (reply, chain_ms) = round.ping(at_ms, pinger, cands[j]);
+    let (found, _) = scan_wave(cands.len(), |j| {
+        let (reply, chain_ms) = round.ping(0.0, pinger, cands[j]);
         (reply.is_some(), chain_ms)
     });
     let dests: Vec<Addr> = found.iter().map(|&(j, _)| cands[j]).collect();

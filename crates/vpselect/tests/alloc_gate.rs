@@ -72,20 +72,26 @@ fn the_survey_allocates_what_it_returns() {
         contested >= 4,
         "only {contested} set covers took a second pick: the gate is vacuous"
     );
+    let bound = outputs + BUILD_CONSTANT + tree_blocks(vps.len());
+    eprintln!("IngressDb::build: {build} allocations for {outputs} output blocks (bound {bound})");
     assert!(
-        build <= outputs + BUILD_CONSTANT + tree_blocks(vps.len()),
+        build <= bound,
         "IngressDb::build allocated {build} times for {outputs} output blocks"
     );
 
     let survey = prober.with_cache_enabled(false);
+    let mut worst = 0;
     for &p in &prefixes[1..] {
         let (info, n) = process_allocs_in(|| probe_prefix(&survey, &vps, p, Heuristics::FULL));
+        worst = worst.max(n.saturating_sub(output_blocks(&info)));
         assert!(
             n <= output_blocks(&info) + SCRATCH,
             "probe_prefix({p}) allocated {n} times for {} output blocks",
             output_blocks(&info)
         );
     }
+
+    eprintln!("probe_prefix: at most {worst} allocations past its output blocks (bound {SCRATCH})");
 
     // Parsing: in-prefix cut, double stamp, loop, private and repeated
     // addresses, a full nine slots.

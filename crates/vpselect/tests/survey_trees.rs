@@ -125,31 +125,48 @@ fn survey_digest(db: &IngressDb, n_vps: usize) -> u64 {
     h
 }
 
-/// The era-2020 seed-1 survey as `IngressDb::build` runs it, pinned to
-/// constants: the survey-tree gate above compares two surveys that share
-/// the simulator's Record Route exchange, so a stamping change both sides
-/// make alike would pass it — this one would not.
-#[test]
-#[ignore = "one full-size survey: run in release (ci.sh does)"]
-fn era_2020_survey_is_pinned() {
-    let sim = Sim::build(SimConfig::era_2020(), 1);
+/// The era-2020 seed-1 survey of `cfg` as `IngressDb::build` runs it:
+/// its digest, clock and simulator-hour bits, counters and route computes.
+fn era_2020_survey(cfg: SimConfig) -> (u64, u64, u64, Snapshot, u64) {
+    let sim = Sim::build(cfg, 1);
     let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
     let prober = Prober::new(&sim);
     let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
-    let got = (
+    (
         survey_digest(&db, vps.len()),
         prober.clock().now_ms().to_bits(),
         sim.now_hours().to_bits(),
         prober.counters().snapshot(),
         sim.route_computes(),
-    );
+    )
+}
+
+/// The era-2020 seed-1 survey pinned to constants: the survey-tree gate
+/// above compares two surveys that share the simulator's Record Route
+/// exchange, so a stamping change both sides make alike would pass it —
+/// this one would not. The default arm's plans read the survey's schedule:
+/// an RR ping's nonce hashes its send instant, and a per-packet load
+/// balancer routes by the nonce. With churn and load balancing off, no
+/// route moves under the survey and no path reads an instant, so that
+/// arm's digest pins the hosts and plans apart from the schedule: a change
+/// to when the survey's probes go out leaves it alone.
+#[test]
+#[ignore = "two full-size surveys: run in release (ci.sh does)"]
+fn era_2020_survey_is_pinned() {
+    let mut still = SimConfig::era_2020();
+    still.behavior.churn_per_hour = 0.0;
+    still.behavior.router_load_balancer = 0.0;
+    let digest = era_2020_survey(still).0;
+    assert_eq!(digest, 0x7f67_f52f_1c83_c6bc, "quiesced: {digest:#x}");
+
+    let got = era_2020_survey(SimConfig::era_2020());
     let want = (
-        0xbfb6_5524_21e7_3dda,
-        0x414f_b652_9fb2_1aa4,
-        0x3ff2_6c93_5e43_b2b2,
+        0xe848_55fb_174f_d14c,
+        0x414f_1dca_7340_100d,
+        0x3ff1_f69f_5f6b_b5a6,
         Snapshot {
-            ping: 5_371,
+            ping: 24_432,
             rr: 594_512,
             ..Snapshot::default()
         },
