@@ -420,6 +420,22 @@ if [ -n "$serial" ]; then
 fi
 STEP
 
+# ...and parks a waiting worker in one place: campaign waves and the
+# ingress survey's rounds share one pool (crates/netsim/src/pool.rs), so its
+# spin-then-park machinery — `std::thread::park` and the `SPINS` budget —
+# appears in exactly one library file under crates/*/src.
+step "one pool (std::thread::park and SPINS each in one library file, crates/*/src)" <<'STEP'
+for pat in 'std::thread::park\b' '\bSPINS\b'; do
+  files=$(grep -rlE --include='*.rs' "$pat" crates/*/src || true)
+  count=$(printf '%s' "$files" | grep -c . || true)
+  if [ "$count" -ne 1 ]; then
+    echo "$pat in $count library files, want 1:"
+    echo "$files"
+    exit 1
+  fi
+done
+STEP
+
 # Rustdoc is warning-free: a doc link to a private, renamed or deleted
 # item fails here, so narrowing the public surface cannot leave a dangling
 # or private link behind in the rendered docs.

@@ -42,11 +42,11 @@ use crate::scratch::{novel, on_path, Scratch};
 use crate::system::{Books, Ladder, RevtrSystem, RrFound, RrHints, RrObserved};
 use parking_lot::{Mutex, RwLock};
 use revtr_atlas::SourceAtlas;
+use revtr_netsim::pool::{self, Crew, Pool};
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::{Contribution, DirectVerdict, Meter, Note, ProbeLoss, RequestScope, StoredRr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{Scope, ScopedJoinHandle, Thread};
 
 /// How wide a wave runs. Campaign *results* are invariant to it when route
 /// churn is off and either per-packet load balancing or the measurement
@@ -716,34 +716,6 @@ const STOPSET_WAVE: usize = 64;
 /// `RevtrSystem::drive` (tests plant a panicking one).
 type Driver<'s> = fn(&RevtrSystem<'s>, &TimedJob, &mut Scratch) -> (RevtrResult, u64);
 
-/// Epoch value that tells parked helpers the pool is closing.
-const CLOSED: u64 = u64::MAX;
-
-/// How many times a waiter polls before it parks. A wave's straggler and
-/// the barrier between two waves are both a few requests' worth of work —
-/// tens of microseconds — which is also what a futex sleep and wake-up
-/// cost; past that the thread gives its core back. (Measured on the
-/// 2-core reference host, `campaign-batch`-shaped rounds: 2 000 polls ran
-/// 4–8 % shorter than parking at once, for the same CPU; 200 and 20 000
-/// were level with either. EXPERIMENTS.md *Pool: how long a waiter polls
-/// before it parks*.)
-const SPINS: u32 = 2_000;
-
-/// Poll `ready`, then park until it holds. Whoever makes it true unparks
-/// this thread afterwards, so a wake-up is never lost; a spurious one only
-/// polls again.
-fn wait_until(ready: impl Fn() -> bool) {
-    for _ in 0..SPINS {
-        if ready() {
-            return;
-        }
-        std::hint::spin_loop();
-    }
-    while !ready() {
-        std::thread::park();
-    }
-}
-
 /// The wave being run: written by the pool's owner between waves, read by
 /// every worker during one.
 #[derive(Default)]
@@ -754,16 +726,11 @@ struct Wave {
     slots: Vec<OnceLock<RevtrResult>>,
 }
 
-/// What a pool's workers share. A wave is *data*: the owner writes the
-/// jobs, resets the cursor and bumps the epoch; workers claim job indices
-/// off the cursor and count themselves out.
-///
-/// Orderings: `epoch` is stored `Release` after the wave's jobs, cursor and
-/// `running` are in place and loaded `Acquire` by helpers, so a helper that
-/// sees the new epoch sees the wave. `running` is decremented `Release`
-/// after a helper's last slot write and read `Acquire` by the owner, so at
-/// zero every result (and `events`, `poisoned`, `payload`) is visible. The
-/// rest is `Relaxed`: an index, a tally and a stop flag publish nothing.
+/// What a campaign pool's workers share: the wave the owner wrote, and the
+/// cursor workers claim job indices off. The pool's epoch and barrier are
+/// [`revtr_netsim::pool`]'s; the wave's results are visible to the owner
+/// once the barrier is passed. The rest is `Relaxed`: an index, a tally and
+/// a stop flag publish nothing.
 struct Shared<'a, 's> {
     sys: &'a RevtrSystem<'s>,
     drive: Driver<'s>,
@@ -771,20 +738,14 @@ struct Shared<'a, 's> {
     /// between waves, and workers read only during one. The lock is how
     /// safe code says so; each worker takes it once per wave.
     wave: RwLock<Wave>,
-    /// Waves published so far, or [`CLOSED`].
-    epoch: AtomicU64,
     /// Next unclaimed job index of the wave.
     cursor: AtomicUsize,
-    /// Helpers still inside the wave.
-    running: AtomicUsize,
     /// Events of the wave's finished jobs.
     events: AtomicU64,
     /// A job panicked: stop claiming.
     poisoned: AtomicBool,
     /// The first panic's payload.
     payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The pool's owner, which the last helper out of a wave unparks.
-    caller: Thread,
 }
 
 impl Shared<'_, '_> {
@@ -813,23 +774,20 @@ impl Shared<'_, '_> {
         }
         self.events.fetch_add(events, Ordering::Relaxed);
     }
+}
 
-    /// A helper thread's life: park until a wave is published, claim from
-    /// it, count out, until the pool closes.
-    fn help(&self) {
-        let mut sx = self.sys.take_scratch();
-        let mut seen = 0;
-        loop {
-            wait_until(|| self.epoch.load(Ordering::Acquire) != seen);
-            seen = self.epoch.load(Ordering::Acquire);
-            if seen == CLOSED {
-                break;
-            }
-            self.claim(&mut sx);
-            if self.running.fetch_sub(1, Ordering::Release) == 1 {
-                self.caller.unpark();
-            }
-        }
+impl Crew for Shared<'_, '_> {
+    type Local = Scratch;
+
+    fn hire(&self) -> Scratch {
+        self.sys.take_scratch()
+    }
+
+    fn work(&self, sx: &mut Scratch) {
+        self.claim(sx);
+    }
+
+    fn retire(&self, sx: Scratch) {
         self.sys.return_scratch(sx);
     }
 }
@@ -849,11 +807,7 @@ impl Shared<'_, '_> {
 /// stop sets in `(vtime, id, seq)` stamp order — functions of each
 /// request's own history, so schedule-invariant (`STOPSET_WAVE`).
 pub struct WavePool<'scope, 'env, 'a, 's> {
-    shared: &'env Shared<'a, 's>,
-    scope: &'scope Scope<'scope, 'env>,
-    helpers: Vec<ScopedJoinHandle<'scope, ()>>,
-    /// Workers a wave may use, the owner included.
-    width: usize,
+    pool: Pool<'scope, 'env, Shared<'a, 's>>,
     /// The owner's scratch.
     sx: Scratch,
 }
@@ -887,7 +841,7 @@ impl WavePool<'_, '_, '_, '_> {
         jobs: impl Iterator<Item = TimedJob>,
         mut sink: impl FnMut(usize, RevtrResult),
     ) -> std::thread::Result<u64> {
-        let shared = self.shared;
+        let shared = self.pool.crew();
         let admitted = {
             let mut wave = shared.wave.write();
             wave.jobs.clear();
@@ -900,19 +854,8 @@ impl WavePool<'_, '_, '_, '_> {
         };
         shared.cursor.store(0, Ordering::Relaxed);
         // A wave the owner can finish alone wakes (and starts) no one.
-        let helped = self.width > 1 && admitted > 1;
-        if helped {
-            while self.helpers.len() + 1 < self.width {
-                self.helpers.push(self.scope.spawn(|| shared.help()));
-            }
-            shared.running.store(self.helpers.len(), Ordering::Relaxed);
-            shared.epoch.fetch_add(1, Ordering::Release);
-            self.helpers.iter().for_each(|h| h.thread().unpark());
-        }
-        shared.claim(&mut self.sx);
-        if helped {
-            wait_until(|| shared.running.load(Ordering::Acquire) == 0);
-        }
+        let sx = &mut self.sx;
+        self.pool.wave(admitted > 1, |shared| shared.claim(sx));
         if shared.poisoned.load(Ordering::Relaxed) {
             let payload = shared.payload.lock().take();
             return Err(
@@ -933,12 +876,11 @@ impl WavePool<'_, '_, '_, '_> {
 }
 
 impl Drop for WavePool<'_, '_, '_, '_> {
-    /// Close the pool: helpers wake, hand their scratches back and exit;
-    /// the scope the pool lives in joins them.
+    /// Hand the owner's scratch back; the pool then closes, and the scope
+    /// it lives in joins the helpers once they have handed theirs back.
     fn drop(&mut self) {
-        self.shared.epoch.store(CLOSED, Ordering::Release);
-        self.helpers.iter().for_each(|h| h.thread().unpark());
-        self.shared.sys.return_scratch(std::mem::take(&mut self.sx));
+        let sys = self.pool.crew().sys;
+        sys.return_scratch(std::mem::take(&mut self.sx));
     }
 }
 
@@ -1020,22 +962,16 @@ impl<'s> RevtrSystem<'s> {
             sys: self,
             drive,
             wave: RwLock::default(),
-            epoch: AtomicU64::new(0),
             cursor: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
             events: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             payload: Mutex::new(None),
-            caller: std::thread::current(),
         };
-        std::thread::scope(|scope| {
+        // Oversubscribing the host's cores only adds scheduler churn.
+        let width = lc.workers.min(self.cores());
+        pool::scoped(shared, width, |pool| {
             f(&mut WavePool {
-                shared: &shared,
-                scope,
-                helpers: Vec::new(),
-                // Oversubscribing the host's cores only adds scheduler
-                // churn.
-                width: lc.workers.min(self.cores()).max(1),
+                pool,
                 sx: self.take_scratch(),
             })
         })
@@ -1265,20 +1201,20 @@ mod tests {
             let events = pool.run_wave_timed(&[job(0)], |_, _| got += 1);
             assert!(events.expect("ran") > 0);
             assert_eq!(got, 1);
-            assert!(pool.helpers.is_empty(), "a lone job started a thread");
+            assert_eq!(pool.pool.helpers(), 0, "a lone job started a thread");
             // Helpers start with the first wave that has work to share
             // (on a host with cores to run them) and serve the next.
             for _ in 0..2 {
                 pool.run_wave_timed(&[job(0), job(1)], |_, _| ())
                     .expect("ran");
-                assert_eq!(pool.helpers.len(), pool.width - 1);
+                assert_eq!(pool.pool.helpers(), pool.pool.width() - 1);
             }
         });
         // One worker never starts any.
         sys.with_pool(LoopConfig::default(), |pool| {
             pool.run_wave_timed(&[job(0), job(1)], |_, _| ())
                 .expect("ran");
-            assert!(pool.helpers.is_empty());
+            assert_eq!(pool.pool.helpers(), 0);
         });
     }
 }

@@ -54,6 +54,7 @@ pub mod ids;
 pub mod igp;
 pub mod inline;
 pub mod oracle;
+pub mod pool;
 pub mod scenario;
 pub mod sim;
 pub mod topology;

@@ -43,8 +43,8 @@ pub use cache::{
 pub use counters::Snapshot;
 pub use meter::Meter;
 pub use prober::{
-    BatchReply, LastLink, ProbeLoss, Prober, RetryPolicy, Round, RrProvenance, SentEpoch,
-    SurveyTrees,
+    BatchReply, LastLink, ProbeLoss, Prober, ReplyTree, RetryPolicy, Round, RrProvenance,
+    SentEpoch, SurveyTrees,
 };
 pub use revtr_telemetry::{
     RequestScope, ScopeBuffers, SpanCost, SpanToken, Telemetry, TelemetryConfig, WatchdogFlag,

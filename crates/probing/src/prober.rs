@@ -14,7 +14,7 @@
 //! table and registry ([`Prober::prefix_of`], [`Prober::host_prefix`],
 //! [`Prober::block_owner`], [`Prober::as_prefixes`], [`Prober::prefix`]),
 //! a prefix's hitlist ([`Prober::host_addrs`]) and the simulator's byte
-//! ledgers. The survey's sink trees ([`SurveyTrees`]) and the
+//! ledgers. The survey's sink trees ([`SurveyTrees`], [`ReplyTree`]) and the
 //! `poisoned_atlas` scenario sit behind [`Round`]'s probes. The engine,
 //! the survey, the atlas and the service read nothing else of the world;
 //! [`Prober::sim`] is for the `aliasing` dataset builders, the evaluation
@@ -400,6 +400,15 @@ impl<'s> Prober<'s> {
         self.sim.now_hours() + self.clock.pending_ms() / 3_600_000.0
     }
 
+    /// Whether every probe's fate is a function of the packet and its send
+    /// instant alone, so that probes sent from several threads at once get
+    /// the answers they would get one after another: false under an armed
+    /// ICMP rate limiter, whose token buckets answer in the order replies
+    /// are generated ([`revtr_netsim::FaultConfig::icmp_rate_limit_pps`]).
+    pub fn order_free(&self) -> bool {
+        self.sim.faults().config().icmp_rate_limit_pps <= 0.0
+    }
+
     /// The deployment's seed: what its random draws (atlas probes,
     /// set-cover ties) are keyed on.
     pub fn seed(&self) -> u64 {
@@ -770,16 +779,29 @@ impl<'s> Prober<'s> {
             trees: None,
             start_ms: self.clock.now_ms(),
             longest_ms: 0.0,
+            owner: true,
         }
     }
 
-    /// [`Prober::round`] for one prefix of a survey that lends `trees` to
-    /// its RR pings ([`Round::rr_ping`]).
-    pub fn survey_round<'p>(&'p self, trees: &'p mut SurveyTrees) -> Round<'p, 's> {
-        trees.open();
+    /// A part of a round that opened at `start_ms` ([`Round::start_ms`]),
+    /// for a thread to drive some of the round's members in, lending its
+    /// forward `trees` to their RR pings: its members go out at the
+    /// instants they would in the round itself, and it charges nothing —
+    /// the round's owner joins its end ([`Round::join`]) and charges once.
+    pub fn round_part<'p>(
+        &'p self,
+        start_ms: f64,
+        mut trees: Option<&'p mut SurveyTrees>,
+    ) -> Round<'p, 's> {
+        if let Some(trees) = trees.as_deref_mut() {
+            trees.open();
+        }
         Round {
-            trees: Some(trees),
-            ..self.round()
+            prober: self,
+            trees,
+            start_ms,
+            longest_ms: 0.0,
+            owner: false,
         }
     }
 
@@ -984,65 +1006,66 @@ impl<'s> Prober<'s> {
     }
 }
 
-/// The sink trees a survey over many prefixes lends its RR pings
-/// ([`Prober::survey_round`]): the forward walks of one prefix converge on
-/// its destinations, the replies of every prefix on the VPs. Lending
-/// changes no walk, only how much of it is read instead of derived.
+/// The forward sink trees one worker of a survey over many prefixes lends
+/// its RR pings ([`Prober::round_part`]): the forward walks of one prefix
+/// converge on its destinations. Lending changes no walk, only how much of
+/// it is read instead of derived.
 pub struct SurveyTrees {
-    /// The forward trees, each with the destination the open round lent
-    /// it to (rebound by each round's destinations); then a reply tree per
-    /// VP with its address, in the survey's VP order (a VP's tree lives
-    /// across rounds, until churn re-rolls the VP's own prefix).
-    trees: Vec<(Option<Addr>, SinkTree)>,
-    /// How many forward trees lead `trees`.
-    dests: usize,
-    /// The reply tree lent last, by position among the reply trees: a
-    /// survey pings VP-major, so the next ping is from its VP or the next.
-    cursor: usize,
+    /// One tree per destination of a round, each with the destination the
+    /// open round lent it to (rebound by each round's destinations).
+    forward: Vec<(Option<Addr>, SinkTree)>,
 }
 
 impl SurveyTrees {
-    /// Empty trees for a survey from `vps` (distinct addresses) that pings
-    /// at most `dests` destinations a round.
-    pub fn new(prober: &Prober<'_>, vps: &[Addr], dests: usize) -> SurveyTrees {
-        let mut trees = Vec::with_capacity(dests + vps.len());
-        let keys = std::iter::repeat_n(None, dests).chain(vps.iter().map(|&vp| Some(vp)));
-        trees.extend(keys.map(|key| (key, SinkTree::new(prober.sim))));
-        SurveyTrees {
-            trees,
-            dests,
-            cursor: 0,
-        }
+    /// Empty trees for a survey that pings at most `dests` destinations a
+    /// round.
+    pub fn new(prober: &Prober<'_>, dests: usize) -> SurveyTrees {
+        let mut forward = Vec::with_capacity(dests);
+        forward.extend((0..dests).map(|_| (None, SinkTree::new(prober.sim))));
+        SurveyTrees { forward }
     }
 
-    /// A new round: every forward tree is free to lend.
+    /// A new round: every tree is free to lend.
     fn open(&mut self) {
-        for (lent, _) in &mut self.trees[..self.dests] {
+        for (lent, _) in &mut self.forward {
             *lent = None;
         }
     }
 
-    /// The trees an RR ping from `src` to `dst` walks: the forward tree
-    /// lent to `dst` (a destination new to the round takes the next free
-    /// one) and the reply tree of `src`. `None` for a destination past
-    /// the round's count or a VP the trees were not made for.
-    fn lend(&mut self, src: Addr, dst: Addr) -> (Option<&mut SinkTree>, Option<&mut SinkTree>) {
-        let (forward, reply) = self.trees.split_at_mut(self.dests);
+    /// The tree lent to `dst` this round; a destination new to the round
+    /// takes the next free one. `None` past the round's count.
+    fn lend(&mut self, dst: Addr) -> Option<&mut SinkTree> {
+        let forward = &mut self.forward;
         let at = (forward.iter().position(|&(lent, _)| lent == Some(dst)))
-            .or_else(|| forward.iter().position(|&(lent, _)| lent.is_none()));
-        let forward = at.map(|at| {
-            let (lent, tree) = &mut forward[at];
-            *lent = Some(dst);
-            tree
-        });
-        let is_src = |at: &usize| reply.get(*at).is_some_and(|&(vp, _)| vp == Some(src));
-        let near = self.cursor..self.cursor + 2;
-        let vp = near.chain(0..reply.len()).find(is_src);
-        let reply = vp.map(|at| {
-            self.cursor = at;
-            &mut reply[at].1
-        });
-        (forward, reply)
+            .or_else(|| forward.iter().position(|&(lent, _)| lent.is_none()))?;
+        let (lent, tree) = &mut forward[at];
+        *lent = Some(dst);
+        Some(tree)
+    }
+}
+
+/// One survey VP's reply sink tree: every prefix's replies walk back to the
+/// VP, so the tree lives across rounds (until churn re-rolls the VP's own
+/// prefix), lent to the reply legs of the VP's RR pings
+/// ([`Round::rr_ping_from`]). It also keeps the VP's last legs, which the
+/// VP's ping to a prefix's second destination replays.
+pub struct ReplyTree {
+    vp: Addr,
+    tree: SinkTree,
+}
+
+impl ReplyTree {
+    /// An empty reply tree for `vp`'s RR pings.
+    pub fn new(prober: &Prober<'_>, vp: Addr) -> ReplyTree {
+        ReplyTree {
+            vp,
+            tree: SinkTree::new(prober.sim),
+        }
+    }
+
+    /// The VP whose pings it serves.
+    pub fn vp(&self) -> Addr {
+        self.vp
     }
 }
 
@@ -1055,17 +1078,42 @@ impl SurveyTrees {
 /// the round ends with its latest member's end. Dropping the handle closes
 /// the round and charges that end to the shared clock, once: no churn
 /// flush, and no other probe's time, falls between a round's probes.
+///
+/// A round may be driven in parts ([`Prober::round_part`]): members sent
+/// through a part go out at the instants they would through the round, the
+/// part charges nothing, and the round's owner joins each part's end
+/// ([`Round::join`]) before it closes — so the round still charges once.
 pub struct Round<'p, 's> {
     prober: &'p Prober<'s>,
-    /// The survey's sink trees, lent to its RR pings.
+    /// A survey worker's forward trees, lent to its RR pings.
     trees: Option<&'p mut SurveyTrees>,
     /// The shared clock when the round opened.
     start_ms: f64,
     /// The latest member's end so far, from the round's start.
     longest_ms: f64,
+    /// Whether closing charges the clock: the round's own handle does, a
+    /// part does not.
+    owner: bool,
 }
 
 impl Round<'_, '_> {
+    /// The shared clock's reading when the round opened: where its parts
+    /// start ([`Prober::round_part`]).
+    pub fn start_ms(&self) -> f64 {
+        self.start_ms
+    }
+
+    /// The latest member's end so far, in ms from the round's start.
+    pub fn end_ms(&self) -> f64 {
+        self.longest_ms
+    }
+
+    /// Count a part's members in this round: it ends no earlier than
+    /// `end_ms` (a part's [`Round::end_ms`]) past its start.
+    pub fn join(&mut self, end_ms: f64) {
+        self.longest_ms = self.longest_ms.max(end_ms);
+    }
+
     /// One member: probe `p`'s attempt chain, sent `after_ms` into the
     /// round, so attempt `k` draws its faults at the round's start plus
     /// `after_ms` plus the timeouts the chain has waited, and an ICMP
@@ -1107,17 +1155,34 @@ impl Round<'_, '_> {
     /// scenario draws, and the nonce that probe would carry if it left at
     /// this member's instant — but never near the measurement cache (a
     /// VP→scan-destination ping is one no measurement re-issues), with no
-    /// replay provenance (nothing audits the survey), and, in a
-    /// [`Prober::survey_round`], lending the survey's sink trees to the two
-    /// legs: `dst`'s toward `dst`, `src`'s back toward `src`.
+    /// replay provenance (nothing audits the survey), and lending the
+    /// part's forward tree for `dst`, if it has trees, to the walk there.
     pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> Option<RrReply> {
+        self.survey_rr_ping(after_ms, src, dst, None)
+    }
+
+    /// [`Round::rr_ping`] from `vp`'s VP, lending its reply tree to the
+    /// walk back.
+    pub fn rr_ping_from(
+        &mut self,
+        after_ms: f64,
+        vp: &mut ReplyTree,
+        dst: Addr,
+    ) -> Option<RrReply> {
+        self.survey_rr_ping(after_ms, vp.vp, dst, Some(&mut vp.tree))
+    }
+
+    fn survey_rr_ping(
+        &mut self,
+        after_ms: f64,
+        src: Addr,
+        dst: Addr,
+        reply: Option<&mut SinkTree>,
+    ) -> Option<RrReply> {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Rr, None, src, dst);
         let mut trees = self.trees.take();
-        let (forward, reply) = match trees.as_deref_mut() {
-            Some(t) => t.lend(src, dst),
-            None => (None, None),
-        };
+        let forward = trees.as_deref_mut().and_then(|t| t.lend(dst));
         let (r, _) = self.member(after_ms, probe, |_, nonce| {
             let r = p.sim.rr_ping_lent(src, dst, nonce, forward, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
@@ -1172,8 +1237,9 @@ impl Round<'_, '_> {
 impl Drop for Round<'_, '_> {
     fn drop(&mut self) {
         // A round abandoned by a panic charges nothing: a flush into a
-        // simulator the panic left half-updated could panic again here.
-        if std::thread::panicking() {
+        // simulator the panic left half-updated could panic again here. A
+        // part's end is its owner's to charge.
+        if std::thread::panicking() || !self.owner {
             return;
         }
         self.prober.advance(&mut Meter::default(), self.longest_ms);

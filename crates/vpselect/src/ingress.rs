@@ -18,8 +18,9 @@
 //!
 //! The survey sees what a deployment sees: it reads a prefix's range, its
 //! hitlist and the set-cover tie seed through the [`Prober`], and
-//! [`IngressDb::build`] lends its RR pings a
-//! [`revtr_probing::SurveyTrees`] through [`Prober::survey_round`].
+//! [`IngressDb::build`] lends its RR pings sink trees — a worker's
+//! [`SurveyTrees`] toward the destinations, each VP's [`ReplyTree`] back —
+//! through parts of the prefix's round ([`Prober::round_part`]).
 //!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3). The
@@ -36,9 +37,12 @@
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
-use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::{Prober, Round, SurveyTrees};
+use revtr_netsim::pool;
+use revtr_netsim::{Addr, Prefix, PrefixId, RrReply};
+use revtr_probing::{Prober, ReplyTree, Round, SurveyTrees};
 use std::mem::size_of;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
 /// responsive destinations.
@@ -266,22 +270,44 @@ impl IngressDb {
     /// sink tree per destination and per VP and lends them to its pings:
     /// same probes, same replies as [`probe_prefix`] prefix by prefix,
     /// most hops read instead of derived.
+    ///
+    /// Each prefix's round runs on a pool as wide as the host's cores
+    /// ([`revtr_netsim::pool`]): workers claim its scan pings, then its
+    /// VPs, each worker lending its own forward trees, and the round still
+    /// charges the clock once. Every probe's outcome is a function of the
+    /// packet and its send instant, so the survey is the serial one at
+    /// every width — except under an armed ICMP rate limiter, whose buckets
+    /// answer in the order replies are made: the build then runs at width 1.
     pub fn build(
         prober: &Prober<'_>,
         vps: &[Addr],
         prefixes: &[PrefixId],
         h: Heuristics,
     ) -> IngressDb {
-        let mut trees = SurveyTrees::new(prober, vps, DESTS_PER_PREFIX);
-        let mut scratch = SurveyScratch::new(vps.len());
+        let width = if prober.order_free() {
+            pool::cores()
+        } else {
+            1
+        };
+        IngressDb::build_at(prober, vps, prefixes, h, width)
+    }
+
+    /// [`IngressDb::build`] on `width` workers, the same survey at every
+    /// width as long as the prober's fates are order-free
+    /// ([`Prober::order_free`]).
+    pub(crate) fn build_at(
+        prober: &Prober<'_>,
+        vps: &[Addr],
+        prefixes: &[PrefixId],
+        h: Heuristics,
+        width: usize,
+    ) -> IngressDb {
         let mut per_prefix = Vec::new();
         per_prefix.resize_with(
             prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
             || None,
         );
-        for &p in prefixes {
-            per_prefix[p.index()] = Some(scratch.survey(prober, Some(&mut trees), vps, p, h));
-        }
+        survey_on_pool(prober, vps, prefixes, h, width, &mut per_prefix);
         let mut vp_index: Vec<(Addr, u32)> = (0u32..).zip(vps).map(|(i, &vp)| (vp, i)).collect();
         vp_index.sort_unstable();
         let mut db = IngressDb {
@@ -294,17 +320,13 @@ impl IngressDb {
     }
 
     fn compute_global_order(&mut self, vps: &[Addr]) {
-        let mut in_range = vec![0usize; vps.len()];
+        let mut order: Vec<(std::cmp::Reverse<usize>, Addr)> =
+            vps.iter().map(|&vp| (std::cmp::Reverse(0), vp)).collect();
         for (_, info) in self.prefixes() {
-            for (i, count) in in_range.iter_mut().enumerate() {
-                *count += usize::from(info.in_range_at(i));
+            for (i, (count, _)) in order.iter_mut().enumerate() {
+                count.0 += usize::from(info.in_range_at(i));
             }
         }
-        let mut order: Vec<(std::cmp::Reverse<usize>, Addr)> = in_range
-            .into_iter()
-            .map(std::cmp::Reverse)
-            .zip(vps.iter().copied())
-            .collect();
         order.sort_unstable();
         self.global_order = order.into_iter().map(|(_, vp)| vp).collect();
     }
@@ -420,7 +442,7 @@ impl IngressDb {
 /// share with the next call, and a fresh one per call would cost more
 /// than the call's whole working memory.
 pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristics) -> PrefixInfo {
-    SurveyScratch::new(vps.len()).survey(prober, None, vps, p, h)
+    SurveyScratch::new(vps.len()).survey(prober, vps, p, h)
 }
 
 /// Step 1 of the survey: up to two responsive destinations of `p`, in
@@ -497,18 +519,131 @@ fn same_candidate(a: &Incidence, b: &Incidence) -> bool {
     a.cand == b.cand
 }
 
-/// Working memory of the survey, sized by the VP list and reused from one
-/// prefix to the next: a prefix's per-VP views never exist as objects —
-/// each is folded, as its two replies are parsed, into the rows below.
-struct SurveyScratch {
-    /// Every VP's candidates as one run, sorted by `(candidate, vp)` once
-    /// all VPs are in: a candidate's covering VPs are then contiguous, and
-    /// the greedy cover is a scan per pick instead of a map per pick.
+/// The per-VP rows of a prefix's survey, before its set cover: each VP's
+/// views folded in, in VP order.
+struct Rows {
+    /// Every VP's candidates as one run, in VP order; sorted by
+    /// `(candidate, vp)` once all VPs are in, a candidate's covering VPs
+    /// are contiguous, and the greedy cover is a scan per pick instead of
+    /// a map per pick.
     run: Vec<Incidence>,
+    /// `(mean distance, vp, position in the surveyed list)` of the in-range
+    /// VPs, in VP order: the fallback ranking and the in-range bits.
+    near: Vec<(f64, Addr, u32)>,
+    /// The smallest `(mean distance, vp)` measured.
+    closest: Option<(f64, Addr)>,
+}
+
+impl Rows {
+    /// Rows for `n_vps` VPs: era-2020 prefixes average under three shared
+    /// candidates a VP; one in seven has more than four and doubles the
+    /// run once.
+    fn new(n_vps: usize) -> Rows {
+        Rows {
+            run: Vec::with_capacity(4 * n_vps),
+            near: Vec::with_capacity(n_vps),
+            closest: None,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.run.clear();
+        self.near.clear();
+        self.closest = None;
+    }
+
+    /// Fold VP `vp`, at position `vp_at` of the surveyed list, in: its
+    /// views of the destinations that answered its RR pings, in
+    /// destination order.
+    fn fold(&mut self, vp_at: usize, vp: Addr, views: &[PathView]) {
+        let Some((first, rest)) = views.split_first() else {
+            return;
+        };
+        let (sum, reached) = (views.iter())
+            .filter_map(|v| v.dest_dist)
+            .fold((0, 0), |(sum, n), d| (sum + d, n + 1));
+        if reached > 0 {
+            let dist = sum as f64 / reached as f64;
+            self.closer((dist, vp));
+            if dist <= RR_RANGE as f64 {
+                self.near.push((dist, vp, vp_at as u32));
+            }
+        }
+        // Candidates on *both* paths (or the single path if only one
+        // destination answered RR).
+        for (rank, &cand) in first.candidates.iter().enumerate() {
+            if rest.iter().all(|v| v.candidates.contains(&cand)) {
+                self.run.push(Incidence {
+                    cand,
+                    vp,
+                    vp_at: vp_at as u32,
+                    dist: rank as u8,
+                });
+            }
+        }
+    }
+}
+
+impl Rows {
+    /// Keep `seen` as the closest VP if it is nearer than the one kept
+    /// (ties: the lower address).
+    fn closer(&mut self, seen: (f64, Addr)) {
+        if self.closest.is_none_or(|best| seen < best) {
+            self.closest = Some(seen);
+        }
+    }
+
+    /// Take in another run of VPs' rows.
+    fn extend(&mut self, other: &Rows) {
+        self.run.extend_from_slice(&other.run);
+        self.near.extend_from_slice(&other.near);
+        if let Some(seen) = other.closest {
+            self.closer(seen);
+        }
+    }
+}
+
+/// What one VP's RR pings of a prefix's round saw: its views of the
+/// destinations that answered, in destination order.
+#[derive(Default)]
+struct Views {
+    views: [PathView; DESTS_PER_PREFIX],
+    answered: usize,
+}
+
+impl Views {
+    /// Steps 2–3 for one VP: RR-ping each destination, destination `k` as
+    /// soon as its scan ping answered (`found[k]`), through `rr_ping(at,
+    /// dst)`, and parse each reply against the prefix.
+    fn ping(
+        mut rr_ping: impl FnMut(f64, Addr) -> Option<RrReply>,
+        dests: &[Addr],
+        found: &[(usize, f64)],
+        prefix: Prefix,
+        h: Heuristics,
+    ) -> Views {
+        let mut v = Views::default();
+        for (&d, &(_, at_ms)) in dests.iter().zip(found) {
+            if let Some(r) = rr_ping(at_ms, d) {
+                v.views[v.answered] = path_view(&r.slots, prefix, h);
+                v.answered += 1;
+            }
+        }
+        v
+    }
+
+    fn answered(&self) -> &[PathView] {
+        &self.views[..self.answered]
+    }
+}
+
+/// Working memory of the survey, sized by the VP list and reused from one
+/// prefix to the next.
+struct SurveyScratch {
+    /// The prefix's per-VP rows.
+    rows: Rows,
     /// By VP position: covered by an ingress already picked.
     covered: Vec<bool>,
-    /// `(mean distance, vp)` of the in-range VPs: the fallback ranking.
-    near: Vec<(f64, Addr)>,
     /// Ingresses picked so far, copied out at their exact count.
     picked: Vec<IngressInfo>,
 }
@@ -516,33 +651,25 @@ struct SurveyScratch {
 impl SurveyScratch {
     fn new(n_vps: usize) -> SurveyScratch {
         SurveyScratch {
-            // Era-2020 prefixes average under three shared candidates a VP;
-            // one in seven has more than four and doubles the run once.
-            run: Vec::with_capacity(4 * n_vps),
+            rows: Rows::new(n_vps),
             covered: Vec::with_capacity(n_vps),
-            near: Vec::with_capacity(n_vps),
             picked: Vec::with_capacity(16),
         }
     }
 
-    /// §4.3 for one prefix, as one [`Round`] (lending `trees`, when the
-    /// caller surveys enough prefixes to share them): the scan's pings,
-    /// then one RR ping per (VP, destination), VP-major, each sent when its
-    /// destination's scan ping answered. Probes go out in a fixed order and
-    /// every choice among VPs is made on their addresses, never their
-    /// positions, so a permuted VP list gives the same answer.
+    /// §4.3 for one prefix, as one [`Round`] walking every hop: the scan's
+    /// pings, then one RR ping per (VP, destination), VP-major, each sent
+    /// when its destination's scan ping answered. Probes go out in a fixed
+    /// order and every choice among VPs is made on their addresses, never
+    /// their positions, so a permuted VP list gives the same answer.
     fn survey(
         &mut self,
         prober: &Prober<'_>,
-        trees: Option<&mut SurveyTrees>,
         vps: &[Addr],
         p: PrefixId,
         h: Heuristics,
     ) -> PrefixInfo {
-        let mut round = match trees {
-            Some(trees) => prober.survey_round(trees),
-            None => prober.round(),
-        };
+        let mut round = prober.round();
         let scan = responsive_dests(&mut round, prober, vps, p);
         if scan.0.is_empty() {
             return PrefixInfo::default();
@@ -561,69 +688,54 @@ impl SurveyScratch {
         h: Heuristics,
         (dests, wave): (Vec<Addr>, Wave),
     ) -> PrefixInfo {
-        let prefix = prober.prefix(p);
-
-        // 2–3. RR-ping the destinations from every VP, each as soon as its
-        // scan ping answered, and fold each VP's merged view into the
-        // tables.
-        self.run.clear();
-        self.near.clear();
-        let mut in_range = vec![0u64; vps.len().div_ceil(64)].into_boxed_slice();
-        let mut closest: Option<(f64, Addr)> = None;
+        self.rows.clear();
+        let (prefix, found) = (prober.prefix(p), &wave.found[..wave.len]);
         for (vp_at, &vp) in vps.iter().enumerate() {
-            let mut views = [PathView::default(); DESTS_PER_PREFIX];
-            let mut answered = 0;
-            for (&d, &(_, at_ms)) in dests.iter().zip(&wave.found) {
-                if let Some(r) = round.rr_ping(at_ms, vp, d) {
-                    views[answered] = path_view(&r.slots, prefix, h);
-                    answered += 1;
-                }
-            }
-            let Some((first, rest)) = views[..answered].split_first() else {
-                continue;
-            };
-            let (sum, reached) = views[..answered]
-                .iter()
-                .filter_map(|v| v.dest_dist)
-                .fold((0, 0), |(sum, n), d| (sum + d, n + 1));
-            if reached > 0 {
-                let dist = sum as f64 / reached as f64;
-                if closest.is_none_or(|best| (dist, vp) < best) {
-                    closest = Some((dist, vp));
-                }
-                if dist <= RR_RANGE as f64 {
-                    in_range[vp_at / 64] |= 1 << (vp_at % 64);
-                    self.near.push((dist, vp));
-                }
-            }
-            // Candidates on *both* paths (or the single path if only one
-            // destination answered RR).
-            for (rank, &cand) in first.candidates.iter().enumerate() {
-                if rest.iter().all(|v| v.candidates.contains(&cand)) {
-                    self.run.push(Incidence {
-                        cand,
-                        vp,
-                        vp_at: vp_at as u32,
-                        dist: rank as u8,
-                    });
-                }
-            }
+            let rr_ping = |at_ms, d| round.rr_ping(at_ms, vp, d);
+            let views = Views::ping(rr_ping, &dests, found, prefix, h);
+            self.rows.fold(vp_at, vp, views.answered());
         }
-        self.run.sort_unstable_by_key(|i| (i.cand, i.vp));
-        let mut candidates = Vec::with_capacity(self.run.chunk_by(same_candidate).count());
-        candidates.extend(self.run.chunk_by(same_candidate).map(|g| g[0].cand));
+        self.finish(prober, vps.len(), p, dests)
+    }
+
+    /// Steps 4–5 on the rows of all `n_vps` VPs: the candidate set, the
+    /// greedy cover, the fallback ranking and the in-range bits, as the
+    /// prefix's [`PrefixInfo`]. The VPs may have been folded in any order:
+    /// every key sorted or ranked on is unique — `(candidate, vp)` in the
+    /// run (a view lists a candidate once), `(distance, vp)` in the
+    /// ranking and for the closest VP — so the answer is the VP order's.
+    fn finish(
+        &mut self,
+        prober: &Prober<'_>,
+        n_vps: usize,
+        p: PrefixId,
+        dests: Vec<Addr>,
+    ) -> PrefixInfo {
+        let rows = &mut self.rows;
+        let mut in_range = vec![0u64; n_vps.div_ceil(64)].into_boxed_slice();
+        for &(_, _, at) in &rows.near {
+            in_range[at as usize / 64] |= 1 << (at % 64);
+        }
+        let run = &mut rows.run;
+        // `(cand, vp)` as one word: the same order, one comparison.
+        run.sort_unstable_by_key(|i| u64::from(i.cand.0) << 32 | u64::from(i.vp.0));
+        debug_assert!(run
+            .windows(2)
+            .all(|w| (w[0].cand, w[0].vp) < (w[1].cand, w[1].vp)));
+        let mut candidates = Vec::with_capacity(run.chunk_by(same_candidate).count());
+        candidates.extend(run.chunk_by(same_candidate).map(|g| g[0].cand));
 
         // 4. Greedy set cover of VPs by candidate ingress: pick the
         // candidate on the most uncovered VPs' paths (ties: a seeded hash
         // of the address), drop those VPs from the run, repeat. Counts only
         // fall, so the picks come out in coverage order.
         self.covered.clear();
-        self.covered.resize(vps.len(), false);
+        self.covered.resize(n_vps, false);
         let tie_seed = prober.seed() ^ 0x5e7c;
         loop {
             let mut best: Option<((usize, u64, Addr), usize)> = None;
             let mut start = 0;
-            for group in self.run.chunk_by(same_candidate) {
+            for group in run.chunk_by(same_candidate) {
                 let cand = group[0].cand;
                 let key = (
                     group.len(),
@@ -640,7 +752,7 @@ impl SurveyScratch {
             };
             // The winner's VPs, closest first (ties: lowest address); the
             // reordered group leaves the run right below.
-            let group = &mut self.run[start..start + cover];
+            let group = &mut run[start..start + cover];
             group.sort_unstable_by_key(|i| (i.dist, i.vp));
             for i in group.iter() {
                 self.covered[i.vp_at as usize] = true;
@@ -651,23 +763,284 @@ impl SurveyScratch {
                 ranked_vps: group.iter().take(VPS_PER_INGRESS).map(|i| i.vp).collect(),
             });
             let covered = &self.covered;
-            self.run.retain(|i| !covered[i.vp_at as usize]);
+            run.retain(|i| !covered[i.vp_at as usize]);
         }
         debug_assert!(self.picked.windows(2).all(|w| w[0].cover >= w[1].cover));
 
         // 5. Fallback ranking for ingress-less prefixes.
-        self.near
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let near = &mut rows.near;
+        near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         PrefixInfo {
             dests,
             ingresses: self.picked.drain(..).collect(),
-            fallback: self.near.iter().map(|&(_, vp)| vp).collect(),
+            fallback: near.iter().map(|&(_, vp, _)| vp).collect(),
             in_range,
-            closest_vp: closest.map(|(_, vp)| vp),
+            closest_vp: rows.closest.map(|(_, vp)| vp),
             candidates,
         }
     }
+}
+
+/// What one wave of a pooled survey is.
+#[derive(Clone, Copy)]
+enum Task {
+    /// Step 1: unit `i` pings scan candidate `cands[i]` at the round's
+    /// start.
+    Scan {
+        start_ms: f64,
+        cands: [Addr; DEST_SCAN_LIMIT],
+    },
+    /// Steps 2–3.
+    Rr(RrTask),
+}
+
+/// An RR wave: unit `v` is the VP at position `v`, which RR-pings
+/// `dests[..n]`, destination `k` when its scan ping answered (`found[k]`);
+/// a helper folds its VPs into its rows buffer `buf`.
+#[derive(Clone, Copy)]
+struct RrTask {
+    start_ms: f64,
+    prefix: Prefix,
+    dests: [Addr; DESTS_PER_PREFIX],
+    found: [(usize, f64); DESTS_PER_PREFIX],
+    n: usize,
+    buf: usize,
+}
+
+/// The survey's side of the pool: the wave in flight, the claims on its
+/// units — scan candidates, or VPs — and what they answered. Every unit's
+/// probes are a function of the unit alone (a probe's outcome of the packet
+/// and its send instant; the trees it borrows are caches), and the rows a
+/// prefix's VPs fold into come out the same in any order (see
+/// [`SurveyScratch::finish`]), so which worker drives a unit, and when,
+/// changes nothing the survey keeps.
+struct Survey<'a, 's> {
+    prober: &'a Prober<'s>,
+    vps: &'a [Addr],
+    h: Heuristics,
+    /// Written by the owner between waves, read by every worker in one.
+    task: RwLock<Task>,
+    /// The wave's units, a home range per worker.
+    claims: pool::Claims,
+    /// Helpers hired so far: the next one's worker index (the owner is 0).
+    hired: AtomicUsize,
+    /// By scan candidate: whether it answered, and its chain's length.
+    scan: Mutex<[(bool, f64); DEST_SCAN_LIMIT]>,
+    /// Each VP's reply tree, by position.
+    trees: Box<[Mutex<ReplyTree>]>,
+    /// By helper: the rows its VPs folded into in the last two RR waves, by
+    /// wave parity — the owner covers one prefix while the helpers fill
+    /// the other buffer with the next.
+    lanes: Box<[[Mutex<Rows>; 2]]>,
+    /// The latest end of the wave's RR pings, from the round's start.
+    rr_end_ms: Mutex<f64>,
+}
+
+impl<'a, 's> Survey<'a, 's> {
+    fn new(prober: &'a Prober<'s>, vps: &'a [Addr], h: Heuristics, width: usize) -> Self {
+        let trees = vps.iter().map(|&vp| Mutex::new(ReplyTree::new(prober, vp)));
+        let lane = || [0; 2].map(|_| Mutex::new(Rows::new(vps.len())));
+        Survey {
+            prober,
+            vps,
+            h,
+            task: RwLock::new(Task::Scan {
+                start_ms: 0.0,
+                cands: [Addr(0); DEST_SCAN_LIMIT],
+            }),
+            claims: pool::Claims::new(width),
+            hired: AtomicUsize::new(0),
+            scan: Mutex::new([(false, 0.0); DEST_SCAN_LIMIT]),
+            trees: trees.collect(),
+            lanes: (1..width).map(|_| lane()).collect(),
+            rr_end_ms: Mutex::new(0.0),
+        }
+    }
+
+    /// Publish `task`, over units `0..n`, as the next wave's.
+    fn publish(&self, task: Task, n: usize) {
+        *self
+            .task
+            .write()
+            .expect("no worker panicked holding the task") = task;
+        *self
+            .rr_end_ms
+            .lock()
+            .expect("no worker panicked holding the end") = 0.0;
+        self.claims.reset(n);
+    }
+
+    /// The scan's wave over candidates `0..n`, and its longest chain.
+    fn scanned(&self, n: usize) -> (Wave, f64) {
+        let answers = *self
+            .scan
+            .lock()
+            .expect("no worker panicked holding the scan");
+        let end = answers[..n].iter().map(|&(_, ms)| ms).fold(0.0, f64::max);
+        (wave(n, |i| answers[i]), end)
+    }
+
+    /// `worker`'s share of a scan wave: claim candidates until none is
+    /// left and ping each, in a part of the prefix's round.
+    fn scan(&self, worker: &Worker, start_ms: f64, cands: &[Addr; DEST_SCAN_LIMIT]) {
+        let mut round = self.prober.round_part(start_ms, None);
+        for i in self.claims.claims(worker.at) {
+            let (reply, chain_ms) = round.ping(0.0, self.vps[0], cands[i]);
+            let mut answers = self.scan.lock().expect("no panic holding the scan");
+            answers[i] = (reply.is_some(), chain_ms);
+        }
+    }
+
+    /// `worker`'s share of an RR wave: claim VPs until none is left and
+    /// RR-ping each one's destinations, in a part of the prefix's round,
+    /// lending the worker's trees toward them and the VP's reply tree
+    /// back; fold each VP's views into `rows`.
+    fn rr(&self, worker: &mut Worker, rows: &mut Rows, task: &RrTask) {
+        let (dests, found) = (&task.dests[..task.n], &task.found[..task.n]);
+        let mut round = self
+            .prober
+            .round_part(task.start_ms, Some(&mut worker.trees));
+        rows.clear();
+        for v in self.claims.claims(worker.at) {
+            let mut tree = self.trees[v].lock().expect("no panic holding a tree");
+            let vp = tree.vp();
+            let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, &mut tree, d);
+            let views = Views::ping(rr_ping, dests, found, task.prefix, self.h);
+            rows.fold(v, vp, views.answered());
+        }
+        let mut end = self.rr_end_ms.lock().expect("no panic holding the end");
+        *end = end.max(round.end_ms());
+    }
+}
+
+/// A survey worker: its index among the pool's workers (the owner's is 0),
+/// and the forward trees it lends its RR pings.
+struct Worker {
+    at: usize,
+    trees: SurveyTrees,
+}
+
+impl Worker {
+    fn new(prober: &Prober<'_>, at: usize) -> Worker {
+        Worker {
+            at,
+            trees: SurveyTrees::new(prober, DESTS_PER_PREFIX),
+        }
+    }
+}
+
+impl pool::Crew for Survey<'_, '_> {
+    type Local = Worker;
+
+    fn hire(&self) -> Worker {
+        Worker::new(self.prober, self.hired.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+
+    /// A helper's share of the wave; its VPs fold into its lane's buffer.
+    fn work(&self, worker: &mut Worker) {
+        let task = *self.task.read().expect("the owner published the task");
+        match task {
+            Task::Scan { start_ms, cands } => self.scan(worker, start_ms, &cands),
+            Task::Rr(rr) => {
+                let lane = &self.lanes[worker.at - 1][rr.buf];
+                let mut rows = lane.lock().expect("no panic holding a lane");
+                self.rr(worker, &mut rows, &rr);
+            }
+        }
+    }
+
+    fn retire(&self, _: Worker) {}
+}
+
+/// A prefix whose RR pings are in, still to cover: its destinations, and
+/// the lane buffer its RR wave filled.
+struct Pending {
+    p: PrefixId,
+    dests: Vec<Addr>,
+    buf: usize,
+}
+
+impl SurveyScratch {
+    /// Steps 4–5 of `pending`, whose owner's rows are the scratch's: the
+    /// helpers' rows appended, then the cover.
+    fn merge(&mut self, survey: &Survey<'_, '_>, pending: Pending) -> PrefixInfo {
+        for lane in survey.lanes.iter() {
+            let rows = lane[pending.buf].lock().expect("no panic holding a lane");
+            self.rows.extend(&rows);
+        }
+        let n_vps = survey.vps.len();
+        self.finish(survey.prober, n_vps, pending.p, pending.dests)
+    }
+}
+
+/// [`IngressDb::build`] on a pool of `width` workers. Each prefix is one
+/// round driven in parts: its scan candidates, then its VPs, are claimed
+/// by the workers, each from its home range first ([`pool::Claims`]), and
+/// the owner joins the parts' ends and charges the clock once. The owner
+/// covers the previous prefix inside each RR wave before it claims VPs, so
+/// the helpers take over more of its VPs while it covers.
+fn survey_on_pool(
+    prober: &Prober<'_>,
+    vps: &[Addr],
+    prefixes: &[PrefixId],
+    h: Heuristics,
+    width: usize,
+    per_prefix: &mut [Option<PrefixInfo>],
+) {
+    let mut scratch = SurveyScratch::new(vps.len());
+    let mut owner = Worker::new(prober, 0);
+    pool::scoped(Survey::new(prober, vps, h, width), width, |mut pool| {
+        let survey = pool.crew();
+        let mut pending: Option<Pending> = None;
+        let mut buf = 0;
+        for &p in prefixes {
+            let mut round = prober.round();
+            let start_ms = round.start_ms();
+            let mut cands = [Addr(0); DEST_SCAN_LIMIT];
+            let n = (cands.iter_mut().zip(prober.host_addrs(p)))
+                .map(|(c, a)| *c = a)
+                .count();
+            // No VP, no pinger: nothing to scan with.
+            let n = if vps.is_empty() { 0 } else { n };
+            survey.publish(Task::Scan { start_ms, cands }, n);
+            pool.wave(n > 1, |survey| survey.scan(&owner, start_ms, &cands));
+            let (wave, scan_ms) = survey.scanned(n);
+            round.join(scan_ms);
+            if wave.len == 0 {
+                per_prefix[p.index()] = Some(PrefixInfo::default());
+                continue;
+            }
+            let mut dests = [Addr(0); DESTS_PER_PREFIX];
+            for (d, &(i, _)) in dests.iter_mut().zip(&wave.found[..wave.len]) {
+                *d = cands[i];
+            }
+            let rr = RrTask {
+                start_ms,
+                prefix: prober.prefix(p),
+                dests,
+                found: wave.found,
+                n: wave.len,
+                buf,
+            };
+            survey.publish(Task::Rr(rr), vps.len());
+            pool.wave(vps.len() > 1, |survey| {
+                if let Some(q) = pending.take() {
+                    let at = q.p.index();
+                    per_prefix[at] = Some(scratch.merge(survey, q));
+                }
+                survey.rr(&mut owner, &mut scratch.rows, &rr);
+            });
+            round.join(*survey.rr_end_ms.lock().expect("the wave is over"));
+            let dests = dests[..wave.len].to_vec();
+            pending = Some(Pending { p, dests, buf });
+            buf = 1 - buf;
+        }
+        if let Some(q) = pending {
+            let at = q.p.index();
+            per_prefix[at] = Some(scratch.merge(survey, q));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -681,6 +1054,51 @@ mod tests {
         let sim = Sim::build(SimConfig::tiny(), 17);
         let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
         (sim, vps)
+    }
+
+    /// The pooled survey is the serial one at every width: on a fresh
+    /// simulator per width, every `PrefixInfo` and the global order equal
+    /// width 1's, and so do the clock and simulator-hour bits, the counters
+    /// and the route computes — clean, and under transient loss with three
+    /// attempts a probe (a fault whose draws read the packet and its send
+    /// instant, never the order probes went out in).
+    #[test]
+    fn the_survey_is_the_same_at_every_width() {
+        for seed in [1, 7, 42] {
+            for (loss, attempts) in [(0.0, 1), (0.15, 3)] {
+                let mut cfg = SimConfig::tiny();
+                cfg.faults = FaultConfig::lossy(loss);
+                let retry = RetryPolicy::uniform(attempts);
+                let survey = |width| {
+                    let sim = Sim::build(cfg.clone(), seed);
+                    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+                    let prefixes: Vec<PrefixId> =
+                        sim.topo().prefixes.iter().map(|p| p.id).collect();
+                    let prober = Prober::new(&sim).with_retry_policy(retry);
+                    assert!(prober.order_free());
+                    let db = IngressDb::build_at(&prober, &vps, &prefixes, Heuristics::FULL, width);
+                    let infos: Vec<(PrefixId, PrefixInfo)> =
+                        db.prefixes().map(|(p, info)| (p, info.clone())).collect();
+                    let readings = (
+                        prober.clock().now_ms().to_bits(),
+                        sim.now_hours().to_bits(),
+                        prober.counters().snapshot(),
+                        sim.route_computes(),
+                    );
+                    (infos, db.global_plan().to_vec(), readings)
+                };
+                let serial = survey(1);
+                assert!(serial.0.iter().any(|(_, info)| info.ingresses.len() > 1));
+                assert!(
+                    loss == 0.0 || serial.2 .2.retries > 0,
+                    "seed {seed}: no retry"
+                );
+                for width in [2, 3, 4] {
+                    let pooled = survey(width);
+                    assert!(pooled == serial, "seed {seed}, loss {loss}, width {width}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   ingress, each cut to size in one allocation — plus a constant for the
 //!   scratch, the tables and the global order, however many VPs answered or
 //!   set-cover picks it took, and its sink trees: one block per surveyed
-//!   destination position and per VP, made once, never per prefix;
+//!   destination position and per VP, made once, never per prefix — and,
+//!   on a host with more than one core, a fixed cost per pool helper;
 //! * the standalone `probe_prefix` pays that scratch per call and nothing
 //!   else — it lends no tree;
 //! * `parse_rr` and `path_view` allocate nothing.
@@ -45,6 +46,14 @@ const BUILD_CONSTANT: u64 = 12;
 fn tree_blocks(n_vps: usize) -> u64 {
     (2 + n_vps + 1) as u64
 }
+/// What each helper of the build's pool adds, once: its thread's start and
+/// the thread-locals its first probes set up (two more under the test
+/// harness's output capture, which a spawned thread inherits), its forward
+/// sink trees and the list they sit in, and its lane — two rows of two
+/// vectors each, and the lanes' list. (Read on the 2-core reference host at
+/// widths 2, 3 and 4: 16, 14 and 13 a helper captured; 14, 11 and 13 with
+/// `--nocapture`.)
+const PER_HELPER: u64 = 16;
 /// Scratch of one standalone `probe_prefix`: four blocks, and the run
 /// doubling at most twice (a VP can bring nine candidates; the run is sized
 /// for four).
@@ -72,8 +81,13 @@ fn the_survey_allocates_what_it_returns() {
         contested >= 4,
         "only {contested} set covers took a second pick: the gate is vacuous"
     );
-    let bound = outputs + BUILD_CONSTANT + tree_blocks(vps.len());
-    eprintln!("IngressDb::build: {build} allocations for {outputs} output blocks (bound {bound})");
+    // The build runs on a pool as wide as the host's cores.
+    let helpers = revtr_netsim::pool::cores() as u64 - 1;
+    let bound = outputs + BUILD_CONSTANT + tree_blocks(vps.len()) + PER_HELPER * helpers;
+    eprintln!(
+        "IngressDb::build: {build} allocations for {outputs} output blocks, \
+         {helpers} pool helper(s) (bound {bound})"
+    );
     assert!(
         build <= bound,
         "IngressDb::build allocated {build} times for {outputs} output blocks"
