@@ -953,19 +953,25 @@ impl pool::Crew for Survey<'_, '_> {
     fn retire(&self, _: Worker) {}
 }
 
-/// A prefix whose RR pings are in, still to cover: its destinations, and
-/// the lane buffer its RR wave filled.
+/// A prefix whose RR pings are in, still to cover: its destinations, the
+/// lane buffer its RR wave filled, and whether helpers took part in it.
 struct Pending {
     p: PrefixId,
     dests: Vec<Addr>,
     buf: usize,
+    helped: bool,
 }
 
 impl SurveyScratch {
     /// Steps 4–5 of `pending`, whose owner's rows are the scratch's: the
-    /// helpers' rows appended, then the cover.
+    /// helpers' rows appended, if they took part, then the cover.
     fn merge(&mut self, survey: &Survey<'_, '_>, pending: Pending) -> PrefixInfo {
-        for lane in survey.lanes.iter() {
+        let lanes = if pending.helped {
+            &survey.lanes[..]
+        } else {
+            &[]
+        };
+        for lane in lanes {
             let rows = lane[pending.buf].lock().expect("no panic holding a lane");
             self.rows.extend(&rows);
         }
@@ -1024,7 +1030,10 @@ fn survey_on_pool(
                 buf,
             };
             survey.publish(Task::Rr(rr), vps.len());
-            pool.wave(vps.len() > 1, |survey| {
+            // A one-VP survey's RR waves run on the owner alone, and the
+            // helpers' lanes keep their last RR wave's rows.
+            let helped = vps.len() > 1;
+            pool.wave(helped, |survey| {
                 if let Some(q) = pending.take() {
                     let at = q.p.index();
                     per_prefix[at] = Some(scratch.merge(survey, q));
@@ -1033,7 +1042,12 @@ fn survey_on_pool(
             });
             round.join(*survey.rr_end_ms.lock().expect("the wave is over"));
             let dests = dests[..wave.len].to_vec();
-            pending = Some(Pending { p, dests, buf });
+            pending = Some(Pending {
+                p,
+                dests,
+                buf,
+                helped,
+            });
             buf = 1 - buf;
         }
         if let Some(q) = pending {
@@ -1061,7 +1075,8 @@ mod tests {
     /// width 1's, and so do the clock and simulator-hour bits, the counters
     /// and the route computes — clean, and under transient loss with three
     /// attempts a probe (a fault whose draws read the packet and its send
-    /// instant, never the order probes went out in).
+    /// instant, never the order probes went out in). A one-VP survey runs
+    /// its RR waves on the owner alone, with helpers standing by.
     #[test]
     fn the_survey_is_the_same_at_every_width() {
         for seed in [1, 7, 42] {
@@ -1069,14 +1084,15 @@ mod tests {
                 let mut cfg = SimConfig::tiny();
                 cfg.faults = FaultConfig::lossy(loss);
                 let retry = RetryPolicy::uniform(attempts);
-                let survey = |width| {
+                let survey = |width, n_vps: usize| {
                     let sim = Sim::build(cfg.clone(), seed);
                     let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+                    let vps = &vps[..n_vps.min(vps.len())];
                     let prefixes: Vec<PrefixId> =
                         sim.topo().prefixes.iter().map(|p| p.id).collect();
                     let prober = Prober::new(&sim).with_retry_policy(retry);
                     assert!(prober.order_free());
-                    let db = IngressDb::build_at(&prober, &vps, &prefixes, Heuristics::FULL, width);
+                    let db = IngressDb::build_at(&prober, vps, &prefixes, Heuristics::FULL, width);
                     let infos: Vec<(PrefixId, PrefixInfo)> =
                         db.prefixes().map(|(p, info)| (p, info.clone())).collect();
                     let readings = (
@@ -1087,16 +1103,20 @@ mod tests {
                     );
                     (infos, db.global_plan().to_vec(), readings)
                 };
-                let serial = survey(1);
+                let serial = survey(1, usize::MAX);
                 assert!(serial.0.iter().any(|(_, info)| info.ingresses.len() > 1));
                 assert!(
                     loss == 0.0 || serial.2 .2.retries > 0,
                     "seed {seed}: no retry"
                 );
                 for width in [2, 3, 4] {
-                    let pooled = survey(width);
+                    let pooled = survey(width, usize::MAX);
                     assert!(pooled == serial, "seed {seed}, loss {loss}, width {width}");
                 }
+                assert!(
+                    survey(2, 1) == survey(1, 1),
+                    "seed {seed}, loss {loss}, one VP"
+                );
             }
         }
     }
