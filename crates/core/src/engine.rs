@@ -55,7 +55,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
     /// Workers claiming jobs off a wave's cursor, clamped to the host's
-    /// cores (counted once per system, by its first wave) and the wave's
+    /// cores ([`pool::cores`], counted once a process) and the wave's
     /// jobs. `1` (the default) drives every job on
     /// the calling thread in index order — the reproducible schedule the
     /// metrics goldens pin; more are the calling thread plus scoped threads
@@ -968,7 +968,7 @@ impl<'s> RevtrSystem<'s> {
             payload: Mutex::new(None),
         };
         // Oversubscribing the host's cores only adds scheduler churn.
-        let width = lc.workers.min(self.cores());
+        let width = lc.workers.min(pool::cores());
         pool::scoped(shared, width, |pool| {
             f(&mut WavePool {
                 pool,

@@ -29,7 +29,7 @@ use revtr_probing::{
     StopSet, WordMap,
 };
 use revtr_vpselect::{IngressDb, PlanView};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Extract reverse hops from an RR reply to `dst`: the slots after the
 /// destination's own stamp (located by exact match, or by the Appx. C
@@ -214,11 +214,6 @@ pub struct RevtrSystem<'s> {
     /// The campaign-wide probe-economy layer (consulted and fed only when
     /// [`EngineConfig::use_stop_sets`] is set).
     stopset: Arc<StopSet>,
-    /// The host's core count — the ceiling on a pool's width — resolved
-    /// by the first pool: asking the OS reads cgroup files (15 µs, four
-    /// allocations), too dear per campaign of a few requests and wasted
-    /// on a system that never runs one.
-    cores: OnceLock<usize>,
     /// Idle request scratches. A driver takes one for as long as it
     /// drives and hands it back, so the list never holds more than the
     /// most drivers that ever ran at once; a driver that panics drops
@@ -264,16 +259,8 @@ impl<'s> RevtrSystem<'s> {
             usage: Mutex::default(),
             generation: Mutex::default(),
             stopset: Arc::new(StopSet::new()),
-            cores: OnceLock::new(),
             scratches: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The host's core count.
-    pub(crate) fn cores(&self) -> usize {
-        *self
-            .cores
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Take an idle scratch (or a fresh one) to drive requests with.

@@ -84,13 +84,15 @@ pub struct Baselines {
     /// *faulted* campaign arms. Injected loss with no retry budget makes
     /// surviving requests burn extra 10 s spoofed-batch timeouts, pushing
     /// the p99 band past the clean envelope (seeds {1, 7, 42}, standard:
-    /// 62.9 / 79.7 / 79.7 s clean vs 88.1 / 96.5 / 88.1 s faulted,
-    /// faulted max 187.6 / 187.1 / 164.6 s; smoke: 2–10 s clean vs 22–52 s
-    /// faulted, faulted max 47–107 s), so fault-induced stalls overrun it
+    /// 62.9 / 75.5 / 79.7 s clean vs 83.9 / 113.2 / 92.3 s faulted,
+    /// faulted max 127.4 / 179.5 / 205.9 s; smoke: 2–10 s clean vs 22–44 s
+    /// faulted, faulted max 47–53 s), so fault-induced stalls overrun it
     /// while it still sits above almost every clean request. The standard
     /// envelope, 95 s, sits above every clean p99 and below every seed's
     /// faulted maximum (DESIGN.md §15 *Baseline updates*), so a faulted
-    /// standard campaign fires `stuck-requests` (16 / 21 / 18 flags).
+    /// standard campaign fires `stuck-requests` (10 / 29 / 20 flags). A
+    /// faulted smoke campaign's 25 requests are too few to have such a
+    /// tail: none overruns the smoke envelope at seeds 1–12.
     pub envelope_deadline_ms: f64,
 }
 

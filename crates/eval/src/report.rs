@@ -886,34 +886,40 @@ mod tests {
         assert!(run.stacks.iter().all(|s| s.path.starts_with("request")));
     }
 
+    /// Loss with no retry budget costs the smoke campaign coverage under
+    /// its floor. (Its stall alert is asserted at standard scale, below: a
+    /// smoke campaign's 25 requests put its slowest one above the 100 s
+    /// envelope at no seed of 1–12.)
     #[test]
-    fn faulted_smoke_report_fires_coverage_and_stuck_alerts() {
+    fn faulted_smoke_report_fires_the_coverage_alert() {
         let run = Campaign::faulted(Scale::Smoke, 1, 0.3, 1).run();
         let r = Report::new(&run, &default_policy(Scale::Smoke));
         let text = r.render();
         let firing: Vec<&str> = r.slo.alerts().map(|v| v.rule.as_str()).collect();
         assert!(firing.contains(&"coverage-floor"), "{firing:?}\n{text}");
-        assert!(firing.contains(&"stuck-requests"), "{firing:?}\n{text}");
-        assert!(!run.watchdog.is_empty());
-        assert!(text.contains("== Alerts ==") && text.contains("== Watchdog: stuck requests =="));
-        assert!(text.contains("slo gate: FAIL"));
+        assert!(text.contains("== Alerts ==") && text.contains("slo gate: FAIL"));
     }
 
-    /// The standard envelope sits below the faulted campaign's slowest
-    /// requests, so its watchdog flags them and the stall alert fires.
+    /// The standard envelope sits above every clean p99 and below every
+    /// pinned seed's faulted maximum: 2 000 requests under loss with no
+    /// retry budget put a tail of them past it, so at each of seeds 1, 7
+    /// and 42 the watchdog flags some and the stall alert fires.
     /// Standard scale: slow in a debug build, so ci.sh runs it in release.
     #[test]
     #[ignore = "standard scale; ci.sh runs it in release"]
     fn faulted_standard_report_fires_stuck_requests() {
-        let run = Campaign::faulted(Scale::Standard, 1, 0.3, 1).run();
-        let r = Report::new(&run, &default_policy(Scale::Standard));
-        let firing: Vec<&str> = r.slo.alerts().map(|v| v.rule.as_str()).collect();
-        assert!(!run.watchdog.is_empty(), "no request overran the envelope");
-        assert!(
-            firing.contains(&"stuck-requests"),
-            "{firing:?}\n{}",
-            r.render()
-        );
+        for seed in [1, 7, 42] {
+            let run = Campaign::faulted(Scale::Standard, seed, 0.3, 1).run();
+            let r = Report::new(&run, &default_policy(Scale::Standard));
+            let firing: Vec<&str> = r.slo.alerts().map(|v| v.rule.as_str()).collect();
+            assert!(!run.watchdog.is_empty(), "seed {seed}: no request overran");
+            assert!(
+                firing.contains(&"stuck-requests"),
+                "seed {seed}: {firing:?}\n{}",
+                r.render()
+            );
+            eprintln!("seed {seed}: {} requests flagged", run.watchdog.len());
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn standard_seed42_exports_match_goldens() {
             "metrics {:#018x} journal {:#018x}",
             run.metrics_fingerprint, run.journal_fingerprint
         ),
-        "metrics 0x1e0b1a84e0a65123 journal 0x2830366b87ed2732",
+        "metrics 0x5f536c3a44683c87 journal 0xcde2afab6d3e4049",
         "standard seed-42 campaign fingerprints drifted"
     );
     let report = Report::new(&run, &default_policy(Scale::Standard));

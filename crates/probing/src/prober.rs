@@ -783,11 +783,13 @@ impl<'s> Prober<'s> {
         }
     }
 
-    /// A part of a round that opened at `start_ms` ([`Round::start_ms`]),
-    /// for a thread to drive some of the round's members in, lending its
-    /// forward `trees` to their RR pings: its members go out at the
-    /// instants they would in the round itself, and it charges nothing —
-    /// the round's owner joins its end ([`Round::join`]) and charges once.
+    /// A part of a round, opened at `start_ms` — the round's own start
+    /// ([`Round::start_ms`]) or an instant past it, such as a survey
+    /// prefix's slot — for a thread to drive some of the round's members
+    /// in, lending its forward `trees` to their RR pings: its members go
+    /// out at the instants they would in a round opened then, and it
+    /// charges nothing — the round's owner joins its end ([`Round::join`])
+    /// and charges once.
     pub fn round_part<'p>(
         &'p self,
         start_ms: f64,

@@ -16,11 +16,16 @@
 //! hosts a serial scan finds, for the price of one probe timeout — and each
 //! destination's RR pings go out as soon as it answers.
 //!
+//! [`IngressDb::build`] keeps many prefixes in flight: prefix `i` of its
+//! list opens its round `i` slots ([`SLOT_MS`]) into the build, which is
+//! one round of its own, so each prefix's survey is a function of the
+//! prefix and its slot alone.
+//!
 //! The survey sees what a deployment sees: it reads a prefix's range, its
 //! hitlist and the set-cover tie seed through the [`Prober`], and
 //! [`IngressDb::build`] lends its RR pings sink trees — a worker's
 //! [`SurveyTrees`] toward the destinations, each VP's [`ReplyTree`] back —
-//! through parts of the prefix's round ([`Prober::round_part`]).
+//! through each prefix's part of the build's round ([`Prober::round_part`]).
 //!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3). The
@@ -39,10 +44,11 @@ use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::pool;
 use revtr_netsim::{Addr, Prefix, PrefixId, RrReply};
+use revtr_probing::prober::PROBE_TIMEOUT_MS;
 use revtr_probing::{Prober, ReplyTree, Round, SurveyTrees};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
 /// responsive destinations.
@@ -268,15 +274,19 @@ impl IngressDb {
     /// Every VP pings the same two destinations of a prefix, and every
     /// prefix's replies walk back to the same VPs, so the build keeps a
     /// sink tree per destination and per VP and lends them to its pings:
-    /// same probes, same replies as [`probe_prefix`] prefix by prefix,
-    /// most hops read instead of derived.
+    /// same probes, same replies as [`probe_prefix_in`] at each prefix's
+    /// slot, most hops read instead of derived.
     ///
-    /// Each prefix's round runs on a pool as wide as the host's cores
-    /// ([`revtr_netsim::pool`]): workers claim its scan pings, then its
-    /// VPs, each worker lending its own forward trees, and the round still
-    /// charges the clock once. Every probe's outcome is a function of the
-    /// packet and its send instant, so the survey is the serial one at
-    /// every width — except under an armed ICMP rate limiter, whose buckets
+    /// The build is one round ([`Prober::round`]): prefix `i` of the list
+    /// (distinct prefixes) opens its own round `i` slots ([`SLOT_MS`]) into
+    /// it, and the build charges the clock once as it closes, by its `N`
+    /// slots or its latest prefix's end, whichever is later. No probe of
+    /// the build flushes time into the simulator: churn moves nothing under
+    /// it. The prefixes run on a pool as wide as the host's cores
+    /// ([`revtr_netsim::pool`]): workers claim whole prefixes, each lending
+    /// its own forward trees. Every probe's outcome is a function of the
+    /// packet and its send instant, so the survey is the same at every
+    /// width — except under an armed ICMP rate limiter, whose buckets
     /// answer in the order replies are made: the build then runs at width 1.
     pub fn build(
         prober: &Prober<'_>,
@@ -307,7 +317,16 @@ impl IngressDb {
             prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
             || None,
         );
-        survey_on_pool(prober, vps, prefixes, h, width, &mut per_prefix);
+        let trees: Box<[Mutex<ReplyTree>]> = (vps.iter())
+            .map(|&vp| Mutex::new(ReplyTree::new(prober, vp)))
+            .collect();
+        let survey = Survey {
+            prober,
+            vps,
+            h,
+            replies: Some(&trees),
+        };
+        survey_on_pool(survey, prefixes, width, &mut per_prefix);
         let mut vp_index: Vec<(Addr, u32)> = (0u32..).zip(vps).map(|(i, &vp)| (vp, i)).collect();
         vp_index.sort_unstable();
         let mut db = IngressDb {
@@ -437,12 +456,48 @@ impl IngressDb {
 }
 
 /// Probe one prefix from all VPs (distinct addresses) and derive its
-/// [`PrefixInfo`]. Like [`IngressDb::build`], past the measurement cache;
-/// unlike it, every walk derived hop by hop — one prefix has no tree to
-/// share with the next call, and a fresh one per call would cost more
-/// than the call's whole working memory.
+/// [`PrefixInfo`], as one round of its own. Like [`IngressDb::build`], past
+/// the measurement cache; unlike it, every walk derived hop by hop — one
+/// prefix has no tree to share with the next call, and a fresh one per call
+/// would cost more than the call's whole working memory.
 pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristics) -> PrefixInfo {
-    SurveyScratch::new(vps.len()).survey(prober, vps, p, h)
+    probe_prefix_in(&mut prober.round(), prober, vps, p, h)
+}
+
+/// [`probe_prefix`] into `round`, which `prober` opened: the prefix's own
+/// round, or a part of a wider one ([`Prober::round_part`]) — such as the
+/// part [`IngressDb::build`] opens at the prefix's slot, whose survey this
+/// is, minus the build's sink trees.
+pub fn probe_prefix_in(
+    round: &mut Round<'_, '_>,
+    prober: &Prober<'_>,
+    vps: &[Addr],
+    p: PrefixId,
+    h: Heuristics,
+) -> PrefixInfo {
+    let survey = Survey {
+        prober,
+        vps,
+        h,
+        replies: None,
+    };
+    SurveyScratch::new(vps.len()).survey(&survey, round, p, 0)
+}
+
+/// How long a prefix's round may last in [`IngressDb::build`]: the longest
+/// a loss-free round lasts — a scan ping, then an RR ping sent when its
+/// host answered, each done within a probe timeout. Prefix `i` of the
+/// build's list opens its round `i` slots into the build.
+pub const SLOT_MS: f64 = 2.0 * PROBE_TIMEOUT_MS;
+
+/// What every prefix of a survey is surveyed with: the prober, the VPs
+/// (distinct addresses), the heuristics, and each VP's reply tree, by
+/// position, if the survey lends its RR pings trees.
+struct Survey<'a, 's> {
+    prober: &'a Prober<'s>,
+    vps: &'a [Addr],
+    h: Heuristics,
+    replies: Option<&'a [Mutex<ReplyTree>]>,
 }
 
 /// Step 1 of the survey: up to two responsive destinations of `p`, in
@@ -452,18 +507,17 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
 /// answered.
 fn responsive_dests(
     round: &mut Round<'_, '_>,
-    prober: &Prober<'_>,
-    vps: &[Addr],
+    s: &Survey<'_, '_>,
     p: PrefixId,
 ) -> (Vec<Addr>, Wave) {
     let mut cands = [Addr(0); DEST_SCAN_LIMIT];
-    let n = (cands.iter_mut().zip(prober.host_addrs(p)))
+    let n = (cands.iter_mut().zip(s.prober.host_addrs(p)))
         .map(|(c, a)| *c = a)
         .count();
     // No VP, no pinger: nothing to scan with.
-    let n = if vps.is_empty() { 0 } else { n };
+    let n = if s.vps.is_empty() { 0 } else { n };
     let wave = wave(n, |i| {
-        let (reply, chain_ms) = round.ping(0.0, vps[0], cands[i]);
+        let (reply, chain_ms) = round.ping(0.0, s.vps[0], cands[i]);
         (reply.is_some(), chain_ms)
     });
     let dests = wave.found[..wave.len].iter().map(|&(i, _)| cands[i]);
@@ -520,15 +574,14 @@ fn same_candidate(a: &Incidence, b: &Incidence) -> bool {
 }
 
 /// The per-VP rows of a prefix's survey, before its set cover: each VP's
-/// views folded in, in VP order.
+/// views folded in, in the order the VPs were visited.
 struct Rows {
-    /// Every VP's candidates as one run, in VP order; sorted by
-    /// `(candidate, vp)` once all VPs are in, a candidate's covering VPs
-    /// are contiguous, and the greedy cover is a scan per pick instead of
-    /// a map per pick.
+    /// Every VP's candidates as one run; sorted by `(candidate, vp)` once
+    /// all VPs are in, a candidate's covering VPs are contiguous, and the
+    /// greedy cover is a scan per pick instead of a map per pick.
     run: Vec<Incidence>,
     /// `(mean distance, vp, position in the surveyed list)` of the in-range
-    /// VPs, in VP order: the fallback ranking and the in-range bits.
+    /// VPs: the fallback ranking and the in-range bits.
     near: Vec<(f64, Addr, u32)>,
     /// The smallest `(mean distance, vp)` measured.
     closest: Option<(f64, Addr)>,
@@ -564,7 +617,10 @@ impl Rows {
             .fold((0, 0), |(sum, n), d| (sum + d, n + 1));
         if reached > 0 {
             let dist = sum as f64 / reached as f64;
-            self.closer((dist, vp));
+            // Ties: the lower address.
+            if self.closest.is_none_or(|best| (dist, vp) < best) {
+                self.closest = Some((dist, vp));
+            }
             if dist <= RR_RANGE as f64 {
                 self.near.push((dist, vp, vp_at as u32));
             }
@@ -580,25 +636,6 @@ impl Rows {
                     dist: rank as u8,
                 });
             }
-        }
-    }
-}
-
-impl Rows {
-    /// Keep `seen` as the closest VP if it is nearer than the one kept
-    /// (ties: the lower address).
-    fn closer(&mut self, seen: (f64, Addr)) {
-        if self.closest.is_none_or(|best| seen < best) {
-            self.closest = Some(seen);
-        }
-    }
-
-    /// Take in another run of VPs' rows.
-    fn extend(&mut self, other: &Rows) {
-        self.run.extend_from_slice(&other.run);
-        self.near.extend_from_slice(&other.near);
-        if let Some(seen) = other.closest {
-            self.closer(seen);
         }
     }
 }
@@ -657,45 +694,56 @@ impl SurveyScratch {
         }
     }
 
-    /// §4.3 for one prefix, as one [`Round`] walking every hop: the scan's
-    /// pings, then one RR ping per (VP, destination), VP-major, each sent
-    /// when its destination's scan ping answered. Probes go out in a fixed
-    /// order and every choice among VPs is made on their addresses, never
-    /// their positions, so a permuted VP list gives the same answer.
+    /// §4.3 for prefix `p`, into `round`: the scan's pings, then one RR
+    /// ping per (VP, destination), each sent when its destination's scan
+    /// ping answered, visiting the VPs from position `from` on (wrapping
+    /// around). The probes' instants are fixed by the round and the
+    /// answers, and every choice among VPs is made on their addresses,
+    /// never their positions or visiting order, so a permuted VP list or
+    /// another `from` gives the same answer.
     fn survey(
         &mut self,
-        prober: &Prober<'_>,
-        vps: &[Addr],
+        s: &Survey<'_, '_>,
+        round: &mut Round<'_, '_>,
         p: PrefixId,
-        h: Heuristics,
+        from: usize,
     ) -> PrefixInfo {
-        let mut round = prober.round();
-        let scan = responsive_dests(&mut round, prober, vps, p);
+        let scan = responsive_dests(round, s, p);
         if scan.0.is_empty() {
             return PrefixInfo::default();
         }
-        self.survey_dests(&mut round, prober, vps, p, h, scan)
+        self.survey_dests(s, round, p, from, scan)
     }
 
     /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
-    /// found (at least one) and its wave, into the prefix's round.
+    /// found (at least one) and its wave. A VP's RR pings walk back along
+    /// its reply tree, held for both, if the survey keeps them.
     fn survey_dests(
         &mut self,
+        s: &Survey<'_, '_>,
         round: &mut Round<'_, '_>,
-        prober: &Prober<'_>,
-        vps: &[Addr],
         p: PrefixId,
-        h: Heuristics,
+        from: usize,
         (dests, wave): (Vec<Addr>, Wave),
     ) -> PrefixInfo {
         self.rows.clear();
-        let (prefix, found) = (prober.prefix(p), &wave.found[..wave.len]);
-        for (vp_at, &vp) in vps.iter().enumerate() {
-            let rr_ping = |at_ms, d| round.rr_ping(at_ms, vp, d);
-            let views = Views::ping(rr_ping, &dests, found, prefix, h);
-            self.rows.fold(vp_at, vp, views.answered());
+        let (prefix, found) = (s.prober.prefix(p), &wave.found[..wave.len]);
+        let n_vps = s.vps.len();
+        for v in (from..n_vps).chain(0..from) {
+            let views = match s.replies {
+                None => {
+                    let rr_ping = |at_ms, d| round.rr_ping(at_ms, s.vps[v], d);
+                    Views::ping(rr_ping, &dests, found, prefix, s.h)
+                }
+                Some(trees) => {
+                    let mut tree = trees[v].lock().expect("no worker panicked holding a tree");
+                    let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, &mut tree, d);
+                    Views::ping(rr_ping, &dests, found, prefix, s.h)
+                }
+            };
+            self.rows.fold(v, s.vps[v], views.answered());
         }
-        self.finish(prober, vps.len(), p, dests)
+        self.finish(s.prober, n_vps, p, dests)
     }
 
     /// Steps 4–5 on the rows of all `n_vps` VPs: the candidate set, the
@@ -782,286 +830,127 @@ impl SurveyScratch {
     }
 }
 
-/// What one wave of a pooled survey is.
-#[derive(Clone, Copy)]
-enum Task {
-    /// Step 1: unit `i` pings scan candidate `cands[i]` at the round's
-    /// start.
-    Scan {
-        start_ms: f64,
-        cands: [Addr; DEST_SCAN_LIMIT],
-    },
-    /// Steps 2–3.
-    Rr(RrTask),
-}
-
-/// An RR wave: unit `v` is the VP at position `v`, which RR-pings
-/// `dests[..n]`, destination `k` when its scan ping answered (`found[k]`);
-/// a helper folds its VPs into its rows buffer `buf`.
-#[derive(Clone, Copy)]
-struct RrTask {
+/// The build's side of the pool: the prefix list, claimed whole by the
+/// workers ([`pool::Claims`]), each prefix surveyed in a part of the
+/// build's round opened at its slot, its VPs' reply trees shared, and
+/// where each prefix's survey goes. A prefix's survey is a function of the
+/// prefix and its slot alone — a probe's outcome is one of the packet and
+/// its send instant, the world stands still while the build's round is
+/// open, and the trees a survey borrows are caches — so which worker
+/// surveys which prefix, and when, changes nothing the build keeps.
+struct Build<'a, 's> {
+    survey: Survey<'a, 's>,
+    prefixes: &'a [PrefixId],
+    /// The build's start: prefix `i`'s round opens `i` slots past it.
     start_ms: f64,
-    prefix: Prefix,
-    dests: [Addr; DESTS_PER_PREFIX],
-    found: [(usize, f64); DESTS_PER_PREFIX],
-    n: usize,
-    buf: usize,
-}
-
-/// The survey's side of the pool: the wave in flight, the claims on its
-/// units — scan candidates, or VPs — and what they answered. Every unit's
-/// probes are a function of the unit alone (a probe's outcome of the packet
-/// and its send instant; the trees it borrows are caches), and the rows a
-/// prefix's VPs fold into come out the same in any order (see
-/// [`SurveyScratch::finish`]), so which worker drives a unit, and when,
-/// changes nothing the survey keeps.
-struct Survey<'a, 's> {
-    prober: &'a Prober<'s>,
-    vps: &'a [Addr],
-    h: Heuristics,
-    /// Written by the owner between waves, read by every worker in one.
-    task: RwLock<Task>,
-    /// The wave's units, a home range per worker.
+    width: usize,
     claims: pool::Claims,
     /// Helpers hired so far: the next one's worker index (the owner is 0).
     hired: AtomicUsize,
-    /// By scan candidate: whether it answered, and its chain's length.
-    scan: Mutex<[(bool, f64); DEST_SCAN_LIMIT]>,
-    /// Each VP's reply tree, by position.
-    trees: Box<[Mutex<ReplyTree>]>,
-    /// By helper: the rows its VPs folded into in the last two RR waves, by
-    /// wave parity — the owner covers one prefix while the helpers fill
-    /// the other buffer with the next.
-    lanes: Box<[[Mutex<Rows>; 2]]>,
-    /// The latest end of the wave's RR pings, from the round's start.
-    rr_end_ms: Mutex<f64>,
-}
-
-impl<'a, 's> Survey<'a, 's> {
-    fn new(prober: &'a Prober<'s>, vps: &'a [Addr], h: Heuristics, width: usize) -> Self {
-        let trees = vps.iter().map(|&vp| Mutex::new(ReplyTree::new(prober, vp)));
-        let lane = || [0; 2].map(|_| Mutex::new(Rows::new(vps.len())));
-        Survey {
-            prober,
-            vps,
-            h,
-            task: RwLock::new(Task::Scan {
-                start_ms: 0.0,
-                cands: [Addr(0); DEST_SCAN_LIMIT],
-            }),
-            claims: pool::Claims::new(width),
-            hired: AtomicUsize::new(0),
-            scan: Mutex::new([(false, 0.0); DEST_SCAN_LIMIT]),
-            trees: trees.collect(),
-            lanes: (1..width).map(|_| lane()).collect(),
-            rr_end_ms: Mutex::new(0.0),
-        }
-    }
-
-    /// Publish `task`, over units `0..n`, as the next wave's.
-    fn publish(&self, task: Task, n: usize) {
-        *self
-            .task
-            .write()
-            .expect("no worker panicked holding the task") = task;
-        *self
-            .rr_end_ms
-            .lock()
-            .expect("no worker panicked holding the end") = 0.0;
-        self.claims.reset(n);
-    }
-
-    /// The scan's wave over candidates `0..n`, and its longest chain.
-    fn scanned(&self, n: usize) -> (Wave, f64) {
-        let answers = *self
-            .scan
-            .lock()
-            .expect("no worker panicked holding the scan");
-        let end = answers[..n].iter().map(|&(_, ms)| ms).fold(0.0, f64::max);
-        (wave(n, |i| answers[i]), end)
-    }
-
-    /// `worker`'s share of a scan wave: claim candidates until none is
-    /// left and ping each, in a part of the prefix's round.
-    fn scan(&self, worker: &Worker, start_ms: f64, cands: &[Addr; DEST_SCAN_LIMIT]) {
-        let mut round = self.prober.round_part(start_ms, None);
-        for i in self.claims.claims(worker.at) {
-            let (reply, chain_ms) = round.ping(0.0, self.vps[0], cands[i]);
-            let mut answers = self.scan.lock().expect("no panic holding the scan");
-            answers[i] = (reply.is_some(), chain_ms);
-        }
-    }
-
-    /// `worker`'s share of an RR wave: claim VPs until none is left and
-    /// RR-ping each one's destinations, in a part of the prefix's round,
-    /// lending the worker's trees toward them and the VP's reply tree
-    /// back; fold each VP's views into `rows`.
-    fn rr(&self, worker: &mut Worker, rows: &mut Rows, task: &RrTask) {
-        let (dests, found) = (&task.dests[..task.n], &task.found[..task.n]);
-        let mut round = self
-            .prober
-            .round_part(task.start_ms, Some(&mut worker.trees));
-        rows.clear();
-        for v in self.claims.claims(worker.at) {
-            let mut tree = self.trees[v].lock().expect("no panic holding a tree");
-            let vp = tree.vp();
-            let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, &mut tree, d);
-            let views = Views::ping(rr_ping, dests, found, task.prefix, self.h);
-            rows.fold(v, vp, views.answered());
-        }
-        let mut end = self.rr_end_ms.lock().expect("no panic holding the end");
-        *end = end.max(round.end_ms());
-    }
+    /// By [`PrefixId`]: each prefix's survey, written once.
+    per_prefix: Mutex<&'a mut [Option<PrefixInfo>]>,
+    /// The latest round end so far, from the build's start.
+    end_ms: Mutex<f64>,
 }
 
 /// A survey worker: its index among the pool's workers (the owner's is 0),
-/// and the forward trees it lends its RR pings.
+/// the forward trees it lends its RR pings and its working memory.
 struct Worker {
     at: usize,
     trees: SurveyTrees,
+    scratch: SurveyScratch,
 }
 
 impl Worker {
-    fn new(prober: &Prober<'_>, at: usize) -> Worker {
+    fn new(prober: &Prober<'_>, at: usize, n_vps: usize) -> Worker {
         Worker {
             at,
             trees: SurveyTrees::new(prober, DESTS_PER_PREFIX),
+            scratch: SurveyScratch::new(n_vps),
         }
     }
 }
 
-impl pool::Crew for Survey<'_, '_> {
+impl Build<'_, '_> {
+    /// `worker`'s share of the build: claim prefixes until none is left
+    /// and survey each in a part of the build's round at its slot, visiting
+    /// the VPs from an offset of the worker's own, so that workers seldom
+    /// wait on one another's reply trees.
+    fn survey(&self, worker: &mut Worker) {
+        let s = &self.survey;
+        let from = worker.at * s.vps.len() / self.width;
+        let mut end_ms = 0.0f64;
+        for i in self.claims.claims(worker.at) {
+            let slot_ms = i as f64 * SLOT_MS;
+            let trees = Some(&mut worker.trees);
+            let mut round = s.prober.round_part(self.start_ms + slot_ms, trees);
+            let p = self.prefixes[i];
+            let info = worker.scratch.survey(s, &mut round, p, from);
+            end_ms = end_ms.max(slot_ms + round.end_ms());
+            self.per_prefix.lock().expect("no worker panicked writing")[p.index()] = Some(info);
+        }
+        let mut end = self
+            .end_ms
+            .lock()
+            .expect("no worker panicked holding the end");
+        *end = end.max(end_ms);
+    }
+}
+
+impl pool::Crew for Build<'_, '_> {
     type Local = Worker;
 
     fn hire(&self) -> Worker {
-        Worker::new(self.prober, self.hired.fetch_add(1, Ordering::Relaxed) + 1)
+        let at = self.hired.fetch_add(1, Ordering::Relaxed) + 1;
+        Worker::new(self.survey.prober, at, self.survey.vps.len())
     }
 
-    /// A helper's share of the wave; its VPs fold into its lane's buffer.
     fn work(&self, worker: &mut Worker) {
-        let task = *self.task.read().expect("the owner published the task");
-        match task {
-            Task::Scan { start_ms, cands } => self.scan(worker, start_ms, &cands),
-            Task::Rr(rr) => {
-                let lane = &self.lanes[worker.at - 1][rr.buf];
-                let mut rows = lane.lock().expect("no panic holding a lane");
-                self.rr(worker, &mut rows, &rr);
-            }
-        }
+        self.survey(worker);
     }
 
     fn retire(&self, _: Worker) {}
 }
 
-/// A prefix whose RR pings are in, still to cover: its destinations, the
-/// lane buffer its RR wave filled, and whether helpers took part in it.
-struct Pending {
-    p: PrefixId,
-    dests: Vec<Addr>,
-    buf: usize,
-    helped: bool,
-}
-
-impl SurveyScratch {
-    /// Steps 4–5 of `pending`, whose owner's rows are the scratch's: the
-    /// helpers' rows appended, if they took part, then the cover.
-    fn merge(&mut self, survey: &Survey<'_, '_>, pending: Pending) -> PrefixInfo {
-        let lanes = if pending.helped {
-            &survey.lanes[..]
-        } else {
-            &[]
-        };
-        for lane in lanes {
-            let rows = lane[pending.buf].lock().expect("no panic holding a lane");
-            self.rows.extend(&rows);
-        }
-        let n_vps = survey.vps.len();
-        self.finish(survey.prober, n_vps, pending.p, pending.dests)
-    }
-}
-
-/// [`IngressDb::build`] on a pool of `width` workers. Each prefix is one
-/// round driven in parts: its scan candidates, then its VPs, are claimed
-/// by the workers, each from its home range first ([`pool::Claims`]), and
-/// the owner joins the parts' ends and charges the clock once. The owner
-/// covers the previous prefix inside each RR wave before it claims VPs, so
-/// the helpers take over more of its VPs while it covers.
+/// [`IngressDb::build`]'s survey on a pool of `width` workers, into
+/// `per_prefix`: one round, whose members are the prefixes' rounds —
+/// prefix `i`'s opens `i` slots ([`SLOT_MS`]) into it — and which charges
+/// the clock once as it closes, by its `N` slots or its latest member's
+/// end, whichever is later. No probe of the build flushes time into the
+/// simulator, so the world stands still under it. The workers claim whole
+/// prefixes, each from its home range first, in one wave.
 fn survey_on_pool(
-    prober: &Prober<'_>,
-    vps: &[Addr],
+    survey: Survey<'_, '_>,
     prefixes: &[PrefixId],
-    h: Heuristics,
     width: usize,
     per_prefix: &mut [Option<PrefixInfo>],
 ) {
-    let mut scratch = SurveyScratch::new(vps.len());
-    let mut owner = Worker::new(prober, 0);
-    pool::scoped(Survey::new(prober, vps, h, width), width, |mut pool| {
-        let survey = pool.crew();
-        let mut pending: Option<Pending> = None;
-        let mut buf = 0;
-        for &p in prefixes {
-            let mut round = prober.round();
-            let start_ms = round.start_ms();
-            let mut cands = [Addr(0); DEST_SCAN_LIMIT];
-            let n = (cands.iter_mut().zip(prober.host_addrs(p)))
-                .map(|(c, a)| *c = a)
-                .count();
-            // No VP, no pinger: nothing to scan with.
-            let n = if vps.is_empty() { 0 } else { n };
-            survey.publish(Task::Scan { start_ms, cands }, n);
-            pool.wave(n > 1, |survey| survey.scan(&owner, start_ms, &cands));
-            let (wave, scan_ms) = survey.scanned(n);
-            round.join(scan_ms);
-            if wave.len == 0 {
-                per_prefix[p.index()] = Some(PrefixInfo::default());
-                continue;
-            }
-            let mut dests = [Addr(0); DESTS_PER_PREFIX];
-            for (d, &(i, _)) in dests.iter_mut().zip(&wave.found[..wave.len]) {
-                *d = cands[i];
-            }
-            let rr = RrTask {
-                start_ms,
-                prefix: prober.prefix(p),
-                dests,
-                found: wave.found,
-                n: wave.len,
-                buf,
-            };
-            survey.publish(Task::Rr(rr), vps.len());
-            // A one-VP survey's RR waves run on the owner alone, and the
-            // helpers' lanes keep their last RR wave's rows.
-            let helped = vps.len() > 1;
-            pool.wave(helped, |survey| {
-                if let Some(q) = pending.take() {
-                    let at = q.p.index();
-                    per_prefix[at] = Some(scratch.merge(survey, q));
-                }
-                survey.rr(&mut owner, &mut scratch.rows, &rr);
-            });
-            round.join(*survey.rr_end_ms.lock().expect("the wave is over"));
-            let dests = dests[..wave.len].to_vec();
-            pending = Some(Pending {
-                p,
-                dests,
-                buf,
-                helped,
-            });
-            buf = 1 - buf;
-        }
-        if let Some(q) = pending {
-            let at = q.p.index();
-            per_prefix[at] = Some(scratch.merge(survey, q));
-        }
+    let prober = survey.prober;
+    let mut round = prober.round();
+    let mut owner = Worker::new(prober, 0, survey.vps.len());
+    let build = Build {
+        survey,
+        prefixes,
+        start_ms: round.start_ms(),
+        width,
+        claims: pool::Claims::new(width),
+        hired: AtomicUsize::new(0),
+        per_prefix: Mutex::new(per_prefix),
+        end_ms: Mutex::new(0.0),
+    };
+    build.claims.reset(prefixes.len());
+    let end_ms = pool::scoped(build, width, |mut pool| {
+        pool.wave(prefixes.len() > 1, |build| build.survey(&mut owner));
+        *pool.crew().end_ms.lock().expect("the wave is over")
     });
+    round.join(prefixes.len() as f64 * SLOT_MS);
+    round.join(end_ms);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use revtr_netsim::{FaultConfig, Sim, SimConfig};
-    use revtr_probing::prober::PROBE_TIMEOUT_MS;
     use revtr_probing::RetryPolicy;
 
     fn setup() -> (Sim, Vec<Addr>) {
@@ -1075,8 +964,7 @@ mod tests {
     /// width 1's, and so do the clock and simulator-hour bits, the counters
     /// and the route computes — clean, and under transient loss with three
     /// attempts a probe (a fault whose draws read the packet and its send
-    /// instant, never the order probes went out in). A one-VP survey runs
-    /// its RR waves on the owner alone, with helpers standing by.
+    /// instant, never the order probes went out in). A one-VP survey too.
     #[test]
     fn the_survey_is_the_same_at_every_width() {
         for seed in [1, 7, 42] {
@@ -1229,6 +1117,82 @@ mod tests {
         );
     }
 
+    /// The build's schedule on a tree-less prober: each prefix surveyed in
+    /// a part of one round, opened at its slot, which charges what the
+    /// build charges. Returns each prefix's round end, from its slot's
+    /// start.
+    fn slotted(prober: &Prober<'_>, vps: &[Addr], prefixes: &[PrefixId]) -> Vec<f64> {
+        let mut build = prober.round();
+        let survey = Survey {
+            prober,
+            vps,
+            h: Heuristics::FULL,
+            replies: None,
+        };
+        let mut scratch = SurveyScratch::new(vps.len());
+        let ends: Vec<f64> = (0..prefixes.len())
+            .map(|i| {
+                let slot_ms = i as f64 * SLOT_MS;
+                let mut part = prober.round_part(build.start_ms() + slot_ms, None);
+                scratch.survey(&survey, &mut part, prefixes[i], 0);
+                build.join(slot_ms + part.end_ms());
+                part.end_ms()
+            })
+            .collect();
+        build.join(prefixes.len() as f64 * SLOT_MS);
+        ends
+    }
+
+    /// The build charges its `N` slots, or its latest round's end if that
+    /// is later. Without faults every round ends inside its slot — a scan
+    /// ping, then an RR ping, each done within a timeout — so a tiny build
+    /// charges exactly `N` slots. Under loss with three attempts a round
+    /// that waits out lost attempts may overrun its slot; where the latest
+    /// one ends past the build's last slot, as a lone prefix's does, the
+    /// build charges that end.
+    #[test]
+    fn the_build_charges_its_slots_or_its_latest_round() {
+        let slots = |ends: &[f64]| ends.len() as f64 * SLOT_MS;
+        let latest = |ends: &[f64]| {
+            (ends.iter().enumerate())
+                .map(|(i, end)| i as f64 * SLOT_MS + end)
+                .fold(0.0, f64::max)
+        };
+        let mut lossy = SimConfig::tiny();
+        lossy.faults = FaultConfig::lossy(0.3);
+        let mut overran = 0;
+        for (cfg, attempts) in [(SimConfig::tiny(), 1), (lossy, 3)] {
+            for seed in [1, 7, 42] {
+                let (sim, twin) = (Sim::build(cfg.clone(), seed), Sim::build(cfg.clone(), seed));
+                let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+                let all: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+                let retry = RetryPolicy::uniform(attempts);
+                // The whole list, then each prefix alone, on both sides.
+                let lists = std::iter::once(all.clone()).chain(all.iter().map(|&p| vec![p]));
+                for (k, prefixes) in lists.enumerate() {
+                    let prober = Prober::new(&sim).with_retry_policy(retry);
+                    IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
+                    let charged = prober.clock().now_ms();
+                    let ends = slotted(
+                        &Prober::new(&twin).with_retry_policy(retry),
+                        &vps,
+                        &prefixes,
+                    );
+                    let want = slots(&ends).max(latest(&ends));
+                    assert_eq!(charged.to_bits(), want.to_bits(), "seed {seed}, list {k}");
+                    if attempts == 1 {
+                        assert!(ends.iter().all(|&end| end > 0.0 && end <= SLOT_MS));
+                        assert_eq!(charged, slots(&ends), "seed {seed}, list {k}");
+                    } else if ends.iter().any(|&end| end > SLOT_MS) && k > 0 {
+                        assert_eq!(charged, ends[0], "seed {seed}, list {k}");
+                        overran += 1;
+                    }
+                }
+            }
+        }
+        assert!(overran > 0, "no lone prefix overran its slot");
+    }
+
     /// A round's pings draw their faults at the instants they would go
     /// out, retries included: under loss and an ICMP rate limiter (which
     /// meters router addresses, not the end hosts a survey probes), with
@@ -1249,16 +1213,22 @@ mod tests {
             .with_cache_enabled(false)
             .with_retry_policy(RetryPolicy::uniform(3));
         let mut scratch = SurveyScratch::new(vps.len());
+        let survey = Survey {
+            prober: &prober,
+            vps: &vps,
+            h: Heuristics::FULL,
+            replies: None,
+        };
         let (mut rounds, mut retried) = (0, 0);
         for p in sim.topo().prefixes.iter().map(|p| p.id) {
             let t0 = prober.clock().now_ms();
             let mut round = prober.round();
-            let scan = responsive_dests(&mut round, &prober, &vps, p);
+            let scan = responsive_dests(&mut round, &survey, p);
             let wave = scan.1;
             if scan.0.is_empty() {
                 continue;
             }
-            scratch.survey_dests(&mut round, &prober, &vps, p, Heuristics::FULL, scan);
+            scratch.survey_dests(&survey, &mut round, p, 0, scan);
             drop(round);
             let round_ms = prober.clock().now_ms() - t0;
             let answered = (wave.found[..wave.len].iter())

@@ -49,11 +49,12 @@ fn tree_blocks(n_vps: usize) -> u64 {
 /// What each helper of the build's pool adds, once: its thread's start and
 /// the thread-locals its first probes set up (two more under the test
 /// harness's output capture, which a spawned thread inherits), its forward
-/// sink trees and the list they sit in, and its lane — two rows of two
-/// vectors each, and the lanes' list. (Read on the 2-core reference host at
-/// widths 2, 3 and 4: 16, 14 and 13 a helper captured; 14, 11 and 13 with
-/// `--nocapture`.)
-const PER_HELPER: u64 = 16;
+/// sink trees and the list they sit in, and its scratch — four blocks, and
+/// the run doubling once or twice, as the prefixes the helper claims
+/// demand. (Read on the 2-core reference host at width 2 over 40 runs:
+/// 13–14 a helper captured, 11–12 with `--nocapture`; one more is left for
+/// a second doubling.)
+const PER_HELPER: u64 = 15;
 /// Scratch of one standalone `probe_prefix`: four blocks, and the run
 /// doubling at most twice (a VP can bring nine candidates; the run is sized
 /// for four).

@@ -1,27 +1,30 @@
-//! `IngressDb::build` lends every RR ping of the survey a sink tree per
-//! destination and per VP; the standalone `probe_prefix` lends none and
-//! derives every hop of every walk. On twin simulators the two must be the
-//! same survey: every `PrefixInfo` equal, and the same probes sent at the
-//! same virtual instants — counters, clock bits, simulator time bits and
-//! route computations — with churn re-rolling salts under the trees while
-//! the survey runs.
+//! `IngressDb::build` surveys every prefix in a part of one round opened at
+//! the prefix's slot, on a pool, lending every RR ping a sink tree per
+//! destination and per VP; `probe_prefix_in` on a part opened at the same
+//! slot lends none and derives every hop of every walk. On twin simulators
+//! the two must be the same survey: every `PrefixInfo` equal, and the same
+//! probes sent at the same virtual instants — counters, clock bits,
+//! simulator time bits and route computations.
+//!
+//! No probe of a build flushes time into the simulator, so churn moves
+//! nothing under it: a build under heavy churn is the build with churn off.
 //!
 //! The era-2020 arms are a full-size survey each: `#[ignore]`d, and run in
 //! release by `ci.sh`.
 
 use revtr_netsim::{Addr, FaultConfig, PrefixId, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_probing::{Prober, RetryPolicy, Snapshot};
-use revtr_vpselect::ingress::probe_prefix;
+use revtr_vpselect::ingress::{probe_prefix_in, SLOT_MS};
 use revtr_vpselect::{Heuristics, IngressDb};
 
-/// Survey every prefix of `cfg`'s topology both ways. Returns how many
-/// prefixes churn moved to a new epoch while the survey ran.
-fn build_matches_probe_prefix(cfg: SimConfig, seed: u64) -> usize {
-    surveys_agree(cfg, seed, RetryPolicy::default())
+/// Survey every prefix of `cfg`'s topology both ways.
+fn build_matches_slotted_surveys(cfg: SimConfig, seed: u64) {
+    surveys_agree(cfg, seed, RetryPolicy::default());
 }
 
-/// [`build_matches_probe_prefix`], each probe with `retry`'s attempt budget.
-fn surveys_agree(cfg: SimConfig, seed: u64, retry: RetryPolicy) -> usize {
+/// [`build_matches_slotted_surveys`], each probe with `retry`'s attempt
+/// budget.
+fn surveys_agree(cfg: SimConfig, seed: u64, retry: RetryPolicy) {
     let (lent, plain) = (Sim::build(cfg.clone(), seed), Sim::build(cfg, seed));
     let vps: Vec<Addr> = lent.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<PrefixId> = lent.topo().prefixes.iter().map(|p| p.id).collect();
@@ -29,12 +32,18 @@ fn surveys_agree(cfg: SimConfig, seed: u64, retry: RetryPolicy) -> usize {
     let without = Prober::new(&plain).with_retry_policy(retry);
 
     let db = IngressDb::build(&with_trees, &vps, &prefixes, Heuristics::FULL);
+    let mut build = without.round();
     let mut with_ingress = 0;
-    for &p in &prefixes {
-        let want = probe_prefix(&without, &vps, p, Heuristics::FULL);
+    for (i, &p) in prefixes.iter().enumerate() {
+        let slot_ms = i as f64 * SLOT_MS;
+        let mut part = without.round_part(build.start_ms() + slot_ms, None);
+        let want = probe_prefix_in(&mut part, &without, &vps, p, Heuristics::FULL);
+        build.join(slot_ms + part.end_ms());
         with_ingress += usize::from(!want.ingresses.is_empty());
         assert_eq!(db.prefix(p), Some(&want), "seed {seed}, {p}");
     }
+    build.join(prefixes.len() as f64 * SLOT_MS);
+    drop(build);
     assert!(
         with_ingress * 4 > prefixes.len(),
         "seed {seed}: {with_ingress} prefixes with an ingress — nothing was compared"
@@ -51,12 +60,21 @@ fn surveys_agree(cfg: SimConfig, seed: u64, retry: RetryPolicy) -> usize {
     assert_eq!(lent.now_hours().to_bits(), plain.now_hours().to_bits());
     assert!(lent.now_hours() > 0.0, "the survey never flushed its clock");
     assert_eq!(lent.route_computes(), plain.route_computes());
-    let moved = |sim: &Sim| {
-        let epochs = prefixes.iter().map(|&p| sim.prefix_epoch(p));
-        epochs.filter(|&e| e > 0).count()
-    };
-    assert_eq!(moved(&lent), moved(&plain));
-    moved(&lent)
+}
+
+/// A build under `churn_per_hour` is the build with churn off: every
+/// `PrefixInfo`, the clock and simulator-hour bits, the counters and the
+/// route computes. Returns how many prefixes churn moved once the build's
+/// charge flushed — churn had time to act, just not under the build.
+fn churn_moves_nothing_under_a_build(cfg: SimConfig, seed: u64, churn_per_hour: f64) -> usize {
+    let (mut churning, mut still) = (cfg.clone(), cfg);
+    churning.behavior.churn_per_hour = churn_per_hour;
+    still.behavior.churn_per_hour = 0.0;
+    let (churned, got) = survey(churning, seed);
+    let (_, want) = survey(still, seed);
+    assert!(got == want, "seed {seed}: churn moved the survey");
+    let prefixes = churned.topo().prefixes.iter().map(|p| p.id);
+    prefixes.filter(|&p| churned.prefix_epoch(p) > 0).count()
 }
 
 fn with_maintenance(mut cfg: SimConfig) -> SimConfig {
@@ -72,20 +90,16 @@ fn with_dbr_regions(mut cfg: SimConfig) -> SimConfig {
 #[test]
 fn tiny_surveys_agree() {
     for seed in [1, 7, 42] {
-        build_matches_probe_prefix(SimConfig::tiny(), seed);
+        build_matches_slotted_surveys(SimConfig::tiny(), seed);
+        // A tiny survey lasts some seven virtual minutes: re-roll a prefix
+        // in ten a virtual minute.
+        assert!(churn_moves_nothing_under_a_build(SimConfig::tiny(), seed, 6.0) > 10);
     }
-    build_matches_probe_prefix(with_maintenance(SimConfig::tiny()), 7);
-    build_matches_probe_prefix(with_dbr_regions(SimConfig::tiny()), 42);
-    // A tiny survey is over in three and a half virtual minutes and
-    // default churn moves nothing under it: re-roll a prefix in ten per
-    // virtual minute, so that forward and reply trees are rebound in
-    // mid-survey.
-    let mut churning = SimConfig::tiny();
-    churning.behavior.churn_per_hour = 6.0;
-    assert!(build_matches_probe_prefix(churning, 7) > 10);
+    build_matches_slotted_surveys(with_maintenance(SimConfig::tiny()), 7);
+    build_matches_slotted_surveys(with_dbr_regions(SimConfig::tiny()), 42);
     // Loss and an ICMP rate limiter, three attempts a probe: both sides
     // draw the same faults at the same instants, retries included, and
-    // repeat bit for bit.
+    // repeat bit for bit (the limiter keeps the build at width 1).
     let mut lossy = SimConfig::tiny();
     lossy.faults = FaultConfig {
         icmp_rate_limit_pps: 100.0,
@@ -125,21 +139,23 @@ fn survey_digest(db: &IngressDb, n_vps: usize) -> u64 {
     h
 }
 
-/// The era-2020 seed-1 survey of `cfg` as `IngressDb::build` runs it:
-/// its digest, clock and simulator-hour bits, counters and route computes.
-fn era_2020_survey(cfg: SimConfig) -> (u64, u64, u64, Snapshot, u64) {
-    let sim = Sim::build(cfg, 1);
+/// The seed-`seed` survey of `cfg` as `IngressDb::build` runs it, with the
+/// simulator it ran on: its digest, clock and simulator-hour bits,
+/// counters and route computes.
+fn survey(cfg: SimConfig, seed: u64) -> (Sim, (u64, u64, u64, Snapshot, u64)) {
+    let sim = Sim::build(cfg, seed);
     let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
     let prefixes: Vec<PrefixId> = sim.topo().prefixes.iter().map(|p| p.id).collect();
     let prober = Prober::new(&sim);
     let db = IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL);
-    (
+    let readings = (
         survey_digest(&db, vps.len()),
         prober.clock().now_ms().to_bits(),
         sim.now_hours().to_bits(),
         prober.counters().snapshot(),
         sim.route_computes(),
-    )
+    );
+    (sim, readings)
 }
 
 /// The era-2020 seed-1 survey pinned to constants: the survey-tree gate
@@ -150,21 +166,22 @@ fn era_2020_survey(cfg: SimConfig) -> (u64, u64, u64, Snapshot, u64) {
 /// balancer routes by the nonce. With churn and load balancing off, no
 /// route moves under the survey and no path reads an instant, so that
 /// arm's digest pins the hosts and plans apart from the schedule: a change
-/// to when the survey's probes go out leaves it alone.
+/// to when the survey's probes go out leaves it alone. The default arm
+/// charges its 2 036 slots, 2.26 virtual hours.
 #[test]
 #[ignore = "two full-size surveys: run in release (ci.sh does)"]
 fn era_2020_survey_is_pinned() {
     let mut still = SimConfig::era_2020();
     still.behavior.churn_per_hour = 0.0;
     still.behavior.router_load_balancer = 0.0;
-    let digest = era_2020_survey(still).0;
+    let digest = survey(still, 1).1 .0;
     assert_eq!(digest, 0x7f67_f52f_1c83_c6bc, "quiesced: {digest:#x}");
 
-    let got = era_2020_survey(SimConfig::era_2020());
+    let got = survey(SimConfig::era_2020(), 1).1;
     let want = (
-        0xe848_55fb_174f_d14c,
-        0x414f_1dca_7340_100d,
-        0x3ff1_f69f_5f6b_b5a6,
+        0xc451_eb38_ef73_b0c2,
+        0x415f_1120_0000_0000,
+        0x4002_1907_f6e5_d4c4,
         Snapshot {
             ping: 24_432,
             rr: 594_512,
@@ -176,18 +193,15 @@ fn era_2020_survey_is_pinned() {
 }
 
 #[test]
-#[ignore = "five full-size surveys, twice each: run in release (ci.sh does)"]
+#[ignore = "six full-size surveys, twice each: run in release (ci.sh does)"]
 fn era_2020_surveys_agree() {
     for seed in [1, 7, 42] {
-        // A survey is over in some seventy virtual minutes (a prefix's
-        // scan and RR pings are one round), under which default churn
-        // moves a handful of prefixes: re-roll one in seven a virtual
-        // hour, so that a few hundred — surveyed ones and VPs' own —
-        // change salt under the trees.
-        let mut churning = SimConfig::era_2020();
-        churning.behavior.churn_per_hour = 0.15;
-        assert!(build_matches_probe_prefix(churning, seed) > 100);
+        build_matches_slotted_surveys(SimConfig::era_2020(), seed);
     }
-    build_matches_probe_prefix(with_maintenance(SimConfig::era_2020()), 7);
-    build_matches_probe_prefix(with_dbr_regions(SimConfig::era_2020()), 42);
+    build_matches_slotted_surveys(with_maintenance(SimConfig::era_2020()), 7);
+    build_matches_slotted_surveys(with_dbr_regions(SimConfig::era_2020()), 42);
+    // The survey lasts 2.26 virtual hours: re-rolling one prefix in seven
+    // a virtual hour would move a few hundred under a schedule that
+    // flushed as it went.
+    assert!(churn_moves_nothing_under_a_build(SimConfig::era_2020(), 1, 0.15) > 100);
 }
