@@ -115,9 +115,10 @@ STEP
 
 # Survey-tree gate: the full era-2020 ingress survey as `IngressDb::build`
 # runs it — whole prefixes on the pool, each in a part of one build round
-# opened at its slot, a sink tree lent to every RR ping, per destination
-# and per VP — is a tree-less survey of each prefix at its slot
-# (`probe_prefix_in`), walking every hop: every `PrefixInfo`, the
+# opened at its slot, a sink tree per route lent to every ping (a worker's
+# toward the prefix, one back to each VP prefix), consecutive pings
+# replaying each other's legs — is a tree-less survey of each prefix at
+# its slot (`probe_prefix_in`), walking every hop: every `PrefixInfo`, the
 # counters, and the clock, simulator-time and route-compute readings to
 # the bit, at seeds 1, 7 and 42, under link maintenance, and in
 # `dbr_region` ASes. The build charges its 2 036 slots once (2.26 virtual
@@ -130,7 +131,7 @@ STEP
 # counters and the route computes. (The tiny arms, a lossy rate-limited
 # one with three attempts a probe among them, run in the workspace tests
 # above.)
-step "survey-tree gate (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + churn + pinned seed 1)" <<'STEP'
+step "survey-tree gate: a sink tree per route (release, era-2020, seeds 1/7/42 + maintenance + dbr-region + churn + pinned seed 1)" <<'STEP'
 cargo test -q --release -p revtr-vpselect -- --ignored
 STEP
 

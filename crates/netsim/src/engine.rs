@@ -8,7 +8,7 @@
 use crate::addr::Addr;
 use crate::behavior::HostStamp;
 use crate::hash::{chance, mix2, mix3};
-use crate::ids::{AsId, PrefixId, RouterId};
+use crate::ids::{PrefixId, RouterId};
 use crate::inline::InlineVec;
 use crate::sim::{Dest, Hop, HopSink, PktMeta, Sim, SinkTree, Walk, HOST_LINK_MS, MAX_HOPS};
 use crate::topology::StampMode;
@@ -155,8 +155,11 @@ enum ProbeKind {
 /// forwarding router the packet crosses writes its stamp into the next free
 /// slot of an option of its own, until all nine are taken. A router stamps
 /// the same whatever the slots before hold, so the leg's stamps after `k`
-/// taken slots are the first `9 - k` of these.
+/// taken slots are the first `9 - k` of these. A plain echo's leg walks
+/// the same way and stamps nothing.
 struct RrLeg {
+    /// The packet carries the option: its routers stamp.
+    options: bool,
     slots: RrSlots,
     /// The leg ends at a destination router, which stamps by the
     /// destination rules instead ([`Sim::stamp_dest`]).
@@ -174,6 +177,7 @@ struct RrLeg {
 impl RrLeg {
     fn new(skip_last: bool, first_gw: Option<Addr>, last_gw: Option<Addr>) -> RrLeg {
         RrLeg {
+            options: true,
             slots: RrSlots::new(),
             skip_last,
             first_gw,
@@ -182,13 +186,22 @@ impl RrLeg {
             dynamic: false,
         }
     }
+
+    /// A plain echo's leg: no option, no stamp.
+    fn plain() -> RrLeg {
+        RrLeg {
+            options: false,
+            ..RrLeg::new(false, None, None)
+        }
+    }
 }
 
 impl HopSink for RrLeg {
     fn hop(&mut self, sim: &Sim, hop: Hop) {
         // The leg's last hop is the one with no out-link; an LSP-interior
         // hop never processes the IP header.
-        if (self.skip_last && hop.out_link.is_none())
+        if !self.options
+            || (self.skip_last && hop.out_link.is_none())
             || self.slots.is_full()
             || sim.mpls_hidden(&hop)
         {
@@ -206,26 +219,43 @@ impl HopSink for RrLeg {
     }
 }
 
-/// One leg of a Record Route exchange as a lent reply tree remembers it
+/// One leg of an echo exchange as a lent reply tree remembers it
 /// ([`SinkTree`]'s `legs`): what its hops were a function of, the stamps
 /// they make in an empty option, and its latency.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LegMemo {
     key: LegKey,
+    /// The address the leg's choices hashed — `None` when every choice had
+    /// one candidate, so the leg is every address's of its route.
+    addr: Option<Addr>,
     stamps: RrSlots,
     latency_ms: f64,
 }
 
+#[cfg(test)]
+impl LegMemo {
+    /// Whether the leg replays toward `to` alone: some choice on it hashed
+    /// the address.
+    pub(crate) fn replays_only(&self, to: Addr) -> bool {
+        self.addr == Some(to)
+    }
+}
+
+/// A leg kind's memos: the two legs of that kind walked or replayed last,
+/// the later first.
+pub(crate) type LegMemos = [Option<LegMemo>; 2];
+
 /// What a walk's hops and stamps depend on once none of its choices could
-/// see the packet: where it starts and ends, its routing key, the address
-/// its choices hash (`None` when every choice had one candidate, so none
-/// hashed it), and the gateways its end hops may stamp.
+/// see the packet, apart from the address it went to: where it starts,
+/// its route — the host prefix it goes to at a churn epoch, and the
+/// prefix's attach router — whether it carries the option, and the
+/// gateways its end hops may stamp.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct LegKey {
     start: RouterId,
     end: RouterId,
-    target: (AsId, u64),
-    addr: Option<Addr>,
+    route: (PrefixId, u32),
+    options: bool,
     gws: (Option<Addr>, Option<Addr>),
 }
 
@@ -345,20 +375,46 @@ impl Sim {
     /// Echo request sent by `sender`, with source field `claimed_src` (the
     /// reply goes there). Returns the reply as observed at `claimed_src`.
     pub fn ping_from(&self, sender: Addr, claimed_src: Addr, dst: Addr) -> Option<EchoReply> {
+        self.echo(sender, claimed_src, dst, [None, None])
+    }
+
+    /// [`Sim::ping`] by a caller that keeps sink trees, as for
+    /// [`Sim::rr_ping_lent`]: `forward` is lent to the walk toward `dst`,
+    /// `reply` to the walk back, and `reply` remembers the legs for the
+    /// next exchange to replay. The reply is the one [`Sim::ping`]
+    /// observes, whatever the trees hold.
+    pub fn ping_lent(
+        &self,
+        src: Addr,
+        dst: Addr,
+        forward: Option<&mut SinkTree>,
+        reply: Option<&mut SinkTree>,
+    ) -> Option<EchoReply> {
+        self.echo(src, src, dst, [forward, reply])
+    }
+
+    /// One plain echo exchange, each leg lent its sink tree if the caller
+    /// keeps one; the reply tree's memos serve a host destination as in
+    /// [`Sim::rr_exchange`].
+    fn echo(
+        &self,
+        sender: Addr,
+        claimed_src: Addr,
+        dst: Addr,
+        [fwd_tree, mut rep_tree]: [Option<&mut SinkTree>; 2],
+    ) -> Option<EchoReply> {
         let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
             return None;
         }
-        let fwd_ms = self.walk_to(
-            attach,
-            dst,
-            &dest,
-            &PktMeta::plain(claimed_src, 0),
-            None,
-            None,
-            &mut (),
-        )?;
+        let replay = matches!(dest, Dest::Host { .. }) && !self.faults().links_enabled();
+        let meta = PktMeta::plain(claimed_src, 0);
+        let memo = (rep_tree.as_deref_mut())
+            .filter(|_| replay)
+            .map(|t| &mut t.legs[FORWARD]);
+        let leg = RrLeg::plain();
+        let (_, fwd_ms) = self.rr_leg(attach, dst, &dest, &meta, None, fwd_tree, leg, memo)?;
         let back = if claimed_src == sender {
             Dest::Host {
                 prefix: snd_prefix,
@@ -367,14 +423,18 @@ impl Sim {
         } else {
             self.resolve_dest(claimed_src)?
         };
-        let rep_ms = self.walk_to(
-            Self::reply_start(&dest),
+        let meta = PktMeta::plain(dst, 0);
+        let start = Self::reply_start(&dest);
+        let leg = RrLeg::plain();
+        let (_, rep_ms) = self.reply_leg(
+            start,
             claimed_src,
             &back,
-            &PktMeta::plain(dst, 0),
+            &meta,
             None,
-            None,
-            &mut (),
+            rep_tree,
+            leg,
+            replay,
         )?;
         Some(EchoReply {
             from: dst,
@@ -528,14 +588,14 @@ impl Sim {
     /// A lent reply tree remembers the exchange's legs toward a host, when
     /// walks read no clock (link maintenance off), and the next exchange
     /// replays one — same stamps, same latency bits — instead of walking
-    /// it when it must take the same hops:
-    /// - a forward leg from the same router, on the same routing key, to
-    ///   the same final router between the same gateways, after a leg on
-    ///   which every choice had one candidate — no choice could see the
-    ///   address or the packet;
-    /// - a reply leg from the same router toward the same address on the
-    ///   same key between the same gateways, after a leg on which every
-    ///   choice was fixed for that key.
+    /// it when it must take the same hops: a leg of the same kind from the
+    /// same router along the same route ([`crate::sim::TreeKey`]) between
+    /// the same gateways, after a leg on which every choice was fixed for
+    /// its key — none could see the packet — toward the same address, or
+    /// toward any address of the route if every choice had one candidate,
+    /// so none hashed the address. The tree keeps two legs of each kind:
+    /// consecutive exchanges between the hosts of one prefix and the VPs
+    /// of another replay most of their legs.
     pub(crate) fn rr_exchange(
         &self,
         sender: Addr,
@@ -568,7 +628,7 @@ impl Sim {
         let meta = PktMeta::options(claimed_src, nonce);
         let memo = (rep_tree.as_deref_mut())
             .filter(|_| replay)
-            .map(|t| (&mut t.legs[FORWARD], FORWARD));
+            .map(|t| &mut t.legs[FORWARD]);
         let (mut slots, fwd_ms) =
             self.rr_leg(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, leg, memo)?;
         self.stamp_dest(&dest, dst, &mut slots);
@@ -587,29 +647,64 @@ impl Sim {
         };
         let meta = PktMeta::options(dst, mix2(nonce, 1));
         let start = Self::reply_start(&dest);
-        // The reply memo is held beside the tree while the tree is lent to
-        // the walk (a leg that drops forgets it).
-        let mut held = (rep_tree.as_deref_mut())
-            .filter(|_| replay)
-            .map(|t| t.legs[REPLY].take());
-        let memo = held.as_mut().map(|m| (m, REPLY));
-        let tree = rep_tree.as_deref_mut();
-        let (stamps, rep_ms) =
-            self.rr_leg(start, claimed_src, &back, &meta, rep_epoch, tree, leg, memo)?;
+        let (stamps, rep_ms) = self.reply_leg(
+            start,
+            claimed_src,
+            &back,
+            &meta,
+            rep_epoch,
+            rep_tree,
+            leg,
+            replay,
+        )?;
         for &a in stamps.iter().take(RR_SLOTS - slots.len()) {
             slots.push(a);
-        }
-        if let (Some(tree), Some(held)) = (rep_tree, held) {
-            tree.legs[REPLY] = held;
         }
         Some((slots, reply_mark, HOST_LINK_MS + fwd_ms + rep_ms))
     }
 
-    /// One leg of a Record Route exchange toward `to`: its stamps in an
-    /// empty option and its latency. With `memo` — the remembered leg of
-    /// this kind, and which kind it is — the leg is the remembered one if
-    /// that took the hops this must take, else it is walked and remembered
-    /// if the next exchange may replay it.
+    /// [`Sim::rr_leg`] for an exchange's reply leg, lent `tree`, which
+    /// also holds the leg's memos when the exchange may `replay`: they are
+    /// held beside the tree while the walk borrows it.
+    #[allow(clippy::too_many_arguments)]
+    fn reply_leg(
+        &self,
+        start: RouterId,
+        to: Addr,
+        dest: &Dest,
+        meta: &PktMeta,
+        epoch: Option<u32>,
+        tree: Option<&mut SinkTree>,
+        leg: RrLeg,
+        replay: bool,
+    ) -> Option<(RrSlots, f64)> {
+        let tree = match tree {
+            Some(tree) if replay => tree,
+            tree => return self.rr_leg(start, to, dest, meta, epoch, tree, leg, None),
+        };
+        let mut held = std::mem::take(&mut tree.legs[REPLY]);
+        let walked = self.rr_leg(
+            start,
+            to,
+            dest,
+            meta,
+            epoch,
+            Some(&mut *tree),
+            leg,
+            Some(&mut held),
+        );
+        tree.legs[REPLY] = held;
+        walked
+    }
+
+    /// One leg of an echo exchange toward `to`: its stamps in an empty
+    /// option (none for a plain echo's) and its latency. With `memo` — the
+    /// remembered legs of this kind, toward a host — the leg is a
+    /// remembered one if that took the hops this must take, else it is
+    /// walked and remembered if a later exchange may replay it: when no
+    /// choice on it saw the packet, for `to` — or for every address of its
+    /// route when no choice had several candidates to hash the address
+    /// over.
     #[allow(clippy::too_many_arguments)]
     fn rr_leg(
         &self,
@@ -620,34 +715,41 @@ impl Sim {
         epoch: Option<u32>,
         tree: Option<&mut SinkTree>,
         mut leg: RrLeg,
-        memo: Option<(&mut Option<LegMemo>, usize)>,
+        memo: Option<&mut LegMemos>,
     ) -> Option<(RrSlots, f64)> {
-        let Some((held, which)) = memo else {
+        let (Some(held), &Dest::Host { prefix, attach }) = (memo, dest) else {
             let ms = self.walk_to(start, to, dest, meta, epoch, tree, &mut leg)?;
             return Some((leg.slots, ms));
         };
         // The memo's key and the walk read one epoch.
-        let (epoch, route) = self.route_key(dest, epoch);
+        let epoch = epoch.unwrap_or_else(|| self.prefix_epoch(prefix));
         let key = LegKey {
             start,
-            end: dest.delivery().0,
-            target: (route.0, route.1),
-            addr: (which == REPLY).then_some(to),
+            end: attach,
+            route: (prefix, epoch),
+            options: leg.options,
             gws: (leg.first_gw, leg.last_gw),
         };
-        if let Some(m) = held.as_ref().filter(|m| m.key == key) {
+        let replays = |m: &Option<LegMemo>| {
+            m.as_ref()
+                .is_some_and(|m| m.key == key && m.addr.is_none_or(|a| a == to))
+        };
+        if let Some(at) = held.iter().position(replays) {
+            held[..=at].rotate_right(1);
+            let m = held[0].as_ref().expect("found above");
             return Some((m.stamps, m.latency_ms));
         }
+        let (epoch, route) = self.route_key(dest, Some(epoch));
         let ms = self.walk_keyed(start, to, dest, meta, epoch, route, tree, &mut leg)?;
-        let replayable = match which {
-            FORWARD => !leg.several,
-            _ => !leg.dynamic,
-        };
-        *held = replayable.then_some(LegMemo {
-            key,
-            stamps: leg.slots,
-            latency_ms: ms,
-        });
+        if !leg.dynamic {
+            held.rotate_right(1);
+            held[0] = Some(LegMemo {
+                key,
+                addr: leg.several.then_some(to),
+                stamps: leg.slots,
+                latency_ms: ms,
+            });
+        }
         Some((leg.slots, ms))
     }
 
@@ -861,6 +963,24 @@ impl Sim {
 /// [`Sim::rr_exchange`] to it.
 #[cfg(test)]
 impl Sim {
+    /// [`Sim::ping`] of the reference: each leg walked whole, lending no
+    /// tree, remembering nothing.
+    pub(crate) fn ping_reference(&self, src: Addr, dst: Addr) -> Option<EchoReply> {
+        let (prefix, attach) = self.resolve_host(src)?;
+        let dest = self.resolve_dest(dst)?;
+        if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
+            return None;
+        }
+        let fwd = self.walk_hops(attach, dst, &dest, &PktMeta::plain(src, 0), None, None)?;
+        let back = Dest::Host { prefix, attach };
+        let start = Self::reply_start(&dest);
+        let rep = self.walk_hops(start, src, &back, &PktMeta::plain(dst, 0), None, None)?;
+        Some(EchoReply {
+            from: dst,
+            rtt_ms: HOST_LINK_MS + fwd.latency_ms + rep.latency_ms,
+        })
+    }
+
     /// [`Sim::rr_exchange`] of the reference, lending no tree.
     pub(crate) fn rr_exchange_reference(
         &self,

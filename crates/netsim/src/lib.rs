@@ -66,5 +66,5 @@ pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, T
 pub use faults::FaultConfig;
 pub use ids::{AsId, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};
-pub use sim::{Sim, SinkTree};
+pub use sim::{Sim, SinkTree, TreeKey};
 pub use topology::{AsTier, Rel, StampMode};

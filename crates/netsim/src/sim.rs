@@ -11,7 +11,7 @@ use crate::bgp::{self, RoutePlan, Routes};
 use crate::churn::Churn;
 use crate::concurrent::StripedMap;
 use crate::config::SimConfig;
-use crate::engine::LegMemo;
+use crate::engine::LegMemos;
 use crate::faults::Faults;
 use crate::gen;
 use crate::hash::{chance, mix2, mix3};
@@ -20,7 +20,7 @@ use crate::igp::Igp;
 use crate::inline::InlineVec;
 use crate::scenario::Scenarios;
 use crate::topology::{LinkKind, StampMode, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a walk routes on ([`Sim::routing_ctx`]): the target AS, its BGP
@@ -169,77 +169,140 @@ pub struct Walk {
 
 /// A sink tree cell of a router nothing has been learned about yet.
 const CELL_UNKNOWN: u32 = u32::MAX;
-/// A sink tree cell of a router whose choice depends on the packet.
-const CELL_DYNAMIC: u32 = u32::MAX - 1;
-/// Set beside a learned link picked among several candidates: which one
-/// the key's hash picks there may differ between two addresses.
-const CELL_SEVERAL: u32 = 1 << 31;
+/// The low bits of a learned cell: the router's first candidate link. The
+/// bits above count its candidates.
+const LINK_BITS: u32 = 24;
 
-/// What walks toward one routing key — a destination address under one
-/// BGP tie-break salt — have learned about where routers send it: per
-/// router, nothing yet, *dynamic* (the out-link depends on the packet: a
-/// load balancer, a destination-based-routing violator, a router of a
-/// `dbr_region` AS), or the out-link every packet takes there. Owned by a
-/// caller who sends many packets to few destinations (the §4.3 survey) and
-/// lent to each of them: a learned cell is read instead of re-derived from
-/// the BGP choice, the border set and the hot-potato scan, and the key's
-/// route table is held here instead of looked up per walk. A walk toward
-/// another key — another address, or the same one after churn re-rolled
-/// its prefix's salt — clears the tree and rebinds it.
+/// The cell of a router whose first candidate link is `first`, of `n`.
+fn cell_of((first, n): (LinkId, usize)) -> u32 {
+    assert!(
+        n < (CELL_UNKNOWN >> LINK_BITS) as usize,
+        "{n} candidates overflow a cell"
+    );
+    (n as u32) << LINK_BITS | first.0
+}
+
+/// A learned cell's first candidate link and candidate count.
+fn cell_facts(cell: u32) -> (LinkId, usize) {
+    (
+        LinkId(cell & ((1 << LINK_BITS) - 1)),
+        (cell >> LINK_BITS) as usize,
+    )
+}
+
+/// A route, as a [`SinkTree`] is keyed by it: the target AS, its BGP
+/// tie-break salt, and the router walks along it end at. Every host of a
+/// prefix is on one route, whoever walks toward it, and so is every VP of
+/// a prefix ([`Sim::tree_key`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TreeKey {
+    target: AsId,
+    salt: u64,
+    end: RouterId,
+}
+
+/// What walks along one route ([`TreeKey`]) have learned of it: per
+/// router, nothing yet, or the route's facts there — the first of the
+/// links the router may leave by toward the route's end, and how many
+/// there are. A fact holds for every packet toward every address of the
+/// route, so a walk lent the tree still makes each choice among several
+/// candidates itself (`choose_idx`: by the address and the packet) and
+/// derives the candidate list only when the pick is not the first. Owned
+/// by a caller who sends many packets along few routes (the §4.3 survey)
+/// and lent to each of them: a learned cell is read instead of re-derived
+/// from the BGP choice, the border set and the hot-potato scan, and the
+/// route's table is held here instead of looked up per walk. A walk along
+/// another route — toward another prefix, or the same one after churn
+/// re-rolled its salt — clears the tree and rebinds it.
 ///
-/// Lent to the reply legs of one source's Record Route exchanges, a tree
-/// also remembers that source's last forward and reply leg, for the next
-/// exchange to replay ([`Sim::rr_ping_lent`]).
+/// Lent to the legs back toward one source, or toward the sources of one
+/// prefix, a tree also remembers the last two forward and reply legs, for
+/// the next exchanges to replay ([`Sim::rr_ping_lent`], [`Sim::ping_lent`]).
 ///
 /// A tree serves the [`Sim`] it was made for.
 #[derive(Debug)]
 pub struct SinkTree {
-    /// The key the cells were learned under: destination address, its
-    /// salt, and the core's route table for that pair.
-    bound: Option<(Addr, u64, Arc<[bgp::Cell]>)>,
-    /// By router index: [`CELL_UNKNOWN`], [`CELL_DYNAMIC`] or a [`LinkId`],
-    /// with [`CELL_SEVERAL`] beside it if it was picked among several.
+    /// The route the cells were learned on, and the core's route table
+    /// for its target and salt.
+    bound: Option<(TreeKey, Arc<[bgp::Cell]>)>,
+    /// By router index: [`CELL_UNKNOWN`], or its first candidate link and
+    /// candidate count ([`cell_of`]).
     cells: Box<[u32]>,
-    /// The last forward and reply leg an exchange may replay.
-    pub(crate) legs: [Option<LegMemo>; 2],
+    /// The last forward and reply legs an exchange may replay.
+    pub(crate) legs: [LegMemos; 2],
 }
 
 impl SinkTree {
     /// An empty tree over `sim`'s routers (4 B each).
     pub fn new(sim: &Sim) -> SinkTree {
         assert!(
-            sim.topo.links.len() < (CELL_DYNAMIC & !CELL_SEVERAL) as usize,
-            "link ids collide with the cell markers"
+            sim.topo.links.len() < 1 << LINK_BITS,
+            "link ids overflow a cell"
         );
         SinkTree {
             bound: None,
             cells: vec![CELL_UNKNOWN; sim.topo.routers.len()].into(),
-            legs: [None; 2],
+            legs: [[None; 2]; 2],
         }
     }
 
-    /// Bind to `(dst_addr, salt)`, forgetting every cell if that is a new
-    /// key, and hand out the key's route table beside the cells. `epoch`
-    /// is what the salt stands for ([`Sim::route_table`]).
+    /// Bind to `key`, forgetting every cell if that is a new route, and
+    /// hand out the route's table beside the cells. `epoch` is what the
+    /// salt stands for ([`Sim::route_table`]).
     fn bind(
         &mut self,
         sim: &Sim,
-        dst_addr: Addr,
-        target_as: AsId,
-        salt: u64,
+        key: TreeKey,
         epoch: Option<(PrefixId, u32)>,
     ) -> (&[bgp::Cell], &mut [u32]) {
-        if !matches!(self.bound, Some((a, s, _)) if (a, s) == (dst_addr, salt)) {
+        if !matches!(self.bound, Some((k, _)) if k == key) {
             assert_eq!(
                 self.cells.len(),
                 sim.topo.routers.len(),
                 "another sim's tree"
             );
             self.cells.fill(CELL_UNKNOWN);
-            self.bound = Some((dst_addr, salt, sim.route_table(target_as, salt, epoch)));
+            self.bound = Some((key, sim.route_table(key.target, key.salt, epoch)));
         }
-        let (_, _, core) = self.bound.as_ref().expect("bound above");
+        let (_, core) = self.bound.as_ref().expect("bound above");
         (core, &mut self.cells)
+    }
+}
+
+/// Where each router leaves its AS toward each neighbour AS, as walks lent
+/// a [`SinkTree`] learn it: per (router, neighbour of its AS), nothing yet
+/// or the first candidate link and the count ([`cell_of`]). Those
+/// candidates are a function of the router and the neighbour alone, so
+/// every route through the router toward that neighbour reads one cell: a
+/// new tree learns a router's exit once per simulator, not once per route.
+/// Made by the first walk lent a tree, and written by whichever walk
+/// derives a cell first — every writer writes the same fact.
+#[derive(Debug)]
+struct Exits {
+    /// By router index: its first cell, one per neighbour of its AS.
+    first: Box<[u32]>,
+    cells: Box<[AtomicU32]>,
+}
+
+impl Exits {
+    fn new(topo: &Topology) -> Exits {
+        let mut cells = 0;
+        let first = (topo.routers.iter())
+            .map(|r| {
+                let at = cells;
+                cells += topo.asn(r.asn).neighbors.len() as u32;
+                at
+            })
+            .collect();
+        Exits {
+            first,
+            cells: (0..cells).map(|_| AtomicU32::new(CELL_UNKNOWN)).collect(),
+        }
+    }
+
+    /// Router `r`'s cell toward its AS's `nbr`-th neighbour.
+    fn cell(&self, r: RouterId, nbr: usize) -> &AtomicU32 {
+        &self.cells[self.first[r.index()] as usize + nbr]
     }
 }
 
@@ -416,6 +479,9 @@ pub struct Sim {
     /// on two such links is LSP interior — both links are of the hop
     /// router's own AS, as an intra link joins routers of its AS alone.
     mpls_links: Bits,
+    /// Routers' exits toward neighbour ASes, made by the first walk lent a
+    /// sink tree: a simulator no survey lends trees on never holds it.
+    exits: std::sync::OnceLock<Exits>,
     /// Optional telemetry handle for fault-event counters (disabled-by-
     /// absence; set once via [`Sim::set_telemetry`]).
     telemetry: std::sync::OnceLock<revtr_telemetry::Telemetry>,
@@ -478,6 +544,7 @@ impl Sim {
             vp_prefixes,
             stamp_modes,
             mpls_links,
+            exits: std::sync::OnceLock::new(),
             telemetry: std::sync::OnceLock::new(),
         }
     }
@@ -896,13 +963,15 @@ impl Sim {
     /// nearest borders, by (neighbour, link), each once.
     ///
     /// A lent `tree` changes how the next link is found and nothing else.
-    /// Where its cell holds a link the hop is a table read; anywhere else
-    /// the hop is derived as without a tree and the cell learns the
-    /// outcome — the link, or *dynamic* when the choice was not fixed.
+    /// Where its cell holds the route's facts the candidate count is a
+    /// table read, and so is the link whenever `choose_idx` picks the
+    /// first candidate; anywhere else the candidates are derived as
+    /// without a tree — a router's exit from its AS read from, or learned
+    /// into, the simulator's exit table — and the cell learns the facts.
     /// Latency is summed hop by hop in walk order (float addition does not
     /// reassociate, so a stored suffix sum would not be bit-equal), the
     /// maintenance check runs on every link crossed (it reads the clock),
-    /// and a walk that drops or finds no route teaches the cell nothing.
+    /// and a router with no route on teaches the cell nothing.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn walk_to<S: HopSink>(
         &self,
@@ -934,6 +1003,20 @@ impl Sim {
         (epoch, self.routing_ctx(dest, epoch.map(|(_, e)| e)))
     }
 
+    /// The route a walk toward `addr` takes at its live epoch — what a
+    /// [`SinkTree`] lent to it is keyed by — or `None` if nothing routes
+    /// there. Addresses on one route share a tree's cells: the hosts of a
+    /// prefix, say, or the VPs of one.
+    pub fn tree_key(&self, addr: Addr) -> Option<TreeKey> {
+        let dest = self.resolve_dest(addr)?;
+        let (_, (target, salt, _)) = self.route_key(&dest, None);
+        Some(TreeKey {
+            target,
+            salt,
+            end: dest.delivery().0,
+        })
+    }
+
     /// [`Sim::walk_to`] once [`Sim::route_key`] is read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn walk_keyed<S: HopSink>(
@@ -950,7 +1033,12 @@ impl Sim {
         let (target_as, salt, _) = key;
         match tree {
             Some(tree) => {
-                let (core, cells) = tree.bind(self, dst_addr, target_as, salt, epoch);
+                let route = TreeKey {
+                    target: target_as,
+                    salt,
+                    end: dest.delivery().0,
+                };
+                let (core, cells) = tree.bind(self, route, epoch);
                 self.walk_over(core, Some(cells), start, dst_addr, dest, meta, key, sink)
             }
             None => ROUTE_MEMO.with_borrow_mut(|memo| {
@@ -967,7 +1055,7 @@ impl Sim {
     fn walk_over<S: HopSink>(
         &self,
         core: &[bgp::Cell],
-        mut cells: Option<&mut [u32]>,
+        cells: Option<&mut [u32]>,
         start: RouterId,
         dst_addr: Addr,
         dest: &Dest,
@@ -975,6 +1063,7 @@ impl Sim {
         (target_as, salt, pid): RoutingKey,
         sink: &mut S,
     ) -> Option<f64> {
+        let key = (target_as, salt);
         let (final_router, via, deliver_to_host) = dest.delivery();
         let dst_key = mix2(dst_addr.0 as u64, salt);
         // Link-maintenance faults: read virtual time once per walk.
@@ -983,6 +1072,9 @@ impl Sim {
         } else {
             None
         };
+
+        // A lent tree's cells, beside the exit table they learn from.
+        let mut lent = cells.map(|c| (c, self.exits.get_or_init(|| Exits::new(&self.topo))));
 
         let mut latency_ms = 0.0;
         let mut cur = start;
@@ -1033,71 +1125,35 @@ impl Sim {
                 return Some(latency_ms);
             }
 
-            // Determine the next link. Without a tree every router reads
-            // as dynamic: derived on the spot, nothing learned.
-            let cell = cells.as_deref().map_or(CELL_DYNAMIC, |c| c[cur.index()]);
-            let next_link = if cell < CELL_DYNAMIC {
-                sink.choice(cell & CELL_SEVERAL != 0, true);
-                LinkId(cell & !CELL_SEVERAL)
-            } else {
-                let cur_as = self.topo.router_as(cur);
-                let (link, n, fixed) = if cur_as == target_as {
-                    // Intradomain leg toward the final router.
-                    let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
-                    if cands.is_empty() {
-                        return None; // disconnected intra graph (shouldn't happen)
-                    }
-                    let (i, fixed) = self.choose_idx(cur, cands.len(), dst_key, pid, meta);
-                    (cands[i].0, cands.len(), fixed)
-                } else {
-                    let nbr = match chosen {
-                        Some((asn, nbr)) if asn == cur_as => nbr,
-                        _ => {
-                            // No route: dropped.
-                            let nbr = (self.route_plan)
-                                .route(core, target_as, salt, cur_as)?
-                                .hop?;
-                            chosen = Some((cur_as, nbr));
-                            nbr
+            // Determine the next link: without a tree, derive the candidates
+            // and pick at once; with one, pick among the cell's facts.
+            let mut fixed = true;
+            let (next_link, n) = match lent.as_mut() {
+                Some((cells, exits)) => {
+                    let (first, n) = match cells[cur.index()] {
+                        CELL_UNKNOWN => {
+                            let facts =
+                                self.route_facts(core, cur, final_router, key, &mut chosen, exits)?;
+                            cells[cur.index()] = cell_of(facts);
+                            facts
                         }
+                        cell => cell_facts(cell),
                     };
-                    let neighbors = &self.topo.asn(cur_as).neighbors;
-                    debug_assert!(nbr < neighbors.len(), "{cur_as} has no neighbour {nbr}");
-                    let borders = self.borders.toward(cur_as, nbr);
-                    if borders.contains(&cur) {
-                        // Direct links from cur to next_as.
-                        let direct = || {
-                            neighbors[nbr].links.iter().copied().filter(|&l| {
-                                let link = self.topo.link(l);
-                                link.a == cur || link.b == cur
-                            })
-                        };
-                        let n = direct().count();
-                        let (i, fixed) = self.choose_idx(cur, n, dst_key, pid, meta);
-                        (direct().nth(i).expect("index below the count"), n, fixed)
-                    } else {
-                        // Hot potato: head for the nearest border toward next_as.
-                        let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
-                        let n = cands.clone().count();
-                        if n == 0 {
-                            return None;
-                        }
-                        let (i, fixed) = self.choose_idx(cur, n, dst_key, pid, meta);
-                        (cands.nth(i).expect("index below the count").0, n, fixed)
-                    }
-                };
-                sink.choice(n > 1, fixed);
-                if cell == CELL_UNKNOWN {
-                    if let Some(cells) = cells.as_deref_mut() {
-                        cells[cur.index()] = match (fixed, n > 1) {
-                            (false, _) => CELL_DYNAMIC,
-                            (true, false) => link.0,
-                            (true, true) => link.0 | CELL_SEVERAL,
-                        };
+                    let (i, f) = self.choose_idx(cur, n, dst_key, pid, meta);
+                    fixed = f;
+                    let pick = |_| i;
+                    match i {
+                        0 => (first, n),
+                        _ => self.next_link(core, cur, final_router, key, &mut chosen, pick)?,
                     }
                 }
-                link
+                None => self.next_link(core, cur, final_router, key, &mut chosen, |n| {
+                    let (i, f) = self.choose_idx(cur, n, dst_key, pid, meta);
+                    fixed = f;
+                    i
+                })?,
             };
+            sink.choice(n > 1, fixed);
 
             if let Some(now) = maint_now {
                 if self.faults.link_down(next_link, now) {
@@ -1117,6 +1173,122 @@ impl Sim {
             in_link = Some(next_link);
         }
         None // hop cap exceeded
+    }
+
+    /// The link `cur` leaves by toward `final_router` on the route `core`
+    /// holds toward `target_as` under `salt`: candidate `pick(n)` of its
+    /// `n`, and `n`. `None` when no route leaves `cur`'s AS or no next hop
+    /// leads on. `chosen` carries the BGP choice of the AS asked last from
+    /// one call to the next.
+    fn next_link(
+        &self,
+        core: &[bgp::Cell],
+        cur: RouterId,
+        final_router: RouterId,
+        (target_as, salt): (AsId, u64),
+        chosen: &mut Option<(AsId, usize)>,
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<(LinkId, usize)> {
+        let cur_as = self.topo.router_as(cur);
+        if cur_as == target_as {
+            // Intradomain leg toward the final router.
+            let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
+            if cands.is_empty() {
+                return None; // disconnected intra graph (shouldn't happen)
+            }
+            return Some((cands[pick(cands.len())].0, cands.len()));
+        }
+        let nbr = self.bgp_choice(core, cur_as, (target_as, salt), chosen)?;
+        self.exit_link(cur, cur_as, nbr, pick)
+    }
+
+    /// The position of the neighbour `cur_as` routes toward `target_as`
+    /// by under `salt` — `chosen`'s if it holds `cur_as`'s, else looked
+    /// up in `core` and kept there. `None`: no route.
+    fn bgp_choice(
+        &self,
+        core: &[bgp::Cell],
+        cur_as: AsId,
+        (target_as, salt): (AsId, u64),
+        chosen: &mut Option<(AsId, usize)>,
+    ) -> Option<usize> {
+        match *chosen {
+            Some((asn, nbr)) if asn == cur_as => Some(nbr),
+            _ => {
+                let nbr = (self.route_plan)
+                    .route(core, target_as, salt, cur_as)?
+                    .hop?;
+                debug_assert!(
+                    nbr < self.topo.asn(cur_as).neighbors.len(),
+                    "{cur_as} has no neighbour {nbr}"
+                );
+                *chosen = Some((cur_as, nbr));
+                Some(nbr)
+            }
+        }
+    }
+
+    /// The link `cur` leaves its AS `cur_as` by toward the AS's `nbr`-th
+    /// neighbour — candidate `pick(n)` of its `n` — and `n`: a direct
+    /// link from a border router, else a hot-potato next hop toward the
+    /// nearest border. `None`: no border reachable.
+    fn exit_link(
+        &self,
+        cur: RouterId,
+        cur_as: AsId,
+        nbr: usize,
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<(LinkId, usize)> {
+        let borders = self.borders.toward(cur_as, nbr);
+        if borders.contains(&cur) {
+            // Direct links from cur to next_as.
+            let direct = || {
+                (self.topo.asn(cur_as).neighbors[nbr].links.iter().copied()).filter(|&l| {
+                    let link = self.topo.link(l);
+                    link.a == cur || link.b == cur
+                })
+            };
+            let n = direct().count();
+            Some((direct().nth(pick(n)).expect("index below the count"), n))
+        } else {
+            // Hot potato: head for the nearest border toward next_as.
+            let mut cands = self.igp.next_hops_toward_nearest(cur_as, cur, borders)?;
+            let n = cands.clone().count();
+            if n == 0 {
+                return None;
+            }
+            Some((cands.nth(pick(n)).expect("index below the count").0, n))
+        }
+    }
+
+    /// `cur`'s facts on a route (as [`Sim::next_link`] takes it): its first
+    /// candidate link and the count. A router outside the target AS reads
+    /// them from the exit table, and teaches the table those it derives.
+    fn route_facts(
+        &self,
+        core: &[bgp::Cell],
+        cur: RouterId,
+        final_router: RouterId,
+        key: (AsId, u64),
+        chosen: &mut Option<(AsId, usize)>,
+        exits: &Exits,
+    ) -> Option<(LinkId, usize)> {
+        let cur_as = self.topo.router_as(cur);
+        if cur_as == key.0 {
+            return self.next_link(core, cur, final_router, key, chosen, |_| 0);
+        }
+        let nbr = self.bgp_choice(core, cur_as, key, chosen)?;
+        let cell = exits.cell(cur, nbr);
+        // Relaxed: a cell publishes nothing but itself, and every writer
+        // writes the same value.
+        match cell.load(Ordering::Relaxed) {
+            CELL_UNKNOWN => {
+                let facts = self.exit_link(cur, cur_as, nbr, |_| 0)?;
+                cell.store(cell_of(facts), Ordering::Relaxed);
+                Some(facts)
+            }
+            known => Some(cell_facts(known)),
+        }
     }
 
     /// The walk as it was interpreted hop by hop before the forwarding
@@ -1976,14 +2148,16 @@ mod tests {
 
             /// A sequence of walks lent one tree is the same sequence
             /// walked without one — hops, latency bits, drops — whatever
-            /// the order packets of either kind arrive in, from wherever,
-            /// while the tree is rebound between two destinations and, in
-            /// mid-sequence, by a churn step that re-rolls every prefix's
-            /// salt (and moves the maintenance clock).
+            /// the order packets of either kind arrive in, from wherever:
+            /// mostly toward three hosts of one prefix, which share the
+            /// tree's route, now and then toward a destination elsewhere,
+            /// which rebinds it, and in mid-sequence across a churn step
+            /// that re-rolls every prefix's salt (and moves the
+            /// maintenance clock).
             #[test]
             fn lent_walks_match_unlent(
                 arm in 0usize..8,
-                near in 0usize..1 << 16,
+                prefix in 0usize..1 << 16,
                 far in 0usize..1 << 16,
                 steps in proptest::collection::vec(0u64..u64::MAX, 1..32),
                 bump_at in 0usize..32,
@@ -1991,20 +2165,25 @@ mod tests {
                 let arm = &moving_arms()[arm];
                 let sim = &arm.sim;
                 let topo = sim.topo();
-                let dests = [arm.dests[near % arm.dests.len()], arm.dests[far % arm.dests.len()]];
+                let p = topo.prefixes[prefix % topo.prefixes.len()].id;
+                let hosts: Vec<Addr> = sim.host_addrs(p).step_by(61).take(3).collect();
+                let far = arm.dests[far % arm.dests.len()];
                 let mut tree = SinkTree::new(sim);
                 for (at, &bits) in steps.iter().enumerate() {
                     if at == bump_at {
-                        let before: Vec<u32> =
-                            dests.iter().filter_map(|&d| sim.host_prefix(d)).map(|p| sim.prefix_epoch(p)).collect();
+                        let epochs = || {
+                            [hosts[0], far].map(|d| sim.host_prefix(d).map(|p| sim.prefix_epoch(p)))
+                        };
+                        let before = epochs();
                         sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
-                        let after: Vec<u32> =
-                            dests.iter().filter_map(|&d| sim.host_prefix(d)).map(|p| sim.prefix_epoch(p)).collect();
-                        prop_assert!(before.iter().zip(&after).all(|(b, a)| a > b));
+                        let after = epochs();
+                        prop_assert!(before.iter().zip(&after).all(|(b, a)| b.is_none() || a > b));
                     }
-                    // Mostly the first destination, so its cells get read.
-                    let dst = dests[usize::from(bits & 3 == 0)];
-                    let start = RouterId(((bits >> 2) as usize % topo.routers.len()) as u32);
+                    let dst = match bits & 7 {
+                        0 => far,
+                        k => hosts[k as usize % hosts.len()],
+                    };
+                    let start = RouterId(((bits >> 3) as usize % topo.routers.len()) as u32);
                     let src = topo.vp_sites[(bits >> 20) as usize % topo.vp_sites.len()].host;
                     let meta = if bits >> 28 & 1 == 1 {
                         PktMeta::options(src, bits >> 29)
@@ -2034,46 +2213,63 @@ mod tests {
             }
         }
 
-        /// Cells of `tree` holding a link, and cells classed dynamic.
+        /// Cells of `tree` holding a route's facts, and those among them
+        /// of a router with several candidates.
         fn learned(tree: &SinkTree) -> (usize, usize) {
-            let dynamic = tree.cells.iter().filter(|&&c| c == CELL_DYNAMIC).count();
-            let known = tree.cells.iter().filter(|&&c| c < CELL_DYNAMIC).count();
-            (known, dynamic)
+            let known = tree.cells.iter().filter(|&&c| c != CELL_UNKNOWN);
+            let several = known.clone().filter(|&&c| cell_facts(c).1 > 1).count();
+            (known.count(), several)
         }
 
+        /// Walks from every VP toward one host of a prefix learn the
+        /// route's cells once; walks toward another host of the prefix —
+        /// the same route — read them and learn nothing, however the
+        /// choices among several candidates fall for that address; a walk
+        /// toward another prefix rebinds the tree and starts over.
         #[test]
-        fn a_tree_learns_links_once_and_forgets_them_on_a_new_key() {
+        fn a_tree_learns_a_route_once_and_forgets_it_on_a_new_route() {
             let sim = &arms()[1].sim;
             let topo = sim.topo();
-            let dst = sim.host_addrs(topo.prefixes[40].id).next().expect("hosts");
-            let dest = sim.resolve_dest(dst).expect("a host");
-            let mut tree = SinkTree::new(sim);
-            let sweep = |tree: &mut SinkTree| {
-                for v in &topo.vp_sites {
+            let sweep = |tree: &mut SinkTree, dst: Addr| {
+                let dest = sim.resolve_dest(dst).expect("a host");
+                for (i, v) in topo.vp_sites.iter().enumerate() {
                     let start = sim.host_attach(v.host).expect("vp host");
-                    let meta = PktMeta::options(v.host, u64::from(v.host.0));
-                    sim.walk_hops(start, dst, &dest, &meta, None, Some(&mut *tree));
+                    let meta = match i % 2 {
+                        0 => PktMeta::options(v.host, u64::from(v.host.0)),
+                        _ => PktMeta::plain(v.host, i as u16),
+                    };
+                    let lent = sim.walk_hops(start, dst, &dest, &meta, None, Some(&mut *tree));
+                    let unlent = sim.walk_at_epoch(start, dst, &meta, None);
+                    assert_eq!(lent.map(|w| w.hops), unlent.map(|w| w.hops));
                 }
             };
-            sweep(&mut tree);
+            let mut hosts = sim.host_addrs(topo.prefixes[40].id);
+            let (dst, other) = (hosts.next().expect("hosts"), hosts.nth(17).expect("hosts"));
+            let mut tree = SinkTree::new(sim);
+            sweep(&mut tree, dst);
             let first = learned(&tree);
             // Paths from 146 VPs to one host share their last hops: far
-            // fewer cells than hops walked, and most of them plain links.
-            assert!(first.0 > 20 && first.0 > 4 * first.1, "{first:?}");
-            sweep(&mut tree);
+            // fewer cells than hops walked, some with several candidates.
+            assert!(first.0 > 20 && first.1 > 0, "{first:?}");
+            sweep(&mut tree, dst);
             assert_eq!(learned(&tree), first, "a second pass learned something");
-            // Another address of the same prefix is another key.
-            let other = sim.host_addrs(topo.prefixes[40].id).nth(1).expect("hosts");
+            sweep(&mut tree, other);
+            assert_eq!(
+                learned(&tree),
+                first,
+                "another host of the route learned something"
+            );
+            // Another prefix is another route.
+            let far = sim.host_addrs(topo.prefixes[41].id).next().expect("hosts");
             let start = sim.host_attach(topo.vp_sites[0].host).expect("vp host");
             let meta = PktMeta::plain(topo.vp_sites[0].host, 0);
-            let dest = sim.resolve_dest(other).expect("a host");
-            let w = sim.walk_hops(start, other, &dest, &meta, None, Some(&mut tree));
-            let (known, dynamic) = learned(&tree);
-            assert!(known + dynamic < w.expect("routable").hops.len());
+            let dest = sim.resolve_dest(far).expect("a host");
+            let w = sim.walk_hops(start, far, &dest, &meta, None, Some(&mut tree));
+            assert!(learned(&tree).0 < w.expect("routable").hops.len());
         }
 
         #[test]
-        fn a_region_router_met_by_a_plain_packet_first_is_dynamic() {
+        fn a_region_router_met_by_a_plain_packet_first_keeps_route_facts_only() {
             // Find a `dbr_region` router — neither balancer nor violator,
             // so only the region rule sets it apart — where an option
             // packet leaves by another link than a plain one does.
@@ -2092,7 +2288,7 @@ mod tests {
                     else {
                         continue;
                     };
-                    let Some(fork) = p
+                    let Some((fork, _)) = p
                         .hops
                         .iter()
                         .zip(o.hops.iter())
@@ -2100,7 +2296,7 @@ mod tests {
                     else {
                         continue;
                     };
-                    let router = fork.0.router;
+                    let router = fork.router;
                     let r = topo.router(router);
                     if r.load_balancer
                         || sim.behavior().violates_dbr(router, pe.id)
@@ -2109,16 +2305,18 @@ mod tests {
                         continue;
                     }
                     found += 1;
-                    // The plain packet goes first and teaches the tree...
+                    // The plain packet goes first and teaches the tree the
+                    // router's candidates...
                     let mut tree = SinkTree::new(sim);
                     let lent = sim.walk_hops(start, dst, &dest, &plain, None, Some(&mut tree));
                     assert_eq!(lent.expect("walked above").hops[..], p.hops[..]);
-                    assert_eq!(
-                        tree.cells[router.index()],
-                        CELL_DYNAMIC,
-                        "{router} toward {dst}"
+                    let (first, n) = cell_facts(tree.cells[router.index()]);
+                    assert!(n > 1, "{router} toward {dst}: {n} candidates");
+                    assert!(
+                        r.links.contains(&first)
+                            && r.links.contains(&fork.out_link.expect("forwarded"))
                     );
-                    // ...nothing the option packet could be misled by.
+                    // ...never its pick: the option packet picks its own.
                     let lent = sim.walk_hops(start, dst, &dest, &option, None, Some(&mut tree));
                     assert_eq!(lent.expect("walked above").hops[..], o.hops[..]);
                 }
@@ -2224,52 +2422,80 @@ mod tests {
             }
         }
 
+        /// Up to two VPs of the prefix VP `i` of `sim` lives in, `i`'s
+        /// first: one route back, one reply tree.
+        fn with_sibling(sim: &Sim, i: usize) -> impl Iterator<Item = Addr> + '_ {
+            let vps = &sim.topo().vp_sites;
+            let vp = vps[i % vps.len()].host;
+            let home = sim.host_prefix(vp);
+            let sibling = vps
+                .iter()
+                .map(|v| v.host)
+                .find(move |&h| h != vp && sim.host_prefix(h) == home);
+            std::iter::once(vp).chain(sibling)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(1000))]
 
-            /// A small survey: VPs each RR-ping two hosts of one prefix in
-            /// turn, every forward leg lent its destination's tree and every
-            /// reply leg its VP's, which remembers the VP's legs for the
-            /// next exchange to replay. Every exchange is the
-            /// `rr_exchange_reference` one — slots, reply mark, rtt bits —
-            /// whether it replays a leg or must not: across a churn step
-            /// between two pings, through `dbr_region` routers, under link
-            /// maintenance.
+            /// A small survey: VPs — each drawn with another VP of its
+            /// prefix, where it has one — ping hosts of one prefix in turn,
+            /// visited route by route, each exchange a Record Route or a
+            /// plain echo as drawn. Every forward leg is lent the one tree
+            /// toward the prefix and every reply leg its VP's route's
+            /// tree, which remembers the last legs for later exchanges to
+            /// replay. Every exchange is the reference's — slots, reply
+            /// mark and rtt bits of `rr_exchange_reference`, rtt bits of
+            /// `ping_reference` — whether it replays a leg or must not:
+            /// across a churn step between two pings, through
+            /// `dbr_region` routers, under link maintenance.
             #[test]
             fn replayed_legs_match_reference(
                 arm in 0usize..8,
                 prefix in 0usize..1 << 16,
-                first in 0usize..1 << 16,
-                second in 0usize..1 << 16,
-                vps in proptest::collection::vec(0usize..1 << 16, 1..5),
+                hosts in proptest::collection::vec(0usize..1 << 16, 1..4),
+                vps in proptest::collection::vec(0usize..1 << 16, 1..4),
+                kinds in 0u64..u64::MAX,
                 nonce in 0u64..1 << 40,
-                churn_at in 0usize..12,
+                churn_at in 0usize..16,
             ) {
                 let arm = &replay_arms()[arm];
                 let sim = &arm.sim;
                 let topo = sim.topo();
                 let p = topo.prefixes[prefix % topo.prefixes.len()].id;
-                let dsts = [rr_host(sim, p, first), rr_host(sim, p, second)];
-                let mut forward = [SinkTree::new(sim), SinkTree::new(sim)];
-                let mut reply: Vec<SinkTree> = vps.iter().map(|_| SinkTree::new(sim)).collect();
+                let dsts: Vec<Addr> = hosts.iter().map(|&i| rr_host(sim, p, i)).collect();
+                let mut vps: Vec<Addr> = vps.iter().flat_map(|&i| with_sibling(sim, i)).collect();
+                // Route by route; a VP drawn twice pings again.
+                vps.sort_by_key(|&vp| sim.tree_key(vp));
+                let mut forward = SinkTree::new(sim);
+                let mut reply: Vec<(Option<TreeKey>, SinkTree)> = Vec::new();
                 let mut sent = 0;
-                // A VP drawn twice keeps its tree and pings again.
-                for (at, &vp) in vps.iter().enumerate() {
-                    let vp_at = vps.iter().position(|&v| v == vp).expect("drawn");
-                    let src = topo.vp_sites[vp % topo.vp_sites.len()].host;
-                    for (k, &dst) in dsts.iter().enumerate() {
+                for &src in &vps {
+                    let route = sim.tree_key(src);
+                    if reply.last().is_none_or(|(r, _)| *r != route) {
+                        reply.push((route, SinkTree::new(sim)));
+                    }
+                    let tree = &mut reply.last_mut().expect("pushed above").1;
+                    for &dst in &dsts {
                         if sent == churn_at {
                             sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
                         }
+                        let plain = kinds >> (sent % 64) & 1 == 1;
                         sent += 1;
                         let nonce = nonce + sent as u64;
-                        let trees = [Some(&mut forward[k]), Some(&mut reply[vp_at])];
+                        if plain {
+                            let got = sim.ping_lent(src, dst, Some(&mut forward), Some(&mut *tree));
+                            let want = sim.ping_reference(src, dst);
+                            prop_assert_eq!(got.map(|r| r.rtt_ms.to_bits()), want.map(|r| r.rtt_ms.to_bits()));
+                            continue;
+                        }
+                        let trees = [Some(&mut forward), Some(&mut *tree)];
                         let got = sim.rr_exchange(src, src, dst, nonce, [None, None], trees);
                         let want = sim.rr_exchange_reference(src, src, dst, nonce, [None, None]);
                         match (got, want) {
                             (None, None) => {}
                             (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
-                                prop_assert!(slots == want_slots, "VP {at} ping {k}: {slots:?}, reference {want_slots:?}");
+                                prop_assert!(slots == want_slots, "{src} -> {dst}: {slots:?}, reference {want_slots:?}");
                                 prop_assert_eq!(mark, want_mark);
                                 prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
                             }
@@ -2284,10 +2510,10 @@ mod tests {
         }
 
         /// What `replayed_legs_match_reference` claims to cover occurs: a
-        /// second forward leg replayed (its destination's fresh tree left
-        /// unbound), reply legs remembered, forward legs not remembered for
-        /// a choice among several candidates, and nothing remembered under
-        /// link maintenance.
+        /// second forward leg replayed (the fresh tree lent to it left
+        /// unbound), reply legs remembered, forward legs remembered for
+        /// their address alone after a choice among several candidates,
+        /// and nothing remembered under link maintenance.
         #[test]
         fn replayed_legs_hit_and_miss() {
             let mut seen = [0usize; 4];
@@ -2306,13 +2532,13 @@ mod tests {
                         if ping(0, &mut forward[0], &mut reply).is_none() {
                             continue;
                         }
-                        let [fwd, rep] = reply.legs.map(|l| l.is_some());
+                        let [fwd, rep] = reply.legs.map(|l| l[0]);
                         if i == 6 {
-                            seen[3] += usize::from(fwd || rep);
+                            seen[3] += usize::from(fwd.is_some() || rep.is_some());
                             continue;
                         }
-                        seen[1] += usize::from(!fwd);
-                        seen[2] += usize::from(rep);
+                        seen[1] += usize::from(fwd.is_some_and(|m| m.replays_only(dsts[0])));
+                        seen[2] += usize::from(rep.is_some());
                         if ping(1, &mut forward[1], &mut reply).is_some() {
                             seen[0] += usize::from(forward[1].bound.is_none());
                         }
@@ -2322,6 +2548,64 @@ mod tests {
             let [hits, several, replies, maintained] = seen;
             assert!(hits > 0 && several > 0 && replies > 0, "{seen:?}");
             assert_eq!(maintained, 0, "a leg remembered under link maintenance");
+        }
+
+        /// Route-keyed trees act across addresses: a VP's forward leg to a
+        /// prefix's second host replays the leg to its first (the fresh
+        /// tree lent to it left unbound); a VP's reply leg replays the one
+        /// another VP of its prefix left in their route's tree (a fresh
+        /// tree holding those memos left unbound); and a tree learned
+        /// toward one host is read, learning nothing, toward another.
+        #[test]
+        fn route_trees_replay_and_read_across_addresses() {
+            let mut seen = [0usize; 3];
+            for arm in &arms()[..6] {
+                let sim = &arm.sim;
+                let topo = sim.topo();
+                for pe in topo.prefixes.iter().step_by(topo.prefixes.len() / 12 + 1) {
+                    let dsts = [rr_host(sim, pe.id, 0), rr_host(sim, pe.id, 1)];
+                    for i in (0..topo.vp_sites.len()).step_by(5).take(8) {
+                        let pair: Vec<Addr> = with_sibling(sim, i).collect();
+                        let exchange =
+                            |vp: Addr, k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
+                                let trees = [Some(forward), Some(reply)];
+                                sim.rr_exchange(vp, vp, dsts[k], k as u64, [None, None], trees)
+                            };
+                        let (mut forward, mut reply) = (SinkTree::new(sim), SinkTree::new(sim));
+                        if exchange(pair[0], 0, &mut forward, &mut reply).is_none() {
+                            continue;
+                        }
+                        // The second host, through a fresh forward tree.
+                        let mut fresh = SinkTree::new(sim);
+                        if dsts[1] != dsts[0]
+                            && exchange(pair[0], 1, &mut fresh, &mut reply).is_some()
+                        {
+                            seen[0] += usize::from(fresh.bound.is_none());
+                        }
+                        // The sibling's reply, through a fresh reply tree
+                        // holding the route's memos.
+                        if let Some(&sibling) = pair.get(1) {
+                            let mut held = SinkTree::new(sim);
+                            held.legs = reply.legs;
+                            let mut fresh = SinkTree::new(sim);
+                            if exchange(sibling, 0, &mut fresh, &mut held).is_some() {
+                                seen[1] += usize::from(held.bound.is_none());
+                            }
+                        }
+                        // The tree walked toward host 0 read toward host 1.
+                        let before = learned(&forward);
+                        let start = sim.host_attach(pair[0]).expect("a VP host");
+                        let dest = sim.resolve_dest(dsts[1]).expect("a host");
+                        let meta = PktMeta::options(pair[0], 7);
+                        let lent =
+                            sim.walk_hops(start, dsts[1], &dest, &meta, None, Some(&mut forward));
+                        let unlent = sim.walk(start, dsts[1], &meta);
+                        assert_eq!(lent.map(|w| w.hops), unlent.map(|w| w.hops));
+                        seen[2] += usize::from(dsts[1] != dsts[0] && learned(&forward) == before);
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
         }
 
         /// What `rr_exchange_matches_reference` draws from answers in every

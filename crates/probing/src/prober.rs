@@ -14,7 +14,7 @@
 //! table and registry ([`Prober::prefix_of`], [`Prober::host_prefix`],
 //! [`Prober::block_owner`], [`Prober::as_prefixes`], [`Prober::prefix`]),
 //! a prefix's hitlist ([`Prober::host_addrs`]) and the simulator's byte
-//! ledgers. The survey's sink trees ([`SurveyTrees`], [`ReplyTree`]) and the
+//! ledgers. The survey's sink trees ([`ForwardTree`], [`ReplyTrees`]) and the
 //! `poisoned_atlas` scenario sit behind [`Round`]'s probes. The engine,
 //! the survey, the atlas and the service read nothing else of the world;
 //! [`Prober::sim`] is for the `aliasing` dataset builders, the evaluation
@@ -85,13 +85,13 @@ use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
 use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{
-    Addr, AsId, EchoReply, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TsReply,
+    Addr, AsId, EchoReply, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TreeKey, TsReply,
     TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
 use serde::Serialize;
 use std::num::NonZeroU32;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Timeout charged for an unanswered non-spoofed probe (virtual ms).
 pub const PROBE_TIMEOUT_MS: f64 = 2_000.0;
@@ -776,7 +776,7 @@ impl<'s> Prober<'s> {
     pub fn round(&self) -> Round<'_, 's> {
         Round {
             prober: self,
-            trees: None,
+            forward: None,
             start_ms: self.clock.now_ms(),
             longest_ms: 0.0,
             owner: true,
@@ -786,21 +786,18 @@ impl<'s> Prober<'s> {
     /// A part of a round, opened at `start_ms` — the round's own start
     /// ([`Round::start_ms`]) or an instant past it, such as a survey
     /// prefix's slot — for a thread to drive some of the round's members
-    /// in, lending its forward `trees` to their RR pings: its members go
-    /// out at the instants they would in a round opened then, and it
-    /// charges nothing — the round's owner joins its end ([`Round::join`])
-    /// and charges once.
+    /// in, lending its `forward` tree to their pings: its members go out at
+    /// the instants they would in a round opened then, and it charges
+    /// nothing — the round's owner joins its end ([`Round::join`]) and
+    /// charges once.
     pub fn round_part<'p>(
         &'p self,
         start_ms: f64,
-        mut trees: Option<&'p mut SurveyTrees>,
+        forward: Option<&'p mut ForwardTree>,
     ) -> Round<'p, 's> {
-        if let Some(trees) = trees.as_deref_mut() {
-            trees.open();
-        }
         Round {
             prober: self,
-            trees,
+            forward,
             start_ms,
             longest_ms: 0.0,
             owner: false,
@@ -1008,66 +1005,102 @@ impl<'s> Prober<'s> {
     }
 }
 
-/// The forward sink trees one worker of a survey over many prefixes lends
-/// its RR pings ([`Prober::round_part`]): the forward walks of one prefix
-/// converge on its destinations. Lending changes no walk, only how much of
-/// it is read instead of derived.
-pub struct SurveyTrees {
-    /// One tree per destination of a round, each with the destination the
-    /// open round lent it to (rebound by each round's destinations).
-    forward: Vec<(Option<Addr>, SinkTree)>,
-}
-
-impl SurveyTrees {
-    /// Empty trees for a survey that pings at most `dests` destinations a
-    /// round.
-    pub fn new(prober: &Prober<'_>, dests: usize) -> SurveyTrees {
-        let mut forward = Vec::with_capacity(dests);
-        forward.extend((0..dests).map(|_| (None, SinkTree::new(prober.sim))));
-        SurveyTrees { forward }
-    }
-
-    /// A new round: every tree is free to lend.
-    fn open(&mut self) {
-        for (lent, _) in &mut self.forward {
-            *lent = None;
-        }
-    }
-
-    /// The tree lent to `dst` this round; a destination new to the round
-    /// takes the next free one. `None` past the round's count.
-    fn lend(&mut self, dst: Addr) -> Option<&mut SinkTree> {
-        let forward = &mut self.forward;
-        let at = (forward.iter().position(|&(lent, _)| lent == Some(dst)))
-            .or_else(|| forward.iter().position(|&(lent, _)| lent.is_none()))?;
-        let (lent, tree) = &mut forward[at];
-        *lent = Some(dst);
-        Some(tree)
-    }
-}
-
-/// One survey VP's reply sink tree: every prefix's replies walk back to the
-/// VP, so the tree lives across rounds (until churn re-rolls the VP's own
-/// prefix), lent to the reply legs of the VP's RR pings
-/// ([`Round::rr_ping_from`]). It also keeps the VP's last legs, which the
-/// VP's ping to a prefix's second destination replays.
-pub struct ReplyTree {
-    vp: Addr,
+/// A survey worker's forward sink tree ([`Prober::round_part`]): every
+/// ping of a prefix's round, scan and Record Route alike, goes to a host of
+/// the prefix, along one route, so one tree serves them all, and the next
+/// prefix's pings rebind it. Lending changes no walk, only how much of it
+/// is read instead of derived.
+pub struct ForwardTree {
     tree: SinkTree,
 }
 
-impl ReplyTree {
-    /// An empty reply tree for `vp`'s RR pings.
-    pub fn new(prober: &Prober<'_>, vp: Addr) -> ReplyTree {
-        ReplyTree {
-            vp,
+impl ForwardTree {
+    /// An empty forward tree.
+    pub fn new(prober: &Prober<'_>) -> ForwardTree {
+        ForwardTree {
             tree: SinkTree::new(prober.sim),
         }
     }
+}
 
-    /// The VP whose pings it serves.
-    pub fn vp(&self) -> Addr {
-        self.vp
+/// The reply sink trees of a survey from many VPs: every prefix's replies
+/// walk back to the same VPs, and the VPs of one prefix sit at the end of
+/// one route, so there is one tree per distinct route back, shared by its
+/// VPs and living across rounds (until churn re-rolls the route). Each is
+/// lent to the reply legs of its VPs' pings ([`Round::rr_ping_from`],
+/// [`Round::ping_from`]) and keeps the last legs, which the next ping
+/// replays where it must take the same hops: a VP's second destination,
+/// or the next VP of the route.
+pub struct ReplyTrees {
+    /// VP positions in the surveyed list, grouped by route — ascending in
+    /// a group, the groups in the order of their first VP.
+    order: Box<[u32]>,
+    /// Per route, in that order: its tree, and where its VPs end in
+    /// `order`.
+    routes: Box<[(Mutex<ReplyTree>, u32)]>,
+}
+
+/// One route's reply tree ([`ReplyTrees::tree`]).
+pub struct ReplyTree {
+    tree: SinkTree,
+}
+
+impl ReplyTrees {
+    /// The trees for a survey from `vps`: one per route back to them. A
+    /// VP nothing routes to has a tree of its own.
+    pub fn new(prober: &Prober<'_>, vps: &[Addr]) -> ReplyTrees {
+        let mut keyed: Vec<(Option<TreeKey>, u32)> = (0u32..)
+            .zip(vps)
+            .map(|(at, &vp)| (prober.sim.tree_key(vp), at))
+            .collect();
+        keyed.sort_unstable();
+        let same =
+            |a: &(Option<TreeKey>, u32), b: &(Option<TreeKey>, u32)| a.0.is_some() && a.0 == b.0;
+        let mut groups: Vec<&[(Option<TreeKey>, u32)]> = keyed.chunk_by(same).collect();
+        groups.sort_unstable_by_key(|g| g[0].1);
+        let mut order = Vec::with_capacity(vps.len());
+        order.extend(groups.iter().flat_map(|g| g.iter().map(|&(_, at)| at)));
+        let mut end = 0;
+        let routes = groups.iter().map(|g| {
+            end += g.len() as u32;
+            let tree = SinkTree::new(prober.sim);
+            (Mutex::new(ReplyTree { tree }), end)
+        });
+        ReplyTrees {
+            order: order.into(),
+            routes: routes.collect(),
+        }
+    }
+
+    /// How many distinct routes lead back to the VPs.
+    pub fn len(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// True for a survey from no VP.
+    pub fn is_empty(&self) -> bool {
+        self.routes.is_empty()
+    }
+
+    /// Route `r`'s VPs, by position in the surveyed list, ascending. Route
+    /// 0 is the first VP's.
+    pub fn vps(&self, r: usize) -> &[u32] {
+        let start = r.checked_sub(1).map_or(0, |prev| self.routes[prev].1);
+        &self.order[start as usize..self.routes[r].1 as usize]
+    }
+
+    /// Route `r`'s tree, locked.
+    pub fn tree(&self, r: usize) -> MutexGuard<'_, ReplyTree> {
+        (self.routes[r].0.lock()).expect("no worker panicked holding a reply tree")
+    }
+
+    /// Route `r`'s tree, locked — `None` while another worker holds it.
+    pub fn try_tree(&self, r: usize) -> Option<MutexGuard<'_, ReplyTree>> {
+        match self.routes[r].0.try_lock() {
+            Ok(tree) => Some(tree),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("a worker panicked holding a reply tree"),
+        }
     }
 }
 
@@ -1087,8 +1120,8 @@ impl ReplyTree {
 /// ([`Round::join`]) before it closes — so the round still charges once.
 pub struct Round<'p, 's> {
     prober: &'p Prober<'s>,
-    /// A survey worker's forward trees, lent to its RR pings.
-    trees: Option<&'p mut SurveyTrees>,
+    /// A survey worker's forward tree, lent to its pings.
+    forward: Option<&'p mut ForwardTree>,
     /// The shared clock when the round opened.
     start_ms: f64,
     /// The latest member's end so far, from the round's start.
@@ -1138,16 +1171,42 @@ impl Round<'_, '_> {
     }
 
     /// One survey scan ping (§4.3), sent `after_ms` into the round: the
-    /// probe [`Prober::ping`] sends. Returns the reply and the chain's
+    /// probe [`Prober::ping`] sends, lending the part's forward tree, if it
+    /// has one, to the walk there. Returns the reply and the chain's
     /// length, so the reply came in at `after_ms` plus that length.
     pub fn ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> (Option<EchoReply>, f64) {
+        self.survey_ping(after_ms, src, dst, None)
+    }
+
+    /// [`Round::ping`] from `src`, one of the VPs `reply` serves, lending
+    /// that tree to the walk back.
+    pub fn ping_from(
+        &mut self,
+        after_ms: f64,
+        reply: &mut ReplyTree,
+        src: Addr,
+        dst: Addr,
+    ) -> (Option<EchoReply>, f64) {
+        self.survey_ping(after_ms, src, dst, Some(&mut reply.tree))
+    }
+
+    fn survey_ping(
+        &mut self,
+        after_ms: f64,
+        src: Addr,
+        dst: Addr,
+        reply: Option<&mut SinkTree>,
+    ) -> (Option<EchoReply>, f64) {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Ping, None, src, dst);
+        let mut forward = self.forward.take();
+        let lent = forward.as_deref_mut().map(|f| &mut f.tree);
         let (r, chain_ms) = self.member(after_ms, probe, |_, _| {
-            let r = p.sim.ping(src, dst);
+            let r = p.sim.ping_lent(src, dst, lent, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
+        self.forward = forward;
         (r.flatten(), chain_ms)
     }
 
@@ -1158,20 +1217,21 @@ impl Round<'_, '_> {
     /// this member's instant — but never near the measurement cache (a
     /// VP→scan-destination ping is one no measurement re-issues), with no
     /// replay provenance (nothing audits the survey), and lending the
-    /// part's forward tree for `dst`, if it has trees, to the walk there.
+    /// part's forward tree, if it has one, to the walk there.
     pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> Option<RrReply> {
         self.survey_rr_ping(after_ms, src, dst, None)
     }
 
-    /// [`Round::rr_ping`] from `vp`'s VP, lending its reply tree to the
-    /// walk back.
+    /// [`Round::rr_ping`] from `vp`, one of the VPs `reply` serves, lending
+    /// that tree to the walk back.
     pub fn rr_ping_from(
         &mut self,
         after_ms: f64,
-        vp: &mut ReplyTree,
+        reply: &mut ReplyTree,
+        vp: Addr,
         dst: Addr,
     ) -> Option<RrReply> {
-        self.survey_rr_ping(after_ms, vp.vp, dst, Some(&mut vp.tree))
+        self.survey_rr_ping(after_ms, vp, dst, Some(&mut reply.tree))
     }
 
     fn survey_rr_ping(
@@ -1183,14 +1243,14 @@ impl Round<'_, '_> {
     ) -> Option<RrReply> {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Rr, None, src, dst);
-        let mut trees = self.trees.take();
-        let forward = trees.as_deref_mut().and_then(|t| t.lend(dst));
+        let mut forward = self.forward.take();
+        let lent = forward.as_deref_mut().map(|f| &mut f.tree);
         let (r, _) = self.member(after_ms, probe, |_, nonce| {
-            let r = p.sim.rr_ping_lent(src, dst, nonce, forward, reply);
+            let r = p.sim.rr_ping_lent(src, dst, nonce, lent, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
-        self.trees = trees;
+        self.forward = forward;
         r.flatten()
     }
 

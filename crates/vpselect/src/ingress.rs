@@ -23,9 +23,10 @@
 //!
 //! The survey sees what a deployment sees: it reads a prefix's range, its
 //! hitlist and the set-cover tie seed through the [`Prober`], and
-//! [`IngressDb::build`] lends its RR pings sink trees — a worker's
-//! [`SurveyTrees`] toward the destinations, each VP's [`ReplyTree`] back —
-//! through each prefix's part of the build's round ([`Prober::round_part`]).
+//! [`IngressDb::build`] lends its pings sink trees — a worker's
+//! [`ForwardTree`] toward the prefix, one of the [`ReplyTrees`] back to
+//! each route's VPs — through each prefix's part of the build's round
+//! ([`Prober::round_part`]).
 //!
 //! The output drives spoofed-probe VP selection: probe once per ingress,
 //! from the closest VP to that ingress, in batches of three (§4.3). The
@@ -43,9 +44,9 @@
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::pool;
-use revtr_netsim::{Addr, Prefix, PrefixId, RrReply};
+use revtr_netsim::{Addr, Prefix, PrefixId, RrReply, RrSlots, RR_SLOTS};
 use revtr_probing::prober::PROBE_TIMEOUT_MS;
-use revtr_probing::{Prober, ReplyTree, Round, SurveyTrees};
+use revtr_probing::{ForwardTree, Prober, ReplyTree, ReplyTrees, Round};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -271,11 +272,13 @@ impl IngressDb {
     /// (each (vp, dest) pair is probed once), so skipping the cache does
     /// not change the probes sent or the replies seen.
     ///
-    /// Every VP pings the same two destinations of a prefix, and every
+    /// Every ping of a prefix goes to a host of the prefix, and every
     /// prefix's replies walk back to the same VPs, so the build keeps a
-    /// sink tree per destination and per VP and lends them to its pings:
-    /// same probes, same replies as [`probe_prefix_in`] at each prefix's
-    /// slot, most hops read instead of derived.
+    /// sink tree per route — a worker's toward the prefix in hand, one back
+    /// to each VP prefix ([`ReplyTrees`]) — and lends them to its pings,
+    /// visiting the VPs route by route so that each ping replays what it
+    /// can of the last: same probes, same replies as [`probe_prefix_in`]
+    /// at each prefix's slot, most hops read instead of derived.
     ///
     /// The build is one round ([`Prober::round`]): prefix `i` of the list
     /// (distinct prefixes) opens its own round `i` slots ([`SLOT_MS`]) into
@@ -317,9 +320,7 @@ impl IngressDb {
             prefixes.iter().map(|p| p.index() + 1).max().unwrap_or(0),
             || None,
         );
-        let trees: Box<[Mutex<ReplyTree>]> = (vps.iter())
-            .map(|&vp| Mutex::new(ReplyTree::new(prober, vp)))
-            .collect();
+        let trees = ReplyTrees::new(prober, vps);
         let survey = Survey {
             prober,
             vps,
@@ -491,20 +492,21 @@ pub fn probe_prefix_in(
 pub const SLOT_MS: f64 = 2.0 * PROBE_TIMEOUT_MS;
 
 /// What every prefix of a survey is surveyed with: the prober, the VPs
-/// (distinct addresses), the heuristics, and each VP's reply tree, by
-/// position, if the survey lends its RR pings trees.
+/// (distinct addresses), the heuristics, and the VPs' reply trees, if the
+/// survey lends its pings trees.
 struct Survey<'a, 's> {
     prober: &'a Prober<'s>,
     vps: &'a [Addr],
     h: Heuristics,
-    replies: Option<&'a [Mutex<ReplyTree>]>,
+    replies: Option<&'a ReplyTrees>,
 }
 
 /// Step 1 of the survey: up to two responsive destinations of `p`, in
 /// candidate order, pinged from the first VP (any source works:
 /// responsiveness is a destination property) into the prefix's round as
-/// one [`wave`]; with the wave, whose `found[k]` is when destination `k`
-/// answered.
+/// one [`wave`] — the replies walking back along the first VP's tree, if
+/// the survey keeps them; with the wave, whose `found[k]` is when
+/// destination `k` answered.
 fn responsive_dests(
     round: &mut Round<'_, '_>,
     s: &Survey<'_, '_>,
@@ -515,11 +517,19 @@ fn responsive_dests(
         .map(|(c, a)| *c = a)
         .count();
     // No VP, no pinger: nothing to scan with.
-    let n = if s.vps.is_empty() { 0 } else { n };
-    let wave = wave(n, |i| {
-        let (reply, chain_ms) = round.ping(0.0, s.vps[0], cands[i]);
-        (reply.is_some(), chain_ms)
-    });
+    let Some(&pinger) = s.vps.first() else {
+        return (Vec::new(), wave(0, |_| (false, 0.0)));
+    };
+    let answered = |(reply, chain_ms): (Option<_>, f64)| (reply.is_some(), chain_ms);
+    let wave = match s.replies {
+        None => wave(n, |i| answered(round.ping(0.0, pinger, cands[i]))),
+        Some(trees) => {
+            let mut tree = trees.tree(0);
+            wave(n, |i| {
+                answered(round.ping_from(0.0, &mut tree, pinger, cands[i]))
+            })
+        }
+    };
     let dests = wave.found[..wave.len].iter().map(|&(i, _)| cands[i]);
     (dests.collect(), wave)
 }
@@ -560,10 +570,12 @@ fn wave(n: usize, mut send: impl FnMut(usize) -> (bool, f64)) -> Wave {
 /// One `(ingress candidate, VP)` incidence of a prefix's survey.
 #[derive(Clone, Copy)]
 struct Incidence {
+    /// The candidate's set-cover tie-break, hashed once a prefix
+    /// ([`SurveyScratch::finish`]).
+    tie: u64,
     cand: Addr,
-    vp: Addr,
-    /// Position of `vp` in the surveyed list.
-    vp_at: u32,
+    /// Position of the VP in the surveyed list.
+    vp_at: u16,
     /// Rank of `cand` among the candidates on the VP's first parsed path —
     /// the slot-distance order its queue is ranked by.
     dist: u8,
@@ -588,12 +600,10 @@ struct Rows {
 }
 
 impl Rows {
-    /// Rows for `n_vps` VPs: era-2020 prefixes average under three shared
-    /// candidates a VP; one in seven has more than four and doubles the
-    /// run once.
-    fn new(n_vps: usize) -> Rows {
+    /// Rows for `n_vps` VPs, the run sized for `per_vp` candidates a VP.
+    fn new(n_vps: usize, per_vp: usize) -> Rows {
         Rows {
-            run: Vec::with_capacity(4 * n_vps),
+            run: Vec::with_capacity(per_vp * n_vps),
             near: Vec::with_capacity(n_vps),
             closest: None,
         }
@@ -612,6 +622,7 @@ impl Rows {
         let Some((first, rest)) = views.split_first() else {
             return;
         };
+        let at = u16::try_from(vp_at).expect("at most 65 536 VPs");
         let (sum, reached) = (views.iter())
             .filter_map(|v| v.dest_dist)
             .fold((0, 0), |(sum, n), d| (sum + d, n + 1));
@@ -630,9 +641,9 @@ impl Rows {
         for (rank, &cand) in first.candidates.iter().enumerate() {
             if rest.iter().all(|v| v.candidates.contains(&cand)) {
                 self.run.push(Incidence {
+                    tie: 0,
                     cand,
-                    vp,
-                    vp_at: vp_at as u32,
+                    vp_at: at,
                     dist: rank as u8,
                 });
             }
@@ -648,21 +659,30 @@ struct Views {
     answered: usize,
 }
 
+/// Destination `k`'s last reply of a prefix's round and its view: the
+/// next VP's reply often carries the same slots — its legs replayed the
+/// last — and then has the same view.
+type Seen = [Option<(RrSlots, PathView)>; DESTS_PER_PREFIX];
+
 impl Views {
     /// Steps 2–3 for one VP: RR-ping each destination, destination `k` as
     /// soon as its scan ping answered (`found[k]`), through `rr_ping(at,
-    /// dst)`, and parse each reply against the prefix.
+    /// dst)`, and parse each reply against the prefix — unless it is the
+    /// one `seen` holds.
     fn ping(
         mut rr_ping: impl FnMut(f64, Addr) -> Option<RrReply>,
         dests: &[Addr],
         found: &[(usize, f64)],
-        prefix: Prefix,
-        h: Heuristics,
+        (prefix, h): (Prefix, Heuristics),
+        seen: &mut Seen,
     ) -> Views {
         let mut v = Views::default();
-        for (&d, &(_, at_ms)) in dests.iter().zip(found) {
+        for ((&d, &(_, at_ms)), seen) in dests.iter().zip(found).zip(seen) {
             if let Some(r) = rr_ping(at_ms, d) {
-                v.views[v.answered] = path_view(&r.slots, prefix, h);
+                v.views[v.answered] = match seen {
+                    Some((slots, view)) if *slots == r.slots => *view,
+                    _ => seen.insert((r.slots, path_view(&r.slots, prefix, h))).1,
+                };
                 v.answered += 1;
             }
         }
@@ -683,14 +703,36 @@ struct SurveyScratch {
     covered: Vec<bool>,
     /// Ingresses picked so far, copied out at their exact count.
     picked: Vec<IngressInfo>,
+    /// The prefix's last reply per destination, and its view.
+    seen: Seen,
+    /// Routes whose reply tree another worker held when visited: left for
+    /// after the others.
+    busy: Vec<u32>,
 }
 
 impl SurveyScratch {
+    /// Scratch for one prefix's survey: era-2020 prefixes average under
+    /// three shared candidates a VP; one in seven has more than four and
+    /// doubles the run once.
     fn new(n_vps: usize) -> SurveyScratch {
+        SurveyScratch::sized(n_vps, 4, 16, 0)
+    }
+
+    /// Scratch for a build's worker, sized once for the worst case — a VP
+    /// brings at most nine candidates, a pick covers at least one VP, there
+    /// are at most as many routes as VPs — so that what it allocates does
+    /// not depend on the prefixes it claims.
+    fn for_build(n_vps: usize) -> SurveyScratch {
+        SurveyScratch::sized(n_vps, RR_SLOTS, n_vps, n_vps)
+    }
+
+    fn sized(n_vps: usize, per_vp: usize, picks: usize, routes: usize) -> SurveyScratch {
         SurveyScratch {
-            rows: Rows::new(n_vps),
+            rows: Rows::new(n_vps, per_vp),
             covered: Vec::with_capacity(n_vps),
-            picked: Vec::with_capacity(16),
+            picked: Vec::with_capacity(picks),
+            seen: Seen::default(),
+            busy: Vec::with_capacity(routes),
         }
     }
 
@@ -716,8 +758,10 @@ impl SurveyScratch {
     }
 
     /// Steps 2–5 of [`SurveyScratch::survey`], on the destinations the scan
-    /// found (at least one) and its wave. A VP's RR pings walk back along
-    /// its reply tree, held for both, if the survey keeps them.
+    /// found (at least one) and its wave. If the survey keeps reply trees,
+    /// the VPs are visited route by route, from route `from` on, each
+    /// route's tree held for all its VPs' RR pings; else VP by VP, from
+    /// position `from` on.
     fn survey_dests(
         &mut self,
         s: &Survey<'_, '_>,
@@ -727,51 +771,77 @@ impl SurveyScratch {
         (dests, wave): (Vec<Addr>, Wave),
     ) -> PrefixInfo {
         self.rows.clear();
-        let (prefix, found) = (s.prober.prefix(p), &wave.found[..wave.len]);
-        let n_vps = s.vps.len();
-        for v in (from..n_vps).chain(0..from) {
-            let views = match s.replies {
-                None => {
+        self.seen = Seen::default();
+        let found = &wave.found[..wave.len];
+        let parse = (s.prober.prefix(p), s.h);
+        let (rows, seen) = (&mut self.rows, &mut self.seen);
+        match s.replies {
+            None => {
+                let n_vps = s.vps.len();
+                for v in (from..n_vps).chain(0..from) {
                     let rr_ping = |at_ms, d| round.rr_ping(at_ms, s.vps[v], d);
-                    Views::ping(rr_ping, &dests, found, prefix, s.h)
+                    let views = Views::ping(rr_ping, &dests, found, parse, seen);
+                    rows.fold(v, s.vps[v], views.answered());
                 }
-                Some(trees) => {
-                    let mut tree = trees[v].lock().expect("no worker panicked holding a tree");
-                    let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, &mut tree, d);
-                    Views::ping(rr_ping, &dests, found, prefix, s.h)
+            }
+            Some(trees) => {
+                let mut visit = |r: usize, tree: &mut ReplyTree| {
+                    for &v in trees.vps(r) {
+                        let vp = s.vps[v as usize];
+                        let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, tree, vp, d);
+                        let views = Views::ping(rr_ping, &dests, found, parse, seen);
+                        rows.fold(v as usize, vp, views.answered());
+                    }
+                };
+                // A route another worker is visiting waits for the rest.
+                self.busy.clear();
+                for r in (from..trees.len()).chain(0..from) {
+                    match trees.try_tree(r) {
+                        Some(mut tree) => visit(r, &mut tree),
+                        None => self.busy.push(r as u32),
+                    }
                 }
-            };
-            self.rows.fold(v, s.vps[v], views.answered());
+                for &r in &self.busy {
+                    visit(r as usize, &mut trees.tree(r as usize));
+                }
+            }
         }
-        self.finish(s.prober, n_vps, p, dests)
+        self.finish(s.prober, s.vps, p, dests)
     }
 
-    /// Steps 4–5 on the rows of all `n_vps` VPs: the candidate set, the
-    /// greedy cover, the fallback ranking and the in-range bits, as the
-    /// prefix's [`PrefixInfo`]. The VPs may have been folded in any order:
-    /// every key sorted or ranked on is unique — `(candidate, vp)` in the
-    /// run (a view lists a candidate once), `(distance, vp)` in the
-    /// ranking and for the closest VP — so the answer is the VP order's.
+    /// Steps 4–5 on the rows of all the VPs: the candidate set, the greedy
+    /// cover, the fallback ranking and the in-range bits, as the prefix's
+    /// [`PrefixInfo`]. The VPs may have been folded in any order: the run
+    /// is grouped by candidate, and only the groups' sizes and candidates
+    /// are read until a winner's VPs are ranked; every key ranked on is
+    /// unique — `(candidate cover, tie, candidate)` among the groups,
+    /// `(distance, vp)` in a queue (a view lists a candidate once), in the
+    /// fallback ranking and for the closest VP — so the answer is the VP
+    /// order's.
     fn finish(
         &mut self,
         prober: &Prober<'_>,
-        n_vps: usize,
+        vps: &[Addr],
         p: PrefixId,
         dests: Vec<Addr>,
     ) -> PrefixInfo {
+        let n_vps = vps.len();
         let rows = &mut self.rows;
         let mut in_range = vec![0u64; n_vps.div_ceil(64)].into_boxed_slice();
         for &(_, _, at) in &rows.near {
             in_range[at as usize / 64] |= 1 << (at % 64);
         }
         let run = &mut rows.run;
-        // `(cand, vp)` as one word: the same order, one comparison.
-        run.sort_unstable_by_key(|i| u64::from(i.cand.0) << 32 | u64::from(i.vp.0));
-        debug_assert!(run
-            .windows(2)
-            .all(|w| (w[0].cand, w[0].vp) < (w[1].cand, w[1].vp)));
+        // A candidate's VPs contiguous, in no order: nothing below reads it.
+        run.sort_unstable_by_key(|i| i.cand);
         let mut candidates = Vec::with_capacity(run.chunk_by(same_candidate).count());
         candidates.extend(run.chunk_by(same_candidate).map(|g| g[0].cand));
+        // Each candidate's tie-break, hashed once for all the picks.
+        let tie_seed = prober.seed() ^ 0x5e7c;
+        for group in run.chunk_by_mut(same_candidate) {
+            let tie = mix3(tie_seed, u64::from(group[0].cand.0), u64::from(p.0));
+            group.iter_mut().for_each(|i| i.tie = tie);
+        }
 
         // 4. Greedy set cover of VPs by candidate ingress: pick the
         // candidate on the most uncovered VPs' paths (ties: a seeded hash
@@ -779,17 +849,11 @@ impl SurveyScratch {
         // fall, so the picks come out in coverage order.
         self.covered.clear();
         self.covered.resize(n_vps, false);
-        let tie_seed = prober.seed() ^ 0x5e7c;
         loop {
             let mut best: Option<((usize, u64, Addr), usize)> = None;
             let mut start = 0;
             for group in run.chunk_by(same_candidate) {
-                let cand = group[0].cand;
-                let key = (
-                    group.len(),
-                    mix3(tie_seed, u64::from(cand.0), u64::from(p.0)),
-                    cand,
-                );
+                let key = (group.len(), group[0].tie, group[0].cand);
                 if best.is_none_or(|(best_key, _)| key > best_key) {
                     best = Some((key, start));
                 }
@@ -801,17 +865,18 @@ impl SurveyScratch {
             // The winner's VPs, closest first (ties: lowest address); the
             // reordered group leaves the run right below.
             let group = &mut run[start..start + cover];
-            group.sort_unstable_by_key(|i| (i.dist, i.vp));
+            group.sort_unstable_by_key(|i| (i.dist, vps[usize::from(i.vp_at)]));
             for i in group.iter() {
-                self.covered[i.vp_at as usize] = true;
+                self.covered[usize::from(i.vp_at)] = true;
             }
+            let ranked = group.iter().take(VPS_PER_INGRESS);
             self.picked.push(IngressInfo {
                 addr,
                 cover,
-                ranked_vps: group.iter().take(VPS_PER_INGRESS).map(|i| i.vp).collect(),
+                ranked_vps: ranked.map(|i| vps[usize::from(i.vp_at)]).collect(),
             });
             let covered = &self.covered;
-            run.retain(|i| !covered[i.vp_at as usize]);
+            run.retain(|i| !covered[usize::from(i.vp_at)]);
         }
         debug_assert!(self.picked.windows(2).all(|w| w[0].cover >= w[1].cover));
 
@@ -854,10 +919,10 @@ struct Build<'a, 's> {
 }
 
 /// A survey worker: its index among the pool's workers (the owner's is 0),
-/// the forward trees it lends its RR pings and its working memory.
+/// the forward tree it lends its pings and its working memory.
 struct Worker {
     at: usize,
-    trees: SurveyTrees,
+    forward: ForwardTree,
     scratch: SurveyScratch,
 }
 
@@ -865,8 +930,8 @@ impl Worker {
     fn new(prober: &Prober<'_>, at: usize, n_vps: usize) -> Worker {
         Worker {
             at,
-            trees: SurveyTrees::new(prober, DESTS_PER_PREFIX),
-            scratch: SurveyScratch::new(n_vps),
+            forward: ForwardTree::new(prober),
+            scratch: SurveyScratch::for_build(n_vps),
         }
     }
 }
@@ -874,16 +939,17 @@ impl Worker {
 impl Build<'_, '_> {
     /// `worker`'s share of the build: claim prefixes until none is left
     /// and survey each in a part of the build's round at its slot, visiting
-    /// the VPs from an offset of the worker's own, so that workers seldom
-    /// wait on one another's reply trees.
+    /// the VPs' routes from an offset of the worker's own, so that workers
+    /// seldom wait on one another's reply trees.
     fn survey(&self, worker: &mut Worker) {
         let s = &self.survey;
-        let from = worker.at * s.vps.len() / self.width;
+        let routes = s.replies.map_or(s.vps.len(), ReplyTrees::len);
+        let from = worker.at * routes / self.width;
         let mut end_ms = 0.0f64;
         for i in self.claims.claims(worker.at) {
             let slot_ms = i as f64 * SLOT_MS;
-            let trees = Some(&mut worker.trees);
-            let mut round = s.prober.round_part(self.start_ms + slot_ms, trees);
+            let forward = Some(&mut worker.forward);
+            let mut round = s.prober.round_part(self.start_ms + slot_ms, forward);
             let p = self.prefixes[i];
             let info = worker.scratch.survey(s, &mut round, p, from);
             end_ms = end_ms.max(slot_ms + round.end_ms());

@@ -6,9 +6,9 @@
 //!   set, the fallback ranking, the ingress list and one VP queue per
 //!   ingress, each cut to size in one allocation — plus a constant for the
 //!   scratch, the tables and the global order, however many VPs answered or
-//!   set-cover picks it took, and its sink trees: one block per surveyed
-//!   destination position and per VP, made once, never per prefix — and,
-//!   on a host with more than one core, a fixed cost per pool helper;
+//!   set-cover picks it took, and its sink trees: one block for the forward
+//!   tree and one per route back to the VPs, made once, never per prefix —
+//!   and, on a host with more than one core, a fixed cost per pool helper;
 //! * the standalone `probe_prefix` pays that scratch per call and nothing
 //!   else — it lends no tree;
 //! * `parse_rr` and `path_view` allocate nothing.
@@ -18,7 +18,7 @@
 
 use revtr_alloccount::process_allocs_in;
 use revtr_netsim::{Addr, Prefix, PrefixId, Sim, SimConfig};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, ReplyTrees};
 use revtr_vpselect::ingress::{probe_prefix, PrefixInfo};
 use revtr_vpselect::parse::parse_rr;
 use revtr_vpselect::{path_view, Heuristics, IngressDb};
@@ -41,20 +41,21 @@ fn output_blocks(info: &PrefixInfo) -> u64 {
 
 /// Scratch, tables and global order of one `IngressDb::build`.
 const BUILD_CONSTANT: u64 = 12;
-/// Sink trees of one `IngressDb::build`: the cells of two forward trees
-/// and of a reply tree per VP, and the list the reply trees sit in.
-fn tree_blocks(n_vps: usize) -> u64 {
-    (2 + n_vps + 1) as u64
+/// Sink trees of one `IngressDb::build` whose VPs sit at the end of
+/// `routes` distinct routes: the cells of the owner's forward tree and of a
+/// reply tree per route, and the grouping's four lists — the VPs keyed by
+/// route, the groups, the VPs in group order, the trees.
+fn tree_blocks(routes: usize) -> u64 {
+    (1 + routes + 4) as u64
 }
 /// What each helper of the build's pool adds, once: its thread's start and
 /// the thread-locals its first probes set up (two more under the test
 /// harness's output capture, which a spawned thread inherits), its forward
-/// sink trees and the list they sit in, and its scratch — four blocks, and
-/// the run doubling once or twice, as the prefixes the helper claims
-/// demand. (Read on the 2-core reference host at width 2 over 40 runs:
-/// 13–14 a helper captured, 11–12 with `--nocapture`; one more is left for
-/// a second doubling.)
-const PER_HELPER: u64 = 15;
+/// sink tree, and its scratch — five blocks, sized once for the worst case
+/// so that they never grow, whichever prefixes the helper claims. (Read on
+/// the 2-core reference host at width 2 over 40 runs, idle and beside a
+/// busy loop: 12 a helper captured every time, 10 with `--nocapture`.)
+const PER_HELPER: u64 = 12;
 /// Scratch of one standalone `probe_prefix`: four blocks, and the run
 /// doubling at most twice (a VP can bring nine candidates; the run is sized
 /// for four).
@@ -84,10 +85,15 @@ fn the_survey_allocates_what_it_returns() {
     );
     // The build runs on a pool as wide as the host's cores.
     let helpers = revtr_netsim::pool::cores() as u64 - 1;
-    let bound = outputs + BUILD_CONSTANT + tree_blocks(vps.len()) + PER_HELPER * helpers;
+    let routes = ReplyTrees::new(&prober, &vps).len();
+    assert!(
+        routes < vps.len(),
+        "no two VPs share a route: the tree count is vacuous"
+    );
+    let bound = outputs + BUILD_CONSTANT + tree_blocks(routes) + PER_HELPER * helpers;
     eprintln!(
         "IngressDb::build: {build} allocations for {outputs} output blocks, \
-         {helpers} pool helper(s) (bound {bound})"
+         {routes} reply trees, {helpers} pool helper(s) (bound {bound})"
     );
     assert!(
         build <= bound,

@@ -1,7 +1,8 @@
 //! `IngressDb::build` surveys every prefix in a part of one round opened at
-//! the prefix's slot, on a pool, lending every RR ping a sink tree per
-//! destination and per VP; `probe_prefix_in` on a part opened at the same
-//! slot lends none and derives every hop of every walk. On twin simulators
+//! the prefix's slot, on a pool, lending every ping a sink tree per route —
+//! a worker's toward the prefix, one back to each VP prefix — and replaying
+//! legs between consecutive pings; `probe_prefix_in` on a part opened at
+//! the same slot lends none and derives every hop of every walk. On twin simulators
 //! the two must be the same survey: every `PrefixInfo` equal, and the same
 //! probes sent at the same virtual instants — counters, clock bits,
 //! simulator time bits and route computations.
@@ -13,7 +14,7 @@
 //! release by `ci.sh`.
 
 use revtr_netsim::{Addr, FaultConfig, PrefixId, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
-use revtr_probing::{Prober, RetryPolicy, Snapshot};
+use revtr_probing::{Prober, ReplyTrees, RetryPolicy, Snapshot};
 use revtr_vpselect::ingress::{probe_prefix_in, SLOT_MS};
 use revtr_vpselect::{Heuristics, IngressDb};
 
@@ -106,6 +107,41 @@ fn tiny_surveys_agree() {
         ..FaultConfig::lossy(0.3)
     };
     surveys_agree(lossy, 7, RetryPolicy::uniform(3));
+}
+
+/// The era-2020 build's reply trees ([`ReplyTrees`], which
+/// `IngressDb::build` makes from its VP list): one per distinct route back
+/// to the VPs — the 146 VPs sit in 71 prefixes, a route each — every VP in
+/// exactly one, each tree's VPs of one prefix, ascending, the first VP's
+/// tree first; and grouping them fills no route table (the build's 2 036
+/// route computes are pinned in `era_2020_survey_is_pinned`).
+#[test]
+fn era_2020_reply_trees_are_one_per_vp_route() {
+    let sim = Sim::build(SimConfig::era_2020(), 1);
+    let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+    let trees = ReplyTrees::new(&Prober::new(&sim), &vps);
+    let mut homes: Vec<PrefixId> = vps.iter().filter_map(|&vp| sim.host_prefix(vp)).collect();
+    homes.sort_unstable();
+    homes.dedup();
+    assert_eq!((vps.len(), homes.len(), trees.len()), (146, 71, 71));
+    assert_eq!(sim.route_computes(), 0);
+    let mut seen = vec![false; vps.len()];
+    for r in 0..trees.len() {
+        let members = trees.vps(r);
+        let home = sim.host_prefix(vps[members[0] as usize]);
+        assert!(members
+            .iter()
+            .all(|&v| sim.host_prefix(vps[v as usize]) == home));
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "route {r}");
+        for &v in members {
+            assert!(
+                !std::mem::replace(&mut seen[v as usize], true),
+                "VP {v} twice"
+            );
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "a VP without a tree");
+    assert_eq!(trees.vps(0)[0], 0, "the first VP's tree is not the first");
 }
 
 /// FNV-1a-64 over every surveyed `PrefixInfo` of `db`: destinations,
