@@ -160,14 +160,17 @@ STEP
 # ≤ 1.9 an open-loop arrival: the archive shares the block, a telemetry
 # scope records into its driver's buffers), the journal one block for a
 # record it keeps and none for one it drops, the survey what it keeps, and
-# a round's measurement cache ≤ 140 B live an entry, nothing to overwrite.
+# a round's measurement cache ≤ 140 B live an entry, nothing to overwrite;
+# a warm walk and probe nothing, and building the simulator and a system
+# per table, not per router, AS or adjacency (≤ 240 and ≤ 60).
 # (The debug builds run in the workspace tests above.)
-step "allocation gates (release: core, vpselect, service, telemetry, probing)" <<'STEP'
+step "allocation gates (release: core, vpselect, service, telemetry, probing, netsim)" <<'STEP'
 cargo test -q --release -p revtr --test alloc_gate
 cargo test -q --release -p revtr-vpselect --test alloc_gate
 cargo test -q --release -p revtr-service --test alloc_gate
 cargo test -q --release -p revtr-telemetry --test alloc_gate
 cargo test -q --release -p revtr-probing --test alloc_gate
+cargo test -q --release -p revtr-netsim --test alloc_gate
 STEP
 
 # SLO + memory-budget gate: the clean standard campaign's report fires

@@ -188,7 +188,7 @@ mod tests {
             // Identify (customer interface, provider AS) in either
             // orientation: the provider numbered the /30, so the customer's
             // interface maps (wrongly) to the provider.
-            let pair = match sim.topo().asn(as_a).rel_with(as_b) {
+            let pair = match sim.topo().rel_with(as_a, as_b) {
                 Some(Rel::Provider) => Some((l.addr_a, as_a, as_b)),
                 Some(Rel::Customer) => Some((l.addr_b, as_b, as_a)),
                 _ => None,

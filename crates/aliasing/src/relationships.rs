@@ -7,6 +7,7 @@
 //! missing 10% is what makes the suspicious-link heuristic fire.
 
 use revtr_netsim::hash::{chance, mix3};
+use revtr_netsim::topology::runs;
 use revtr_netsim::{AsId, Rel, Sim};
 use revtr_probing::{Prober, WordMap};
 
@@ -28,8 +29,11 @@ pub struct RelationshipDb {
     rels: WordMap<(AsId, AsId), Rel>,
     /// Customer cone sizes computed over *known* customer edges.
     cone: Vec<usize>,
-    /// Known providers per AS.
-    providers: Vec<Vec<AsId>>,
+    /// AS index → start of its run in `providers` (one trailing entry).
+    provider_off: Vec<u32>,
+    /// Known providers, AS by AS, each AS's in the order its pairs were
+    /// met.
+    providers: Vec<AsId>,
 }
 
 impl RelationshipDb {
@@ -38,9 +42,11 @@ impl RelationshipDb {
     pub fn build(sim: &Sim, coverage: f64) -> RelationshipDb {
         let topo = sim.topo();
         let n = topo.ases.len();
-        let mut rels = WordMap::default();
-        let mut providers: Vec<Vec<AsId>> = vec![Vec::new(); n];
-        let mut customers: Vec<Vec<AsId>> = vec![Vec::new(); n];
+        // Both orders of every pair at full coverage: sized once.
+        let entries = topo.all_neighbors().len();
+        let mut rels = WordMap::with_capacity_and_hasher(entries, Default::default());
+        // Known (customer, provider) pairs, in the order met.
+        let mut edges = Vec::with_capacity(entries / 2);
         for a in &topo.ases {
             for (b, rel) in topo.as_neighbors(a.id) {
                 if a.id.0 > b.0 {
@@ -56,18 +62,16 @@ impl RelationshipDb {
                 rels.insert((a.id, b), rel);
                 rels.insert((b, a.id), rel.flip());
                 match rel {
-                    Rel::Provider => {
-                        providers[a.id.index()].push(b);
-                        customers[b.index()].push(a.id);
-                    }
-                    Rel::Customer => {
-                        providers[b.index()].push(a.id);
-                        customers[a.id.index()].push(b);
-                    }
+                    Rel::Provider => edges.push((a.id, b)),
+                    Rel::Customer => edges.push((b, a.id)),
                     Rel::Peer => {}
                 }
             }
         }
+        let by_customer = |i: usize| (edges[i].0.index(), edges[i].1);
+        let (provider_off, providers) = runs(n, edges.len(), by_customer, AsId(0));
+        let by_provider = |i: usize| (edges[i].1.index(), edges[i].0);
+        let (customer_off, customers) = runs(n, edges.len(), by_provider, AsId(0));
         // Customer cones over the known customer edges: a cone is a count,
         // so the walk's order cannot escape. `seen[x] == a` marks `x` as
         // counted in `a`'s cone, so the marks never need clearing.
@@ -82,7 +86,8 @@ impl RelationshipDb {
                 }
                 seen[x.index()] = a;
                 *slot += 1;
-                for &c in &customers[x.index()] {
+                let run = customer_off[x.index()] as usize..customer_off[x.index() + 1] as usize;
+                for &c in &customers[run] {
                     if seen[c.index()] != a {
                         stack.push(c);
                     }
@@ -92,6 +97,7 @@ impl RelationshipDb {
         RelationshipDb {
             rels,
             cone,
+            provider_off,
             providers,
         }
     }
@@ -114,7 +120,8 @@ impl RelationshipDb {
 
     /// Known providers of `a`.
     pub fn providers(&self, a: AsId) -> &[AsId] {
-        &self.providers[a.index()]
+        &self.providers
+            [self.provider_off[a.index()] as usize..self.provider_off[a.index() + 1] as usize]
     }
 
     /// Customer cone size of `a` (known edges only; includes `a`).
@@ -146,6 +153,7 @@ impl RelationshipDb {
 mod tests {
     use super::*;
     use revtr_netsim::{AsTier, SimConfig};
+    use std::collections::BTreeMap;
 
     fn sim() -> Sim {
         Sim::build(SimConfig::tiny(), 6)
@@ -168,10 +176,43 @@ mod tests {
                 }
             }
         }
-        let total: usize = s.topo().ases.iter().map(|a| a.neighbors.len()).sum();
+        let total = s.topo().all_neighbors().len();
         assert_eq!(full_known, total, "full coverage keeps everything");
         assert!(partial_known < total, "partial coverage must drop links");
         assert!(partial_known > total / 4, "but not too many");
+    }
+
+    /// Each AS's known providers in the order a list per AS collected
+    /// them: pairs in `(a, b)` order with `a < b`, each kept pair pushed
+    /// onto its customer's list.
+    fn providers_reference(s: &Sim, db: &RelationshipDb) -> BTreeMap<AsId, Vec<AsId>> {
+        let mut providers: BTreeMap<AsId, Vec<AsId>> = BTreeMap::new();
+        for a in &s.topo().ases {
+            for (b, _) in s.topo().as_neighbors(a.id).filter(|&(b, _)| a.id < b) {
+                match db.rel(a.id, b) {
+                    Some(Rel::Provider) => providers.entry(a.id).or_default().push(b),
+                    Some(Rel::Customer) => providers.entry(b).or_default().push(a.id),
+                    _ => {}
+                }
+            }
+        }
+        providers
+    }
+
+    #[test]
+    fn providers_keep_the_order_they_were_met_in() {
+        let sims = [1, 7, 42].map(|seed| Sim::build(SimConfig::tiny(), seed));
+        for s in sims.iter().chain([&Sim::build(SimConfig::era_2020(), 1)]) {
+            for coverage in [DEFAULT_COVERAGE, 0.5] {
+                let db = RelationshipDb::build(s, coverage);
+                let reference = providers_reference(s, &db);
+                assert!(reference.values().any(|p| p.len() > 1));
+                for a in &s.topo().ases {
+                    let want = reference.get(&a.id).map_or(&[][..], |p| &p[..]);
+                    assert_eq!(db.providers(a.id), want, "{}", a.id);
+                }
+            }
+        }
     }
 
     #[test]

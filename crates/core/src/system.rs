@@ -560,7 +560,7 @@ impl<'s> RevtrSystem<'s> {
             return Some((p, false));
         }
         let owner = self.prober.block_owner(addr)?;
-        let p = self.prober.as_prefixes(owner).first().copied()?;
+        let p = self.prober.as_prefixes(owner).get(0)?;
         Some((p, true))
     }
 
@@ -585,9 +585,8 @@ impl<'s> RevtrSystem<'s> {
     fn vp_plan<'a>(&'a self, cur: Addr, revtr1_plan: &'a mut Vec<Addr>) -> PlanView<'a> {
         match self.cfg.vp_selection {
             VpSelection::Ingress => {
-                let siblings = (self.prober.block_owner(cur))
-                    .map_or(&[][..], |owner| self.prober.as_prefixes(owner));
-                self.ingress.target_plan(self.plan_key(cur), siblings)
+                let siblings = (self.prober.block_owner(cur)).map(|o| self.prober.as_prefixes(o));
+                (self.ingress).target_plan(self.plan_key(cur), siblings.into_iter().flatten())
             }
             VpSelection::SetCover => match self.plan_key(cur) {
                 Some((p, _)) => {
@@ -1129,8 +1128,10 @@ mod tests {
             .map(|p| (Addr(p.prefix.base.0 + 10), p.id, false))
             .collect();
         for addr in router_interfaces(topo).filter(|&a| topo.prefix_of(a).is_none()) {
-            let owner = topo.block_owner(addr).map(|owner| topo.asn(owner));
-            if let Some(&p) = owner.and_then(|owner| owner.prefixes.first()) {
+            if let Some(p) = topo
+                .block_owner(addr)
+                .and_then(|o| topo.as_prefixes(o).get(0))
+            {
                 targets.push((addr, p, true));
             }
         }
@@ -1140,7 +1141,7 @@ mod tests {
             "too few router interfaces: {routers}"
         );
         // The global head: a ranking that opens the global order.
-        let head = ingress.target_plan(None, &[]);
+        let head = ingress.target_plan(None, []);
         let PlanView::Ranking(head_vps) = head else {
             panic!("the global head is not a ranking: {head:?}");
         };
@@ -1177,11 +1178,9 @@ mod tests {
                         revtr1.into_iter().map(|vp| (None, vp)).collect()
                     }
                     _ => {
-                        let siblings = topo
-                            .block_owner(cur)
-                            .map_or(&[][..], |owner| &topo.asn(owner).prefixes[..]);
-                        let sibling = (siblings.iter())
-                            .map(|&s| ingress.plan_view(s))
+                        let siblings = topo.block_owner(cur).map(|o| topo.as_prefixes(o));
+                        let sibling = (siblings.into_iter().flatten())
+                            .map(|s| ingress.plan_view(s))
                             .find(|view| !view.is_empty());
                         let own = ingress.plan_view(p);
                         let (view, lent) = match sibling {

@@ -12,7 +12,9 @@
 //! * a serial sweep averages 1.2 allocations per `measure()` at most, and a
 //!   two-worker campaign over the same sweep 1.10 (the workers live as long
 //!   as the campaign, so a wave brings its barrier's merge and nothing
-//!   else — no thread, no handle, no regrown scratch).
+//!   else — no thread, no handle, no regrown scratch),
+//! * building the system allocates per table, not per AS: 60 allocations
+//!   at most.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is process-wide (campaign workers are threads of their own),
@@ -126,6 +128,24 @@ fn a_request_allocates_what_it_returns() {
     let mut sweep = requests(2..HOSTS);
     assert!(sweep.len() >= SWEEP, "only {} sweep requests", sweep.len());
     sweep.truncate(SWEEP);
+
+    // (f) Building a system allocates per table, not per AS: the
+    // relationship dataset's providers and customers are runs of flat
+    // tables (a list per AS read 1 996 allocations here, 1 978 of them the
+    // dataset's).
+    const NEW_BOUND: u64 = 60;
+    let (prober, vps_held, pool) = (Prober::new(&sim), vps.clone(), vec![vps[0]]);
+    let (_, new) = process_allocs_in(|| {
+        RevtrSystem::new(
+            prober,
+            EngineConfig::revtr2(),
+            vps_held,
+            Arc::clone(&ingress),
+            pool,
+        )
+    });
+    eprintln!("RevtrSystem::new: {new} allocations (bound {NEW_BOUND})");
+    assert!(new <= NEW_BOUND, "RevtrSystem::new allocated {new} times");
 
     // (c) The serial sweep, one count per request.
     let sys = warm_system(&sim, &vps, &ingress, &warm_up);

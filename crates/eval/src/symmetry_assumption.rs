@@ -89,7 +89,7 @@ impl SymmetryAssumptionReport {
 pub(crate) fn ingress_vps(ingress: &IngressDb, sim: &Sim, target: Addr) -> Vec<Addr> {
     let topo = sim.topo();
     let plan_prefix = (topo.prefix_of(target))
-        .or_else(|| (topo.block_owner(target)).and_then(|a| topo.asn(a).prefixes.first().copied()));
+        .or_else(|| (topo.block_owner(target)).and_then(|a| topo.as_prefixes(a).get(0)));
     plan_prefix
         .map(|p| {
             ingress

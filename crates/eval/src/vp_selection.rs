@@ -251,8 +251,8 @@ fn run_on(ctx: &EvalContext, prober: Prober<'_>) -> VpSelectionReport {
     for pe in &prefixes {
         // The engine's chain for a host of the prefix: its own plan, else
         // an AS sibling's, lent, else the head of the global order.
-        let siblings = (prober.block_owner(pe.dest)).map_or(&[][..], |a| prober.as_prefixes(a));
-        let plan = full_db.target_plan(Some((pe.prefix, false)), siblings);
+        let siblings = (prober.block_owner(pe.dest)).map(|a| prober.as_prefixes(a));
+        let plan = full_db.target_plan(Some((pe.prefix, false)), siblings.into_iter().flatten());
         ingress_plan.insert(pe.prefix, distinct_try_order(plan));
         revtr1_plan.insert(pe.prefix, full_db.revtr1_plan(pe.prefix));
         global_plan.insert(pe.prefix, full_db.global_plan().to_vec());

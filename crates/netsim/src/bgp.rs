@@ -98,9 +98,7 @@ struct Edge {
     asn: AsId,
     /// Its core index, [`LEAF`] if it has no customers.
     core: u32,
-    /// Its position in the owning AS's [`AsNode::neighbors`].
-    ///
-    /// [`AsNode::neighbors`]: crate::topology::AsNode::neighbors
+    /// Its position in the owning AS's [`Topology::neighbors`].
     pos: u16,
     /// The owning AS's position in the neighbour's `neighbors`.
     back: u16,
@@ -248,7 +246,7 @@ impl RoutePlan {
             .ases
             .iter()
             .map(|a| {
-                if !a.has_customers() {
+                if !topo.has_customers(a.id) {
                     return LEAF;
                 }
                 core.push(a.id);
@@ -268,11 +266,11 @@ impl RoutePlan {
             for r in &mut runs {
                 r.start.push(r.edges.len() as u32);
             }
-            for (pos, nb) in a.neighbors.iter().enumerate() {
+            for (pos, nb) in topo.neighbors(a.id).iter().enumerate() {
                 let back = met[nb.asn.index()];
                 met[nb.asn.index()] += 1;
                 debug_assert!(
-                    (topo.asn(nb.asn).neighbors.get(back))
+                    (topo.neighbors(nb.asn).get(back))
                         .is_some_and(|m| m.asn == a.id && m.rel == nb.rel.flip()),
                     "the {}–{} adjacency is not mirrored, or out of id order",
                     a.id,
@@ -829,7 +827,7 @@ pub(crate) mod tests {
                 // (peer), we may never go up (to a provider) or across again.
                 let mut descended = false;
                 for w in path.windows(2) {
-                    let rel = t.asn(w[0]).rel_with(w[1]).expect("adjacent");
+                    let rel = t.rel_with(w[0], w[1]).expect("adjacent");
                     match rel {
                         Rel::Provider => {
                             assert!(!descended, "valley: up after down/across");
@@ -858,7 +856,7 @@ pub(crate) mod tests {
                 continue;
             }
             let nh = r.next[x].expect("routed");
-            assert_eq!(t.asn(xid).rel_with(nh), Some(Rel::Customer));
+            assert_eq!(t.rel_with(xid, nh), Some(Rel::Customer));
         }
     }
 
@@ -904,7 +902,7 @@ pub(crate) mod tests {
             let i = a.id.index();
             let got = routes
                 .route(a.id)
-                .map(|r| (r.dist, r.class, r.hop.map(|h| a.neighbors[h].asn)));
+                .map(|r| (r.dist, r.class, r.hop.map(|h| topo.neighbors(a.id)[h].asn)));
             let want = reference
                 .reachable(a.id)
                 .then(|| (reference.dist[i], reference.class[i], reference.next[i]));
@@ -923,7 +921,7 @@ pub(crate) mod tests {
     fn as_graph(tiers: &[AsTier], adjacencies: &[(u32, u32, Rel)]) -> Topology {
         use crate::addr::{Addr, Prefix};
         use crate::ids::{LinkId, RouterId};
-        use crate::topology::{AsNode, Link, LinkKind, Neighbor, Router, StampMode};
+        use crate::topology::{AsNode, Link, LinkKind, Router, StampMode};
         let block = |i: u32| Prefix::new(Addr::new(11, i as u8, 0, 0), 16);
         let mut topo = Topology {
             block_base: block(0).base.0,
@@ -934,9 +932,6 @@ pub(crate) mod tests {
             topo.ases.push(AsNode {
                 id: AsId(i),
                 tier,
-                neighbors: vec![],
-                routers: vec![RouterId(i)],
-                prefixes: vec![],
                 block: block(i),
                 spoof_filter: false,
                 colo: false,
@@ -953,7 +948,6 @@ pub(crate) mod tests {
                 snmp_responsive: false,
                 ts_capable: true,
                 load_balancer: false,
-                links: vec![],
             });
         }
         for &(a, b, rel) in adjacencies {
@@ -973,19 +967,11 @@ pub(crate) mod tests {
                 latency_ms: 1.0,
                 kind: LinkKind::Inter,
             });
-            for (me, other, rel) in [(a, b, rel), (b, a, rel.flip())] {
-                topo.routers[me as usize].links.push(id);
-                topo.ases[me as usize].neighbors.push(Neighbor {
-                    asn: AsId(other),
-                    rel,
-                    links: vec![id],
-                });
-            }
         }
-        for a in &mut topo.ases {
-            a.neighbors.sort_unstable_by_key(|n| n.asn);
-        }
-        topo.rebuild_address_index();
+        let adjacencies: Vec<_> = (adjacencies.iter())
+            .map(|&(a, b, rel)| (AsId(a), AsId(b), rel))
+            .collect();
+        topo.derive_indexes(&adjacencies);
         topo
     }
 
@@ -1013,37 +999,43 @@ pub(crate) mod tests {
     /// penalised.
     pub(crate) fn edge_case_graph() -> Topology {
         use AsTier::{Stub, Tier1, Transit};
-        use Rel::{Peer, Provider};
         as_graph(
             &[
                 Tier1, Tier1, Transit, Transit, Stub, Stub, Stub, Stub, Stub, Stub, Transit, Stub,
                 Transit, Transit, Stub, Transit, Stub,
             ],
-            &[
-                (12, 0, Provider),
-                (13, 1, Provider),
-                (14, 12, Provider),
-                (14, 13, Provider),
-                (15, 0, Provider),
-                (15, 12, Peer),
-                (15, 13, Peer),
-                (16, 15, Provider),
-                (0, 1, Peer),
-                (2, 0, Provider),
-                (3, 1, Provider),
-                (4, 2, Provider),
-                (5, 3, Provider),
-                (4, 5, Peer),
-                (6, 2, Provider),
-                (6, 3, Provider),
-                (7, 2, Provider),
-                (8, 7, Provider),
-                (9, 10, Provider),
-                (11, 2, Provider),
-                (11, 3, Provider),
-            ],
+            &EDGE_CASE_ADJACENCIES,
         )
     }
+
+    /// The adjacencies of [`edge_case_graph`], `(a, b, rel)` reading "b is
+    /// a's `rel`".
+    pub(crate) const EDGE_CASE_ADJACENCIES: [(u32, u32, Rel); 21] = {
+        use Rel::{Peer, Provider};
+        [
+            (12, 0, Provider),
+            (13, 1, Provider),
+            (14, 12, Provider),
+            (14, 13, Provider),
+            (15, 0, Provider),
+            (15, 12, Peer),
+            (15, 13, Peer),
+            (16, 15, Provider),
+            (0, 1, Peer),
+            (2, 0, Provider),
+            (3, 1, Provider),
+            (4, 2, Provider),
+            (5, 3, Provider),
+            (4, 5, Peer),
+            (6, 2, Provider),
+            (6, 3, Provider),
+            (7, 2, Provider),
+            (8, 7, Provider),
+            (9, 10, Provider),
+            (11, 2, Provider),
+            (11, 3, Provider),
+        ]
+    };
 
     #[test]
     fn hand_built_leaf_cases_resolve_as_the_reference_does() {
@@ -1058,7 +1050,7 @@ pub(crate) mod tests {
         let via = |r: &Routes<'_>, x: u32| {
             let x = AsId(x);
             r.route(x)
-                .map(|rt| (rt.class, rt.hop.map(|h| topo.asn(x).neighbors[h].asn.0)))
+                .map(|rt| (rt.class, rt.hop.map(|h| topo.neighbors(x)[h].asn.0)))
         };
         let mut tie_winners = std::collections::BTreeSet::new();
         let mut peer_tie_winners = std::collections::BTreeSet::new();
@@ -1194,7 +1186,7 @@ pub(crate) mod tests {
             let topo = sim.topo();
             let mut keys = 0;
             for a in &topo.ases {
-                let prefixes = a.prefixes.iter().map(|&p| sim.prefix_salt_at(p, 0));
+                let prefixes = (topo.as_prefixes(a.id).iter()).map(|p| sim.prefix_salt_at(p, 0));
                 for salt in prefixes.chain([sim.infra_salt(a.id)]) {
                     let reference = routes_to(topo, a.id, salt);
                     let mismatch = first_mismatch(topo, &sim.routes(a.id, salt), &reference);
@@ -1213,7 +1205,7 @@ pub(crate) mod tests {
                 // leaf sources with peers and core destinations all occur.
                 assert!(topo.prefixes.iter().any(|p| sim.prefix_epoch(p.id) > 0));
                 let plan = RoutePlan::build(topo);
-                let leaf = |a: AsId| !topo.asn(a).has_customers();
+                let leaf = |a: AsId| !topo.has_customers(a);
                 assert!(plan.core.len() * 4 < topo.n_ases());
                 assert!(topo.prefixes.iter().any(|p| leaf(p.owner)));
                 assert!(topo.prefixes.iter().any(|p| !leaf(p.owner)));

@@ -11,7 +11,7 @@ use crate::addr::{Addr, Prefix};
 use crate::config::SimConfig;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
 use crate::topology::{
-    AsNode, AsTier, Link, LinkKind, Neighbor, PrefixEntry, Rel, Router, StampMode, Topology, VpSite,
+    AsNode, AsTier, Link, LinkKind, PrefixEntry, Rel, Router, StampMode, Topology, VpSite,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -27,6 +27,12 @@ pub(crate) const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
 
 /// Generate a complete topology from a configuration and seed.
 pub fn generate(cfg: &SimConfig, seed: u64) -> Topology {
+    Builder::new(cfg, seed).build().0
+}
+
+/// [`generate`], and the adjacency list its indexes were derived from.
+#[cfg(test)]
+pub(crate) fn generate_listing(cfg: &SimConfig, seed: u64) -> (Topology, Vec<(AsId, AsId, Rel)>) {
     Builder::new(cfg, seed).build()
 }
 
@@ -42,6 +48,14 @@ fn dedup_adjacencies(adjacencies: &mut Vec<(AsId, AsId, Rel)>) {
     }
     adjacencies.sort_by_key(|&(a, b, _)| (a, b));
     adjacencies.dedup_by_key(|&mut (a, b, _)| (a, b));
+}
+
+/// The routers of AS `asn`: routers are numbered AS by AS, so they are one
+/// run of the router table.
+fn routers_of(routers: &[Router], asn: AsId) -> &[Router] {
+    let start = routers.partition_point(|r| r.asn < asn);
+    let end = routers.partition_point(|r| r.asn <= asn);
+    &routers[start..end]
 }
 
 struct Builder<'c> {
@@ -76,7 +90,7 @@ impl<'c> Builder<'c> {
         self.rng.gen::<f64>() < p
     }
 
-    fn build(mut self) -> Topology {
+    fn build(mut self) -> (Topology, Vec<(AsId, AsId, Rel)>) {
         self.create_ases();
         self.create_relationships();
         self.create_routers();
@@ -84,8 +98,8 @@ impl<'c> Builder<'c> {
         self.create_inter_links();
         self.create_prefixes();
         self.place_vp_sites();
-        self.index_addresses();
-        self.topo
+        self.topo.derive_indexes(&self.adjacencies);
+        (self.topo, self.adjacencies)
     }
 
     // ---- ASes -----------------------------------------------------------
@@ -136,9 +150,6 @@ impl<'c> Builder<'c> {
             self.topo.ases.push(AsNode {
                 id: AsId(i as u32),
                 tier,
-                neighbors: Vec::new(),
-                routers: Vec::new(),
-                prefixes: Vec::new(),
                 block: Prefix::new(Addr(BLOCK_BASE + (i as u32) * 0x1_0000), 16),
                 spoof_filter,
                 colo,
@@ -262,27 +273,9 @@ impl<'c> Builder<'c> {
             }
         }
 
-        // Materialise neighbor lists on both sides. In `(a, b)` order with
-        // `a < b`, an AS meets its lower neighbours in id order, then its
-        // higher ones: each list comes out sorted by neighbor id.
+        // One entry per AS pair; `Topology::derive_indexes` turns them into
+        // each AS's neighbours.
         dedup_adjacencies(&mut self.adjacencies);
-        for &(a, b, rel_of_b) in &self.adjacencies {
-            self.topo.ases[a.index()].neighbors.push(Neighbor {
-                asn: b,
-                rel: rel_of_b,
-                links: Vec::new(),
-            });
-            self.topo.ases[b.index()].neighbors.push(Neighbor {
-                asn: a,
-                rel: rel_of_b.flip(),
-                links: Vec::new(),
-            });
-        }
-        debug_assert!(self
-            .topo
-            .ases
-            .iter()
-            .all(|a| a.neighbors.windows(2).all(|w| w[0].asn < w[1].asn)));
     }
 
     // ---- Routers ---------------------------------------------------------
@@ -355,10 +348,8 @@ impl<'c> Builder<'c> {
                     snmp_responsive,
                     ts_capable: self.draw(b.router_ts_responsive),
                     load_balancer: self.draw(b.router_load_balancer),
-                    links: Vec::new(),
                 };
                 self.topo.routers.push(router);
-                self.topo.ases[as_idx].routers.push(rid);
             }
         }
     }
@@ -378,14 +369,7 @@ impl<'c> Builder<'c> {
         (Addr(base.0 + 1), Addr(base.0 + 2))
     }
 
-    fn push_link(
-        &mut self,
-        a: RouterId,
-        b: RouterId,
-        owner: AsId,
-        latency: f64,
-        kind: LinkKind,
-    ) -> LinkId {
+    fn push_link(&mut self, a: RouterId, b: RouterId, owner: AsId, latency: f64, kind: LinkKind) {
         let (addr_a, addr_b) = self.alloc_slash30(owner);
         let id = LinkId(self.topo.links.len() as u32);
         self.topo.links.push(Link {
@@ -397,19 +381,15 @@ impl<'c> Builder<'c> {
             latency_ms: latency,
             kind,
         });
-        self.topo.routers[a.index()].links.push(id);
-        self.topo.routers[b.index()].links.push(id);
-        id
     }
 
     fn create_intra_links(&mut self) {
         for as_idx in 0..self.topo.ases.len() {
             let asid = AsId(as_idx as u32);
-            // Lent out while this AS's links are pushed (which touch only
-            // the routers' own link lists), then put back.
-            let routers = std::mem::take(&mut self.topo.ases[as_idx].routers);
+            let run = routers_of(&self.topo.routers, asid);
+            let (first, n) = (run.first().map_or(0, |r| r.id.0), run.len());
+            let router = |i: usize| RouterId(first + i as u32);
             let tier = self.topo.ases[as_idx].tier;
-            let n = routers.len();
             let lat_range = match tier {
                 AsTier::Tier1 => 4.0..18.0, // wide-area backbone
                 AsTier::Nren => 3.0..14.0,
@@ -432,16 +412,20 @@ impl<'c> Builder<'c> {
                 for i in 0..n_core {
                     for j in i + 1..n_core {
                         let lat = self.rng.gen_range(lat_range.clone());
-                        self.push_link(routers[i], routers[j], asid, lat, LinkKind::Intra(asid));
+                        self.push_link(router(i), router(j), asid, lat, LinkKind::Intra(asid));
                     }
                 }
-                for (k, &spoke) in routers.iter().enumerate().skip(n_core) {
-                    let core = routers[k % n_core];
+                for k in n_core..n {
                     let lat = self.rng.gen_range(lat_range.clone());
-                    self.push_link(spoke, core, asid, lat, LinkKind::Intra(asid));
+                    self.push_link(
+                        router(k),
+                        router(k % n_core),
+                        asid,
+                        lat,
+                        LinkKind::Intra(asid),
+                    );
                 }
             }
-            self.topo.ases[as_idx].routers = routers;
         }
     }
 
@@ -457,9 +441,7 @@ impl<'c> Builder<'c> {
     }
 
     fn create_inter_links(&mut self) {
-        // The adjacencies run in `(a, b)` order, as they were materialised,
-        // so the n-th one an AS is met in names its n-th neighbour.
-        let mut met = vec![0usize; self.topo.ases.len()];
+        // An adjacency's links are pushed back to back: consecutive ids.
         for adj in 0..self.adjacencies.len() {
             let (a, b, rel_of_b) = self.adjacencies[adj];
             // Number of parallel physical links: core adjacencies sometimes
@@ -486,29 +468,18 @@ impl<'c> Builder<'c> {
                 }
             };
 
-            let mut link_ids = [LinkId(0); 2];
-            for id in &mut link_ids[..n_links] {
-                let ra = *self.topo.ases[a.index()]
-                    .routers
-                    .choose(&mut self.rng)
-                    .expect("AS has at least one router");
-                let rb = *self.topo.ases[b.index()]
-                    .routers
-                    .choose(&mut self.rng)
-                    .expect("AS has at least one router");
+            for _ in 0..n_links {
+                let ra = (routers_of(&self.topo.routers, a).choose(&mut self.rng))
+                    .expect("AS has at least one router")
+                    .id;
+                let rb = (routers_of(&self.topo.routers, b).choose(&mut self.rng))
+                    .expect("AS has at least one router")
+                    .id;
                 let lat = self.inter_latency(
                     self.topo.ases[a.index()].tier,
                     self.topo.ases[b.index()].tier,
                 );
-                *id = self.push_link(ra, rb, owner, lat, LinkKind::Inter);
-            }
-
-            // Attach link ids to both neighbor entries.
-            for (x, y) in [(a, b), (b, a)] {
-                let nb = &mut self.topo.ases[x.index()].neighbors[met[x.index()]];
-                met[x.index()] += 1;
-                debug_assert_eq!(nb.asn, y, "adjacency recorded for both sides");
-                nb.links.extend_from_slice(&link_ids[..n_links]);
+                self.push_link(ra, rb, owner, lat, LinkKind::Inter);
             }
         }
     }
@@ -531,17 +502,15 @@ impl<'c> Builder<'c> {
                 let pid = PrefixId(self.topo.prefixes.len() as u32);
                 let block = self.topo.ases[as_idx].block;
                 let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + (j as u32) * 256);
-                let attach = *self.topo.ases[as_idx]
-                    .routers
-                    .choose(&mut self.rng)
-                    .expect("AS has at least one router");
+                let attach = (routers_of(&self.topo.routers, asid).choose(&mut self.rng))
+                    .expect("AS has at least one router")
+                    .id;
                 self.topo.prefixes.push(PrefixEntry {
                     id: pid,
                     prefix: Prefix::new(base, 24),
                     owner: asid,
                     attach,
                 });
-                self.topo.ases[as_idx].prefixes.push(pid);
             }
         }
         // prefix list is already sorted by base because AS blocks are
@@ -584,8 +553,9 @@ impl<'c> Builder<'c> {
             } else {
                 *colo.choose(&mut self.rng).expect("colo set nonempty")
             };
-            let pid = self.topo.ases[asid.index()].prefixes[0];
-            let pe = self.topo.prefixes[pid.index()].clone();
+            // Prefixes are numbered AS by AS: this is the AS's first.
+            let first = self.topo.prefixes.partition_point(|p| p.owner < asid);
+            let pe = self.topo.prefixes[first].clone();
             let k = &mut per_as_count[asid.index()];
             let host = pe.prefix.nth(4 + *k);
             *k += 1;
@@ -597,12 +567,6 @@ impl<'c> Builder<'c> {
                 legacy_2016,
             });
         }
-    }
-
-    // ---- Address index -----------------------------------------------------
-
-    fn index_addresses(&mut self) {
-        self.topo.rebuild_address_index();
     }
 }
 
@@ -670,8 +634,8 @@ mod tests {
     fn relationships_are_mirrored() {
         let t = tiny();
         for a in &t.ases {
-            for n in &a.neighbors {
-                let back = t.asn(n.asn).rel_with(a.id).expect("mirror entry");
+            for n in t.neighbors(a.id) {
+                let back = t.rel_with(n.asn, a.id).expect("mirror entry");
                 assert_eq!(back, n.rel.flip(), "asymmetric relationship record");
                 assert!(!n.links.is_empty(), "adjacency without physical link");
             }
@@ -685,7 +649,7 @@ mod tests {
         for a in &t1 {
             for b in &t1 {
                 if a.id != b.id {
-                    assert_eq!(a.rel_with(b.id), Some(Rel::Peer));
+                    assert_eq!(t.rel_with(a.id, b.id), Some(Rel::Peer));
                 }
             }
         }
@@ -696,7 +660,7 @@ mod tests {
         let t = tiny();
         for a in t.ases.iter().filter(|a| a.tier == AsTier::Stub) {
             assert!(
-                a.neighbors.iter().any(|n| n.rel == Rel::Provider),
+                t.neighbors(a.id).iter().any(|n| n.rel == Rel::Provider),
                 "{} has no provider",
                 a.id
             );
@@ -726,7 +690,7 @@ mod tests {
             let as_b = t.router_as(l.b);
             let owner = t.block_owner(l.addr_a).expect("public link address");
             assert!(owner == as_a || owner == as_b);
-            if let Some(rel) = t.asn(as_a).rel_with(as_b) {
+            if let Some(rel) = t.rel_with(as_a, as_b) {
                 match rel {
                     Rel::Provider => {
                         // b is a's provider: the provider numbers the link.
@@ -773,16 +737,91 @@ mod tests {
     fn routers_have_expected_owner_and_loopback() {
         let t = tiny();
         for r in &t.routers {
-            assert!(t.asn(r.asn).routers.contains(&r.id));
+            assert!(t.as_routers(r.asn).iter().any(|id| id == r.id));
             assert_eq!(t.block_owner(r.loopback), Some(r.asn));
             assert!(r.private_alias.is_private());
             assert_eq!(t.router_at(r.loopback), Some(r.id));
         }
     }
 
+    /// An AS and a router as `Debug` rendered them while each held its own
+    /// lists: the pins of `generated_topologies_are_pinned` were taken over
+    /// this rendering, so reading the derived runs back into it proves the
+    /// generator draws what it drew.
+    mod listed {
+        use crate::addr::Prefix;
+        use crate::ids::{AsId, IdRange, LinkId, PrefixId, RouterId};
+        use crate::topology::{AsTier, Neighbor, StampMode, Topology};
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by `Debug` alone
+        pub(super) struct AsNode<'t> {
+            id: AsId,
+            tier: AsTier,
+            neighbors: &'t [Neighbor],
+            routers: IdRange<RouterId>,
+            prefixes: IdRange<PrefixId>,
+            block: Prefix,
+            spoof_filter: bool,
+            colo: bool,
+            edu: bool,
+            mpls: bool,
+        }
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by `Debug` alone
+        pub(super) struct Router<'t> {
+            id: RouterId,
+            asn: AsId,
+            loopback: crate::addr::Addr,
+            private_alias: crate::addr::Addr,
+            stamp: StampMode,
+            ttl_responsive: bool,
+            snmp_responsive: bool,
+            ts_capable: bool,
+            load_balancer: bool,
+            links: &'t [LinkId],
+        }
+
+        pub(super) fn ases(t: &Topology) -> Vec<AsNode<'_>> {
+            (t.ases.iter())
+                .map(|a| AsNode {
+                    id: a.id,
+                    tier: a.tier,
+                    neighbors: t.neighbors(a.id),
+                    routers: t.as_routers(a.id),
+                    prefixes: t.as_prefixes(a.id),
+                    block: a.block,
+                    spoof_filter: a.spoof_filter,
+                    colo: a.colo,
+                    edu: a.edu,
+                    mpls: a.mpls,
+                })
+                .collect()
+        }
+
+        pub(super) fn routers(t: &Topology) -> Vec<Router<'_>> {
+            (t.routers.iter())
+                .map(|r| Router {
+                    id: r.id,
+                    asn: r.asn,
+                    loopback: r.loopback,
+                    private_alias: r.private_alias,
+                    stamp: r.stamp,
+                    ttl_responsive: r.ttl_responsive,
+                    snmp_responsive: r.snmp_responsive,
+                    ts_capable: r.ts_capable,
+                    load_balancer: r.load_balancer,
+                    links: t.router_links(r.id),
+                })
+                .collect()
+        }
+    }
+
     /// The generator draws what it drew: FNV-1a-64 over the `Debug`
-    /// rendering of four topologies' five tables and block base (the
-    /// address index is derived from them, so it is left out).
+    /// rendering of four topologies' five tables, each AS and router with
+    /// its runs listed as it once held them ([`listed`]), and block base
+    /// (the address index is derived from them, so it is left out).
     #[test]
     fn generated_topologies_are_pinned() {
         let fnv = |bytes: &[u8]| {
@@ -800,8 +839,8 @@ mod tests {
             let tables = format!(
                 "{:?}",
                 (
-                    &t.ases,
-                    &t.routers,
+                    listed::ases(&t),
+                    listed::routers(&t),
                     &t.links,
                     &t.prefixes,
                     &t.vp_sites,

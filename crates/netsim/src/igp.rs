@@ -39,7 +39,7 @@ struct Cell {
 
 /// Where one AS's `n × n` table sits in [`Igp::cells`]: cell `(i, j)` is
 /// `cells[off + i*n + j]`, indexed by the routers' positions in
-/// [`crate::topology::AsNode::routers`].
+/// [`Topology::as_routers`].
 #[derive(Clone, Copy, Debug)]
 struct AsIgp {
     off: u32,
@@ -83,12 +83,13 @@ impl Igp {
     pub fn build(topo: &Topology) -> Igp {
         let mut local = vec![0u16; topo.routers.len()];
         for a in &topo.ases {
+            let routers = topo.as_routers(a.id);
             assert!(
-                a.routers.len() <= usize::from(u16::MAX) + 1,
+                routers.len() <= usize::from(u16::MAX) + 1,
                 "{} has more routers than a 16-bit local index holds",
                 a.id
             );
-            for (i, &r) in a.routers.iter().enumerate() {
+            for (i, r) in routers.iter().enumerate() {
                 local[r.index()] = i as u16;
             }
         }
@@ -103,7 +104,7 @@ impl Igp {
         for r in &topo.routers {
             adj_off.push(hops.len() as u32);
             let run = hops.len();
-            for &lid in &r.links {
+            for &lid in topo.router_links(r.id) {
                 let l = topo.link(lid);
                 let n = l.other(r.id);
                 if matches!(l.kind, LinkKind::Intra(owner) if owner == r.asn)
@@ -121,7 +122,11 @@ impl Igp {
             adj_off,
             hops,
             tables: Vec::with_capacity(topo.ases.len()),
-            cells: Vec::with_capacity(topo.ases.iter().map(|a| a.routers.len().pow(2)).sum()),
+            cells: Vec::with_capacity(
+                (topo.ases.iter())
+                    .map(|a| topo.as_routers(a.id).len().pow(2))
+                    .sum(),
+            ),
             spill: Vec::new(),
         };
         // Per AS, reused: each router's adjacency run as local indices, at
@@ -131,10 +136,11 @@ impl Igp {
         let mut dist: Vec<u16> = Vec::new();
         let mut queue: Vec<u16> = Vec::new();
         for a in &topo.ases {
-            let n = a.routers.len();
+            let routers = topo.as_routers(a.id);
+            let n = routers.len();
             nbr.clear();
             nbr_off.clear();
-            for &r in &a.routers {
+            for r in routers {
                 nbr_off.push(nbr.len());
                 let run = igp.adjacency(r).iter();
                 nbr.extend(run.map(|&(_, v)| igp.local[v.index()]));
@@ -164,9 +170,9 @@ impl Igp {
             }
 
             let off = igp.cells.len();
-            for (i, &from) in a.routers.iter().enumerate() {
+            for (i, from) in routers.iter().enumerate() {
                 let first = igp.adj_off[from.index()] as usize;
-                for (j, &to) in a.routers.iter().enumerate() {
+                for (j, to) in routers.iter().enumerate() {
                     let d = dist[i * n + j];
                     if d == UNREACHABLE {
                         igp.cells.push(Cell {
@@ -330,7 +336,7 @@ impl Igp {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for &lid in &topo.router(r).links {
+        for &lid in topo.router_links(r) {
             let l = topo.link(lid);
             if !matches!(l.kind, LinkKind::Intra(owner) if owner == asid) {
                 continue;
@@ -362,9 +368,6 @@ pub(crate) mod tests {
             ases: vec![AsNode {
                 id: AsId(0),
                 tier: AsTier::Transit,
-                neighbors: vec![],
-                routers: (0..n).map(RouterId).collect(),
-                prefixes: vec![],
                 block,
                 spoof_filter: false,
                 colo: false,
@@ -382,7 +385,6 @@ pub(crate) mod tests {
                     snmp_responsive: false,
                     ts_capable: true,
                     load_balancer: false,
-                    links: vec![],
                 })
                 .collect(),
             block_base: block.base.0,
@@ -399,10 +401,8 @@ pub(crate) mod tests {
                 latency_ms: 1.0,
                 kind: LinkKind::Intra(AsId(0)),
             });
-            topo.routers[a as usize].links.push(id);
-            topo.routers[b as usize].links.push(id);
         }
-        topo.rebuild_address_index();
+        topo.derive_indexes(&[]);
         topo
     }
 
@@ -411,8 +411,8 @@ pub(crate) mod tests {
         let topo = generate(&SimConfig::tiny(), 11);
         let igp = Igp::build(&topo);
         for a in &topo.ases {
-            for &r1 in &a.routers {
-                for &r2 in &a.routers {
+            for r1 in topo.as_routers(a.id) {
+                for r2 in topo.as_routers(a.id) {
                     let d = igp.dist(&topo, r1, r2);
                     assert_ne!(d, UNREACHABLE, "intra graph of {} disconnected", a.id);
                     assert_eq!(d, igp.dist(&topo, r2, r1));
@@ -425,7 +425,8 @@ pub(crate) mod tests {
             }
         }
         // Routers of different ASes are not IGP-reachable.
-        let (a, b) = (topo.ases[0].routers[0], topo.ases[1].routers[0]);
+        let first = |a| topo.as_routers(AsId(a)).get(0).expect("a router");
+        let (a, b) = (first(0), first(1));
         assert_eq!(igp.dist(&topo, a, b), UNREACHABLE);
     }
 
@@ -434,11 +435,12 @@ pub(crate) mod tests {
         let topo = generate(&SimConfig::tiny(), 11);
         let igp = Igp::build(&topo);
         for a in &topo.ases {
-            if a.routers.len() < 2 {
+            let routers = topo.as_routers(a.id);
+            if routers.len() < 2 {
                 continue;
             }
-            let target = a.routers[0];
-            for &r in &a.routers[1..] {
+            let target = routers.get(0).expect("two routers");
+            for r in routers.iter().skip(1) {
                 let hops = igp.next_hops_toward(&topo, r, target);
                 assert!(!hops.is_empty(), "no next hop from {r} to {target}");
                 for &(_, n) in hops {
@@ -452,8 +454,7 @@ pub(crate) mod tests {
     fn next_hops_empty_at_target() {
         let topo = generate(&SimConfig::tiny(), 11);
         let igp = Igp::build(&topo);
-        let a = &topo.ases[0];
-        let r = a.routers[0];
+        let r = topo.as_routers(AsId(0)).get(0).expect("a router");
         assert!(igp.next_hops_toward(&topo, r, r).is_empty());
     }
 
@@ -462,8 +463,8 @@ pub(crate) mod tests {
     fn assert_table_matches_reference(topo: &Topology) {
         let igp = Igp::build(topo);
         for a in &topo.ases {
-            for &r in &a.routers {
-                for &target in &a.routers {
+            for r in topo.as_routers(a.id) {
+                for target in topo.as_routers(a.id) {
                     assert_eq!(
                         igp.next_hops_toward(topo, r, target),
                         &igp.next_hops_reference(topo, r, target)[..],

@@ -64,7 +64,7 @@ pub use concurrent::{shard_skew, Column, StripedCounters, StripedMap, Stripes};
 pub use config::SimConfig;
 pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS};
 pub use faults::FaultConfig;
-pub use ids::{AsId, PrefixId, RouterId};
+pub use ids::{AsId, IdRange, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};
 pub use sim::{Sim, SinkTree, TreeKey};
 pub use topology::{AsTier, Rel, StampMode};

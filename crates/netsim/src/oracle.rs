@@ -80,8 +80,7 @@ impl<'a> Oracle<'a> {
             return Vec::new();
         };
         let topo = self.sim.topo();
-        topo.router(r)
-            .links
+        topo.router_links(r)
             .iter()
             .map(|&l| {
                 let link = topo.link(l);
@@ -115,12 +114,7 @@ impl<'a> Oracle<'a> {
             return true;
         }
         let topo = self.sim.topo();
-        if topo
-            .router(ra)
-            .links
-            .iter()
-            .any(|&l| topo.link(l).other(ra) == rb)
-        {
+        if (topo.router_links(ra).iter()).any(|&l| topo.link(l).other(ra) == rb) {
             return true;
         }
         let (as_a, as_b) = (topo.router_as(ra), topo.router_as(rb));
@@ -140,12 +134,7 @@ impl<'a> Oracle<'a> {
             return false;
         };
         let topo = self.sim.topo();
-        ra != rb
-            && topo
-                .router(ra)
-                .links
-                .iter()
-                .any(|&l| topo.link(l).other(ra) == rb)
+        ra != rb && (topo.router_links(ra).iter()).any(|&l| topo.link(l).other(ra) == rb)
     }
 
     /// Replay the **reply-leg** Record Route stamps of an earlier

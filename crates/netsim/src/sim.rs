@@ -290,7 +290,7 @@ impl Exits {
         let first = (topo.routers.iter())
             .map(|r| {
                 let at = cells;
-                cells += topo.asn(r.asn).neighbors.len() as u32;
+                cells += topo.neighbors(r.asn).len() as u32;
                 at
             })
             .collect();
@@ -371,11 +371,9 @@ thread_local! {
 
 /// Border routers per (AS, neighbour AS), compiled once: the routers of the
 /// AS with at least one link to the neighbour, sorted. Slots run parallel
-/// to [`crate::topology::AsNode::neighbors`].
+/// to [`Topology::all_neighbors`].
 #[derive(Debug)]
 struct Borders {
-    /// AS index → its first slot in `off`.
-    first: Vec<u32>,
     /// Slot → start of its run in `routers` (one trailing entry).
     off: Vec<u32>,
     routers: Vec<RouterId>,
@@ -383,19 +381,17 @@ struct Borders {
 
 impl Borders {
     fn build(topo: &Topology) -> Borders {
-        let neighbors = || topo.ases.iter().flat_map(|a| &a.neighbors);
+        let neighbors = topo.all_neighbors();
         let mut b = Borders {
-            first: Vec::with_capacity(topo.ases.len()),
-            off: Vec::with_capacity(neighbors().count() + 1),
+            off: Vec::with_capacity(neighbors.len() + 1),
             // At most one border per link.
-            routers: Vec::with_capacity(neighbors().map(|nb| nb.links.len()).sum()),
+            routers: Vec::with_capacity(neighbors.iter().map(|nb| nb.links.len()).sum()),
         };
         let mut run = Vec::new();
         for a in &topo.ases {
-            b.first.push(b.off.len() as u32);
-            for nb in &a.neighbors {
+            for nb in topo.neighbors(a.id) {
                 b.off.push(b.routers.len() as u32);
-                topo.border_routers_of(a.id, &nb.links, &mut run);
+                topo.border_routers_of(a.id, nb.links, &mut run);
                 b.routers.extend_from_slice(&run);
             }
         }
@@ -403,17 +399,16 @@ impl Borders {
         b
     }
 
-    /// Border routers of `asn` toward its `nbr`-th neighbour.
+    /// Border routers toward the neighbour in [`Topology::neighbor_slot`]
+    /// `slot`.
     #[inline]
-    fn toward(&self, asn: AsId, nbr: usize) -> &[RouterId] {
-        let slot = self.first[asn.index()] as usize + nbr;
+    fn toward(&self, slot: usize) -> &[RouterId] {
         &self.routers[self.off[slot] as usize..self.off[slot + 1] as usize]
     }
 
     fn bytes(&self) -> u64 {
         use std::mem::size_of;
-        ((self.first.len() + self.off.len()) * size_of::<u32>()
-            + self.routers.len() * size_of::<RouterId>()) as u64
+        (self.off.len() * size_of::<u32>() + self.routers.len() * size_of::<RouterId>()) as u64
     }
 }
 
@@ -795,11 +790,7 @@ impl Sim {
         }
         // Customer-side interface of an interdomain /30 numbered from the
         // provider's block: anchor at the provider-side router.
-        let lid = self
-            .topo
-            .router(router)
-            .links
-            .iter()
+        let lid = (self.topo.router_links(router).iter())
             .copied()
             .find(|&l| self.topo.link(l).addr_of(router) == addr)?;
         let l = self.topo.link(lid);
@@ -1219,7 +1210,7 @@ impl Sim {
                     .route(core, target_as, salt, cur_as)?
                     .hop?;
                 debug_assert!(
-                    nbr < self.topo.asn(cur_as).neighbors.len(),
+                    nbr < self.topo.neighbors(cur_as).len(),
                     "{cur_as} has no neighbour {nbr}"
                 );
                 *chosen = Some((cur_as, nbr));
@@ -1239,11 +1230,11 @@ impl Sim {
         nbr: usize,
         pick: impl FnOnce(usize) -> usize,
     ) -> Option<(LinkId, usize)> {
-        let borders = self.borders.toward(cur_as, nbr);
+        let borders = self.borders.toward(self.topo.neighbor_slot(cur_as, nbr));
         if borders.contains(&cur) {
             // Direct links from cur to next_as.
             let direct = || {
-                (self.topo.asn(cur_as).neighbors[nbr].links.iter().copied()).filter(|&l| {
+                (self.topo.neighbors(cur_as)[nbr].links.iter()).filter(|&l| {
                     let link = self.topo.link(l);
                     link.a == cur || link.b == cur
                 })
@@ -1363,12 +1354,7 @@ impl Sim {
                 cands[i].0
             } else {
                 let next_as = routes.next[cur_as.index()]?;
-                let direct: Vec<LinkId> = self
-                    .topo
-                    .asn(cur_as)
-                    .links_to(next_as)
-                    .iter()
-                    .copied()
+                let direct: Vec<LinkId> = (self.topo.links_to(cur_as, next_as).iter())
                     .filter(|&l| {
                         let link = self.topo.link(l);
                         link.a == cur || link.b == cur
@@ -1462,15 +1448,12 @@ impl Sim {
     /// [`Sim::host_alias`] of a host known to live in prefix `pid`.
     pub(crate) fn alias_in(&self, pid: PrefixId, host: Addr) -> Addr {
         let pe = self.topo.prefix(pid);
-        let asn = self.topo.asn(pe.owner);
-        let pos = asn
-            .prefixes
-            .iter()
-            .position(|&p| p == pid)
+        let pos = (self.topo.as_prefixes(pe.owner).iter())
+            .position(|p| p == pid)
             .expect("prefix registered with owner") as u32;
         // /24s #1..#15 of the block are reserved for host aliases.
         debug_assert!(pos < 15, "too many prefixes for alias space");
-        Addr(asn.block.base.0 + 256 * (1 + pos) + (host.0 & 0xFF))
+        Addr(self.topo.asn(pe.owner).block.base.0 + 256 * (1 + pos) + (host.0 & 0xFF))
     }
 
     /// Host addresses usable as probe targets inside a prefix
@@ -1879,9 +1862,9 @@ mod tests {
     fn border_table_matches_topology_scan() {
         for s in [sim(), Sim::build(SimConfig::era_2020(), 1)] {
             for a in &s.topo().ases {
-                for (nbr, nb) in a.neighbors.iter().enumerate() {
+                for (nbr, nb) in s.topo().neighbors(a.id).iter().enumerate() {
                     assert_eq!(
-                        s.borders.toward(a.id, nbr),
+                        s.borders.toward(s.topo().neighbor_slot(a.id, nbr)),
                         &s.topo().border_routers_toward(a.id, nb.asn)[..]
                     );
                 }
@@ -1894,7 +1877,7 @@ mod tests {
     /// customer-side interface resolves to a `via` destination anchored at
     /// the chain's last router. Returns the sim and that interface.
     fn chain_with_customer(chain: u32) -> (Sim, Addr) {
-        use crate::topology::{AsNode, AsTier, Link, Neighbor, Rel};
+        use crate::topology::{AsNode, AsTier, Link, Rel};
         let edges: Vec<(u32, u32)> = (1..chain).map(|i| (i - 1, i)).collect();
         let mut topo = crate::igp::tests::single_as(chain, &edges);
         let customer = RouterId(chain);
@@ -1902,7 +1885,6 @@ mod tests {
         r.id = customer;
         r.asn = AsId(1);
         r.loopback = Addr::new(11, 1, 64, 1);
-        r.links = vec![];
         topo.routers.push(r);
         let block = topo.ases[0].block;
         let lid = LinkId(topo.links.len() as u32);
@@ -1916,27 +1898,13 @@ mod tests {
             latency_ms: 2.0,
             kind: LinkKind::Inter,
         });
-        topo.routers[chain as usize - 1].links.push(lid);
-        topo.routers[chain as usize].links.push(lid);
-        topo.ases[0].neighbors.push(Neighbor {
-            asn: AsId(1),
-            rel: Rel::Customer,
-            links: vec![lid],
-        });
         topo.ases.push(AsNode {
             id: AsId(1),
             tier: AsTier::Stub,
-            neighbors: vec![Neighbor {
-                asn: AsId(0),
-                rel: Rel::Provider,
-                links: vec![lid],
-            }],
-            routers: vec![customer],
-            prefixes: vec![],
             block: crate::addr::Prefix::new(Addr::new(11, 1, 0, 0), 16),
             ..topo.ases[0].clone()
         });
-        topo.rebuild_address_index();
+        topo.derive_indexes(&[(AsId(0), AsId(1), Rel::Customer)]);
         (Sim::from_topology(topo, SimConfig::tiny(), 5), far)
     }
 
@@ -2312,9 +2280,10 @@ mod tests {
                     assert_eq!(lent.expect("walked above").hops[..], p.hops[..]);
                     let (first, n) = cell_facts(tree.cells[router.index()]);
                     assert!(n > 1, "{router} toward {dst}: {n} candidates");
+                    let links = topo.router_links(router);
                     assert!(
-                        r.links.contains(&first)
-                            && r.links.contains(&fork.out_link.expect("forwarded"))
+                        links.contains(&first)
+                            && links.contains(&fork.out_link.expect("forwarded"))
                     );
                     // ...never its pick: the option packet picks its own.
                     let lent = sim.walk_hops(start, dst, &dest, &option, None, Some(&mut tree));

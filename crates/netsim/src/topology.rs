@@ -6,7 +6,7 @@
 
 use crate::addr::{Addr, Prefix};
 use crate::gen::PREFIX_SPACE_OFFSET;
-use crate::ids::{AsId, LinkId, PrefixId, RouterId};
+use crate::ids::{AsId, IdRange, LinkId, PrefixId, RouterId};
 use revtr_telemetry::WordMap;
 
 /// addr → router. Keyed by addresses the generator (or a test) numbered,
@@ -51,29 +51,25 @@ impl Rel {
 }
 
 /// One AS-level adjacency, possibly realised by several physical links.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
     /// The adjacent AS.
     pub asn: AsId,
     /// Relationship of `asn` to the owning AS.
     pub rel: Rel,
     /// Physical inter-domain links realising the adjacency.
-    pub links: Vec<LinkId>,
+    pub links: IdRange<LinkId>,
 }
 
-/// An autonomous system.
+/// An autonomous system. Its neighbours, routers and prefixes are runs of
+/// the topology's tables ([`Topology::neighbors`], [`Topology::as_routers`],
+/// [`Topology::as_prefixes`]).
 #[derive(Clone, Debug)]
 pub struct AsNode {
     /// Dense id.
     pub id: AsId,
     /// Hierarchy tier.
     pub tier: AsTier,
-    /// AS-level adjacencies, sorted by neighbor id.
-    pub neighbors: Vec<Neighbor>,
-    /// Routers belonging to this AS.
-    pub routers: Vec<RouterId>,
-    /// Prefixes originated by this AS.
-    pub prefixes: Vec<PrefixId>,
     /// The /16 allocation block all of this AS's public addresses come from.
     pub block: Prefix,
     /// True if hosts inside this AS cannot emit spoofed-source packets
@@ -88,30 +84,6 @@ pub struct AsNode {
     /// interior (non-border, non-attach) hops are invisible to traceroute
     /// and do not stamp RR options (§5.2.2's hidden tunnels).
     pub mpls: bool,
-}
-
-impl AsNode {
-    /// True if some neighbour buys transit from this AS. An AS without
-    /// customers passes no route on (see [`crate::bgp::RoutePlan`]).
-    pub fn has_customers(&self) -> bool {
-        self.neighbors.iter().any(|n| n.rel == Rel::Customer)
-    }
-
-    /// Look up the relationship with `other`, if adjacent.
-    pub fn rel_with(&self, other: AsId) -> Option<Rel> {
-        self.neighbors
-            .binary_search_by_key(&other, |n| n.asn)
-            .ok()
-            .map(|i| self.neighbors[i].rel)
-    }
-
-    /// The physical links toward `other`, empty slice if not adjacent.
-    pub fn links_to(&self, other: AsId) -> &[LinkId] {
-        match self.neighbors.binary_search_by_key(&other, |n| n.asn) {
-            Ok(i) => &self.neighbors[i].links,
-            Err(_) => &[],
-        }
-    }
 }
 
 /// How a router stamps Record Route packets it forwards (§4.2, Appx. C).
@@ -129,7 +101,8 @@ pub enum StampMode {
     NoStamp,
 }
 
-/// A router.
+/// A router. Its incident links are a run of the topology's router-links
+/// table ([`Topology::router_links`]).
 #[derive(Clone, Debug)]
 pub struct Router {
     /// Dense id.
@@ -152,8 +125,6 @@ pub struct Router {
     /// Balances option-carrying packets per-packet across equal-cost next
     /// hops (Appx. E).
     pub load_balancer: bool,
-    /// Incident links, sorted.
-    pub links: Vec<LinkId>,
 }
 
 /// Link flavour.
@@ -251,17 +222,145 @@ pub struct Topology {
     /// addr → router, for every interface / loopback / private alias.
     /// Derived from the routers and links.
     pub(crate) addr_to_router: AddrIndex,
+    /// Router index → start of its run in `router_links` (one trailing
+    /// entry). Derived from the links.
+    pub(crate) router_link_off: Vec<u32>,
+    pub(crate) router_links: Vec<LinkId>,
+    /// AS index → start of its run in `neighbors` (one trailing entry).
+    /// Derived from the adjacency list and the links.
+    pub(crate) neighbor_off: Vec<u32>,
+    pub(crate) neighbors: Vec<Neighbor>,
+    /// AS index → its first router (one trailing entry): routers are
+    /// numbered AS by AS. Derived from the routers.
+    pub(crate) router_off: Vec<u32>,
+    /// AS index → its first prefix (one trailing entry): prefixes are
+    /// numbered AS by AS. Derived from the prefixes.
+    pub(crate) prefix_off: Vec<u32>,
+}
+
+/// Owner index → start of its run (one trailing entry), and the runs back
+/// to back, from `items` entries where entry `i` is `item(i)`, an `(owner,
+/// value)` pair: one counting pass, then one filling pass, so each run
+/// keeps its values in entry order. Two allocations, whatever the number
+/// of owners. (Entries by index, not an iterator: a flattened iterator of
+/// pairs ran five times slower here.)
+pub fn runs<T: Copy>(
+    owners: usize,
+    items: usize,
+    item: impl Fn(usize) -> (usize, T),
+    fill: T,
+) -> (Vec<u32>, Vec<T>) {
+    let mut off = vec![0u32; owners + 1];
+    for i in 0..items {
+        off[item(i).0 + 1] += 1;
+    }
+    for i in 1..off.len() {
+        off[i] += off[i - 1];
+    }
+    let mut table = vec![fill; items];
+    // `off[o]` is `o`'s fill cursor, and ends at the start of `o + 1`.
+    for i in 0..items {
+        let (o, value) = item(i);
+        table[off[o] as usize] = value;
+        off[o] += 1;
+    }
+    off.copy_within(0..owners, 1);
+    off[0] = 0;
+    (off, table)
+}
+
+/// AS index → its first item (one trailing entry), for items numbered AS
+/// by AS: `owners` yields each item's AS in id order.
+fn owner_offsets(n_ases: usize, owners: impl Iterator<Item = AsId>, what: &str) -> Vec<u32> {
+    let mut off = vec![0u32; n_ases + 1];
+    let mut last = 0;
+    for (i, o) in owners.enumerate() {
+        assert!(
+            (last..n_ases).contains(&o.index()),
+            "{what} must be numbered AS by AS"
+        );
+        last = o.index();
+        off[last + 1] = i as u32 + 1;
+    }
+    // An AS with no items starts (and ends) where the one before it ends.
+    for i in 1..off.len() {
+        off[i] = off[i].max(off[i - 1]);
+    }
+    off
 }
 
 impl Topology {
-    /// Rebuild the address index (interfaces, loopbacks, private aliases).
-    /// Called by the generator and by whoever builds a topology by hand.
+    /// Derive every index from the tables and `adjacencies` — `(a, b, rel
+    /// of b to a)`, each AS pair at most once: the address index, each
+    /// router's links, each AS's neighbours, routers and prefixes, and
+    /// each adjacency's links. Called by the generator and by whoever
+    /// builds a topology by hand.
+    ///
+    /// Routers and prefixes must be numbered AS by AS, and an adjacency's
+    /// links consecutively, as the generator numbers them: each of these is
+    /// then a range of ids, not a list.
+    pub fn derive_indexes(&mut self, adjacencies: &[(AsId, AsId, Rel)]) {
+        let n_ases = self.ases.len();
+        self.router_off = owner_offsets(n_ases, self.routers.iter().map(|r| r.asn), "routers");
+        self.prefix_off = owner_offsets(n_ases, self.prefixes.iter().map(|p| p.owner), "prefixes");
+        // Both ends of each link in link id order, so each router's run
+        // comes out sorted.
+        let links = &self.links;
+        let end = |i: usize| {
+            let l = &links[i / 2];
+            ([l.a, l.b][i % 2].index(), l.id)
+        };
+        (self.router_link_off, self.router_links) =
+            runs(self.routers.len(), 2 * links.len(), end, LinkId(0));
+        let entry = |asn, rel| Neighbor {
+            asn,
+            rel,
+            links: IdRange::new(0, 0),
+        };
+        let side = |i: usize| {
+            let (a, b, rel) = adjacencies[i / 2];
+            [
+                (a.index(), entry(b, rel)),
+                (b.index(), entry(a, rel.flip())),
+            ][i % 2]
+        };
+        let fill = entry(AsId(0), Rel::Peer);
+        (self.neighbor_off, self.neighbors) = runs(n_ases, 2 * adjacencies.len(), side, fill);
+        for a in 0..n_ases {
+            let run = self.neighbor_range(AsId(a as u32));
+            let run = &mut self.neighbors[run];
+            run.sort_unstable_by_key(|n| n.asn);
+            assert!(
+                run.windows(2).all(|w| w[0].asn < w[1].asn),
+                "AS{a}: an adjacency listed twice"
+            );
+        }
+        for l in self.links.iter().filter(|l| l.kind == LinkKind::Inter) {
+            let (x, y) = (self.router_as(l.a), self.router_as(l.b));
+            for (me, other) in [(x, y), (y, x)] {
+                let run = self.neighbor_range(me);
+                let at = (self.neighbors[run.clone()].binary_search_by_key(&other, |n| n.asn))
+                    .unwrap_or_else(|_| panic!("{}: interdomain link of non-adjacent ASes", l.id));
+                let nb = &mut self.neighbors[run.start + at];
+                let start = nb.links.get(0).map_or(l.id.0, |first| first.0);
+                assert_eq!(
+                    start + nb.links.len() as u32,
+                    l.id.0,
+                    "{me}–{other}: an adjacency's links must be numbered consecutively"
+                );
+                nb.links = IdRange::new(start, l.id.0 + 1);
+            }
+        }
+        self.index_addresses();
+    }
+
+    /// The address index (interfaces, loopbacks, private aliases).
     ///
     /// One table, sized once to its entries, for generated and hand-built
     /// topologies alike (hand-built ones number loopbacks inside
     /// link space, so no block arithmetic stands in for it). Filled routers
     /// first, then links: an address listed twice resolves to the last.
-    pub fn rebuild_address_index(&mut self) {
+    fn index_addresses(&mut self) {
         let entries = 2 * (self.routers.len() + self.links.len());
         let mut map = AddrIndex::with_capacity_and_hasher(entries, Default::default());
         for r in &self.routers {
@@ -273,6 +372,79 @@ impl Topology {
             map.insert(l.addr_b, l.b);
         }
         self.addr_to_router = map;
+    }
+
+    fn neighbor_range(&self, asn: AsId) -> std::ops::Range<usize> {
+        self.neighbor_off[asn.index()] as usize..self.neighbor_off[asn.index() + 1] as usize
+    }
+
+    /// Incident links of router `r`, sorted.
+    #[inline]
+    pub fn router_links(&self, r: RouterId) -> &[LinkId] {
+        let off = &self.router_link_off[r.index()..r.index() + 2];
+        &self.router_links[off[0] as usize..off[1] as usize]
+    }
+
+    /// AS-level adjacencies of `asn`, sorted by neighbour id.
+    #[inline]
+    pub fn neighbors(&self, asn: AsId) -> &[Neighbor] {
+        &self.neighbors[self.neighbor_range(asn)]
+    }
+
+    /// Every AS's adjacencies back to back, AS by AS, each AS's as
+    /// [`Topology::neighbors`] lists them: a table parallel to this one
+    /// needs no offsets of its own.
+    pub fn all_neighbors(&self) -> &[Neighbor] {
+        &self.neighbors
+    }
+
+    /// Where `asn`'s `nbr`-th neighbour sits in [`Topology::all_neighbors`].
+    #[inline]
+    pub(crate) fn neighbor_slot(&self, asn: AsId, nbr: usize) -> usize {
+        debug_assert!(nbr < self.neighbors(asn).len());
+        self.neighbor_off[asn.index()] as usize + nbr
+    }
+
+    /// Routers belonging to `asn`.
+    #[inline]
+    pub fn as_routers(&self, asn: AsId) -> IdRange<RouterId> {
+        IdRange::new(
+            self.router_off[asn.index()],
+            self.router_off[asn.index() + 1],
+        )
+    }
+
+    /// Prefixes originated by `asn`.
+    #[inline]
+    pub fn as_prefixes(&self, asn: AsId) -> IdRange<PrefixId> {
+        IdRange::new(
+            self.prefix_off[asn.index()],
+            self.prefix_off[asn.index() + 1],
+        )
+    }
+
+    /// True if some neighbour buys transit from `asn`. An AS without
+    /// customers passes no route on (see [`crate::bgp::RoutePlan`]).
+    pub fn has_customers(&self, asn: AsId) -> bool {
+        self.neighbors(asn).iter().any(|n| n.rel == Rel::Customer)
+    }
+
+    /// `asn`'s adjacency with `other`, if any.
+    fn neighbor(&self, asn: AsId, other: AsId) -> Option<&Neighbor> {
+        let run = self.neighbors(asn);
+        let i = run.binary_search_by_key(&other, |n| n.asn).ok()?;
+        Some(&run[i])
+    }
+
+    /// The relationship of `other` to `asn`, if adjacent.
+    pub fn rel_with(&self, asn: AsId, other: AsId) -> Option<Rel> {
+        self.neighbor(asn, other).map(|n| n.rel)
+    }
+
+    /// The physical links between `asn` and `other`, none if not adjacent.
+    pub fn links_to(&self, asn: AsId, other: AsId) -> IdRange<LinkId> {
+        self.neighbor(asn, other)
+            .map_or(IdRange::new(0, 0), |n| n.links)
     }
 
     /// AS node by id.
@@ -329,25 +501,22 @@ impl Topology {
     /// the block indexes that AS's run of prefixes — the layout the
     /// generator allocates and `Topology::prefix_layout_holds` checks.
     pub fn prefix_of(&self, addr: Addr) -> Option<PrefixId> {
-        let owner = self.asn(self.block_owner(addr)?);
+        let owner = self.block_owner(addr)?;
         let run = (addr.0 & 0xFFFF).checked_sub(PREFIX_SPACE_OFFSET)? >> 8;
-        owner.prefixes.get(run as usize).copied()
+        self.as_prefixes(owner).get(run as usize)
     }
 
     /// True if every announced prefix sits where [`Topology::prefix_of`]
     /// looks for it: AS `i`'s block is the `i`-th /16 from `block_base`,
     /// and the `j`-th prefix it lists is the `j`-th /24 from
-    /// `PREFIX_SPACE_OFFSET` in that block, owned by it; and every prefix
-    /// is listed by exactly one AS.
+    /// `PREFIX_SPACE_OFFSET` in that block, owned by it.
     pub(crate) fn prefix_layout_holds(&self) -> bool {
-        let listed: usize = self.ases.iter().map(|a| a.prefixes.len()).sum();
-        listed == self.prefixes.len()
-            && self.block_base & 0xFFFF == 0
+        self.block_base & 0xFFFF == 0
             && (0u32..).zip(&self.ases).all(|(i, a)| {
                 let block = Prefix::new(Addr(self.block_base + (i << 16)), 16);
                 a.id == AsId(i)
                     && a.block == block
-                    && (0u32..).zip(&a.prefixes).all(|(j, &p)| {
+                    && (0u32..).zip(self.as_prefixes(a.id)).all(|(j, p)| {
                         let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + 256 * j);
                         block.contains(base)
                             && self.prefixes.get(p.index()).is_some_and(|pe| {
@@ -389,7 +558,7 @@ impl Topology {
     pub fn router_addrs(&self, r: RouterId) -> Vec<Addr> {
         let router = self.router(r);
         let mut out = vec![router.loopback, router.private_alias];
-        for &l in &router.links {
+        for &l in self.router_links(r) {
             out.push(self.link(l).addr_of(r));
         }
         out
@@ -397,7 +566,7 @@ impl Topology {
 
     /// Iterate (neighbor AS, relationship) pairs of `asn`.
     pub fn as_neighbors(&self, asn: AsId) -> impl Iterator<Item = (AsId, Rel)> + '_ {
-        self.asn(asn).neighbors.iter().map(|n| (n.asn, n.rel))
+        self.neighbors(asn).iter().map(|n| (n.asn, n.rel))
     }
 
     /// Number of ASes.
@@ -408,15 +577,20 @@ impl Topology {
     /// Border routers of `asn` that have at least one link to `other`.
     pub fn border_routers_toward(&self, asn: AsId, other: AsId) -> Vec<RouterId> {
         let mut out = Vec::new();
-        self.border_routers_of(asn, self.asn(asn).links_to(other), &mut out);
+        self.border_routers_of(asn, self.links_to(asn, other), &mut out);
         out
     }
 
     /// Replace `out` with the `asn`-side routers of `links` (interdomain
     /// links of `asn`), sorted, each once.
-    pub(crate) fn border_routers_of(&self, asn: AsId, links: &[LinkId], out: &mut Vec<RouterId>) {
+    pub(crate) fn border_routers_of(
+        &self,
+        asn: AsId,
+        links: IdRange<LinkId>,
+        out: &mut Vec<RouterId>,
+    ) {
         out.clear();
-        out.extend(links.iter().map(|&l| {
+        out.extend(links.iter().map(|l| {
             let link = self.link(l);
             if self.router_as(link.a) == asn {
                 link.a
@@ -468,7 +642,6 @@ pub(crate) mod tests {
         };
         for (i, &run) in (0u32..).zip(runs) {
             let block = Prefix::new(Addr(topo.block_base + (i << 16)), 16);
-            let mut prefixes = Vec::new();
             for j in 0..run {
                 let id = PrefixId(topo.prefixes.len() as u32);
                 let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + 256 * j);
@@ -478,14 +651,10 @@ pub(crate) mod tests {
                     owner: AsId(i),
                     attach: RouterId(0),
                 });
-                prefixes.push(id);
             }
             topo.ases.push(AsNode {
                 id: AsId(i),
                 tier: AsTier::Stub,
-                neighbors: vec![],
-                routers: vec![],
-                prefixes,
                 block,
                 spoof_filter: false,
                 colo: false,
@@ -493,6 +662,7 @@ pub(crate) mod tests {
                 mpls: false,
             });
         }
+        topo.derive_indexes(&[]);
         topo
     }
 
@@ -513,11 +683,15 @@ pub(crate) mod tests {
         // Any prefix moved off its place breaks the layout.
         topo.prefixes[2].prefix = Prefix::new(Addr::new(11, 1, 140, 0), 24);
         assert!(!topo.prefix_layout_holds());
+        // So do an AS's prefixes out of their order...
         let mut topo = blocks(&[1, 2, 1]);
-        topo.ases[1].prefixes.swap(0, 1);
+        let (p1, p2) = (topo.prefixes[1].prefix, topo.prefixes[2].prefix);
+        (topo.prefixes[1].prefix, topo.prefixes[2].prefix) = (p2, p1);
         assert!(!topo.prefix_layout_holds());
+        // ...and a prefix owned by an AS whose block does not hold it.
         let mut topo = blocks(&[1, 2, 1]);
-        topo.ases[2].prefixes.clear();
+        topo.prefixes[3].owner = AsId(1);
+        topo.derive_indexes(&[]);
         assert!(!topo.prefix_layout_holds());
     }
 
@@ -610,6 +784,91 @@ pub(crate) mod tests {
         }
         let topo = crate::gen::generate(&crate::config::SimConfig::era_2020(), 1);
         router_at_matches_the_reference(&topo);
+    }
+
+    /// Every derived run against a naive rebuild into ordered maps: each
+    /// router's links and each adjacency's links pushed in link id order,
+    /// each AS's neighbours keyed by id from `adjacencies`, its routers and
+    /// prefixes pushed in id order.
+    fn derived_runs_match_the_naive_rebuild(topo: &Topology, adjacencies: &[(AsId, AsId, Rel)]) {
+        use std::collections::BTreeMap;
+        let mut router_links: BTreeMap<RouterId, Vec<LinkId>> = BTreeMap::new();
+        let mut neighbors: BTreeMap<AsId, BTreeMap<AsId, (Rel, Vec<LinkId>)>> = BTreeMap::new();
+        let mut routers: BTreeMap<AsId, Vec<RouterId>> = BTreeMap::new();
+        let mut prefixes: BTreeMap<AsId, Vec<PrefixId>> = BTreeMap::new();
+        for &(a, b, rel) in adjacencies {
+            neighbors.entry(a).or_default().insert(b, (rel, vec![]));
+            neighbors
+                .entry(b)
+                .or_default()
+                .insert(a, (rel.flip(), vec![]));
+        }
+        for l in &topo.links {
+            router_links.entry(l.a).or_default().push(l.id);
+            router_links.entry(l.b).or_default().push(l.id);
+            if l.kind == LinkKind::Inter {
+                let (x, y) = (topo.router_as(l.a), topo.router_as(l.b));
+                for (me, other) in [(x, y), (y, x)] {
+                    let nb = neighbors.get_mut(&me).and_then(|run| run.get_mut(&other));
+                    nb.expect("adjacent").1.push(l.id);
+                }
+            }
+        }
+        for r in &topo.routers {
+            routers.entry(r.asn).or_default().push(r.id);
+        }
+        for p in &topo.prefixes {
+            prefixes.entry(p.owner).or_default().push(p.id);
+        }
+        for r in &topo.routers {
+            let want = router_links.get(&r.id).map_or(&[][..], |l| &l[..]);
+            assert_eq!(topo.router_links(r.id), want, "{}", r.id);
+        }
+        for a in &topo.ases {
+            let got: Vec<_> = (topo.neighbors(a.id).iter())
+                .map(|n| (n.asn, n.rel, n.links.iter().collect::<Vec<_>>()))
+                .collect();
+            let want: Vec<_> = (neighbors.get(&a.id).into_iter().flatten())
+                .map(|(&b, (rel, links))| (b, *rel, links.clone()))
+                .collect();
+            assert_eq!(got, want, "{}", a.id);
+            let got: Vec<_> = topo.as_routers(a.id).iter().collect();
+            assert_eq!(&got, routers.get(&a.id).unwrap_or(&vec![]), "{}", a.id);
+            let got: Vec<_> = topo.as_prefixes(a.id).iter().collect();
+            assert_eq!(&got, prefixes.get(&a.id).unwrap_or(&vec![]), "{}", a.id);
+            for (b, (rel, links)) in neighbors.get(&a.id).into_iter().flatten() {
+                assert_eq!(topo.rel_with(a.id, *b), Some(*rel));
+                assert_eq!(&topo.links_to(a.id, *b).iter().collect::<Vec<_>>(), links);
+            }
+        }
+        let slots =
+            (topo.ases.iter()).flat_map(|a| (0..topo.neighbors(a.id).len()).map(|nbr| (a.id, nbr)));
+        for (i, (asn, nbr)) in slots.enumerate() {
+            assert_eq!(topo.neighbor_slot(asn, nbr), i);
+            assert_eq!(topo.all_neighbors()[i], topo.neighbors(asn)[nbr]);
+        }
+    }
+
+    #[test]
+    fn derived_runs_match_the_naive_rebuild_on_generated() {
+        let cfgs = [1, 7, 42].map(|seed| (crate::config::SimConfig::tiny(), seed));
+        for (cfg, seed) in cfgs
+            .into_iter()
+            .chain([(crate::config::SimConfig::era_2020(), 1)])
+        {
+            let (topo, adjacencies) = crate::gen::generate_listing(&cfg, seed);
+            derived_runs_match_the_naive_rebuild(&topo, &adjacencies);
+        }
+    }
+
+    #[test]
+    fn derived_runs_match_the_naive_rebuild_on_hand_built() {
+        let adjacencies = (crate::bgp::tests::EDGE_CASE_ADJACENCIES.iter())
+            .map(|&(a, b, rel)| (AsId(a), AsId(b), rel))
+            .collect::<Vec<_>>();
+        derived_runs_match_the_naive_rebuild(&crate::bgp::tests::edge_case_graph(), &adjacencies);
+        let ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 0)];
+        derived_runs_match_the_naive_rebuild(&crate::igp::tests::single_as(6, &ring), &[]);
     }
 
     /// Hand-built topologies number loopbacks inside the generator's link

@@ -19,13 +19,15 @@ fn full_scale_topology_is_well_formed() {
     // Every AS: at least one router, at least one prefix, connected to the
     // hierarchy (non-tier-1s have a provider or peer).
     for a in &topo.ases {
-        assert!(!a.routers.is_empty(), "{} has no routers", a.id);
-        assert!(!a.prefixes.is_empty(), "{} has no prefixes", a.id);
+        assert!(!topo.as_routers(a.id).is_empty(), "{} has no routers", a.id);
+        assert!(
+            !topo.as_prefixes(a.id).is_empty(),
+            "{} has no prefixes",
+            a.id
+        );
         if a.tier != AsTier::Tier1 {
             assert!(
-                a.neighbors
-                    .iter()
-                    .any(|n| matches!(n.rel, Rel::Provider | Rel::Peer)),
+                (topo.neighbors(a.id).iter()).any(|n| matches!(n.rel, Rel::Provider | Rel::Peer)),
                 "{} is disconnected from the hierarchy",
                 a.id
             );

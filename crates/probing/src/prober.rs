@@ -85,8 +85,8 @@ use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
 use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{
-    Addr, AsId, EchoReply, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TreeKey, TsReply,
-    TtlAnswer, TtlView,
+    Addr, AsId, EchoReply, IdRange, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TreeKey,
+    TsReply, TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
 use serde::Serialize;
@@ -434,8 +434,8 @@ impl<'s> Prober<'s> {
 
     /// The prefixes `asn` announces, in its announcement order (BGP
     /// table).
-    pub fn as_prefixes(&self, asn: AsId) -> &'s [PrefixId] {
-        &self.sim.topo().asn(asn).prefixes
+    pub fn as_prefixes(&self, asn: AsId) -> IdRange<PrefixId> {
+        self.sim.topo().as_prefixes(asn)
     }
 
     /// Prefix `p`'s address range (BGP table).
@@ -1335,7 +1335,7 @@ mod tests {
             sample.extend(s.host_addrs(pe.id).step_by(60));
         }
         for a in &topo.ases {
-            assert_eq!(p.as_prefixes(a.id), &a.prefixes[..]);
+            assert_eq!(p.as_prefixes(a.id), topo.as_prefixes(a.id));
         }
         for r in topo.routers.iter().step_by(3) {
             sample.extend([r.loopback, r.private_alias]);

@@ -377,7 +377,7 @@ impl IngressDb {
     pub fn target_plan(
         &self,
         key: Option<(PrefixId, bool)>,
-        siblings: &[PrefixId],
+        siblings: impl IntoIterator<Item = PrefixId>,
     ) -> PlanView<'_> {
         let lend = |plan| match plan {
             PlanView::Ingresses(ingresses) => PlanView::Lent(ingresses),
@@ -388,7 +388,7 @@ impl IngressDb {
             plan => plan,
         });
         own.into_iter()
-            .chain(siblings.iter().map(|&p| lend(self.plan_view(p))))
+            .chain(siblings.into_iter().map(|p| lend(self.plan_view(p))))
             .find(|plan| !plan.is_empty())
             .unwrap_or_else(|| {
                 PlanView::Ranking(&self.global_order[..self.global_order.len().min(9)])

@@ -29,7 +29,7 @@ proptest! {
             let mut path = vec![AsId(x as u32)];
             while let Some(hop) = routes.next(path[path.len() - 1]) {
                 prop_assert!(path.len() <= n, "next-hop chain loops");
-                path.push(sim.topo().asn(path[path.len() - 1]).neighbors[hop].asn);
+                path.push(sim.topo().neighbors(path[path.len() - 1])[hop].asn);
             }
             prop_assert!(path[path.len() - 1] == dst, "connected topology");
             // Loop-free.
@@ -40,7 +40,7 @@ proptest! {
             // Valley-free.
             let mut descended = false;
             for w in path.windows(2) {
-                match sim.topo().asn(w[0]).rel_with(w[1]).expect("adjacent") {
+                match sim.topo().rel_with(w[0], w[1]).expect("adjacent") {
                     Rel::Provider => prop_assert!(!descended),
                     Rel::Peer => {
                         prop_assert!(!descended);
