@@ -141,12 +141,14 @@ STEP
 # infrastructure AS), where keeping every key walked would exceed it. (The
 # tiny arm runs in the workspace tests above.) Beside it, the O(1)
 # `prefix_of` is held to the binary search over every address of every
-# era-2020 AS block, router addresses and unallocated space, and the
-# word-hashed address index (`router_at`) to its ordered reference over
-# every address from the private aliases through the /16 past the last
-# block, and the route plane to the whole-graph `routes_to` at every AS
-# toward every era-2020 destination AS, under the epoch-0 salt of each of
-# its prefixes and under its infrastructure salt.
+# era-2020 AS block, router addresses and unallocated space, and
+# `router_at`, which reads a router's id off its address by the address
+# plan's arithmetic (alias = 10.0.0.0 + id, loopback = /24 #0 of its AS's
+# block, link /30 = its slot in its owner's link space), to its ordered
+# reference over every address from the private aliases through the /16
+# past the last block, and the route plane to the whole-graph
+# `routes_to` at every AS toward every era-2020 destination AS, under the
+# epoch-0 salt of each of its prefixes and under its infrastructure salt.
 step "route-cache bound soak + prefix_of, router_at and routes on every era-2020 address and AS (release)" <<'STEP'
 cargo test -q --release -p revtr-netsim --lib -- --ignored \
   the_route_cache_keeps_only_live_keys prefix_of_matches_the_search \
@@ -162,7 +164,8 @@ STEP
 # record it keeps and none for one it drops, the survey what it keeps, and
 # a round's measurement cache ≤ 140 B live an entry, nothing to overwrite;
 # a warm walk and probe nothing, and building the simulator and a system
-# per table, not per router, AS or adjacency (≤ 240 and ≤ 60).
+# per table, not per router, AS or adjacency (`Sim::build` ≤ 185
+# allocations and ≤ 2 340 430 bytes, `RevtrSystem::new` ≤ 60).
 # (The debug builds run in the workspace tests above.)
 step "allocation gates (release: core, vpselect, service, telemetry, probing, netsim)" <<'STEP'
 cargo test -q --release -p revtr --test alloc_gate

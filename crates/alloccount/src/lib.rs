@@ -11,7 +11,7 @@
 //! assert_eq!((*boxed, n), (7, 1));
 //! ```
 //!
-//! and read it through three helpers:
+//! and read it through four helpers:
 //!
 //! * [`allocs_in`] — the allocations this thread makes in a closure. A
 //!   gate whose work stays on the calling thread uses it, and the
@@ -20,10 +20,13 @@
 //!   closure. A gate whose work runs helpers off the calling thread (a
 //!   campaign's or a survey's pool) uses it, and runs everything inside
 //!   one `#[test]` so no other test counts with it.
+//! * [`bytes_in`] — the bytes this thread allocates in a closure, freed or
+//!   not.
 //! * [`live_after`] — the heap bytes this thread holds more after a
 //!   closure than before it.
 //!
 //! An allocation is an `alloc` or a `realloc` call; `dealloc` counts none.
+//! The bytes an allocation counts are its size: a `realloc`'s new size.
 //! The crate holds the workspace crates' only `unsafe` code: every other
 //! library crate forbids it.
 
@@ -41,37 +44,42 @@ thread_local! {
     // Const-initialised and without a destructor: touching them never
     // allocates and stays valid while the thread is torn down.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The counting allocator: [`System`], plus an allocation count for the
-/// process and for this thread, and this thread's live bytes.
+/// process and for this thread, and this thread's allocated and live
+/// bytes.
 pub struct Counting;
 
-fn count(allocs: u64, bytes: i64) {
+/// Count `allocs` allocations of `size` bytes in all, changing the live
+/// bytes by `live`.
+fn count(allocs: u64, size: usize, live: i64) {
     PROCESS_ALLOCS.fetch_add(allocs, Ordering::Relaxed);
     let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
-    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + live));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting is one atomic add and two
+// upholds the `GlobalAlloc` contract; counting is one atomic add and three
 // destructor-free thread-local cells, so it neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
+        count(1, layout.size(), layout.size() as i64);
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
+        count(0, 0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`, above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64);
+        count(1, new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `alloc` and `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -89,6 +97,13 @@ pub fn process_allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = PROCESS_ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (out, PROCESS_ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// What `f` returns, and the bytes this thread allocates while running it.
+pub fn bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// What `f` returns, and the heap bytes this thread holds more after it.
@@ -148,6 +163,16 @@ mod tests {
         // The spawn itself allocates on the caller (its handle and
         // closure), but none of the hundred boxes lands here.
         assert!(mine < 100, "the caller counted {mine}");
+    }
+
+    #[test]
+    fn allocated_bytes_count_every_size_freed_or_not() {
+        let ((), bytes) = bytes_in(|| {
+            let mut v: Vec<u8> = Vec::with_capacity(100);
+            black_box(&mut v).reserve_exact(200);
+            drop(black_box(v));
+        });
+        assert_eq!(bytes, 100 + 200);
     }
 
     #[test]

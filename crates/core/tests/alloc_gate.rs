@@ -205,7 +205,9 @@ fn a_request_allocates_what_it_returns() {
     // must meet the bound like those that ran one. (Hop count plays no
     // part: the result is sealed as one block.)
     let over_bound = |n: u64| n.saturating_sub(1);
-    for (batches, at_most_over) in [(1..=1, 0.05), (3..=u32::MAX, 0.25)] {
+    for (bucket, batches, at_most_over) in
+        [("1 batch", 1..=1, 0.05), ("3+ batches", 3..=u32::MAX, 0.25)]
+    {
         let over: Vec<u64> = served
             .iter()
             .filter(|(r, _)| batches.contains(&r.stats.batches))
@@ -217,6 +219,13 @@ fn a_request_allocates_what_it_returns() {
             over.len()
         );
         let exceeded = over.iter().filter(|&&o| o > 0).count();
+        eprintln!(
+            "{bucket}: {exceeded} of {} requests allocated beyond their result ({:.1} %, bound \
+             {:.0} %)",
+            over.len(),
+            100.0 * exceeded as f64 / over.len() as f64,
+            100.0 * at_most_over
+        );
         assert!(
             exceeded as f64 <= at_most_over * over.len() as f64 && over.iter().all(|&o| o <= 8),
             "{batches:?} batches: {exceeded} of {} requests allocated beyond their result, by up \

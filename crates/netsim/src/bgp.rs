@@ -916,12 +916,12 @@ pub(crate) mod tests {
     }
 
     /// An AS graph with one router per AS (router id = AS id) and one link
-    /// per adjacency, for shapes the generator never emits. `(a, b, rel)`
-    /// reads "b is a's `rel`".
+    /// per adjacency, numbered by the address plan, for shapes the
+    /// generator never emits. `(a, b, rel)` reads "b is a's `rel`".
     fn as_graph(tiers: &[AsTier], adjacencies: &[(u32, u32, Rel)]) -> Topology {
         use crate::addr::{Addr, Prefix};
         use crate::ids::{LinkId, RouterId};
-        use crate::topology::{AsNode, Link, LinkKind, Router, StampMode};
+        use crate::topology::{plan, AsNode, Link, LinkKind, Router, StampMode};
         let block = |i: u32| Prefix::new(Addr::new(11, i as u8, 0, 0), 16);
         let mut topo = Topology {
             block_base: block(0).base.0,
@@ -941,8 +941,8 @@ pub(crate) mod tests {
             topo.routers.push(Router {
                 id: RouterId(i),
                 asn: AsId(i),
-                loopback: block(i).nth(0x4000),
-                private_alias: Addr::new(10, 0, 0, i as u8),
+                loopback: plan::loopback(block(i), 0),
+                private_alias: plan::private_alias(RouterId(i)),
                 stamp: StampMode::Egress,
                 ttl_responsive: true,
                 snmp_responsive: false,
@@ -950,6 +950,8 @@ pub(crate) mod tests {
                 load_balancer: false,
             });
         }
+        // The /30s each AS has numbered.
+        let mut numbered = vec![0; tiers.len()];
         for &(a, b, rel) in adjacencies {
             let id = LinkId(topo.links.len() as u32);
             // The provider side numbers the /30 (the lower id for peers).
@@ -958,12 +960,14 @@ pub(crate) mod tests {
                 Rel::Customer => a,
                 Rel::Peer => a.min(b),
             };
+            let (addr_a, addr_b) = plan::link(block(owner), numbered[owner as usize]);
+            numbered[owner as usize] += 1;
             topo.links.push(Link {
                 id,
                 a: RouterId(a),
                 b: RouterId(b),
-                addr_a: block(owner).nth(4 * id.0 + 1),
-                addr_b: block(owner).nth(4 * id.0 + 2),
+                addr_a,
+                addr_b,
                 latency_ms: 1.0,
                 kind: LinkKind::Inter,
             });

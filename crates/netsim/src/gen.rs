@@ -10,6 +10,7 @@
 use crate::addr::{Addr, Prefix};
 use crate::config::SimConfig;
 use crate::ids::{AsId, LinkId, PrefixId, RouterId};
+use crate::topology::plan::{self, PREFIX_SPACE_OFFSET};
 use crate::topology::{
     AsNode, AsTier, Link, LinkKind, PrefixEntry, Rel, Router, StampMode, Topology, VpSite,
 };
@@ -18,12 +19,6 @@ use rand::rngs::StdRng;
 
 /// Base of the public allocation space: AS `i` owns `11.0.0.0 + i·2^16 /16`.
 pub const BLOCK_BASE: u32 = 11 << 24;
-
-/// Offset (within an AS block) of the first /24 used for link /30s.
-const LINK_SPACE_OFFSET: u32 = 16 * 256;
-/// Offset of the first announced host /24: an AS's `j`-th prefix is the
-/// `j`-th /24 from here, which is where [`Topology::prefix_of`] looks.
-pub(crate) const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
 
 /// Generate a complete topology from a configuration and seed.
 pub fn generate(cfg: &SimConfig, seed: u64) -> Topology {
@@ -50,19 +45,22 @@ fn dedup_adjacencies(adjacencies: &mut Vec<(AsId, AsId, Rel)>) {
     adjacencies.dedup_by_key(|&mut (a, b, _)| (a, b));
 }
 
-/// The routers of AS `asn`: routers are numbered AS by AS, so they are one
-/// run of the router table.
-fn routers_of(routers: &[Router], asn: AsId) -> &[Router] {
-    let start = routers.partition_point(|r| r.asn < asn);
-    let end = routers.partition_point(|r| r.asn <= asn);
-    &routers[start..end]
+/// Core routers of an AS of `n` routers: a full mesh, with every other
+/// router hanging off one of them.
+fn n_core(n: usize) -> usize {
+    match n {
+        0..=5 => 1,
+        6..=8 => 2,
+        _ => 3,
+    }
+    .min(n)
 }
 
 struct Builder<'c> {
     cfg: &'c SimConfig,
     rng: StdRng,
     topo: Topology,
-    /// Per-AS allocation cursor for link /30s.
+    /// Per-AS count of the link /30s it has numbered.
     link_cursor: Vec<u32>,
     /// AS-level adjacency accumulator: (a, b, rel of b to a).
     adjacencies: Vec<(AsId, AsId, Rel)>,
@@ -156,8 +154,8 @@ impl<'c> Builder<'c> {
                 edu,
                 mpls,
             });
-            self.link_cursor.push(LINK_SPACE_OFFSET);
         }
+        self.link_cursor = vec![0; total];
     }
 
     // ---- AS-level relationships -----------------------------------------
@@ -326,10 +324,16 @@ impl<'c> Builder<'c> {
         StampMode::NoStamp
     }
 
+    /// Routers are numbered AS by AS: each AS's are a run of the router
+    /// table, its offsets kept from here on.
     fn create_routers(&mut self) {
         let cfg: &'c SimConfig = self.cfg;
         let b = &cfg.behavior;
+        let counts = (self.topo.ases.iter()).map(|a| self.router_count(a.tier).max(1));
+        self.topo.routers.reserve_exact(counts.sum());
+        self.topo.router_off.reserve_exact(self.topo.ases.len() + 1);
         for as_idx in 0..self.topo.ases.len() {
+            self.topo.router_off.push(self.topo.routers.len() as u32);
             let tier = self.topo.ases[as_idx].tier;
             let n = self.router_count(tier).max(1);
             for r in 0..n {
@@ -340,9 +344,8 @@ impl<'c> Builder<'c> {
                 let router = Router {
                     id: rid,
                     asn: AsId(as_idx as u32),
-                    // Loopbacks live in /24 #0 of the block, .1 upward.
-                    loopback: block.nth(1 + r as u32),
-                    private_alias: Addr((10 << 24) | (rid.0 & 0x00FF_FFFF)),
+                    loopback: plan::loopback(block, r as u32),
+                    private_alias: plan::private_alias(rid),
                     stamp,
                     ttl_responsive: self.draw(b.router_ttl_responsive),
                     snmp_responsive,
@@ -352,21 +355,25 @@ impl<'c> Builder<'c> {
                 self.topo.routers.push(router);
             }
         }
+        self.topo.router_off.push(self.topo.routers.len() as u32);
+    }
+
+    /// A uniform draw among `asn`'s routers: a slice of the router table.
+    fn draw_router(&mut self, asn: AsId) -> RouterId {
+        let off = &self.topo.router_off[asn.index()..asn.index() + 2];
+        let run = &self.topo.routers[off[0] as usize..off[1] as usize];
+        run.choose(&mut self.rng)
+            .expect("AS has at least one router")
+            .id
     }
 
     // ---- Links -----------------------------------------------------------
 
-    /// Allocate a fresh /30 from `owner`'s block; returns the two usable
-    /// addresses.
+    /// Allocate `owner`'s next /30; returns the two usable addresses.
     fn alloc_slash30(&mut self, owner: AsId) -> (Addr, Addr) {
-        let cur = self.link_cursor[owner.index()];
-        assert!(
-            cur + 4 <= PREFIX_SPACE_OFFSET,
-            "link address space exhausted for {owner}"
-        );
-        self.link_cursor[owner.index()] = cur + 4;
-        let base = self.topo.ases[owner.index()].block.nth(cur);
-        (Addr(base.0 + 1), Addr(base.0 + 2))
+        let nth = self.link_cursor[owner.index()];
+        self.link_cursor[owner.index()] = nth + 1;
+        plan::link(self.topo.ases[owner.index()].block, nth)
     }
 
     fn push_link(&mut self, a: RouterId, b: RouterId, owner: AsId, latency: f64, kind: LinkKind) {
@@ -383,11 +390,27 @@ impl<'c> Builder<'c> {
         });
     }
 
+    /// An upper bound on the links the build numbers: every intra link, and
+    /// two interdomain links for each adjacency of two non-stubs (one for
+    /// the rest).
+    fn link_bound(&self) -> usize {
+        let ases = &self.topo.ases;
+        let intra = ases.iter().map(|a| {
+            let n = self.topo.as_routers(a.id).len();
+            let core = n_core(n);
+            core * core.saturating_sub(1) / 2 + (n - core)
+        });
+        let core = |a: AsId| ases[a.index()].tier != AsTier::Stub;
+        let inter = (self.adjacencies.iter()).map(|&(a, b, _)| 1 + usize::from(core(a) && core(b)));
+        intra.sum::<usize>() + inter.sum::<usize>()
+    }
+
     fn create_intra_links(&mut self) {
+        self.topo.links.reserve_exact(self.link_bound());
         for as_idx in 0..self.topo.ases.len() {
             let asid = AsId(as_idx as u32);
-            let run = routers_of(&self.topo.routers, asid);
-            let (first, n) = (run.first().map_or(0, |r| r.id.0), run.len());
+            let run = self.topo.as_routers(asid);
+            let (first, n) = (run.get(0).map_or(0, |r| r.0), run.len());
             let router = |i: usize| RouterId(first + i as u32);
             let tier = self.topo.ases[as_idx].tier;
             let lat_range = match tier {
@@ -403,12 +426,7 @@ impl<'c> Builder<'c> {
             // unique uplink, while interdomain route choice still diverges
             // per direction.
             if n >= 2 {
-                let n_core = match n {
-                    2..=5 => 1,
-                    6..=8 => 2,
-                    _ => 3,
-                }
-                .min(n);
+                let n_core = n_core(n);
                 for i in 0..n_core {
                     for j in i + 1..n_core {
                         let lat = self.rng.gen_range(lat_range.clone());
@@ -469,12 +487,8 @@ impl<'c> Builder<'c> {
             };
 
             for _ in 0..n_links {
-                let ra = (routers_of(&self.topo.routers, a).choose(&mut self.rng))
-                    .expect("AS has at least one router")
-                    .id;
-                let rb = (routers_of(&self.topo.routers, b).choose(&mut self.rng))
-                    .expect("AS has at least one router")
-                    .id;
+                let ra = self.draw_router(a);
+                let rb = self.draw_router(b);
                 let lat = self.inter_latency(
                     self.topo.ases[a.index()].tier,
                     self.topo.ases[b.index()].tier,
@@ -489,22 +503,24 @@ impl<'c> Builder<'c> {
     fn create_prefixes(&mut self) {
         let cfg: &'c SimConfig = self.cfg;
         let t = &cfg.topology;
-        for as_idx in 0..self.topo.ases.len() {
-            let asid = AsId(as_idx as u32);
-            let tier = self.topo.ases[as_idx].tier;
-            let max = match tier {
+        let max_prefixes = |tier| {
+            match tier {
                 AsTier::Stub => t.max_stub_prefixes,
                 _ => t.max_core_prefixes,
             }
-            .max(1);
+            .max(1)
+        };
+        let bound = self.topo.ases.iter().map(|a| max_prefixes(a.tier));
+        self.topo.prefixes.reserve_exact(bound.sum());
+        for as_idx in 0..self.topo.ases.len() {
+            let asid = AsId(as_idx as u32);
+            let max = max_prefixes(self.topo.ases[as_idx].tier);
             let count = self.rng.gen_range(1..=max);
             for j in 0..count {
                 let pid = PrefixId(self.topo.prefixes.len() as u32);
                 let block = self.topo.ases[as_idx].block;
                 let base = Addr(block.base.0 + PREFIX_SPACE_OFFSET + (j as u32) * 256);
-                let attach = (routers_of(&self.topo.routers, asid).choose(&mut self.rng))
-                    .expect("AS has at least one router")
-                    .id;
+                let attach = self.draw_router(asid);
                 self.topo.prefixes.push(PrefixEntry {
                     id: pid,
                     prefix: Prefix::new(base, 24),
@@ -545,6 +561,7 @@ impl<'c> Builder<'c> {
             "topology must have at least one colo AS for VP sites"
         );
         let mut per_as_count = vec![0u32; self.topo.ases.len()];
+        self.topo.vp_sites.reserve_exact(want);
         for i in 0..want {
             // ~85% of sites in colos, the rest at education stubs
             // (universities), which is what creates the paper's NREN effect.

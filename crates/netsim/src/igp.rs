@@ -358,10 +358,11 @@ pub(crate) mod tests {
     use crate::addr::{Addr, Prefix};
     use crate::config::SimConfig;
     use crate::gen::generate;
-    use crate::topology::{AsNode, AsTier, Link, Router, StampMode};
+    use crate::topology::{plan, AsNode, AsTier, Link, Router, StampMode};
 
     /// One AS whose routers `0..n` are joined by the given intra links —
-    /// for shapes the generator never emits (rings, long chains).
+    /// for shapes the generator never emits (rings, long chains) — numbered
+    /// by the address plan.
     pub(crate) fn single_as(n: u32, edges: &[(u32, u32)]) -> Topology {
         let block = Prefix::new(Addr::new(11, 0, 0, 0), 16);
         let mut topo = Topology {
@@ -378,8 +379,8 @@ pub(crate) mod tests {
                 .map(|i| Router {
                     id: RouterId(i),
                     asn: AsId(0),
-                    loopback: block.nth(0x4000 + i),
-                    private_alias: Addr::new(10, 0, (i >> 8) as u8, i as u8),
+                    loopback: plan::loopback(block, i),
+                    private_alias: plan::private_alias(RouterId(i)),
                     stamp: StampMode::Egress,
                     ttl_responsive: true,
                     snmp_responsive: false,
@@ -392,12 +393,13 @@ pub(crate) mod tests {
         };
         for &(a, b) in edges {
             let id = LinkId(topo.links.len() as u32);
+            let (addr_a, addr_b) = plan::link(block, id.0);
             topo.links.push(Link {
                 id,
                 a: RouterId(a),
                 b: RouterId(b),
-                addr_a: block.nth(4 * id.0 + 1),
-                addr_b: block.nth(4 * id.0 + 2),
+                addr_a,
+                addr_b,
                 latency_ms: 1.0,
                 kind: LinkKind::Intra(AsId(0)),
             });

@@ -503,6 +503,10 @@ impl Sim {
             topo.prefix_layout_holds(),
             "announced prefixes must sit in their owners' blocks as the generator places them"
         );
+        assert!(
+            topo.address_plan_holds(),
+            "router addresses must sit where the address plan places them"
+        );
         let mut vp_hosts: Vec<Addr> = topo.vp_sites.iter().map(|v| v.host).collect();
         vp_hosts.sort_unstable();
         let mut vp_prefixes = Bits::new(n_prefixes);
@@ -1875,25 +1879,28 @@ mod tests {
     /// AS0: a chain of `chain` routers; AS1: one customer router hanging
     /// off the chain's far end by a /30 numbered from AS0's block — so the
     /// customer-side interface resolves to a `via` destination anchored at
-    /// the chain's last router. Returns the sim and that interface.
-    fn chain_with_customer(chain: u32) -> (Sim, Addr) {
-        use crate::topology::{AsNode, AsTier, Link, Rel};
+    /// the chain's last router. Every address is the address plan's.
+    /// Returns the topology and that interface.
+    fn chain_topology(chain: u32) -> (Topology, Addr) {
+        use crate::topology::{plan, AsNode, AsTier, Link};
         let edges: Vec<(u32, u32)> = (1..chain).map(|i| (i - 1, i)).collect();
         let mut topo = crate::igp::tests::single_as(chain, &edges);
         let customer = RouterId(chain);
+        let block = crate::addr::Prefix::new(Addr::new(11, 1, 0, 0), 16);
         let mut r = topo.routers[0].clone();
         r.id = customer;
         r.asn = AsId(1);
-        r.loopback = Addr::new(11, 1, 64, 1);
+        r.loopback = plan::loopback(block, 0);
+        r.private_alias = plan::private_alias(customer);
         topo.routers.push(r);
-        let block = topo.ases[0].block;
+        // AS0 numbers every link: this one is its `lid`-th.
         let lid = LinkId(topo.links.len() as u32);
-        let far = block.nth(4 * lid.0 + 2);
+        let (near, far) = plan::link(topo.ases[0].block, lid.0);
         topo.links.push(Link {
             id: lid,
             a: RouterId(chain - 1),
             b: customer,
-            addr_a: block.nth(4 * lid.0 + 1),
+            addr_a: near,
             addr_b: far,
             latency_ms: 2.0,
             kind: LinkKind::Inter,
@@ -1901,21 +1908,53 @@ mod tests {
         topo.ases.push(AsNode {
             id: AsId(1),
             tier: AsTier::Stub,
-            block: crate::addr::Prefix::new(Addr::new(11, 1, 0, 0), 16),
+            block,
             ..topo.ases[0].clone()
         });
-        topo.derive_indexes(&[(AsId(0), AsId(1), Rel::Customer)]);
+        topo.derive_indexes(CHAIN_ADJACENCY);
+        (topo, far)
+    }
+
+    const CHAIN_ADJACENCY: &[(AsId, AsId, crate::topology::Rel)] =
+        &[(AsId(0), AsId(1), crate::topology::Rel::Customer)];
+
+    /// [`chain_topology`] as a simulator.
+    fn chain_with_customer(chain: u32) -> (Sim, Addr) {
+        let (topo, far) = chain_topology(chain);
         (Sim::from_topology(topo, SimConfig::tiny(), 5), far)
     }
 
-    /// The customer router is a clone of router 0, private alias and all:
-    /// the repeated address resolves to the customer, the last inserted.
+    /// Each router address has one place in the address plan, so a
+    /// topology numbered off it — an address of two routers, a loopback
+    /// outside /24 #0, a /30 outside its owner's link space — is refused,
+    /// not resolved to one of its routers.
     #[test]
-    fn a_repeated_address_resolves_to_its_last_router() {
+    fn a_topology_off_the_address_plan_is_refused() {
         let (s, _) = chain_with_customer(4);
         crate::topology::tests::router_at_matches_the_reference(s.topo());
-        let alias = s.topo().routers[0].private_alias;
-        assert_eq!(s.topo().router_at(alias), Some(RouterId(4)));
+        /// Renumber the interdomain link (AS0's) as the /30 at `base` in
+        /// AS0's block.
+        fn move_slash30(t: &mut Topology, base: u32) {
+            let block = t.ases[0].block;
+            (t.links[3].addr_a, t.links[3].addr_b) = (block.nth(base + 1), block.nth(base + 2));
+        }
+        let off_plan: [fn(&mut Topology); 4] = [
+            // The customer router takes router 0's private alias.
+            |t| t.routers[4].private_alias = t.routers[0].private_alias,
+            |t| t.routers[2].loopback = t.ases[0].block.nth(256 + 3),
+            // AS0's prefix space, then its /24 #0.
+            |t| move_slash30(t, 0x8000),
+            |t| move_slash30(t, 8),
+        ];
+        for (i, mistake) in off_plan.into_iter().enumerate() {
+            let (mut topo, _) = chain_topology(4);
+            mistake(&mut topo);
+            topo.derive_indexes(CHAIN_ADJACENCY);
+            assert!(!topo.address_plan_holds(), "mistake {i}");
+            let build =
+                std::panic::AssertUnwindSafe(|| Sim::from_topology(topo, SimConfig::tiny(), 5));
+            assert!(std::panic::catch_unwind(build).is_err(), "mistake {i}");
+        }
     }
 
     #[test]

@@ -5,13 +5,64 @@
 //! indexed data with O(1)/O(log n) lookup helpers.
 
 use crate::addr::{Addr, Prefix};
-use crate::gen::PREFIX_SPACE_OFFSET;
 use crate::ids::{AsId, IdRange, LinkId, PrefixId, RouterId};
-use revtr_telemetry::WordMap;
+use plan::{LINK_SPACE_OFFSET, PREFIX_SPACE_OFFSET};
 
-/// addr → router. Keyed by addresses the generator (or a test) numbered,
-/// never by outside input.
-type AddrIndex = WordMap<Addr, RouterId>;
+/// The address plan: where every router address sits, in generated and
+/// hand-built topologies alike, and so where [`Topology::router_at`] finds
+/// it. AS `i` owns the `i`-th /16 block from the topology's block base.
+/// In it:
+///
+/// * /24 #0 holds the loopbacks: the AS's `i`-th router (in id order) at
+///   `.1 + i`;
+/// * link space, from [`LINK_SPACE_OFFSET`] up to the prefixes, holds the
+///   /30s the AS numbers: its `k`-th link (in link id order) at
+///   `LINK_SPACE_OFFSET + 4k`, `.1` on side `a` and `.2` on side `b`;
+/// * prefix space, from [`PREFIX_SPACE_OFFSET`], holds the announced /24s.
+///
+/// Router `r`'s private alias is `10.0.0.0 + r`.
+pub(crate) mod plan {
+    use crate::addr::{Addr, Prefix};
+    use crate::ids::RouterId;
+
+    /// Offset (within an AS block) of the first /24 used for link /30s.
+    pub(crate) const LINK_SPACE_OFFSET: u32 = 16 * 256;
+    /// Offset of the first announced host /24: an AS's `j`-th prefix is
+    /// the `j`-th /24 from here, which is where
+    /// [`super::Topology::prefix_of`] looks.
+    pub(crate) const PREFIX_SPACE_OFFSET: u32 = 128 * 256;
+    /// Loopbacks /24 #0 holds: `.1` through `.255`.
+    pub(crate) const LOOPBACKS: u32 = 255;
+    /// /30s link space holds.
+    pub(crate) const LINK_SLOTS: u32 = (PREFIX_SPACE_OFFSET - LINK_SPACE_OFFSET) / 4;
+    /// Base of the private aliases.
+    const PRIVATE_BASE: u32 = 10 << 24;
+
+    /// Loopback of the `nth` router of the AS owning `block`.
+    pub(crate) fn loopback(block: Prefix, nth: u32) -> Addr {
+        assert!(nth < LOOPBACKS, "{block}: more routers than loopbacks");
+        block.nth(1 + nth)
+    }
+
+    /// Private alias of router `r`.
+    pub(crate) fn private_alias(r: RouterId) -> Addr {
+        assert!(r.0 < 1 << 24, "{r}: past the private aliases");
+        Addr(PRIVATE_BASE + r.0)
+    }
+
+    /// The router private alias `addr` names, if it is one (the router may
+    /// not exist).
+    pub(crate) fn alias_router(addr: Addr) -> Option<RouterId> {
+        addr.is_private().then(|| RouterId(addr.0 - PRIVATE_BASE))
+    }
+
+    /// Sides `a` and `b` of the `nth` /30 the AS owning `block` numbers.
+    pub(crate) fn link(block: Prefix, nth: u32) -> (Addr, Addr) {
+        assert!(nth < LINK_SLOTS, "link address space exhausted in {block}");
+        let base = block.nth(LINK_SPACE_OFFSET + 4 * nth);
+        (Addr(base.0 + 1), Addr(base.0 + 2))
+    }
+}
 
 /// Where an AS sits in the Internet hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -219,9 +270,12 @@ pub struct Topology {
     pub vp_sites: Vec<VpSite>,
     /// First /16 block base (blocks are consecutive per AS id).
     pub block_base: u32,
-    /// addr → router, for every interface / loopback / private alias.
-    /// Derived from the routers and links.
-    pub(crate) addr_to_router: AddrIndex,
+    /// AS index → start of its run in `owned_links` (one trailing entry,
+    /// and one more run for links numbered in no AS's block): the links
+    /// whose /30 the AS numbers, in id order, so the `k`-th is its `k`-th
+    /// /30 of the address plan. Derived from the links.
+    pub(crate) owned_link_off: Vec<u32>,
+    pub(crate) owned_links: Vec<LinkId>,
     /// Router index → start of its run in `router_links` (one trailing
     /// entry). Derived from the links.
     pub(crate) router_link_off: Vec<u32>,
@@ -269,10 +323,17 @@ pub fn runs<T: Copy>(
     (off, table)
 }
 
-/// AS index → its first item (one trailing entry), for items numbered AS
-/// by AS: `owners` yields each item's AS in id order.
-fn owner_offsets(n_ases: usize, owners: impl Iterator<Item = AsId>, what: &str) -> Vec<u32> {
-    let mut off = vec![0u32; n_ases + 1];
+/// Fill `off` with each AS's first item (one trailing entry), for items
+/// numbered AS by AS: `owners` yields each item's AS in id order. `off`
+/// keeps its allocation.
+fn owner_offsets(
+    off: &mut Vec<u32>,
+    n_ases: usize,
+    owners: impl Iterator<Item = AsId>,
+    what: &str,
+) {
+    off.clear();
+    off.resize(n_ases + 1, 0);
     let mut last = 0;
     for (i, o) in owners.enumerate() {
         assert!(
@@ -286,23 +347,24 @@ fn owner_offsets(n_ases: usize, owners: impl Iterator<Item = AsId>, what: &str) 
     for i in 1..off.len() {
         off[i] = off[i].max(off[i - 1]);
     }
-    off
 }
 
 impl Topology {
     /// Derive every index from the tables and `adjacencies` — `(a, b, rel
-    /// of b to a)`, each AS pair at most once: the address index, each
-    /// router's links, each AS's neighbours, routers and prefixes, and
-    /// each adjacency's links. Called by the generator and by whoever
-    /// builds a topology by hand.
+    /// of b to a)`, each AS pair at most once: each router's links, each
+    /// AS's neighbours, routers, prefixes and owned /30s, and each
+    /// adjacency's links. Called by the generator and by whoever builds a
+    /// topology by hand.
     ///
-    /// Routers and prefixes must be numbered AS by AS, and an adjacency's
-    /// links consecutively, as the generator numbers them: each of these is
-    /// then a range of ids, not a list.
+    /// Routers and prefixes must be numbered AS by AS, and interdomain
+    /// links adjacency by adjacency in the list's order, as the generator
+    /// numbers them: each of these is then a range of ids, not a list.
     pub fn derive_indexes(&mut self, adjacencies: &[(AsId, AsId, Rel)]) {
         let n_ases = self.ases.len();
-        self.router_off = owner_offsets(n_ases, self.routers.iter().map(|r| r.asn), "routers");
-        self.prefix_off = owner_offsets(n_ases, self.prefixes.iter().map(|p| p.owner), "prefixes");
+        let routers = self.routers.iter().map(|r| r.asn);
+        owner_offsets(&mut self.router_off, n_ases, routers, "routers");
+        let prefixes = self.prefixes.iter().map(|p| p.owner);
+        owner_offsets(&mut self.prefix_off, n_ases, prefixes, "prefixes");
         // Both ends of each link in link id order, so each router's run
         // comes out sorted.
         let links = &self.links;
@@ -312,19 +374,53 @@ impl Topology {
         };
         (self.router_link_off, self.router_links) =
             runs(self.routers.len(), 2 * links.len(), end, LinkId(0));
-        let entry = |asn, rel| Neighbor {
+        // Each link under the AS whose block numbers it, in id order; the
+        // last run holds the links of no block, for the plan check to find.
+        let owned = |i: usize| {
+            let owner = self.block_owner(links[i].addr_a);
+            (owner.map_or(n_ases, AsId::index), links[i].id)
+        };
+        (self.owned_link_off, self.owned_links) = runs(n_ases + 1, links.len(), owned, LinkId(0));
+        // Each adjacency's links: one walk over the interdomain links beside
+        // the adjacency list.
+        let mut spans = vec![(0u32, 0u32); adjacencies.len()];
+        let mut at = 0;
+        for l in self.links.iter().filter(|l| l.kind == LinkKind::Inter) {
+            let ends = [self.router_as(l.a), self.router_as(l.b)];
+            let adjacent = |&(a, b, _): &(AsId, AsId, Rel)| ends == [a, b] || ends == [b, a];
+            while at < adjacencies.len() && !adjacent(&adjacencies[at]) {
+                at += 1;
+            }
+            assert!(
+                at < adjacencies.len(),
+                "{}: interdomain link of non-adjacent ASes, or out of the adjacency list's order",
+                l.id
+            );
+            let span = &mut spans[at];
+            if span.0 == span.1 {
+                *span = (l.id.0, l.id.0);
+            }
+            assert_eq!(
+                span.1, l.id.0,
+                "{}–{}: an adjacency's links must be numbered consecutively",
+                ends[0], ends[1]
+            );
+            span.1 += 1;
+        }
+        let entry = |asn, rel, (start, end)| Neighbor {
             asn,
             rel,
-            links: IdRange::new(0, 0),
+            links: IdRange::new(start, end),
         };
         let side = |i: usize| {
             let (a, b, rel) = adjacencies[i / 2];
+            let links = spans[i / 2];
             [
-                (a.index(), entry(b, rel)),
-                (b.index(), entry(a, rel.flip())),
+                (a.index(), entry(b, rel, links)),
+                (b.index(), entry(a, rel.flip(), links)),
             ][i % 2]
         };
-        let fill = entry(AsId(0), Rel::Peer);
+        let fill = entry(AsId(0), Rel::Peer, (0, 0));
         (self.neighbor_off, self.neighbors) = runs(n_ases, 2 * adjacencies.len(), side, fill);
         for a in 0..n_ases {
             let run = self.neighbor_range(AsId(a as u32));
@@ -335,43 +431,6 @@ impl Topology {
                 "AS{a}: an adjacency listed twice"
             );
         }
-        for l in self.links.iter().filter(|l| l.kind == LinkKind::Inter) {
-            let (x, y) = (self.router_as(l.a), self.router_as(l.b));
-            for (me, other) in [(x, y), (y, x)] {
-                let run = self.neighbor_range(me);
-                let at = (self.neighbors[run.clone()].binary_search_by_key(&other, |n| n.asn))
-                    .unwrap_or_else(|_| panic!("{}: interdomain link of non-adjacent ASes", l.id));
-                let nb = &mut self.neighbors[run.start + at];
-                let start = nb.links.get(0).map_or(l.id.0, |first| first.0);
-                assert_eq!(
-                    start + nb.links.len() as u32,
-                    l.id.0,
-                    "{me}–{other}: an adjacency's links must be numbered consecutively"
-                );
-                nb.links = IdRange::new(start, l.id.0 + 1);
-            }
-        }
-        self.index_addresses();
-    }
-
-    /// The address index (interfaces, loopbacks, private aliases).
-    ///
-    /// One table, sized once to its entries, for generated and hand-built
-    /// topologies alike (hand-built ones number loopbacks inside
-    /// link space, so no block arithmetic stands in for it). Filled routers
-    /// first, then links: an address listed twice resolves to the last.
-    fn index_addresses(&mut self) {
-        let entries = 2 * (self.routers.len() + self.links.len());
-        let mut map = AddrIndex::with_capacity_and_hasher(entries, Default::default());
-        for r in &self.routers {
-            map.insert(r.loopback, r.id);
-            map.insert(r.private_alias, r.id);
-        }
-        for l in &self.links {
-            map.insert(l.addr_a, l.a);
-            map.insert(l.addr_b, l.b);
-        }
-        self.addr_to_router = map;
     }
 
     fn neighbor_range(&self, asn: AsId) -> std::ops::Range<usize> {
@@ -473,13 +532,78 @@ impl Topology {
 
     /// The router owning `addr` (interface, loopback, or private alias),
     /// if any.
+    ///
+    /// No search: the address plan (`topology::plan`) says which table a
+    /// router address indexes, and `Sim::from_topology` refuses a topology
+    /// whose router addresses are off it.
     pub fn router_at(&self, addr: Addr) -> Option<RouterId> {
-        self.addr_to_router.get(&addr).copied()
+        if let Some(r) = plan::alias_router(addr) {
+            return (r.index() < self.routers.len()).then_some(r);
+        }
+        let owner = self.block_owner(addr)?;
+        let offset = addr.0 & 0xFFFF;
+        if offset < 256 {
+            let nth = offset.checked_sub(1)?;
+            return self.as_routers(owner).get(nth as usize);
+        }
+        if offset >= PREFIX_SPACE_OFFSET {
+            return None;
+        }
+        let nth = offset.checked_sub(LINK_SPACE_OFFSET)? / 4;
+        let link = self.link(*self.owned_links(owner).get(nth as usize)?);
+        match offset % 4 {
+            1 => Some(link.a),
+            2 => Some(link.b),
+            _ => None,
+        }
     }
 
-    /// The address index as an ordered map filled in the index's own order
-    /// (routers, then links; a repeated address keeps the last): the
-    /// differential test holds [`Topology::router_at`] to it.
+    /// True if every router address sits where the address plan
+    /// ([`plan`]) puts it, in blocks where [`Topology::prefix_layout_holds`]
+    /// puts them: then [`Topology::router_at`] finds each, and no address
+    /// names two routers.
+    pub(crate) fn address_plan_holds(&self) -> bool {
+        let blocks = || {
+            (0u32..).zip(&self.ases).all(|(i, a)| {
+                a.id == AsId(i) && a.block == Prefix::new(Addr(self.block_base + (i << 16)), 16)
+            })
+        };
+        let routers = || {
+            (0u32..).zip(&self.routers).all(|(i, r)| {
+                let nth = i - self.router_off[r.asn.index()];
+                r.id == RouterId(i)
+                    && nth < plan::LOOPBACKS
+                    && r.loopback == plan::loopback(self.asn(r.asn).block, nth)
+                    && i < 1 << 24
+                    && r.private_alias == plan::private_alias(r.id)
+            })
+        };
+        // Each link's /30 is its slot in its owner's link space, where the
+        // owner's run lists it.
+        let links = || {
+            (0u32..).zip(&self.links).all(|(i, l)| {
+                let Some(owner) = self.block_owner(l.addr_a) else {
+                    return false;
+                };
+                let nth = (l.addr_a.0 & 0xFFFF).wrapping_sub(LINK_SPACE_OFFSET) / 4;
+                l.id == LinkId(i)
+                    && nth < plan::LINK_SLOTS
+                    && self.owned_links(owner).get(nth as usize) == Some(&l.id)
+                    && (l.addr_a, l.addr_b) == plan::link(self.asn(owner).block, nth)
+            })
+        };
+        blocks() && routers() && links()
+    }
+
+    /// The links whose /30 `asn`'s block numbers, in id order.
+    fn owned_links(&self, asn: AsId) -> &[LinkId] {
+        let off = &self.owned_link_off[asn.index()..asn.index() + 2];
+        &self.owned_links[off[0] as usize..off[1] as usize]
+    }
+
+    /// Every router address in an ordered map, filled routers first, then
+    /// links (a repeated address would keep the last): the differential
+    /// test holds [`Topology::router_at`] to it.
     #[cfg(test)]
     pub(crate) fn address_index_reference(&self) -> std::collections::BTreeMap<Addr, RouterId> {
         let mut map = std::collections::BTreeMap::new();
@@ -780,9 +904,11 @@ pub(crate) mod tests {
     fn router_at_matches_the_reference_on_generated() {
         for seed in [1, 7, 42] {
             let topo = crate::gen::generate(&crate::config::SimConfig::tiny(), seed);
+            assert!(topo.address_plan_holds(), "seed {seed}");
             router_at_matches_the_reference(&topo);
         }
         let topo = crate::gen::generate(&crate::config::SimConfig::era_2020(), 1);
+        assert!(topo.address_plan_holds());
         router_at_matches_the_reference(&topo);
     }
 
@@ -871,13 +997,31 @@ pub(crate) mod tests {
         derived_runs_match_the_naive_rebuild(&crate::igp::tests::single_as(6, &ring), &[]);
     }
 
-    /// Hand-built topologies number loopbacks inside the generator's link
-    /// space; the one index serves them as it serves generated ones.
+    /// An adjacency's links are found by walking the interdomain links
+    /// beside the adjacency list, so links out of its order are refused.
+    #[test]
+    #[should_panic(expected = "out of the adjacency list's order")]
+    fn interdomain_links_out_of_the_adjacency_lists_order_are_refused() {
+        let mut topo = crate::bgp::tests::edge_case_graph();
+        let adjacencies = (crate::bgp::tests::EDGE_CASE_ADJACENCIES.iter().rev())
+            .map(|&(a, b, rel)| (AsId(a), AsId(b), rel))
+            .collect::<Vec<_>>();
+        topo.derive_indexes(&adjacencies);
+    }
+
+    /// Hand-built topologies take their addresses from the address plan
+    /// as the generator does, so `router_at` serves them alike.
     #[test]
     fn router_at_matches_the_reference_on_hand_built() {
-        router_at_matches_the_reference(&crate::bgp::tests::edge_case_graph());
         let ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 0)];
-        router_at_matches_the_reference(&crate::igp::tests::single_as(6, &ring));
+        let topos = [
+            crate::bgp::tests::edge_case_graph(),
+            crate::igp::tests::single_as(6, &ring),
+        ];
+        for topo in &topos {
+            assert!(topo.address_plan_holds());
+            router_at_matches_the_reference(topo);
+        }
     }
 
     /// Every address from `10.0.0.0` (the private aliases) through the /16

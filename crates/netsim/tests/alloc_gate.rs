@@ -7,7 +7,7 @@
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
 
-use revtr_alloccount::allocs_in;
+use revtr_alloccount::{allocs_in, bytes_in};
 use revtr_netsim::sim::PktMeta;
 use revtr_netsim::{Addr, Sim, SimConfig};
 use std::hint::black_box;
@@ -17,17 +17,24 @@ static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
 /// Building the paper-era simulator allocates per table, not per router,
 /// AS or adjacency: each router's links, each AS's neighbours, routers and
-/// prefixes, and each adjacency's links are runs of flat tables. A list per
-/// node read 22 755 allocations here; the tables read 199, and the bound
-/// leaves 20 % for tables that grow a step further under another
-/// configuration.
+/// prefixes, and each adjacency's links are runs of flat tables, and the
+/// generator sizes its router, link and prefix tables once. A list per
+/// node read 22 755 allocations here, the tables 199; sized tables and the
+/// address plan in place of a hash map of every router address read 154
+/// allocations of 1 950 358 bytes (3 595 954 before). Each bound leaves
+/// 20 % for tables that grow a step further under another configuration.
 #[test]
 fn building_the_simulator_allocates_per_table() {
-    const BOUND: u64 = 240;
-    let (sim, allocs) = allocs_in(|| Sim::build(SimConfig::era_2020(), 1));
-    eprintln!("Sim::build(era_2020, 1): {allocs} allocations (bound {BOUND})");
+    const BOUND: u64 = 185;
+    const BYTES_BOUND: u64 = 2_340_430;
+    let ((sim, bytes), allocs) = allocs_in(|| bytes_in(|| Sim::build(SimConfig::era_2020(), 1)));
+    eprintln!(
+        "Sim::build(era_2020, 1): {allocs} allocations (bound {BOUND}), {bytes} bytes (bound \
+         {BYTES_BOUND})"
+    );
     assert!(sim.topo().routers.len() > 6000, "the gate is vacuous");
     assert!(allocs <= BOUND, "Sim::build allocated {allocs} times");
+    assert!(bytes <= BYTES_BOUND, "Sim::build allocated {bytes} bytes");
 }
 
 #[test]
