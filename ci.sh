@@ -146,13 +146,16 @@ STEP
 # plan's arithmetic (alias = 10.0.0.0 + id, loopback = /24 #0 of its AS's
 # block, link /30 = its slot in its owner's link space), to its ordered
 # reference over every address from the private aliases through the /16
-# past the last block, and the route plane to the whole-graph
+# past the last block, `resolve_dest`'s `via` (the link the plan names with
+# the router) to a scan of the router's links at every era-2020 router
+# address, and the route plane to the whole-graph
 # `routes_to` at every AS toward every era-2020 destination AS, under the
 # epoch-0 salt of each of its prefixes and under its infrastructure salt.
 step "route-cache bound soak + prefix_of, router_at and routes on every era-2020 address and AS (release)" <<'STEP'
 cargo test -q --release -p revtr-netsim --lib -- --ignored \
   the_route_cache_keeps_only_live_keys prefix_of_matches_the_search \
-  router_at_matches_the_reference every_era_2020_destination
+  router_at_matches_the_reference resolve_dest_via_matches_the_scan \
+  every_era_2020_destination
 STEP
 
 # Allocation gates, optimized as deployed: a request allocates what it
@@ -162,7 +165,8 @@ STEP
 # ≤ 1.9 an open-loop arrival: the archive shares the block, a telemetry
 # scope records into its driver's buffers), the journal one block for a
 # record it keeps and none for one it drops, the survey what it keeps, and
-# a round's measurement cache ≤ 140 B live an entry, nothing to overwrite;
+# a round's measurement cache ≤ 140 B live an entry, nothing to overwrite,
+# a round's backward stop set ≤ 140 B live a key, nothing to re-publish;
 # a warm walk and probe nothing, and building the simulator and a system
 # per table, not per router, AS or adjacency (`Sim::build` ≤ 185
 # allocations and ≤ 2 340 430 bytes, `RevtrSystem::new` ≤ 60).

@@ -782,7 +782,7 @@ impl Sim {
                 attach: pe.attach,
             });
         }
-        let router = self.topo.router_at(addr)?;
+        let (router, link) = self.topo.router_and_link_at(addr)?;
         let anchor_as = self.topo.block_owner(addr)?;
         if self.topo.router_as(router) == anchor_as {
             return Some(Dest::Router {
@@ -794,9 +794,7 @@ impl Sim {
         }
         // Customer-side interface of an interdomain /30 numbered from the
         // provider's block: anchor at the provider-side router.
-        let lid = (self.topo.router_links(router).iter())
-            .copied()
-            .find(|&l| self.topo.link(l).addr_of(router) == addr)?;
+        let lid = link?;
         let l = self.topo.link(lid);
         let far = l.other(router);
         debug_assert_eq!(self.topo.router_as(far), anchor_as);
@@ -1663,6 +1661,52 @@ mod tests {
             }
         }
         assert!(found, "no customer-side border interface tested");
+    }
+
+    /// Every router address resolves to its router, and its `via` is the
+    /// link a scan of the router's links finds for the address when the
+    /// address is numbered from another AS's block, `None` otherwise (and
+    /// a private alias resolves to nothing).
+    fn resolve_dest_via_matches_the_scan(s: &Sim) {
+        let topo = s.topo();
+        let mut vias = 0;
+        for r in &topo.routers {
+            assert_eq!(s.resolve_dest(r.private_alias), None);
+            for addr in topo
+                .router_addrs(r.id)
+                .into_iter()
+                .filter(|a| !a.is_private())
+            {
+                let anchor_as = topo.block_owner(addr).expect("public");
+                let scan = (topo.router_as(r.id) != anchor_as).then(|| {
+                    (topo.router_links(r.id).iter().copied())
+                        .find(|&l| topo.link(l).addr_of(r.id) == addr)
+                        .expect("an interface of its router")
+                });
+                match s.resolve_dest(addr) {
+                    Some(Dest::Router { router, via, .. }) => {
+                        assert_eq!((router, via), (r.id, scan), "{addr}");
+                    }
+                    other => panic!("{addr} resolved as {other:?}"),
+                }
+                vias += usize::from(scan.is_some());
+            }
+        }
+        assert!(vias > 0, "no address numbered from another AS's block");
+    }
+
+    #[test]
+    fn resolve_dest_via_matches_the_scan_on_tiny() {
+        for seed in [1, 7, 42] {
+            resolve_dest_via_matches_the_scan(&Sim::build(SimConfig::tiny(), seed));
+        }
+    }
+
+    /// Every era-2020 router address: run in release (ci.sh does).
+    #[test]
+    #[ignore]
+    fn resolve_dest_via_matches_the_scan_on_era_2020() {
+        resolve_dest_via_matches_the_scan(&Sim::build(SimConfig::era_2020(), 1));
     }
 
     #[test]

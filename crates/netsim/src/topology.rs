@@ -537,23 +537,31 @@ impl Topology {
     /// router address indexes, and `Sim::from_topology` refuses a topology
     /// whose router addresses are off it.
     pub fn router_at(&self, addr: Addr) -> Option<RouterId> {
+        self.router_and_link_at(addr).map(|(router, _)| router)
+    }
+
+    /// The router owning `addr`, as [`Topology::router_at`] finds it, and
+    /// the link whose interface `addr` is (`None` for a loopback or a
+    /// private alias). The address plan names both at once.
+    pub fn router_and_link_at(&self, addr: Addr) -> Option<(RouterId, Option<LinkId>)> {
         if let Some(r) = plan::alias_router(addr) {
-            return (r.index() < self.routers.len()).then_some(r);
+            return (r.index() < self.routers.len()).then_some((r, None));
         }
         let owner = self.block_owner(addr)?;
         let offset = addr.0 & 0xFFFF;
         if offset < 256 {
             let nth = offset.checked_sub(1)?;
-            return self.as_routers(owner).get(nth as usize);
+            return Some((self.as_routers(owner).get(nth as usize)?, None));
         }
         if offset >= PREFIX_SPACE_OFFSET {
             return None;
         }
         let nth = offset.checked_sub(LINK_SPACE_OFFSET)? / 4;
-        let link = self.link(*self.owned_links(owner).get(nth as usize)?);
+        let lid = *self.owned_links(owner).get(nth as usize)?;
+        let link = self.link(lid);
         match offset % 4 {
-            1 => Some(link.a),
-            2 => Some(link.b),
+            1 => Some((link.a, Some(lid))),
+            2 => Some((link.b, Some(lid))),
             _ => None,
         }
     }

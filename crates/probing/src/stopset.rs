@@ -10,18 +10,23 @@
 //!
 //! * the **backward stop set** maps `(revtr source, frontier router)` to
 //!   reverse-hop evidence some earlier request already measured at that
-//!   router — the full RR observation (hops + send-time
-//!   [`RrProvenance`]), so reuse replays against the audit oracle exactly
-//!   like a measurement-cache hit. Alongside the evidence it keeps four
-//!   cheaper hints: the spoofed-ladder *winner VP* per ingress plan and
-//!   per-router *ladder futility* (both source-free — slot survival on
-//!   the VP→router leg does not depend on the spoofed-for source), a
-//!   *direct-RR futility* marker per `(source, router)`, and the *forward
-//!   distance* a source last measured into a /24 (FlashRoute's neighbour
-//!   prediction). Together they let a later request open the ladder at
-//!   its proven winner, skip exhausted ladders, skip the predictably
-//!   unanswered direct probe, and start the symmetry step's TTL probing
-//!   next to its target instead of at TTL 1;
+//!   router — the full RR observation (hops + send-time [`RrProvenance`]),
+//!   so reuse replays against the audit oracle exactly like a
+//!   measurement-cache hit. As in the measurement cache, each observation
+//!   is stored once, in an append-only [`Column`] log, and the key indexes
+//!   its direct and its spoofed slot there: a key's bucket is 16 B, not two
+//!   72-B slots of which a round fills one. The byte ledger
+//!   ([`StopSet::approx_bytes`]) keeps its per-key unit, so its readings
+//!   did not move while resident bytes fell. Alongside the evidence it
+//!   keeps four cheaper hints: the spoofed-ladder *winner VP* per ingress
+//!   plan and per-router *ladder futility* (both source-free — slot
+//!   survival on the VP→router leg does not depend on the spoofed-for
+//!   source), a *direct-RR futility* marker per `(source, router)`, and the
+//!   *forward distance* a source last measured into a /24 (FlashRoute's
+//!   neighbour prediction). Together they let a later request open the
+//!   ladder at its proven winner, skip exhausted ladders, skip the
+//!   predictably unanswered direct probe, and start the symmetry step's TTL
+//!   probing next to its target instead of at TTL 1;
 //! * the **forward discovery set** maps `(atlas source, hop)` to the RR
 //!   observation the atlas builder already made for that hop, so
 //!   rebuilding or refreshing atlases re-measures each interface once per
@@ -58,7 +63,7 @@
 //! [`CacheStats`]: crate::cache::CacheStats
 
 use crate::prober::RrProvenance;
-use revtr_netsim::{Addr, RrReply, RrSlots, StripedCounters};
+use revtr_netsim::{Addr, Column, RrReply, RrSlots, StripedCounters};
 use revtr_telemetry::{WordMap, WordSet};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
@@ -75,36 +80,15 @@ pub struct StoredRr {
     pub provenance: RrProvenance,
 }
 
-/// Backward stop-set evidence at one `(source, router)` key. Direct and
-/// spoofed observations are kept in separate slots so a consult can
-/// mirror the engine's own preference order (direct RR first, spoofed
-/// ladder second) and stay result-compatible with a from-scratch rr_step.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BackwardEntry {
-    /// Evidence from a non-spoofed RR ping (source itself was the sender).
-    pub direct: Option<StoredRr>,
-    /// Evidence from a spoofed RR ping (a VP spoofed as the source).
-    pub spoofed: Option<StoredRr>,
-}
-
-impl BackwardEntry {
-    /// The preferred reusable observation: direct evidence first (it is
-    /// what a fresh rr_step would find first), spoofed otherwise. Returns
-    /// the observation and whether it came from the spoofed slot.
-    pub fn best(&self) -> Option<(&StoredRr, bool)> {
-        self.direct
-            .as_ref()
-            .map(|s| (s, false))
-            .or_else(|| self.spoofed.as_ref().map(|s| (s, true)))
-    }
-}
-
 /// What one task learned, to be folded into the published view at the
 /// next merge barrier.
 #[derive(Clone, Debug)]
 pub enum Note {
     /// Reverse-hop evidence measured at `(src, cur)`; `spoofed` selects
-    /// the [`BackwardEntry`] slot.
+    /// the key's slot. Direct and spoofed observations are kept apart so a
+    /// consult can mirror the engine's own preference order (direct RR
+    /// first, spoofed ladder second) and stay result-compatible with a
+    /// from-scratch rr_step.
     Backward {
         /// The revtr source the evidence is valid for.
         src: Addr,
@@ -293,18 +277,32 @@ impl StopSetBytes {
     }
 }
 
-/// Ledger footprint of one backward entry apart from its hops, which
+/// Ledger footprint of one backward key apart from its hops, which
 /// [`StopSet::approx_bytes`] prices at four bytes each: the two
 /// `(24-byte hop vector header, 40-byte provenance)` slots the byte
-/// budgets were recorded with. The hops now sit inline in the slots; the
-/// ledger keeps its unit so readings stay comparable across that change.
+/// budgets were recorded with. The hops now sit inline in the
+/// observations, and each observation is stored once, in a log, where a
+/// key's bucket held both slots, filled or not: resident bytes fell, and
+/// the ledger keeps its unit so readings stay comparable across both
+/// changes.
 const BACKWARD_ENTRY_BYTES: usize = 128;
+
+/// A backward key's slot that holds no observation.
+const EMPTY: u32 = u32::MAX;
+
+/// Observations per segment of the backward log: a segment is 72 KB. This
+/// module's own tests run on short segments, so the log straddles several.
+const OBSERVATION_SEGMENT: usize = if cfg!(test) { 4 } else { 1024 };
 
 /// The published view. Its tables are read only by key or by order-free
 /// sums.
 #[derive(Debug, Default)]
 struct Published {
-    backward: WordMap<(Addr, Addr), BackwardEntry>,
+    /// `(source, router)` → where its direct and its spoofed observation
+    /// sit in `observations` ([`EMPTY`] for a slot not filled).
+    backward: WordMap<(Addr, Addr), [u32; 2]>,
+    /// Every backward observation, once, in the order it was published.
+    observations: Column<StoredRr, OBSERVATION_SEGMENT>,
     winners: WordMap<u64, Addr>,
     /// `(source, router)` → whether the router was silent to the source
     /// ([`DirectVerdict::Silent`]).
@@ -435,7 +433,8 @@ impl StopSet {
                 .then(a.req.cmp(&b.req))
                 .then(a.seq.cmp(&b.seq))
         });
-        let mut g = self.published.write().expect("stopset lock poisoned");
+        let mut guard = self.published.write().expect("stopset lock poisoned");
+        let g = &mut *guard;
         for c in pending.drain(..) {
             match c.note {
                 Note::Backward {
@@ -444,14 +443,14 @@ impl StopSet {
                     spoofed,
                     stored,
                 } => {
-                    let e = g.backward.entry((src, cur)).or_default();
-                    let slot = if spoofed {
-                        &mut e.spoofed
-                    } else {
-                        &mut e.direct
-                    };
-                    if slot.is_none() {
-                        *slot = Some(stored);
+                    let slots = g.backward.entry((src, cur)).or_insert([EMPTY; 2]);
+                    let slot = &mut slots[usize::from(spoofed)];
+                    if *slot == EMPTY {
+                        *slot = u32::try_from(g.observations.len())
+                            .ok()
+                            .filter(|&at| at != EMPTY)
+                            .expect("the backward log holds fewer than u32::MAX observations");
+                        g.observations.push(stored);
                     }
                 }
                 Note::Winner { plan, vp } => {
@@ -501,17 +500,15 @@ impl StopSet {
     pub fn approx_bytes(&self) -> StopSetBytes {
         let g = self.published.read().expect("stopset lock poisoned");
         let key2 = std::mem::size_of::<(Addr, Addr)>();
+        let hops = |at: u32| {
+            g.observations
+                .get(at as usize)
+                .map_or(0, |s| s.hops.len() * std::mem::size_of::<Addr>())
+        };
         let backward = g
             .backward
             .values()
-            .map(|e| {
-                let stored = |s: &Option<StoredRr>| {
-                    s.as_ref()
-                        .map(|s| s.hops.len() * std::mem::size_of::<Addr>())
-                        .unwrap_or(0)
-                };
-                key2 + BACKWARD_ENTRY_BYTES + stored(&e.direct) + stored(&e.spoofed)
-            })
+            .map(|&[direct, spoofed]| key2 + BACKWARD_ENTRY_BYTES + hops(direct) + hops(spoofed))
             .sum::<usize>() as u64;
         // A reply holds its slots inline: an entry has no heap part.
         let forward = (g.forward.len() * (key2 + std::mem::size_of::<Option<RrReply>>())
@@ -558,7 +555,20 @@ impl Consult<'_> {
     /// Backward consult: reusable evidence at `(src, cur)`, preferring the
     /// direct slot. Counts a hit or miss.
     pub fn backward(&self, src: Addr, cur: Addr) -> Option<(StoredRr, bool)> {
-        match self.view.backward.get(&(src, cur)).and_then(|e| e.best()) {
+        let best = self
+            .view
+            .backward
+            .get(&(src, cur))
+            .and_then(|&[direct, spoofed]| {
+                // An empty slot's `EMPTY` lies past the log's end.
+                let (at, spoofed) = if direct == EMPTY {
+                    (spoofed, true)
+                } else {
+                    (direct, false)
+                };
+                Some((self.view.observations.get(at as usize)?, spoofed))
+            });
+        match best {
             Some((s, spoofed)) => {
                 self.set.stats.add(BACKWARD_HITS, 1);
                 Some((*s, spoofed))
@@ -735,6 +745,53 @@ mod tests {
         let (stored, spoofed) = s.consult().backward(src, cur).expect("direct slot");
         assert!(!spoofed, "direct evidence preferred once present");
         assert_eq!(stored.hops[..], [Addr(60)]);
+    }
+
+    /// The backward log stores an observation once: a later note for a
+    /// filled slot is dropped without growing the log, a key with both
+    /// slots answers with its direct observation, and keys whose
+    /// observations straddle the log's segments each answer their own.
+    #[test]
+    fn a_filled_slot_keeps_its_observation_and_the_log_its_length() {
+        let s = StopSet::new();
+        let (src, cur) = (Addr(1), Addr(2));
+        let note = |seq: u64, key: Addr, spoofed: bool, hop: u32| Contribution {
+            vtime: 1.0,
+            req: 0,
+            seq,
+            note: backward_note(src, key, spoofed, Addr(hop), seq),
+        };
+        s.contribute(note(0, cur, true, 50));
+        s.contribute(note(1, cur, false, 60));
+        s.merge_pending();
+        let log_len = || s.published.read().expect("unpoisoned").observations.len();
+        assert_eq!(log_len(), 2);
+        let bytes = s.approx_bytes();
+        for (seq, spoofed) in [(2, true), (3, false), (4, true)] {
+            s.contribute(note(seq, cur, spoofed, 70 + seq as u32));
+            s.merge_pending();
+        }
+        assert_eq!(log_len(), 2, "a filled slot's note grows nothing");
+        assert_eq!(s.approx_bytes(), bytes);
+        let (stored, spoofed) = s.consult().backward(src, cur).expect("both slots");
+        assert!(!spoofed, "direct answers first");
+        assert_eq!(stored.hops[..], [Addr(60)]);
+        assert_eq!(stored.provenance.nonce, 1, "the first direct note's");
+        for i in 0..3 * OBSERVATION_SEGMENT as u32 {
+            s.contribute(note(10 + u64::from(i), Addr(100 + i), i % 2 == 1, 1000 + i));
+        }
+        s.merge_pending();
+        assert_eq!(log_len(), 2 + 3 * OBSERVATION_SEGMENT);
+        let c = s.consult();
+        for i in 0..3 * OBSERVATION_SEGMENT as u32 {
+            let (stored, spoofed) = c.backward(src, Addr(100 + i)).expect("merged");
+            assert_eq!(
+                (stored.hops[..].to_vec(), spoofed),
+                (vec![Addr(1000 + i)], i % 2 == 1)
+            );
+        }
+        assert!(c.backward(src, Addr(99)).is_none());
+        assert!(c.backward(Addr(3), cur).is_none(), "per source");
     }
 
     #[test]
