@@ -164,12 +164,16 @@ STEP
 # of a trace the journal keeps (≤ 1.3 a request in both telemetry arms,
 # ≤ 1.9 an open-loop arrival: the archive shares the block, a telemetry
 # scope records into its driver's buffers), the journal one block for a
-# record it keeps and none for one it drops, the survey what it keeps, and
+# record it keeps and none for one it drops, the survey what it keeps (at
+# most two blocks a surveyed prefix: `IngressDb::build` ≤ its output
+# blocks + 12 + its trees + 12 a pool helper, `probe_prefix` ≤ its output
+# blocks + 6), and
 # a round's measurement cache ≤ 140 B live an entry, nothing to overwrite,
 # a round's backward stop set ≤ 140 B live a key, nothing to re-publish;
-# a warm walk and probe nothing, and building the simulator and a system
-# per table, not per router, AS or adjacency (`Sim::build` ≤ 185
-# allocations and ≤ 2 340 430 bytes, `RevtrSystem::new` ≤ 60).
+# a warm walk and probe nothing, a cold route compute its table alone
+# (`a_cold_route_compute_allocates_its_table`), and building the simulator
+# and a system per table, not per router, AS or adjacency (`Sim::build`
+# ≤ 185 allocations and ≤ 2 340 430 bytes, `RevtrSystem::new` ≤ 60).
 # (The debug builds run in the workspace tests above.)
 step "allocation gates (release: core, vpselect, service, telemetry, probing, netsim)" <<'STEP'
 cargo test -q --release -p revtr --test alloc_gate

@@ -296,6 +296,7 @@ mod tests {
     use proptest::prelude::*;
     use revtr_netsim::hash::mix3;
     use revtr_probing::WordSet;
+    use revtr_vpselect::ingress::VPS_PER_INGRESS;
     use revtr_vpselect::IngressInfo;
 
     fn a(n: u32) -> Addr {
@@ -339,8 +340,9 @@ mod tests {
     }
 
     /// A plan from raw draws: ingress queues of distinct VPs from a pool
-    /// of 12 (so queues overlap, as real ones do, and some are empty), or
-    /// — with no queue drawn — a ranking.
+    /// of 12 (so queues overlap, as real ones do, and some are empty), at
+    /// most [`VPS_PER_INGRESS`] a queue as a survey's are, or — with no
+    /// queue drawn — a ranking.
     fn plan_of(queues: Vec<Vec<u32>>, ranking: Vec<u32>) -> (Vec<IngressInfo>, Vec<Addr>) {
         let dedup = |q: Vec<u32>| {
             let mut seen = WordSet::default();
@@ -357,7 +359,7 @@ mod tests {
                 IngressInfo {
                     addr: a(100 + i as u32),
                     cover: ranked_vps.len(),
-                    ranked_vps,
+                    ranked_vps: ranked_vps.into_iter().collect(),
                 }
             })
             .collect();
@@ -549,7 +551,10 @@ mod tests {
         /// fallback.
         #[test]
         fn ladder_keeps_the_round_rule(
-            queues in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..6), 0..5),
+            queues in proptest::collection::vec(
+                proptest::collection::vec(0u32..12, 0..VPS_PER_INGRESS + 1),
+                0..5,
+            ),
             ranking in proptest::collection::vec(0u32..12, 0..6),
             lent in 0u8..2,
             winner in 0u32..20,
@@ -574,12 +579,12 @@ mod tests {
             IngressInfo {
                 addr: a(100),
                 cover: 4,
-                ranked_vps: vec![a(1), a(2), a(3), a(4)],
+                ranked_vps: [a(1), a(2), a(3), a(4)].into_iter().collect(),
             },
             IngressInfo {
                 addr: a(101),
                 cover: 2,
-                ranked_vps: vec![a(5), a(6)],
+                ranked_vps: [a(5), a(6)].into_iter().collect(),
             },
         ];
         let plan = PlanView::Ingresses(&ingresses);

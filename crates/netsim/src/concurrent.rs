@@ -15,9 +15,10 @@
 //! - [`StripedMap`]: an N-way lock-striped hash map over [`Stripes`].
 //! - [`StripedMap::get_or_compute`]: single-flight fill — when a key is
 //!   missing, exactly one thread runs the compute closure while other
-//!   askers of the *same* key block on a condvar (and askers of other
-//!   keys proceed untouched), eliminating both duplicated compute and
-//!   write-lock convoys.
+//!   askers of the *same* key block on their shard's condvar (and askers
+//!   of other shards proceed untouched), eliminating both duplicated
+//!   compute and write-lock convoys; the key's pending marker lives in the
+//!   shard's table, so a fill allocates nothing of its own.
 //! - [`StripedCounters`]: a block of counters per recording thread, summed
 //!   on read, so a count never writes a line another worker writes.
 //! - [`Column`]: an append-only vector in fixed-capacity segments that are
@@ -35,63 +36,27 @@ use revtr_telemetry::{thread_stripe, CachePadded, WordMap};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The shard count of every [`Stripes`]: enough that a handful of workers
 /// rarely collide, small enough to stay cheap to clear/iterate.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Result slot shared between the computing thread and same-key waiters.
-#[derive(Debug)]
-enum FlightState<V> {
-    /// Computation in progress.
-    Waiting,
-    /// Computation finished with this value.
-    Done(V),
-    /// The computing thread panicked; waiters must retry.
-    Abandoned,
-}
-
-#[derive(Debug)]
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    cv: Condvar,
-}
-
-impl<V: Clone> Flight<V> {
-    fn new() -> Arc<Flight<V>> {
-        Arc::new(Flight {
-            state: Mutex::new(FlightState::Waiting),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Block until the flight lands; `None` means it was abandoned and the
-    /// caller should retry from scratch.
-    fn wait(&self) -> Option<V> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &*st {
-                FlightState::Done(v) => return Some(v.clone()),
-                FlightState::Abandoned => return None,
-                FlightState::Waiting => {
-                    st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-    }
-
-    fn land(&self, outcome: FlightState<V>) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = outcome;
-        self.cv.notify_all();
-    }
-}
-
-/// A map entry: either a materialized value or an in-progress flight.
+/// A map entry: a materialized value, or a marker that one thread is
+/// computing it.
 #[derive(Debug)]
 enum Slot<V> {
     Ready(V),
-    Pending(Arc<Flight<V>>),
+    Pending,
+}
+
+/// Where the askers of a shard's keys in flight wait: a computer that
+/// lands a key — with its value, or abandoned by a panic — wakes every
+/// waiter of the shard, and each re-reads its own key.
+#[derive(Debug, Default)]
+struct Landing {
+    lock: Mutex<()>,
+    landed: Condvar,
 }
 
 /// `N` values of `T`, each behind its own `parking_lot::RwLock` on its own
@@ -121,12 +86,17 @@ impl<T: Default> Default for Stripes<T> {
 impl<T> Stripes<T> {
     /// The stripe `key` belongs to.
     pub fn of<K: Hash + ?Sized>(&self, key: &K) -> &RwLock<T> {
+        &self.shards[Self::index_of(key)]
+    }
+
+    /// The position of the stripe `key` belongs to.
+    fn index_of<K: Hash + ?Sized>(key: &K) -> usize {
         // DefaultHasher::new() uses fixed keys: deterministic across runs
         // and processes (unlike RandomState), which keeps shard layout —
         // and therefore lock interleavings in serial runs — reproducible.
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() % DEFAULT_SHARDS as u64) as usize]
+        (h.finish() % DEFAULT_SHARDS as u64) as usize
     }
 
     /// Every stripe, in shard order.
@@ -164,6 +134,9 @@ fn ready<K, V>(table: &Table<K, V>) -> usize {
 #[derive(Debug)]
 pub struct StripedMap<K, V> {
     stripes: Stripes<Table<K, V>>,
+    /// By shard: where askers of its keys in flight wait. Held in the map,
+    /// so a fill allocates nothing of its own.
+    landings: [Landing; DEFAULT_SHARDS],
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
@@ -171,6 +144,7 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
     pub fn new() -> StripedMap<K, V> {
         StripedMap {
             stripes: Stripes::new(),
+            landings: Default::default(),
         }
     }
 
@@ -178,8 +152,8 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
         self.stripes.of(key)
     }
 
-    /// Drop the entry under `key`, materialized or in flight (a flight
-    /// still lands for its waiters, and its computer re-inserts the value).
+    /// Drop the entry under `key`, materialized or in flight (its computer
+    /// still lands the value, re-inserting it, and wakes its waiters).
     pub fn remove(&self, key: &K) {
         self.shard(key).write().remove(key);
     }
@@ -210,23 +184,24 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
 
     /// The value under `key`, computing it exactly once across threads.
     ///
-    /// The first asker of a missing key inserts a *flight* and runs
-    /// `compute` without holding the shard lock; concurrent askers of the
-    /// same key block until the flight lands (askers of other keys are
-    /// unaffected). If `compute` panics, the flight is abandoned, waiters
-    /// retry, and one of them becomes the new computer.
+    /// The first asker of a missing key marks it pending in its shard and
+    /// runs `compute` without holding the shard lock; concurrent askers of
+    /// the same key wait on the shard's condvar until the key lands
+    /// (askers of other shards are unaffected). If `compute` panics, the
+    /// key is abandoned — removed, its waiters woken — and one of them
+    /// becomes the new computer.
     pub fn get_or_compute(&self, key: K, compute: impl Fn() -> V) -> V {
+        let at = Stripes::<Table<K, V>>::index_of(&key);
+        let shard = &self.stripes.shards[at];
         loop {
             // Fast path: shared lock only.
-            let flight = {
-                match self.shard(&key).read().get(&key) {
-                    Some(Slot::Ready(v)) => return v.clone(),
-                    Some(Slot::Pending(f)) => Some(f.clone()),
-                    None => None,
-                }
+            let pending = match shard.read().get(&key) {
+                Some(Slot::Ready(v)) => return v.clone(),
+                Some(Slot::Pending) => true,
+                None => false,
             };
-            if let Some(f) = flight {
-                match f.wait() {
+            if pending {
+                match self.wait(at, &key) {
                     Some(v) => return v,
                     None => continue, // abandoned: retry
                 }
@@ -234,58 +209,80 @@ impl<K: Hash + Eq + Clone, V: Clone> StripedMap<K, V> {
 
             // Claim the fill under the write lock (re-check: someone may
             // have claimed or finished it since the read).
-            let flight = {
-                let mut w = self.shard(&key).write();
+            {
+                let mut w = shard.write();
                 match w.get(&key) {
                     Some(Slot::Ready(v)) => return v.clone(),
-                    Some(Slot::Pending(f)) => {
-                        let f = f.clone();
+                    Some(Slot::Pending) => {
                         drop(w);
-                        match f.wait() {
+                        match self.wait(at, &key) {
                             Some(v) => return v,
                             None => continue,
                         }
                     }
                     None => {
-                        let f = Flight::new();
-                        w.insert(key.clone(), Slot::Pending(f.clone()));
-                        f
+                        w.insert(key.clone(), Slot::Pending);
                     }
                 }
-            };
+            }
 
-            // Compute outside any lock; abandon the flight on panic so
+            // Compute outside any lock; abandon the key on panic so
             // waiters don't hang.
             struct Abort<'a, K: Hash + Eq + Clone, V: Clone> {
                 map: &'a StripedMap<K, V>,
+                at: usize,
                 key: &'a K,
-                flight: &'a Flight<V>,
                 armed: bool,
             }
             impl<K: Hash + Eq + Clone, V: Clone> Drop for Abort<'_, K, V> {
                 fn drop(&mut self) {
                     if self.armed {
-                        self.map.shard(self.key).write().remove(self.key);
-                        self.flight.land(FlightState::Abandoned);
+                        self.map.stripes.shards[self.at].write().remove(self.key);
+                        self.map.land(self.at);
                     }
                 }
             }
             let mut guard = Abort {
                 map: self,
+                at,
                 key: &key,
-                flight: &flight,
                 armed: true,
             };
             let value = compute();
             guard.armed = false;
             drop(guard);
 
-            self.shard(&key)
+            shard
                 .write()
                 .insert(key.clone(), Slot::Ready(value.clone()));
-            flight.land(FlightState::Done(value.clone()));
+            self.land(at);
             return value;
         }
+    }
+
+    /// Wait for `key`, pending in shard `at`, to land: its value, or
+    /// `None` if it was abandoned (or removed) and the caller should retry.
+    fn wait(&self, at: usize, key: &K) -> Option<V> {
+        let landing = &self.landings[at];
+        // The key is re-read under the landing's lock, which a computer
+        // takes after it lands the key and before it wakes the waiters: a
+        // landing cannot fall between the read and the wait.
+        let mut held = landing.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            match self.stripes.shards[at].read().get(key) {
+                Some(Slot::Ready(v)) => return Some(v.clone()),
+                Some(Slot::Pending) => {}
+                None => return None,
+            }
+            held = (landing.landed.wait(held)).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wake the waiters of shard `at`, after a key of it landed.
+    fn land(&self, at: usize) {
+        let landing = &self.landings[at];
+        drop(landing.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        landing.landed.notify_all();
     }
 }
 

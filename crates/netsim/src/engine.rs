@@ -43,6 +43,31 @@ pub struct RrReply {
     pub rtt_ms: f64,
 }
 
+/// A Record Route destination resolved once for every exchange toward it
+/// ([`Sim::rr_target`]): what the address refers to, whether it answers RR,
+/// the gateway a host destination's reply leaves by and the stamps the
+/// destination writes. Each is a function of the address alone, so a
+/// survey that RR-pings one host from every VP reads them once
+/// ([`Sim::rr_ping_to`]). The default target is an address that answers
+/// nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RrTarget {
+    addr: Addr,
+    /// What the address refers to, when it is routable and answers RR.
+    dest: Option<Dest>,
+    /// A host destination's prefix gateway.
+    gateway: Option<Addr>,
+    /// What the destination stamps into the forward leg's option.
+    stamps: InlineVec<Addr, 2>,
+}
+
+impl RrTarget {
+    /// The destination address.
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+}
+
 /// Reply to a TS-prespec echo request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TsReply {
@@ -162,7 +187,7 @@ struct RrLeg {
     options: bool,
     slots: RrSlots,
     /// The leg ends at a destination router, which stamps by the
-    /// destination rules instead ([`Sim::stamp_dest`]).
+    /// destination rules instead ([`Sim::dest_stamps`]).
     skip_last: bool,
     /// The host-side interfaces the leg's first and last hops may stamp
     /// ([`Sim::rr_stamp`]).
@@ -379,7 +404,7 @@ impl Sim {
     }
 
     /// [`Sim::ping`] by a caller that keeps sink trees, as for
-    /// [`Sim::rr_ping_lent`]: `forward` is lent to the walk toward `dst`,
+    /// [`Sim::rr_ping_to`]: `forward` is lent to the walk toward `dst`,
     /// `reply` to the walk back, and `reply` remembers the legs for the
     /// next exchange to replay. The reply is the one [`Sim::ping`]
     /// observes, whatever the trees hold.
@@ -474,25 +499,22 @@ impl Sim {
         }
     }
 
-    /// Destination stamping behaviour (Appx. C cases).
-    fn stamp_dest(&self, dest: &Dest, dst: Addr, slots: &mut RrSlots) {
-        let mut push = |a: Addr| {
-            if !slots.is_full() {
-                slots.push(a);
-            }
-        };
+    /// Destination stamping behaviour (Appx. C cases): what `dest`,
+    /// reached at `dst`, writes into the option's free slots, in order.
+    fn dest_stamps(&self, dest: &Dest, dst: Addr) -> InlineVec<Addr, 2> {
+        let mut stamps = InlineVec::new();
         if self.is_vp_dest(dest, dst) {
-            push(dst);
-            return;
+            stamps.push(dst);
+            return stamps;
         }
         match *dest {
             Dest::Host { prefix, .. } => match self.behavior().host_stamp(dst) {
-                HostStamp::SelfAddr => push(dst),
+                HostStamp::SelfAddr => stamps.push(dst),
                 HostStamp::None => {}
                 HostStamp::AliasDouble => {
                     let alias = self.alias_in(prefix, dst);
-                    push(alias);
-                    push(alias);
+                    stamps.push(alias);
+                    stamps.push(alias);
                 }
             },
             Dest::Router { router, .. } => {
@@ -503,12 +525,37 @@ impl Sim {
                 // routers reveal their reverse-facing alias (§4.2, Fig. 3).
                 let r = self.topo().router(router);
                 match r.stamp {
-                    StampMode::Egress | StampMode::Ingress => push(dst),
-                    StampMode::Loopback => push(r.loopback),
-                    StampMode::Private => push(r.private_alias),
+                    StampMode::Egress | StampMode::Ingress => stamps.push(dst),
+                    StampMode::Loopback => stamps.push(r.loopback),
+                    StampMode::Private => stamps.push(r.private_alias),
                     StampMode::NoStamp => {}
                 }
             }
+        }
+        stamps
+    }
+
+    /// Append `stamps` to `slots` while a slot is free.
+    fn stamp_dest(stamps: &[Addr], slots: &mut RrSlots) {
+        for &a in stamps {
+            if !slots.is_full() {
+                slots.push(a);
+            }
+        }
+    }
+
+    /// `dst` resolved for Record Route exchanges toward it: the work every
+    /// exchange toward one address shares, done once.
+    pub fn rr_target(&self, dst: Addr) -> RrTarget {
+        let dest = (self.resolve_dest(dst)).filter(|d| self.dest_responds(d, dst, ProbeKind::Rr));
+        RrTarget {
+            addr: dst,
+            dest,
+            gateway: match dest {
+                Some(Dest::Host { prefix, .. }) => Some(self.prefix_gateway(prefix)),
+                _ => None,
+            },
+            stamps: dest.map_or_else(InlineVec::new, |d| self.dest_stamps(&d, dst)),
         }
     }
 
@@ -531,22 +578,29 @@ impl Sim {
         dst: Addr,
         nonce: u64,
     ) -> Option<RrReply> {
-        self.rr_reply(sender, claimed_src, dst, nonce, [None, None])
+        self.rr_reply(
+            sender,
+            claimed_src,
+            &self.rr_target(dst),
+            nonce,
+            [None, None],
+        )
     }
 
-    /// [`Sim::rr_ping`] by a caller that pings many destinations from many
-    /// sources and keeps their sink trees: `forward` is lent to the walk
-    /// toward `dst`, `reply` to the walk back toward `src`. The reply is
-    /// the one [`Sim::rr_ping`] observes, whatever the trees hold.
+    /// [`Sim::rr_ping`] toward `dst`, resolved once for many exchanges
+    /// ([`Sim::rr_target`]), by a caller that pings many destinations from
+    /// many sources and keeps their sink trees: `forward` is lent to the
+    /// walk toward `dst`, `reply` to the walk back toward `src`. The reply
+    /// is the one [`Sim::rr_ping`] observes, whatever the trees hold.
     ///
     /// `reply` also remembers `src`'s last two legs, and an exchange
     /// replays a remembered leg instead of walking it when the walk could
     /// not differ (`Sim::rr_exchange`): a source pinging two hosts of
     /// one prefix walks most of the second exchange's legs once.
-    pub fn rr_ping_lent(
+    pub fn rr_ping_to(
         &self,
         src: Addr,
-        dst: Addr,
+        dst: &RrTarget,
         nonce: u64,
         forward: Option<&mut SinkTree>,
         reply: Option<&mut SinkTree>,
@@ -559,7 +613,7 @@ impl Sim {
         &self,
         sender: Addr,
         claimed_src: Addr,
-        dst: Addr,
+        dst: &RrTarget,
         nonce: u64,
         trees: [Option<&mut SinkTree>; 2],
     ) -> Option<RrReply> {
@@ -569,9 +623,9 @@ impl Sim {
         // reply-leg stamps it reports. Only the live observation lies —
         // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
         // the audit oracle can tell the difference.
-        self.scenario_lie_slots(dst, &mut slots[reply_mark..]);
+        self.scenario_lie_slots(dst.addr, &mut slots[reply_mark..]);
         Some(RrReply {
-            from: dst,
+            from: dst.addr,
             slots,
             rtt_ms,
         })
@@ -583,7 +637,8 @@ impl Sim {
     /// stamp, reply walk, each leg stamping as it walks. Returns the
     /// stamped slots, where the reply leg's stamps begin in them, and the
     /// round-trip latency. Every address is resolved once, whatever the
-    /// number of legs that route on it.
+    /// number of legs that route on it — the destination before the
+    /// exchange, as `target`, which many exchanges may share.
     ///
     /// A lent reply tree remembers the exchange's legs toward a host, when
     /// walks read no clock (link maintenance off), and the next exchange
@@ -600,22 +655,15 @@ impl Sim {
         &self,
         sender: Addr,
         claimed_src: Addr,
-        dst: Addr,
+        target: &RrTarget,
         nonce: u64,
         [fwd_epoch, rep_epoch]: [Option<u32>; 2],
         [fwd_tree, mut rep_tree]: [Option<&mut SinkTree>; 2],
     ) -> Option<(RrSlots, usize, f64)> {
         let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
-        let dest = self.resolve_dest(dst)?;
-        if !self.dest_responds(&dest, dst, ProbeKind::Rr) {
-            return None;
-        }
+        let (dst, dest, dest_gw) = (target.addr, target.dest?, target.gateway);
         let (recv_prefix, recv_attach) =
             self.receiver(sender, (snd_prefix, attach), claimed_src)?;
-        let dest_gw = match dest {
-            Dest::Host { prefix, .. } => Some(self.prefix_gateway(prefix)),
-            Dest::Router { .. } => None,
-        };
         let replay = matches!(dest, Dest::Host { .. }) && !self.faults().links_enabled();
 
         // Forward stamping: the destination router (if the target is a
@@ -631,7 +679,7 @@ impl Sim {
             .map(|t| &mut t.legs[FORWARD]);
         let (mut slots, fwd_ms) =
             self.rr_leg(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, leg, memo)?;
-        self.stamp_dest(&dest, dst, &mut slots);
+        Self::stamp_dest(&target.stamps, &mut slots);
 
         // Reply path. For host destinations the attach router forwards the
         // reply and stamps (ingress side = the destination prefix gateway).
@@ -776,7 +824,7 @@ impl Sim {
         let (slots, reply_mark, _) = self.rr_exchange(
             sender,
             claimed_src,
-            dst,
+            &self.rr_target(dst),
             nonce,
             [fwd_epoch, rep_epoch],
             [None, None],
@@ -1014,7 +1062,7 @@ impl Sim {
             Dest::Router { .. } => None,
         };
         self.stamp_walk(&fwd, &mut slots, is_router_dest, sender_gw, dest_gw);
-        self.stamp_dest(&dest, dst, &mut slots);
+        Self::stamp_dest(&self.dest_stamps(&dest, dst), &mut slots);
 
         let rep = self.walk_hops(
             Self::reply_start(&dest),

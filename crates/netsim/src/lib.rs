@@ -62,7 +62,9 @@ pub mod topology;
 pub use addr::{Addr, Prefix};
 pub use concurrent::{shard_skew, Column, StripedCounters, StripedMap, Stripes};
 pub use config::SimConfig;
-pub use engine::{EchoReply, RrReply, RrSlots, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS};
+pub use engine::{
+    EchoReply, RrReply, RrSlots, RrTarget, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS,
+};
 pub use faults::FaultConfig;
 pub use ids::{AsId, IdRange, PrefixId, RouterId};
 pub use scenario::{ScenarioConfig, ScenarioProfile, Scenarios};

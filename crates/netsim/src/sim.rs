@@ -217,7 +217,7 @@ pub struct TreeKey {
 ///
 /// Lent to the legs back toward one source, or toward the sources of one
 /// prefix, a tree also remembers the last two forward and reply legs, for
-/// the next exchanges to replay ([`Sim::rr_ping_lent`], [`Sim::ping_lent`]).
+/// the next exchanges to replay ([`Sim::rr_ping_to`], [`Sim::ping_lent`]).
 ///
 /// A tree serves the [`Sim`] it was made for.
 #[derive(Debug)]
@@ -2059,6 +2059,7 @@ mod tests {
 
     mod differential {
         use super::*;
+        use crate::engine::RrTarget;
         use crate::scenario::{ScenarioConfig, ScenarioProfile};
         use proptest::prelude::*;
         use revtr_telemetry::WordMap;
@@ -2425,7 +2426,10 @@ mod tests {
             /// round trip to the bit, the same unanswered probes — sent by
             /// VP hosts or by other addresses, claiming their own source or
             /// another, toward hosts, VP hosts, router addresses and `via`
-            /// interfaces, with each leg's epoch live or pinned.
+            /// interfaces, with each leg's epoch live or pinned. The
+            /// destination is resolved once (`Sim::rr_target`) and the
+            /// target serves a second exchange, from the claimed source,
+            /// as a survey's target serves every VP.
             #[test]
             fn rr_exchange_matches_reference(
                 arm in 0usize..8,
@@ -2444,19 +2448,23 @@ mod tests {
                 let vp_dest = sim.resolve_dest(dst).is_some_and(|d| sim.is_vp_dest(&d, dst));
                 prop_assert_eq!(vp_dest, sim.is_vp_host(dst));
                 let epochs = [pin(sim, fwd_pin, dst), pin(sim, rep_pin, claimed)];
-                let got = sim.rr_exchange(sender, claimed, dst, nonce, epochs, [None, None]);
-                let want = sim.rr_exchange_reference(sender, claimed, dst, nonce, epochs);
-                match (got, want) {
-                    (None, None) => {}
-                    (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
-                        prop_assert_eq!(&slots[..], &want_slots[..]);
-                        prop_assert_eq!(mark, want_mark);
-                        prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                let target = sim.rr_target(dst);
+                prop_assert_eq!(target.addr(), dst);
+                for (sender, claimed) in [(sender, claimed), (claimed, claimed)] {
+                    let got = sim.rr_exchange(sender, claimed, &target, nonce, epochs, [None, None]);
+                    let want = sim.rr_exchange_reference(sender, claimed, dst, nonce, epochs);
+                    match (got, want) {
+                        (None, None) => {}
+                        (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
+                            prop_assert_eq!(&slots[..], &want_slots[..]);
+                            prop_assert_eq!(mark, want_mark);
+                            prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                        }
+                        (got, want) => prop_assert!(
+                            false,
+                            "{sender} as {claimed} -> {dst}: {got:?}, reference {want:?}"
+                        ),
                     }
-                    (got, want) => prop_assert!(
-                        false,
-                        "{sender} as {claimed} -> {dst}: {got:?}, reference {want:?}"
-                    ),
                 }
             }
         }
@@ -2516,6 +2524,8 @@ mod tests {
                 let topo = sim.topo();
                 let p = topo.prefixes[prefix % topo.prefixes.len()].id;
                 let dsts: Vec<Addr> = hosts.iter().map(|&i| rr_host(sim, p, i)).collect();
+                // Resolved once, as a survey resolves its destinations.
+                let targets: Vec<RrTarget> = dsts.iter().map(|&d| sim.rr_target(d)).collect();
                 let mut vps: Vec<Addr> = vps.iter().flat_map(|&i| with_sibling(sim, i)).collect();
                 // Route by route; a VP drawn twice pings again.
                 vps.sort_by_key(|&vp| sim.tree_key(vp));
@@ -2528,7 +2538,7 @@ mod tests {
                         reply.push((route, SinkTree::new(sim)));
                     }
                     let tree = &mut reply.last_mut().expect("pushed above").1;
-                    for &dst in &dsts {
+                    for (&dst, target) in dsts.iter().zip(&targets) {
                         if sent == churn_at {
                             sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
                         }
@@ -2542,7 +2552,7 @@ mod tests {
                             continue;
                         }
                         let trees = [Some(&mut forward), Some(&mut *tree)];
-                        let got = sim.rr_exchange(src, src, dst, nonce, [None, None], trees);
+                        let got = sim.rr_exchange(src, src, target, nonce, [None, None], trees);
                         let want = sim.rr_exchange_reference(src, src, dst, nonce, [None, None]);
                         match (got, want) {
                             (None, None) => {}
@@ -2579,7 +2589,8 @@ mod tests {
                         let mut reply = SinkTree::new(sim);
                         let ping = |k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
                             let trees = [Some(forward), Some(reply)];
-                            sim.rr_exchange(v.host, v.host, dsts[k], k as u64, [None, None], trees)
+                            let target = sim.rr_target(dsts[k]);
+                            sim.rr_exchange(v.host, v.host, &target, k as u64, [None, None], trees)
                         };
                         if ping(0, &mut forward[0], &mut reply).is_none() {
                             continue;
@@ -2621,7 +2632,8 @@ mod tests {
                         let exchange =
                             |vp: Addr, k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
                                 let trees = [Some(forward), Some(reply)];
-                                sim.rr_exchange(vp, vp, dsts[k], k as u64, [None, None], trees)
+                                let target = sim.rr_target(dsts[k]);
+                                sim.rr_exchange(vp, vp, &target, k as u64, [None, None], trees)
                             };
                         let (mut forward, mut reply) = (SinkTree::new(sim), SinkTree::new(sim));
                         if exchange(pair[0], 0, &mut forward, &mut reply).is_none() {
@@ -2678,7 +2690,7 @@ mod tests {
                         let Some((slots, ..)) = sim.rr_exchange(
                             sender,
                             claimed,
-                            dst,
+                            &sim.rr_target(dst),
                             nonce,
                             [None, None],
                             [None, None],

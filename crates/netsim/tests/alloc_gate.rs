@@ -1,8 +1,8 @@
 //! Allocation gate: once routes are cached, a walk and the probe
 //! primitives built on it (a TTL view and its probes among them) do not
 //! touch the heap — wherever the walk starts: a stub's first hop is
-//! resolved on lookup, not stored — and a route fill allocates the table
-//! it returns and nothing else.
+//! resolved on lookup, not stored — and a cold route compute allocates the
+//! table it returns and nothing else.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! Counts are per thread, so the harness's other threads cannot leak in.
@@ -160,14 +160,26 @@ fn warm_probe_primitives_do_not_allocate() {
         "traceroute allocated {traceroute} times for {} results",
         answered[4]
     );
+}
 
-    // Cold fills on this (warmed-up) thread: each allocates the table it
-    // returns and the cache's flight; a shard of the cache's map doubles
-    // now and then, and nothing else ever allocates.
+/// A cold route compute allocates the table it returns and nothing else:
+/// the single-flight marker lives in the cache's shard and the waiters'
+/// condvar in the map, so no fill allocates a block of its own. A shard of
+/// the cache's map doubles now and then; on a cache already holding a few
+/// thousand tables, that is at most one fill in sixteen.
+#[test]
+fn a_cold_route_compute_allocates_its_table() {
     const FILLS: u64 = 512;
-    let dsts = topo.ases.iter().step_by(3).cycle();
+    let sim = Sim::build(SimConfig::era_2020(), 1);
+    let dsts = || sim.topo().ases.iter().step_by(3).cycle();
+    // Warm-up on this thread: its first fills set up what a thread sets
+    // up once, and the cache's shards grow to a few hundred keys each.
+    for (i, a) in (0..4 * FILLS).zip(dsts()) {
+        black_box(sim.routes(a.id, 0x3a11_0000 + i));
+    }
+    let fills = sim.route_computes();
     let per_fill: Vec<u64> = (0..FILLS)
-        .zip(dsts)
+        .zip(dsts())
         .map(|(i, a)| {
             allocs_in(|| {
                 black_box(sim.routes(a.id, 0xa110_c000 + i));
@@ -176,9 +188,15 @@ fn warm_probe_primitives_do_not_allocate() {
         })
         .collect();
     assert_eq!(sim.route_computes(), fills + FILLS, "every salt was fresh");
-    let growths = per_fill.iter().filter(|&&n| n == 3).count();
+    let growths = per_fill.iter().filter(|&&n| n == 2).count();
+    eprintln!(
+        "cold route computes: {} of {FILLS} allocate their table alone (bound 1 each), {growths} \
+         also grow a shard (bound {})",
+        FILLS as usize - growths,
+        FILLS / 16
+    );
     assert!(
-        per_fill.iter().all(|&n| n == 2 || n == 3) && growths <= 32,
-        "a fill allocates its table and its flight: {per_fill:?}"
+        per_fill.iter().all(|&n| n == 1 || n == 2) && growths as u64 <= FILLS / 16,
+        "a fill allocates its table and nothing else: {per_fill:?}"
     );
 }

@@ -85,8 +85,8 @@ use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
 use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{
-    Addr, AsId, EchoReply, IdRange, Prefix, PrefixId, RrReply, Sim, SinkTree, TraceResult, TreeKey,
-    TsReply, TtlAnswer, TtlView,
+    Addr, AsId, EchoReply, IdRange, Prefix, PrefixId, RrReply, RrTarget, Sim, SinkTree,
+    TraceResult, TreeKey, TsReply, TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
 use serde::Serialize;
@@ -1210,15 +1210,22 @@ impl Round<'_, '_> {
         (r.flatten(), chain_ms)
     }
 
-    /// One survey RR ping, sent `after_ms` into the round (when its
-    /// destination's scan ping answered): the probe [`Prober::rr_ping`]
-    /// sends on a cache-disabled handle — same counters, same fault and
-    /// scenario draws, and the nonce that probe would carry if it left at
-    /// this member's instant — but never near the measurement cache (a
-    /// VP→scan-destination ping is one no measurement re-issues), with no
-    /// replay provenance (nothing audits the survey), and lending the
-    /// part's forward tree, if it has one, to the walk there.
-    pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> Option<RrReply> {
+    /// `dst` resolved once for the round's RR pings toward it
+    /// ([`Sim::rr_target`]): a survey pings each destination from every VP.
+    pub fn rr_target(&self, dst: Addr) -> RrTarget {
+        self.prober.sim.rr_target(dst)
+    }
+
+    /// One survey RR ping toward `dst` ([`Round::rr_target`]), sent
+    /// `after_ms` into the round (when its destination's scan ping
+    /// answered): the probe [`Prober::rr_ping`] sends on a cache-disabled
+    /// handle — same counters, same fault and scenario draws, and the nonce
+    /// that probe would carry if it left at this member's instant — but
+    /// never near the measurement cache (a VP→scan-destination ping is one
+    /// no measurement re-issues), with no replay provenance (nothing audits
+    /// the survey), and lending the part's forward tree, if it has one, to
+    /// the walk there.
+    pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: &RrTarget) -> Option<RrReply> {
         self.survey_rr_ping(after_ms, src, dst, None)
     }
 
@@ -1229,7 +1236,7 @@ impl Round<'_, '_> {
         after_ms: f64,
         reply: &mut ReplyTree,
         vp: Addr,
-        dst: Addr,
+        dst: &RrTarget,
     ) -> Option<RrReply> {
         self.survey_rr_ping(after_ms, vp, dst, Some(&mut reply.tree))
     }
@@ -1238,15 +1245,15 @@ impl Round<'_, '_> {
         &mut self,
         after_ms: f64,
         src: Addr,
-        dst: Addr,
+        dst: &RrTarget,
         reply: Option<&mut SinkTree>,
     ) -> Option<RrReply> {
         let p = self.prober;
-        let probe = Probe::new(ProbeKind::Rr, None, src, dst);
+        let probe = Probe::new(ProbeKind::Rr, None, src, dst.addr());
         let mut forward = self.forward.take();
         let lent = forward.as_deref_mut().map(|f| &mut f.tree);
         let (r, _) = self.member(after_ms, probe, |_, nonce| {
-            let r = p.sim.rr_ping_lent(src, dst, nonce, lent, reply);
+            let r = p.sim.rr_ping_to(src, dst, nonce, lent, reply);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
@@ -1662,7 +1669,7 @@ mod tests {
         let mut round = p.round();
         let mut longest: f64 = 0.0;
         for &dst in &vps[1..] {
-            let r = round.rr_ping(0.0, vps[0], dst);
+            let r = round.rr_ping(0.0, vps[0], &round.rr_target(dst));
             longest = longest.max(r.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
         }
         // A member sent once the slowest ping answered ends the round.
@@ -1704,8 +1711,9 @@ mod tests {
             let p = Prober::new(&s).with_retry_policy(RetryPolicy::uniform(attempts));
             let t0 = p.clock().now_ms();
             let mut round = p.round();
+            let hop = round.rr_target(hop);
             let answered = (0..80)
-                .filter(|_| round.rr_ping(0.0, src, hop).is_some())
+                .filter(|_| round.rr_ping(0.0, src, &hop).is_some())
                 .count();
             drop(round);
             let snap = p.counters().snapshot();

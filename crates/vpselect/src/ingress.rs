@@ -43,8 +43,9 @@
 
 use crate::parse::{path_view, Heuristics, PathView};
 use revtr_netsim::hash::mix3;
+use revtr_netsim::inline::InlineVec;
 use revtr_netsim::pool;
-use revtr_netsim::{Addr, Prefix, PrefixId, RrReply, RrSlots, RR_SLOTS};
+use revtr_netsim::{Addr, Prefix, PrefixId, RrReply, RrSlots, RrTarget, RR_SLOTS};
 use revtr_probing::prober::PROBE_TIMEOUT_MS;
 use revtr_probing::{ForwardTree, Prober, ReplyTree, ReplyTrees, Round};
 use std::mem::size_of;
@@ -56,7 +57,12 @@ use std::sync::Mutex;
 pub const DEST_SCAN_LIMIT: usize = 12;
 
 /// Responsive destinations surveyed per prefix (§4.3: two suffice).
-const DESTS_PER_PREFIX: usize = 2;
+pub const DESTS_PER_PREFIX: usize = 2;
+// A VP's mean distance over them is a whole number of halves.
+const _: () = assert!(DESTS_PER_PREFIX == 2);
+
+/// A prefix's responsive destinations, held inline.
+type Dests = InlineVec<Addr, DESTS_PER_PREFIX>;
 
 /// VPs kept per ingress queue (paper: give up on an ingress after five
 /// VPs fail to traverse it). Traversing is what the queue is for: the
@@ -70,38 +76,47 @@ pub const VPS_PER_INGRESS: usize = 5;
 /// many RR slots (one slot must remain for a reverse hop).
 pub const RR_RANGE: usize = 8;
 
+/// An ingress's VP queue: at most [`VPS_PER_INGRESS`] VPs, held inline.
+pub type VpQueue = InlineVec<Addr, VPS_PER_INGRESS>;
+
 /// A selected ingress and its VP queue.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IngressInfo {
     /// The ingress address.
     pub addr: Addr,
     /// Number of VPs whose paths traverse this ingress.
     pub cover: usize,
     /// Covering VPs, closest (fewest RR slots) first, capped at
-    /// [`VPS_PER_INGRESS`].
-    pub ranked_vps: Vec<Addr>,
+    /// [`VPS_PER_INGRESS`] — the queue's capacity.
+    pub ranked_vps: VpQueue,
 }
 
 /// Everything the system keeps about one surveyed prefix: the plan, and of
 /// the per-VP views behind it only what is read afterwards — who was in
 /// range, who was closest, and which addresses were ingress candidates.
+///
+/// A surveyed prefix is at most two heap blocks: its ingress list (each
+/// VP queue inline) and one block holding the in-range set, the candidates
+/// and the fallback ranking; the destinations are inline.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PrefixInfo {
     /// The responsive destinations probed (≤ 2).
-    pub dests: Vec<Addr>,
+    pub dests: InlineVec<Addr, DESTS_PER_PREFIX>,
     /// Selected ingresses, ordered by VP coverage (descending).
     pub ingresses: Vec<IngressInfo>,
-    /// For prefixes without identified ingresses: in-range VPs ranked by
-    /// mean distance to the destinations (§4.3 fallback).
-    pub fallback: Vec<Addr>,
-    /// Bit `i`: the `i`-th VP of the surveyed list reached the
-    /// destinations within [`RR_RANGE`] slots (mean over those reached).
-    in_range: Box<[u64]>,
+    /// The in-range set's cells, then every VP's ingress candidates
+    /// (sorted, distinct), then the fallback ranking. In-range bit `i` —
+    /// the `i`-th VP of the surveyed list reached the destinations within
+    /// [`RR_RANGE`] slots (mean over those reached) — is bit `i % 32` of
+    /// cell `i / 32`; the cells come in pairs, the set's 64-bit words.
+    held: Box<[Addr]>,
+    /// Where the candidates start in `held`: the in-range cells' count.
+    candidates_at: u32,
+    /// Where the fallback ranking starts in `held`.
+    fallback_at: u32,
     /// The VP with the smallest mean RR slot distance to the destinations
     /// (ties: lowest address), among those that measured one at all.
     closest_vp: Option<Addr>,
-    /// Every VP's ingress candidates, as one sorted set.
-    candidates: Vec<Addr>,
 }
 
 /// One queue of VPs to try, with the ingress the choice is based on.
@@ -152,8 +167,8 @@ impl<'a> PlanView<'a> {
     /// If `i >= self.len()`.
     pub fn queue(&self, i: usize) -> (Option<Addr>, &'a [Addr]) {
         match *self {
-            PlanView::Ingresses(ing) => (Some(ing[i].addr), &ing[i].ranked_vps),
-            PlanView::Lent(ing) => (None, &ing[i].ranked_vps),
+            PlanView::Ingresses(ing) => (Some(ing[i].addr), &ing[i].ranked_vps[..]),
+            PlanView::Lent(ing) => (None, &ing[i].ranked_vps[..]),
             PlanView::Ranking(vps) => {
                 assert!(i < self.len(), "queue {i} of a one-queue plan");
                 (None, vps)
@@ -195,7 +210,7 @@ impl PrefixInfo {
     /// or the fallback ranking when no ingress was identified.
     pub fn plan_view(&self) -> PlanView<'_> {
         if self.ingresses.is_empty() {
-            PlanView::Ranking(&self.fallback)
+            PlanView::Ranking(self.fallback())
         } else {
             PlanView::Ingresses(&self.ingresses)
         }
@@ -204,9 +219,16 @@ impl PrefixInfo {
     /// Whether the VP at position `vp_index` of the surveyed list was in
     /// RR range of the prefix.
     pub fn in_range_at(&self, vp_index: usize) -> bool {
-        self.in_range
-            .get(vp_index / 64)
-            .is_some_and(|word| word >> (vp_index % 64) & 1 == 1)
+        self.held[..self.candidates_at as usize]
+            .get(vp_index / 32)
+            .is_some_and(|cell| cell.0 >> (vp_index % 32) & 1 == 1)
+    }
+
+    /// For prefixes without identified ingresses: the in-range VPs ranked
+    /// by mean distance to the destinations (§4.3 fallback; ties: lowest
+    /// address).
+    pub fn fallback(&self) -> &[Addr] {
+        &self.held[self.fallback_at as usize..]
     }
 
     /// The VP closest to the prefix by measured mean RR slot distance
@@ -217,16 +239,14 @@ impl PrefixInfo {
 
     /// The ingress candidates of all VPs, sorted and distinct.
     pub fn candidates(&self) -> &[Addr] {
-        &self.candidates
+        &self.held[self.candidates_at as usize..self.fallback_at as usize]
     }
 
-    /// Logical bytes held on the heap (lengths, not capacities).
+    /// Logical bytes held on the heap (lengths, not capacities): the block
+    /// and the ingress list. The destinations and the queues are inline,
+    /// priced in the table slot and the ingress.
     fn heap_bytes(&self) -> usize {
-        let queued: usize = self.ingresses.iter().map(|i| i.ranked_vps.len()).sum();
-        (self.dests.len() + self.fallback.len() + self.candidates.len() + queued)
-            * size_of::<Addr>()
-            + self.ingresses.len() * size_of::<IngressInfo>()
-            + self.in_range.len() * size_of::<u64>()
+        self.held.len() * size_of::<Addr>() + self.ingresses.len() * size_of::<IngressInfo>()
     }
 }
 
@@ -507,18 +527,14 @@ struct Survey<'a, 's> {
 /// one [`wave`] — the replies walking back along the first VP's tree, if
 /// the survey keeps them; with the wave, whose `found[k]` is when
 /// destination `k` answered.
-fn responsive_dests(
-    round: &mut Round<'_, '_>,
-    s: &Survey<'_, '_>,
-    p: PrefixId,
-) -> (Vec<Addr>, Wave) {
+fn responsive_dests(round: &mut Round<'_, '_>, s: &Survey<'_, '_>, p: PrefixId) -> (Dests, Wave) {
     let mut cands = [Addr(0); DEST_SCAN_LIMIT];
     let n = (cands.iter_mut().zip(s.prober.host_addrs(p)))
         .map(|(c, a)| *c = a)
         .count();
     // No VP, no pinger: nothing to scan with.
     let Some(&pinger) = s.vps.first() else {
-        return (Vec::new(), wave(0, |_| (false, 0.0)));
+        return (Dests::new(), wave(0, |_| (false, 0.0)));
     };
     let answered = |(reply, chain_ms): (Option<_>, f64)| (reply.is_some(), chain_ms);
     let wave = match s.replies {
@@ -570,31 +586,34 @@ fn wave(n: usize, mut send: impl FnMut(usize) -> (bool, f64)) -> Wave {
 /// One `(ingress candidate, VP)` incidence of a prefix's survey.
 #[derive(Clone, Copy)]
 struct Incidence {
-    /// The candidate's set-cover tie-break, hashed once a prefix
-    /// ([`SurveyScratch::finish`]).
-    tie: u64,
-    cand: Addr,
+    /// The candidate: its address until the run is indexed
+    /// ([`Groups::fill`]), then its slot in the index — [`COVERED`] once
+    /// the VP is covered by an ingress already picked.
+    key: u32,
     /// Position of the VP in the surveyed list.
     vp_at: u16,
-    /// Rank of `cand` among the candidates on the VP's first parsed path —
+    /// Rank of the candidate among those on the VP's first parsed path —
     /// the slot-distance order its queue is ranked by.
     dist: u8,
+    /// How many of the VP's incidences follow this one in the run.
+    rest: u8,
 }
 
-fn same_candidate(a: &Incidence, b: &Incidence) -> bool {
-    a.cand == b.cand
-}
+/// [`Incidence::key`] of a covered VP's incidences.
+const COVERED: u32 = u32::MAX;
 
 /// The per-VP rows of a prefix's survey, before its set cover: each VP's
 /// views folded in, in the order the VPs were visited.
 struct Rows {
-    /// Every VP's candidates as one run; sorted by `(candidate, vp)` once
-    /// all VPs are in, a candidate's covering VPs are contiguous, and the
-    /// greedy cover is a scan per pick instead of a map per pick.
+    /// Every VP's candidates as one run, VP by VP in the order they were
+    /// folded in: a VP's incidences are contiguous, so covering a VP is a
+    /// walk over its own.
     run: Vec<Incidence>,
-    /// `(mean distance, vp, position in the surveyed list)` of the in-range
-    /// VPs: the fallback ranking and the in-range bits.
-    near: Vec<(f64, Addr, u32)>,
+    /// `(twice the mean distance << 32 | vp, position in the surveyed
+    /// list)` of the in-range VPs — the mean of at most two integers is a
+    /// whole number of halves, so the key orders by `(mean distance, vp)`:
+    /// the fallback ranking and the in-range bits.
+    near: Vec<(u64, u32)>,
     /// The smallest `(mean distance, vp)` measured.
     closest: Option<(f64, Addr)>,
 }
@@ -632,22 +651,114 @@ impl Rows {
             if self.closest.is_none_or(|best| (dist, vp) < best) {
                 self.closest = Some((dist, vp));
             }
-            if dist <= RR_RANGE as f64 {
-                self.near.push((dist, vp, vp_at as u32));
+            let twice = 2 * sum / reached;
+            if twice <= 2 * RR_RANGE {
+                self.near
+                    .push(((twice as u64) << 32 | u64::from(vp.0), vp_at as u32));
             }
         }
         // Candidates on *both* paths (or the single path if only one
         // destination answered RR).
+        let start = self.run.len();
         for (rank, &cand) in first.candidates.iter().enumerate() {
             if rest.iter().all(|v| v.candidates.contains(&cand)) {
                 self.run.push(Incidence {
-                    tie: 0,
-                    cand,
+                    key: cand.0,
                     vp_at: at,
                     dist: rank as u8,
+                    rest: 0,
                 });
             }
         }
+        let span = self.run.len() - start;
+        if let Some(head) = self.run.get_mut(start) {
+            head.rest = (span - 1) as u8;
+        }
+    }
+}
+
+/// A candidate of a prefix's set cover: its address and how many uncovered
+/// VPs' paths carry it.
+#[derive(Clone, Copy, Default)]
+struct Group {
+    cand: Addr,
+    /// 0 marks an empty slot while the run is grouped; once it is, counts
+    /// only fall.
+    cover: u32,
+}
+
+/// A prefix's candidate index: its run's candidates in an open-addressed
+/// table, one and a half slots an incidence, each with its count.
+struct Groups {
+    slots: Vec<Group>,
+}
+
+impl Groups {
+    /// The slot probing for `cand` starts at.
+    fn home(&self, cand: Addr) -> usize {
+        let hash = u64::from(cand.0.wrapping_mul(0x9e37_79b9));
+        ((hash * self.slots.len() as u64) >> 32) as usize
+    }
+
+    fn next(&self, at: usize) -> usize {
+        if at + 1 == self.slots.len() {
+            0
+        } else {
+            at + 1
+        }
+    }
+
+    /// Index `run` by candidate, each with its count of incidences, and
+    /// key each incidence by its candidate's slot; returns how many
+    /// distinct candidates the index holds.
+    fn fill(&mut self, run: &mut [Incidence]) -> usize {
+        self.slots.clear();
+        self.slots
+            .resize(run.len() + run.len() / 2 + 1, Group::default());
+        let mut distinct = 0;
+        for i in run {
+            let cand = Addr(i.key);
+            let mut at = self.home(cand);
+            loop {
+                let g = &mut self.slots[at];
+                if g.cover == 0 {
+                    g.cand = cand;
+                    distinct += 1;
+                }
+                if g.cand == cand {
+                    g.cover += 1;
+                    break;
+                }
+                at = self.next(at);
+            }
+            i.key = at as u32;
+        }
+        distinct
+    }
+
+    /// The slot of the candidate with the largest `(cover, tie,
+    /// candidate)` key among those on an uncovered VP's path, if any,
+    /// handing `each` every such candidate in slot order on the way. A
+    /// tie-break is hashed only between equal covers, the best's once.
+    fn best(&self, tie: impl Fn(Addr) -> u64, mut each: impl FnMut(Addr)) -> Option<usize> {
+        let mut best: Option<(usize, Option<u64>)> = None;
+        for (at, g) in self.slots.iter().enumerate().filter(|(_, g)| g.cover > 0) {
+            each(g.cand);
+            best = match best {
+                Some((b, b_tie)) if g.cover < self.slots[b].cover => Some((b, b_tie)),
+                Some((b, b_tie)) if g.cover == self.slots[b].cover => {
+                    let b_cand = self.slots[b].cand;
+                    let (b_tie, g_tie) = (b_tie.unwrap_or_else(|| tie(b_cand)), tie(g.cand));
+                    if (g_tie, g.cand) > (b_tie, b_cand) {
+                        Some((at, Some(g_tie)))
+                    } else {
+                        Some((b, Some(b_tie)))
+                    }
+                }
+                _ => Some((at, None)),
+            };
+        }
+        best.map(|(at, _)| at)
     }
 }
 
@@ -667,18 +778,18 @@ type Seen = [Option<(RrSlots, PathView)>; DESTS_PER_PREFIX];
 impl Views {
     /// Steps 2–3 for one VP: RR-ping each destination, destination `k` as
     /// soon as its scan ping answered (`found[k]`), through `rr_ping(at,
-    /// dst)`, and parse each reply against the prefix — unless it is the
+    /// target)`, and parse each reply against the prefix — unless it is the
     /// one `seen` holds.
     fn ping(
-        mut rr_ping: impl FnMut(f64, Addr) -> Option<RrReply>,
-        dests: &[Addr],
+        mut rr_ping: impl FnMut(f64, &RrTarget) -> Option<RrReply>,
+        targets: &[RrTarget],
         found: &[(usize, f64)],
         (prefix, h): (Prefix, Heuristics),
         seen: &mut Seen,
     ) -> Views {
         let mut v = Views::default();
-        for ((&d, &(_, at_ms)), seen) in dests.iter().zip(found).zip(seen) {
-            if let Some(r) = rr_ping(at_ms, d) {
+        for ((target, &(_, at_ms)), seen) in targets.iter().zip(found).zip(seen) {
+            if let Some(r) = rr_ping(at_ms, target) {
                 v.views[v.answered] = match seen {
                     Some((slots, view)) if *slots == r.slots => *view,
                     _ => seen.insert((r.slots, path_view(&r.slots, prefix, h))).1,
@@ -699,8 +810,8 @@ impl Views {
 struct SurveyScratch {
     /// The prefix's per-VP rows.
     rows: Rows,
-    /// By VP position: covered by an ingress already picked.
-    covered: Vec<bool>,
+    /// The prefix's candidate index.
+    groups: Groups,
     /// Ingresses picked so far, copied out at their exact count.
     picked: Vec<IngressInfo>,
     /// The prefix's last reply per destination, and its view.
@@ -713,7 +824,8 @@ struct SurveyScratch {
 impl SurveyScratch {
     /// Scratch for one prefix's survey: era-2020 prefixes average under
     /// three shared candidates a VP; one in seven has more than four and
-    /// doubles the run once.
+    /// doubles the run once. The candidate index is made once the run is
+    /// in, at the run's size.
     fn new(n_vps: usize) -> SurveyScratch {
         SurveyScratch::sized(n_vps, 4, 16, 0)
     }
@@ -723,13 +835,16 @@ impl SurveyScratch {
     /// are at most as many routes as VPs — so that what it allocates does
     /// not depend on the prefixes it claims.
     fn for_build(n_vps: usize) -> SurveyScratch {
-        SurveyScratch::sized(n_vps, RR_SLOTS, n_vps, n_vps)
+        let mut scratch = SurveyScratch::sized(n_vps, RR_SLOTS, n_vps, n_vps);
+        let worst = RR_SLOTS * n_vps;
+        scratch.groups.slots.reserve_exact(worst + worst / 2 + 1);
+        scratch
     }
 
     fn sized(n_vps: usize, per_vp: usize, picks: usize, routes: usize) -> SurveyScratch {
         SurveyScratch {
             rows: Rows::new(n_vps, per_vp),
-            covered: Vec::with_capacity(n_vps),
+            groups: Groups { slots: Vec::new() },
             picked: Vec::with_capacity(picks),
             seen: Seen::default(),
             busy: Vec::with_capacity(routes),
@@ -768,19 +883,22 @@ impl SurveyScratch {
         round: &mut Round<'_, '_>,
         p: PrefixId,
         from: usize,
-        (dests, wave): (Vec<Addr>, Wave),
+        (dests, wave): (Dests, Wave),
     ) -> PrefixInfo {
         self.rows.clear();
         self.seen = Seen::default();
         let found = &wave.found[..wave.len];
+        // Each destination resolved once for its RR pings from every VP.
+        let targets: InlineVec<RrTarget, DESTS_PER_PREFIX> =
+            dests.iter().map(|&d| round.rr_target(d)).collect();
         let parse = (s.prober.prefix(p), s.h);
         let (rows, seen) = (&mut self.rows, &mut self.seen);
         match s.replies {
             None => {
                 let n_vps = s.vps.len();
                 for v in (from..n_vps).chain(0..from) {
-                    let rr_ping = |at_ms, d| round.rr_ping(at_ms, s.vps[v], d);
-                    let views = Views::ping(rr_ping, &dests, found, parse, seen);
+                    let rr_ping = |at_ms, d: &RrTarget| round.rr_ping(at_ms, s.vps[v], d);
+                    let views = Views::ping(rr_ping, &targets, found, parse, seen);
                     rows.fold(v, s.vps[v], views.answered());
                 }
             }
@@ -788,8 +906,8 @@ impl SurveyScratch {
                 let mut visit = |r: usize, tree: &mut ReplyTree| {
                     for &v in trees.vps(r) {
                         let vp = s.vps[v as usize];
-                        let rr_ping = |at_ms, d| round.rr_ping_from(at_ms, tree, vp, d);
-                        let views = Views::ping(rr_ping, &dests, found, parse, seen);
+                        let rr_ping = |at_ms, d: &RrTarget| round.rr_ping_from(at_ms, tree, vp, d);
+                        let views = Views::ping(rr_ping, &targets, found, parse, seen);
                         rows.fold(v as usize, vp, views.answered());
                     }
                 };
@@ -809,89 +927,108 @@ impl SurveyScratch {
         self.finish(s.prober, s.vps, p, dests)
     }
 
-    /// Steps 4–5 on the rows of all the VPs: the candidate set, the greedy
-    /// cover, the fallback ranking and the in-range bits, as the prefix's
-    /// [`PrefixInfo`]. The VPs may have been folded in any order: the run
-    /// is grouped by candidate, and only the groups' sizes and candidates
-    /// are read until a winner's VPs are ranked; every key ranked on is
-    /// unique — `(candidate cover, tie, candidate)` among the groups,
-    /// `(distance, vp)` in a queue (a view lists a candidate once), in the
-    /// fallback ranking and for the closest VP — so the answer is the VP
-    /// order's.
+    /// Steps 4–5 on the rows of all the VPs, as the prefix's
+    /// [`PrefixInfo`]; the set cover's ties go to a hash of the candidate
+    /// seeded by the prober's seed and the prefix.
     fn finish(
         &mut self,
         prober: &Prober<'_>,
         vps: &[Addr],
         p: PrefixId,
-        dests: Vec<Addr>,
+        dests: Dests,
     ) -> PrefixInfo {
-        let n_vps = vps.len();
-        let rows = &mut self.rows;
-        let mut in_range = vec![0u64; n_vps.div_ceil(64)].into_boxed_slice();
-        for &(_, _, at) in &rows.near {
-            in_range[at as usize / 64] |= 1 << (at % 64);
-        }
-        let run = &mut rows.run;
-        // A candidate's VPs contiguous, in no order: nothing below reads it.
-        run.sort_unstable_by_key(|i| i.cand);
-        let mut candidates = Vec::with_capacity(run.chunk_by(same_candidate).count());
-        candidates.extend(run.chunk_by(same_candidate).map(|g| g[0].cand));
-        // Each candidate's tie-break, hashed once for all the picks.
         let tie_seed = prober.seed() ^ 0x5e7c;
-        for group in run.chunk_by_mut(same_candidate) {
-            let tie = mix3(tie_seed, u64::from(group[0].cand.0), u64::from(p.0));
-            group.iter_mut().for_each(|i| i.tie = tie);
-        }
+        self.finish_with(vps, dests, |cand| {
+            mix3(tie_seed, u64::from(cand.0), u64::from(p.0))
+        })
+    }
 
-        // 4. Greedy set cover of VPs by candidate ingress: pick the
-        // candidate on the most uncovered VPs' paths (ties: a seeded hash
-        // of the address), drop those VPs from the run, repeat. Counts only
-        // fall, so the picks come out in coverage order.
-        self.covered.clear();
-        self.covered.resize(n_vps, false);
-        loop {
-            let mut best: Option<((usize, u64, Addr), usize)> = None;
-            let mut start = 0;
-            for group in run.chunk_by(same_candidate) {
-                let key = (group.len(), group[0].tie, group[0].cand);
-                if best.is_none_or(|(best_key, _)| key > best_key) {
-                    best = Some((key, start));
-                }
-                start += group.len();
-            }
-            let Some(((cover, _, addr), start)) = best else {
-                break;
-            };
-            // The winner's VPs, closest first (ties: lowest address); the
-            // reordered group leaves the run right below.
-            let group = &mut run[start..start + cover];
-            group.sort_unstable_by_key(|i| (i.dist, vps[usize::from(i.vp_at)]));
-            for i in group.iter() {
-                self.covered[usize::from(i.vp_at)] = true;
-            }
-            let ranked = group.iter().take(VPS_PER_INGRESS);
-            self.picked.push(IngressInfo {
-                addr,
-                cover,
-                ranked_vps: ranked.map(|i| vps[usize::from(i.vp_at)]).collect(),
-            });
-            let covered = &self.covered;
-            run.retain(|i| !covered[usize::from(i.vp_at)]);
+    /// Steps 4–5 with the set cover's tie-break `tie`: the in-range bits,
+    /// the candidate set, the fallback ranking and the greedy cover. The
+    /// VPs may have been folded in any order: the run is indexed by
+    /// candidate, and only the index's counts and candidates are read until
+    /// a winner's VPs are ranked; every key ranked on is unique —
+    /// `(candidate cover, tie, candidate)` among the candidates, `(distance,
+    /// vp)` in a queue (a view lists a candidate once), in the fallback
+    /// ranking and for the closest VP — so the answer is the VP order's.
+    /// Only the distinct candidates and the fallback ranking are sorted;
+    /// a winner's queue keeps its closest VPs in order as they are met.
+    fn finish_with(&mut self, vps: &[Addr], dests: Dests, tie: impl Fn(Addr) -> u64) -> PrefixInfo {
+        let distinct = self.groups.fill(&mut self.rows.run);
+        let near = &mut self.rows.near;
+        // The in-range cells, the candidates and the fallback ranking, in
+        // one block cut to size.
+        let cells = vps.len().div_ceil(64) * 2;
+        let mut held = Vec::with_capacity(cells + distinct + near.len());
+        held.resize(cells, Addr(0));
+        for &(_, at) in near.iter() {
+            held[at as usize / 32].0 |= 1 << (at % 32);
         }
-        debug_assert!(self.picked.windows(2).all(|w| w[0].cover >= w[1].cover));
-
+        // The first pick's scan collects the candidates.
+        let first = self.groups.best(&tie, |cand| held.push(cand));
+        held[cells..].sort_unstable();
         // 5. Fallback ranking for ingress-less prefixes.
-        let near = &mut rows.near;
-        near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        near.sort_unstable();
+        let fallback_at = held.len();
+        held.extend(near.iter().map(|&(key, _)| Addr(key as u32)));
 
+        self.cover(vps, tie, first);
         PrefixInfo {
             dests,
             ingresses: self.picked.drain(..).collect(),
-            fallback: near.iter().map(|&(_, vp, _)| vp).collect(),
-            in_range,
-            closest_vp: rows.closest.map(|(_, vp)| vp),
-            candidates,
+            held: held.into_boxed_slice(),
+            candidates_at: cells as u32,
+            fallback_at: fallback_at as u32,
+            closest_vp: self.rows.closest.map(|(_, vp)| vp),
         }
+    }
+
+    /// Step 4, the greedy set cover of VPs by candidate ingress: pick the
+    /// candidate on the most uncovered VPs' paths (ties: `tie`, then the
+    /// higher address), cover those VPs, repeat. Covering a VP takes it
+    /// off its own candidates' counts; counts only fall, so the picks come
+    /// out in coverage order. `first` is the first pick, if the caller
+    /// scanned for it.
+    fn cover(&mut self, vps: &[Addr], tie: impl Fn(Addr) -> u64, mut first: Option<usize>) {
+        let (run, groups) = (&mut self.rows.run, &mut self.groups);
+        let mut uncovered = run.len();
+        while uncovered > 0 {
+            let best = (first.take())
+                .or_else(|| groups.best(&tie, |_| {}))
+                .expect("an uncovered VP has a candidate");
+            let Group { cand, cover } = groups.slots[best];
+            // The winner's VPs, covered as they are met, VP by VP; the
+            // closest (ties: lowest address) kept in order for its queue.
+            let mut queue = [(u8::MAX, Addr(0)); VPS_PER_INGRESS];
+            let mut queued = 0;
+            let mut at = 0;
+            while at < run.len() {
+                let span = at..at + usize::from(run[at].rest) + 1;
+                at = span.end;
+                let Some(won) = run[span.clone()].iter().find(|i| i.key as usize == best) else {
+                    continue;
+                };
+                let entry = (won.dist, vps[usize::from(won.vp_at)]);
+                for i in &mut run[span.clone()] {
+                    groups.slots[i.key as usize].cover -= 1;
+                    i.key = COVERED;
+                }
+                uncovered -= span.len();
+                if queued == VPS_PER_INGRESS && entry > queue[queued - 1] {
+                    continue;
+                }
+                let place = queue[..queued].partition_point(|&e| e < entry);
+                queued = (queued + 1).min(VPS_PER_INGRESS);
+                queue[place..queued].rotate_right(1);
+                queue[place] = entry;
+            }
+            self.picked.push(IngressInfo {
+                addr: cand,
+                cover: cover as usize,
+                ranked_vps: queue[..queued].iter().map(|&(_, vp)| vp).collect(),
+            });
+        }
+        debug_assert!(self.picked.windows(2).all(|w| w[0].cover >= w[1].cover));
     }
 }
 
@@ -1169,14 +1306,14 @@ mod tests {
         assert_eq!(IngressDb::default().approx_bytes(), 0);
         let fixed = (vps.len() * (size_of::<(Addr, u32)>() + size_of::<Addr>())) as u64;
         let per_prefix = (db.approx_bytes() - fixed) / prefixes.len() as u64;
-        // A table slot, two destinations, the in-range words, and per VP at
-        // most: a place in the fallback ranking, one ingress queue of five
-        // (a pick covers at least one new VP) and nine candidates nobody
-        // else saw. The era-2020 survey (146 VPs, 2 036 prefixes) reads
-        // 831 B a prefix against this worst case's 14.7 KB.
-        let per_vp = size_of::<Addr>() * (1 + VPS_PER_INGRESS + 9) + size_of::<IngressInfo>();
+        // A table slot (the destinations inline), the in-range words, and
+        // per VP at most: a place in the fallback ranking, nine candidates
+        // nobody else saw and one ingress, its queue inline (a pick covers
+        // at least one new VP). The era-2020 survey (146 VPs, 2 036
+        // prefixes) reads 753 B a prefix against this worst case's 11.8 KB.
+        let per_vp = size_of::<Addr>() * (1 + 9) + size_of::<IngressInfo>();
         let words = vps.len().div_ceil(64) * size_of::<u64>();
-        let bound = (size_of::<Option<PrefixInfo>>() + 8 + words + per_vp * vps.len()) as u64;
+        let bound = (size_of::<Option<PrefixInfo>>() + words + per_vp * vps.len()) as u64;
         assert!(
             per_prefix > size_of::<Option<PrefixInfo>>() as u64 && per_prefix <= bound,
             "{per_prefix} B per surveyed prefix, bound {bound}"
@@ -1438,6 +1575,78 @@ mod tests {
             }
         }
         assert!(sooner > 0);
+    }
+
+    /// The set cover breaks a tie on cover by the candidates' tie-break,
+    /// then by the higher address, as the reference's cover does. VP 0's
+    /// path carries candidate `a`, VP 1's `b`, VP 2's both, VP 3's `c`:
+    /// `a` and `b` tie on two VPs, and whichever loses ties `c` on one.
+    /// Under the seeded hash either may win the first pick; under a
+    /// constant tie-break `b`, then `c`, win on their addresses. Every
+    /// plan equals the reference's, and the same whatever order the VPs
+    /// were folded in.
+    #[test]
+    fn cover_ties_go_to_the_seeded_hash_then_the_address() {
+        let vps: Vec<Addr> = (1..=4).map(|k| Addr(0x0c00_0000 + k)).collect();
+        let (a, b, c) = (Addr(0x0b00_0010), Addr(0x0b00_0020), Addr(0x0b00_0030));
+        let paths: [&[Addr]; 4] = [&[a], &[b], &[a, b], &[c]];
+        let views: std::collections::BTreeMap<Addr, crate::reference::VpView> = (vps.iter())
+            .zip(paths)
+            .map(|(&vp, path)| {
+                let candidates = path.iter().enumerate().map(|(d, &x)| (x, d)).collect();
+                let view = crate::reference::VpView {
+                    dest_dist: Some(2.0),
+                    candidates,
+                };
+                (vp, view)
+            })
+            .collect();
+        let dests: Dests = [Addr(0x0b10_8001)].into_iter().collect();
+        let surveyed = |order: &[usize], tie: &dyn Fn(Addr) -> u64| {
+            let mut scratch = SurveyScratch::new(vps.len());
+            scratch.rows.clear();
+            for &v in order {
+                let view = PathView {
+                    dest_dist: Some(2),
+                    candidates: paths[v].iter().copied().collect(),
+                };
+                scratch.rows.fold(v, vps[v], &[view]);
+            }
+            scratch.finish_with(&vps, dests, tie)
+        };
+        let plan = |ingresses: &[IngressInfo]| -> Vec<(usize, Addr, Vec<Addr>)> {
+            (ingresses.iter())
+                .map(|i| (i.cover, i.addr, i.ranked_vps.to_vec()))
+                .collect()
+        };
+        let mut first = Vec::new();
+        for seed in 0..32u64 {
+            let tie = |x: Addr| mix3(seed, u64::from(x.0), 7);
+            let want = plan(&crate::reference::cover(&views, tie));
+            for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+                let info = surveyed(&order, &tie);
+                assert_eq!(plan(&info.ingresses), want, "seed {seed}, order {order:?}");
+                assert_eq!(info.candidates(), &[a, b, c]);
+                assert_eq!(info.fallback(), &vps[..]);
+                assert!((0..4).all(|at| info.in_range_at(at)) && !info.in_range_at(4));
+            }
+            let hashed = if tie(a) > tie(b) { a } else { b };
+            assert_eq!(want[0].1, hashed, "seed {seed}: the hash breaks the tie");
+            first.push(want[0].1);
+        }
+        assert!(first.contains(&a) && first.contains(&b), "{first:?}");
+        let flat = |_: Addr| 0;
+        let want = plan(&crate::reference::cover(&views, flat));
+        let got = plan(&surveyed(&[1, 3, 0, 2], &flat).ingresses);
+        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            [
+                (2, b, vec![vps[1], vps[2]]),
+                (1, c, vec![vps[3]]),
+                (1, a, vec![vps[0]])
+            ]
+        );
     }
 
     #[test]

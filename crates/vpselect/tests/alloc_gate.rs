@@ -2,9 +2,10 @@
 //! it returns. On a simulator whose route caches are warm,
 //!
 //! * `IngressDb::build` over 40 prefixes allocates its outputs — per
-//!   surveyed prefix the destination list, the in-range set, the candidate
-//!   set, the fallback ranking, the ingress list and one VP queue per
-//!   ingress, each cut to size in one allocation — plus a constant for the
+//!   surveyed prefix at most two blocks, each cut to size in one
+//!   allocation: the ingress list, whose VP queues are inline, and one
+//!   block for the in-range set, the candidate set and the fallback
+//!   ranking; the destinations are inline — plus a constant for the
 //!   scratch, the tables and the global order, however many VPs answered or
 //!   set-cover picks it took, and its sink trees: one block for the forward
 //!   tree and one per route back to the VPs, made once, never per prefix —
@@ -26,17 +27,12 @@ use revtr_vpselect::{path_view, Heuristics, IngressDb};
 #[global_allocator]
 static GLOBAL: revtr_alloccount::Counting = revtr_alloccount::Counting;
 
-/// The heap blocks a surveyed prefix is returned in.
+/// The heap blocks a surveyed prefix is returned in: its ingress list, if
+/// the cover picked an ingress, and the block of its in-range set,
+/// candidates and fallback ranking, which exists once a destination
+/// answered the scan (the in-range set has a word per 64 VPs).
 fn output_blocks(info: &PrefixInfo) -> u64 {
-    let lists = [
-        info.dests.is_empty(),
-        // The in-range set exists once a destination answered the scan.
-        info.dests.is_empty(),
-        info.candidates().is_empty(),
-        info.fallback.is_empty(),
-        info.ingresses.is_empty(),
-    ];
-    (lists.iter().filter(|&&empty| !empty).count() + info.ingresses.len()) as u64
+    u64::from(!info.ingresses.is_empty()) + u64::from(!info.dests.is_empty())
 }
 
 /// Scratch, tables and global order of one `IngressDb::build`.
@@ -56,9 +52,10 @@ fn tree_blocks(routes: usize) -> u64 {
 /// the 2-core reference host at width 2 over 40 runs, idle and beside a
 /// busy loop: 12 a helper captured every time, 10 with `--nocapture`.)
 const PER_HELPER: u64 = 12;
-/// Scratch of one standalone `probe_prefix`: four blocks, and the run
-/// doubling at most twice (a VP can bring nine candidates; the run is sized
-/// for four).
+/// Scratch of one standalone `probe_prefix`: four blocks — the run, the
+/// in-range list, the picks, and the candidate index, made at the run's
+/// size once the run is in — and the run doubling at most twice (a VP can
+/// bring nine candidates; the run is sized for four).
 const SCRATCH: u64 = 6;
 
 #[test]
@@ -75,6 +72,10 @@ fn the_survey_allocates_what_it_returns() {
         process_allocs_in(|| IngressDb::build(&prober, &vps, &prefixes[1..], Heuristics::FULL));
     let outputs: u64 = db.prefixes().map(|(_, info)| output_blocks(info)).sum();
     assert_eq!(db.prefixes().count(), 40);
+    assert!(
+        db.prefixes().all(|(_, info)| output_blocks(info) <= 2),
+        "a surveyed prefix is at most two blocks"
+    );
     let contested = db
         .prefixes()
         .filter(|(_, info)| info.ingresses.len() > 1)
@@ -101,10 +102,11 @@ fn the_survey_allocates_what_it_returns() {
     );
 
     let survey = prober.with_cache_enabled(false);
-    let mut worst = 0;
+    let (mut worst, mut total, mut blocks) = (0, 0, 0);
     for &p in &prefixes[1..] {
         let (info, n) = process_allocs_in(|| probe_prefix(&survey, &vps, p, Heuristics::FULL));
         worst = worst.max(n.saturating_sub(output_blocks(&info)));
+        (total, blocks) = (total + n, blocks + output_blocks(&info));
         assert!(
             n <= output_blocks(&info) + SCRATCH,
             "probe_prefix({p}) allocated {n} times for {} output blocks",
@@ -112,7 +114,10 @@ fn the_survey_allocates_what_it_returns() {
         );
     }
 
-    eprintln!("probe_prefix: at most {worst} allocations past its output blocks (bound {SCRATCH})");
+    eprintln!(
+        "probe_prefix: {total} allocations over 40 calls for {blocks} output blocks, at most \
+         {worst} past a call's output blocks (bound {SCRATCH})"
+    );
 
     // Parsing: in-prefix cut, double stamp, loop, private and repeated
     // addresses, a full nine slots.

@@ -167,7 +167,7 @@ fn survey_digest(db: &IngressDb, n_vps: usize) -> u64 {
             eat(ingress.cover as u64);
             addrs(&mut eat, &ingress.ranked_vps);
         }
-        addrs(&mut eat, &info.fallback);
+        addrs(&mut eat, info.fallback());
         (0..n_vps).for_each(|i| eat(u64::from(info.in_range_at(i))));
         eat(info.closest_vp().map_or(u64::MAX, |a| u64::from(a.0)));
         addrs(&mut eat, info.candidates());

@@ -374,7 +374,13 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         ),
     ];
     let mut round = p.round();
-    check_losses(&p, dests, |s| s.rr, true, |d| round.rr_ping(0.0, src, d));
+    check_losses(
+        &p,
+        dests,
+        |s| s.rr,
+        true,
+        |d| round.rr_ping(0.0, src, &round.rr_target(d)),
+    );
     drop(round);
     assert!(
         ended_lost.iter().sum::<u64>() > 0,
