@@ -117,8 +117,10 @@ STEP
 # runs it — whole prefixes on the pool, each in a part of one build round
 # opened at its slot, a sink tree per route lent to every ping (a worker's
 # toward the prefix, one back to each VP prefix), consecutive pings
-# replaying each other's legs — is a tree-less survey of each prefix at
-# its slot (`probe_prefix_in`), walking every hop: every `PrefixInfo`, the
+# replaying each other's legs, each VP resolved once a build beside its
+# reply tree — is a tree-less survey of each prefix at its slot
+# (`probe_prefix_in`), walking every hop and resolving each ping's VP as
+# it sends it: every `PrefixInfo`, the
 # counters, and the clock, simulator-time and route-compute readings to
 # the bit, at seeds 1, 7 and 42, under link maintenance, and in
 # `dbr_region` ASes. The build charges its 2 036 slots once (2.26 virtual
@@ -170,7 +172,9 @@ STEP
 # blocks + 6), and
 # a round's measurement cache ≤ 140 B live an entry, nothing to overwrite,
 # a round's backward stop set ≤ 140 B live a key, nothing to re-publish;
-# a warm walk and probe nothing, a cold route compute its table alone
+# a warm walk and probe nothing (a plain ping, an RR ping and a spoofed
+# one, a TS ping, a TTL view; there is no spoofed plain ping to send), a
+# cold route compute its table alone
 # (`a_cold_route_compute_allocates_its_table`), and building the simulator
 # and a system per table, not per router, AS or adjacency (`Sim::build`
 # ≤ 185 allocations and ≤ 2 340 430 bytes, `RevtrSystem::new` ≤ 60).

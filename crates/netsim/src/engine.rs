@@ -68,6 +68,42 @@ impl RrTarget {
     }
 }
 
+/// A host resolved once for every exchange it sends or receives
+/// ([`Sim::endpoint`]): its prefix and attach router, the gateway its
+/// packets' first and last hops may stamp, and whether its AS drops
+/// packets that leave it under another source. Each is a function of the
+/// address alone, so a survey resolves each VP once for all its pings. An
+/// address that is no host sends and receives nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct Endpoint {
+    addr: Addr,
+    /// The host's prefix and attach router, when the address is a host.
+    at: Option<(PrefixId, RouterId)>,
+    /// The host's prefix gateway.
+    gateway: Option<Addr>,
+    spoof_filter: bool,
+}
+
+impl Endpoint {
+    /// The host address.
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+
+    /// Where an exchange `self` sends under `receiver`'s address starts,
+    /// and where its reply walks back to — `None` if either end is no
+    /// host, or if the source is another's and `self`'s AS drops the
+    /// packet at the edge.
+    fn route_to(&self, receiver: &Endpoint) -> Option<(RouterId, Dest)> {
+        let (_, start) = self.at?;
+        if receiver.addr != self.addr && self.spoof_filter {
+            return None;
+        }
+        let (prefix, attach) = receiver.at?;
+        Some((start, Dest::Host { prefix, attach }))
+    }
+}
+
 /// Reply to a TS-prespec echo request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TsReply {
@@ -351,33 +387,16 @@ impl Sim {
         }
     }
 
-    /// Validate a spoofed send: the sender must be a host, and if claiming a
-    /// foreign source, the sender's AS must permit spoofing. Returns the
-    /// sender's prefix and attach router.
-    fn sender_ok(&self, sender: Addr, claimed: Addr) -> Option<(PrefixId, RouterId)> {
-        let (pid, attach) = self.resolve_host(sender)?;
-        if claimed != sender {
-            let owner = self.topo().prefix(pid).owner;
-            if self.topo().asn(owner).spoof_filter {
-                return None; // spoofed packet dropped at the edge
-            }
-        }
-        Some((pid, attach))
-    }
-
-    /// Prefix and attach router of the host a reply is observed at — the
-    /// sender's own, already resolved, unless the probe is spoofed. `None`
-    /// if the claimed source is no valid host: nothing observes the reply.
-    fn receiver(
-        &self,
-        sender: Addr,
-        resolved: (PrefixId, RouterId),
-        claimed_src: Addr,
-    ) -> Option<(PrefixId, RouterId)> {
-        if claimed_src == sender {
-            Some(resolved)
-        } else {
-            self.resolve_host(claimed_src)
+    /// `addr` resolved as one end of echo exchanges: the work every
+    /// exchange it sends or receives shares, done once.
+    pub fn endpoint(&self, addr: Addr) -> Endpoint {
+        let at = self.resolve_host(addr);
+        let owner = |p| self.topo().asn(self.topo().prefix(p).owner);
+        Endpoint {
+            addr,
+            at,
+            gateway: at.map(|(p, _)| self.prefix_gateway(p)),
+            spoof_filter: at.is_some_and(|(p, _)| owner(p).spoof_filter),
         }
     }
 
@@ -394,77 +413,33 @@ impl Sim {
     /// Plain ICMP echo from `src` (a host) to `dst`. Returns `None` when the
     /// destination is unroutable or unresponsive.
     pub fn ping(&self, src: Addr, dst: Addr) -> Option<EchoReply> {
-        self.ping_from(src, src, dst)
+        self.ping_lent(&self.endpoint(src), dst, None, None)
     }
 
-    /// Echo request sent by `sender`, with source field `claimed_src` (the
-    /// reply goes there). Returns the reply as observed at `claimed_src`.
-    pub fn ping_from(&self, sender: Addr, claimed_src: Addr, dst: Addr) -> Option<EchoReply> {
-        self.echo(sender, claimed_src, dst, [None, None])
-    }
-
-    /// [`Sim::ping`] by a caller that keeps sink trees, as for
-    /// [`Sim::rr_ping_to`]: `forward` is lent to the walk toward `dst`,
-    /// `reply` to the walk back, and `reply` remembers the legs for the
-    /// next exchange to replay. The reply is the one [`Sim::ping`]
-    /// observes, whatever the trees hold.
+    /// [`Sim::ping`] from a resolved host by a caller that keeps sink
+    /// trees, as for [`Sim::rr_ping_to`]: `forward` is lent to the walk
+    /// toward `dst`, `reply` to the walk back, and `reply` remembers the
+    /// legs for the next exchange to replay. The reply is the one
+    /// [`Sim::ping`] observes, whatever the trees hold.
     pub fn ping_lent(
         &self,
-        src: Addr,
+        src: &Endpoint,
         dst: Addr,
         forward: Option<&mut SinkTree>,
         reply: Option<&mut SinkTree>,
     ) -> Option<EchoReply> {
-        self.echo(src, src, dst, [forward, reply])
-    }
-
-    /// One plain echo exchange, each leg lent its sink tree if the caller
-    /// keeps one; the reply tree's memos serve a host destination as in
-    /// [`Sim::rr_exchange`].
-    fn echo(
-        &self,
-        sender: Addr,
-        claimed_src: Addr,
-        dst: Addr,
-        [fwd_tree, mut rep_tree]: [Option<&mut SinkTree>; 2],
-    ) -> Option<EchoReply> {
-        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
-        let dest = self.resolve_dest(dst)?;
-        if !self.dest_responds(&dest, dst, ProbeKind::Ping) {
-            return None;
-        }
-        let replay = matches!(dest, Dest::Host { .. }) && !self.faults().links_enabled();
-        let meta = PktMeta::plain(claimed_src, 0);
-        let memo = (rep_tree.as_deref_mut())
-            .filter(|_| replay)
-            .map(|t| &mut t.legs[FORWARD]);
-        let leg = RrLeg::plain();
-        let (_, fwd_ms) = self.rr_leg(attach, dst, &dest, &meta, None, fwd_tree, leg, memo)?;
-        let back = if claimed_src == sender {
-            Dest::Host {
-                prefix: snd_prefix,
-                attach,
-            }
-        } else {
-            self.resolve_dest(claimed_src)?
+        // A plain ping's target: whether the destination answers a ping;
+        // nothing on the exchange stamps.
+        let dest = (self.resolve_dest(dst)).filter(|d| self.dest_responds(d, dst, ProbeKind::Ping));
+        let target = RrTarget {
+            addr: dst,
+            dest,
+            ..RrTarget::default()
         };
-        let meta = PktMeta::plain(dst, 0);
-        let start = Self::reply_start(&dest);
-        let leg = RrLeg::plain();
-        let (_, rep_ms) = self.reply_leg(
-            start,
-            claimed_src,
-            &back,
-            &meta,
-            None,
-            rep_tree,
-            leg,
-            replay,
-        )?;
-        Some(EchoReply {
-            from: dst,
-            rtt_ms: HOST_LINK_MS + fwd_ms + rep_ms,
-        })
+        let trees = [forward, reply];
+        let (_, _, rtt_ms) =
+            self.rr_exchange([src, src], &target, false, 0, [None, None], trees)?;
+        Some(EchoReply { from: dst, rtt_ms })
     }
 
     // ---- record route --------------------------------------------------------
@@ -578,20 +553,17 @@ impl Sim {
         dst: Addr,
         nonce: u64,
     ) -> Option<RrReply> {
-        self.rr_reply(
-            sender,
-            claimed_src,
-            &self.rr_target(dst),
-            nonce,
-            [None, None],
-        )
+        let [sender, receiver] = self.ends(sender, claimed_src);
+        let target = self.rr_target(dst);
+        self.rr_reply([&sender, &receiver], &target, nonce, [None, None])
     }
 
-    /// [`Sim::rr_ping`] toward `dst`, resolved once for many exchanges
-    /// ([`Sim::rr_target`]), by a caller that pings many destinations from
-    /// many sources and keeps their sink trees: `forward` is lent to the
-    /// walk toward `dst`, `reply` to the walk back toward `src`. The reply
-    /// is the one [`Sim::rr_ping`] observes, whatever the trees hold.
+    /// [`Sim::rr_ping`] from a resolved host toward `dst`, resolved once
+    /// for many exchanges ([`Sim::rr_target`]), by a caller that pings many
+    /// destinations from many sources and keeps their sink trees: `forward`
+    /// is lent to the walk toward `dst`, `reply` to the walk back toward
+    /// `src`. The reply is the one [`Sim::rr_ping`] observes, whatever the
+    /// trees hold.
     ///
     /// `reply` also remembers `src`'s last two legs, and an exchange
     /// replays a remembered leg instead of walking it when the walk could
@@ -599,26 +571,37 @@ impl Sim {
     /// one prefix walks most of the second exchange's legs once.
     pub fn rr_ping_to(
         &self,
-        src: Addr,
+        src: &Endpoint,
         dst: &RrTarget,
         nonce: u64,
         forward: Option<&mut SinkTree>,
         reply: Option<&mut SinkTree>,
     ) -> Option<RrReply> {
-        self.rr_reply(src, src, dst, nonce, [forward, reply])
+        self.rr_reply([src, src], dst, nonce, [forward, reply])
     }
 
-    /// What `claimed_src` observes of one live Record Route exchange.
+    /// A sender and the source it claims, resolved — once when they are
+    /// one host.
+    fn ends(&self, sender: Addr, claimed_src: Addr) -> [Endpoint; 2] {
+        let sent = self.endpoint(sender);
+        let claimed = if claimed_src == sender {
+            sent
+        } else {
+            self.endpoint(claimed_src)
+        };
+        [sent, claimed]
+    }
+
+    /// What the receiver observes of one live Record Route exchange.
     fn rr_reply(
         &self,
-        sender: Addr,
-        claimed_src: Addr,
+        ends: [&Endpoint; 2],
         dst: &RrTarget,
         nonce: u64,
         trees: [Option<&mut SinkTree>; 2],
     ) -> Option<RrReply> {
         let (mut slots, reply_mark, rtt_ms) =
-            self.rr_exchange(sender, claimed_src, dst, nonce, [None, None], trees)?;
+            self.rr_exchange(ends, dst, true, nonce, [None, None], trees)?;
         // Scenario `lying_rr_responders`: the destination rewrites the
         // reply-leg stamps it reports. Only the live observation lies —
         // [`Sim::replay_rr_reply_stamps`] below reconstructs the truth, so
@@ -631,14 +614,17 @@ impl Sim {
         })
     }
 
-    /// One Record Route echo exchange, forward leg then reply leg, with
-    /// each leg's churn epoch pinned (`None` reads the live epoch) and its
-    /// sink tree lent, if the caller keeps one: forward walk, destination
-    /// stamp, reply walk, each leg stamping as it walks. Returns the
-    /// stamped slots, where the reply leg's stamps begin in them, and the
-    /// round-trip latency. Every address is resolved once, whatever the
-    /// number of legs that route on it — the destination before the
-    /// exchange, as `target`, which many exchanges may share.
+    /// One echo exchange from `sender` under `receiver`'s address, forward
+    /// leg then reply leg, with each leg's churn epoch pinned (`None` reads
+    /// the live epoch) and its sink tree lent, if the caller keeps one:
+    /// forward walk, destination stamp, reply walk, each leg stamping as it
+    /// walks — when the packet carries the Record Route `options`; a plain
+    /// echo's legs stamp nothing and its destination writes no stamp.
+    /// Returns the stamped slots, where the reply leg's stamps begin in
+    /// them, and the round-trip latency. Every address is resolved once,
+    /// whatever the number of legs that route on it, before the exchange:
+    /// both hosts, and the destination as `target` — each of which many
+    /// exchanges may share.
     ///
     /// A lent reply tree remembers the exchange's legs toward a host, when
     /// walks read no clock (link maintenance off), and the next exchange
@@ -653,32 +639,36 @@ impl Sim {
     /// of another replay most of their legs.
     pub(crate) fn rr_exchange(
         &self,
-        sender: Addr,
-        claimed_src: Addr,
+        [sender, receiver]: [&Endpoint; 2],
         target: &RrTarget,
+        options: bool,
         nonce: u64,
         [fwd_epoch, rep_epoch]: [Option<u32>; 2],
         [fwd_tree, mut rep_tree]: [Option<&mut SinkTree>; 2],
     ) -> Option<(RrSlots, usize, f64)> {
-        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
-        let (dst, dest, dest_gw) = (target.addr, target.dest?, target.gateway);
-        let (recv_prefix, recv_attach) =
-            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
+        let (attach, back) = sender.route_to(receiver)?;
+        let (dst, dest) = (target.addr, target.dest?);
         let replay = matches!(dest, Dest::Host { .. }) && !self.faults().links_enabled();
+        let leg = |skip_last, first_gw, last_gw| match options {
+            true => RrLeg::new(skip_last, first_gw, last_gw),
+            false => RrLeg::plain(),
+        };
+        let meta = |src, nonce| match options {
+            true => PktMeta::options(src, nonce),
+            false => PktMeta::plain(src, 0),
+        };
 
         // Forward stamping: the destination router (if the target is a
         // router) stamps via the destination rules, not as a forwarder.
-        let leg = RrLeg::new(
-            matches!(dest, Dest::Router { .. }),
-            Some(self.prefix_gateway(snd_prefix)),
-            dest_gw,
-        );
-        let meta = PktMeta::options(claimed_src, nonce);
+        let is_router_dest = matches!(dest, Dest::Router { .. });
+        let fwd_leg = leg(is_router_dest, sender.gateway, target.gateway);
         let memo = (rep_tree.as_deref_mut())
             .filter(|_| replay)
             .map(|t| &mut t.legs[FORWARD]);
-        let (mut slots, fwd_ms) =
-            self.rr_leg(attach, dst, &dest, &meta, fwd_epoch, fwd_tree, leg, memo)?;
+        let fwd_meta = meta(receiver.addr, nonce);
+        let (mut slots, fwd_ms) = self.rr_leg(
+            attach, dst, &dest, &fwd_meta, fwd_epoch, fwd_tree, fwd_leg, memo,
+        )?;
         Self::stamp_dest(&target.stamps, &mut slots);
 
         // Reply path. For host destinations the attach router forwards the
@@ -688,21 +678,17 @@ impl Sim {
         // reverse-facing interface — the alias the RR-atlas technique
         // (§4.2) harvests.
         let reply_mark = slots.len();
-        let leg = RrLeg::new(false, dest_gw, Some(self.prefix_gateway(recv_prefix)));
-        let back = Dest::Host {
-            prefix: recv_prefix,
-            attach: recv_attach,
-        };
-        let meta = PktMeta::options(dst, mix2(nonce, 1));
+        let rep_leg = leg(false, target.gateway, receiver.gateway);
+        let rep_meta = meta(dst, mix2(nonce, 1));
         let start = Self::reply_start(&dest);
         let (stamps, rep_ms) = self.reply_leg(
             start,
-            claimed_src,
+            receiver.addr,
             &back,
-            &meta,
+            &rep_meta,
             rep_epoch,
             rep_tree,
-            leg,
+            rep_leg,
             replay,
         )?;
         for &a in stamps.iter().take(RR_SLOTS - slots.len()) {
@@ -821,10 +807,11 @@ impl Sim {
         fwd_epoch: Option<u32>,
         rep_epoch: Option<u32>,
     ) -> Option<Vec<Addr>> {
+        let [sender, receiver] = self.ends(sender, claimed_src);
         let (slots, reply_mark, _) = self.rr_exchange(
-            sender,
-            claimed_src,
+            [&sender, &receiver],
             &self.rr_target(dst),
+            true,
             nonce,
             [fwd_epoch, rep_epoch],
             [None, None],
@@ -837,11 +824,12 @@ impl Sim {
     /// TS-prespec echo request: `prespec` holds up to four addresses; each
     /// is stamped only after all previous ones were (RFC 791 semantics), so
     /// a filled pair ⟨current hop, adjacency⟩ proves the adjacency is on the
-    /// reverse path (§2).
+    /// reverse path (§2). Sent by `sender` under `receiver`'s address, which
+    /// observes the reply.
     pub fn ts_ping_from(
         &self,
-        sender: Addr,
-        claimed_src: Addr,
+        sender: &Endpoint,
+        receiver: &Endpoint,
         dst: Addr,
         prespec: &[Addr],
         nonce: u64,
@@ -850,13 +838,11 @@ impl Sim {
             prespec.len() <= TS_SLOTS,
             "at most 4 prespecified addresses"
         );
-        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
+        let (attach, back) = sender.route_to(receiver)?;
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Ts) {
             return None;
         }
-        let (recv_prefix, recv_attach) =
-            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
 
         // The destination router, if the target is one, is handled below.
         let is_router_dest = matches!(dest, Dest::Router { .. });
@@ -867,7 +853,7 @@ impl Sim {
             skip_last: is_router_dest,
             hide_mpls: true,
         };
-        let meta = PktMeta::options(claimed_src, nonce);
+        let meta = PktMeta::options(receiver.addr, nonce);
         let fwd_ms = self.walk_to(attach, dst, &dest, &meta, None, None, &mut leg)?;
         // Destination stamping.
         match dest {
@@ -885,13 +871,9 @@ impl Sim {
             hide_mpls: false,
             ..leg
         };
-        let back = Dest::Host {
-            prefix: recv_prefix,
-            attach: recv_attach,
-        };
         let meta = PktMeta::options(dst, mix2(nonce, 3));
         let start = Self::reply_start(&dest);
-        let rep_ms = self.walk_to(start, claimed_src, &back, &meta, None, None, &mut leg)?;
+        let rep_ms = self.walk_to(start, receiver.addr, &back, &meta, None, None, &mut leg)?;
 
         Some(TsReply {
             from: dst,
@@ -1038,13 +1020,16 @@ impl Sim {
         nonce: u64,
         [fwd_epoch, rep_epoch]: [Option<u32>; 2],
     ) -> Option<(RrSlots, usize, f64)> {
-        let (snd_prefix, attach) = self.sender_ok(sender, claimed_src)?;
+        let (snd_prefix, attach) = self.resolve_host(sender)?;
+        let owner = self.topo().prefix(snd_prefix).owner;
+        if claimed_src != sender && self.topo().asn(owner).spoof_filter {
+            return None; // spoofed packet dropped at the edge
+        }
         let dest = self.resolve_dest(dst)?;
         if !self.dest_responds(&dest, dst, ProbeKind::Rr) {
             return None;
         }
-        let (recv_prefix, recv_attach) =
-            self.receiver(sender, (snd_prefix, attach), claimed_src)?;
+        let (recv_prefix, recv_attach) = self.resolve_host(claimed_src)?;
 
         let fwd = self.walk_hops(
             attach,
@@ -1248,6 +1233,43 @@ mod tests {
         assert!(any_reply);
     }
 
+    /// A host resolved before churn steps sends and receives, after them,
+    /// the exchanges a host resolved per packet does: what a host is does
+    /// not churn, though its routes do.
+    #[test]
+    fn hosts_resolved_before_churn_match_per_packet_resolution() {
+        let s = sim();
+        let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
+        let resolved: Vec<Endpoint> = vps.iter().map(|&vp| s.endpoint(vp)).collect();
+        let dsts: Vec<Addr> = (0..30).map(|k| responsive_host(&s, k)).collect();
+        let before: Vec<_> = dsts.iter().map(|&d| s.rr_ping(vps[0], d, 1)).collect();
+        for _ in 0..3 {
+            s.advance_hours(1.0 / s.config().behavior.churn_per_hour);
+        }
+        let (n, mut moved) = (vps.len(), 0);
+        for (i, &dst) in dsts.iter().enumerate() {
+            let (vp, other) = (vps[i % n], vps[(i + 1) % n]);
+            let (host, claimed) = (&resolved[i % n], &resolved[(i + 1) % n]);
+            let (nonce, target, prespec) = (i as u64, s.rr_target(dst), [dst, vp]);
+            assert_eq!(s.ping_lent(host, dst, None, None), s.ping(vp, dst));
+            assert_eq!(
+                s.rr_ping_to(host, &target, nonce, None, None),
+                s.rr_ping(vp, dst, nonce)
+            );
+            assert_eq!(
+                s.rr_reply([host, claimed], &target, nonce, [None, None]),
+                s.rr_ping_from(vp, other, dst, nonce)
+            );
+            let per_packet = [s.endpoint(vp), s.endpoint(other)];
+            assert_eq!(
+                s.ts_ping_from(host, claimed, dst, &prespec, nonce),
+                s.ts_ping_from(&per_packet[0], &per_packet[1], dst, &prespec, nonce)
+            );
+            moved += usize::from(s.rr_ping(vps[0], dst, 1) != before[i]);
+        }
+        assert!(moved > 0, "churn moved no exchange: the test is vacuous");
+    }
+
     #[test]
     fn traceroute_reaches_and_is_flow_stable() {
         let s = sim();
@@ -1274,7 +1296,8 @@ mod tests {
         }
         // A bogus first prespec blocks all later fills.
         let bogus = Addr::new(203, 0, 113, 1);
-        let r = s.ts_ping_from(src, src, dst, &[bogus, dst], 2);
+        let host = s.endpoint(src);
+        let r = s.ts_ping_from(&host, &host, dst, &[bogus, dst], 2);
         if let Some(r) = r {
             assert_eq!(r.filled, 0, "nothing may stamp after an unmatched slot");
         }

@@ -63,7 +63,8 @@ pub use addr::{Addr, Prefix};
 pub use concurrent::{shard_skew, Column, StripedCounters, StripedMap, Stripes};
 pub use config::SimConfig;
 pub use engine::{
-    EchoReply, RrReply, RrSlots, RrTarget, TraceResult, TsReply, TtlAnswer, TtlView, RR_SLOTS,
+    EchoReply, Endpoint, RrReply, RrSlots, RrTarget, TraceResult, TsReply, TtlAnswer, TtlView,
+    RR_SLOTS,
 };
 pub use faults::FaultConfig;
 pub use ids::{AsId, IdRange, PrefixId, RouterId};

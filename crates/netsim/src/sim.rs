@@ -2426,16 +2426,19 @@ mod tests {
             /// round trip to the bit, the same unanswered probes — sent by
             /// VP hosts or by other addresses, claiming their own source or
             /// another, toward hosts, VP hosts, router addresses and `via`
-            /// interfaces, with each leg's epoch live or pinned. The
-            /// destination is resolved once (`Sim::rr_target`) and the
-            /// target serves a second exchange, from the claimed source,
-            /// as a survey's target serves every VP.
+            /// interfaces, with each leg's epoch live or pinned. Both
+            /// hosts and the destinations are resolved once
+            /// (`Sim::endpoint`, `Sim::rr_target`), as a survey resolves
+            /// its VPs and targets: the claimed source, resolved once,
+            /// receives the spoofed exchange toward each of two
+            /// destinations and sends one of its own toward each.
             #[test]
             fn rr_exchange_matches_reference(
                 arm in 0usize..8,
                 sender in 0usize..1 << 16,
                 claimed in 0usize..1 << 16,
                 dest in 0usize..1 << 16,
+                dest2 in 0usize..1 << 16,
                 nonce in 0u64..1 << 40,
                 fwd_pin in 0u32..4,
                 rep_pin in 0u32..4,
@@ -2444,26 +2447,31 @@ mod tests {
                 let sim = &arm.sim;
                 let sender = pick(arm, sender, true);
                 let claimed = if claimed % 3 == 0 { sender } else { pick(arm, claimed, true) };
-                let dst = pick(arm, dest, false);
-                let vp_dest = sim.resolve_dest(dst).is_some_and(|d| sim.is_vp_dest(&d, dst));
-                prop_assert_eq!(vp_dest, sim.is_vp_host(dst));
-                let epochs = [pin(sim, fwd_pin, dst), pin(sim, rep_pin, claimed)];
-                let target = sim.rr_target(dst);
-                prop_assert_eq!(target.addr(), dst);
-                for (sender, claimed) in [(sender, claimed), (claimed, claimed)] {
-                    let got = sim.rr_exchange(sender, claimed, &target, nonce, epochs, [None, None]);
-                    let want = sim.rr_exchange_reference(sender, claimed, dst, nonce, epochs);
-                    match (got, want) {
-                        (None, None) => {}
-                        (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
-                            prop_assert_eq!(&slots[..], &want_slots[..]);
-                            prop_assert_eq!(mark, want_mark);
-                            prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                let ends = [sim.endpoint(sender), sim.endpoint(claimed)];
+                prop_assert_eq!(ends.map(|e| e.addr()), [sender, claimed]);
+                for dst in [dest, dest2].map(|d| pick(arm, d, false)) {
+                    let vp_dest = sim.resolve_dest(dst).is_some_and(|d| sim.is_vp_dest(&d, dst));
+                    prop_assert_eq!(vp_dest, sim.is_vp_host(dst));
+                    let epochs = [pin(sim, fwd_pin, dst), pin(sim, rep_pin, claimed)];
+                    let target = sim.rr_target(dst);
+                    prop_assert_eq!(target.addr(), dst);
+                    for [s, c] in [[0, 1], [1, 1]] {
+                        let pair = [&ends[s], &ends[c]];
+                        let got = sim.rr_exchange(pair, &target, true, nonce, epochs, [None, None]);
+                        let (sender, claimed) = (ends[s].addr(), ends[c].addr());
+                        let want = sim.rr_exchange_reference(sender, claimed, dst, nonce, epochs);
+                        match (got, want) {
+                            (None, None) => {}
+                            (Some((slots, mark, rtt)), Some((want_slots, want_mark, want_rtt))) => {
+                                prop_assert_eq!(&slots[..], &want_slots[..]);
+                                prop_assert_eq!(mark, want_mark);
+                                prop_assert_eq!(rtt.to_bits(), want_rtt.to_bits());
+                            }
+                            (got, want) => prop_assert!(
+                                false,
+                                "{sender} as {claimed} -> {dst}: {got:?}, reference {want:?}"
+                            ),
                         }
-                        (got, want) => prop_assert!(
-                            false,
-                            "{sender} as {claimed} -> {dst}: {got:?}, reference {want:?}"
-                        ),
                     }
                 }
             }
@@ -2499,9 +2507,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(1000))]
 
             /// A small survey: VPs — each drawn with another VP of its
-            /// prefix, where it has one — ping hosts of one prefix in turn,
-            /// visited route by route, each exchange a Record Route or a
-            /// plain echo as drawn. Every forward leg is lent the one tree
+            /// prefix, where it has one, and resolved once — ping hosts of
+            /// one prefix in turn, visited route by route, each exchange a
+            /// Record Route or a plain echo as drawn, both through
+            /// `Sim::rr_exchange`. Every forward leg is lent the one tree
             /// toward the prefix and every reply leg its VP's route's
             /// tree, which remembers the last legs for later exchanges to
             /// replay. Every exchange is the reference's — slots, reply
@@ -2538,6 +2547,7 @@ mod tests {
                         reply.push((route, SinkTree::new(sim)));
                     }
                     let tree = &mut reply.last_mut().expect("pushed above").1;
+                    let host = sim.endpoint(src);
                     for (&dst, target) in dsts.iter().zip(&targets) {
                         if sent == churn_at {
                             sim.advance_hours(1.0 / sim.config().behavior.churn_per_hour);
@@ -2546,13 +2556,13 @@ mod tests {
                         sent += 1;
                         let nonce = nonce + sent as u64;
                         if plain {
-                            let got = sim.ping_lent(src, dst, Some(&mut forward), Some(&mut *tree));
+                            let got = sim.ping_lent(&host, dst, Some(&mut forward), Some(&mut *tree));
                             let want = sim.ping_reference(src, dst);
                             prop_assert_eq!(got.map(|r| r.rtt_ms.to_bits()), want.map(|r| r.rtt_ms.to_bits()));
                             continue;
                         }
                         let trees = [Some(&mut forward), Some(&mut *tree)];
-                        let got = sim.rr_exchange(src, src, target, nonce, [None, None], trees);
+                        let got = sim.rr_exchange([&host; 2], target, true, nonce, [None, None], trees);
                         let want = sim.rr_exchange_reference(src, src, dst, nonce, [None, None]);
                         match (got, want) {
                             (None, None) => {}
@@ -2589,8 +2599,15 @@ mod tests {
                         let mut reply = SinkTree::new(sim);
                         let ping = |k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
                             let trees = [Some(forward), Some(reply)];
-                            let target = sim.rr_target(dsts[k]);
-                            sim.rr_exchange(v.host, v.host, &target, k as u64, [None, None], trees)
+                            let (host, target) = (sim.endpoint(v.host), sim.rr_target(dsts[k]));
+                            sim.rr_exchange(
+                                [&host; 2],
+                                &target,
+                                true,
+                                k as u64,
+                                [None, None],
+                                trees,
+                            )
                         };
                         if ping(0, &mut forward[0], &mut reply).is_none() {
                             continue;
@@ -2632,8 +2649,15 @@ mod tests {
                         let exchange =
                             |vp: Addr, k: usize, forward: &mut SinkTree, reply: &mut SinkTree| {
                                 let trees = [Some(forward), Some(reply)];
-                                let target = sim.rr_target(dsts[k]);
-                                sim.rr_exchange(vp, vp, &target, k as u64, [None, None], trees)
+                                let (host, target) = (sim.endpoint(vp), sim.rr_target(dsts[k]));
+                                sim.rr_exchange(
+                                    [&host; 2],
+                                    &target,
+                                    true,
+                                    k as u64,
+                                    [None, None],
+                                    trees,
+                                )
                             };
                         let (mut forward, mut reply) = (SinkTree::new(sim), SinkTree::new(sim));
                         if exchange(pair[0], 0, &mut forward, &mut reply).is_none() {
@@ -2687,14 +2711,11 @@ mod tests {
                     let sender = vps[i % vps.len()].host;
                     for claimed in [sender, vps[(i + 1) % vps.len()].host] {
                         let nonce = i as u64;
-                        let Some((slots, ..)) = sim.rr_exchange(
-                            sender,
-                            claimed,
-                            &sim.rr_target(dst),
-                            nonce,
-                            [None, None],
-                            [None, None],
-                        ) else {
+                        let ends = [&sim.endpoint(sender), &sim.endpoint(claimed)];
+                        let target = sim.rr_target(dst);
+                        let Some((slots, ..)) =
+                            sim.rr_exchange(ends, &target, true, nonce, [None, None], [None, None])
+                        else {
                             continue;
                         };
                         let case = match sim.resolve_dest(dst) {

@@ -85,7 +85,7 @@ use crate::counters::{Counters, ProbeKind};
 use crate::meter::Meter;
 use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{
-    Addr, AsId, EchoReply, IdRange, Prefix, PrefixId, RrReply, RrTarget, Sim, SinkTree,
+    Addr, AsId, EchoReply, Endpoint, IdRange, Prefix, PrefixId, RrReply, RrTarget, Sim, SinkTree,
     TraceResult, TreeKey, TsReply, TtlAnswer, TtlView,
 };
 use revtr_telemetry::Telemetry;
@@ -886,8 +886,9 @@ impl<'s> Prober<'s> {
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
         let p = Probe::new(ProbeKind::Ts, None, src, dst);
+        let host = self.sim.endpoint(src);
         let (r, _) = self.chain(m, p, None, |m, nonce| {
-            let r = self.sim.ts_ping_from(src, src, dst, prespec, nonce);
+            let r = self.sim.ts_ping_from(&host, &host, dst, prespec, nonce);
             self.charge(m, r.as_ref().map(|x| x.rtt_ms));
             r
         });
@@ -911,12 +912,17 @@ impl<'s> Prober<'s> {
             self.telemetry.record("probing.ts_batch.pairs", 1);
         }
         let p = Probe::new(ProbeKind::SpoofTs, Some(vp), claimed, dst);
+        let ends = [self.sim.endpoint(vp), self.sim.endpoint(claimed)];
         let mut reply = None;
         self.collect(
             m,
             &mut [true],
             |_| p,
-            |_, _, nonce| reply = self.sim.ts_ping_from(vp, claimed, dst, prespec, nonce),
+            |_, _, nonce| {
+                reply = self
+                    .sim
+                    .ts_ping_from(&ends[0], &ends[1], dst, prespec, nonce)
+            },
         );
         reply
     }
@@ -1027,14 +1033,15 @@ impl ForwardTree {
 /// walk back to the same VPs, and the VPs of one prefix sit at the end of
 /// one route, so there is one tree per distinct route back, shared by its
 /// VPs and living across rounds (until churn re-rolls the route). Each is
-/// lent to the reply legs of its VPs' pings ([`Round::rr_ping_from`],
-/// [`Round::ping_from`]) and keeps the last legs, which the next ping
-/// replays where it must take the same hops: a VP's second destination,
-/// or the next VP of the route.
+/// lent to the reply legs of its VPs' pings ([`Round::rr_ping`],
+/// [`Round::ping`]) and keeps the last legs, which the next ping replays
+/// where it must take the same hops: a VP's second destination, or the
+/// next VP of the route.
 pub struct ReplyTrees {
-    /// VP positions in the surveyed list, grouped by route — ascending in
-    /// a group, the groups in the order of their first VP.
-    order: Box<[u32]>,
+    /// VP positions in the surveyed list, each beside its VP resolved once
+    /// for every ping of the survey ([`Sim::endpoint`]), grouped by route —
+    /// ascending in a group, the groups in the order of their first VP.
+    order: Box<[(u32, Endpoint)]>,
     /// Per route, in that order: its tree, and where its VPs end in
     /// `order`.
     routes: Box<[(Mutex<ReplyTree>, u32)]>,
@@ -1059,7 +1066,8 @@ impl ReplyTrees {
         let mut groups: Vec<&[(Option<TreeKey>, u32)]> = keyed.chunk_by(same).collect();
         groups.sort_unstable_by_key(|g| g[0].1);
         let mut order = Vec::with_capacity(vps.len());
-        order.extend(groups.iter().flat_map(|g| g.iter().map(|&(_, at)| at)));
+        let resolved = |&(_, at): &(_, u32)| (at, prober.sim.endpoint(vps[at as usize]));
+        order.extend(groups.iter().flat_map(|g| g.iter().map(resolved)));
         let mut end = 0;
         let routes = groups.iter().map(|g| {
             end += g.len() as u32;
@@ -1082,9 +1090,9 @@ impl ReplyTrees {
         self.routes.is_empty()
     }
 
-    /// Route `r`'s VPs, by position in the surveyed list, ascending. Route
-    /// 0 is the first VP's.
-    pub fn vps(&self, r: usize) -> &[u32] {
+    /// Route `r`'s VPs, by position in the surveyed list, ascending, each
+    /// with its resolved host. Route 0 is the first VP's.
+    pub fn vps(&self, r: usize) -> &[(u32, Endpoint)] {
         let start = r.checked_sub(1).map_or(0, |prev| self.routes[prev].1);
         &self.order[start as usize..self.routes[r].1 as usize]
     }
@@ -1153,60 +1161,53 @@ impl Round<'_, '_> {
     /// round, so attempt `k` draws its faults at the round's start plus
     /// `after_ms` plus the timeouts the chain has waited, and an ICMP
     /// token bucket refills between its retries. `send` sends the attempt
-    /// that got through, under its nonce, and returns it with its outcome's
-    /// time. Returns what `send` returned (`None`: every attempt was lost)
-    /// and the chain's length: its waits, then the outcome's time.
+    /// that got through, under its nonce, lent the part's forward tree if
+    /// it has one, and returns it with its outcome's time. Returns what
+    /// `send` returned (`None`: every attempt was lost) and the chain's
+    /// length: its waits, then the outcome's time.
     fn member<R>(
         &mut self,
         after_ms: f64,
         p: Probe,
-        send: impl FnOnce(&mut Meter, u64) -> (R, f64),
+        send: impl FnOnce(&mut Meter, u64, Option<&mut SinkTree>) -> (R, f64),
     ) -> (Option<R>, f64) {
         let start = Some(self.start_ms + after_ms);
-        let (r, waited_ms) = self.prober.chain(&mut Meter::default(), p, start, send);
+        let forward = self.forward.as_deref_mut().map(|f| &mut f.tree);
+        let (r, waited_ms) = (self.prober).chain(&mut Meter::default(), p, start, |m, nonce| {
+            send(m, nonce, forward)
+        });
         let (r, outcome_ms) = r.map_or((None, 0.0), |(r, ms)| (Some(r), ms));
         let chain_ms = waited_ms + outcome_ms;
         self.longest_ms = self.longest_ms.max(after_ms + chain_ms);
         (r, chain_ms)
     }
 
-    /// One survey scan ping (§4.3), sent `after_ms` into the round: the
-    /// probe [`Prober::ping`] sends, lending the part's forward tree, if it
-    /// has one, to the walk there. Returns the reply and the chain's
-    /// length, so the reply came in at `after_ms` plus that length.
-    pub fn ping(&mut self, after_ms: f64, src: Addr, dst: Addr) -> (Option<EchoReply>, f64) {
-        self.survey_ping(after_ms, src, dst, None)
+    /// `addr` resolved once for the round's pings from it
+    /// ([`Sim::endpoint`]): a survey pings from each VP many times.
+    pub fn endpoint(&self, addr: Addr) -> Endpoint {
+        self.prober.sim.endpoint(addr)
     }
 
-    /// [`Round::ping`] from `src`, one of the VPs `reply` serves, lending
-    /// that tree to the walk back.
-    pub fn ping_from(
+    /// One survey scan ping (§4.3) from `src`, sent `after_ms` into the
+    /// round: the probe [`Prober::ping`] sends, lending the part's forward
+    /// tree, if it has one, to the walk there, and `reply` — a tree of the
+    /// route back to `src` ([`ReplyTrees`]) — to the walk back. Returns the
+    /// reply and the chain's length, so the reply came in at `after_ms`
+    /// plus that length.
+    pub fn ping(
         &mut self,
         after_ms: f64,
-        reply: &mut ReplyTree,
-        src: Addr,
+        src: &Endpoint,
         dst: Addr,
+        reply: Option<&mut ReplyTree>,
     ) -> (Option<EchoReply>, f64) {
-        self.survey_ping(after_ms, src, dst, Some(&mut reply.tree))
-    }
-
-    fn survey_ping(
-        &mut self,
-        after_ms: f64,
-        src: Addr,
-        dst: Addr,
-        reply: Option<&mut SinkTree>,
-    ) -> (Option<EchoReply>, f64) {
-        let p = self.prober;
-        let probe = Probe::new(ProbeKind::Ping, None, src, dst);
-        let mut forward = self.forward.take();
-        let lent = forward.as_deref_mut().map(|f| &mut f.tree);
-        let (r, chain_ms) = self.member(after_ms, probe, |_, _| {
-            let r = p.sim.ping_lent(src, dst, lent, reply);
+        let sim = self.prober.sim;
+        let probe = Probe::new(ProbeKind::Ping, None, src.addr(), dst);
+        let (r, chain_ms) = self.member(after_ms, probe, |_, _, forward| {
+            let r = sim.ping_lent(src, dst, forward, reply.map(|t| &mut t.tree));
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
-        self.forward = forward;
         (r.flatten(), chain_ms)
     }
 
@@ -1216,48 +1217,29 @@ impl Round<'_, '_> {
         self.prober.sim.rr_target(dst)
     }
 
-    /// One survey RR ping toward `dst` ([`Round::rr_target`]), sent
-    /// `after_ms` into the round (when its destination's scan ping
+    /// One survey RR ping from `src` toward `dst` ([`Round::rr_target`]),
+    /// sent `after_ms` into the round (when its destination's scan ping
     /// answered): the probe [`Prober::rr_ping`] sends on a cache-disabled
     /// handle — same counters, same fault and scenario draws, and the nonce
     /// that probe would carry if it left at this member's instant — but
     /// never near the measurement cache (a VP→scan-destination ping is one
     /// no measurement re-issues), with no replay provenance (nothing audits
     /// the survey), and lending the part's forward tree, if it has one, to
-    /// the walk there.
-    pub fn rr_ping(&mut self, after_ms: f64, src: Addr, dst: &RrTarget) -> Option<RrReply> {
-        self.survey_rr_ping(after_ms, src, dst, None)
-    }
-
-    /// [`Round::rr_ping`] from `vp`, one of the VPs `reply` serves, lending
-    /// that tree to the walk back.
-    pub fn rr_ping_from(
+    /// the walk there and `reply`, as for [`Round::ping`], to the walk back.
+    pub fn rr_ping(
         &mut self,
         after_ms: f64,
-        reply: &mut ReplyTree,
-        vp: Addr,
+        src: &Endpoint,
         dst: &RrTarget,
+        reply: Option<&mut ReplyTree>,
     ) -> Option<RrReply> {
-        self.survey_rr_ping(after_ms, vp, dst, Some(&mut reply.tree))
-    }
-
-    fn survey_rr_ping(
-        &mut self,
-        after_ms: f64,
-        src: Addr,
-        dst: &RrTarget,
-        reply: Option<&mut SinkTree>,
-    ) -> Option<RrReply> {
-        let p = self.prober;
-        let probe = Probe::new(ProbeKind::Rr, None, src, dst.addr());
-        let mut forward = self.forward.take();
-        let lent = forward.as_deref_mut().map(|f| &mut f.tree);
-        let (r, _) = self.member(after_ms, probe, |_, nonce| {
-            let r = p.sim.rr_ping_to(src, dst, nonce, lent, reply);
+        let sim = self.prober.sim;
+        let probe = Probe::new(ProbeKind::Rr, None, src.addr(), dst.addr());
+        let (r, _) = self.member(after_ms, probe, |_, nonce, forward| {
+            let r = sim.rr_ping_to(src, dst, nonce, forward, reply.map(|t| &mut t.tree));
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
         });
-        self.forward = forward;
         r.flatten()
     }
 
@@ -1272,7 +1254,7 @@ impl Round<'_, '_> {
     pub fn traceroute(&mut self, src: Addr, dst: Addr) -> (Option<TraceResult>, f64) {
         let p = self.prober;
         let probe = Probe::new(ProbeKind::Traceroutes, None, src, dst);
-        let (r, chain_ms) = self.member(0.0, probe, |m, _| p.trace_once(m, src, dst));
+        let (r, chain_ms) = self.member(0.0, probe, |m, _, _| p.trace_once(m, src, dst));
         let mut trace = r.flatten();
         if let Some(t) = &mut trace {
             p.sim.scenario_poison_trace(src, dst, &mut t.hops);
@@ -1294,7 +1276,7 @@ impl Round<'_, '_> {
         let p = self.prober;
         let spoof_vp = (sender != claimed).then_some(sender);
         let probe = Probe::new(ProbeKind::AtlasRr, spoof_vp, claimed, dst);
-        let (r, _) = self.member(after_ms, probe, |_, nonce| {
+        let (r, _) = self.member(after_ms, probe, |_, nonce, _| {
             let r = p.sim.rr_ping_from(sender, claimed, dst, nonce);
             let ms = r.as_ref().map_or(PROBE_TIMEOUT_MS, |x| x.rtt_ms);
             (r, ms)
@@ -1669,11 +1651,11 @@ mod tests {
         let mut round = p.round();
         let mut longest: f64 = 0.0;
         for &dst in &vps[1..] {
-            let r = round.rr_ping(0.0, vps[0], &round.rr_target(dst));
+            let r = round.rr_ping(0.0, &round.endpoint(vps[0]), &round.rr_target(dst), None);
             longest = longest.max(r.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
         }
         // A member sent once the slowest ping answered ends the round.
-        let (reply, chain_ms) = round.ping(longest, vps[0], vps[1]);
+        let (reply, chain_ms) = round.ping(longest, &round.endpoint(vps[0]), vps[1], None);
         assert_eq!(chain_ms, reply.map_or(PROBE_TIMEOUT_MS, |r| r.rtt_ms));
         longest += chain_ms;
         assert_eq!(
@@ -1711,9 +1693,9 @@ mod tests {
             let p = Prober::new(&s).with_retry_policy(RetryPolicy::uniform(attempts));
             let t0 = p.clock().now_ms();
             let mut round = p.round();
-            let hop = round.rr_target(hop);
+            let (src, hop) = (round.endpoint(src), round.rr_target(hop));
             let answered = (0..80)
-                .filter(|_| round.rr_ping(0.0, src, &hop).is_some())
+                .filter(|_| round.rr_ping(0.0, &src, &hop, None).is_some())
                 .count();
             drop(round);
             let snap = p.counters().snapshot();

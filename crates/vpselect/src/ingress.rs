@@ -538,11 +538,14 @@ fn responsive_dests(round: &mut Round<'_, '_>, s: &Survey<'_, '_>, p: PrefixId) 
     };
     let answered = |(reply, chain_ms): (Option<_>, f64)| (reply.is_some(), chain_ms);
     let wave = match s.replies {
-        None => wave(n, |i| answered(round.ping(0.0, pinger, cands[i]))),
+        None => wave(n, |i| {
+            answered(round.ping(0.0, &round.endpoint(pinger), cands[i], None))
+        }),
         Some(trees) => {
-            let mut tree = trees.tree(0);
+            // Route 0's first VP is the first VP, resolved with its tree.
+            let (mut tree, &(_, pinger)) = (trees.tree(0), &trees.vps(0)[0]);
             wave(n, |i| {
-                answered(round.ping_from(0.0, &mut tree, pinger, cands[i]))
+                answered(round.ping(0.0, &pinger, cands[i], Some(&mut tree)))
             })
         }
     };
@@ -897,18 +900,20 @@ impl SurveyScratch {
             None => {
                 let n_vps = s.vps.len();
                 for v in (from..n_vps).chain(0..from) {
-                    let rr_ping = |at_ms, d: &RrTarget| round.rr_ping(at_ms, s.vps[v], d);
+                    let rr_ping = |at_ms, d: &RrTarget| {
+                        round.rr_ping(at_ms, &round.endpoint(s.vps[v]), d, None)
+                    };
                     let views = Views::ping(rr_ping, &targets, found, parse, seen);
                     rows.fold(v, s.vps[v], views.answered());
                 }
             }
             Some(trees) => {
                 let mut visit = |r: usize, tree: &mut ReplyTree| {
-                    for &v in trees.vps(r) {
-                        let vp = s.vps[v as usize];
-                        let rr_ping = |at_ms, d: &RrTarget| round.rr_ping_from(at_ms, tree, vp, d);
+                    for &(v, vp) in trees.vps(r) {
+                        let rr_ping =
+                            |at_ms, d: &RrTarget| round.rr_ping(at_ms, &vp, d, Some(&mut *tree));
                         let views = Views::ping(rr_ping, &targets, found, parse, seen);
-                        rows.fold(v as usize, vp, views.answered());
+                        rows.fold(v as usize, vp.addr(), views.answered());
                     }
                 };
                 // A route another worker is visiting waits for the rest.

@@ -161,7 +161,7 @@ pub(crate) fn probe_prefix(
         .collect();
     let mut round = prober.round();
     let (found, _) = scan_wave(cands.len(), |j| {
-        let (reply, chain_ms) = round.ping(0.0, pinger, cands[j]);
+        let (reply, chain_ms) = round.ping(0.0, &round.endpoint(pinger), cands[j], None);
         (reply.is_some(), chain_ms)
     });
     let dests: Vec<Addr> = found.iter().map(|&(j, _)| cands[j]).collect();
@@ -174,7 +174,8 @@ pub(crate) fn probe_prefix(
         let mut per_dest: Vec<(Option<usize>, Vec<Addr>)> = Vec::new();
         for (&d, &(_, at_ms)) in dests.iter().zip(&found) {
             // Resolved for every ping: the reference shares nothing.
-            if let Some(r) = round.rr_ping(at_ms, vp, &round.rr_target(d)) {
+            let (vp, d) = (round.endpoint(vp), round.rr_target(d));
+            if let Some(r) = round.rr_ping(at_ms, &vp, &d, None) {
                 per_dest.push(path_view(&r.slots, prefix, h));
             }
         }

@@ -112,9 +112,10 @@ fn tiny_surveys_agree() {
 /// The era-2020 build's reply trees ([`ReplyTrees`], which
 /// `IngressDb::build` makes from its VP list): one per distinct route back
 /// to the VPs — the 146 VPs sit in 71 prefixes, a route each — every VP in
-/// exactly one, each tree's VPs of one prefix, ascending, the first VP's
-/// tree first; and grouping them fills no route table (the build's 2 036
-/// route computes are pinned in `era_2020_survey_is_pinned`).
+/// exactly one, beside its resolved host, each tree's VPs of one prefix,
+/// ascending, the first VP's tree first; and grouping them fills no route
+/// table (the build's 2 036 route computes are pinned in
+/// `era_2020_survey_is_pinned`).
 #[test]
 fn era_2020_reply_trees_are_one_per_vp_route() {
     let sim = Sim::build(SimConfig::era_2020(), 1);
@@ -127,21 +128,20 @@ fn era_2020_reply_trees_are_one_per_vp_route() {
     assert_eq!(sim.route_computes(), 0);
     let mut seen = vec![false; vps.len()];
     for r in 0..trees.len() {
-        let members = trees.vps(r);
-        let home = sim.host_prefix(vps[members[0] as usize]);
-        assert!(members
+        let members: Vec<usize> = trees.vps(r).iter().map(|&(v, _)| v as usize).collect();
+        assert!(trees
+            .vps(r)
             .iter()
-            .all(|&v| sim.host_prefix(vps[v as usize]) == home));
+            .all(|(v, host)| host.addr() == vps[*v as usize]));
+        let home = sim.host_prefix(vps[members[0]]);
+        assert!(members.iter().all(|&v| sim.host_prefix(vps[v]) == home));
         assert!(members.windows(2).all(|w| w[0] < w[1]), "route {r}");
-        for &v in members {
-            assert!(
-                !std::mem::replace(&mut seen[v as usize], true),
-                "VP {v} twice"
-            );
+        for &v in &members {
+            assert!(!std::mem::replace(&mut seen[v], true), "VP {v} twice");
         }
     }
     assert!(seen.iter().all(|&s| s), "a VP without a tree");
-    assert_eq!(trees.vps(0)[0], 0, "the first VP's tree is not the first");
+    assert_eq!(trees.vps(0)[0].0, 0, "the first VP's tree is not the first");
 }
 
 /// FNV-1a-64 over every surveyed `PrefixInfo` of `db`: destinations,

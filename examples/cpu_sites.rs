@@ -14,7 +14,8 @@
 //! — *self* (where each sample was: the innermost function of this
 //! repository's crates inlined at the sampled instruction, else the
 //! function holding it) and *inclusive* (every function on the stack, once
-//! per sample) — preceded by each round's wall time and the CPU the rounds
+//! per sample), each listing every function that holds at least 0.5 % of
+//! the samples — preceded by each round's wall time and the CPU the rounds
 //! burnt.
 //!
 //! Around one of
@@ -89,6 +90,8 @@ mod linux {
     const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     /// Sampling rate, per second of process CPU time.
     const HZ: i64 = 250;
+    /// The least share of the samples a table row holds.
+    const MIN_SHARE: f64 = 0.005;
     /// Frames kept per sample, innermost first.
     const MAX_DEPTH: usize = 64;
     /// Words of sample storage: each sample is its depth, then its frames.
@@ -419,13 +422,19 @@ mod linux {
             .collect()
     }
 
-    fn print_table(title: &str, total: usize, counts: BTreeMap<String, usize>, rows: usize) {
+    /// Every row holding at least [`MIN_SHARE`] of the `total` samples,
+    /// the largest first.
+    fn print_table(title: &str, total: usize, counts: BTreeMap<String, usize>) {
         let mut sorted: Vec<(String, usize)> = counts.into_iter().collect();
         sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         println!("--- {title} ---");
         println!("{:>7} {:>6}  function", "samples", "%");
-        for (name, n) in sorted.into_iter().take(rows) {
-            println!("{n:>7} {:>6.2}  {name}", 100.0 * n as f64 / total as f64);
+        let share = |n: usize| n as f64 / total as f64;
+        for (name, n) in sorted
+            .into_iter()
+            .take_while(|&(_, n)| share(n) >= MIN_SHARE)
+        {
+            println!("{n:>7} {:>6.2}  {name}", 100.0 * share(n));
         }
     }
 
@@ -471,11 +480,11 @@ mod linux {
             }
             *own.entry(leaf).or_default() += 1;
         }
-        print_table("self", total, own, 40);
-        print_table("inclusive", total, inclusive, 40);
+        print_table("self", total, own);
+        print_table("inclusive", total, inclusive);
         if let Some(pat) = leaf_filter {
             let title = format!("first in-repo frame of the {matched} samples inside `{pat}`");
-            print_table(&title, total, callers, 25);
+            print_table(&title, total, callers);
         }
     }
 

@@ -363,7 +363,14 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         },
         {
             let mut round = p.round();
-            check_losses(&p, dests, |s| s.ping, true, |d| round.ping(0.0, src, d))
+            let src = round.endpoint(src);
+            check_losses(
+                &p,
+                dests,
+                |s| s.ping,
+                true,
+                |d| round.ping(0.0, &src, d, None),
+            )
         },
         check_losses(
             &p,
@@ -379,7 +386,7 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         dests,
         |s| s.rr,
         true,
-        |d| round.rr_ping(0.0, src, &round.rr_target(d)),
+        |d| round.rr_ping(0.0, &round.endpoint(src), &round.rr_target(d), None),
     );
     drop(round);
     assert!(
